@@ -6,10 +6,12 @@
 //
 // Second section: the same flagship operator (fused embedding All-to-All)
 // run *event-driven* on a 64-PE torus machine at engine shard counts
-// 1/2/4/8 — the shard-local fused runtime. Simulated results and merged
-// traces are asserted byte-identical to the serial engine at every shard
-// count; what scales is host wall-clock (measured + attainable speedups,
-// recorded under `fused_shard_scaling` in bench_results/host_perf.json).
+// 1/2/4/8 — the shard-local fused runtime. Its simulated span is printed
+// against the bulk-synchronous baseline's, next to the analytic model's
+// 64-node ratio. Simulated results and merged traces are asserted
+// byte-identical to the serial engine at every shard count; what scales is
+// host wall-clock (measured + attainable speedups, recorded under
+// `fused_shard_scaling` in bench_results/host_perf.json).
 //
 // Env knobs (CI smoke uses tiny values):
 //   FCC_FIG15_SHARD_ITERS   timed op runs per shard count   (default 6)
@@ -119,16 +121,32 @@ double attainable_wall_s(const ShardPoint& p) {
   return outside_s + critical_s;
 }
 
-void run_sharded_flagship() {
+/// Simulated span of the bulk-synchronous baseline of the flagship
+/// operator, serial engine.
+TimeNs flagship_baseline_ns() {
+  gpu::Machine machine(shard_machine(1, /*collect_trace=*/false));
+  shmem::World world(machine);
+  fused::BaselineEmbeddingAllToAll op(
+      world, shard_op_config(machine.num_pes(), /*emit_trace=*/false),
+      nullptr);
+  return op.run_to_completion().duration();
+}
+
+/// `analytic_norm_64`: the analytic model's fused/baseline ratio for the
+/// whole training pass at 64 nodes, printed next to the event-driven
+/// operator's ratio.
+void run_sharded_flagship(double analytic_norm_64) {
   const int iters = env_int("FCC_FIG15_SHARD_ITERS", 6);
   const int max_shards = env_int("FCC_FIG15_SHARD_MAX", 8);
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const TimeNs baseline_ns = flagship_baseline_ns();
 
   AsciiTable table({"shards", "wall (ms)", "speedup", "attainable",
                     "windows", "events", "Mev/s"});
   CsvWriter csv(fccbench::out_dir() + "/fig15_fused_shard_scaling.csv",
                 {"shards", "wall_ms", "speedup", "attainable_speedup",
-                 "windows", "events", "events_per_second", "sim_duration_ns"});
+                 "windows", "events", "events_per_second", "sim_duration_ns",
+                 "baseline_duration_ns", "fused_over_baseline"});
   PerfJson perf;
   const std::string perf_path = fccbench::out_dir() + "/host_perf.json";
   perf.load(perf_path);
@@ -171,7 +189,8 @@ void run_sharded_flagship() {
     // machine restart at window-aligned times, so absolute stamps drift
     // across iterations while each run's simulated duration stays equal.
     csv.row(shards, p.wall_s * 1e3, speedup, attainable, p.stats.windows,
-            p.stats.events, evps, p.result.duration());
+            p.stats.events, evps, p.result.duration(), baseline_ns,
+            static_cast<double>(p.result.duration()) / baseline_ns);
     perf.set("fused_shard_scaling",
              "fig15_wall_seconds_shards" + std::to_string(shards), p.wall_s);
     if (shards > 1) {
@@ -184,6 +203,18 @@ void run_sharded_flagship() {
     }
   }
   perf.save(perf_path);
+
+  const TimeNs fused_ns = serial_result.duration();
+  AsciiTable sim({"fused vs baseline at 64 nodes", "baseline (us)",
+                  "fused (us)", "normalized"});
+  sim.add_row({"event-driven operator (emb+A2A, 8x8 torus)",
+               AsciiTable::fmt(ns_to_us(baseline_ns), 1),
+               AsciiTable::fmt(ns_to_us(fused_ns), 1),
+               AsciiTable::fmt(static_cast<double>(fused_ns) / baseline_ns, 3)});
+  sim.add_row({"analytic training pass (table above)", "", "",
+               AsciiTable::fmt(analytic_norm_64, 3)});
+  std::cout << "\n";
+  sim.print(std::cout);
 
   std::cout << "\nFused embedding All-to-All, event-driven on an 8x8 torus "
                "(64 PEs), sharded engine\n";
@@ -257,6 +288,7 @@ int main() {
   parts.print(std::cout);
   std::cout << "paper: ~21% reduction at 128 nodes\n";
 
-  run_sharded_flagship();
+  const auto& p64 = points[3];  // node_counts[3] == 64, the flagship's size
+  run_sharded_flagship(static_cast<double>(p64.fused.total) / p64.base.total);
   return 0;
 }

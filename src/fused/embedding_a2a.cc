@@ -1,6 +1,7 @@
 #include "fused/embedding_a2a.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "framework/op_registry.h"
@@ -109,9 +110,14 @@ sim::Co FusedEmbeddingAllToAll::pe_body(PeId pe) {
   gpu::KernelRun::Params p;
   p.name = "fused_emb_a2a";
   p.num_slots = slots_per_pe_;
-  p.order = ordered_tasks(
-      map.num_logical_wgs(), cfg_.policy,
-      [&map, pe](int lw) { return map.wg_is_remote(pe, lw); });
+  if (cfg_.policy == gpu::SchedulePolicy::kCommAware) {
+    p.order = map.comm_aware_order(pe, [&machine, pe](PeId d) {
+      return machine.route_class(pe, d) == hw::RouteClass::kInterNode;
+    });
+  } else {
+    p.order.resize(static_cast<std::size_t>(map.num_logical_wgs()));
+    std::iota(p.order.begin(), p.order.end(), 0);
+  }
   p.body = [this, pe](int slot, int lw) { return pe_kernel_wg(pe, slot, lw); };
   p.epilogue = [this, pe](int slot) { return pe_epilogue(pe, slot); };
   auto& run = runs_[static_cast<std::size_t>(pe)];

@@ -6,8 +6,13 @@
 // slice's remote PUT + fence + sliceRdy flag. Intra-node destinations use
 // zero-copy per-WG stores over the fabric (no staging); inter-node slices
 // stage locally and go out as one RDMA PUT. Logical WGs run in
-// communication-aware order (remote slices first) unless configured
-// oblivious. After draining the task loop, each persistent WG polls a
+// communication-aware order unless configured oblivious: remote slices
+// first, one destination block at a time, inter-node destinations before
+// intra-node ones and each class starting at the PE after self
+// (SliceMap::comm_aware_order). Staggering the start keeps all sources off
+// one destination's ingress links at once: on the 8x8 torus flagship the
+// shared 0..n-1 order took 3.345x the baseline's span, the staggered one
+// 0.884x. After draining the task loop, each persistent WG polls a
 // distinct subset of sliceRdy flags before exiting.
 //
 // Baseline path: per-table pooling kernels (public-DLRM structure) on a

@@ -204,11 +204,6 @@ std::vector<PeId> all_pes(gpu::Machine& machine) {
   return v;
 }
 
-std::vector<int> ordered_tasks(int n, gpu::SchedulePolicy policy,
-                               const std::function<bool(int)>& is_remote) {
-  return gpu::make_schedule(n, policy, is_remote);
-}
-
 std::vector<int> ordered_tasks(std::vector<int> tasks,
                                gpu::SchedulePolicy policy,
                                const std::function<bool(int)>& is_remote) {

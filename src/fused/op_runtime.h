@@ -17,6 +17,16 @@
 //   * ordered_tasks / strided_tasks — comm-aware vs oblivious task-loop
 //                      ordering over gpu::SchedulePolicy.
 //
+// Comm-aware order is remote-first for every op but the fused embedding,
+// which also staggers its destinations (SliceMap::comm_aware_order): its
+// WGs are sample-major, so a plain remote-first pass walks destinations
+// 0..n-1 on every PE at once and serialises the A2A on one destination's
+// ingress links at a time (8x8 torus flagship: 37236 -> 9845 sim_us,
+// fused/baseline 3.345 -> 0.884). The same rotation made the GEMV+AllReduce
+// and tile-DSL ops (GEMM+A2A, MoE dispatch) slower (paper_ops sim_us
+// +0.12%, plan_grid +1.6%, one planner anchor lost), so they stay
+// remote-first.
+//
 // Per-PE completion times are stamped inside run_per_pe_at bodies (each
 // body runs on its PE's home-shard engine), so the runtime works on serial
 // and sharded machines alike.
@@ -225,13 +235,10 @@ class FusedOp {
 /// Every PE of the machine, in id order (ccl communicator construction).
 std::vector<PeId> all_pes(gpu::Machine& machine);
 
-/// Comm-aware/oblivious ordering over the logical-WG range [0, n):
-/// comm-aware runs remote-output producers first (stable within classes).
-std::vector<int> ordered_tasks(int n, gpu::SchedulePolicy policy,
-                               const std::function<bool(int)>& is_remote);
-
-/// Same policy applied to an explicit task list (per-slot static
+/// Comm-aware/oblivious ordering of an explicit task list (per-slot static
 /// assignment: the caller already picked which tasks are its own).
+/// Comm-aware runs remote-output producers first, stable within classes.
+/// The fused embedding does not use it; see SliceMap::comm_aware_order.
 std::vector<int> ordered_tasks(std::vector<int> tasks,
                                gpu::SchedulePolicy policy,
                                const std::function<bool(int)>& is_remote);

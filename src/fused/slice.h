@@ -10,6 +10,9 @@
 // id — so the All-to-All lands data pre-shuffled for the interaction op.
 #pragma once
 
+#include <functional>
+#include <vector>
+
 #include "common/check.h"
 #include "common/types.h"
 
@@ -51,6 +54,37 @@ struct SliceMap {
   PeId dest_of_sample(int b) const { return b / local_batch(); }
   bool wg_is_remote(PeId self, int lw) const {
     return dest_of_sample(wg_sample(lw)) != self;
+  }
+
+  /// Communication-aware WG order on PE `self`, one destination block at a
+  /// time (the WGs bound for PE d are the contiguous range
+  /// [d * wgs_per_dest, (d + 1) * wgs_per_dest)). Blocks for destinations
+  /// that `leaves_node` reports inter-node come first, then intra-node
+  /// ones, and `self`'s own block last. Within each class destinations go
+  /// in (d - self - 1) mod num_pes order, the shift schedule of the pairwise
+  /// ccl All-to-All: with every source starting at the same destination,
+  /// all of them would hit one destination's ingress links at once and then
+  /// move to the next together. Inter-node blocks lead because a plain
+  /// rotation gave the 2x4 serve point a worse mean-latency ratio. On 2 PEs
+  /// this is the stable remote-first partition of make_schedule.
+  std::vector<int> comm_aware_order(
+      PeId self, const std::function<bool(PeId)>& leaves_node) const {
+    const int wgs_per_dest = local_batch() * tables_per_pe;
+    std::vector<int> order;
+    order.reserve(static_cast<std::size_t>(num_logical_wgs()));
+    const auto append_block = [&](PeId d) {
+      for (int lw = d * wgs_per_dest; lw < (d + 1) * wgs_per_dest; ++lw) {
+        order.push_back(lw);
+      }
+    };
+    for (const bool inter_node : {true, false}) {
+      for (int k = 1; k < num_pes; ++k) {
+        const PeId d = (self + k) % num_pes;
+        if (leaves_node(d) == inter_node) append_block(d);
+      }
+    }
+    append_block(self);
+    return order;
   }
 
   /// ---- slice indexing (per source PE) ----

@@ -127,6 +127,7 @@ Machine::Machine(const Config& config)
                                 config.ib);
 
   if (is_sharded()) {
+    topology_->set_engine_shards(config.num_shards);
     defer_inter_node_ = !topology_->inter_node_state_src_local();
     std::vector<int> node_shard(static_cast<std::size_t>(config.num_nodes));
     for (NodeId n = 0; n < config.num_nodes; ++n) {

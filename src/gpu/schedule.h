@@ -5,6 +5,16 @@
 // maximizing the window in which remote transfers overlap local compute
 // (Figs. 6b / 14). The oblivious baseline starts from WG (0,0,0) and
 // proceeds sequentially.
+//
+// make_schedule keeps each class in sequential order. The fused
+// embedding+A2A does not use it under kCommAware: its WGs are sample-major,
+// so that order would send every PE to destination 0, then 1, ... at the
+// same time. It staggers destinations instead (fused::SliceMap::
+// comm_aware_order: inter-node blocks, then intra-node, own block last,
+// each class starting at self + 1), which took the 8x8 torus flagship from
+// 37236 to 9845 sim_us (fused/baseline 3.345 -> 0.884). The tile-DSL ops
+// and the fused GEMV+AllReduce keep this order: the same rotation made
+// them slower (paper_ops sim_us +0.12%, plan_grid +1.6%).
 #pragma once
 
 #include <functional>

@@ -109,6 +109,13 @@ FaultPlan make_chaos_plan(Topology& topo, std::uint64_t seed,
 
 void schedule_fault_plan(sim::Engine& engine, Topology& topo,
                          const FaultPlan& plan, TimeNs base) {
+  FCC_CHECK_MSG(topo.engine_shards() == 1,
+                "schedule_fault_plan: this " << topo.kind_name()
+                    << " fabric is driven by " << topo.engine_shards()
+                    << " engine shards; a scheduled fault would change its "
+                       "route state from one shard while the others reserve "
+                       "routes. Run fault plans on a serial machine "
+                       "(Machine::Config::num_shards = 1)");
   plan.validate(topo);
   for (const FaultEvent& ev : plan.events) {
     engine.schedule_at(base + ev.t,

@@ -122,7 +122,8 @@ FaultPlan make_chaos_plan(Topology& topo, std::uint64_t seed,
 
 /// Schedules every event of `plan` at engine time `base + event.t` as a
 /// plain engine callback applying the fault to `topo`. Both must outlive
-/// the run. Validates the plan first.
+/// the run. Validates the plan first, and throws if `topo` belongs to a
+/// sharded machine (Topology::engine_shards() > 1).
 void schedule_fault_plan(sim::Engine& engine, Topology& topo,
                          const FaultPlan& plan, TimeNs base);
 

@@ -226,6 +226,12 @@ class Topology {
   /// Names of currently-unhealthy sites, in site order.
   std::vector<std::string> active_faults();
 
+  /// Engine shards whose threads reserve routes on this fabric during a run
+  /// (gpu::Machine sets it; 1 for serial machines and bare topologies).
+  /// schedule_fault_plan rejects fabrics with more than one.
+  int engine_shards() const { return engine_shards_; }
+  void set_engine_shards(int n) { engine_shards_ = n; }
+
   /// Unhealthy components a communicator spanning `pes` is exposed to:
   /// unhealthy sites on member nodes (rails, ports) plus any unhealthy or
   /// dead component on the routes between member-node pairs (including
@@ -240,6 +246,7 @@ class Topology {
   bool sites_built_ = false;
   int faulted_ = 0;  // count of unhealthy sites
   std::uint64_t fault_epoch_ = 0;
+  int engine_shards_ = 1;
 
  protected:
   /// Subclass hook: enumerate this fabric's fault sites (called once).

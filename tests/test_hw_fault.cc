@@ -1,9 +1,12 @@
 // Fault injection & graceful degradation in the hw layer: multi-rail
 // failover, torus detours, PartitionedFabricError on true partitions, the
-// healthy-path byte-identity guarantee, chaos-plan determinism, and the
-// ccl auto-selection fallback on a degraded fabric.
+// healthy-path byte-identity guarantee, chaos-plan determinism, the
+// rejection of scheduled plans on sharded machines, and the ccl
+// auto-selection fallback on a degraded fabric.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -269,6 +272,43 @@ TEST(ChaosPlan, ScheduledPlanAppliesAtEventTimes) {
   engine.run();
   EXPECT_FALSE(topo.has_faults());  // repaired by the end
   EXPECT_EQ(topo.fault_epoch(), 2u);
+}
+
+TEST(ChaosPlan, ShardedMachineRejectsScheduledPlan) {
+  for (const auto kind :
+       {TopologySpec::Kind::kFullyConnected, TopologySpec::Kind::kTorus2D}) {
+    gpu::Machine::Config mc;
+    mc.num_nodes = 4;
+    mc.gpus_per_node = 1;
+    mc.topology.kind = kind;
+    mc.topology.torus.dim_x = 2;
+    mc.topology.torus.dim_y = 2;
+    const FaultPlan plan = [&] {
+      gpu::Machine serial(mc);
+      return make_chaos_plan(serial.topology(), 7);
+    }();
+    ASSERT_FALSE(plan.empty());
+
+    mc.num_shards = 2;
+    gpu::Machine sharded(mc);
+    try {
+      schedule_fault_plan(sharded.engine(), sharded.topology(), plan, 0);
+      ADD_FAILURE() << "fault plan accepted on a sharded "
+                    << sharded.topology().kind_name();
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("num_shards = 1"),
+                std::string::npos)
+          << e.what();
+    }
+    sharded.run_all(1);
+    EXPECT_EQ(sharded.topology().fault_epoch(), 0u);  // nothing scheduled
+
+    mc.num_shards = 1;
+    gpu::Machine serial(mc);
+    schedule_fault_plan(serial.engine(), serial.topology(), plan, 0);
+    serial.run_all(1);
+    EXPECT_GT(serial.topology().fault_epoch(), 0u);
+  }
 }
 
 }  // namespace

@@ -90,12 +90,6 @@ TEST(TaskOrdering, CommAwarePutsRemoteTasksFirstStably) {
             (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(TaskOrdering, RangeOverloadMatchesMakeSchedule) {
-  const auto is_remote = [](int t) { return t >= 3; };
-  EXPECT_EQ(ordered_tasks(5, gpu::SchedulePolicy::kCommAware, is_remote),
-            (std::vector<int>{3, 4, 0, 1, 2}));
-}
-
 // ---------------------------------------------------------------------------
 // FlagSet
 // ---------------------------------------------------------------------------

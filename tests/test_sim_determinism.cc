@@ -149,6 +149,43 @@ TimingTrace internode_embedding() {
   return collect(m, w, {&emb});
 }
 
+/// Fused embedding+A2A with more than one remote destination per PE, where
+/// the communication-aware order staggers destinations: `mc` is a 4x4 torus
+/// (inter-node only, deferred ring links) or 2x4 fully connected (zero-copy
+/// intra-node blocks behind RDMA inter-node ones).
+TimingTrace staggered_embedding(const gpu::Machine::Config& mc) {
+  gpu::Machine m(mc);
+  shmem::World w(m);
+
+  fused::EmbeddingA2AConfig cfg;
+  cfg.map.num_pes = m.num_pes();
+  cfg.map.tables_per_pe = 8;
+  cfg.map.global_batch = 64 * m.num_pes();
+  cfg.map.dim = 256;
+  cfg.map.vectors_per_slice = 32;
+  cfg.functional = false;
+
+  fused::FusedEmbeddingAllToAll emb(w, cfg, nullptr);
+  return collect(m, w, {&emb});
+}
+
+gpu::Machine::Config torus_4x4() {
+  gpu::Machine::Config mc;
+  mc.num_nodes = 16;
+  mc.gpus_per_node = 1;
+  mc.topology.kind = hw::TopologySpec::Kind::kTorus2D;
+  mc.topology.torus.dim_x = 4;
+  mc.topology.torus.dim_y = 4;
+  return mc;
+}
+
+gpu::Machine::Config fc_2x4() {
+  gpu::Machine::Config mc;
+  mc.num_nodes = 2;
+  mc.gpus_per_node = 4;
+  return mc;
+}
+
 // Golden traces recorded from the seed engine. FCC_GOLDEN markers below are
 // grep anchors for re-recording (print the actual on mismatch).
 
@@ -185,6 +222,34 @@ TEST(SimDeterminism, InternodeEmbeddingMatchesSeedEngine) {
   g.op_end = {73040};
   g.pe_end = {{71040, 71040}};
   g.busy = {3313923, 3313923};
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
+}
+
+// Recorded with the staggered destination order of
+// SliceMap::comm_aware_order.
+
+TEST(SimDeterminism, TorusEmbeddingMatchesGolden) {
+  const TimingTrace t = staggered_embedding(torus_4x4());
+  TimingTrace g;
+  // FCC_GOLDEN torus_embedding
+  g.final_now = 345771;
+  g.puts = 7680;
+  g.op_end = {345771};
+  g.pe_end = {std::vector<TimeNs>(16, 343771)};
+  g.busy = std::vector<TimeNs>(16, 203996928);
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
+}
+
+TEST(SimDeterminism, Fc2x4EmbeddingMatchesGolden) {
+  const TimingTrace t = staggered_embedding(fc_2x4());
+  TimingTrace g;
+  // FCC_GOLDEN fc2x4_embedding
+  g.final_now = 445270;
+  g.puts = 13696;
+  g.op_end = {445270};
+  g.pe_end = {{176515, 233606, 338438, 443270, 176515, 233606, 338438,
+               443270}};
+  g.busy = std::vector<TimeNs>(8, 99005464);
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
 }
 

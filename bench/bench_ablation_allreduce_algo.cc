@@ -58,12 +58,13 @@ int main() {
     cfg.m = 16384;
     cfg.k_global = 8192;
     cfg.functional = false;
+    cfg.allreduce_algo = algo;
     gpu::Machine::Config mc;
     mc.num_nodes = 1;
     mc.gpus_per_node = 4;
     gpu::Machine machine(mc);
     shmem::World world(machine);
-    return fused::BaselineGemvAllReduce(world, cfg, nullptr, algo)
+    return fused::BaselineGemvAllReduce(world, cfg, nullptr)
         .run_to_completion()
         .duration();
   };

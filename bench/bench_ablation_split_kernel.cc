@@ -45,9 +45,8 @@ struct SplitRunner {
     for (int t = 0; t < tables_in_chunk; ++t) {
       gpu::KernelRun::Params p;
       p.name = "emb_table_chunk";
-      p.num_slots = gpu::max_active_wgs(
-          machine.device(pe).spec(),
-          fused::BaselineEmbeddingAllToAll::baseline_resources());
+      p.num_slots = gpu::max_active_wgs(machine.device(pe).spec(),
+                                        gpu::KernelResources{});
       p.order.resize(static_cast<std::size_t>(cfg.map.global_batch));
       for (int b = 0; b < cfg.map.global_batch; ++b) {
         p.order[static_cast<std::size_t>(b)] = b;

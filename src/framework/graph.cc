@@ -156,7 +156,7 @@ int rewrite_fused(Graph& graph, const OpRegistry& registry,
   // other.
   std::map<std::pair<std::string, std::string>, std::string> table;
   for (const auto& name : registry.names()) {
-    const auto pat = registry.at(name).unfused_pattern();
+    const auto& pat = registry.at(name).pattern;
     if (pat.size() != 2) continue;
     const auto [it, inserted] = table.try_emplace({pat[0], pat[1]}, name);
     FCC_CHECK_MSG(inserted, "ops '" << it->second << "' and '" << name

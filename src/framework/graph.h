@@ -134,7 +134,7 @@ struct FusedRewrite {
 };
 
 /// The fused-rewrite pass: collapses every producer→consumer pair whose op
-/// names match a registered entry's unfused_pattern() into one node
+/// names match a registered entry's `pattern` into one node
 /// dispatching the fused op. The pair must be connected by dataflow and the
 /// producer's outputs consumed by the consumer alone (no other reader or
 /// control-dependent node), so the fusion cannot reorder anyone else's

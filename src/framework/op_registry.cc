@@ -19,8 +19,6 @@ std::string spec_type_error_msg(const std::string& op, const char* slot,
 
 }  // namespace detail
 
-std::vector<std::string> OpEntry::unfused_pattern() const { return pattern; }
-
 OpRegistry& OpRegistry::global() {
   static OpRegistry registry;
   return registry;

@@ -121,10 +121,6 @@ struct OpEntry {
       shmem::World&, const OpSpec&, Backend)>;
 
   std::string name;
-  /// Purely documentary: a human-readable description of what this op
-  /// fuses ("aten::mv + c10d::all_reduce"). Never parsed — the structured
-  /// `pattern` field is the only rewrite metadata.
-  std::string replaces;
   Factory make = nullptr;
   /// Optional: a small timing-only spec runnable on smoke_machine_config(),
   /// for registry-wide sweeps (fused-vs-baseline smoke tests, CI).
@@ -138,11 +134,22 @@ struct OpEntry {
   /// keys. Ops without one still run; graphs containing them just plan
   /// uncached (the fingerprint is marked inexact).
   std::function<std::string(const OpSpec&)> shape_key = nullptr;
-
-  /// The producer/consumer node names this op rewrites (`pattern`), or
-  /// empty if the entry declares none.
-  std::vector<std::string> unfused_pattern() const;
 };
+
+/// The factory of a fused/baseline operator pair, each constructed as
+/// `Op(world, config, data)` from the spec's Config and (optional) Data*.
+template <typename Config, typename Data, typename Fused, typename Baseline>
+OpEntry::Factory pair_factory() {
+  return [](shmem::World& world, const OpSpec& spec,
+            Backend backend) -> std::unique_ptr<fused::FusedOp> {
+    const auto& cfg = spec_config<Config>(spec);
+    auto* data = spec_data<Data>(spec);
+    if (backend == Backend::kFused) {
+      return std::make_unique<Fused>(world, cfg, data);
+    }
+    return std::make_unique<Baseline>(world, cfg, data);
+  };
+}
 
 class OpRegistry {
  public:

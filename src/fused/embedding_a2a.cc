@@ -30,13 +30,6 @@ EmbeddingA2AData EmbeddingA2AData::random(const EmbeddingA2AConfig& cfg,
 // Fused operator
 // ---------------------------------------------------------------------------
 
-gpu::KernelResources FusedEmbeddingAllToAll::fused_resources() {
-  gpu::KernelResources r;
-  r.threads_per_wg = 256;
-  r.vgprs_per_thread = 128 + gpu::kShmemCtxVgprsPerThread;
-  return r;
-}
-
 FusedEmbeddingAllToAll::FusedEmbeddingAllToAll(shmem::World& world,
                                                EmbeddingA2AConfig cfg,
                                                EmbeddingA2AData* data)
@@ -52,7 +45,7 @@ FusedEmbeddingAllToAll::FusedEmbeddingAllToAll(shmem::World& world,
   // ~75% occupancy, so the persistent grid is tuned to the knee.
   slots_per_pe_ =
       OccupancyPlan::resolve(
-          world_.machine().device(0).spec(), fused_resources(),
+          world_.machine().device(0).spec(), kFusedKernelResources,
           {.override_slots = cfg_.occupancy_slots_override,
            .knee_frac = ops::kFusedEmbeddingCurve.knee_frac})
           .slots;
@@ -69,11 +62,8 @@ std::size_t FusedEmbeddingAllToAll::flag_index(PeId src, int table,
 }
 
 sim::Co FusedEmbeddingAllToAll::run() {
-  auto& machine = world_.machine();
-  auto& engine = machine.engine();
   const auto& map = cfg_.map;
   const int pes = map.num_pes;
-  const auto& spec = machine.device(0).spec();
 
   // Reset per-run state. wg_done_/stage_ are written only by each owning
   // PE's WG bodies on its home shard; slice_rdy_ wakes waiters on each PE's
@@ -90,17 +80,8 @@ sim::Co FusedEmbeddingAllToAll::run() {
   }
   runs_.clear();
   runs_.resize(static_cast<std::size_t>(pes));
-  begin_run(pes);
-
-  // One persistent-kernel launch per PE, spawned on each PE's home-shard
-  // engine at the post-launch instant; the driver resumes at the exact max
-  // completion time (run_per_pe_at), as the serial sequential awaits did.
-  co_await run_per_pe_at(engine.now() + spec.kernel_launch_ns, pes,
-                         [this](PeId pe) { return pe_body(pe); });
-
-  // Host observes completion via one stream sync.
-  co_await sim::delay(engine, spec.stream_sync_ns);
-  finish_run();
+  // One persistent-kernel launch per PE.
+  co_await run_fused([this](PeId pe) { return pe_body(pe); });
 }
 
 sim::Co FusedEmbeddingAllToAll::pe_body(PeId pe) {
@@ -210,10 +191,6 @@ sim::Co FusedEmbeddingAllToAll::pe_kernel_wg(PeId pe, int slot, int lw) {
   }
 }
 
-sim::Co FusedEmbeddingAllToAll::emit_slice(PeId pe, int slice) {
-  co_await emit_slice_from_slot(pe, /*slot=*/0, slice);
-}
-
 sim::Co FusedEmbeddingAllToAll::emit_slice_from_slot(PeId pe, int slot,
                                                      int slice) {
   auto& machine = world_.machine();
@@ -290,21 +267,12 @@ sim::Co FusedEmbeddingAllToAll::pe_epilogue(PeId pe, int slot) {
 // Bulk-synchronous baseline
 // ---------------------------------------------------------------------------
 
-gpu::KernelResources BaselineEmbeddingAllToAll::baseline_resources() {
-  gpu::KernelResources r;
-  r.threads_per_wg = 256;
-  r.vgprs_per_thread = 128;
-  return r;
-}
-
 BaselineEmbeddingAllToAll::BaselineEmbeddingAllToAll(shmem::World& world,
                                                      EmbeddingA2AConfig cfg,
                                                      EmbeddingA2AData* data)
-    : FusedOp(world),
-      cfg_(std::move(cfg)),
-      data_(data),
-      comm_(world.machine(), all_pes(world.machine())) {
+    : BulkSyncOp(world), cfg_(std::move(cfg)), data_(data) {
   cfg_.map.validate();
+  FCC_CHECK(cfg_.map.num_pes == world_.n_pes());
   if (cfg_.functional) {
     FCC_CHECK_MSG(data_ != nullptr && data_->output != nullptr,
                   "functional mode needs EmbeddingA2AData");
@@ -318,7 +286,7 @@ sim::Co BaselineEmbeddingAllToAll::table_kernel(PeId pe, int table) {
   gpu::KernelRun::Params p;
   p.name = "emb_table_kernel";
   p.num_slots =
-      OccupancyPlan::resolve(spec, baseline_resources(),
+      OccupancyPlan::resolve(spec, gpu::KernelResources{},
                              {.override_slots = cfg_.occupancy_slots_override})
           .slots;
   p.order.resize(static_cast<std::size_t>(map.global_batch));
@@ -339,12 +307,8 @@ sim::Co BaselineEmbeddingAllToAll::table_kernel(PeId pe, int table) {
       // Send layout: chunk per destination, [t][lb][dim] inside the chunk.
       const PeId d = map2.dest_of_sample(b);
       const int lb = b % map2.local_batch();
-      const std::size_t chunk_elems =
-          static_cast<std::size_t>(map2.tables_per_pe) *
-          static_cast<std::size_t>(map2.local_batch()) *
-          static_cast<std::size_t>(map2.dim);
       const std::size_t off =
-          static_cast<std::size_t>(d) * chunk_elems +
+          static_cast<std::size_t>(d) * chunk_elems() +
           (static_cast<std::size_t>(table) * map2.local_batch() +
            static_cast<std::size_t>(lb)) *
               static_cast<std::size_t>(map2.dim);
@@ -358,62 +322,45 @@ sim::Co BaselineEmbeddingAllToAll::table_kernel(PeId pe, int table) {
   co_await run.wait();
 }
 
-sim::Co BaselineEmbeddingAllToAll::pe_compute(PeId pe, TimeNs t0) {
-  // Spawned at t0 + kernel_launch_ns on the PE's home engine; anchoring the
-  // stream at t0 reproduces the serial launch_ready sequence exactly.
+std::size_t BaselineEmbeddingAllToAll::chunk_elems() const {
+  return static_cast<std::size_t>(cfg_.map.tables_per_pe) *
+         static_cast<std::size_t>(cfg_.map.local_batch()) *
+         static_cast<std::size_t>(cfg_.map.dim);
+}
+
+void BaselineEmbeddingAllToAll::prepare() {
+  if (!cfg_.functional) return;
+  const auto pes = static_cast<std::size_t>(cfg_.map.num_pes);
+  send_.assign(pes, std::vector<float>(chunk_elems() * pes, 0.0f));
+  recv_.assign(pes, std::vector<float>(chunk_elems() * pes, 0.0f));
+}
+
+sim::Co BaselineEmbeddingAllToAll::compute(PeId pe, TimeNs t0) {
+  // Every PE drives its own stream of per-table kernels. Spawned at
+  // t0 + kernel_launch_ns (the first launch_ready) with the stream anchored
+  // at t0, so the issue timeline is byte-identical to the serial
+  // enqueue-at-t0 sequence. The host's stream sync is BulkSyncOp's.
   auto& machine = world_.machine();
   gpu::Stream stream(machine.engine_of(pe), machine.device(pe).spec(),
                      /*anchor=*/t0);
+  std::shared_ptr<sim::OneShot> last;
   for (int t = 0; t < cfg_.map.tables_per_pe; ++t) {
-    stream.enqueue([this, pe, t] { return table_kernel(pe, t); });
+    last = stream.enqueue([this, pe, t] { return table_kernel(pe, t); });
   }
-  co_await stream.sync();
-  compute_end_[static_cast<std::size_t>(pe)] = machine.engine_of(pe).now();
+  co_await last->wait();
 }
 
-sim::Co BaselineEmbeddingAllToAll::run() {
-  auto& machine = world_.machine();
-  auto& engine = machine.engine();
+sim::Co BaselineEmbeddingAllToAll::collective(ccl::Communicator& comm) {
   const auto& map = cfg_.map;
   const int pes = map.num_pes;
-  const auto& spec = machine.device(0).spec();
-
-  begin_run(pes);
-  compute_end_.assign(static_cast<std::size_t>(pes), 0);
-
-  const std::size_t chunk_elems = static_cast<std::size_t>(map.tables_per_pe) *
-                                  static_cast<std::size_t>(map.local_batch()) *
-                                  static_cast<std::size_t>(map.dim);
-  if (cfg_.functional) {
-    send_.assign(static_cast<std::size_t>(pes),
-                 std::vector<float>(chunk_elems * static_cast<std::size_t>(pes),
-                                    0.0f));
-    recv_.assign(static_cast<std::size_t>(pes),
-                 std::vector<float>(chunk_elems * static_cast<std::size_t>(pes),
-                                    0.0f));
-  }
-
-  // Compute phase: every PE drives its own stream of per-table kernels on
-  // its home-shard engine. Bodies spawn at t0 + kernel_launch_ns (the first
-  // launch_ready) with the stream anchored at t0, so the issue timeline is
-  // byte-identical to the serial enqueue-at-t0 sequence.
-  {
-    const TimeNs t0 = engine.now();
-    co_await run_per_pe_at(
-        t0 + spec.kernel_launch_ns, pes,
-        [this, t0](PeId pe) { return pe_compute(pe, t0); });
-  }
-
-  // Collective phase: RCCL-style All-to-All kernel (one launch), then sync.
-  co_await sim::delay(engine, spec.kernel_launch_ns);
+  const std::size_t chunk = chunk_elems();
   ccl::FloatBufs send_bufs, recv_bufs;
   if (cfg_.functional) {
     for (auto& s : send_) send_bufs.per_rank.emplace_back(s);
     for (auto& r : recv_) recv_bufs.per_rank.emplace_back(r);
   }
-  co_await comm_.all_to_all(static_cast<std::int64_t>(chunk_elems),
-                            std::move(send_bufs), std::move(recv_bufs));
-  co_await sim::delay(engine, spec.stream_sync_ns);
+  co_await comm.all_to_all(static_cast<std::int64_t>(chunk),
+                           std::move(send_bufs), std::move(recv_bufs));
 
   // Functional: scatter the source-major chunks into the interaction layout.
   // (Charged to neither side; the baseline's consumer reads strided, see
@@ -426,7 +373,7 @@ sim::Co BaselineEmbeddingAllToAll::run() {
         for (int t = 0; t < map.tables_per_pe; ++t) {
           for (int lb = 0; lb < map.local_batch(); ++lb) {
             const std::size_t in_off =
-                static_cast<std::size_t>(src) * chunk_elems +
+                static_cast<std::size_t>(src) * chunk +
                 (static_cast<std::size_t>(t) * map.local_batch() +
                  static_cast<std::size_t>(lb)) *
                     static_cast<std::size_t>(map.dim);
@@ -440,8 +387,6 @@ sim::Co BaselineEmbeddingAllToAll::run() {
       }
     }
   }
-
-  finish_run_uniform();
 }
 
 // ---------------------------------------------------------------------------
@@ -452,17 +397,9 @@ namespace {
 
 const fw::OpRegistrar embedding_a2a_registrar{{
     .name = "fcc::embedding_a2a",
-    .replaces = "aten::embedding_bag + c10d::all_to_all",
-    .make =
-        [](shmem::World& world, const fw::OpSpec& spec, fw::Backend backend)
-        -> std::unique_ptr<FusedOp> {
-      const auto& cfg = fw::spec_config<EmbeddingA2AConfig>(spec);
-      auto* data = fw::spec_data<EmbeddingA2AData>(spec);
-      if (backend == fw::Backend::kFused) {
-        return std::make_unique<FusedEmbeddingAllToAll>(world, cfg, data);
-      }
-      return std::make_unique<BaselineEmbeddingAllToAll>(world, cfg, data);
-    },
+    .make = fw::pair_factory<EmbeddingA2AConfig, EmbeddingA2AData,
+                             FusedEmbeddingAllToAll,
+                             BaselineEmbeddingAllToAll>(),
     .smoke_spec =
         [] {
           EmbeddingA2AConfig cfg;

@@ -84,21 +84,16 @@ class FusedEmbeddingAllToAll final : public FusedOp {
                          EmbeddingA2AData* data);
 
   const char* name() const override { return "fused_embedding_a2a"; }
-  gpu::KernelResources resources() const override { return fused_resources(); }
 
   /// Awaitable from a host driver coroutine; fills `result()`.
   sim::Co run() override;
 
   int slots_per_pe() const { return slots_per_pe_; }
 
-  /// Kernel resources of the fused kernel (baseline regs + shmem context).
-  static gpu::KernelResources fused_resources();
-
  private:
   sim::Co pe_body(PeId pe);
   sim::Co pe_kernel_wg(PeId pe, int slot, int lw);
   sim::Co pe_epilogue(PeId pe, int slot);
-  sim::Co emit_slice(PeId pe, int slice);
   sim::Co emit_slice_from_slot(PeId pe, int slot, int slice);
   std::size_t flag_index(PeId src, int table, int group) const;
 
@@ -113,31 +108,26 @@ class FusedEmbeddingAllToAll final : public FusedOp {
   std::vector<std::unique_ptr<gpu::KernelRun>> runs_;
 };
 
-class BaselineEmbeddingAllToAll final : public FusedOp {
+class BaselineEmbeddingAllToAll final : public BulkSyncOp {
  public:
   BaselineEmbeddingAllToAll(shmem::World& world, EmbeddingA2AConfig cfg,
                             EmbeddingA2AData* data);
 
   const char* name() const override { return "baseline_embedding_a2a"; }
-  gpu::KernelResources resources() const override {
-    return baseline_resources();
-  }
-
-  sim::Co run() override;
-
-  static gpu::KernelResources baseline_resources();
 
  private:
+  void prepare() override;
+  sim::Co compute(PeId pe, TimeNs t0) override;
+  sim::Co collective(ccl::Communicator& comm) override;
   sim::Co table_kernel(PeId pe, int table);
-  sim::Co pe_compute(PeId pe, TimeNs t0);
+  /// Elements per (source, destination) All-to-All chunk.
+  std::size_t chunk_elems() const;
 
   EmbeddingA2AConfig cfg_;
   EmbeddingA2AData* data_;
-  ccl::Communicator comm_;
 
   // Functional staging: send/recv in ccl chunk layout [dest|src][t][lb][dim].
   std::vector<std::vector<float>> send_, recv_;
-  std::vector<TimeNs> compute_end_;
 };
 
 }  // namespace fcc::fused

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "framework/op_registry.h"
-#include "gpu/stream.h"
 #include "ops/gemv.h"  // random_vector
 #include "sim/task.h"
 
@@ -31,13 +30,6 @@ GemmA2AData GemmA2AData::random(const GemmA2AConfig& cfg, int num_pes,
 // Fused operator (authored in the tile DSL)
 // ---------------------------------------------------------------------------
 
-gpu::KernelResources FusedGemmAllToAll::fused_resources() {
-  gpu::KernelResources r;
-  r.threads_per_wg = 256;
-  r.vgprs_per_thread = 128 + gpu::kShmemCtxVgprsPerThread;
-  return r;
-}
-
 FusedGemmAllToAll::FusedGemmAllToAll(shmem::World& world, GemmA2AConfig cfg,
                                      GemmA2AData* data)
     : FusedOp(world),
@@ -59,10 +51,6 @@ PeId FusedGemmAllToAll::origin_of_tile(int pid) const {
 }
 
 sim::Co FusedGemmAllToAll::run() {
-  auto& machine = world_.machine();
-  auto& engine = machine.engine();
-  const auto& spec = machine.device(0).spec();
-
   arrivals_.reset(world_, static_cast<std::size_t>(num_pes_));
 
   // --- the fused kernel, authored with the DSL's comm extensions ---
@@ -104,24 +92,15 @@ sim::Co FusedGemmAllToAll::run() {
       [](const triton::TileKernel::Ctx& ctx) {
         return static_cast<std::size_t>(ctx.pe);
       });
-
-  begin_run(num_pes_);
-
-  co_await run_per_pe_at(engine.now() + spec.kernel_launch_ns, num_pes_,
-                         [this](PeId pe) { return pe_driver(pe); });
-  co_await sim::delay(engine, spec.stream_sync_ns);
-  finish_run();
+  co_await run_fused([this](PeId pe) { return pe_driver(pe); });
 }
 
 sim::Co FusedGemmAllToAll::pe_driver(PeId pe) {
-  auto& engine = world_.machine().engine_of(pe);
   // Expected tiles per source expert: my row block's tile count.
   const std::uint64_t expected =
       static_cast<std::uint64_t>(cfg_.rows_per_origin / cfg_.block_m) *
       static_cast<std::uint64_t>(shape_.tiles_n());
-
   triton::TileKernel::LaunchConfig lc;
-  lc.world = &world_;
   lc.pe = pe;
   lc.policy = cfg_.policy;
   lc.occupancy_slots_override = cfg_.occupancy_slots_override;
@@ -130,21 +109,8 @@ sim::Co FusedGemmAllToAll::pe_driver(PeId pe) {
     lc.a = data_->a[static_cast<std::size_t>(pe)];
     lc.b = data_->b[static_cast<std::size_t>(pe)];
   }
-  auto* arrivals = arrivals_.get();
-  const int pes = num_pes_;
-  // Distinct flag subsets, strided over the slots the launch actually
-  // spawns (surplus slots retire without running their epilogue, so a grid
-  // smaller than num_pes must not orphan a source's counter): slot s polls
-  // sources s, s+active, ...
-  lc.epilogue = [arrivals, pe, pes, expected](int slot,
-                                              int active) -> sim::Co {
-    for (int src = slot; src < pes; src += active) {
-      co_await arrivals->wait_ge(pe, static_cast<std::size_t>(src), expected);
-    }
-  };
-
-  co_await kernel_->launch(lc);
-  result_.pe_end[static_cast<std::size_t>(pe)] = engine.now();
+  return launch_awaiting_arrivals(*kernel_, lc, arrivals_,
+                                  [expected](PeId) { return expected; });
 }
 
 // ---------------------------------------------------------------------------
@@ -154,86 +120,45 @@ sim::Co FusedGemmAllToAll::pe_driver(PeId pe) {
 BaselineGemmAllToAll::BaselineGemmAllToAll(shmem::World& world,
                                            GemmA2AConfig cfg,
                                            GemmA2AData* data)
-    : FusedOp(world),
-      cfg_(cfg),
-      data_(data),
-      comm_(world.machine(), all_pes(world.machine())) {
+    : BulkSyncOp(world), cfg_(cfg), data_(data) {
   if (cfg_.functional) {
     FCC_CHECK(data_ != nullptr && data_->out != nullptr);
   }
 }
 
-sim::Co BaselineGemmAllToAll::run() {
-  auto& machine = world_.machine();
-  auto& engine = machine.engine();
-  const int pes = machine.num_pes();
-  const auto& spec = machine.device(0).spec();
-  const auto shape = cfg_.shape(pes);
+void BaselineGemmAllToAll::prepare() {
+  if (!cfg_.functional) return;
+  const auto shape = cfg_.shape(world_.n_pes());
+  c_.assign(static_cast<std::size_t>(world_.n_pes()),
+            std::vector<float>(static_cast<std::size_t>(shape.m) *
+                                   static_cast<std::size_t>(shape.n),
+                               0.0f));
+}
 
-  begin_run(pes);
-  if (cfg_.functional) {
-    c_.assign(static_cast<std::size_t>(pes),
-              std::vector<float>(static_cast<std::size_t>(shape.m) *
-                                     static_cast<std::size_t>(shape.n),
-                                 0.0f));
+sim::Co BaselineGemmAllToAll::compute(PeId pe, TimeNs /*t0*/) {
+  const auto shape = cfg_.shape(world_.n_pes());
+  if (!cfg_.functional) {
+    return local_tile_gemm(pe, "moe_gemm_baseline", shape,
+                           cfg_.alu_efficiency, {}, {}, nullptr);
   }
+  const auto i = static_cast<std::size_t>(pe);
+  return local_tile_gemm(pe, "moe_gemm_baseline", shape, cfg_.alu_efficiency,
+                         data_->a[i], data_->b[i], &c_[i]);
+}
 
-  // Compute phase: plain tile-DSL GEMM per PE (load, dot, local store),
-  // spawned on each PE's home engine at the post-launch instant.
-  co_await run_per_pe_at(engine.now() + spec.kernel_launch_ns, pes,
-                         [this](PeId pe) { return gemm_pe(pe); });
-  co_await sim::delay(engine, spec.stream_sync_ns);
-
-  // Collective phase: chunk d of PE e's C (rows [d*R, (d+1)*R)) goes to
-  // origin d; recv is source-major, which is exactly the output layout.
-  co_await sim::delay(engine, spec.kernel_launch_ns);
-  const std::int64_t chunk_elems =
-      static_cast<std::int64_t>(cfg_.rows_per_origin) * cfg_.d_model;
+sim::Co BaselineGemmAllToAll::collective(ccl::Communicator& comm) {
+  // Chunk d of PE e's C (rows [d*R, (d+1)*R)) goes to origin d; recv is
+  // source-major, which is exactly the output layout.
   ccl::FloatBufs send, recv;
   if (cfg_.functional) {
     for (auto& c : c_) send.per_rank.emplace_back(c);
-    for (PeId pe = 0; pe < pes; ++pe) {
+    for (PeId pe = 0; pe < world_.n_pes(); ++pe) {
       recv.per_rank.push_back(data_->out->pe(pe));
     }
   }
-  co_await comm_.all_to_all(chunk_elems, std::move(send), std::move(recv));
-  co_await sim::delay(engine, spec.stream_sync_ns);
-
-  finish_run_uniform();
-}
-
-sim::Co BaselineGemmAllToAll::gemm_pe(PeId pe) {
-  const auto shape = cfg_.shape(world_.machine().num_pes());
-  triton::TileKernel kernel("moe_gemm_baseline", shape, cfg_.alu_efficiency);
-  auto write_local = [this, pe, shape](const triton::TileKernel::Ctx& ctx,
-                                       const std::vector<float>& tile) {
-    auto& c = c_[static_cast<std::size_t>(pe)];
-    const auto& sh = *ctx.shape;
-    const int cols = sh.col_end(ctx.pid) - sh.col_begin(ctx.pid);
-    for (int r = sh.row_begin(ctx.pid); r < sh.row_end(ctx.pid); ++r) {
-      for (int j = 0; j < cols; ++j) {
-        c[static_cast<std::size_t>(r) * shape.n +
-          static_cast<std::size_t>(sh.col_begin(ctx.pid) + j)] =
-            tile[static_cast<std::size_t>(r - sh.row_begin(ctx.pid)) * cols +
-                 static_cast<std::size_t>(j)];
-      }
-    }
-  };
-  kernel.load_a().load_b().dot();
-  kernel.store_c_local(cfg_.functional
-                           ? triton::TileKernel::WriteFn(write_local)
-                           : triton::TileKernel::WriteFn{});
-
-  triton::TileKernel::LaunchConfig lc;
-  lc.world = &world_;
-  lc.pe = pe;
-  lc.policy = gpu::SchedulePolicy::kOblivious;
-  lc.functional = cfg_.functional;
-  if (cfg_.functional) {
-    lc.a = data_->a[static_cast<std::size_t>(pe)];
-    lc.b = data_->b[static_cast<std::size_t>(pe)];
-  }
-  co_await kernel.launch(lc);
+  co_await comm.all_to_all(
+      static_cast<std::int64_t>(cfg_.rows_per_origin) * cfg_.d_model,
+      std::move(send), std::move(recv));
 }
 
 // ---------------------------------------------------------------------------
@@ -244,17 +169,8 @@ namespace {
 
 const fw::OpRegistrar gemm_a2a_registrar{{
     .name = "fcc::gemm_a2a",
-    .replaces = "aten::mm + c10d::all_to_all (MoE combine)",
-    .make =
-        [](shmem::World& world, const fw::OpSpec& spec, fw::Backend backend)
-        -> std::unique_ptr<FusedOp> {
-      const auto& cfg = fw::spec_config<GemmA2AConfig>(spec);
-      auto* data = fw::spec_data<GemmA2AData>(spec);
-      if (backend == fw::Backend::kFused) {
-        return std::make_unique<FusedGemmAllToAll>(world, cfg, data);
-      }
-      return std::make_unique<BaselineGemmAllToAll>(world, cfg, data);
-    },
+    .make = fw::pair_factory<GemmA2AConfig, GemmA2AData, FusedGemmAllToAll,
+                             BaselineGemmAllToAll>(),
     .smoke_spec =
         [] {
           GemmA2AConfig cfg;

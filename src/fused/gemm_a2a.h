@@ -69,13 +69,10 @@ class FusedGemmAllToAll final : public FusedOp {
                     GemmA2AData* data);
 
   const char* name() const override { return "fused_gemm_a2a"; }
-  gpu::KernelResources resources() const override { return fused_resources(); }
 
   sim::Co run() override;
 
   PeId origin_of_tile(int pid) const;
-
-  static gpu::KernelResources fused_resources();
 
  private:
   sim::Co pe_driver(PeId pe);
@@ -88,24 +85,20 @@ class FusedGemmAllToAll final : public FusedOp {
   std::unique_ptr<triton::TileKernel> kernel_;
 };
 
-class BaselineGemmAllToAll final : public FusedOp {
+class BaselineGemmAllToAll final : public BulkSyncOp {
  public:
   BaselineGemmAllToAll(shmem::World& world, GemmA2AConfig cfg,
                        GemmA2AData* data);
 
   const char* name() const override { return "baseline_gemm_a2a"; }
-  // The plain tile-DSL GEMM needs no shmem context; the default footprint
-  // (256 threads, 128 VGPRs) is exactly the baseline kernel's.
-  gpu::KernelResources resources() const override { return {}; }
-
-  sim::Co run() override;
 
  private:
-  sim::Co gemm_pe(PeId pe);
+  void prepare() override;
+  sim::Co compute(PeId pe, TimeNs t0) override;
+  sim::Co collective(ccl::Communicator& comm) override;
 
   GemmA2AConfig cfg_;
   GemmA2AData* data_;
-  ccl::Communicator comm_;
   std::vector<std::vector<float>> c_;  // [pe][m * n] staged GEMM output
 };
 

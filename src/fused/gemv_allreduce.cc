@@ -5,7 +5,6 @@
 
 #include "framework/op_registry.h"
 #include "gpu/persistent.h"
-#include "gpu/stream.h"
 #include "sim/task.h"
 
 namespace fcc::fused {
@@ -29,13 +28,6 @@ GemvAllReduceData GemvAllReduceData::random(const GemvAllReduceConfig& cfg,
 // ---------------------------------------------------------------------------
 // Fused operator
 // ---------------------------------------------------------------------------
-
-gpu::KernelResources FusedGemvAllReduce::fused_resources() {
-  gpu::KernelResources r;
-  r.threads_per_wg = 256;
-  r.vgprs_per_thread = 128 + gpu::kShmemCtxVgprsPerThread;
-  return r;
-}
 
 FusedGemvAllReduce::FusedGemvAllReduce(shmem::World& world,
                                        GemvAllReduceConfig cfg,
@@ -66,11 +58,8 @@ std::size_t FusedGemvAllReduce::flag_index(PeId src, int slot) const {
 
 sim::Co FusedGemvAllReduce::run() {
   auto& machine = world_.machine();
-  auto& engine = machine.engine();
-  const auto& spec = machine.device(0).spec();
-
   active_slots_ =
-      OccupancyPlan::resolve(spec, fused_resources(),
+      OccupancyPlan::resolve(machine.device(0).spec(), kFusedKernelResources,
                              {.override_slots = cfg_.occupancy_slots_override,
                               .max_tasks = num_tiles_})
           .slots;
@@ -96,14 +85,7 @@ sim::Co FusedGemvAllReduce::run() {
     pe_done_.push_back(std::make_unique<sim::JoinCounter>(
         machine.engine_of(pe), active_slots_));
   }
-  begin_run(num_pes_);
-
-  // Slot tasks spawn on each PE's home engine at the post-launch instant;
-  // the driver resumes at the exact max PE completion time.
-  co_await run_per_pe_at(engine.now() + spec.kernel_launch_ns, num_pes_,
-                         [this](PeId pe) { return pe_body(pe); });
-  co_await sim::delay(engine, spec.stream_sync_ns);
-  finish_run();
+  co_await run_fused([this](PeId pe) { return pe_body(pe); });
 }
 
 sim::Co FusedGemvAllReduce::pe_body(PeId pe) {
@@ -272,34 +254,28 @@ sim::Co FusedGemvAllReduce::reduce_and_broadcast(PeId pe, int slot) {
 // Bulk-synchronous baseline
 // ---------------------------------------------------------------------------
 
-gpu::KernelResources BaselineGemvAllReduce::baseline_resources() {
-  gpu::KernelResources r;
-  r.threads_per_wg = 256;
-  r.vgprs_per_thread = 128;
-  return r;
-}
-
 BaselineGemvAllReduce::BaselineGemvAllReduce(shmem::World& world,
                                              GemvAllReduceConfig cfg,
-                                             GemvAllReduceData* data,
-                                             ccl::AllReduceAlgo algo)
-    : FusedOp(world),
-      cfg_(cfg),
-      data_(data),
-      algo_(algo),
-      comm_(world.machine(), all_pes(world.machine())) {
+                                             GemvAllReduceData* data)
+    : BulkSyncOp(world), cfg_(cfg), data_(data) {
   if (cfg_.functional) {
     FCC_CHECK(data_ != nullptr && data_->y != nullptr);
   }
 }
 
-sim::Co BaselineGemvAllReduce::gemv_kernel(PeId pe) {
+void BaselineGemvAllReduce::prepare() {
+  if (!cfg_.functional) return;
+  partial_.assign(static_cast<std::size_t>(world_.n_pes()),
+                  std::vector<float>(static_cast<std::size_t>(cfg_.m), 0.0f));
+}
+
+sim::Co BaselineGemvAllReduce::compute(PeId pe, TimeNs /*t0*/) {
   auto& machine = world_.machine();
   const auto shape = cfg_.shape(machine.num_pes());
   gpu::KernelRun::Params p;
   p.name = "gemv_kernel";
   p.num_slots = OccupancyPlan::resolve(machine.device(pe).spec(),
-                                       baseline_resources())
+                                       gpu::KernelResources{})
                     .slots;
   p.order.resize(static_cast<std::size_t>(shape.num_tiles()));
   for (int t = 0; t < shape.num_tiles(); ++t) {
@@ -326,43 +302,18 @@ sim::Co BaselineGemvAllReduce::gemv_kernel(PeId pe) {
   co_await kernel.wait();
 }
 
-sim::Co BaselineGemvAllReduce::run() {
-  auto& machine = world_.machine();
-  auto& engine = machine.engine();
-  const int pes = machine.num_pes();
-  const auto& spec = machine.device(0).spec();
-
-  begin_run(pes);
-  if (cfg_.functional) {
-    partial_.assign(static_cast<std::size_t>(pes),
-                    std::vector<float>(static_cast<std::size_t>(cfg_.m), 0.0f));
-  }
-
-  // Compute phase: every PE runs its GEMV kernel concurrently on its
-  // home-shard engine, spawned at the post-launch instant (the per-PE
-  // launch delay hoisted into the spawn time).
-  co_await run_per_pe_at(engine.now() + spec.kernel_launch_ns, pes,
-                         [this](PeId pe) { return gemv_kernel(pe); });
-  co_await sim::delay(engine, spec.stream_sync_ns);
-
-  // Collective phase: RCCL-style AllReduce kernel.
-  co_await sim::delay(engine, spec.kernel_launch_ns);
+sim::Co BaselineGemvAllReduce::collective(ccl::Communicator& comm) {
   ccl::FloatBufs bufs;
   if (cfg_.functional) {
     for (auto& p : partial_) bufs.per_rank.emplace_back(p);
   }
-  co_await comm_.all_reduce(cfg_.m, std::move(bufs), algo_);
-  co_await sim::delay(engine, spec.stream_sync_ns);
-
+  co_await comm.all_reduce(cfg_.m, std::move(bufs), cfg_.allreduce_algo);
   if (cfg_.functional) {
-    for (PeId pe = 0; pe < pes; ++pe) {
-      auto y = data_->y->pe(pe);
+    for (PeId pe = 0; pe < world_.n_pes(); ++pe) {
       const auto& p = partial_[static_cast<std::size_t>(pe)];
-      std::copy(p.begin(), p.end(), y.begin());
+      std::copy(p.begin(), p.end(), data_->y->pe(pe).begin());
     }
   }
-
-  finish_run_uniform();
 }
 
 // ---------------------------------------------------------------------------
@@ -373,18 +324,8 @@ namespace {
 
 const fw::OpRegistrar gemv_allreduce_registrar{{
     .name = "fcc::gemv_allreduce",
-    .replaces = "aten::mv + c10d::all_reduce",
-    .make =
-        [](shmem::World& world, const fw::OpSpec& spec, fw::Backend backend)
-        -> std::unique_ptr<FusedOp> {
-      const auto& cfg = fw::spec_config<GemvAllReduceConfig>(spec);
-      auto* data = fw::spec_data<GemvAllReduceData>(spec);
-      if (backend == fw::Backend::kFused) {
-        return std::make_unique<FusedGemvAllReduce>(world, cfg, data);
-      }
-      return std::make_unique<BaselineGemvAllReduce>(world, cfg, data,
-                                                     cfg.allreduce_algo);
-    },
+    .make = fw::pair_factory<GemvAllReduceConfig, GemvAllReduceData,
+                             FusedGemvAllReduce, BaselineGemvAllReduce>(),
     .smoke_spec =
         [] {
           GemvAllReduceConfig cfg;

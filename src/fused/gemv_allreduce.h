@@ -81,15 +81,12 @@ class FusedGemvAllReduce final : public FusedOp {
                      GemvAllReduceData* data);
 
   const char* name() const override { return "fused_gemv_allreduce"; }
-  gpu::KernelResources resources() const override { return fused_resources(); }
 
   sim::Co run() override;
 
   /// Owner (reducing PE) of a tile: contiguous 1/N ranges.
   PeId owner_of_tile(int tile) const;
   int active_slots() const { return active_slots_; }
-
-  static gpu::KernelResources fused_resources();
 
  private:
   sim::Co pe_body(PeId pe);
@@ -115,28 +112,20 @@ class FusedGemvAllReduce final : public FusedOp {
   std::vector<std::unique_ptr<sim::JoinCounter>> pe_done_;
 };
 
-class BaselineGemvAllReduce final : public FusedOp {
+class BaselineGemvAllReduce final : public BulkSyncOp {
  public:
   BaselineGemvAllReduce(shmem::World& world, GemvAllReduceConfig cfg,
-                        GemvAllReduceData* data,
-                        ccl::AllReduceAlgo algo = ccl::AllReduceAlgo::kTwoPhaseDirect);
+                        GemvAllReduceData* data);
 
   const char* name() const override { return "baseline_gemv_allreduce"; }
-  gpu::KernelResources resources() const override {
-    return baseline_resources();
-  }
-
-  sim::Co run() override;
-
-  static gpu::KernelResources baseline_resources();
 
  private:
-  sim::Co gemv_kernel(PeId pe);
+  void prepare() override;
+  sim::Co compute(PeId pe, TimeNs t0) override;
+  sim::Co collective(ccl::Communicator& comm) override;
 
   GemvAllReduceConfig cfg_;
   GemvAllReduceData* data_;
-  ccl::AllReduceAlgo algo_;
-  ccl::Communicator comm_;
   std::vector<std::vector<float>> partial_;  // [pe][m] (functional)
 };
 

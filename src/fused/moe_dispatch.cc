@@ -242,13 +242,6 @@ std::vector<float> gather_a(const MoeDispatchConfig& cfg,
 // Fused operator (authored in the tile DSL, per-source shapes)
 // ---------------------------------------------------------------------------
 
-gpu::KernelResources FusedMoeDispatch::fused_resources() {
-  gpu::KernelResources r;
-  r.threads_per_wg = 256;
-  r.vgprs_per_thread = 128 + gpu::kShmemCtxVgprsPerThread;
-  return r;
-}
-
 FusedMoeDispatch::FusedMoeDispatch(shmem::World& world, MoeDispatchConfig cfg,
                                    MoeDispatchData* data)
     : FusedOp(world),
@@ -262,10 +255,6 @@ FusedMoeDispatch::FusedMoeDispatch(shmem::World& world, MoeDispatchConfig cfg,
 }
 
 sim::Co FusedMoeDispatch::run() {
-  auto& machine = world_.machine();
-  auto& engine = machine.engine();
-  const auto& spec = machine.device(0).spec();
-
   arrivals_.reset(world_, static_cast<std::size_t>(num_pes_));
 
   // Per-source kernels: shapes differ (padded routed rows), so each source
@@ -337,20 +326,12 @@ sim::Co FusedMoeDispatch::run() {
     }
   }
 
-  begin_run(num_pes_);
-
-  co_await run_per_pe_at(engine.now() + spec.kernel_launch_ns, num_pes_,
-                         [this](PeId pe) { return pe_driver(pe); });
-  co_await sim::delay(engine, spec.stream_sync_ns);
-  finish_run();
+  co_await run_fused([this](PeId pe) { return pe_driver(pe); });
 }
 
 sim::Co FusedMoeDispatch::pe_driver(PeId pe) {
-  auto& engine = world_.machine().engine_of(pe);
   const int tiles_n = (cfg_.d_out + cfg_.block_n - 1) / cfg_.block_n;
-
   triton::TileKernel::LaunchConfig lc;
-  lc.world = &world_;
   lc.pe = pe;
   lc.policy = cfg_.policy;
   lc.occupancy_slots_override = cfg_.occupancy_slots_override;
@@ -359,27 +340,13 @@ sim::Co FusedMoeDispatch::pe_driver(PeId pe) {
     lc.a = a_[static_cast<std::size_t>(pe)];
     lc.b = data_->w;
   }
-  auto* arrivals = arrivals_.get();
-  const int pes = num_pes_;
-  const auto* layout = &layout_;
-  // Distinct flag subsets, strided over the slots the launch actually
-  // spawns (surplus slots retire without running their epilogue, so a grid
-  // smaller than num_pes — occupancy override, tiny shapes — must not
-  // orphan any source's counter): slot s polls sources s, s+active, ...
-  // until every expected tile has landed; sources with an empty (or
-  // all-pad) segment expect zero and pass through.
-  lc.epilogue = [arrivals, layout, pe, pes, tiles_n](int slot,
-                                                     int active) -> sim::Co {
-    for (int src = slot; src < pes; src += active) {
-      const auto expected = static_cast<std::uint64_t>(
-          layout->expected_tiles(src, pe, tiles_n));
-      co_await arrivals->wait_ge(pe, static_cast<std::size_t>(src),
-                                 expected);
-    }
-  };
-
-  co_await kernels_[static_cast<std::size_t>(pe)]->launch(lc);
-  result_.pe_end[static_cast<std::size_t>(pe)] = engine.now();
+  // Sources with an empty (or all-pad) segment expect zero and pass.
+  return launch_awaiting_arrivals(
+      *kernels_[static_cast<std::size_t>(pe)], lc, arrivals_,
+      [layout = &layout_, pe, tiles_n](PeId src) {
+        return static_cast<std::uint64_t>(
+            layout->expected_tiles(src, pe, tiles_n));
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -389,53 +356,49 @@ sim::Co FusedMoeDispatch::pe_driver(PeId pe) {
 BaselineMoeDispatch::BaselineMoeDispatch(shmem::World& world,
                                          MoeDispatchConfig cfg,
                                          MoeDispatchData* data)
-    : FusedOp(world),
+    : BulkSyncOp(world),
       cfg_(cfg),
       data_(data),
       num_pes_(world.n_pes()),
       plans_(resolve_plans(cfg, data, world.n_pes())),
-      layout_(DispatchLayout::build(plans_, cfg.block_m)),
-      comm_(world.machine(), all_pes(world.machine())) {
+      layout_(DispatchLayout::build(plans_, cfg.block_m)) {
   if (cfg_.functional) check_functional_data(cfg_, data_, layout_);
 }
 
-sim::Co BaselineMoeDispatch::run() {
-  auto& machine = world_.machine();
-  auto& engine = machine.engine();
-  const auto& spec = machine.device(0).spec();
-
-  ops::GemmShape shape;
-  shape.m = static_cast<int>(cfg_.assignments());
-  shape.n = cfg_.d_out;
-  shape.k = cfg_.d_model;
-  shape.block_m = cfg_.block_m;
-  shape.block_n = cfg_.block_n;
-
-  begin_run(num_pes_);
-  if (cfg_.functional) {
-    a_.clear();
-    c_.assign(static_cast<std::size_t>(num_pes_),
-              std::vector<float>(static_cast<std::size_t>(shape.m) *
-                                     static_cast<std::size_t>(shape.n),
-                                 0.0f));
-    for (int src = 0; src < num_pes_; ++src) {
-      a_.push_back(gather_a(cfg_, plans_[static_cast<std::size_t>(src)],
-                            data_->tokens[static_cast<std::size_t>(src)],
-                            num_pes_, /*padded=*/false, layout_, src));
-    }
+void BaselineMoeDispatch::prepare() {
+  if (!cfg_.functional) return;
+  a_.clear();
+  c_.assign(static_cast<std::size_t>(num_pes_),
+            std::vector<float>(static_cast<std::size_t>(cfg_.assignments()) *
+                                   static_cast<std::size_t>(cfg_.d_out),
+                               0.0f));
+  for (int src = 0; src < num_pes_; ++src) {
+    a_.push_back(gather_a(cfg_, plans_[static_cast<std::size_t>(src)],
+                          data_->tokens[static_cast<std::size_t>(src)],
+                          num_pes_, /*padded=*/false, layout_, src));
   }
+}
 
-  // Compute phase: plain tile-DSL GEMM per source over the unpadded routed
-  // rows (plan order — already destination-major for the collective), each
-  // on its PE's home engine at the post-launch instant.
-  co_await run_per_pe_at(engine.now() + spec.kernel_launch_ns, num_pes_,
-                         [this, shape](PeId pe) { return gemm_pe(pe, shape); });
-  co_await sim::delay(engine, spec.stream_sync_ns);
+// Plain GEMM per source over the unpadded routed rows, in plan order —
+// already destination-major for the collective.
+sim::Co BaselineMoeDispatch::compute(PeId pe, TimeNs /*t0*/) {
+  const ops::GemmShape shape{.m = static_cast<int>(cfg_.assignments()),
+                             .n = cfg_.d_out,
+                             .k = cfg_.d_model,
+                             .block_m = cfg_.block_m,
+                             .block_n = cfg_.block_n};
+  if (!cfg_.functional) {
+    return local_tile_gemm(pe, "moe_dispatch_gemm_baseline", shape,
+                           cfg_.alu_efficiency, {}, {}, nullptr);
+  }
+  const auto i = static_cast<std::size_t>(pe);
+  return local_tile_gemm(pe, "moe_dispatch_gemm_baseline", shape,
+                         cfg_.alu_efficiency, a_[i], data_->w, &c_[i]);
+}
 
-  // Collective phase: the routed counts drive the uneven All-to-All; expert
-  // e's recv buffer ends up source-major, exactly the layout the expert
-  // GEMM consumes.
-  co_await sim::delay(engine, spec.kernel_launch_ns);
+sim::Co BaselineMoeDispatch::collective(ccl::Communicator& comm) {
+  // The routed counts drive the uneven All-to-All; expert e's recv buffer
+  // ends up source-major, exactly the layout the expert GEMM consumes.
   ccl::FloatBufs send, recv;
   if (cfg_.functional) {
     for (auto& c : c_) send.per_rank.emplace_back(c);
@@ -443,47 +406,9 @@ sim::Co BaselineMoeDispatch::run() {
       recv.per_rank.push_back(data_->recv->pe(pe));
     }
   }
-  co_await comm_.all_to_all_v(
+  co_await comm.all_to_all_v(
       ops::Router::a2av_counts(plans_, num_pes_, cfg_.d_out), std::move(send),
       std::move(recv));
-  co_await sim::delay(engine, spec.stream_sync_ns);
-
-  finish_run_uniform();
-}
-
-sim::Co BaselineMoeDispatch::gemm_pe(PeId pe, ops::GemmShape shape) {
-  triton::TileKernel kernel("moe_dispatch_gemm_baseline", shape,
-                            cfg_.alu_efficiency);
-  auto write_local = [this, pe, shape](const triton::TileKernel::Ctx& ctx,
-                                       const std::vector<float>& tile) {
-    auto& c = c_[static_cast<std::size_t>(pe)];
-    const auto& sh = *ctx.shape;
-    const int cols = sh.col_end(ctx.pid) - sh.col_begin(ctx.pid);
-    for (int r = sh.row_begin(ctx.pid); r < sh.row_end(ctx.pid); ++r) {
-      for (int j = 0; j < cols; ++j) {
-        c[static_cast<std::size_t>(r) * static_cast<std::size_t>(shape.n) +
-          static_cast<std::size_t>(sh.col_begin(ctx.pid) + j)] =
-            tile[static_cast<std::size_t>(r - sh.row_begin(ctx.pid)) *
-                     static_cast<std::size_t>(cols) +
-                 static_cast<std::size_t>(j)];
-      }
-    }
-  };
-  kernel.load_a().load_b().dot();
-  kernel.store_c_local(cfg_.functional
-                           ? triton::TileKernel::WriteFn(write_local)
-                           : triton::TileKernel::WriteFn{});
-
-  triton::TileKernel::LaunchConfig lc;
-  lc.world = &world_;
-  lc.pe = pe;
-  lc.policy = gpu::SchedulePolicy::kOblivious;
-  lc.functional = cfg_.functional;
-  if (cfg_.functional) {
-    lc.a = a_[static_cast<std::size_t>(pe)];
-    lc.b = data_->w;
-  }
-  co_await kernel.launch(lc);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,18 +419,8 @@ namespace {
 
 const fw::OpRegistrar moe_dispatch_registrar{{
     .name = "fcc::moe_dispatch",
-    .replaces = "aten::mm + c10d::all_to_all_single (uneven splits, "
-                "MoE dispatch)",
-    .make =
-        [](shmem::World& world, const fw::OpSpec& spec, fw::Backend backend)
-        -> std::unique_ptr<FusedOp> {
-      const auto& cfg = fw::spec_config<MoeDispatchConfig>(spec);
-      auto* data = fw::spec_data<MoeDispatchData>(spec);
-      if (backend == fw::Backend::kFused) {
-        return std::make_unique<FusedMoeDispatch>(world, cfg, data);
-      }
-      return std::make_unique<BaselineMoeDispatch>(world, cfg, data);
-    },
+    .make = fw::pair_factory<MoeDispatchConfig, MoeDispatchData,
+                             FusedMoeDispatch, BaselineMoeDispatch>(),
     .smoke_spec =
         [] {
           MoeDispatchConfig cfg;

@@ -127,13 +127,8 @@ class FusedMoeDispatch final : public FusedOp {
                    MoeDispatchData* data);
 
   const char* name() const override { return "fused_moe_dispatch"; }
-  gpu::KernelResources resources() const override { return fused_resources(); }
 
   sim::Co run() override;
-
-  const DispatchLayout& layout() const { return layout_; }
-
-  static gpu::KernelResources fused_resources();
 
  private:
   sim::Co pe_driver(PeId pe);
@@ -148,28 +143,23 @@ class FusedMoeDispatch final : public FusedOp {
   std::vector<std::vector<float>> a_;  // [src] gathered+padded A (functional)
 };
 
-class BaselineMoeDispatch final : public FusedOp {
+class BaselineMoeDispatch final : public BulkSyncOp {
  public:
   BaselineMoeDispatch(shmem::World& world, MoeDispatchConfig cfg,
                       MoeDispatchData* data);
 
   const char* name() const override { return "baseline_moe_dispatch"; }
-  // Plain tile-DSL GEMM; the default footprint is the baseline kernel's.
-  gpu::KernelResources resources() const override { return {}; }
-
-  sim::Co run() override;
-
-  const DispatchLayout& layout() const { return layout_; }
 
  private:
-  sim::Co gemm_pe(PeId pe, ops::GemmShape shape);
+  void prepare() override;
+  sim::Co compute(PeId pe, TimeNs t0) override;
+  sim::Co collective(ccl::Communicator& comm) override;
 
   MoeDispatchConfig cfg_;
   MoeDispatchData* data_;
   int num_pes_;
   std::vector<ops::DispatchPlan> plans_;
   DispatchLayout layout_;
-  ccl::Communicator comm_;
   std::vector<std::vector<float>> a_;  // [src] gathered unpadded A
   std::vector<std::vector<float>> c_;  // [src] staged GEMM output (plan order)
 };

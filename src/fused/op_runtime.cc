@@ -123,8 +123,36 @@ sim::Co FusedOp::run_per_pe_at(TimeNs t_start, int num_pes,
   co_await join_->wait();
 }
 
+sim::Co FusedOp::run_fused(std::function<sim::Co(PeId)> body) {
+  const auto& spec = world_.machine().device(0).spec();
+  begin_run(world_.n_pes());
+  co_await run_per_pe_at(engine().now() + spec.kernel_launch_ns,
+                         world_.n_pes(), std::move(body));
+  co_await sim::delay(engine(), spec.stream_sync_ns);
+  finish_run();
+}
+
 void FusedOp::register_debug_flags(std::string name, const FlagSet& flags) {
   debug_flags_.emplace_back(std::move(name), &flags);
+}
+
+sim::Co FusedOp::launch_awaiting_arrivals(
+    triton::TileKernel& kernel, triton::TileKernel::LaunchConfig lc,
+    const FlagSet& arrivals, std::function<std::uint64_t(PeId)> expected) {
+  auto* flags = arrivals.get();
+  const PeId pe = lc.pe;
+  const int pes = world_.n_pes();
+  lc.world = &world_;
+  lc.epilogue = [flags, pe, pes, expected = std::move(expected)](
+                    int slot, int active) -> sim::Co {
+    for (int src = slot; src < pes; src += active) {
+      co_await flags->wait_ge(pe, static_cast<std::size_t>(src),
+                              expected(src));
+    }
+  };
+  co_await kernel.launch(lc);
+  result_.pe_end[static_cast<std::size_t>(pe)] =
+      world_.machine().engine_of(pe).now();
 }
 
 std::string FusedOp::deadlock_report() const {
@@ -191,6 +219,66 @@ OperatorResult FusedOp::run_to_completion() {
                 name() << " deadlocked: " << live << " tasks suspended"
                        << deadlock_report());
   return result_;
+}
+
+// ---------------------------------------------------------------------------
+// BulkSyncOp
+// ---------------------------------------------------------------------------
+
+BulkSyncOp::BulkSyncOp(shmem::World& world)
+    : FusedOp(world), comm_(world.machine(), all_pes(world.machine())) {}
+
+sim::Co BulkSyncOp::run() {
+  auto& engine = this->engine();
+  const auto& spec = world_.machine().device(0).spec();
+  const int pes = world_.n_pes();
+
+  begin_run(pes);
+  prepare();
+  const TimeNs t0 = engine.now();
+  co_await run_per_pe_at(t0 + spec.kernel_launch_ns, pes,
+                         [this, t0](PeId pe) { return compute(pe, t0); });
+  co_await sim::delay(engine, spec.stream_sync_ns);
+  co_await sim::delay(engine, spec.kernel_launch_ns);
+  co_await collective(comm_);
+  co_await sim::delay(engine, spec.stream_sync_ns);
+  finish_run_uniform();
+}
+
+sim::Co BulkSyncOp::local_tile_gemm(PeId pe, const char* kernel_name,
+                                    ops::GemmShape shape,
+                                    double alu_efficiency,
+                                    std::span<const float> a,
+                                    std::span<const float> b,
+                                    std::vector<float>* c) {
+  triton::TileKernel kernel(kernel_name, shape, alu_efficiency);
+  auto write_local = [c, n = static_cast<std::size_t>(shape.n)](
+                         const triton::TileKernel::Ctx& ctx,
+                         const std::vector<float>& tile) {
+    const auto& sh = *ctx.shape;
+    const int cols = sh.col_end(ctx.pid) - sh.col_begin(ctx.pid);
+    for (int r = sh.row_begin(ctx.pid); r < sh.row_end(ctx.pid); ++r) {
+      for (int j = 0; j < cols; ++j) {
+        (*c)[static_cast<std::size_t>(r) * n +
+             static_cast<std::size_t>(sh.col_begin(ctx.pid) + j)] =
+            tile[static_cast<std::size_t>(r - sh.row_begin(ctx.pid)) *
+                     static_cast<std::size_t>(cols) +
+                 static_cast<std::size_t>(j)];
+      }
+    }
+  };
+  kernel.load_a().load_b().dot();
+  kernel.store_c_local(c != nullptr ? triton::TileKernel::WriteFn(write_local)
+                                    : triton::TileKernel::WriteFn{});
+
+  triton::TileKernel::LaunchConfig lc;
+  lc.world = &world_;
+  lc.pe = pe;
+  lc.policy = gpu::SchedulePolicy::kOblivious;
+  lc.functional = c != nullptr;
+  lc.a = a;
+  lc.b = b;
+  co_await kernel.launch(lc);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@
 //
 //   * FusedOp        — the operator interface plus the single engine
 //                      spawn/drain driver (`run_to_completion()`).
+//   * BulkSyncOp     — the one compute → sync → collective → sync script
+//                      every baseline runs; a baseline supplies the per-PE
+//                      compute body and the collective call.
 //   * OccupancyPlan  — slot-count resolution from KernelResources, an
 //                      explicit override, the HBM-contention knee (Fig. 13),
 //                      and the task count.
@@ -35,10 +38,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "ccl/communicator.h"
 #include "common/types.h"
 #include "fused/result.h"
 #include "gpu/machine.h"
@@ -51,6 +56,7 @@
 #include "sim/shard_join.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "triton/tile_lang.h"
 
 namespace fcc::fused {
 
@@ -87,25 +93,13 @@ class FlagSet {
   /// Modeled size of one flag PUT on the wire.
   static constexpr Bytes kFlagBytes = 8;
 
-  /// (Re)initializes flags[num_pes][n], all zero. A shape-matching array
-  /// from a previous run of the same operator is reset in place
-  /// (FlagArray::reset FCC_CHECKs no waiters survived the last drain — the
-  /// churn guard), so back-to-back serving runs allocate nothing; a shape
-  /// change reallocates. An operator's engine binding is fixed for life,
-  /// so reuse never has to re-home the wakeup engines.
-  void reset(sim::Engine& engine, int num_pes, std::size_t n) {
-    if (flags_ != nullptr && flags_->num_pes() == num_pes &&
-        flags_->size() == n) {
-      flags_->reset();
-      return;
-    }
-    flags_ = std::make_unique<shmem::FlagArray>(engine, num_pes, n);
-  }
-
-  /// Sharded-aware form: each PE's flags wake on its home-shard engine, so
-  /// the set works on machines with num_shards > 1 (and is identical to the
-  /// single-engine form on serial machines). Same in-place reuse as above
-  /// (per-PE home engines never change for a given world).
+  /// (Re)initializes flags[n_pes][n], all zero, each PE's flags waking on
+  /// its home-shard engine (so the set works on sharded machines too). A
+  /// shape-matching array from a previous run of the same operator is reset
+  /// in place (FlagArray::reset FCC_CHECKs no waiters survived the last
+  /// drain — the churn guard), so back-to-back serving runs allocate
+  /// nothing; a shape change reallocates. Per-PE home engines never change
+  /// for a given world, so reuse never has to re-home the wakeups.
   void reset(shmem::World& world, std::size_t n) {
     if (flags_ != nullptr && flags_->num_pes() == world.n_pes() &&
         flags_->size() == n) {
@@ -142,10 +136,16 @@ class FlagSet {
   std::unique_ptr<shmem::FlagArray> flags_;
 };
 
+/// Footprint of a persistent fused kernel whose grid is sized from the
+/// occupancy API: the baseline kernel's plus a WG-level shmem context
+/// (TileKernel::resources() derives the same for tile-DSL kernels).
+inline constexpr gpu::KernelResources kFusedKernelResources{
+    .vgprs_per_thread = 128 + gpu::kShmemCtxVgprsPerThread};
+
 /// Abstract fused/baseline operator. Concrete operators implement `run()`
 /// (one full execution that fills `result()`, awaitable from a host driver
-/// coroutine) and describe themselves via `name()` / `resources()`; the
-/// spawn/drain driver and result bookkeeping live here, once.
+/// coroutine) and `name()`; the spawn/drain driver and result bookkeeping
+/// live here, once.
 class FusedOp {
  public:
   explicit FusedOp(shmem::World& world) : world_(world) {}
@@ -155,9 +155,6 @@ class FusedOp {
 
   /// Operator + backend-variant name, e.g. "fused_embedding_a2a".
   virtual const char* name() const = 0;
-
-  /// Kernel resources of the operator's main kernel (occupancy studies).
-  virtual gpu::KernelResources resources() const = 0;
 
   /// One full execution; fills `result()`.
   virtual sim::Co run() = 0;
@@ -207,11 +204,26 @@ class FusedOp {
   sim::Co run_per_pe_at(TimeNs t_start, int num_pes,
                         std::function<sim::Co(PeId)> body);
 
+  /// The fused ops' whole run script: begin_run, one kernel per PE running
+  /// `body(pe)` via run_per_pe_at(now + kernel_launch_ns), the host's one
+  /// stream sync, finish_run. Bodies stamp their own pe_end.
+  sim::Co run_fused(std::function<sim::Co(PeId)> body);
+
   /// Registers a FlagSet for deadlock diagnostics: when run_to_completion
   /// detects a hang, the report lists this set's unsatisfied wait_ge's by
   /// `name`. Call once per set, typically in the constructor; the FlagSet
   /// must outlive the operator (it is a member of the derived class).
   void register_debug_flags(std::string name, const FlagSet& flags);
+
+  /// Per-PE body of the tile-DSL fused ops: launches `kernel` on `lc.pe`,
+  /// then each spawned slot waits until arrivals[pe][src] reaches
+  /// expected(src) for the sources s, s+active, ... (strided over the slots
+  /// the launch spawns, so a grid smaller than num_pes orphans no source's
+  /// counter). Stamps the PE's pe_end.
+  sim::Co launch_awaiting_arrivals(triton::TileKernel& kernel,
+                                   triton::TileKernel::LaunchConfig lc,
+                                   const FlagSet& arrivals,
+                                   std::function<std::uint64_t(PeId)> expected);
 
   shmem::World& world_;
   OperatorResult result_;
@@ -230,6 +242,41 @@ class FusedOp {
   /// Cross-shard rendezvous of the in-flight run_per_pe_at (one-shot,
   /// rebuilt per call; degenerates to the serial join on 1-shard machines).
   std::unique_ptr<sim::ShardJoin> join_;
+};
+
+/// The kernel-boundary baseline every fused operator is measured against:
+/// per-PE compute kernels, one host stream sync, one collective kernel
+/// launch on a Communicator over every PE, a final sync, and all PEs
+/// complete together. Subclasses supply the per-PE compute body and the
+/// collective; the run script lives here, once.
+class BulkSyncOp : public FusedOp {
+ public:
+  sim::Co run() final;
+
+ protected:
+  explicit BulkSyncOp(shmem::World& world);
+
+  /// Sets up functional buffers before compute (default: none).
+  virtual void prepare() {}
+
+  /// PE `pe`'s compute phase, spawned on its home-shard engine at
+  /// t0 + kernel_launch_ns, where `t0` is the host's launch instant.
+  virtual sim::Co compute(PeId pe, TimeNs t0) = 0;
+
+  /// The collective kernel, plus any host-side functional unpacking (which
+  /// costs no simulated time).
+  virtual sim::Co collective(ccl::Communicator& comm) = 0;
+
+  /// Plain tile-DSL GEMM (load, dot, local store) on `pe`: the compute body
+  /// of the GEMM-producer baselines. Functional when `c` is non-null: reads
+  /// `a` and `b`, writes C row-major into *c.
+  sim::Co local_tile_gemm(PeId pe, const char* kernel_name,
+                          ops::GemmShape shape, double alu_efficiency,
+                          std::span<const float> a, std::span<const float> b,
+                          std::vector<float>* c);
+
+ private:
+  ccl::Communicator comm_;
 };
 
 /// Every PE of the machine, in id order (ccl communicator construction).

@@ -3,8 +3,8 @@
 // Mirrors the paper's ASTRA-Sim flow: per-kernel execution times come from
 // the GPU cost model (the paper collected them with ROC-profiler on an
 // MI210), collectives run as dimension-ordered flows on the event-driven
-// `hw::TorusTopology` (the analytic `scaleout::TorusModel` survives only
-// as a cross-check; the two agree exactly on this uniform workload), and
+// `hw::TorusTopology` (the tests keep an analytic `TorusModel` as a
+// cross-check; the two agree exactly on this uniform workload), and
 // the fused
 // execution graph overlaps each All-to-All with its producer/consumer
 // embedding pass at slice granularity. One training iteration:
@@ -21,9 +21,11 @@
 #include "common/types.h"
 #include "hw/gpu_spec.h"
 #include "hw/hbm_model.h"
-#include "scaleout/torus.h"
+#include "hw/topology.h"
 
 namespace fcc::scaleout {
+
+using TorusSpec = hw::TorusSpec;
 
 /// Table II model parameters (paper defaults).
 struct TrainingConfig {

@@ -52,21 +52,13 @@ TEST(Registry, RegistersAndRunsOnLocalRegistry) {
   OpRegistry reg;
   reg.register_op(
       {.name = "local::gemv",
-       .replaces = "aten::mv + c10d::all_reduce",
-       .make = [](shmem::World& world, const OpSpec& spec, Backend backend)
-           -> std::unique_ptr<fused::FusedOp> {
-         const auto& cfg = spec_config<fused::GemvAllReduceConfig>(spec);
-         if (backend == Backend::kFused) {
-           return std::make_unique<fused::FusedGemvAllReduce>(world, cfg,
-                                                              nullptr);
-         }
-         return std::make_unique<fused::BaselineGemvAllReduce>(world, cfg,
-                                                               nullptr);
-       }});
+       .make = pair_factory<fused::GemvAllReduceConfig,
+                            fused::GemvAllReduceData,
+                            fused::FusedGemvAllReduce,
+                            fused::BaselineGemvAllReduce>()});
   EXPECT_TRUE(reg.contains("local::gemv"));
   EXPECT_FALSE(reg.contains("nope"));
   EXPECT_EQ(reg.names().size(), 1u);
-  EXPECT_EQ(reg.at("local::gemv").replaces, "aten::mv + c10d::all_reduce");
 
   fused::GemvAllReduceConfig cfg;
   cfg.m = 2048;
@@ -85,10 +77,9 @@ TEST(Registry, RejectsDuplicatesAndUnknown) {
                                Backend) -> std::unique_ptr<fused::FusedOp> {
     return nullptr;
   };
-  reg.register_op({.name = "x", .replaces = "", .make = null_factory});
-  EXPECT_THROW(
-      reg.register_op({.name = "x", .replaces = "", .make = null_factory}),
-      std::logic_error);
+  reg.register_op({.name = "x", .make = null_factory});
+  EXPECT_THROW(reg.register_op({.name = "x", .make = null_factory}),
+               std::logic_error);
 
   Session s(smoke_machine_config());
   EXPECT_THROW(s.run(make_spec("unknown", 0), Backend::kFused, reg),
@@ -98,7 +89,6 @@ TEST(Registry, RejectsDuplicatesAndUnknown) {
 TEST(Registry, RejectsMissingNameOrFactory) {
   OpRegistry reg;
   EXPECT_THROW(reg.register_op({.name = "",
-                                .replaces = "",
                                 .make = [](shmem::World&, const OpSpec&,
                                            Backend)
                                     -> std::unique_ptr<fused::FusedOp> {
@@ -106,7 +96,6 @@ TEST(Registry, RejectsMissingNameOrFactory) {
                                 }}),
                std::logic_error);
   EXPECT_THROW(reg.register_op({.name = "no_factory",
-                                .replaces = "",
                                 .make = nullptr,
                                 .smoke_spec = nullptr}),
                std::logic_error);

@@ -365,10 +365,10 @@ TEST(FusedEmbedding, CommAwareSchedulingReducesSkew) {
 TEST(FusedEmbedding, OccupancyIsBelowBaseline) {
   // ROC_SHMEM register cost: fused runs at 87.5% of the baseline slots.
   gpu::Machine m(intra_node(4));
-  const int base = gpu::max_active_wgs(
-      m.device(0).spec(), BaselineEmbeddingAllToAll::baseline_resources());
-  const int fused = gpu::max_active_wgs(
-      m.device(0).spec(), FusedEmbeddingAllToAll::fused_resources());
+  const int base =
+      gpu::max_active_wgs(m.device(0).spec(), gpu::KernelResources{});
+  const int fused =
+      gpu::max_active_wgs(m.device(0).spec(), kFusedKernelResources);
   EXPECT_EQ(base, 832);
   EXPECT_EQ(fused, 728);
   EXPECT_DOUBLE_EQ(static_cast<double>(fused) / base, 0.875);

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "framework/session.h"
 #include "fused/gemv_allreduce.h"
 #include "gpu/machine.h"
 #include "ops/gemv.h"
@@ -189,6 +190,29 @@ TEST(FusedGemv, RelativeBenefitShrinksAtLargeM) {
   const double large = ratio(65536);
   EXPECT_LT(small, large);  // more benefit (lower ratio) at small M
   EXPECT_LT(large, 1.0);    // still a win at 64k
+}
+
+TEST(BaselineGemv, DirectConstructionHonoursConfiguredAllReduceAlgo) {
+  gpu::Machine::Config two_by_four;
+  two_by_four.num_nodes = 2;
+  two_by_four.gpus_per_node = 4;
+  auto cfg = timing_cfg(8192, 8192);
+  auto direct_run = [&](ccl::AllReduceAlgo algo) {
+    cfg.allreduce_algo = algo;
+    gpu::Machine m(two_by_four);
+    shmem::World w(m);
+    return BaselineGemvAllReduce(w, cfg, nullptr).run_to_completion();
+  };
+  const auto ring = direct_run(ccl::AllReduceAlgo::kRing);
+  const auto two_phase = direct_run(ccl::AllReduceAlgo::kTwoPhaseDirect);
+
+  cfg.allreduce_algo = ccl::AllReduceAlgo::kRing;
+  fw::Session s(two_by_four);
+  const auto dispatched = s.run(fw::make_spec("fcc::gemv_allreduce", cfg),
+                                fw::Backend::kBaseline);
+  EXPECT_EQ(ring.duration(), dispatched.duration());
+  EXPECT_EQ(ring.pe_end, dispatched.pe_end);
+  EXPECT_NE(ring.duration(), two_phase.duration());
 }
 
 TEST(FusedGemv, DeterministicAcrossRuns) {

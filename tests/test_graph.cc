@@ -19,8 +19,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Test-local ops: a pure-delay op (no device/fabric contention, so node
 // results depend only on start time) and a fusable producer/consumer pair
-// declared via the structured `pattern` metadata (the sole rewrite source;
-// the free-text `replaces` is documentary and never parsed).
+// declared via the structured `pattern` metadata (the sole rewrite source).
 // ---------------------------------------------------------------------------
 
 struct DelayConfig {
@@ -34,7 +33,6 @@ class DelayOp final : public fused::FusedOp {
       : FusedOp(world), cost_(cost), name_(name) {}
 
   const char* name() const override { return name_; }
-  gpu::KernelResources resources() const override { return {}; }
 
   sim::Co run() override {
     begin_run(world_.n_pes());
@@ -62,12 +60,10 @@ OpEntry delay_entry(std::string name) {
 
 const OpRegistrar delay_registrar{delay_entry("graphtest::delay")};
 
-// Fused pair registered with the structured pattern; the replaces string is
-// purely documentary and must never be parsed.
+// Fused pair registered with the structured pattern.
 OpEntry fused_pair_entry() {
   OpEntry e = delay_entry("graphtest::fused_pair");
   e.pattern = {"graphtest::prod", "graphtest::cons"};
-  e.replaces = "graphtest::prod + graphtest::cons (satellite smoke)";
   return e;
 }
 
@@ -342,27 +338,6 @@ TEST(RewritePass, DuplicatePatternDeclarationsThrow) {
   reg.register_op(std::move(b));
   Graph g;
   EXPECT_THROW(rewrite_fused(g, reg), std::logic_error);
-}
-
-TEST(RewritePass, ReplacesStringIsNeverParsed) {
-  // An entry that only documents its lineage via `replaces` — with no
-  // structured pattern — must not cause any rewrite: the string is
-  // documentary, the parser fallback is gone.
-  OpRegistry reg;
-  reg.register_op(delay_entry("doc::prod"));
-  reg.register_op(delay_entry("doc::cons"));
-  OpEntry fused = delay_entry("doc::fused");
-  fused.replaces = "doc::prod + doc::cons";
-  reg.register_op(std::move(fused));
-
-  DelayConfig cfg;
-  Graph g;
-  auto t = g.tensor("t");
-  auto u = g.tensor("u");
-  g.add("doc::prod", cfg, {}, {t});
-  g.add("doc::cons", cfg, {t}, {u});
-  EXPECT_EQ(rewrite_fused(g, reg), 0);
-  EXPECT_EQ(g.num_live_nodes(), 2);
 }
 
 // A mis-typed node config must throw catchably from Session::run — the

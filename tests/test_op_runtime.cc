@@ -95,16 +95,20 @@ TEST(TaskOrdering, CommAwarePutsRemoteTasksFirstStably) {
 // ---------------------------------------------------------------------------
 
 TEST(FlagSet, LifecycleAndLocalSet) {
-  sim::Engine engine;
+  gpu::Machine::Config cfg;
+  cfg.num_nodes = 1;
+  cfg.gpus_per_node = 2;
+  gpu::Machine machine(cfg);
+  shmem::World world(machine);
   FlagSet flags;
   EXPECT_FALSE(static_cast<bool>(flags));
-  flags.reset(engine, 2, 4);
+  flags.reset(world, 4);
   ASSERT_TRUE(static_cast<bool>(flags));
   EXPECT_EQ(flags->num_pes(), 2);
   EXPECT_EQ(flags->size(), 4u);
   flags->set(1, 3, 7);
   EXPECT_EQ(flags->read(1, 3), 7u);
-  flags.reset(engine, 2, 4);  // rebuild drops prior values
+  flags.reset(world, 4);  // rebuild drops prior values
   EXPECT_EQ(flags->read(1, 3), 0u);
 }
 
@@ -117,7 +121,7 @@ TEST(FlagSet, SignalDeliversRemoteFlagStores) {
   auto& engine = machine.engine();
 
   FlagSet flags;
-  flags.reset(engine, 4, 2);
+  flags.reset(world, 2);
   struct Driver {
     static sim::Task go(sim::Engine&, shmem::World& world, FlagSet& flags) {
       co_await flags.fence_and_signal_peers(world, /*src=*/0, /*idx=*/1);
@@ -140,7 +144,6 @@ class DelayOp final : public FusedOp {
  public:
   DelayOp(shmem::World& world, TimeNs cost) : FusedOp(world), cost_(cost) {}
   const char* name() const override { return "delay_op"; }
-  gpu::KernelResources resources() const override { return {}; }
   sim::Co run() override {
     begin_run(world_.n_pes());
     co_await sim::delay(engine(), cost_);
@@ -254,10 +257,9 @@ class StuckOp final : public FusedOp {
     register_debug_flags("gate", gate_);
   }
   const char* name() const override { return "stuck_op"; }
-  gpu::KernelResources resources() const override { return {}; }
   sim::Co run() override {
     const int pes = world_.n_pes();
-    gate_.reset(engine(), pes, 2);
+    gate_.reset(world_, 2);
     begin_run(pes);
     co_await run_per_pe_at(engine().now(), pes,
                            [this](PeId pe) { return pe_body(pe); });

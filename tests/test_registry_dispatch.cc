@@ -26,7 +26,6 @@ class NullOp final : public fused::FusedOp {
       : FusedOp(world), cost_(cost), name_(name) {}
 
   const char* name() const override { return name_; }
-  gpu::KernelResources resources() const override { return {}; }
 
   sim::Co run() override {
     begin_run(world_.n_pes());
@@ -41,7 +40,6 @@ class NullOp final : public fused::FusedOp {
 
 const OpRegistrar null_op_registrar{{
     .name = "test::null_op",
-    .replaces = "(nothing — extension-point smoke test)",
     .make =
         [](shmem::World& world, const OpSpec& spec, Backend backend)
         -> std::unique_ptr<fused::FusedOp> {

@@ -4,7 +4,7 @@
 
 #include "hw/topology.h"
 #include "scaleout/dlrm_training.h"
-#include "scaleout/torus.h"
+#include "torus_model.h"
 
 namespace fcc::scaleout {
 namespace {

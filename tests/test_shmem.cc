@@ -376,17 +376,18 @@ TEST(FlagArray, ResetRewindsWakeOrderSequence) {
 
 TEST(FlagSet, ShapeMatchingResetReusesTheArray) {
   gpu::Machine m(one_node_four_gpus());
+  World w(m);
   fused::FlagSet set;
-  set.reset(m.engine(), m.num_pes(), 4);
+  set.reset(w, 4);
   FlagArray* first = set.get();
   ASSERT_NE(first, nullptr);
   set->set(0, 1, 5);
   // Same shape: the array is reset in place, not reallocated.
-  set.reset(m.engine(), m.num_pes(), 4);
+  set.reset(w, 4);
   EXPECT_EQ(set.get(), first);
   EXPECT_EQ(set->read(0, 1), 0u);
   // Shape change: reallocates.
-  set.reset(m.engine(), m.num_pes(), 8);
+  set.reset(w, 8);
   EXPECT_EQ(set->size(), 8u);
 }
 

@@ -21,6 +21,7 @@
 
 #include "common/perf_json.h"
 #include "fused/embedding_a2a.h"
+#include "fused/gemm_a2a.h"
 #include "fused/gemv_allreduce.h"
 #include "fused/moe_dispatch.h"
 #include "gpu/machine.h"
@@ -149,10 +150,12 @@ TimingTrace internode_embedding() {
   return collect(m, w, {&emb});
 }
 
-/// Fused embedding+A2A with more than one remote destination per PE, where
-/// the communication-aware order staggers destinations: `mc` is a 4x4 torus
-/// (inter-node only, deferred ring links) or 2x4 fully connected (zero-copy
-/// intra-node blocks behind RDMA inter-node ones).
+/// Embedding+A2A with more than one remote destination per PE. For the
+/// fused op the communication-aware order staggers destinations: `mc` is a
+/// 4x4 torus (inter-node only, deferred ring links) or 2x4 fully connected
+/// (zero-copy intra-node blocks behind RDMA inter-node ones). The baseline
+/// runs its per-table kernels on one stream per PE.
+template <typename Op = fused::FusedEmbeddingAllToAll>
 TimingTrace staggered_embedding(const gpu::Machine::Config& mc) {
   gpu::Machine m(mc);
   shmem::World w(m);
@@ -165,8 +168,26 @@ TimingTrace staggered_embedding(const gpu::Machine::Config& mc) {
   cfg.map.vectors_per_slice = 32;
   cfg.functional = false;
 
-  fused::FusedEmbeddingAllToAll emb(w, cfg, nullptr);
+  Op emb(w, cfg, nullptr);
   return collect(m, w, {&emb});
+}
+
+/// Tile-DSL GEMM baseline (local GEMM, sync, ccl All-to-All) on 1x4.
+TimingTrace baseline_gemm_a2a() {
+  gpu::Machine::Config mc;
+  mc.num_nodes = 1;
+  mc.gpus_per_node = 4;
+  gpu::Machine m(mc);
+  shmem::World w(m);
+
+  fused::GemmA2AConfig cfg;
+  cfg.rows_per_origin = 256;
+  cfg.d_model = 256;
+  cfg.d_ff = 512;
+  cfg.functional = false;
+
+  fused::BaselineGemmAllToAll gemm(w, cfg, nullptr);
+  return collect(m, w, {&gemm});
 }
 
 gpu::Machine::Config torus_4x4() {
@@ -250,6 +271,33 @@ TEST(SimDeterminism, Fc2x4EmbeddingMatchesGolden) {
   g.pe_end = {{176515, 233606, 338438, 443270, 176515, 233606, 338438,
                443270}};
   g.busy = std::vector<TimeNs>(8, 99005464);
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
+}
+
+// Recorded before the baselines shared one bulk-synchronous run script.
+
+TEST(SimDeterminism, Fc2x4BaselineEmbeddingMatchesGolden) {
+  const TimingTrace t =
+      staggered_embedding<fused::BaselineEmbeddingAllToAll>(fc_2x4());
+  TimingTrace g;
+  // FCC_GOLDEN fc2x4_baseline_embedding
+  g.final_now = 831884;
+  g.puts = 0;
+  g.op_end = {831884};
+  g.pe_end = {std::vector<TimeNs>(8, 831884)};
+  g.busy = std::vector<TimeNs>(8, 65237032);
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
+}
+
+TEST(SimDeterminism, BaselineGemmA2AMatchesGolden) {
+  const TimingTrace t = baseline_gemm_a2a();
+  TimingTrace g;
+  // FCC_GOLDEN baseline_gemm_a2a
+  g.final_now = 253156;
+  g.puts = 0;
+  g.op_end = {253156};
+  g.pe_end = {std::vector<TimeNs>(4, 253156)};
+  g.busy = std::vector<TimeNs>(4, 14117440);
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
 }
 

@@ -1,13 +1,13 @@
 // Analytic 2D-torus cross-check (ASTRA-Sim network-layer analog, Table II).
 //
-// The live scale-out path runs on `hw::TorusTopology` (src/hw/topology.h):
+// The live scale-out path runs on `hw::TorusTopology` (hw/topology.h):
 // an event-driven torus whose dimension-ordered collective schedules are
 // reserved on shared FIFO links, so scale-out traffic contends with
 // anything else on the machine. `TorusModel` keeps the closed-form
 // dimension-decomposed schedule those flows implement; on an idle topology
-// the two agree exactly (pinned by tests/test_scaleout.cc), which makes
-// this the regression cross-check for the event-driven engine rather than
-// the simulator itself.
+// the two agree exactly (pinned by test_scaleout.cc), which makes this the
+// regression cross-check for the event-driven engine rather than part of
+// the simulator.
 //
 // Links are 200 Gb/s (25 B/ns) with 700 ns hop latency by default; the
 // shared spec (and its validation) lives in hw::TorusSpec.
@@ -19,10 +19,9 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "hw/topology.h"
+#include "scaleout/dlrm_training.h"
 
 namespace fcc::scaleout {
-
-using TorusSpec = hw::TorusSpec;
 
 class TorusModel {
  public:

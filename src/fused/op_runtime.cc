@@ -33,14 +33,6 @@ OccupancyPlan OccupancyPlan::resolve(const hw::GpuSpec& spec,
 // FlagSet
 // ---------------------------------------------------------------------------
 
-sim::Co FlagSet::signal(shmem::World& world, PeId src, PeId dst,
-                        std::size_t idx, shmem::World::IssueKind kind) {
-  auto* flags = flags_.get();
-  FCC_DCHECK(flags != nullptr);
-  co_await world.put_nbi(src, dst, kFlagBytes, kind,
-                         [flags, dst, idx] { flags->set(dst, idx, 1); });
-}
-
 sim::Co FlagSet::signal_peers(shmem::World& world, PeId src,
                               std::size_t idx) {
   const int pes = flags_->num_pes();

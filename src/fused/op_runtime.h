@@ -121,8 +121,14 @@ class FlagSet {
 
   /// Remote PUT from `src` that sets flag[dst][idx] = 1 on delivery (the
   /// sliceRdy idiom: data PUTs order ahead on the FIFO channel).
-  sim::Co signal(shmem::World& world, PeId src, PeId dst, std::size_t idx,
-                 shmem::World::IssueKind kind = shmem::World::IssueKind::kStore);
+  shmem::World::Put signal(
+      shmem::World& world, PeId src, PeId dst, std::size_t idx,
+      shmem::World::IssueKind kind = shmem::World::IssueKind::kStore) {
+    auto* flags = flags_.get();
+    FCC_DCHECK(flags != nullptr);
+    return world.put_nbi(src, dst, kFlagBytes, kind,
+                         [flags, dst, idx] { flags->set(dst, idx, 1); });
+  }
 
   /// signal() to every PE except `src` at the same index (the per-slot peer
   /// flag idiom of the direct AllReduce).

@@ -5,15 +5,19 @@
 // bandwidth-contention curve evaluated at the *current* number of
 // compute-active WGs. Memory-bound and compute-bound kernels both fall out
 // of the same max(mem, alu) rule.
+//
+// compute() and busy_wait() suspend exactly once, so they are plain
+// awaiters (no coroutine frame): every logical WG awaits them, and a
+// nested sim::Co per step would heap-allocate a frame per WG.
 #pragma once
 
 #include <algorithm>
+#include <coroutine>
 #include <string>
 
 #include "common/types.h"
 #include "hw/gpu_spec.h"
 #include "hw/hbm_model.h"
-#include "sim/co.h"
 #include "sim/engine.h"
 #include "sim/task.h"
 
@@ -72,25 +76,34 @@ class Device {
     return mem_ns > alu_ns ? mem_ns : alu_ns;
   }
 
+  /// Awaiter for one compute step (see compute()). Suspending registers the
+  /// WG as active, charges the step and schedules the resume; resuming
+  /// deregisters it.
+  struct [[nodiscard]] Compute {
+    Device& dev;
+    WorkCost cost;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      const TimeNs dur = dev.compute_duration(cost, ++dev.active_wgs_);
+      dev.busy_ns_ += dur;
+      dev.total_bytes_ += cost.hbm_bytes;
+      dev.total_flops_ += cost.flops;
+      dev.engine_.schedule_resume_after(dur, h);
+    }
+    void await_resume() const noexcept { --dev.active_wgs_; }
+  };
+
   /// Awaitable compute step: registers this WG as active, waits the modeled
   /// duration, deregisters. The duration is fixed at entry from the active
   /// count at that moment (documented approximation; workloads here run in
   /// near-homogeneous waves).
-  sim::Co compute(WorkCost cost) {
-    ++active_wgs_;
-    const TimeNs dur = compute_duration(cost, active_wgs_);
-    busy_ns_ += dur;
-    total_bytes_ += cost.hbm_bytes;
-    total_flops_ += cost.flops;
-    co_await sim::delay(engine_, dur);
-    --active_wgs_;
-  }
+  Compute compute(const WorkCost& cost) { return Compute{*this, cost}; }
 
   /// Plain timed wait charged to this device (bookkeeping instructions,
   /// comm-API issue cost, ...).
-  sim::Co busy_wait(TimeNs dur) {
+  sim::Delay busy_wait(TimeNs dur) {
     busy_ns_ += dur;
-    co_await sim::delay(engine_, dur);
+    return sim::delay(engine_, dur);
   }
 
   TimeNs busy_ns() const { return busy_ns_; }

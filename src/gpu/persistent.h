@@ -6,6 +6,10 @@
 // persistent-threads style of [Gupta et al. 2012] the paper builds on.
 // Regular (non-persistent) kernels use the same runtime: the hardware WG
 // scheduler backfilling slots is timing-equivalent to dynamic claiming.
+//
+// Each slot is one sim::Task; its loop runs every claimed WG inline (the
+// dispatch delay, the body's sim::Co, the finish stamp) with no wrapper
+// coroutine per WG.
 #pragma once
 
 #include <algorithm>
@@ -86,41 +90,27 @@ class KernelRun {
     if (on) finish_times_.assign(params_.order.size(), kTimeNever);
   }
 
-  /// Slot that will execute order position `pos` (meaningful only with
-  /// static assignment).
-  int slot_of_position(int pos, int active_slots) const {
-    return pos % active_slots;
-  }
-
   /// Slots actually spawned (min of num_slots and work size); valid after
   /// start().
   int active_slots() const { return active_slots_; }
 
  private:
   sim::Task slot_proc(sim::Engine& engine, int slot) {
-    if (params_.static_assignment) {
-      for (std::size_t pos = static_cast<std::size_t>(slot);
-           pos < params_.order.size();
-           pos += static_cast<std::size_t>(active_slots_)) {
-        co_await run_one(engine, slot, params_.order[pos]);
+    // Static assignment walks positions slot, slot + active, ...; dynamic
+    // claiming takes the shared cursor's next position.
+    const bool dynamic = !params_.static_assignment;
+    const auto stride = static_cast<std::size_t>(active_slots_);
+    for (std::size_t pos = dynamic ? cursor_++ : static_cast<std::size_t>(slot);
+         pos < params_.order.size(); pos = dynamic ? cursor_++ : pos + stride) {
+      const int lw = params_.order[pos];
+      if (params_.wg_dispatch_overhead_ns > 0) {
+        co_await sim::delay(engine, params_.wg_dispatch_overhead_ns);
       }
-    } else {
-      for (;;) {
-        if (cursor_ >= params_.order.size()) break;
-        const int lw = params_.order[cursor_++];
-        co_await run_one(engine, slot, lw);
-      }
+      co_await params_.body(slot, lw);
+      if (record_times_) finish_times_[lw] = engine.now();
     }
     if (params_.epilogue) co_await params_.epilogue(slot);
     done_.arrive();
-  }
-
-  sim::Co run_one(sim::Engine& engine, int slot, int lw) {
-    if (params_.wg_dispatch_overhead_ns > 0) {
-      co_await sim::delay(engine, params_.wg_dispatch_overhead_ns);
-    }
-    co_await params_.body(slot, lw);
-    if (record_times_) finish_times_[lw] = engine.now();
   }
 
   sim::Engine& engine_;

@@ -48,6 +48,7 @@
 #include "gpu/machine.h"
 #include "sim/co.h"
 #include "sim/sync.h"
+#include "sim/task.h"
 
 namespace fcc::shmem {
 
@@ -68,21 +69,38 @@ class World {
   gpu::Machine& machine() { return machine_; }
   int n_pes() const { return machine_.num_pes(); }
 
-  /// Non-blocking PUT of `bytes` from `src` to `dst`. The coroutine returns
-  /// to the caller as soon as the issue cost has elapsed; `on_deliver` (may
-  /// be empty) runs when the data is visible at `dst` — on `dst`'s home
-  /// shard when the machine is sharded.
-  sim::Co put_nbi(PeId src, PeId dst, Bytes bytes, IssueKind kind,
-                  std::function<void()> on_deliver = {}) {
-    co_await issue_cost(src, dst, kind);
-    issue_put(src, dst, bytes, std::move(on_deliver));
+  /// Awaiter for one put_nbi(). A PUT with a nonzero issue latency charges
+  /// it to the source device and suspends for it; a zero-latency PUT never
+  /// suspends. Either way the PUT is issued on resume.
+  struct [[nodiscard]] Put {
+    World& w;
+    PeId src;
+    PeId dst;
+    Bytes bytes;
+    TimeNs latency;
+    std::function<void()> on_deliver;
+    bool await_ready() const noexcept { return latency == 0; }
+    void await_suspend(std::coroutine_handle<> h) {
+      w.machine_.device(src).busy_wait(latency).await_suspend(h);
+    }
+    void await_resume() { w.issue_put(src, dst, bytes, std::move(on_deliver)); }
+  };
+
+  /// Non-blocking PUT of `bytes` from `src` to `dst`. `co_await` returns to
+  /// the caller as soon as the issue latency has elapsed (at once for a
+  /// zero-latency kind); `on_deliver` (may be empty) runs when the data is
+  /// visible at `dst` — on `dst`'s home shard when the machine is sharded.
+  Put put_nbi(PeId src, PeId dst, Bytes bytes, IssueKind kind,
+              std::function<void()> on_deliver = {}) {
+    return Put{*this, src, dst, bytes, issue_latency(src, dst, kind),
+               std::move(on_deliver)};
   }
 
   /// Orders prior PUTs from `src` before subsequent ones (per destination).
   /// FIFO channels already guarantee this; only the instruction cost is
   /// charged.
-  sim::Co fence(PeId src) {
-    co_await sim::delay(machine_.engine_of(src), kFenceCostNs);
+  sim::Delay fence(PeId src) {
+    return sim::delay(machine_.engine_of(src), kFenceCostNs);
   }
 
   /// Blocks until every PUT issued by `src` has been delivered. The wakeup
@@ -155,11 +173,6 @@ class World {
   struct alignas(64) DeferredShard {
     std::vector<PendingPut> puts;
   };
-
-  sim::Co issue_cost(PeId src, PeId dst, IssueKind kind) {
-    const TimeNs cost = issue_latency(src, dst, kind);
-    if (cost > 0) co_await machine_.device(src).busy_wait(cost);
-  }
 
   /// Post-issue bookkeeping and delivery scheduling; see the header comment
   /// for the eager/deferred split. Defined in world.cc.

@@ -56,7 +56,7 @@ class Task {  // intentionally discardable: processes are fire-and-forget
 /// Awaitable that suspends the process for `dt` virtual nanoseconds. Even a
 /// zero-length delay round-trips through the event queue, so that resume
 /// order stays deterministic relative to other same-time events.
-class Delay {
+class [[nodiscard]] Delay {
  public:
   Delay(Engine& e, TimeNs dt) : engine_(e), dt_(dt) { FCC_CHECK(dt >= 0); }
 

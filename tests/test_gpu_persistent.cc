@@ -61,6 +61,32 @@ WorkCost mem_cost(Bytes bytes) {
   return c;
 }
 
+sim::Task compute_wg(sim::Engine& e, Device& d, WorkCost cost, TimeNs& done) {
+  co_await d.compute(cost);
+  done = e.now();
+}
+
+TEST(Device, ConcurrentComputeIsChargedAtEntryOccupancy) {
+  // Two WGs enter a memory-bound step at the same instant: the second sees
+  // two active WGs, so its per-WG bandwidth share is smaller and it lasts
+  // longer.
+  Machine m(one_gpu());
+  Device& d = m.device(0);
+  const WorkCost cost = mem_cost(1 << 20);
+  const TimeNs d1 = d.compute_duration(cost, 1);
+  const TimeNs d2 = d.compute_duration(cost, 2);
+  ASSERT_GT(d2, d1);
+  TimeNs done1 = -1, done2 = -1;
+  compute_wg(m.engine(), d, cost, done1);
+  compute_wg(m.engine(), d, cost, done2);
+  EXPECT_EQ(d.active_wgs(), 2);
+  m.engine().run();
+  EXPECT_EQ(done1, d1);
+  EXPECT_EQ(done2, d2);
+  EXPECT_EQ(d.active_wgs(), 0);
+  EXPECT_EQ(d.busy_ns(), d1 + d2);
+}
+
 sim::Co count_body(Machine& m, std::vector<int>& executed, int lw) {
   executed.push_back(lw);
   co_await m.device(0).compute(mem_cost(1024));
@@ -126,7 +152,7 @@ TEST(KernelRun, ParallelSlotsOverlapInTime) {
   p.num_slots = 4;
   for (int i = 0; i < 8; ++i) p.order.push_back(i);
   p.body = [&](int, int) -> sim::Co {
-    return m.device(0).compute(alu_cost(1e9));
+    co_await m.device(0).compute(alu_cost(1e9));
   };
   KernelRun run(m.engine(), p);
   run.start();
@@ -138,7 +164,7 @@ TEST(KernelRun, ParallelSlotsOverlapInTime) {
   p2.num_slots = 1;
   for (int i = 0; i < 8; ++i) p2.order.push_back(i);
   p2.body = [&](int, int) -> sim::Co {
-    return m2.device(0).compute(alu_cost(1e9));
+    co_await m2.device(0).compute(alu_cost(1e9));
   };
   KernelRun run2(m2.engine(), p2);
   run2.start();
@@ -153,7 +179,7 @@ TEST(KernelRun, RecordsFinishTimes) {
   p.num_slots = 1;
   p.order = {0, 1};
   p.body = [&](int, int) -> sim::Co {
-    return m.device(0).compute(mem_cost(1024));
+    co_await m.device(0).compute(mem_cost(1024));
   };
   KernelRun run(m.engine(), p);
   run.record_finish_times(true);

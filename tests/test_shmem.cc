@@ -314,6 +314,48 @@ TEST(World, IntraNodeStoreRidesFabric) {
   EXPECT_EQ(delivered, f.store_issue_overhead_ns + 1000 + f.latency_ns);
 }
 
+sim::Task uncharged_put(sim::Engine& e, World& w, TimeNs& returned_at,
+                        std::int64_t& puts, int& outstanding) {
+  co_await w.put_nbi(0, 1, 4096, World::IssueKind::kNone);
+  returned_at = e.now();
+  puts = w.puts_issued();
+  outstanding = w.outstanding(0);
+  co_await w.quiet(0);
+}
+
+TEST(World, UnchargedPutReturnsWithoutSuspending) {
+  gpu::Machine m(two_nodes_one_gpu());
+  World w(m);
+  TimeNs returned_at = -1;
+  std::int64_t puts = -1;
+  int outstanding = -1;
+  uncharged_put(m.engine(), w, returned_at, puts, outstanding);
+  // The process ran past the PUT before the engine fired a single event.
+  EXPECT_EQ(returned_at, 0);
+  EXPECT_EQ(puts, 1);
+  EXPECT_EQ(outstanding, 1);
+  EXPECT_EQ(m.device(0).busy_ns(), 0);
+  m.engine().run();
+  EXPECT_EQ(w.outstanding(0), 0);
+}
+
+sim::Task fenced(sim::Engine& e, World& w, TimeNs& before, TimeNs& after) {
+  co_await sim::delay(e, 100);
+  before = e.now();
+  co_await w.fence(0);
+  after = e.now();
+}
+
+TEST(World, FenceAdvancesExactlyItsInstructionCost) {
+  gpu::Machine m(two_nodes_one_gpu());
+  World w(m);
+  TimeNs before = -1, after = -1;
+  fenced(m.engine(), w, before, after);
+  m.engine().run();
+  EXPECT_EQ(before, 100);
+  EXPECT_EQ(after - before, World::kFenceCostNs);
+}
+
 TEST(FlagArray, ResetRestoresFreshState) {
   gpu::Machine m(one_node_four_gpus());
   FlagArray flags(m.engine(), m.num_pes(), 4);

@@ -172,8 +172,11 @@ TimingTrace staggered_embedding(const gpu::Machine::Config& mc) {
   return collect(m, w, {&emb});
 }
 
-/// Tile-DSL GEMM baseline (local GEMM, sync, ccl All-to-All) on 1x4.
-TimingTrace baseline_gemm_a2a() {
+/// Tile-DSL GEMM+A2A on 1x4. The baseline runs a local GEMM, a sync and a
+/// ccl All-to-All; the fused op issues tile PUTs, a fence, and remote
+/// atomic-add arrival counters.
+template <typename Op>
+TimingTrace gemm_a2a_1x4() {
   gpu::Machine::Config mc;
   mc.num_nodes = 1;
   mc.gpus_per_node = 4;
@@ -186,8 +189,23 @@ TimingTrace baseline_gemm_a2a() {
   cfg.d_ff = 512;
   cfg.functional = false;
 
-  fused::BaselineGemmAllToAll gemm(w, cfg, nullptr);
+  Op gemm(w, cfg, nullptr);
   return collect(m, w, {&gemm});
+}
+
+/// Fused GEMV+AllReduce across two nodes: inter-node tile PUTs and the
+/// per-slot peer flags of FlagSet::signal_peers.
+TimingTrace fused_gemv(const gpu::Machine::Config& mc) {
+  gpu::Machine m(mc);
+  shmem::World w(m);
+
+  fused::GemvAllReduceConfig cfg;
+  cfg.m = 2048;
+  cfg.k_global = 4096;
+  cfg.functional = false;
+
+  fused::FusedGemvAllReduce gemv(w, cfg, nullptr);
+  return collect(m, w, {&gemv});
 }
 
 gpu::Machine::Config torus_4x4() {
@@ -290,7 +308,7 @@ TEST(SimDeterminism, Fc2x4BaselineEmbeddingMatchesGolden) {
 }
 
 TEST(SimDeterminism, BaselineGemmA2AMatchesGolden) {
-  const TimingTrace t = baseline_gemm_a2a();
+  const TimingTrace t = gemm_a2a_1x4<fused::BaselineGemmAllToAll>();
   TimingTrace g;
   // FCC_GOLDEN baseline_gemm_a2a
   g.final_now = 253156;
@@ -298,6 +316,34 @@ TEST(SimDeterminism, BaselineGemmA2AMatchesGolden) {
   g.op_end = {253156};
   g.pe_end = {std::vector<TimeNs>(4, 253156)};
   g.busy = std::vector<TimeNs>(4, 14117440);
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
+}
+
+// Recorded before the GPU compute, busy-wait, PUT and fence primitives
+// became plain awaiters.
+
+TEST(SimDeterminism, FusedGemmA2AMatchesGolden) {
+  const TimingTrace t = gemm_a2a_1x4<fused::FusedGemmAllToAll>();
+  TimingTrace g;
+  // FCC_GOLDEN fused_gemm_a2a
+  g.final_now = 243875;
+  g.puts = 384;
+  g.op_end = {243875};
+  g.pe_end = {std::vector<TimeNs>(4, 241875)};
+  g.busy = std::vector<TimeNs>(4, 14131840);
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
+}
+
+TEST(SimDeterminism, Fc2x4FusedGemvMatchesGolden) {
+  const TimingTrace t = fused_gemv(fc_2x4());
+  TimingTrace g;
+  // FCC_GOLDEN fc2x4_fused_gemv
+  g.final_now = 1160492;
+  g.puts = 16128;
+  g.op_end = {1160492};
+  g.pe_end = {{1157242, 1157492, 1157742, 1157992, 1157742, 1157992, 1158242,
+               1158492}};
+  g.busy = {719190, 719220, 719248, 719272, 719291, 719311, 719327, 719345};
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
 }
 

@@ -1,9 +1,10 @@
 // google-benchmark microbenchmarks of the simulator itself.
 //
 // The figure benches report *simulated* nanoseconds (deterministic); this
-// binary measures the wall-clock cost of producing them — event-queue
-// throughput, link arithmetic, and end-to-end operator simulation rate —
-// which is what bounds how large a sweep the harness can afford.
+// binary measures the wall-clock cost of producing them — link arithmetic,
+// end-to-end operator simulation rate, thread-pool dispatch — which is what
+// bounds how large a sweep the harness can afford. Engine event-queue
+// throughput is measured by bench/perf (sim.schedule_run_ns, sim.resume_ns).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -17,42 +18,10 @@
 #include "parallel/thread_pool.h"
 #include "scaleout/shard_workload.h"
 #include "shmem/world.h"
-#include "sim/engine.h"
-#include "sim/task.h"
 
 namespace {
 
 using namespace fcc;
-
-void BM_EngineScheduleRun(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::Engine e;
-    long sink = 0;
-    for (int i = 0; i < n; ++i) {
-      e.schedule_at(i, [&sink] { ++sink; });
-    }
-    e.run();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EngineScheduleRun)->Arg(1 << 12)->Arg(1 << 16);
-
-sim::Task delay_chain(sim::Engine& e, int hops) {
-  for (int i = 0; i < hops; ++i) co_await sim::delay(e, 1);
-}
-
-void BM_CoroutineDelayChain(benchmark::State& state) {
-  const int hops = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::Engine e;
-    delay_chain(e, hops);
-    e.run();
-  }
-  state.SetItemsProcessed(state.iterations() * hops);
-}
-BENCHMARK(BM_CoroutineDelayChain)->Arg(1 << 12);
 
 void BM_LinkSubmit(benchmark::State& state) {
   hw::Link link("l", 80.0, 700);

@@ -65,38 +65,32 @@ void World::issue_put(PeId src, PeId dst, Bytes bytes,
 }
 
 void World::drain_deferred() {
-  struct Tag {
-    TimeNs t;
-    PeId src;
-    int shard;
-    std::size_t idx;
-  };
-  std::vector<Tag> order;
-  std::size_t total = 0;
-  for (const DeferredShard& d : deferred_) total += d.puts.size();
-  if (total == 0) return;
-  order.reserve(total);
+  // Reused across barriers (the torus flagship runs thousands of them).
+  std::vector<ReplayTag>& order = replay_scratch_;
+  order.clear();
   for (int s = 0; s < static_cast<int>(deferred_.size()); ++s) {
     const auto& puts = deferred_[static_cast<std::size_t>(s)].puts;
     for (std::size_t i = 0; i < puts.size(); ++i) {
-      order.push_back(Tag{puts[i].t, puts[i].src, s, i});
+      order.push_back(ReplayTag{puts[i].t, puts[i].src, s, i});
     }
   }
+  if (order.empty()) return;
   // (issue time, src PE, per-shard seq): reservations replay in the
   // serial engine's time order; same-time ties break by source PE (the
   // serial engine breaks them by global insertion seq instead — the only
   // divergence this protocol permits).
-  std::sort(order.begin(), order.end(), [](const Tag& a, const Tag& b) {
-    if (a.t != b.t) return a.t < b.t;
-    if (a.src != b.src) return a.src < b.src;
-    return a.idx < b.idx;
-  });
+  std::sort(order.begin(), order.end(),
+            [](const ReplayTag& a, const ReplayTag& b) {
+              if (a.t != b.t) return a.t < b.t;
+              if (a.src != b.src) return a.src < b.src;
+              return a.idx < b.idx;
+            });
   // The hook runs with every shard stopped, so deliveries go straight onto
   // the destination engines — no mailbox round-trip; replay order assigns
   // the engine tie-break seqs, exactly like issue order does serially.
   // Conservative lookahead guarantees delivery >= the issuing window's end,
   // so these never schedule into a shard's past.
-  for (const Tag& tag : order) {
+  for (const ReplayTag& tag : order) {
     PendingPut& p =
         deferred_[static_cast<std::size_t>(tag.shard)].puts[tag.idx];
     const TimeNs delivery =

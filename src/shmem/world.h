@@ -174,6 +174,14 @@ class World {
     std::vector<PendingPut> puts;
   };
 
+  /// Sort key of one deferred PUT in the barrier replay.
+  struct ReplayTag {
+    TimeNs t;
+    PeId src;
+    int shard;
+    std::size_t idx;
+  };
+
   /// Post-issue bookkeeping and delivery scheduling; see the header comment
   /// for the eager/deferred split. Defined in world.cc.
   void issue_put(PeId src, PeId dst, Bytes bytes, std::function<void()> cb);
@@ -212,6 +220,7 @@ class World {
   std::vector<std::vector<std::coroutine_handle<>>> drain_waiters_;
   std::vector<std::int64_t> puts_issued_;  // per PE: writer is its own shard
   std::vector<DeferredShard> deferred_;
+  std::vector<ReplayTag> replay_scratch_;  // drain_deferred's sort buffer
   int barrier_hook_ = -1;
 };
 

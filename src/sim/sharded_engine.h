@@ -52,13 +52,14 @@ class ShardedEngine {
     std::size_t messages = 0;  // mailbox messages injected at barriers
     std::size_t threads = 0;   // worker threads used
 
-    // Host wall-time breakdown (ns). `barrier` is the serial inter-window
-    // section (hooks + mailbox merge); `window_total` sums every shard's
-    // in-window processing; `window_critical` sums each window's slowest
-    // shard — so `barrier + window_critical` is the run's wall-clock floor
-    // with one thread per shard, and bench_shard_scaling uses it to report
-    // the attainable speedup independently of how many cores the measuring
-    // host happens to have.
+    // Host wall-time breakdown (ns). `barrier_wall_ns` is the serial
+    // inter-window section (hooks + mailbox merge); `window_wall_ns` sums
+    // every shard's in-window processing; `critical_wall_ns` sums each
+    // window's slowest shard — so `barrier_wall_ns + critical_wall_ns` is
+    // the run's wall-clock floor with one thread per shard.
+    // bench_shard_scaling, bench_fig15_scaleout_dlrm and bench/perf use it
+    // to report the attainable speedup independently of how many cores the
+    // measuring host happens to have.
     std::uint64_t barrier_wall_ns = 0;
     std::uint64_t window_wall_ns = 0;
     std::uint64_t critical_wall_ns = 0;

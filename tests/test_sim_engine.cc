@@ -1,9 +1,15 @@
 // Engine semantics: time monotonicity, same-time FIFO, coroutine tracking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <coroutine>
 #include <cstdint>
+#include <cstdlib>
+#include <exception>
 #include <memory>
+#include <queue>
+#include <string>
 #include <vector>
 
 #include "sim/co.h"
@@ -155,37 +161,44 @@ TEST(Co, DeepNestingCompletes) {
   EXPECT_EQ(e.now(), 1);
 }
 
-TEST(Engine, MixedStagingAndMidDrainSchedulesPopInGlobalOrder) {
-  // Bulk-staged events (scheduled while the engine is empty) and events
-  // scheduled from inside callbacks (mid-drain, heap path) must interleave
-  // in exact (time, seq) order.
+TEST(Engine, SoloEventMigratesIntoItsBucketInGlobalOrder) {
+  // The first push onto an empty queue takes the single-entry slot; the
+  // second migrates it into a bucket ahead of itself. Events scheduled
+  // from inside callbacks must still interleave in exact (time, seq) order.
   Engine e;
   std::vector<int> seen;
   e.schedule_at(10, [&] {
     seen.push_back(1);
-    e.schedule_at(15, [&] { seen.push_back(2); });  // lands in the heap
+    e.schedule_at(15, [&] { seen.push_back(2); });  // while draining
     e.schedule_at(40, [&] { seen.push_back(5); });
-  });
-  e.schedule_at(20, [&] { seen.push_back(3); });  // staged
-  e.schedule_at(30, [&] { seen.push_back(4); });  // staged
+  });                                              // solo slot
+  e.schedule_at(20, [&] { seen.push_back(3); });  // migrates t=10 first
+  e.schedule_at(30, [&] { seen.push_back(4); });
   EXPECT_EQ(e.run(), 5u);
   EXPECT_EQ(seen, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
-TEST(Engine, SameTimeOrderHoldsAcrossStagingAndHeap) {
+TEST(Engine, SameTimeFifoHoldsAcrossAReopenedBucket) {
   Engine e;
   std::vector<int> seen;
   e.schedule_at(5, [&] {
     seen.push_back(0);
-    // Same-time events scheduled mid-drain fire after the already-staged
-    // ones at t=5 (larger insertion sequence), in their own schedule order.
+    // Appended to the t=5 bucket while it drains: after the already-queued
+    // t=5 events (larger insertion sequence), in their own schedule order.
     e.schedule_at(5, [&] { seen.push_back(3); });
-    e.schedule_at(5, [&] { seen.push_back(4); });
+    e.schedule_at(5, [&] {
+      seen.push_back(4);
+      // The last t=5 event: its bucket closed before it ran, so these
+      // reopen t=5 behind every t=5 event that already fired.
+      e.schedule_at(5, [&] { seen.push_back(5); });
+      e.schedule_at(5, [&] { seen.push_back(6); });
+    });
   });
   e.schedule_at(5, [&] { seen.push_back(1); });
   e.schedule_at(5, [&] { seen.push_back(2); });
+  e.schedule_at(6, [&] { seen.push_back(7); });
   e.run();
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(Engine, PooledNodesAreRecycledAcrossWaves) {
@@ -203,31 +216,75 @@ TEST(Engine, PooledNodesAreRecycledAcrossWaves) {
   EXPECT_LE(e.slab_nodes(), 100u);
 }
 
-TEST(Engine, PendingCountsAllTiers) {
+TEST(Engine, PendingCountsSoloAndBucketedEvents) {
   Engine e;
-  e.schedule_at(1, [] {});
-  e.schedule_at(2, [] {});
+  e.schedule_at(1, [] {});  // solo slot
+  EXPECT_EQ(e.pending(), 1u);
+  e.schedule_at(2, [] {});  // both now bucketed
   EXPECT_EQ(e.pending(), 2u);
   e.run_until(1);
   EXPECT_EQ(e.pending(), 1u);
+  for (int i = 0; i < 40; ++i) e.schedule_at(3, [] {});  // spans chunks
+  EXPECT_EQ(e.pending(), 41u);
+  e.run_until(2);
+  EXPECT_EQ(e.pending(), 40u);
   e.run();
   EXPECT_EQ(e.pending(), 0u);
 }
 
-TEST(Engine, RunUntilHonorsDeadlineAcrossTiers) {
+TEST(Engine, RewindIntoAnExhaustedBucketFiresAtItsTime) {
   Engine e;
   int count = 0;
+  std::vector<TimeNs> fired_at;
   e.schedule_at(10, [&] {
     ++count;
-    e.schedule_at(20, [&] { ++count; });  // heap path
+    e.schedule_at(20, [&] { ++count; });  // scheduled while draining
     e.schedule_at(60, [&] { ++count; });
   });
-  e.schedule_at(50, [&] { ++count; });  // staged
+  e.schedule_at(50, [&] { ++count; });
   EXPECT_EQ(e.run_until(50), 3u);
   EXPECT_EQ(count, 3);
   EXPECT_EQ(e.now(), 50);
+  // The t=20 bucket has drained and closed; a rewind behind the window
+  // frontier reopens it, fires first, and moves now() back to 20.
+  e.schedule_at_unchecked(20, [&] { fired_at.push_back(e.now()); });
+  EXPECT_EQ(e.next_event_time(), 20);
+  EXPECT_EQ(e.run_until(50), 1u);
+  EXPECT_EQ(fired_at, (std::vector<TimeNs>{20}));
+  EXPECT_EQ(e.now(), 50);
   e.run();
   EXPECT_EQ(count, 4);
+  EXPECT_EQ(e.now(), 60);
+}
+
+Task wave_worker(Engine& e, int steps, int stride) {
+  for (int i = 0; i < steps; ++i) co_await delay(e, 1 + (i % stride));
+}
+
+TEST(Engine, QueuePoolsStopGrowingAcrossRerunsAndReturnOnDrain) {
+  // 64 workers in lock-step waves: many events per timestamp (multi-chunk
+  // buckets) plus single-event timestamps. Re-running the same workload on
+  // the drained engine must reuse the pooled buckets and chunks instead of
+  // growing them; run() returns them once the queue drains.
+  Engine e;
+  const auto workload = [&e] {
+    for (int w = 0; w < 64; ++w) wave_worker(e, 200, 1 + w % 5);
+  };
+  workload();
+  e.run_until(e.now() + 100000);
+  ASSERT_TRUE(e.idle());
+  const std::size_t watermark = e.queue_bytes();
+  EXPECT_GT(watermark, 0u);
+  for (int rerun = 0; rerun < 5; ++rerun) {
+    workload();
+    e.run_until(e.now() + 100000);
+    ASSERT_TRUE(e.idle());
+    EXPECT_EQ(e.queue_bytes(), watermark) << "rerun " << rerun;
+  }
+  workload();
+  e.run();
+  EXPECT_EQ(e.queue_bytes(), 0u);
+  EXPECT_EQ(e.live_tasks(), 0);
 }
 
 TEST(Engine, LargeCallbacksFallBackToTheHeapPath) {
@@ -244,14 +301,26 @@ TEST(Engine, LargeCallbacksFallBackToTheHeapPath) {
 
 TEST(Engine, DestructorReleasesUnfiredCallbacks) {
   // Scheduled-but-never-run callables (both inline and heap-fallback) are
-  // destroyed with the engine; shared_ptr use counts prove it.
+  // destroyed with the engine; shared_ptr use counts prove it. They are
+  // spread over the solo slot, inline bucket heads and multi-chunk buckets
+  // at many timestamps, some partly drained.
   auto tracer = std::make_shared<int>(7);
   std::weak_ptr<int> weak = tracer;
   {
     Engine e;
     e.schedule_at(5, [t = tracer] { (void)t; });
+    {
+      Engine solo;
+      solo.schedule_at(1, [t = tracer] { (void)t; });
+    }
     std::array<std::uint64_t, 16> big{};
     e.schedule_at(6, [t = tracer, big] { (void)t; (void)big; });
+    for (TimeNs at = 10; at < 200; ++at) {
+      for (TimeNs k = 0; k < at % 40; ++k) {
+        e.schedule_at(at, [t = tracer] { (void)t; });
+      }
+    }
+    e.run_until(30);
     tracer.reset();
     EXPECT_FALSE(weak.expired());
   }
@@ -287,6 +356,338 @@ TEST(Determinism, TwoIdenticalRunsProduceIdenticalLogs) {
     return log;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---------------------------------------------------------------------------
+// Differential check: seeded random mixes of every scheduling entry point,
+// run on sim::Engine and on a reference std::priority_queue ordered by
+// (time, insertion sequence). Both must fire the same events in the same
+// order, at the same now(), and agree on now(), pending() and
+// next_event_time() after every operation.
+
+class DiffDriver;
+
+/// A coroutine that hands each resume to the driver: the engine-side body
+/// of one schedule_resume_* event. Parked between events.
+struct Probe {
+  struct promise_type {
+    Probe get_return_object() {
+      return Probe{std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_never initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() { std::terminate(); }
+  };
+  std::coroutine_handle<promise_type> handle;
+};
+
+struct ProbeSlot {
+  DiffDriver* driver = nullptr;
+  int id = -1;  // event the next resume stands for
+  std::coroutine_handle<> handle;
+};
+
+Probe probe_body(ProbeSlot* slot);
+
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+class DiffDriver {
+ public:
+  struct Fired {
+    int id;
+    TimeNs now;
+    std::size_t pending;  // after the pop, before the event's own schedules
+    bool operator==(const Fired&) const = default;
+  };
+
+  explicit DiffDriver(std::uint64_t seed) : seed_(seed), rng_(seed) {}
+  ~DiffDriver() {
+    engine_.reset();  // drop pending events before their probes
+    for (const auto& p : probes_) p->handle.destroy();
+  }
+
+  /// Runs `ops` random operations; returns "" or the first divergence.
+  std::string run(int ops) {
+    for (int op = 0; op < ops; ++op) {
+      std::string what = step();
+      if (const std::string diff = compare(); !diff.empty()) {
+        return "after op " + std::to_string(op) + " (" + what + "): " + diff;
+      }
+    }
+    return "";
+  }
+
+  /// Tokens held by unfired callbacks; zero once the engine is destroyed.
+  long callback_tokens() const { return token_.use_count() - 1; }
+  void destroy_engine() { engine_.reset(); }
+
+  void fired(int id) {
+    Engine& e = *engine_;
+    engine_log_.push_back(Fired{id, e.now(), e.pending()});
+    for (const Child& c : children(id)) {
+      schedule_engine(c.resume ? Kind::kResumeAt : Kind::kAt, e.now() + c.dt,
+                      engine_ids_++);
+    }
+  }
+
+  void park(ProbeSlot* slot) { idle_probes_.push_back(slot); }
+
+ private:
+  enum class Kind {
+    kAt,
+    kAfter,
+    kResumeAt,
+    kResumeAfter,
+    kRewind,
+    kRewindResume,
+  };
+  struct Child {
+    TimeNs dt;
+    bool resume;
+  };
+  struct RefEvent {
+    TimeNs t;
+    std::uint64_t seq;
+    int id;
+  };
+  struct Later {
+    bool operator()(const RefEvent& a, const RefEvent& b) const {
+      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+    }
+  };
+
+  std::uint64_t next() { return rng_ = mix64(rng_); }
+
+  /// What event `id` schedules when it fires: a pure function of (seed,
+  /// id), so both sides agree as long as they fire the same ids.
+  std::vector<Child> children(int id) const {
+    std::vector<Child> out;
+    if (id >= kMaxEvents) return out;
+    std::uint64_t r = mix64(seed_ ^ (static_cast<std::uint64_t>(id) << 20));
+    static constexpr int kCount[8] = {0, 0, 0, 1, 1, 1, 2, 3};
+    static constexpr TimeNs kDt[8] = {0, 0, 1, 1, 2, 3, 5, 13};
+    const int n = kCount[r & 7];
+    for (int i = 0; i < n; ++i) {
+      r >>= 4;
+      out.push_back(Child{kDt[r & 7], ((r >> 3) & 1) != 0});
+    }
+    return out;
+  }
+
+  std::string step() {
+    const std::uint64_t r = next();
+    const TimeNs dt = static_cast<TimeNs>((r >> 8) % 12);
+    switch (r % 16) {
+      case 0: case 1: case 2: case 3:
+        return top_level(Kind::kAt, engine_->now() + dt);
+      case 4:
+        return top_level(Kind::kAfter, engine_->now() + dt);
+      case 5: case 6:
+        return top_level(Kind::kResumeAt, engine_->now() + dt);
+      case 7:
+        return top_level(Kind::kResumeAfter, engine_->now() + dt);
+      case 10: case 11: {
+        // A wave: up to 40 events over a few timestamps, all four kinds.
+        const int n = 1 + static_cast<int>((r >> 16) % 40);
+        for (int i = 0; i < n; ++i) {
+          const std::uint64_t k = mix64(r + static_cast<std::uint64_t>(i));
+          const TimeNs jitter = static_cast<TimeNs>((k >> 8) % 3);
+          top_level(static_cast<Kind>(k % 4), engine_->now() + dt + jitter);
+        }
+        return "wave of " + std::to_string(n);
+      }
+      case 8: case 9: {
+        // Behind the frontier: possibly into a drained (closed) bucket.
+        const TimeNs t = std::max<TimeNs>(0, engine_->now() - dt);
+        return top_level((r >> 4) & 1 ? Kind::kRewindResume : Kind::kRewind,
+                         t);
+      }
+      case 15: {
+        const std::size_t a = engine_->run();
+        std::size_t b = 0;
+        while (!ref_.empty()) {
+          ref_fire();
+          ++b;
+        }
+        if (a != b) {
+          return "run() fired " + std::to_string(a) + ", reference " +
+                 std::to_string(b);
+        }
+        return "run()";
+      }
+      default: {
+        const TimeNs deadline =
+            engine_->now() + static_cast<TimeNs>((r >> 40) % 9);
+        const std::size_t a = engine_->run_until(deadline);
+        std::size_t b = 0;
+        while (!ref_.empty() && ref_.top().t <= deadline) {
+          ref_fire();
+          ++b;
+        }
+        ref_now_ = std::max(ref_now_, deadline);
+        if (a != b) {
+          return "run_until fired " + std::to_string(a) + ", reference " +
+                 std::to_string(b);
+        }
+        return "run_until(" + std::to_string(deadline) + ")";
+      }
+    }
+  }
+
+  std::string top_level(Kind kind, TimeNs t) {
+    schedule_engine(kind, t, engine_ids_++);
+    ref_push(t, ref_ids_++);
+    return "schedule kind " + std::to_string(static_cast<int>(kind)) +
+           " at " + std::to_string(t);
+  }
+
+  void schedule_engine(Kind kind, TimeNs t, int id) {
+    Engine& e = *engine_;
+    const bool big = (mix64(seed_ + static_cast<std::uint64_t>(id)) & 7) == 0;
+    switch (kind) {
+      case Kind::kAt:
+      case Kind::kAfter:
+      case Kind::kRewind: {
+        auto cb = [this, id, tok = token_] { fired(id); };
+        auto big_cb = [this, id, tok = token_, pad = std::array<char, 64>{}] {
+          fired(id);
+        };
+        if (kind == Kind::kAfter) {
+          big ? e.schedule_after(t - e.now(), big_cb)
+              : e.schedule_after(t - e.now(), cb);
+        } else if (kind == Kind::kAt) {
+          big ? e.schedule_at(t, big_cb) : e.schedule_at(t, cb);
+        } else {
+          big ? e.schedule_at_unchecked(t, big_cb)
+              : e.schedule_at_unchecked(t, cb);
+        }
+        return;
+      }
+      case Kind::kResumeAt:
+      case Kind::kResumeAfter:
+      case Kind::kRewindResume: {
+        ProbeSlot* slot = take_probe();
+        slot->id = id;
+        if (kind == Kind::kResumeAfter) {
+          e.schedule_resume_after(t - e.now(), slot->handle);
+        } else if (kind == Kind::kResumeAt) {
+          e.schedule_resume_at(t, slot->handle);
+        } else {
+          e.schedule_resume_at_unchecked(t, slot->handle);
+        }
+        return;
+      }
+    }
+  }
+
+  ProbeSlot* take_probe() {
+    if (idle_probes_.empty()) {
+      probes_.push_back(std::make_unique<ProbeSlot>());
+      ProbeSlot* slot = probes_.back().get();
+      slot->driver = this;
+      slot->handle = probe_body(slot).handle;
+      return slot;  // parked by probe_body, not on the idle list
+    }
+    ProbeSlot* slot = idle_probes_.back();
+    idle_probes_.pop_back();
+    return slot;
+  }
+
+  void ref_push(TimeNs t, int id) { ref_.push(RefEvent{t, ref_seq_++, id}); }
+
+  void ref_fire() {
+    const RefEvent top = ref_.top();
+    ref_.pop();
+    ref_now_ = top.t;
+    ref_log_.push_back(Fired{top.id, ref_now_, ref_.size()});
+    for (const Child& c : children(top.id)) {
+      ref_push(ref_now_ + c.dt, ref_ids_++);
+    }
+  }
+
+  std::string compare() const {
+    const Engine& e = *engine_;
+    if (engine_log_ != ref_log_) {
+      std::size_t i = 0;
+      while (i < engine_log_.size() && i < ref_log_.size() &&
+             engine_log_[i] == ref_log_[i]) {
+        ++i;
+      }
+      const auto show = [](const std::vector<Fired>& log, std::size_t k) {
+        if (k >= log.size()) return std::string("<none>");
+        return "id " + std::to_string(log[k].id) + " at " +
+               std::to_string(log[k].now) + " pending " +
+               std::to_string(log[k].pending);
+      };
+      return "fire #" + std::to_string(i) + ": engine " + show(engine_log_, i) +
+             ", reference " + show(ref_log_, i);
+    }
+    if (e.now() != ref_now_) {
+      return "now " + std::to_string(e.now()) + " vs " +
+             std::to_string(ref_now_);
+    }
+    if (e.pending() != ref_.size()) {
+      return "pending " + std::to_string(e.pending()) + " vs " +
+             std::to_string(ref_.size());
+    }
+    const TimeNs ref_next = ref_.empty() ? Engine::kNoEvent : ref_.top().t;
+    if (engine_->next_event_time() != ref_next) {
+      return "next_event_time " + std::to_string(engine_->next_event_time()) +
+             " vs " + std::to_string(ref_next);
+    }
+    return "";
+  }
+
+  static constexpr int kMaxEvents = 4000;
+
+  std::uint64_t seed_;
+  std::uint64_t rng_;
+  std::shared_ptr<int> token_ = std::make_shared<int>(0);
+  std::unique_ptr<Engine> engine_ = std::make_unique<Engine>();
+  std::vector<std::unique_ptr<ProbeSlot>> probes_;
+  std::vector<ProbeSlot*> idle_probes_;
+  std::vector<Fired> engine_log_;
+  int engine_ids_ = 0;
+  std::priority_queue<RefEvent, std::vector<RefEvent>, Later> ref_;
+  std::vector<Fired> ref_log_;
+  TimeNs ref_now_ = 0;
+  std::uint64_t ref_seq_ = 0;
+  int ref_ids_ = 0;
+};
+
+Probe probe_body(ProbeSlot* slot) {
+  for (;;) {
+    co_await std::suspend_always{};
+    slot->driver->fired(slot->id);
+    slot->driver->park(slot);
+  }
+}
+
+TEST(EngineDifferential, MatchesReferencePriorityQueueOnRandomMixes) {
+  // FCC_ENGINE_DIFF_SEED=<n> replays one seed.
+  std::uint64_t first = 1, last = 300;
+  if (const char* env = std::getenv("FCC_ENGINE_DIFF_SEED")) {
+    first = last = std::strtoull(env, nullptr, 10);
+  }
+  for (std::uint64_t seed = first; seed <= last; ++seed) {
+    DiffDriver driver(seed);
+    const std::string diff = driver.run(160);
+    if (!diff.empty()) {
+      FAIL() << "seed " << seed << ": " << diff
+             << "\nreplay: FCC_ENGINE_DIFF_SEED=" << seed
+             << " ./test_sim_engine"
+                " --gtest_filter=EngineDifferential.*";
+    }
+    // Destruction with events still pending releases every callback.
+    driver.destroy_engine();
+    ASSERT_EQ(driver.callback_tokens(), 0) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -40,6 +40,17 @@ struct SplitRunner {
   int splits;
   TimeNs total = 0;
 
+  /// One slot of a per-table pooling kernel: a compute step per sample.
+  sim::Co table_slot(gpu::KernelRun& run, PeId pe,
+                     const fused::EmbeddingA2AConfig& cfg, int slot) {
+    auto& dev = machine.device(pe);
+    const gpu::WorkCost cost = ops::embedding_wg_cost(
+        cfg.pooling, cfg.map.dim, true, ops::kBaselineCurve);
+    for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+      co_await dev.compute(cost);
+    }
+  }
+
   sim::Co chunk_kernels(PeId pe, int tables_in_chunk) {
     const auto cfg = base_config();
     for (int t = 0; t < tables_in_chunk; ++t) {
@@ -51,10 +62,8 @@ struct SplitRunner {
       for (int b = 0; b < cfg.map.global_batch; ++b) {
         p.order[static_cast<std::size_t>(b)] = b;
       }
-      auto* dev = &machine.device(pe);
-      p.body = [dev, &cfg](int, int) -> sim::Co {
-        co_await dev->compute(ops::embedding_wg_cost(
-            cfg.pooling, cfg.map.dim, true, ops::kBaselineCurve));
+      p.body = [this, pe, &cfg](gpu::KernelRun& run, int slot) {
+        return table_slot(run, pe, cfg, slot);
       };
       gpu::KernelRun run(machine.engine(), std::move(p));
       run.start();

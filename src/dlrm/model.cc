@@ -26,6 +26,17 @@ std::vector<float> mlp_layer_ref(const std::vector<float>& in, int batch,
   return out;
 }
 
+/// One slot of an MLP layer's GEMM kernel: a compute step per output tile.
+sim::Co mlp_slot(gpu::KernelRun& run, gpu::Device& dev, ops::GemmShape s,
+                 double efficiency, int slot) {
+  for (int pid; (pid = co_await run.next(slot)) >= 0;) {
+    const int rows = s.row_end(pid) - s.row_begin(pid);
+    const int cols = s.col_end(pid) - s.col_begin(pid);
+    co_await dev.compute(ops::gemm_tile_cost(rows, cols, s.k, efficiency,
+                                             ops::kBaselineCurve));
+  }
+}
+
 }  // namespace
 
 void DlrmConfig::validate() const {
@@ -80,11 +91,8 @@ sim::Co DlrmModel::mlp_stack(PeId pe, int batch, int in_dim,
     for (int t = 0; t < s.num_tiles(); ++t) {
       p.order[static_cast<std::size_t>(t)] = t;
     }
-    p.body = [&dev, s, efficiency](int, int pid) -> sim::Co {
-      const int rows = s.row_end(pid) - s.row_begin(pid);
-      const int cols = s.col_end(pid) - s.col_begin(pid);
-      co_await dev.compute(ops::gemm_tile_cost(rows, cols, s.k, efficiency,
-                                               ops::kBaselineCurve));
+    p.body = [&dev, s, efficiency](gpu::KernelRun& run, int slot) {
+      return mlp_slot(run, dev, s, efficiency, slot);
     };
     gpu::KernelRun run(machine.engine(), std::move(p));
     run.start();

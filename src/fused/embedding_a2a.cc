@@ -49,6 +49,14 @@ FusedEmbeddingAllToAll::FusedEmbeddingAllToAll(shmem::World& world,
           {.override_slots = cfg_.occupancy_slots_override,
            .knee_frac = ops::kFusedEmbeddingCurve.knee_frac})
           .slots;
+  // Local outputs and RDMA staging write to HBM; zero-copy remote stores
+  // ride the fabric instead (no local write).
+  wg_cost_ = {ops::embedding_wg_cost(cfg_.pooling, cfg_.map.dim,
+                                     /*local_write=*/true,
+                                     ops::kFusedEmbeddingCurve),
+              ops::embedding_wg_cost(cfg_.pooling, cfg_.map.dim,
+                                     /*local_write=*/false,
+                                     ops::kFusedEmbeddingCurve)};
   register_debug_flags("sliceRdy", slice_rdy_);
 }
 
@@ -78,8 +86,6 @@ sim::Co FusedEmbeddingAllToAll::run() {
                   std::vector<std::vector<float>>(
                       static_cast<std::size_t>(map.num_slices())));
   }
-  runs_.clear();
-  runs_.resize(static_cast<std::size_t>(pes));
   // One persistent-kernel launch per PE.
   co_await run_fused([this](PeId pe) { return pe_body(pe); });
 }
@@ -99,96 +105,102 @@ sim::Co FusedEmbeddingAllToAll::pe_body(PeId pe) {
     p.order.resize(static_cast<std::size_t>(map.num_logical_wgs()));
     std::iota(p.order.begin(), p.order.end(), 0);
   }
-  p.body = [this, pe](int slot, int lw) { return pe_kernel_wg(pe, slot, lw); };
-  p.epilogue = [this, pe](int slot) { return pe_epilogue(pe, slot); };
-  auto& run = runs_[static_cast<std::size_t>(pe)];
-  run = std::make_unique<gpu::KernelRun>(engine, std::move(p));
-  run->start();
-  co_await run->wait();
+  p.body = [this, pe](gpu::KernelRun& run, int slot) {
+    return pe_slot(run, pe, slot);
+  };
+  gpu::KernelRun run(engine, std::move(p));
+  run.start();
+  co_await run.wait();
   result_.pe_end[static_cast<std::size_t>(pe)] = engine.now();
 }
 
-sim::Co FusedEmbeddingAllToAll::pe_kernel_wg(PeId pe, int slot, int lw) {
+sim::Co FusedEmbeddingAllToAll::pe_slot(gpu::KernelRun& run, PeId pe,
+                                        int slot) {
+  // Everything declared here lives in the slot's frame for the whole
+  // kernel (GCC keeps every local of a coroutine in its frame), so per-WG
+  // arithmetic and functional data stay in plain helpers.
   auto& machine = world_.machine();
   auto& dev = machine.device(pe);
+  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+    const PeId dest = cfg_.map.dest_of_sample(cfg_.map.wg_sample(lw));
+    const bool zero_copy = zero_copy_to(pe, dest);
+    const TimeNs t_begin = machine.engine_of(pe).now();
+    co_await dev.compute(wg_cost_[zero_copy ? 1 : 0]);
+
+    std::function<void()> deliver = pool_wg(pe, lw, dest, zero_copy);
+    if (zero_copy) {
+      // Scale-up path: this WG's threads store the vector straight into
+      // the destination GPU's output buffer.
+      co_await world_.put_nbi(pe, dest, static_cast<Bytes>(cfg_.map.dim) * 4,
+                              shmem::World::IssueKind::kStore,
+                              std::move(deliver));
+    }
+
+    if (cfg_.emit_trace && machine.trace_of(pe).enabled()) {
+      machine.trace_of(pe).add_span(
+          {"wg", "compute", pe, slot, t_begin, machine.engine_of(pe).now()});
+    }
+
+    // WG_Done bookkeeping; the last finishing WG of the slice emits it.
+    co_await dev.busy_wait(cfg_.bookkeeping_ns);
+    const int slice = cfg_.map.slice_of_wg(lw);
+    if (wg_done_[static_cast<std::size_t>(pe)][static_cast<std::size_t>(slice)]
+            .set_and_check_last(cfg_.map.lane_in_slice(lw))) {
+      co_await emit_slice_from_slot(pe, slot, slice);
+    }
+  }
+
+  // Queue drained: each persistent WG polls a distinct subset of sliceRdy
+  // flags before exiting (cheaper than everyone polling everything).
+  for (int f = slot; f < cfg_.map.num_slices(); f += run.active_slots()) {
+    co_await slice_rdy_->wait_ge(pe, static_cast<std::size_t>(f), 1);
+  }
+}
+
+bool FusedEmbeddingAllToAll::zero_copy_to(PeId pe, PeId dest) const {
+  return cfg_.zero_copy && dest != pe &&
+         world_.machine().route_class(pe, dest) == hw::RouteClass::kIntraNode;
+}
+
+std::function<void()> FusedEmbeddingAllToAll::pool_wg(PeId pe, int lw,
+                                                       PeId dest,
+                                                       bool zero_copy) {
+  if (!cfg_.functional) return {};
   const auto& map = cfg_.map;
   const int t = map.wg_table(lw);
   const int b = map.wg_sample(lw);
-  const PeId dest = map.dest_of_sample(b);
-  const bool remote = dest != pe;
-  const bool zero_copy =
-      remote &&
-      machine.route_class(pe, dest) == hw::RouteClass::kIntraNode &&
-      cfg_.zero_copy;
-  // Local outputs and RDMA staging write to HBM; zero-copy remote stores
-  // ride the fabric instead (no local write).
-  const bool local_write = !zero_copy;
-
-  const TimeNs t_begin = machine.engine_of(pe).now();
-  co_await dev.compute(ops::embedding_wg_cost(
-      cfg_.pooling, map.dim, local_write, ops::kFusedEmbeddingCurve));
-
-  std::vector<float> vec;
-  if (cfg_.functional) {
-    vec.resize(static_cast<std::size_t>(map.dim));
-    ops::pool_reference(cfg_.emb_config(),
-                        data_->tables[static_cast<std::size_t>(pe)],
-                        data_->batches[static_cast<std::size_t>(pe)], t, b,
-                        vec);
-    if (!remote) {
-      auto out = data_->output->pe(pe);
-      const int lb = b % map.local_batch();
-      const int gt = map.global_table(pe, t);
-      for (int c = 0; c < map.dim; ++c) {
-        out[map.dest_offset(lb, gt, c)] = vec[static_cast<std::size_t>(c)];
-      }
-    } else if (!zero_copy) {
-      auto& st = stage_[static_cast<std::size_t>(pe)]
-                       [static_cast<std::size_t>(map.slice_of_wg(lw))];
-      if (st.empty()) {
-        st.resize(static_cast<std::size_t>(map.vectors_per_slice) *
-                  static_cast<std::size_t>(map.dim));
-      }
-      const std::size_t lane_off =
-          static_cast<std::size_t>(map.lane_in_slice(lw)) *
-          static_cast<std::size_t>(map.dim);
-      std::copy(vec.begin(), vec.end(), st.begin() + static_cast<std::ptrdiff_t>(lane_off));
+  std::vector<float> vec(static_cast<std::size_t>(map.dim));
+  ops::pool_reference(cfg_.emb_config(),
+                      data_->tables[static_cast<std::size_t>(pe)],
+                      data_->batches[static_cast<std::size_t>(pe)], t, b, vec);
+  const int lb = b % map.local_batch();
+  const int gt = map.global_table(pe, t);
+  if (dest == pe) {
+    auto out = data_->output->pe(pe);
+    for (int c = 0; c < map.dim; ++c) {
+      out[map.dest_offset(lb, gt, c)] = vec[static_cast<std::size_t>(c)];
     }
+    return {};
   }
-
   if (zero_copy) {
-    // Scale-up path: this WG's threads store the vector straight into the
-    // destination GPU's output buffer.
-    std::function<void()> deliver;
-    if (cfg_.functional) {
-      auto* out = data_->output;
-      const int lb = b % map.local_batch();
-      const int gt = map.global_table(pe, t);
-      deliver = [out, dest, lb, gt, map = cfg_.map, v = std::move(vec)] {
-        auto o = out->pe(dest);
-        for (int c = 0; c < map.dim; ++c) {
-          o[map.dest_offset(lb, gt, c)] = v[static_cast<std::size_t>(c)];
-        }
-      };
-    }
-    co_await world_.put_nbi(pe, dest,
-                            static_cast<Bytes>(map.dim) * 4,
-                            shmem::World::IssueKind::kStore,
-                            std::move(deliver));
+    return [out = data_->output, dest, lb, gt, map, v = std::move(vec)] {
+      auto o = out->pe(dest);
+      for (int c = 0; c < map.dim; ++c) {
+        o[map.dest_offset(lb, gt, c)] = v[static_cast<std::size_t>(c)];
+      }
+    };
   }
-
-  if (cfg_.emit_trace && machine.trace_of(pe).enabled()) {
-    machine.trace_of(pe).add_span({"wg", "compute", pe, slot, t_begin,
-                                   machine.engine_of(pe).now()});
+  auto& st = stage_[static_cast<std::size_t>(pe)]
+                   [static_cast<std::size_t>(map.slice_of_wg(lw))];
+  if (st.empty()) {
+    st.resize(static_cast<std::size_t>(map.vectors_per_slice) *
+              static_cast<std::size_t>(map.dim));
   }
-
-  // WG_Done bookkeeping; the last finishing WG of the slice emits it.
-  co_await dev.busy_wait(cfg_.bookkeeping_ns);
-  const int slice = map.slice_of_wg(lw);
-  if (wg_done_[static_cast<std::size_t>(pe)][static_cast<std::size_t>(slice)]
-          .set_and_check_last(map.lane_in_slice(lw))) {
-    co_await emit_slice_from_slot(pe, slot, slice);
-  }
+  const std::size_t lane_off = static_cast<std::size_t>(map.lane_in_slice(lw)) *
+                               static_cast<std::size_t>(map.dim);
+  std::copy(vec.begin(), vec.end(),
+            st.begin() + static_cast<std::ptrdiff_t>(lane_off));
+  return {};
 }
 
 sim::Co FusedEmbeddingAllToAll::emit_slice_from_slot(PeId pe, int slot,
@@ -253,16 +265,6 @@ sim::Co FusedEmbeddingAllToAll::emit_slice_from_slot(PeId pe, int slot,
   }
 }
 
-sim::Co FusedEmbeddingAllToAll::pe_epilogue(PeId pe, int slot) {
-  // Each persistent WG polls a distinct subset of sliceRdy flags before
-  // exiting (cheaper than everyone polling everything).
-  const int stride = runs_[static_cast<std::size_t>(pe)]->active_slots();
-  const int total = cfg_.map.num_slices();
-  for (int f = slot; f < total; f += stride) {
-    co_await slice_rdy_->wait_ge(pe, static_cast<std::size_t>(f), 1);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Bulk-synchronous baseline
 // ---------------------------------------------------------------------------
@@ -293,33 +295,40 @@ sim::Co BaselineEmbeddingAllToAll::table_kernel(PeId pe, int table) {
   for (int b = 0; b < map.global_batch; ++b) {
     p.order[static_cast<std::size_t>(b)] = b;
   }
-  p.body = [this, pe, table](int, int b) -> sim::Co {
-    auto& dev = world_.machine().device(pe);
-    const auto& map2 = cfg_.map;
-    co_await dev.compute(ops::embedding_wg_cost(
-        cfg_.pooling, map2.dim, /*local_write=*/true, ops::kBaselineCurve));
-    if (cfg_.functional) {
-      std::vector<float> vec(static_cast<std::size_t>(map2.dim));
-      ops::pool_reference(cfg_.emb_config(),
-                          data_->tables[static_cast<std::size_t>(pe)],
-                          data_->batches[static_cast<std::size_t>(pe)], table,
-                          b, vec);
-      // Send layout: chunk per destination, [t][lb][dim] inside the chunk.
-      const PeId d = map2.dest_of_sample(b);
-      const int lb = b % map2.local_batch();
-      const std::size_t off =
-          static_cast<std::size_t>(d) * chunk_elems() +
-          (static_cast<std::size_t>(table) * map2.local_batch() +
-           static_cast<std::size_t>(lb)) *
-              static_cast<std::size_t>(map2.dim);
-      std::copy(vec.begin(), vec.end(),
-                send_[static_cast<std::size_t>(pe)].begin() +
-                    static_cast<std::ptrdiff_t>(off));
-    }
+  p.body = [this, pe, table](gpu::KernelRun& run, int slot) {
+    return table_slot(run, pe, table, slot);
   };
   gpu::KernelRun run(machine.engine_of(pe), std::move(p));
   run.start();
   co_await run.wait();
+}
+
+sim::Co BaselineEmbeddingAllToAll::table_slot(gpu::KernelRun& run, PeId pe,
+                                              int table, int slot) {
+  auto& dev = world_.machine().device(pe);
+  const auto& map = cfg_.map;
+  const gpu::WorkCost cost = ops::embedding_wg_cost(
+      cfg_.pooling, map.dim, /*local_write=*/true, ops::kBaselineCurve);
+  for (int b; (b = co_await run.next(slot)) >= 0;) {
+    co_await dev.compute(cost);
+    if (!cfg_.functional) continue;
+    std::vector<float> vec(static_cast<std::size_t>(map.dim));
+    ops::pool_reference(cfg_.emb_config(),
+                        data_->tables[static_cast<std::size_t>(pe)],
+                        data_->batches[static_cast<std::size_t>(pe)], table, b,
+                        vec);
+    // Send layout: chunk per destination, [t][lb][dim] inside the chunk.
+    const PeId d = map.dest_of_sample(b);
+    const int lb = b % map.local_batch();
+    const std::size_t off =
+        static_cast<std::size_t>(d) * chunk_elems() +
+        (static_cast<std::size_t>(table) * map.local_batch() +
+         static_cast<std::size_t>(lb)) *
+            static_cast<std::size_t>(map.dim);
+    std::copy(vec.begin(), vec.end(),
+              send_[static_cast<std::size_t>(pe)].begin() +
+                  static_cast<std::ptrdiff_t>(off));
+  }
 }
 
 std::size_t BaselineEmbeddingAllToAll::chunk_elems() const {

@@ -20,6 +20,8 @@
 // starts only at the kernel boundary.
 #pragma once
 
+#include <array>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -92,20 +94,26 @@ class FusedEmbeddingAllToAll final : public FusedOp {
 
  private:
   sim::Co pe_body(PeId pe);
-  sim::Co pe_kernel_wg(PeId pe, int slot, int lw);
-  sim::Co pe_epilogue(PeId pe, int slot);
+  sim::Co pe_slot(gpu::KernelRun& run, PeId pe, int slot);
+  /// Whether a WG's vector goes out as a zero-copy scale-up store.
+  bool zero_copy_to(PeId pe, PeId dest) const;
+  /// Functional mode: pools WG `lw`'s vector, writes it to the local output
+  /// or its slice's staging buffer, or returns the delivery of a zero-copy
+  /// store. Returns an empty callback when nothing is left to deliver.
+  std::function<void()> pool_wg(PeId pe, int lw, PeId dest, bool zero_copy);
   sim::Co emit_slice_from_slot(PeId pe, int slot, int slice);
   std::size_t flag_index(PeId src, int table, int group) const;
 
   EmbeddingA2AConfig cfg_;
   EmbeddingA2AData* data_;
   int slots_per_pe_ = 0;
+  /// Per-WG compute cost: [0] writes HBM, [1] is a zero-copy store.
+  std::array<gpu::WorkCost, 2> wg_cost_{};
 
   // Per-PE runtime state, rebuilt by run().
   std::vector<std::vector<shmem::WgDoneMask>> wg_done_;     // [pe][slice]
   FlagSet slice_rdy_;                                       // [pe][flag]
   std::vector<std::vector<std::vector<float>>> stage_;      // [pe][slice][...]
-  std::vector<std::unique_ptr<gpu::KernelRun>> runs_;
 };
 
 class BaselineEmbeddingAllToAll final : public BulkSyncOp {
@@ -120,6 +128,7 @@ class BaselineEmbeddingAllToAll final : public BulkSyncOp {
   sim::Co compute(PeId pe, TimeNs t0) override;
   sim::Co collective(ccl::Communicator& comm) override;
   sim::Co table_kernel(PeId pe, int table);
+  sim::Co table_slot(gpu::KernelRun& run, PeId pe, int table, int slot);
   /// Elements per (source, destination) All-to-All chunk.
   std::size_t chunk_elems() const;
 

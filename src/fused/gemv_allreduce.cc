@@ -105,8 +105,59 @@ sim::Task FusedGemvAllReduce::slot_proc(sim::Engine& /*engine*/, PeId pe,
       strided_tasks(slot, num_tiles_, active_slots_), cfg_.policy,
       [this, pe](int t) { return owner_of_tile(t) != pe; });
 
+  auto& machine = world_.machine();
+  auto& dev = machine.device(pe);
+  const gpu::WorkCost local_cost = ops::gemv_tile_cost(
+      shape_.tile_rows, shape_.k, /*local_write=*/true, ops::kBaselineCurve);
+  const gpu::WorkCost remote_cost = ops::gemv_tile_cost(
+      shape_.tile_rows, shape_.k, /*local_write=*/false, ops::kBaselineCurve);
   for (int tile : mine) {
-    co_await compute_tile(pe, slot, tile);
+    const PeId owner = owner_of_tile(tile);
+    const bool remote = owner != pe;
+
+    const TimeNs t0 = machine.engine_of(pe).now();
+    const gpu::WorkCost& cost = remote ? remote_cost : local_cost;
+    co_await dev.compute(cost);
+    co_await dev.busy_wait(cfg_.bookkeeping_ns);
+
+    std::vector<float> vals;
+    if (cfg_.functional) {
+      vals.resize(static_cast<std::size_t>(shape_.tile_rows));
+      ops::gemv_tile(shape_, data_->w[static_cast<std::size_t>(pe)],
+                     data_->x[static_cast<std::size_t>(pe)], tile, vals);
+    }
+
+    const int r0 = shape_.tile_begin(tile);
+    const int r1 = shape_.tile_end(tile);
+    if (!remote) {
+      if (cfg_.functional) {
+        auto& acc = local_partial_[static_cast<std::size_t>(pe)];
+        for (int r = r0; r < r1; ++r) {
+          acc[static_cast<std::size_t>(r)] =
+              vals[static_cast<std::size_t>(r - r0)];
+        }
+      }
+      continue;
+    }
+
+    // Zero-copy store of the partial tile into the owner's reduction buffer.
+    std::function<void()> deliver;
+    if (cfg_.functional) {
+      auto* temp = &temp_[static_cast<std::size_t>(owner)]
+                         [static_cast<std::size_t>(pe)];
+      deliver = [temp, r0, r1, v = std::move(vals)] {
+        for (int r = r0; r < r1; ++r) {
+          (*temp)[static_cast<std::size_t>(r)] =
+              v[static_cast<std::size_t>(r - r0)];
+        }
+      };
+    }
+    co_await world_.put_nbi(pe, owner, static_cast<Bytes>(r1 - r0) * 4,
+                            shmem::World::IssueKind::kStore,
+                            std::move(deliver));
+    if (machine.trace_of(pe).enabled()) {
+      machine.trace_of(pe).add_instant({"put", "comm", pe, slot, t0});
+    }
   }
 
   // Arrival flags: data stores are ordered ahead of these by channel FIFO.
@@ -121,56 +172,6 @@ sim::Task FusedGemvAllReduce::slot_proc(sim::Engine& /*engine*/, PeId pe,
     co_await bcast_flags_->wait_ge(pe, flag_index(peer, slot), 1);
   }
   pe_done_[static_cast<std::size_t>(pe)]->arrive();
-}
-
-sim::Co FusedGemvAllReduce::compute_tile(PeId pe, int slot, int tile) {
-  auto& machine = world_.machine();
-  auto& dev = machine.device(pe);
-  const PeId owner = owner_of_tile(tile);
-  const bool remote = owner != pe;
-
-  const TimeNs t0 = machine.engine_of(pe).now();
-  co_await dev.compute(ops::gemv_tile_cost(shape_.tile_rows, shape_.k,
-                                           /*local_write=*/!remote,
-                                           ops::kBaselineCurve));
-  co_await dev.busy_wait(cfg_.bookkeeping_ns);
-
-  std::vector<float> vals;
-  if (cfg_.functional) {
-    vals.resize(static_cast<std::size_t>(shape_.tile_rows));
-    ops::gemv_tile(shape_, data_->w[static_cast<std::size_t>(pe)],
-                   data_->x[static_cast<std::size_t>(pe)], tile, vals);
-  }
-
-  const int r0 = shape_.tile_begin(tile);
-  const int r1 = shape_.tile_end(tile);
-  if (!remote) {
-    if (cfg_.functional) {
-      auto& acc = local_partial_[static_cast<std::size_t>(pe)];
-      for (int r = r0; r < r1; ++r) {
-        acc[static_cast<std::size_t>(r)] = vals[static_cast<std::size_t>(r - r0)];
-      }
-    }
-    co_return;
-  }
-
-  // Zero-copy store of the partial tile into the owner's reduction buffer.
-  std::function<void()> deliver;
-  if (cfg_.functional) {
-    auto* temp = &temp_[static_cast<std::size_t>(owner)]
-                       [static_cast<std::size_t>(pe)];
-    deliver = [temp, r0, r1, v = std::move(vals)] {
-      for (int r = r0; r < r1; ++r) {
-        (*temp)[static_cast<std::size_t>(r)] = v[static_cast<std::size_t>(r - r0)];
-      }
-    };
-  }
-  co_await world_.put_nbi(pe, owner,
-                          static_cast<Bytes>(r1 - r0) * 4,
-                          shmem::World::IssueKind::kStore, std::move(deliver));
-  if (machine.trace_of(pe).enabled()) {
-    machine.trace_of(pe).add_instant({"put", "comm", pe, slot, t0});
-  }
 }
 
 sim::Co FusedGemvAllReduce::reduce_and_broadcast(PeId pe, int slot) {
@@ -281,25 +282,33 @@ sim::Co BaselineGemvAllReduce::compute(PeId pe, TimeNs /*t0*/) {
   for (int t = 0; t < shape.num_tiles(); ++t) {
     p.order[static_cast<std::size_t>(t)] = t;
   }
-  p.body = [this, pe, shape](int, int tile) -> sim::Co {
-    auto& dev = world_.machine().device(pe);
-    co_await dev.compute(ops::gemv_tile_cost(shape.tile_rows, shape.k,
-                                             /*local_write=*/true,
-                                             ops::kBaselineCurve));
-    if (cfg_.functional) {
-      std::vector<float> vals(static_cast<std::size_t>(shape.tile_rows));
-      ops::gemv_tile(shape, data_->w[static_cast<std::size_t>(pe)],
-                     data_->x[static_cast<std::size_t>(pe)], tile, vals);
-      auto& part = partial_[static_cast<std::size_t>(pe)];
-      for (int r = shape.tile_begin(tile); r < shape.tile_end(tile); ++r) {
-        part[static_cast<std::size_t>(r)] =
-            vals[static_cast<std::size_t>(r - shape.tile_begin(tile))];
-      }
-    }
+  p.body = [this, pe](gpu::KernelRun& run, int slot) {
+    return gemv_slot(run, pe, slot);
   };
   gpu::KernelRun kernel(machine.engine_of(pe), std::move(p));
   kernel.start();
   co_await kernel.wait();
+}
+
+sim::Co BaselineGemvAllReduce::gemv_slot(gpu::KernelRun& run, PeId pe,
+                                         int slot) {
+  auto& machine = world_.machine();
+  auto& dev = machine.device(pe);
+  const auto shape = cfg_.shape(machine.num_pes());
+  const gpu::WorkCost cost = ops::gemv_tile_cost(
+      shape.tile_rows, shape.k, /*local_write=*/true, ops::kBaselineCurve);
+  for (int tile; (tile = co_await run.next(slot)) >= 0;) {
+    co_await dev.compute(cost);
+    if (!cfg_.functional) continue;
+    std::vector<float> vals(static_cast<std::size_t>(shape.tile_rows));
+    ops::gemv_tile(shape, data_->w[static_cast<std::size_t>(pe)],
+                   data_->x[static_cast<std::size_t>(pe)], tile, vals);
+    auto& part = partial_[static_cast<std::size_t>(pe)];
+    for (int r = shape.tile_begin(tile); r < shape.tile_end(tile); ++r) {
+      part[static_cast<std::size_t>(r)] =
+          vals[static_cast<std::size_t>(r - shape.tile_begin(tile))];
+    }
+  }
 }
 
 sim::Co BaselineGemvAllReduce::collective(ccl::Communicator& comm) {

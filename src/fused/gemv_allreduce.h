@@ -91,7 +91,6 @@ class FusedGemvAllReduce final : public FusedOp {
  private:
   sim::Co pe_body(PeId pe);
   sim::Task slot_proc(sim::Engine& engine, PeId pe, int slot);
-  sim::Co compute_tile(PeId pe, int slot, int tile);
   sim::Co reduce_and_broadcast(PeId pe, int slot);
   std::size_t flag_index(PeId src, int slot) const;
 
@@ -123,6 +122,7 @@ class BaselineGemvAllReduce final : public BulkSyncOp {
   void prepare() override;
   sim::Co compute(PeId pe, TimeNs t0) override;
   sim::Co collective(ccl::Communicator& comm) override;
+  sim::Co gemv_slot(gpu::KernelRun& run, PeId pe, int slot);
 
   GemvAllReduceConfig cfg_;
   GemvAllReduceData* data_;

@@ -30,6 +30,13 @@
 // +0.12%, plan_grid +1.6%, one planner anchor lost), so they stay
 // remote-first.
 //
+// Kernels are slot-resident: each physical WG slot is one coroutine frame
+// (a gpu::KernelRun slot body, or a fused GEMV slot task with its static
+// tile list) that builds its per-launch constants (WorkCosts) once, runs
+// every logical WG it claims inline, then polls its subset of readiness
+// flags before returning. launch_awaiting_arrivals hands the tile DSL that
+// polling as the launch's epilogue.
+//
 // Per-PE completion times are stamped inside run_per_pe_at bodies (each
 // body runs on its PE's home-shard engine), so the runtime works on serial
 // and sharded machines alike.

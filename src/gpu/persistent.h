@@ -7,13 +7,20 @@
 // Regular (non-persistent) kernels use the same runtime: the hardware WG
 // scheduler backfilling slots is timing-equivalent to dynamic claiming.
 //
-// Each slot is one sim::Task; its loop runs every claimed WG inline (the
-// dispatch delay, the body's sim::Co, the finish stamp) with no wrapper
-// coroutine per WG.
+// The slot is the unit of execution: each spawned slot is one sim::Task
+// running the kernel's slot body, one long-lived coroutine frame that loops
+//
+//   for (int lw; (lw = co_await run.next(slot)) >= 0;) { ...one WG... }
+//
+// and then runs whatever the slot does after the queue drains (the fused
+// kernels' flag polling) inline. A logical WG costs no frame of its own.
 #pragma once
 
 #include <algorithm>
+#include <coroutine>
+#include <cstddef>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,24 +35,25 @@ namespace fcc::gpu {
 
 class KernelRun {
  public:
-  /// Body of one logical workgroup, executed within a slot's task loop.
-  using WgBody = std::function<sim::Co(int slot, int logical_wg)>;
+  /// Body of one physical WG slot: claims logical WGs with `run.next(slot)`
+  /// until it yields -1. Bind a non-coroutine lambda that returns a member
+  /// coroutine; a coroutine lambda's captures live in the std::function, not
+  /// in the frame.
+  using SlotBody = std::function<sim::Co(KernelRun& run, int slot)>;
 
   struct Params {
     std::string name = "kernel";
     int num_slots = 1;
     std::vector<int> order;  // execution order over logical WGs
-    WgBody body;
-    /// Task-loop bookkeeping per logical WG (index arithmetic, claim).
+    SlotBody body;
+    /// Task-loop bookkeeping per logical WG (index arithmetic, claim),
+    /// charged by next() after each successful claim.
     TimeNs wg_dispatch_overhead_ns = 0;
     /// Static assignment: slot s executes order positions s, s+slots, ...
     /// instead of claiming dynamically. The fused GEMV+AllReduce operator
     /// needs this so "counterpart" physical WGs own the same tiles on every
     /// GPU (the paper's per-slot peer flags depend on it).
     bool static_assignment = false;
-    /// Optional per-slot epilogue after the task loop drains (the fused
-    /// kernels poll their subset of readiness flags here before exiting).
-    std::function<sim::Co(int slot)> epilogue;
   };
 
   KernelRun(sim::Engine& engine, Params params)
@@ -59,57 +67,69 @@ class KernelRun {
   KernelRun(const KernelRun&) = delete;
   KernelRun& operator=(const KernelRun&) = delete;
 
-  /// Slots start() will actually spawn for `num_slots` configured slots and
-  /// `work` queued logical WGs — surplus slots retire immediately (their
-  /// epilogue never runs). Exposed so launch wrappers can hand the real
-  /// count to epilogues that stride flag subsets across slots.
-  static int active_slot_count(int num_slots, int work) {
-    return std::min(num_slots, std::max(work, 1));
-  }
-
-  /// Spawns the slot processes. Call exactly once.
+  /// Spawns the slot processes: min(num_slots, work) of them, at least one.
+  /// Surplus slots never enter the body. Call exactly once.
   void start() {
     FCC_CHECK_MSG(!started_, "kernel started twice");
     started_ = true;
     const int work = static_cast<int>(params_.order.size());
-    const int slots = active_slot_count(params_.num_slots, work);
-    active_slots_ = slots;
+    active_slots_ = std::min(params_.num_slots, std::max(work, 1));
+    if (params_.static_assignment) {
+      static_pos_.resize(static_cast<std::size_t>(active_slots_));
+      std::iota(static_pos_.begin(), static_pos_.end(), std::size_t{0});
+    }
     // JoinCounter was sized for num_slots; retire unused slots immediately.
-    for (int s = slots; s < params_.num_slots; ++s) done_.arrive();
-    for (int s = 0; s < slots; ++s) slot_proc(engine_, s);
+    for (int s = active_slots_; s < params_.num_slots; ++s) done_.arrive();
+    for (int s = 0; s < active_slots_; ++s) slot_proc(engine_, s);
   }
 
-  /// Awaitable completion (all slots drained the work queue).
+  /// Awaitable completion (all slot bodies returned).
   auto wait() { return done_.wait(); }
   bool finished() const { return done_.is_done(); }
-
-  /// Per-logical-WG completion timestamps (by logical id), for profiling.
-  const std::vector<TimeNs>& finish_times() const { return finish_times_; }
-  void record_finish_times(bool on) {
-    record_times_ = on;
-    if (on) finish_times_.assign(params_.order.size(), kTimeNever);
-  }
 
   /// Slots actually spawned (min of num_slots and work size); valid after
   /// start().
   int active_slots() const { return active_slots_; }
 
- private:
-  sim::Task slot_proc(sim::Engine& engine, int slot) {
-    // Static assignment walks positions slot, slot + active, ...; dynamic
-    // claiming takes the shared cursor's next position.
-    const bool dynamic = !params_.static_assignment;
-    const auto stride = static_cast<std::size_t>(active_slots_);
-    for (std::size_t pos = dynamic ? cursor_++ : static_cast<std::size_t>(slot);
-         pos < params_.order.size(); pos = dynamic ? cursor_++ : pos + stride) {
-      const int lw = params_.order[pos];
-      if (params_.wg_dispatch_overhead_ns > 0) {
-        co_await sim::delay(engine, params_.wg_dispatch_overhead_ns);
-      }
-      co_await params_.body(slot, lw);
-      if (record_times_) finish_times_[lw] = engine.now();
+  /// Awaiter of next(): the claim is made when the awaiter is built; a
+  /// successful claim then suspends for the dispatch overhead, if any.
+  class [[nodiscard]] Next {
+   public:
+    bool await_ready() const noexcept {
+      return lw_ < 0 || run_.params_.wg_dispatch_overhead_ns <= 0;
     }
-    if (params_.epilogue) co_await params_.epilogue(slot);
+    void await_suspend(std::coroutine_handle<> h) {
+      run_.engine_.schedule_resume_after(run_.params_.wg_dispatch_overhead_ns,
+                                         h);
+    }
+    int await_resume() const noexcept { return lw_; }
+
+   private:
+    friend class KernelRun;
+    Next(KernelRun& run, int lw) : run_(run), lw_(lw) {}
+    KernelRun& run_;
+    int lw_;
+  };
+
+  /// Claims `slot`'s next logical WG: the shared cursor's next position, or
+  /// under static assignment positions slot, slot + active, ... Yields the
+  /// WG id, or -1 once the queue is drained (no overhead on that claim).
+  Next next(int slot) {
+    std::size_t pos;
+    if (params_.static_assignment) {
+      auto& p = static_pos_[static_cast<std::size_t>(slot)];
+      pos = p;
+      p += static_cast<std::size_t>(active_slots_);
+    } else {
+      pos = cursor_++;
+    }
+    const int lw = pos < params_.order.size() ? params_.order[pos] : -1;
+    return Next(*this, lw);
+  }
+
+ private:
+  sim::Task slot_proc(sim::Engine& /*engine*/, int slot) {
+    co_await params_.body(*this, slot);
     done_.arrive();
   }
 
@@ -117,10 +137,9 @@ class KernelRun {
   Params params_;
   sim::JoinCounter done_;
   std::size_t cursor_ = 0;
+  std::vector<std::size_t> static_pos_;  // per slot, static assignment
   int active_slots_ = 1;
   bool started_ = false;
-  bool record_times_ = false;
-  std::vector<TimeNs> finish_times_;
 };
 
 }  // namespace fcc::gpu

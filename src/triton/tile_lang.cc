@@ -114,14 +114,9 @@ sim::Co TileKernel::launch(const LaunchConfig& cfg) {
                     : gpu::max_active_wgs(spec, resources());
   p.order = gpu::make_schedule(shape_.num_tiles(), cfg.policy, is_remote);
   p.wg_dispatch_overhead_ns = cfg.dispatch_overhead_ns;
-  p.body = [this, &cfg](int slot, int pid) { return run_pid(cfg, slot, pid); };
-  if (cfg.epilogue) {
-    const int active =
-        gpu::KernelRun::active_slot_count(p.num_slots, shape_.num_tiles());
-    p.epilogue = [cb = cfg.epilogue, active](int slot) {
-      return cb(slot, active);
-    };
-  }
+  p.body = [this, &cfg](gpu::KernelRun& run, int slot) {
+    return run_slot(cfg, run, slot);
+  };
 
   // The run lives on the launching PE's home-shard engine: launch() is
   // awaited from a per-PE body already running there, so every slot task
@@ -131,96 +126,100 @@ sim::Co TileKernel::launch(const LaunchConfig& cfg) {
   co_await run.wait();
 }
 
-sim::Co TileKernel::run_pid(const LaunchConfig& cfg, int slot, int pid) {
+sim::Co TileKernel::run_slot(const LaunchConfig& cfg, gpu::KernelRun& run,
+                             int slot) {
   auto& world = *cfg.world;
-  auto& machine = world.machine();
-  auto& dev = machine.device(cfg.pe);
-  const Ctx ctx{cfg.pe, pid, slot, &shape_};
+  auto& dev = world.machine().device(cfg.pe);
+  for (int pid; (pid = co_await run.next(slot)) >= 0;) {
+    const Ctx ctx{cfg.pe, pid, slot, &shape_};
 
-  const int rows = shape_.row_end(pid) - shape_.row_begin(pid);
-  const int cols = shape_.col_end(pid) - shape_.col_begin(pid);
+    const int rows = shape_.row_end(pid) - shape_.row_begin(pid);
+    const int cols = shape_.col_end(pid) - shape_.col_begin(pid);
 
-  // Aggregate the compute cost of this pid: panel loads + dot + local
-  // stores. (Remote puts ride the fabric, not local HBM.)
-  gpu::WorkCost cost;
-  cost.alu_efficiency = alu_efficiency_;
-  cost.curve = ops::kBaselineCurve;
-  for (const auto& s : stmts_) {
-    switch (s.kind) {
-      case StmtKind::kLoadA:
-        cost.hbm_bytes += static_cast<Bytes>(rows) * shape_.k * 4;
-        break;
-      case StmtKind::kLoadB:
-        cost.hbm_bytes += static_cast<Bytes>(shape_.k) * cols * 4;
-        break;
-      case StmtKind::kDot:
-        cost.flops += 2.0 * rows * cols * shape_.k;
-        break;
-      case StmtKind::kStoreLocal:
-        cost.hbm_bytes += static_cast<Bytes>(rows) * cols * 4;
-        break;
-      case StmtKind::kPutRemote: {
-        // Tiles that stay local are plain stores.
-        if (s.dest(ctx) == cfg.pe) {
+    // Aggregate the compute cost of this pid: panel loads + dot + local
+    // stores. (Remote puts ride the fabric, not local HBM.)
+    gpu::WorkCost cost;
+    cost.alu_efficiency = alu_efficiency_;
+    cost.curve = ops::kBaselineCurve;
+    for (const auto& s : stmts_) {
+      switch (s.kind) {
+        case StmtKind::kLoadA:
+          cost.hbm_bytes += static_cast<Bytes>(rows) * shape_.k * 4;
+          break;
+        case StmtKind::kLoadB:
+          cost.hbm_bytes += static_cast<Bytes>(shape_.k) * cols * 4;
+          break;
+        case StmtKind::kDot:
+          cost.flops += 2.0 * rows * cols * shape_.k;
+          break;
+        case StmtKind::kStoreLocal:
           cost.hbm_bytes += static_cast<Bytes>(rows) * cols * 4;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  co_await dev.compute(cost);
-
-  // Functional tile math, shared by every C consumer.
-  std::vector<float> tile;
-  if (cfg.functional) {
-    tile.resize(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols));
-    ops::gemm_tile(shape_, cfg.a, cfg.b, pid, tile);
-  }
-
-  const Bytes tile_bytes = static_cast<Bytes>(rows) * cols * 4;
-  for (const auto& s : stmts_) {
-    switch (s.kind) {
-      case StmtKind::kStoreLocal:
-        if (cfg.functional && s.write) s.write(ctx, tile);
-        break;
-      case StmtKind::kPutRemote: {
-        const PeId dest = s.dest(ctx);
-        if (dest == cfg.pe) {
-          if (cfg.functional && s.write) s.write(ctx, tile);
+          break;
+        case StmtKind::kPutRemote: {
+          // Tiles that stay local are plain stores.
+          if (s.dest(ctx) == cfg.pe) {
+            cost.hbm_bytes += static_cast<Bytes>(rows) * cols * 4;
+          }
           break;
         }
-        std::function<void()> deliver;
-        if (cfg.functional && s.write) {
-          deliver = [w = s.write, ctx, t = tile] { w(ctx, t); };
-        }
-        co_await world.put_nbi(cfg.pe, dest, tile_bytes,
-                               shmem::World::IssueKind::kStore,
-                               std::move(deliver));
-        break;
+        default:
+          break;
       }
-      case StmtKind::kFence:
-        co_await world.fence(cfg.pe);
-        break;
-      case StmtKind::kAtomicAdd: {
-        const PeId dest = s.dest(ctx);
-        auto* flags = s.flags;
-        const std::size_t idx = s.flag_idx(ctx);
-        const std::uint64_t amount = s.amount;
-        if (dest == cfg.pe) {
-          flags->add(dest, idx, amount);
-        } else {
-          co_await world.put_nbi(
-              cfg.pe, dest, 8, shmem::World::IssueKind::kStore,
-              [flags, dest, idx, amount] { flags->add(dest, idx, amount); });
+    }
+    co_await dev.compute(cost);
+
+    // Functional tile math, shared by every C consumer.
+    std::vector<float> tile;
+    if (cfg.functional) {
+      tile.resize(static_cast<std::size_t>(rows) *
+                  static_cast<std::size_t>(cols));
+      ops::gemm_tile(shape_, cfg.a, cfg.b, pid, tile);
+    }
+
+    const Bytes tile_bytes = static_cast<Bytes>(rows) * cols * 4;
+    for (const auto& s : stmts_) {
+      switch (s.kind) {
+        case StmtKind::kStoreLocal:
+          if (cfg.functional && s.write) s.write(ctx, tile);
+          break;
+        case StmtKind::kPutRemote: {
+          const PeId dest = s.dest(ctx);
+          if (dest == cfg.pe) {
+            if (cfg.functional && s.write) s.write(ctx, tile);
+            break;
+          }
+          std::function<void()> deliver;
+          if (cfg.functional && s.write) {
+            deliver = [w = s.write, ctx, t = tile] { w(ctx, t); };
+          }
+          co_await world.put_nbi(cfg.pe, dest, tile_bytes,
+                                 shmem::World::IssueKind::kStore,
+                                 std::move(deliver));
+          break;
         }
-        break;
+        case StmtKind::kFence:
+          co_await world.fence(cfg.pe);
+          break;
+        case StmtKind::kAtomicAdd: {
+          const PeId dest = s.dest(ctx);
+          auto* flags = s.flags;
+          const std::size_t idx = s.flag_idx(ctx);
+          const std::uint64_t amount = s.amount;
+          if (dest == cfg.pe) {
+            flags->add(dest, idx, amount);
+          } else {
+            co_await world.put_nbi(
+                cfg.pe, dest, 8, shmem::World::IssueKind::kStore,
+                [flags, dest, idx, amount] { flags->add(dest, idx, amount); });
+          }
+          break;
+        }
+        default:
+          break;
       }
-      default:
-        break;
     }
   }
+  if (cfg.epilogue) co_await cfg.epilogue(slot, run.active_slots());
 }
 
 }  // namespace fcc::triton

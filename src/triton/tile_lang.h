@@ -92,10 +92,10 @@ class TileKernel {
     bool functional = false;
     std::span<const float> a;  // bound A (m x k), functional only
     std::span<const float> b;  // bound B (k x n), functional only
-    /// Optional per-slot epilogue (flag polling) appended by the caller.
-    /// `active_slots` is the spawned-slot count (surplus slots never run an
-    /// epilogue), so callers can stride flag subsets as slot, slot+active...
-    /// without re-deriving the launch's occupancy math.
+    /// Optional per-slot epilogue (flag polling), run by each slot after it
+    /// drains the pid queue. `active_slots` is the spawned-slot count
+    /// (surplus slots never run), so callers can stride flag subsets as
+    /// slot, slot+active... without re-deriving the launch's occupancy math.
     std::function<sim::Co(int slot, int active_slots)> epilogue;
   };
 
@@ -122,7 +122,8 @@ class TileKernel {
     std::uint64_t amount = 0;
   };
 
-  sim::Co run_pid(const LaunchConfig& cfg, int slot, int pid);
+  /// One slot's loop over the pids it claims, then the caller's epilogue.
+  sim::Co run_slot(const LaunchConfig& cfg, gpu::KernelRun& run, int slot);
 
   std::string name_;
   ops::GemmShape shape_;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "gpu/device.h"
@@ -87,9 +88,19 @@ TEST(Device, ConcurrentComputeIsChargedAtEntryOccupancy) {
   EXPECT_EQ(d.busy_ns(), d1 + d2);
 }
 
-sim::Co count_body(Machine& m, std::vector<int>& executed, int lw) {
-  executed.push_back(lw);
-  co_await m.device(0).compute(mem_cost(1024));
+/// Slot body: records every claimed logical WG, then computes it.
+sim::Co count_slot(KernelRun& run, Machine& m, std::vector<int>& executed,
+                   int slot) {
+  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+    executed.push_back(lw);
+    co_await m.device(0).compute(mem_cost(1024));
+  }
+}
+
+KernelRun::SlotBody counting(Machine& m, std::vector<int>& executed) {
+  return [&m, &executed](KernelRun& run, int slot) {
+    return count_slot(run, m, executed, slot);
+  };
 }
 
 TEST(KernelRun, ExecutesEveryLogicalWgOnce) {
@@ -98,7 +109,7 @@ TEST(KernelRun, ExecutesEveryLogicalWgOnce) {
   KernelRun::Params p;
   p.num_slots = 4;
   for (int i = 0; i < 37; ++i) p.order.push_back(i);
-  p.body = [&](int, int lw) { return count_body(m, executed, lw); };
+  p.body = counting(m, executed);
   KernelRun run(m.engine(), p);
   run.start();
   m.engine().run();
@@ -114,7 +125,7 @@ TEST(KernelRun, RespectsExecutionOrderWithOneSlot) {
   KernelRun::Params p;
   p.num_slots = 1;
   p.order = {3, 1, 2, 0};
-  p.body = [&](int, int lw) { return count_body(m, executed, lw); };
+  p.body = counting(m, executed);
   KernelRun run(m.engine(), p);
   run.start();
   m.engine().run();
@@ -127,7 +138,7 @@ TEST(KernelRun, MoreSlotsThanWorkStillCompletes) {
   KernelRun::Params p;
   p.num_slots = 64;
   p.order = {0, 1};
-  p.body = [&](int, int lw) { return count_body(m, executed, lw); };
+  p.body = counting(m, executed);
   KernelRun run(m.engine(), p);
   run.start();
   m.engine().run();
@@ -142,6 +153,12 @@ WorkCost alu_cost(double flops) {
   return c;
 }
 
+sim::Co alu_slot(KernelRun& run, Machine& m, int slot) {
+  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+    co_await m.device(0).compute(alu_cost(1e9));
+  }
+}
+
 TEST(KernelRun, ParallelSlotsOverlapInTime) {
   // ALU throughput is space-partitioned across slots, so 8 equal ALU-bound
   // WGs on 4 slots take ~2 waves, not 8. (Memory-bound WGs at tiny
@@ -151,9 +168,7 @@ TEST(KernelRun, ParallelSlotsOverlapInTime) {
   KernelRun::Params p;
   p.num_slots = 4;
   for (int i = 0; i < 8; ++i) p.order.push_back(i);
-  p.body = [&](int, int) -> sim::Co {
-    co_await m.device(0).compute(alu_cost(1e9));
-  };
+  p.body = [&m](KernelRun& r, int slot) { return alu_slot(r, m, slot); };
   KernelRun run(m.engine(), p);
   run.start();
   m.engine().run();
@@ -163,9 +178,7 @@ TEST(KernelRun, ParallelSlotsOverlapInTime) {
   KernelRun::Params p2;
   p2.num_slots = 1;
   for (int i = 0; i < 8; ++i) p2.order.push_back(i);
-  p2.body = [&](int, int) -> sim::Co {
-    co_await m2.device(0).compute(alu_cost(1e9));
-  };
+  p2.body = [&m2](KernelRun& r, int slot) { return alu_slot(r, m2, slot); };
   KernelRun run2(m2.engine(), p2);
   run2.start();
   m2.engine().run();
@@ -173,20 +186,169 @@ TEST(KernelRun, ParallelSlotsOverlapInTime) {
   EXPECT_LT(t_parallel, t_serial / 2);
 }
 
-TEST(KernelRun, RecordsFinishTimes) {
+/// Slot body that stamps (logical WG, finish time) pairs.
+sim::Co stamping_slot(KernelRun& run, Machine& m,
+                      std::vector<std::pair<int, TimeNs>>& finished,
+                      int slot) {
+  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+    co_await m.device(0).compute(mem_cost(1024));
+    finished.emplace_back(lw, m.engine().now());
+  }
+}
+
+TEST(KernelRun, SlotBodyStampsFinishTimesInOrder) {
+  // Logical-WG ids need not be a permutation of 0..n-1: stamps are keyed by
+  // whatever ids the order holds.
   Machine m(one_gpu());
+  std::vector<std::pair<int, TimeNs>> finished;
   KernelRun::Params p;
   p.num_slots = 1;
-  p.order = {0, 1};
-  p.body = [&](int, int) -> sim::Co {
-    co_await m.device(0).compute(mem_cost(1024));
+  p.order = {5, 7};
+  p.body = [&](KernelRun& r, int slot) {
+    return stamping_slot(r, m, finished, slot);
   };
   KernelRun run(m.engine(), p);
-  run.record_finish_times(true);
   run.start();
   m.engine().run();
-  ASSERT_EQ(run.finish_times().size(), 2u);
-  EXPECT_LT(run.finish_times()[0], run.finish_times()[1]);
+  ASSERT_EQ(finished.size(), 2u);
+  EXPECT_EQ(finished[0].first, 5);
+  EXPECT_EQ(finished[1].first, 7);
+  EXPECT_LT(finished[0].second, finished[1].second);
+}
+
+/// Slot body that drains the queue without doing any work.
+sim::Co draining_slot(KernelRun& run, std::vector<int>& entered, int slot) {
+  entered.push_back(slot);
+  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+  }
+}
+
+TEST(KernelRun, SlotBodyRunsOncePerActiveSlot) {
+  // The body is entered once per spawned slot — min(num_slots, work) — not
+  // once per logical WG, and surplus slots never enter it. An empty queue
+  // still spawns one slot, so per-slot work after the loop (flag polling)
+  // happens.
+  struct Case {
+    int slots, work;
+  };
+  for (const Case c :
+       {Case{4, 37}, Case{64, 3}, Case{5, 5}, Case{1, 9}, Case{8, 0}}) {
+    Machine m(one_gpu());
+    std::vector<int> entered;
+    KernelRun::Params p;
+    p.num_slots = c.slots;
+    for (int i = 0; i < c.work; ++i) p.order.push_back(i);
+    p.body = [&entered](KernelRun& r, int slot) {
+      return draining_slot(r, entered, slot);
+    };
+    KernelRun run(m.engine(), p);
+    run.start();
+    m.engine().run();
+    const int expected = std::min(c.slots, std::max(c.work, 1));
+    EXPECT_TRUE(run.finished());
+    EXPECT_EQ(run.active_slots(), expected);
+    std::sort(entered.begin(), entered.end());
+    std::vector<int> want(static_cast<std::size_t>(expected));
+    for (int s = 0; s < expected; ++s) want[static_cast<std::size_t>(s)] = s;
+    EXPECT_EQ(entered, want) << c.slots << " slots, " << c.work << " WGs";
+  }
+}
+
+/// Slot body that stamps the time each claim returns.
+sim::Co claim_stamping_slot(KernelRun& run, Machine& m,
+                            std::vector<TimeNs>& claimed, TimeNs& drained,
+                            int slot) {
+  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+    claimed.push_back(m.engine().now());
+  }
+  drained = m.engine().now();
+}
+
+TEST(KernelRun, DispatchOverheadPaidOncePerClaimedWg) {
+  Machine m(one_gpu());
+  std::vector<TimeNs> claimed;
+  TimeNs drained = -1;
+  KernelRun::Params p;
+  p.num_slots = 1;
+  p.order = {0, 1, 2};
+  p.wg_dispatch_overhead_ns = 100;
+  p.body = [&](KernelRun& r, int slot) {
+    return claim_stamping_slot(r, m, claimed, drained, slot);
+  };
+  KernelRun run(m.engine(), p);
+  run.start();
+  const std::size_t events = m.engine().run();
+  EXPECT_EQ(claimed, (std::vector<TimeNs>{100, 200, 300}));
+  // The final, empty claim returns at once: no fourth overhead.
+  EXPECT_EQ(drained, 300);
+  EXPECT_EQ(events, 3u);
+}
+
+TEST(KernelRun, ZeroDispatchOverheadNeverSuspends) {
+  Machine m(one_gpu());
+  std::vector<TimeNs> claimed;
+  TimeNs drained = -1;
+  KernelRun::Params p;
+  p.num_slots = 1;
+  p.order = {0, 1, 2};
+  p.body = [&](KernelRun& r, int slot) {
+    return claim_stamping_slot(r, m, claimed, drained, slot);
+  };
+  KernelRun run(m.engine(), p);
+  run.start();
+  // The whole slot ran inside start(): no engine event at all.
+  EXPECT_TRUE(run.finished());
+  EXPECT_EQ(m.engine().run(), 0u);
+  EXPECT_EQ(claimed, (std::vector<TimeNs>{0, 0, 0}));
+  EXPECT_EQ(drained, 0);
+}
+
+/// Slot body recording which WGs each slot claimed; slot 0 is slow, so
+/// dynamic claiming would hand its later positions to the other slots.
+sim::Co assignment_slot(KernelRun& run, Machine& m,
+                        std::vector<std::vector<int>>& per_slot, int slot) {
+  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+    per_slot[static_cast<std::size_t>(slot)].push_back(lw);
+    co_await sim::delay(m.engine(), slot == 0 ? 1000 : 10);
+  }
+}
+
+TEST(KernelRun, StaticAssignmentWalksSlotStride) {
+  Machine m(one_gpu());
+  std::vector<std::vector<int>> per_slot(3);
+  KernelRun::Params p;
+  p.num_slots = 3;
+  p.order = {10, 11, 12, 13, 14, 15, 16};
+  p.static_assignment = true;
+  p.body = [&](KernelRun& r, int slot) {
+    return assignment_slot(r, m, per_slot, slot);
+  };
+  KernelRun run(m.engine(), p);
+  run.start();
+  m.engine().run();
+  EXPECT_TRUE(run.finished());
+  // Slot s takes order positions s, s + 3, s + 6, ...
+  EXPECT_EQ(per_slot[0], (std::vector<int>{10, 13, 16}));
+  EXPECT_EQ(per_slot[1], (std::vector<int>{11, 14}));
+  EXPECT_EQ(per_slot[2], (std::vector<int>{12, 15}));
+}
+
+TEST(KernelRun, DynamicClaimingBackfillsIdleSlots) {
+  // Same kernel without static assignment: the fast slots drain the queue
+  // while slot 0 is still busy with its first WG.
+  Machine m(one_gpu());
+  std::vector<std::vector<int>> per_slot(3);
+  KernelRun::Params p;
+  p.num_slots = 3;
+  p.order = {10, 11, 12, 13, 14, 15, 16};
+  p.body = [&](KernelRun& r, int slot) {
+    return assignment_slot(r, m, per_slot, slot);
+  };
+  KernelRun run(m.engine(), p);
+  run.start();
+  m.engine().run();
+  EXPECT_EQ(per_slot[0], (std::vector<int>{10}));
+  EXPECT_EQ(per_slot[1].size() + per_slot[2].size(), 6u);
 }
 
 sim::Co fixed_cost_kernel(Machine& m, TimeNs dur) {

@@ -34,9 +34,12 @@ namespace {
 
 /// Everything observable about one simulation that depends on the full
 /// event cascade: end-to-end times, per-PE completion stamps, per-device
-/// busy time, and the PUT count.
+/// busy time, the PUT count, and the number of engine events fired (so a
+/// refactor that must keep the event stream identical is checked, not
+/// assumed).
 struct TimingTrace {
   TimeNs final_now = 0;
+  std::size_t events = 0;
   std::int64_t puts = 0;
   std::vector<TimeNs> op_end;             // per spawned operator
   std::vector<std::vector<TimeNs>> pe_end;  // per operator, per PE
@@ -46,7 +49,8 @@ struct TimingTrace {
 
   std::string str() const {
     std::ostringstream os;
-    os << "final_now=" << final_now << " puts=" << puts << "\n";
+    os << "final_now=" << final_now << " events=" << events
+       << " puts=" << puts << "\n";
     for (std::size_t i = 0; i < op_end.size(); ++i) {
       os << "op" << i << " end=" << op_end[i] << " pe_end={";
       for (auto t : pe_end[i]) os << t << ",";
@@ -64,10 +68,11 @@ sim::Task spawn_op(sim::Engine&, fused::FusedOp& op) { co_await op.run(); }
 TimingTrace collect(gpu::Machine& m, shmem::World& w,
                     std::vector<fused::FusedOp*> ops) {
   for (auto* op : ops) spawn_op(m.engine(), *op);
-  m.engine().run();
+  const std::size_t events = m.engine().run();
   EXPECT_EQ(m.engine().live_tasks(), 0);
   TimingTrace tr;
   tr.final_now = m.engine().now();
+  tr.events = events;
   tr.puts = w.puts_issued();
   for (auto* op : ops) {
     tr.op_end.push_back(op->result().end);
@@ -226,13 +231,16 @@ gpu::Machine::Config fc_2x4() {
 }
 
 // Golden traces recorded from the seed engine. FCC_GOLDEN markers below are
-// grep anchors for re-recording (print the actual on mismatch).
+// grep anchors for re-recording (print the actual on mismatch). The event
+// counts were added later, recorded while every logical WG still ran in
+// its own coroutine frame.
 
 TEST(SimDeterminism, MixedFusedWorkloadMatchesSeedEngine) {
   const TimingTrace t = mixed_workload();
   TimingTrace g;
   // FCC_GOLDEN mixed_fused
   g.final_now = 253715;
+  g.events = 13254;
   g.puts = 4320;
   g.op_end = {20422, 253715};
   g.pe_end = {{18122, 18272, 18422, 17743}, {251715, 251715, 251715, 251715}};
@@ -245,6 +253,7 @@ TEST(SimDeterminism, MixedBaselineWorkloadMatchesSeedEngine) {
   TimingTrace g;
   // FCC_GOLDEN mixed_baseline
   g.final_now = 260195;
+  g.events = 1052;
   g.puts = 0;
   g.op_end = {34995, 260195};
   g.pe_end = {{34995, 34995, 34995, 34995}, {260195, 260195, 260195, 260195}};
@@ -257,6 +266,7 @@ TEST(SimDeterminism, InternodeEmbeddingMatchesSeedEngine) {
   TimingTrace g;
   // FCC_GOLDEN internode_embedding
   g.final_now = 73040;
+  g.events = 9790;
   g.puts = 512;
   g.op_end = {73040};
   g.pe_end = {{71040, 71040}};
@@ -272,6 +282,7 @@ TEST(SimDeterminism, TorusEmbeddingMatchesGolden) {
   TimingTrace g;
   // FCC_GOLDEN torus_embedding
   g.final_now = 345771;
+  g.events = 281751;
   g.puts = 7680;
   g.op_end = {345771};
   g.pe_end = {std::vector<TimeNs>(16, 343771)};
@@ -284,6 +295,7 @@ TEST(SimDeterminism, Fc2x4EmbeddingMatchesGolden) {
   TimingTrace g;
   // FCC_GOLDEN fc2x4_embedding
   g.final_now = 445270;
+  g.events = 94338;
   g.puts = 13696;
   g.op_end = {445270};
   g.pe_end = {{176515, 233606, 338438, 443270, 176515, 233606, 338438,
@@ -300,6 +312,7 @@ TEST(SimDeterminism, Fc2x4BaselineEmbeddingMatchesGolden) {
   TimingTrace g;
   // FCC_GOLDEN fc2x4_baseline_embedding
   g.final_now = 831884;
+  g.events = 32974;
   g.puts = 0;
   g.op_end = {831884};
   g.pe_end = {std::vector<TimeNs>(8, 831884)};
@@ -312,6 +325,7 @@ TEST(SimDeterminism, BaselineGemmA2AMatchesGolden) {
   TimingTrace g;
   // FCC_GOLDEN baseline_gemm_a2a
   g.final_now = 253156;
+  g.events = 526;
   g.puts = 0;
   g.op_end = {253156};
   g.pe_end = {std::vector<TimeNs>(4, 253156)};
@@ -327,6 +341,7 @@ TEST(SimDeterminism, FusedGemmA2AMatchesGolden) {
   TimingTrace g;
   // FCC_GOLDEN fused_gemm_a2a
   g.final_now = 243875;
+  g.events = 1558;
   g.puts = 384;
   g.op_end = {243875};
   g.pe_end = {std::vector<TimeNs>(4, 241875)};
@@ -339,6 +354,7 @@ TEST(SimDeterminism, Fc2x4FusedGemvMatchesGolden) {
   TimingTrace g;
   // FCC_GOLDEN fc2x4_fused_gemv
   g.final_now = 1160492;
+  g.events = 44450;
   g.puts = 16128;
   g.op_end = {1160492};
   g.pe_end = {{1157242, 1157492, 1157742, 1157992, 1157742, 1157992, 1158242,

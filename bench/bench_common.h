@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/csv.h"
-#include "common/perf_json.h"
 #include "common/table.h"
 #include "common/types.h"
 

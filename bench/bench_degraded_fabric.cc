@@ -25,8 +25,8 @@
 // calibrates healthy, the fabric collapses, admission sheds — reported but
 // never gated (shed load lowers the tail by design).
 //
-// Output: bench_results/degraded_fabric.csv, p99-vs-severity table on
-// stdout, and per-fabric p99_degradation_x into host_perf.json.
+// Output: bench_results/degraded_fabric.csv, p99-vs-severity table and
+// per-fabric p99 degradation on stdout.
 //
 // Env knobs (CI smoke uses tiny values):
 //   FCC_DEGRADED_REQS  requests per point (default 240)
@@ -286,19 +286,18 @@ int main() {
   }
 
   const int n = static_cast<int>(fabs.size()) * points_per_fabric;
-  const auto results =
-      fccbench::run_sweep<PointResult>("bench_degraded_fabric", n, [&](int i) {
-        const auto t = static_cast<std::size_t>(i / points_per_fabric);
-        const int p = i % points_per_fabric;
-        const int severity = p < kSeverities ? p : kSeverities - 1;
-        const bool brownout = p >= kSeverities;
-        // Gated ladder: faults precede all traffic (whole-run severity).
-        // Showcase: onset 30% into the trace so brownout calibrates on the
-        // healthy fabric first, then sheds when service collapses.
-        const TimeNs onset = brownout ? traces[t].back().t * 3 / 10 : 0;
-        return run_point(fabs[t], severity, brownout, onset, slo_factor[t],
-                         traces[t]);
-      });
+  const auto results = fccbench::run_sweep<PointResult>(n, [&](int i) {
+    const auto t = static_cast<std::size_t>(i / points_per_fabric);
+    const int p = i % points_per_fabric;
+    const int severity = p < kSeverities ? p : kSeverities - 1;
+    const bool brownout = p >= kSeverities;
+    // Gated ladder: faults precede all traffic (whole-run severity).
+    // Showcase: onset 30% into the trace so brownout calibrates on the
+    // healthy fabric first, then sheds when service collapses.
+    const TimeNs onset = brownout ? traces[t].back().t * 3 / 10 : 0;
+    return run_point(fabs[t], severity, brownout, onset, slo_factor[t],
+                     traces[t]);
+  });
 
   AsciiTable table({"fabric", "severity", "brownout", "done", "rej",
                     "timeout", "retry", "shed", "p50 (us)", "p99 (us)"});
@@ -335,9 +334,6 @@ int main() {
 
   // Gate: tail latency must degrade monotonically with severity (0.5%
   // slack) on the brownout-off ladder, and nothing may crash.
-  PerfJson perf;
-  const std::string perf_path = fccbench::out_dir() + "/host_perf.json";
-  perf.load(perf_path);
   bool monotone = true;
   for (std::size_t t = 0; t < fabs.size(); ++t) {
     const auto base = t * static_cast<std::size_t>(points_per_fabric);
@@ -347,8 +343,6 @@ int main() {
         healthy.p99 > 0 ? static_cast<double>(worst.p99) /
                               static_cast<double>(healthy.p99)
                         : 0.0;
-    perf.set("bench_degraded_fabric", fabs[t].name + "_p99_degradation_x",
-             degradation);
     std::cout << fabs[t].name << ": p99 "
               << AsciiTable::fmt(ns_to_us(healthy.p99), 1) << " -> "
               << AsciiTable::fmt(ns_to_us(worst.p99), 1) << " us ("
@@ -364,6 +358,5 @@ int main() {
       }
     }
   }
-  perf.save(perf_path);
   return crash_free && monotone ? 0 : 1;
 }

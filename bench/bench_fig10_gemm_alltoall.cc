@@ -42,16 +42,15 @@ int main() {
                           {2048, 1024, 2048},
                           {2048, 2048, 1024},
                           {4096, 2048, 2048}};
-  const auto rows = fccbench::run_sweep<fccbench::NormRow>(
-      "bench_fig10_gemm_alltoall", 5, [&](int i) {
-        const auto& [r_, dm, dff] = sweep[i];
-        fccbench::NormRow row;
-        row.label = "T=" + std::to_string(r_) + " dM=" + std::to_string(dm) +
-                    " dF=" + std::to_string(dff);
-        row.baseline = run(r_, dm, dff, false);
-        row.fused = run(r_, dm, dff, true);
-        return row;
-      });
+  const auto rows = fccbench::run_sweep<fccbench::NormRow>(5, [&](int i) {
+    const auto& [r_, dm, dff] = sweep[i];
+    fccbench::NormRow row;
+    row.label = "T=" + std::to_string(r_) + " dM=" + std::to_string(dm) +
+                " dF=" + std::to_string(dff);
+    row.baseline = run(r_, dm, dff, false);
+    row.fused = run(r_, dm, dff, true);
+    return row;
+  });
   fccbench::print_normalized(
       "Fig. 10 — fused GEMM+All-to-All (MoE combine, 4 experts, Triton-DSL)\n"
       "paper: mean -12%, max -20% (GEMM-dominated)",

@@ -16,27 +16,26 @@ int main() {
   const int max_slots = spec.max_wg_slots();  // 832
   const double occupancies[] = {0.25, 0.50, 0.75, 0.875};
 
-  const auto durations = fccbench::run_sweep<TimeNs>(
-      "bench_fig13_occupancy", 4, [&](int i) {
-        fused::EmbeddingA2AConfig cfg;
-        cfg.map.num_pes = 2;
-        cfg.map.tables_per_pe = 256;
-        cfg.map.global_batch = 1024;
-        cfg.map.dim = 256;
-        cfg.map.vectors_per_slice = 32;
-        cfg.pooling = 100;  // production-DLRM-class pooling factor
-        cfg.functional = false;
-        cfg.occupancy_slots_override =
-            static_cast<int>(max_slots * occupancies[i]);
-        gpu::Machine::Config mc;
-        mc.num_nodes = 2;
-        mc.gpus_per_node = 1;
-        gpu::Machine machine(mc);
-        shmem::World world(machine);
-        return fused::FusedEmbeddingAllToAll(world, cfg, nullptr)
-            .run_to_completion()
-            .duration();
-      });
+  const auto durations = fccbench::run_sweep<TimeNs>(4, [&](int i) {
+    fused::EmbeddingA2AConfig cfg;
+    cfg.map.num_pes = 2;
+    cfg.map.tables_per_pe = 256;
+    cfg.map.global_batch = 1024;
+    cfg.map.dim = 256;
+    cfg.map.vectors_per_slice = 32;
+    cfg.pooling = 100;  // production-DLRM-class pooling factor
+    cfg.functional = false;
+    cfg.occupancy_slots_override =
+        static_cast<int>(max_slots * occupancies[i]);
+    gpu::Machine::Config mc;
+    mc.num_nodes = 2;
+    mc.gpus_per_node = 1;
+    gpu::Machine machine(mc);
+    shmem::World world(machine);
+    return fused::FusedEmbeddingAllToAll(world, cfg, nullptr)
+        .run_to_completion()
+        .duration();
+  });
 
   AsciiTable t({"occupancy", "persistent WGs", "exec time (us)",
                 "vs 25% occupancy"});

@@ -36,11 +36,10 @@ fused::OperatorResult run(gpu::SchedulePolicy policy) {
 }  // namespace
 
 int main() {
-  const auto results = fccbench::run_sweep<fused::OperatorResult>(
-      "bench_fig14_comm_aware_sched", 2, [](int i) {
-        return run(i == 0 ? gpu::SchedulePolicy::kCommAware
-                          : gpu::SchedulePolicy::kOblivious);
-      });
+  const auto results = fccbench::run_sweep<fused::OperatorResult>(2, [](int i) {
+    return run(i == 0 ? gpu::SchedulePolicy::kCommAware
+                      : gpu::SchedulePolicy::kOblivious);
+  });
   const auto& aware = results[0];
   const auto& oblivious = results[1];
 

@@ -10,8 +10,8 @@
 // against the bulk-synchronous baseline's, next to the analytic model's
 // 64-node ratio. Simulated results and merged traces are asserted
 // byte-identical to the serial engine at every shard count; what scales is
-// host wall-clock (measured + attainable speedups, recorded under
-// `fused_shard_scaling` in bench_results/host_perf.json).
+// host wall-clock (measured + attainable speedups, in
+// bench_results/fig15_fused_shard_scaling.csv).
 //
 // Env knobs (CI smoke uses tiny values):
 //   FCC_FIG15_SHARD_ITERS   timed op runs per shard count   (default 6)
@@ -147,10 +147,6 @@ void run_sharded_flagship(double analytic_norm_64) {
                 {"shards", "wall_ms", "speedup", "attainable_speedup",
                  "windows", "events", "events_per_second", "sim_duration_ns",
                  "baseline_duration_ns", "fused_over_baseline"});
-  PerfJson perf;
-  const std::string perf_path = fccbench::out_dir() + "/host_perf.json";
-  perf.load(perf_path);
-  perf.set("fused_shard_scaling", "host_cores", cores);
 
   fused::OperatorResult serial_result;
   std::string serial_trace;
@@ -191,18 +187,7 @@ void run_sharded_flagship(double analytic_norm_64) {
     csv.row(shards, p.wall_s * 1e3, speedup, attainable, p.stats.windows,
             p.stats.events, evps, p.result.duration(), baseline_ns,
             static_cast<double>(p.result.duration()) / baseline_ns);
-    perf.set("fused_shard_scaling",
-             "fig15_wall_seconds_shards" + std::to_string(shards), p.wall_s);
-    if (shards > 1) {
-      perf.set("fused_shard_scaling",
-               "fig15_speedup_" + std::to_string(shards) + "_shards", speedup);
-      perf.set("fused_shard_scaling",
-               "fig15_attainable_speedup_" + std::to_string(shards) +
-                   "_shards",
-               attainable);
-    }
   }
-  perf.save(perf_path);
 
   const TimeNs fused_ns = serial_result.duration();
   AsciiTable sim({"fused vs baseline at 64 nodes", "baseline (us)",
@@ -238,14 +223,13 @@ int main() {
   struct Point {
     IterationBreakdown base, fused;
   };
-  const auto points = fccbench::run_sweep<Point>(
-      "bench_fig15_scaleout_dlrm", 5, [&](int i) {
-        TrainingConfig cfg;  // Table II defaults
-        cfg.num_nodes = node_counts[i];
-        cfg.global_batch = 64 * node_counts[i];
-        DlrmTrainingSim sim(cfg);
-        return Point{sim.simulate(false), sim.simulate(true)};
-      });
+  const auto points = fccbench::run_sweep<Point>(5, [&](int i) {
+    TrainingConfig cfg;  // Table II defaults
+    cfg.num_nodes = node_counts[i];
+    cfg.global_batch = 64 * node_counts[i];
+    DlrmTrainingSim sim(cfg);
+    return Point{sim.simulate(false), sim.simulate(true)};
+  });
 
   AsciiTable t({"nodes", "torus", "baseline (us)", "fused (us)", "normalized",
                 "reduction %"});

@@ -10,13 +10,11 @@
 // a blocking Session::run chain can never express. The bench compares the
 // graph-scheduled pipeline against that sequential chain end-to-end and
 // reports the achieved overlap fraction per pipeline depth.
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/perf_json.h"
 #include "framework/session.h"
 #include "fused/embedding_a2a.h"
 #include "fused/gemv_allreduce.h"
@@ -120,9 +118,7 @@ int main() {
   CsvWriter csv(fccbench::out_dir() + "/graph_overlap.csv",
                 {"depth", "sequential_ns", "graph_ns", "overlap_fraction",
                  "speedup", "rewrites"});
-  const auto wall0 = std::chrono::steady_clock::now();
   double deepest_overlap = 0.0, deepest_speedup = 0.0;
-  TimeNs deepest_seq = 0, deepest_graph = 0;
   for (int depth : depths) {
     const TimeNs seq = run_sequential(depth);
     const GraphRun gr = run_graph(depth);
@@ -136,13 +132,8 @@ int main() {
     if (depth == depths.back()) {
       deepest_overlap = gr.overlap;
       deepest_speedup = speedup;
-      deepest_seq = seq;
-      deepest_graph = gr.makespan;
     }
   }
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - wall0)
-                          .count();
 
   std::printf("Graph-scheduled DLRM pipeline vs sequential Session::run "
               "chain (4 GPUs,\nembedding stage authored as unfused "
@@ -150,19 +141,5 @@ int main() {
   t.print(std::cout);
   std::printf("depth-%d pipeline: %.3fx end-to-end, overlap fraction %.3f\n",
               depths.back(), deepest_speedup, deepest_overlap);
-
-  // Machine-readable record for the perf trajectory (host_perf.json).
-  PerfJson perf;
-  const std::string path = fccbench::out_dir() + "/host_perf.json";
-  perf.load(path);
-  perf.set("bench_graph_overlap", "depth", depths.back());
-  perf.set("bench_graph_overlap", "sequential_ns",
-           static_cast<double>(deepest_seq));
-  perf.set("bench_graph_overlap", "graph_ns",
-           static_cast<double>(deepest_graph));
-  perf.set("bench_graph_overlap", "overlap_fraction", deepest_overlap);
-  perf.set("bench_graph_overlap", "speedup", deepest_speedup);
-  perf.set("bench_graph_overlap", "wall_seconds", wall);
-  perf.save(path);
   return deepest_overlap > 0.0 ? 0 : 1;
 }

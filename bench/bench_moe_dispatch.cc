@@ -49,24 +49,23 @@ int main() {
                            {2048, 1024, 1024},
                            {2048, 2048, 1024},
                            {4096, 2048, 2048}};
-  const auto rows = fccbench::run_sweep<fccbench::NormRow>(
-      "bench_moe_dispatch", 9, [&](int i) {
-        fccbench::NormRow row;
-        if (i < 5) {
-          const double hot = skews[i];
-          row.label = "T=1024 dM=1024 dO=1024 skew=" +
-                      fcc::AsciiTable::fmt(hot, 0) + "x";
-          row.baseline = run(1024, 1024, 1024, hot, false);
-          row.fused = run(1024, 1024, 1024, hot, true);
-        } else {
-          const auto& [t, dm, dout] = shapes[i - 5];
-          row.label = "T=" + std::to_string(t) + " dM=" + std::to_string(dm) +
-                      " dO=" + std::to_string(dout) + " skew=4x";
-          row.baseline = run(t, dm, dout, 4.0, false);
-          row.fused = run(t, dm, dout, 4.0, true);
-        }
-        return row;
-      });
+  const auto rows = fccbench::run_sweep<fccbench::NormRow>(9, [&](int i) {
+    fccbench::NormRow row;
+    if (i < 5) {
+      const double hot = skews[i];
+      row.label = "T=1024 dM=1024 dO=1024 skew=" +
+                  fcc::AsciiTable::fmt(hot, 0) + "x";
+      row.baseline = run(1024, 1024, 1024, hot, false);
+      row.fused = run(1024, 1024, 1024, hot, true);
+    } else {
+      const auto& [t, dm, dout] = shapes[i - 5];
+      row.label = "T=" + std::to_string(t) + " dM=" + std::to_string(dm) +
+                  " dO=" + std::to_string(dout) + " skew=4x";
+      row.baseline = run(t, dm, dout, 4.0, false);
+      row.fused = run(t, dm, dout, 4.0, true);
+    }
+    return row;
+  });
   fccbench::print_normalized(
       "MoE dispatch — fused routed All-to-All-v vs GEMM + all_to_all_v "
       "(4 experts, top-2)\n"

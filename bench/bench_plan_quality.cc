@@ -189,9 +189,6 @@ struct Measured {
   std::string choice;      // planned backend (+ any ccl algo override)
   bool calibrated = false;
   bool warm_ok = false;  // warm hit, zero passes, byte-identical replay
-  double planning_ns = 0.0;
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_lookups = 0;
 };
 
 Measured measure(const Point& p) {
@@ -214,7 +211,6 @@ Measured measure(const Point& p) {
     cold = s.run_planned(one_node_graph(p), options);
   }
   r.planned = cold.result.makespan();
-  r.planning_ns = cold.planned.report.planning_host_ns;
   for (const plan::PlanDecision& d : cold.planned.report.decisions) {
     if (d.pass == "score-backends") {
       r.choice = d.choice;
@@ -241,8 +237,6 @@ Measured measure(const Point& p) {
       }
     }
   }
-  r.cache_hits = cache.stats().hits;
-  r.cache_lookups = cache.stats().hits + cache.stats().misses;
   return r;
 }
 
@@ -250,8 +244,7 @@ int print_calibration(const std::vector<Point>& grid) {
   // Raw analytic scores (no calibration) next to fresh measurements, as
   // src/plan/calibration.cc AnchorRow initializers.
   const auto rows = fccbench::run_sweep<std::string>(
-      "bench_plan_quality_calibration", static_cast<int>(grid.size()),
-      [&](int i) {
+      static_cast<int>(grid.size()), [&](int i) {
         const Point& p = grid[static_cast<std::size_t>(i)];
         const Measured m = measure(p);
         plan::CostEnv env;
@@ -284,7 +277,7 @@ int main(int argc, char** argv) {
   }
 
   const auto results = fccbench::run_sweep<Measured>(
-      "bench_plan_quality", static_cast<int>(grid.size()),
+      static_cast<int>(grid.size()),
       [&](int i) { return measure(grid[static_cast<std::size_t>(i)]); });
 
   AsciiTable t({"config", "never-fuse (us)", "always-fuse (us)",
@@ -295,8 +288,6 @@ int main(int argc, char** argv) {
   int violations = 0;
   int warm_failures = 0;
   int calibrated_points = 0;
-  double planning_ns_sum = 0.0;
-  std::int64_t hits = 0, lookups = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Measured& m = results[i];
     const TimeNs best = std::min(m.never_fuse, m.always_fuse);
@@ -304,9 +295,6 @@ int main(int argc, char** argv) {
     if (!honest) ++violations;
     if (!m.warm_ok) ++warm_failures;
     if (m.calibrated) ++calibrated_points;
-    planning_ns_sum += m.planning_ns;
-    hits += m.cache_hits;
-    lookups += m.cache_lookups;
     const std::string ok =
         honest && m.warm_ok
             ? "yes"
@@ -326,21 +314,6 @@ int main(int argc, char** argv) {
             << "   calibrated: " << calibrated_points
             << "   violations: " << violations
             << "   warm failures: " << warm_failures << "\n\n";
-
-  PerfJson perf;
-  const std::string path = fccbench::out_dir() + "/host_perf.json";
-  perf.load(path);
-  perf.set("bench_plan_quality", "plan_cache_hit_rate",
-           lookups > 0 ? static_cast<double>(hits) /
-                             static_cast<double>(lookups)
-                       : 0.0);
-  perf.set("bench_plan_quality", "planning_ns_mean",
-           results.empty() ? 0.0
-                           : planning_ns_sum /
-                                 static_cast<double>(results.size()));
-  perf.set("bench_plan_quality", "calibrated_points", calibrated_points);
-  perf.set("bench_plan_quality", "violations", violations);
-  perf.save(path);
 
   return violations == 0 && warm_failures == 0 ? 0 : 1;
 }

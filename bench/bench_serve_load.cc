@@ -11,8 +11,8 @@
 // achieved-vs-offered throughput gap) is the knee.
 //
 // Output: bench_results/serve_load.csv with p50/p99/p999 columns per
-// (topology, load) point, a per-topology knee ratio into host_perf.json,
-// and a nonzero exit unless every topology shows a visible knee
+// (topology, load) point, a per-topology knee ratio on stdout, and a
+// nonzero exit unless every topology shows a visible knee
 // (p99 at the highest load > 2x p99 at the lowest).
 //
 // Second section: one serve point re-run on the sharded engine at 1/2/4/8
@@ -22,8 +22,7 @@
 // for a single operator's per-PE issue streams, and concurrent serving
 // lanes interleave same-timestamp issues across PEs, see shmem/world.h).
 // Request records and aggregates are asserted byte-identical to the serial
-// engine; measured + attainable host speedups land under
-// `fused_shard_scaling` in host_perf.json next to the Fig. 15 flagship.
+// engine; measured + attainable host speedups are printed per shard count.
 //
 // Env knobs (CI smoke uses tiny values):
 //   FCC_SERVE_BENCH_REQS   requests per point        (default 400)
@@ -200,8 +199,8 @@ ServeShardPoint run_serve_sharded(const Topo& topo, int shards, double rps,
   return p;
 }
 
-void run_serve_shard_scaling(const Topo& topo, double capacity, int num_reqs,
-                             PerfJson& perf) {
+void run_serve_shard_scaling(const Topo& topo, double capacity,
+                             int num_reqs) {
   const int iters = env_int("FCC_SERVE_SHARD_ITERS", 3);
   const int max_shards = env_int("FCC_SERVE_SHARD_MAX", 8);
   if (max_shards < 1) return;
@@ -242,16 +241,7 @@ void run_serve_shard_scaling(const Topo& topo, double capacity, int num_reqs,
                    AsciiTable::fmt(speedup, 2), AsciiTable::fmt(attainable, 2),
                    std::to_string(p.report.overall.completed),
                    std::to_string(p.stats.windows)});
-    perf.set("fused_shard_scaling",
-             "serve_wall_seconds_shards" + std::to_string(shards), p.wall_s);
-    perf.set("fused_shard_scaling",
-             "serve_speedup_" + std::to_string(shards) + "_shards", speedup);
-    perf.set("fused_shard_scaling",
-             "serve_attainable_speedup_" + std::to_string(shards) + "_shards",
-             attainable);
   }
-  perf.set("fused_shard_scaling", "serve_wall_seconds_shards1",
-           serial.wall_s);
 
   std::cout << "\nSharded serve scaling — " << topo.name << ", "
             << AsciiTable::fmt(rps, 0) << " rps (0.8x capacity), " << num_reqs
@@ -278,13 +268,12 @@ int main() {
   }
 
   const int n = static_cast<int>(topos.size() * loads.size());
-  const auto results = fccbench::run_sweep<PointResult>(
-      "bench_serve_load", n, [&](int i) {
-        const std::size_t t = static_cast<std::size_t>(i) / loads.size();
-        const std::size_t l = static_cast<std::size_t>(i) % loads.size();
-        return run_point(topos[t], loads[l] * capacity_rps[t], num_reqs,
-                         /*seed=*/0x5e12f00d + static_cast<std::uint64_t>(l));
-      });
+  const auto results = fccbench::run_sweep<PointResult>(n, [&](int i) {
+    const std::size_t t = static_cast<std::size_t>(i) / loads.size();
+    const std::size_t l = static_cast<std::size_t>(i) % loads.size();
+    return run_point(topos[t], loads[l] * capacity_rps[t], num_reqs,
+                     /*seed=*/0x5e12f00d + static_cast<std::uint64_t>(l));
+  });
 
   AsciiTable table({"topology", "load", "offered rps", "achieved rps",
                     "done", "rej", "slo_viol", "p50 (us)", "p99 (us)",
@@ -314,9 +303,6 @@ int main() {
   table.print(std::cout);
 
   // Knee check: p99 at the highest load must blow up vs the lightest load.
-  PerfJson perf;
-  const std::string perf_path = fccbench::out_dir() + "/host_perf.json";
-  perf.load(perf_path);
   bool knee_everywhere = true;
   for (std::size_t t = 0; t < topos.size(); ++t) {
     const PointResult& lo = results[t * loads.size()];
@@ -324,9 +310,6 @@ int main() {
     const double ratio = lo.p99 > 0 ? static_cast<double>(hi.p99) /
                                           static_cast<double>(lo.p99)
                                     : 0.0;
-    perf.set("bench_serve_load", topos[t].name + "_capacity_rps",
-             capacity_rps[t]);
-    perf.set("bench_serve_load", topos[t].name + "_knee_p99_ratio", ratio);
     std::cout << topos[t].name << ": capacity "
               << AsciiTable::fmt(capacity_rps[t], 0) << " rps, p99 "
               << AsciiTable::fmt(ns_to_us(lo.p99), 1) << " -> "
@@ -345,8 +328,7 @@ int main() {
   const double shard_capacity =
       static_cast<double>(scfg.lanes * scfg.policy.max_batch) * 1e9 /
       calibrate_service_ns(shard_topo.machine);
-  run_serve_shard_scaling(shard_topo, shard_capacity, num_reqs, perf);
+  run_serve_shard_scaling(shard_topo, shard_capacity, num_reqs);
 
-  perf.save(perf_path);
   return knee_everywhere ? 0 : 1;
 }

@@ -4,7 +4,7 @@
 // Simulated results are identical at every shard count (asserted here per
 // size against the serial run — the same invariant test_sim_sharded.cc pins
 // with goldens); what changes is the host wall-clock. Two speedups are
-// reported per point, both recorded in bench_results/host_perf.json:
+// reported per point:
 //
 //   * measured    — serial wall / sharded wall on THIS host. Only
 //                   meaningful when the host has >= `shards` cores;
@@ -18,9 +18,7 @@
 //                   per-shard timings, and is what the measured column
 //                   converges to on an unconstrained host.
 //
-// Per-point rows go to bench_results/shard_scaling.csv; per-size summaries
-// (speedup_4_shards, attainable_speedup_4_shards, host_cores) to
-// host_perf.json.
+// Per-point rows go to bench_results/shard_scaling.csv.
 //
 // Environment knobs (CI runs a reduced sweep):
 //   FCC_SHARD_BENCH_MAX_PES  cap on machine size (default 4096)
@@ -128,9 +126,6 @@ int main() {
                 {"pes", "shards", "wall_ms", "speedup", "attainable_speedup",
                  "barrier_ms", "critical_ms", "events", "windows", "messages",
                  "events_per_second", "sim_final_ns"});
-  PerfJson perf;
-  const std::string perf_path = fccbench::out_dir() + "/host_perf.json";
-  perf.load(perf_path);
   const unsigned host_cores =
       std::max(1u, std::thread::hardware_concurrency());
 
@@ -140,8 +135,6 @@ int main() {
                 << max_pes << ")\n";
       continue;
     }
-    const std::string section =
-        "bench_shard_scaling/pes" + std::to_string(g.pes());
     double serial_wall = 0;
     scaleout::ShardTrace serial_trace;
     for (const int shards : shard_counts) {
@@ -149,7 +142,6 @@ int main() {
       if (shards == 1) {
         serial_wall = r.wall_s;
         serial_trace = r.trace;
-        perf.set(section, "events", static_cast<double>(r.stats.events));
       } else {
         // Sharding must be invisible in simulated results.
         FCC_CHECK_MSG(r.trace == serial_trace,
@@ -178,17 +170,7 @@ int main() {
       csv.row(g.pes(), shards, r.wall_s * 1e3, speedup, attainable,
               barrier_ms, critical_ms, r.stats.events, r.stats.windows,
               r.stats.messages, evps, r.trace.final_time());
-      perf.set(section,
-               "wall_seconds_shards" + std::to_string(shards), r.wall_s);
-      if (shards > 1) {
-        perf.set(section, "speedup_" + std::to_string(shards) + "_shards",
-                 speedup);
-        perf.set(section,
-                 "attainable_speedup_" + std::to_string(shards) + "_shards",
-                 attainable);
-      }
     }
-    perf.set(section, "host_cores", host_cores);
   }
 
   std::cout << "Sharded engine scaling (torus, " << kGpusPerNode
@@ -202,8 +184,6 @@ int main() {
                  "core per shard (barrier + per-window critical path), "
                  "measured from the engine's wall breakdown.\n";
   }
-  perf.save(perf_path);
-  std::cout << "wrote " << fccbench::out_dir() << "/shard_scaling.csv and "
-            << perf_path << "\n";
+  std::cout << "wrote " << fccbench::out_dir() << "/shard_scaling.csv\n";
   return 0;
 }

@@ -142,7 +142,7 @@ TimeNs run_point(const Scenario& sc) {
 int main() {
   const auto scs = scenarios();
   const auto times = fccbench::run_sweep<TimeNs>(
-      "bench_topology_sweep", static_cast<int>(scs.size()),
+      static_cast<int>(scs.size()),
       [&](int i) { return run_point(scs[static_cast<std::size_t>(i)]); });
 
   AsciiTable t({"workload", "topology", "collective", "algo", "time (us)"});

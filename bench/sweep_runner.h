@@ -7,22 +7,16 @@
 // order**, so tables and CSVs are byte-identical to a serial run no matter
 // how the points interleave on the host.
 //
-// Each call also appends a host-throughput record for the sweep (wall
-// seconds, points/sec, thread count) to bench_results/host_perf.json so
-// engine-speed regressions are visible bench-over-bench.
-//
 // FCC_SWEEP_THREADS: 0 / unset => hardware concurrency; 1 => serial
 // (reference mode for determinism checks); N => N threads.
 #pragma once
 
-#include <chrono>
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 
@@ -44,11 +38,9 @@ inline unsigned sweep_threads(int points) {
 /// machine/world; no shared mutable state), which every figure bench's
 /// sweep body already is.
 template <typename Result>
-std::vector<Result> run_sweep(const std::string& bench_name, int n,
-                              const std::function<Result(int)>& point) {
+std::vector<Result> run_sweep(int n, const std::function<Result(int)>& point) {
   std::vector<Result> out(static_cast<std::size_t>(n));
   const unsigned threads = sweep_threads(n);
-  const auto t0 = std::chrono::steady_clock::now();
   if (threads <= 1 || n <= 1) {
     for (int i = 0; i < n; ++i) out[static_cast<std::size_t>(i)] = point(i);
   } else {
@@ -57,18 +49,6 @@ std::vector<Result> run_sweep(const std::string& bench_name, int n,
       out[static_cast<std::size_t>(i)] = point(static_cast<int>(i));
     });
   }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  fcc::PerfJson perf;
-  const std::string path = out_dir() + "/host_perf.json";
-  perf.load(path);  // merge with other benches' records; absent file is fine
-  perf.set(bench_name, "sweep_points", n);
-  perf.set(bench_name, "threads", threads);
-  perf.set(bench_name, "wall_seconds", wall);
-  if (wall > 0) perf.set(bench_name, "points_per_second", n / wall);
-  perf.save(path);
   return out;
 }
 

@@ -1,8 +1,8 @@
 // parallel_for over an index range, chunked across a ThreadPool.
 //
-// Used by benches to run independent simulation configs concurrently and by
-// host reference kernels in tests; the body must be thread-safe for distinct
-// indices (pure data parallelism, no shared mutable state).
+// Used by bench/sweep_runner.h to run independent simulation configs
+// concurrently; the body must be thread-safe for distinct indices (pure data
+// parallelism, no shared mutable state).
 #pragma once
 
 #include <cstdint>
@@ -24,13 +24,6 @@ inline void parallel_for(ThreadPool& pool, std::int64_t begin,
   FCC_CHECK(begin <= end);
   FCC_CHECK(grain >= 1);
   pool.run_batch(begin, end, body, grain);
-}
-
-/// Serial fallback with the same signature (useful under FCC_DETERMINISTIC
-/// sweeps where even completion *ordering* of prints matters).
-inline void serial_for(std::int64_t begin, std::int64_t end,
-                       const std::function<void(std::int64_t)>& body) {
-  for (std::int64_t i = begin; i < end; ++i) body(i);
 }
 
 }  // namespace fcc::par

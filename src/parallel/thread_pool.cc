@@ -23,22 +23,23 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
-}
-
 void ThreadPool::run_chunks(Batch& b) {
   for (;;) {
     const std::int64_t lo =
         b.next.fetch_add(b.grain, std::memory_order_relaxed);
     if (lo >= b.end) return;
     const std::int64_t hi = std::min(lo + b.grain, b.end);
-    for (std::int64_t i = lo; i < hi; ++i) (*b.body)(i);
+    try {
+      for (std::int64_t i = lo; i < hi; ++i) (*b.body)(i);
+    } catch (...) {
+      // First failure wins; parking the cursor at `end` stops every
+      // thread's next claim and keeps idle workers asleep.
+      if (!b.failed.exchange(true, std::memory_order_relaxed)) {
+        b.error = std::current_exception();
+      }
+      b.next.store(b.end, std::memory_order_relaxed);
+      return;
+    }
   }
 }
 
@@ -63,57 +64,38 @@ void ThreadPool::run_batch(std::int64_t begin, std::int64_t end,
   run_chunks(b);
   {
     // Unpublish, then wait for workers still inside run_chunks: `b` is a
-    // stack frame, nothing may reference it after this returns.
+    // stack frame, nothing may reference it after this returns. The
+    // workers' release on `active` also publishes any `b.error` they set.
     std::unique_lock<std::mutex> lock(mu_);
     batch_ = nullptr;
     cv_idle_.wait(lock,
                   [&b] { return b.active.load(std::memory_order_acquire) == 0; });
   }
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0 && batch_ == nullptr; });
+  if (b.error) std::rethrow_exception(b.error);
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
     Batch* batch = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_task_.wait(lock, [this] {
         // A published batch only wakes workers while chunks remain, so a
         // drained-but-not-yet-unpublished batch can't spin the pool.
-        return stop_ || !queue_.empty() ||
+        return stop_ ||
                (batch_ != nullptr &&
                 batch_->next.load(std::memory_order_relaxed) < batch_->end);
       });
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      } else if (batch_ != nullptr) {
-        batch = batch_;
-        batch->active.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        return;  // stop_ and drained
-      }
+      if (batch_ == nullptr) return;  // stop_ and no batch to help with
+      batch = batch_;
+      batch->active.fetch_add(1, std::memory_order_relaxed);
     }
-    if (batch != nullptr) {
-      run_chunks(*batch);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (batch->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          cv_idle_.notify_all();
-        }
-      }
-      continue;
-    }
-    task();
+    run_chunks(*batch);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
+      if (batch->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        cv_idle_.notify_all();
+      }
     }
   }
 }

@@ -6,21 +6,16 @@
 // points (one whole engine each) across it with index-ordered results.
 // Follows CP.20/CP.23 (RAII joining, no detached threads).
 //
-// Two submission paths:
-//
-//   * submit(fn)     — one queued std::function per task: flexible, but a
-//                      possible allocation plus one lock round-trip each.
-//   * run_batch(...) — a whole index range as ONE published descriptor:
-//                      workers claim chunks with an atomic fetch_add, so a
-//                      parallel_for of N chunks costs one lock acquisition
-//                      and zero per-chunk allocations (the batch microbench
-//                      in bench_microbench.cc records the difference).
+// One submission path: run_batch publishes a whole index range as ONE
+// descriptor and workers claim chunks with an atomic fetch_add, so a
+// parallel_for of N chunks costs one lock acquisition and zero per-chunk
+// allocations.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -37,10 +32,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Tasks must not throw; exceptions terminate (tasks are
-  /// simulation drivers that report failures through their own results).
-  void submit(std::function<void()> task);
-
   /// Runs `body(i)` for every i in [begin, end), `grain` indices per claimed
   /// chunk, and blocks until all complete. The caller's thread also works,
   /// so the pool is usable even with zero free workers. The batch is one
@@ -49,14 +40,13 @@ class ThreadPool {
   /// per batch. `body` must be thread-safe for distinct indices. One batch
   /// at a time (benches and sweeps are structured that way); concurrent
   /// run_batch calls from different threads serialize on an internal mutex.
+  ///
+  /// If `body` throws (on any thread), no further chunks are claimed, the
+  /// chunks already running finish, and run_batch rethrows the first
+  /// exception on the calling thread. The pool stays usable.
   void run_batch(std::int64_t begin, std::int64_t end,
                  const std::function<void(std::int64_t)>& body,
                  std::int64_t grain = 1);
-
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
-
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
  private:
   /// The active batch, published under mu_ and claimed lock-free. `next`
@@ -68,21 +58,21 @@ class ThreadPool {
     const std::function<void(std::int64_t)>* body = nullptr;
     std::atomic<std::int64_t> next{0};
     std::atomic<int> active{0};  // workers inside run_chunks
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;  // written once, by the thread that set failed
   };
 
   void worker_loop();
 
-  /// Claims and runs chunks of `b` until it drains.
+  /// Claims and runs chunks of `b` until it drains or `body` throws.
   static void run_chunks(Batch& b);
 
   std::mutex mu_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
-  std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
   Batch* batch_ = nullptr;  // non-null while a batch is being drained
   std::mutex batch_mu_;     // serializes concurrent run_batch callers
-  int in_flight_ = 0;
   bool stop_ = false;
 };
 

@@ -7,7 +7,6 @@
 
 #include "common/csv.h"
 #include "common/math_util.h"
-#include "common/perf_json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -147,72 +146,6 @@ TEST(Csv, WritesHeaderAndRows) {
   EXPECT_EQ(l2, "1,2.5");
   EXPECT_EQ(l3, "s,3");
   std::remove(path.c_str());
-}
-
-TEST(PerfJson, RoundTripsThroughItsOwnFormat) {
-  PerfJson a;
-  a.set("bench_x", "items_per_second", 1.5e6);
-  a.set("bench_x", "wall_seconds", 0.25);
-  a.set("bench_y", "sweep_points", 9);
-  PerfJson b;
-  ASSERT_TRUE(b.parse(a.str()));
-  EXPECT_EQ(b.num_sections(), 2u);
-  EXPECT_DOUBLE_EQ(b.get("bench_x", "items_per_second"), 1.5e6);
-  EXPECT_DOUBLE_EQ(b.get("bench_x", "wall_seconds"), 0.25);
-  EXPECT_DOUBLE_EQ(b.get("bench_y", "sweep_points"), 9);
-  EXPECT_DOUBLE_EQ(b.get("bench_y", "missing", -1.0), -1.0);
-}
-
-TEST(PerfJson, LoadMergesAcrossProcessStyleWrites) {
-  const std::string path = "/tmp/fcc_test_perf.json";
-  {
-    PerfJson first;
-    first.set("sweep_a", "wall_seconds", 1.0);
-    first.save(path);
-  }
-  {
-    // A second "bench process" adds its section without clobbering the
-    // first one's.
-    PerfJson second;
-    ASSERT_TRUE(second.load(path));
-    second.set("sweep_b", "wall_seconds", 2.0);
-    second.save(path);
-  }
-  PerfJson check;
-  ASSERT_TRUE(check.load(path));
-  EXPECT_DOUBLE_EQ(check.get("sweep_a", "wall_seconds"), 1.0);
-  EXPECT_DOUBLE_EQ(check.get("sweep_b", "wall_seconds"), 2.0);
-  std::remove(path.c_str());
-}
-
-TEST(PerfJson, FreshValuesWinWhenMergingOverStaleFile) {
-  PerfJson stale;
-  stale.set("bench", "items_per_second", 100.0);
-  PerfJson fresh;
-  ASSERT_TRUE(fresh.parse(stale.str()));
-  PerfJson update;
-  update.set("bench", "items_per_second", 250.0);
-  fresh.merge_from(update);
-  EXPECT_DOUBLE_EQ(fresh.get("bench", "items_per_second"), 250.0);
-}
-
-TEST(PerfJson, MalformedInputIsRejectedWithoutSideEffects) {
-  PerfJson p;
-  p.set("keep", "k", 7.0);
-  EXPECT_FALSE(p.parse("not json"));
-  EXPECT_FALSE(p.parse("{\"a\": {\"b\": }}"));
-  EXPECT_FALSE(p.parse("{\"a\": {\"b\": 1} trailing"));
-  EXPECT_FALSE(p.load("/nonexistent/fcc_perf.json"));
-  EXPECT_EQ(p.num_sections(), 1u);
-  EXPECT_DOUBLE_EQ(p.get("keep", "k"), 7.0);
-}
-
-TEST(PerfJson, EmptyObjectParses) {
-  PerfJson p;
-  EXPECT_TRUE(p.parse("{}"));
-  EXPECT_EQ(p.num_sections(), 0u);
-  EXPECT_TRUE(p.parse("{\"s\": {}}"));
-  EXPECT_EQ(p.num_sections(), 1u);
 }
 
 TEST(Types, UnitConversions) {

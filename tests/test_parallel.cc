@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,34 +15,6 @@
 
 namespace fcc::par {
 namespace {
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, ReusableAcrossWaves) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int wave = 0; wave < 5; ++wave) {
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), (wave + 1) * 100);
-  }
-}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -104,7 +79,7 @@ TEST(RunBatch, CallerDrainsWithSingleWorkerPool) {
   EXPECT_EQ(sum.load(), 999LL * 1000 / 2);
 }
 
-TEST(RunBatch, ReusableBackToBackAndInterleavedWithSubmit) {
+TEST(RunBatch, ReusableBackToBack) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
   std::function<void(std::int64_t)> body = [&](std::int64_t) {
@@ -112,12 +87,55 @@ TEST(RunBatch, ReusableBackToBackAndInterleavedWithSubmit) {
   };
   for (int wave = 0; wave < 4; ++wave) {
     pool.run_batch(0, 250, body, 8);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), (wave + 1) * 300);
+    EXPECT_EQ(count.load(), (wave + 1) * 250);
   }
+}
+
+TEST(RunBatch, ThrowingBodyRethrowsOnCallerAndPoolStaysUsable) {
+  // One round per throwing side: the calling thread throws while a worker
+  // is inside `body`, then a worker throws while the caller is. Either way
+  // run_batch rethrows that exception, and no `body` call outlives it.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  const auto wait_for = [](const std::atomic<bool>& flag) {
+    for (int ms = 0; ms < 5000 && !flag.load(); ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  for (const bool caller_throws : {true, false}) {
+    const std::string what = caller_throws ? "caller threw" : "worker threw";
+    std::atomic<bool> other_inside{false};
+    std::atomic<bool> thrown{false};
+    std::atomic<int> calls{0};
+    std::function<void(std::int64_t)> body = [&](std::int64_t) {
+      calls.fetch_add(1);
+      if ((std::this_thread::get_id() == caller) == caller_throws) {
+        wait_for(other_inside);
+        thrown.store(true);
+        throw std::runtime_error(what);
+      }
+      // Hold this chunk until the other side has thrown, and a little past.
+      other_inside.store(true);
+      wait_for(thrown);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    try {
+      pool.run_batch(0, 64, body);
+      ADD_FAILURE() << "run_batch swallowed: " << what;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), what);
+    }
+    const int calls_at_return = calls.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(calls.load(), calls_at_return) << what;
+  }
+  // The same pool then runs a clean batch to completion.
+  std::vector<std::atomic<int>> hits(500);
+  std::function<void(std::int64_t)> body = [&](std::int64_t i) {
+    hits[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+  };
+  pool.run_batch(0, 500, body, 4);
+  for (auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
 TEST(RunBatch, ConcurrentCallersSerialize) {
@@ -133,12 +151,6 @@ TEST(RunBatch, ConcurrentCallersSerialize) {
   a.join();
   b.join();
   EXPECT_EQ(sum.load(), 2 * (1999LL * 2000 / 2));
-}
-
-TEST(SerialFor, RunsInOrder) {
-  std::vector<std::int64_t> order;
-  serial_for(0, 5, [&](std::int64_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
 }
 
 }  // namespace

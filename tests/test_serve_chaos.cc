@@ -159,7 +159,6 @@ TEST(ServeChaos, CountersAreExactUnderFaults) {
 }
 
 TEST(ServeChaos, SweepThreadCountDoesNotChangeChaosRecords) {
-  setenv("FCC_BENCH_OUT", "/tmp/fcc_test_serve_chaos_out", 1);
   const ServeConfig cfg = resilient_config();
   auto point = [&cfg](int i) {
     const auto trace =
@@ -169,13 +168,12 @@ TEST(ServeChaos, SweepThreadCountDoesNotChangeChaosRecords) {
   };
 
   setenv("FCC_SWEEP_THREADS", "1", 1);
-  const auto serial = fccbench::run_sweep<std::vector<RequestRecord>>(
-      "serve_chaos_serial", 4, point);
+  const auto serial =
+      fccbench::run_sweep<std::vector<RequestRecord>>(4, point);
   setenv("FCC_SWEEP_THREADS", "4", 1);
-  const auto parallel = fccbench::run_sweep<std::vector<RequestRecord>>(
-      "serve_chaos_parallel", 4, point);
+  const auto parallel =
+      fccbench::run_sweep<std::vector<RequestRecord>>(4, point);
   unsetenv("FCC_SWEEP_THREADS");
-  unsetenv("FCC_BENCH_OUT");
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -97,7 +97,6 @@ TEST(ServeDeterminism, SweepThreadCountDoesNotChangeRecords) {
   // Each sweep point builds its own machine, so points are independent —
   // the parallel sweep runner must return index-ordered, byte-identical
   // results no matter how many host threads execute it.
-  setenv("FCC_BENCH_OUT", "/tmp/fcc_test_serve_sweep_out", 1);
   auto point = [](int i) {
     const auto trace =
         smoke_trace(1000 + static_cast<std::uint64_t>(i), /*n=*/60,
@@ -106,13 +105,12 @@ TEST(ServeDeterminism, SweepThreadCountDoesNotChangeRecords) {
   };
 
   setenv("FCC_SWEEP_THREADS", "1", 1);
-  const auto serial = fccbench::run_sweep<std::vector<RequestRecord>>(
-      "serve_determinism_serial", 4, point);
+  const auto serial =
+      fccbench::run_sweep<std::vector<RequestRecord>>(4, point);
   setenv("FCC_SWEEP_THREADS", "4", 1);
-  const auto parallel = fccbench::run_sweep<std::vector<RequestRecord>>(
-      "serve_determinism_parallel", 4, point);
+  const auto parallel =
+      fccbench::run_sweep<std::vector<RequestRecord>>(4, point);
   unsetenv("FCC_SWEEP_THREADS");
-  unsetenv("FCC_BENCH_OUT");
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -184,7 +182,6 @@ TEST(ServeDeterminism, SweepThreadsDoNotChangePlannedRecords) {
   // The planner-enabled variant of the sweep-thread invariant: each point
   // plans with its own cache, so host-thread interleaving can't leak into
   // the planned decisions or the records.
-  setenv("FCC_BENCH_OUT", "/tmp/fcc_test_serve_sweep_out", 1);
   auto point = [](int i) {
     const auto trace =
         smoke_trace(2000 + static_cast<std::uint64_t>(i), /*n=*/60,
@@ -200,13 +197,12 @@ TEST(ServeDeterminism, SweepThreadsDoNotChangePlannedRecords) {
   };
 
   setenv("FCC_SWEEP_THREADS", "1", 1);
-  const auto serial = fccbench::run_sweep<std::vector<RequestRecord>>(
-      "serve_planned_determinism_serial", 4, point);
+  const auto serial =
+      fccbench::run_sweep<std::vector<RequestRecord>>(4, point);
   setenv("FCC_SWEEP_THREADS", "4", 1);
-  const auto parallel = fccbench::run_sweep<std::vector<RequestRecord>>(
-      "serve_planned_determinism_parallel", 4, point);
+  const auto parallel =
+      fccbench::run_sweep<std::vector<RequestRecord>>(4, point);
   unsetenv("FCC_SWEEP_THREADS");
-  unsetenv("FCC_BENCH_OUT");
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

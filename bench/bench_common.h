@@ -1,7 +1,7 @@
 // Shared helpers for the figure-reproduction benches.
 //
 // Every bench prints a paper-style ASCII table and writes a CSV twin into
-// ./bench_results/ so EXPERIMENTS.md can reference exact numbers.
+// ./bench_results/ (format in docs/BENCHMARKS.md).
 #pragma once
 
 #include <cstdlib>

@@ -249,12 +249,9 @@ int print_calibration(const std::vector<Point>& grid) {
         const Measured m = measure(p);
         plan::CostEnv env;
         env.machine = p.machine;
-        const plan::CostScorer raw(env, /*use_calibration=*/false,
-                                   plan::ScorerRegistry::global(),
-                                   plan::empty_calibration());
+        const plan::CostScorer raw(env, plan::empty_calibration());
         const plan::CostEstimate est = raw.score(p.spec);
-        const plan::OpCostModel* model =
-            plan::ScorerRegistry::global().find(p.spec.name);
+        const plan::OpCostModel* model = plan::find_op_model(p.spec.name);
         std::ostringstream os;
         os << std::setprecision(17) << "      {\"" << p.spec.name << "\", \""
            << env.topo_kind() << "\", " << model->work(p.spec, env) << ", "

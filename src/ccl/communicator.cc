@@ -111,28 +111,6 @@ AllToAllAlgo Communicator::select_a2a() {
   return AllToAllAlgo::kPairwise;
 }
 
-DegradedPlan Communicator::degraded_plan() {
-  DegradedPlan plan;
-  plan.avoided = avoided_components();
-  plan.degraded = !plan.avoided.empty();
-  plan.allreduce = select_allreduce();
-  plan.a2a = select_a2a();
-  if (plan.degraded && hierarchy_eligible()) {
-    // The hierarchical AllReduce puts 1/g of the flat two-phase payload on
-    // the inter-node links (g lanes each carrying a 1/g shard); node
-    // aggregation collapses g*g NIC messages per node pair into one. Being
-    // pushed off them costs those factors back.
-    const double g = static_cast<double>(groups_.by_node.front().size());
-    if (plan.allreduce != AllReduceAlgo::kHierarchical) {
-      plan.allreduce_traffic_factor = g;
-    }
-    if (plan.a2a != AllToAllAlgo::kNodeAggregate) {
-      plan.a2a_message_factor = g * g;
-    }
-  }
-  return plan;
-}
-
 TimeNs Communicator::flat_direct_time(std::int64_t n_elems, TimeNs t0) {
   const int n = size();
   // Phase 1 (reduce-scatter): rank r owns chunk r; every peer pushes its
@@ -472,13 +450,16 @@ sim::Co Communicator::all_to_all(std::int64_t chunk_elems, FloatBufs send,
     FCC_CHECK(recv.functional());
     FCC_CHECK(static_cast<int>(send.per_rank.size()) == n);
     FCC_CHECK(static_cast<int>(recv.per_rank.size()) == n);
+    const std::size_t total =
+        static_cast<std::size_t>(n) * static_cast<std::size_t>(chunk_elems);
+    for (int r = 0; r < n; ++r) {
+      FCC_CHECK(send.rank(r).size() >= total);
+      FCC_CHECK(recv.rank(r).size() >= total);
+    }
     for (int s = 0; s < n; ++s) {
       for (int d = 0; d < n; ++d) {
         auto src = send.rank(s);
         auto dst = recv.rank(d);
-        FCC_CHECK(src.size() >=
-                  static_cast<std::size_t>(n) *
-                      static_cast<std::size_t>(chunk_elems));
         for (std::int64_t i = 0; i < chunk_elems; ++i) {
           dst[static_cast<std::size_t>(s * chunk_elems + i)] =
               src[static_cast<std::size_t>(d * chunk_elems + i)];
@@ -497,129 +478,6 @@ sim::Co Communicator::all_to_all(std::int64_t chunk_elems, FloatBufs send,
   last_duration_ = end - t0 + kSwOverheadNs;
   co_await sim::delay_until(machine_.engine(), end);
 }
-
-sim::Co Communicator::reduce_scatter(std::int64_t chunk_elems,
-                                     FloatBufs bufs) {
-  co_await sim::delay(machine_.engine(), kSwOverheadNs);
-  const TimeNs t0 = machine_.engine().now();
-  const int n = size();
-  const Bytes chunk_bytes = elems_to_bytes(chunk_elems);
-
-  if (bufs.functional()) {
-    FCC_CHECK(static_cast<int>(bufs.per_rank.size()) == n);
-    std::vector<std::vector<float>> reduced(
-        static_cast<std::size_t>(n),
-        std::vector<float>(static_cast<std::size_t>(chunk_elems), 0.0f));
-    for (int r = 0; r < n; ++r) {
-      auto src = bufs.rank(r);
-      FCC_CHECK(src.size() >= static_cast<std::size_t>(n) *
-                                  static_cast<std::size_t>(chunk_elems));
-      for (int c = 0; c < n; ++c) {
-        for (std::int64_t i = 0; i < chunk_elems; ++i) {
-          reduced[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)] +=
-              src[static_cast<std::size_t>(c * chunk_elems + i)];
-        }
-      }
-    }
-    for (int r = 0; r < n; ++r) {
-      auto dst = bufs.rank(r);
-      std::copy(reduced[static_cast<std::size_t>(r)].begin(),
-                reduced[static_cast<std::size_t>(r)].end(), dst.begin());
-    }
-  }
-
-  const TimeNs end = co_await SweepAwaiter(
-      machine_, t0, [this, n, chunk_bytes](TimeNs t) {
-        TimeNs e = t;
-        for (int dst = 0; dst < n; ++dst) {
-          TimeNs arrive = t;
-          for (int src = 0; src < n; ++src) {
-            if (src == dst) continue;
-            arrive = std::max(arrive, machine_.remote_write_time(
-                                          pe(src), pe(dst), chunk_bytes, t));
-          }
-          e = std::max(e, arrive + reduce_cost(chunk_bytes * n));
-        }
-        return e;
-      });
-  last_duration_ = end - t0 + kSwOverheadNs;
-  co_await sim::delay_until(machine_.engine(), end);
-}
-
-sim::Co Communicator::all_gather(std::int64_t chunk_elems, FloatBufs bufs) {
-  co_await sim::delay(machine_.engine(), kSwOverheadNs);
-  const TimeNs t0 = machine_.engine().now();
-  const int n = size();
-  const Bytes chunk_bytes = elems_to_bytes(chunk_elems);
-
-  if (bufs.functional()) {
-    FCC_CHECK(static_cast<int>(bufs.per_rank.size()) == n);
-    // Rank r's own chunk lives at offset r*chunk_elems already; replicate
-    // it into every peer's buffer.
-    for (int src = 0; src < n; ++src) {
-      auto s = bufs.rank(src);
-      for (int dst = 0; dst < n; ++dst) {
-        if (src == dst) continue;
-        auto d = bufs.rank(dst);
-        for (std::int64_t i = 0; i < chunk_elems; ++i) {
-          d[static_cast<std::size_t>(src * chunk_elems + i)] =
-              s[static_cast<std::size_t>(src * chunk_elems + i)];
-        }
-      }
-    }
-  }
-
-  const TimeNs end = co_await SweepAwaiter(
-      machine_, t0, [this, n, chunk_bytes](TimeNs t) {
-        TimeNs e = t;
-        for (int round = 1; round < n; ++round) {
-          for (int src = 0; src < n; ++src) {
-            const int dst = (src + round) % n;
-            e = std::max(e, machine_.remote_write_time(pe(src), pe(dst),
-                                                       chunk_bytes, t));
-          }
-        }
-        return e;
-      });
-  last_duration_ = end - t0 + kSwOverheadNs;
-  co_await sim::delay_until(machine_.engine(), end);
-}
-
-sim::Co Communicator::broadcast(std::int64_t n_elems, int root,
-                                FloatBufs bufs) {
-  const TimeNs t0 = machine_.engine().now();
-  const int n = size();
-  FCC_CHECK(root >= 0 && root < n);
-  const Bytes bytes = elems_to_bytes(n_elems);
-
-  if (bufs.functional()) {
-    FCC_CHECK(static_cast<int>(bufs.per_rank.size()) == n);
-    auto src = bufs.rank(root);
-    for (int dst = 0; dst < n; ++dst) {
-      if (dst == root) continue;
-      auto d = bufs.rank(dst);
-      std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(n_elems),
-                d.begin());
-    }
-  }
-
-  const TimeNs end = co_await SweepAwaiter(
-      machine_, t0, [this, n, root, bytes](TimeNs t) {
-        TimeNs e = t;
-        for (int dst = 0; dst < n; ++dst) {
-          if (dst == root) continue;
-          e = std::max(e,
-                       machine_.remote_write_time(pe(root), pe(dst), bytes, t));
-        }
-        return e;
-      });
-  last_duration_ = end - t0 + kSwOverheadNs;
-  co_await sim::delay_until(machine_.engine(), end);
-}
-
-}  // namespace fcc::ccl
-
-namespace fcc::ccl {
 
 sim::Co Communicator::all_to_all_v(const std::vector<std::int64_t>& counts,
                                    FloatBufs send, FloatBufs recv) {
@@ -677,129 +535,6 @@ sim::Co Communicator::all_to_all_v(const std::vector<std::int64_t>& counts,
         // Local segments are HBM copies.
         for (int r = 0; r < n; ++r) {
           e = std::max(e, t + reduce_cost(2 * count(r, r) * 4));
-        }
-        return e;
-      });
-  last_duration_ = end - t0 + kSwOverheadNs;
-  co_await sim::delay_until(machine_.engine(), end);
-}
-
-sim::Co Communicator::gather(std::int64_t chunk_elems, int root,
-                             FloatBufs bufs) {
-  const int n = size();
-  FCC_CHECK(root >= 0 && root < n);
-  co_await sim::delay(machine_.engine(), kSwOverheadNs);
-  const TimeNs t0 = machine_.engine().now();
-  const Bytes chunk_bytes = chunk_elems * 4;
-
-  if (bufs.functional()) {
-    FCC_CHECK(static_cast<int>(bufs.per_rank.size()) == n);
-    auto dst = bufs.rank(root);
-    for (int src = 0; src < n; ++src) {
-      if (src == root) continue;
-      auto s = bufs.rank(src);
-      for (std::int64_t i = 0; i < chunk_elems; ++i) {
-        dst[static_cast<std::size_t>(src * chunk_elems + i)] =
-            s[static_cast<std::size_t>(src * chunk_elems + i)];
-      }
-    }
-  }
-
-  const TimeNs end = co_await SweepAwaiter(
-      machine_, t0, [this, n, root, chunk_bytes](TimeNs t) {
-        TimeNs e = t;
-        for (int src = 0; src < n; ++src) {
-          if (src == root) continue;
-          e = std::max(e, machine_.remote_write_time(pe(src), pe(root),
-                                                     chunk_bytes, t));
-        }
-        return e;
-      });
-  last_duration_ = end - t0 + kSwOverheadNs;
-  co_await sim::delay_until(machine_.engine(), end);
-}
-
-sim::Co Communicator::scatter(std::int64_t chunk_elems, int root,
-                              FloatBufs bufs) {
-  const int n = size();
-  FCC_CHECK(root >= 0 && root < n);
-  co_await sim::delay(machine_.engine(), kSwOverheadNs);
-  const TimeNs t0 = machine_.engine().now();
-  const Bytes chunk_bytes = chunk_elems * 4;
-
-  if (bufs.functional()) {
-    FCC_CHECK(static_cast<int>(bufs.per_rank.size()) == n);
-    auto src = bufs.rank(root);
-    for (int dst = 0; dst < n; ++dst) {
-      if (dst == root) continue;
-      auto d = bufs.rank(dst);
-      for (std::int64_t i = 0; i < chunk_elems; ++i) {
-        d[static_cast<std::size_t>(i)] =
-            src[static_cast<std::size_t>(dst * chunk_elems + i)];
-      }
-    }
-  }
-
-  const TimeNs end = co_await SweepAwaiter(
-      machine_, t0, [this, n, root, chunk_bytes](TimeNs t) {
-        TimeNs e = t;
-        for (int dst = 0; dst < n; ++dst) {
-          if (dst == root) continue;
-          e = std::max(e, machine_.remote_write_time(pe(root), pe(dst),
-                                                     chunk_bytes, t));
-        }
-        return e;
-      });
-  last_duration_ = end - t0 + kSwOverheadNs;
-  co_await sim::delay_until(machine_.engine(), end);
-}
-
-sim::Co Communicator::reduce(std::int64_t n_elems, int root, FloatBufs bufs) {
-  const int n = size();
-  FCC_CHECK(root >= 0 && root < n);
-  co_await sim::delay(machine_.engine(), kSwOverheadNs);
-  const TimeNs t0 = machine_.engine().now();
-  const Bytes bytes = n_elems * 4;
-
-  if (bufs.functional()) {
-    FCC_CHECK(static_cast<int>(bufs.per_rank.size()) == n);
-    auto dst = bufs.rank(root);
-    for (int src = 0; src < n; ++src) {
-      if (src == root) continue;
-      auto s = bufs.rank(src);
-      for (std::int64_t i = 0; i < n_elems; ++i) {
-        dst[static_cast<std::size_t>(i)] += s[static_cast<std::size_t>(i)];
-      }
-    }
-  }
-
-  const TimeNs end = co_await SweepAwaiter(
-      machine_, t0, [this, n, root, bytes](TimeNs t) {
-        TimeNs e = t;
-        for (int src = 0; src < n; ++src) {
-          if (src == root) continue;
-          e = std::max(e, machine_.remote_write_time(pe(src), pe(root),
-                                                     bytes, t));
-        }
-        return e + reduce_cost(bytes * n);
-      });
-  last_duration_ = end - t0 + kSwOverheadNs;
-  co_await sim::delay_until(machine_.engine(), end);
-}
-
-sim::Co Communicator::barrier() {
-  const int n = size();
-  co_await sim::delay(machine_.engine(), kSwOverheadNs);
-  const TimeNs t0 = machine_.engine().now();
-  // Direct dissemination: every rank signals every other (8-byte flags).
-  const TimeNs end = co_await SweepAwaiter(
-      machine_, t0, [this, n](TimeNs t) {
-        TimeNs e = t;
-        for (int round = 1; round < n; ++round) {
-          for (int s = 0; s < n; ++s) {
-            const int d = (s + round) % n;
-            e = std::max(e, machine_.remote_write_time(pe(s), pe(d), 8, t));
-          }
         }
         return e;
       });

@@ -1,4 +1,7 @@
 // Bulk-synchronous collective library (RCCL analog) — the paper's baseline.
+// Three collectives, the ones the fused operators replace: AllReduce
+// (GEMV+AllReduce), All-to-All (embedding and GEMM+All-to-All) and the
+// uneven All-to-All (MoE dispatch).
 //
 // Collectives run as device-wide "blit kernels": all transfers for a phase
 // are issued when the phase starts, the phase ends when the slowest rank's
@@ -53,22 +56,6 @@ struct FloatBufs {
   std::span<float> rank(int r) { return per_rank.at(static_cast<std::size_t>(r)); }
 };
 
-/// What kAuto resolved to on a (possibly) degraded fabric, and why. The
-/// traffic factors predict the inter-node byte inflation of the fallback
-/// relative to the hierarchical/aggregated algorithm it displaced (1.0 when
-/// nothing was displaced) — g and g^2 for g members per node, the staging
-/// ratios from the header comment above.
-struct DegradedPlan {
-  bool degraded = false;  // any unhealthy component in the span's reach
-  AllReduceAlgo allreduce = AllReduceAlgo::kTwoPhaseDirect;
-  AllToAllAlgo a2a = AllToAllAlgo::kPairwise;
-  /// Unhealthy component names the selection steered around (from
-  /// hw::Topology::degraded_components).
-  std::vector<std::string> avoided;
-  double allreduce_traffic_factor = 1.0;
-  double a2a_message_factor = 1.0;
-};
-
 class Communicator {
  public:
   Communicator(gpu::Machine& machine, std::vector<PeId> members);
@@ -95,27 +82,11 @@ class Communicator {
   AllReduceAlgo select_allreduce();
   AllToAllAlgo select_a2a();
 
-  /// Selection report for this span: what kAuto picks right now, which
-  /// unhealthy components it is avoiding, and the predicted traffic cost of
-  /// the fallback.
-  DegradedPlan degraded_plan();
-
   /// All-to-All: each rank sends `chunk_elems` fp32 to every rank (including
   /// its own local chunk copy). send/recv layout: rank-major chunks —
   /// send[r] holds N chunks ordered by destination, recv[r] by source.
   sim::Co all_to_all(std::int64_t chunk_elems, FloatBufs send, FloatBufs recv,
                      AllToAllAlgo algo = AllToAllAlgo::kAuto);
-
-  /// ReduceScatter: after completion rank r holds the sum of everyone's
-  /// r-th chunk in the first `chunk_elems` of its buffer.
-  sim::Co reduce_scatter(std::int64_t chunk_elems, FloatBufs bufs);
-
-  /// AllGather of `chunk_elems` fp32 from each rank into every rank's
-  /// buffer (size N * chunk_elems, source-major).
-  sim::Co all_gather(std::int64_t chunk_elems, FloatBufs bufs);
-
-  /// Broadcast `n_elems` from `root` to all ranks.
-  sim::Co broadcast(std::int64_t n_elems, int root, FloatBufs bufs);
 
   /// Variable All-to-All (MoE dispatch with uneven routing): rank s sends
   /// counts[s * n + d] fp32 elements to rank d — the traffic matrix is
@@ -136,20 +107,6 @@ class Communicator {
   /// copy, not fabric traffic.
   sim::Co all_to_all_v(const std::vector<std::int64_t>& counts,
                        FloatBufs send, FloatBufs recv);
-
-  /// Gather `chunk_elems` from every rank to `root` (source-major layout
-  /// in root's buffer).
-  sim::Co gather(std::int64_t chunk_elems, int root, FloatBufs bufs);
-
-  /// Scatter `chunk_elems` per rank from `root` (destination-major layout
-  /// in root's buffer) into each rank's first chunk.
-  sim::Co scatter(std::int64_t chunk_elems, int root, FloatBufs bufs);
-
-  /// Sum-reduce `n_elems` to `root` only.
-  sim::Co reduce(std::int64_t n_elems, int root, FloatBufs bufs);
-
-  /// Bulk-synchronous barrier (direct signal exchange).
-  sim::Co barrier();
 
   /// Wall-to-wall time of the last completed collective (simulated ns).
   TimeNs last_duration() const { return last_duration_; }

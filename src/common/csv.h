@@ -1,5 +1,5 @@
 // CSV writer for bench results (machine-readable companion to the ASCII
-// tables; EXPERIMENTS.md references these files).
+// tables; docs/BENCHMARKS.md describes these files).
 #pragma once
 
 #include <fstream>

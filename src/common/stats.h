@@ -12,73 +12,12 @@
 
 namespace fcc {
 
-/// Welford mean/variance accumulator plus min/max.
-class RunningStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  std::int64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  std::int64_t n_ = 0;
-  double mean_ = 0, m2_ = 0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Stores samples; supports exact percentiles. Used for per-WG latency
-/// distributions in the profiling benches.
-class SampleSet {
- public:
-  void add(double x) { xs_.push_back(x); }
-  std::size_t size() const { return xs_.size(); }
-  bool empty() const { return xs_.empty(); }
-
-  double percentile(double p) {
-    FCC_CHECK(!xs_.empty());
-    FCC_CHECK(p >= 0.0 && p <= 100.0);
-    std::vector<double> sorted = xs_;
-    std::sort(sorted.begin(), sorted.end());
-    const double idx = p / 100.0 * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(idx);
-    const auto hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = idx - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-  }
-
-  double mean() const {
-    if (xs_.empty()) return 0;
-    double s = 0;
-    for (double x : xs_) s += x;
-    return s / static_cast<double>(xs_.size());
-  }
-
-  const std::vector<double>& samples() const { return xs_; }
-
- private:
-  std::vector<double> xs_;
-};
-
 /// Streaming percentile sketch over non-negative integer samples
 /// (latencies in ns). HdrHistogram-style log-linear bins: each power-of-two
 /// octave is split into 2^kSubBits linear sub-buckets, so any reported
 /// quantile is within a 2^-kSubBits (~3%) relative error of the exact
-/// sample while add() stays O(1), memory stays O(log range), and — unlike
-/// SampleSet — a million-request serving run never stores per-sample state.
+/// sample while add() stays O(1), memory stays O(log range), and a
+/// million-request serving run never stores per-sample state.
 /// Deterministic by construction (pure integer bin math, no sampling), so
 /// sketches from identical runs compare equal (operator==); merge() folds
 /// another sketch in for cross-class aggregation.

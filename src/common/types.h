@@ -41,6 +41,5 @@ constexpr double gbit_per_s_to_bytes_per_ns(double gbit_per_s) {
 constexpr TimeNs us_to_ns(double us) { return static_cast<TimeNs>(us * 1e3); }
 constexpr TimeNs ms_to_ns(double ms) { return static_cast<TimeNs>(ms * 1e6); }
 constexpr double ns_to_us(TimeNs ns) { return static_cast<double>(ns) / 1e3; }
-constexpr double ns_to_ms(TimeNs ns) { return static_cast<double>(ns) / 1e6; }
 
 }  // namespace fcc

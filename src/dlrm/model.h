@@ -39,8 +39,7 @@ struct DlrmConfig {
 struct DlrmResult {
   fused::OperatorResult emb_a2a;
   TimeNs bottom_mlp_ns = 0;
-  TimeNs interaction_ns = 0;
-  TimeNs top_mlp_ns = 0;
+  TimeNs top_mlp_ns = 0;  // interaction kernel + top MLP, one lump
   TimeNs total_ns = 0;
   /// Functional mode: CTR logits per PE, local-batch order.
   std::vector<std::vector<float>> logits;

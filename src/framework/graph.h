@@ -16,11 +16,11 @@
 //     fused op whose OpEntry `pattern` matches — the graph-pass analog of
 //     swapping framework graph nodes for the fused operator.
 //
-// Session::run(Graph) applies the rewrite (via the plan-layer pass
-// pipeline) and hands the lowered graph to GraphExecutor, which schedules
-// every ready node concurrently on the sim engine. Session::run_planned()
-// additionally scores every rewrite and backend choice against the plan
-// layer's cost model (src/plan/) before executing.
+// Session::run(Graph) applies the rewrite and hands the lowered graph to
+// GraphExecutor, which schedules every ready node concurrently on the sim
+// engine. Session::run_planned() additionally scores every rewrite and
+// backend choice against the plan layer's cost model (src/plan/) before
+// executing.
 #pragma once
 
 #include <string>

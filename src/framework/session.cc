@@ -11,13 +11,13 @@ fused::OperatorResult Session::run(const OpSpec& spec, Backend backend,
 
 GraphResult Session::run(const Graph& graph, Backend backend,
                          const OpRegistry& registry) {
-  // The always-fuse path: only the fuse-patterns pass runs, and every live
-  // node executes on the caller's backend — identical semantics to the
-  // pre-planner rewrite_fused + uniform-dispatch path.
-  plan::PlanOptions options;
-  options.default_backend = backend;
-  options.passes = {"fuse-patterns"};
-  return run_planned(graph, options, registry).result;
+  // The always-fuse path: collapse every registered pattern pair, then run
+  // each live node on the caller's backend — no scoring, no planning.
+  Graph lowered = graph;
+  const int rewrites = rewrite_fused(lowered, registry);
+  GraphResult result = GraphExecutor(lowered, registry).run(world_, backend);
+  result.rewrites = rewrites;
+  return result;
 }
 
 Session::PlannedRun Session::run_planned(const Graph& graph,

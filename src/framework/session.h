@@ -44,10 +44,10 @@ class Session {
                             Backend backend = Backend::kFused,
                             const OpRegistry& registry = OpRegistry::global());
 
-  /// Runs a whole multi-op program: routes `graph` through the planning
-  /// pipeline's fuse-patterns pass (pattern nodes collapse into registered
-  /// fused ops), then schedules every dependency-satisfied node
-  /// concurrently via GraphExecutor, all on the requested backend.
+  /// Runs a whole multi-op program: lowers a copy of `graph` with
+  /// rewrite_fused (pattern nodes collapse into registered fused ops), then
+  /// schedules every dependency-satisfied node concurrently via
+  /// GraphExecutor, all on the requested backend.
   /// Independent nodes overlap; a pure chain times exactly like the
   /// equivalent sequence of blocking run() calls.
   GraphResult run(const Graph& graph, Backend backend = Backend::kFused,

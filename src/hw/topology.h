@@ -414,12 +414,6 @@ class TorusTopology final : public Topology {
   /// all-gather y, all-gather x) of `bytes` per node.
   TimeNs flow_all_reduce(Bytes bytes, TimeNs start = 0);
 
-  /// Directed ring links, for tests/stats. dir: 0=+x, 1=-x, 2=+y, 3=-y.
-  const Link& ring_link(NodeId node, int dir) const {
-    return *links_.at(static_cast<std::size_t>(node) * 4 +
-                      static_cast<std::size_t>(dir));
-  }
-
  protected:
   void collect_fault_sites(std::vector<FaultSite>& out) override;
   /// Health changes invalidate every cached detour.

@@ -1,28 +1,12 @@
-// Elementwise host kernels used by the MLP layers and tests.
+// Elementwise host kernels used by the MLP layers.
 #pragma once
 
-#include <cmath>
 #include <span>
 
 namespace fcc::ops {
 
 inline void relu_inplace(std::span<float> x) {
   for (auto& v : x) v = v > 0.0f ? v : 0.0f;
-}
-
-inline void gelu_inplace(std::span<float> x) {
-  for (auto& v : x) {
-    const float t = 0.7978845608f * (v + 0.044715f * v * v * v);
-    v = 0.5f * v * (1.0f + std::tanh(t));
-  }
-}
-
-inline void add_inplace(std::span<float> x, std::span<const float> y) {
-  for (std::size_t i = 0; i < x.size() && i < y.size(); ++i) x[i] += y[i];
-}
-
-inline void scale_inplace(std::span<float> x, float s) {
-  for (auto& v : x) v *= s;
 }
 
 }  // namespace fcc::ops

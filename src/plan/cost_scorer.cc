@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.h"
 #include "hw/topology.h"
 
 namespace fcc::plan {
@@ -89,45 +88,14 @@ const char* allreduce_algo_name(ccl::AllReduceAlgo algo) {
   return "unknown";
 }
 
-ScorerRegistry& ScorerRegistry::global() {
-  static ScorerRegistry registry;
-  return registry;
-}
-
-void ScorerRegistry::register_model(std::string op, OpCostModel model) {
-  FCC_CHECK_MSG(model.estimate != nullptr,
-                "cost model for '" << op << "' needs an estimate fn");
-  FCC_CHECK_MSG(model.work != nullptr,
-                "cost model for '" << op << "' needs a work fn");
-  const auto [it, inserted] = models_.emplace(std::move(op), std::move(model));
-  FCC_CHECK_MSG(inserted, "duplicate cost model registration: " << it->first);
-}
-
-const OpCostModel* ScorerRegistry::find(const std::string& op) const {
-  const auto it = models_.find(op);
-  return it == models_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> ScorerRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(models_.size());
-  for (const auto& [k, v] : models_) out.push_back(k);
-  return out;
-}
-
-CostScorer::CostScorer(CostEnv env, bool use_calibration,
-                       const ScorerRegistry& models,
-                       const CalibrationTable& calibration)
-    : env_(std::move(env)),
-      use_calibration_(use_calibration),
-      models_(models),
-      calibration_(calibration) {}
+CostScorer::CostScorer(CostEnv env, const CalibrationTable& calibration)
+    : env_(std::move(env)), calibration_(calibration) {}
 
 CostEstimate CostScorer::score(const fw::OpSpec& spec) const {
-  const OpCostModel* model = models_.find(spec.name);
+  const OpCostModel* model = find_op_model(spec.name);
   if (model == nullptr) return {};
   CostEstimate est = model->estimate(spec, env_);
-  if (!est.valid || !use_calibration_) return est;
+  if (!est.valid) return est;
   const auto corr = calibration_.correction(spec.name, env_.topo_kind(),
                                             model->work(spec, env_));
   if (corr.any) {

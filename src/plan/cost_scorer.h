@@ -1,6 +1,6 @@
 // Fast analytic fused-vs-baseline cost scoring for planner decisions.
 //
-// Per-op analytic models (registered per registry name, next to nothing
+// Per-op analytic models (a table keyed by registry name, next to nothing
 // else: src/plan/op_models.cc) predict the fused and baseline durations of
 // one op on one machine from the ops/cost_model.h workgroup formulas and
 // the hardware specs — pure closed-form host math, no engine, microseconds
@@ -13,7 +13,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -78,7 +77,7 @@ struct OpCostModel {
   std::function<double(const fw::OpSpec&, const CostEnv&)> work;
 
   /// Baseline collective steering (optional, e.g. gemv_allreduce).
-  std::vector<ccl::AllReduceAlgo> allreduce_candidates;
+  std::vector<ccl::AllReduceAlgo> allreduce_candidates{};
   std::function<double(const fw::OpSpec&, const CostEnv&, ccl::AllReduceAlgo)>
       allreduce_time = nullptr;
   std::function<ccl::AllReduceAlgo(const fw::OpSpec&)> allreduce_algo =
@@ -89,46 +88,22 @@ struct OpCostModel {
 
 const char* allreduce_algo_name(ccl::AllReduceAlgo algo);
 
-class ScorerRegistry {
- public:
-  static ScorerRegistry& global();
-
-  void register_model(std::string op, OpCostModel model);
-  const OpCostModel* find(const std::string& op) const;
-  std::vector<std::string> names() const;
-
- private:
-  std::map<std::string, OpCostModel> models_;
-};
-
-/// `static const ScorerRegistrar r{"fcc::x", {...}};` registers a model
-/// before main().
-struct ScorerRegistrar {
-  ScorerRegistrar(std::string op, OpCostModel model) {
-    ScorerRegistry::global().register_model(std::move(op), std::move(model));
-  }
-};
+/// The analytic model for registry op `op` (plan/op_models.cc), or nullptr.
+const OpCostModel* find_op_model(const std::string& op);
 
 class CostScorer {
  public:
-  explicit CostScorer(CostEnv env, bool use_calibration = true,
-                      const ScorerRegistry& models = ScorerRegistry::global(),
-                      const CalibrationTable& calibration =
-                          builtin_calibration());
+  /// Pass empty_calibration() for the uncorrected analytic score.
+  CostScorer(CostEnv env, const CalibrationTable& calibration);
 
   /// Calibration-corrected estimate for `spec` on this scorer's machine;
-  /// `valid` is false when no model is registered for the op.
+  /// `valid` is false when no model exists for the op.
   CostEstimate score(const fw::OpSpec& spec) const;
 
   const CostEnv& env() const { return env_; }
-  const OpCostModel* model(const std::string& op) const {
-    return models_.find(op);
-  }
 
  private:
   CostEnv env_;
-  bool use_calibration_;
-  const ScorerRegistry& models_;
   const CalibrationTable& calibration_;
 };
 

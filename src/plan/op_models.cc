@@ -9,8 +9,11 @@
 // cost of in-kernel bookkeeping. Occupancy curves, slot contention, and
 // skew-tail effects are deliberately left out — the calibration table
 // (plan/calibration.cc) corrects the residual against measured anchors.
+// find_op_model looks the models up by registry name.
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "ccl/communicator.h"
 #include "fused/embedding_a2a.h"
@@ -118,58 +121,56 @@ double gemv_allreduce_wire_ns(const fused::GemvAllReduceConfig& cfg,
   return 1e30;
 }
 
-const ScorerRegistrar gemv_allreduce_model{
-    "fcc::gemv_allreduce",
-    OpCostModel{
-        .estimate =
-            [](const fw::OpSpec& spec, const CostEnv& env) {
-              const auto& cfg =
-                  fw::spec_config<fused::GemvAllReduceConfig>(spec);
-              CostEstimate est;
-              const double compute = gemv_compute_ns(cfg, env);
-              const double wire =
-                  gemv_allreduce_wire_ns(cfg, env, cfg.allreduce_algo);
-              est.baseline_ns = compute + baseline_boundary_ns(env) + wire;
-              // Fused: tiles stream into peers while later tiles compute;
-              // the reduction phase's wire time is what can't hide.
-              const double exposed = env.wire_ns(
-                  static_cast<double>(cfg.m) * 4.0 /
-                      static_cast<double>(env.num_pes()),
-                  inter_fraction(env));
-              est.fused_ns = std::max(compute, wire * 0.5) + launch_ns(env) +
-                             exposed + 2.0 * env.scaleup_latency_ns();
-              est.valid = true;
-              return est;
-            },
-        .work =
-            [](const fw::OpSpec& spec, const CostEnv&) {
-              const auto& cfg =
-                  fw::spec_config<fused::GemvAllReduceConfig>(spec);
-              return static_cast<double>(cfg.m) *
-                     static_cast<double>(cfg.k_global);
-            },
-        .allreduce_candidates = {ccl::AllReduceAlgo::kTwoPhaseDirect,
-                                 ccl::AllReduceAlgo::kRing,
-                                 ccl::AllReduceAlgo::kHierarchical},
-        .allreduce_time =
-            [](const fw::OpSpec& spec, const CostEnv& env,
-               ccl::AllReduceAlgo algo) {
-              const auto& cfg =
-                  fw::spec_config<fused::GemvAllReduceConfig>(spec);
-              return gemv_allreduce_wire_ns(cfg, env, algo);
-            },
-        .allreduce_algo =
-            [](const fw::OpSpec& spec) {
-              return fw::spec_config<fused::GemvAllReduceConfig>(spec)
-                  .allreduce_algo;
-            },
-        .set_allreduce_algo =
-            [](fw::OpSpec& spec, ccl::AllReduceAlgo algo) {
-              auto cfg = fw::spec_config<fused::GemvAllReduceConfig>(spec);
-              cfg.allreduce_algo = algo;
-              spec.config = cfg;
-            },
-    }};
+const OpCostModel gemv_allreduce_model{
+    .estimate =
+        [](const fw::OpSpec& spec, const CostEnv& env) {
+          const auto& cfg =
+              fw::spec_config<fused::GemvAllReduceConfig>(spec);
+          CostEstimate est;
+          const double compute = gemv_compute_ns(cfg, env);
+          const double wire =
+              gemv_allreduce_wire_ns(cfg, env, cfg.allreduce_algo);
+          est.baseline_ns = compute + baseline_boundary_ns(env) + wire;
+          // Fused: tiles stream into peers while later tiles compute;
+          // the reduction phase's wire time is what can't hide.
+          const double exposed = env.wire_ns(
+              static_cast<double>(cfg.m) * 4.0 /
+                  static_cast<double>(env.num_pes()),
+              inter_fraction(env));
+          est.fused_ns = std::max(compute, wire * 0.5) + launch_ns(env) +
+                         exposed + 2.0 * env.scaleup_latency_ns();
+          est.valid = true;
+          return est;
+        },
+    .work =
+        [](const fw::OpSpec& spec, const CostEnv&) {
+          const auto& cfg =
+              fw::spec_config<fused::GemvAllReduceConfig>(spec);
+          return static_cast<double>(cfg.m) *
+                 static_cast<double>(cfg.k_global);
+        },
+    .allreduce_candidates = {ccl::AllReduceAlgo::kTwoPhaseDirect,
+                             ccl::AllReduceAlgo::kRing,
+                             ccl::AllReduceAlgo::kHierarchical},
+    .allreduce_time =
+        [](const fw::OpSpec& spec, const CostEnv& env,
+           ccl::AllReduceAlgo algo) {
+          const auto& cfg =
+              fw::spec_config<fused::GemvAllReduceConfig>(spec);
+          return gemv_allreduce_wire_ns(cfg, env, algo);
+        },
+    .allreduce_algo =
+        [](const fw::OpSpec& spec) {
+          return fw::spec_config<fused::GemvAllReduceConfig>(spec)
+              .allreduce_algo;
+        },
+    .set_allreduce_algo =
+        [](fw::OpSpec& spec, ccl::AllReduceAlgo algo) {
+          auto cfg = fw::spec_config<fused::GemvAllReduceConfig>(spec);
+          cfg.allreduce_algo = algo;
+          spec.config = cfg;
+        },
+};
 
 // ---------------------------------------------------------------------------
 // fcc::moe_dispatch
@@ -205,132 +206,140 @@ double moe_a2a_ns(const fused::MoeDispatchConfig& cfg, const CostEnv& env) {
   return env.wire_ns(bytes, inter_fraction(env));
 }
 
-const ScorerRegistrar moe_dispatch_model{
-    "fcc::moe_dispatch",
-    OpCostModel{
-        .estimate =
-            [](const fw::OpSpec& spec, const CostEnv& env) {
-              const auto& cfg = fw::spec_config<fused::MoeDispatchConfig>(spec);
-              CostEstimate est;
-              const double gemm = moe_gemm_ns(cfg, env);
-              const double a2a = moe_a2a_ns(cfg, env);
-              est.baseline_ns = gemm + baseline_boundary_ns(env) + a2a;
-              // Fused: finished tiles PUT while the GEMM continues, but the
-              // persistent kernel's bookkeeping taxes every tile and small
-              // problems can't bury the collective's latency tail — which
-              // is exactly the measured T=512 crossover.
-              est.fused_ns = std::max(gemm, a2a) + launch_ns(env) +
-                             0.25 * std::min(gemm, a2a) +
-                             2.0 * env.scaleup_latency_ns();
-              est.valid = true;
-              return est;
-            },
-        .work =
-            [](const fw::OpSpec& spec, const CostEnv&) {
-              const auto& cfg = fw::spec_config<fused::MoeDispatchConfig>(spec);
-              return static_cast<double>(cfg.assignments()) *
-                     static_cast<double>(cfg.d_model) *
-                     static_cast<double>(cfg.d_out);
-            },
-    }};
+const OpCostModel moe_dispatch_model{
+    .estimate =
+        [](const fw::OpSpec& spec, const CostEnv& env) {
+          const auto& cfg = fw::spec_config<fused::MoeDispatchConfig>(spec);
+          CostEstimate est;
+          const double gemm = moe_gemm_ns(cfg, env);
+          const double a2a = moe_a2a_ns(cfg, env);
+          est.baseline_ns = gemm + baseline_boundary_ns(env) + a2a;
+          // Fused: finished tiles PUT while the GEMM continues, but the
+          // persistent kernel's bookkeeping taxes every tile and small
+          // problems can't bury the collective's latency tail — which
+          // is exactly the measured T=512 crossover.
+          est.fused_ns = std::max(gemm, a2a) + launch_ns(env) +
+                         0.25 * std::min(gemm, a2a) +
+                         2.0 * env.scaleup_latency_ns();
+          est.valid = true;
+          return est;
+        },
+    .work =
+        [](const fw::OpSpec& spec, const CostEnv&) {
+          const auto& cfg = fw::spec_config<fused::MoeDispatchConfig>(spec);
+          return static_cast<double>(cfg.assignments()) *
+                 static_cast<double>(cfg.d_model) *
+                 static_cast<double>(cfg.d_out);
+        },
+};
 
 // ---------------------------------------------------------------------------
 // fcc::gemm_a2a
 // ---------------------------------------------------------------------------
 
-const ScorerRegistrar gemm_a2a_model{
-    "fcc::gemm_a2a",
-    OpCostModel{
-        .estimate =
-            [](const fw::OpSpec& spec, const CostEnv& env) {
-              const auto& cfg = fw::spec_config<fused::GemmA2AConfig>(spec);
-              CostEstimate est;
-              const int p = env.num_pes();
-              const double m = static_cast<double>(p) * cfg.rows_per_origin;
-              const double tiles =
-                  std::ceil(m / cfg.block_m) *
-                  std::ceil(static_cast<double>(cfg.d_model) / cfg.block_n);
-              const double hbm =
-                  tiles *
-                  (static_cast<double>(cfg.block_m) * cfg.d_ff +
-                   static_cast<double>(cfg.d_ff) * cfg.block_n +
-                   static_cast<double>(cfg.block_m) * cfg.block_n) *
-                  4.0;
-              const double flops = 2.0 * m * cfg.d_model * cfg.d_ff;
-              const double gemm = env.device_ns(hbm, flops,
-                                                cfg.alu_efficiency);
-              const double bytes = m * cfg.d_model * 4.0 *
-                                   static_cast<double>(p - 1) /
-                                   static_cast<double>(p);
-              const double a2a = env.wire_ns(bytes, inter_fraction(env));
-              est.baseline_ns = gemm + baseline_boundary_ns(env) + a2a;
-              est.fused_ns = std::max(gemm, a2a) + launch_ns(env) +
-                             0.1 * std::min(gemm, a2a) +
-                             2.0 * env.scaleup_latency_ns();
-              est.valid = true;
-              return est;
-            },
-        .work =
-            [](const fw::OpSpec& spec, const CostEnv& env) {
-              const auto& cfg = fw::spec_config<fused::GemmA2AConfig>(spec);
-              return static_cast<double>(env.num_pes()) *
-                     static_cast<double>(cfg.rows_per_origin) *
-                     static_cast<double>(cfg.d_model) *
-                     static_cast<double>(cfg.d_ff);
-            },
-    }};
+const OpCostModel gemm_a2a_model{
+    .estimate =
+        [](const fw::OpSpec& spec, const CostEnv& env) {
+          const auto& cfg = fw::spec_config<fused::GemmA2AConfig>(spec);
+          CostEstimate est;
+          const int p = env.num_pes();
+          const double m = static_cast<double>(p) * cfg.rows_per_origin;
+          const double tiles =
+              std::ceil(m / cfg.block_m) *
+              std::ceil(static_cast<double>(cfg.d_model) / cfg.block_n);
+          const double hbm =
+              tiles *
+              (static_cast<double>(cfg.block_m) * cfg.d_ff +
+               static_cast<double>(cfg.d_ff) * cfg.block_n +
+               static_cast<double>(cfg.block_m) * cfg.block_n) *
+              4.0;
+          const double flops = 2.0 * m * cfg.d_model * cfg.d_ff;
+          const double gemm = env.device_ns(hbm, flops,
+                                            cfg.alu_efficiency);
+          const double bytes = m * cfg.d_model * 4.0 *
+                               static_cast<double>(p - 1) /
+                               static_cast<double>(p);
+          const double a2a = env.wire_ns(bytes, inter_fraction(env));
+          est.baseline_ns = gemm + baseline_boundary_ns(env) + a2a;
+          est.fused_ns = std::max(gemm, a2a) + launch_ns(env) +
+                         0.1 * std::min(gemm, a2a) +
+                         2.0 * env.scaleup_latency_ns();
+          est.valid = true;
+          return est;
+        },
+    .work =
+        [](const fw::OpSpec& spec, const CostEnv& env) {
+          const auto& cfg = fw::spec_config<fused::GemmA2AConfig>(spec);
+          return static_cast<double>(env.num_pes()) *
+                 static_cast<double>(cfg.rows_per_origin) *
+                 static_cast<double>(cfg.d_model) *
+                 static_cast<double>(cfg.d_ff);
+        },
+};
 
 // ---------------------------------------------------------------------------
 // fcc::embedding_a2a
 // ---------------------------------------------------------------------------
 
-const ScorerRegistrar embedding_a2a_model{
-    "fcc::embedding_a2a",
-    OpCostModel{
-        .estimate =
-            [](const fw::OpSpec& spec, const CostEnv& env) {
-              const auto& cfg =
-                  fw::spec_config<fused::EmbeddingA2AConfig>(spec);
-              CostEstimate est;
-              const int p = std::max(1, cfg.map.num_pes);
-              // Pooled lookups this PE produces: its tables x the global
-              // batch; each reads `pooling` rows of `dim` plus indices.
-              const double lookups =
-                  static_cast<double>(cfg.map.tables_per_pe) *
-                  static_cast<double>(cfg.map.global_batch);
-              const double per_lookup_bytes =
-                  static_cast<double>(cfg.pooling) * cfg.map.dim * 4.0 +
-                  static_cast<double>(cfg.pooling) * 4.0 +
-                  static_cast<double>(cfg.map.dim) * 4.0;
-              const double flops =
-                  lookups * static_cast<double>(cfg.pooling) * cfg.map.dim;
-              const double pool =
-                  env.device_ns(lookups * per_lookup_bytes, flops);
-              const double bytes = lookups * cfg.map.dim * 4.0 *
-                                   static_cast<double>(p - 1) /
-                                   static_cast<double>(p);
-              const double a2a = env.wire_ns(bytes, inter_fraction(env));
-              est.baseline_ns = pool + baseline_boundary_ns(env) + a2a;
-              // The fused persistent kernel pays the contention-curve tax
-              // (kFusedEmbeddingCurve's 40% degradation past the knee) on
-              // its HBM stream but hides the exchange entirely.
-              const double fused_pool = env.device_ns(
-                  lookups * per_lookup_bytes * 1.15, flops);
-              est.fused_ns = std::max(fused_pool, a2a) + launch_ns(env) +
-                             2.0 * env.scaleup_latency_ns();
-              est.valid = true;
-              return est;
-            },
-        .work =
-            [](const fw::OpSpec& spec, const CostEnv&) {
-              const auto& cfg =
-                  fw::spec_config<fused::EmbeddingA2AConfig>(spec);
-              return static_cast<double>(cfg.map.tables_per_pe) *
-                     static_cast<double>(cfg.map.global_batch) *
-                     static_cast<double>(cfg.map.dim) *
-                     static_cast<double>(cfg.pooling);
-            },
-    }};
+const OpCostModel embedding_a2a_model{
+    .estimate =
+        [](const fw::OpSpec& spec, const CostEnv& env) {
+          const auto& cfg =
+              fw::spec_config<fused::EmbeddingA2AConfig>(spec);
+          CostEstimate est;
+          const int p = std::max(1, cfg.map.num_pes);
+          // Pooled lookups this PE produces: its tables x the global
+          // batch; each reads `pooling` rows of `dim` plus indices.
+          const double lookups =
+              static_cast<double>(cfg.map.tables_per_pe) *
+              static_cast<double>(cfg.map.global_batch);
+          const double per_lookup_bytes =
+              static_cast<double>(cfg.pooling) * cfg.map.dim * 4.0 +
+              static_cast<double>(cfg.pooling) * 4.0 +
+              static_cast<double>(cfg.map.dim) * 4.0;
+          const double flops =
+              lookups * static_cast<double>(cfg.pooling) * cfg.map.dim;
+          const double pool =
+              env.device_ns(lookups * per_lookup_bytes, flops);
+          const double bytes = lookups * cfg.map.dim * 4.0 *
+                               static_cast<double>(p - 1) /
+                               static_cast<double>(p);
+          const double a2a = env.wire_ns(bytes, inter_fraction(env));
+          est.baseline_ns = pool + baseline_boundary_ns(env) + a2a;
+          // The fused persistent kernel pays the contention-curve tax
+          // (kFusedEmbeddingCurve's 40% degradation past the knee) on
+          // its HBM stream but hides the exchange entirely.
+          const double fused_pool = env.device_ns(
+              lookups * per_lookup_bytes * 1.15, flops);
+          est.fused_ns = std::max(fused_pool, a2a) + launch_ns(env) +
+                         2.0 * env.scaleup_latency_ns();
+          est.valid = true;
+          return est;
+        },
+    .work =
+        [](const fw::OpSpec& spec, const CostEnv&) {
+          const auto& cfg =
+              fw::spec_config<fused::EmbeddingA2AConfig>(spec);
+          return static_cast<double>(cfg.map.tables_per_pe) *
+                 static_cast<double>(cfg.map.global_batch) *
+                 static_cast<double>(cfg.map.dim) *
+                 static_cast<double>(cfg.pooling);
+        },
+};
 
 }  // namespace
+
+const OpCostModel* find_op_model(const std::string& op) {
+  static const std::pair<const char*, const OpCostModel*> kModels[] = {
+      {"fcc::gemv_allreduce", &gemv_allreduce_model},
+      {"fcc::moe_dispatch", &moe_dispatch_model},
+      {"fcc::gemm_a2a", &gemm_a2a_model},
+      {"fcc::embedding_a2a", &embedding_a2a_model},
+  };
+  for (const auto& [name, model] : kModels) {
+    if (op == name) return model;
+  }
+  return nullptr;
+}
+
 }  // namespace fcc::plan

@@ -9,17 +9,157 @@ namespace fcc::plan {
 
 namespace {
 
-std::string cache_key(const PlanReport& report, const PlanOptions& options) {
-  std::ostringstream os;
-  os << report.graph_key << "##" << report.topo_key << "##backend="
-     << (options.default_backend == fw::Backend::kFused ? "fused" : "baseline")
-     << ";cal=" << (options.use_calibration ? 1 : 0) << ";passes=";
-  bool first = true;
-  for (const std::string& p : options.passes) {
-    os << (first ? "" : ",") << p;
-    first = false;
+// The three planning passes, in pipeline order:
+//
+//   fuse-patterns    collapse producer+consumer pattern pairs into
+//                    registered fused ops (pattern nodes are not
+//                    executable, so collapsing is unconditional —
+//                    honesty lives in the next pass)
+//   score-backends   per live node, predict fused vs baseline cost and
+//                    pick the winner's backend — a fused op that scores
+//                    slower than its bulk-synchronous baseline
+//                    (moe_dispatch at T=512) is planned onto the baseline
+//   select-ccl-algo  per baseline collective-bearing node, pick the
+//                    cheapest predicted ccl algorithm (e.g. the
+//                    hierarchical AllReduce on multi-node spans that the
+//                    flat two-phase default leaves on the table)
+//
+// Each pass returns how many changes it made.
+
+/// Relative improvement an algorithm switch must predict before it is
+/// applied. Algo scores are analytic-only (the calibration table corrects
+/// fused-vs-baseline totals, not per-algorithm collective times), and the
+/// closed-form wire model understates the serialization the simulated
+/// communicator pays per peer — bench_plan_quality measures the analytic
+/// hierarchical-vs-two-phase margin running ~20 points optimistic on the
+/// 2x4 machine. The default stands unless the alternative is predicted
+/// far enough ahead to survive that bias.
+constexpr double kAlgoSwitchMargin = 0.25;
+
+int fuse_patterns(fw::Graph& graph, const fw::OpRegistry& registry,
+                  Plan& plan, std::vector<PlanDecision>& decisions) {
+  std::vector<fw::FusedRewrite> rewrites;
+  const int n = rewrite_fused(graph, registry, &rewrites);
+  for (const fw::FusedRewrite& rw : rewrites) {
+    PlanDecision d;
+    d.pass = "fuse-patterns";
+    d.node = rw.consumer;
+    d.op = rw.fused_op;
+    d.label = graph.node(rw.consumer).label;
+    d.accepted = true;
+    d.choice = rw.fused_op;
+    d.why = "pattern pair collapsed (execution backend decided by "
+            "score-backends)";
+    decisions.push_back(std::move(d));
   }
-  return os.str();
+  plan.fused_rewrites.insert(plan.fused_rewrites.end(), rewrites.begin(),
+                             rewrites.end());
+  return n;
+}
+
+int score_backends(const fw::Graph& graph, const CostScorer& scorer,
+                   Plan& plan, std::vector<PlanDecision>& decisions) {
+  int changes = 0;
+  for (int i = 0; i < graph.num_nodes(); ++i) {
+    const fw::GraphNode& node = graph.node(i);
+    if (node.fused_away) continue;
+    CostEstimate est;
+    try {
+      est = scorer.score(node.spec);
+    } catch (const fw::SpecTypeError& e) {
+      // A planner-constructed spec with a bad slot: fail with the node's
+      // identity attached, catchably, instead of aborting mid-plan.
+      throw PlanError(std::string("scoring graph node '") + node.label +
+                      "': " + e.what());
+    }
+    if (!est.valid) continue;  // no model: keep the default backend
+    const fw::Backend chosen = est.winner();
+    const fw::Backend before = plan.backends[static_cast<std::size_t>(i)];
+    plan.backends[static_cast<std::size_t>(i)] = chosen;
+    if (chosen != before) ++changes;
+    PlanDecision d;
+    d.pass = "score-backends";
+    d.node = i;
+    d.op = node.spec.name;
+    d.label = node.label;
+    d.predicted_fused_ns = est.fused_ns;
+    d.predicted_baseline_ns = est.baseline_ns;
+    d.calibrated = est.calibrated;
+    d.accepted = chosen != before;
+    d.choice = chosen == fw::Backend::kFused ? "fused" : "baseline";
+    d.why = chosen == fw::Backend::kFused
+                ? "fused path predicted no slower than the baseline"
+                : "fused path predicted slower — rewrite rejected, "
+                  "bulk-synchronous baseline planned";
+    decisions.push_back(std::move(d));
+  }
+  return changes;
+}
+
+int select_ccl_algo(fw::Graph& graph, const CostEnv& env, Plan& plan,
+                    std::vector<PlanDecision>& decisions) {
+  int changes = 0;
+  for (int i = 0; i < graph.num_nodes(); ++i) {
+    const fw::GraphNode& node = graph.node(i);
+    if (node.fused_away) continue;
+    if (plan.backends[static_cast<std::size_t>(i)] != fw::Backend::kBaseline) {
+      continue;  // fused kernels own their communication schedule
+    }
+    const OpCostModel* model = find_op_model(node.spec.name);
+    if (model == nullptr || model->allreduce_candidates.empty() ||
+        model->allreduce_time == nullptr ||
+        model->set_allreduce_algo == nullptr) {
+      continue;
+    }
+    const ccl::AllReduceAlgo current =
+        model->allreduce_algo != nullptr
+            ? model->allreduce_algo(node.spec)
+            : ccl::AllReduceAlgo::kTwoPhaseDirect;
+    double current_ns = 0.0;
+    ccl::AllReduceAlgo best = current;
+    double best_ns = 0.0;
+    try {
+      current_ns = model->allreduce_time(node.spec, env, current);
+      best_ns = current_ns;
+      for (const ccl::AllReduceAlgo algo : model->allreduce_candidates) {
+        const double t = model->allreduce_time(node.spec, env, algo);
+        if (t < best_ns) {
+          best = algo;
+          best_ns = t;
+        }
+      }
+    } catch (const fw::SpecTypeError& e) {
+      throw PlanError(std::string("selecting ccl algo for graph node '") +
+                      node.label + "': " + e.what());
+    }
+    const bool apply =
+        best != current && best_ns < current_ns * (1.0 - kAlgoSwitchMargin);
+    if (apply) {
+      model->set_allreduce_algo(graph.mutable_spec(i), best);
+      plan.allreduce_algos.push_back(AlgoChoice{i, best});
+      ++changes;
+    }
+    PlanDecision d;
+    d.pass = "select-ccl-algo";
+    d.node = i;
+    d.op = node.spec.name;
+    d.label = node.label;
+    // Re-purpose the cost pair as chosen-vs-incumbent collective time.
+    d.predicted_fused_ns = best_ns;
+    d.predicted_baseline_ns = current_ns;
+    d.accepted = apply;
+    d.choice = allreduce_algo_name(apply ? best : current);
+    d.why = apply ? "predicted clearly faster than the incumbent algorithm"
+                  : "no candidate beat the incumbent by the switch margin";
+    decisions.push_back(std::move(d));
+  }
+  return changes;
+}
+
+std::string cache_key(const PlanReport& report, const PlanOptions& options) {
+  return report.graph_key + "##" + report.topo_key + "##backend=" +
+         (options.default_backend == fw::Backend::kFused ? "fused"
+                                                         : "baseline");
 }
 
 /// Replay a cached plan's decisions onto a fresh graph copy: collapse the
@@ -29,7 +169,7 @@ void replay(fw::Graph& graph, const Plan& plan) {
   apply_fused_rewrites(graph, plan.fused_rewrites);
   for (const AlgoChoice& choice : plan.allreduce_algos) {
     fw::OpSpec& spec = graph.mutable_spec(choice.node);
-    const OpCostModel* model = ScorerRegistry::global().find(spec.name);
+    const OpCostModel* model = find_op_model(spec.name);
     if (model != nullptr && model->set_allreduce_algo != nullptr) {
       model->set_allreduce_algo(spec, choice.algo);
     }
@@ -98,19 +238,14 @@ Planned Planner::plan(const fw::Graph& graph,
 
   CostEnv env;
   env.machine = machine;
-  const CostScorer scorer(env, options.use_calibration,
-                          ScorerRegistry::global(),
-                          options.use_calibration ? builtin_calibration()
-                                                  : empty_calibration());
-  PassContext ctx;
-  ctx.registry = &registry_;
-  ctx.machine = &machine;
-  ctx.scorer = &scorer;
-  ctx.plan = &out.plan;
-  ctx.report = &report;
-
-  const PassManager pm(options.passes);
-  report.passes = pm.run(out.graph, ctx);
+  const CostScorer scorer(env, builtin_calibration());
+  std::vector<PlanDecision>& log = report.decisions;
+  report.passes.push_back(
+      {"fuse-patterns", fuse_patterns(out.graph, registry_, out.plan, log)});
+  report.passes.push_back(
+      {"score-backends", score_backends(out.graph, scorer, out.plan, log)});
+  report.passes.push_back(
+      {"select-ccl-algo", select_ccl_algo(out.graph, env, out.plan, log)});
 
   // Every node the pipeline left live must be dispatchable — surface the
   // registry's unknown-op error (with the full registered-op list) as a

@@ -1,4 +1,5 @@
-// The planning front-end: fingerprint, cache-lookup, pass pipeline.
+// The planning front-end: fingerprint, cache-lookup, then three fixed
+// passes in order: fuse-patterns, score-backends, select-ccl-algo.
 //
 // Planner::plan() takes an application graph and a machine description and
 // returns the lowered graph plus per-node execution decisions — which
@@ -22,7 +23,6 @@
 #include "framework/graph.h"
 #include "framework/op_registry.h"
 #include "gpu/machine.h"
-#include "plan/pass_manager.h"
 #include "plan/plan_cache.h"
 
 namespace fcc::plan {
@@ -43,10 +43,13 @@ struct PlanOptions {
   fw::Backend default_backend = fw::Backend::kFused;
   /// Optional shared cache; nullptr plans cold every time.
   PlanCache* cache = nullptr;
-  /// Pass pipeline; empty = every default-on registered pass in order.
-  std::vector<std::string> passes;
-  /// Apply measured-anchor corrections to analytic scores.
-  bool use_calibration = true;
+};
+
+/// One pass's run: its name and how many changes it made (rewrites
+/// applied, backends or algorithms switched).
+struct PassRun {
+  std::string name;
+  int changes = 0;
 };
 
 struct PlanReport {
@@ -54,7 +57,7 @@ struct PlanReport {
   std::string topo_key;
   bool cacheable = true;  // graph fingerprint was exact
   bool cache_hit = false;
-  std::vector<PassManager::PassRun> passes;  // empty on a cache hit
+  std::vector<PassRun> passes;  // empty on a cache hit
   std::vector<PlanDecision> decisions;
   /// Host wall-clock spent planning (informational; not part of any
   /// simulated timing or determinism surface).

@@ -13,7 +13,7 @@ TorusSpec torus_for_nodes(int nodes, const TorusSpec& base) {
   FCC_CHECK(nodes >= 1);
   TorusSpec t = base;
   int x = 1;
-  // Largest power-of-two-ish factor <= sqrt(nodes).
+  // Largest divisor <= sqrt(nodes); the other side is nodes / x.
   for (int cand = 1; cand * cand <= nodes; ++cand) {
     if (nodes % cand == 0) x = cand;
   }

@@ -185,7 +185,7 @@ class Simulator {
   void note_service(int cls, TimeNs service_ns);
   bool browned_out(int cls) const;
 
-  /// Plans every class chain through the pass pipeline, filling
+  /// Plans every class chain through the planner, filling
   /// planned_chains_ with each stage's (possibly algorithm-steered) spec
   /// and chosen backend, and plan_summary_/plan_reports_ with the
   /// accounting. No-op when cfg_.planner is off.

@@ -9,7 +9,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/engine.h"
@@ -96,55 +95,6 @@ class Condition {
  private:
   Engine& engine_;
   std::vector<std::coroutine_handle<>> waiters_;
-};
-
-/// Counting semaphore with FIFO handoff (a released permit goes to the
-/// longest-waiting process, not back to the pool, so no waiter starves).
-/// Already a targeted wakeup: release() resumes exactly one waiter, whose
-/// permit is in hand — no re-check loop.
-class Semaphore {
- public:
-  Semaphore(Engine& e, std::int64_t initial) : engine_(e), count_(initial) {
-    FCC_CHECK(initial >= 0);
-  }
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-  ~Semaphore() {
-    FCC_CHECK_MSG(waiters_.empty(), "Semaphore destroyed with waiters");
-  }
-
-  auto acquire() {
-    struct Awaiter {
-      Semaphore& s;
-      bool await_ready() const noexcept {
-        if (s.count_ > 0 && s.waiters_.empty()) {
-          --s.count_;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) { s.waiters_.push_back(h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  void release() {
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      engine_.schedule_resume_after(0, h);
-    } else {
-      ++count_;
-    }
-  }
-
-  std::int64_t available() const { return count_; }
-
- private:
-  Engine& engine_;
-  std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 /// Join counter: tracks N outstanding sub-activities; `done` fires when all

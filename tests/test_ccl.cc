@@ -157,88 +157,24 @@ TEST(AllToAll, InterNodeRidesNic) {
   EXPECT_GT(m.nic(0).messages(), 0);
 }
 
-sim::Task run_reduce_scatter(sim::Engine& e, Communicator& comm,
-                             std::int64_t chunk, FloatBufs bufs,
-                             TimeNs& done) {
-  co_await comm.reduce_scatter(chunk, std::move(bufs));
-  done = e.now();
-}
-
-TEST(ReduceScatter, EachRankOwnsReducedChunk) {
-  gpu::Machine m(four_gpus());
-  Communicator comm(m, all_pes(m));
-  const std::int64_t chunk = 4;
-  std::vector<std::vector<float>> data(4);
-  for (int r = 0; r < 4; ++r) {
-    data[static_cast<size_t>(r)].resize(static_cast<size_t>(4 * chunk));
-    for (int c = 0; c < 4; ++c) {
-      for (int i = 0; i < chunk; ++i) {
-        data[static_cast<size_t>(r)][static_cast<size_t>(c * chunk + i)] =
-            static_cast<float>(r + 1);  // rank-constant
-      }
-    }
-  }
-  TimeNs done = 0;
-  run_reduce_scatter(m.engine(), comm, chunk, make_bufs(data), done);
-  m.engine().run();
-  // Sum over ranks of (r+1) = 10 everywhere.
-  for (int r = 0; r < 4; ++r) {
-    for (int i = 0; i < chunk; ++i) {
-      EXPECT_FLOAT_EQ(data[static_cast<size_t>(r)][static_cast<size_t>(i)],
-                      10.0f);
-    }
-  }
-}
-
-sim::Task run_all_gather(sim::Engine& e, Communicator& comm,
-                         std::int64_t chunk, FloatBufs bufs, TimeNs& done) {
-  co_await comm.all_gather(chunk, std::move(bufs));
-  done = e.now();
-}
-
-TEST(AllGather, ReplicatesEveryChunkEverywhere) {
-  gpu::Machine m(four_gpus());
-  Communicator comm(m, all_pes(m));
-  const std::int64_t chunk = 4;
-  std::vector<std::vector<float>> data(4);
-  for (int r = 0; r < 4; ++r) {
-    data[static_cast<size_t>(r)].assign(static_cast<size_t>(4 * chunk), 0.f);
-    for (int i = 0; i < chunk; ++i) {
-      data[static_cast<size_t>(r)][static_cast<size_t>(r * chunk + i)] =
-          static_cast<float>(r + 1);
-    }
-  }
-  TimeNs done = 0;
-  run_all_gather(m.engine(), comm, chunk, make_bufs(data), done);
-  m.engine().run();
-  for (int r = 0; r < 4; ++r) {
-    for (int src = 0; src < 4; ++src) {
-      for (int i = 0; i < chunk; ++i) {
-        EXPECT_FLOAT_EQ(
-            data[static_cast<size_t>(r)][static_cast<size_t>(src * chunk + i)],
-            static_cast<float>(src + 1));
-      }
-    }
-  }
-}
-
-sim::Task run_broadcast(sim::Engine& e, Communicator& comm, std::int64_t n,
-                        int root, FloatBufs bufs, TimeNs& done) {
-  co_await comm.broadcast(n, root, std::move(bufs));
-  done = e.now();
-}
-
-TEST(Broadcast, RootValueEverywhere) {
-  gpu::Machine m(four_gpus());
-  Communicator comm(m, all_pes(m));
-  std::vector<std::vector<float>> data(4, std::vector<float>(8, 0.f));
-  for (int i = 0; i < 8; ++i) data[2][static_cast<size_t>(i)] = 42.0f;
-  TimeNs done = 0;
-  run_broadcast(m.engine(), comm, 8, 2, make_bufs(data), done);
-  m.engine().run();
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_FLOAT_EQ(data[static_cast<size_t>(r)][7], 42.0f);
-  }
+// Every recv rank must hold N chunks, like every send rank. The check fires
+// inside the collective's coroutine, where an escaping exception ends the
+// process (the engine's policy), so this is a death test on its message.
+TEST(AllToAll, UndersizedRecvBufferFailsTheCheck) {
+  const auto run = [] {
+    gpu::Machine m(four_gpus());
+    Communicator comm(m, all_pes(m));
+    const std::int64_t chunk = 8;
+    std::vector<std::vector<float>> send(4, std::vector<float>(4 * chunk));
+    std::vector<std::vector<float>> recv(4, std::vector<float>(4 * chunk));
+    recv[3] = std::vector<float>(3 * chunk);  // one chunk short, exactly
+    TimeNs done = 0;
+    run_all_to_all(m.engine(), comm, chunk, make_bufs(send), make_bufs(recv),
+                   done);
+    m.engine().run();
+  };
+  EXPECT_DEATH(run(), "logic_error(.|\n)*check failed: "
+                      "recv\\.rank\\(r\\)\\.size\\(\\) >= total");
 }
 
 TEST(AllReduce, TwoPhaseScalesWithMessageSize) {

@@ -1,10 +1,9 @@
-// Extended collectives: all_to_all_v, gather/scatter, reduce, barrier.
+// The uneven All-to-All (all_to_all_v): ragged and empty segments.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "ccl/communicator.h"
-#include "common/rng.h"
 #include "gpu/machine.h"
 #include "sim/task.h"
 
@@ -85,106 +84,6 @@ TEST(AllToAllV, ZeroCountsAreLegal) {
   drive_a2av(m.engine(), comm, counts, FloatBufs{}, FloatBufs{}, dur);
   m.engine().run();
   EXPECT_GE(dur, Communicator::kSwOverheadNs);
-}
-
-sim::Task drive_gather(sim::Engine&, Communicator& comm, std::int64_t chunk,
-                       int root, FloatBufs bufs, bool& done) {
-  co_await comm.gather(chunk, root, std::move(bufs));
-  done = true;
-}
-
-TEST(Gather, RootCollectsSourceMajor) {
-  gpu::Machine m(four_gpus());
-  Communicator comm(m, all_pes(m));
-  const std::int64_t chunk = 4;
-  std::vector<std::vector<float>> data(4, std::vector<float>(16, 0.f));
-  for (int r = 0; r < 4; ++r) {
-    for (int i = 0; i < chunk; ++i) {
-      data[static_cast<size_t>(r)][static_cast<size_t>(r * chunk + i)] =
-          static_cast<float>(10 * r + i);
-    }
-  }
-  bool done = false;
-  drive_gather(m.engine(), comm, chunk, /*root=*/2, make_bufs(data), done);
-  m.engine().run();
-  ASSERT_TRUE(done);
-  for (int src = 0; src < 4; ++src) {
-    for (int i = 0; i < chunk; ++i) {
-      EXPECT_FLOAT_EQ(data[2][static_cast<size_t>(src * chunk + i)],
-                      static_cast<float>(10 * src + i));
-    }
-  }
-}
-
-sim::Task drive_scatter(sim::Engine&, Communicator& comm, std::int64_t chunk,
-                        int root, FloatBufs bufs, bool& done) {
-  co_await comm.scatter(chunk, root, std::move(bufs));
-  done = true;
-}
-
-TEST(Scatter, LeavesRootChunkAndDistributesRest) {
-  gpu::Machine m(four_gpus());
-  Communicator comm(m, all_pes(m));
-  const std::int64_t chunk = 3;
-  std::vector<std::vector<float>> data(4, std::vector<float>(12, -1.f));
-  for (int d = 0; d < 4; ++d) {
-    for (int i = 0; i < chunk; ++i) {
-      data[1][static_cast<size_t>(d * chunk + i)] =
-          static_cast<float>(100 + 10 * d + i);
-    }
-  }
-  bool done = false;
-  drive_scatter(m.engine(), comm, chunk, /*root=*/1, make_bufs(data), done);
-  m.engine().run();
-  ASSERT_TRUE(done);
-  for (int d = 0; d < 4; ++d) {
-    if (d == 1) continue;
-    for (int i = 0; i < chunk; ++i) {
-      EXPECT_FLOAT_EQ(data[static_cast<size_t>(d)][static_cast<size_t>(i)],
-                      static_cast<float>(100 + 10 * d + i));
-    }
-  }
-}
-
-sim::Task drive_reduce(sim::Engine&, Communicator& comm, std::int64_t n,
-                       int root, FloatBufs bufs, bool& done) {
-  co_await comm.reduce(n, root, std::move(bufs));
-  done = true;
-}
-
-TEST(Reduce, RootHoldsSumOthersUntouched) {
-  gpu::Machine m(four_gpus());
-  Communicator comm(m, all_pes(m));
-  std::vector<std::vector<float>> data(4, std::vector<float>(8));
-  for (int r = 0; r < 4; ++r) {
-    for (int i = 0; i < 8; ++i) {
-      data[static_cast<size_t>(r)][static_cast<size_t>(i)] =
-          static_cast<float>(r + 1);
-    }
-  }
-  bool done = false;
-  drive_reduce(m.engine(), comm, 8, /*root=*/0, make_bufs(data), done);
-  m.engine().run();
-  ASSERT_TRUE(done);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_FLOAT_EQ(data[0][static_cast<size_t>(i)], 10.0f);  // 1+2+3+4
-    EXPECT_FLOAT_EQ(data[3][static_cast<size_t>(i)], 4.0f);   // untouched
-  }
-}
-
-sim::Task drive_barrier(sim::Engine&, Communicator& comm, TimeNs& dur) {
-  co_await comm.barrier();
-  dur = comm.last_duration();
-}
-
-TEST(Barrier, CostsSignalExchangePlusFloor) {
-  gpu::Machine m(four_gpus());
-  Communicator comm(m, all_pes(m));
-  TimeNs dur = 0;
-  drive_barrier(m.engine(), comm, dur);
-  m.engine().run();
-  EXPECT_GE(dur, Communicator::kSwOverheadNs);
-  EXPECT_LT(dur, Communicator::kSwOverheadNs + us_to_ns(10.0));
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "common/csv.h"
 #include "common/math_util.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/table.h"
 #include "common/types.h"
 
@@ -94,24 +93,6 @@ TEST(MathUtil, Pow2AndPopcount) {
 TEST(MathUtil, RelDiff) {
   EXPECT_NEAR(rel_diff(100.0, 90.0), 0.1, 1e-12);
   EXPECT_EQ(rel_diff(0.0, 0.0), 0.0);
-}
-
-TEST(Stats, RunningStatsMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_NEAR(s.mean(), 5.0, 1e-12);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-}
-
-TEST(Stats, Percentiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(s.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(s.percentile(50), 50.5, 1e-9);
 }
 
 TEST(Table, RendersAllCells) {

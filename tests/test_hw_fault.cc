@@ -336,12 +336,13 @@ TEST(DegradedCollectives, DeadRailDropsHierarchyAndRecovers) {
   mc.topology.kind = hw::TopologySpec::Kind::kMultiRail;
   mc.topology.nic_rails = 2;
   gpu::Machine m(mc);
-  Communicator comm(m, all_pes(m));
+  const std::vector<PeId> pes = all_pes(m);
+  Communicator comm(m, pes);
+  hw::Topology& topo = m.topology();
   EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
   EXPECT_EQ(comm.select_a2a(), AllToAllAlgo::kNodeAggregate);
-  EXPECT_FALSE(comm.degraded_plan().degraded);
+  EXPECT_TRUE(topo.degraded_components(pes).empty());
 
-  hw::Topology& topo = m.topology();
   hw::FaultEvent ev;
   ev.kind = hw::FaultKind::kDead;
   ev.site = topo.fault_site_index("node0.rail0");
@@ -350,12 +351,8 @@ TEST(DegradedCollectives, DeadRailDropsHierarchyAndRecovers) {
 
   EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
   EXPECT_EQ(comm.select_a2a(), AllToAllAlgo::kPairwise);
-  const DegradedPlan plan = comm.degraded_plan();
-  EXPECT_TRUE(plan.degraded);
-  ASSERT_EQ(plan.avoided.size(), 1u);
-  EXPECT_EQ(plan.avoided[0], "node0.rail0");
-  EXPECT_DOUBLE_EQ(plan.allreduce_traffic_factor, 4.0);
-  EXPECT_DOUBLE_EQ(plan.a2a_message_factor, 16.0);
+  EXPECT_EQ(topo.degraded_components(pes),
+            std::vector<std::string>{"node0.rail0"});
 
   // kAuto must complete on the degraded fabric: the flat algorithm's writes
   // fail over to the surviving rail instead of throwing.
@@ -367,7 +364,8 @@ TEST(DegradedCollectives, DeadRailDropsHierarchyAndRecovers) {
   ev.kind = hw::FaultKind::kRepair;
   topo.apply_fault(ev);
   EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
-  EXPECT_FALSE(comm.degraded_plan().degraded);
+  EXPECT_EQ(comm.select_a2a(), AllToAllAlgo::kNodeAggregate);
+  EXPECT_TRUE(topo.degraded_components(pes).empty());
 }
 
 TEST(DegradedCollectives, DeratedWireAlsoDropsHierarchy) {
@@ -375,7 +373,8 @@ TEST(DegradedCollectives, DeratedWireAlsoDropsHierarchy) {
   mc.num_nodes = 2;
   mc.gpus_per_node = 4;
   gpu::Machine m(mc);  // fully-connected default
-  Communicator comm(m, all_pes(m));
+  const std::vector<PeId> pes = all_pes(m);
+  Communicator comm(m, pes);
   EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
 
   hw::Topology& topo = m.topology();
@@ -386,13 +385,13 @@ TEST(DegradedCollectives, DeratedWireAlsoDropsHierarchy) {
   ASSERT_GE(ev.site, 0);
   topo.apply_fault(ev);
 
-  const DegradedPlan plan = comm.degraded_plan();
-  EXPECT_TRUE(plan.degraded);
-  EXPECT_EQ(plan.allreduce, AllReduceAlgo::kTwoPhaseDirect);
+  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
+  EXPECT_EQ(comm.select_a2a(), AllToAllAlgo::kPairwise);
   // The wire's ill-health surfaces through its owning NIC site ("node1");
   // either spelling identifies the degraded component.
-  ASSERT_FALSE(plan.avoided.empty());
-  EXPECT_EQ(plan.avoided[0].rfind("node1", 0), 0u);
+  const std::vector<std::string> avoided = topo.degraded_components(pes);
+  ASSERT_FALSE(avoided.empty());
+  EXPECT_EQ(avoided[0].rfind("node1", 0), 0u);
 }
 
 }  // namespace

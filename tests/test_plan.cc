@@ -1,7 +1,8 @@
-// The planning subsystem: pass registry/order, the LRU PlanCache,
+// The planning subsystem: the fixed pass order, the LRU PlanCache,
 // fingerprint exactness and collision-freedom, calibration honesty at the
 // measured moe_dispatch T=512 crossover, planner determinism, warm-cache
-// replay, and the actionable planning error paths.
+// replay, Session::run(Graph) bypassing the planner, and the actionable
+// planning error paths.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -14,7 +15,6 @@
 #include "fused/moe_dispatch.h"
 #include "plan/calibration.h"
 #include "plan/cost_scorer.h"
-#include "plan/pass_manager.h"
 #include "plan/plan_cache.h"
 #include "plan/planner.h"
 
@@ -50,52 +50,6 @@ fw::Graph moe_graph(int tokens) {
   auto out = g.tensor("routed");
   g.add(fw::make_spec("fcc::moe_dispatch", cfg), {}, {out}, "moe");
   return g;
-}
-
-// ---------------------------------------------------------------------------
-// Pass registry and manager
-// ---------------------------------------------------------------------------
-
-TEST(PassRegistry, BuiltinPassesRegisteredInPipelineOrder) {
-  const auto passes = PassRegistry::global().ordered();
-  std::vector<std::string> names;
-  for (const Pass* p : passes) names.push_back(p->info.name);
-  // The three built-ins, in explicit (order, name) sequence — independent
-  // of TU link order.
-  ASSERT_GE(names.size(), 3u);
-  EXPECT_EQ(names[0], "fuse-patterns");
-  EXPECT_EQ(names[1], "score-backends");
-  EXPECT_EQ(names[2], "select-ccl-algo");
-  int last_order = -1;
-  for (const Pass* p : passes) {
-    EXPECT_GE(p->info.order, last_order);
-    last_order = p->info.order;
-  }
-}
-
-TEST(PassManager, UnknownPassNameThrowsListingRegistered) {
-  try {
-    PassManager pm({"no-such-pass"});
-    FAIL() << "expected logic_error";
-  } catch (const std::logic_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("no-such-pass"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("fuse-patterns"), std::string::npos) << msg;
-  }
-}
-
-TEST(PassManager, ExplicitSubsetRunsExactlyThosePasses) {
-  fw::Graph g = gemv_graph(512, 1024);
-  Plan plan;
-  plan.backends.assign(static_cast<std::size_t>(g.num_nodes()),
-                       fw::Backend::kFused);
-  PassContext ctx;
-  ctx.plan = &plan;
-  const PassManager pm({"fuse-patterns"});
-  const auto runs = pm.run(g, ctx);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].name, "fuse-patterns");
-  EXPECT_EQ(runs[0].changes, 0);  // already a fused op, nothing to collapse
 }
 
 // ---------------------------------------------------------------------------
@@ -286,7 +240,14 @@ TEST(PlannerDeterminism, WarmCacheHitReplaysByteIdentically) {
   fw::Session cold_session(smoke_machine());
   const auto cold = cold_session.run_planned(gemv_graph(512, 1024), options);
   EXPECT_FALSE(cold.planned.report.cache_hit);
-  EXPECT_FALSE(cold.planned.report.passes.empty());
+  // A cold plan runs the three passes, in pipeline order.
+  std::vector<std::string> pass_names;
+  for (const PassRun& run : cold.planned.report.passes) {
+    pass_names.push_back(run.name);
+  }
+  EXPECT_EQ(pass_names, (std::vector<std::string>{
+                            "fuse-patterns", "score-backends",
+                            "select-ccl-algo"}));
 
   fw::Session warm_session(smoke_machine());
   const auto warm = warm_session.run_planned(gemv_graph(512, 1024), options);
@@ -302,6 +263,29 @@ TEST(PlannerDeterminism, WarmCacheHitReplaysByteIdentically) {
   }
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().misses, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Session::run(Graph) never plans
+// ---------------------------------------------------------------------------
+
+// A node the planner moves onto the baseline still runs on the backend the
+// caller asked for.
+TEST(SessionRunGraph, KeepsEveryNodeOnTheRequestedBackend) {
+  const fw::Graph g = moe_graph(512);
+  fw::Session planned_session(smoke_machine());
+  const auto planned = planned_session.run_planned(g);
+  ASSERT_EQ(planned.planned.backends().at(0), fw::Backend::kBaseline);
+
+  fw::Session graph_session(smoke_machine());
+  const fw::GraphResult gr = graph_session.run(g, fw::Backend::kFused);
+  fw::Session op_session(smoke_machine());
+  const fused::OperatorResult fused_op =
+      op_session.run(g.node(0).spec, fw::Backend::kFused);
+  ASSERT_EQ(gr.nodes.size(), 1u);
+  EXPECT_EQ(gr.nodes[0].result.duration(), fused_op.duration());
+  EXPECT_NE(gr.nodes[0].result.duration(),
+            planned.result.nodes.at(0).result.duration());
 }
 
 // ---------------------------------------------------------------------------

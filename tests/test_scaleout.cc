@@ -115,8 +115,8 @@ TEST(TrainingSim, FusedBeatsBaselineAt128Nodes) {
   const auto base = sim.simulate(false);
   const auto fused = sim.simulate(true);
   EXPECT_LT(fused.total, base.total);
-  // Paper Fig. 15: ~21% reduction. Accept the band 10-35% here; the bench
-  // records the exact number in EXPERIMENTS.md.
+  // Paper Fig. 15: ~21% reduction. Accept the band 10-35% here; the exact
+  // number is bench_fig15_scaleout_dlrm's (see docs/BENCHMARKS.md).
   const double reduction =
       1.0 - static_cast<double>(fused.total) / base.total;
   EXPECT_GT(reduction, 0.10);

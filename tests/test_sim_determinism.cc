@@ -107,7 +107,7 @@ TimingTrace mixed_workload() {
   return collect(m, w, {&gemv, &moe});
 }
 
-/// Baselines under the same mixing (collective paths, Semaphore/quiet).
+/// Baselines under the same mixing (stream kernels and ccl collectives).
 TimingTrace mixed_baselines() {
   gpu::Machine::Config mc;
   mc.num_nodes = 1;

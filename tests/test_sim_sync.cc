@@ -1,4 +1,4 @@
-// Synchronization primitives: OneShot, Condition, Semaphore, JoinCounter.
+// Synchronization primitives: OneShot, Condition, JoinCounter.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -76,35 +76,6 @@ TEST(Condition, PredicateLoopsWakeAtRightTimes) {
   e.run();
   EXPECT_EQ(log, (std::vector<TimeNs>{20, 50}));
   EXPECT_EQ(e.live_tasks(), 0);
-}
-
-Task sem_user(Engine& e, Semaphore& s, TimeNs hold, std::vector<TimeNs>& log) {
-  co_await s.acquire();
-  log.push_back(e.now());
-  co_await delay(e, hold);
-  s.release();
-}
-
-TEST(Semaphore, SerializesBeyondCapacity) {
-  Engine e;
-  Semaphore s(e, 2);
-  std::vector<TimeNs> starts;
-  for (int i = 0; i < 4; ++i) sem_user(e, s, 100, starts);
-  e.run();
-  // Two run immediately; the next two start as permits free up.
-  EXPECT_EQ(starts, (std::vector<TimeNs>{0, 0, 100, 100}));
-  EXPECT_EQ(s.available(), 2);
-}
-
-TEST(Semaphore, FifoHandoff) {
-  Engine e;
-  Semaphore s(e, 1);
-  std::vector<TimeNs> starts;
-  sem_user(e, s, 10, starts);
-  sem_user(e, s, 20, starts);
-  sem_user(e, s, 30, starts);
-  e.run();
-  EXPECT_EQ(starts, (std::vector<TimeNs>{0, 10, 30}));
 }
 
 Task join_worker(Engine& e, JoinCounter& j, TimeNs dur) {

@@ -26,6 +26,28 @@ EmbeddingA2AData EmbeddingA2AData::random(const EmbeddingA2AConfig& cfg,
   return d;
 }
 
+namespace {
+
+/// Construction-time checks shared by the fused and baseline operators:
+/// each rejected value used to abort mid-run or time zero-cost WGs.
+void check_config(const EmbeddingA2AConfig& cfg, const shmem::World& world,
+                  const EmbeddingA2AData* data) {
+  cfg.map.validate();
+  FCC_CHECK(cfg.map.num_pes == world.n_pes());
+  FCC_CHECK_MSG(cfg.pooling >= 1, "EmbeddingA2AConfig::pooling must be >= 1 "
+                                  "(lookups per output vector), got "
+                                      << cfg.pooling);
+  FCC_CHECK_MSG(cfg.bookkeeping_ns >= 0,
+                "EmbeddingA2AConfig::bookkeeping_ns must be >= 0, got "
+                    << cfg.bookkeeping_ns);
+  if (cfg.functional) {
+    FCC_CHECK_MSG(data != nullptr && data->output != nullptr,
+                  "functional mode needs EmbeddingA2AData");
+  }
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Fused operator
 // ---------------------------------------------------------------------------
@@ -34,12 +56,7 @@ FusedEmbeddingAllToAll::FusedEmbeddingAllToAll(shmem::World& world,
                                                EmbeddingA2AConfig cfg,
                                                EmbeddingA2AData* data)
     : FusedOp(world), cfg_(std::move(cfg)), data_(data) {
-  cfg_.map.validate();
-  FCC_CHECK(cfg_.map.num_pes == world_.n_pes());
-  if (cfg_.functional) {
-    FCC_CHECK_MSG(data_ != nullptr && data_->output != nullptr,
-                  "functional mode needs EmbeddingA2AData");
-  }
+  check_config(cfg_, world_, data_);
   // Launch at the lesser of the occupancy limit and the HBM-contention
   // knee: Fig. 13 shows the memory-intensive fused kernel degrades past
   // ~75% occupancy, so the persistent grid is tuned to the knee.
@@ -73,13 +90,17 @@ sim::Co FusedEmbeddingAllToAll::run() {
   const auto& map = cfg_.map;
   const int pes = map.num_pes;
 
-  // Reset per-run state. wg_done_/stage_ are written only by each owning
-  // PE's WG bodies on its home shard; slice_rdy_ wakes waiters on each PE's
-  // home engine (the World form of reset).
-  wg_done_.assign(static_cast<std::size_t>(pes),
-                  std::vector<shmem::WgDoneMask>(
-                      static_cast<std::size_t>(map.num_slices()),
-                      shmem::WgDoneMask(map.wgs_per_slice())));
+  // The WG costs' duration tables are built here, once, before any PE body
+  // exists: on a sharded machine the bodies read them from several threads.
+  if (wg_cost_[0].by_active.empty()) {
+    for (gpu::WorkCost& c : wg_cost_) {
+      world_.machine().device(0).tabulate(c, slots_per_pe_);
+    }
+  }
+  // Reset per-run state. wg_done_/stage_ rows are written only by each
+  // owning PE's WG bodies on its home shard; slice_rdy_ wakes waiters on
+  // each PE's home engine (the World form of reset).
+  wg_done_.reset(pes, map.num_slices(), map.wgs_per_slice());
   slice_rdy_.reset(world_, static_cast<std::size_t>(map.num_slices()));
   if (cfg_.functional) {
     stage_.assign(static_cast<std::size_t>(pes),
@@ -122,16 +143,17 @@ sim::Co FusedEmbeddingAllToAll::pe_slot(gpu::KernelRun& run, PeId pe,
   auto& machine = world_.machine();
   auto& dev = machine.device(pe);
   for (int lw; (lw = co_await run.next(slot)) >= 0;) {
-    const PeId dest = cfg_.map.dest_of_sample(cfg_.map.wg_sample(lw));
-    const bool zero_copy = zero_copy_to(pe, dest);
+    const SliceMap::Placement at = cfg_.map.place(lw);
+    const bool zero_copy = zero_copy_to(pe, at.dest);
     const TimeNs t_begin = machine.engine_of(pe).now();
     co_await dev.compute(wg_cost_[zero_copy ? 1 : 0]);
 
-    std::function<void()> deliver = pool_wg(pe, lw, dest, zero_copy);
+    std::function<void()> deliver = pool_wg(pe, lw, at, zero_copy);
     if (zero_copy) {
       // Scale-up path: this WG's threads store the vector straight into
       // the destination GPU's output buffer.
-      co_await world_.put_nbi(pe, dest, static_cast<Bytes>(cfg_.map.dim) * 4,
+      co_await world_.put_nbi(pe, at.dest,
+                              static_cast<Bytes>(cfg_.map.dim) * 4,
                               shmem::World::IssueKind::kStore,
                               std::move(deliver));
     }
@@ -143,10 +165,8 @@ sim::Co FusedEmbeddingAllToAll::pe_slot(gpu::KernelRun& run, PeId pe,
 
     // WG_Done bookkeeping; the last finishing WG of the slice emits it.
     co_await dev.busy_wait(cfg_.bookkeeping_ns);
-    const int slice = cfg_.map.slice_of_wg(lw);
-    if (wg_done_[static_cast<std::size_t>(pe)][static_cast<std::size_t>(slice)]
-            .set_and_check_last(cfg_.map.lane_in_slice(lw))) {
-      co_await emit_slice_from_slot(pe, slot, slice);
+    if (wg_done_.mark(pe, at.slice, at.lane)) {
+      co_await emit_slice_from_slot(pe, slot, at.slice);
     }
   }
 
@@ -162,9 +182,8 @@ bool FusedEmbeddingAllToAll::zero_copy_to(PeId pe, PeId dest) const {
          world_.machine().route_class(pe, dest) == hw::RouteClass::kIntraNode;
 }
 
-std::function<void()> FusedEmbeddingAllToAll::pool_wg(PeId pe, int lw,
-                                                       PeId dest,
-                                                       bool zero_copy) {
+std::function<void()> FusedEmbeddingAllToAll::pool_wg(
+    PeId pe, int lw, const SliceMap::Placement& at, bool zero_copy) {
   if (!cfg_.functional) return {};
   const auto& map = cfg_.map;
   const int t = map.wg_table(lw);
@@ -175,6 +194,7 @@ std::function<void()> FusedEmbeddingAllToAll::pool_wg(PeId pe, int lw,
                       data_->batches[static_cast<std::size_t>(pe)], t, b, vec);
   const int lb = b % map.local_batch();
   const int gt = map.global_table(pe, t);
+  const PeId dest = at.dest;
   if (dest == pe) {
     auto out = data_->output->pe(pe);
     for (int c = 0; c < map.dim; ++c) {
@@ -191,12 +211,12 @@ std::function<void()> FusedEmbeddingAllToAll::pool_wg(PeId pe, int lw,
     };
   }
   auto& st = stage_[static_cast<std::size_t>(pe)]
-                   [static_cast<std::size_t>(map.slice_of_wg(lw))];
+                   [static_cast<std::size_t>(at.slice)];
   if (st.empty()) {
     st.resize(static_cast<std::size_t>(map.vectors_per_slice) *
               static_cast<std::size_t>(map.dim));
   }
-  const std::size_t lane_off = static_cast<std::size_t>(map.lane_in_slice(lw)) *
+  const std::size_t lane_off = static_cast<std::size_t>(at.lane) *
                                static_cast<std::size_t>(map.dim);
   std::copy(vec.begin(), vec.end(),
             st.begin() + static_cast<std::ptrdiff_t>(lane_off));
@@ -273,24 +293,22 @@ BaselineEmbeddingAllToAll::BaselineEmbeddingAllToAll(shmem::World& world,
                                                      EmbeddingA2AConfig cfg,
                                                      EmbeddingA2AData* data)
     : BulkSyncOp(world), cfg_(std::move(cfg)), data_(data) {
-  cfg_.map.validate();
-  FCC_CHECK(cfg_.map.num_pes == world_.n_pes());
-  if (cfg_.functional) {
-    FCC_CHECK_MSG(data_ != nullptr && data_->output != nullptr,
-                  "functional mode needs EmbeddingA2AData");
-  }
+  check_config(cfg_, world_, data_);
+  slots_per_pe_ =
+      OccupancyPlan::resolve(world_.machine().device(0).spec(),
+                             gpu::KernelResources{},
+                             {.override_slots = cfg_.occupancy_slots_override})
+          .slots;
+  wg_cost_ = ops::embedding_wg_cost(cfg_.pooling, cfg_.map.dim,
+                                    /*local_write=*/true, ops::kBaselineCurve);
 }
 
 sim::Co BaselineEmbeddingAllToAll::table_kernel(PeId pe, int table) {
   auto& machine = world_.machine();
   const auto& map = cfg_.map;
-  const auto& spec = machine.device(pe).spec();
   gpu::KernelRun::Params p;
   p.name = "emb_table_kernel";
-  p.num_slots =
-      OccupancyPlan::resolve(spec, gpu::KernelResources{},
-                             {.override_slots = cfg_.occupancy_slots_override})
-          .slots;
+  p.num_slots = slots_per_pe_;
   p.order.resize(static_cast<std::size_t>(map.global_batch));
   for (int b = 0; b < map.global_batch; ++b) {
     p.order[static_cast<std::size_t>(b)] = b;
@@ -307,10 +325,8 @@ sim::Co BaselineEmbeddingAllToAll::table_slot(gpu::KernelRun& run, PeId pe,
                                               int table, int slot) {
   auto& dev = world_.machine().device(pe);
   const auto& map = cfg_.map;
-  const gpu::WorkCost cost = ops::embedding_wg_cost(
-      cfg_.pooling, map.dim, /*local_write=*/true, ops::kBaselineCurve);
   for (int b; (b = co_await run.next(slot)) >= 0;) {
-    co_await dev.compute(cost);
+    co_await dev.compute(wg_cost_);
     if (!cfg_.functional) continue;
     std::vector<float> vec(static_cast<std::size_t>(map.dim));
     ops::pool_reference(cfg_.emb_config(),
@@ -338,6 +354,10 @@ std::size_t BaselineEmbeddingAllToAll::chunk_elems() const {
 }
 
 void BaselineEmbeddingAllToAll::prepare() {
+  // Runs in run() before any PE body is spawned (see the fused run()).
+  if (wg_cost_.by_active.empty()) {
+    world_.machine().device(0).tabulate(wg_cost_, slots_per_pe_);
+  }
   if (!cfg_.functional) return;
   const auto pes = static_cast<std::size_t>(cfg_.map.num_pes);
   send_.assign(pes, std::vector<float>(chunk_elems() * pes, 0.0f));

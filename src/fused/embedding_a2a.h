@@ -100,7 +100,9 @@ class FusedEmbeddingAllToAll final : public FusedOp {
   /// Functional mode: pools WG `lw`'s vector, writes it to the local output
   /// or its slice's staging buffer, or returns the delivery of a zero-copy
   /// store. Returns an empty callback when nothing is left to deliver.
-  std::function<void()> pool_wg(PeId pe, int lw, PeId dest, bool zero_copy);
+  std::function<void()> pool_wg(PeId pe, int lw,
+                                const SliceMap::Placement& at,
+                                bool zero_copy);
   sim::Co emit_slice_from_slot(PeId pe, int slot, int slice);
   std::size_t flag_index(PeId src, int table, int group) const;
 
@@ -108,10 +110,11 @@ class FusedEmbeddingAllToAll final : public FusedOp {
   EmbeddingA2AData* data_;
   int slots_per_pe_ = 0;
   /// Per-WG compute cost: [0] writes HBM, [1] is a zero-copy store.
+  /// Duration tables built by the first run().
   std::array<gpu::WorkCost, 2> wg_cost_{};
 
   // Per-PE runtime state, rebuilt by run().
-  std::vector<std::vector<shmem::WgDoneMask>> wg_done_;     // [pe][slice]
+  WgDoneTable wg_done_;                                     // [pe][slice]
   FlagSet slice_rdy_;                                       // [pe][flag]
   std::vector<std::vector<std::vector<float>>> stage_;      // [pe][slice][...]
 };
@@ -134,6 +137,8 @@ class BaselineEmbeddingAllToAll final : public BulkSyncOp {
 
   EmbeddingA2AConfig cfg_;
   EmbeddingA2AData* data_;
+  int slots_per_pe_ = 0;   // per table kernel
+  gpu::WorkCost wg_cost_;  // duration table built by the first run()
 
   // Functional staging: send/recv in ccl chunk layout [dest|src][t][lb][dim].
   std::vector<std::vector<float>> send_, recv_;

@@ -40,6 +40,7 @@ FusedGemmAllToAll::FusedGemmAllToAll(shmem::World& world, GemmA2AConfig cfg,
   FCC_CHECK_MSG(cfg_.rows_per_origin % cfg_.block_m == 0,
                 "block_m must divide rows_per_origin so a tile has exactly "
                 "one destination");
+  check_alu_efficiency("GemmA2AConfig::alu_efficiency", cfg_.alu_efficiency);
   if (cfg_.functional) {
     FCC_CHECK(data_ != nullptr && data_->out != nullptr);
   }
@@ -52,7 +53,11 @@ PeId FusedGemmAllToAll::origin_of_tile(int pid) const {
 
 sim::Co FusedGemmAllToAll::run() {
   arrivals_.reset(world_, static_cast<std::size_t>(num_pes_));
+  if (kernel_ == nullptr) build_kernel();
+  co_await run_fused([this](PeId pe) { return pe_driver(pe); });
+}
 
+void FusedGemmAllToAll::build_kernel() {
   // --- the fused kernel, authored with the DSL's comm extensions ---
   kernel_ = std::make_unique<triton::TileKernel>("moe_combine_fused", shape_,
                                                  cfg_.alu_efficiency);
@@ -92,7 +97,8 @@ sim::Co FusedGemmAllToAll::run() {
       [](const triton::TileKernel::Ctx& ctx) {
         return static_cast<std::size_t>(ctx.pe);
       });
-  co_await run_fused([this](PeId pe) { return pe_driver(pe); });
+  kernel_->tabulate(world_.machine().device(0),
+                    cfg_.occupancy_slots_override);
 }
 
 sim::Co FusedGemmAllToAll::pe_driver(PeId pe) {
@@ -121,14 +127,17 @@ BaselineGemmAllToAll::BaselineGemmAllToAll(shmem::World& world,
                                            GemmA2AConfig cfg,
                                            GemmA2AData* data)
     : BulkSyncOp(world), cfg_(cfg), data_(data) {
+  check_alu_efficiency("GemmA2AConfig::alu_efficiency", cfg_.alu_efficiency);
   if (cfg_.functional) {
     FCC_CHECK(data_ != nullptr && data_->out != nullptr);
   }
 }
 
 void BaselineGemmAllToAll::prepare() {
-  if (!cfg_.functional) return;
   const auto shape = cfg_.shape(world_.n_pes());
+  build_local_tile_gemm("moe_gemm_baseline", shape, cfg_.alu_efficiency,
+                        cfg_.functional ? &c_ : nullptr);
+  if (!cfg_.functional) return;
   c_.assign(static_cast<std::size_t>(world_.n_pes()),
             std::vector<float>(static_cast<std::size_t>(shape.m) *
                                    static_cast<std::size_t>(shape.n),
@@ -136,14 +145,9 @@ void BaselineGemmAllToAll::prepare() {
 }
 
 sim::Co BaselineGemmAllToAll::compute(PeId pe, TimeNs /*t0*/) {
-  const auto shape = cfg_.shape(world_.n_pes());
-  if (!cfg_.functional) {
-    return local_tile_gemm(pe, "moe_gemm_baseline", shape,
-                           cfg_.alu_efficiency, {}, {}, nullptr);
-  }
+  if (!cfg_.functional) return local_tile_gemm(pe, {}, {});
   const auto i = static_cast<std::size_t>(pe);
-  return local_tile_gemm(pe, "moe_gemm_baseline", shape, cfg_.alu_efficiency,
-                         data_->a[i], data_->b[i], &c_[i]);
+  return local_tile_gemm(pe, data_->a[i], data_->b[i]);
 }
 
 sim::Co BaselineGemmAllToAll::collective(ccl::Communicator& comm) {

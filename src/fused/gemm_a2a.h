@@ -76,6 +76,10 @@ class FusedGemmAllToAll final : public FusedOp {
 
  private:
   sim::Co pe_driver(PeId pe);
+  /// Authors the fused kernel and tabulates its costs (first run() only:
+  /// arrivals_ keeps one flag array across runs, so the kernel's pointer
+  /// to it stays valid).
+  void build_kernel();
 
   GemmA2AConfig cfg_;
   GemmA2AData* data_;

@@ -40,9 +40,17 @@ FusedGemvAllReduce::FusedGemvAllReduce(shmem::World& world,
       num_tiles_(shape_.num_tiles()) {
   FCC_CHECK_MSG(num_tiles_ % num_pes_ == 0,
                 "tiles (" << num_tiles_ << ") must divide evenly across PEs");
+  FCC_CHECK_MSG(cfg_.bookkeeping_ns >= 0,
+                "GemvAllReduceConfig::bookkeeping_ns must be >= 0, got "
+                    << cfg_.bookkeeping_ns);
   if (cfg_.functional) {
     FCC_CHECK(data_ != nullptr && data_->y != nullptr);
   }
+  tile_cost_ = {ops::gemv_tile_cost(shape_.tile_rows, shape_.k,
+                                    /*local_write=*/true, ops::kBaselineCurve),
+                ops::gemv_tile_cost(shape_.tile_rows, shape_.k,
+                                    /*local_write=*/false,
+                                    ops::kBaselineCurve)};
   register_debug_flags("arrive", arrive_flags_);
   register_debug_flags("bcast", bcast_flags_);
 }
@@ -63,6 +71,13 @@ sim::Co FusedGemvAllReduce::run() {
                              {.override_slots = cfg_.occupancy_slots_override,
                               .max_tasks = num_tiles_})
           .slots;
+  // Built once, before any PE body exists (sharded bodies read them from
+  // several threads).
+  if (tile_cost_[0].by_active.empty()) {
+    for (gpu::WorkCost& c : tile_cost_) {
+      machine.device(0).tabulate(c, active_slots_);
+    }
+  }
 
   const std::size_t flags_per_pe = static_cast<std::size_t>(num_pes_) *
                                    static_cast<std::size_t>(active_slots_);
@@ -107,17 +122,12 @@ sim::Task FusedGemvAllReduce::slot_proc(sim::Engine& /*engine*/, PeId pe,
 
   auto& machine = world_.machine();
   auto& dev = machine.device(pe);
-  const gpu::WorkCost local_cost = ops::gemv_tile_cost(
-      shape_.tile_rows, shape_.k, /*local_write=*/true, ops::kBaselineCurve);
-  const gpu::WorkCost remote_cost = ops::gemv_tile_cost(
-      shape_.tile_rows, shape_.k, /*local_write=*/false, ops::kBaselineCurve);
   for (int tile : mine) {
     const PeId owner = owner_of_tile(tile);
     const bool remote = owner != pe;
 
     const TimeNs t0 = machine.engine_of(pe).now();
-    const gpu::WorkCost& cost = remote ? remote_cost : local_cost;
-    co_await dev.compute(cost);
+    co_await dev.compute(tile_cost_[remote ? 1 : 0]);
     co_await dev.busy_wait(cfg_.bookkeeping_ns);
 
     std::vector<float> vals;
@@ -259,12 +269,25 @@ BaselineGemvAllReduce::BaselineGemvAllReduce(shmem::World& world,
                                              GemvAllReduceConfig cfg,
                                              GemvAllReduceData* data)
     : BulkSyncOp(world), cfg_(cfg), data_(data) {
+  FCC_CHECK_MSG(cfg_.bookkeeping_ns >= 0,
+                "GemvAllReduceConfig::bookkeeping_ns must be >= 0, got "
+                    << cfg_.bookkeeping_ns);
   if (cfg_.functional) {
     FCC_CHECK(data_ != nullptr && data_->y != nullptr);
   }
+  slots_per_pe_ = OccupancyPlan::resolve(world_.machine().device(0).spec(),
+                                         gpu::KernelResources{})
+                      .slots;
+  const auto shape = cfg_.shape(world_.n_pes());
+  tile_cost_ = ops::gemv_tile_cost(shape.tile_rows, shape.k,
+                                   /*local_write=*/true, ops::kBaselineCurve);
 }
 
 void BaselineGemvAllReduce::prepare() {
+  // Runs in run() before any PE body is spawned.
+  if (tile_cost_.by_active.empty()) {
+    world_.machine().device(0).tabulate(tile_cost_, slots_per_pe_);
+  }
   if (!cfg_.functional) return;
   partial_.assign(static_cast<std::size_t>(world_.n_pes()),
                   std::vector<float>(static_cast<std::size_t>(cfg_.m), 0.0f));
@@ -275,9 +298,7 @@ sim::Co BaselineGemvAllReduce::compute(PeId pe, TimeNs /*t0*/) {
   const auto shape = cfg_.shape(machine.num_pes());
   gpu::KernelRun::Params p;
   p.name = "gemv_kernel";
-  p.num_slots = OccupancyPlan::resolve(machine.device(pe).spec(),
-                                       gpu::KernelResources{})
-                    .slots;
+  p.num_slots = slots_per_pe_;
   p.order.resize(static_cast<std::size_t>(shape.num_tiles()));
   for (int t = 0; t < shape.num_tiles(); ++t) {
     p.order[static_cast<std::size_t>(t)] = t;
@@ -295,10 +316,8 @@ sim::Co BaselineGemvAllReduce::gemv_slot(gpu::KernelRun& run, PeId pe,
   auto& machine = world_.machine();
   auto& dev = machine.device(pe);
   const auto shape = cfg_.shape(machine.num_pes());
-  const gpu::WorkCost cost = ops::gemv_tile_cost(
-      shape.tile_rows, shape.k, /*local_write=*/true, ops::kBaselineCurve);
   for (int tile; (tile = co_await run.next(slot)) >= 0;) {
-    co_await dev.compute(cost);
+    co_await dev.compute(tile_cost_);
     if (!cfg_.functional) continue;
     std::vector<float> vals(static_cast<std::size_t>(shape.tile_rows));
     ops::gemv_tile(shape, data_->w[static_cast<std::size_t>(pe)],

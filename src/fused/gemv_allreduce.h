@@ -20,6 +20,7 @@
 //   4. wait the counterpart broadcast flags (output rows owned by peers).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -100,6 +101,9 @@ class FusedGemvAllReduce final : public FusedOp {
   ops::GemvShape shape_;
   int num_tiles_;
   int active_slots_ = 1;
+  /// Per-tile compute cost: [0] keeps the partial (local write), [1]
+  /// stores it to the owner. Duration tables built by the first run().
+  std::array<gpu::WorkCost, 2> tile_cost_{};
 
   // Runtime state.
   FlagSet arrive_flags_;                               // [pe][src*slots+slot]
@@ -126,6 +130,8 @@ class BaselineGemvAllReduce final : public BulkSyncOp {
 
   GemvAllReduceConfig cfg_;
   GemvAllReduceData* data_;
+  int slots_per_pe_ = 0;
+  gpu::WorkCost tile_cost_;  // duration table built by the first run()
   std::vector<std::vector<float>> partial_;  // [pe][m] (functional)
 };
 

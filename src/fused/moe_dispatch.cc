@@ -250,17 +250,30 @@ FusedMoeDispatch::FusedMoeDispatch(shmem::World& world, MoeDispatchConfig cfg,
       num_pes_(world.n_pes()),
       plans_(resolve_plans(cfg, data, world.n_pes())),
       layout_(DispatchLayout::build(plans_, cfg.block_m)) {
+  check_alu_efficiency("MoeDispatchConfig::alu_efficiency",
+                       cfg_.alu_efficiency);
   if (cfg_.functional) check_functional_data(cfg_, data_, layout_);
   register_debug_flags("arrivals", arrivals_);
 }
 
 sim::Co FusedMoeDispatch::run() {
   arrivals_.reset(world_, static_cast<std::size_t>(num_pes_));
+  if (kernels_.empty()) build_kernels();
+  if (cfg_.functional) {
+    a_.assign(static_cast<std::size_t>(num_pes_), {});
+    for (int src = 0; src < num_pes_; ++src) {
+      a_[static_cast<std::size_t>(src)] = gather_a(
+          cfg_, plans_[static_cast<std::size_t>(src)],
+          data_->tokens[static_cast<std::size_t>(src)], num_pes_,
+          /*padded=*/true, layout_, src);
+    }
+  }
+  co_await run_fused([this](PeId pe) { return pe_driver(pe); });
+}
 
+void FusedMoeDispatch::build_kernels() {
   // Per-source kernels: shapes differ (padded routed rows), so each source
   // authors its own instance of the dispatch kernel.
-  kernels_.clear();
-  a_.assign(static_cast<std::size_t>(num_pes_), {});
   for (int src = 0; src < num_pes_; ++src) {
     ops::GemmShape shape;
     shape.m =
@@ -316,17 +329,10 @@ sim::Co FusedMoeDispatch::run() {
         [src](const triton::TileKernel::Ctx&) {
           return static_cast<std::size_t>(src);
         });
+    kernel->tabulate(world_.machine().device(0),
+                     cfg_.occupancy_slots_override);
     kernels_.push_back(std::move(kernel));
-
-    if (cfg_.functional) {
-      a_[static_cast<std::size_t>(src)] = gather_a(
-          cfg_, plans_[static_cast<std::size_t>(src)],
-          data_->tokens[static_cast<std::size_t>(src)], num_pes_,
-          /*padded=*/true, layout_, src);
-    }
   }
-
-  co_await run_fused([this](PeId pe) { return pe_driver(pe); });
 }
 
 sim::Co FusedMoeDispatch::pe_driver(PeId pe) {
@@ -362,10 +368,21 @@ BaselineMoeDispatch::BaselineMoeDispatch(shmem::World& world,
       num_pes_(world.n_pes()),
       plans_(resolve_plans(cfg, data, world.n_pes())),
       layout_(DispatchLayout::build(plans_, cfg.block_m)) {
+  check_alu_efficiency("MoeDispatchConfig::alu_efficiency",
+                       cfg_.alu_efficiency);
   if (cfg_.functional) check_functional_data(cfg_, data_, layout_);
 }
 
 void BaselineMoeDispatch::prepare() {
+  // Plain GEMM per source over the unpadded routed rows, in plan order —
+  // already destination-major for the collective.
+  build_local_tile_gemm("moe_dispatch_gemm_baseline",
+                        {.m = static_cast<int>(cfg_.assignments()),
+                         .n = cfg_.d_out,
+                         .k = cfg_.d_model,
+                         .block_m = cfg_.block_m,
+                         .block_n = cfg_.block_n},
+                        cfg_.alu_efficiency, cfg_.functional ? &c_ : nullptr);
   if (!cfg_.functional) return;
   a_.clear();
   c_.assign(static_cast<std::size_t>(num_pes_),
@@ -379,21 +396,10 @@ void BaselineMoeDispatch::prepare() {
   }
 }
 
-// Plain GEMM per source over the unpadded routed rows, in plan order —
-// already destination-major for the collective.
 sim::Co BaselineMoeDispatch::compute(PeId pe, TimeNs /*t0*/) {
-  const ops::GemmShape shape{.m = static_cast<int>(cfg_.assignments()),
-                             .n = cfg_.d_out,
-                             .k = cfg_.d_model,
-                             .block_m = cfg_.block_m,
-                             .block_n = cfg_.block_n};
-  if (!cfg_.functional) {
-    return local_tile_gemm(pe, "moe_dispatch_gemm_baseline", shape,
-                           cfg_.alu_efficiency, {}, {}, nullptr);
-  }
+  if (!cfg_.functional) return local_tile_gemm(pe, {}, {});
   const auto i = static_cast<std::size_t>(pe);
-  return local_tile_gemm(pe, "moe_dispatch_gemm_baseline", shape,
-                         cfg_.alu_efficiency, a_[i], data_->w, &c_[i]);
+  return local_tile_gemm(pe, a_[i], data_->w);
 }
 
 sim::Co BaselineMoeDispatch::collective(ccl::Communicator& comm) {

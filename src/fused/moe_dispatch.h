@@ -132,6 +132,10 @@ class FusedMoeDispatch final : public FusedOp {
 
  private:
   sim::Co pe_driver(PeId pe);
+  /// Authors every source's kernel and tabulates its costs (first run()
+  /// only: arrivals_ keeps one flag array across runs, so the kernels'
+  /// pointer to it stays valid).
+  void build_kernels();
 
   MoeDispatchConfig cfg_;
   MoeDispatchData* data_;

@@ -237,40 +237,47 @@ sim::Co BulkSyncOp::run() {
   finish_run_uniform();
 }
 
-sim::Co BulkSyncOp::local_tile_gemm(PeId pe, const char* kernel_name,
-                                    ops::GemmShape shape,
-                                    double alu_efficiency,
-                                    std::span<const float> a,
-                                    std::span<const float> b,
-                                    std::vector<float>* c) {
-  triton::TileKernel kernel(kernel_name, shape, alu_efficiency);
+void BulkSyncOp::build_local_tile_gemm(const char* kernel_name,
+                                       ops::GemmShape shape,
+                                       double alu_efficiency,
+                                       std::vector<std::vector<float>>* c) {
+  if (local_gemm_ != nullptr) return;
+  local_gemm_ = std::make_unique<triton::TileKernel>(kernel_name, shape,
+                                                     alu_efficiency);
   auto write_local = [c, n = static_cast<std::size_t>(shape.n)](
                          const triton::TileKernel::Ctx& ctx,
                          const std::vector<float>& tile) {
     const auto& sh = *ctx.shape;
+    auto& out = (*c)[static_cast<std::size_t>(ctx.pe)];
     const int cols = sh.col_end(ctx.pid) - sh.col_begin(ctx.pid);
     for (int r = sh.row_begin(ctx.pid); r < sh.row_end(ctx.pid); ++r) {
       for (int j = 0; j < cols; ++j) {
-        (*c)[static_cast<std::size_t>(r) * n +
-             static_cast<std::size_t>(sh.col_begin(ctx.pid) + j)] =
+        out[static_cast<std::size_t>(r) * n +
+            static_cast<std::size_t>(sh.col_begin(ctx.pid) + j)] =
             tile[static_cast<std::size_t>(r - sh.row_begin(ctx.pid)) *
                      static_cast<std::size_t>(cols) +
                  static_cast<std::size_t>(j)];
       }
     }
   };
-  kernel.load_a().load_b().dot();
-  kernel.store_c_local(c != nullptr ? triton::TileKernel::WriteFn(write_local)
-                                    : triton::TileKernel::WriteFn{});
+  local_gemm_->load_a().load_b().dot();
+  local_gemm_->store_c_local(c != nullptr
+                                 ? triton::TileKernel::WriteFn(write_local)
+                                 : triton::TileKernel::WriteFn{});
+  local_gemm_->tabulate(world_.machine().device(0));
+  local_gemm_functional_ = c != nullptr;
+}
 
+sim::Co BulkSyncOp::local_tile_gemm(PeId pe, std::span<const float> a,
+                                    std::span<const float> b) {
   triton::TileKernel::LaunchConfig lc;
   lc.world = &world_;
   lc.pe = pe;
   lc.policy = gpu::SchedulePolicy::kOblivious;
-  lc.functional = c != nullptr;
+  lc.functional = local_gemm_functional_;
   lc.a = a;
   lc.b = b;
-  co_await kernel.launch(lc);
+  co_await local_gemm_->launch(lc);
 }
 
 // ---------------------------------------------------------------------------
@@ -282,6 +289,13 @@ std::vector<PeId> all_pes(gpu::Machine& machine) {
   v.reserve(static_cast<std::size_t>(machine.num_pes()));
   for (PeId p = 0; p < machine.num_pes(); ++p) v.push_back(p);
   return v;
+}
+
+void check_alu_efficiency(const char* field, double alu_efficiency) {
+  FCC_CHECK_MSG(alu_efficiency > 0 && alu_efficiency <= 1.0,
+                field << " must be in (0, 1] (fraction of peak ALU the "
+                         "kernel sustains), got "
+                      << alu_efficiency);
 }
 
 std::vector<int> ordered_tasks(std::vector<int> tasks,

@@ -280,20 +280,31 @@ class BulkSyncOp : public FusedOp {
   /// costs no simulated time).
   virtual sim::Co collective(ccl::Communicator& comm) = 0;
 
-  /// Plain tile-DSL GEMM (load, dot, local store) on `pe`: the compute body
-  /// of the GEMM-producer baselines. Functional when `c` is non-null: reads
-  /// `a` and `b`, writes C row-major into *c.
-  sim::Co local_tile_gemm(PeId pe, const char* kernel_name,
-                          ops::GemmShape shape, double alu_efficiency,
-                          std::span<const float> a, std::span<const float> b,
-                          std::vector<float>* c);
+  /// Builds, on the first call, the plain tile-DSL GEMM (load, dot, local
+  /// store) that is the compute body of the GEMM-producer baselines, with
+  /// its duration tables. Call from prepare(), before any PE body runs.
+  /// Functional when `c` is non-null: PE p's launch writes C row-major into
+  /// (*c)[p].
+  void build_local_tile_gemm(const char* kernel_name, ops::GemmShape shape,
+                             double alu_efficiency,
+                             std::vector<std::vector<float>>* c);
+
+  /// Launches the built GEMM on `pe`, reading `a` and `b` when functional.
+  sim::Co local_tile_gemm(PeId pe, std::span<const float> a,
+                          std::span<const float> b);
 
  private:
   ccl::Communicator comm_;
+  std::unique_ptr<triton::TileKernel> local_gemm_;
+  bool local_gemm_functional_ = false;
 };
 
 /// Every PE of the machine, in id order (ccl communicator construction).
 std::vector<PeId> all_pes(gpu::Machine& machine);
+
+/// Construction-time check of a tile-DSL operator's `alu_efficiency`
+/// field (named `field` in the message): it must lie in (0, 1].
+void check_alu_efficiency(const char* field, double alu_efficiency);
 
 /// Comm-aware/oblivious ordering of an explicit task list (per-slot static
 /// assignment: the caller already picked which tasks are its own).

@@ -10,6 +10,7 @@
 // id — so the All-to-All lands data pre-shuffled for the interaction op.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -96,17 +97,23 @@ struct SliceMap {
   }
   int wgs_per_slice() const { return vectors_per_slice; }
 
-  /// Slice that logical WG `lw` contributes to.
-  int slice_of_wg(int lw) const {
-    const int t = wg_table(lw);
-    const int b = wg_sample(lw);
-    const int d = dest_of_sample(b);
-    const int g = (b % local_batch()) / vectors_per_slice;
-    return (t * num_pes + d) * slices_per_dest_per_table() + g;
-  }
-  /// Position of the WG's vector within its slice.
-  int lane_in_slice(int lw) const {
-    return (wg_sample(lw) % local_batch()) % vectors_per_slice;
+  /// Where logical WG `lw`'s vector goes: its destination PE, the slice
+  /// it contributes to, and its position (lane) within that slice.
+  struct Placement {
+    PeId dest;
+    int slice;
+    int lane;
+  };
+  /// One pass over `lw`'s indices, each division done once.
+  Placement place(int lw) const {
+    const int b = lw / tables_per_pe;
+    const int t = lw - b * tables_per_pe;
+    const int lb = local_batch();
+    const PeId d = b / lb;
+    const int row = b - d * lb;
+    const int g = row / vectors_per_slice;
+    return {d, (t * num_pes + d) * slices_per_dest_per_table() + g,
+            row - g * vectors_per_slice};
   }
 
   int slice_table(int s) const {
@@ -149,6 +156,47 @@ struct SliceMap {
   int num_remote_slices(PeId self) const {
     return num_slices() - num_local_slices(self);
   }
+};
+
+/// WG_Done table for every slice of every PE, flat: per slice one count
+/// word followed by the lane bitmask. The last WG to mark its lane learns
+/// it is last; the paper implements the reduction with cross-lane
+/// operations instead of an inter-WG barrier. The claim check is exact and
+/// race-free because a PE's rows are only touched from its home-shard
+/// engine (serial within a shard).
+class WgDoneTable {
+ public:
+  /// Sizes the table for `pes` x `slices` slices of `lanes` WGs, all clear.
+  void reset(int pes, int slices, int lanes) {
+    FCC_CHECK(pes >= 1 && slices >= 0 && lanes >= 1);
+    lanes_ = lanes;
+    stride_ = 1 + (static_cast<std::size_t>(lanes) + 63) / 64;
+    slices_ = static_cast<std::size_t>(slices);
+    words_.assign(static_cast<std::size_t>(pes) * slices_ * stride_, 0);
+  }
+
+  /// Marks `lane` of `pe`'s `slice` done; true iff it completed the slice
+  /// (the caller is the last finishing WG and must issue the slice).
+  bool mark(PeId pe, int slice, int lane) {
+    FCC_DCHECK(lane >= 0 && lane < lanes_);
+    std::uint64_t* s =
+        &words_[(static_cast<std::size_t>(pe) * slices_ +
+                 static_cast<std::size_t>(slice)) *
+                stride_];
+    std::uint64_t& word = s[1 + static_cast<std::size_t>(lane) / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (lane % 64);
+    FCC_CHECK_MSG((word & bit) == 0, "WG done-bit set twice: pe "
+                                         << pe << " slice " << slice
+                                         << " lane " << lane);
+    word |= bit;
+    return ++s[0] == static_cast<std::uint64_t>(lanes_);
+  }
+
+ private:
+  int lanes_ = 1;
+  std::size_t stride_ = 1;  // words per slice: count + bitmask
+  std::size_t slices_ = 0;  // per PE
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace fcc::fused

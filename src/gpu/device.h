@@ -9,11 +9,18 @@
 // compute() and busy_wait() suspend exactly once, so they are plain
 // awaiters (no coroutine frame): every logical WG awaits them, and a
 // nested sim::Co per step would heap-allocate a frame per WG.
+//
+// A cost that is fixed for a whole launch carries a duration table
+// (Device::tabulate): the step duration at each active-WG count up to the
+// launch's slot count, computed once by compute_duration itself, so a
+// table lookup is bit-identical to the formula it replaces.
 #pragma once
 
 #include <algorithm>
 #include <coroutine>
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "hw/gpu_spec.h"
@@ -29,6 +36,10 @@ struct WorkCost {
   double flops = 0;          // fp32 operations
   double alu_efficiency = 1.0;  // fraction of peak ALU the kernel sustains
   hw::HbmCurve curve;        // kernel-specific contention curve
+  /// by_active[a] == Device::compute_duration(*this, a), filled by
+  /// Device::tabulate; empty (or too short) means compute the duration at
+  /// each step. Stale if a field above changes after tabulating.
+  std::vector<TimeNs> by_active;
 };
 
 class Device {
@@ -76,15 +87,35 @@ class Device {
     return mem_ns > alu_ns ? mem_ns : alu_ns;
   }
 
+  /// Fills `cost.by_active` for active counts 0..slots (a launch's slot
+  /// count; steps that see more active WGs fall back to compute_duration).
+  /// Every device of a machine shares one spec, so a table built on one
+  /// device serves them all.
+  void tabulate(WorkCost& cost, int slots) const {
+    cost.by_active.resize(static_cast<std::size_t>(std::max(slots, 0)) + 1);
+    for (std::size_t a = 0; a < cost.by_active.size(); ++a) {
+      cost.by_active[a] = compute_duration(cost, static_cast<int>(a));
+    }
+  }
+
+  /// Duration of a step that starts with `active` WGs computing: the
+  /// cost's table entry when it has one, else compute_duration.
+  TimeNs step_duration(const WorkCost& cost, int active) const {
+    return static_cast<std::size_t>(active) < cost.by_active.size()
+               ? cost.by_active[static_cast<std::size_t>(active)]
+               : compute_duration(cost, active);
+  }
+
   /// Awaiter for one compute step (see compute()). Suspending registers the
   /// WG as active, charges the step and schedules the resume; resuming
-  /// deregisters it.
+  /// deregisters it. Holds the cost by reference: it must outlive the
+  /// co_await (a temporary argument does).
   struct [[nodiscard]] Compute {
     Device& dev;
-    WorkCost cost;
+    const WorkCost& cost;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      const TimeNs dur = dev.compute_duration(cost, ++dev.active_wgs_);
+      const TimeNs dur = dev.step_duration(cost, ++dev.active_wgs_);
       dev.busy_ns_ += dur;
       dev.total_bytes_ += cost.hbm_bytes;
       dev.total_flops_ += cost.flops;

@@ -214,50 +214,4 @@ class FlagArray {
   std::vector<std::uint64_t> order_seq_;      // per-flag Waiter::order source
 };
 
-/// WG-completion bitmask for one slice (WG_Done analog). The last WG to set
-/// its bit learns it is last — the paper implements the reduction with
-/// cross-lane operations instead of an inter-WG barrier; here the claim
-/// check is exact and race-free because a mask belongs to one PE and is
-/// only touched from that PE's home-shard engine (serial within a shard).
-/// Multi-word so slices may span more than 64 logical WGs.
-class WgDoneMask {
- public:
-  explicit WgDoneMask(int num_wgs) : expected_(num_wgs) {
-    FCC_CHECK(num_wgs >= 1);
-    words_.assign(static_cast<std::size_t>((num_wgs + 63) / 64), 0);
-  }
-
-  /// Sets bit `wg`; returns true iff this made the mask complete (the caller
-  /// is the last finishing WG and must issue the slice's communication).
-  bool set_and_check_last(int wg) {
-    FCC_DCHECK(wg >= 0 && wg < expected_);
-    auto& word = words_[static_cast<std::size_t>(wg / 64)];
-    const std::uint64_t bit = std::uint64_t{1} << (wg % 64);
-    FCC_CHECK_MSG((word & bit) == 0, "WG done-bit set twice");
-    word |= bit;
-    ++count_;
-    return count_ == expected_;
-  }
-
-  bool complete() const { return count_ == expected_; }
-
-  /// Single-word view, valid only for masks of <= 64 WGs (wider masks would
-  /// silently truncate — use words()).
-  std::uint64_t mask() const {
-    FCC_CHECK_MSG(expected_ <= 64,
-                  "mask() on a " << expected_ << "-WG mask truncates; "
-                                 << "use words()");
-    return words_.front();
-  }
-
-  /// Full word span, least-significant word first (bit wg lives at
-  /// words()[wg / 64] bit wg % 64).
-  const std::vector<std::uint64_t>& words() const { return words_; }
-
- private:
-  int expected_;
-  int count_ = 0;
-  std::vector<std::uint64_t> words_;
-};
-
 }  // namespace fcc::shmem

@@ -7,9 +7,7 @@ namespace fcc::shmem {
 
 World::World(gpu::Machine& machine)
     : machine_(machine),
-      outstanding_(static_cast<std::size_t>(machine.num_pes()), 0),
-      drain_waiters_(static_cast<std::size_t>(machine.num_pes())),
-      puts_issued_(static_cast<std::size_t>(machine.num_pes()), 0),
+      pes_(static_cast<std::size_t>(machine.num_pes())),
       deferred_(static_cast<std::size_t>(machine.num_shards())) {
   if (machine_.is_sharded() && machine_.defer_inter_node()) {
     barrier_hook_ =
@@ -23,10 +21,18 @@ World::~World() {
   }
 }
 
+int World::outstanding(PeId src) const {
+  const PeState& st = pe(src);
+  const TimeNs now = machine_.engine_of(src).now();
+  return st.outstanding +
+         static_cast<int>(std::count_if(st.deliveries.begin(),
+                                        st.deliveries.end(),
+                                        [now](TimeNs t) { return t > now; }));
+}
+
 void World::issue_put(PeId src, PeId dst, Bytes bytes,
                       std::function<void()> cb) {
-  ++puts_issued_[static_cast<std::size_t>(src)];
-  start_tracking(src);
+  ++pe(src).puts_issued;
   sim::Engine& home = machine_.engine_of(src);
   const TimeNs now = home.now();
   if (machine_.is_sharded() &&
@@ -35,6 +41,7 @@ void World::issue_put(PeId src, PeId dst, Bytes bytes,
     if (machine_.defer_inter_node()) {
       // Torus: the route's ring links belong to intermediate nodes, so the
       // reservation itself must wait for the barrier's serial replay.
+      start_tracking(src);
       deferred_[static_cast<std::size_t>(src_shard)].puts.push_back(
           PendingPut{now, src, dst, bytes, std::move(cb)});
       return;
@@ -43,16 +50,18 @@ void World::issue_put(PeId src, PeId dst, Bytes bytes,
     // Only this node's PUTs touch that state and the node lives on one
     // shard, so the reservation order equals the serial engine's order.
     const TimeNs delivery = machine_.remote_write_time(src, dst, bytes, now);
+    if (!cb) {
+      note_callback_free(src, now, delivery);
+      return;
+    }
+    start_tracking(src);
     const int dst_shard = machine_.shard_of(dst);
     if (dst_shard == src_shard) {
       schedule_delivery(home, delivery, src, std::move(cb));
     } else {
       // Delivery applies on the destination's shard via the mailbox;
       // tracking finishes at the same instant on the source's own shard.
-      if (cb) {
-        machine_.sharded().post(src_shard, dst_shard, delivery,
-                                std::move(cb));
-      }
+      machine_.sharded().post(src_shard, dst_shard, delivery, std::move(cb));
       auto* self = this;
       home.schedule_at(delivery, [self, src] { self->finish_tracking(src); });
     }
@@ -61,6 +70,11 @@ void World::issue_put(PeId src, PeId dst, Bytes bytes,
   // Serial machine, or self/intra-node on a sharded one (node-aligned
   // partition: src and dst share a shard) — the classic path, byte-for-byte.
   const TimeNs delivery = machine_.remote_write_time(src, dst, bytes, now);
+  if (!cb) {
+    note_callback_free(src, now, delivery);
+    return;
+  }
+  start_tracking(src);
   schedule_delivery(home, delivery, src, std::move(cb));
 }
 
@@ -98,16 +112,17 @@ void World::drain_deferred() {
     auto* self = this;
     sim::Engine& src_engine = machine_.engine_of(p.src);
     sim::Engine& dst_engine = machine_.engine_of(p.dst);
-    if (&dst_engine == &src_engine) {
-      dst_engine.schedule_at(delivery,
-                             [self, src = p.src, cb = std::move(p.cb)] {
-                               if (cb) cb();
-                               self->finish_tracking(src);
-                             });
+    if (!p.cb) {
+      // Callback-free: now that its delivery time is known, the PUT moves
+      // from the event-backed count to the watermark.
+      note_callback_free(p.src, src_engine.now(), delivery);
+      finish_tracking(p.src);
+    } else if (&dst_engine == &src_engine) {
+      schedule_delivery(dst_engine, delivery, p.src, std::move(p.cb));
     } else {
       // Delivery lands on the destination's shard; tracking finishes at
       // the same instant on the source's own shard.
-      if (p.cb) dst_engine.schedule_at(delivery, std::move(p.cb));
+      dst_engine.schedule_at(delivery, std::move(p.cb));
       src_engine.schedule_at(delivery,
                              [self, src = p.src] { self->finish_tracking(src); });
     }

@@ -14,9 +14,22 @@
 // matching the HDP flush + ordering semantics the paper relies on — and
 // `quiet()` waits for all of this PE's outstanding deliveries.
 //
+// Delivery tracking. A PUT with a delivery callback schedules one engine
+// event at its delivery time (callback, then the outstanding count drops).
+// A callback-free PUT — most data PUTs of timing-only runs — schedules
+// none: its delivery time is computed (and its links reserved) the same
+// way, then it only raises the source's delivery watermark. So
+// `quiet(src)` waits until the event-backed count is zero *and* the
+// watermark has passed, and `outstanding(src)` counts both the
+// event-backed PUTs and the callback-free ones whose delivery lies after
+// the source engine's now. On the deferred torus path (below) a
+// callback-free PUT's delivery time is known only at the barrier replay,
+// so it stays in the event-backed count until then.
+//
 // Sharded machines (gpu::Machine num_shards > 1) keep every piece of World
-// state shard-local: outstanding counters, drain waiters, and per-PE put
-// counters are only touched from the owning PE's home shard. Inter-node
+// state shard-local: outstanding counters, delivery watermarks, drain
+// waiters, and per-PE put counters are only touched from the owning PE's
+// home shard (or by the serial barrier replay). Inter-node
 // PUTs follow one of two paths:
 //
 //   * eager (fully-connected / switched / multi-rail): the route's state is
@@ -37,6 +50,7 @@
 //     nodes running one operator at a time.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -103,27 +117,41 @@ class World {
     return sim::delay(machine_.engine_of(src), kFenceCostNs);
   }
 
-  /// Blocks until every PUT issued by `src` has been delivered. The wakeup
-  /// is targeted: waiters are resumed only when the outstanding count hits
-  /// zero (the loop re-checks in case a same-time event issued a new PUT
-  /// between the wake and the resume). Works across shards: a deferred or
-  /// remote delivery finishes tracking via a message on `src`'s shard, so
-  /// the counter and waiter list stay shard-local.
+  /// Blocks until every PUT issued by `src` has been delivered: the
+  /// event-backed count is zero and the delivery watermark has passed. The
+  /// wakeup is targeted: waiters are resumed only when the count hits zero,
+  /// at the watermark if that is later (the loop re-checks in case a
+  /// same-time event issued a new PUT between the wake and the resume).
+  /// Works across shards: a deferred or remote delivery finishes tracking
+  /// on `src`'s shard, so the counter, watermark and waiter list stay
+  /// shard-local.
   sim::Co quiet(PeId src) {
-    auto& count = outstanding_[static_cast<std::size_t>(src)];
-    while (count > 0) {
-      co_await DrainAwaiter{*this, src};
+    const PeState& st = pe(src);
+    sim::Engine& home = machine_.engine_of(src);
+    for (;;) {
+      if (st.outstanding > 0) {
+        co_await DrainAwaiter{*this, src};
+      } else if (st.watermark > home.now()) {
+        co_await sim::delay_until(home, st.watermark);
+      } else {
+        co_return;
+      }
     }
   }
 
   std::int64_t puts_issued() const {
     std::int64_t total = 0;
-    for (const std::int64_t c : puts_issued_) total += c;
+    for (const PeState& st : pes_) total += st.puts_issued;
     return total;
   }
-  int outstanding(PeId src) const {
-    return outstanding_[static_cast<std::size_t>(src)];
+  /// PUTs issued without a delivery callback (a subset of puts_issued()).
+  std::int64_t callback_free_puts() const {
+    std::int64_t total = 0;
+    for (const PeState& st : pes_) total += st.callback_free_puts;
+    return total;
   }
+  /// PUTs from `src` not yet delivered at its home engine's now.
+  int outstanding(PeId src) const;
 
   /// GPU-side issue latency for one PUT of the given kind. A kRdma PUT
   /// only pays the descriptor-post overhead when the resolved route
@@ -150,10 +178,10 @@ class World {
     World& w;
     PeId src;
     bool await_ready() const noexcept {
-      return w.outstanding_[static_cast<std::size_t>(src)] == 0;
+      return w.pe(src).outstanding == 0;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      w.drain_waiters_[static_cast<std::size_t>(src)].push_back(h);
+      w.pe(src).drain_waiters.push_back(h);
     }
     void await_resume() const noexcept {}
   };
@@ -195,30 +223,62 @@ class World {
                          std::function<void()> cb) {
     auto* self = this;
     e.schedule_at(t, [self, src, cb = std::move(cb)] {
-      if (cb) cb();
+      cb();
       self->finish_tracking(src);
     });
   }
 
-  void start_tracking(PeId src) {
-    ++outstanding_[static_cast<std::size_t>(src)];
-  }
+  void start_tracking(PeId src) { ++pe(src).outstanding; }
   void finish_tracking(PeId src) {
-    auto& count = outstanding_[static_cast<std::size_t>(src)];
-    FCC_CHECK(count > 0);
-    if (--count == 0) {
-      auto& waiters = drain_waiters_[static_cast<std::size_t>(src)];
-      for (auto h : waiters) {
-        machine_.engine_of(src).schedule_resume_after(0, h);
-      }
-      waiters.clear();
+    PeState& st = pe(src);
+    FCC_CHECK(st.outstanding > 0);
+    if (--st.outstanding == 0) {
+      // Resume no earlier than the watermark: a waiter woken by a barrier
+      // replay must not land before the window being replayed ends.
+      sim::Engine& home = machine_.engine_of(src);
+      const TimeNs at = std::max(home.now(), st.watermark);
+      for (auto h : st.drain_waiters) home.schedule_resume_at(at, h);
+      st.drain_waiters.clear();
     }
   }
 
+  /// Records a callback-free PUT from `src` delivering at `delivery`:
+  /// raises the watermark and keeps the time for outstanding(). When the
+  /// list is full, times at or before `now` are pruned first, and it grows
+  /// only if at least half of it is still in flight, so it stays about the
+  /// size of the in-flight set at O(1) amortized cost per PUT.
+  void note_callback_free(PeId src, TimeNs now, TimeNs delivery) {
+    PeState& st = pe(src);
+    ++st.callback_free_puts;
+    st.watermark = std::max(st.watermark, delivery);
+    std::vector<TimeNs>& d = st.deliveries;
+    if (d.size() == d.capacity()) {
+      std::erase_if(d, [now](TimeNs t) { return t <= now; });
+      if (2 * d.size() >= d.capacity()) {
+        d.reserve(std::max<std::size_t>(16, 2 * d.capacity()));
+      }
+    }
+    d.push_back(delivery);
+  }
+
+  /// Per-PE state: written only from the PE's home shard (or by the
+  /// serial barrier replay). All-zero initial values keep a World's
+  /// construction a plain zero fill.
+  struct PeState {
+    int outstanding = 0;  // event-backed PUTs in flight
+    std::int64_t puts_issued = 0;
+    std::int64_t callback_free_puts = 0;
+    TimeNs watermark = 0;  // latest callback-free delivery time
+    std::vector<TimeNs> deliveries;  // callback-free, pruned when full
+    std::vector<std::coroutine_handle<>> drain_waiters;
+  };
+  PeState& pe(PeId src) { return pes_[static_cast<std::size_t>(src)]; }
+  const PeState& pe(PeId src) const {
+    return pes_[static_cast<std::size_t>(src)];
+  }
+
   gpu::Machine& machine_;
-  std::vector<int> outstanding_;
-  std::vector<std::vector<std::coroutine_handle<>>> drain_waiters_;
-  std::vector<std::int64_t> puts_issued_;  // per PE: writer is its own shard
+  std::vector<PeState> pes_;
   std::vector<DeferredShard> deferred_;
   std::vector<ReplayTag> replay_scratch_;  // drain_deferred's sort buffer
   int barrier_hook_ = -1;

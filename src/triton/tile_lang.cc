@@ -12,37 +12,122 @@ TileKernel::TileKernel(std::string name, ops::GemmShape shape,
   FCC_CHECK(alu_efficiency_ > 0 && alu_efficiency_ <= 1.0);
 }
 
+void TileKernel::add(Stmt stmt) {
+  if (stmt.kind == StmtKind::kPutRemote) ++puts_;
+  if (stmt.kind == StmtKind::kPutRemote || stmt.kind == StmtKind::kFence ||
+      stmt.kind == StmtKind::kAtomicAdd) {
+    uses_comm_ = true;
+  }
+  stmts_.push_back(std::move(stmt));
+  const int last = shape_.num_tiles() - 1;
+  const int edge_rows = shape_.row_end(last) - shape_.row_begin(last);
+  const int edge_cols = shape_.col_end(last) - shape_.col_begin(last);
+  costs_.clear();
+  for (int v = 0; v < variant(false, false, puts_ + 1); ++v) {
+    costs_.push_back(tile_cost((v & 1) != 0 ? edge_rows : shape_.block_m,
+                               (v & 2) != 0 ? edge_cols : shape_.block_n,
+                               v / 4));
+  }
+}
+
+gpu::WorkCost TileKernel::tile_cost(int rows, int cols, int local_puts) const {
+  gpu::WorkCost cost;
+  cost.alu_efficiency = alu_efficiency_;
+  cost.curve = ops::kBaselineCurve;
+  int puts = 0;
+  for (const auto& s : stmts_) {
+    switch (s.kind) {
+      case StmtKind::kLoadA:
+        cost.hbm_bytes += static_cast<Bytes>(rows) * shape_.k * 4;
+        break;
+      case StmtKind::kLoadB:
+        cost.hbm_bytes += static_cast<Bytes>(shape_.k) * cols * 4;
+        break;
+      case StmtKind::kDot:
+        cost.flops += 2.0 * rows * cols * shape_.k;
+        break;
+      case StmtKind::kStoreLocal:
+        cost.hbm_bytes += static_cast<Bytes>(rows) * cols * 4;
+        break;
+      case StmtKind::kPutRemote:
+        // Tiles that stay local are plain stores.
+        if (puts++ < local_puts) {
+          cost.hbm_bytes += static_cast<Bytes>(rows) * cols * 4;
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  return cost;
+}
+
+const gpu::WorkCost& TileKernel::pid_cost(const Ctx& ctx) const {
+  int local_puts = 0;
+  for (const auto& s : stmts_) {
+    if (s.kind == StmtKind::kPutRemote && s.dest(ctx) == ctx.pe) {
+      ++local_puts;
+    }
+  }
+  const int rows = shape_.row_end(ctx.pid) - shape_.row_begin(ctx.pid);
+  const int cols = shape_.col_end(ctx.pid) - shape_.col_begin(ctx.pid);
+  return costs_[static_cast<std::size_t>(variant(
+      rows != shape_.block_m, cols != shape_.block_n, local_puts))];
+}
+
+int TileKernel::launch_slots(const hw::GpuSpec& spec,
+                             int occupancy_slots_override) const {
+  return occupancy_slots_override > 0 ? occupancy_slots_override
+                                      : gpu::max_active_wgs(spec, resources());
+}
+
+void TileKernel::tabulate(const gpu::Device& dev,
+                          int occupancy_slots_override) {
+  // A launch spawns at most one slot per tile.
+  const int slots = std::min(launch_slots(dev.spec(), occupancy_slots_override),
+                             shape_.num_tiles());
+  const int last = shape_.num_tiles() - 1;
+  const bool has_edge_rows =
+      shape_.row_end(last) - shape_.row_begin(last) != shape_.block_m;
+  const bool has_edge_cols =
+      shape_.col_end(last) - shape_.col_begin(last) != shape_.block_n;
+  for (std::size_t v = 0; v < costs_.size(); ++v) {
+    // Variants no pid of this shape has keep no table.
+    if (((v & 1) != 0 && !has_edge_rows) || ((v & 2) != 0 && !has_edge_cols)) {
+      continue;
+    }
+    dev.tabulate(costs_[v], slots);
+  }
+}
+
 TileKernel& TileKernel::load_a() {
-  stmts_.push_back({StmtKind::kLoadA, {}, {}, {}, nullptr, 0});
+  add({StmtKind::kLoadA, {}, {}, {}, nullptr, 0});
   return *this;
 }
 
 TileKernel& TileKernel::load_b() {
-  stmts_.push_back({StmtKind::kLoadB, {}, {}, {}, nullptr, 0});
+  add({StmtKind::kLoadB, {}, {}, {}, nullptr, 0});
   return *this;
 }
 
 TileKernel& TileKernel::dot() {
-  stmts_.push_back({StmtKind::kDot, {}, {}, {}, nullptr, 0});
+  add({StmtKind::kDot, {}, {}, {}, nullptr, 0});
   return *this;
 }
 
 TileKernel& TileKernel::store_c_local(WriteFn write) {
-  stmts_.push_back(
-      {StmtKind::kStoreLocal, {}, std::move(write), {}, nullptr, 0});
+  add({StmtKind::kStoreLocal, {}, std::move(write), {}, nullptr, 0});
   return *this;
 }
 
 TileKernel& TileKernel::put_c_remote(DestFn dest, WriteFn write) {
-  stmts_.push_back({StmtKind::kPutRemote, std::move(dest), std::move(write),
-                    {}, nullptr, 0});
-  uses_comm_ = true;
+  add({StmtKind::kPutRemote, std::move(dest), std::move(write), {}, nullptr,
+       0});
   return *this;
 }
 
 TileKernel& TileKernel::fence() {
-  stmts_.push_back({StmtKind::kFence, {}, {}, {}, nullptr, 0});
-  uses_comm_ = true;
+  add({StmtKind::kFence, {}, {}, {}, nullptr, 0});
   return *this;
 }
 
@@ -50,9 +135,8 @@ TileKernel& TileKernel::atomic_add_remote(shmem::FlagArray* flags, DestFn dest,
                                           FlagIdxFn idx,
                                           std::uint64_t amount) {
   FCC_CHECK(flags != nullptr);
-  stmts_.push_back({StmtKind::kAtomicAdd, std::move(dest), {}, std::move(idx),
-                    flags, amount});
-  uses_comm_ = true;
+  add({StmtKind::kAtomicAdd, std::move(dest), {}, std::move(idx), flags,
+       amount});
   return *this;
 }
 
@@ -109,9 +193,7 @@ sim::Co TileKernel::launch(const LaunchConfig& cfg) {
 
   gpu::KernelRun::Params p;
   p.name = name_;
-  p.num_slots = cfg.occupancy_slots_override > 0
-                    ? cfg.occupancy_slots_override
-                    : gpu::max_active_wgs(spec, resources());
+  p.num_slots = launch_slots(spec, cfg.occupancy_slots_override);
   p.order = gpu::make_schedule(shape_.num_tiles(), cfg.policy, is_remote);
   p.wg_dispatch_overhead_ns = cfg.dispatch_overhead_ns;
   p.body = [this, &cfg](gpu::KernelRun& run, int slot) {
@@ -135,38 +217,7 @@ sim::Co TileKernel::run_slot(const LaunchConfig& cfg, gpu::KernelRun& run,
 
     const int rows = shape_.row_end(pid) - shape_.row_begin(pid);
     const int cols = shape_.col_end(pid) - shape_.col_begin(pid);
-
-    // Aggregate the compute cost of this pid: panel loads + dot + local
-    // stores. (Remote puts ride the fabric, not local HBM.)
-    gpu::WorkCost cost;
-    cost.alu_efficiency = alu_efficiency_;
-    cost.curve = ops::kBaselineCurve;
-    for (const auto& s : stmts_) {
-      switch (s.kind) {
-        case StmtKind::kLoadA:
-          cost.hbm_bytes += static_cast<Bytes>(rows) * shape_.k * 4;
-          break;
-        case StmtKind::kLoadB:
-          cost.hbm_bytes += static_cast<Bytes>(shape_.k) * cols * 4;
-          break;
-        case StmtKind::kDot:
-          cost.flops += 2.0 * rows * cols * shape_.k;
-          break;
-        case StmtKind::kStoreLocal:
-          cost.hbm_bytes += static_cast<Bytes>(rows) * cols * 4;
-          break;
-        case StmtKind::kPutRemote: {
-          // Tiles that stay local are plain stores.
-          if (s.dest(ctx) == cfg.pe) {
-            cost.hbm_bytes += static_cast<Bytes>(rows) * cols * 4;
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
-    co_await dev.compute(cost);
+    co_await dev.compute(pid_cost(ctx));
 
     // Functional tile math, shared by every C consumer.
     std::vector<float> tile;

@@ -18,7 +18,9 @@
 //
 // The interpreter charges one WorkCost per pid (panel loads + dot flops +
 // local stores), runs the functional tile math when buffers are bound, and
-// routes the comm statements through the shmem world.
+// routes the comm statements through the shmem world. A pid's cost is one
+// of a few variants (edge rows, edge columns, puts that stay local), built
+// with the program; tabulate() gives each its duration table.
 #pragma once
 
 #include <functional>
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "gpu/device.h"
 #include "gpu/occupancy.h"
 #include "gpu/persistent.h"
 #include "gpu/schedule.h"
@@ -82,6 +85,13 @@ class TileKernel {
   /// Checks statement-order invariants (dot needs panels, puts need dot).
   void validate() const;
 
+  /// Builds the duration table of every per-pid cost variant on `dev`'s
+  /// spec for a launch with `occupancy_slots_override` (Device::tabulate).
+  /// Optional: an untabulated launch computes each duration. Call after the
+  /// program statements, from the host side before any launch: a kernel
+  /// shared by several PEs is launched on each PE's home shard.
+  void tabulate(const gpu::Device& dev, int occupancy_slots_override = 0);
+
   // ---- launch ----
   struct LaunchConfig {
     shmem::World* world = nullptr;
@@ -125,11 +135,29 @@ class TileKernel {
   /// One slot's loop over the pids it claims, then the caller's epilogue.
   sim::Co run_slot(const LaunchConfig& cfg, gpu::KernelRun& run, int slot);
 
+  /// Appends a statement and rebuilds the cost variants.
+  void add(Stmt stmt);
+  /// Cost of a `rows` x `cols` tile whose C goes to local HBM through
+  /// `local_puts` of its put statements: panel loads + dot + local stores
+  /// (remote puts ride the fabric, not local HBM).
+  gpu::WorkCost tile_cost(int rows, int cols, int local_puts) const;
+  /// costs_ index of a pid's variant: bit 0 edge rows, bit 1 edge
+  /// columns, then the number of its puts that stay local.
+  static int variant(bool edge_rows, bool edge_cols, int local_puts) {
+    return 4 * local_puts + 2 * static_cast<int>(edge_cols) +
+           static_cast<int>(edge_rows);
+  }
+  const gpu::WorkCost& pid_cost(const Ctx& ctx) const;
+  /// Slot count of a launch on `spec`.
+  int launch_slots(const hw::GpuSpec& spec, int occupancy_slots_override) const;
+
   std::string name_;
   ops::GemmShape shape_;
   double alu_efficiency_;
   std::vector<Stmt> stmts_;
   bool uses_comm_ = false;
+  int puts_ = 0;  // put_c_remote statements
+  std::vector<gpu::WorkCost> costs_;  // [variant()]
 };
 
 }  // namespace fcc::triton

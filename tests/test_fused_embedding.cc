@@ -107,17 +107,47 @@ TEST(SliceMap, RoundTripsWgSliceLane) {
 
   std::vector<int> wgs_in_slice(static_cast<std::size_t>(map.num_slices()), 0);
   for (int lw = 0; lw < map.num_logical_wgs(); ++lw) {
-    const int s = map.slice_of_wg(lw);
+    const SliceMap::Placement at = map.place(lw);
+    const int s = at.slice;
     ASSERT_GE(s, 0);
     ASSERT_LT(s, map.num_slices());
     ++wgs_in_slice[static_cast<std::size_t>(s)];
     // Slice metadata must agree with the WG's own coordinates.
     EXPECT_EQ(map.slice_table(s), map.wg_table(lw));
-    EXPECT_EQ(map.slice_dest(s), map.dest_of_sample(map.wg_sample(lw)));
-    EXPECT_GE(map.lane_in_slice(lw), 0);
-    EXPECT_LT(map.lane_in_slice(lw), map.wgs_per_slice());
+    EXPECT_EQ(at.dest, map.dest_of_sample(map.wg_sample(lw)));
+    EXPECT_EQ(map.slice_dest(s), at.dest);
+    EXPECT_GE(at.lane, 0);
+    EXPECT_LT(at.lane, map.wgs_per_slice());
+    EXPECT_EQ(map.slice_sample_begin(s) + at.lane, map.wg_sample(lw));
   }
   for (int c : wgs_in_slice) EXPECT_EQ(c, map.wgs_per_slice());
+}
+
+TEST(WgDoneTable, LastSetterOfEachSliceWins) {
+  // Two PEs x two slices of 130 lanes (three mask words per slice): only
+  // the WG that completes a slice is told so, and rows stay independent.
+  WgDoneTable done;
+  done.reset(/*pes=*/2, /*slices=*/2, /*lanes=*/130);
+  for (int lane = 0; lane < 129; ++lane) {
+    EXPECT_FALSE(done.mark(1, 0, 129 - lane));
+  }
+  EXPECT_FALSE(done.mark(0, 0, 0));
+  EXPECT_FALSE(done.mark(1, 1, 0));
+  EXPECT_TRUE(done.mark(1, 0, 0));
+  for (int lane = 1; lane < 129; ++lane) EXPECT_FALSE(done.mark(0, 0, lane));
+  EXPECT_TRUE(done.mark(0, 0, 129));
+
+  // reset() clears every bit and count for the next run.
+  done.reset(1, 1, 2);
+  EXPECT_FALSE(done.mark(0, 0, 1));
+  EXPECT_TRUE(done.mark(0, 0, 0));
+}
+
+TEST(WgDoneTable, DoubleSetThrows) {
+  WgDoneTable done;
+  done.reset(/*pes=*/1, /*slices=*/3, /*lanes=*/65);
+  EXPECT_FALSE(done.mark(0, 2, 64));
+  EXPECT_THROW(done.mark(0, 2, 64), std::logic_error);
 }
 
 TEST(SliceMap, RemoteCountsAreConsistent) {
@@ -397,6 +427,34 @@ TEST(FusedEmbedding, EmitsTraceWhenEnabled) {
   bool saw_put = false;
   for (const auto& i : m.trace().instants()) saw_put |= (i.name == "put");
   EXPECT_TRUE(saw_put);
+}
+
+// Each of these used to pass construction and then abort mid-run (a
+// negative delay) or time zero-cost WGs (non-positive pooling).
+TEST(FusedEmbedding, RejectsNonPositivePoolingAtConstruction) {
+  gpu::Machine m(intra_node(2));
+  shmem::World w(m);
+  for (const int pooling : {0, -4}) {
+    auto cfg = small_config(2);
+    cfg.functional = false;
+    cfg.pooling = pooling;
+    EXPECT_THROW(FusedEmbeddingAllToAll(w, cfg, nullptr), std::logic_error)
+        << pooling;
+    EXPECT_THROW(BaselineEmbeddingAllToAll(w, cfg, nullptr), std::logic_error)
+        << pooling;
+  }
+}
+
+TEST(FusedEmbedding, RejectsNegativeBookkeepingAtConstruction) {
+  gpu::Machine m(intra_node(2));
+  shmem::World w(m);
+  auto cfg = small_config(2);
+  cfg.functional = false;
+  cfg.bookkeeping_ns = -1;
+  EXPECT_THROW(FusedEmbeddingAllToAll(w, cfg, nullptr), std::logic_error);
+  EXPECT_THROW(BaselineEmbeddingAllToAll(w, cfg, nullptr), std::logic_error);
+  cfg.bookkeeping_ns = 0;
+  EXPECT_NO_THROW(FusedEmbeddingAllToAll(w, cfg, nullptr));
 }
 
 TEST(FusedEmbedding, DeterministicAcrossRuns) {

@@ -9,6 +9,7 @@
 #include "gpu/machine.h"
 #include "gpu/persistent.h"
 #include "gpu/stream.h"
+#include "ops/cost_model.h"
 #include "sim/engine.h"
 
 namespace fcc::gpu {
@@ -48,12 +49,50 @@ TEST(Device, ComputeDurationAluBound) {
 TEST(Device, MaxOfMemAndAluRules) {
   Machine m(one_gpu());
   Device& d = m.device(0);
-  WorkCost mem_only{1 << 20, 0, 1.0, {}};
-  WorkCost alu_only{0, 1e9, 1.0, {}};
-  WorkCost both{1 << 20, 1e9, 1.0, {}};
+  WorkCost mem_only, alu_only, both;
+  mem_only.hbm_bytes = both.hbm_bytes = 1 << 20;
+  alu_only.flops = both.flops = 1e9;
   EXPECT_EQ(d.compute_duration(both, 1),
             std::max(d.compute_duration(mem_only, 1),
                      d.compute_duration(alu_only, 1)));
+}
+
+// A tabulated cost must time every step exactly as compute_duration does:
+// table entries up to the slot count, the formula past it.
+TEST(Device, DurationTableIsExactAtEveryActiveCount) {
+  Machine m(one_gpu());
+  Device& d = m.device(0);
+  const int max_slots = d.spec().max_wg_slots();
+  std::vector<std::pair<const char*, WorkCost>> costs = {
+      {"baseline embedding",
+       ops::embedding_wg_cost(64, 128, /*local_write=*/true,
+                              ops::kBaselineCurve)},
+      {"fused embedding store",
+       ops::embedding_wg_cost(64, 256, /*local_write=*/false,
+                              ops::kFusedEmbeddingCurve)},
+      {"tile gemm",
+       ops::gemm_tile_cost(64, 64, 4096, ops::kTritonGemmEfficiency,
+                           ops::kBaselineCurve)},
+  };
+  for (auto& [name, cost] : costs) {
+    WorkCost plain = cost;
+    d.tabulate(cost, max_slots);
+    ASSERT_EQ(cost.by_active.size(), static_cast<std::size_t>(max_slots) + 1)
+        << name;
+    for (int a = 1; a <= 4 * max_slots; ++a) {
+      ASSERT_EQ(d.step_duration(cost, a), d.compute_duration(plain, a))
+          << name << " at " << a << " active";
+      ASSERT_EQ(d.step_duration(plain, a), d.compute_duration(plain, a))
+          << name << " untabulated at " << a << " active";
+    }
+  }
+  // A short table (a small launch) falls back past its end.
+  WorkCost small = costs[0].second;
+  d.tabulate(small, 3);
+  ASSERT_EQ(small.by_active.size(), 4u);
+  for (int a = 1; a <= 8; ++a) {
+    EXPECT_EQ(d.step_duration(small, a), d.compute_duration(small, a));
+  }
 }
 
 WorkCost mem_cost(Bytes bytes) {

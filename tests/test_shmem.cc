@@ -1,6 +1,8 @@
 // shmem semantics: symmetric arrays, flags, PUT delivery/ordering, quiet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "fused/op_runtime.h"
@@ -41,46 +43,6 @@ TEST(SymArray, TimingOnlyModeRejectsAccess) {
   SymArray<float> a(2, 1024, /*functional=*/false);
   EXPECT_FALSE(a.functional());
   EXPECT_THROW(a.pe(0), std::logic_error);
-}
-
-TEST(WgDoneMask, LastSetterWins) {
-  WgDoneMask m(4);
-  EXPECT_FALSE(m.set_and_check_last(2));
-  EXPECT_FALSE(m.set_and_check_last(0));
-  EXPECT_FALSE(m.set_and_check_last(3));
-  EXPECT_TRUE(m.set_and_check_last(1));
-  EXPECT_TRUE(m.complete());
-  EXPECT_EQ(m.mask(), 0xFull);
-}
-
-TEST(WgDoneMask, DoubleSetThrows) {
-  WgDoneMask m(2);
-  m.set_and_check_last(0);
-  EXPECT_THROW(m.set_and_check_last(0), std::logic_error);
-}
-
-TEST(WgDoneMask, WideMasksExposeEveryWordNotJustTheFirst) {
-  // 130 WGs span three words; completion and per-bit bookkeeping must see
-  // all of them (mask() used to silently truncate to word 0).
-  const int wgs = 130;
-  WgDoneMask m(wgs);
-  for (int wg = 0; wg < wgs - 1; ++wg) {
-    EXPECT_FALSE(m.set_and_check_last(wg));
-  }
-  EXPECT_TRUE(m.set_and_check_last(wgs - 1));
-  ASSERT_EQ(m.words().size(), 3u);
-  EXPECT_EQ(m.words()[0], ~std::uint64_t{0});
-  EXPECT_EQ(m.words()[1], ~std::uint64_t{0});
-  EXPECT_EQ(m.words()[2], 0x3ull);  // bits 128..129
-}
-
-TEST(WgDoneMask, SingleWordViewRefusesToTruncate) {
-  WgDoneMask narrow(64);
-  narrow.set_and_check_last(63);
-  EXPECT_EQ(narrow.mask(), std::uint64_t{1} << 63);
-  WgDoneMask wide(65);
-  EXPECT_THROW(wide.mask(), std::logic_error);
-  EXPECT_EQ(wide.words().size(), 2u);
 }
 
 sim::Task flag_waiter(sim::Engine& e, FlagArray& f, PeId pe, std::size_t i,
@@ -239,6 +201,94 @@ TEST(World, FlagNeverOvertakesData) {
   EXPECT_LE(deliveries[0], deliveries[1]);
   EXPECT_EQ(consumed_at, deliveries[1]);
   EXPECT_EQ(m.engine().live_tasks(), 0);
+}
+
+sim::Task ordered_puts_callback_free_data(sim::Engine& e, World& w,
+                                          FlagArray& flags,
+                                          TimeNs& flag_delivered_at) {
+  co_await w.put_nbi(0, 1, 32 * 1024, World::IssueKind::kRdma);
+  co_await w.fence(0);
+  co_await w.put_nbi(0, 1, 8, World::IssueKind::kRdma, [&] {
+    flag_delivered_at = e.now();
+    flags.set(1, 0, 1);
+  });
+}
+
+sim::Task flag_consumer_sees_no_put_in_flight(sim::Engine& e, World& w,
+                                              FlagArray& flags,
+                                              TimeNs& consumed_at) {
+  co_await flags.wait_ge(1, 0, 1);
+  // The callback-free data PUT fired no event of its own, but it must have
+  // landed before the flag did (fence + FIFO channel).
+  EXPECT_EQ(w.outstanding(0), 0);
+  consumed_at = e.now();
+}
+
+TEST(World, FlagNeverOvertakesCallbackFreeData) {
+  gpu::Machine m(two_nodes_one_gpu());
+  World w(m);
+  FlagArray flags(m.engine(), m.num_pes(), 1);
+  TimeNs flag_at = -1, consumed_at = -1;
+  ordered_puts_callback_free_data(m.engine(), w, flags, flag_at);
+  flag_consumer_sees_no_put_in_flight(m.engine(), w, flags, consumed_at);
+  m.engine().run();
+  EXPECT_GT(flag_at, 0);
+  EXPECT_EQ(consumed_at, flag_at);
+  EXPECT_EQ(w.puts_issued(), 2);
+  EXPECT_EQ(w.callback_free_puts(), 1);
+  EXPECT_EQ(m.engine().live_tasks(), 0);
+}
+
+/// Three PUTs from PE 0 whose deliveries land out of issue order (a large
+/// inter-node PUT first, then small intra-node ones), with or without
+/// delivery callbacks; records each PUT's delivery (with callbacks), the
+/// outstanding count after each issue, and when quiet() returns.
+sim::Task mixed_puts_then_quiet(sim::Engine& e, World& w, bool callbacks,
+                                std::vector<TimeNs>& delivered,
+                                std::vector<int>& in_flight,
+                                TimeNs& quiet_at) {
+  const PeId dst[] = {4, 1, 2};
+  const Bytes bytes[] = {1 << 20, 1024, 2048};
+  for (int i = 0; i < 3; ++i) {
+    std::function<void()> cb;
+    if (callbacks) cb = [&e, &delivered, i] { delivered[i] = e.now(); };
+    co_await w.put_nbi(0, dst[i], bytes[i], World::IssueKind::kRdma,
+                       std::move(cb));
+    in_flight.push_back(w.outstanding(0));
+  }
+  co_await w.quiet(0);
+  quiet_at = e.now();
+}
+
+TEST(World, QuietReturnsAtTheLastCallbackFreeDelivery) {
+  gpu::Machine::Config c;
+  c.num_nodes = 2;
+  c.gpus_per_node = 4;
+  auto run = [&c](bool callbacks, std::vector<TimeNs>& delivered,
+                  std::size_t& events) {
+    gpu::Machine m(c);
+    World w(m);
+    std::vector<int> in_flight;
+    TimeNs quiet_at = -1;
+    mixed_puts_then_quiet(m.engine(), w, callbacks, delivered, in_flight,
+                          quiet_at);
+    events = m.engine().run();
+    // Every PUT counts as outstanding until it lands, event or not.
+    EXPECT_EQ(in_flight, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(w.outstanding(0), 0);
+    EXPECT_EQ(w.callback_free_puts(), callbacks ? 0 : 3);
+    return quiet_at;
+  };
+  std::vector<TimeNs> delivered(3, -1), none(3, -1);
+  std::size_t events_cb = 0, events_free = 0;
+  const TimeNs with_callbacks = run(true, delivered, events_cb);
+  const TimeNs callback_free = run(false, none, events_free);
+  const TimeNs last = *std::max_element(delivered.begin(), delivered.end());
+  EXPECT_EQ(delivered[0], last);  // the first PUT lands last
+  EXPECT_EQ(with_callbacks, last);
+  EXPECT_EQ(callback_free, last);
+  // Each callback-free PUT saved exactly its delivery event.
+  EXPECT_EQ(events_cb, events_free + 3);
 }
 
 sim::Task quiet_driver(sim::Engine& e, World& w, int puts, TimeNs& quiet_at,

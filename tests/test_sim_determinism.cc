@@ -32,13 +32,14 @@ namespace {
 
 /// Everything observable about one simulation that depends on the full
 /// event cascade: end-to-end times, per-PE completion stamps, per-device
-/// busy time, the PUT count, and the number of engine events fired (so a
+/// busy time, the PUT counts, and the number of engine events fired (so a
 /// refactor that must keep the event stream identical is checked, not
 /// assumed).
 struct TimingTrace {
   TimeNs final_now = 0;
   std::size_t events = 0;
   std::int64_t puts = 0;
+  std::int64_t callback_free_puts = 0;  // subset of puts; fire no event
   std::vector<TimeNs> op_end;             // per spawned operator
   std::vector<std::vector<TimeNs>> pe_end;  // per operator, per PE
   std::vector<TimeNs> busy;               // per device busy_ns
@@ -48,7 +49,8 @@ struct TimingTrace {
   std::string str() const {
     std::ostringstream os;
     os << "final_now=" << final_now << " events=" << events
-       << " puts=" << puts << "\n";
+       << " puts=" << puts << " callback_free_puts=" << callback_free_puts
+       << "\n";
     for (std::size_t i = 0; i < op_end.size(); ++i) {
       os << "op" << i << " end=" << op_end[i] << " pe_end={";
       for (auto t : pe_end[i]) os << t << ",";
@@ -72,6 +74,7 @@ TimingTrace collect(gpu::Machine& m, shmem::World& w,
   tr.final_now = m.engine().now();
   tr.events = events;
   tr.puts = w.puts_issued();
+  tr.callback_free_puts = w.callback_free_puts();
   for (auto* op : ops) {
     tr.op_end.push_back(op->result().end);
     tr.pe_end.push_back(op->result().pe_end);
@@ -232,18 +235,28 @@ gpu::Machine::Config fc_2x4() {
 // grep anchors for re-recording (print the actual on mismatch). The event
 // counts were added later, recorded while every logical WG still ran in
 // its own coroutine frame.
+//
+// Since then a PUT without a delivery callback fires no engine event: each
+// golden with such PUTs was re-recorded in `events` only, and its event
+// count from before must be exactly that many events higher.
+void expect_events_before(const TimingTrace& t, std::size_t before) {
+  EXPECT_EQ(t.events + static_cast<std::size_t>(t.callback_free_puts),
+            before);
+}
 
 TEST(SimDeterminism, MixedFusedWorkloadMatchesSeedEngine) {
   const TimingTrace t = mixed_workload();
   TimingTrace g;
   // FCC_GOLDEN mixed_fused
   g.final_now = 253715;
-  g.events = 13254;
+  g.events = 12246;
+  g.callback_free_puts = 1008;
   g.puts = 4320;
   g.op_end = {20422, 253715};
   g.pe_end = {{18122, 18272, 18422, 17743}, {251715, 251715, 251715, 251715}};
   g.busy = {18635861, 18640478, 18640207, 18639987};
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
+  expect_events_before(t, 13254);
 }
 
 TEST(SimDeterminism, MixedBaselineWorkloadMatchesSeedEngine) {
@@ -264,12 +277,14 @@ TEST(SimDeterminism, InternodeEmbeddingMatchesSeedEngine) {
   TimingTrace g;
   // FCC_GOLDEN internode_embedding
   g.final_now = 73040;
-  g.events = 9790;
+  g.events = 9534;
+  g.callback_free_puts = 256;
   g.puts = 512;
   g.op_end = {73040};
   g.pe_end = {{71040, 71040}};
   g.busy = {3313923, 3313923};
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
+  expect_events_before(t, 9790);
 }
 
 // Recorded with the staggered destination order of
@@ -280,12 +295,14 @@ TEST(SimDeterminism, TorusEmbeddingMatchesGolden) {
   TimingTrace g;
   // FCC_GOLDEN torus_embedding
   g.final_now = 345771;
-  g.events = 281751;
+  g.events = 277911;
+  g.callback_free_puts = 3840;
   g.puts = 7680;
   g.op_end = {345771};
   g.pe_end = {std::vector<TimeNs>(16, 343771)};
   g.busy = std::vector<TimeNs>(16, 203996928);
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
+  expect_events_before(t, 281751);
 }
 
 TEST(SimDeterminism, Fc2x4EmbeddingMatchesGolden) {
@@ -293,13 +310,15 @@ TEST(SimDeterminism, Fc2x4EmbeddingMatchesGolden) {
   TimingTrace g;
   // FCC_GOLDEN fc2x4_embedding
   g.final_now = 445270;
-  g.events = 94338;
+  g.events = 81538;
+  g.callback_free_puts = 12800;
   g.puts = 13696;
   g.op_end = {445270};
   g.pe_end = {{176515, 233606, 338438, 443270, 176515, 233606, 338438,
                443270}};
   g.busy = std::vector<TimeNs>(8, 99005464);
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
+  expect_events_before(t, 94338);
 }
 
 // Recorded before the baselines shared one bulk-synchronous run script.
@@ -339,12 +358,14 @@ TEST(SimDeterminism, FusedGemmA2AMatchesGolden) {
   TimingTrace g;
   // FCC_GOLDEN fused_gemm_a2a
   g.final_now = 243875;
-  g.events = 1558;
+  g.events = 1366;
+  g.callback_free_puts = 192;
   g.puts = 384;
   g.op_end = {243875};
   g.pe_end = {std::vector<TimeNs>(4, 241875)};
   g.busy = std::vector<TimeNs>(4, 14131840);
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
+  expect_events_before(t, 1558);
 }
 
 TEST(SimDeterminism, Fc2x4FusedGemvMatchesGolden) {
@@ -352,13 +373,15 @@ TEST(SimDeterminism, Fc2x4FusedGemvMatchesGolden) {
   TimingTrace g;
   // FCC_GOLDEN fc2x4_fused_gemv
   g.final_now = 1160492;
-  g.events = 44450;
+  g.events = 42658;
+  g.callback_free_puts = 1792;
   g.puts = 16128;
   g.op_end = {1160492};
   g.pe_end = {{1157242, 1157492, 1157742, 1157992, 1157742, 1157992, 1158242,
                1158492}};
   g.busy = {719190, 719220, 719248, 719272, 719291, 719311, 719327, 719345};
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
+  expect_events_before(t, 44450);
 }
 
 TEST(SimDeterminism, RepeatedRunsAreBitIdentical) {

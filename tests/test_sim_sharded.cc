@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -454,6 +455,53 @@ TEST(ShardMailbox, QuietSpansShardsOnTorus) {
   const TimeNs sharded = run(4);
   EXPECT_GT(serial, 0);
   EXPECT_EQ(serial, sharded);
+}
+
+sim::Task put_then_quiet(sim::Engine& engine, shmem::World& w, bool callback,
+                         TimeNs& delivered_at, int& in_flight,
+                         TimeNs& quiet_done) {
+  std::function<void()> cb;
+  if (callback) {
+    // Runs on the destination's shard: reads only its own clock.
+    cb = [&delivered_at, &w] {
+      delivered_at = w.machine().engine_of(1).now();
+    };
+  }
+  co_await w.put_nbi(0, 1, 64 * 1024, shmem::World::IssueKind::kRdma,
+                     std::move(cb));
+  in_flight = w.outstanding(0);
+  co_await w.quiet(0);
+  quiet_done = engine.now();
+}
+
+/// A callback-free inter-node PUT on a 2-shard torus has no delivery time
+/// until the barrier replays its reservation: it must stay outstanding until
+/// then, and quiet() must return exactly at the replayed delivery — the
+/// time a callback on the same PUT observes, serial or sharded.
+TEST(ShardMailbox, QuietWaitsForReplayedCallbackFreeDeliveryOnTorus) {
+  auto run = [](int shards, bool callback) {
+    gpu::Machine m(torus_config(2, 1, 1, shards));
+    EXPECT_EQ(m.defer_inter_node(), shards > 1);
+    shmem::World w(m);
+    TimeNs delivered_at = -1, quiet_done = -1;
+    int in_flight = -1;
+    put_then_quiet(m.engine_of(0), w, callback, delivered_at, in_flight,
+                   quiet_done);
+    m.run_all();
+    EXPECT_EQ(m.sharded().live_tasks(), 0);
+    EXPECT_EQ(in_flight, 1);
+    EXPECT_EQ(w.outstanding(0), 0);
+    EXPECT_EQ(w.callback_free_puts(), callback ? 0 : 1);
+    if (callback) {
+      EXPECT_EQ(quiet_done, delivered_at);
+    }
+    return quiet_done;
+  };
+  const TimeNs reference = run(1, true);
+  EXPECT_GT(reference, 0);
+  EXPECT_EQ(run(1, false), reference);
+  EXPECT_EQ(run(2, true), reference);
+  EXPECT_EQ(run(2, false), reference);
 }
 
 }  // namespace

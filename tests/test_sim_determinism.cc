@@ -199,17 +199,15 @@ TimingTrace gemm_a2a_1x4() {
   return collect(m, w, {&gemm});
 }
 
-/// Fused GEMV+AllReduce across two nodes: inter-node tile PUTs and the
-/// per-slot peer flags of FlagSet::signal_peers.
-TimingTrace fused_gemv(const gpu::Machine::Config& mc) {
+/// Fused GEMV+AllReduce (tile PUTs to each tile's owner, then the per-slot
+/// arrival and broadcast flags to every peer), m=2048, k=4096 unless `cfg`
+/// says otherwise.
+TimingTrace fused_gemv(const gpu::Machine::Config& mc,
+                       fused::GemvAllReduceConfig cfg = {.m = 2048,
+                                                         .k_global = 4096}) {
   gpu::Machine m(mc);
   shmem::World w(m);
-
-  fused::GemvAllReduceConfig cfg;
-  cfg.m = 2048;
-  cfg.k_global = 4096;
   cfg.functional = false;
-
   fused::FusedGemvAllReduce gemv(w, cfg, nullptr);
   return collect(m, w, {&gemv});
 }
@@ -228,6 +226,19 @@ gpu::Machine::Config fc_2x4() {
   gpu::Machine::Config mc;
   mc.num_nodes = 2;
   mc.gpus_per_node = 4;
+  return mc;
+}
+
+gpu::Machine::Config fc_1x4() {
+  gpu::Machine::Config mc;
+  mc.num_nodes = 1;
+  mc.gpus_per_node = 4;
+  return mc;
+}
+
+gpu::Machine::Config switched_2x4() {
+  gpu::Machine::Config mc = fc_2x4();
+  mc.topology.kind = hw::TopologySpec::Kind::kSwitchedNode;
   return mc;
 }
 
@@ -382,6 +393,44 @@ TEST(SimDeterminism, Fc2x4FusedGemvMatchesGolden) {
   g.busy = {719190, 719220, 719248, 719272, 719291, 719311, 719327, 719345};
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
   expect_events_before(t, 44450);
+}
+
+// Fused GEMV goldens the fc2x4 one does not reach. Five slots over 16
+// tiles of 16 rows (the last has 10): uneven per-slot tile lists, and a
+// slot that owns no tile on some PEs.
+TEST(SimDeterminism, Fc1x4UnevenFusedGemvMatchesGolden) {
+  const TimingTrace t =
+      fused_gemv(fc_1x4(), {.m = 250,
+                            .k_global = 1024,
+                            .tile_rows = 16,
+                            .occupancy_slots_override = 5});
+  TimingTrace g;
+  // FCC_GOLDEN fc1x4_uneven_fused_gemv
+  g.final_now = 10065;
+  g.events = 605;
+  g.callback_free_puts = 96;
+  g.puts = 216;
+  g.op_end = {10065};
+  g.pe_end = {{7765, 7915, 8065, 8065}};
+  g.busy = {11185, 11184, 11184, 11184};
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
+}
+
+TEST(SimDeterminism, Switched2x4FusedGemvMatchesGolden) {
+  const TimingTrace t =
+      fused_gemv(switched_2x4(), {.m = 4096, .k_global = 4096});
+  TimingTrace g;
+  // FCC_GOLDEN switched2x4_fused_gemv
+  g.final_now = 2312842;
+  g.events = 85300;
+  g.callback_free_puts = 3584;
+  g.puts = 32256;
+  g.op_end = {2312842};
+  g.pe_end = {{2309593, 2309843, 2310093, 2310343, 2310092, 2310342, 2310592,
+               2310842}};
+  g.busy = {1961048, 1961158, 1961240, 1961310,
+            1961376, 1961421, 1961468, 1961510};
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
 }
 
 TEST(SimDeterminism, RepeatedRunsAreBitIdentical) {

@@ -55,7 +55,6 @@ struct SplitRunner {
     const auto cfg = base_config();
     for (int t = 0; t < tables_in_chunk; ++t) {
       gpu::KernelRun::Params p;
-      p.name = "emb_table_chunk";
       p.num_slots = gpu::max_active_wgs(machine.device(pe).spec(),
                                         gpu::KernelResources{});
       p.order.resize(static_cast<std::size_t>(cfg.map.global_batch));

@@ -162,7 +162,6 @@ int run_dsl_path() {
   triton::TileKernel::LaunchConfig lc;
   lc.world = &world;
   lc.pe = 0;
-  lc.policy = gpu::SchedulePolicy::kCommAware;
   lc.functional = true;
   lc.a = a;
   lc.b = b;

@@ -178,8 +178,7 @@ TimeNs Communicator::flat_ring_time(std::int64_t n_elems, TimeNs t0) {
 TimeNs Communicator::hierarchical_allreduce_time(std::int64_t n_elems,
                                                  TimeNs t0) {
   const NodeGroups& groups = groups_;
-  FCC_CHECK_MSG(groups.uniform && groups.by_node.size() > 1 &&
-                    groups.by_node.front().size() > 1,
+  FCC_CHECK_MSG(hierarchy_eligible(),
                 "hierarchical AllReduce needs >1 node with equal, >1 member "
                 "counts; use a flat algorithm for this span");
   const int g = static_cast<int>(groups.by_node.front().size());
@@ -332,8 +331,7 @@ TimeNs Communicator::pairwise_a2a_time(std::int64_t chunk_elems, TimeNs t0) {
 TimeNs Communicator::node_aggregate_a2a_time(std::int64_t chunk_elems,
                                              TimeNs t0) {
   const NodeGroups& groups = groups_;
-  FCC_CHECK_MSG(groups.uniform && groups.by_node.size() > 1 &&
-                    groups.by_node.front().size() > 1,
+  FCC_CHECK_MSG(hierarchy_eligible(),
                 "node-aggregated All-to-All needs >1 node with equal, >1 "
                 "member counts; use the pairwise schedule for this span");
   const int g = static_cast<int>(groups.by_node.front().size());

@@ -108,6 +108,11 @@ class Communicator {
   sim::Co all_to_all_v(const std::vector<std::int64_t>& counts,
                        FloatBufs send, FloatBufs recv);
 
+  /// True when the span's shape admits the hierarchical algorithms at all
+  /// (several nodes, uniform, several members each) — health aside. Forcing
+  /// kHierarchical or kNodeAggregate on an ineligible span is an error.
+  bool hierarchy_eligible() const;
+
   /// Wall-to-wall time of the last completed collective (simulated ns).
   TimeNs last_duration() const { return last_duration_; }
 
@@ -136,10 +141,6 @@ class Communicator {
   TimeNs hierarchical_allreduce_time(std::int64_t n_elems, TimeNs t0);
   TimeNs pairwise_a2a_time(std::int64_t chunk_elems, TimeNs t0);
   TimeNs node_aggregate_a2a_time(std::int64_t chunk_elems, TimeNs t0);
-
-  /// True when the span's shape admits the hierarchical algorithms at all
-  /// (several nodes, uniform, several members each) — health aside.
-  bool hierarchy_eligible() const;
 
   /// Unhealthy components in the span's reach, cached per fault epoch so
   /// steady-state selection on a stable fabric costs one counter compare.

@@ -85,7 +85,6 @@ sim::Co DlrmModel::mlp_stack(PeId pe, int batch, int in_dim,
     s.block_m = 16;
     s.block_n = 16;
     gpu::KernelRun::Params p;
-    p.name = "mlp_layer";
     p.num_slots = spec.max_wg_slots();
     p.order.resize(static_cast<std::size_t>(s.num_tiles()));
     for (int t = 0; t < s.num_tiles(); ++t) {

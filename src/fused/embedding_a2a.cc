@@ -116,7 +116,6 @@ sim::Co FusedEmbeddingAllToAll::pe_body(PeId pe) {
   sim::Engine& engine = machine.engine_of(pe);
   const auto& map = cfg_.map;
   gpu::KernelRun::Params p;
-  p.name = "fused_emb_a2a";
   p.num_slots = slots_per_pe_;
   if (cfg_.policy == gpu::SchedulePolicy::kCommAware) {
     p.order = map.comm_aware_order(pe, [&machine, pe](PeId d) {
@@ -307,7 +306,6 @@ sim::Co BaselineEmbeddingAllToAll::table_kernel(PeId pe, int table) {
   auto& machine = world_.machine();
   const auto& map = cfg_.map;
   gpu::KernelRun::Params p;
-  p.name = "emb_table_kernel";
   p.num_slots = slots_per_pe_;
   p.order.resize(static_cast<std::size_t>(map.global_batch));
   for (int b = 0; b < map.global_batch; ++b) {

@@ -108,7 +108,6 @@ sim::Co FusedGemmAllToAll::pe_driver(PeId pe) {
       static_cast<std::uint64_t>(shape_.tiles_n());
   triton::TileKernel::LaunchConfig lc;
   lc.pe = pe;
-  lc.policy = cfg_.policy;
   lc.occupancy_slots_override = cfg_.occupancy_slots_override;
   lc.functional = cfg_.functional;
   if (cfg_.functional) {

@@ -16,7 +16,6 @@
 #include "ccl/communicator.h"
 #include "common/rng.h"
 #include "fused/op_runtime.h"
-#include "gpu/schedule.h"
 #include "ops/cost_model.h"
 #include "ops/gemm.h"
 #include "shmem/flags.h"
@@ -33,7 +32,6 @@ struct GemmA2AConfig {
   int block_m = ops::kGemmBlockM;
   int block_n = ops::kGemmBlockN;
   double alu_efficiency = ops::kTritonGemmEfficiency;
-  gpu::SchedulePolicy policy = gpu::SchedulePolicy::kCommAware;
   bool functional = false;
   int occupancy_slots_override = 0;
 

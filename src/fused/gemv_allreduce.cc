@@ -4,8 +4,7 @@
 #include <utility>
 
 #include "framework/op_registry.h"
-#include "gpu/persistent.h"
-#include "sim/task.h"
+#include "gpu/schedule.h"
 
 namespace fcc::fused {
 
@@ -25,6 +24,31 @@ GemvAllReduceData GemvAllReduceData::random(const GemvAllReduceConfig& cfg,
   return d;
 }
 
+namespace {
+
+/// Construction-time check of the fields both backends read.
+GemvAllReduceConfig checked(const GemvAllReduceConfig& cfg,
+                            const GemvAllReduceData* data) {
+  FCC_CHECK_MSG(cfg.m >= 1,
+                "GemvAllReduceConfig::m (output rows) must be >= 1, got "
+                    << cfg.m);
+  FCC_CHECK_MSG(cfg.k_global >= 1,
+                "GemvAllReduceConfig::k_global (reduction dim) must be >= 1, "
+                "got " << cfg.k_global);
+  FCC_CHECK_MSG(cfg.tile_rows >= 1,
+                "GemvAllReduceConfig::tile_rows (rows per logical WG) must "
+                "be >= 1, got " << cfg.tile_rows);
+  FCC_CHECK_MSG(cfg.bookkeeping_ns >= 0,
+                "GemvAllReduceConfig::bookkeeping_ns must be >= 0, got "
+                    << cfg.bookkeeping_ns);
+  if (cfg.functional) {
+    FCC_CHECK(data != nullptr && data->y != nullptr);
+  }
+  return cfg;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Fused operator
 // ---------------------------------------------------------------------------
@@ -33,24 +57,13 @@ FusedGemvAllReduce::FusedGemvAllReduce(shmem::World& world,
                                        GemvAllReduceConfig cfg,
                                        GemvAllReduceData* data)
     : FusedOp(world),
-      cfg_(cfg),
+      cfg_(checked(cfg, data)),
       data_(data),
       num_pes_(world.n_pes()),
       shape_(cfg.shape(world.n_pes())),
       num_tiles_(shape_.num_tiles()) {
   FCC_CHECK_MSG(num_tiles_ % num_pes_ == 0,
                 "tiles (" << num_tiles_ << ") must divide evenly across PEs");
-  FCC_CHECK_MSG(cfg_.bookkeeping_ns >= 0,
-                "GemvAllReduceConfig::bookkeeping_ns must be >= 0, got "
-                    << cfg_.bookkeeping_ns);
-  if (cfg_.functional) {
-    FCC_CHECK(data_ != nullptr && data_->y != nullptr);
-  }
-  tile_cost_ = {ops::gemv_tile_cost(shape_.tile_rows, shape_.k,
-                                    /*local_write=*/true, ops::kBaselineCurve),
-                ops::gemv_tile_cost(shape_.tile_rows, shape_.k,
-                                    /*local_write=*/false,
-                                    ops::kBaselineCurve)};
   register_debug_flags("arrive", arrive_flags_);
   register_debug_flags("bcast", bcast_flags_);
 }
@@ -64,6 +77,47 @@ std::size_t FusedGemvAllReduce::flag_index(PeId src, int slot) const {
          static_cast<std::size_t>(slot);
 }
 
+void FusedGemvAllReduce::build_tables() {
+  const gpu::Device& dev = world_.machine().device(0);
+  auto reduce_cost = [this](int rows) {
+    // Read N partials, write the result.
+    gpu::WorkCost c;
+    c.hbm_bytes = static_cast<Bytes>(rows) * 4 * (num_pes_ + 1);
+    c.flops = static_cast<double>(rows) * num_pes_;
+    c.curve = ops::kBaselineCurve;
+    return c;
+  };
+  const int last = num_tiles_ - 1;
+  tile_cost_ = {ops::gemv_tile_cost(shape_.tile_rows, shape_.k,
+                                    /*local_write=*/true, ops::kBaselineCurve),
+                ops::gemv_tile_cost(shape_.tile_rows, shape_.k,
+                                    /*local_write=*/false,
+                                    ops::kBaselineCurve)};
+  reduce_cost_ = {reduce_cost(shape_.tile_rows),
+                  reduce_cost(shape_.tile_end(last) - shape_.tile_begin(last))};
+  for (auto* costs : {&tile_cost_, &reduce_cost_}) {
+    for (gpu::WorkCost& c : *costs) dev.tabulate(c, active_slots_);
+  }
+
+  // Slot s's tiles are s, s + slots, ...; it runs them comm-aware (tiles
+  // this GPU does NOT own first, so their stores overlap local compute).
+  const int slots = active_slots_;
+  order_.assign(static_cast<std::size_t>(num_pes_),
+                std::vector<int>(static_cast<std::size_t>(num_tiles_)));
+  for (PeId pe = 0; pe < num_pes_; ++pe) {
+    auto& order = order_[static_cast<std::size_t>(pe)];
+    for (int s = 0; s < slots; ++s) {
+      const int n = (num_tiles_ - s + slots - 1) / slots;
+      const std::vector<int> mine = gpu::make_schedule(
+          n, [&](int j) { return owner_of_tile(s + j * slots) != pe; });
+      for (int j = 0; j < n; ++j) {
+        order[static_cast<std::size_t>(s + j * slots)] =
+            s + mine[static_cast<std::size_t>(j)] * slots;
+      }
+    }
+  }
+}
+
 sim::Co FusedGemvAllReduce::run() {
   auto& machine = world_.machine();
   active_slots_ =
@@ -73,11 +127,7 @@ sim::Co FusedGemvAllReduce::run() {
           .slots;
   // Built once, before any PE body exists (sharded bodies read them from
   // several threads).
-  if (tile_cost_[0].by_active.empty()) {
-    for (gpu::WorkCost& c : tile_cost_) {
-      machine.device(0).tabulate(c, active_slots_);
-    }
-  }
+  if (order_.empty()) build_tables();
 
   const std::size_t flags_per_pe = static_cast<std::size_t>(num_pes_) *
                                    static_cast<std::size_t>(active_slots_);
@@ -93,36 +143,29 @@ sim::Co FusedGemvAllReduce::run() {
                      std::vector<float>(static_cast<std::size_t>(shape_.m),
                                         0.0f)));
   }
-  pe_done_.clear();
-  for (int pe = 0; pe < num_pes_; ++pe) {
-    // Each PE's slot join lives on that PE's home-shard engine, so slot
-    // arrivals and the waiter's wakeup stay shard-local.
-    pe_done_.push_back(std::make_unique<sim::JoinCounter>(
-        machine.engine_of(pe), active_slots_));
-  }
   co_await run_fused([this](PeId pe) { return pe_body(pe); });
 }
 
 sim::Co FusedGemvAllReduce::pe_body(PeId pe) {
   sim::Engine& engine = world_.machine().engine_of(pe);
-  for (int s = 0; s < active_slots_; ++s) {
-    slot_proc(engine, pe, s);
-  }
-  co_await pe_done_[static_cast<std::size_t>(pe)]->wait();
+  gpu::KernelRun::Params p;
+  p.num_slots = active_slots_;
+  p.order = order_[static_cast<std::size_t>(pe)];
+  p.static_assignment = true;
+  p.body = [this, pe](gpu::KernelRun& run, int slot) {
+    return gemv_slot(run, pe, slot);
+  };
+  gpu::KernelRun run(engine, std::move(p));
+  run.start();
+  co_await run.wait();
   result_.pe_end[static_cast<std::size_t>(pe)] = engine.now();
 }
 
-sim::Task FusedGemvAllReduce::slot_proc(sim::Engine& /*engine*/, PeId pe,
-                                        int slot) {
-  // Task list: tiles with tile % slots == slot, comm-aware ordered (tiles
-  // this GPU does NOT own first, so their stores overlap local compute).
-  const std::vector<int> mine = ordered_tasks(
-      strided_tasks(slot, num_tiles_, active_slots_), cfg_.policy,
-      [this, pe](int t) { return owner_of_tile(t) != pe; });
-
+sim::Co FusedGemvAllReduce::gemv_slot(gpu::KernelRun& run, PeId pe,
+                                      int slot) {
   auto& machine = world_.machine();
   auto& dev = machine.device(pe);
-  for (int tile : mine) {
+  for (int tile; (tile = co_await run.next(slot)) >= 0;) {
     const PeId owner = owner_of_tile(tile);
     const bool remote = owner != pe;
 
@@ -170,9 +213,12 @@ sim::Task FusedGemvAllReduce::slot_proc(sim::Engine& /*engine*/, PeId pe,
     }
   }
 
-  // Arrival flags: data stores are ordered ahead of these by channel FIFO.
-  co_await arrive_flags_.fence_and_signal_peers(world_, pe,
-                                                flag_index(pe, slot));
+  // Arrival flags: the fence orders the data stores ahead of them.
+  co_await world_.fence(pe);
+  for (PeId peer = 0; peer < num_pes_; ++peer) {
+    if (peer == pe) continue;
+    co_await arrive_flags_.signal(world_, pe, peer, flag_index(pe, slot));
+  }
 
   co_await reduce_and_broadcast(pe, slot);
 
@@ -181,7 +227,6 @@ sim::Task FusedGemvAllReduce::slot_proc(sim::Engine& /*engine*/, PeId pe,
     if (peer == pe) continue;
     co_await bcast_flags_->wait_ge(pe, flag_index(peer, slot), 1);
   }
-  pe_done_[static_cast<std::size_t>(pe)]->arrive();
 }
 
 sim::Co FusedGemvAllReduce::reduce_and_broadcast(PeId pe, int slot) {
@@ -194,27 +239,15 @@ sim::Co FusedGemvAllReduce::reduce_and_broadcast(PeId pe, int slot) {
   }
 
   // Owned tiles assigned to this slot.
-  std::vector<int> owned;
-  for (int t : strided_tasks(slot, num_tiles_, active_slots_)) {
-    if (owner_of_tile(t) == pe) owned.push_back(t);
-  }
-  if (owned.empty()) {
-    // Still must release peers waiting on our broadcast flag.
-    co_await bcast_flags_.signal_peers(world_, pe, flag_index(pe, slot));
-    co_return;
-  }
-
-  for (int tile : owned) {
+  bool reduced = false;
+  for (int tile = slot; tile < num_tiles_; tile += active_slots_) {
+    if (owner_of_tile(tile) != pe) continue;
+    reduced = true;
     const int r0 = shape_.tile_begin(tile);
     const int r1 = shape_.tile_end(tile);
     const Bytes tile_bytes = static_cast<Bytes>(r1 - r0) * 4;
 
-    // Reduce: read N partials, write the result.
-    gpu::WorkCost reduce_cost;
-    reduce_cost.hbm_bytes = tile_bytes * (num_pes_ + 1);
-    reduce_cost.flops = static_cast<double>(r1 - r0) * num_pes_;
-    reduce_cost.curve = ops::kBaselineCurve;
-    co_await dev.compute(reduce_cost);
+    co_await dev.compute(reduce_cost_[tile == num_tiles_ - 1 ? 1 : 0]);
 
     std::vector<float> final_vals;
     if (cfg_.functional) {
@@ -256,9 +289,13 @@ sim::Co FusedGemvAllReduce::reduce_and_broadcast(PeId pe, int slot) {
     }
   }
 
-  // Broadcast flags after all final-tile stores (channel FIFO + fence).
-  co_await bcast_flags_.fence_and_signal_peers(world_, pe,
-                                               flag_index(pe, slot));
+  // Broadcast flags, fenced behind the final-tile stores. A slot that owns
+  // no tile still signals: peers wait on every counterpart's flag.
+  if (reduced) co_await world_.fence(pe);
+  for (PeId peer = 0; peer < num_pes_; ++peer) {
+    if (peer == pe) continue;
+    co_await bcast_flags_.signal(world_, pe, peer, flag_index(pe, slot));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -268,14 +305,16 @@ sim::Co FusedGemvAllReduce::reduce_and_broadcast(PeId pe, int slot) {
 BaselineGemvAllReduce::BaselineGemvAllReduce(shmem::World& world,
                                              GemvAllReduceConfig cfg,
                                              GemvAllReduceData* data)
-    : BulkSyncOp(world), cfg_(cfg), data_(data) {
-  FCC_CHECK_MSG(cfg_.bookkeeping_ns >= 0,
-                "GemvAllReduceConfig::bookkeeping_ns must be >= 0, got "
-                    << cfg_.bookkeeping_ns);
-  if (cfg_.functional) {
-    FCC_CHECK(data_ != nullptr && data_->y != nullptr);
-  }
-  slots_per_pe_ = OccupancyPlan::resolve(world_.machine().device(0).spec(),
+    : BulkSyncOp(world), cfg_(checked(cfg, data)), data_(data) {
+  auto& machine = world_.machine();
+  FCC_CHECK_MSG(cfg_.allreduce_algo != ccl::AllReduceAlgo::kHierarchical ||
+                    communicator().hierarchy_eligible(),
+                "GemvAllReduceConfig::allreduce_algo kHierarchical needs a "
+                "span of >1 node with equal, >1 GPU counts; this span is "
+                    << machine.num_nodes() << " node(s) x "
+                    << machine.gpus_per_node()
+                    << " GPU(s): use kAuto or a flat algorithm");
+  slots_per_pe_ = OccupancyPlan::resolve(machine.device(0).spec(),
                                          gpu::KernelResources{})
                       .slots;
   const auto shape = cfg_.shape(world_.n_pes());
@@ -297,7 +336,6 @@ sim::Co BaselineGemvAllReduce::compute(PeId pe, TimeNs /*t0*/) {
   auto& machine = world_.machine();
   const auto shape = cfg_.shape(machine.num_pes());
   gpu::KernelRun::Params p;
-  p.name = "gemv_kernel";
   p.num_slots = slots_per_pe_;
   p.order.resize(static_cast<std::size_t>(shape.num_tiles()));
   for (int t = 0; t < shape.num_tiles(); ++t) {

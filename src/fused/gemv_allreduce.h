@@ -4,10 +4,11 @@
 // Megatron-style row-parallel layer: GPU g holds W_g (m x k/N) and x_g
 // (k/N); partial y_g = W_g x_g must be sum-reduced across GPUs. The fused
 // kernel uses the two-phase direct AllReduce: tile i's owner is the GPU
-// responsible for reducing it (contiguous 1/N ranges). Tiles are statically
-// assigned to physical WG slots (tile % slots), so "counterpart" slots own
-// identical tiles on every GPU — that is what lets each slot set just ONE
-// ready flag per peer instead of per-tile synchronization.
+// responsible for reducing it (contiguous 1/N ranges). The kernel runs on
+// gpu::KernelRun with static assignment: physical WG slot s computes the
+// tiles with tile % slots == s, so "counterpart" slots own identical tiles
+// on every GPU — that is what lets each slot set just ONE ready flag per
+// peer instead of per-tile synchronization.
 //
 // Per slot, on GPU g:
 //   1. task loop (comm-aware: peer-owned tiles first): compute tile; if
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -29,13 +29,12 @@
 #include "common/types.h"
 #include "fused/op_runtime.h"
 #include "gpu/occupancy.h"
-#include "gpu/schedule.h"
+#include "gpu/persistent.h"
 #include "ops/cost_model.h"
 #include "ops/gemv.h"
 #include "shmem/flags.h"
 #include "shmem/sym_array.h"
 #include "shmem/world.h"
-#include "sim/sync.h"
 
 namespace fcc::fused {
 
@@ -43,7 +42,6 @@ struct GemvAllReduceConfig {
   int m = 8192;       // output rows
   int k_global = 8192;  // reduction dim, split row-wise across PEs
   int tile_rows = ops::kGemvTileRows;
-  gpu::SchedulePolicy policy = gpu::SchedulePolicy::kCommAware;
   bool functional = false;
   int occupancy_slots_override = 0;
   TimeNs bookkeeping_ns = 40;
@@ -90,8 +88,11 @@ class FusedGemvAllReduce final : public FusedOp {
   int active_slots() const { return active_slots_; }
 
  private:
+  void build_tables();
   sim::Co pe_body(PeId pe);
-  sim::Task slot_proc(sim::Engine& engine, PeId pe, int slot);
+  sim::Co gemv_slot(gpu::KernelRun& run, PeId pe, int slot);
+  /// Step 3 of a slot, in a frame of its own: merged into gemv_slot it
+  /// would grow the frame every slot keeps for the whole run.
   sim::Co reduce_and_broadcast(PeId pe, int slot);
   std::size_t flag_index(PeId src, int slot) const;
 
@@ -101,9 +102,15 @@ class FusedGemvAllReduce final : public FusedOp {
   ops::GemvShape shape_;
   int num_tiles_;
   int active_slots_ = 1;
+  // Built by the first run(), with their duration tables.
   /// Per-tile compute cost: [0] keeps the partial (local write), [1]
-  /// stores it to the owner. Duration tables built by the first run().
+  /// stores it to the owner.
   std::array<gpu::WorkCost, 2> tile_cost_{};
+  /// Per-owned-tile reduce cost: [0] a full tile, [1] the last tile.
+  std::array<gpu::WorkCost, 2> reduce_cost_{};
+  /// Per PE, the KernelRun order: position s + j * slots holds slot s's
+  /// j-th tile.
+  std::vector<std::vector<int>> order_;
 
   // Runtime state.
   FlagSet arrive_flags_;                               // [pe][src*slots+slot]
@@ -112,7 +119,6 @@ class FusedGemvAllReduce final : public FusedOp {
   // temp_[owner][src][m]: partials stored by peers into the owner's
   // reduction buffer (functional).
   std::vector<std::vector<std::vector<float>>> temp_;
-  std::vector<std::unique_ptr<sim::JoinCounter>> pe_done_;
 };
 
 class BaselineGemvAllReduce final : public BulkSyncOp {

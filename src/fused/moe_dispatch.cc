@@ -339,7 +339,6 @@ sim::Co FusedMoeDispatch::pe_driver(PeId pe) {
   const int tiles_n = (cfg_.d_out + cfg_.block_n - 1) / cfg_.block_n;
   triton::TileKernel::LaunchConfig lc;
   lc.pe = pe;
-  lc.policy = cfg_.policy;
   lc.occupancy_slots_override = cfg_.occupancy_slots_override;
   lc.functional = cfg_.functional;
   if (cfg_.functional) {

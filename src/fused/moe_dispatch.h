@@ -36,7 +36,6 @@
 #include "ccl/communicator.h"
 #include "common/rng.h"
 #include "fused/op_runtime.h"
-#include "gpu/schedule.h"
 #include "ops/cost_model.h"
 #include "ops/gemm.h"
 #include "ops/moe_routing.h"
@@ -54,7 +53,6 @@ struct MoeDispatchConfig {
   int block_m = ops::kGemmBlockM;
   int block_n = ops::kGemmBlockN;
   double alu_efficiency = ops::kTritonGemmEfficiency;
-  gpu::SchedulePolicy policy = gpu::SchedulePolicy::kCommAware;
   bool functional = false;
   int occupancy_slots_override = 0;
   /// Synthetic-routing knobs, used when no MoeDispatchData::plans are

@@ -30,25 +30,6 @@ OccupancyPlan OccupancyPlan::resolve(const hw::GpuSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
-// FlagSet
-// ---------------------------------------------------------------------------
-
-sim::Co FlagSet::signal_peers(shmem::World& world, PeId src,
-                              std::size_t idx) {
-  const int pes = flags_->num_pes();
-  for (PeId peer = 0; peer < pes; ++peer) {
-    if (peer == src) continue;
-    co_await signal(world, src, peer, idx);
-  }
-}
-
-sim::Co FlagSet::fence_and_signal_peers(shmem::World& world, PeId src,
-                                        std::size_t idx) {
-  co_await world.fence(src);
-  co_await signal_peers(world, src, idx);
-}
-
-// ---------------------------------------------------------------------------
 // FusedOp driver
 // ---------------------------------------------------------------------------
 
@@ -273,7 +254,6 @@ sim::Co BulkSyncOp::local_tile_gemm(PeId pe, std::span<const float> a,
   triton::TileKernel::LaunchConfig lc;
   lc.world = &world_;
   lc.pe = pe;
-  lc.policy = gpu::SchedulePolicy::kOblivious;
   lc.functional = local_gemm_functional_;
   lc.a = a;
   lc.b = b;
@@ -296,22 +276,6 @@ void check_alu_efficiency(const char* field, double alu_efficiency) {
                 field << " must be in (0, 1] (fraction of peak ALU the "
                          "kernel sustains), got "
                       << alu_efficiency);
-}
-
-std::vector<int> ordered_tasks(std::vector<int> tasks,
-                               gpu::SchedulePolicy policy,
-                               const std::function<bool(int)>& is_remote) {
-  if (policy == gpu::SchedulePolicy::kCommAware) {
-    std::stable_partition(tasks.begin(), tasks.end(), is_remote);
-  }
-  return tasks;
-}
-
-std::vector<int> strided_tasks(int first, int total, int stride) {
-  FCC_CHECK(stride >= 1);
-  std::vector<int> v;
-  for (int t = first; t < total; t += stride) v.push_back(t);
-  return v;
 }
 
 }  // namespace fcc::fused

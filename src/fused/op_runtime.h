@@ -16,9 +16,7 @@
 //                      and the task count.
 //   * FlagSet        — shmem::FlagArray lifecycle plus the recurring
 //                      "remote 8-byte PUT that sets a readiness flag"
-//                      signalling idioms (sliceRdy / per-slot peer flags).
-//   * ordered_tasks / strided_tasks — comm-aware vs oblivious task-loop
-//                      ordering over gpu::SchedulePolicy.
+//                      signalling idiom (sliceRdy / per-slot peer flags).
 //
 // Comm-aware order is remote-first for every op but the fused embedding,
 // which also staggers its destinations (SliceMap::comm_aware_order): its
@@ -30,12 +28,11 @@
 // +0.12%, plan_grid +1.6%, one planner anchor lost), so they stay
 // remote-first.
 //
-// Kernels are slot-resident: each physical WG slot is one coroutine frame
-// (a gpu::KernelRun slot body, or a fused GEMV slot task with its static
-// tile list) that builds its per-launch constants (WorkCosts) once, runs
-// every logical WG it claims inline, then polls its subset of readiness
-// flags before returning. launch_awaiting_arrivals hands the tile DSL that
-// polling as the launch's epilogue.
+// Kernels are slot-resident: each physical WG slot is one gpu::KernelRun
+// slot body, a coroutine frame that runs every logical WG it claims inline
+// (the fused GEMV's slots claim theirs by static assignment), then polls
+// its subset of readiness flags before returning. launch_awaiting_arrivals
+// hands the tile DSL that polling as the launch's epilogue.
 //
 // Per-PE completion times are stamped inside run_per_pe_at bodies (each
 // body runs on its PE's home-shard engine), so the runtime works on serial
@@ -56,7 +53,6 @@
 #include "gpu/machine.h"
 #include "gpu/occupancy.h"
 #include "gpu/persistent.h"
-#include "gpu/schedule.h"
 #include "shmem/flags.h"
 #include "shmem/world.h"
 #include "sim/co.h"
@@ -127,7 +123,8 @@ class FlagSet {
   explicit operator bool() const { return flags_ != nullptr; }
 
   /// Remote PUT from `src` that sets flag[dst][idx] = 1 on delivery (the
-  /// sliceRdy idiom: data PUTs order ahead on the FIFO channel).
+  /// sliceRdy idiom: data PUTs order ahead on the FIFO channel; fence first
+  /// to order PUTs to other PEs too).
   shmem::World::Put signal(
       shmem::World& world, PeId src, PeId dst, std::size_t idx,
       shmem::World::IssueKind kind = shmem::World::IssueKind::kStore) {
@@ -136,14 +133,6 @@ class FlagSet {
     return world.put_nbi(src, dst, kFlagBytes, kind,
                          [flags, dst, idx] { flags->set(dst, idx, 1); });
   }
-
-  /// signal() to every PE except `src` at the same index (the per-slot peer
-  /// flag idiom of the direct AllReduce).
-  sim::Co signal_peers(shmem::World& world, PeId src, std::size_t idx);
-
-  /// fence(src) first so all prior data PUTs order ahead of the flags.
-  sim::Co fence_and_signal_peers(shmem::World& world, PeId src,
-                                 std::size_t idx);
 
  private:
   std::unique_ptr<shmem::FlagArray> flags_;
@@ -280,6 +269,9 @@ class BulkSyncOp : public FusedOp {
   /// costs no simulated time).
   virtual sim::Co collective(ccl::Communicator& comm) = 0;
 
+  /// The communicator collective() runs on (construction-time checks).
+  const ccl::Communicator& communicator() const { return comm_; }
+
   /// Builds, on the first call, the plain tile-DSL GEMM (load, dot, local
   /// store) that is the compute body of the GEMM-producer baselines, with
   /// its duration tables. Call from prepare(), before any PE body runs.
@@ -305,16 +297,5 @@ std::vector<PeId> all_pes(gpu::Machine& machine);
 /// Construction-time check of a tile-DSL operator's `alu_efficiency`
 /// field (named `field` in the message): it must lie in (0, 1].
 void check_alu_efficiency(const char* field, double alu_efficiency);
-
-/// Comm-aware/oblivious ordering of an explicit task list (per-slot static
-/// assignment: the caller already picked which tasks are its own).
-/// Comm-aware runs remote-output producers first, stable within classes.
-/// The fused embedding does not use it; see SliceMap::comm_aware_order.
-std::vector<int> ordered_tasks(std::vector<int> tasks,
-                               gpu::SchedulePolicy policy,
-                               const std::function<bool(int)>& is_remote);
-
-/// Tasks statically assigned to one slot: first, first+stride, ... < total.
-std::vector<int> strided_tasks(int first, int total, int stride);
 
 }  // namespace fcc::fused

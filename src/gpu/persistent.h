@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <functional>
 #include <numeric>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,7 +41,6 @@ class KernelRun {
   using SlotBody = std::function<sim::Co(KernelRun& run, int slot)>;
 
   struct Params {
-    std::string name = "kernel";
     int num_slots = 1;
     std::vector<int> order;  // execution order over logical WGs
     SlotBody body;
@@ -50,9 +48,10 @@ class KernelRun {
     /// charged by next() after each successful claim.
     TimeNs wg_dispatch_overhead_ns = 0;
     /// Static assignment: slot s executes order positions s, s+slots, ...
-    /// instead of claiming dynamically. The fused GEMV+AllReduce operator
-    /// needs this so "counterpart" physical WGs own the same tiles on every
-    /// GPU (the paper's per-slot peer flags depend on it).
+    /// instead of claiming dynamically. The fused GEMV+AllReduce runs this
+    /// way so "counterpart" physical WGs own the same tiles on every GPU
+    /// (the paper's per-slot peer flags depend on it); its order lays out
+    /// each slot's tiles at stride `num_slots`.
     bool static_assignment = false;
   };
 

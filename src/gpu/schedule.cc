@@ -4,25 +4,18 @@
 
 namespace fcc::gpu {
 
-std::vector<int> make_schedule(int n, SchedulePolicy policy,
+std::vector<int> make_schedule(int n,
                                const std::function<bool(int)>& is_remote) {
   FCC_CHECK(n >= 0);
   std::vector<int> order;
   order.reserve(n);
-  switch (policy) {
-    case SchedulePolicy::kOblivious:
-      for (int i = 0; i < n; ++i) order.push_back(i);
-      break;
-    case SchedulePolicy::kCommAware:
-      // Stable two-pass partition keeps intra-class order sequential, which
-      // preserves slice contiguity (WGs of one slice stay adjacent).
-      for (int i = 0; i < n; ++i) {
-        if (is_remote(i)) order.push_back(i);
-      }
-      for (int i = 0; i < n; ++i) {
-        if (!is_remote(i)) order.push_back(i);
-      }
-      break;
+  // Stable two-pass partition keeps intra-class order sequential, which
+  // preserves slice contiguity (WGs of one slice stay adjacent).
+  for (int i = 0; i < n; ++i) {
+    if (is_remote(i)) order.push_back(i);
+  }
+  for (int i = 0; i < n; ++i) {
+    if (!is_remote(i)) order.push_back(i);
   }
   return order;
 }

@@ -1,20 +1,21 @@
-// Logical-workgroup execution-order policies.
+// Logical-workgroup execution order.
 //
 // The paper's communication-aware scheduling runs logical WGs that produce
 // remotely-consumed slices *before* those producing locally-consumed ones,
 // maximizing the window in which remote transfers overlap local compute
 // (Figs. 6b / 14). The oblivious baseline starts from WG (0,0,0) and
-// proceeds sequentially.
+// proceeds sequentially; only the fused embedding+A2A offers it
+// (EmbeddingA2AConfig::policy, Fig. 14).
 //
-// make_schedule keeps each class in sequential order. The fused
-// embedding+A2A does not use it under kCommAware: its WGs are sample-major,
-// so that order would send every PE to destination 0, then 1, ... at the
-// same time. It staggers destinations instead (fused::SliceMap::
+// make_schedule keeps each class in sequential order. The tile-DSL ops and
+// the fused GEMV+AllReduce (per slot, over its statically assigned tiles)
+// run it. The fused embedding+A2A does not: its WGs are sample-major, so
+// this order would send every PE to destination 0, then 1, ... at the same
+// time. It staggers destinations instead (fused::SliceMap::
 // comm_aware_order: inter-node blocks, then intra-node, own block last,
 // each class starting at self + 1), which took the 8x8 torus flagship from
-// 37236 to 9845 sim_us (fused/baseline 3.345 -> 0.884). The tile-DSL ops
-// and the fused GEMV+AllReduce keep this order: the same rotation made
-// them slower (paper_ops sim_us +0.12%, plan_grid +1.6%).
+// 37236 to 9845 sim_us (fused/baseline 3.345 -> 0.884). The same rotation
+// made the other ops slower (paper_ops sim_us +0.12%, plan_grid +1.6%).
 #pragma once
 
 #include <functional>
@@ -24,12 +25,13 @@ namespace fcc::gpu {
 
 enum class SchedulePolicy {
   kOblivious,  // sequential logical-WG order
-  kCommAware,  // remote-slice producers first (stable within each class)
+  kCommAware,  // remote-slice producers first
 };
 
-/// Builds the execution order of `n` logical WGs. `is_remote(lw)` says
-/// whether logical WG `lw`'s output leaves this GPU.
-std::vector<int> make_schedule(int n, SchedulePolicy policy,
+/// Communication-aware execution order of `n` logical WGs: those whose
+/// output leaves this GPU (`is_remote(lw)`) first, stable within each
+/// class.
+std::vector<int> make_schedule(int n,
                                const std::function<bool(int)>& is_remote);
 
 }  // namespace fcc::gpu

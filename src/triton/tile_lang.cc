@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "gpu/schedule.h"
+
 namespace fcc::triton {
 
 TileKernel::TileKernel(std::string name, ops::GemmShape shape,
@@ -192,9 +194,8 @@ sim::Co TileKernel::launch(const LaunchConfig& cfg) {
   };
 
   gpu::KernelRun::Params p;
-  p.name = name_;
   p.num_slots = launch_slots(spec, cfg.occupancy_slots_override);
-  p.order = gpu::make_schedule(shape_.num_tiles(), cfg.policy, is_remote);
+  p.order = gpu::make_schedule(shape_.num_tiles(), is_remote);
   p.wg_dispatch_overhead_ns = cfg.dispatch_overhead_ns;
   p.body = [this, &cfg](gpu::KernelRun& run, int slot) {
     return run_slot(cfg, run, slot);

@@ -33,7 +33,6 @@
 #include "gpu/device.h"
 #include "gpu/occupancy.h"
 #include "gpu/persistent.h"
-#include "gpu/schedule.h"
 #include "ops/cost_model.h"
 #include "ops/gemm.h"
 #include "shmem/flags.h"
@@ -96,7 +95,6 @@ class TileKernel {
   struct LaunchConfig {
     shmem::World* world = nullptr;
     PeId pe = 0;
-    gpu::SchedulePolicy policy = gpu::SchedulePolicy::kOblivious;
     int occupancy_slots_override = 0;
     TimeNs dispatch_overhead_ns = 40;
     bool functional = false;

@@ -238,7 +238,7 @@ TEST(SliceMap, CommAwareOrderOnTwoPesIsRemoteFirstPartition) {
   for (const bool inter_node : {true, false}) {
     for (PeId self = 0; self < 2; ++self) {
       const auto old_order = gpu::make_schedule(
-          map.num_logical_wgs(), gpu::SchedulePolicy::kCommAware,
+          map.num_logical_wgs(),
           [&map, self](int lw) { return map.wg_is_remote(self, lw); });
       EXPECT_EQ(map.comm_aware_order(
                     self, [inter_node](PeId) { return inter_node; }),

@@ -234,5 +234,51 @@ TEST(FusedGemv, RejectsIndivisibleTileCounts) {
   EXPECT_THROW(FusedGemvAllReduce(w, cfg, nullptr), std::logic_error);
 }
 
+/// Both backends reject `cfg` at construction.
+void expect_both_reject(const GemvAllReduceConfig& cfg) {
+  gpu::Machine m(scale_up(4));
+  shmem::World w(m);
+  EXPECT_THROW(FusedGemvAllReduce(w, cfg, nullptr), std::logic_error);
+  EXPECT_THROW(BaselineGemvAllReduce(w, cfg, nullptr), std::logic_error);
+}
+
+TEST(GemvConfig, RejectsNonPositiveM) {
+  for (int m : {0, -64}) {
+    auto cfg = timing_cfg(4096, 4096);
+    cfg.m = m;
+    expect_both_reject(cfg);
+  }
+}
+
+TEST(GemvConfig, RejectsNonPositiveKGlobal) {
+  auto cfg = timing_cfg(4096, 4096);
+  cfg.k_global = 0;
+  expect_both_reject(cfg);
+}
+
+TEST(GemvConfig, RejectsNonPositiveTileRows) {
+  auto cfg = timing_cfg(4096, 4096);
+  cfg.tile_rows = 0;
+  expect_both_reject(cfg);
+}
+
+TEST(BaselineGemv, ForcedHierarchicalNeedsSeveralMultiGpuNodes) {
+  auto cfg = timing_cfg(4096, 4096);
+  cfg.allreduce_algo = ccl::AllReduceAlgo::kHierarchical;
+  gpu::Machine one_node(scale_up(4));
+  shmem::World w1(one_node);
+  EXPECT_THROW(BaselineGemvAllReduce(w1, cfg, nullptr), std::logic_error);
+
+  gpu::Machine::Config two_by_four;
+  two_by_four.num_nodes = 2;
+  two_by_four.gpus_per_node = 4;
+  gpu::Machine two_nodes(two_by_four);
+  shmem::World w2(two_nodes);
+  EXPECT_GT(BaselineGemvAllReduce(w2, cfg, nullptr)
+                .run_to_completion()
+                .duration(),
+            0);
+}
+
 }  // namespace
 }  // namespace fcc::fused

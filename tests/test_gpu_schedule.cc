@@ -1,4 +1,4 @@
-// Logical-WG scheduling policies.
+// Communication-aware logical-WG order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,39 +8,25 @@
 namespace fcc::gpu {
 namespace {
 
-TEST(Schedule, ObliviousIsIdentity) {
-  const auto order =
-      make_schedule(5, SchedulePolicy::kOblivious, [](int) { return false; });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
 TEST(Schedule, CommAwarePutsRemoteFirst) {
   // Remote: odd indices.
-  const auto order = make_schedule(6, SchedulePolicy::kCommAware,
-                                   [](int i) { return i % 2 == 1; });
+  const auto order = make_schedule(6, [](int i) { return i % 2 == 1; });
   EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 0, 2, 4}));
 }
 
 TEST(Schedule, CommAwareIsStableWithinClasses) {
-  const auto order = make_schedule(8, SchedulePolicy::kCommAware,
-                                   [](int i) { return i >= 4; });
+  const auto order = make_schedule(8, [](int i) { return i >= 4; });
   EXPECT_EQ(order, (std::vector<int>{4, 5, 6, 7, 0, 1, 2, 3}));
 }
 
 TEST(Schedule, EveryWgAppearsExactlyOnce) {
-  for (auto policy :
-       {SchedulePolicy::kOblivious, SchedulePolicy::kCommAware}) {
-    auto order =
-        make_schedule(100, policy, [](int i) { return i % 3 == 0; });
-    std::sort(order.begin(), order.end());
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  }
+  auto order = make_schedule(100, [](int i) { return i % 3 == 0; });
+  std::sort(order.begin(), order.end());
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
 TEST(Schedule, EmptyGrid) {
-  EXPECT_TRUE(
-      make_schedule(0, SchedulePolicy::kCommAware, [](int) { return true; })
-          .empty());
+  EXPECT_TRUE(make_schedule(0, [](int) { return true; }).empty());
 }
 
 }  // namespace

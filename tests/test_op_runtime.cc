@@ -1,6 +1,6 @@
 // Shared fused-operator runtime: OccupancyPlan resolution, FlagSet
-// lifecycle + signalling, task ordering, the FusedOp spawn/drain driver,
-// and OperatorResult::skew() edge cases.
+// lifecycle + signalling, the FusedOp spawn/drain driver, and
+// OperatorResult::skew() edge cases.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -71,26 +71,6 @@ TEST(OccupancyPlan, TaskCountCapsEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Task ordering
-// ---------------------------------------------------------------------------
-
-TEST(TaskOrdering, StridedTasksAssignSlotsStatically) {
-  EXPECT_EQ(strided_tasks(0, 7, 3), (std::vector<int>{0, 3, 6}));
-  EXPECT_EQ(strided_tasks(2, 7, 3), (std::vector<int>{2, 5}));
-  EXPECT_EQ(strided_tasks(5, 3, 1), (std::vector<int>{}));
-}
-
-TEST(TaskOrdering, CommAwarePutsRemoteTasksFirstStably) {
-  const auto is_remote = [](int t) { return t % 2 == 0; };
-  EXPECT_EQ(ordered_tasks({0, 1, 2, 3, 4}, gpu::SchedulePolicy::kCommAware,
-                          is_remote),
-            (std::vector<int>{0, 2, 4, 1, 3}));
-  EXPECT_EQ(ordered_tasks({0, 1, 2, 3, 4}, gpu::SchedulePolicy::kOblivious,
-                          is_remote),
-            (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-// ---------------------------------------------------------------------------
 // FlagSet
 // ---------------------------------------------------------------------------
 
@@ -124,13 +104,16 @@ TEST(FlagSet, SignalDeliversRemoteFlagStores) {
   flags.reset(world, 2);
   struct Driver {
     static sim::Task go(sim::Engine&, shmem::World& world, FlagSet& flags) {
-      co_await flags.fence_and_signal_peers(world, /*src=*/0, /*idx=*/1);
+      co_await world.fence(/*src=*/0);
+      for (PeId peer = 1; peer < 4; ++peer) {
+        co_await flags.signal(world, /*src=*/0, peer, /*idx=*/1);
+      }
     }
   };
   Driver::go(engine, world, flags);
   engine.run();
   ASSERT_EQ(engine.live_tasks(), 0);
-  EXPECT_EQ(flags->read(0, 1), 0u);  // src does not signal itself
+  EXPECT_EQ(flags->read(0, 1), 0u);
   for (PeId peer = 1; peer < 4; ++peer) {
     EXPECT_EQ(flags->read(peer, 1), 1u) << "peer " << peer;
   }

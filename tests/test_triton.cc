@@ -190,7 +190,6 @@ TEST(TileKernel, CommAwareSchedulePutsRemoteTilesFirst) {
   lc.world = &w;
   lc.pe = 0;
   lc.functional = true;
-  lc.policy = gpu::SchedulePolicy::kCommAware;
   lc.occupancy_slots_override = 1;
   Rng rng(53);
   auto a = ops::random_vector(

@@ -187,7 +187,7 @@ DlrmResult DlrmModel::forward(std::uint64_t seed) {
     };
     bool stage_done = false;
     Join::go(engine, join, stage_done);
-    engine.run();
+    res.events += engine.run();
     FCC_CHECK_MSG(stage_done && engine.live_tasks() == 0,
                   "DLRM overlapped stage deadlocked");
   }
@@ -217,7 +217,7 @@ DlrmResult DlrmModel::forward(std::uint64_t seed) {
     };
     bool tail_done = false;
     Join::go(engine, join, tail_done);
-    engine.run();
+    res.events += engine.run();
     FCC_CHECK(tail_done);
     // The tail runs interaction and top MLP back to back on every PE; it
     // is recorded as one lump.

@@ -11,6 +11,7 @@
 // functional equality between the two paths validates the fused exchange.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "framework/session.h"
@@ -41,6 +42,8 @@ struct DlrmResult {
   TimeNs bottom_mlp_ns = 0;
   TimeNs top_mlp_ns = 0;  // interaction kernel + top MLP, one lump
   TimeNs total_ns = 0;
+  /// Engine events the forward pass fired (determinism goldens pin it).
+  std::size_t events = 0;
   /// Functional mode: CTR logits per PE, local-batch order.
   std::vector<std::vector<float>> logits;
 };

@@ -18,6 +18,8 @@
 #include <sstream>
 #include <vector>
 
+#include "dlrm/model.h"
+#include "framework/session.h"
 #include "fused/embedding_a2a.h"
 #include "fused/gemm_a2a.h"
 #include "fused/gemv_allreduce.h"
@@ -52,9 +54,13 @@ struct TimingTrace {
        << " puts=" << puts << " callback_free_puts=" << callback_free_puts
        << "\n";
     for (std::size_t i = 0; i < op_end.size(); ++i) {
-      os << "op" << i << " end=" << op_end[i] << " pe_end={";
-      for (auto t : pe_end[i]) os << t << ",";
-      os << "}\n";
+      os << "op" << i << " end=" << op_end[i];
+      if (i < pe_end.size()) {
+        os << " pe_end={";
+        for (auto t : pe_end[i]) os << t << ",";
+        os << "}";
+      }
+      os << "\n";
     }
     os << "busy={";
     for (auto b : busy) os << b << ",";
@@ -162,7 +168,9 @@ TimingTrace internode_embedding() {
 /// (zero-copy intra-node blocks behind RDMA inter-node ones). The baseline
 /// runs its per-table kernels on one stream per PE.
 template <typename Op = fused::FusedEmbeddingAllToAll>
-TimingTrace staggered_embedding(const gpu::Machine::Config& mc) {
+TimingTrace staggered_embedding(
+    const gpu::Machine::Config& mc,
+    gpu::SchedulePolicy policy = gpu::SchedulePolicy::kCommAware) {
   gpu::Machine m(mc);
   shmem::World w(m);
 
@@ -172,6 +180,7 @@ TimingTrace staggered_embedding(const gpu::Machine::Config& mc) {
   cfg.map.global_batch = 64 * m.num_pes();
   cfg.map.dim = 256;
   cfg.map.vectors_per_slice = 32;
+  cfg.policy = policy;
   cfg.functional = false;
 
   Op emb(w, cfg, nullptr);
@@ -210,6 +219,39 @@ TimingTrace fused_gemv(const gpu::Machine::Config& mc,
   cfg.functional = false;
   fused::FusedGemvAllReduce gemv(w, cfg, nullptr);
   return collect(m, w, {&gemv});
+}
+
+/// DLRM forward on `mc`: bottom-MLP GEMM kernels (gpu::KernelRun over
+/// output tiles) overlapped with the embedding+A2A, then interaction and
+/// top MLP. op_end holds the DlrmResult timing fields in order: emb_a2a
+/// end, bottom_mlp_ns, top_mlp_ns, total_ns.
+TimingTrace dlrm_forward(const gpu::Machine::Config& mc, fw::Backend backend) {
+  fw::Session s(mc);
+  dlrm::DlrmConfig cfg;
+  cfg.emb.map.num_pes = s.machine().num_pes();
+  cfg.emb.map.tables_per_pe = 16;
+  cfg.emb.map.global_batch = 512;
+  cfg.emb.map.dim = 64;
+  cfg.emb.map.vectors_per_slice = 32;
+  cfg.emb.pooling = 64;
+  cfg.emb.functional = false;
+  cfg.dense_dim = 6;
+  cfg.bottom_mlp = {128, 64};  // output 64 == emb dim
+  cfg.top_mlp = {16, 1};
+  cfg.backend = backend;
+  const dlrm::DlrmResult r = dlrm::DlrmModel(s, cfg).forward(1);
+  EXPECT_EQ(s.machine().engine().live_tasks(), 0);
+  TimingTrace tr;
+  tr.final_now = s.machine().engine().now();
+  tr.events = r.events;
+  tr.puts = s.world().puts_issued();
+  tr.callback_free_puts = s.world().callback_free_puts();
+  tr.op_end = {r.emb_a2a.end, r.bottom_mlp_ns, r.top_mlp_ns, r.total_ns};
+  tr.pe_end = {r.emb_a2a.pe_end};
+  for (PeId pe = 0; pe < s.machine().num_pes(); ++pe) {
+    tr.busy.push_back(s.machine().device(pe).busy_ns());
+  }
+  return tr;
 }
 
 gpu::Machine::Config torus_4x4() {
@@ -430,6 +472,54 @@ TEST(SimDeterminism, Switched2x4FusedGemvMatchesGolden) {
                2310842}};
   g.busy = {1961048, 1961158, 1961240, 1961310,
             1961376, 1961421, 1961468, 1961510};
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
+}
+
+// Recorded before KernelRun stopped owning a WG order: the two callers no
+// other golden reaches, the DLRM MLP kernels and the fused embedding under
+// the oblivious (identity) schedule.
+
+TEST(SimDeterminism, Fc2x4ObliviousEmbeddingMatchesGolden) {
+  const TimingTrace t = staggered_embedding(
+      fc_2x4(), gpu::SchedulePolicy::kOblivious);
+  TimingTrace g;
+  // FCC_GOLDEN fc2x4_oblivious_embedding
+  g.final_now = 525614;
+  g.events = 81515;
+  g.callback_free_puts = 12800;
+  g.puts = 13696;
+  g.op_end = {525614};
+  g.pe_end = {{178569, 233606, 338438, 443270, 209118, 313950, 418782,
+               523614}};
+  g.busy = {99004504, 99095040, 99099184, 99103494,
+            99048504, 99042233, 99028314, 99005464};
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
+}
+
+TEST(SimDeterminism, Fc1x4FusedDlrmForwardMatchesGolden) {
+  const TimingTrace t = dlrm_forward(fc_1x4(), fw::Backend::kFused);
+  TimingTrace g;
+  // FCC_GOLDEN fc1x4_fused_dlrm
+  g.final_now = 137669;
+  g.events = 93001;
+  g.callback_free_puts = 24576;
+  g.puts = 25344;
+  g.op_end = {93770, 14954, 43899, 137669};
+  g.pe_end = {std::vector<TimeNs>(4, 91770)};
+  g.busy = std::vector<TimeNs>(4, 52614909);
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
+}
+
+TEST(SimDeterminism, Fc1x4BaselineDlrmForwardMatchesGolden) {
+  const TimingTrace t = dlrm_forward(fc_1x4(), fw::Backend::kBaseline);
+  TimingTrace g;
+  // FCC_GOLDEN fc1x4_baseline_dlrm
+  g.final_now = 183083;
+  g.events = 33460;
+  g.puts = 0;
+  g.op_end = {139184, 13715, 43899, 183083};
+  g.pe_end = {std::vector<TimeNs>(4, 139184)};
+  g.busy = std::vector<TimeNs>(4, 33918105);
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
 }
 

@@ -46,7 +46,7 @@ struct SplitRunner {
     auto& dev = machine.device(pe);
     const gpu::WorkCost cost = ops::embedding_wg_cost(
         cfg.pooling, cfg.map.dim, true, ops::kBaselineCurve);
-    for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+    for (int pos; (pos = co_await run.next(slot)) >= 0;) {
       co_await dev.compute(cost);
     }
   }
@@ -57,10 +57,7 @@ struct SplitRunner {
       gpu::KernelRun::Params p;
       p.num_slots = gpu::max_active_wgs(machine.device(pe).spec(),
                                         gpu::KernelResources{});
-      p.order.resize(static_cast<std::size_t>(cfg.map.global_batch));
-      for (int b = 0; b < cfg.map.global_batch; ++b) {
-        p.order[static_cast<std::size_t>(b)] = b;
-      }
+      p.num_wgs = cfg.map.global_batch;  // position = sample
       p.body = [this, pe, &cfg](gpu::KernelRun& run, int slot) {
         return table_slot(run, pe, cfg, slot);
       };

@@ -86,10 +86,7 @@ sim::Co DlrmModel::mlp_stack(PeId pe, int batch, int in_dim,
     s.block_n = 16;
     gpu::KernelRun::Params p;
     p.num_slots = spec.max_wg_slots();
-    p.order.resize(static_cast<std::size_t>(s.num_tiles()));
-    for (int t = 0; t < s.num_tiles(); ++t) {
-      p.order[static_cast<std::size_t>(t)] = t;
-    }
+    p.num_wgs = s.num_tiles();  // position = output tile
     p.body = [&dev, s, efficiency](gpu::KernelRun& run, int slot) {
       return mlp_slot(run, dev, s, efficiency, slot);
     };

@@ -1,7 +1,6 @@
 #include "fused/embedding_a2a.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "framework/op_registry.h"
@@ -40,6 +39,8 @@ void check_config(const EmbeddingA2AConfig& cfg, const shmem::World& world,
   FCC_CHECK_MSG(cfg.bookkeeping_ns >= 0,
                 "EmbeddingA2AConfig::bookkeeping_ns must be >= 0, got "
                     << cfg.bookkeeping_ns);
+  check_slots_override("EmbeddingA2AConfig::occupancy_slots_override",
+                       cfg.occupancy_slots_override);
   if (cfg.functional) {
     FCC_CHECK_MSG(data != nullptr && data->output != nullptr,
                   "functional mode needs EmbeddingA2AData");
@@ -90,11 +91,25 @@ sim::Co FusedEmbeddingAllToAll::run() {
   const auto& map = cfg_.map;
   const int pes = map.num_pes;
 
-  // The WG costs' duration tables are built here, once, before any PE body
-  // exists: on a sharded machine the bodies read them from several threads.
+  // The WG costs' duration tables and the block sequences are built here,
+  // once, before any PE body exists: on a sharded machine the bodies read
+  // them from several threads.
   if (wg_cost_[0].by_active.empty()) {
     for (gpu::WorkCost& c : wg_cost_) {
       world_.machine().device(0).tabulate(c, slots_per_pe_);
+    }
+    if (cfg_.policy == gpu::SchedulePolicy::kCommAware) {
+      auto& machine = world_.machine();
+      blocks_.reserve(static_cast<std::size_t>(pes) *
+                      static_cast<std::size_t>(pes));
+      for (PeId pe = 0; pe < pes; ++pe) {
+        const std::vector<PeId> b =
+            map.comm_aware_blocks(pe, [&machine, pe](PeId d) {
+              return machine.route_class(pe, d) ==
+                     hw::RouteClass::kInterNode;
+            });
+        blocks_.insert(blocks_.end(), b.begin(), b.end());
+      }
     }
   }
   // Reset per-run state. wg_done_/stage_ rows are written only by each
@@ -112,19 +127,10 @@ sim::Co FusedEmbeddingAllToAll::run() {
 }
 
 sim::Co FusedEmbeddingAllToAll::pe_body(PeId pe) {
-  auto& machine = world_.machine();
-  sim::Engine& engine = machine.engine_of(pe);
-  const auto& map = cfg_.map;
+  sim::Engine& engine = world_.machine().engine_of(pe);
   gpu::KernelRun::Params p;
   p.num_slots = slots_per_pe_;
-  if (cfg_.policy == gpu::SchedulePolicy::kCommAware) {
-    p.order = map.comm_aware_order(pe, [&machine, pe](PeId d) {
-      return machine.route_class(pe, d) == hw::RouteClass::kInterNode;
-    });
-  } else {
-    p.order.resize(static_cast<std::size_t>(map.num_logical_wgs()));
-    std::iota(p.order.begin(), p.order.end(), 0);
-  }
+  p.num_wgs = cfg_.map.num_logical_wgs();
   p.body = [this, pe](gpu::KernelRun& run, int slot) {
     return pe_slot(run, pe, slot);
   };
@@ -141,7 +147,7 @@ sim::Co FusedEmbeddingAllToAll::pe_slot(gpu::KernelRun& run, PeId pe,
   // arithmetic and functional data stay in plain helpers.
   auto& machine = world_.machine();
   auto& dev = machine.device(pe);
-  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+  for (int lw; (lw = wg_at(pe, co_await run.next(slot))) >= 0;) {
     const SliceMap::Placement at = cfg_.map.place(lw);
     const bool zero_copy = zero_copy_to(pe, at.dest);
     const TimeNs t_begin = machine.engine_of(pe).now();
@@ -304,13 +310,9 @@ BaselineEmbeddingAllToAll::BaselineEmbeddingAllToAll(shmem::World& world,
 
 sim::Co BaselineEmbeddingAllToAll::table_kernel(PeId pe, int table) {
   auto& machine = world_.machine();
-  const auto& map = cfg_.map;
   gpu::KernelRun::Params p;
   p.num_slots = slots_per_pe_;
-  p.order.resize(static_cast<std::size_t>(map.global_batch));
-  for (int b = 0; b < map.global_batch; ++b) {
-    p.order[static_cast<std::size_t>(b)] = b;
-  }
+  p.num_wgs = cfg_.map.global_batch;  // position = global sample
   p.body = [this, pe, table](gpu::KernelRun& run, int slot) {
     return table_slot(run, pe, table, slot);
   };

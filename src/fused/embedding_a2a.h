@@ -9,11 +9,14 @@
 // communication-aware order unless configured oblivious: remote slices
 // first, one destination block at a time, inter-node destinations before
 // intra-node ones and each class starting at the PE after self
-// (SliceMap::comm_aware_order). Staggering the start keeps all sources off
+// (SliceMap::comm_aware_blocks). Staggering the start keeps all sources off
 // one destination's ingress links at once: on the 8x8 torus flagship the
 // shared 0..n-1 order took 3.345x the baseline's span, the staggered one
-// 0.884x. After draining the task loop, each persistent WG polls a
-// distinct subset of sliceRdy flags before exiting.
+// 0.884x. The order permutes whole destination blocks, so each PE keeps
+// only its num_pes-entry block sequence (built on the first run) and maps
+// a KernelRun position to its WG arithmetically, instead of storing
+// num_logical_wgs() ids per PE. After draining the task loop, each
+// persistent WG polls a distinct subset of sliceRdy flags before exiting.
 //
 // Baseline path: per-table pooling kernels (public-DLRM structure) on a
 // stream, host sync, then the ccl All-to-All, then sync — communication
@@ -95,6 +98,15 @@ class FusedEmbeddingAllToAll final : public FusedOp {
  private:
   sim::Co pe_body(PeId pe);
   sim::Co pe_slot(gpu::KernelRun& run, PeId pe, int slot);
+  /// Logical WG that PE `pe` runs at KernelRun position `pos`; -1 (the
+  /// drained queue) stays -1.
+  int wg_at(PeId pe, int pos) const {
+    if (pos < 0 || blocks_.empty()) return pos;  // oblivious: sample-major
+    return cfg_.map.block_wg(
+        &blocks_[static_cast<std::size_t>(pe) *
+                 static_cast<std::size_t>(cfg_.map.num_pes)],
+        pos);
+  }
   /// Whether a WG's vector goes out as a zero-copy scale-up store.
   bool zero_copy_to(PeId pe, PeId dest) const;
   /// Functional mode: pools WG `lw`'s vector, writes it to the local output
@@ -112,6 +124,10 @@ class FusedEmbeddingAllToAll final : public FusedOp {
   /// Per-WG compute cost: [0] writes HBM, [1] is a zero-copy store.
   /// Duration tables built by the first run().
   std::array<gpu::WorkCost, 2> wg_cost_{};
+  /// Comm-aware policy: PE p's destination block sequence at
+  /// [p * num_pes, (p + 1) * num_pes) (SliceMap::comm_aware_blocks), built
+  /// by the first run(); empty under the oblivious policy.
+  std::vector<PeId> blocks_;
 
   // Per-PE runtime state, rebuilt by run().
   WgDoneTable wg_done_;                                     // [pe][slice]

@@ -26,6 +26,26 @@ GemmA2AData GemmA2AData::random(const GemmA2AConfig& cfg, int num_pes,
   return d;
 }
 
+namespace {
+
+/// Construction-time check of the fields both backends read.
+GemmA2AConfig checked(const GemmA2AConfig& cfg, const GemmA2AData* data) {
+  check_positive("GemmA2AConfig::rows_per_origin", cfg.rows_per_origin);
+  check_positive("GemmA2AConfig::d_model", cfg.d_model);
+  check_positive("GemmA2AConfig::d_ff", cfg.d_ff);
+  check_positive("GemmA2AConfig::block_m", cfg.block_m);
+  check_positive("GemmA2AConfig::block_n", cfg.block_n);
+  check_alu_efficiency("GemmA2AConfig::alu_efficiency", cfg.alu_efficiency);
+  check_slots_override("GemmA2AConfig::occupancy_slots_override",
+                       cfg.occupancy_slots_override);
+  if (cfg.functional) {
+    FCC_CHECK(data != nullptr && data->out != nullptr);
+  }
+  return cfg;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Fused operator (authored in the tile DSL)
 // ---------------------------------------------------------------------------
@@ -33,17 +53,13 @@ GemmA2AData GemmA2AData::random(const GemmA2AConfig& cfg, int num_pes,
 FusedGemmAllToAll::FusedGemmAllToAll(shmem::World& world, GemmA2AConfig cfg,
                                      GemmA2AData* data)
     : FusedOp(world),
-      cfg_(cfg),
+      cfg_(checked(cfg, data)),
       data_(data),
       num_pes_(world.n_pes()),
       shape_(cfg.shape(world.n_pes())) {
   FCC_CHECK_MSG(cfg_.rows_per_origin % cfg_.block_m == 0,
                 "block_m must divide rows_per_origin so a tile has exactly "
                 "one destination");
-  check_alu_efficiency("GemmA2AConfig::alu_efficiency", cfg_.alu_efficiency);
-  if (cfg_.functional) {
-    FCC_CHECK(data_ != nullptr && data_->out != nullptr);
-  }
   register_debug_flags("arrivals", arrivals_);
 }
 
@@ -125,12 +141,7 @@ sim::Co FusedGemmAllToAll::pe_driver(PeId pe) {
 BaselineGemmAllToAll::BaselineGemmAllToAll(shmem::World& world,
                                            GemmA2AConfig cfg,
                                            GemmA2AData* data)
-    : BulkSyncOp(world), cfg_(cfg), data_(data) {
-  check_alu_efficiency("GemmA2AConfig::alu_efficiency", cfg_.alu_efficiency);
-  if (cfg_.functional) {
-    FCC_CHECK(data_ != nullptr && data_->out != nullptr);
-  }
-}
+    : BulkSyncOp(world), cfg_(checked(cfg, data)), data_(data) {}
 
 void BaselineGemmAllToAll::prepare() {
   const auto shape = cfg_.shape(world_.n_pes());

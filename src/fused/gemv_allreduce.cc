@@ -29,15 +29,11 @@ namespace {
 /// Construction-time check of the fields both backends read.
 GemvAllReduceConfig checked(const GemvAllReduceConfig& cfg,
                             const GemvAllReduceData* data) {
-  FCC_CHECK_MSG(cfg.m >= 1,
-                "GemvAllReduceConfig::m (output rows) must be >= 1, got "
-                    << cfg.m);
-  FCC_CHECK_MSG(cfg.k_global >= 1,
-                "GemvAllReduceConfig::k_global (reduction dim) must be >= 1, "
-                "got " << cfg.k_global);
-  FCC_CHECK_MSG(cfg.tile_rows >= 1,
-                "GemvAllReduceConfig::tile_rows (rows per logical WG) must "
-                "be >= 1, got " << cfg.tile_rows);
+  check_positive("GemvAllReduceConfig::m", cfg.m);
+  check_positive("GemvAllReduceConfig::k_global", cfg.k_global);
+  check_positive("GemvAllReduceConfig::tile_rows", cfg.tile_rows);
+  check_slots_override("GemvAllReduceConfig::occupancy_slots_override",
+                       cfg.occupancy_slots_override);
   FCC_CHECK_MSG(cfg.bookkeeping_ns >= 0,
                 "GemvAllReduceConfig::bookkeeping_ns must be >= 0, got "
                     << cfg.bookkeeping_ns);
@@ -150,7 +146,7 @@ sim::Co FusedGemvAllReduce::pe_body(PeId pe) {
   sim::Engine& engine = world_.machine().engine_of(pe);
   gpu::KernelRun::Params p;
   p.num_slots = active_slots_;
-  p.order = order_[static_cast<std::size_t>(pe)];
+  p.num_wgs = num_tiles_;
   p.static_assignment = true;
   p.body = [this, pe](gpu::KernelRun& run, int slot) {
     return gemv_slot(run, pe, slot);
@@ -165,7 +161,7 @@ sim::Co FusedGemvAllReduce::gemv_slot(gpu::KernelRun& run, PeId pe,
                                       int slot) {
   auto& machine = world_.machine();
   auto& dev = machine.device(pe);
-  for (int tile; (tile = co_await run.next(slot)) >= 0;) {
+  for (int tile; (tile = tile_at(pe, co_await run.next(slot))) >= 0;) {
     const PeId owner = owner_of_tile(tile);
     const bool remote = owner != pe;
 
@@ -337,10 +333,7 @@ sim::Co BaselineGemvAllReduce::compute(PeId pe, TimeNs /*t0*/) {
   const auto shape = cfg_.shape(machine.num_pes());
   gpu::KernelRun::Params p;
   p.num_slots = slots_per_pe_;
-  p.order.resize(static_cast<std::size_t>(shape.num_tiles()));
-  for (int t = 0; t < shape.num_tiles(); ++t) {
-    p.order[static_cast<std::size_t>(t)] = t;
-  }
+  p.num_wgs = shape.num_tiles();  // position = tile
   p.body = [this, pe](gpu::KernelRun& run, int slot) {
     return gemv_slot(run, pe, slot);
   };

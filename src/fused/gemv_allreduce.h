@@ -95,6 +95,13 @@ class FusedGemvAllReduce final : public FusedOp {
   /// would grow the frame every slot keeps for the whole run.
   sim::Co reduce_and_broadcast(PeId pe, int slot);
   std::size_t flag_index(PeId src, int slot) const;
+  /// Tile that PE `pe` runs at KernelRun position `pos`; -1 (the drained
+  /// queue) stays -1.
+  int tile_at(PeId pe, int pos) const {
+    return pos < 0 ? pos
+                   : order_[static_cast<std::size_t>(pe)]
+                           [static_cast<std::size_t>(pos)];
+  }
 
   GemvAllReduceConfig cfg_;
   GemvAllReduceData* data_;
@@ -108,8 +115,8 @@ class FusedGemvAllReduce final : public FusedOp {
   std::array<gpu::WorkCost, 2> tile_cost_{};
   /// Per-owned-tile reduce cost: [0] a full tile, [1] the last tile.
   std::array<gpu::WorkCost, 2> reduce_cost_{};
-  /// Per PE, the KernelRun order: position s + j * slots holds slot s's
-  /// j-th tile.
+  /// Per PE, the tile at each KernelRun position: position s + j * slots
+  /// holds slot s's j-th tile.
   std::vector<std::vector<int>> order_;
 
   // Runtime state.

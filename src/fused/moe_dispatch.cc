@@ -151,6 +151,20 @@ MoeDispatchData MoeDispatchData::random(const MoeDispatchConfig& cfg,
 
 namespace {
 
+/// Construction-time check of the shape fields both backends read, ahead
+/// of the plans and layout built from them.
+MoeDispatchConfig checked(const MoeDispatchConfig& cfg) {
+  check_positive("MoeDispatchConfig::d_model", cfg.d_model);
+  check_positive("MoeDispatchConfig::d_out", cfg.d_out);
+  check_positive("MoeDispatchConfig::block_m", cfg.block_m);
+  check_positive("MoeDispatchConfig::block_n", cfg.block_n);
+  check_alu_efficiency("MoeDispatchConfig::alu_efficiency",
+                       cfg.alu_efficiency);
+  check_slots_override("MoeDispatchConfig::occupancy_slots_override",
+                       cfg.occupancy_slots_override);
+  return cfg;
+}
+
 /// Plans from the spec'd data when present, else synthesized from the
 /// config's skew knobs (timing-only smoke runs carry no data).
 ///
@@ -245,13 +259,11 @@ std::vector<float> gather_a(const MoeDispatchConfig& cfg,
 FusedMoeDispatch::FusedMoeDispatch(shmem::World& world, MoeDispatchConfig cfg,
                                    MoeDispatchData* data)
     : FusedOp(world),
-      cfg_(cfg),
+      cfg_(checked(cfg)),
       data_(data),
       num_pes_(world.n_pes()),
-      plans_(resolve_plans(cfg, data, world.n_pes())),
-      layout_(DispatchLayout::build(plans_, cfg.block_m)) {
-  check_alu_efficiency("MoeDispatchConfig::alu_efficiency",
-                       cfg_.alu_efficiency);
+      plans_(resolve_plans(cfg_, data, world.n_pes())),
+      layout_(DispatchLayout::build(plans_, cfg_.block_m)) {
   if (cfg_.functional) check_functional_data(cfg_, data_, layout_);
   register_debug_flags("arrivals", arrivals_);
 }
@@ -362,13 +374,11 @@ BaselineMoeDispatch::BaselineMoeDispatch(shmem::World& world,
                                          MoeDispatchConfig cfg,
                                          MoeDispatchData* data)
     : BulkSyncOp(world),
-      cfg_(cfg),
+      cfg_(checked(cfg)),
       data_(data),
       num_pes_(world.n_pes()),
-      plans_(resolve_plans(cfg, data, world.n_pes())),
-      layout_(DispatchLayout::build(plans_, cfg.block_m)) {
-  check_alu_efficiency("MoeDispatchConfig::alu_efficiency",
-                       cfg_.alu_efficiency);
+      plans_(resolve_plans(cfg_, data, world.n_pes())),
+      layout_(DispatchLayout::build(plans_, cfg_.block_m)) {
   if (cfg_.functional) check_functional_data(cfg_, data_, layout_);
 }
 

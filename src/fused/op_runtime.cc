@@ -278,4 +278,14 @@ void check_alu_efficiency(const char* field, double alu_efficiency) {
                       << alu_efficiency);
 }
 
+void check_positive(const char* field, int value) {
+  FCC_CHECK_MSG(value >= 1, field << " must be >= 1, got " << value);
+}
+
+void check_slots_override(const char* field, int value) {
+  FCC_CHECK_MSG(value >= 0, field << " must be >= 0 (0 derives the slot "
+                                     "count from occupancy), got "
+                                  << value);
+}
+
 }  // namespace fcc::fused

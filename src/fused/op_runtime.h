@@ -19,7 +19,7 @@
 //                      signalling idiom (sliceRdy / per-slot peer flags).
 //
 // Comm-aware order is remote-first for every op but the fused embedding,
-// which also staggers its destinations (SliceMap::comm_aware_order): its
+// which also staggers its destinations (SliceMap::comm_aware_blocks): its
 // WGs are sample-major, so a plain remote-first pass walks destinations
 // 0..n-1 on every PE at once and serialises the A2A on one destination's
 // ingress links at a time (8x8 torus flagship: 37236 -> 9845 sim_us,
@@ -29,10 +29,13 @@
 // remote-first.
 //
 // Kernels are slot-resident: each physical WG slot is one gpu::KernelRun
-// slot body, a coroutine frame that runs every logical WG it claims inline
-// (the fused GEMV's slots claim theirs by static assignment), then polls
-// its subset of readiness flags before returning. launch_awaiting_arrivals
-// hands the tile DSL that polling as the launch's epilogue.
+// slot body, a single detached coroutine frame that runs every logical WG
+// it claims inline (the fused GEMV's slots claim theirs by static
+// assignment), then polls its subset of readiness flags before returning.
+// KernelRun hands out positions; each operator maps them to WGs through an
+// order it builds once (or the identity), so no run allocates per WG.
+// launch_awaiting_arrivals hands the tile DSL that polling as the launch's
+// epilogue.
 //
 // Per-PE completion times are stamped inside run_per_pe_at bodies (each
 // body runs on its PE's home-shard engine), so the runtime works on serial
@@ -41,6 +44,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -104,6 +108,9 @@ class FlagSet {
   /// nothing; a shape change reallocates. Per-PE home engines never change
   /// for a given world, so reuse never has to re-home the wakeups.
   void reset(shmem::World& world, std::size_t n) {
+    // signal() carries a flag index in 32 bits.
+    FCC_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
+                  "FlagSet of " << n << " flags per PE exceeds 2^32 - 1");
     if (flags_ != nullptr && flags_->num_pes() == world.n_pes() &&
         flags_->size() == n) {
       flags_->reset();
@@ -124,14 +131,19 @@ class FlagSet {
 
   /// Remote PUT from `src` that sets flag[dst][idx] = 1 on delivery (the
   /// sliceRdy idiom: data PUTs order ahead on the FIFO channel; fence first
-  /// to order PUTs to other PEs too).
+  /// to order PUTs to other PEs too). The delivery captures 16 bytes (the
+  /// index as 32 bits, which reset() guarantees), so it fits
+  /// std::function's inline buffer and a flag PUT allocates nothing.
   shmem::World::Put signal(
       shmem::World& world, PeId src, PeId dst, std::size_t idx,
       shmem::World::IssueKind kind = shmem::World::IssueKind::kStore) {
     auto* flags = flags_.get();
-    FCC_DCHECK(flags != nullptr);
-    return world.put_nbi(src, dst, kFlagBytes, kind,
-                         [flags, dst, idx] { flags->set(dst, idx, 1); });
+    FCC_DCHECK(flags != nullptr && idx < flags->size());
+    return world.put_nbi(
+        src, dst, kFlagBytes, kind,
+        [flags, dst, i = static_cast<std::uint32_t>(idx)] {
+          flags->set(dst, i, 1);
+        });
   }
 
  private:
@@ -297,5 +309,13 @@ std::vector<PeId> all_pes(gpu::Machine& machine);
 /// Construction-time check of a tile-DSL operator's `alu_efficiency`
 /// field (named `field` in the message): it must lie in (0, 1].
 void check_alu_efficiency(const char* field, double alu_efficiency);
+
+/// Construction-time check of a shape field (named `field` in the
+/// message): it must be >= 1.
+void check_positive(const char* field, int value);
+
+/// Construction-time check of an `occupancy_slots_override` field: >= 0,
+/// where 0 derives the slot count.
+void check_slots_override(const char* field, int value);
 
 }  // namespace fcc::fused

@@ -8,6 +8,11 @@
 // Destination layout (what the paper calls "{local batch, numTables x
 // embedding dim}"): on PE d, row = local sample, column block = global table
 // id — so the All-to-All lands data pre-shuffled for the interaction op.
+//
+// Because samples are PE-major, the WGs bound for one destination form one
+// contiguous block, and the communication-aware order is a permutation of
+// whole blocks: it is kept as num_pes destinations (comm_aware_blocks) and
+// expanded one position at a time (block_wg), never as a per-WG vector.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +35,8 @@ struct SliceMap {
     FCC_CHECK(num_pes >= 1);
     FCC_CHECK(tables_per_pe >= 1);
     FCC_CHECK(dim >= 1);
+    FCC_CHECK_MSG(global_batch >= 1,
+                  "SliceMap::global_batch must be >= 1, got " << global_batch);
     FCC_CHECK(global_batch % num_pes == 0);
     FCC_CHECK(vectors_per_slice >= 1);
     FCC_CHECK_MSG(local_batch() % vectors_per_slice == 0,
@@ -57,35 +64,43 @@ struct SliceMap {
     return dest_of_sample(wg_sample(lw)) != self;
   }
 
-  /// Communication-aware WG order on PE `self`, one destination block at a
-  /// time (the WGs bound for PE d are the contiguous range
-  /// [d * wgs_per_dest, (d + 1) * wgs_per_dest)). Blocks for destinations
-  /// that `leaves_node` reports inter-node come first, then intra-node
-  /// ones, and `self`'s own block last. Within each class destinations go
-  /// in (d - self - 1) mod num_pes order, the shift schedule of the pairwise
-  /// ccl All-to-All: with every source starting at the same destination,
-  /// all of them would hit one destination's ingress links at once and then
-  /// move to the next together. Inter-node blocks lead because a plain
-  /// rotation gave the 2x4 serve point a worse mean-latency ratio. On 2 PEs
-  /// this is the stable remote-first partition of make_schedule.
-  std::vector<int> comm_aware_order(
+  /// Logical WGs bound for one destination PE: PE d's block is the
+  /// contiguous range [d * wgs_per_dest(), (d + 1) * wgs_per_dest()).
+  int wgs_per_dest() const { return local_batch() * tables_per_pe; }
+
+  /// Communication-aware destination order on PE `self`: the WG order runs
+  /// whole destination blocks in this sequence (block_wg expands it), so it
+  /// is stored as num_pes PEs, never as num_logical_wgs() WG ids. Blocks for
+  /// destinations that `leaves_node` reports inter-node come first, then
+  /// intra-node ones, and `self`'s own block last. Within each class
+  /// destinations go in (d - self - 1) mod num_pes order, the shift schedule
+  /// of the pairwise ccl All-to-All: with every source starting at the same
+  /// destination, all of them would hit one destination's ingress links at
+  /// once and then move to the next together. Inter-node blocks lead
+  /// because a plain rotation gave the 2x4 serve point a worse mean-latency
+  /// ratio. On 2 PEs the expanded order is the stable remote-first
+  /// partition of make_schedule.
+  std::vector<PeId> comm_aware_blocks(
       PeId self, const std::function<bool(PeId)>& leaves_node) const {
-    const int wgs_per_dest = local_batch() * tables_per_pe;
-    std::vector<int> order;
-    order.reserve(static_cast<std::size_t>(num_logical_wgs()));
-    const auto append_block = [&](PeId d) {
-      for (int lw = d * wgs_per_dest; lw < (d + 1) * wgs_per_dest; ++lw) {
-        order.push_back(lw);
-      }
-    };
+    std::vector<PeId> blocks;
+    blocks.reserve(static_cast<std::size_t>(num_pes));
     for (const bool inter_node : {true, false}) {
       for (int k = 1; k < num_pes; ++k) {
         const PeId d = (self + k) % num_pes;
-        if (leaves_node(d) == inter_node) append_block(d);
+        if (leaves_node(d) == inter_node) blocks.push_back(d);
       }
     }
-    append_block(self);
-    return order;
+    blocks.push_back(self);
+    return blocks;
+  }
+
+  /// Logical WG at position `pos` of the order that runs the destination
+  /// blocks `blocks` (num_pes entries) one after another, each in ascending
+  /// WG order.
+  int block_wg(const PeId* blocks, int pos) const {
+    const int per = wgs_per_dest();
+    const int k = pos / per;
+    return blocks[k] * per + (pos - k * per);
   }
 
   /// ---- slice indexing (per source PE) ----

@@ -7,15 +7,18 @@
 // proceeds sequentially; only the fused embedding+A2A offers it
 // (EmbeddingA2AConfig::policy, Fig. 14).
 //
-// make_schedule keeps each class in sequential order. The tile-DSL ops and
-// the fused GEMV+AllReduce (per slot, over its statically assigned tiles)
-// run it. The fused embedding+A2A does not: its WGs are sample-major, so
+// make_schedule keeps each class in sequential order. The tile-DSL ops
+// (TileKernel caches one per PE on its first launch) and the fused
+// GEMV+AllReduce (per slot, over its statically assigned tiles, built on
+// its first run) run it; gpu::KernelRun hands out positions into these
+// orders. The fused embedding+A2A does not: its WGs are sample-major, so
 // this order would send every PE to destination 0, then 1, ... at the same
-// time. It staggers destinations instead (fused::SliceMap::
-// comm_aware_order: inter-node blocks, then intra-node, own block last,
-// each class starting at self + 1), which took the 8x8 torus flagship from
-// 37236 to 9845 sim_us (fused/baseline 3.345 -> 0.884). The same rotation
-// made the other ops slower (paper_ops sim_us +0.12%, plan_grid +1.6%).
+// time. It staggers whole destination blocks instead
+// (fused::SliceMap::comm_aware_blocks: inter-node blocks, then intra-node,
+// own block last, each class starting at self + 1), which took the 8x8
+// torus flagship from 37236 to 9845 sim_us (fused/baseline 3.345 -> 0.884).
+// The same rotation made the other ops slower (paper_ops sim_us +0.12%,
+// plan_grid +1.6%).
 #pragma once
 
 #include <functional>

@@ -2,7 +2,9 @@
 //
 // `sim::Task` processes are detached top-level activities; `sim::Co` is a
 // *subroutine*: the parent `co_await`s it and resumes when it finishes.
-// Persistent-kernel slot processes await one Co per logical workgroup.
+// A Co can also be started detached (`start`): it then frees its own frame
+// at completion and reports through a callback, with no wrapper process —
+// this is how gpu::KernelRun runs each persistent-kernel slot in one frame.
 #pragma once
 
 #include <coroutine>
@@ -13,8 +15,13 @@ namespace fcc::sim {
 
 class [[nodiscard]] Co {
  public:
+  /// Completion callback of a detached Co; runs after the frame is freed.
+  using DoneFn = void (*)(void* arg);
+
   struct promise_type {
     std::coroutine_handle<> continuation;
+    DoneFn on_done = nullptr;  // set by start(): detached
+    void* done_arg = nullptr;
 
     Co get_return_object() {
       return Co(std::coroutine_handle<promise_type>::from_promise(*this));
@@ -25,8 +32,17 @@ class [[nodiscard]] Co {
       bool await_ready() const noexcept { return false; }
       std::coroutine_handle<> await_suspend(
           std::coroutine_handle<promise_type> h) const noexcept {
-        auto cont = h.promise().continuation;
-        return cont ? cont : std::noop_coroutine();
+        const promise_type& p = h.promise();
+        if (p.on_done != nullptr) {
+          // Detached: nobody holds the handle, so the frame frees itself
+          // before the callback can resume whoever waits on it.
+          const DoneFn done = p.on_done;
+          void* arg = p.done_arg;
+          h.destroy();
+          done(arg);
+          return std::noop_coroutine();
+        }
+        return p.continuation ? p.continuation : std::noop_coroutine();
       }
       void await_resume() const noexcept {}
     };
@@ -49,6 +65,16 @@ class [[nodiscard]] Co {
     return h_;  // symmetric transfer into the child
   }
   void await_resume() const noexcept {}
+
+  /// Runs the coroutine detached: to its first suspension now, the rest
+  /// from the engine. At completion it destroys its own frame, then calls
+  /// `done(arg)`. Consumes the Co.
+  void start(DoneFn done, void* arg) && {
+    auto h = std::exchange(h_, {});
+    h.promise().on_done = done;
+    h.promise().done_arg = arg;
+    h.resume();
+  }
 
  private:
   explicit Co(std::coroutine_handle<promise_type> h) : h_(h) {}

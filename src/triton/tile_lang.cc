@@ -171,38 +171,53 @@ void TileKernel::validate() const {
   FCC_CHECK_MSG(has_dot, "kernel computes nothing (no dot())");
 }
 
+const std::vector<int>& TileKernel::schedule(PeId pe) const {
+  static const std::vector<int> kNone;
+  return static_cast<std::size_t>(pe) < schedules_.size()
+             ? schedules_[static_cast<std::size_t>(pe)]
+             : kNone;
+}
+
+void TileKernel::build_schedules(int num_pes) {
+  // Communication-aware order runs remote-destination tiles first, using
+  // the first put statement's destination map.
+  const DestFn* dest = nullptr;
+  for (const auto& s : stmts_) {
+    if (s.kind == StmtKind::kPutRemote) {
+      dest = &s.dest;
+      break;
+    }
+  }
+  if (dest == nullptr) return;  // no put: every PE runs pids in order
+  schedules_.resize(static_cast<std::size_t>(num_pes));
+  for (PeId pe = 0; pe < num_pes; ++pe) {
+    schedules_[static_cast<std::size_t>(pe)] =
+        gpu::make_schedule(shape_.num_tiles(), [&](int pid) {
+          return (*dest)(Ctx{pe, pid, 0, &shape_}) != pe;
+        });
+  }
+}
+
 sim::Co TileKernel::launch(const LaunchConfig& cfg) {
   validate();
   FCC_CHECK(cfg.world != nullptr);
   auto& machine = cfg.world->machine();
   const auto& spec = machine.device(cfg.pe).spec();
-
-  // Scheduling: communication-aware order runs remote-destination tiles
-  // first, using the first put statement's destination map.
-  DestFn dest_probe;
-  for (const auto& s : stmts_) {
-    if (s.kind == StmtKind::kPutRemote) {
-      dest_probe = s.dest;
-      break;
-    }
-  }
-  const PeId pe = cfg.pe;
-  auto is_remote = [&](int pid) {
-    if (!dest_probe) return false;
-    Ctx ctx{pe, pid, 0, &shape_};
-    return dest_probe(ctx) != pe;
-  };
+  // Every PE's schedule is built by the first launch on any of them: PEs on
+  // other shards may launch concurrently, and none rebuilds it later.
+  std::call_once(schedules_built_,
+                 [this, &cfg] { build_schedules(cfg.world->n_pes()); });
 
   gpu::KernelRun::Params p;
   p.num_slots = launch_slots(spec, cfg.occupancy_slots_override);
-  p.order = gpu::make_schedule(shape_.num_tiles(), is_remote);
+  p.num_wgs = shape_.num_tiles();
   p.wg_dispatch_overhead_ns = cfg.dispatch_overhead_ns;
   p.body = [this, &cfg](gpu::KernelRun& run, int slot) {
     return run_slot(cfg, run, slot);
   };
 
   // The run lives on the launching PE's home-shard engine: launch() is
-  // awaited from a per-PE body already running there, so every slot task
+  // awaited from a per-PE body already running there, so every slot frame
   // and the join stay shard-local.
   gpu::KernelRun run(machine.engine_of(cfg.pe), std::move(p));
   run.start();
@@ -213,7 +228,7 @@ sim::Co TileKernel::run_slot(const LaunchConfig& cfg, gpu::KernelRun& run,
                              int slot) {
   auto& world = *cfg.world;
   auto& dev = world.machine().device(cfg.pe);
-  for (int pid; (pid = co_await run.next(slot)) >= 0;) {
+  for (int pid; (pid = pid_at(cfg.pe, co_await run.next(slot))) >= 0;) {
     const Ctx ctx{cfg.pe, pid, slot, &shape_};
 
     const int rows = shape_.row_end(pid) - shape_.row_begin(pid);

@@ -25,6 +25,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -111,6 +112,12 @@ class TileKernel {
   /// program instance (plus epilogues) has finished on this PE.
   sim::Co launch(const LaunchConfig& cfg);
 
+  /// PE `pe`'s pid execution order: remote-destination tiles first (the
+  /// stable partition of gpu::make_schedule by the first put statement's
+  /// destination). Built for every PE by the first launch and kept; empty
+  /// before it, and for kernels without a put, which run pids in order.
+  const std::vector<int>& schedule(PeId pe) const;
+
  private:
   enum class StmtKind {
     kLoadA,
@@ -132,6 +139,17 @@ class TileKernel {
 
   /// One slot's loop over the pids it claims, then the caller's epilogue.
   sim::Co run_slot(const LaunchConfig& cfg, gpu::KernelRun& run, int slot);
+
+  /// Fills schedules_ for PEs 0..num_pes-1 (first launch only).
+  void build_schedules(int num_pes);
+  /// Pid that PE `pe` runs at KernelRun position `pos`; -1 (the drained
+  /// queue) stays -1.
+  int pid_at(PeId pe, int pos) const {
+    return pos < 0 || schedules_.empty()
+               ? pos
+               : schedules_[static_cast<std::size_t>(pe)]
+                           [static_cast<std::size_t>(pos)];
+  }
 
   /// Appends a statement and rebuilds the cost variants.
   void add(Stmt stmt);
@@ -156,6 +174,8 @@ class TileKernel {
   bool uses_comm_ = false;
   int puts_ = 0;  // put_c_remote statements
   std::vector<gpu::WorkCost> costs_;  // [variant()]
+  std::vector<std::vector<int>> schedules_;  // [pe], see schedule()
+  std::once_flag schedules_built_;
 };
 
 }  // namespace fcc::triton

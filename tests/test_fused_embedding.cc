@@ -2,11 +2,13 @@
 // relations, scheduling skew and order, slice mapping.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "fused/embedding_a2a.h"
 #include "gpu/machine.h"
 #include "gpu/schedule.h"
+#include "reject_config.h"
 #include "shmem/world.h"
 
 namespace fcc::fused {
@@ -169,7 +171,39 @@ TEST(SliceMap, RemoteCountsAreConsistent) {
   }
 }
 
-TEST(SliceMap, CommAwareOrderStaggersDestinationBlocks) {
+/// The comm-aware WG order as it was stored before the block form: every
+/// logical WG id, one destination block at a time in `blocks` order.
+std::vector<int> expanded_order(const SliceMap& map,
+                                const std::vector<PeId>& blocks) {
+  std::vector<int> order;
+  for (int pos = 0; pos < map.num_logical_wgs(); ++pos) {
+    order.push_back(map.block_wg(blocks.data(), pos));
+  }
+  return order;
+}
+
+/// The stored comm-aware order of SliceMap::comm_aware_order, kept here as
+/// the reference the block form must expand to.
+std::vector<int> reference_order(const SliceMap& map, PeId self,
+                                 const std::function<bool(PeId)>& leaves) {
+  const int wgs_per_dest = map.local_batch() * map.tables_per_pe;
+  std::vector<int> order;
+  const auto append_block = [&](PeId d) {
+    for (int lw = d * wgs_per_dest; lw < (d + 1) * wgs_per_dest; ++lw) {
+      order.push_back(lw);
+    }
+  };
+  for (const bool inter_node : {true, false}) {
+    for (int k = 1; k < map.num_pes; ++k) {
+      const PeId d = (self + k) % map.num_pes;
+      if (leaves(d) == inter_node) append_block(d);
+    }
+  }
+  append_block(self);
+  return order;
+}
+
+TEST(SliceMap, CommAwareBlocksStaggerDestinations) {
   // 8 PEs, 2 per node: each PE has 1 intra-node and 6 inter-node peers.
   SliceMap map;
   map.num_pes = 8;
@@ -179,32 +213,34 @@ TEST(SliceMap, CommAwareOrderStaggersDestinationBlocks) {
   map.vectors_per_slice = 4;
   map.validate();
   const int gpus_per_node = 2;
-  const int block = map.local_batch() * map.tables_per_pe;
+  const int block = map.wgs_per_dest();
+  ASSERT_EQ(block, map.local_batch() * map.tables_per_pe);
   for (PeId self = 0; self < map.num_pes; ++self) {
     const auto leaves_node = [self](PeId d) {
       return d / gpus_per_node != self / gpus_per_node;
     };
-    const std::vector<int> order = map.comm_aware_order(self, leaves_node);
+    const std::vector<PeId> dests = map.comm_aware_blocks(self, leaves_node);
+    ASSERT_EQ(static_cast<int>(dests.size()), map.num_pes);
+    const std::vector<int> order = expanded_order(map, dests);
 
-    // A permutation of every logical WG.
+    // The expansion is a permutation of every logical WG, and exactly the
+    // stored order it replaces.
     ASSERT_EQ(static_cast<int>(order.size()), map.num_logical_wgs());
     std::vector<int> seen(order.size(), 0);
     for (int lw : order) ++seen[static_cast<std::size_t>(lw)];
     for (int c : seen) ASSERT_EQ(c, 1);
+    EXPECT_EQ(order, reference_order(map, self, leaves_node));
 
     // Contiguous destination blocks, each in ascending WG order.
-    std::vector<PeId> dests;
     for (std::size_t i = 0; i < order.size(); ++i) {
       const PeId d = map.dest_of_sample(map.wg_sample(order[i]));
+      EXPECT_EQ(d, dests[i / static_cast<std::size_t>(block)]);
       if (i % static_cast<std::size_t>(block) == 0) {
-        dests.push_back(d);
         EXPECT_EQ(order[i], d * block);
       } else {
-        EXPECT_EQ(d, dests.back());
         EXPECT_EQ(order[i], order[i - 1] + 1);
       }
     }
-    ASSERT_EQ(static_cast<int>(dests.size()), map.num_pes);
 
     // Own block last; inter-node blocks before intra-node ones; each class
     // in (d - self - 1) mod n order, so the first block is the next
@@ -227,7 +263,7 @@ TEST(SliceMap, CommAwareOrderStaggersDestinationBlocks) {
   }
 }
 
-TEST(SliceMap, CommAwareOrderOnTwoPesIsRemoteFirstPartition) {
+TEST(SliceMap, CommAwareBlocksOnTwoPesExpandToRemoteFirstPartition) {
   SliceMap map;
   map.num_pes = 2;
   map.tables_per_pe = 4;
@@ -237,12 +273,14 @@ TEST(SliceMap, CommAwareOrderOnTwoPesIsRemoteFirstPartition) {
   map.validate();
   for (const bool inter_node : {true, false}) {
     for (PeId self = 0; self < 2; ++self) {
+      const auto leaves = [inter_node](PeId) { return inter_node; };
       const auto old_order = gpu::make_schedule(
           map.num_logical_wgs(),
           [&map, self](int lw) { return map.wg_is_remote(self, lw); });
-      EXPECT_EQ(map.comm_aware_order(
-                    self, [inter_node](PeId) { return inter_node; }),
-                old_order);
+      const auto order =
+          expanded_order(map, map.comm_aware_blocks(self, leaves));
+      EXPECT_EQ(order, old_order);
+      EXPECT_EQ(order, reference_order(map, self, leaves));
     }
   }
 }
@@ -455,6 +493,32 @@ TEST(FusedEmbedding, RejectsNegativeBookkeepingAtConstruction) {
   EXPECT_THROW(BaselineEmbeddingAllToAll(w, cfg, nullptr), std::logic_error);
   cfg.bookkeeping_ns = 0;
   EXPECT_NO_THROW(FusedEmbeddingAllToAll(w, cfg, nullptr));
+}
+
+// A zero batch used to run a zero-work operator (reported as 6000 ns
+// fused, 22700 ns baseline); a negative one aborted mid-run.
+TEST(FusedEmbedding, RejectsNonPositiveGlobalBatchAtConstruction) {
+  gpu::Machine m(intra_node(4));
+  shmem::World w(m);
+  for (const int batch : {0, -32}) {
+    auto cfg = small_config(4);
+    cfg.functional = false;
+    cfg.map.global_batch = batch;
+    test::expect_both_reject<FusedEmbeddingAllToAll,
+                             BaselineEmbeddingAllToAll>(
+        w, cfg, "SliceMap::global_batch", batch);
+  }
+}
+
+// A negative override used to be read as "derive the slot count".
+TEST(FusedEmbedding, RejectsNegativeSlotsOverrideAtConstruction) {
+  gpu::Machine m(intra_node(2));
+  shmem::World w(m);
+  auto cfg = small_config(2);
+  cfg.functional = false;
+  cfg.occupancy_slots_override = -3;
+  test::expect_both_reject<FusedEmbeddingAllToAll, BaselineEmbeddingAllToAll>(
+      w, cfg, "EmbeddingA2AConfig::occupancy_slots_override", -3);
 }
 
 TEST(FusedEmbedding, DeterministicAcrossRuns) {

@@ -5,6 +5,7 @@
 
 #include "fused/gemm_a2a.h"
 #include "gpu/machine.h"
+#include "reject_config.h"
 #include "shmem/world.h"
 
 namespace fcc::fused {
@@ -188,6 +189,51 @@ TEST(FusedGemm, RejectsAluEfficiencyOutsideUnitIntervalAtConstruction) {
   GemmA2AConfig ok;
   ok.alu_efficiency = 1.0;
   EXPECT_NO_THROW(FusedGemmAllToAll(w, ok, nullptr));
+}
+
+// Each of these used to pass construction and then die mid-run: a shape
+// check throwing inside the kernel's coroutine (SIGABRT) or a division by
+// a zero block size (SIGFPE). A negative slot override was read as
+// "derive".
+void expect_gemm_rejects(void (*set)(GemmA2AConfig&, int), const char* field,
+                         int value) {
+  gpu::Machine m(scale_up(4));
+  shmem::World w(m);
+  GemmA2AConfig cfg;
+  set(cfg, value);
+  test::expect_both_reject<FusedGemmAllToAll, BaselineGemmAllToAll>(
+      w, cfg, field, value);
+}
+
+TEST(GemmConfig, RejectsNonPositiveRowsPerOrigin) {
+  expect_gemm_rejects([](GemmA2AConfig& c, int v) { c.rows_per_origin = v; },
+                      "GemmA2AConfig::rows_per_origin", 0);
+}
+
+TEST(GemmConfig, RejectsNonPositiveDModel) {
+  expect_gemm_rejects([](GemmA2AConfig& c, int v) { c.d_model = v; },
+                      "GemmA2AConfig::d_model", 0);
+}
+
+TEST(GemmConfig, RejectsNonPositiveDFf) {
+  expect_gemm_rejects([](GemmA2AConfig& c, int v) { c.d_ff = v; },
+                      "GemmA2AConfig::d_ff", 0);
+}
+
+TEST(GemmConfig, RejectsNonPositiveBlockM) {
+  expect_gemm_rejects([](GemmA2AConfig& c, int v) { c.block_m = v; },
+                      "GemmA2AConfig::block_m", 0);
+}
+
+TEST(GemmConfig, RejectsNonPositiveBlockN) {
+  expect_gemm_rejects([](GemmA2AConfig& c, int v) { c.block_n = v; },
+                      "GemmA2AConfig::block_n", 0);
+}
+
+TEST(GemmConfig, RejectsNegativeSlotsOverride) {
+  expect_gemm_rejects(
+      [](GemmA2AConfig& c, int v) { c.occupancy_slots_override = v; },
+      "GemmA2AConfig::occupancy_slots_override", -3);
 }
 
 TEST(FusedGemm, DeterministicAcrossRuns) {

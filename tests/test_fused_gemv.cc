@@ -7,6 +7,7 @@
 #include "fused/gemv_allreduce.h"
 #include "gpu/machine.h"
 #include "ops/gemv.h"
+#include "reject_config.h"
 #include "shmem/world.h"
 
 namespace fcc::fused {
@@ -260,6 +261,16 @@ TEST(GemvConfig, RejectsNonPositiveTileRows) {
   auto cfg = timing_cfg(4096, 4096);
   cfg.tile_rows = 0;
   expect_both_reject(cfg);
+}
+
+// A negative override used to be read as "derive the slot count".
+TEST(GemvConfig, RejectsNegativeSlotsOverride) {
+  gpu::Machine m(scale_up(4));
+  shmem::World w(m);
+  auto cfg = timing_cfg(4096, 4096);
+  cfg.occupancy_slots_override = -3;
+  test::expect_both_reject<FusedGemvAllReduce, BaselineGemvAllReduce>(
+      w, cfg, "GemvAllReduceConfig::occupancy_slots_override", -3);
 }
 
 TEST(BaselineGemv, ForcedHierarchicalNeedsSeveralMultiGpuNodes) {

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -11,6 +14,28 @@
 #include "gpu/stream.h"
 #include "ops/cost_model.h"
 #include "sim/engine.h"
+
+// Counting global allocation functions for this binary: the runtime-cost
+// tests below read how many heap blocks a kernel launch takes and frees.
+namespace {
+std::size_t g_news = 0;
+std::size_t g_deletes = 0;
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined free() with a new
+// expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_news;
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  if (p != nullptr) ++g_deletes;
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  operator delete(p);
+}
 
 namespace fcc::gpu {
 namespace {
@@ -127,27 +152,32 @@ TEST(Device, ConcurrentComputeIsChargedAtEntryOccupancy) {
   EXPECT_EQ(d.busy_ns(), d1 + d2);
 }
 
-/// Slot body: records every claimed logical WG, then computes it.
+/// Slot body: records every claimed position, mapped through `order` when
+/// given (the way an operator maps positions to its own WG order), then
+/// computes it.
 sim::Co count_slot(KernelRun& run, Machine& m, std::vector<int>& executed,
-                   int slot) {
-  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
-    executed.push_back(lw);
+                   const std::vector<int>* order, int slot) {
+  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
+    executed.push_back(order != nullptr
+                           ? (*order)[static_cast<std::size_t>(pos)]
+                           : pos);
     co_await m.device(0).compute(mem_cost(1024));
   }
 }
 
-KernelRun::SlotBody counting(Machine& m, std::vector<int>& executed) {
-  return [&m, &executed](KernelRun& run, int slot) {
-    return count_slot(run, m, executed, slot);
+KernelRun::SlotBody counting(Machine& m, std::vector<int>& executed,
+                             const std::vector<int>* order = nullptr) {
+  return [&m, &executed, order](KernelRun& run, int slot) {
+    return count_slot(run, m, executed, order, slot);
   };
 }
 
-TEST(KernelRun, ExecutesEveryLogicalWgOnce) {
+TEST(KernelRun, ExecutesEveryPositionOnce) {
   Machine m(one_gpu());
   std::vector<int> executed;
   KernelRun::Params p;
   p.num_slots = 4;
-  for (int i = 0; i < 37; ++i) p.order.push_back(i);
+  p.num_wgs = 37;
   p.body = counting(m, executed);
   KernelRun run(m.engine(), p);
   run.start();
@@ -158,17 +188,18 @@ TEST(KernelRun, ExecutesEveryLogicalWgOnce) {
   for (int i = 0; i < 37; ++i) EXPECT_EQ(executed[static_cast<size_t>(i)], i);
 }
 
-TEST(KernelRun, RespectsExecutionOrderWithOneSlot) {
+TEST(KernelRun, OneSlotRunsTheBodysOrderInPositionOrder) {
   Machine m(one_gpu());
   std::vector<int> executed;
+  const std::vector<int> order = {3, 1, 2, 0};
   KernelRun::Params p;
   p.num_slots = 1;
-  p.order = {3, 1, 2, 0};
-  p.body = counting(m, executed);
+  p.num_wgs = 4;
+  p.body = counting(m, executed, &order);
   KernelRun run(m.engine(), p);
   run.start();
   m.engine().run();
-  EXPECT_EQ(executed, (std::vector<int>{3, 1, 2, 0}));
+  EXPECT_EQ(executed, order);
 }
 
 TEST(KernelRun, MoreSlotsThanWorkStillCompletes) {
@@ -176,7 +207,7 @@ TEST(KernelRun, MoreSlotsThanWorkStillCompletes) {
   std::vector<int> executed;
   KernelRun::Params p;
   p.num_slots = 64;
-  p.order = {0, 1};
+  p.num_wgs = 2;
   p.body = counting(m, executed);
   KernelRun run(m.engine(), p);
   run.start();
@@ -193,7 +224,7 @@ WorkCost alu_cost(double flops) {
 }
 
 sim::Co alu_slot(KernelRun& run, Machine& m, int slot) {
-  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
     co_await m.device(0).compute(alu_cost(1e9));
   }
 }
@@ -206,7 +237,7 @@ TEST(KernelRun, ParallelSlotsOverlapInTime) {
   Machine m(one_gpu());
   KernelRun::Params p;
   p.num_slots = 4;
-  for (int i = 0; i < 8; ++i) p.order.push_back(i);
+  p.num_wgs = 8;
   p.body = [&m](KernelRun& r, int slot) { return alu_slot(r, m, slot); };
   KernelRun run(m.engine(), p);
   run.start();
@@ -216,7 +247,7 @@ TEST(KernelRun, ParallelSlotsOverlapInTime) {
   Machine m2(one_gpu());
   KernelRun::Params p2;
   p2.num_slots = 1;
-  for (int i = 0; i < 8; ++i) p2.order.push_back(i);
+  p2.num_wgs = 8;
   p2.body = [&m2](KernelRun& r, int slot) { return alu_slot(r, m2, slot); };
   KernelRun run2(m2.engine(), p2);
   run2.start();
@@ -225,26 +256,30 @@ TEST(KernelRun, ParallelSlotsOverlapInTime) {
   EXPECT_LT(t_parallel, t_serial / 2);
 }
 
-/// Slot body that stamps (logical WG, finish time) pairs.
-sim::Co stamping_slot(KernelRun& run, Machine& m,
+/// Slot body that stamps (logical WG, finish time) pairs, its WG ids the
+/// body's own `ids` at each position.
+sim::Co stamping_slot(KernelRun& run, Machine& m, const std::vector<int>& ids,
                       std::vector<std::pair<int, TimeNs>>& finished,
                       int slot) {
-  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
     co_await m.device(0).compute(mem_cost(1024));
-    finished.emplace_back(lw, m.engine().now());
+    finished.emplace_back(ids[static_cast<std::size_t>(pos)],
+                          m.engine().now());
   }
 }
 
 TEST(KernelRun, SlotBodyStampsFinishTimesInOrder) {
-  // Logical-WG ids need not be a permutation of 0..n-1: stamps are keyed by
-  // whatever ids the order holds.
+  // The body's WG ids need not be a permutation of 0..n-1: the runtime
+  // hands out positions, and stamps are keyed by whatever ids the body maps
+  // them to.
   Machine m(one_gpu());
   std::vector<std::pair<int, TimeNs>> finished;
+  const std::vector<int> ids = {5, 7};
   KernelRun::Params p;
   p.num_slots = 1;
-  p.order = {5, 7};
+  p.num_wgs = 2;
   p.body = [&](KernelRun& r, int slot) {
-    return stamping_slot(r, m, finished, slot);
+    return stamping_slot(r, m, ids, finished, slot);
   };
   KernelRun run(m.engine(), p);
   run.start();
@@ -258,7 +293,7 @@ TEST(KernelRun, SlotBodyStampsFinishTimesInOrder) {
 /// Slot body that drains the queue without doing any work.
 sim::Co draining_slot(KernelRun& run, std::vector<int>& entered, int slot) {
   entered.push_back(slot);
-  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
   }
 }
 
@@ -276,7 +311,7 @@ TEST(KernelRun, SlotBodyRunsOncePerActiveSlot) {
     std::vector<int> entered;
     KernelRun::Params p;
     p.num_slots = c.slots;
-    for (int i = 0; i < c.work; ++i) p.order.push_back(i);
+    p.num_wgs = c.work;
     p.body = [&entered](KernelRun& r, int slot) {
       return draining_slot(r, entered, slot);
     };
@@ -297,7 +332,7 @@ TEST(KernelRun, SlotBodyRunsOncePerActiveSlot) {
 sim::Co claim_stamping_slot(KernelRun& run, Machine& m,
                             std::vector<TimeNs>& claimed, TimeNs& drained,
                             int slot) {
-  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
+  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
     claimed.push_back(m.engine().now());
   }
   drained = m.engine().now();
@@ -309,7 +344,7 @@ TEST(KernelRun, DispatchOverheadPaidOncePerClaimedWg) {
   TimeNs drained = -1;
   KernelRun::Params p;
   p.num_slots = 1;
-  p.order = {0, 1, 2};
+  p.num_wgs = 3;
   p.wg_dispatch_overhead_ns = 100;
   p.body = [&](KernelRun& r, int slot) {
     return claim_stamping_slot(r, m, claimed, drained, slot);
@@ -329,7 +364,7 @@ TEST(KernelRun, ZeroDispatchOverheadNeverSuspends) {
   TimeNs drained = -1;
   KernelRun::Params p;
   p.num_slots = 1;
-  p.order = {0, 1, 2};
+  p.num_wgs = 3;
   p.body = [&](KernelRun& r, int slot) {
     return claim_stamping_slot(r, m, claimed, drained, slot);
   };
@@ -342,12 +377,12 @@ TEST(KernelRun, ZeroDispatchOverheadNeverSuspends) {
   EXPECT_EQ(drained, 0);
 }
 
-/// Slot body recording which WGs each slot claimed; slot 0 is slow, so
-/// dynamic claiming would hand its later positions to the other slots.
+/// Slot body recording which positions each slot claimed; slot 0 is slow,
+/// so dynamic claiming would hand its later positions to the other slots.
 sim::Co assignment_slot(KernelRun& run, Machine& m,
                         std::vector<std::vector<int>>& per_slot, int slot) {
-  for (int lw; (lw = co_await run.next(slot)) >= 0;) {
-    per_slot[static_cast<std::size_t>(slot)].push_back(lw);
+  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
+    per_slot[static_cast<std::size_t>(slot)].push_back(pos);
     co_await sim::delay(m.engine(), slot == 0 ? 1000 : 10);
   }
 }
@@ -357,7 +392,7 @@ TEST(KernelRun, StaticAssignmentWalksSlotStride) {
   std::vector<std::vector<int>> per_slot(3);
   KernelRun::Params p;
   p.num_slots = 3;
-  p.order = {10, 11, 12, 13, 14, 15, 16};
+  p.num_wgs = 7;
   p.static_assignment = true;
   p.body = [&](KernelRun& r, int slot) {
     return assignment_slot(r, m, per_slot, slot);
@@ -366,10 +401,10 @@ TEST(KernelRun, StaticAssignmentWalksSlotStride) {
   run.start();
   m.engine().run();
   EXPECT_TRUE(run.finished());
-  // Slot s takes order positions s, s + 3, s + 6, ...
-  EXPECT_EQ(per_slot[0], (std::vector<int>{10, 13, 16}));
-  EXPECT_EQ(per_slot[1], (std::vector<int>{11, 14}));
-  EXPECT_EQ(per_slot[2], (std::vector<int>{12, 15}));
+  // Slot s takes positions s, s + 3, s + 6, ...
+  EXPECT_EQ(per_slot[0], (std::vector<int>{0, 3, 6}));
+  EXPECT_EQ(per_slot[1], (std::vector<int>{1, 4}));
+  EXPECT_EQ(per_slot[2], (std::vector<int>{2, 5}));
 }
 
 TEST(KernelRun, DynamicClaimingBackfillsIdleSlots) {
@@ -379,15 +414,109 @@ TEST(KernelRun, DynamicClaimingBackfillsIdleSlots) {
   std::vector<std::vector<int>> per_slot(3);
   KernelRun::Params p;
   p.num_slots = 3;
-  p.order = {10, 11, 12, 13, 14, 15, 16};
+  p.num_wgs = 7;
   p.body = [&](KernelRun& r, int slot) {
     return assignment_slot(r, m, per_slot, slot);
   };
   KernelRun run(m.engine(), p);
   run.start();
   m.engine().run();
-  EXPECT_EQ(per_slot[0], (std::vector<int>{10}));
+  EXPECT_EQ(per_slot[0], (std::vector<int>{0}));
   EXPECT_EQ(per_slot[1].size() + per_slot[2].size(), 6u);
+}
+
+// ---- Runtime cost: per slot, never per WG -------------------------------
+
+/// Slot body that spends 10 ns per claimed position.
+sim::Co delay_slot(KernelRun& run, sim::Engine& e, int slot) {
+  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
+    co_await sim::delay(e, 10);
+  }
+}
+
+struct LaunchHeap {
+  std::size_t allocations = 0;  // operator new calls during the launch
+  std::size_t live = 0;         // of those, still allocated after it
+};
+
+/// Heap traffic of one launch (construct, start, run to idle) of `wgs`
+/// positions on `slots` slots. The engine keeps its pooled queue storage
+/// across launches (run_until never releases it), so once warm it adds
+/// nothing and the count is the runtime's own.
+LaunchHeap launch_heap(sim::Engine& e, int slots, int wgs,
+                       bool static_assignment) {
+  KernelRun::Params p;
+  p.num_slots = slots;
+  p.num_wgs = wgs;
+  p.static_assignment = static_assignment;
+  p.body = [&e](KernelRun& r, int slot) { return delay_slot(r, e, slot); };
+  const std::size_t news = g_news, deletes = g_deletes;
+  {
+    KernelRun run(e, std::move(p));
+    run.start();
+    e.run_until(e.now() + 1'000'000);
+    EXPECT_TRUE(run.finished());
+  }
+  return {g_news - news, (g_news - news) - (g_deletes - deletes)};
+}
+
+TEST(KernelRun, WarmLaunchAllocatesOneFramePerSlotOnly) {
+  sim::Engine e;
+  for (const bool static_assignment : {false, true}) {
+    launch_heap(e, 8, 800, static_assignment);  // warm the engine's pools
+    for (const int wgs : {8, 800}) {
+      const LaunchHeap h = launch_heap(e, 8, wgs, static_assignment);
+      // One slot frame each, plus under static assignment the per-slot
+      // cursor array: nothing per position, no order.
+      EXPECT_EQ(h.allocations, 8u + (static_assignment ? 1u : 0u))
+          << wgs << " positions, static " << static_assignment;
+      EXPECT_EQ(h.live, 0u) << "a slot frame outlived its kernel";
+    }
+  }
+}
+
+TEST(KernelRun, BodyThatNeverSuspendsFreesItsFrameInsideStart) {
+  sim::Engine e;
+  std::vector<int> entered;
+  KernelRun::Params p;
+  p.num_slots = 4;
+  p.num_wgs = 3;
+  p.body = [&entered](KernelRun& r, int slot) {
+    return draining_slot(r, entered, slot);
+  };
+  entered.reserve(8);
+  const std::size_t news = g_news, deletes = g_deletes;
+  {
+    KernelRun run(e, std::move(p));
+    run.start();
+    // Every slot drained within start(): joined, frames already freed.
+    EXPECT_TRUE(run.finished());
+    EXPECT_EQ(g_news - news, 3u);
+    EXPECT_EQ(g_deletes - deletes, 3u);
+  }
+  EXPECT_EQ(e.run(), 0u);
+  EXPECT_EQ(entered, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(KernelRun, ZeroWorkLaunchRunsOneSlotAndJoins) {
+  sim::Engine e;
+  std::vector<int> entered;
+  KernelRun::Params p;
+  p.num_slots = 8;
+  p.num_wgs = 0;
+  p.body = [&entered](KernelRun& r, int slot) {
+    return draining_slot(r, entered, slot);
+  };
+  entered.reserve(8);
+  const std::size_t news = g_news, deletes = g_deletes;
+  KernelRun run(e, std::move(p));
+  run.start();
+  EXPECT_TRUE(run.finished());
+  EXPECT_EQ(run.active_slots(), 1);
+  EXPECT_EQ(g_news - news, 1u);
+  EXPECT_EQ(g_deletes - deletes, 1u);
+  EXPECT_EQ(entered, (std::vector<int>{0}));
+  EXPECT_EQ(e.run(), 0u);
 }
 
 sim::Co fixed_cost_kernel(Machine& m, TimeNs dur) {

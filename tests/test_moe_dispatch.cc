@@ -10,6 +10,7 @@
 #include "fused/moe_dispatch.h"
 #include "gpu/machine.h"
 #include "ops/gemm.h"
+#include "reject_config.h"
 #include "shmem/world.h"
 
 namespace fcc::fused {
@@ -344,6 +345,47 @@ TEST(FusedMoeDispatch, RejectsAluEfficiencyOutsideUnitIntervalAtConstruction) {
     EXPECT_THROW(BaselineMoeDispatch(w, cfg, nullptr), std::logic_error)
         << eff;
   }
+}
+
+// Each of these used to pass construction and then die mid-run: a shape
+// check throwing inside the kernel's coroutine (SIGABRT) or a division by
+// a zero block size (SIGFPE). A negative slot override was read as
+// "derive".
+void expect_moe_rejects(void (*set)(MoeDispatchConfig&, int),
+                        const char* field, int value) {
+  gpu::Machine m(scale_up(4));
+  shmem::World w(m);
+  auto cfg = small_cfg();
+  cfg.functional = false;
+  set(cfg, value);
+  test::expect_both_reject<FusedMoeDispatch, BaselineMoeDispatch>(
+      w, cfg, field, value);
+}
+
+TEST(MoeDispatchConfig, RejectsNonPositiveDModel) {
+  expect_moe_rejects([](MoeDispatchConfig& c, int v) { c.d_model = v; },
+                     "MoeDispatchConfig::d_model", 0);
+}
+
+TEST(MoeDispatchConfig, RejectsNonPositiveDOut) {
+  expect_moe_rejects([](MoeDispatchConfig& c, int v) { c.d_out = v; },
+                     "MoeDispatchConfig::d_out", 0);
+}
+
+TEST(MoeDispatchConfig, RejectsNonPositiveBlockM) {
+  expect_moe_rejects([](MoeDispatchConfig& c, int v) { c.block_m = v; },
+                     "MoeDispatchConfig::block_m", 0);
+}
+
+TEST(MoeDispatchConfig, RejectsNonPositiveBlockN) {
+  expect_moe_rejects([](MoeDispatchConfig& c, int v) { c.block_n = v; },
+                     "MoeDispatchConfig::block_n", 0);
+}
+
+TEST(MoeDispatchConfig, RejectsNegativeSlotsOverride) {
+  expect_moe_rejects(
+      [](MoeDispatchConfig& c, int v) { c.occupancy_slots_override = v; },
+      "MoeDispatchConfig::occupancy_slots_override", -3);
 }
 
 MoeDispatchConfig timing_cfg(double hot) {

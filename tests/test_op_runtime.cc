@@ -8,6 +8,7 @@
 
 #include "fused/op_runtime.h"
 #include "gpu/machine.h"
+#include "gpu/persistent.h"
 
 namespace fcc::fused {
 namespace {
@@ -233,10 +234,13 @@ TEST(OperatorResult, SkewMeasuresRelativeSpread) {
 // ---------------------------------------------------------------------------
 
 /// PE 0 waits on a flag nobody sets; PE 1 completes. The deadlock check
-/// must name the stuck PE and the unsatisfied wait_ge.
+/// must name the stuck PE and the unsatisfied wait_ge, also when the wait
+/// sits in a persistent-kernel slot (`in_kernel`): slot frames run
+/// detached, and the per-PE task awaiting the kernel is what stays live.
 class StuckOp final : public FusedOp {
  public:
-  explicit StuckOp(shmem::World& world) : FusedOp(world) {
+  StuckOp(shmem::World& world, bool in_kernel)
+      : FusedOp(world), in_kernel_(in_kernel) {
     register_debug_flags("gate", gate_);
   }
   const char* name() const override { return "stuck_op"; }
@@ -252,38 +256,57 @@ class StuckOp final : public FusedOp {
 
  private:
   sim::Co pe_body(PeId pe) {
-    if (pe == 0) {
-      co_await gate_->wait_ge(0, 1, 3);
+    if (!in_kernel_) {
+      if (pe == 0) co_await gate_->wait_ge(0, 1, 3);
+      co_return;
     }
+    gpu::KernelRun::Params p;
+    p.num_slots = 2;
+    p.num_wgs = 4;
+    p.body = [this, pe](gpu::KernelRun& run, int slot) {
+      return slot_body(run, pe, slot);
+    };
+    gpu::KernelRun kernel(world_.machine().engine_of(pe), std::move(p));
+    kernel.start();
+    co_await kernel.wait();
   }
+  sim::Co slot_body(gpu::KernelRun& run, PeId pe, int slot) {
+    for (int pos; (pos = co_await run.next(slot)) >= 0;) {
+    }
+    if (pe == 0 && slot == 1) co_await gate_->wait_ge(0, 1, 3);
+  }
+  bool in_kernel_;
   FlagSet gate_;
 };
 
 TEST(FusedOpDriver, DeadlockCheckNamesStuckPesAndUnsatisfiedWaits) {
-  gpu::Machine::Config cfg;
-  cfg.num_nodes = 1;
-  cfg.gpus_per_node = 2;
-  gpu::Machine machine(cfg);
-  shmem::World world(machine);
+  for (const bool in_kernel : {false, true}) {
+    SCOPED_TRACE(in_kernel ? "wait in a kernel slot" : "wait in a PE body");
+    gpu::Machine::Config cfg;
+    cfg.num_nodes = 1;
+    cfg.gpus_per_node = 2;
+    gpu::Machine machine(cfg);
+    shmem::World world(machine);
 
-  StuckOp op(world);
-  try {
-    op.run_to_completion();
-    FAIL() << "expected the deadlock check to fire";
-  } catch (const std::logic_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("stuck_op deadlocked"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("stuck PE tasks (1/2): pe0"), std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("unsatisfied waits on 'gate' (1): [pe0][1]=0<3"),
-              std::string::npos)
-        << msg;
+    StuckOp op(world, in_kernel);
+    try {
+      op.run_to_completion();
+      FAIL() << "expected the deadlock check to fire";
+    } catch (const std::logic_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("stuck_op deadlocked"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("stuck PE tasks (1/2): pe0"), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("unsatisfied waits on 'gate' (1): [pe0][1]=0<3"),
+                std::string::npos)
+          << msg;
+    }
+    // Satisfy the wait and drain so the stranded run finishes instead of
+    // leaking suspended coroutine frames.
+    op.unstick();
+    machine.engine().run();
+    EXPECT_EQ(machine.engine().live_tasks(), 0);
   }
-  // Satisfy the wait and drain so the stranded run finishes instead of
-  // leaking suspended coroutine frames.
-  op.unstick();
-  machine.engine().run();
-  EXPECT_EQ(machine.engine().live_tasks(), 0);
 }
 
 }  // namespace

@@ -340,8 +340,8 @@ TEST(SimDeterminism, InternodeEmbeddingMatchesSeedEngine) {
   expect_events_before(t, 9790);
 }
 
-// Recorded with the staggered destination order of
-// SliceMap::comm_aware_order.
+// Recorded with the staggered destination order that
+// SliceMap::comm_aware_blocks keeps as a block sequence.
 
 TEST(SimDeterminism, TorusEmbeddingMatchesGolden) {
   const TimingTrace t = staggered_embedding(torus_4x4());

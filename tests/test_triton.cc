@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "gpu/machine.h"
+#include "gpu/schedule.h"
 #include "ops/gemv.h"
 #include "shmem/world.h"
 #include "sim/task.h"
@@ -216,6 +217,60 @@ TEST(TileKernel, CommAwareSchedulePutsRemoteTilesFirst) {
   // local write index must be >= number of remote tiles minus in-flight
   // deliveries; weak but meaningful ordering check:
   EXPECT_GT(local_positions.front(), 0);
+}
+
+TEST(TileKernel, CachesEachPesScheduleOnTheFirstLaunch) {
+  gpu::Machine m(four_gpus());
+  shmem::World w(m);
+  const auto shape = small_shape();
+  // Tile pid goes to PE pid % 4: each PE keeps a different quarter local.
+  const auto dest = [](const TileKernel::Ctx& ctx) { return ctx.pid % 4; };
+  TileKernel k("sched_cache", shape, 0.7);
+  k.load_a().load_b().dot().put_c_remote(dest, {});
+  for (PeId pe = 0; pe < m.num_pes(); ++pe) {
+    EXPECT_TRUE(k.schedule(pe).empty()) << "built before any launch";
+  }
+
+  const auto launch_all = [&] {
+    bool done[4] = {};
+    std::vector<TileKernel::LaunchConfig> lcs(4);
+    for (PeId pe = 0; pe < 4; ++pe) {
+      lcs[static_cast<std::size_t>(pe)].world = &w;
+      lcs[static_cast<std::size_t>(pe)].pe = pe;
+      launch_driver(m.engine(), k, lcs[static_cast<std::size_t>(pe)],
+                    done[pe]);
+    }
+    m.engine().run();
+    for (const bool d : done) EXPECT_TRUE(d);
+  };
+  launch_all();
+  std::vector<const int*> built;
+  for (PeId pe = 0; pe < m.num_pes(); ++pe) {
+    const auto want = gpu::make_schedule(shape.num_tiles(), [&](int pid) {
+      return dest(TileKernel::Ctx{pe, pid, 0, &shape}) != pe;
+    });
+    EXPECT_EQ(k.schedule(pe), want) << "pe " << pe;
+    built.push_back(k.schedule(pe).data());
+  }
+  // A second launch per PE reuses every schedule: none is rebuilt.
+  launch_all();
+  for (PeId pe = 0; pe < m.num_pes(); ++pe) {
+    EXPECT_EQ(k.schedule(pe).data(), built[static_cast<std::size_t>(pe)]);
+  }
+}
+
+TEST(TileKernel, KernelWithoutPutKeepsNoSchedule) {
+  gpu::Machine m(four_gpus());
+  shmem::World w(m);
+  TileKernel k("local", small_shape(), 0.7);
+  k.load_a().load_b().dot().store_c_local({});
+  TileKernel::LaunchConfig lc;
+  lc.world = &w;
+  bool done = false;
+  launch_driver(m.engine(), k, lc, done);
+  m.engine().run();
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(k.schedule(0).empty());  // pids run in order
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <queue>
 #include <string>
@@ -257,27 +258,83 @@ TEST(Engine, RewindIntoAnExhaustedBucketFiresAtItsTime) {
   EXPECT_EQ(e.now(), 60);
 }
 
+TEST(Engine, AnEventPushedFarAheadFiresBeforeLaterPushesAtItsTime) {
+  // Event 1 is pushed while T lies more than 2^16 ns ahead. Time then
+  // moves to within 2^16 ns of T three ways: a tick chain firing every
+  // 1000 ns, an event firing just before T, and a run_until parked there.
+  // Each pushes another event at T; all fire in push order.
+  constexpr TimeNs kT = 3 * (TimeNs{1} << 16) + 7;
+  Engine e;
+  std::vector<int> seen;
+  const auto at_t = [&](int id) {
+    e.schedule_at(kT, [&seen, id] { seen.push_back(id); });
+  };
+  at_t(1);
+  std::function<void()> tick = [&] {
+    if (e.now() == kT - 1000) at_t(2);
+    if (e.now() < kT - 1000) e.schedule_after(1000, tick);
+  };
+  e.schedule_at(kT % 1000, tick);
+  e.schedule_at(kT - 100, [&] { at_t(3); });
+  e.run_until(kT - 50);
+  EXPECT_EQ(e.next_event_time(), kT);
+  at_t(4);
+  EXPECT_EQ(e.pending(), 4u);
+  e.run();
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(e.now(), kT);
+}
+
+TEST(Engine, RewindToTheTimeOfADrainedFarEventFiresThere) {
+  // The far event's bucket drains at kT and is recycled for kT + 20; a
+  // rewind to kT must not find it again.
+  constexpr TimeNs kT = 5 * (TimeNs{1} << 16);
+  Engine e;
+  std::vector<std::pair<int, TimeNs>> seen;
+  const auto log = [&](int id) {
+    return [&seen, &e, id] { seen.emplace_back(id, e.now()); };
+  };
+  e.schedule_at(kT, log(1));
+  e.run_until(kT + 10);
+  e.schedule_at(kT + 20, log(2));
+  e.schedule_at_unchecked(kT, log(3));
+  e.run();
+  EXPECT_EQ(seen, (std::vector<std::pair<int, TimeNs>>{
+                      {1, kT}, {3, kT}, {2, kT + 20}}));
+}
+
 Task wave_worker(Engine& e, int steps, int stride) {
   for (int i = 0; i < steps; ++i) co_await delay(e, 1 + (i % stride));
 }
 
+/// Steps of 2^16 + 1, 5 and 3 * 2^16 + 7 ns: pushes past the 2^16 ns edge
+/// ahead of now(), over a span that wraps 2^16 several times.
+Task far_worker(Engine& e, int steps) {
+  constexpr TimeNs kEdge = TimeNs{1} << 16;
+  constexpr TimeNs kDt[3] = {kEdge + 1, 5, 3 * kEdge + 7};
+  for (int i = 0; i < steps; ++i) co_await delay(e, kDt[i % 3]);
+}
+
 TEST(Engine, QueuePoolsStopGrowingAcrossRerunsAndReturnOnDrain) {
   // 64 workers in lock-step waves: many events per timestamp (multi-chunk
-  // buckets) plus single-event timestamps. Re-running the same workload on
-  // the drained engine must reuse the pooled buckets and chunks instead of
-  // growing them; run() returns them once the queue drains.
+  // buckets) plus single-event timestamps, and one worker stepping more
+  // than 2^16 ns at a time. Re-running the same workload on the drained
+  // engine must reuse the pooled storage instead of growing it; run()
+  // returns it once the queue drains.
   Engine e;
   const auto workload = [&e] {
     for (int w = 0; w < 64; ++w) wave_worker(e, 200, 1 + w % 5);
+    far_worker(e, 12);
   };
+  constexpr TimeNs kHorizon = 2'000'000;
   workload();
-  e.run_until(e.now() + 100000);
+  e.run_until(e.now() + kHorizon);
   ASSERT_TRUE(e.idle());
   const std::size_t watermark = e.queue_bytes();
   EXPECT_GT(watermark, 0u);
   for (int rerun = 0; rerun < 5; ++rerun) {
     workload();
-    e.run_until(e.now() + 100000);
+    e.run_until(e.now() + kHorizon);
     ASSERT_TRUE(e.idle());
     EXPECT_EQ(e.queue_bytes(), watermark) << "rerun " << rerun;
   }
@@ -464,6 +521,14 @@ class DiffDriver {
 
   std::uint64_t next() { return rng_ = mix64(rng_); }
 
+  /// One delay in eight from the far set, so that pushes reach and cross
+  /// 2^16 ns edges (and multiples of them) ahead of now(), and 1 s beyond.
+  static constexpr TimeNs kEdge = TimeNs{1} << 16;
+  static constexpr TimeNs kFarDt[8] = {kEdge - 1,     kEdge,
+                                       kEdge + 1,     2 * kEdge,
+                                       3 * kEdge + 7, 1'000'000'000,
+                                       kEdge,         kEdge - 1};
+
   /// What event `id` schedules when it fires: a pure function of (seed,
   /// id), so both sides agree as long as they fire the same ids.
   std::vector<Child> children(int id) const {
@@ -474,15 +539,18 @@ class DiffDriver {
     static constexpr TimeNs kDt[8] = {0, 0, 1, 1, 2, 3, 5, 13};
     const int n = kCount[r & 7];
     for (int i = 0; i < n; ++i) {
-      r >>= 4;
-      out.push_back(Child{kDt[r & 7], ((r >> 3) & 1) != 0});
+      r >>= 7;
+      const TimeNs dt = (r & 7) == 0 ? kFarDt[(r >> 3) & 7] : kDt[(r >> 3) & 7];
+      out.push_back(Child{dt, ((r >> 6) & 1) != 0});
     }
     return out;
   }
 
   std::string step() {
     const std::uint64_t r = next();
-    const TimeNs dt = static_cast<TimeNs>((r >> 8) % 12);
+    const TimeNs dt = ((r >> 52) & 7) == 0
+                          ? kFarDt[(r >> 55) & 7]
+                          : static_cast<TimeNs>((r >> 8) % 12);
     switch (r % 16) {
       case 0: case 1: case 2: case 3:
         return top_level(Kind::kAt, engine_->now() + dt);
@@ -503,8 +571,14 @@ class DiffDriver {
         return "wave of " + std::to_string(n);
       }
       case 8: case 9: {
-        // Behind the frontier: possibly into a drained (closed) bucket.
-        const TimeNs t = std::max<TimeNs>(0, engine_->now() - dt);
+        // Behind the frontier: possibly into a drained (closed) bucket, and
+        // one time in two exactly at one of the last 16 fire times.
+        TimeNs t = std::max<TimeNs>(0, engine_->now() - dt);
+        if (((r >> 5) & 1) != 0 && !engine_log_.empty()) {
+          const std::size_t back =
+              (r >> 20) % std::min<std::size_t>(engine_log_.size(), 16);
+          t = std::min(t, engine_log_[engine_log_.size() - 1 - back].now);
+        }
         return top_level((r >> 4) & 1 ? Kind::kRewindResume : Kind::kRewind,
                          t);
       }
@@ -522,8 +596,11 @@ class DiffDriver {
         return "run()";
       }
       default: {
+        // One deadline in four jumps past the 2^16 ns edge, parking the
+        // frontier there; rewinds (cases 8-9) then land behind it.
         const TimeNs deadline =
-            engine_->now() + static_cast<TimeNs>((r >> 40) % 9);
+            engine_->now() + static_cast<TimeNs>((r >> 40) % 9) +
+            (((r >> 48) & 3) == 0 ? kEdge + static_cast<TimeNs>(r >> 58) : 0);
         const std::size_t a = engine_->run_until(deadline);
         std::size_t b = 0;
         while (!ref_.empty() && ref_.top().t <= deadline) {

@@ -9,28 +9,30 @@
 // Hot-path design (host speed only — simulated timing is untouched, see
 // tests/test_sim_determinism.cc):
 //
-//   * The ready queue is time-bucketed: a 4-ary min-heap holds one entry
-//     per *distinct* pending timestamp, and each timestamp owns a FIFO
-//     bucket of payload words, found through a small open-addressing map
-//     (plus a one-entry cache of the last bucket pushed, so a wave of
-//     same-time pushes skips the lookup). No sequence number is stored,
-//     yet the pop order is exactly (time, seq): seq is assigned in push
-//     order, every push appends to the one bucket of its time, and buckets
-//     drain in time order, each front to back — so the front of the
-//     earliest bucket is always the pending event with the smallest
-//     (time, seq). That holds for pushes into the bucket being drained and
-//     for schedule_at_unchecked rewinds alike; a timestamp whose bucket has
-//     emptied gets a fresh one, behind every event at that time that
-//     already fired. WG waves finish at the same nanosecond, so the heap
-//     sifts once per timestamp rather than once per event.
-//   * A push onto an empty queue lands in a single-entry slot with no
-//     bucket, map or heap work: the one in-flight event of a delay chain.
-//     The next push migrates it into a bucket first.
+//   * The ready queue is a timing wheel: 2^16 one-nanosecond slots over
+//     [cursor, cursor + 2^16), the cursor being the latest time now() has
+//     reached (it never decreases, nor passes a pending wheel time). Slot
+//     t mod 2^16 holds the FIFO bucket of pending time t; a 1024-word
+//     occupancy bitmap and a 16-word summary find the next one with two ctz.
+//   * Pushes outside the window (at or beyond cursor + 2^16, or rewinds
+//     behind it: 2-5% in the paper workloads) go to buckets in a binary
+//     heap of (time, seq, bucket), found through a 1024-entry direct-mapped
+//     hint table; a hint collision only opens a second bucket at that time.
+//     A one-entry cache of the last bucket pushed skips both lookups.
+//   * The pop order is exactly (time, seq), with no per-event seq: a push
+//     appends only to the latest bucket opened at its time, and buckets
+//     drain in (time, opening order), each front to back. On equal times a
+//     heap bucket fires before a wheel bucket, and it was opened first:
+//     while a wheel bucket at t is pending, t is in the window, so no heap
+//     bucket at t can open. (A far push entered the heap before its time
+//     came into the window; a rewind's time is below every wheel time.)
 //   * A bucket keeps its first payload inline (a single-event timestamp
 //     takes no chunk) and the rest in fixed-size chunks. Buckets, chunks
 //     and callback nodes are pooled in chunk-stable slabs with free lists,
-//     so steady-state scheduling allocates nothing; run() returns the
-//     bucket, chunk, map and heap storage when the queue drains.
+//     so steady-state scheduling allocates nothing. The wheel (~280 KB with
+//     the hints) is allocated by the first push after a drain; run()
+//     returns it and the pools when the queue drains, run_until() keeps
+//     them, so sharded windows and warm launches allocate nothing.
 //   * The overwhelming event kind is "resume this coroutine" (delay,
 //     busy_wait, flag wakeups, PUT completions). `schedule_resume_*` packs
 //     the bare handle into the tagged payload word — no event object, no
@@ -41,6 +43,8 @@
 //     generic API.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -66,11 +70,10 @@ class Engine {
     // Destroy pending callbacks without running them (coroutine handles are
     // non-owning here: frames are destroyed by their own final-suspend
     // machinery or leaked with the process, matching the old behavior).
-    if (solo_ != kNoPayload) dispose(solo_);
-    for (const HeapEntry& h : heap_) {
-      Bucket& b = buckets_[h.bucket];
+    for_each_bucket([this](std::uint32_t bucket) {
+      Bucket& b = buckets_[bucket];
       while (b.count != 0) dispose(take_front(b));
-    }
+    });
   }
 
   TimeNs now() const { return now_; }
@@ -171,50 +174,40 @@ class Engine {
   /// (live_tasks() > 0) the simulation deadlocked.
   std::size_t run() {
     std::size_t processed = 0;
-    for (;;) {
-      // Single-pending fast cycle: one in-flight event ping-ponging through
-      // the solo slot (a delay chain / busy-wait loop, the most common
-      // shape). A solo event is by construction the only pending one.
-      while (solo_ != kNoPayload) {
-        fire_solo();
-        ++processed;
-      }
-      if (heap_.empty()) break;
-      fire_front();
-      ++processed;
-    }
+    for (Front f; find_front(f); ++processed) fire_front(f);
     release_queue_storage();
     return processed;
   }
 
-  /// Runs events with time <= `deadline`. Returns events processed.
+  /// Runs events with time <= `deadline`, then parks now() at `deadline`
+  /// (if later). Keeps the queue's storage. Returns events processed.
   std::size_t run_until(TimeNs deadline) {
     std::size_t processed = 0;
-    while (!idle() && next_time() <= deadline) {
-      if (solo_ != kNoPayload) {
-        fire_solo();
-      } else {
-        fire_front();
-      }
-      ++processed;
+    for (Front f; find_front(f) && f.t <= deadline; ++processed) {
+      fire_front(f);
     }
     if (now_ < deadline) now_ = deadline;
+    // Every pending event is later than `deadline`: the window may move up.
+    if (cursor_ < deadline) cursor_ = deadline;
     return processed;
   }
 
-  bool idle() const { return solo_ == kNoPayload && heap_.empty(); }
+  bool idle() const { return open_slots_ == 0 && far_.empty(); }
 
   /// Sentinel returned by next_event_time() when no events are pending.
   static constexpr TimeNs kNoEvent = -1;
 
   /// Time of the earliest pending event, or kNoEvent when idle; used by the
   /// sharded scheduler to compute conservative window bounds.
-  TimeNs next_event_time() const { return idle() ? kNoEvent : next_time(); }
+  TimeNs next_event_time() const {
+    Front f;
+    return find_front(f) ? f.t : kNoEvent;
+  }
 
   /// Events scheduled but not yet fired.
   std::size_t pending() const {
-    std::size_t n = solo_ != kNoPayload ? 1 : 0;
-    for (const HeapEntry& h : heap_) n += buckets_[h.bucket].count;
+    std::size_t n = 0;
+    for_each_bucket([this, &n](std::uint32_t b) { n += buckets_[b].count; });
     return n;
   }
 
@@ -222,12 +215,11 @@ class Engine {
   /// count; resume events never take a node).
   std::size_t slab_nodes() const { return nodes_.size(); }
 
-  /// Bytes of pooled queue storage (heap, map, buckets, chunks): a capacity
-  /// watermark that only grows while events are pending and returns to
-  /// zero when run() drains the queue.
+  /// Bytes of pooled queue storage (wheel, heap, buckets, chunks): a
+  /// capacity watermark that only grows while events are pending and
+  /// returns to zero when run() drains the queue.
   std::size_t queue_bytes() const {
-    return heap_.capacity() * sizeof(HeapEntry) +
-           map_.capacity() * sizeof(MapSlot) +
+    return (wheel_ ? sizeof(Wheel) : 0) + far_.capacity() * sizeof(Far) +
            buckets_.size() * sizeof(Bucket) + chunks_.size() * sizeof(Chunk);
   }
 
@@ -245,7 +237,6 @@ class Engine {
   /// Small-buffer size for inline callbacks. Sized for the largest lambda
   /// the library schedules (PUT delivery: this + ids + a std::function).
   static constexpr std::size_t kInlineBytes = 48;
-  static constexpr unsigned kHeapArity = 4;
   static constexpr std::uint32_t kNil =
       std::numeric_limits<std::uint32_t>::max();
   /// Never a real payload: bit 0 set marks a resume, and no coroutine frame
@@ -294,14 +285,14 @@ class Engine {
     alignas(std::max_align_t) unsigned char buf[kInlineBytes];
   };
 
-  /// One heap entry per distinct pending timestamp. The payload word of
-  /// every queued event is tagged: bit 0 set => the rest is a coroutine
-  /// frame address to resume (frame alignment guarantees the bit is free);
-  /// bit 0 clear => payload >> 1 is a callback node index.
-  struct HeapEntry {
-    TimeNs t;
-    std::uint32_t bucket;
-  };
+  /// The payload word of every queued event is tagged: bit 0 set => the
+  /// rest is a coroutine frame address to resume (frame alignment
+  /// guarantees the bit is free); bit 0 clear => payload >> 1 is a callback
+  /// node index.
+  static bool is_resume(std::uintptr_t payload) { return (payload & 1u) != 0; }
+  static std::uint32_t node_index(std::uintptr_t payload) {
+    return static_cast<std::uint32_t>(payload >> 1);
+  }
 
   /// Payloads 2.. of a bucket, in push order; 15 slots + link = 128 bytes.
   struct Chunk {
@@ -320,16 +311,50 @@ class Engine {
     std::uint16_t write;   // next free slot in `tail`
   };
 
-  /// Open-addressing map entry: timestamp -> bucket (kNil: empty slot).
-  struct MapSlot {
+  /// A bucket outside the wheel's window, ordered by (t, seq); seq counts
+  /// the far buckets opened, so two at one time keep their push order.
+  struct Far {
+    TimeNs t;
+    std::uint64_t seq;
+    std::uint32_t bucket;
+  };
+  struct FarLater {
+    bool operator()(const Far& a, const Far& b) const {
+      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+    }
+  };
+  /// Hint: far time `t` (kNoTime: none) -> its latest open heap bucket.
+  struct FarHint {
     TimeNs t;
     std::uint32_t bucket;
   };
 
-  static bool is_resume(std::uintptr_t payload) { return (payload & 1u) != 0; }
-  static std::uint32_t node_index(std::uintptr_t payload) {
-    return static_cast<std::uint32_t>(payload >> 1);
+  /// The calendar of [cursor_, cursor_ + kSlots): slot t mod kSlots holds
+  /// the bucket of time t where its `bits` bit is set; `summary` has one
+  /// bit per non-zero `bits` word. `hint` is direct-mapped by far time; a
+  /// collision overwrites, so a later push may open one more heap bucket.
+  static constexpr std::uint32_t kSlots = std::uint32_t{1} << 16;
+  static constexpr std::uint32_t kWords = kSlots / 64;
+  static constexpr std::uint32_t kSummaryWords = kWords / 64;
+  static constexpr unsigned kHintBits = 10;
+  struct Wheel {
+    std::uint32_t bucket[kSlots];  // garbage where the bit is clear
+    std::uint64_t bits[kWords];
+    std::uint64_t summary[kSummaryWords];
+    FarHint hint[std::size_t{1} << kHintBits];
+  };
+  static std::size_t hint_index(TimeNs t) {
+    // Fibonacci hashing: the product's top bits spread strided times.
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(t) * 0x9E3779B97F4A7C15ull) >>
+        (64 - kHintBits));
   }
+
+  /// The earliest pending bucket: wheel slot `slot`, or the heap top (kNil).
+  struct Front {
+    TimeNs t;
+    std::uint32_t slot;
+  };
 
   void push_entry(TimeNs t, std::uintptr_t payload) {
     FCC_CHECK_MSG(t >= now_, "cannot schedule into the past: " << t << " < "
@@ -338,43 +363,55 @@ class Engine {
   }
 
   void push_entry_unchecked(TimeNs t, std::uintptr_t payload) {
-    if (idle()) {
-      solo_t_ = t;
-      solo_ = payload;
-      return;
-    }
-    if (solo_ != kNoPayload) {
-      // The solo event was pushed before anything else now pending, so it
-      // heads its bucket. Cleared only once enqueued: a throwing enqueue
-      // leaves it where it was.
-      enqueue(solo_t_, solo_);
-      solo_ = kNoPayload;
-    }
-    enqueue(t, payload);
-  }
-
-  /// Appends `payload` to the bucket of `t`, opening one if none is pending.
-  void enqueue(TimeNs t, std::uintptr_t payload) {
     if (t == last_t_) {
       append(buckets_[last_bucket_], payload);
       return;
     }
-    // Grow (and reserve the heap) before probing, so that nothing after
-    // the probe can throw or move the slot it found.
-    if ((map_used_ + 1) * 2 > map_.size()) map_grow();
-    if (heap_.size() == heap_.capacity()) {
-      heap_.reserve(heap_.empty() ? 64 : 2 * heap_.size());
+    if (!wheel_) {
+      wheel_ = std::make_unique_for_overwrite<Wheel>();
+      std::memset(wheel_->bits, 0, sizeof(wheel_->bits));
+      std::memset(wheel_->summary, 0, sizeof(wheel_->summary));
+      std::ranges::fill(wheel_->hint, FarHint{kNoTime, kNil});
     }
-    const std::size_t mask = map_.size() - 1;
-    std::size_t i = map_home(t);
-    for (; map_[i].bucket != kNil; i = (i + 1) & mask) {
-      if (map_[i].t == t) {
-        last_t_ = t;
-        last_bucket_ = map_[i].bucket;
-        append(buckets_[last_bucket_], payload);
-        return;
+    Wheel& w = *wheel_;
+    std::uint32_t b;
+    // Wrapping subtraction: a rewind behind the cursor reads as far ahead.
+    if (static_cast<std::uint64_t>(t) - static_cast<std::uint64_t>(cursor_) >=
+        kSlots) {
+      FarHint& hint = w.hint[hint_index(t)];
+      if (hint.t == t) {
+        b = hint.bucket;
+        append(buckets_[b], payload);
+      } else {
+        // Reserve first, so that nothing after open_bucket() can throw.
+        if (far_.size() == far_.capacity()) {
+          far_.reserve(far_.empty() ? 64 : 2 * far_.size());
+        }
+        b = open_bucket(payload);
+        far_.push_back(Far{t, far_seq_++, b});
+        std::push_heap(far_.begin(), far_.end(), FarLater{});
+        hint = FarHint{t, b};
+      }
+    } else {
+      const std::uint32_t slot = static_cast<std::uint32_t>(t) & (kSlots - 1);
+      const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+      if ((w.bits[slot >> 6] & bit) != 0) {
+        b = w.bucket[slot];
+        append(buckets_[b], payload);
+      } else {
+        b = open_bucket(payload);
+        w.bucket[slot] = b;
+        w.bits[slot >> 6] |= bit;
+        w.summary[slot >> 12] |= std::uint64_t{1} << ((slot >> 6) & 63);
+        ++open_slots_;
       }
     }
+    last_t_ = t;
+    last_bucket_ = b;
+  }
+
+  /// A fresh bucket holding `payload`, off the free list or the slab.
+  std::uint32_t open_bucket(std::uintptr_t payload) {
     std::uint32_t b = free_buckets_;
     if (b != kNil) {
       free_buckets_ = buckets_[b].head;
@@ -382,12 +419,7 @@ class Engine {
       b = buckets_.grow();
     }
     buckets_[b] = Bucket{payload, kNil, kNil, 1, 0, 0};
-    map_[i] = MapSlot{t, b};
-    ++map_used_;
-    heap_.push_back(HeapEntry{t, b});
-    sift_up(heap_.size() - 1);
-    last_t_ = t;
-    last_bucket_ = b;
+    return b;
   }
 
   void append(Bucket& b, std::uintptr_t payload) {
@@ -407,7 +439,7 @@ class Engine {
   }
 
   /// Pops the oldest payload of a non-empty bucket. An emptied bucket keeps
-  /// its last chunk for close_front() to free.
+  /// its last chunk for retire() to free.
   std::uintptr_t take_front(Bucket& b) {
     --b.count;
     if (b.first != kNoPayload) {
@@ -426,39 +458,85 @@ class Engine {
     return p;
   }
 
-  /// Retires the emptied bucket at the heap root.
-  void close_front() {
-    const HeapEntry top = heap_.front();
-    Bucket& b = buckets_[top.bucket];
+  /// Returns an emptied bucket to the free list.
+  void retire(std::uint32_t bucket) {
+    Bucket& b = buckets_[bucket];
     if (b.head != kNil) free_chunk(b.head);
     b.head = free_buckets_;
-    free_buckets_ = top.bucket;
-    map_erase(top.t);
-    pop_root();
-    if (last_bucket_ == top.bucket) last_t_ = kNoTime;
+    free_buckets_ = bucket;
+    if (last_bucket_ == bucket) last_t_ = kNoTime;
   }
 
-  TimeNs next_time() const {
-    return solo_ != kNoPayload ? solo_t_ : heap_.front().t;
+  /// Index of the first set bit at or after bit `from` of `words[0..n)`,
+  /// or 64 * n if there is none.
+  static std::uint32_t first_set(const std::uint64_t* words, std::uint32_t n,
+                                 std::uint32_t from) {
+    std::uint32_t i = from >> 6;
+    if (i >= n) return 64 * n;
+    std::uint64_t m = words[i] & (~std::uint64_t{0} << (from & 63));
+    while (m == 0) {
+      if (++i == n) return 64 * n;
+      m = words[i];
+    }
+    return (i << 6) | static_cast<std::uint32_t>(std::countr_zero(m));
   }
 
-  void fire_solo() {
-    const std::uintptr_t p = solo_;
-    solo_ = kNoPayload;
-    now_ = solo_t_;
-    fire(p);
+  /// Finds the earliest pending event; false when idle. The wheel is
+  /// scanned from the cursor's slot onwards, wrapping once. On equal
+  /// times the heap wins: its bucket was opened first (header comment).
+  bool find_front(Front& f) const {
+    bool found = false;
+    if (open_slots_ != 0) {
+      const Wheel& w = *wheel_;
+      const std::uint32_t start =
+          static_cast<std::uint32_t>(cursor_) & (kSlots - 1);
+      std::uint32_t word = start >> 6;
+      std::uint64_t m = w.bits[word] & (~std::uint64_t{0} << (start & 63));
+      if (m == 0) {
+        word = first_set(w.summary, kSummaryWords, word + 1);
+        if (word == kWords) word = first_set(w.summary, kSummaryWords, 0);
+        // Back at the start word, only bits below `start` are set.
+        m = w.bits[word];
+      }
+      f.slot = (word << 6) | static_cast<std::uint32_t>(std::countr_zero(m));
+      f.t = cursor_ + ((f.slot - start) & (kSlots - 1));
+      found = true;
+    }
+    if (!far_.empty() && (!found || far_.front().t <= f.t)) {
+      f = Front{far_.front().t, kNil};
+      found = true;
+    }
+    return found;
   }
 
-  /// Fires the front of the earliest bucket. Pre: no solo event, not idle.
-  void fire_front() {
-    const TimeNs t = heap_.front().t;
-    Bucket& b = buckets_[heap_.front().bucket];
+  /// Fires the front event of the bucket find_front() returned.
+  void fire_front(const Front& f) {
+    Wheel& w = *wheel_;
+    const std::uint32_t bucket =
+        f.slot == kNil ? far_.front().bucket : w.bucket[f.slot];
+    Bucket& b = buckets_[bucket];
     const std::uintptr_t p = take_front(b);
-    if (b.count == 0) close_front();
+    if (b.count == 0) {
+      if (f.slot == kNil) {
+        std::pop_heap(far_.begin(), far_.end(), FarLater{});
+        far_.pop_back();
+        FarHint& hint = w.hint[hint_index(f.t)];
+        if (hint.bucket == bucket) hint.t = kNoTime;
+      } else {
+        const std::uint32_t word = f.slot >> 6;
+        w.bits[word] &= ~(std::uint64_t{1} << (f.slot & 63));
+        if (w.bits[word] == 0) {
+          w.summary[word >> 6] &= ~(std::uint64_t{1} << (word & 63));
+        }
+        --open_slots_;
+      }
+      retire(bucket);
+    }
     // A rewind entry (schedule_at_unchecked) legitimately moves now_
     // backwards from the window deadline run_until parked it at; run_until
-    // restores the frontier after the loop.
-    now_ = t;
+    // restores the frontier after the loop. The cursor stays put.
+    now_ = f.t;
+    if (cursor_ < f.t) cursor_ = f.t;
     fire(p);
   }
 
@@ -481,6 +559,20 @@ class Engine {
     if (!is_resume(payload)) {
       Node& n = nodes_[node_index(payload)];
       n.dispose(n.buf);
+    }
+  }
+
+  /// Calls `fn(bucket)` for every pending bucket, heap and wheel.
+  template <typename F>
+  void for_each_bucket(F&& fn) const {
+    for (const Far& f : far_) fn(f.bucket);
+    if (open_slots_ == 0) return;
+    const Wheel& w = *wheel_;
+    for (std::uint32_t word = first_set(w.summary, kSummaryWords, 0);
+         word != kWords; word = first_set(w.summary, kSummaryWords, word + 1)) {
+      for (std::uint64_t m = w.bits[word]; m != 0; m &= m - 1) {
+        fn(w.bucket[(word << 6) | std::countr_zero(m)]);
+      }
     }
   }
 
@@ -510,10 +602,8 @@ class Engine {
   /// Returns the queue's pooled storage; the callback node slab is kept.
   /// Pre: idle.
   void release_queue_storage() {
-    if (heap_.capacity() == 0 && map_.empty()) return;  // no bucket opened
-    heap_ = std::vector<HeapEntry>();
-    map_ = std::vector<MapSlot>();
-    map_used_ = 0;
+    wheel_.reset();
+    far_ = std::vector<Far>();
     buckets_.release();
     chunks_.release();
     free_buckets_ = kNil;
@@ -521,105 +611,11 @@ class Engine {
     last_t_ = kNoTime;
   }
 
-  // --- timestamp -> bucket map: linear probing, load factor <= 1/2 -------
-
-  std::size_t map_home(TimeNs t) const {
-    // Fibonacci hashing: the product's top bits spread clustered and
-    // strided timestamps alike.
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(t) * 0x9E3779B97F4A7C15ull) >> map_shift_);
-  }
-
-  /// Pre: `t` absent and a free slot exists.
-  void map_insert(TimeNs t, std::uint32_t bucket) {
-    const std::size_t mask = map_.size() - 1;
-    std::size_t i = map_home(t);
-    while (map_[i].bucket != kNil) i = (i + 1) & mask;
-    map_[i] = MapSlot{t, bucket};
-    ++map_used_;
-  }
-
-  /// Removes present key `t` by backward-shift deletion (no tombstones).
-  void map_erase(TimeNs t) {
-    const std::size_t mask = map_.size() - 1;
-    std::size_t hole = map_home(t);
-    while (map_[hole].t != t || map_[hole].bucket == kNil) {
-      hole = (hole + 1) & mask;
-    }
-    for (std::size_t j = (hole + 1) & mask; map_[j].bucket != kNil;
-         j = (j + 1) & mask) {
-      // Move slot j into the hole unless its home lies cyclically in
-      // (hole, j], where the probe from home would no longer reach it.
-      const std::size_t home = map_home(map_[j].t);
-      if (((j - home) & mask) >= ((j - hole) & mask)) {
-        map_[hole] = map_[j];
-        hole = j;
-      }
-    }
-    map_[hole].bucket = kNil;
-    --map_used_;
-  }
-
-  void map_grow() {
-    std::vector<MapSlot> old = std::move(map_);
-    const std::size_t size = old.empty() ? 64 : 2 * old.size();
-    map_.assign(size, MapSlot{0, kNil});
-    map_shift_ = 64;
-    for (std::size_t s = size; s > 1; s >>= 1) --map_shift_;
-    map_used_ = 0;
-    for (const MapSlot& s : old) {
-      if (s.bucket != kNil) map_insert(s.t, s.bucket);
-    }
-  }
-
-  // --- 4-ary min-heap of distinct timestamps -----------------------------
-
-  void sift_up(std::size_t i) {
-    const HeapEntry e = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kHeapArity;
-      if (!(e.t < heap_[parent].t)) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = e;
-  }
-
-  /// Removes the root with the bottom-up "hole" strategy (what libstdc++'s
-  /// __adjust_heap does for std::priority_queue): walk the hole to a leaf
-  /// choosing the min child at each level — no early-exit compare against
-  /// the relocated tail — then drop the tail in and sift it up, which
-  /// terminates almost immediately because the tail came from the bottom.
-  void pop_root() {
-    const std::size_t size = heap_.size() - 1;  // entries after the pop
-    std::size_t hole = 0;
-    std::size_t child = 1;
-    while (child < size) {
-      const std::size_t last =
-          child + kHeapArity < size ? child + kHeapArity : size;
-      std::size_t best = child;
-      for (std::size_t c = child + 1; c < last; ++c) {
-        // Branch-free select: the comparison is a data-dependent coin flip.
-        best = heap_[c].t < heap_[best].t ? c : best;
-      }
-      heap_[hole] = heap_[best];
-      hole = best;
-      child = hole * kHeapArity + 1;
-    }
-    if (hole != size) {
-      heap_[hole] = heap_[size];
-      sift_up(hole);
-    }
-    heap_.pop_back();
-  }
-
-  // The single pending event when nothing else is queued (else kNoPayload).
-  TimeNs solo_t_ = 0;
-  std::uintptr_t solo_ = kNoPayload;
-  std::vector<HeapEntry> heap_;  // one entry per non-empty bucket
-  std::vector<MapSlot> map_;     // power-of-two size
-  std::size_t map_used_ = 0;
-  unsigned map_shift_ = 64;
+  TimeNs cursor_ = 0;  // the latest now(); the wheel's window starts here
+  std::unique_ptr<Wheel> wheel_;  // null until the first push after a drain
+  std::uint32_t open_slots_ = 0;  // occupied wheel slots
+  std::vector<Far> far_;          // binary min-heap under FarLater
+  std::uint64_t far_seq_ = 0;
   Slab<Bucket, 8> buckets_;
   Slab<Chunk, 6> chunks_;
   std::uint32_t free_buckets_ = kNil;  // linked through Bucket::head

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <utility>
 
@@ -16,10 +17,26 @@ std::string json_escape(const std::string& s) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
-      default: out += c;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) {
+          out += c;
+        } else {  // every other control character
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        }
     }
   }
   return out;
+}
+
+/// `ns` as microseconds with exactly three decimals, from the integer:
+/// no rounding at any magnitude.
+std::string json_us(TimeNs ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%s%lld.%03lld", ns < 0 ? "-" : "",
+                std::llabs(ns / 1000), std::llabs(ns % 1000));
+  return buf;
 }
 
 }  // namespace
@@ -33,19 +50,17 @@ void Trace::write_chrome_json(std::ostream& os) const {
   };
   for (const auto& s : spans_) {
     sep();
-    // Chrome trace wants microseconds; keep three decimals of ns precision.
+    // Chrome trace wants microseconds; three decimals keep every ns.
     os << R"({"name":")" << json_escape(s.name) << R"(","cat":")"
        << json_escape(s.category) << R"(","ph":"X","pid":)" << s.pid
-       << R"(,"tid":)" << s.tid << R"(,"ts":)"
-       << static_cast<double>(s.start) / 1e3 << R"(,"dur":)"
-       << static_cast<double>(s.end - s.start) / 1e3 << "}";
+       << R"(,"tid":)" << s.tid << R"(,"ts":)" << json_us(s.start)
+       << R"(,"dur":)" << json_us(s.end - s.start) << "}";
   }
   for (const auto& i : instants_) {
     sep();
     os << R"({"name":")" << json_escape(i.name) << R"(","cat":")"
        << json_escape(i.category) << R"(","ph":"i","s":"t","pid":)" << i.pid
-       << R"(,"tid":)" << i.tid << R"(,"ts":)"
-       << static_cast<double>(i.at) / 1e3 << "}";
+       << R"(,"tid":)" << i.tid << R"(,"ts":)" << json_us(i.at) << "}";
   }
   os << "\n]\n";
 }

@@ -162,18 +162,17 @@ TEST(Co, DeepNestingCompletes) {
   EXPECT_EQ(e.now(), 1);
 }
 
-TEST(Engine, SoloEventMigratesIntoItsBucketInGlobalOrder) {
-  // The first push onto an empty queue takes the single-entry slot; the
-  // second migrates it into a bucket ahead of itself. Events scheduled
-  // from inside callbacks must still interleave in exact (time, seq) order.
+TEST(Engine, EventsScheduledFromCallbacksInterleaveInGlobalOrder) {
+  // Events scheduled from inside callbacks must interleave with the
+  // already-queued ones in exact (time, seq) order.
   Engine e;
   std::vector<int> seen;
   e.schedule_at(10, [&] {
     seen.push_back(1);
     e.schedule_at(15, [&] { seen.push_back(2); });  // while draining
     e.schedule_at(40, [&] { seen.push_back(5); });
-  });                                              // solo slot
-  e.schedule_at(20, [&] { seen.push_back(3); });  // migrates t=10 first
+  });
+  e.schedule_at(20, [&] { seen.push_back(3); });
   e.schedule_at(30, [&] { seen.push_back(4); });
   EXPECT_EQ(e.run(), 5u);
   EXPECT_EQ(seen, (std::vector<int>{1, 2, 3, 4, 5}));
@@ -217,18 +216,20 @@ TEST(Engine, PooledNodesAreRecycledAcrossWaves) {
   EXPECT_LE(e.slab_nodes(), 100u);
 }
 
-TEST(Engine, PendingCountsSoloAndBucketedEvents) {
+TEST(Engine, PendingCountsNearAndFarEvents) {
   Engine e;
-  e.schedule_at(1, [] {});  // solo slot
+  e.schedule_at(1, [] {});
   EXPECT_EQ(e.pending(), 1u);
-  e.schedule_at(2, [] {});  // both now bucketed
+  e.schedule_at(2, [] {});
   EXPECT_EQ(e.pending(), 2u);
   e.run_until(1);
   EXPECT_EQ(e.pending(), 1u);
   for (int i = 0; i < 40; ++i) e.schedule_at(3, [] {});  // spans chunks
   EXPECT_EQ(e.pending(), 41u);
+  for (int i = 0; i < 20; ++i) e.schedule_at(1'000'000, [] {});  // far
+  EXPECT_EQ(e.pending(), 61u);
   e.run_until(2);
-  EXPECT_EQ(e.pending(), 40u);
+  EXPECT_EQ(e.pending(), 60u);
   e.run();
   EXPECT_EQ(e.pending(), 0u);
 }
@@ -359,22 +360,23 @@ TEST(Engine, LargeCallbacksFallBackToTheHeapPath) {
 TEST(Engine, DestructorReleasesUnfiredCallbacks) {
   // Scheduled-but-never-run callables (both inline and heap-fallback) are
   // destroyed with the engine; shared_ptr use counts prove it. They are
-  // spread over the solo slot, inline bucket heads and multi-chunk buckets
-  // at many timestamps, some partly drained.
+  // spread over inline bucket heads and multi-chunk buckets at many
+  // timestamps, some partly drained, near and more than 2^16 ns ahead.
   auto tracer = std::make_shared<int>(7);
   std::weak_ptr<int> weak = tracer;
   {
     Engine e;
     e.schedule_at(5, [t = tracer] { (void)t; });
     {
-      Engine solo;
-      solo.schedule_at(1, [t = tracer] { (void)t; });
+      Engine single;
+      single.schedule_at(1, [t = tracer] { (void)t; });
     }
     std::array<std::uint64_t, 16> big{};
     e.schedule_at(6, [t = tracer, big] { (void)t; (void)big; });
     for (TimeNs at = 10; at < 200; ++at) {
       for (TimeNs k = 0; k < at % 40; ++k) {
         e.schedule_at(at, [t = tracer] { (void)t; });
+        e.schedule_at(at * 1000, [t = tracer] { (void)t; });
       }
     }
     e.run_until(30);

@@ -30,6 +30,11 @@ TEST(Trace, ChromeJsonIsWellFormedish) {
   Trace t;
   t.add_span({"k\"ernel", "compute", 0, 1, 0, 1000});
   t.add_instant({"flag", "comm", 0, 1, 500});
+  // Times past 1 ms and 1 s keep every ns; control characters escape.
+  t.add_span({"late", "compute", 0, 1, 1'234'567'891, 1'234'567'892});
+  t.add_span({"fig15", "comm", 0, 1, 9'844'982, 9'846'000});
+  t.add_span({"tab\there", "c\x01t", 0, 1, 0, 1});
+  t.add_instant({"flag", "comm", 0, 1, 12'000'000'007});
   std::ostringstream os;
   t.write_chrome_json(os);
   const std::string s = os.str();
@@ -37,6 +42,17 @@ TEST(Trace, ChromeJsonIsWellFormedish) {
   EXPECT_NE(s.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(s.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(s.find("k\\\"ernel"), std::string::npos);  // escaped quote
+  EXPECT_NE(s.find(R"("ts":0.000,"dur":1.000})"), std::string::npos);
+  EXPECT_NE(s.find(R"("ts":0.500})"), std::string::npos);
+  EXPECT_NE(s.find(R"("ts":1234567.891,"dur":0.001})"), std::string::npos);
+  EXPECT_NE(s.find(R"("ts":9844.982,"dur":1.018})"), std::string::npos);
+  EXPECT_NE(s.find(R"("ts":12000000.007})"), std::string::npos);
+  EXPECT_NE(s.find(R"("name":"tab\u0009here")"), std::string::npos);
+  EXPECT_NE(s.find(R"("cat":"c\u0001t")"), std::string::npos);
+  // No raw control character: only the record separators are newlines.
+  for (const char c : s) {
+    if (c != '\n') EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+  }
 }
 
 TEST(Trace, AsciiRendersOneRowPerTrack) {

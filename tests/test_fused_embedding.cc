@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fused/embedding_a2a.h"
@@ -452,19 +455,98 @@ TEST(FusedEmbedding, OccupancyOverrideControlsSlots) {
   op.run_to_completion();
 }
 
-TEST(FusedEmbedding, EmitsTraceWhenEnabled) {
-  auto cfg = timing_config(2, 64, 2);
-  cfg.emit_trace = true;
-  cfg.occupancy_slots_override = 8;
-  gpu::Machine::Config mc = inter_node(2);
-  mc.collect_trace = true;
+/// Fused embedding on 2 nodes x 2 GPUs, one WG per (table, sample): the
+/// zero-copy intra-node, RDMA inter-node and local paths in a few WGs.
+/// With `trace` the op emits its spans and instants, one per line as
+/// "name pe slot start end" (an instant's start and end are equal).
+std::pair<OperatorResult, std::string> small_traced_run(bool trace) {
+  EmbeddingA2AConfig cfg;
+  cfg.map.num_pes = 4;
+  cfg.map.tables_per_pe = 1;
+  cfg.map.global_batch = 8;
+  cfg.map.dim = 64;
+  cfg.map.vectors_per_slice = 2;
+  cfg.pooling = 16;
+  cfg.functional = false;
+  cfg.emit_trace = trace;
+  cfg.occupancy_slots_override = 2;
+  gpu::Machine::Config mc;
+  mc.num_nodes = 2;
+  mc.gpus_per_node = 2;
+  mc.collect_trace = trace;
   gpu::Machine m(mc);
   shmem::World w(m);
-  FusedEmbeddingAllToAll(w, cfg, nullptr).run_to_completion();
-  EXPECT_FALSE(m.trace().spans().empty());
-  bool saw_put = false;
-  for (const auto& i : m.trace().instants()) saw_put |= (i.name == "put");
-  EXPECT_TRUE(saw_put);
+  const OperatorResult r =
+      FusedEmbeddingAllToAll(w, cfg, nullptr).run_to_completion();
+  std::ostringstream os;
+  for (const auto& s : m.trace().spans()) {
+    os << s.name << " " << s.pid << " " << s.tid << " " << s.start << " "
+       << s.end << "\n";
+  }
+  for (const auto& i : m.trace().instants()) {
+    os << i.name << " " << i.pid << " " << i.tid << " " << i.at << " "
+       << i.at << "\n";
+  }
+  return {r, os.str()};
+}
+
+TEST(FusedEmbedding, EmitsTraceWhenEnabled) {
+  const auto [traced, list] = small_traced_run(true);
+  // FCC_GOLDEN fused_embedding_trace
+  const std::string golden =
+      "wg 0 0 4000 4019\n"
+      "wg 0 1 4000 4019\n"
+      "wg 1 0 4000 4019\n"
+      "wg 1 1 4000 4019\n"
+      "wg 2 0 4000 4019\n"
+      "wg 2 1 4000 4019\n"
+      "wg 3 0 4000 4019\n"
+      "wg 3 1 4000 4019\n"
+      "wg 0 0 4059 4078\n"
+      "wg 1 0 4059 4078\n"
+      "wg 2 0 4059 4078\n"
+      "wg 3 0 4059 4078\n"
+      "wg 0 0 4118 4137\n"
+      "wg 1 0 4118 4137\n"
+      "wg 2 0 4118 4137\n"
+      "wg 3 0 4118 4137\n"
+      "wg 0 1 5709 5878\n"
+      "wg 1 1 5709 5878\n"
+      "wg 2 1 5709 5878\n"
+      "wg 3 1 5709 5878\n"
+      "wg 0 1 5918 5937\n"
+      "wg 1 1 5918 5937\n"
+      "wg 2 1 5918 5937\n"
+      "wg 3 1 5918 5937\n"
+      "wg 0 0 5827 5996\n"
+      "wg 1 0 5827 5996\n"
+      "wg 2 0 5827 5996\n"
+      "wg 3 0 5827 5996\n"
+      "wg 0 1 5977 5996\n"
+      "wg 1 1 5977 5996\n"
+      "wg 2 1 5977 5996\n"
+      "wg 3 1 5977 5996\n"
+      "put 0 1 5709 5709\n"
+      "put 1 1 5709 5709\n"
+      "put 2 1 5709 5709\n"
+      "put 3 1 5709 5709\n"
+      "put 0 0 5827 5827\n"
+      "put 1 0 5827 5827\n"
+      "put 2 0 5827 5827\n"
+      "put 3 0 5827 5827\n"
+      "local_slice 0 1 6036 6036\n"
+      "local_slice 1 1 6036 6036\n"
+      "local_slice 2 1 6036 6036\n"
+      "local_slice 3 1 6036 6036\n"
+      "put 0 0 6236 6236\n"
+      "put 1 0 6236 6236\n"
+      "put 2 0 6236 6236\n"
+      "put 3 0 6236 6236\n";
+  EXPECT_EQ(list, golden) << "actual:\n" << list;
+  // Tracing moves no simulated timestamp.
+  const auto [untraced, none] = small_traced_run(false);
+  EXPECT_EQ(traced, untraced);
+  EXPECT_EQ(none, "");
 }
 
 // Each of these used to pass construction and then abort mid-run (a

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "fused/gemv_allreduce.h"
 #include "fused/moe_dispatch.h"
 #include "gpu/machine.h"
+#include "shmem/sym_array.h"
 #include "shmem/world.h"
 #include "sim/task.h"
 #include "sweep_runner.h"
@@ -284,6 +286,43 @@ gpu::Machine::Config switched_2x4() {
   return mc;
 }
 
+/// Functional fused embedding on 1x4 with zero-copy off: every remote
+/// slice takes the staged intra-node path (one store-issued PUT of the
+/// whole slice from the staging buffer, a fence, the flag). Its output
+/// must equal the baseline's, bit for bit.
+TimingTrace staged_embedding_1x4() {
+  fused::EmbeddingA2AConfig cfg;
+  cfg.map.num_pes = 4;
+  cfg.map.tables_per_pe = 4;
+  cfg.map.global_batch = 128;
+  cfg.map.dim = 32;
+  cfg.map.vectors_per_slice = 8;
+  cfg.pooling = 8;
+  cfg.rows_per_table = 256;
+  cfg.zero_copy = false;
+  cfg.functional = true;
+
+  gpu::Machine m(fc_1x4());
+  shmem::World w(m);
+  shmem::SymArray<float> out(4, cfg.map.dest_elems());
+  auto data = fused::EmbeddingA2AData::random(cfg, &out, /*seed=*/7);
+  fused::FusedEmbeddingAllToAll emb(w, cfg, &data);
+  const TimingTrace t = collect(m, w, {&emb});
+
+  gpu::Machine mb(fc_1x4());
+  shmem::World wb(mb);
+  shmem::SymArray<float> out_b(4, cfg.map.dest_elems());
+  data.output = &out_b;
+  fused::BaselineEmbeddingAllToAll(wb, cfg, &data).run_to_completion();
+  for (PeId pe = 0; pe < 4; ++pe) {
+    const auto f = out.pe(pe);
+    const auto b = out_b.pe(pe);
+    EXPECT_TRUE(std::equal(f.begin(), f.end(), b.begin(), b.end()))
+        << "pe " << pe;
+  }
+  return t;
+}
+
 // Golden traces recorded from the seed engine. FCC_GOLDEN markers below are
 // grep anchors for re-recording (print the actual on mismatch). The event
 // counts were added later, recorded while every logical WG still ran in
@@ -372,6 +411,23 @@ TEST(SimDeterminism, Fc2x4EmbeddingMatchesGolden) {
   g.busy = std::vector<TimeNs>(8, 99005464);
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
   expect_events_before(t, 94338);
+}
+
+// Recorded before slot bodies posted their PUTs after the issue delay
+// instead of awaiting one PUT object: the only golden on the staged
+// intra-node slice path, with delivery callbacks carrying the data.
+TEST(SimDeterminism, Fc1x4StagedEmbeddingMatchesGolden) {
+  const TimingTrace t = staged_embedding_1x4();
+  TimingTrace g;
+  // FCC_GOLDEN fc1x4_staged_embedding
+  g.final_now = 7579;
+  g.events = 5315;
+  g.callback_free_puts = 0;
+  g.puts = 384;
+  g.op_end = {7579};
+  g.pe_end = {std::vector<TimeNs>(4, 5579)};
+  g.busy = std::vector<TimeNs>(4, 179380);
+  EXPECT_EQ(t, g) << "actual:\n" << t.str();
 }
 
 // Recorded before the baselines shared one bulk-synchronous run script.

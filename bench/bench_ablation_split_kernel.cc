@@ -41,25 +41,26 @@ struct SplitRunner {
   TimeNs total = 0;
 
   /// One slot of a per-table pooling kernel: a compute step per sample.
-  sim::Co table_slot(gpu::KernelRun& run, PeId pe,
-                     const fused::EmbeddingA2AConfig& cfg, int slot) {
-    auto& dev = machine.device(pe);
-    const gpu::WorkCost cost = ops::embedding_wg_cost(
-        cfg.pooling, cfg.map.dim, true, ops::kBaselineCurve);
+  /// The cost belongs to chunk_kernels, so the slot frame holds loop state
+  /// only.
+  sim::Co table_slot(gpu::KernelRun& run, PeId pe, const gpu::WorkCost& cost,
+                     int slot) {
     for (int pos; (pos = co_await run.next(slot)) >= 0;) {
-      co_await dev.compute(cost);
+      co_await machine.device(pe).compute(cost);
     }
   }
 
   sim::Co chunk_kernels(PeId pe, int tables_in_chunk) {
     const auto cfg = base_config();
+    const gpu::WorkCost cost = ops::embedding_wg_cost(
+        cfg.pooling, cfg.map.dim, true, ops::kBaselineCurve);
     for (int t = 0; t < tables_in_chunk; ++t) {
       gpu::KernelRun::Params p;
       p.num_slots = gpu::max_active_wgs(machine.device(pe).spec(),
                                         gpu::KernelResources{});
       p.num_wgs = cfg.map.global_batch;  // position = sample
-      p.body = [this, pe, &cfg](gpu::KernelRun& run, int slot) {
-        return table_slot(run, pe, cfg, slot);
+      p.body = [this, pe, &cost](gpu::KernelRun& run, int slot) {
+        return table_slot(run, pe, cost, slot);
       };
       gpu::KernelRun run(machine.engine(), std::move(p));
       run.start();

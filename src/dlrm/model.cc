@@ -1,6 +1,7 @@
 #include "dlrm/model.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/rng.h"
@@ -26,14 +27,35 @@ std::vector<float> mlp_layer_ref(const std::vector<float>& in, int batch,
   return out;
 }
 
+/// An MLP layer's tile costs, indexed by tile_variant: full tiles, and
+/// tiles on the last row and/or column block.
+using TileCosts = std::array<gpu::WorkCost, 4>;
+
+int tile_variant(const ops::GemmShape& s, int pid) {
+  return static_cast<int>(s.row_end(pid) - s.row_begin(pid) != s.block_m) +
+         2 * static_cast<int>(s.col_end(pid) - s.col_begin(pid) != s.block_n);
+}
+
+TileCosts tile_costs(const ops::GemmShape& s, double efficiency) {
+  const int last = s.num_tiles() - 1;
+  const int edge_rows = s.row_end(last) - s.row_begin(last);
+  const int edge_cols = s.col_end(last) - s.col_begin(last);
+  TileCosts costs;
+  for (int v = 0; v < 4; ++v) {
+    costs[static_cast<std::size_t>(v)] = ops::gemm_tile_cost(
+        (v & 1) != 0 ? edge_rows : s.block_m,
+        (v & 2) != 0 ? edge_cols : s.block_n, s.k, efficiency,
+        ops::kBaselineCurve);
+  }
+  return costs;
+}
+
 /// One slot of an MLP layer's GEMM kernel: a compute step per output tile.
-sim::Co mlp_slot(gpu::KernelRun& run, gpu::Device& dev, ops::GemmShape s,
-                 double efficiency, int slot) {
+/// The shape and costs belong to the launching mlp_stack frame.
+sim::Co mlp_slot(gpu::KernelRun& run, gpu::Device& dev,
+                 const ops::GemmShape& s, const TileCosts& costs, int slot) {
   for (int pid; (pid = co_await run.next(slot)) >= 0;) {
-    const int rows = s.row_end(pid) - s.row_begin(pid);
-    const int cols = s.col_end(pid) - s.col_begin(pid);
-    co_await dev.compute(ops::gemm_tile_cost(rows, cols, s.k, efficiency,
-                                             ops::kBaselineCurve));
+    co_await dev.compute(costs[static_cast<std::size_t>(tile_variant(s, pid))]);
   }
 }
 
@@ -84,11 +106,12 @@ sim::Co DlrmModel::mlp_stack(PeId pe, int batch, int in_dim,
     // Skinny MLP GEMMs use small tiles so the grid fills the device.
     s.block_m = 16;
     s.block_n = 16;
+    const TileCosts costs = tile_costs(s, efficiency);
     gpu::KernelRun::Params p;
     p.num_slots = spec.max_wg_slots();
     p.num_wgs = s.num_tiles();  // position = output tile
-    p.body = [&dev, s, efficiency](gpu::KernelRun& run, int slot) {
-      return mlp_slot(run, dev, s, efficiency, slot);
+    p.body = [&dev, &s, &costs](gpu::KernelRun& run, int slot) {
+      return mlp_slot(run, dev, s, costs, slot);
     };
     gpu::KernelRun run(machine.engine(), std::move(p));
     run.start();

@@ -142,34 +142,25 @@ sim::Co FusedEmbeddingAllToAll::pe_body(PeId pe) {
 
 sim::Co FusedEmbeddingAllToAll::pe_slot(gpu::KernelRun& run, PeId pe,
                                         int slot) {
-  // Everything declared here lives in the slot's frame for the whole
-  // kernel (GCC keeps every local of a coroutine in its frame), so per-WG
-  // arithmetic and functional data stay in plain helpers.
-  auto& machine = world_.machine();
-  auto& dev = machine.device(pe);
+  // Everything declared here, awaiters included, lives in the slot's frame
+  // for the whole kernel (GCC keeps every local of a coroutine in its
+  // frame), so the frame holds loop state only: per-WG arithmetic and
+  // functional data stay in plain helpers, trace timestamps in traced_wg.
   for (int lw; (lw = wg_at(pe, co_await run.next(slot))) >= 0;) {
     const SliceMap::Placement at = cfg_.map.place(lw);
-    const bool zero_copy = zero_copy_to(pe, at.dest);
-    const TimeNs t_begin = machine.engine_of(pe).now();
-    co_await dev.compute(wg_cost_[zero_copy ? 1 : 0]);
-
-    std::function<void()> deliver = pool_wg(pe, lw, at, zero_copy);
-    if (zero_copy) {
-      // Scale-up path: this WG's threads store the vector straight into
-      // the destination GPU's output buffer.
-      co_await world_.put_nbi(pe, at.dest,
-                              static_cast<Bytes>(cfg_.map.dim) * 4,
-                              shmem::World::IssueKind::kStore,
-                              std::move(deliver));
-    }
-
-    if (cfg_.emit_trace && machine.trace_of(pe).enabled()) {
-      machine.trace_of(pe).add_span(
-          {"wg", "compute", pe, slot, t_begin, machine.engine_of(pe).now()});
+    if (cfg_.emit_trace && world_.machine().trace_of(pe).enabled()) {
+      co_await traced_wg(pe, slot, lw, at);
+    } else {
+      const bool zero_copy = zero_copy_to(pe, at.dest);
+      co_await world_.machine().device(pe).compute(wg_cost_[zero_copy ? 1 : 0]);
+      if (zero_copy) {
+        co_await world_.issue(pe, at.dest, shmem::World::IssueKind::kStore);
+      }
+      post_wg(pe, lw, at, zero_copy);
     }
 
     // WG_Done bookkeeping; the last finishing WG of the slice emits it.
-    co_await dev.busy_wait(cfg_.bookkeeping_ns);
+    co_await world_.machine().device(pe).busy_wait(cfg_.bookkeeping_ns);
     if (wg_done_.mark(pe, at.slice, at.lane)) {
       co_await emit_slice_from_slot(pe, slot, at.slice);
     }
@@ -182,15 +173,39 @@ sim::Co FusedEmbeddingAllToAll::pe_slot(gpu::KernelRun& run, PeId pe,
   }
 }
 
+sim::Co FusedEmbeddingAllToAll::traced_wg(PeId pe, int slot, int lw,
+                                          SliceMap::Placement at) {
+  // pe_slot's WG step plus its "wg compute" span, in a frame of its own so
+  // that untraced slot frames never hold the span's start time.
+  auto& machine = world_.machine();
+  const bool zero_copy = zero_copy_to(pe, at.dest);
+  const TimeNs t_begin = machine.engine_of(pe).now();
+  co_await machine.device(pe).compute(wg_cost_[zero_copy ? 1 : 0]);
+  if (zero_copy) {
+    co_await world_.issue(pe, at.dest, shmem::World::IssueKind::kStore);
+  }
+  post_wg(pe, lw, at, zero_copy);
+  machine.trace_of(pe).add_span(
+      {"wg", "compute", pe, slot, t_begin, machine.engine_of(pe).now()});
+}
+
 bool FusedEmbeddingAllToAll::zero_copy_to(PeId pe, PeId dest) const {
   return cfg_.zero_copy && dest != pe &&
          world_.machine().route_class(pe, dest) == hw::RouteClass::kIntraNode;
 }
 
-std::function<void()> FusedEmbeddingAllToAll::pool_wg(
-    PeId pe, int lw, const SliceMap::Placement& at, bool zero_copy) {
-  if (!cfg_.functional) return {};
+void FusedEmbeddingAllToAll::post_wg(PeId pe, int lw,
+                                     const SliceMap::Placement& at,
+                                     bool zero_copy) {
   const auto& map = cfg_.map;
+  const PeId dest = at.dest;
+  // Scale-up path: this WG's threads store the vector straight into the
+  // destination GPU's output buffer.
+  const Bytes store_bytes = static_cast<Bytes>(map.dim) * 4;
+  if (!cfg_.functional) {
+    if (zero_copy) world_.put(pe, dest, store_bytes);
+    return;
+  }
   const int t = map.wg_table(lw);
   const int b = map.wg_sample(lw);
   std::vector<float> vec(static_cast<std::size_t>(map.dim));
@@ -199,21 +214,23 @@ std::function<void()> FusedEmbeddingAllToAll::pool_wg(
                       data_->batches[static_cast<std::size_t>(pe)], t, b, vec);
   const int lb = b % map.local_batch();
   const int gt = map.global_table(pe, t);
-  const PeId dest = at.dest;
   if (dest == pe) {
     auto out = data_->output->pe(pe);
     for (int c = 0; c < map.dim; ++c) {
       out[map.dest_offset(lb, gt, c)] = vec[static_cast<std::size_t>(c)];
     }
-    return {};
+    return;
   }
   if (zero_copy) {
-    return [out = data_->output, dest, lb, gt, map, v = std::move(vec)] {
-      auto o = out->pe(dest);
-      for (int c = 0; c < map.dim; ++c) {
-        o[map.dest_offset(lb, gt, c)] = v[static_cast<std::size_t>(c)];
-      }
-    };
+    world_.put(pe, dest, store_bytes,
+               [out = data_->output, dest, lb, gt, map, v = std::move(vec)] {
+                 auto o = out->pe(dest);
+                 for (int c = 0; c < map.dim; ++c) {
+                   o[map.dest_offset(lb, gt, c)] =
+                       v[static_cast<std::size_t>(c)];
+                 }
+               });
+    return;
   }
   auto& st = stage_[static_cast<std::size_t>(pe)]
                    [static_cast<std::size_t>(at.slice)];
@@ -225,7 +242,30 @@ std::function<void()> FusedEmbeddingAllToAll::pool_wg(
                                static_cast<std::size_t>(map.dim);
   std::copy(vec.begin(), vec.end(),
             st.begin() + static_cast<std::ptrdiff_t>(lane_off));
-  return {};
+}
+
+void FusedEmbeddingAllToAll::post_slice(PeId pe, int slice) {
+  const auto& map = cfg_.map;
+  const PeId dest = map.slice_dest(slice);
+  std::function<void()> deliver;
+  if (cfg_.functional) {
+    auto* out = data_->output;
+    const auto* st = &stage_[static_cast<std::size_t>(pe)]
+                            [static_cast<std::size_t>(slice)];
+    const int gt = map.global_table(pe, map.slice_table(slice));
+    const int lb0 = map.slice_sample_begin(slice) % map.local_batch();
+    deliver = [out, st, dest, gt, lb0, map] {
+      auto o = out->pe(dest);
+      for (int v = 0; v < map.vectors_per_slice; ++v) {
+        for (int c = 0; c < map.dim; ++c) {
+          o[map.dest_offset(lb0 + v, gt, c)] =
+              (*st)[static_cast<std::size_t>(v) * map.dim +
+                    static_cast<std::size_t>(c)];
+        }
+      }
+    };
+  }
+  world_.put(pe, dest, map.slice_bytes(), std::move(deliver));
 }
 
 sim::Co FusedEmbeddingAllToAll::emit_slice_from_slot(PeId pe, int slot,
@@ -233,9 +273,8 @@ sim::Co FusedEmbeddingAllToAll::emit_slice_from_slot(PeId pe, int slot,
   auto& machine = world_.machine();
   const auto& map = cfg_.map;
   const PeId dest = map.slice_dest(slice);
-  const int t = map.slice_table(slice);
-  const int g = map.slice_group(slice);
-  const std::size_t fidx = flag_index(pe, t, g);
+  const std::size_t fidx =
+      flag_index(pe, map.slice_table(slice), map.slice_group(slice));
 
   if (dest == pe) {
     // Locally consumed slice: flag is a local store.
@@ -255,35 +294,18 @@ sim::Co FusedEmbeddingAllToAll::emit_slice_from_slot(PeId pe, int slot,
     // Zero-copy scale-up: data already stored per-WG; order the flag behind
     // those stores and set it remotely.
     co_await world_.fence(pe);
-    co_await slice_rdy_.signal(world_, pe, dest, fidx);
+    co_await world_.issue(pe, dest, shmem::World::IssueKind::kStore);
   } else {
     // Staged path: one PUT for the whole slice (RDMA inter-node, blit-style
     // copy intra-node when zero-copy is disabled), fence, sliceRdy flag.
-    std::function<void()> deliver;
-    if (cfg_.functional) {
-      auto* out = data_->output;
-      const auto* st = &stage_[static_cast<std::size_t>(pe)]
-                              [static_cast<std::size_t>(slice)];
-      const int gt = map.global_table(pe, t);
-      const int lb0 = map.slice_sample_begin(slice) % map.local_batch();
-      deliver = [out, st, dest, gt, lb0, map = cfg_.map] {
-        auto o = out->pe(dest);
-        for (int v = 0; v < map.vectors_per_slice; ++v) {
-          for (int c = 0; c < map.dim; ++c) {
-            o[map.dest_offset(lb0 + v, gt, c)] =
-                (*st)[static_cast<std::size_t>(v) * map.dim +
-                      static_cast<std::size_t>(c)];
-          }
-        }
-      };
-    }
     const auto kind = same_node ? shmem::World::IssueKind::kStore
                                 : shmem::World::IssueKind::kRdma;
-    co_await world_.put_nbi(pe, dest, map.slice_bytes(), kind,
-                            std::move(deliver));
+    co_await world_.issue(pe, dest, kind);
+    post_slice(pe, slice);
     co_await world_.fence(pe);
-    co_await slice_rdy_.signal(world_, pe, dest, fidx, kind);
+    co_await world_.issue(pe, dest, kind);
   }
+  slice_rdy_.signal(world_, pe, dest, fidx);
   if (cfg_.emit_trace && machine.trace_of(pe).enabled()) {
     machine.trace_of(pe).add_instant(
         {"put", "comm", pe, slot, machine.engine_of(pe).now()});
@@ -323,28 +345,30 @@ sim::Co BaselineEmbeddingAllToAll::table_kernel(PeId pe, int table) {
 
 sim::Co BaselineEmbeddingAllToAll::table_slot(gpu::KernelRun& run, PeId pe,
                                               int table, int slot) {
-  auto& dev = world_.machine().device(pe);
-  const auto& map = cfg_.map;
   for (int b; (b = co_await run.next(slot)) >= 0;) {
-    co_await dev.compute(wg_cost_);
-    if (!cfg_.functional) continue;
-    std::vector<float> vec(static_cast<std::size_t>(map.dim));
-    ops::pool_reference(cfg_.emb_config(),
-                        data_->tables[static_cast<std::size_t>(pe)],
-                        data_->batches[static_cast<std::size_t>(pe)], table, b,
-                        vec);
-    // Send layout: chunk per destination, [t][lb][dim] inside the chunk.
-    const PeId d = map.dest_of_sample(b);
-    const int lb = b % map.local_batch();
-    const std::size_t off =
-        static_cast<std::size_t>(d) * chunk_elems() +
-        (static_cast<std::size_t>(table) * map.local_batch() +
-         static_cast<std::size_t>(lb)) *
-            static_cast<std::size_t>(map.dim);
-    std::copy(vec.begin(), vec.end(),
-              send_[static_cast<std::size_t>(pe)].begin() +
-                  static_cast<std::ptrdiff_t>(off));
+    co_await world_.machine().device(pe).compute(wg_cost_);
+    if (cfg_.functional) pool_to_send(pe, table, b);
   }
+}
+
+void BaselineEmbeddingAllToAll::pool_to_send(PeId pe, int table, int b) {
+  const auto& map = cfg_.map;
+  std::vector<float> vec(static_cast<std::size_t>(map.dim));
+  ops::pool_reference(cfg_.emb_config(),
+                      data_->tables[static_cast<std::size_t>(pe)],
+                      data_->batches[static_cast<std::size_t>(pe)], table, b,
+                      vec);
+  // Send layout: chunk per destination, [t][lb][dim] inside the chunk.
+  const PeId d = map.dest_of_sample(b);
+  const int lb = b % map.local_batch();
+  const std::size_t off =
+      static_cast<std::size_t>(d) * chunk_elems() +
+      (static_cast<std::size_t>(table) * map.local_batch() +
+       static_cast<std::size_t>(lb)) *
+          static_cast<std::size_t>(map.dim);
+  std::copy(vec.begin(), vec.end(),
+            send_[static_cast<std::size_t>(pe)].begin() +
+                static_cast<std::ptrdiff_t>(off));
 }
 
 std::size_t BaselineEmbeddingAllToAll::chunk_elems() const {

@@ -107,14 +107,20 @@ class FusedEmbeddingAllToAll final : public FusedOp {
                  static_cast<std::size_t>(cfg_.map.num_pes)],
         pos);
   }
+  /// pe_slot's WG step when tracing: the same compute, issue and post,
+  /// plus the WG's span.
+  sim::Co traced_wg(PeId pe, int slot, int lw, SliceMap::Placement at);
   /// Whether a WG's vector goes out as a zero-copy scale-up store.
   bool zero_copy_to(PeId pe, PeId dest) const;
-  /// Functional mode: pools WG `lw`'s vector, writes it to the local output
-  /// or its slice's staging buffer, or returns the delivery of a zero-copy
-  /// store. Returns an empty callback when nothing is left to deliver.
-  std::function<void()> pool_wg(PeId pe, int lw,
-                                const SliceMap::Placement& at,
-                                bool zero_copy);
+  /// Posts WG `lw`'s result once its compute (and, for a zero-copy store,
+  /// its issue) is done: the zero-copy PUT, and in functional mode its
+  /// pooled vector, written to the local output or its slice's staging
+  /// buffer, or carried by the PUT's delivery.
+  void post_wg(PeId pe, int lw, const SliceMap::Placement& at,
+               bool zero_copy);
+  /// Posts a staged slice's PUT (in functional mode, with the delivery
+  /// that copies the staging buffer out).
+  void post_slice(PeId pe, int slice);
   sim::Co emit_slice_from_slot(PeId pe, int slot, int slice);
   std::size_t flag_index(PeId src, int table, int group) const;
 
@@ -148,6 +154,8 @@ class BaselineEmbeddingAllToAll final : public BulkSyncOp {
   sim::Co collective(ccl::Communicator& comm) override;
   sim::Co table_kernel(PeId pe, int table);
   sim::Co table_slot(gpu::KernelRun& run, PeId pe, int table, int slot);
+  /// Functional mode: pools (table, sample b) into PE `pe`'s send buffer.
+  void pool_to_send(PeId pe, int table, int b);
   /// Elements per (source, destination) All-to-All chunk.
   std::size_t chunk_elems() const;
 

@@ -159,61 +159,25 @@ sim::Co FusedGemvAllReduce::pe_body(PeId pe) {
 
 sim::Co FusedGemvAllReduce::gemv_slot(gpu::KernelRun& run, PeId pe,
                                       int slot) {
-  auto& machine = world_.machine();
-  auto& dev = machine.device(pe);
+  // The frame lives for the whole kernel and holds loop state only: the
+  // partial tile is built and posted by post_partial.
   for (int tile; (tile = tile_at(pe, co_await run.next(slot))) >= 0;) {
-    const PeId owner = owner_of_tile(tile);
-    const bool remote = owner != pe;
-
-    const TimeNs t0 = machine.engine_of(pe).now();
-    co_await dev.compute(tile_cost_[remote ? 1 : 0]);
-    co_await dev.busy_wait(cfg_.bookkeeping_ns);
-
-    std::vector<float> vals;
-    if (cfg_.functional) {
-      vals.resize(static_cast<std::size_t>(shape_.tile_rows));
-      ops::gemv_tile(shape_, data_->w[static_cast<std::size_t>(pe)],
-                     data_->x[static_cast<std::size_t>(pe)], tile, vals);
+    const bool remote = owner_of_tile(tile) != pe;
+    co_await world_.machine().device(pe).compute(tile_cost_[remote ? 1 : 0]);
+    co_await world_.machine().device(pe).busy_wait(cfg_.bookkeeping_ns);
+    if (remote) {
+      co_await world_.issue(pe, owner_of_tile(tile),
+                            shmem::World::IssueKind::kStore);
     }
-
-    const int r0 = shape_.tile_begin(tile);
-    const int r1 = shape_.tile_end(tile);
-    if (!remote) {
-      if (cfg_.functional) {
-        auto& acc = local_partial_[static_cast<std::size_t>(pe)];
-        for (int r = r0; r < r1; ++r) {
-          acc[static_cast<std::size_t>(r)] =
-              vals[static_cast<std::size_t>(r - r0)];
-        }
-      }
-      continue;
-    }
-
-    // Zero-copy store of the partial tile into the owner's reduction buffer.
-    std::function<void()> deliver;
-    if (cfg_.functional) {
-      auto* temp = &temp_[static_cast<std::size_t>(owner)]
-                         [static_cast<std::size_t>(pe)];
-      deliver = [temp, r0, r1, v = std::move(vals)] {
-        for (int r = r0; r < r1; ++r) {
-          (*temp)[static_cast<std::size_t>(r)] =
-              v[static_cast<std::size_t>(r - r0)];
-        }
-      };
-    }
-    co_await world_.put_nbi(pe, owner, static_cast<Bytes>(r1 - r0) * 4,
-                            shmem::World::IssueKind::kStore,
-                            std::move(deliver));
-    if (machine.trace_of(pe).enabled()) {
-      machine.trace_of(pe).add_instant({"put", "comm", pe, slot, t0});
-    }
+    post_partial(pe, slot, tile);
   }
 
   // Arrival flags: the fence orders the data stores ahead of them.
   co_await world_.fence(pe);
   for (PeId peer = 0; peer < num_pes_; ++peer) {
     if (peer == pe) continue;
-    co_await arrive_flags_.signal(world_, pe, peer, flag_index(pe, slot));
+    co_await world_.issue(pe, peer, shmem::World::IssueKind::kStore);
+    arrive_flags_.signal(world_, pe, peer, flag_index(pe, slot));
   }
 
   co_await reduce_and_broadcast(pe, slot);
@@ -225,9 +189,47 @@ sim::Co FusedGemvAllReduce::gemv_slot(gpu::KernelRun& run, PeId pe,
   }
 }
 
-sim::Co FusedGemvAllReduce::reduce_and_broadcast(PeId pe, int slot) {
-  auto& dev = world_.machine().device(pe);
+void FusedGemvAllReduce::post_partial(PeId pe, int slot, int tile) {
+  const PeId owner = owner_of_tile(tile);
+  const int r0 = shape_.tile_begin(tile);
+  const int r1 = shape_.tile_end(tile);
+  std::vector<float> vals;
+  if (cfg_.functional) {
+    vals.resize(static_cast<std::size_t>(shape_.tile_rows));
+    ops::gemv_tile(shape_, data_->w[static_cast<std::size_t>(pe)],
+                   data_->x[static_cast<std::size_t>(pe)], tile, vals);
+  }
+  if (owner == pe) {
+    if (cfg_.functional) {
+      auto& acc = local_partial_[static_cast<std::size_t>(pe)];
+      for (int r = r0; r < r1; ++r) {
+        acc[static_cast<std::size_t>(r)] =
+            vals[static_cast<std::size_t>(r - r0)];
+      }
+    }
+    return;
+  }
+  // Zero-copy store of the partial tile into the owner's reduction buffer.
+  std::function<void()> deliver;
+  if (cfg_.functional) {
+    auto* temp = &temp_[static_cast<std::size_t>(owner)]
+                       [static_cast<std::size_t>(pe)];
+    deliver = [temp, r0, r1, v = std::move(vals)] {
+      for (int r = r0; r < r1; ++r) {
+        (*temp)[static_cast<std::size_t>(r)] =
+            v[static_cast<std::size_t>(r - r0)];
+      }
+    };
+  }
+  world_.put(pe, owner, static_cast<Bytes>(r1 - r0) * 4, std::move(deliver));
+  auto& trace = world_.machine().trace_of(pe);
+  if (trace.enabled()) {
+    trace.add_instant(
+        {"put", "comm", pe, slot, world_.machine().engine_of(pe).now()});
+  }
+}
 
+sim::Co FusedGemvAllReduce::reduce_and_broadcast(PeId pe, int slot) {
   // Wait for counterpart slots on every peer to finish storing partials.
   for (PeId peer = 0; peer < num_pes_; ++peer) {
     if (peer == pe) continue;
@@ -239,49 +241,15 @@ sim::Co FusedGemvAllReduce::reduce_and_broadcast(PeId pe, int slot) {
   for (int tile = slot; tile < num_tiles_; tile += active_slots_) {
     if (owner_of_tile(tile) != pe) continue;
     reduced = true;
-    const int r0 = shape_.tile_begin(tile);
-    const int r1 = shape_.tile_end(tile);
-    const Bytes tile_bytes = static_cast<Bytes>(r1 - r0) * 4;
-
-    co_await dev.compute(reduce_cost_[tile == num_tiles_ - 1 ? 1 : 0]);
-
-    std::vector<float> final_vals;
-    if (cfg_.functional) {
-      final_vals.resize(static_cast<std::size_t>(r1 - r0));
-      const auto& acc = local_partial_[static_cast<std::size_t>(pe)];
-      for (int r = r0; r < r1; ++r) {
-        float sum = acc[static_cast<std::size_t>(r)];
-        for (PeId peer = 0; peer < num_pes_; ++peer) {
-          if (peer == pe) continue;
-          sum += temp_[static_cast<std::size_t>(pe)]
-                      [static_cast<std::size_t>(peer)]
-                      [static_cast<std::size_t>(r)];
-        }
-        final_vals[static_cast<std::size_t>(r - r0)] = sum;
-      }
-      // Local output rows.
-      auto y = data_->y->pe(pe);
-      for (int r = r0; r < r1; ++r) {
-        y[static_cast<std::size_t>(r)] = final_vals[static_cast<std::size_t>(r - r0)];
-      }
-    }
+    co_await world_.machine().device(pe).compute(
+        reduce_cost_[tile == num_tiles_ - 1 ? 1 : 0]);
+    if (cfg_.functional) reduce_tile(pe, tile);
 
     // Zero-copy broadcast of the reduced tile to every peer's output.
     for (PeId peer = 0; peer < num_pes_; ++peer) {
       if (peer == pe) continue;
-      std::function<void()> deliver;
-      if (cfg_.functional) {
-        auto* out = data_->y;
-        deliver = [out, peer, r0, r1, v = final_vals] {
-          auto y = out->pe(peer);
-          for (int r = r0; r < r1; ++r) {
-            y[static_cast<std::size_t>(r)] = v[static_cast<std::size_t>(r - r0)];
-          }
-        };
-      }
-      co_await world_.put_nbi(pe, peer, tile_bytes,
-                              shmem::World::IssueKind::kStore,
-                              std::move(deliver));
+      co_await world_.issue(pe, peer, shmem::World::IssueKind::kStore);
+      post_broadcast(pe, peer, tile);
     }
   }
 
@@ -290,8 +258,41 @@ sim::Co FusedGemvAllReduce::reduce_and_broadcast(PeId pe, int slot) {
   if (reduced) co_await world_.fence(pe);
   for (PeId peer = 0; peer < num_pes_; ++peer) {
     if (peer == pe) continue;
-    co_await bcast_flags_.signal(world_, pe, peer, flag_index(pe, slot));
+    co_await world_.issue(pe, peer, shmem::World::IssueKind::kStore);
+    bcast_flags_.signal(world_, pe, peer, flag_index(pe, slot));
   }
+}
+
+void FusedGemvAllReduce::reduce_tile(PeId pe, int tile) {
+  const auto& acc = local_partial_[static_cast<std::size_t>(pe)];
+  auto y = data_->y->pe(pe);
+  for (int r = shape_.tile_begin(tile); r < shape_.tile_end(tile); ++r) {
+    float sum = acc[static_cast<std::size_t>(r)];
+    for (PeId peer = 0; peer < num_pes_; ++peer) {
+      if (peer == pe) continue;
+      sum += temp_[static_cast<std::size_t>(pe)]
+                  [static_cast<std::size_t>(peer)]
+                  [static_cast<std::size_t>(r)];
+    }
+    y[static_cast<std::size_t>(r)] = sum;
+  }
+}
+
+void FusedGemvAllReduce::post_broadcast(PeId pe, PeId peer, int tile) {
+  const int r0 = shape_.tile_begin(tile);
+  const int r1 = shape_.tile_end(tile);
+  std::function<void()> deliver;
+  if (cfg_.functional) {
+    // Only this slot writes PE `pe`'s rows of its own tiles, so they still
+    // hold the reduced values after the issue delay.
+    const auto mine = data_->y->pe(pe);
+    deliver = [out = data_->y, peer, r0,
+               v = std::vector<float>(mine.begin() + r0, mine.begin() + r1)] {
+      auto y = out->pe(peer);
+      std::copy(v.begin(), v.end(), y.begin() + r0);
+    };
+  }
+  world_.put(pe, peer, static_cast<Bytes>(r1 - r0) * 4, std::move(deliver));
 }
 
 // ---------------------------------------------------------------------------
@@ -344,20 +345,21 @@ sim::Co BaselineGemvAllReduce::compute(PeId pe, TimeNs /*t0*/) {
 
 sim::Co BaselineGemvAllReduce::gemv_slot(gpu::KernelRun& run, PeId pe,
                                          int slot) {
-  auto& machine = world_.machine();
-  auto& dev = machine.device(pe);
-  const auto shape = cfg_.shape(machine.num_pes());
   for (int tile; (tile = co_await run.next(slot)) >= 0;) {
-    co_await dev.compute(tile_cost_);
-    if (!cfg_.functional) continue;
-    std::vector<float> vals(static_cast<std::size_t>(shape.tile_rows));
-    ops::gemv_tile(shape, data_->w[static_cast<std::size_t>(pe)],
-                   data_->x[static_cast<std::size_t>(pe)], tile, vals);
-    auto& part = partial_[static_cast<std::size_t>(pe)];
-    for (int r = shape.tile_begin(tile); r < shape.tile_end(tile); ++r) {
-      part[static_cast<std::size_t>(r)] =
-          vals[static_cast<std::size_t>(r - shape.tile_begin(tile))];
-    }
+    co_await world_.machine().device(pe).compute(tile_cost_);
+    if (cfg_.functional) tile_to_partial(pe, tile);
+  }
+}
+
+void BaselineGemvAllReduce::tile_to_partial(PeId pe, int tile) {
+  const auto shape = cfg_.shape(world_.n_pes());
+  std::vector<float> vals(static_cast<std::size_t>(shape.tile_rows));
+  ops::gemv_tile(shape, data_->w[static_cast<std::size_t>(pe)],
+                 data_->x[static_cast<std::size_t>(pe)], tile, vals);
+  auto& part = partial_[static_cast<std::size_t>(pe)];
+  for (int r = shape.tile_begin(tile); r < shape.tile_end(tile); ++r) {
+    part[static_cast<std::size_t>(r)] =
+        vals[static_cast<std::size_t>(r - shape.tile_begin(tile))];
   }
 }
 

@@ -94,6 +94,14 @@ class FusedGemvAllReduce final : public FusedOp {
   /// Step 3 of a slot, in a frame of its own: merged into gemv_slot it
   /// would grow the frame every slot keeps for the whole run.
   sim::Co reduce_and_broadcast(PeId pe, int slot);
+  /// Posts a finished tile's partial: kept in the local partial buffer
+  /// when PE `pe` owns the tile, else stored into the owner's reduction
+  /// buffer (the caller has awaited the store's issue).
+  void post_partial(PeId pe, int slot, int tile);
+  /// Functional mode: sums an owned tile's partials into `pe`'s output.
+  void reduce_tile(PeId pe, int tile);
+  /// Posts the store of an owned, reduced tile into `peer`'s output.
+  void post_broadcast(PeId pe, PeId peer, int tile);
   std::size_t flag_index(PeId src, int slot) const;
   /// Tile that PE `pe` runs at KernelRun position `pos`; -1 (the drained
   /// queue) stays -1.
@@ -140,6 +148,8 @@ class BaselineGemvAllReduce final : public BulkSyncOp {
   sim::Co compute(PeId pe, TimeNs t0) override;
   sim::Co collective(ccl::Communicator& comm) override;
   sim::Co gemv_slot(gpu::KernelRun& run, PeId pe, int slot);
+  /// Functional mode: computes a tile into PE `pe`'s partial vector.
+  void tile_to_partial(PeId pe, int tile);
 
   GemvAllReduceConfig cfg_;
   GemvAllReduceData* data_;

@@ -129,21 +129,19 @@ class FlagSet {
   shmem::FlagArray* operator->() const { return flags_.get(); }
   explicit operator bool() const { return flags_ != nullptr; }
 
-  /// Remote PUT from `src` that sets flag[dst][idx] = 1 on delivery (the
-  /// sliceRdy idiom: data PUTs order ahead on the FIFO channel; fence first
-  /// to order PUTs to other PEs too). The delivery captures 16 bytes (the
-  /// index as 32 bits, which reset() guarantees), so it fits
+  /// Posts a remote PUT from `src` that sets flag[dst][idx] = 1 on
+  /// delivery (the sliceRdy idiom: data PUTs order ahead on the FIFO
+  /// channel; fence first to order PUTs to other PEs too). Call it after
+  /// `co_await world.issue(src, dst, kind)`. The delivery captures 16 bytes
+  /// (the index as 32 bits, which reset() guarantees), so it fits
   /// std::function's inline buffer and a flag PUT allocates nothing.
-  shmem::World::Put signal(
-      shmem::World& world, PeId src, PeId dst, std::size_t idx,
-      shmem::World::IssueKind kind = shmem::World::IssueKind::kStore) {
+  void signal(shmem::World& world, PeId src, PeId dst, std::size_t idx) {
     auto* flags = flags_.get();
     FCC_DCHECK(flags != nullptr && idx < flags->size());
-    return world.put_nbi(
-        src, dst, kFlagBytes, kind,
-        [flags, dst, i = static_cast<std::uint32_t>(idx)] {
-          flags->set(dst, i, 1);
-        });
+    world.put(src, dst, kFlagBytes,
+              [flags, dst, i = static_cast<std::uint32_t>(idx)] {
+                flags->set(dst, i, 1);
+              });
   }
 
  private:

@@ -30,8 +30,7 @@ int World::outstanding(PeId src) const {
                                         [now](TimeNs t) { return t > now; }));
 }
 
-void World::issue_put(PeId src, PeId dst, Bytes bytes,
-                      std::function<void()> cb) {
+void World::put(PeId src, PeId dst, Bytes bytes, std::function<void()> cb) {
   ++pe(src).puts_issued;
   sim::Engine& home = machine_.engine_of(src);
   const TimeNs now = home.now();

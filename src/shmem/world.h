@@ -1,10 +1,14 @@
 // GPU-initiated communication world (ROC_SHMEM analog).
 //
-// `put_nbi` is issued from inside a workgroup coroutine: the issuing WG pays
-// the API/issue latency, the payload's channel occupancy is reserved at
-// issue time (DMA-queue semantics), and an optional delivery callback runs
-// when the bytes land at the destination — that is where functional-mode
-// memcpys and remote flag stores happen.
+// A PUT is charged, then posted. Inside a workgroup coroutine the issuing
+// WG first pays the API/issue latency (`co_await issue(src, dst, kind)`),
+// then posts the PUT (`put(src, dst, bytes, on_deliver)`): the payload's
+// channel occupancy is reserved at post time (DMA-queue semantics), and
+// the optional delivery callback runs when the bytes land at the
+// destination — that is where functional-mode memcpys and remote flag
+// stores happen. Splitting the two keeps the awaiter in the WG's frame at
+// 16 bytes: the delivery callback is built after the delay, by the plain
+// code that posts it, and never lives across a suspension.
 //
 // Ordering model: every route class the topology resolves — self (HBM
 // copy), intra-node (fabric/switch hop chain), inter-node (NIC and/or
@@ -83,31 +87,44 @@ class World {
   gpu::Machine& machine() { return machine_; }
   int n_pes() const { return machine_.num_pes(); }
 
-  /// Awaiter for one put_nbi(). A PUT with a nonzero issue latency charges
-  /// it to the source device and suspends for it; a zero-latency PUT never
-  /// suspends. Either way the PUT is issued on resume.
-  struct [[nodiscard]] Put {
-    World& w;
+  /// Awaiter of issue(): charges a nonzero issue latency to the source
+  /// device and suspends for it; a zero latency never suspends.
+  struct [[nodiscard]] Issue {
+    gpu::Device* dev;
+    TimeNs latency;
+    bool await_ready() const noexcept { return latency == 0; }
+    void await_suspend(std::coroutine_handle<> h) {
+      dev->busy_wait(latency).await_suspend(h);
+    }
+    void await_resume() const noexcept {}
+  };
+
+  /// The GPU-side issue cost of one PUT from `src` to `dst`. `co_await` it,
+  /// then post the PUT with put().
+  Issue issue(PeId src, PeId dst, IssueKind kind) {
+    return Issue{&machine_.device(src), issue_latency(src, dst, kind)};
+  }
+
+  /// Posts a PUT of `bytes` from `src` to `dst` at the source's now: its
+  /// route is reserved and its delivery scheduled. `on_deliver` (may be
+  /// empty) runs when the data is visible at `dst` — on `dst`'s home shard
+  /// when the machine is sharded. Defined in world.cc; see the header
+  /// comment for the eager/deferred split.
+  void put(PeId src, PeId dst, Bytes bytes,
+           std::function<void()> on_deliver = {});
+
+  /// issue() then put() with no delivery callback, as one awaiter. Kept
+  /// only for bench/perf's PUT microbenchmark; operators await issue() and
+  /// call put() themselves.
+  struct [[nodiscard]] IssuePut : Issue {
+    World* w;
     PeId src;
     PeId dst;
     Bytes bytes;
-    TimeNs latency;
-    std::function<void()> on_deliver;
-    bool await_ready() const noexcept { return latency == 0; }
-    void await_suspend(std::coroutine_handle<> h) {
-      w.machine_.device(src).busy_wait(latency).await_suspend(h);
-    }
-    void await_resume() { w.issue_put(src, dst, bytes, std::move(on_deliver)); }
+    void await_resume() { w->put(src, dst, bytes); }
   };
-
-  /// Non-blocking PUT of `bytes` from `src` to `dst`. `co_await` returns to
-  /// the caller as soon as the issue latency has elapsed (at once for a
-  /// zero-latency kind); `on_deliver` (may be empty) runs when the data is
-  /// visible at `dst` — on `dst`'s home shard when the machine is sharded.
-  Put put_nbi(PeId src, PeId dst, Bytes bytes, IssueKind kind,
-              std::function<void()> on_deliver = {}) {
-    return Put{*this, src, dst, bytes, issue_latency(src, dst, kind),
-               std::move(on_deliver)};
+  IssuePut put_nbi(PeId src, PeId dst, Bytes bytes, IssueKind kind) {
+    return IssuePut{issue(src, dst, kind), this, src, dst, bytes};
   }
 
   /// Orders prior PUTs from `src` before subsequent ones (per destination).
@@ -209,10 +226,6 @@ class World {
     int shard;
     std::size_t idx;
   };
-
-  /// Post-issue bookkeeping and delivery scheduling; see the header comment
-  /// for the eager/deferred split. Defined in world.cc.
-  void issue_put(PeId src, PeId dst, Bytes bytes, std::function<void()> cb);
 
   /// Barrier hook (deferred mode): replays all queued reservations in
   /// (issue time, src PE, per-PE seq) order and posts their deliveries.

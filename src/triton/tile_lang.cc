@@ -64,15 +64,16 @@ gpu::WorkCost TileKernel::tile_cost(int rows, int cols, int local_puts) const {
   return cost;
 }
 
-const gpu::WorkCost& TileKernel::pid_cost(const Ctx& ctx) const {
+const gpu::WorkCost& TileKernel::pid_cost(PeId pe, int pid, int slot) const {
+  const Ctx ctx{pe, pid, slot, &shape_};
   int local_puts = 0;
   for (const auto& s : stmts_) {
     if (s.kind == StmtKind::kPutRemote && s.dest(ctx) == ctx.pe) {
       ++local_puts;
     }
   }
-  const int rows = shape_.row_end(ctx.pid) - shape_.row_begin(ctx.pid);
-  const int cols = shape_.col_end(ctx.pid) - shape_.col_begin(ctx.pid);
+  const int rows = shape_.row_end(pid) - shape_.row_begin(pid);
+  const int cols = shape_.col_end(pid) - shape_.col_begin(pid);
   return costs_[static_cast<std::size_t>(variant(
       rows != shape_.block_m, cols != shape_.block_n, local_puts))];
 }
@@ -203,10 +204,13 @@ sim::Co TileKernel::launch(const LaunchConfig& cfg) {
   FCC_CHECK(cfg.world != nullptr);
   auto& machine = cfg.world->machine();
   const auto& spec = machine.device(cfg.pe).spec();
-  // Every PE's schedule is built by the first launch on any of them: PEs on
-  // other shards may launch concurrently, and none rebuilds it later.
-  std::call_once(schedules_built_,
-                 [this, &cfg] { build_schedules(cfg.world->n_pes()); });
+  // Every PE's schedule (and its empty tile-buffer list) is built by the
+  // first launch on any of them: PEs on other shards may launch
+  // concurrently, and none rebuilds it later.
+  std::call_once(schedules_built_, [this, &cfg] {
+    build_schedules(cfg.world->n_pes());
+    tiles_.resize(static_cast<std::size_t>(cfg.world->n_pes()));
+  });
 
   gpu::KernelRun::Params p;
   p.num_slots = launch_slots(spec, cfg.occupancy_slots_override);
@@ -215,6 +219,13 @@ sim::Co TileKernel::launch(const LaunchConfig& cfg) {
   p.body = [this, &cfg](gpu::KernelRun& run, int slot) {
     return run_slot(cfg, run, slot);
   };
+  // A functional launch's tile buffers, one per slot: only this PE's
+  // launches touch its entry, so no other shard races the resize.
+  if (cfg.functional) {
+    auto& tiles = tiles_[static_cast<std::size_t>(cfg.pe)];
+    tiles.resize(std::max(tiles.size(),
+                          static_cast<std::size_t>(p.num_slots)));
+  }
 
   // The run lives on the launching PE's home-shard engine: launch() is
   // awaited from a per-PE body already running there, so every slot frame
@@ -226,67 +237,84 @@ sim::Co TileKernel::launch(const LaunchConfig& cfg) {
 
 sim::Co TileKernel::run_slot(const LaunchConfig& cfg, gpu::KernelRun& run,
                              int slot) {
-  auto& world = *cfg.world;
-  auto& dev = world.machine().device(cfg.pe);
+  // The frame lives for the whole kernel and holds loop state only: the
+  // tile math and every statement's work run in plain helpers.
   for (int pid; (pid = pid_at(cfg.pe, co_await run.next(slot))) >= 0;) {
-    const Ctx ctx{cfg.pe, pid, slot, &shape_};
-
-    const int rows = shape_.row_end(pid) - shape_.row_begin(pid);
-    const int cols = shape_.col_end(pid) - shape_.col_begin(pid);
-    co_await dev.compute(pid_cost(ctx));
-
-    // Functional tile math, shared by every C consumer.
-    std::vector<float> tile;
-    if (cfg.functional) {
-      tile.resize(static_cast<std::size_t>(rows) *
-                  static_cast<std::size_t>(cols));
-      ops::gemm_tile(shape_, cfg.a, cfg.b, pid, tile);
-    }
-
-    const Bytes tile_bytes = static_cast<Bytes>(rows) * cols * 4;
-    for (const auto& s : stmts_) {
-      switch (s.kind) {
-        case StmtKind::kStoreLocal:
-          if (cfg.functional && s.write) s.write(ctx, tile);
-          break;
-        case StmtKind::kPutRemote: {
-          const PeId dest = s.dest(ctx);
-          if (dest == cfg.pe) {
-            if (cfg.functional && s.write) s.write(ctx, tile);
-            break;
-          }
-          std::function<void()> deliver;
-          if (cfg.functional && s.write) {
-            deliver = [w = s.write, ctx, t = tile] { w(ctx, t); };
-          }
-          co_await world.put_nbi(cfg.pe, dest, tile_bytes,
-                                 shmem::World::IssueKind::kStore,
-                                 std::move(deliver));
-          break;
-        }
-        case StmtKind::kFence:
-          co_await world.fence(cfg.pe);
-          break;
-        case StmtKind::kAtomicAdd: {
-          const PeId dest = s.dest(ctx);
-          auto* flags = s.flags;
-          const std::size_t idx = s.flag_idx(ctx);
-          const std::uint64_t amount = s.amount;
-          if (dest == cfg.pe) {
-            flags->add(dest, idx, amount);
-          } else {
-            co_await world.put_nbi(
-                cfg.pe, dest, 8, shmem::World::IssueKind::kStore,
-                [flags, dest, idx, amount] { flags->add(dest, idx, amount); });
-          }
-          break;
-        }
-        default:
-          break;
+    co_await cfg.world->machine().device(cfg.pe).compute(
+        pid_cost(cfg.pe, pid, slot));
+    if (cfg.functional) compute_tile(cfg, slot, pid);
+    for (std::size_t i = 0; i < stmts_.size(); ++i) {
+      if (stmts_[i].kind == StmtKind::kFence) {
+        co_await cfg.world->fence(cfg.pe);
+        continue;
       }
+      const PeId dest = run_local(cfg, slot, pid, i);
+      if (dest < 0) continue;
+      co_await cfg.world->issue(cfg.pe, dest,
+                                shmem::World::IssueKind::kStore);
+      post_remote(cfg, slot, pid, i, dest);
     }
   }
   if (cfg.epilogue) co_await cfg.epilogue(slot, run.active_slots());
+}
+
+std::vector<float>& TileKernel::tile_buffer(PeId pe, int slot) {
+  return tiles_[static_cast<std::size_t>(pe)][static_cast<std::size_t>(slot)];
+}
+
+void TileKernel::compute_tile(const LaunchConfig& cfg, int slot, int pid) {
+  std::vector<float>& tile = tile_buffer(cfg.pe, slot);
+  tile.resize(static_cast<std::size_t>(shape_.row_end(pid) -
+                                       shape_.row_begin(pid)) *
+              static_cast<std::size_t>(shape_.col_end(pid) -
+                                       shape_.col_begin(pid)));
+  ops::gemm_tile(shape_, cfg.a, cfg.b, pid, tile);
+}
+
+PeId TileKernel::run_local(const LaunchConfig& cfg, int slot, int pid,
+                           std::size_t i) {
+  const Stmt& s = stmts_[i];
+  const Ctx ctx{cfg.pe, pid, slot, &shape_};
+  switch (s.kind) {
+    case StmtKind::kStoreLocal:
+      if (cfg.functional && s.write) s.write(ctx, tile_buffer(cfg.pe, slot));
+      return -1;
+    case StmtKind::kPutRemote: {
+      const PeId dest = s.dest(ctx);
+      if (dest != cfg.pe) return dest;
+      if (cfg.functional && s.write) s.write(ctx, tile_buffer(cfg.pe, slot));
+      return -1;
+    }
+    case StmtKind::kAtomicAdd: {
+      const PeId dest = s.dest(ctx);
+      if (dest != cfg.pe) return dest;
+      s.flags->add(dest, s.flag_idx(ctx), s.amount);
+      return -1;
+    }
+    default:
+      return -1;
+  }
+}
+
+void TileKernel::post_remote(const LaunchConfig& cfg, int slot, int pid,
+                             std::size_t i, PeId dest) {
+  const Stmt& s = stmts_[i];
+  const Ctx ctx{cfg.pe, pid, slot, &shape_};
+  if (s.kind == StmtKind::kAtomicAdd) {
+    cfg.world->put(cfg.pe, dest, 8,
+                   [flags = s.flags, dest, idx = s.flag_idx(ctx),
+                    amount = s.amount] { flags->add(dest, idx, amount); });
+    return;
+  }
+  // kPutRemote: the tile's C, carried by the delivery in functional mode.
+  const Bytes tile_bytes =
+      static_cast<Bytes>(shape_.row_end(pid) - shape_.row_begin(pid)) *
+      (shape_.col_end(pid) - shape_.col_begin(pid)) * 4;
+  std::function<void()> deliver;
+  if (cfg.functional && s.write) {
+    deliver = [w = s.write, ctx, t = tile_buffer(cfg.pe, slot)] { w(ctx, t); };
+  }
+  cfg.world->put(cfg.pe, dest, tile_bytes, std::move(deliver));
 }
 
 }  // namespace fcc::triton

@@ -139,6 +139,18 @@ class TileKernel {
 
   /// One slot's loop over the pids it claims, then the caller's epilogue.
   sim::Co run_slot(const LaunchConfig& cfg, gpu::KernelRun& run, int slot);
+  /// The tile buffer of `slot` on PE `pe` (functional launches only).
+  std::vector<float>& tile_buffer(PeId pe, int slot);
+  /// Functional mode: computes pid's C tile into the slot's tile buffer.
+  void compute_tile(const LaunchConfig& cfg, int slot, int pid);
+  /// Runs statement `i` for `pid` as far as this PE goes: a local store, or
+  /// a put or atomic whose destination is this PE, completes here. Returns
+  /// the remote PE the statement still has to reach, else -1.
+  PeId run_local(const LaunchConfig& cfg, int slot, int pid, std::size_t i);
+  /// Posts statement `i`'s PUT or remote atomic for `pid` to `dest`, once
+  /// its issue cost is paid.
+  void post_remote(const LaunchConfig& cfg, int slot, int pid, std::size_t i,
+                   PeId dest);
 
   /// Fills schedules_ for PEs 0..num_pes-1 (first launch only).
   void build_schedules(int num_pes);
@@ -163,7 +175,7 @@ class TileKernel {
     return 4 * local_puts + 2 * static_cast<int>(edge_cols) +
            static_cast<int>(edge_rows);
   }
-  const gpu::WorkCost& pid_cost(const Ctx& ctx) const;
+  const gpu::WorkCost& pid_cost(PeId pe, int pid, int slot) const;
   /// Slot count of a launch on `spec`.
   int launch_slots(const hw::GpuSpec& spec, int occupancy_slots_override) const;
 
@@ -175,6 +187,10 @@ class TileKernel {
   int puts_ = 0;  // put_c_remote statements
   std::vector<gpu::WorkCost> costs_;  // [variant()]
   std::vector<std::vector<int>> schedules_;  // [pe], see schedule()
+  /// [pe][slot]: a functional launch's C tile, shared by the pid's
+  /// statements across their issue delays. Sized by the first launch
+  /// ([pe]) and by each functional launch on its PE ([slot]).
+  std::vector<std::vector<std::vector<float>>> tiles_;
   std::once_flag schedules_built_;
 };
 

@@ -1,0 +1,240 @@
+// Slot-frame budgets of the persistent-kernel operators.
+//
+// Every physical WG slot of a gpu::KernelRun is one coroutine frame that
+// lives for the whole kernel, so its size sets the host memory of a large
+// run (64 PEs x 624 slots on the Fig. 15 torus flagship). This binary
+// replaces the global operator new with one that counts allocation sizes
+// and runs each slot-body operator timing-only on a small machine, twice:
+// with S and with S + 1 slots per kernel. The slot frame is the size made
+// exactly once more per kernel in the second run (the first such size to
+// appear, since every slot frame is allocated when its kernel starts; the
+// fused GEMV's reduce frame, also one per slot, comes later). A frame that
+// grows past its budget fails here instead of showing up as peak RSS in
+// the benchmark.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <new>
+#include <vector>
+
+#include "fused/embedding_a2a.h"
+#include "fused/gemm_a2a.h"
+#include "fused/gemv_allreduce.h"
+#include "gpu/machine.h"
+#include "shmem/world.h"
+#include "sim/co.h"
+
+namespace {
+
+/// Allocation histogram by size, up to kMaxSize bytes, with the sequence
+/// number of each size's first allocation. Recorded only while `on`.
+struct Histogram {
+  static constexpr std::size_t kMaxSize = 4096;
+  std::atomic<bool> on{false};
+  std::uint64_t seq = 0;
+  std::array<std::uint64_t, kMaxSize + 1> count{};
+  std::array<std::uint64_t, kMaxSize + 1> first{};
+
+  void note(std::size_t n) {
+    if (n > kMaxSize) return;
+    if (count[n]++ == 0) first[n] = seq;
+    ++seq;
+  }
+};
+
+Histogram g_hist;
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_hist.on.load(std::memory_order_relaxed)) g_hist.note(n);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace fcc {
+namespace {
+
+/// Allocation counts and first-allocation order by size, of one run.
+struct Counts {
+  std::vector<std::uint64_t> count;
+  std::vector<std::uint64_t> first;
+};
+
+/// Runs `op` once unrecorded, so that one-time setup (duration tables,
+/// orders, flag storage) stays out, then once recorded.
+Counts record(fused::FusedOp& op) {
+  op.run_to_completion();
+  g_hist.count.fill(0);
+  g_hist.seq = 0;
+  g_hist.on = true;
+  op.run_to_completion();
+  g_hist.on = false;
+  return {{g_hist.count.begin(), g_hist.count.end()},
+          {g_hist.first.begin(), g_hist.first.end()}};
+}
+
+/// Sizes made exactly `times` times in `c`, in order of first appearance.
+std::vector<std::size_t> made(const Counts& c, std::uint64_t times) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n < c.count.size(); ++n) {
+    if (c.count[n] == times) sizes.push_back(n);
+  }
+  std::sort(sizes.begin(), sizes.end(), [&c](std::size_t a, std::size_t b) {
+    return c.first[a] < c.first[b];
+  });
+  return sizes;
+}
+
+/// No coroutine frame is smaller than its promise plus the resume and
+/// destroy pointers; a smaller size made once per slot (the fused GEMV
+/// has one) is other per-slot state.
+constexpr std::size_t kMinFrame =
+    sizeof(sim::Co::promise_type) + 2 * sizeof(void*);
+
+/// Frame-sized sizes made exactly `kernels` more times in `more` (one more
+/// slot per kernel) than in `base`, in order of first appearance in `more`.
+std::vector<std::size_t> per_slot(const Counts& base, const Counts& more,
+                                  std::uint64_t kernels) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = kMinFrame; n < base.count.size(); ++n) {
+    if (more.count[n] == base.count[n] + kernels) sizes.push_back(n);
+  }
+  std::sort(sizes.begin(), sizes.end(), [&more](std::size_t a, std::size_t b) {
+    return more.first[a] < more.first[b];
+  });
+  return sizes;
+}
+
+/// The slot frame among `sizes` (see per_slot): the first. Prints it next
+/// to its budget, and any later per-slot size.
+std::size_t slot_frame(const char* what, const std::vector<std::size_t>& sizes,
+                       std::size_t budget) {
+  EXPECT_FALSE(sizes.empty()) << what << ": no size made once per slot";
+  if (sizes.empty()) return 0;
+  std::cout << what << " slot frame: " << sizes.front() << " B (budget "
+            << budget << " B)\n";
+  for (std::size_t i = 1; i < sizes.size(); ++i) {
+    std::cout << "  later size made once per slot: " << sizes[i] << " B\n";
+  }
+  return sizes.front();
+}
+
+gpu::Machine::Config fc(int nodes, int gpus) {
+  gpu::Machine::Config mc;
+  mc.num_nodes = nodes;
+  mc.gpus_per_node = gpus;
+  return mc;
+}
+
+fused::EmbeddingA2AConfig embedding_config(int pes, int slots) {
+  fused::EmbeddingA2AConfig cfg;
+  cfg.map.num_pes = pes;
+  cfg.map.tables_per_pe = 2;
+  cfg.map.global_batch = 32 * pes;
+  cfg.map.dim = 64;
+  cfg.map.vectors_per_slice = 8;
+  cfg.pooling = 8;
+  cfg.occupancy_slots_override = slots;
+  cfg.functional = false;
+  return cfg;
+}
+
+// 2 nodes x 2 GPUs: zero-copy intra-node WGs, RDMA inter-node slices and
+// local slices all run.
+template <typename Op>
+Counts embedding_counts(int slots) {
+  gpu::Machine m(fc(2, 2));
+  shmem::World w(m);
+  Op op(w, embedding_config(4, slots), nullptr);
+  return record(op);
+}
+
+TEST(FrameBudget, FusedEmbeddingSlot) {
+  using Op = fused::FusedEmbeddingAllToAll;
+  const Counts base = embedding_counts<Op>(6);
+  const auto sizes = per_slot(base, embedding_counts<Op>(7), 4);
+  EXPECT_LE(slot_frame("fused embedding", sizes, 240), 240u);
+  // Reported, not asserted: one emit_slice_from_slot frame per slice.
+  const auto slices =
+      static_cast<std::uint64_t>(4 * embedding_config(4, 6).map.num_slices());
+  for (std::size_t n : made(base, slices)) {
+    std::cout << "  size made once per slice: " << n << " B\n";
+  }
+}
+
+TEST(FrameBudget, BaselineEmbeddingSlot) {
+  using Op = fused::BaselineEmbeddingAllToAll;
+  // One kernel per (PE, table).
+  const auto sizes = per_slot(embedding_counts<Op>(6), embedding_counts<Op>(7),
+                              4 * embedding_config(4, 6).map.tables_per_pe);
+  EXPECT_LE(slot_frame("baseline embedding", sizes, 128), 128u);
+}
+
+// 16 tiles of 16 rows (the last has 10) on 1x4: uneven per-slot tile
+// lists, and the reduce phase after every slot's task loop.
+Counts fused_gemv_counts(int slots) {
+  gpu::Machine m(fc(1, 4));
+  shmem::World w(m);
+  fused::FusedGemvAllReduce op(w,
+                               {.m = 250,
+                                .k_global = 1024,
+                                .tile_rows = 16,
+                                .functional = false,
+                                .occupancy_slots_override = slots},
+                               nullptr);
+  return record(op);
+}
+
+TEST(FrameBudget, FusedGemvSlot) {
+  const auto sizes = per_slot(fused_gemv_counts(5), fused_gemv_counts(6), 4);
+  EXPECT_LE(slot_frame("fused GEMV", sizes, 256), 256u);
+}
+
+// Fewer tiles than the occupancy limit: one slot per tile, so one more
+// tile is one more slot.
+Counts baseline_gemv_counts(int tiles) {
+  gpu::Machine m(fc(1, 4));
+  shmem::World w(m);
+  fused::BaselineGemvAllReduce op(
+      w,
+      {.m = 16 * tiles, .k_global = 1024, .tile_rows = 16, .functional = false},
+      nullptr);
+  return record(op);
+}
+
+TEST(FrameBudget, BaselineGemvSlot) {
+  const auto sizes =
+      per_slot(baseline_gemv_counts(16), baseline_gemv_counts(17), 4);
+  EXPECT_LE(slot_frame("baseline GEMV", sizes, 128), 128u);
+}
+
+// triton::TileKernel, through the fused GEMM+A2A.
+Counts tile_kernel_counts(int slots) {
+  gpu::Machine m(fc(1, 4));
+  shmem::World w(m);
+  fused::GemmA2AConfig cfg;
+  cfg.rows_per_origin = 256;
+  cfg.d_model = 256;
+  cfg.d_ff = 512;
+  cfg.occupancy_slots_override = slots;
+  cfg.functional = false;
+  fused::FusedGemmAllToAll op(w, cfg, nullptr);
+  return record(op);
+}
+
+TEST(FrameBudget, TileKernelSlot) {
+  const auto sizes = per_slot(tile_kernel_counts(6), tile_kernel_counts(7), 4);
+  EXPECT_LE(slot_frame("TileKernel", sizes, 216), 216u);
+}
+
+}  // namespace
+}  // namespace fcc

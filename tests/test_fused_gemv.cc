@@ -226,6 +226,46 @@ TEST(FusedGemv, DeterministicAcrossRuns) {
   EXPECT_EQ(once(), once());
 }
 
+// A partial-tile store's "put" trace instant is stamped when the store's
+// issue completes. With one slot per GPU every compute step runs alone, and
+// the comm-aware order puts the remote tiles first, so a slot's k-th PUT
+// is issued after k issue latencies: raising the store issue latency by d
+// moves the k-th instant by exactly k * d. (Stamped at the tile's compute
+// start, it would move by (k - 1) * d.)
+TEST(FusedGemv, PutInstantsFallAtIssueCompletion) {
+  auto put_instants = [](TimeNs issue_ns) {
+    gpu::Machine::Config mc = scale_up(4);
+    mc.fabric.store_issue_overhead_ns = issue_ns;
+    mc.collect_trace = true;
+    gpu::Machine m(mc);
+    shmem::World w(m);
+    FusedGemvAllReduce(w,
+                       {.m = 256,
+                        .k_global = 1024,
+                        .tile_rows = 16,
+                        .occupancy_slots_override = 1},
+                       nullptr)
+        .run_to_completion();
+    std::vector<std::vector<TimeNs>> at(4);
+    for (const auto& i : m.trace().instants()) {
+      if (i.name == "put") at[static_cast<std::size_t>(i.pid)].push_back(i.at);
+    }
+    return at;
+  };
+  constexpr TimeNs kDelta = 1000;
+  const auto base = put_instants(100);
+  const auto later = put_instants(100 + kDelta);
+  for (std::size_t pe = 0; pe < 4; ++pe) {
+    ASSERT_EQ(base[pe].size(), 12u) << "pe " << pe;  // 12 of 16 tiles remote
+    ASSERT_EQ(later[pe].size(), base[pe].size()) << "pe " << pe;
+    for (std::size_t k = 0; k < base[pe].size(); ++k) {
+      EXPECT_EQ(later[pe][k] - base[pe][k],
+                static_cast<TimeNs>(k + 1) * kDelta)
+          << "pe " << pe << ", put " << k;
+    }
+  }
+}
+
 TEST(FusedGemv, RejectsIndivisibleTileCounts) {
   gpu::Machine m(scale_up(4));
   shmem::World w(m);

@@ -166,13 +166,13 @@ TEST(TorusTopology, SharedRingLinksContend) {
 
 sim::Task one_put(shmem::World& w, PeId src, PeId dst, Bytes bytes,
                   TimeNs& delivered, sim::Engine& e) {
-  co_await w.put_nbi(src, dst, bytes, shmem::World::IssueKind::kRdma,
-                     [&] { delivered = e.now(); });
+  co_await w.issue(src, dst, shmem::World::IssueKind::kRdma);
+  w.put(src, dst, bytes, [&] { delivered = e.now(); });
   co_await w.quiet(src);
 }
 
 TEST(Machine, TorusTopologyRunsOnTheEventEngine) {
-  // Scale-out torus traffic goes through the same put_nbi/engine path as
+  // Scale-out torus traffic goes through the same issue/put/engine path as
   // every other fabric — no separate analytic world.
   gpu::Machine::Config mc;
   mc.num_nodes = 16;

@@ -107,7 +107,9 @@ TEST(FlagSet, SignalDeliversRemoteFlagStores) {
     static sim::Task go(sim::Engine&, shmem::World& world, FlagSet& flags) {
       co_await world.fence(/*src=*/0);
       for (PeId peer = 1; peer < 4; ++peer) {
-        co_await flags.signal(world, /*src=*/0, peer, /*idx=*/1);
+        co_await world.issue(/*src=*/0, peer,
+                             shmem::World::IssueKind::kStore);
+        flags.signal(world, /*src=*/0, peer, /*idx=*/1);
       }
     }
   };

@@ -143,13 +143,13 @@ TEST(FlagArray, SimultaneouslySatisfiedWaitersWakeInRegistrationOrder) {
 
 sim::Task put_driver(sim::Engine& e, World& w, PeId src, PeId dst, Bytes n,
                      TimeNs& issued_at, TimeNs& delivered_at) {
-  co_await w.put_nbi(src, dst, n, World::IssueKind::kRdma,
-                     [&delivered_at, &e] { delivered_at = e.now(); });
+  co_await w.issue(src, dst, World::IssueKind::kRdma);
+  w.put(src, dst, n, [&delivered_at, &e] { delivered_at = e.now(); });
   issued_at = e.now();
   co_await w.quiet(src);
 }
 
-TEST(World, PutNbiReturnsAfterIssueDeliversLater) {
+TEST(World, PutPostedAfterIssueDeliversLater) {
   gpu::Machine m(two_nodes_one_gpu());
   World w(m);
   TimeNs issued = -1, delivered = -1;
@@ -170,14 +170,14 @@ TEST(World, PutNbiReturnsAfterIssueDeliversLater) {
 sim::Task ordered_puts(sim::Engine& e, World& w, FlagArray& flags,
                        std::vector<TimeNs>& deliveries) {
   // Data PUT, fence, then flag PUT — the paper's slice protocol.
-  co_await w.put_nbi(0, 1, 32 * 1024, World::IssueKind::kRdma,
-                     [&] { deliveries.push_back(e.now()); });
+  co_await w.issue(0, 1, World::IssueKind::kRdma);
+  w.put(0, 1, 32 * 1024, [&] { deliveries.push_back(e.now()); });
   co_await w.fence(0);
-  co_await w.put_nbi(0, 1, 8, World::IssueKind::kRdma,
-                     [&] {
-                       deliveries.push_back(e.now());
-                       flags.set(1, 0, 1);
-                     });
+  co_await w.issue(0, 1, World::IssueKind::kRdma);
+  w.put(0, 1, 8, [&] {
+    deliveries.push_back(e.now());
+    flags.set(1, 0, 1);
+  });
 }
 
 sim::Task flag_consumer(sim::Engine& e, FlagArray& flags,
@@ -206,9 +206,11 @@ TEST(World, FlagNeverOvertakesData) {
 sim::Task ordered_puts_callback_free_data(sim::Engine& e, World& w,
                                           FlagArray& flags,
                                           TimeNs& flag_delivered_at) {
-  co_await w.put_nbi(0, 1, 32 * 1024, World::IssueKind::kRdma);
+  co_await w.issue(0, 1, World::IssueKind::kRdma);
+  w.put(0, 1, 32 * 1024);
   co_await w.fence(0);
-  co_await w.put_nbi(0, 1, 8, World::IssueKind::kRdma, [&] {
+  co_await w.issue(0, 1, World::IssueKind::kRdma);
+  w.put(0, 1, 8, [&] {
     flag_delivered_at = e.now();
     flags.set(1, 0, 1);
   });
@@ -252,8 +254,8 @@ sim::Task mixed_puts_then_quiet(sim::Engine& e, World& w, bool callbacks,
   for (int i = 0; i < 3; ++i) {
     std::function<void()> cb;
     if (callbacks) cb = [&e, &delivered, i] { delivered[i] = e.now(); };
-    co_await w.put_nbi(0, dst[i], bytes[i], World::IssueKind::kRdma,
-                       std::move(cb));
+    co_await w.issue(0, dst[i], World::IssueKind::kRdma);
+    w.put(0, dst[i], bytes[i], std::move(cb));
     in_flight.push_back(w.outstanding(0));
   }
   co_await w.quiet(0);
@@ -294,8 +296,8 @@ TEST(World, QuietReturnsAtTheLastCallbackFreeDelivery) {
 sim::Task quiet_driver(sim::Engine& e, World& w, int puts, TimeNs& quiet_at,
                        int& delivered_count) {
   for (int i = 0; i < puts; ++i) {
-    co_await w.put_nbi(0, 1, 64 * 1024, World::IssueKind::kRdma,
-                       [&delivered_count] { ++delivered_count; });
+    co_await w.issue(0, 1, World::IssueKind::kRdma);
+    w.put(0, 1, 64 * 1024, [&delivered_count] { ++delivered_count; });
   }
   co_await w.quiet(0);
   quiet_at = e.now();
@@ -315,8 +317,8 @@ TEST(World, QuietDrainsAllOutstandingPuts) {
 }
 
 sim::Task local_put(sim::Engine& e, World& w, TimeNs& delivered_at) {
-  co_await w.put_nbi(2, 2, 1024, World::IssueKind::kNone,
-                     [&] { delivered_at = e.now(); });
+  co_await w.issue(2, 2, World::IssueKind::kNone);
+  w.put(2, 2, 1024, [&] { delivered_at = e.now(); });
   co_await w.quiet(2);
 }
 
@@ -348,8 +350,8 @@ TEST(World, ZeroByteSelfPutIsFree) {
 }
 
 sim::Task store_put(sim::Engine& e, World& w, TimeNs& delivered_at) {
-  co_await w.put_nbi(0, 1, 80 * 1000, World::IssueKind::kStore,
-                     [&] { delivered_at = e.now(); });
+  co_await w.issue(0, 1, World::IssueKind::kStore);
+  w.put(0, 1, 80 * 1000, [&] { delivered_at = e.now(); });
   co_await w.quiet(0);
 }
 
@@ -366,7 +368,8 @@ TEST(World, IntraNodeStoreRidesFabric) {
 
 sim::Task uncharged_put(sim::Engine& e, World& w, TimeNs& returned_at,
                         std::int64_t& puts, int& outstanding) {
-  co_await w.put_nbi(0, 1, 4096, World::IssueKind::kNone);
+  co_await w.issue(0, 1, World::IssueKind::kNone);
+  w.put(0, 1, 4096);
   returned_at = e.now();
   puts = w.puts_issued();
   outstanding = w.outstanding(0);
@@ -387,6 +390,39 @@ TEST(World, UnchargedPutReturnsWithoutSuspending) {
   EXPECT_EQ(m.device(0).busy_ns(), 0);
   m.engine().run();
   EXPECT_EQ(w.outstanding(0), 0);
+}
+
+/// `n` callback-free PUTs from 0 to 1, as put_nbi or as issue then put.
+sim::Task put_stream(sim::Engine& e, World& w, bool nbi, int n,
+                     TimeNs& quiet_at) {
+  for (int i = 0; i < n; ++i) {
+    if (nbi) {
+      co_await w.put_nbi(0, 1, 4096, World::IssueKind::kStore);
+    } else {
+      co_await w.issue(0, 1, World::IssueKind::kStore);
+      w.put(0, 1, 4096);
+    }
+  }
+  co_await w.quiet(0);
+  quiet_at = e.now();
+}
+
+TEST(World, PutNbiIsIssueThenPut) {
+  TimeNs quiet_at[2] = {-1, -1};
+  TimeNs busy[2] = {-1, -1};
+  std::size_t events[2] = {0, 0};
+  for (int nbi = 0; nbi < 2; ++nbi) {
+    gpu::Machine m(one_node_four_gpus());
+    World w(m);
+    put_stream(m.engine(), w, nbi == 1, 16, quiet_at[nbi]);
+    events[nbi] = m.engine().run();
+    busy[nbi] = m.device(0).busy_ns();
+    EXPECT_EQ(w.puts_issued(), 16);
+  }
+  EXPECT_GT(quiet_at[0], 0);
+  EXPECT_EQ(quiet_at[1], quiet_at[0]);
+  EXPECT_EQ(busy[1], busy[0]);
+  EXPECT_EQ(events[1], events[0]);
 }
 
 sim::Task fenced(sim::Engine& e, World& w, TimeNs& before, TimeNs& after) {

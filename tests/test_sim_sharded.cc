@@ -336,8 +336,8 @@ TEST(ShardDeterminism, TorusGoldenTrace) {
 sim::Task send_one(sim::Engine& engine, shmem::World& w, shmem::FlagArray& f,
                    PeId src, PeId dst, TimeNs start) {
   co_await sim::delay_until(engine, start);
-  co_await w.put_nbi(src, dst, 256, shmem::World::IssueKind::kRdma,
-                     [&f, dst] { f.add(dst, 0, 1); });
+  co_await w.issue(src, dst, shmem::World::IssueKind::kRdma);
+  w.put(src, dst, 256, [&f, dst] { f.add(dst, 0, 1); });
 }
 
 sim::Task wait_threshold(sim::Engine& engine, shmem::FlagArray& f, PeId pe,
@@ -409,7 +409,8 @@ TEST(ShardMailbox, RemoteIncrementAtWindowBoundaryWakesWaiter) {
 sim::Task burst_then_quiet(sim::Engine& engine, shmem::World& w, PeId src,
                            PeId dst, int count, TimeNs& quiet_done) {
   for (int i = 0; i < count; ++i) {
-    co_await w.put_nbi(src, dst, 4096, shmem::World::IssueKind::kRdma);
+    co_await w.issue(src, dst, shmem::World::IssueKind::kRdma);
+    w.put(src, dst, 4096);
   }
   co_await w.quiet(src);
   quiet_done = engine.now();
@@ -467,8 +468,8 @@ sim::Task put_then_quiet(sim::Engine& engine, shmem::World& w, bool callback,
       delivered_at = w.machine().engine_of(1).now();
     };
   }
-  co_await w.put_nbi(0, 1, 64 * 1024, shmem::World::IssueKind::kRdma,
-                     std::move(cb));
+  co_await w.issue(0, 1, shmem::World::IssueKind::kRdma);
+  w.put(0, 1, 64 * 1024, std::move(cb));
   in_flight = w.outstanding(0);
   co_await w.quiet(0);
   quiet_done = engine.now();

@@ -3,74 +3,104 @@
 #include <algorithm>
 #include <coroutine>
 #include <functional>
+#include <memory>
+#include <numeric>
 #include <utility>
 
 #include "sim/task.h"
 
 namespace fcc::ccl {
+
+/// A collective's timing as data. Every register starts at the collective's
+/// t0. A step waits on register `in`, writes `bytes` from rank `src` to rank
+/// `dst` (no transfer when they are equal), adds `add` and raises register
+/// `out` to the result. The collective ends at the latest register.
+/// Register kStart is never written (t0 throughout); kEnd feeds only the
+/// end.
+constexpr int kStart = 0, kEnd = 1;
+struct Schedule {
+  struct Step {
+    int src, dst;
+    Bytes bytes;
+    int in, out;
+    TimeNs add;
+  };
+  std::vector<Step> steps;
+  int regs = 2;
+
+  /// Allocates `count` fresh registers; returns the first.
+  int reg(int count = 1) { return (regs += count) - count; }
+  void step(int src, int dst, Bytes bytes, int in, int out, TimeNs add = 0) {
+    steps.push_back({src, dst, bytes, in, out, add});
+  }
+};
+
 namespace {
 
 constexpr Bytes elems_to_bytes(std::int64_t n) { return n * 4; }
 
-/// Runs a link-reservation sweep and hands back the computed end time.
-///
-/// Serial machines compute inline in await_ready — no suspension, so the
-/// event sequence is byte-identical to the historical inline sweeps.
-/// Sharded machines suspend the (shard-0) driver and defer the sweep to the
-/// next window barrier, where every shard thread is parked: the sweep reads
-/// and reserves link state across all shards data-race-free, then the
-/// driver resumes at the exact computed end (a rewind entry when shard 0's
-/// frontier already passed it — legal, the continuation only touches
-/// shard-0 host state before its next >= lookahead delay). Collectives that
-/// overlap other put traffic inside the same window therefore serialize
-/// their reservations at the barrier, an ordering approximation consistent
-/// with the sharded engine's same-timestamp tie-breaking caveat.
-class SweepAwaiter {
- public:
-  SweepAwaiter(gpu::Machine& machine, TimeNs t0,
-               std::function<TimeNs(TimeNs)> sweep)
-      : machine_(machine), t0_(t0), sweep_(std::move(sweep)) {}
-
-  bool await_ready() {
-    if (machine_.is_sharded()) return false;
-    end_ = sweep_(t0_);
-    return true;
+/// Throws unless functional `bufs` hold n ranks, rank r at least `need(r)`
+/// floats.
+template <typename Need>
+void check_bufs(const char* name, const FloatBufs& bufs, int n, Need need) {
+  if (!bufs.functional()) return;
+  FCC_CHECK_MSG(static_cast<int>(bufs.per_rank.size()) == n,
+                name << ".per_rank.size() must be " << n << ", got "
+                     << bufs.per_rank.size());
+  for (int r = 0; r < n; ++r) {
+    const auto got = static_cast<std::int64_t>(bufs.per_rank[r].size());
+    FCC_CHECK_MSG(got >= need(r), name << ".rank(" << r
+                                       << ").size() must be >= " << need(r)
+                                       << ", got " << got);
   }
-  void await_suspend(std::coroutine_handle<> h) {
-    machine_.call_at_barrier([this, h] {
-      end_ = sweep_(t0_);
-      machine_.engine().schedule_resume_at_unchecked(end_, h);
-    });
-  }
-  TimeNs await_resume() const { return end_; }
+}
 
- private:
-  gpu::Machine& machine_;
-  TimeNs t0_;
-  std::function<TimeNs(TimeNs)> sweep_;
-  TimeNs end_ = 0;
-};
+/// Appends a ring over `ranks` after register `in` and returns its last
+/// register: m-1 reduce-scatter then m-1 all-gather steps, each moving
+/// `bytes` per rank to its neighbour behind a step barrier (the slowest
+/// link paces the ring anyway).
+int ring(Schedule& s, const std::vector<int>& ranks, Bytes bytes, int in,
+         TimeNs reduce) {
+  const int m = static_cast<int>(ranks.size());
+  for (int step = 0; step < 2 * (m - 1); ++step) {
+    const int out = s.reg();
+    for (int i = 0; i < m; ++i) {
+      s.step(ranks[i], ranks[(i + 1) % m], bytes, in, out,
+             step < m - 1 ? reduce : 0);
+    }
+    in = out;
+  }
+  return in;
+}
+
+/// Why a span whose members per node are `by_node` cannot run a forced
+/// hierarchical algorithm.
+std::string ineligible(const std::vector<std::vector<int>>& by_node) {
+  std::string got;
+  for (const auto& node : by_node) {
+    got += (got.empty() ? "" : ", ") + std::to_string(node.size());
+  }
+  return " needs >1 node with equal, >1 member counts, got members per "
+         "node [" + got + "]; use kAuto or a flat algorithm";
+}
 
 }  // namespace
 
 Communicator::Communicator(gpu::Machine& machine, std::vector<PeId> members)
     : machine_(machine), members_(std::move(members)) {
   FCC_CHECK(!members_.empty());
-  for (PeId pe : members_) {
-    FCC_CHECK(pe >= 0 && pe < machine_.num_pes());
-  }
-  std::vector<std::vector<int>> by_node(
-      static_cast<std::size_t>(machine_.num_nodes()));
+  for (PeId pe : members_) FCC_CHECK(pe >= 0 && pe < machine_.num_pes());
+  by_node_.resize(static_cast<std::size_t>(machine_.num_nodes()));
   for (int r = 0; r < size(); ++r) {
-    by_node[static_cast<std::size_t>(machine_.node_of(pe(r)))].push_back(r);
+    by_node_[machine_.node_of(pe(r))].push_back(r);
   }
-  for (auto& node : by_node) {
-    if (!node.empty()) groups_.by_node.push_back(std::move(node));
-  }
-  groups_.uniform = true;
-  for (const auto& node : groups_.by_node) {
-    if (node.size() != groups_.by_node.front().size()) groups_.uniform = false;
-  }
+  std::erase_if(by_node_, [](const auto& node) { return node.empty(); });
+  // The hierarchical algorithms need several nodes, each contributing the
+  // same number (> 1) of members.
+  const std::size_t g = by_node_.front().size();
+  eligible_ = by_node_.size() > 1 && g > 1 &&
+              std::all_of(by_node_.begin(), by_node_.end(),
+                          [g](const auto& node) { return node.size() == g; });
 }
 
 TimeNs Communicator::reduce_cost(Bytes bytes) const {
@@ -79,11 +109,6 @@ TimeNs Communicator::reduce_cost(Bytes bytes) const {
   const auto& dev = machine_.device(members_.front());
   const double bw = dev.hbm().total_bandwidth(dev.spec().max_wg_slots());
   return static_cast<TimeNs>(static_cast<double>(bytes) / bw + 0.5);
-}
-
-bool Communicator::hierarchy_eligible() const {
-  const NodeGroups& g = groups_;
-  return g.by_node.size() > 1 && g.uniform && g.by_node.front().size() > 1;
 }
 
 const std::vector<std::string>& Communicator::avoided_components() {
@@ -111,160 +136,270 @@ AllToAllAlgo Communicator::select_a2a() {
   return AllToAllAlgo::kPairwise;
 }
 
-TimeNs Communicator::flat_direct_time(std::int64_t n_elems, TimeNs t0) {
+/// Runs a collective's schedule and hands back its end time, recording
+/// last_duration().
+///
+/// Serial machines run it inline in await_ready — no suspension, so the
+/// run adds no engine event.
+/// Sharded machines suspend the (shard-0) driver and defer the run to the
+/// next window barrier, where every shard thread is parked: the run reads
+/// and reserves link state across all shards data-race-free, then the
+/// driver resumes at the exact computed end (a rewind entry when shard 0's
+/// frontier already passed it — legal, the continuation only touches
+/// shard-0 host state before its next >= lookahead delay). Collectives that
+/// overlap other put traffic inside the same window therefore serialize
+/// their reservations at the barrier, an ordering approximation consistent
+/// with the sharded engine's same-timestamp tie-breaking caveat.
+class Communicator::SweepAwaiter {
+ public:
+  SweepAwaiter(Communicator& comm, TimeNs t0,
+               std::shared_ptr<const Schedule> schedule)
+      : comm_(comm), t0_(t0), schedule_(std::move(schedule)) {}
+
+  bool await_ready() {
+    if (comm_.machine_.is_sharded()) return false;
+    end_ = comm_.run(*schedule_, t0_);
+    return true;
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    comm_.machine_.call_at_barrier([this, h] {
+      end_ = comm_.run(*schedule_, t0_);
+      comm_.machine_.engine().schedule_resume_at_unchecked(end_, h);
+    });
+  }
+  TimeNs await_resume() {
+    comm_.last_duration_ = end_ - t0_ + kSwOverheadNs;
+    return end_;
+  }
+
+ private:
+  Communicator& comm_;
+  TimeNs t0_;
+  std::shared_ptr<const Schedule> schedule_;
+  TimeNs end_ = 0;
+};
+
+TimeNs Communicator::run(const Schedule& s, TimeNs t0) {
+  std::vector<TimeNs> reg(static_cast<std::size_t>(s.regs), t0);
+  for (const Schedule::Step& step : s.steps) {
+    TimeNs t = reg[step.in];
+    if (step.src != step.dst) {
+      t = machine_.remote_write_time(members_[step.src], members_[step.dst],
+                                     step.bytes, t);
+    }
+    reg[step.out] = std::max(reg[step.out], t + step.add);
+  }
+  return *std::max_element(reg.begin(), reg.end());
+}
+
+std::shared_ptr<const Schedule> Communicator::memo(Builder build,
+                                                   std::int64_t size) {
+  if (build != memo_build_ || size != memo_size_) {
+    memo_ = std::make_shared<const Schedule>((this->*build)(size));
+    memo_build_ = build;
+    memo_size_ = size;
+  }
+  return memo_;
+}
+
+Schedule Communicator::direct_schedule(std::int64_t n_elems) const {
   const int n = size();
   // Phase 1 (reduce-scatter): rank r owns chunk r; every peer pushes its
-  // copy of chunk r to rank r.
-  const std::int64_t chunk = (n_elems + n - 1) / n;
-  const Bytes chunk_bytes = elems_to_bytes(chunk);
-  std::vector<TimeNs> phase1(static_cast<std::size_t>(n), t0);
+  // copy of chunk r to rank r, which reduces the n copies (register
+  // owned + r).
+  const Bytes chunk = elems_to_bytes((n_elems + n - 1) / n);
+  const TimeNs reduce = reduce_cost(chunk * n);
+  Schedule s;
+  const int owned = s.reg(n);
   for (int dst = 0; dst < n; ++dst) {
     for (int src = 0; src < n; ++src) {
-      if (src == dst) continue;
-      const TimeNs d =
-          machine_.remote_write_time(pe(src), pe(dst), chunk_bytes, t0);
-      phase1[static_cast<std::size_t>(dst)] =
-          std::max(phase1[static_cast<std::size_t>(dst)], d);
+      if (src != dst) s.step(src, dst, chunk, kStart, owned + dst, reduce);
     }
-  }
-  // Reduce the n incoming copies of the owned chunk.
-  for (int r = 0; r < n; ++r) {
-    phase1[static_cast<std::size_t>(r)] +=
-        reduce_cost(chunk_bytes * (n - 1) + chunk_bytes);
   }
   // Phase 2 (all-gather): each rank broadcasts its reduced chunk.
-  std::vector<TimeNs> done(static_cast<std::size_t>(n), t0);
   for (int src = 0; src < n; ++src) {
     for (int dst = 0; dst < n; ++dst) {
-      if (src == dst) continue;
-      const TimeNs d = machine_.remote_write_time(
-          pe(src), pe(dst), chunk_bytes, phase1[static_cast<std::size_t>(src)]);
-      done[static_cast<std::size_t>(dst)] =
-          std::max(done[static_cast<std::size_t>(dst)], d);
+      if (src != dst) s.step(src, dst, chunk, owned + src, kEnd);
     }
-    done[static_cast<std::size_t>(src)] =
-        std::max(done[static_cast<std::size_t>(src)],
-                 phase1[static_cast<std::size_t>(src)]);
   }
-  TimeNs end = t0;
-  for (int r = 0; r < n; ++r) {
-    end = std::max(end, done[static_cast<std::size_t>(r)]);
-  }
-  return end;
+  return s;
 }
 
-TimeNs Communicator::flat_ring_time(std::int64_t n_elems, TimeNs t0) {
-  const int n = size();
-  // Ring: N-1 reduce-scatter steps + N-1 all-gather steps; each step
-  // moves one chunk per rank to its neighbour. Steps are modeled with a
-  // step barrier (the slowest link paces the ring anyway).
-  const std::int64_t chunk = (n_elems + n - 1) / n;
-  const Bytes chunk_bytes = elems_to_bytes(chunk);
-  TimeNs step_start = t0;
-  for (int step = 0; step < 2 * (n - 1); ++step) {
-    TimeNs step_end = step_start;
-    for (int r = 0; r < n; ++r) {
-      const int next = (r + 1) % n;
-      TimeNs d = machine_.remote_write_time(pe(r), pe(next), chunk_bytes,
-                                            step_start);
-      if (step < n - 1) d += reduce_cost(2 * chunk_bytes);
-      step_end = std::max(step_end, d);
-    }
-    step_start = step_end;
-  }
-  return step_start;
+Schedule Communicator::ring_schedule(std::int64_t n_elems) const {
+  std::vector<int> ranks(static_cast<std::size_t>(size()));
+  std::iota(ranks.begin(), ranks.end(), 0);
+  const Bytes chunk = elems_to_bytes((n_elems + size() - 1) / size());
+  Schedule s;
+  ring(s, ranks, chunk, kStart, reduce_cost(2 * chunk));
+  return s;
 }
 
-TimeNs Communicator::hierarchical_allreduce_time(std::int64_t n_elems,
-                                                 TimeNs t0) {
-  const NodeGroups& groups = groups_;
-  FCC_CHECK_MSG(hierarchy_eligible(),
-                "hierarchical AllReduce needs >1 node with equal, >1 member "
-                "counts; use a flat algorithm for this span");
-  const int g = static_cast<int>(groups.by_node.front().size());
-  const int nodes = static_cast<int>(groups.by_node.size());
+Schedule Communicator::hierarchical_schedule(std::int64_t n_elems) const {
+  const int g = static_cast<int>(by_node_.front().size());
+  const int nodes = static_cast<int>(by_node_.size());
   const std::int64_t chunk = (n_elems + g - 1) / g;  // per-lane shard
   const Bytes chunk_bytes = elems_to_bytes(chunk);
+  Schedule s;
 
   // Stage A — intra-node reduce-scatter: lane l of each node ends owning
   // the node-local sum of shard l. Direct peer pushes over the scale-up
-  // fabric, then the local reduction of g copies.
-  std::vector<std::vector<TimeNs>> stage_a(
-      static_cast<std::size_t>(nodes),
-      std::vector<TimeNs>(static_cast<std::size_t>(g), t0));
-  for (int k = 0; k < nodes; ++k) {
-    const auto& node = groups.by_node[static_cast<std::size_t>(k)];
+  // fabric, then the local reduction of g copies. Register lane + l: every
+  // node's lane l holds its sum.
+  const TimeNs reduce = reduce_cost(chunk_bytes * g);
+  const int lane = s.reg(g);
+  for (const auto& node : by_node_) {
     for (int l = 0; l < g; ++l) {
-      TimeNs arrive = t0;
-      for (int s = 0; s < g; ++s) {
-        if (s == l) continue;
-        arrive = std::max(
-            arrive, machine_.remote_write_time(
-                        pe(node[static_cast<std::size_t>(s)]),
-                        pe(node[static_cast<std::size_t>(l)]), chunk_bytes,
-                        t0));
+      for (int src = 0; src < g; ++src) {
+        if (src == l) continue;
+        s.step(node[src], node[l], chunk_bytes, kStart, lane + l, reduce);
       }
-      stage_a[static_cast<std::size_t>(k)][static_cast<std::size_t>(l)] =
-          arrive + reduce_cost(chunk_bytes * g);
     }
   }
 
   // Stage B — inter-node ring AllReduce per lane: lane l's shard circles
   // the nodes in 2(nodes-1) steps of chunk/nodes each, crossing the NIC
   // (or torus) links only. Each lane's ring is bulk-synchronous.
-  std::vector<TimeNs> stage_b(static_cast<std::size_t>(g), t0);
-  const std::int64_t sub = (chunk + nodes - 1) / nodes;
-  const Bytes sub_bytes = elems_to_bytes(sub);
+  const Bytes sub = elems_to_bytes((chunk + nodes - 1) / nodes);
+  std::vector<int> reduced(static_cast<std::size_t>(g));
+  std::vector<int> ranks(static_cast<std::size_t>(nodes));
   for (int l = 0; l < g; ++l) {
-    TimeNs step_start = t0;
-    for (int k = 0; k < nodes; ++k) {
-      step_start = std::max(
-          step_start,
-          stage_a[static_cast<std::size_t>(k)][static_cast<std::size_t>(l)]);
-    }
-    for (int step = 0; step < 2 * (nodes - 1); ++step) {
-      TimeNs step_end = step_start;
-      for (int k = 0; k < nodes; ++k) {
-        const int next = (k + 1) % nodes;
-        TimeNs d = machine_.remote_write_time(
-            pe(groups.by_node[static_cast<std::size_t>(k)]
-                             [static_cast<std::size_t>(l)]),
-            pe(groups.by_node[static_cast<std::size_t>(next)]
-                             [static_cast<std::size_t>(l)]),
-            sub_bytes, step_start);
-        if (step < nodes - 1) d += reduce_cost(2 * sub_bytes);
-        step_end = std::max(step_end, d);
-      }
-      step_start = step_end;
-    }
-    stage_b[static_cast<std::size_t>(l)] = step_start;
+    for (int k = 0; k < nodes; ++k) ranks[k] = by_node_[k][l];
+    reduced[l] = ring(s, ranks, sub, lane + l, reduce_cost(2 * sub));
   }
 
   // Stage C — intra-node all-gather: each lane broadcasts its now fully
   // reduced shard to its local peers.
-  TimeNs end = t0;
-  for (int k = 0; k < nodes; ++k) {
-    const auto& node = groups.by_node[static_cast<std::size_t>(k)];
+  for (const auto& node : by_node_) {
     for (int dst = 0; dst < g; ++dst) {
-      TimeNs done = stage_b[static_cast<std::size_t>(dst)];
       for (int src = 0; src < g; ++src) {
         if (src == dst) continue;
-        done = std::max(
-            done, machine_.remote_write_time(
-                      pe(node[static_cast<std::size_t>(src)]),
-                      pe(node[static_cast<std::size_t>(dst)]), chunk_bytes,
-                      stage_b[static_cast<std::size_t>(src)]));
+        s.step(node[src], node[dst], chunk_bytes, reduced[src], kEnd);
       }
-      end = std::max(end, done);
     }
   }
-  return end;
+  return s;
+}
+
+Schedule Communicator::pairwise_schedule(std::int64_t chunk_elems) const {
+  const int n = size();
+  const Bytes chunk = elems_to_bytes(chunk_elems);
+  // Pairwise exchange in balanced rounds: round r pairs every source s
+  // with destination (s + r) % n, so each round touches disjoint
+  // egress/ingress ports and rounds pipeline back-to-back (the schedule
+  // RCCL's pairwise All-to-All uses).
+  Schedule s;
+  for (int round = 1; round < n; ++round) {
+    for (int src = 0; src < n; ++src) {
+      s.step(src, (src + round) % n, chunk, kStart, kEnd);
+    }
+  }
+  s.step(0, 0, 0, kStart, kEnd, reduce_cost(2 * chunk));  // local copy
+  return s;
+}
+
+Schedule Communicator::node_aggregate_schedule(
+    std::int64_t chunk_elems) const {
+  const int g = static_cast<int>(by_node_.front().size());
+  const int nodes = static_cast<int>(by_node_.size());
+  const Bytes chunk = elems_to_bytes(chunk_elems);
+  // Remote node r (as seen from any node) is aggregated by local member
+  // r % g: that member gathers the node's traffic for r, ships it as ONE
+  // NIC message of g*g chunks, and the peer aggregator scatters it. The
+  // NIC still carries every byte, but descriptor-processor serialization
+  // drops from g*g messages per node pair to one, and the gather/scatter
+  // legs ride the fast intra-node fabric.
+  auto owner = [g](int remote_node) { return remote_node % g; };
+  // Slot k * g + l is node k's aggregator l. block: what it gathers (and,
+  // receiving, scatters), g chunks per remote node it owns. Registers
+  // gathered / landed: when its outgoing / incoming aggregate is ready.
+  std::vector<Bytes> block(static_cast<std::size_t>(nodes * g), 0);
+  for (int k = 0; k < nodes; ++k) {
+    for (int r = 0; r < nodes; ++r) {
+      if (r != k) block[k * g + owner(r)] += g * chunk;
+    }
+  }
+  Schedule s;
+  const int gathered = s.reg(nodes * g);
+  const int landed = s.reg(nodes * g);
+
+  // Phase 1 — intra-node gather: member s sends to aggregator l the chunks
+  // bound for every node l owns.
+  for (int k = 0; k < nodes; ++k) {
+    for (int l = 0; l < g; ++l) {
+      const int slot = k * g + l;
+      for (int src = 0; src < g && block[slot] > 0; ++src) {
+        if (src == l) continue;
+        s.step(by_node_[k][src], by_node_[k][l], block[slot], kStart,
+               gathered + slot);
+      }
+    }
+  }
+
+  // Phase 2 — inter-node: one aggregated message of g*g chunks per
+  // ordered node pair, aggregator to aggregator.
+  for (int k = 0; k < nodes; ++k) {
+    for (int r = 0; r < nodes; ++r) {
+      if (r == k) continue;
+      s.step(by_node_[k][owner(r)], by_node_[r][owner(k)], g * g * chunk,
+             gathered + k * g + owner(r), landed + r * g + owner(k));
+    }
+  }
+
+  // Phase 3 — intra-node scatter of the received aggregates (the
+  // aggregator's own share is a local copy), plus the node-local pairwise
+  // exchange that never left the fabric.
+  for (int r = 0; r < nodes; ++r) {
+    const auto& node = by_node_[r];
+    for (int dst = 0; dst < g; ++dst) {
+      for (int l = 0; l < g; ++l) {
+        const Bytes bytes = block[r * g + l];
+        if (bytes == 0) continue;
+        s.step(node[l], node[dst], bytes, landed + r * g + l, kEnd,
+               l == dst ? reduce_cost(2 * bytes) : 0);
+      }
+      for (int src = 0; src < g; ++src) {
+        if (src != dst) s.step(node[src], node[dst], chunk, kStart, kEnd);
+      }
+    }
+  }
+  s.step(0, 0, 0, kStart, kEnd, reduce_cost(2 * chunk));  // local copy
+  return s;
+}
+
+Schedule Communicator::a2av_schedule(
+    const std::vector<std::int64_t>& counts) const {
+  const int n = size();
+  auto bytes = [&](int src, int dst) {
+    return elems_to_bytes(counts[src * n + dst]);
+  };
+  Schedule s;
+  for (int round = 1; round < n; ++round) {
+    for (int src = 0; src < n; ++src) {
+      const int dst = (src + round) % n;
+      if (bytes(src, dst) > 0) s.step(src, dst, bytes(src, dst), kStart, kEnd);
+    }
+  }
+  // Local segments are HBM copies.
+  for (int r = 0; r < n; ++r) {
+    s.step(r, r, 0, kStart, kEnd, reduce_cost(2 * bytes(r, r)));
+  }
+  return s;
 }
 
 sim::Co Communicator::all_reduce(std::int64_t n_elems, FloatBufs bufs,
                                  AllReduceAlgo algo) {
+  FCC_CHECK_MSG(n_elems >= 0,
+                "all_reduce: n_elems must be >= 0, got " << n_elems);
+  check_bufs("all_reduce: bufs", bufs, size(),
+             [n_elems](int) { return n_elems; });
+  FCC_CHECK_MSG(algo != AllReduceAlgo::kHierarchical || hierarchy_eligible(),
+                "all_reduce: algo kHierarchical" << ineligible(by_node_));
+  return all_reduce_co(n_elems, std::move(bufs), algo);
+}
+
+sim::Co Communicator::all_reduce_co(std::int64_t n_elems, FloatBufs bufs,
+                                    AllReduceAlgo algo) {
   const int n = size();
-  FCC_CHECK(n_elems >= 0);
   if (n == 1 || n_elems == 0) {
     last_duration_ = 0;
     co_return;
@@ -275,269 +410,103 @@ sim::Co Communicator::all_reduce(std::int64_t n_elems, FloatBufs bufs,
   // Functional result: elementwise sum across ranks, written to every rank
   // (algorithm-independent).
   if (bufs.functional()) {
-    FCC_CHECK(static_cast<int>(bufs.per_rank.size()) == n);
     std::vector<float> sum(static_cast<std::size_t>(n_elems), 0.0f);
     for (int r = 0; r < n; ++r) {
-      auto src = bufs.rank(r);
-      FCC_CHECK(src.size() >= static_cast<std::size_t>(n_elems));
-      for (std::int64_t i = 0; i < n_elems; ++i) {
-        sum[static_cast<std::size_t>(i)] += src[static_cast<std::size_t>(i)];
-      }
+      std::transform(sum.begin(), sum.end(), bufs.rank(r).begin(),
+                     sum.begin(), std::plus<>());
     }
     for (int r = 0; r < n; ++r) {
-      auto dst = bufs.rank(r);
-      std::copy(sum.begin(), sum.end(), dst.begin());
+      std::copy(sum.begin(), sum.end(), bufs.rank(r).begin());
     }
   }
 
   if (algo == AllReduceAlgo::kAuto) algo = select_allreduce();
-  const TimeNs end = co_await SweepAwaiter(
-      machine_, t0, [this, n_elems, algo](TimeNs t) {
-        switch (algo) {
-          case AllReduceAlgo::kTwoPhaseDirect:
-            return flat_direct_time(n_elems, t);
-          case AllReduceAlgo::kRing:
-            return flat_ring_time(n_elems, t);
-          case AllReduceAlgo::kHierarchical:
-            return hierarchical_allreduce_time(n_elems, t);
-          case AllReduceAlgo::kAuto:
-            break;  // unreachable: resolved above
-        }
-        return t;
-      });
-
-  last_duration_ = end - t0 + kSwOverheadNs;
+  Builder build = &Communicator::direct_schedule;
+  if (algo == AllReduceAlgo::kRing) build = &Communicator::ring_schedule;
+  if (algo == AllReduceAlgo::kHierarchical) {
+    build = &Communicator::hierarchical_schedule;
+  }
+  const TimeNs end = co_await SweepAwaiter(*this, t0, memo(build, n_elems));
   co_await sim::delay_until(machine_.engine(), end);
-}
-
-TimeNs Communicator::pairwise_a2a_time(std::int64_t chunk_elems, TimeNs t0) {
-  const int n = size();
-  const Bytes chunk_bytes = elems_to_bytes(chunk_elems);
-  // Pairwise exchange in balanced rounds: round r pairs every source s
-  // with destination (s + r) % n, so each round touches disjoint
-  // egress/ingress ports and rounds pipeline back-to-back (the schedule
-  // RCCL's pairwise All-to-All uses).
-  TimeNs end = t0;
-  for (int round = 1; round < n; ++round) {
-    for (int s = 0; s < n; ++s) {
-      const int d = (s + round) % n;
-      end = std::max(end, machine_.remote_write_time(pe(s), pe(d),
-                                                     chunk_bytes, t0));
-    }
-  }
-  return std::max(end, t0 + reduce_cost(2 * chunk_bytes));  // local copy
-}
-
-TimeNs Communicator::node_aggregate_a2a_time(std::int64_t chunk_elems,
-                                             TimeNs t0) {
-  const NodeGroups& groups = groups_;
-  FCC_CHECK_MSG(hierarchy_eligible(),
-                "node-aggregated All-to-All needs >1 node with equal, >1 "
-                "member counts; use the pairwise schedule for this span");
-  const int g = static_cast<int>(groups.by_node.front().size());
-  const int nodes = static_cast<int>(groups.by_node.size());
-  const Bytes chunk_bytes = elems_to_bytes(chunk_elems);
-  // Remote node r (as seen from any node) is aggregated by local member
-  // r % g: that member gathers the node's traffic for r, ships it as ONE
-  // NIC message of g*g chunks, and the peer aggregator scatters it. The
-  // NIC still carries every byte, but descriptor-processor serialization
-  // drops from g*g messages per node pair to one, and the gather/scatter
-  // legs ride the fast intra-node fabric.
-  auto owner = [&](int remote_node) { return remote_node % g; };
-
-  // Phase 1 — intra-node gather: member s sends to aggregator l the chunks
-  // bound for every node l owns (g destination GPUs per owned node).
-  std::vector<std::vector<TimeNs>> gathered(
-      static_cast<std::size_t>(nodes),
-      std::vector<TimeNs>(static_cast<std::size_t>(g), t0));
-  std::vector<std::int64_t> owned(static_cast<std::size_t>(g), 0);
-  for (int k = 0; k < nodes; ++k) {
-    const auto& node = groups.by_node[static_cast<std::size_t>(k)];
-    std::fill(owned.begin(), owned.end(), 0);
-    for (int r = 0; r < nodes; ++r) {
-      if (r != k) ++owned[static_cast<std::size_t>(owner(r))];
-    }
-    for (int l = 0; l < g; ++l) {
-      const Bytes gather_bytes =
-          owned[static_cast<std::size_t>(l)] * g * chunk_bytes;
-      TimeNs arrive = t0;
-      for (int s = 0; s < g; ++s) {
-        if (s == l || gather_bytes == 0) continue;
-        arrive = std::max(
-            arrive, machine_.remote_write_time(
-                        pe(node[static_cast<std::size_t>(s)]),
-                        pe(node[static_cast<std::size_t>(l)]), gather_bytes,
-                        t0));
-      }
-      gathered[static_cast<std::size_t>(k)][static_cast<std::size_t>(l)] =
-          arrive;
-    }
-  }
-
-  // Phase 2 — inter-node: one aggregated message of g*g chunks per
-  // ordered node pair, aggregator to aggregator.
-  const Bytes pair_bytes = static_cast<Bytes>(g) * g * chunk_bytes;
-  std::vector<std::vector<TimeNs>> landed(
-      static_cast<std::size_t>(nodes),
-      std::vector<TimeNs>(static_cast<std::size_t>(g), t0));
-  for (int k = 0; k < nodes; ++k) {
-    for (int r = 0; r < nodes; ++r) {
-      if (r == k) continue;
-      const int src_rank =
-          groups.by_node[static_cast<std::size_t>(k)]
-                        [static_cast<std::size_t>(owner(r))];
-      const int dst_rank =
-          groups.by_node[static_cast<std::size_t>(r)]
-                        [static_cast<std::size_t>(owner(k))];
-      const TimeNs d = machine_.remote_write_time(
-          pe(src_rank), pe(dst_rank), pair_bytes,
-          gathered[static_cast<std::size_t>(k)]
-                  [static_cast<std::size_t>(owner(r))]);
-      auto& cell = landed[static_cast<std::size_t>(r)]
-                         [static_cast<std::size_t>(owner(k))];
-      cell = std::max(cell, d);
-    }
-  }
-
-  // Phase 3 — intra-node scatter of the received aggregates, plus the
-  // node-local pairwise exchange that never left the fabric.
-  TimeNs end = t0;
-  for (int r = 0; r < nodes; ++r) {
-    const auto& node = groups.by_node[static_cast<std::size_t>(r)];
-    std::fill(owned.begin(), owned.end(), 0);
-    for (int k = 0; k < nodes; ++k) {
-      if (k != r) ++owned[static_cast<std::size_t>(owner(k))];
-    }
-    for (int dst = 0; dst < g; ++dst) {
-      TimeNs done = t0;
-      for (int l = 0; l < g; ++l) {
-        const Bytes scatter_bytes =
-            owned[static_cast<std::size_t>(l)] * g * chunk_bytes;
-        if (scatter_bytes == 0) continue;
-        const TimeNs ready = landed[static_cast<std::size_t>(r)]
-                                   [static_cast<std::size_t>(l)];
-        done = std::max(
-            done, l == dst ? ready + reduce_cost(2 * scatter_bytes)
-                           : machine_.remote_write_time(
-                                 pe(node[static_cast<std::size_t>(l)]),
-                                 pe(node[static_cast<std::size_t>(dst)]),
-                                 scatter_bytes, ready));
-      }
-      // Node-local chunks: direct intra-node exchange.
-      for (int s = 0; s < g; ++s) {
-        if (s == dst) continue;
-        done = std::max(done, machine_.remote_write_time(
-                                  pe(node[static_cast<std::size_t>(s)]),
-                                  pe(node[static_cast<std::size_t>(dst)]),
-                                  chunk_bytes, t0));
-      }
-      done = std::max(done, t0 + reduce_cost(2 * chunk_bytes));
-      end = std::max(end, done);
-    }
-  }
-  return end;
 }
 
 sim::Co Communicator::all_to_all(std::int64_t chunk_elems, FloatBufs send,
                                  FloatBufs recv, AllToAllAlgo algo) {
+  FCC_CHECK_MSG(chunk_elems >= 0,
+                "all_to_all: chunk_elems must be >= 0, got " << chunk_elems);
+  if (send.functional()) {
+    FCC_CHECK_MSG(recv.functional(), "all_to_all: recv must be functional "
+                                     "when send is, got an empty recv");
+    const auto need = [&](int) { return size() * chunk_elems; };
+    check_bufs("all_to_all: send", send, size(), need);
+    check_bufs("all_to_all: recv", recv, size(), need);
+  }
+  FCC_CHECK_MSG(algo != AllToAllAlgo::kNodeAggregate || hierarchy_eligible(),
+                "all_to_all: algo kNodeAggregate" << ineligible(by_node_));
+  return all_to_all_co(chunk_elems, nullptr, std::move(send), std::move(recv),
+                       algo);
+}
+
+sim::Co Communicator::all_to_all_co(std::int64_t chunk_elems,
+                                    const std::vector<std::int64_t>* counts,
+                                    FloatBufs send, FloatBufs recv,
+                                    AllToAllAlgo algo) {
   co_await sim::delay(machine_.engine(), kSwOverheadNs);
   const TimeNs t0 = machine_.engine().now();
   const int n = size();
 
+  // Segments: send side destination-major, recv side source-major; each
+  // chunk_elems long unless `counts` is the traffic matrix.
   if (send.functional()) {
-    FCC_CHECK(recv.functional());
-    FCC_CHECK(static_cast<int>(send.per_rank.size()) == n);
-    FCC_CHECK(static_cast<int>(recv.per_rank.size()) == n);
-    const std::size_t total =
-        static_cast<std::size_t>(n) * static_cast<std::size_t>(chunk_elems);
-    for (int r = 0; r < n; ++r) {
-      FCC_CHECK(send.rank(r).size() >= total);
-      FCC_CHECK(recv.rank(r).size() >= total);
-    }
+    std::vector<std::int64_t> recv_off(static_cast<std::size_t>(n), 0);
     for (int s = 0; s < n; ++s) {
+      auto src = send.rank(s).begin();
       for (int d = 0; d < n; ++d) {
-        auto src = send.rank(s);
-        auto dst = recv.rank(d);
-        for (std::int64_t i = 0; i < chunk_elems; ++i) {
-          dst[static_cast<std::size_t>(s * chunk_elems + i)] =
-              src[static_cast<std::size_t>(d * chunk_elems + i)];
-        }
+        const std::int64_t c = counts ? (*counts)[s * n + d] : chunk_elems;
+        std::copy(src, src + c, recv.rank(d).begin() + recv_off[d]);
+        src += c;
+        recv_off[d] += c;
       }
     }
   }
 
   if (algo == AllToAllAlgo::kAuto) algo = select_a2a();
-  const TimeNs end = co_await SweepAwaiter(
-      machine_, t0, [this, chunk_elems, algo](TimeNs t) {
-        return algo == AllToAllAlgo::kNodeAggregate
-                   ? node_aggregate_a2a_time(chunk_elems, t)
-                   : pairwise_a2a_time(chunk_elems, t);
-      });
-  last_duration_ = end - t0 + kSwOverheadNs;
+  // A named local: GCC 12 destroys a conditional's class temporary twice
+  // inside a co_await operand.
+  auto schedule =
+      counts ? std::make_shared<const Schedule>(a2av_schedule(*counts))
+             : memo(algo == AllToAllAlgo::kNodeAggregate
+                        ? &Communicator::node_aggregate_schedule
+                        : &Communicator::pairwise_schedule,
+                    chunk_elems);
+  const TimeNs end = co_await SweepAwaiter(*this, t0, std::move(schedule));
   co_await sim::delay_until(machine_.engine(), end);
 }
 
 sim::Co Communicator::all_to_all_v(const std::vector<std::int64_t>& counts,
                                    FloatBufs send, FloatBufs recv) {
   const int n = size();
-  FCC_CHECK(static_cast<int>(counts.size()) == n * n);
-  co_await sim::delay(machine_.engine(), kSwOverheadNs);
-  const TimeNs t0 = machine_.engine().now();
-
-  auto count = [&](int src, int dst) {
-    return counts[static_cast<std::size_t>(src * n + dst)];
-  };
-  // Segment offsets: send side destination-major, recv side source-major.
-  auto send_offset = [&](int src, int dst) {
-    std::int64_t off = 0;
-    for (int d = 0; d < dst; ++d) off += count(src, d);
-    return off;
-  };
-  auto recv_offset = [&](int dst, int src) {
-    std::int64_t off = 0;
-    for (int s = 0; s < src; ++s) off += count(s, dst);
-    return off;
-  };
-
-  if (send.functional()) {
-    FCC_CHECK(recv.functional());
-    for (int s = 0; s < n; ++s) {
-      for (int d = 0; d < n; ++d) {
-        auto src = send.rank(s);
-        auto dst = recv.rank(d);
-        const std::int64_t c = count(s, d);
-        const std::int64_t so = send_offset(s, d);
-        const std::int64_t ro = recv_offset(d, s);
-        FCC_CHECK(static_cast<std::int64_t>(src.size()) >= so + c);
-        FCC_CHECK(static_cast<std::int64_t>(dst.size()) >= ro + c);
-        for (std::int64_t i = 0; i < c; ++i) {
-          dst[static_cast<std::size_t>(ro + i)] =
-              src[static_cast<std::size_t>(so + i)];
-        }
-      }
-    }
+  FCC_CHECK_MSG(static_cast<int>(counts.size()) == n * n,
+                "all_to_all_v: counts.size() must be " << n * n << ", got "
+                                                       << counts.size());
+  // What each rank sends (its row) and receives (its column).
+  std::vector<std::int64_t> sent(static_cast<std::size_t>(n), 0);
+  std::vector<std::int64_t> received(static_cast<std::size_t>(n), 0);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    FCC_CHECK_MSG(counts[i] >= 0, "all_to_all_v: counts[" << i
+                                      << "] must be >= 0, got " << counts[i]);
+    sent[i / n] += counts[i];
+    received[i % n] += counts[i];
   }
-
-  const TimeNs end = co_await SweepAwaiter(
-      machine_, t0, [this, n, &count](TimeNs t) {
-        TimeNs e = t;
-        for (int round = 1; round < n; ++round) {
-          for (int s = 0; s < n; ++s) {
-            const int d = (s + round) % n;
-            const Bytes bytes = count(s, d) * 4;
-            if (bytes == 0) continue;
-            e = std::max(e,
-                         machine_.remote_write_time(pe(s), pe(d), bytes, t));
-          }
-        }
-        // Local segments are HBM copies.
-        for (int r = 0; r < n; ++r) {
-          e = std::max(e, t + reduce_cost(2 * count(r, r) * 4));
-        }
-        return e;
-      });
-  last_duration_ = end - t0 + kSwOverheadNs;
-  co_await sim::delay_until(machine_.engine(), end);
+  if (send.functional()) {
+    FCC_CHECK_MSG(recv.functional(), "all_to_all_v: recv must be functional "
+                                     "when send is, got an empty recv");
+    check_bufs("all_to_all_v: send", send, n, [&](int r) { return sent[r]; });
+    check_bufs("all_to_all_v: recv", recv, n,
+               [&](int r) { return received[r]; });
+  }
+  return all_to_all_co(0, &counts, std::move(send), std::move(recv),
+                       AllToAllAlgo::kPairwise);
 }
 
 }  // namespace fcc::ccl

@@ -10,6 +10,11 @@
 // Stream (exactly where the real RCCL pays them); the collectives here model
 // data movement.
 //
+// Every algorithm is a Schedule builder: it lists the collective's transfers
+// as steps over time registers, and one interpreter (`run`) reserves them on
+// the machine's links in list order. A new algorithm is a new builder, with
+// no timing code of its own.
+//
 // Hierarchy awareness: AllReduce and All-to-All default to kAuto, which
 // inspects the machine topology. A communicator spanning several nodes with
 // several members per node stages through the node boundary — intra-node
@@ -20,10 +25,13 @@
 // unchanged, and the flat variants stay available as explicit opt-ins.
 //
 // Functional mode: pass per-rank float spans; values are verified against
-// references in tests. Timing-only mode: pass empty FloatBufs.
+// references in tests. Timing-only mode: pass empty FloatBufs. The
+// functional result is algorithm-independent; schedules carry timing only.
+// Argument errors throw std::logic_error from the call itself.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,6 +55,9 @@ enum class AllToAllAlgo {
   kPairwise,      // balanced pairwise rounds (RCCL's flat schedule)
   kNodeAggregate, // gather per-node traffic, one NIC message per node pair
 };
+
+/// A collective's timing as data, built per algorithm (communicator.cc).
+struct Schedule;
 
 /// Per-rank float buffers; empty vector means timing-only.
 struct FloatBufs {
@@ -111,7 +122,7 @@ class Communicator {
   /// True when the span's shape admits the hierarchical algorithms at all
   /// (several nodes, uniform, several members each) — health aside. Forcing
   /// kHierarchical or kNodeAggregate on an ineligible span is an error.
-  bool hierarchy_eligible() const;
+  bool hierarchy_eligible() const { return eligible_; }
 
   /// Wall-to-wall time of the last completed collective (simulated ns).
   TimeNs last_duration() const { return last_duration_; }
@@ -125,22 +136,32 @@ class Communicator {
   /// Time to reduce `bytes` through HBM at device-aggregate bandwidth.
   TimeNs reduce_cost(Bytes bytes) const;
 
-  /// Member rank indices grouped by node, in member order. `uniform` means
-  /// every node contributes the same number of members — the layout the
-  /// hierarchical algorithms require. Computed once at construction
-  /// (membership is immutable).
-  struct NodeGroups {
-    std::vector<std::vector<int>> by_node;  // only nodes with members
-    bool uniform = false;
-  };
+  class SweepAwaiter;
+  using Builder = Schedule (Communicator::*)(std::int64_t) const;
 
-  /// Timing-only bodies of the AllReduce algorithms; the functional sum is
-  /// algorithm-independent and handled by the caller.
-  TimeNs flat_direct_time(std::int64_t n_elems, TimeNs t0);
-  TimeNs flat_ring_time(std::int64_t n_elems, TimeNs t0);
-  TimeNs hierarchical_allreduce_time(std::int64_t n_elems, TimeNs t0);
-  TimeNs pairwise_a2a_time(std::int64_t chunk_elems, TimeNs t0);
-  TimeNs node_aggregate_a2a_time(std::int64_t chunk_elems, TimeNs t0);
+  /// The collectives' coroutines; the public entry points validate their
+  /// arguments, then return one of these frames. The All-to-All moves
+  /// chunk_elems per rank pair, or `*counts` when given (all_to_all_v).
+  sim::Co all_reduce_co(std::int64_t n_elems, FloatBufs bufs,
+                        AllReduceAlgo algo);
+  sim::Co all_to_all_co(std::int64_t chunk_elems,
+                        const std::vector<std::int64_t>* counts,
+                        FloatBufs send, FloatBufs recv, AllToAllAlgo algo);
+
+  /// Schedule builders, one per algorithm.
+  Schedule direct_schedule(std::int64_t n_elems) const;
+  Schedule ring_schedule(std::int64_t n_elems) const;
+  Schedule hierarchical_schedule(std::int64_t n_elems) const;
+  Schedule pairwise_schedule(std::int64_t chunk_elems) const;
+  Schedule node_aggregate_schedule(std::int64_t chunk_elems) const;
+  Schedule a2av_schedule(const std::vector<std::int64_t>& counts) const;
+
+  /// `build`'s schedule for `size`, rebuilt unless it was the last built.
+  std::shared_ptr<const Schedule> memo(Builder build, std::int64_t size);
+
+  /// The interpreter: reserves `s`'s transfers in order from t0 and returns
+  /// the collective's end. The only link-reserving code in the library.
+  TimeNs run(const Schedule& s, TimeNs t0);
 
   /// Unhealthy components in the span's reach, cached per fault epoch so
   /// steady-state selection on a stable fabric costs one counter compare.
@@ -148,10 +169,16 @@ class Communicator {
 
   gpu::Machine& machine_;
   std::vector<PeId> members_;
-  NodeGroups groups_;
+  /// Member rank indices grouped by node, in member order; only nodes with
+  /// members (membership is immutable).
+  std::vector<std::vector<int>> by_node_;
+  bool eligible_ = false;
   TimeNs last_duration_ = 0;
   std::vector<std::string> avoided_;
   std::uint64_t avoided_epoch_ = ~std::uint64_t{0};
+  Builder memo_build_ = nullptr;
+  std::int64_t memo_size_ = -1;
+  std::shared_ptr<const Schedule> memo_;
 };
 
 }  // namespace fcc::ccl

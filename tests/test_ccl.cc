@@ -1,6 +1,8 @@
 // Baseline collectives: functional correctness + timing sanity.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -157,24 +159,117 @@ TEST(AllToAll, InterNodeRidesNic) {
   EXPECT_GT(m.nic(0).messages(), 0);
 }
 
-// Every recv rank must hold N chunks, like every send rank. The check fires
-// inside the collective's coroutine, where an escaping exception ends the
-// process (the engine's policy), so this is a death test on its message.
+/// Expects `call` to throw std::logic_error whose message contains `what`.
+/// Argument errors throw from the collective call itself, before any
+/// coroutine frame exists, so they are catchable at the call site.
+template <typename F>
+void expect_error(F&& call, const std::string& what) {
+  EXPECT_THROW(
+      try {
+        sim::Co never_started = call();
+      } catch (const std::logic_error& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+        throw;
+      },
+      std::logic_error)
+      << what;
+}
+
+// Every recv rank must hold N chunks, like every send rank.
 TEST(AllToAll, UndersizedRecvBufferFailsTheCheck) {
-  const auto run = [] {
-    gpu::Machine m(four_gpus());
-    Communicator comm(m, all_pes(m));
-    const std::int64_t chunk = 8;
-    std::vector<std::vector<float>> send(4, std::vector<float>(4 * chunk));
-    std::vector<std::vector<float>> recv(4, std::vector<float>(4 * chunk));
-    recv[3] = std::vector<float>(3 * chunk);  // one chunk short, exactly
-    TimeNs done = 0;
-    run_all_to_all(m.engine(), comm, chunk, make_bufs(send), make_bufs(recv),
-                   done);
-    m.engine().run();
-  };
-  EXPECT_DEATH(run(), "logic_error(.|\n)*check failed: "
-                      "recv\\.rank\\(r\\)\\.size\\(\\) >= total");
+  gpu::Machine m(four_gpus());
+  Communicator comm(m, all_pes(m));
+  const std::int64_t chunk = 8;
+  std::vector<std::vector<float>> send(4, std::vector<float>(4 * chunk));
+  std::vector<std::vector<float>> recv(4, std::vector<float>(4 * chunk));
+  recv[3] = std::vector<float>(3 * chunk);  // one chunk short, exactly
+  expect_error(
+      [&] { return comm.all_to_all(chunk, make_bufs(send), make_bufs(recv)); },
+      "all_to_all: recv.rank(3).size() must be >= 32, got 24");
+}
+
+TEST(ArgumentErrors, NegativeSizesNameTheArgument) {
+  gpu::Machine m(four_gpus());
+  Communicator comm(m, all_pes(m));
+  expect_error([&] { return comm.all_reduce(-1, FloatBufs{}); },
+               "all_reduce: n_elems must be >= 0, got -1");
+  expect_error([&] { return comm.all_to_all(-8, FloatBufs{}, FloatBufs{}); },
+               "all_to_all: chunk_elems must be >= 0, got -8");
+}
+
+TEST(ArgumentErrors, MalformedCountsNameTheEntry) {
+  gpu::Machine m(four_gpus());
+  Communicator comm(m, all_pes(m));
+  const std::vector<std::int64_t> short_counts(15, 1);
+  expect_error(
+      [&] { return comm.all_to_all_v(short_counts, FloatBufs{}, FloatBufs{}); },
+      "all_to_all_v: counts.size() must be 16, got 15");
+  std::vector<std::int64_t> counts(16, 2);
+  counts[5] = -3;
+  expect_error(
+      [&] { return comm.all_to_all_v(counts, FloatBufs{}, FloatBufs{}); },
+      "all_to_all_v: counts[5] must be >= 0, got -3");
+}
+
+TEST(ArgumentErrors, BufferShapesAreChecked) {
+  gpu::Machine m(four_gpus());
+  Communicator comm(m, all_pes(m));
+  std::vector<std::vector<float>> three(3, std::vector<float>(64));
+  expect_error([&] { return comm.all_reduce(64, make_bufs(three)); },
+               "all_reduce: bufs.per_rank.size() must be 4, got 3");
+  std::vector<std::vector<float>> four(4, std::vector<float>(64));
+  four[2].resize(63);
+  expect_error([&] { return comm.all_reduce(64, make_bufs(four)); },
+               "all_reduce: bufs.rank(2).size() must be >= 64, got 63");
+  std::vector<std::vector<float>> send(4, std::vector<float>(4 * 8));
+  expect_error([&] { return comm.all_to_all(8, make_bufs(send), FloatBufs{}); },
+               "all_to_all: recv must be functional when send is");
+
+  // all_to_all_v: rank s sends its row's total, rank d receives its
+  // column's; counts[s * 4 + d] = s here, so rank 3 sends 12 and every
+  // rank receives 0 + 1 + 2 + 3 = 6.
+  std::vector<std::int64_t> counts;
+  for (int s = 0; s < 4; ++s) counts.insert(counts.end(), 4, s);
+  std::vector<std::vector<float>> vsend(4), vrecv(4, std::vector<float>(6));
+  for (int s = 0; s < 4; ++s) vsend[s].resize(static_cast<std::size_t>(4 * s));
+  vsend[3].resize(11);
+  expect_error(
+      [&] {
+        return comm.all_to_all_v(counts, make_bufs(vsend), make_bufs(vrecv));
+      },
+      "all_to_all_v: send.rank(3).size() must be >= 12, got 11");
+  vsend[3].resize(12);
+  vrecv[1].resize(5);
+  expect_error(
+      [&] {
+        return comm.all_to_all_v(counts, make_bufs(vsend), make_bufs(vrecv));
+      },
+      "all_to_all_v: recv.rank(1).size() must be >= 6, got 5");
+}
+
+TEST(ArgumentErrors, ForcedHierarchyNeedsAnEligibleSpan) {
+  gpu::Machine m(four_gpus());  // one node
+  Communicator comm(m, all_pes(m));
+  expect_error(
+      [&] {
+        return comm.all_reduce(64, FloatBufs{}, AllReduceAlgo::kHierarchical);
+      },
+      "all_reduce: algo kHierarchical needs >1 node with equal, >1 member "
+      "counts, got members per node [4]");
+
+  gpu::Machine::Config c;
+  c.num_nodes = 2;
+  c.gpus_per_node = 4;
+  gpu::Machine m2(c);
+  Communicator uneven(m2, {0, 1, 2, 5});
+  expect_error(
+      [&] {
+        return uneven.all_to_all(8, FloatBufs{}, FloatBufs{},
+                                 AllToAllAlgo::kNodeAggregate);
+      },
+      "all_to_all: algo kNodeAggregate needs >1 node with equal, >1 member "
+      "counts, got members per node [3, 1]");
 }
 
 TEST(AllReduce, TwoPhaseScalesWithMessageSize) {

@@ -7,7 +7,9 @@
 //   * collectives preserve their algebraic definitions for any size/world
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -228,19 +230,63 @@ INSTANTIATE_TEST_SUITE_P(
     gemm_param_name);
 
 // ---------------------------------------------------------------------------
-// Collectives: AllReduce == elementwise sum for any (world, size, algo)
+// Collectives: AllReduce == elementwise sum and All-to-All == the chunk
+// permutation, for any (machine shape, size, algo)
 // ---------------------------------------------------------------------------
 
-using CclParam = std::tuple<int, int, ccl::AllReduceAlgo>;
+using Shape = std::pair<int, int>;  // (nodes, gpus per node)
 
-std::string ccl_param_name(const ::testing::TestParamInfo<CclParam>& info) {
-  return "p" + std::to_string(std::get<0>(info.param)) + "n" +
-         std::to_string(std::get<1>(info.param)) +
-         (std::get<2>(info.param) == ccl::AllReduceAlgo::kRing ? "ring"
-                                                               : "direct");
+const auto kShapes = ::testing::Values(Shape{1, 2}, Shape{1, 3}, Shape{1, 4},
+                                       Shape{1, 8}, Shape{2, 2}, Shape{2, 4});
+
+std::string shape_name(Shape shape) {
+  return "n" + std::to_string(shape.first) + "g" +
+         std::to_string(shape.second);
 }
 
-class AllReduceSweep : public ::testing::TestWithParam<CclParam> {};
+std::string algo_name(ccl::AllReduceAlgo algo) {
+  switch (algo) {
+    case ccl::AllReduceAlgo::kAuto:
+      return "auto";
+    case ccl::AllReduceAlgo::kTwoPhaseDirect:
+      return "direct";
+    case ccl::AllReduceAlgo::kRing:
+      return "ring";
+    case ccl::AllReduceAlgo::kHierarchical:
+      return "hier";
+  }
+  return "unknown";
+}
+
+std::string algo_name(ccl::AllToAllAlgo algo) {
+  switch (algo) {
+    case ccl::AllToAllAlgo::kAuto:
+      return "auto";
+    case ccl::AllToAllAlgo::kPairwise:
+      return "pairwise";
+    case ccl::AllToAllAlgo::kNodeAggregate:
+      return "nodeagg";
+  }
+  return "unknown";
+}
+
+/// Every PE of `machine`, as a communicator's member list.
+std::vector<PeId> every_pe(const gpu::Machine& machine) {
+  std::vector<PeId> members;
+  for (PeId pe = 0; pe < machine.num_pes(); ++pe) members.push_back(pe);
+  return members;
+}
+
+template <typename Param>
+std::string ccl_param_name(const ::testing::TestParamInfo<Param>& info) {
+  return shape_name(std::get<0>(info.param)) + "e" +
+         std::to_string(std::get<1>(info.param)) +
+         algo_name(std::get<2>(info.param));
+}
+
+using AllReduceParam = std::tuple<Shape, int, ccl::AllReduceAlgo>;
+
+class AllReduceSweep : public ::testing::TestWithParam<AllReduceParam> {};
 
 sim::Task drive_all_reduce(sim::Engine&, ccl::Communicator& comm,
                            std::int64_t n, ccl::FloatBufs bufs,
@@ -250,11 +296,13 @@ sim::Task drive_all_reduce(sim::Engine&, ccl::Communicator& comm,
 }
 
 TEST_P(AllReduceSweep, EqualsElementwiseSum) {
-  const auto [pes, n_elems, algo] = GetParam();
-  gpu::Machine machine(machine_config(1, pes));
-  std::vector<PeId> members;
-  for (int i = 0; i < pes; ++i) members.push_back(i);
-  ccl::Communicator comm(machine, members);
+  const auto [shape, n_elems, algo] = GetParam();
+  gpu::Machine machine(machine_config(shape.first, shape.second));
+  ccl::Communicator comm(machine, every_pe(machine));
+  if (algo == ccl::AllReduceAlgo::kHierarchical && !comm.hierarchy_eligible()) {
+    GTEST_SKIP() << "hierarchical needs several nodes of several GPUs";
+  }
+  const int pes = comm.size();
 
   Rng rng(static_cast<std::uint64_t>(pes * 1000 + n_elems));
   std::vector<std::vector<float>> data(static_cast<std::size_t>(pes));
@@ -286,11 +334,75 @@ TEST_P(AllReduceSweep, EqualsElementwiseSum) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, AllReduceSweep,
-    ::testing::Combine(::testing::Values(2, 3, 4, 8),   // world size
+    ::testing::Combine(kShapes,
                        ::testing::Values(1, 7, 64, 1000),  // elems
                        ::testing::Values(ccl::AllReduceAlgo::kTwoPhaseDirect,
-                                         ccl::AllReduceAlgo::kRing)),
-    ccl_param_name);
+                                         ccl::AllReduceAlgo::kRing,
+                                         ccl::AllReduceAlgo::kHierarchical,
+                                         ccl::AllReduceAlgo::kAuto)),
+    ccl_param_name<AllReduceParam>);
+
+using AllToAllParam = std::tuple<Shape, int, ccl::AllToAllAlgo>;
+
+class AllToAllSweep : public ::testing::TestWithParam<AllToAllParam> {};
+
+sim::Task drive_all_to_all(sim::Engine&, ccl::Communicator& comm,
+                           std::int64_t chunk, ccl::FloatBufs send,
+                           ccl::FloatBufs recv, ccl::AllToAllAlgo algo,
+                           bool& done) {
+  co_await comm.all_to_all(chunk, std::move(send), std::move(recv), algo);
+  done = true;
+}
+
+TEST_P(AllToAllSweep, EqualsChunkPermutation) {
+  const auto [shape, chunk, algo] = GetParam();
+  gpu::Machine machine(machine_config(shape.first, shape.second));
+  ccl::Communicator comm(machine, every_pe(machine));
+  if (algo == ccl::AllToAllAlgo::kNodeAggregate && !comm.hierarchy_eligible()) {
+    GTEST_SKIP() << "node aggregation needs several nodes of several GPUs";
+  }
+  const int pes = comm.size();
+  const auto elems = static_cast<std::size_t>(pes * chunk);
+
+  Rng rng(static_cast<std::uint64_t>(pes * 1000 + chunk));
+  std::vector<std::vector<float>> send(static_cast<std::size_t>(pes));
+  std::vector<std::vector<float>> recv(static_cast<std::size_t>(pes),
+                                      std::vector<float>(elems, -1.0f));
+  for (auto& s : send) {
+    s.resize(elems);
+    for (auto& v : s) v = static_cast<float>(rng.next_double(-2, 2));
+  }
+  ccl::FloatBufs send_bufs, recv_bufs;
+  for (auto& s : send) send_bufs.per_rank.emplace_back(s);
+  for (auto& r : recv) recv_bufs.per_rank.emplace_back(r);
+  bool done = false;
+  drive_all_to_all(machine.engine(), comm, chunk, std::move(send_bufs),
+                   std::move(recv_bufs), algo, done);
+  machine.engine().run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(machine.engine().live_tasks(), 0);
+  // Reference: destination d's chunk s is source s's chunk d.
+  for (int d = 0; d < pes; ++d) {
+    for (int s = 0; s < pes; ++s) {
+      for (int i = 0; i < chunk; ++i) {
+        ASSERT_EQ(recv[static_cast<std::size_t>(d)]
+                      [static_cast<std::size_t>(s * chunk + i)],
+                  send[static_cast<std::size_t>(s)]
+                      [static_cast<std::size_t>(d * chunk + i)])
+            << "dst " << d << " src " << s << " i " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, AllToAllSweep,
+    ::testing::Combine(kShapes,
+                       ::testing::Values(1, 7, 64),  // chunk elems
+                       ::testing::Values(ccl::AllToAllAlgo::kPairwise,
+                                         ccl::AllToAllAlgo::kNodeAggregate,
+                                         ccl::AllToAllAlgo::kAuto)),
+    ccl_param_name<AllToAllParam>);
 
 // ---------------------------------------------------------------------------
 // Determinism across the embedding grid (timing-only, byte-equal repeats)

@@ -113,7 +113,9 @@ TEST(ServeChurn, ConcurrentSpawnChurnAcrossAllOperators) {
       ASSERT_EQ(durations, reference) << "iteration " << i;
     }
     if (i == 1) slab_watermark = engine.slab_nodes();
-    if (i > 1) ASSERT_EQ(engine.slab_nodes(), slab_watermark);
+    if (i > 1) {
+      ASSERT_EQ(engine.slab_nodes(), slab_watermark);
+    }
   }
 }
 

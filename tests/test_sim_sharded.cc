@@ -84,7 +84,9 @@ TEST(ShardedEngine, BarrierHooksRunInRegistrationOrderAndMayPost) {
   // Every barrier logs {1, 2}; the posted message fires between barriers.
   ASSERT_GE(order.size(), 5u);
   for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-    if (order[i] == 1) EXPECT_EQ(order[i + 1], 2) << "hook order at " << i;
+    if (order[i] == 1) {
+      EXPECT_EQ(order[i + 1], 2) << "hook order at " << i;
+    }
   }
   EXPECT_EQ(std::count(order.begin(), order.end(), 99), 1);
   se.remove_barrier_hook(ha);

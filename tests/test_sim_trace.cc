@@ -51,7 +51,9 @@ TEST(Trace, ChromeJsonIsWellFormedish) {
   EXPECT_NE(s.find(R"("cat":"c\u0001t")"), std::string::npos);
   // No raw control character: only the record separators are newlines.
   for (const char c : s) {
-    if (c != '\n') EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+    }
   }
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "ccl/communicator.h"
+#include "fused/op_runtime.h"
 #include "gpu/machine.h"
 #include "sim/task.h"
 
@@ -89,6 +90,10 @@ std::vector<Fabric> fabrics() {
       {"torus2x2g1", shape(4, 1, K::kTorus2D), {}},
       {"torus2x2g2", shape(4, 2, K::kTorus2D), {}},
   };
+}
+
+std::vector<PeId> members(const Fabric& f, gpu::Machine& m) {
+  return f.members.empty() ? fused::all_pes(m) : f.members;
 }
 
 /// Ragged traffic matrix with empty segments (diagonal included).
@@ -162,12 +167,8 @@ Outcome run_case(const Fabric& f, int shards, bool overlap, Coll coll) {
   gpu::Machine::Config mc = f.config;
   mc.num_shards = shards;
   gpu::Machine m(mc);
-  std::vector<PeId> members = f.members;
-  if (members.empty()) {
-    for (PeId pe = 0; pe < m.num_pes(); ++pe) members.push_back(pe);
-  }
-  Communicator a(m, members);
-  Communicator b(m, members);
+  Communicator a(m, members(f, m));
+  Communicator b(m, members(f, m));
   const auto counts = a2av_counts(a.size());
   Outcome out;
   if (overlap) {
@@ -502,11 +503,8 @@ TEST(CclSchedule, EveryCollectiveMatchesGolden) {
   bool all_match = true;
   for (const Fabric& f : fabrics()) {
     gpu::Machine probe(f.config);
-    std::vector<PeId> members = f.members;
-    if (members.empty()) {
-      for (PeId pe = 0; pe < probe.num_pes(); ++pe) members.push_back(pe);
-    }
-    const bool eligible = Communicator(probe, members).hierarchy_eligible();
+    const bool eligible =
+        Communicator(probe, members(f, probe)).hierarchy_eligible();
     for (int shards : {1, 2, 4}) {
       if (shards > f.config.num_nodes) continue;
       for (bool overlap : {false, true}) {

@@ -16,6 +16,7 @@
 #include "fused/embedding_a2a.h"
 #include "fused/gemm_a2a.h"
 #include "fused/gemv_allreduce.h"
+#include "fused/op_runtime.h"
 #include "gpu/machine.h"
 #include "ops/gemm.h"
 #include "ops/gemv.h"
@@ -270,13 +271,6 @@ std::string algo_name(ccl::AllToAllAlgo algo) {
   return "unknown";
 }
 
-/// Every PE of `machine`, as a communicator's member list.
-std::vector<PeId> every_pe(const gpu::Machine& machine) {
-  std::vector<PeId> members;
-  for (PeId pe = 0; pe < machine.num_pes(); ++pe) members.push_back(pe);
-  return members;
-}
-
 template <typename Param>
 std::string ccl_param_name(const ::testing::TestParamInfo<Param>& info) {
   return shape_name(std::get<0>(info.param)) + "e" +
@@ -298,7 +292,7 @@ sim::Task drive_all_reduce(sim::Engine&, ccl::Communicator& comm,
 TEST_P(AllReduceSweep, EqualsElementwiseSum) {
   const auto [shape, n_elems, algo] = GetParam();
   gpu::Machine machine(machine_config(shape.first, shape.second));
-  ccl::Communicator comm(machine, every_pe(machine));
+  ccl::Communicator comm(machine, fused::all_pes(machine));
   if (algo == ccl::AllReduceAlgo::kHierarchical && !comm.hierarchy_eligible()) {
     GTEST_SKIP() << "hierarchical needs several nodes of several GPUs";
   }
@@ -357,7 +351,7 @@ sim::Task drive_all_to_all(sim::Engine&, ccl::Communicator& comm,
 TEST_P(AllToAllSweep, EqualsChunkPermutation) {
   const auto [shape, chunk, algo] = GetParam();
   gpu::Machine machine(machine_config(shape.first, shape.second));
-  ccl::Communicator comm(machine, every_pe(machine));
+  ccl::Communicator comm(machine, fused::all_pes(machine));
   if (algo == ccl::AllToAllAlgo::kNodeAggregate && !comm.hierarchy_eligible()) {
     GTEST_SKIP() << "node aggregation needs several nodes of several GPUs";
   }

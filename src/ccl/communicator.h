@@ -156,7 +156,8 @@ class Communicator {
   Schedule node_aggregate_schedule(std::int64_t chunk_elems) const;
   Schedule a2av_schedule(const std::vector<std::int64_t>& counts) const;
 
-  /// `build`'s schedule for `size`, rebuilt unless it was the last built.
+  /// `build`'s schedule for `size`, rebuilt unless it was the last built
+  /// (callers mostly repeat one collective; a build costs host time).
   std::shared_ptr<const Schedule> memo(Builder build, std::int64_t size);
 
   /// The interpreter: reserves `s`'s transfers in order from t0 and returns

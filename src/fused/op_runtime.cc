@@ -50,10 +50,12 @@ namespace {
 
 /// One per-PE body wrapper, spawned on the PE's home-shard engine: runs the
 /// body, marks the PE done, and arrives on the cross-shard join with its
-/// local completion time.
-sim::Task pe_task(sim::Engine& engine, std::function<sim::Co(PeId)> body,
-                  PeId pe, std::vector<std::uint8_t>& pe_done,
-                  sim::ShardJoin& join, int shard) {
+/// local completion time. `body` outlives the join (run_per_pe_at's frame
+/// holds it), so the frame keeps a reference.
+sim::Task pe_task(sim::Engine& engine,
+                  const std::function<sim::Co(PeId)>& body, PeId pe,
+                  std::vector<std::uint8_t>& pe_done, sim::ShardJoin& join,
+                  int shard) {
   co_await body(pe);
   pe_done[static_cast<std::size_t>(pe)] = 1;
   join.arrive(shard, engine.now());
@@ -80,8 +82,10 @@ sim::Co FusedOp::run_per_pe_at(TimeNs t_start, int num_pes,
   for (PeId pe = 0; pe < num_pes; ++pe) {
     const int shard = machine.shard_of(pe);
     sim::Engine& home = machine.engine_of(pe);
-    auto spawn = [this, &home, body, pe, shard] {
-      pe_task(home, body, pe, pe_done_, *join_, shard);
+    // `body` by pointer: it lives in this frame until the join, and the
+    // callback stays within the engine's inline buffer.
+    auto spawn = [this, &home, body = &body, pe, shard] {
+      pe_task(home, *body, pe, pe_done_, *join_, shard);
     };
     if (shard == 0) {
       // The driver's own shard: scheduled directly, preserving the serial

@@ -58,6 +58,8 @@ class FlagArray {
         n_(n),
         values_(per_pe_engines.size() * n, 0),
         heads_(per_pe_engines.size() * n, kNil) {
+    // wait_ge's awaiter holds a 32-bit flat index.
+    FCC_CHECK(values_.size() <= std::numeric_limits<std::uint32_t>::max());
     for (std::size_t p = 0; p < pools_.size(); ++p) {
       FCC_DCHECK(per_pe_engines[p] != nullptr);
       pools_[p].engine = per_pe_engines[p];
@@ -96,19 +98,21 @@ class FlagArray {
   /// Awaitable: suspends until flag[pe][i] >= v (shmem_wait_until analog).
   /// Already-satisfied waits do not suspend and cost no events.
   auto wait_ge(PeId pe, std::size_t i, std::uint64_t v) {
-    // Lives in the waiting slot's frame, so it carries no PE: enqueue
-    // derives it from the flat index.
+    // Lives in the waiting slot's frame, so it is 16 bytes and carries no
+    // PE: enqueue derives it from the flat index (the constructor keeps
+    // flat indices within 32 bits).
     struct Awaiter {
       FlagArray& fa;
-      std::size_t f;
-      std::uint64_t threshold;
+      std::uint32_t f;
+      std::uint32_t threshold;
       bool await_ready() const noexcept { return fa.values_[f] >= threshold; }
       void await_suspend(std::coroutine_handle<> h) {
         fa.enqueue(f, threshold, h);
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{*this, flat(pe, i), v};
+    return Awaiter{*this, static_cast<std::uint32_t>(flat(pe, i)),
+                   threshold32(v)};
   }
 
   /// Waiters currently suspended on flag[pe][i] (tests / diagnostics).
@@ -201,6 +205,15 @@ class FlagArray {
     std::uint32_t live = 0;            // nodes on some flag's list
     std::uint32_t seq = 0;             // next Node::order
   };
+
+  /// wait_ge's threshold, narrowed to the awaiter's 32 bits. A plain
+  /// function, so the check's message stream never enters a waiting
+  /// coroutine's frame.
+  static std::uint32_t threshold32(std::uint64_t v) {
+    FCC_CHECK_MSG(v <= std::numeric_limits<std::uint32_t>::max(),
+                  "wait_ge threshold " << v << " exceeds 32 bits");
+    return static_cast<std::uint32_t>(v);
+  }
 
   std::size_t flat(PeId pe, std::size_t i) const {
     FCC_DCHECK(pe >= 0 && pe < num_pes());

@@ -24,57 +24,43 @@ World::~World() {
 int World::outstanding(PeId src) const {
   const PeState& st = pe(src);
   const TimeNs now = machine_.engine_of(src).now();
-  return st.outstanding +
+  return st.unreplayed +
          static_cast<int>(std::count_if(st.deliveries.begin(),
                                         st.deliveries.end(),
                                         [now](TimeNs t) { return t > now; }));
 }
 
 void World::put(PeId src, PeId dst, Bytes bytes, std::function<void()> cb) {
-  ++pe(src).puts_issued;
+  PeState& st = pe(src);
+  ++st.puts_issued;
+  if (!cb) ++st.callback_free_puts;
   sim::Engine& home = machine_.engine_of(src);
   const TimeNs now = home.now();
-  if (machine_.is_sharded() &&
+  const int src_shard = machine_.shard_of(src);
+  if (machine_.defer_inter_node() &&
       machine_.route_class(src, dst) == hw::RouteClass::kInterNode) {
-    const int src_shard = machine_.shard_of(src);
-    if (machine_.defer_inter_node()) {
-      // Torus: the route's ring links belong to intermediate nodes, so the
-      // reservation itself must wait for the barrier's serial replay.
-      start_tracking(src);
-      deferred_[static_cast<std::size_t>(src_shard)].puts.push_back(
-          PendingPut{now, src, dst, bytes, std::move(cb)});
-      return;
-    }
-    // Source-local route state (src NIC / uplink / rail): reserve eagerly.
-    // Only this node's PUTs touch that state and the node lives on one
-    // shard, so the reservation order equals the serial engine's order.
-    const TimeNs delivery = machine_.remote_write_time(src, dst, bytes, now);
-    if (!cb) {
-      note_callback_free(src, now, delivery);
-      return;
-    }
-    start_tracking(src);
-    const int dst_shard = machine_.shard_of(dst);
-    if (dst_shard == src_shard) {
-      schedule_delivery(home, delivery, src, std::move(cb));
-    } else {
-      // Delivery applies on the destination's shard via the mailbox;
-      // tracking finishes at the same instant on the source's own shard.
-      machine_.sharded().post(src_shard, dst_shard, delivery, std::move(cb));
-      auto* self = this;
-      home.schedule_at(delivery, [self, src] { self->finish_tracking(src); });
-    }
+    // Torus: the route's ring links belong to intermediate nodes, so the
+    // reservation itself must wait for the barrier's serial replay.
+    ++st.unreplayed;
+    deferred_[static_cast<std::size_t>(src_shard)].puts.push_back(
+        PendingPut{now, src, dst, bytes, std::move(cb)});
     return;
   }
-  // Serial machine, or self/intra-node on a sharded one (node-aligned
-  // partition: src and dst share a shard) — the classic path, byte-for-byte.
+  // Serial machine, self/intra-node PUT (node-aligned partition: src and
+  // dst share a shard), or eager inter-node PUT whose route state (src NIC
+  // / uplink / rail) is source-node-local: only this node's PUTs touch that
+  // state and the node lives on one shard, so the reservation order equals
+  // the serial engine's order.
   const TimeNs delivery = machine_.remote_write_time(src, dst, bytes, now);
-  if (!cb) {
-    note_callback_free(src, now, delivery);
-    return;
+  note_delivery(src, now, delivery);
+  if (!cb) return;
+  const int dst_shard = machine_.shard_of(dst);
+  if (dst_shard == src_shard) {
+    home.schedule_at(delivery, std::move(cb));
+  } else {
+    // Applied on the destination's shard via the mailbox.
+    machine_.sharded().post(src_shard, dst_shard, delivery, std::move(cb));
   }
-  start_tracking(src);
-  schedule_delivery(home, delivery, src, std::move(cb));
 }
 
 void World::drain_deferred() {
@@ -108,23 +94,9 @@ void World::drain_deferred() {
         deferred_[static_cast<std::size_t>(tag.shard)].puts[tag.idx];
     const TimeNs delivery =
         machine_.remote_write_time(p.src, p.dst, p.bytes, p.t);
-    auto* self = this;
-    sim::Engine& src_engine = machine_.engine_of(p.src);
-    sim::Engine& dst_engine = machine_.engine_of(p.dst);
-    if (!p.cb) {
-      // Callback-free: now that its delivery time is known, the PUT moves
-      // from the event-backed count to the watermark.
-      note_callback_free(p.src, src_engine.now(), delivery);
-      finish_tracking(p.src);
-    } else if (&dst_engine == &src_engine) {
-      schedule_delivery(dst_engine, delivery, p.src, std::move(p.cb));
-    } else {
-      // Delivery lands on the destination's shard; tracking finishes at
-      // the same instant on the source's own shard.
-      dst_engine.schedule_at(delivery, std::move(p.cb));
-      src_engine.schedule_at(delivery,
-                             [self, src = p.src] { self->finish_tracking(src); });
-    }
+    note_delivery(p.src, machine_.engine_of(p.src).now(), delivery);
+    if (p.cb) machine_.engine_of(p.dst).schedule_at(delivery, std::move(p.cb));
+    finish_deferred(p.src);
   }
   for (DeferredShard& d : deferred_) d.puts.clear();
 }

@@ -18,20 +18,22 @@
 // matching the HDP flush + ordering semantics the paper relies on — and
 // `quiet()` waits for all of this PE's outstanding deliveries.
 //
-// Delivery tracking. A PUT with a delivery callback schedules one engine
-// event at its delivery time (callback, then the outstanding count drops).
-// A callback-free PUT — most data PUTs of timing-only runs — schedules
-// none: its delivery time is computed (and its links reserved) the same
-// way, then it only raises the source's delivery watermark. So
-// `quiet(src)` waits until the event-backed count is zero *and* the
-// watermark has passed, and `outstanding(src)` counts both the
-// event-backed PUTs and the callback-free ones whose delivery lies after
-// the source engine's now. On the deferred torus path (below) a
-// callback-free PUT's delivery time is known only at the barrier replay,
-// so it stays in the event-backed count until then.
+// Delivery tracking. A PUT completes, on the source's side, at its
+// delivery time: every PUT whose delivery time is known at post time raises
+// the source's delivery watermark and joins its delivery list, and nothing
+// is scheduled on the source's engine. A PUT with a delivery callback
+// schedules exactly one engine event, the bare callback, on the
+// destination's engine (through the mailbox when that is another shard); a
+// callback-free PUT — most data PUTs of timing-only runs — schedules none.
+// `quiet(src)` waits until the watermark has passed, and `outstanding(src)`
+// counts the PUTs in the delivery list that land after the source engine's
+// now. On the deferred torus path (below) the delivery time is known only
+// at the barrier replay, so such a PUT stays in the source's unreplayed
+// count until the replay moves it to the watermark; `quiet` first waits for
+// that count to reach zero.
 //
 // Sharded machines (gpu::Machine num_shards > 1) keep every piece of World
-// state shard-local: outstanding counters, delivery watermarks, drain
+// state shard-local: deferred counts, delivery watermarks and lists, drain
 // waiters, and per-PE put counters are only touched from the owning PE's
 // home shard (or by the serial barrier replay). Inter-node
 // PUTs follow one of two paths:
@@ -134,19 +136,18 @@ class World {
     return sim::delay(machine_.engine_of(src), kFenceCostNs);
   }
 
-  /// Blocks until every PUT issued by `src` has been delivered: the
-  /// event-backed count is zero and the delivery watermark has passed. The
-  /// wakeup is targeted: waiters are resumed only when the count hits zero,
-  /// at the watermark if that is later (the loop re-checks in case a
-  /// same-time event issued a new PUT between the wake and the resume).
-  /// Works across shards: a deferred or remote delivery finishes tracking
-  /// on `src`'s shard, so the counter, watermark and waiter list stay
-  /// shard-local.
+  /// Blocks until every PUT issued by `src` has been delivered: no deferred
+  /// PUT awaits its replay and the delivery watermark has passed. Deferred
+  /// waiters are resumed only when that count hits zero, at the watermark
+  /// if that is later (the loop re-checks in case a same-time event issued
+  /// a new PUT between the wake and the resume). Works across shards: the
+  /// count, watermark and waiter list are touched only on `src`'s shard or
+  /// by the serial barrier replay.
   sim::Co quiet(PeId src) {
     const PeState& st = pe(src);
     sim::Engine& home = machine_.engine_of(src);
     for (;;) {
-      if (st.outstanding > 0) {
+      if (st.unreplayed > 0) {
         co_await DrainAwaiter{*this, src};
       } else if (st.watermark > home.now()) {
         co_await sim::delay_until(home, st.watermark);
@@ -195,7 +196,7 @@ class World {
     World& w;
     PeId src;
     bool await_ready() const noexcept {
-      return w.pe(src).outstanding == 0;
+      return w.pe(src).unreplayed == 0;
     }
     void await_suspend(std::coroutine_handle<> h) {
       w.pe(src).drain_waiters.push_back(h);
@@ -231,21 +232,11 @@ class World {
   /// (issue time, src PE, per-PE seq) order and posts their deliveries.
   void drain_deferred();
 
-  /// Schedules the serial-shape delivery event ({callback; finish}) on `e`.
-  void schedule_delivery(sim::Engine& e, TimeNs t, PeId src,
-                         std::function<void()> cb) {
-    auto* self = this;
-    e.schedule_at(t, [self, src, cb = std::move(cb)] {
-      cb();
-      self->finish_tracking(src);
-    });
-  }
-
-  void start_tracking(PeId src) { ++pe(src).outstanding; }
-  void finish_tracking(PeId src) {
+  /// Wakes `src`'s quiet() waiters once its last deferred PUT is replayed.
+  void finish_deferred(PeId src) {
     PeState& st = pe(src);
-    FCC_CHECK(st.outstanding > 0);
-    if (--st.outstanding == 0) {
+    FCC_CHECK(st.unreplayed > 0);
+    if (--st.unreplayed == 0) {
       // Resume no earlier than the watermark: a waiter woken by a barrier
       // replay must not land before the window being replayed ends.
       sim::Engine& home = machine_.engine_of(src);
@@ -255,14 +246,13 @@ class World {
     }
   }
 
-  /// Records a callback-free PUT from `src` delivering at `delivery`:
-  /// raises the watermark and keeps the time for outstanding(). When the
-  /// list is full, times at or before `now` are pruned first, and it grows
-  /// only if at least half of it is still in flight, so it stays about the
-  /// size of the in-flight set at O(1) amortized cost per PUT.
-  void note_callback_free(PeId src, TimeNs now, TimeNs delivery) {
+  /// Records a PUT from `src` delivering at `delivery`: raises the
+  /// watermark and keeps the time for outstanding(). When the list is full,
+  /// times at or before `now` are pruned first, and it grows only if at
+  /// least half of it is still in flight, so it stays about the size of the
+  /// in-flight set at O(1) amortized cost per PUT.
+  void note_delivery(PeId src, TimeNs now, TimeNs delivery) {
     PeState& st = pe(src);
-    ++st.callback_free_puts;
     st.watermark = std::max(st.watermark, delivery);
     std::vector<TimeNs>& d = st.deliveries;
     if (d.size() == d.capacity()) {
@@ -278,11 +268,11 @@ class World {
   /// serial barrier replay). All-zero initial values keep a World's
   /// construction a plain zero fill.
   struct PeState {
-    int outstanding = 0;  // event-backed PUTs in flight
+    int unreplayed = 0;  // deferred PUTs awaiting their replay
     std::int64_t puts_issued = 0;
     std::int64_t callback_free_puts = 0;
-    TimeNs watermark = 0;  // latest callback-free delivery time
-    std::vector<TimeNs> deliveries;  // callback-free, pruned when full
+    TimeNs watermark = 0;  // latest delivery time
+    std::vector<TimeNs> deliveries;  // pruned when full
     std::vector<std::coroutine_handle<>> drain_waiters;
   };
   PeState& pe(PeId src) { return pes_[static_cast<std::size_t>(src)]; }

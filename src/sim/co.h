@@ -19,9 +19,11 @@ class [[nodiscard]] Co {
   using DoneFn = void (*)(void* arg);
 
   struct promise_type {
-    std::coroutine_handle<> continuation;
     DoneFn on_done = nullptr;  // set by start(): detached
-    void* done_arg = nullptr;
+    /// Detached: `on_done`'s argument. Awaited: the parent frame's address
+    /// (null until awaited). The two uses never overlap, so they share the
+    /// word.
+    void* link = nullptr;
 
     Co get_return_object() {
       return Co(std::coroutine_handle<promise_type>::from_promise(*this));
@@ -37,12 +39,13 @@ class [[nodiscard]] Co {
           // Detached: nobody holds the handle, so the frame frees itself
           // before the callback can resume whoever waits on it.
           const DoneFn done = p.on_done;
-          void* arg = p.done_arg;
+          void* arg = p.link;
           h.destroy();
           done(arg);
           return std::noop_coroutine();
         }
-        return p.continuation ? p.continuation : std::noop_coroutine();
+        if (p.link == nullptr) return std::noop_coroutine();
+        return std::coroutine_handle<>::from_address(p.link);
       }
       void await_resume() const noexcept {}
     };
@@ -61,7 +64,7 @@ class [[nodiscard]] Co {
   // Awaitable interface: start the child, remember the parent.
   bool await_ready() const noexcept { return false; }
   std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) {
-    h_.promise().continuation = parent;
+    h_.promise().link = parent.address();
     return h_;  // symmetric transfer into the child
   }
   void await_resume() const noexcept {}
@@ -72,7 +75,7 @@ class [[nodiscard]] Co {
   void start(DoneFn done, void* arg) && {
     auto h = std::exchange(h_, {});
     h.promise().on_done = done;
-    h.promise().done_arg = arg;
+    h.promise().link = arg;
     h.resume();
   }
 

@@ -37,9 +37,10 @@
 //     busy_wait, flag wakeups, PUT completions). `schedule_resume_*` packs
 //     the bare handle into the tagged payload word — no event object, no
 //     allocation, no dispatch indirection beyond the resume.
-//   * Arbitrary callbacks live in pooled nodes. Callables up to the node's
-//     small buffer are stored inline (every callback in this codebase
-//     fits); larger ones fall back to one heap allocation, preserving the
+//   * Arbitrary callbacks live in pooled 48-byte nodes. Callables up to the
+//     node's 32-byte buffer are stored inline (a bare std::function, and so
+//     every PUT delivery and mailbox message, fits); larger ones, such as
+//     fault-plan events, fall back to one heap allocation, preserving the
 //     generic API.
 #pragma once
 
@@ -234,9 +235,10 @@ class Engine {
   }
 
  private:
-  /// Small-buffer size for inline callbacks. Sized for the largest lambda
-  /// the library schedules (PUT delivery: this + ids + a std::function).
-  static constexpr std::size_t kInlineBytes = 48;
+  /// Small-buffer size for inline callbacks: a bare std::function (a PUT
+  /// delivery callback or a mailbox message), the largest callable the
+  /// library schedules, so a node is 48 bytes.
+  static constexpr std::size_t kInlineBytes = 32;
   static constexpr std::uint32_t kNil =
       std::numeric_limits<std::uint32_t>::max();
   /// Never a real payload: bit 0 set marks a resume, and no coroutine frame

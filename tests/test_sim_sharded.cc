@@ -13,14 +13,16 @@
 //      connected) and the deferred-replay torus, at any worker-thread
 //      count. Plus targeted mailbox edge cases: same-timestamp deliveries
 //      from different shards, flag threshold waiters satisfied by remote
-//      increments landing at a window boundary, and World::quiet spanning
-//      shards.
+//      increments landing at a window boundary, World::quiet spanning
+//      shards, and one engine event per delivered PUT callback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu/machine.h"
@@ -505,6 +507,161 @@ TEST(ShardMailbox, QuietWaitsForReplayedCallbackFreeDeliveryOnTorus) {
   EXPECT_EQ(run(1, false), reference);
   EXPECT_EQ(run(2, true), reference);
   EXPECT_EQ(run(2, false), reference);
+}
+
+/// The paths a PUT's delivery takes: PE 0 sends to an intra-node peer
+/// (PE 1) and an inter-node one (PE 2, on the other shard when sharded) of
+/// a 2-node x 2-GPU machine. Fully connected at 2 shards is the eager
+/// path, the torus at 2 shards the deferred one.
+gpu::Machine::Config put_path_config(bool torus, int shards) {
+  if (torus) return torus_config(2, 1, 2, shards);
+  gpu::Machine::Config cfg;
+  cfg.num_nodes = 2;
+  cfg.gpus_per_node = 2;
+  cfg.num_shards = shards;
+  return cfg;
+}
+
+constexpr int kPathPuts = 6;
+
+struct PathRun {
+  std::size_t events = 0;
+  TimeNs quiet_done = -1;
+  std::vector<TimeNs> posted;     // per PUT
+  std::vector<TimeNs> delivered;  // per PUT with a callback, else -1
+  std::vector<int> in_flight;     // outstanding(0) after each post
+};
+
+/// Issues kPathPuts 64 KiB PUTs from PE 0, alternating between PE 2 and
+/// PE 1; the first `with_callback` carry a callback that records its
+/// delivery time. Then quiets.
+sim::Task puts_then_quiet(sim::Engine& engine, shmem::World& w,
+                          int with_callback, PathRun& r) {
+  for (int i = 0; i < kPathPuts; ++i) {
+    const PeId dst = i % 2 == 0 ? 2 : 1;
+    std::function<void()> cb;
+    if (i < with_callback) {
+      // Runs on the destination's shard: reads only its own clock.
+      cb = [&r, &w, dst, i] {
+        r.delivered[static_cast<std::size_t>(i)] =
+            w.machine().engine_of(dst).now();
+      };
+    }
+    co_await w.issue(0, dst, shmem::World::IssueKind::kRdma);
+    w.put(0, dst, 64 * 1024, std::move(cb));
+    r.posted.push_back(engine.now());
+    r.in_flight.push_back(w.outstanding(0));
+  }
+  co_await w.quiet(0);
+  r.quiet_done = engine.now();
+}
+
+PathRun run_put_path(bool torus, int shards, int with_callback) {
+  gpu::Machine m(put_path_config(torus, shards));
+  EXPECT_EQ(m.defer_inter_node(), torus && shards > 1);
+  shmem::World w(m);
+  PathRun r;
+  r.delivered.assign(kPathPuts, -1);
+  puts_then_quiet(m.engine_of(0), w, with_callback, r);
+  r.events = m.run_all().events;
+  EXPECT_EQ(m.sharded().live_tasks(), 0);
+  EXPECT_EQ(w.outstanding(0), 0);
+  EXPECT_EQ(w.puts_issued(), kPathPuts);
+  EXPECT_EQ(w.callback_free_puts(), kPathPuts - with_callback);
+  return r;
+}
+
+/// A PUT's callback is its only engine event: the source's completion is
+/// its delivery time, on every path. So a run in which k PUTs carry a
+/// callback fires exactly k more events than the same run without; the
+/// cross-shard callbacks (to PE 2) cost no second event on the source's
+/// shard.
+TEST(ShardPut, OneEngineEventPerCallbackPut) {
+  for (const bool torus : {false, true}) {
+    for (const int shards : {1, 2}) {
+      const std::size_t none = run_put_path(torus, shards, 0).events;
+      for (const int k : {1, 4, kPathPuts}) {
+        EXPECT_EQ(run_put_path(torus, shards, k).events,
+                  none + static_cast<std::size_t>(k))
+            << (torus ? "torus" : "fully connected") << ", " << shards
+            << " shard(s), " << k << " callback PUTs";
+      }
+    }
+  }
+}
+
+/// quiet() returns at the last delivery, with every callback already run
+/// (none lands later), serial or sharded, with or without callbacks; and
+/// outstanding() counts each PUT from its post until it lands.
+TEST(ShardPut, QuietReturnsAtTheLastDeliveryOnEveryPath) {
+  for (const bool torus : {false, true}) {
+    const PathRun serial = run_put_path(torus, 1, kPathPuts);
+    const TimeNs last =
+        *std::max_element(serial.delivered.begin(), serial.delivered.end());
+    EXPECT_GT(last, 0);
+    std::vector<int> expected_in_flight;
+    for (std::size_t i = 0; i < serial.posted.size(); ++i) {
+      expected_in_flight.push_back(static_cast<int>(
+          std::count_if(serial.delivered.begin(),
+                        serial.delivered.begin() + static_cast<long>(i) + 1,
+                        [&](TimeNs d) { return d > serial.posted[i]; })));
+    }
+    // Intra-node PUTs land before the last inter-node PUT is posted.
+    EXPECT_LT(expected_in_flight.back(), kPathPuts);
+    for (const int shards : {1, 2}) {
+      for (const int k : {0, kPathPuts}) {
+        const PathRun r = run_put_path(torus, shards, k);
+        const std::string what = std::string(torus ? "torus" : "fc") + ", " +
+                                 std::to_string(shards) + " shard(s), " +
+                                 std::to_string(k) + " callback PUTs";
+        if (k > 0) {
+          EXPECT_EQ(r.delivered, serial.delivered) << what;
+        }
+        EXPECT_EQ(r.quiet_done, last) << what;
+        EXPECT_EQ(r.posted, serial.posted) << what;
+        EXPECT_EQ(r.in_flight, expected_in_flight) << what;
+      }
+    }
+  }
+}
+
+/// kPathPuts PUTs from PE 0 whose callbacks record, in delivery order,
+/// outstanding(0) and the PUTs posted so far; then quiets and records how
+/// many callbacks had run.
+sim::Task counted_puts_then_quiet(
+    shmem::World& w, std::vector<std::pair<int, int>>& at_delivery,
+    int& run_at_quiet) {
+  int posted = 0;
+  for (int i = 0; i < kPathPuts; ++i) {
+    const PeId dst = i % 2 == 0 ? 2 : 1;
+    co_await w.issue(0, dst, shmem::World::IssueKind::kRdma);
+    w.put(0, dst, 64 * 1024, [&w, &at_delivery, &posted] {
+      at_delivery.emplace_back(w.outstanding(0), posted);
+    });
+    ++posted;
+  }
+  co_await w.quiet(0);
+  run_at_quiet = static_cast<int>(at_delivery.size());
+}
+
+/// On one engine, a callback sees its own PUT as landed and every posted
+/// PUT whose callback has not run yet as in flight, and quiet() resumes
+/// only after the last callback has run.
+TEST(ShardPut, SerialCallbackSeesItsPutLandedAndQuietFollowsTheLast) {
+  gpu::Machine m(put_path_config(false, 1));
+  shmem::World w(m);
+  std::vector<std::pair<int, int>> at_delivery;
+  int run_at_quiet = -1;
+  counted_puts_then_quiet(w, at_delivery, run_at_quiet);
+  m.run_all();
+  EXPECT_EQ(run_at_quiet, kPathPuts);
+  ASSERT_EQ(at_delivery.size(), static_cast<std::size_t>(kPathPuts));
+  for (std::size_t j = 0; j < at_delivery.size(); ++j) {
+    const auto [in_flight, posted] = at_delivery[j];
+    EXPECT_EQ(in_flight, posted - static_cast<int>(j) - 1) << "delivery " << j;
+  }
+  // Some PUT landed before the last one was posted.
+  EXPECT_LT(at_delivery.front().second, kPathPuts);
 }
 
 }  // namespace

@@ -135,16 +135,15 @@ class FlagSet {
   /// Posts a remote PUT from `src` that sets flag[dst][idx] = 1 on
   /// delivery (the sliceRdy idiom: data PUTs order ahead on the FIFO
   /// channel; fence first to order PUTs to other PEs too). Call it after
-  /// `co_await world.issue(src, dst, kind)`. The delivery captures 16 bytes
-  /// (the index as 32 bits, which reset() guarantees), so it fits
-  /// std::function's inline buffer and a flag PUT allocates nothing.
+  /// `co_await world.issue(src, dst, kind)`. The delivery is a compact
+  /// engine event (sim::FlagUpdate): no closure, no callback node.
   void signal(shmem::World& world, PeId src, PeId dst, std::size_t idx) {
-    auto* flags = flags_.get();
-    FCC_DCHECK(flags != nullptr && idx < flags->size());
-    world.put(src, dst, kFlagBytes,
-              [flags, dst, i = static_cast<std::uint32_t>(idx)] {
-                flags->set(dst, i, 1);
-              });
+    const shmem::FlagArray* flags = flags_.get();
+    FCC_CHECK_MSG(flags != nullptr && idx < flags->size(),
+                  "FlagSet::signal to flag " << idx << " of "
+                                             << (flags ? flags->size() : 0)
+                                             << " (reset() first)");
+    world.put(src, dst, kFlagBytes, flags->set_update(dst, idx));
   }
 
  private:

@@ -35,8 +35,7 @@ sim::Task lane_process(sim::Engine& engine, gpu::Machine& m, shmem::World& w,
       // is a bijection, so each lane receives exactly one intra add/round.
       const PeId dst = m.pe_of(node, (m.local_index(pe) + 1 + r + lane) % g);
       co_await w.issue(pe, dst, shmem::World::IssueKind::kStore);
-      w.put(pe, dst, cfg.intra_bytes,
-            [&flags, dst, intra_idx] { flags.add(dst, intra_idx, 1); });
+      w.put(pe, dst, cfg.intra_bytes, flags.add_update(dst, intra_idx, 1));
     }
     if (nodes > 1) {
       // Node ring, same local index: on a torus each directed ring link is
@@ -44,8 +43,7 @@ sim::Task lane_process(sim::Engine& engine, gpu::Machine& m, shmem::World& w,
       // makes the deferred barrier replay order-insensitive.
       const PeId dst = m.pe_of((node + 1) % nodes, m.local_index(pe));
       co_await w.issue(pe, dst, shmem::World::IssueKind::kRdma);
-      w.put(pe, dst, cfg.inter_bytes,
-            [&flags, dst, inter_idx] { flags.add(dst, inter_idx, 1); });
+      w.put(pe, dst, cfg.inter_bytes, flags.add_update(dst, inter_idx, 1));
     }
     if (g > 1) {
       co_await flags.wait_ge(pe, intra_idx,

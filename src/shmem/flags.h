@@ -1,7 +1,9 @@
 // Symmetric flag arrays with awaitable readiness (sliceRdy analog).
 //
 // Flags live in symmetric memory; producers set them via remote PUTs (the
-// shmem world delivers the write at the modeled arrival time), consumers
+// shmem world delivers the write at the modeled arrival time as a compact
+// engine event: set_update / add_update build the sim::FlagUpdate, which
+// the engine applies through this array's sim::FlagTarget id), consumers
 // `co_await wait_ge(...)`. Waiting is condition-based rather than busy-poll:
 // a GPU WG spinning on a cached flag consumes negligible memory bandwidth,
 // so the idealization costs nothing in timing and keeps event counts linear.
@@ -17,14 +19,15 @@
 // is 12 bytes: its 8-byte value and the 4-byte head of its waiter list.
 // Waiters are nodes {threshold, handle, next, registration order} in a pool
 // with a free list, one pool per PE: a PE's flags are touched only from its
-// home shard (local waits and stores run there, remote increments arrive as
-// mailbox messages applied on the owner; see shmem::World), so a per-PE
+// home shard (local waits and stores run there, remote updates arrive as
+// flag events applied on the owner's engine; see shmem::World), so a per-PE
 // pool needs no lock on the sharded engine. A flag's list is kept sorted by
 // threshold, stable in registration order, so a wake pops a prefix. Warm
-// waits reuse freed nodes and allocate nothing. The layout holds the
-// bench/perf paper_ops workload, whose operators all stay warm, to 10.7 MB
-// peak RSS, against 16.8 MB with a per-flag waiter vector (4-vCPU x86-64
-// host, GCC 12.2 Release).
+// waits reuse freed nodes and allocate nothing. When it replaced a
+// per-flag waiter vector, the layout cut the peak RSS of the bench/perf
+// paper_ops workload, whose operators all stay warm, from 16.8 to 10.7 MB;
+// with flag PUTs delivered as compact engine events that workload now
+// peaks at 9.9 MB (4-vCPU x86-64 host, GCC 12.2 Release).
 #pragma once
 
 #include <algorithm>
@@ -39,7 +42,7 @@
 
 namespace fcc::shmem {
 
-class FlagArray {
+class FlagArray final : public sim::FlagTarget {
  public:
   /// Single-engine form: every PE's wakeups go through `engine` — a
   /// convenience for serial machines, equivalent to the per-PE form with
@@ -51,8 +54,10 @@ class FlagArray {
 
   /// Sharded form: PE `p`'s flags wake on `per_pe_engines[p]` — its home
   /// shard. A flag's state (value + waiters) is only ever touched from that
-  /// shard: local waits and stores run there, and remote increments arrive
-  /// as mailbox messages applied on the owner (see shmem::World).
+  /// shard: local waits and stores run there, and remote updates arrive as
+  /// flag events on the owner's engine (see shmem::World). The array may be
+  /// built inside a threaded run: its sim::FlagTarget id is published
+  /// before any update naming it can cross a shard barrier.
   FlagArray(const std::vector<sim::Engine*>& per_pe_engines, std::size_t n)
       : pools_(per_pe_engines.size()),
         n_(n),
@@ -66,7 +71,7 @@ class FlagArray {
     }
   }
 
-  ~FlagArray() { FCC_DCHECK(total_waiters() == 0); }
+  ~FlagArray() override { FCC_DCHECK(total_waiters() == 0); }
 
   std::size_t size() const { return n_; }
   int num_pes() const { return static_cast<int>(pools_.size()); }
@@ -93,6 +98,32 @@ class FlagArray {
     values_[f] += v;
     wake(pe, f);
     return values_[f];
+  }
+
+  /// The update a delivered flag PUT applies: set(pe, i, 1) (sliceRdy,
+  /// per-slot arrive and broadcast flags). Post it with World::put.
+  sim::FlagUpdate set_update(PeId pe, std::size_t i) const {
+    return sim::FlagUpdate::set(*this, static_cast<std::uint32_t>(flat(pe, i)));
+  }
+
+  /// The update a delivered remote atomic applies: add(pe, i, amount), for
+  /// 1 <= amount <= sim::FlagUpdate::kMaxAmount.
+  sim::FlagUpdate add_update(PeId pe, std::size_t i,
+                             std::uint64_t amount) const {
+    return sim::FlagUpdate::add(*this, static_cast<std::uint32_t>(flat(pe, i)),
+                                amount);
+  }
+
+  /// Engine-side delivery of set_update / add_update (sim::FlagTarget).
+  void apply_update(std::uint32_t f, std::uint32_t amount) override {
+    const PeId pe = static_cast<PeId>(f / n_);
+    if (amount == 0) {
+      FCC_DCHECK(heads_[f] == kNil || values_[f] <= 1);
+      values_[f] = 1;
+    } else {
+      values_[f] += amount;
+    }
+    wake(pe, f);
   }
 
   /// Awaitable: suspends until flag[pe][i] >= v (shmem_wait_until analog).

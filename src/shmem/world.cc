@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <type_traits>
+#include <utility>
 
 namespace fcc::shmem {
 
@@ -31,9 +33,21 @@ int World::outstanding(PeId src) const {
 }
 
 void World::put(PeId src, PeId dst, Bytes bytes, std::function<void()> cb) {
+  post(src, dst, bytes, std::move(cb));
+}
+
+void World::put(PeId src, PeId dst, Bytes bytes, sim::FlagUpdate u) {
+  post(src, dst, bytes, u);
+}
+
+template <typename OnDeliver>
+void World::post(PeId src, PeId dst, Bytes bytes, OnDeliver on_deliver) {
+  constexpr bool kFlag = std::is_same_v<OnDeliver, sim::FlagUpdate>;
+  bool delivers = true;
+  if constexpr (!kFlag) delivers = static_cast<bool>(on_deliver);
   PeState& st = pe(src);
   ++st.puts_issued;
-  if (!cb) ++st.callback_free_puts;
+  if (!delivers) ++st.callback_free_puts;
   sim::Engine& home = machine_.engine_of(src);
   const TimeNs now = home.now();
   const int src_shard = machine_.shard_of(src);
@@ -42,8 +56,17 @@ void World::put(PeId src, PeId dst, Bytes bytes, std::function<void()> cb) {
     // Torus: the route's ring links belong to intermediate nodes, so the
     // reservation itself must wait for the barrier's serial replay.
     ++st.unreplayed;
-    deferred_[static_cast<std::size_t>(src_shard)].puts.push_back(
-        PendingPut{now, src, dst, bytes, std::move(cb)});
+    DeferredShard& d = deferred_[static_cast<std::size_t>(src_shard)];
+    PendingPut p{now, src, dst, bytes, 0, Delivery::kNone};
+    if constexpr (kFlag) {
+      p.payload = on_deliver.word();
+      p.delivery = Delivery::kFlag;
+    } else if (delivers) {
+      p.payload = d.closures.size();
+      p.delivery = Delivery::kClosure;
+      d.closures.push_back(std::move(on_deliver));
+    }
+    d.puts.push_back(p);
     return;
   }
   // Serial machine, self/intra-node PUT (node-aligned partition: src and
@@ -53,13 +76,16 @@ void World::put(PeId src, PeId dst, Bytes bytes, std::function<void()> cb) {
   // the serial engine's order.
   const TimeNs delivery = machine_.remote_write_time(src, dst, bytes, now);
   note_delivery(src, now, delivery);
-  if (!cb) return;
+  if (!delivers) return;
   const int dst_shard = machine_.shard_of(dst);
-  if (dst_shard == src_shard) {
-    home.schedule_at(delivery, std::move(cb));
-  } else {
+  if (dst_shard != src_shard) {
     // Applied on the destination's shard via the mailbox.
-    machine_.sharded().post(src_shard, dst_shard, delivery, std::move(cb));
+    machine_.sharded().post(src_shard, dst_shard, delivery,
+                            std::move(on_deliver));
+  } else if constexpr (kFlag) {
+    home.schedule_flag_at(delivery, on_deliver);
+  } else {
+    home.schedule_at(delivery, std::move(on_deliver));
   }
 }
 
@@ -90,15 +116,23 @@ void World::drain_deferred() {
   // Conservative lookahead guarantees delivery >= the issuing window's end,
   // so these never schedule into a shard's past.
   for (const ReplayTag& tag : order) {
-    PendingPut& p =
-        deferred_[static_cast<std::size_t>(tag.shard)].puts[tag.idx];
+    DeferredShard& d = deferred_[static_cast<std::size_t>(tag.shard)];
+    const PendingPut& p = d.puts[tag.idx];
     const TimeNs delivery =
         machine_.remote_write_time(p.src, p.dst, p.bytes, p.t);
     note_delivery(p.src, machine_.engine_of(p.src).now(), delivery);
-    if (p.cb) machine_.engine_of(p.dst).schedule_at(delivery, std::move(p.cb));
+    sim::Engine& dst = machine_.engine_of(p.dst);
+    if (p.delivery == Delivery::kFlag) {
+      dst.schedule_flag_at(delivery, sim::FlagUpdate::from_word(p.payload));
+    } else if (p.delivery == Delivery::kClosure) {
+      dst.schedule_at(delivery, std::move(d.closures[p.payload]));
+    }
     finish_deferred(p.src);
   }
-  for (DeferredShard& d : deferred_) d.puts.clear();
+  for (DeferredShard& d : deferred_) {
+    d.puts.clear();
+    d.closures.clear();
+  }
 }
 
 }  // namespace fcc::shmem

@@ -4,10 +4,11 @@
 // WG first pays the API/issue latency (`co_await issue(src, dst, kind)`),
 // then posts the PUT (`put(src, dst, bytes, on_deliver)`): the payload's
 // channel occupancy is reserved at post time (DMA-queue semantics), and
-// the optional delivery callback runs when the bytes land at the
-// destination — that is where functional-mode memcpys and remote flag
-// stores happen. Splitting the two keeps the awaiter in the WG's frame at
-// 16 bytes: the delivery callback is built after the delay, by the plain
+// the optional delivery runs when the bytes land at the destination. A
+// flag PUT (a sliceRdy store, a remote atomic add) delivers a compact
+// sim::FlagUpdate; a functional-mode data PUT delivers a closure that
+// does its memcpy. Splitting issue and post keeps the awaiter in the WG's
+// frame at 16 bytes: the delivery is built after the delay, by the plain
 // code that posts it, and never lives across a suspension.
 //
 // Ordering model: every route class the topology resolves — self (HBM
@@ -21,10 +22,13 @@
 // Delivery tracking. A PUT completes, on the source's side, at its
 // delivery time: every PUT whose delivery time is known at post time raises
 // the source's delivery watermark and joins its delivery list, and nothing
-// is scheduled on the source's engine. A PUT with a delivery callback
-// schedules exactly one engine event, the bare callback, on the
-// destination's engine (through the mailbox when that is another shard); a
-// callback-free PUT — most data PUTs of timing-only runs — schedules none.
+// is scheduled on the source's engine. A PUT with a delivery schedules
+// exactly one engine event on the destination's engine (through the
+// mailbox when that is another shard): a flag PUT's update as an 8-byte
+// event word, with no closure and no callback node, or a data PUT's bare
+// closure (functional mode only). A PUT with no delivery — most data PUTs
+// of timing-only runs — schedules none. So in a timing-only run no PUT
+// builds a std::function.
 // `quiet(src)` waits until the watermark has passed, and `outstanding(src)`
 // counts the PUTs in the delivery list that land after the source engine's
 // now. On the deferred torus path (below) the delivery time is known only
@@ -40,10 +44,13 @@
 //
 //   * eager (fully-connected / switched / multi-rail): the route's state is
 //     source-node-local, so the reservation happens at issue time exactly
-//     as in the serial engine; only the *delivery* callback crosses shards,
-//     as a mailbox message applied on the destination's shard.
+//     as in the serial engine; only the *delivery* crosses shards, as a
+//     mailbox message (a flag update's word, or a closure) applied on the
+//     destination's shard.
 //   * deferred (torus): routes ride ring links owned by third-party nodes,
-//     so reservations are queued per shard and replayed at every window
+//     so reservations — each carrying its delivery as a flag update's word
+//     or an index into the shard's closures — are queued per shard and
+//     replayed at every window
 //     barrier in (issue time, src PE, per-PE seq) order — a single serial
 //     consistency point that matches the serial engine's time-ordered
 //     reservation sequence. With one PE per node and one operator in
@@ -67,6 +74,7 @@
 #include "common/types.h"
 #include "gpu/machine.h"
 #include "sim/co.h"
+#include "sim/flag_update.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 
@@ -114,6 +122,11 @@ class World {
   /// comment for the eager/deferred split.
   void put(PeId src, PeId dst, Bytes bytes,
            std::function<void()> on_deliver = {});
+
+  /// Posts a flag PUT: like put() above, but what lands is the compact
+  /// update `on_deliver` (a remote flag set or atomic add), applied on
+  /// `dst`'s home shard at the delivery time without building a closure.
+  void put(PeId src, PeId dst, Bytes bytes, sim::FlagUpdate on_deliver);
 
   /// issue() then put() with no delivery callback, as one awaiter. Kept
   /// only for bench/perf's PUT microbenchmark; operators await issue() and
@@ -204,6 +217,13 @@ class World {
     void await_resume() const noexcept {}
   };
 
+  /// What a deferred PUT delivers.
+  enum class Delivery : std::uint8_t {
+    kNone,
+    kFlag,     // payload is a sim::FlagUpdate word
+    kClosure,  // payload indexes the shard's closures
+  };
+
   /// An inter-node PUT whose route reservation waits for the next window
   /// barrier (torus: the route's links are not source-shard-owned).
   struct PendingPut {
@@ -211,14 +231,20 @@ class World {
     PeId src;
     PeId dst;
     Bytes bytes;
-    std::function<void()> cb;
+    std::uint64_t payload;
+    Delivery delivery;
   };
 
   /// Per-shard deferred queue, cache-line padded: appended only by the
   /// owning shard's thread during a window, drained serially at barriers.
   struct alignas(64) DeferredShard {
     std::vector<PendingPut> puts;
+    std::vector<std::function<void()>> closures;  // functional data only
   };
+
+  /// put()'s body for both delivery forms (closure or flag update).
+  template <typename OnDeliver>
+  void post(PeId src, PeId dst, Bytes bytes, OnDeliver on_deliver);
 
   /// Sort key of one deferred PUT in the barrier replay.
   struct ReplayTag {

@@ -33,15 +33,21 @@
 //     the hints) is allocated by the first push after a drain; run()
 //     returns it and the pools when the queue drains, run_until() keeps
 //     them, so sharded windows and warm launches allocate nothing.
-//   * The overwhelming event kind is "resume this coroutine" (delay,
-//     busy_wait, flag wakeups, PUT completions). `schedule_resume_*` packs
-//     the bare handle into the tagged payload word — no event object, no
-//     allocation, no dispatch indirection beyond the resume.
+//   * Every queued event is one tagged payload word, of three kinds. The
+//     overwhelming kind is "resume this coroutine" (delay, busy_wait, flag
+//     wakeups, quiet): `schedule_resume_*` packs the bare handle into the
+//     word — no event object, no allocation, no dispatch indirection
+//     beyond the resume.
+//   * A flag update (sim/flag_update.h) — what a flag PUT delivers: set a
+//     flag to 1, or add to an arrival counter — is the word too:
+//     `schedule_flag_at` packs the target's id, the flag's index and the
+//     operation, and firing resolves the target in a fixed process-wide
+//     table. No closure is built and no node is taken.
 //   * Arbitrary callbacks live in pooled 48-byte nodes. Callables up to the
 //     node's 32-byte buffer are stored inline (a bare std::function, and so
-//     every PUT delivery and mailbox message, fits); larger ones, such as
-//     fault-plan events, fall back to one heap allocation, preserving the
-//     generic API.
+//     every functional-mode data delivery and mailbox closure, fits);
+//     larger ones, such as fault-plan events, fall back to one heap
+//     allocation, preserving the generic API.
 #pragma once
 
 #include <algorithm>
@@ -59,6 +65,7 @@
 
 #include "common/check.h"
 #include "common/types.h"
+#include "sim/flag_update.h"
 
 namespace fcc::sim {
 
@@ -68,9 +75,10 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine() {
-    // Destroy pending callbacks without running them (coroutine handles are
-    // non-owning here: frames are destroyed by their own final-suspend
-    // machinery or leaked with the process, matching the old behavior).
+    // Destroy pending callbacks without running them and drop pending flag
+    // updates (coroutine handles are non-owning here: frames are destroyed
+    // by their own final-suspend machinery or leaked with the process,
+    // matching the old behavior).
     for_each_bucket([this](std::uint32_t bucket) {
       Bucket& b = buckets_[bucket];
       while (b.count != 0) dispose(take_front(b));
@@ -138,7 +146,7 @@ class Engine {
       throw;
     }
     try {
-      push_entry_unchecked(t, static_cast<std::uintptr_t>(idx) << 1);
+      push_entry_unchecked(t, static_cast<std::uintptr_t>(idx) << 2);
     } catch (...) {
       n.dispose(n.buf);
       free_nodes_.push_back(idx);
@@ -167,6 +175,14 @@ class Engine {
   void schedule_resume_after(TimeNs dt, std::coroutine_handle<> h) {
     FCC_CHECK(dt >= 0);
     schedule_resume_at(now_ + dt, h);
+  }
+
+  /// Applies `u` at time `t`, in the same (time, push order) slot a
+  /// callback would take. The update itself is the payload: nothing is
+  /// allocated or pooled, and a pending update is dropped, untouched, if
+  /// the engine is destroyed first.
+  void schedule_flag_at(TimeNs t, FlagUpdate u) {
+    push_entry(t, static_cast<std::uintptr_t>(u.word() << 2) | 2u);
   }
 
   /// Runs until the event queue drains, then returns the queue's pooled
@@ -213,7 +229,7 @@ class Engine {
   }
 
   /// Pooled callback nodes ever created (capacity watermark, not live
-  /// count; resume events never take a node).
+  /// count; resume and flag events never take a node).
   std::size_t slab_nodes() const { return nodes_.size(); }
 
   /// Bytes of pooled queue storage (wheel, heap, buckets, chunks): a
@@ -235,9 +251,9 @@ class Engine {
   }
 
  private:
-  /// Small-buffer size for inline callbacks: a bare std::function (a PUT
-  /// delivery callback or a mailbox message), the largest callable the
-  /// library schedules, so a node is 48 bytes.
+  /// Small-buffer size for inline callbacks: a bare std::function (a
+  /// functional-mode data delivery or a mailbox closure), the largest
+  /// callable the library schedules, so a node is 48 bytes.
   static constexpr std::size_t kInlineBytes = 32;
   static constexpr std::uint32_t kNil =
       std::numeric_limits<std::uint32_t>::max();
@@ -287,13 +303,16 @@ class Engine {
     alignas(std::max_align_t) unsigned char buf[kInlineBytes];
   };
 
-  /// The payload word of every queued event is tagged: bit 0 set => the
-  /// rest is a coroutine frame address to resume (frame alignment
-  /// guarantees the bit is free); bit 0 clear => payload >> 1 is a callback
-  /// node index.
+  /// The payload word of every queued event is tagged in its low bits:
+  /// x1 => the rest is a coroutine frame address to resume (frame
+  /// alignment guarantees the bit is free); 10 => payload >> 2 is a
+  /// FlagUpdate word; 00 => payload >> 2 is a callback node index.
   static bool is_resume(std::uintptr_t payload) { return (payload & 1u) != 0; }
+  static bool is_flag(std::uintptr_t payload) { return (payload & 3u) == 2u; }
+  static bool is_node(std::uintptr_t payload) { return (payload & 3u) == 0u; }
+  static_assert(FlagUpdate::kBits + 2 <= 8 * sizeof(std::uintptr_t));
   static std::uint32_t node_index(std::uintptr_t payload) {
-    return static_cast<std::uint32_t>(payload >> 1);
+    return static_cast<std::uint32_t>(payload >> 2);
   }
 
   /// Payloads 2.. of a bucket, in push order; 15 slots + link = 128 bytes.
@@ -547,6 +566,8 @@ class Engine {
       std::coroutine_handle<>::from_address(
           reinterpret_cast<void*>(payload & ~std::uintptr_t{1}))
           .resume();
+    } else if (is_flag(payload)) {
+      FlagUpdate::from_word(payload >> 2).apply();
     } else {
       // The callback runs in place (nodes have stable addresses, and
       // anything it schedules takes other nodes); recycle afterwards.
@@ -558,7 +579,7 @@ class Engine {
   }
 
   void dispose(std::uintptr_t payload) {
-    if (!is_resume(payload)) {
+    if (is_node(payload)) {
       Node& n = nodes_[node_index(payload)];
       n.dispose(n.buf);
     }

@@ -21,20 +21,31 @@ ShardedEngine::ShardedEngine(int num_shards) {
 
 void ShardedEngine::post(int src_shard, int dst_shard, TimeNs t,
                          std::function<void()> fn) {
-  FCC_DCHECK(src_shard >= 0 && src_shard < num_shards());
-  FCC_DCHECK(dst_shard >= 0 && dst_shard < num_shards());
-  Outbox& ob = outboxes_[static_cast<std::size_t>(src_shard)];
-  ob.msgs.push_back(Message{t, src_shard, dst_shard, ob.next_seq++,
-                            /*rewind=*/false, std::move(fn)});
+  post_closure(src_shard, dst_shard, t, Kind::kCall, std::move(fn));
 }
 
 void ShardedEngine::post_rewind(int src_shard, int dst_shard, TimeNs t,
                                 std::function<void()> fn) {
+  post_closure(src_shard, dst_shard, t, Kind::kRewind, std::move(fn));
+}
+
+void ShardedEngine::post_closure(int src_shard, int dst_shard, TimeNs t,
+                                 Kind kind, std::function<void()> fn) {
   FCC_DCHECK(src_shard >= 0 && src_shard < num_shards());
   FCC_DCHECK(dst_shard >= 0 && dst_shard < num_shards());
   Outbox& ob = outboxes_[static_cast<std::size_t>(src_shard)];
   ob.msgs.push_back(Message{t, src_shard, dst_shard, ob.next_seq++,
-                            /*rewind=*/true, std::move(fn)});
+                            ob.closures.size(), kind});
+  ob.closures.push_back(std::move(fn));
+}
+
+void ShardedEngine::post(int src_shard, int dst_shard, TimeNs t,
+                         FlagUpdate u) {
+  FCC_DCHECK(src_shard >= 0 && src_shard < num_shards());
+  FCC_DCHECK(dst_shard >= 0 && dst_shard < num_shards());
+  Outbox& ob = outboxes_[static_cast<std::size_t>(src_shard)];
+  ob.msgs.push_back(Message{t, src_shard, dst_shard, ob.next_seq++,
+                            u.word(), Kind::kFlag});
 }
 
 int ShardedEngine::add_barrier_hook(std::function<void()> fn) {
@@ -51,7 +62,8 @@ std::size_t ShardedEngine::drain_barrier() {
   for (auto& [handle, fn] : hooks_) fn();
   merge_scratch_.clear();
   for (Outbox& ob : outboxes_) {
-    for (Message& m : ob.msgs) merge_scratch_.push_back(std::move(m));
+    merge_scratch_.insert(merge_scratch_.end(), ob.msgs.begin(),
+                          ob.msgs.end());
     ob.msgs.clear();
   }
   // (time, src shard, per-shard seq): a total order — (src_shard, seq) pairs
@@ -63,18 +75,25 @@ std::size_t ShardedEngine::drain_barrier() {
               if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
               return a.seq < b.seq;
             });
-  for (Message& m : merge_scratch_) {
+  for (const Message& m : merge_scratch_) {
     Engine& dst = *shards_[static_cast<std::size_t>(m.dst_shard)];
-    if (m.rewind) {
+    if (m.kind == Kind::kFlag) {
+      dst.schedule_flag_at(m.t, FlagUpdate::from_word(m.payload));
+      continue;
+    }
+    std::function<void()>& fn =
+        outboxes_[static_cast<std::size_t>(m.src_shard)].closures[m.payload];
+    if (m.kind == Kind::kRewind) {
       // Rewind messages target an exact time that may sit behind the
       // destination's window frontier (run_until parks now_ at the
       // deadline); the frontier itself never ran past the message's time,
       // because the sender's pending state bounded Tmin.
-      dst.schedule_at_unchecked(m.t, std::move(m.fn));
+      dst.schedule_at_unchecked(m.t, std::move(fn));
     } else {
-      dst.schedule_at(m.t, std::move(m.fn));
+      dst.schedule_at(m.t, std::move(fn));
     }
   }
+  for (Outbox& ob : outboxes_) ob.closures.clear();
   const std::size_t injected = merge_scratch_.size();
   merge_scratch_.clear();
   return injected;

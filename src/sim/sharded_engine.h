@@ -14,10 +14,12 @@
 // window barrier through two explicit queues:
 //
 //   * mailbox messages — `post(src, dst, t, fn)`: apply `fn` on shard `dst`
-//     at time `t`. Collected per source shard during the window (owner
-//     thread only, no locks) and injected at the barrier in
-//     (time, src shard, per-shard sequence) order, so the merged timeline
-//     is deterministic regardless of shard count or thread interleaving.
+//     at time `t`; `fn` is a closure or a compact FlagUpdate (a remote flag
+//     PUT's delivery), which travels as its 8-byte word. Collected per
+//     source shard during the window (owner thread only, no locks) and
+//     injected at the barrier in (time, src shard, per-shard sequence)
+//     order, so the merged timeline is deterministic regardless of shard
+//     count or thread interleaving.
 //   * barrier hooks — serial callbacks run at every barrier before
 //     injection. shmem::World uses one to reserve deferred inter-node
 //     routes in (issue time, src shard, sequence) order: link/NIC horizons
@@ -82,6 +84,10 @@ class ShardedEngine {
   /// routed through a cross-shard latency.
   void post(int src_shard, int dst_shard, TimeNs t, std::function<void()> fn);
 
+  /// Mailbox for a flag update: applied on `dst_shard` at `t` through
+  /// Engine::schedule_flag_at, in the slot post() would give a closure.
+  void post(int src_shard, int dst_shard, TimeNs t, FlagUpdate u);
+
   /// Rewind mailbox: like post(), but injected with the destination
   /// engine's no-past check bypassed (Engine::schedule_at_unchecked). Used
   /// for effects that resolve to an *exact* time inside the already-passed
@@ -117,22 +123,33 @@ class ShardedEngine {
   TimeNs next_event_time();
 
  private:
+  enum class Kind : std::uint8_t {
+    kFlag,    // payload is a FlagUpdate word
+    kCall,    // payload indexes the source outbox's closures
+    kRewind,  // kCall, injected via schedule_at_unchecked (post_rewind)
+  };
+
   struct Message {
     TimeNs t;
     std::int32_t src_shard;
     std::int32_t dst_shard;
     std::uint64_t seq;  // per-src-shard, assigned at post()
-    bool rewind;        // inject via schedule_at_unchecked (post_rewind)
-    std::function<void()> fn;
+    std::uint64_t payload;
+    Kind kind;
   };
 
   /// Per-shard mailbox outbox, cache-line padded: appended only by the
   /// shard's owning thread during a window (or the barrier thread between
-  /// windows), drained only at barriers.
+  /// windows), drained only at barriers. Closures stay here, so the
+  /// barrier sorts plain messages.
   struct alignas(64) Outbox {
     std::vector<Message> msgs;
+    std::vector<std::function<void()>> closures;
     std::uint64_t next_seq = 0;
   };
+
+  void post_closure(int src_shard, int dst_shard, TimeNs t, Kind kind,
+                    std::function<void()> fn);
 
   /// Runs hooks, then injects all queued messages in (t, src_shard, seq)
   /// order. Returns the number injected.

@@ -138,6 +138,11 @@ TileKernel& TileKernel::atomic_add_remote(shmem::FlagArray* flags, DestFn dest,
                                           FlagIdxFn idx,
                                           std::uint64_t amount) {
   FCC_CHECK(flags != nullptr);
+  FCC_CHECK_MSG(amount >= 1 && amount <= sim::FlagUpdate::kMaxAmount,
+                "atomic_add_remote amount " << amount << " outside [1, "
+                                            << sim::FlagUpdate::kMaxAmount
+                                            << "]: a zero add never satisfies "
+                                               "its consumer's wait");
   add({StmtKind::kAtomicAdd, std::move(dest), {}, std::move(idx), flags,
        amount});
   return *this;
@@ -302,8 +307,7 @@ void TileKernel::post_remote(const LaunchConfig& cfg, int slot, int pid,
   const Ctx ctx{cfg.pe, pid, slot, &shape_};
   if (s.kind == StmtKind::kAtomicAdd) {
     cfg.world->put(cfg.pe, dest, 8,
-                   [flags = s.flags, dest, idx = s.flag_idx(ctx),
-                    amount = s.amount] { flags->add(dest, idx, amount); });
+                   s.flags->add_update(dest, s.flag_idx(ctx), s.amount));
     return;
   }
   // kPutRemote: the tile's C, carried by the delivery in functional mode.

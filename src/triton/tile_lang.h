@@ -71,7 +71,8 @@ class TileKernel {
   TileKernel& put_c_remote(DestFn dest, WriteFn write);
   TileKernel& fence();
   /// Communication extension: remote atomic fetch-add on a symmetric flag
-  /// (arrival counters for the consumer side).
+  /// (arrival counters for the consumer side). `amount` must lie in
+  /// [1, sim::FlagUpdate::kMaxAmount], the range one flag event carries.
   TileKernel& atomic_add_remote(shmem::FlagArray* flags, DestFn dest,
                                 FlagIdxFn idx, std::uint64_t amount = 1);
 

@@ -10,7 +10,9 @@
 //      OperatorResult (start, end, per-PE completions) must match the
 //      serial run exactly, as must the merged execution trace.
 //   2. fw::Graph — a diamond of real registered ops executed on a sharded
-//      Session reproduces the serial node results and makespan.
+//      Session reproduces the serial node results and makespan, as does a
+//      fan-out whose four fused ops are first spawned inside the threaded
+//      run.
 //   3. serve::Simulator — a warm sharded simulator replays a trace with
 //      records identical to the serial machine's, twice (warm re-run
 //      stability under sharding).
@@ -19,6 +21,7 @@
 //      must say so actionably at simulator construction.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -158,36 +161,60 @@ TEST(FusedSharded, MergedTraceMatchesSerialByteForByte) {
   }
 }
 
+/// The timing-only fused embedding on a 4x4 torus (one GPU per node) at
+/// `shards` shards; `inspect`, if given, sees the machine after the run.
+fused::OperatorResult run_torus16_embedding(
+    int shards, const std::function<void(gpu::Machine&)>& inspect = {}) {
+  gpu::Machine::Config mc;
+  mc.num_nodes = 16;
+  mc.gpus_per_node = 1;
+  mc.topology.kind = hw::TopologySpec::Kind::kTorus2D;
+  mc.topology.torus.dim_x = 4;
+  mc.topology.torus.dim_y = 4;
+  mc.num_shards = shards;
+  gpu::Machine machine(mc);
+  shmem::World world(machine);
+  fused::EmbeddingA2AConfig cfg;
+  cfg.map.num_pes = machine.num_pes();
+  cfg.map.tables_per_pe = 4;
+  cfg.map.global_batch = 16 * machine.num_pes();
+  cfg.map.dim = 64;
+  cfg.map.vectors_per_slice = 8;
+  cfg.functional = false;
+  fused::FusedEmbeddingAllToAll op(world, cfg, nullptr);
+  const fused::OperatorResult res = op.run_to_completion();
+  if (inspect) inspect(machine);
+  return res;
+}
+
 // Regression: on a 4x4 torus at 4 shards the node->shard map is 2x2 tiles —
 // NOT contiguous in PE order — and several PEs issue inter-node PUTs at the
 // same timestamp. The deferred-reservation replay must order those ties by
 // source PE, not by source shard; the shard-id tie-break silently shifted
 // late-PE completion times on exactly this shape.
 TEST(FusedSharded, NonContiguousTorusTilingMatchesSerial) {
-  auto run = [](int shards) {
-    gpu::Machine::Config mc;
-    mc.num_nodes = 16;
-    mc.gpus_per_node = 1;
-    mc.topology.kind = hw::TopologySpec::Kind::kTorus2D;
-    mc.topology.torus.dim_x = 4;
-    mc.topology.torus.dim_y = 4;
-    mc.num_shards = shards;
-    gpu::Machine machine(mc);
-    shmem::World world(machine);
-    fused::EmbeddingA2AConfig cfg;
-    cfg.map.num_pes = machine.num_pes();
-    cfg.map.tables_per_pe = 4;
-    cfg.map.global_batch = 16 * machine.num_pes();
-    cfg.map.dim = 64;
-    cfg.map.vectors_per_slice = 8;
-    cfg.functional = false;
-    fused::FusedEmbeddingAllToAll op(world, cfg, nullptr);
-    return op.run_to_completion();
-  };
-  const auto serial = run(1);
+  const auto serial = run_torus16_embedding(1);
   EXPECT_GT(serial.duration(), 0);
   for (const int shards : {2, 4}) {
-    EXPECT_EQ(serial, run(shards)) << "shards=" << shards;
+    EXPECT_EQ(serial, run_torus16_embedding(shards)) << "shards=" << shards;
+  }
+}
+
+// Every flag PUT — same-shard, through the mailbox and through the deferred
+// torus replay — delivers as a compact engine event, so no engine's
+// callback-node slab holds more than one spawn callback per home PE.
+TEST(FusedSharded, TorusEmbeddingFlagPutsTakeNoCallbackNode) {
+  for (const int shards : {1, 4}) {
+    run_torus16_embedding(shards, [shards](gpu::Machine& machine) {
+      for (int s = 0; s < shards; ++s) {
+        std::size_t home_pes = 0;
+        for (PeId pe = 0; pe < machine.num_pes(); ++pe) {
+          if (machine.shard_of(pe) == s) ++home_pes;
+        }
+        EXPECT_LE(machine.sharded().shard(s).slab_nodes(), home_pes)
+            << "shards=" << shards << " shard " << s;
+      }
+    });
   }
 }
 
@@ -231,6 +258,43 @@ TEST(FusedSharded, GraphDiamondMatchesSerial) {
         EXPECT_EQ(sharded.nodes[i].result, serial.nodes[i].result)
             << "shards=" << shards << " node " << serial.nodes[i].label;
       }
+    }
+  }
+}
+
+/// A root embedding feeding all four fused operators: none of the four is
+/// spawned before the root completes, so each first spawn — and with it the
+/// creation of its flag arrays, of both flag kinds (set and add) — happens
+/// inside the (threaded, when sharded) run, and their flag PUTs cross
+/// shards.
+fw::GraphResult run_fan_out(const gpu::Machine::Config& mc) {
+  const fw::OpRegistry& reg = fw::OpRegistry::global();
+  fw::Graph g;
+  auto root = g.tensor("root");
+  g.add(reg.at("fcc::embedding_a2a").smoke_spec(), {}, {root}, "root");
+  for (const char* op : {"fcc::embedding_a2a", "fcc::gemv_allreduce",
+                         "fcc::gemm_a2a", "fcc::moe_dispatch"}) {
+    g.add(reg.at(op).smoke_spec(), {root}, {g.tensor(std::string(op) + "/out")},
+          op);
+  }
+  fw::Session session(mc);
+  return session.run(g, fw::Backend::kFused);
+}
+
+TEST(FusedSharded, OpsFirstSpawnedInsideAThreadedRunMatchSerial) {
+  for (const auto& [label, serial_cfg, sharded_cfg] : {
+           std::tuple{"fc", fc_config(1), fc_config(2)},
+           std::tuple{"torus", torus_config(1), torus_config(2)},
+       }) {
+    SCOPED_TRACE(label);
+    const fw::GraphResult serial = run_fan_out(serial_cfg);
+    const fw::GraphResult sharded = run_fan_out(sharded_cfg);
+    ASSERT_EQ(serial.nodes.size(), 5u);
+    ASSERT_EQ(sharded.nodes.size(), serial.nodes.size());
+    EXPECT_EQ(sharded.makespan(), serial.makespan());
+    for (std::size_t i = 0; i < serial.nodes.size(); ++i) {
+      EXPECT_EQ(sharded.nodes[i].result, serial.nodes[i].result)
+          << "node " << serial.nodes[i].label;
     }
   }
 }

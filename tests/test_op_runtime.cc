@@ -122,6 +122,25 @@ TEST(FlagSet, SignalDeliversRemoteFlagStores) {
   }
 }
 
+TEST(FlagSet, SignalRejectsAnUnsetArrayOrAnOutOfRangeFlag) {
+  gpu::Machine::Config cfg;
+  cfg.num_nodes = 1;
+  cfg.gpus_per_node = 2;
+  gpu::Machine machine(cfg);
+  shmem::World world(machine);
+  FlagSet flags;
+  EXPECT_THROW(flags.signal(world, 0, 1, 0), std::logic_error);
+  flags.reset(world, 2);
+  try {
+    flags.signal(world, 0, 1, 2);
+    FAIL() << "flag 2 of 2 accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("flag 2 of 2"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(world.puts_issued(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // FusedOp driver
 // ---------------------------------------------------------------------------

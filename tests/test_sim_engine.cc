@@ -10,7 +10,9 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/co.h"
@@ -404,6 +406,58 @@ TEST(Engine, ResumeFastPathAdvancesTimeLikeAnyEvent) {
   EXPECT_EQ(e.slab_nodes(), 0u);
 }
 
+/// A flag target that logs every update it receives as (index, amount).
+struct RecordingTarget final : FlagTarget {
+  using Log = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  void apply_update(std::uint32_t index, std::uint32_t amount) override {
+    log.emplace_back(index, amount);
+  }
+  Log log;
+};
+
+TEST(Engine, FlagEventsTakeTheirPushSlotAndNoNode) {
+  Engine e;
+  std::vector<std::string> seen;
+  struct Spy final : FlagTarget {
+    explicit Spy(std::vector<std::string>& s) : seen(s) {}
+    void apply_update(std::uint32_t index, std::uint32_t amount) override {
+      seen.push_back("flag " + std::to_string(index) + "+" +
+                     std::to_string(amount));
+    }
+    std::vector<std::string>& seen;
+  } spy(seen);
+  e.schedule_flag_at(10, FlagUpdate::set(spy, 7));
+  e.schedule_at(10, [&] { seen.push_back("callback"); });
+  e.schedule_flag_at(10, FlagUpdate::add(spy, 3, FlagUpdate::kMaxAmount));
+  e.schedule_flag_at(4, FlagUpdate::add(spy, 0xFFFFFFFFu, 1));
+  EXPECT_EQ(e.pending(), 4u);
+  EXPECT_EQ(e.run(), 4u);
+  EXPECT_EQ(seen, (std::vector<std::string>{"flag 4294967295+1", "flag 7+0",
+                                            "callback", "flag 3+65535"}));
+  EXPECT_EQ(e.slab_nodes(), 1u);  // the callback's; flag events take none
+  EXPECT_THROW(FlagUpdate::add(spy, 0, 0), std::logic_error);
+  EXPECT_THROW(FlagUpdate::add(spy, 0, FlagUpdate::kMaxAmount + 1),
+               std::logic_error);
+}
+
+TEST(Engine, PendingFlagEventIsDroppedAtTeardownWithoutTouchingItsTarget) {
+  RecordingTarget bystander;
+  auto target = std::make_unique<RecordingTarget>();
+  auto e = std::make_unique<Engine>();
+  e->schedule_flag_at(10, FlagUpdate::set(*target, 1));
+  e->schedule_flag_at(20, FlagUpdate::add(*target, 2, 4));
+  e->run_until(15);
+  EXPECT_EQ(target->log, (RecordingTarget::Log{{1, 0}}));
+  EXPECT_EQ(e->pending(), 1u);
+  // The target goes first and a new one takes its freed id: teardown must
+  // neither fire the pending update nor resolve its id.
+  target.reset();
+  RecordingTarget reuser;
+  e.reset();
+  EXPECT_TRUE(reuser.log.empty());
+  EXPECT_TRUE(bystander.log.empty());
+}
+
 TEST(Determinism, TwoIdenticalRunsProduceIdenticalLogs) {
   auto run_once = [] {
     Engine e;
@@ -418,11 +472,11 @@ TEST(Determinism, TwoIdenticalRunsProduceIdenticalLogs) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential check: seeded random mixes of every scheduling entry point,
-// run on sim::Engine and on a reference std::priority_queue ordered by
-// (time, insertion sequence). Both must fire the same events in the same
-// order, at the same now(), and agree on now(), pending() and
-// next_event_time() after every operation.
+// Differential check: seeded random mixes of every scheduling entry point
+// (callbacks, resumes, flag updates, rewinds), run on sim::Engine and on a
+// reference std::priority_queue ordered by (time, insertion sequence).
+// Both must fire the same events in the same order, at the same now(), and
+// agree on now(), pending() and next_event_time() after every operation.
 
 class DiffDriver;
 
@@ -465,7 +519,8 @@ class DiffDriver {
     bool operator==(const Fired&) const = default;
   };
 
-  explicit DiffDriver(std::uint64_t seed) : seed_(seed), rng_(seed) {}
+  explicit DiffDriver(std::uint64_t seed)
+      : seed_(seed), rng_(seed), target_(this) {}
   ~DiffDriver() {
     engine_.reset();  // drop pending events before their probes
     for (const auto& p : probes_) p->handle.destroy();
@@ -490,8 +545,7 @@ class DiffDriver {
     Engine& e = *engine_;
     engine_log_.push_back(Fired{id, e.now(), e.pending()});
     for (const Child& c : children(id)) {
-      schedule_engine(c.resume ? Kind::kResumeAt : Kind::kAt, e.now() + c.dt,
-                      engine_ids_++);
+      schedule_engine(c.kind, e.now() + c.dt, engine_ids_++);
     }
   }
 
@@ -503,13 +557,29 @@ class DiffDriver {
     kAfter,
     kResumeAt,
     kResumeAfter,
+    kFlag,
     kRewind,
     kRewindResume,
   };
   struct Child {
     TimeNs dt;
-    bool resume;
+    Kind kind;  // kAt, kResumeAt or kFlag
   };
+
+  /// Flag event `id` updates flag `id` of this target, by set (amount 0)
+  /// or add (amount id % 3); the event counts as fired only with the
+  /// amount it was scheduled with.
+  struct Target final : FlagTarget {
+    explicit Target(DiffDriver* d) : driver(d) {}
+    void apply_update(std::uint32_t index, std::uint32_t amount) override {
+      const int id = static_cast<int>(index);
+      driver->fired(amount == flag_amount(id) ? id : -1 - id);
+    }
+    DiffDriver* driver;
+  };
+  static std::uint32_t flag_amount(int id) {
+    return static_cast<std::uint32_t>(id % 3);
+  }
   struct RefEvent {
     TimeNs t;
     std::uint64_t seq;
@@ -540,10 +610,12 @@ class DiffDriver {
     static constexpr int kCount[8] = {0, 0, 0, 1, 1, 1, 2, 3};
     static constexpr TimeNs kDt[8] = {0, 0, 1, 1, 2, 3, 5, 13};
     const int n = kCount[r & 7];
+    static constexpr Kind kChild[4] = {Kind::kAt, Kind::kResumeAt,
+                                       Kind::kFlag, Kind::kAt};
     for (int i = 0; i < n; ++i) {
-      r >>= 7;
+      r >>= 8;
       const TimeNs dt = (r & 7) == 0 ? kFarDt[(r >> 3) & 7] : kDt[(r >> 3) & 7];
-      out.push_back(Child{dt, ((r >> 6) & 1) != 0});
+      out.push_back(Child{dt, kChild[(r >> 6) & 3]});
     }
     return out;
   }
@@ -563,12 +635,13 @@ class DiffDriver {
       case 7:
         return top_level(Kind::kResumeAfter, engine_->now() + dt);
       case 10: case 11: {
-        // A wave: up to 40 events over a few timestamps, all four kinds.
+        // A wave: up to 40 events over a few timestamps, all five forward
+        // kinds.
         const int n = 1 + static_cast<int>((r >> 16) % 40);
         for (int i = 0; i < n; ++i) {
           const std::uint64_t k = mix64(r + static_cast<std::uint64_t>(i));
           const TimeNs jitter = static_cast<TimeNs>((k >> 8) % 3);
-          top_level(static_cast<Kind>(k % 4), engine_->now() + dt + jitter);
+          top_level(static_cast<Kind>(k % 5), engine_->now() + dt + jitter);
         }
         return "wave of " + std::to_string(n);
       }
@@ -646,6 +719,14 @@ class DiffDriver {
           big ? e.schedule_at_unchecked(t, big_cb)
               : e.schedule_at_unchecked(t, cb);
         }
+        return;
+      }
+      case Kind::kFlag: {
+        const std::uint32_t amount = flag_amount(id);
+        const auto index = static_cast<std::uint32_t>(id);
+        e.schedule_flag_at(t, amount == 0 ? FlagUpdate::set(target_, index)
+                                          : FlagUpdate::add(target_, index,
+                                                            amount));
         return;
       }
       case Kind::kResumeAt:
@@ -728,6 +809,7 @@ class DiffDriver {
   std::uint64_t seed_;
   std::uint64_t rng_;
   std::shared_ptr<int> token_ = std::make_shared<int>(0);
+  Target target_;
   std::unique_ptr<Engine> engine_ = std::make_unique<Engine>();
   std::vector<std::unique_ptr<ProbeSlot>> probes_;
   std::vector<ProbeSlot*> idle_probes_;

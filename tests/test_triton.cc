@@ -1,6 +1,9 @@
 // Tile DSL: builder validation, plain GEMM execution, comm statements.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -53,6 +56,29 @@ TEST(TileKernel, ValidateRejectsEmptyKernel) {
   TileKernel k("empty", small_shape(), 0.5);
   k.load_a().load_b();
   EXPECT_THROW(k.validate(), std::logic_error);
+}
+
+TEST(TileKernel, AtomicAddRemoteRejectsAnAmountNoFlagEventCarries) {
+  gpu::Machine m(four_gpus());
+  shmem::FlagArray flags(m.engine(), m.num_pes(), 1);
+  auto dest = [](const TileKernel::Ctx&) { return 1; };
+  auto idx = [](const TileKernel::Ctx&) { return 0u; };
+  for (const std::uint64_t amount :
+       {std::uint64_t{0}, sim::FlagUpdate::kMaxAmount + 1}) {
+    TileKernel k("bad_add", small_shape(), 0.5);
+    k.load_a().load_b().dot();
+    try {
+      k.atomic_add_remote(&flags, dest, idx, amount);
+      FAIL() << "amount " << amount << " accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("amount " + std::to_string(amount)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  TileKernel ok("max_add", small_shape(), 0.5);
+  ok.load_a().load_b().dot();
+  ok.atomic_add_remote(&flags, dest, idx, sim::FlagUpdate::kMaxAmount);
 }
 
 TEST(TileKernel, CommStatementsCostShmemRegisters) {

@@ -8,7 +8,9 @@
 //      both backends, run via its smoke spec on a fully-connected fabric
 //      and a 2x2 torus at shard counts {1, 2, 4}; the whole
 //      OperatorResult (start, end, per-PE completions) must match the
-//      serial run exactly, as must the merged execution trace.
+//      serial run exactly, as must the merged execution trace. The
+//      flagship's per-PE embedding shape on an 8x2 torus is pinned to a
+//      recorded span, per-PE completions, event and PUT counts.
 //   2. fw::Graph — a diamond of real registered ops executed on a sharded
 //      Session reproduces the serial node results and makespan, as does a
 //      fan-out whose four fused ops are first spawned inside the threaded
@@ -21,8 +23,10 @@
 //      must say so actionably at simulator construction.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -215,6 +219,63 @@ TEST(FusedSharded, TorusEmbeddingFlagPutsTakeNoCallbackNode) {
             << "shards=" << shards << " shard " << s;
       }
     });
+  }
+}
+
+/// Everything a golden pins about one timing-only embedding run.
+struct EmbeddingGolden {
+  TimeNs span = 0;
+  std::vector<TimeNs> pe_end;
+  std::size_t events = 0;
+  std::int64_t puts = 0;
+
+  bool operator==(const EmbeddingGolden&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const EmbeddingGolden& g) {
+  os << "span=" << g.span << " events=" << g.events << " puts=" << g.puts
+     << " pe_end={";
+  for (const TimeNs t : g.pe_end) os << t << ",";
+  return os << "}";
+}
+
+/// The Fig. 15 flagship's per-PE shape (8 tables, 64 samples, dim 256, 32
+/// vectors per slice), timing-only, on an 8x2 torus with one GPU per node.
+EmbeddingGolden run_torus8x2_embedding(int shards) {
+  gpu::Machine::Config mc;
+  mc.num_nodes = 16;
+  mc.gpus_per_node = 1;
+  mc.topology.kind = hw::TopologySpec::Kind::kTorus2D;
+  mc.topology.torus.dim_x = 8;
+  mc.topology.torus.dim_y = 2;
+  mc.num_shards = shards;
+  gpu::Machine machine(mc);
+  shmem::World world(machine);
+  fused::EmbeddingA2AConfig cfg;
+  cfg.map.num_pes = machine.num_pes();
+  cfg.map.tables_per_pe = 8;
+  cfg.map.global_batch = 64 * machine.num_pes();
+  cfg.map.dim = 256;
+  cfg.map.vectors_per_slice = 32;
+  cfg.functional = false;
+  fused::FusedEmbeddingAllToAll op(world, cfg, nullptr);
+  const fused::OperatorResult res = op.run_to_completion();
+  return {res.duration(), res.pe_end, machine.last_run_stats().events,
+          world.puts_issued()};
+}
+
+// The flagship's per-PE shape on a torus whose carry from x into y makes a
+// plain (self + k) rotation send different columns different 2D shifts.
+TEST(FusedSharded, Torus8x2EmbeddingMatchesGolden) {
+  EmbeddingGolden g;
+  // FCC_GOLDEN torus8x2_embedding
+  g.span = 1448027;
+  g.pe_end = std::vector<TimeNs>(16, 1445327);
+  g.pe_end[7] = g.pe_end[15] = 1446027;
+  g.events = 280760;
+  g.puts = 7680;
+  for (const int shards : {1, 2, 4}) {
+    EXPECT_EQ(run_torus8x2_embedding(shards), g) << "shards=" << shards;
   }
 }
 

@@ -99,15 +99,12 @@ sim::Co FusedEmbeddingAllToAll::run() {
       world_.machine().device(0).tabulate(c, slots_per_pe_);
     }
     if (cfg_.policy == gpu::SchedulePolicy::kCommAware) {
-      auto& machine = world_.machine();
+      const hw::Topology& topo = world_.machine().topology();
       blocks_.reserve(static_cast<std::size_t>(pes) *
                       static_cast<std::size_t>(pes));
       for (PeId pe = 0; pe < pes; ++pe) {
-        const std::vector<PeId> b =
-            map.comm_aware_blocks(pe, [&machine, pe](PeId d) {
-              return machine.route_class(pe, d) ==
-                     hw::RouteClass::kInterNode;
-            });
+        const std::vector<PeId> b = map.comm_aware_blocks(
+            pe, topo.shift_order(topo.node_of(pe)), topo.gpus_per_node());
         blocks_.insert(blocks_.end(), b.begin(), b.end());
       }
     }

@@ -19,14 +19,15 @@
 //                      signalling idiom (sliceRdy / per-slot peer flags).
 //
 // Comm-aware order is remote-first for every op but the fused embedding,
-// which also staggers its destinations (SliceMap::comm_aware_blocks): its
-// WGs are sample-major, so a plain remote-first pass walks destinations
-// 0..n-1 on every PE at once and serialises the A2A on one destination's
-// ingress links at a time (8x8 torus flagship: 37236 -> 9845 sim_us,
-// fused/baseline 3.345 -> 0.884). The same rotation made the GEMV+AllReduce
-// and tile-DSL ops (GEMM+A2A, MoE dispatch) slower (paper_ops sim_us
-// +0.12%, plan_grid +1.6%, one planner anchor lost), so they stay
-// remote-first.
+// which also staggers its destinations in the topology's shift order
+// (SliceMap::comm_aware_blocks): its WGs are sample-major, so a plain
+// remote-first pass walks destinations 0..n-1 on every PE at once and
+// serialises the A2A on one destination's ingress links at a time (8x8
+// torus flagship: 37236 -> 9845 sim_us with the ring shift, 7462 with the
+// torus's 2D shifts; fused/baseline 3.345 -> 0.884 -> 0.670). The same
+// rotation made the GEMV+AllReduce and tile-DSL ops (GEMM+A2A, MoE
+// dispatch) slower (paper_ops sim_us +0.12%, plan_grid +1.6%, one planner
+// anchor lost), so they stay remote-first.
 //
 // Kernels are slot-resident: each physical WG slot is one gpu::KernelRun
 // slot body, a single detached coroutine frame that runs every logical WG

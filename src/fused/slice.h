@@ -11,12 +11,13 @@
 //
 // Because samples are PE-major, the WGs bound for one destination form one
 // contiguous block, and the communication-aware order is a permutation of
-// whole blocks: it is kept as num_pes destinations (comm_aware_blocks) and
-// expanded one position at a time (block_wg), never as a per-WG vector.
+// whole blocks: it is kept as num_pes destinations (comm_aware_blocks, in
+// the topology's node shift order) and expanded one position at a time
+// (block_wg), never as a per-WG vector.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -70,25 +71,37 @@ struct SliceMap {
 
   /// Communication-aware destination order on PE `self`: the WG order runs
   /// whole destination blocks in this sequence (block_wg expands it), so it
-  /// is stored as num_pes PEs, never as num_logical_wgs() WG ids. Blocks for
-  /// destinations that `leaves_node` reports inter-node come first, then
-  /// intra-node ones, and `self`'s own block last. Within each class
-  /// destinations go in (d - self - 1) mod num_pes order, the shift schedule
-  /// of the pairwise ccl All-to-All: with every source starting at the same
-  /// destination, all of them would hit one destination's ingress links at
-  /// once and then move to the next together. Inter-node blocks lead
-  /// because a plain rotation gave the 2x4 serve point a worse mean-latency
-  /// ratio. On 2 PEs the expanded order is the stable remote-first
-  /// partition of make_schedule.
-  std::vector<PeId> comm_aware_blocks(
-      PeId self, const std::function<bool(PeId)>& leaves_node) const {
+  /// is stored as num_pes PEs, never as num_logical_wgs() WG ids. Inter-node
+  /// blocks lead: the other nodes in `node_order` (hw::Topology::shift_order
+  /// of self's node), each node's GPUs in ascending order. Then self's
+  /// intra-node peers in (d - self - 1) mod gpus_per_node order, and self's
+  /// own block last. A shift order sends every node to a different node at
+  /// each step, so sources spread over destinations: with every source
+  /// starting at the same destination, all of them would hit one
+  /// destination's ingress links at once and then move to the next
+  /// together. Inter-node blocks lead because a plain rotation gave the 2x4
+  /// serve point a worse mean-latency ratio. On a ring shift order this is
+  /// the (self + k) mod num_pes rotation, inter-node blocks first; on 2 PEs
+  /// the expanded order is the stable remote-first partition of
+  /// make_schedule.
+  std::vector<PeId> comm_aware_blocks(PeId self,
+                                      std::span<const NodeId> node_order,
+                                      int gpus_per_node) const {
+    FCC_CHECK_MSG(
+        static_cast<int>(node_order.size() + 1) * gpus_per_node == num_pes,
+        "comm_aware_blocks: " << node_order.size() + 1 << " nodes x "
+                              << gpus_per_node << " GPUs != " << num_pes
+                              << " PEs");
     std::vector<PeId> blocks;
     blocks.reserve(static_cast<std::size_t>(num_pes));
-    for (const bool inter_node : {true, false}) {
-      for (int k = 1; k < num_pes; ++k) {
-        const PeId d = (self + k) % num_pes;
-        if (leaves_node(d) == inter_node) blocks.push_back(d);
+    for (const NodeId n : node_order) {
+      for (int l = 0; l < gpus_per_node; ++l) {
+        blocks.push_back(n * gpus_per_node + l);
       }
+    }
+    const PeId first = self - self % gpus_per_node;
+    for (int k = 1; k < gpus_per_node; ++k) {
+      blocks.push_back(first + (self - first + k) % gpus_per_node);
     }
     blocks.push_back(self);
     return blocks;

@@ -14,9 +14,11 @@
 // orders. The fused embedding+A2A does not: its WGs are sample-major, so
 // this order would send every PE to destination 0, then 1, ... at the same
 // time. It staggers whole destination blocks instead
-// (fused::SliceMap::comm_aware_blocks: inter-node blocks, then intra-node,
-// own block last, each class starting at self + 1), which took the 8x8
-// torus flagship from 37236 to 9845 sim_us (fused/baseline 3.345 -> 0.884).
+// (fused::SliceMap::comm_aware_blocks: inter-node blocks in the topology's
+// shift order, then intra-node ones starting at self + 1, own block last),
+// which took the 8x8 torus flagship from 37236 to 9845 sim_us with the ring
+// shift and to 7462 with the torus's uniform 2D shifts (fused/baseline
+// 3.345 -> 0.884 -> 0.670).
 // The same rotation made the other ops slower (paper_ops sim_us +0.12%,
 // plan_grid +1.6%).
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 namespace fcc::hw {
 
@@ -17,6 +18,13 @@ TimeNs Topology::reserve(const Route& route, Bytes bytes, TimeNs ready) {
   }
   if (route.nic != nullptr) t = route.nic->post(t, bytes);
   return t;
+}
+
+std::vector<NodeId> Topology::shift_order(NodeId self) const {
+  std::vector<NodeId> order;
+  order.reserve(static_cast<std::size_t>(num_nodes_ - 1));
+  for (int k = 1; k < num_nodes_; ++k) order.push_back((self + k) % num_nodes_);
+  return order;
 }
 
 TimeNs Topology::write_time(PeId src, PeId dst, Bytes bytes, TimeNs ready) {
@@ -532,6 +540,27 @@ int TorusTopology::hop_count(NodeId src, NodeId dst) const {
   const int hx = std::abs(ring_steps(sx, dx, spec_.dim_x, sx + sy));
   const int hy = std::abs(ring_steps(sy, dy, spec_.dim_y, sx + sy));
   return hx + hy;
+}
+
+std::vector<NodeId> TorusTopology::shift_order(NodeId self) const {
+  const int nx = spec_.dim_x, ny = spec_.dim_y;
+  const auto dist = [](int d, int n) { return std::min(d, n - d); };
+  std::vector<std::pair<int, NodeId>> shifts;  // (max ring distance, dest)
+  shifts.reserve(static_cast<std::size_t>(nx * ny - 1));
+  for (int dy = 0; dy < ny; ++dy) {
+    for (int dx = dy == 0 ? 1 : 0; dx < nx; ++dx) {
+      shifts.emplace_back(std::max(dist(dx, nx), dist(dy, ny)),
+                          node_at((node_x(self) + dx) % nx,
+                                  (node_y(self) + dy) % ny));
+    }
+  }
+  std::stable_sort(
+      shifts.begin(), shifts.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<NodeId> order;
+  order.reserve(shifts.size());
+  for (const auto& s : shifts) order.push_back(s.second);
+  return order;
 }
 
 void TorusTopology::resolve(PeId src, PeId dst, Route& route) {

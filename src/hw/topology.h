@@ -163,6 +163,12 @@ class Topology {
                                         : RouteClass::kInterNode;
   }
 
+  /// The other nodes in the order node `self` sends to them in a shift
+  /// All-to-All: with every node walking its own order, each step's
+  /// destinations are a permutation of the nodes. The default is the ring
+  /// shift (self + k) mod num_nodes for k = 1 .. num_nodes - 1.
+  virtual std::vector<NodeId> shift_order(NodeId self) const;
+
   /// Resolves (src, dst) into `route` (cleared first). `route` is a
   /// caller-owned buffer so steady-state resolution is allocation-free.
   virtual void resolve(PeId src, PeId dst, Route& route) = 0;
@@ -383,6 +389,12 @@ class TorusTopology final : public Topology {
                 const FabricSpec& fabric = {});
 
   const char* kind_name() const override { return "torus2d"; }
+  /// Uniform 2D shifts: step k sends every node (x, y) to (x + dx, y + dy)
+  /// for the same (dx, dy), nearest first by max(x ring distance, y ring
+  /// distance), ties in dy-major (dy, dx) order. The ring shift's carry from
+  /// x into y would instead send different columns different 2D shifts in
+  /// one step and pile them onto shared ring links.
+  std::vector<NodeId> shift_order(NodeId self) const override;
   void resolve(PeId src, PeId dst, Route& route) override;
   Fabric* node_fabric(NodeId node) override {
     return fabrics_.empty() ? nullptr : fabrics_.at(node).get();

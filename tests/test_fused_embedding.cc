@@ -2,15 +2,20 @@
 // relations, scheduling skew and order, slice mapping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "fused/embedding_a2a.h"
 #include "gpu/machine.h"
 #include "gpu/schedule.h"
+#include "hw/topology.h"
 #include "reject_config.h"
 #include "shmem/world.h"
 
@@ -207,8 +212,11 @@ std::vector<int> expanded_order(const SliceMap& map,
   return order;
 }
 
-/// The stored comm-aware order of SliceMap::comm_aware_order, kept here as
-/// the reference the block form must expand to.
+/// The comm-aware WG order as it was stored before it became a block
+/// sequence over a topology's shift order: inter-node destinations, then
+/// intra-node ones, each class in (self + k) mod num_pes order, then self.
+/// The block form must expand to it on every fabric whose shift order is the
+/// ring shift.
 std::vector<int> reference_order(const SliceMap& map, PeId self,
                                  const std::function<bool(PeId)>& leaves) {
   const int wgs_per_dest = map.local_batch() * map.tables_per_pe;
@@ -228,8 +236,22 @@ std::vector<int> reference_order(const SliceMap& map, PeId self,
   return order;
 }
 
+/// PE `self`'s comm-aware destination blocks on `topo`.
+std::vector<PeId> topo_blocks(const SliceMap& map, const hw::Topology& topo,
+                              PeId self) {
+  return map.comm_aware_blocks(self, topo.shift_order(topo.node_of(self)),
+                               topo.gpus_per_node());
+}
+
 TEST(SliceMap, CommAwareBlocksStaggerDestinations) {
-  // 8 PEs, 2 per node: each PE has 1 intra-node and 6 inter-node peers.
+  // 8 PEs on four ring-shift fabrics: 4 nodes x 2 GPUs (each PE has 1
+  // intra-node and 6 inter-node peers) and three 2 x 4 shapes.
+  const hw::FabricSpec fabric;
+  const hw::IbSpec ib;
+  hw::FullyConnectedTopology fc4x2(4, 2, fabric, ib);
+  hw::FullyConnectedTopology fc2x4(2, 4, fabric, ib);
+  hw::SwitchedTopology switched(2, 4, hw::SwitchedSpec{}, ib);
+  hw::MultiRailTopology rails(2, 4, /*rails=*/2, fabric, ib);
   SliceMap map;
   map.num_pes = 8;
   map.tables_per_pe = 3;
@@ -237,54 +259,83 @@ TEST(SliceMap, CommAwareBlocksStaggerDestinations) {
   map.dim = 4;
   map.vectors_per_slice = 4;
   map.validate();
-  const int gpus_per_node = 2;
   const int block = map.wgs_per_dest();
   ASSERT_EQ(block, map.local_batch() * map.tables_per_pe);
-  for (PeId self = 0; self < map.num_pes; ++self) {
-    const auto leaves_node = [self](PeId d) {
-      return d / gpus_per_node != self / gpus_per_node;
-    };
-    const std::vector<PeId> dests = map.comm_aware_blocks(self, leaves_node);
-    ASSERT_EQ(static_cast<int>(dests.size()), map.num_pes);
-    const std::vector<int> order = expanded_order(map, dests);
+  for (const hw::Topology* topo :
+       std::initializer_list<const hw::Topology*>{&fc4x2, &fc2x4, &switched,
+                                                  &rails}) {
+    SCOPED_TRACE(std::string(topo->kind_name()) + " " +
+                 std::to_string(topo->num_nodes()) + "x" +
+                 std::to_string(topo->gpus_per_node()));
+    ASSERT_EQ(topo->num_pes(), map.num_pes);
+    for (PeId self = 0; self < map.num_pes; ++self) {
+      const auto leaves_node = [topo, self](PeId d) {
+        return topo->route_class(self, d) == hw::RouteClass::kInterNode;
+      };
+      const std::vector<PeId> dests = topo_blocks(map, *topo, self);
+      ASSERT_EQ(static_cast<int>(dests.size()), map.num_pes);
+      const std::vector<int> order = expanded_order(map, dests);
 
-    // The expansion is a permutation of every logical WG, and exactly the
-    // stored order it replaces.
-    ASSERT_EQ(static_cast<int>(order.size()), map.num_logical_wgs());
-    std::vector<int> seen(order.size(), 0);
-    for (int lw : order) ++seen[static_cast<std::size_t>(lw)];
-    for (int c : seen) ASSERT_EQ(c, 1);
-    EXPECT_EQ(order, reference_order(map, self, leaves_node));
+      // The expansion is a permutation of every logical WG, and exactly the
+      // rotation order it replaces.
+      ASSERT_EQ(static_cast<int>(order.size()), map.num_logical_wgs());
+      std::vector<int> seen(order.size(), 0);
+      for (int lw : order) ++seen[static_cast<std::size_t>(lw)];
+      for (int c : seen) ASSERT_EQ(c, 1);
+      EXPECT_EQ(order, reference_order(map, self, leaves_node));
 
-    // Contiguous destination blocks, each in ascending WG order.
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const PeId d = map.dest_of_sample(map.wg_sample(order[i]));
-      EXPECT_EQ(d, dests[i / static_cast<std::size_t>(block)]);
-      if (i % static_cast<std::size_t>(block) == 0) {
-        EXPECT_EQ(order[i], d * block);
-      } else {
-        EXPECT_EQ(order[i], order[i - 1] + 1);
+      // Contiguous destination blocks, each in ascending WG order.
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        const PeId d = map.dest_of_sample(map.wg_sample(order[i]));
+        EXPECT_EQ(d, dests[i / static_cast<std::size_t>(block)]);
+        if (i % static_cast<std::size_t>(block) == 0) {
+          EXPECT_EQ(order[i], d * block);
+        } else {
+          EXPECT_EQ(order[i], order[i - 1] + 1);
+        }
+      }
+
+      // Own block last; inter-node blocks before intra-node ones; each class
+      // in (d - self - 1) mod n order, so the first block is the next
+      // inter-node peer after self.
+      EXPECT_EQ(dests.back(), self);
+      const auto rank = [&](PeId d) {
+        return (d - self - 1 + map.num_pes) % map.num_pes;
+      };
+      for (std::size_t i = 0; i + 2 < dests.size(); ++i) {
+        const bool a = leaves_node(dests[i]);
+        const bool b = leaves_node(dests[i + 1]);
+        EXPECT_TRUE(a || !b) << "intra-node block before an inter-node one";
+        if (a == b) {
+          EXPECT_LT(rank(dests[i]), rank(dests[i + 1]));
+        }
+      }
+      PeId first = (self + 1) % map.num_pes;
+      while (!leaves_node(first)) first = (first + 1) % map.num_pes;
+      EXPECT_EQ(dests.front(), first);
+    }
+  }
+}
+
+TEST(SliceMap, CommAwareBlocksOnRingShiftMatchRotationOnEveryGeometry) {
+  for (int nodes = 1; nodes <= 8; ++nodes) {
+    for (int gpus = 1; gpus <= 8; ++gpus) {
+      const hw::FullyConnectedTopology topo(nodes, gpus, hw::FabricSpec{},
+                                            hw::IbSpec{});
+      SliceMap map;
+      map.num_pes = topo.num_pes();
+      map.global_batch = map.num_pes;
+      map.vectors_per_slice = 1;
+      map.validate();
+      for (PeId self = 0; self < map.num_pes; ++self) {
+        const auto leaves = [&topo, self](PeId d) {
+          return topo.node_of(d) != topo.node_of(self);
+        };
+        ASSERT_EQ(expanded_order(map, topo_blocks(map, topo, self)),
+                  reference_order(map, self, leaves))
+            << nodes << "x" << gpus << " self " << self;
       }
     }
-
-    // Own block last; inter-node blocks before intra-node ones; each class
-    // in (d - self - 1) mod n order, so the first block is the next
-    // inter-node peer after self.
-    EXPECT_EQ(dests.back(), self);
-    const auto rank = [&](PeId d) {
-      return (d - self - 1 + map.num_pes) % map.num_pes;
-    };
-    for (std::size_t i = 0; i + 2 < dests.size(); ++i) {
-      const bool a = leaves_node(dests[i]);
-      const bool b = leaves_node(dests[i + 1]);
-      EXPECT_TRUE(a || !b) << "intra-node block before an inter-node one";
-      if (a == b) {
-        EXPECT_LT(rank(dests[i]), rank(dests[i + 1]));
-      }
-    }
-    PeId first = (self + 1) % map.num_pes;
-    while (!leaves_node(first)) first = (first + 1) % map.num_pes;
-    EXPECT_EQ(dests.front(), first);
   }
 }
 
@@ -297,15 +348,99 @@ TEST(SliceMap, CommAwareBlocksOnTwoPesExpandToRemoteFirstPartition) {
   map.vectors_per_slice = 4;
   map.validate();
   for (const bool inter_node : {true, false}) {
+    // Two single-GPU nodes, or one node with two GPUs.
+    const int gpus_per_node = inter_node ? 1 : 2;
     for (PeId self = 0; self < 2; ++self) {
       const auto leaves = [inter_node](PeId) { return inter_node; };
+      const std::vector<NodeId> node_order =
+          inter_node ? std::vector<NodeId>{1 - self} : std::vector<NodeId>{};
       const auto old_order = gpu::make_schedule(
           map.num_logical_wgs(),
           [&map, self](int lw) { return map.wg_is_remote(self, lw); });
-      const auto order =
-          expanded_order(map, map.comm_aware_blocks(self, leaves));
+      const auto order = expanded_order(
+          map, map.comm_aware_blocks(self, node_order, gpus_per_node));
       EXPECT_EQ(order, old_order);
       EXPECT_EQ(order, reference_order(map, self, leaves));
+    }
+  }
+}
+
+/// Every PE's comm-aware blocks on a `nx` x `ny` torus with `gpus` GPUs per
+/// node, [pe][step].
+std::vector<std::vector<PeId>> torus_blocks(int nx, int ny, int gpus) {
+  hw::TorusSpec spec;
+  spec.dim_x = nx;
+  spec.dim_y = ny;
+  const hw::TorusTopology topo(spec, gpus);
+  SliceMap map;
+  map.num_pes = topo.num_pes();
+  std::vector<std::vector<PeId>> blocks;
+  for (PeId pe = 0; pe < map.num_pes; ++pe) {
+    blocks.push_back(topo_blocks(map, topo, pe));
+  }
+  return blocks;
+}
+
+TEST(SliceMap, CommAwareBlocksOnTorusArePermutationsPerStep) {
+  // Both GPUs of one node walk the same destination GPUs, as on every
+  // other fabric, so with 2 GPUs per node it is the sources of one local
+  // index whose destinations form a permutation of the nodes at each
+  // inter-node step; intra-node and own-block steps permute all PEs.
+  for (const auto& [nx, ny, gpus] :
+       {std::tuple{8, 8, 1}, std::tuple{8, 2, 1}, std::tuple{6, 4, 1},
+        std::tuple{16, 8, 1}, std::tuple{2, 2, 2}}) {
+    SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny) + " x" +
+                 std::to_string(gpus));
+    const auto blocks = torus_blocks(nx, ny, gpus);
+    const int pes = static_cast<int>(blocks.size());
+    const int inter_steps = (nx * ny - 1) * gpus;
+    for (int k = 0; k < pes; ++k) {
+      std::vector<int> hits(static_cast<std::size_t>(pes), 0);
+      for (PeId src = 0; src < pes; ++src) {
+        const PeId d = blocks[static_cast<std::size_t>(src)]
+                             [static_cast<std::size_t>(k)];
+        // An inter-node step counts each (source local index, destination
+        // node) pair, so a permutation per local index hits each once.
+        const int slot = k < inter_steps
+                             ? (d / gpus) * gpus + src % gpus
+                             : d;
+        ++hits[static_cast<std::size_t>(slot)];
+      }
+      for (PeId pe = 0; pe < pes; ++pe) {
+        EXPECT_EQ(hits[static_cast<std::size_t>(pe)], 1)
+            << "step " << k << " slot " << pe;
+      }
+    }
+  }
+}
+
+TEST(SliceMap, CommAwareBlocksOnTorusTakeOneShiftPerStep) {
+  for (const auto& [nx, ny] : {std::pair{8, 8}, std::pair{8, 2},
+                               std::pair{6, 4}, std::pair{16, 8}}) {
+    SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny));
+    const auto blocks = torus_blocks(nx, ny, 1);
+    const int pes = nx * ny;
+    const auto shift = [nx, ny](PeId src, PeId dst) {
+      return std::pair{(dst % nx - src % nx + nx) % nx,
+                       (dst / nx - src / nx + ny) % ny};
+    };
+    const auto ring = [](int d, int n) { return std::min(d, n - d); };
+    int last_dist = 0;
+    for (int k = 0; k + 1 < pes; ++k) {
+      const auto s0 = shift(0, blocks[0][static_cast<std::size_t>(k)]);
+      EXPECT_NE(s0, (std::pair{0, 0})) << "step " << k;
+      for (PeId src = 1; src < pes; ++src) {
+        EXPECT_EQ(shift(src, blocks[static_cast<std::size_t>(src)]
+                                   [static_cast<std::size_t>(k)]),
+                  s0)
+            << "step " << k << " src " << src;
+      }
+      const int dist = std::max(ring(s0.first, nx), ring(s0.second, ny));
+      EXPECT_GE(dist, last_dist) << "step " << k;
+      last_dist = dist;
+    }
+    for (PeId src = 0; src < pes; ++src) {
+      EXPECT_EQ(blocks[static_cast<std::size_t>(src)].back(), src);
     }
   }
 }
@@ -335,6 +470,31 @@ TEST(FusedEmbedding, InterNodeMatchesReference) {
   FusedEmbeddingAllToAll op(world, cfg, &data);
   op.run_to_completion();
   expect_outputs_match(cfg, out, expect);
+}
+
+TEST(FusedEmbedding, FusedEqualsBaselineEqualsReferenceOnTorus8x2) {
+  // On an 8x2 torus the comm-aware order walks uniform 2D shifts that a
+  // (self + k) rotation does not; the outputs must not depend on it.
+  const auto cfg = small_config(16);
+  std::vector<std::vector<float>> expect;
+  const auto run = [&](auto op_type) {
+    using Op = typename decltype(op_type)::type;
+    gpu::Machine m(torus(8, 2));
+    shmem::World world(m);
+    shmem::SymArray<float> out(16, cfg.map.dest_elems());
+    auto data = EmbeddingA2AData::random(cfg, &out, /*seed=*/29);
+    if (expect.empty()) expect = expected_outputs(cfg, data);
+    Op(world, cfg, &data).run_to_completion();
+    expect_outputs_match(cfg, out, expect);
+    std::vector<std::vector<float>> got;
+    for (PeId pe = 0; pe < 16; ++pe) {
+      const auto v = out.pe(pe);
+      got.emplace_back(v.begin(), v.end());
+    }
+    return got;
+  };
+  EXPECT_EQ(run(std::type_identity<FusedEmbeddingAllToAll>{}),
+            run(std::type_identity<BaselineEmbeddingAllToAll>{}));
 }
 
 TEST(BaselineEmbedding, MatchesReferenceIntraAndInter) {
@@ -422,19 +582,23 @@ TEST(FusedEmbedding, FusedIsFasterThanBaselineInterNode) {
 TEST(FusedEmbedding, FusedIsFasterThanBaselineOnTorus) {
   // With every PE walking destinations in the same order, all 15 sources
   // queued on one destination's ring links at a time and the fused op took
-  // 2.49x the baseline; the staggered order brings it to about 0.52x.
+  // 2.49x the baseline on the 4x4 torus; the staggered order brings it to
+  // about 0.52x. The 8x2 torus is where a (self + k) rotation and uniform
+  // 2D shifts differ.
   const auto cfg = timing_config(16, 1024, 8);
-  const auto rf = [&] {
-    gpu::Machine m(torus(4, 4));
-    shmem::World w(m);
-    return FusedEmbeddingAllToAll(w, cfg, nullptr).run_to_completion();
-  }();
-  const auto rb = [&] {
-    gpu::Machine m(torus(4, 4));
-    shmem::World w(m);
-    return BaselineEmbeddingAllToAll(w, cfg, nullptr).run_to_completion();
-  }();
-  EXPECT_LT(rf.duration(), rb.duration());
+  for (const auto& [nx, ny] : {std::pair{4, 4}, std::pair{8, 2}}) {
+    const auto rf = [&] {
+      gpu::Machine m(torus(nx, ny));
+      shmem::World w(m);
+      return FusedEmbeddingAllToAll(w, cfg, nullptr).run_to_completion();
+    }();
+    const auto rb = [&] {
+      gpu::Machine m(torus(nx, ny));
+      shmem::World w(m);
+      return BaselineEmbeddingAllToAll(w, cfg, nullptr).run_to_completion();
+    }();
+    EXPECT_LT(rf.duration(), rb.duration()) << nx << "x" << ny;
+  }
 }
 
 TEST(FusedEmbedding, CommAwareSchedulingReducesSkew) {

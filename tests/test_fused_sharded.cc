@@ -269,10 +269,11 @@ EmbeddingGolden run_torus8x2_embedding(int shards) {
 TEST(FusedSharded, Torus8x2EmbeddingMatchesGolden) {
   EmbeddingGolden g;
   // FCC_GOLDEN torus8x2_embedding
-  g.span = 1448027;
-  g.pe_end = std::vector<TimeNs>(16, 1445327);
-  g.pe_end[7] = g.pe_end[15] = 1446027;
-  g.events = 280760;
+  g.span = 1138702;
+  g.pe_end = {1136702, 1052098, 1136702, 1052098, 1136702, 1052098,
+              1136702, 1052098, 1052098, 1136702, 1052098, 1136702,
+              1052098, 1136702, 1052098, 1136702};
+  g.events = 279800;
   g.puts = 7680;
   for (const int shards : {1, 2, 4}) {
     EXPECT_EQ(run_torus8x2_embedding(shards), g) << "shards=" << shards;

@@ -31,9 +31,8 @@ std::vector<PeId> all_pes(gpu::Machine& m) {
   return v;
 }
 
-sim::Task drive_a2a(ccl::Communicator& comm, std::int64_t chunk,
-                    ccl::AllToAllAlgo algo) {
-  co_await comm.all_to_all(chunk, {}, {}, algo);
+sim::Task drive_a2a(ccl::Communicator& comm, std::int64_t chunk) {
+  co_await comm.all_to_all(chunk, {}, {});
 }
 
 sim::Task drive_allreduce(ccl::Communicator& comm, std::int64_t n,
@@ -49,7 +48,6 @@ struct Scenario {
   gpu::Machine::Config machine;
   std::int64_t elems = 0;
   ccl::AllReduceAlgo ar_algo = ccl::AllReduceAlgo::kAuto;
-  ccl::AllToAllAlgo a2a_algo = ccl::AllToAllAlgo::kAuto;
 };
 
 gpu::Machine::Config base(int nodes, int gpus) {
@@ -66,17 +64,12 @@ std::vector<Scenario> scenarios() {
   std::vector<Scenario> s;
 
   // --- 8 PEs, one All-to-All, three fabrics ---
-  {
-    Scenario fc{"a2a_8pe", "fully_connected", "all_to_all", "pairwise",
-                base(1, 8), a2a_chunk};
-    fc.a2a_algo = ccl::AllToAllAlgo::kPairwise;
-    s.push_back(fc);
-  }
+  s.push_back({"a2a_8pe", "fully_connected", "all_to_all", "pairwise",
+               base(1, 8), a2a_chunk});
   {
     Scenario sw{"a2a_8pe", "switched", "all_to_all", "pairwise", base(1, 8),
                 a2a_chunk};
     sw.machine.topology.kind = hw::TopologySpec::Kind::kSwitchedNode;
-    sw.a2a_algo = ccl::AllToAllAlgo::kPairwise;
     s.push_back(sw);
   }
   {
@@ -85,7 +78,6 @@ std::vector<Scenario> scenarios() {
     to.machine.topology.kind = hw::TopologySpec::Kind::kTorus2D;
     to.machine.topology.torus.dim_x = 4;
     to.machine.topology.torus.dim_y = 2;
-    to.a2a_algo = ccl::AllToAllAlgo::kPairwise;
     s.push_back(to);
   }
 
@@ -129,7 +121,7 @@ TimeNs run_point(const Scenario& sc) {
   gpu::Machine m(sc.machine);
   ccl::Communicator comm(m, all_pes(m));
   if (sc.collective == "all_to_all") {
-    drive_a2a(comm, sc.elems, sc.a2a_algo);
+    drive_a2a(comm, sc.elems);
   } else {
     drive_allreduce(comm, sc.elems, sc.ar_algo);
   }

@@ -95,7 +95,7 @@ Communicator::Communicator(gpu::Machine& machine, std::vector<PeId> members)
     by_node_[machine_.node_of(pe(r))].push_back(r);
   }
   std::erase_if(by_node_, [](const auto& node) { return node.empty(); });
-  // The hierarchical algorithms need several nodes, each contributing the
+  // The hierarchical algorithm needs several nodes, each contributing the
   // same number (> 1) of members.
   const std::size_t g = by_node_.front().size();
   eligible_ = by_node_.size() > 1 && g > 1 &&
@@ -127,13 +127,6 @@ AllReduceAlgo Communicator::select_allreduce() {
     return AllReduceAlgo::kHierarchical;
   }
   return AllReduceAlgo::kTwoPhaseDirect;
-}
-
-AllToAllAlgo Communicator::select_a2a() {
-  if (hierarchy_eligible() && avoided_components().empty()) {
-    return AllToAllAlgo::kNodeAggregate;
-  }
-  return AllToAllAlgo::kPairwise;
 }
 
 /// Runs a collective's schedule and hands back its end time, recording
@@ -297,75 +290,6 @@ Schedule Communicator::pairwise_schedule(std::int64_t chunk_elems) const {
   return s;
 }
 
-Schedule Communicator::node_aggregate_schedule(
-    std::int64_t chunk_elems) const {
-  const int g = static_cast<int>(by_node_.front().size());
-  const int nodes = static_cast<int>(by_node_.size());
-  const Bytes chunk = elems_to_bytes(chunk_elems);
-  // Remote node r (as seen from any node) is aggregated by local member
-  // r % g: that member gathers the node's traffic for r, ships it as ONE
-  // NIC message of g*g chunks, and the peer aggregator scatters it. The
-  // NIC still carries every byte, but descriptor-processor serialization
-  // drops from g*g messages per node pair to one, and the gather/scatter
-  // legs ride the fast intra-node fabric.
-  auto owner = [g](int remote_node) { return remote_node % g; };
-  // Slot k * g + l is node k's aggregator l. block: what it gathers (and,
-  // receiving, scatters), g chunks per remote node it owns. Registers
-  // gathered / landed: when its outgoing / incoming aggregate is ready.
-  std::vector<Bytes> block(static_cast<std::size_t>(nodes * g), 0);
-  for (int k = 0; k < nodes; ++k) {
-    for (int r = 0; r < nodes; ++r) {
-      if (r != k) block[k * g + owner(r)] += g * chunk;
-    }
-  }
-  Schedule s;
-  const int gathered = s.reg(nodes * g);
-  const int landed = s.reg(nodes * g);
-
-  // Phase 1 — intra-node gather: member s sends to aggregator l the chunks
-  // bound for every node l owns.
-  for (int k = 0; k < nodes; ++k) {
-    for (int l = 0; l < g; ++l) {
-      const int slot = k * g + l;
-      for (int src = 0; src < g && block[slot] > 0; ++src) {
-        if (src == l) continue;
-        s.step(by_node_[k][src], by_node_[k][l], block[slot], kStart,
-               gathered + slot);
-      }
-    }
-  }
-
-  // Phase 2 — inter-node: one aggregated message of g*g chunks per
-  // ordered node pair, aggregator to aggregator.
-  for (int k = 0; k < nodes; ++k) {
-    for (int r = 0; r < nodes; ++r) {
-      if (r == k) continue;
-      s.step(by_node_[k][owner(r)], by_node_[r][owner(k)], g * g * chunk,
-             gathered + k * g + owner(r), landed + r * g + owner(k));
-    }
-  }
-
-  // Phase 3 — intra-node scatter of the received aggregates (the
-  // aggregator's own share is a local copy), plus the node-local pairwise
-  // exchange that never left the fabric.
-  for (int r = 0; r < nodes; ++r) {
-    const auto& node = by_node_[r];
-    for (int dst = 0; dst < g; ++dst) {
-      for (int l = 0; l < g; ++l) {
-        const Bytes bytes = block[r * g + l];
-        if (bytes == 0) continue;
-        s.step(node[l], node[dst], bytes, landed + r * g + l, kEnd,
-               l == dst ? reduce_cost(2 * bytes) : 0);
-      }
-      for (int src = 0; src < g; ++src) {
-        if (src != dst) s.step(node[src], node[dst], chunk, kStart, kEnd);
-      }
-    }
-  }
-  s.step(0, 0, 0, kStart, kEnd, reduce_cost(2 * chunk));  // local copy
-  return s;
-}
-
 Schedule Communicator::a2av_schedule(
     const std::vector<std::int64_t>& counts) const {
   const int n = size();
@@ -431,7 +355,7 @@ sim::Co Communicator::all_reduce_co(std::int64_t n_elems, FloatBufs bufs,
 }
 
 sim::Co Communicator::all_to_all(std::int64_t chunk_elems, FloatBufs send,
-                                 FloatBufs recv, AllToAllAlgo algo) {
+                                 FloatBufs recv) {
   FCC_CHECK_MSG(chunk_elems >= 0,
                 "all_to_all: chunk_elems must be >= 0, got " << chunk_elems);
   if (send.functional()) {
@@ -441,16 +365,12 @@ sim::Co Communicator::all_to_all(std::int64_t chunk_elems, FloatBufs send,
     check_bufs("all_to_all: send", send, size(), need);
     check_bufs("all_to_all: recv", recv, size(), need);
   }
-  FCC_CHECK_MSG(algo != AllToAllAlgo::kNodeAggregate || hierarchy_eligible(),
-                "all_to_all: algo kNodeAggregate" << ineligible(by_node_));
-  return all_to_all_co(chunk_elems, nullptr, std::move(send), std::move(recv),
-                       algo);
+  return all_to_all_co(chunk_elems, nullptr, std::move(send), std::move(recv));
 }
 
 sim::Co Communicator::all_to_all_co(std::int64_t chunk_elems,
                                     const std::vector<std::int64_t>* counts,
-                                    FloatBufs send, FloatBufs recv,
-                                    AllToAllAlgo algo) {
+                                    FloatBufs send, FloatBufs recv) {
   co_await sim::delay(machine_.engine(), kSwOverheadNs);
   const TimeNs t0 = machine_.engine().now();
   const int n = size();
@@ -470,15 +390,11 @@ sim::Co Communicator::all_to_all_co(std::int64_t chunk_elems,
     }
   }
 
-  if (algo == AllToAllAlgo::kAuto) algo = select_a2a();
   // A named local: GCC 12 destroys a conditional's class temporary twice
   // inside a co_await operand.
   auto schedule =
       counts ? std::make_shared<const Schedule>(a2av_schedule(*counts))
-             : memo(algo == AllToAllAlgo::kNodeAggregate
-                        ? &Communicator::node_aggregate_schedule
-                        : &Communicator::pairwise_schedule,
-                    chunk_elems);
+             : memo(&Communicator::pairwise_schedule, chunk_elems);
   const TimeNs end = co_await SweepAwaiter(*this, t0, std::move(schedule));
   co_await sim::delay_until(machine_.engine(), end);
 }
@@ -505,8 +421,7 @@ sim::Co Communicator::all_to_all_v(const std::vector<std::int64_t>& counts,
     check_bufs("all_to_all_v: recv", recv, n,
                [&](int r) { return received[r]; });
   }
-  return all_to_all_co(0, &counts, std::move(send), std::move(recv),
-                       AllToAllAlgo::kPairwise);
+  return all_to_all_co(0, &counts, std::move(send), std::move(recv));
 }
 
 }  // namespace fcc::ccl

@@ -15,14 +15,15 @@
 // the machine's links in list order. A new algorithm is a new builder, with
 // no timing code of its own.
 //
-// Hierarchy awareness: AllReduce and All-to-All default to kAuto, which
-// inspects the machine topology. A communicator spanning several nodes with
-// several members per node stages through the node boundary — intra-node
-// reduce-scatter, inter-node ring per lane, intra-node all-gather for
-// AllReduce; node-aggregated NIC messages for All-to-All — so the slow
-// inter-node links carry 1/gpus_per_node of the flat algorithms' traffic.
-// Single-node or one-GPU-per-node spans resolve to the flat algorithms
-// unchanged, and the flat variants stay available as explicit opt-ins.
+// Hierarchy awareness: AllReduce defaults to kAuto, which inspects the
+// machine topology. A communicator spanning several nodes with several
+// members per node stages through the node boundary — intra-node
+// reduce-scatter, inter-node ring per lane, intra-node all-gather — so the
+// slow inter-node links carry 1/gpus_per_node of the flat algorithms'
+// traffic. Single-node or one-GPU-per-node spans resolve to the flat
+// algorithms unchanged, and the flat variants stay available as explicit
+// opt-ins. All-to-All always runs RCCL's flat pairwise schedule, the
+// paper's baseline.
 //
 // Functional mode: pass per-rank float spans; values are verified against
 // references in tests. Timing-only mode: pass empty FloatBufs. The
@@ -48,12 +49,6 @@ enum class AllReduceAlgo {
   kTwoPhaseDirect,  // reduce-scatter + all-gather, direct peer writes [32]
   kRing,            // 2(N-1)-step ring
   kHierarchical,    // intra-node RS -> inter-node ring per lane -> intra AG
-};
-
-enum class AllToAllAlgo {
-  kAuto,          // topology-selected (see Communicator::select_a2a)
-  kPairwise,      // balanced pairwise rounds (RCCL's flat schedule)
-  kNodeAggregate, // gather per-node traffic, one NIC message per node pair
 };
 
 /// A collective's timing as data, built per algorithm (communicator.cc).
@@ -84,20 +79,19 @@ class Communicator {
                      AllReduceAlgo algo = AllReduceAlgo::kAuto);
 
   /// Algorithm kAuto resolves to for this communicator's span. Selection
-  /// consults link health: the hierarchical/node-aggregated algorithms lean
-  /// on every node's NIC and scale-up fabric symmetrically, so a dead rail
-  /// or derated trunk in the span drops selection back to the flat
-  /// algorithms (which a dead component either reroutes under or fails
-  /// loudly via PartitionedFabricError). Non-const: degraded-component
-  /// queries are cached per fault epoch.
+  /// consults link health: the hierarchical algorithm leans on every node's
+  /// NIC and scale-up fabric symmetrically, so a dead rail or derated trunk
+  /// in the span drops selection back to the flat algorithm (which a dead
+  /// component either reroutes under or fails loudly via
+  /// PartitionedFabricError). Non-const: degraded-component queries are
+  /// cached per fault epoch.
   AllReduceAlgo select_allreduce();
-  AllToAllAlgo select_a2a();
 
   /// All-to-All: each rank sends `chunk_elems` fp32 to every rank (including
-  /// its own local chunk copy). send/recv layout: rank-major chunks —
-  /// send[r] holds N chunks ordered by destination, recv[r] by source.
-  sim::Co all_to_all(std::int64_t chunk_elems, FloatBufs send, FloatBufs recv,
-                     AllToAllAlgo algo = AllToAllAlgo::kAuto);
+  /// its own local chunk copy) in balanced pairwise rounds. send/recv
+  /// layout: rank-major chunks — send[r] holds N chunks ordered by
+  /// destination, recv[r] by source.
+  sim::Co all_to_all(std::int64_t chunk_elems, FloatBufs send, FloatBufs recv);
 
   /// Variable All-to-All (MoE dispatch with uneven routing): rank s sends
   /// counts[s * n + d] fp32 elements to rank d — the traffic matrix is
@@ -119,9 +113,9 @@ class Communicator {
   sim::Co all_to_all_v(const std::vector<std::int64_t>& counts,
                        FloatBufs send, FloatBufs recv);
 
-  /// True when the span's shape admits the hierarchical algorithms at all
+  /// True when the span's shape admits the hierarchical algorithm at all
   /// (several nodes, uniform, several members each) — health aside. Forcing
-  /// kHierarchical or kNodeAggregate on an ineligible span is an error.
+  /// kHierarchical on an ineligible span is an error.
   bool hierarchy_eligible() const { return eligible_; }
 
   /// Wall-to-wall time of the last completed collective (simulated ns).
@@ -146,14 +140,13 @@ class Communicator {
                         AllReduceAlgo algo);
   sim::Co all_to_all_co(std::int64_t chunk_elems,
                         const std::vector<std::int64_t>* counts,
-                        FloatBufs send, FloatBufs recv, AllToAllAlgo algo);
+                        FloatBufs send, FloatBufs recv);
 
   /// Schedule builders, one per algorithm.
   Schedule direct_schedule(std::int64_t n_elems) const;
   Schedule ring_schedule(std::int64_t n_elems) const;
   Schedule hierarchical_schedule(std::int64_t n_elems) const;
   Schedule pairwise_schedule(std::int64_t chunk_elems) const;
-  Schedule node_aggregate_schedule(std::int64_t chunk_elems) const;
   Schedule a2av_schedule(const std::vector<std::int64_t>& counts) const;
 
   /// `build`'s schedule for `size`, rebuilt unless it was the last built

@@ -6,7 +6,6 @@
 // platforms and toolchains.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 #include "common/check.h"
@@ -86,56 +85,6 @@ class Rng {
   }
 
   std::uint64_t s_[4];
-};
-
-/// Zipf(θ) sampler over [0, n) using the Gray/Jain approximation; used by the
-/// DLRM data generator to model skewed categorical-feature popularity.
-class ZipfSampler {
- public:
-  ZipfSampler(std::uint64_t n, double theta, Rng rng)
-      : n_(n), theta_(theta), rng_(rng) {
-    FCC_CHECK(n >= 1);
-    zeta2_ = zeta(2, theta);
-    zetan_ = zeta(n, theta);
-    alpha_ = 1.0 / (1.0 - theta);
-    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-           (1.0 - zeta2_ / zetan_);
-  }
-
-  std::uint64_t next() {
-    const double u = rng_.next_double();
-    const double uz = u * zetan_;
-    if (uz < 1.0) return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
-    const auto v = static_cast<std::uint64_t>(
-        static_cast<double>(n_) *
-        std::pow(eta_ * u - eta_ + 1.0, alpha_));
-    return v >= n_ ? n_ - 1 : v;
-  }
-
- private:
-  static double zeta(std::uint64_t n, double theta) {
-    double sum = 0;
-    // Exact for small n; sampled tail approximation keeps construction cheap
-    // for the multi-million-row tables used in benches.
-    const std::uint64_t exact = n < 10000 ? n : 10000;
-    for (std::uint64_t i = 1; i <= exact; ++i) {
-      sum += 1.0 / std::pow(static_cast<double>(i), theta);
-    }
-    if (exact < n) {
-      // Integral approximation of the remaining tail.
-      const double a = static_cast<double>(exact);
-      const double b = static_cast<double>(n);
-      sum += (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta)) /
-             (1.0 - theta);
-    }
-    return sum;
-  }
-
-  std::uint64_t n_;
-  double theta_;
-  Rng rng_;
-  double zeta2_ = 0, zetan_ = 0, alpha_ = 0, eta_ = 0;
 };
 
 }  // namespace fcc

@@ -436,7 +436,7 @@ sim::Co BaselineMoeDispatch::collective(ccl::Communicator& comm) {
     }
   }
   co_await comm.all_to_all_v(
-      ops::Router::a2av_counts(plans_, num_pes_, cfg_.d_out), std::move(send),
+      ops::a2av_counts(plans_, num_pes_, cfg_.d_out), std::move(send),
       std::move(recv));
 }
 

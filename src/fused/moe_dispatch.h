@@ -1,9 +1,9 @@
 // Fused MoE dispatch (routed All-to-All-v, paper Fig. 4 "dispatch" path)
 // and its bulk-synchronous baseline.
 //
-// Expert-parallel MoE with data-dependent traffic: each source GPU routes
-// its local tokens to top-k experts (one expert per PE) via
-// ops::moe_routing, then the producer GEMM projects the routed rows and
+// Expert-parallel MoE with data-dependent traffic: each source GPU's
+// ops::DispatchPlan routes its local tokens to top-k experts (one expert
+// per PE), then the producer GEMM projects the routed rows and
 // ships them. Unlike fused::FusedGemmAllToAll — whose combine assumes the
 // paper's equal-load split, one fixed-size chunk per peer — the dispatch
 // traffic matrix is the per-(source, expert) counts of a DispatchPlan:
@@ -99,14 +99,14 @@ struct DispatchLayout {
   /// Largest per-expert recv footprint in elements — the symmetric recv
   /// buffer size (SymArray allocates the same span on every PE).
   /// (The flattened all_to_all_v element counts come straight from
-  /// ops::Router::a2av_counts — one home for that convention.)
+  /// ops::a2av_counts — one home for that convention.)
   std::size_t recv_capacity(int d_out) const;
 };
 
 /// Functional-mode inputs/outputs; timing-only runs may pass nullptr data
 /// (plans are then synthesized from the config's skew knobs).
 struct MoeDispatchData {
-  std::vector<ops::DispatchPlan> plans;    // [src]; may be router-built
+  std::vector<ops::DispatchPlan> plans;    // [src]
   std::vector<std::vector<float>> tokens;  // [src][tokens_per_pe * d_model]
   std::vector<float> w;                    // shared [d_model * d_out]
   shmem::SymArray<float>* recv = nullptr;  // [pe][>= layout.recv_capacity]

@@ -271,8 +271,8 @@ class BulkSyncOp : public FusedOp {
  protected:
   explicit BulkSyncOp(shmem::World& world);
 
-  /// Sets up functional buffers before compute (default: none).
-  virtual void prepare() {}
+  /// Sets up buffers and duration tables before compute.
+  virtual void prepare() = 0;
 
   /// PE `pe`'s compute phase, spawned on its home-shard engine at
   /// t0 + kernel_launch_ns, where `t0` is the host's launch instant.

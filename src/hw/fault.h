@@ -97,29 +97,6 @@ class PartitionedFabricError : public std::runtime_error {
   PeId dst_;
 };
 
-/// Knobs for `make_chaos_plan`. Defaults produce a survivable schedule
-/// (derates + jitter, no kills) so serving chaos runs never partition.
-struct ChaosSpec {
-  int num_events = 4;
-  TimeNs horizon_ns = 1'000'000;  // event times drawn uniform in [0, horizon)
-  /// Fraction of events that kill a can_die site. Kills may partition a
-  /// fabric with no redundant path — keep 0 unless the caller handles
-  /// PartitionedFabricError.
-  double kill_fraction = 0.0;
-  double min_derate = 0.2;
-  double max_derate = 0.9;
-  TimeNs max_jitter_ns = 2000;
-  /// Fraction of fault events that get a matching kRepair later in the
-  /// horizon.
-  double repair_fraction = 0.5;
-};
-
-/// Seeded random fault schedule over `topo`'s fault sites. Events are drawn
-/// from a child stream forked off Rng(seed), so a caller sharing the seed
-/// with traffic generation still gets independent, reproducible streams.
-FaultPlan make_chaos_plan(Topology& topo, std::uint64_t seed,
-                          const ChaosSpec& spec = {});
-
 /// Schedules every event of `plan` at engine time `base + event.t` as a
 /// plain engine callback applying the fault to `topo`. Both must outlive
 /// the run. Validates the plan first, and throws if `topo` belongs to a

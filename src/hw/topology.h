@@ -256,7 +256,7 @@ class Topology {
 
  protected:
   /// Subclass hook: enumerate this fabric's fault sites (called once).
-  virtual void collect_fault_sites(std::vector<FaultSite>&) {}
+  virtual void collect_fault_sites(std::vector<FaultSite>&) = 0;
 
   /// Subclass hook: health state changed (drop detour/route caches).
   virtual void faults_changed() {}

@@ -35,24 +35,6 @@ EmbeddingBatch EmbeddingBatch::uniform(const EmbeddingConfig& cfg, int batch,
   return out;
 }
 
-EmbeddingBatch EmbeddingBatch::zipf(const EmbeddingConfig& cfg, int batch,
-                                    double theta, Rng& rng) {
-  FCC_CHECK(batch >= 1);
-  EmbeddingBatch out;
-  out.batch_ = batch;
-  out.indices_.resize(static_cast<std::size_t>(cfg.num_tables));
-  for (auto& ti : out.indices_) {
-    ZipfSampler z(static_cast<std::uint64_t>(cfg.rows_per_table), theta,
-                  rng.fork());
-    ti.resize(static_cast<std::size_t>(batch) *
-              static_cast<std::size_t>(cfg.pooling));
-    for (auto& ix : ti) {
-      ix = static_cast<std::int32_t>(z.next());
-    }
-  }
-  return out;
-}
-
 void pool_reference(const EmbeddingConfig& cfg, const EmbeddingTables& tables,
                     const EmbeddingBatch& batch, int t, int b,
                     std::span<float> out) {
@@ -73,25 +55,6 @@ void pool_reference(const EmbeddingConfig& cfg, const EmbeddingTables& tables,
     const float inv = 1.0f / static_cast<float>(cfg.pooling);
     for (int d = 0; d < cfg.dim; ++d) out[static_cast<std::size_t>(d)] *= inv;
   }
-}
-
-std::vector<float> pool_all_reference(const EmbeddingConfig& cfg,
-                                      const EmbeddingTables& tables,
-                                      const EmbeddingBatch& batch) {
-  std::vector<float> out(static_cast<std::size_t>(batch.batch()) *
-                         static_cast<std::size_t>(cfg.num_tables) *
-                         static_cast<std::size_t>(cfg.dim));
-  for (int b = 0; b < batch.batch(); ++b) {
-    for (int t = 0; t < cfg.num_tables; ++t) {
-      const std::size_t off =
-          (static_cast<std::size_t>(b) * cfg.num_tables + t) *
-          static_cast<std::size_t>(cfg.dim);
-      pool_reference(cfg, tables, batch, t, b,
-                     std::span<float>(&out[off],
-                                      static_cast<std::size_t>(cfg.dim)));
-    }
-  }
-  return out;
 }
 
 }  // namespace fcc::ops

@@ -40,16 +40,13 @@ class EmbeddingTables {
 };
 
 /// Categorical indices for one GPU's tables over a batch:
-/// indices(t)[b * pooling + j]. The generator mirrors the public DLRM data
-/// generator: uniform or zipf-skewed category popularity.
+/// indices(t)[b * pooling + j], drawn uniformly.
 class EmbeddingBatch {
  public:
   EmbeddingBatch() = default;
 
   static EmbeddingBatch uniform(const EmbeddingConfig& cfg, int batch,
                                 Rng& rng);
-  static EmbeddingBatch zipf(const EmbeddingConfig& cfg, int batch,
-                             double theta, Rng& rng);
 
   int batch() const { return batch_; }
   std::span<const std::int32_t> table_indices(int t) const {
@@ -67,10 +64,5 @@ class EmbeddingBatch {
 void pool_reference(const EmbeddingConfig& cfg, const EmbeddingTables& tables,
                     const EmbeddingBatch& batch, int t, int b,
                     std::span<float> out);
-
-/// Full reference: out[(b * num_tables + t) * dim + d] for the whole batch.
-std::vector<float> pool_all_reference(const EmbeddingConfig& cfg,
-                                      const EmbeddingTables& tables,
-                                      const EmbeddingBatch& batch);
 
 }  // namespace fcc::ops

@@ -2,21 +2,6 @@
 
 namespace fcc::ops {
 
-std::vector<float> gemv_reference(const GemvShape& s,
-                                  std::span<const float> w,
-                                  std::span<const float> x) {
-  FCC_CHECK(static_cast<std::size_t>(s.m) * s.k == w.size());
-  FCC_CHECK(static_cast<std::size_t>(s.k) == x.size());
-  std::vector<float> y(static_cast<std::size_t>(s.m));
-  for (int r = 0; r < s.m; ++r) {
-    double acc = 0;
-    const auto* row = &w[static_cast<std::size_t>(r) * s.k];
-    for (int c = 0; c < s.k; ++c) acc += static_cast<double>(row[c]) * x[static_cast<std::size_t>(c)];
-    y[static_cast<std::size_t>(r)] = static_cast<float>(acc);
-  }
-  return y;
-}
-
 void gemv_tile(const GemvShape& s, std::span<const float> w,
                std::span<const float> x, int tile, std::span<float> out) {
   const int r0 = s.tile_begin(tile);

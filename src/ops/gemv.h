@@ -25,11 +25,6 @@ struct GemvShape {
   }
 };
 
-/// Reference y = W x over the full matrix.
-std::vector<float> gemv_reference(const GemvShape& s,
-                                  std::span<const float> w,
-                                  std::span<const float> x);
-
 /// Computes one tile [tile_begin, tile_end) of y into `out` (tile-local
 /// indexing). This is exactly what one logical WG produces.
 void gemv_tile(const GemvShape& s, std::span<const float> w,

@@ -1,87 +1,12 @@
 #include "ops/moe_routing.h"
 
-#include <algorithm>
-#include <cmath>
+#include "common/check.h"
 
 namespace fcc::ops {
 
-Router::Router(const RoutingConfig& cfg, Rng& rng) : cfg_(cfg) {
-  FCC_CHECK(cfg.num_experts >= 1);
-  FCC_CHECK(cfg.top_k >= 1 && cfg.top_k <= cfg.num_experts);
-  FCC_CHECK(cfg.d_model >= 1);
-  gate_w_.resize(static_cast<std::size_t>(cfg.d_model) *
-                 static_cast<std::size_t>(cfg.num_experts));
-  for (auto& w : gate_w_) {
-    w = static_cast<float>(rng.next_double(-1.0, 1.0));
-  }
-}
-
-TokenRoute Router::route(std::span<const float> token) const {
-  FCC_CHECK(static_cast<int>(token.size()) == cfg_.d_model);
-  // Gate logits = token . W_g.
-  std::vector<float> logits(static_cast<std::size_t>(cfg_.num_experts), 0.0f);
-  for (int d = 0; d < cfg_.d_model; ++d) {
-    const float x = token[static_cast<std::size_t>(d)];
-    const auto* row =
-        &gate_w_[static_cast<std::size_t>(d) * cfg_.num_experts];
-    for (int e = 0; e < cfg_.num_experts; ++e) {
-      logits[static_cast<std::size_t>(e)] += x * row[e];
-    }
-  }
-  // Top-k by logit (stable order for determinism).
-  std::vector<int> idx(static_cast<std::size_t>(cfg_.num_experts));
-  for (int e = 0; e < cfg_.num_experts; ++e) idx[static_cast<std::size_t>(e)] = e;
-  std::stable_sort(idx.begin(), idx.end(), [&](int a, int b) {
-    return logits[static_cast<std::size_t>(a)] >
-           logits[static_cast<std::size_t>(b)];
-  });
-  TokenRoute r;
-  r.experts.assign(idx.begin(), idx.begin() + cfg_.top_k);
-  // Softmax over the selected logits (Switch/GShard convention).
-  float max_logit = logits[static_cast<std::size_t>(r.experts[0])];
-  float denom = 0;
-  std::vector<float> exps;
-  for (int e : r.experts) {
-    const float v =
-        std::exp(logits[static_cast<std::size_t>(e)] - max_logit);
-    exps.push_back(v);
-    denom += v;
-  }
-  for (float v : exps) r.weights.push_back(v / denom);
-  return r;
-}
-
-DispatchPlan Router::plan(std::span<const float> tokens,
-                          int num_tokens) const {
-  FCC_CHECK(static_cast<std::size_t>(num_tokens) *
-                static_cast<std::size_t>(cfg_.d_model) ==
-            tokens.size());
-  DispatchPlan p;
-  p.counts.assign(static_cast<std::size_t>(cfg_.num_experts), 0);
-  std::vector<std::vector<int>> buckets(
-      static_cast<std::size_t>(cfg_.num_experts));
-  for (int t = 0; t < num_tokens; ++t) {
-    const auto route_t = route(tokens.subspan(
-        static_cast<std::size_t>(t) * static_cast<std::size_t>(cfg_.d_model),
-        static_cast<std::size_t>(cfg_.d_model)));
-    for (int e : route_t.experts) {
-      buckets[static_cast<std::size_t>(e)].push_back(t);
-      ++p.counts[static_cast<std::size_t>(e)];
-    }
-  }
-  p.offsets.assign(static_cast<std::size_t>(cfg_.num_experts), 0);
-  std::int64_t off = 0;
-  for (int e = 0; e < cfg_.num_experts; ++e) {
-    p.offsets[static_cast<std::size_t>(e)] = off;
-    for (int t : buckets[static_cast<std::size_t>(e)]) p.order.push_back(t);
-    off += static_cast<std::int64_t>(buckets[static_cast<std::size_t>(e)].size());
-  }
-  return p;
-}
-
-std::vector<std::int64_t> Router::a2av_counts(
-    const std::vector<DispatchPlan>& plans, int num_experts,
-    std::int64_t elems_per_token) {
+std::vector<std::int64_t> a2av_counts(const std::vector<DispatchPlan>& plans,
+                                      int num_experts,
+                                      std::int64_t elems_per_token) {
   const int n = static_cast<int>(plans.size());
   std::vector<std::int64_t> counts(
       static_cast<std::size_t>(n) * static_cast<std::size_t>(num_experts), 0);

@@ -1,34 +1,19 @@
-// MoE gating and token routing (the "G" box of the paper's Fig. 4).
+// MoE dispatch plans: the routed traffic of the paper's Fig. 4 dispatch.
 //
-// Tokens are routed to the top-k experts of a learned linear gate; the
-// resulting per-(source, expert) counts drive the dispatch All-to-All —
-// bulk-synchronous via ccl::Communicator::all_to_all_v (see its header
-// comment for the variable-chunk send/recv layout and empty-segment
-// rules), or overlapped with the producer GEMM by fused::FusedMoeDispatch.
-// Under the paper's equal-load assumption the combine side collapses to
-// the uniform All-to-All that fused::FusedGemmAllToAll ships.
+// A DispatchPlan records where one source GPU's routed tokens go: the
+// per-expert counts drive the dispatch All-to-All — bulk-synchronous via
+// ccl::Communicator::all_to_all_v (see its header comment for the
+// variable-chunk send/recv layout and empty-segment rules), or overlapped
+// with the producer GEMM by fused::FusedMoeDispatch. fused::skewed_plans
+// builds them with a controllable hot expert. Under the paper's equal-load
+// assumption the combine side collapses to the uniform All-to-All that
+// fused::FusedGemmAllToAll ships.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "common/check.h"
-#include "common/rng.h"
-
 namespace fcc::ops {
-
-struct RoutingConfig {
-  int num_experts = 4;
-  int d_model = 64;
-  int top_k = 2;  // the paper evaluates top-2 routing
-};
-
-/// One token's routing decision.
-struct TokenRoute {
-  std::vector<int> experts;    // top_k expert ids, descending gate score
-  std::vector<float> weights;  // softmax-normalized combine weights
-};
 
 /// Dispatch plan for one source GPU's local tokens.
 struct DispatchPlan {
@@ -41,32 +26,11 @@ struct DispatchPlan {
   std::vector<std::int64_t> offsets;
 };
 
-class Router {
- public:
-  Router(const RoutingConfig& cfg, Rng& rng);
-
-  const RoutingConfig& config() const { return cfg_; }
-  std::span<const float> gate_weights() const {
-    return std::span<const float>(gate_w_);
-  }
-
-  /// Routes one token activation (length d_model).
-  TokenRoute route(std::span<const float> token) const;
-
-  /// Routes a batch laid out [tokens x d_model] and builds the dispatch
-  /// plan (token order grouped by expert, per-expert counts).
-  DispatchPlan plan(std::span<const float> tokens, int num_tokens) const;
-
-  /// Flattened all_to_all_v counts for `num_sources` GPUs each contributing
-  /// `plans[src]`: counts[src * num_experts + e] in *elements* given
-  /// `elems_per_token` payload per routed token.
-  static std::vector<std::int64_t> a2av_counts(
-      const std::vector<DispatchPlan>& plans, int num_experts,
-      std::int64_t elems_per_token);
-
- private:
-  RoutingConfig cfg_;
-  std::vector<float> gate_w_;  // [d_model x num_experts]
-};
+/// Flattened all_to_all_v counts for `plans.size()` GPUs, GPU src
+/// contributing `plans[src]`: counts[src * num_experts + e] in *elements*
+/// given `elems_per_token` payload per routed token.
+std::vector<std::int64_t> a2av_counts(const std::vector<DispatchPlan>& plans,
+                                      int num_experts,
+                                      std::int64_t elems_per_token);
 
 }  // namespace fcc::ops

@@ -35,9 +35,4 @@ void PlanCache::insert(const std::string& key, Entry entry) {
   }
 }
 
-void PlanCache::clear() {
-  lru_.clear();
-  entries_.clear();
-}
-
 }  // namespace fcc::plan

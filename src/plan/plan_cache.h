@@ -83,7 +83,6 @@ class PlanCache {
   const Stats& stats() const { return stats_; }
   std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
-  void clear();
 
  private:
   std::size_t capacity_;

@@ -99,13 +99,6 @@ std::size_t ShardedEngine::drain_barrier() {
   return injected;
 }
 
-bool ShardedEngine::idle() const {
-  for (const auto& s : shards_) {
-    if (!s->idle()) return false;
-  }
-  return true;
-}
-
 int ShardedEngine::live_tasks() const {
   int n = 0;
   for (const auto& s : shards_) n += s->live_tasks();

@@ -113,9 +113,6 @@ class ShardedEngine {
   /// threads, and results are independent of the thread count.
   RunStats run(TimeNs lookahead, unsigned num_threads = 0);
 
-  /// True iff every shard's event queue is empty.
-  bool idle() const;
-
   /// Coroutine processes started but not finished, summed over shards.
   int live_tasks() const;
 

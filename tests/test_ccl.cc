@@ -265,10 +265,10 @@ TEST(ArgumentErrors, ForcedHierarchyNeedsAnEligibleSpan) {
   Communicator uneven(m2, {0, 1, 2, 5});
   expect_error(
       [&] {
-        return uneven.all_to_all(8, FloatBufs{}, FloatBufs{},
-                                 AllToAllAlgo::kNodeAggregate);
+        return uneven.all_reduce(64, FloatBufs{},
+                                 AllReduceAlgo::kHierarchical);
       },
-      "all_to_all: algo kNodeAggregate needs >1 node with equal, >1 member "
+      "all_reduce: algo kHierarchical needs >1 node with equal, >1 member "
       "counts, got members per node [3, 1]");
 }
 

@@ -1,6 +1,5 @@
-// Hierarchy-aware collectives: auto-selection from the topology, staged
-// AllReduce (intra-node RS -> inter-node ring -> intra-node AG), and the
-// node-aggregated All-to-All.
+// Hierarchy-aware collectives: auto-selection from the topology and the
+// staged AllReduce (intra-node RS -> inter-node ring -> intra-node AG).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -39,13 +38,6 @@ sim::Task run_all_reduce(sim::Engine& e, Communicator& comm,
   done = e.now();
 }
 
-sim::Task run_all_to_all(sim::Engine& e, Communicator& comm,
-                         std::int64_t chunk, FloatBufs send, FloatBufs recv,
-                         AllToAllAlgo algo, TimeNs& done) {
-  co_await comm.all_to_all(chunk, std::move(send), std::move(recv), algo);
-  done = e.now();
-}
-
 TimeNs time_allreduce(int nodes, int gpus, std::int64_t n_elems,
                       AllReduceAlgo algo) {
   gpu::Machine m(nodes_by_gpus(nodes, gpus));
@@ -61,19 +53,16 @@ TEST(AutoSelect, KeysOffTheTopologySpan) {
     gpu::Machine m(nodes_by_gpus(1, 4));
     Communicator comm(m, all_pes(m));
     EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
-    EXPECT_EQ(comm.select_a2a(), AllToAllAlgo::kPairwise);
   }
   {
     gpu::Machine m(nodes_by_gpus(2, 1));  // one GPU per node: nothing to stage
     Communicator comm(m, all_pes(m));
     EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
-    EXPECT_EQ(comm.select_a2a(), AllToAllAlgo::kPairwise);
   }
   {
     gpu::Machine m(nodes_by_gpus(2, 4));
     Communicator comm(m, all_pes(m));
     EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
-    EXPECT_EQ(comm.select_a2a(), AllToAllAlgo::kNodeAggregate);
   }
   {
     // Non-uniform span (3 members on node 0, 1 on node 1): stay flat.
@@ -140,57 +129,6 @@ TEST(AutoAllReduce, MatchesFlatDirectOnSingleNode) {
   const std::int64_t n_elems = 1 << 18;
   EXPECT_EQ(time_allreduce(1, 4, n_elems, AllReduceAlgo::kAuto),
             time_allreduce(1, 4, n_elems, AllReduceAlgo::kTwoPhaseDirect));
-}
-
-TEST(NodeAggregateA2A, PermutationIsCorrect) {
-  gpu::Machine m(nodes_by_gpus(2, 2));
-  Communicator comm(m, all_pes(m));
-  const std::int64_t chunk = 4;
-  const int n = 4;
-  std::vector<std::vector<float>> send(static_cast<size_t>(n)),
-      recv(static_cast<size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    send[static_cast<size_t>(r)].resize(static_cast<size_t>(n * chunk));
-    recv[static_cast<size_t>(r)].assign(static_cast<size_t>(n * chunk), -1.f);
-    for (int d = 0; d < n; ++d) {
-      for (int i = 0; i < chunk; ++i) {
-        send[static_cast<size_t>(r)][static_cast<size_t>(d * chunk + i)] =
-            static_cast<float>(r * 100 + d * 10 + i);
-      }
-    }
-  }
-  TimeNs done = 0;
-  run_all_to_all(m.engine(), comm, chunk, make_bufs(send), make_bufs(recv),
-                 AllToAllAlgo::kNodeAggregate, done);
-  m.engine().run();
-  for (int d = 0; d < n; ++d) {
-    for (int s = 0; s < n; ++s) {
-      for (int i = 0; i < chunk; ++i) {
-        EXPECT_FLOAT_EQ(
-            recv[static_cast<size_t>(d)][static_cast<size_t>(s * chunk + i)],
-            static_cast<float>(s * 100 + d * 10 + i));
-      }
-    }
-  }
-  EXPECT_GT(done, 0);
-}
-
-TEST(NodeAggregateA2A, AmortizesNicDescriptorsAtSmallChunks) {
-  // Small chunks: the pairwise schedule pays gpus^2 NIC descriptor
-  // serializations per node pair; aggregation pays one (plus cheap fabric
-  // gather/scatter legs).
-  const std::int64_t chunk = 256;  // 1 KB per rank pair
-  auto run = [&](AllToAllAlgo algo) {
-    gpu::Machine m(nodes_by_gpus(2, 4));
-    Communicator comm(m, all_pes(m));
-    TimeNs done = 0;
-    run_all_to_all(m.engine(), comm, chunk, FloatBufs{}, FloatBufs{}, algo,
-                   done);
-    m.engine().run();
-    return done;
-  };
-  EXPECT_LT(run(AllToAllAlgo::kNodeAggregate),
-            run(AllToAllAlgo::kPairwise));
 }
 
 }  // namespace

@@ -46,15 +46,13 @@ enum class Coll {
   kArHierarchical,
   kArAuto,
   kA2aPairwise,
-  kA2aNodeAggregate,
-  kA2aAuto,
   kA2av,
 };
 
 struct CollCase {
   const char* name;
   Coll coll;
-  bool needs_hierarchy;  // forced hierarchical / node-aggregate
+  bool needs_hierarchy;  // forced hierarchical
 };
 
 constexpr CollCase kColls[] = {
@@ -63,8 +61,6 @@ constexpr CollCase kColls[] = {
     {"ar_hier", Coll::kArHierarchical, true},
     {"ar_auto", Coll::kArAuto, false},
     {"a2a_pairwise", Coll::kA2aPairwise, false},
-    {"a2a_nodeagg", Coll::kA2aNodeAggregate, true},
-    {"a2a_auto", Coll::kA2aAuto, false},
     {"a2av", Coll::kA2av, false},
 };
 
@@ -129,10 +125,6 @@ sim::Co launch(Communicator& c, Coll coll,
     case Coll::kArAuto:
       return c.all_reduce(elems, {});
     case Coll::kA2aPairwise:
-      return c.all_to_all(chunk, {}, {}, AllToAllAlgo::kPairwise);
-    case Coll::kA2aNodeAggregate:
-      return c.all_to_all(chunk, {}, {}, AllToAllAlgo::kNodeAggregate);
-    case Coll::kA2aAuto:
       return c.all_to_all(chunk, {}, {});
     case Coll::kA2av:
       break;
@@ -218,297 +210,229 @@ const Golden kGolden[] = {
     {"fc1x4/s1/b2b/ar_ring", 35470, 35470, 35470, 70940, 0xa89026976ae8225full},
     {"fc1x4/s1/b2b/ar_auto", 41969, 41969, 41969, 83938, 0x4569bc4103f6c031ull},
     {"fc1x4/s1/b2b/a2a_pairwise", 13700, 13700, 13700, 27400, 0x4c1aab25e5409ed7ull},
-    {"fc1x4/s1/b2b/a2a_auto", 13700, 13700, 13700, 27400, 0x4c1aab25e5409ed7ull},
     {"fc1x4/s1/b2b/a2av", 11150, 11150, 11150, 22300, 0xc5ba6102a6424577ull},
     {"fc1x4/s1/overlap/ar_direct", 41969, 41969, 68193, 68193, 0x9033f532265d2737ull},
     {"fc1x4/s1/overlap/ar_ring", 35470, 35470, 60240, 60240, 0xcd2924ab2d50774full},
     {"fc1x4/s1/overlap/ar_auto", 41969, 41969, 68193, 68193, 0x9033f532265d2737ull},
     {"fc1x4/s1/overlap/a2a_pairwise", 13700, 13700, 16700, 16700, 0x4c53e4d1539c0787ull},
-    {"fc1x4/s1/overlap/a2a_auto", 13700, 13700, 16700, 16700, 0x4c53e4d1539c0787ull},
     {"fc1x4/s1/overlap/a2av", 11150, 11150, 11600, 11600, 0xe5e605207220fbbfull},
     {"fc2x4/s1/b2b/ar_direct", 221574, 221574, 221574, 443148, 0x7d8638790df91443ull},
     {"fc2x4/s1/b2b/ar_ring", 128167, 128167, 128167, 256334, 0x3ef2e78648265a27ull},
     {"fc2x4/s1/b2b/ar_hier", 94409, 94409, 94409, 188818, 0xb1b97dfeda4bb567ull},
     {"fc2x4/s1/b2b/ar_auto", 94409, 94409, 94409, 188818, 0xb1b97dfeda4bb567ull},
     {"fc2x4/s1/b2b/a2a_pairwise", 75766, 75766, 75766, 151532, 0x566dc37c971d94bfull},
-    {"fc2x4/s1/b2b/a2a_nodeagg", 107178, 107178, 107178, 214356, 0x13d70e7269f9d9deull},
-    {"fc2x4/s1/b2b/a2a_auto", 107178, 107178, 107178, 214356, 0x13d70e7269f9d9deull},
     {"fc2x4/s1/b2b/a2av", 18950, 18950, 18950, 37900, 0x90a56aeffca8c663ull},
     {"fc2x4/s1/overlap/ar_direct", 221574, 221574, 431398, 431398, 0x7a9c5aa7b9f793b3ull},
     {"fc2x4/s1/overlap/ar_ring", 128167, 128167, 244584, 244584, 0xa1abc5017f4d0dcfull},
     {"fc2x4/s1/overlap/ar_hier", 94409, 94409, 171562, 171562, 0x4c110ad07057362bull},
     {"fc2x4/s1/overlap/ar_auto", 94409, 94409, 171562, 171562, 0x4c110ad07057362bull},
     {"fc2x4/s1/overlap/a2a_pairwise", 75766, 75766, 139782, 139782, 0xda7e2d34c019b363ull},
-    {"fc2x4/s1/overlap/a2a_nodeagg", 107178, 107178, 201656, 201656, 0xc86073e4e6127b13ull},
-    {"fc2x4/s1/overlap/a2a_auto", 107178, 107178, 201656, 201656, 0xc86073e4e6127b13ull},
     {"fc2x4/s1/overlap/a2av", 18950, 18950, 26150, 26150, 0xabd5dad3aa713f13ull},
     {"fc2x4/s2/b2b/ar_direct", 221574, 221574, 221574, 443148, 0x7d8638790df91443ull},
     {"fc2x4/s2/b2b/ar_ring", 128167, 128167, 128167, 256334, 0x3ef2e78648265a27ull},
     {"fc2x4/s2/b2b/ar_hier", 94409, 94409, 94409, 188818, 0xb1b97dfeda4bb567ull},
     {"fc2x4/s2/b2b/ar_auto", 94409, 94409, 94409, 188818, 0xb1b97dfeda4bb567ull},
     {"fc2x4/s2/b2b/a2a_pairwise", 75766, 75766, 75766, 151532, 0x566dc37c971d94bfull},
-    {"fc2x4/s2/b2b/a2a_nodeagg", 107178, 107178, 107178, 214356, 0x13d70e7269f9d9deull},
-    {"fc2x4/s2/b2b/a2a_auto", 107178, 107178, 107178, 214356, 0x13d70e7269f9d9deull},
     {"fc2x4/s2/b2b/a2av", 18950, 18950, 18950, 37900, 0x90a56aeffca8c663ull},
     {"fc2x4/s2/overlap/ar_direct", 221574, 221574, 431398, 431398, 0x7a9c5aa7b9f793b3ull},
     {"fc2x4/s2/overlap/ar_ring", 128167, 128167, 244584, 244584, 0xa1abc5017f4d0dcfull},
     {"fc2x4/s2/overlap/ar_hier", 94409, 94409, 171562, 171562, 0x4c110ad07057362bull},
     {"fc2x4/s2/overlap/ar_auto", 94409, 94409, 171562, 171562, 0x4c110ad07057362bull},
     {"fc2x4/s2/overlap/a2a_pairwise", 75766, 75766, 139782, 139782, 0xda7e2d34c019b363ull},
-    {"fc2x4/s2/overlap/a2a_nodeagg", 107178, 107178, 201656, 201656, 0xc86073e4e6127b13ull},
-    {"fc2x4/s2/overlap/a2a_auto", 107178, 107178, 201656, 201656, 0xc86073e4e6127b13ull},
     {"fc2x4/s2/overlap/a2av", 18950, 18950, 26150, 26150, 0xabd5dad3aa713f13ull},
     {"fc4x2/s1/b2b/ar_direct", 169118, 169118, 169118, 338236, 0xdd2c6b1d9dcac057ull},
     {"fc4x2/s1/b2b/ar_ring", 128167, 128167, 128167, 256334, 0xf082956c7eef5debull},
     {"fc4x2/s1/b2b/ar_hier", 125117, 125117, 125117, 250234, 0xfdacfd0a342cebbbull},
     {"fc4x2/s1/b2b/ar_auto", 125117, 125117, 125117, 250234, 0xfdacfd0a342cebbbull},
     {"fc4x2/s1/b2b/a2a_pairwise", 59762, 59762, 59762, 119524, 0xf8a808a15a2078ebull},
-    {"fc4x2/s1/b2b/a2a_nodeagg", 70170, 70170, 70170, 140340, 0x933121a6fca99d08ull},
-    {"fc4x2/s1/b2b/a2a_auto", 70170, 70170, 70170, 140340, 0x933121a6fca99d08ull},
     {"fc4x2/s1/b2b/a2av", 17750, 17750, 17750, 35500, 0x8de1949fcb1f9c9bull},
     {"fc4x2/s1/overlap/ar_direct", 169118, 169118, 326486, 326486, 0x3cc9dc0cec0768c7ull},
     {"fc4x2/s1/overlap/ar_ring", 128167, 128167, 244584, 244584, 0xe2bd3ae4e7500c47ull},
     {"fc4x2/s1/overlap/ar_hier", 125117, 125117, 239534, 239534, 0x5033c18682da3ebfull},
     {"fc4x2/s1/overlap/ar_auto", 125117, 125117, 239534, 239534, 0x5033c18682da3ebfull},
     {"fc4x2/s1/overlap/a2a_pairwise", 59762, 59762, 107774, 107774, 0xa05100c660eb32abull},
-    {"fc4x2/s1/overlap/a2a_nodeagg", 70170, 70170, 127640, 127640, 0xd76fbf4f6c591730ull},
-    {"fc4x2/s1/overlap/a2a_auto", 70170, 70170, 127640, 127640, 0xd76fbf4f6c591730ull},
     {"fc4x2/s1/overlap/a2av", 17750, 17750, 23750, 23750, 0xc67fab15a1203053ull},
     {"fc4x2/s2/b2b/ar_direct", 169118, 169118, 169118, 338236, 0xdd2c6b1d9dcac057ull},
     {"fc4x2/s2/b2b/ar_ring", 128167, 128167, 128167, 256334, 0xf082956c7eef5debull},
     {"fc4x2/s2/b2b/ar_hier", 125117, 125117, 125117, 250234, 0xfdacfd0a342cebbbull},
     {"fc4x2/s2/b2b/ar_auto", 125117, 125117, 125117, 250234, 0xfdacfd0a342cebbbull},
     {"fc4x2/s2/b2b/a2a_pairwise", 59762, 59762, 59762, 119524, 0xf8a808a15a2078ebull},
-    {"fc4x2/s2/b2b/a2a_nodeagg", 70170, 70170, 70170, 140340, 0x933121a6fca99d08ull},
-    {"fc4x2/s2/b2b/a2a_auto", 70170, 70170, 70170, 140340, 0x933121a6fca99d08ull},
     {"fc4x2/s2/b2b/a2av", 17750, 17750, 17750, 35500, 0x8de1949fcb1f9c9bull},
     {"fc4x2/s2/overlap/ar_direct", 169118, 169118, 326486, 326486, 0x3cc9dc0cec0768c7ull},
     {"fc4x2/s2/overlap/ar_ring", 128167, 128167, 244584, 244584, 0xe2bd3ae4e7500c47ull},
     {"fc4x2/s2/overlap/ar_hier", 125117, 125117, 239534, 239534, 0x5033c18682da3ebfull},
     {"fc4x2/s2/overlap/ar_auto", 125117, 125117, 239534, 239534, 0x5033c18682da3ebfull},
     {"fc4x2/s2/overlap/a2a_pairwise", 59762, 59762, 107774, 107774, 0xa05100c660eb32abull},
-    {"fc4x2/s2/overlap/a2a_nodeagg", 70170, 70170, 127640, 127640, 0xd76fbf4f6c591730ull},
-    {"fc4x2/s2/overlap/a2a_auto", 70170, 70170, 127640, 127640, 0xd76fbf4f6c591730ull},
     {"fc4x2/s2/overlap/a2av", 17750, 17750, 23750, 23750, 0xc67fab15a1203053ull},
     {"fc4x2/s4/b2b/ar_direct", 169118, 169118, 169118, 338236, 0xdd2c6b1d9dcac057ull},
     {"fc4x2/s4/b2b/ar_ring", 128167, 128167, 128167, 256334, 0xf082956c7eef5debull},
     {"fc4x2/s4/b2b/ar_hier", 125117, 125117, 125117, 250234, 0xfdacfd0a342cebbbull},
     {"fc4x2/s4/b2b/ar_auto", 125117, 125117, 125117, 250234, 0xfdacfd0a342cebbbull},
     {"fc4x2/s4/b2b/a2a_pairwise", 59762, 59762, 59762, 119524, 0xf8a808a15a2078ebull},
-    {"fc4x2/s4/b2b/a2a_nodeagg", 70170, 70170, 70170, 140340, 0x933121a6fca99d08ull},
-    {"fc4x2/s4/b2b/a2a_auto", 70170, 70170, 70170, 140340, 0x933121a6fca99d08ull},
     {"fc4x2/s4/b2b/a2av", 17750, 17750, 17750, 35500, 0x8de1949fcb1f9c9bull},
     {"fc4x2/s4/overlap/ar_direct", 169118, 169118, 326486, 326486, 0x3cc9dc0cec0768c7ull},
     {"fc4x2/s4/overlap/ar_ring", 128167, 128167, 244584, 244584, 0xe2bd3ae4e7500c47ull},
     {"fc4x2/s4/overlap/ar_hier", 125117, 125117, 239534, 239534, 0x5033c18682da3ebfull},
     {"fc4x2/s4/overlap/ar_auto", 125117, 125117, 239534, 239534, 0x5033c18682da3ebfull},
     {"fc4x2/s4/overlap/a2a_pairwise", 59762, 59762, 107774, 107774, 0xa05100c660eb32abull},
-    {"fc4x2/s4/overlap/a2a_nodeagg", 70170, 70170, 127640, 127640, 0xd76fbf4f6c591730ull},
-    {"fc4x2/s4/overlap/a2a_auto", 70170, 70170, 127640, 127640, 0xd76fbf4f6c591730ull},
     {"fc4x2/s4/overlap/a2av", 17750, 17750, 23750, 23750, 0xc67fab15a1203053ull},
     {"fc3x3/s1/b2b/ar_direct", 221558, 221558, 221558, 443116, 0x19b936154e63634cull},
     {"fc3x3/s1/b2b/ar_ring", 133144, 133144, 133144, 266288, 0x158350878f65af4full},
     {"fc3x3/s1/b2b/ar_hier", 118809, 118809, 118809, 237618, 0x7fddc70118ceae76ull},
     {"fc3x3/s1/b2b/ar_auto", 118809, 118809, 118809, 237618, 0x7fddc70118ceae76ull},
     {"fc3x3/s1/b2b/a2a_pairwise", 83768, 83768, 83768, 167536, 0xdb302d8b96ccbb80ull},
-    {"fc3x3/s1/b2b/a2a_nodeagg", 105181, 105181, 105181, 210362, 0x17a3086c35ffd736ull},
-    {"fc3x3/s1/b2b/a2a_auto", 105181, 105181, 105181, 210362, 0x17a3086c35ffd736ull},
     {"fc3x3/s1/b2b/a2av", 20450, 20450, 20450, 40900, 0x7bccf4beb111ef79ull},
     {"fc3x3/s1/overlap/ar_direct", 221558, 221558, 431366, 431366, 0xafe1662582619083ull},
     {"fc3x3/s1/overlap/ar_ring", 133144, 133144, 254538, 254538, 0xf1394501219b018cull},
     {"fc3x3/s1/overlap/ar_hier", 118809, 118809, 222547, 222547, 0x8c353c5d7b3f7e9aull},
     {"fc3x3/s1/overlap/ar_auto", 118809, 118809, 222547, 222547, 0x8c353c5d7b3f7e9aull},
     {"fc3x3/s1/overlap/a2a_pairwise", 83768, 83768, 155786, 155786, 0x5222c0959b0bf62cull},
-    {"fc3x3/s1/overlap/a2a_nodeagg", 105181, 105181, 197662, 197662, 0x20807d8968eb0498ull},
-    {"fc3x3/s1/overlap/a2a_auto", 105181, 105181, 197662, 197662, 0x20807d8968eb0498ull},
     {"fc3x3/s1/overlap/a2av", 20450, 20450, 29150, 29150, 0x37f714ad60b9358eull},
     {"fc3x3/s2/b2b/ar_direct", 221558, 221558, 221558, 443116, 0x19b936154e63634cull},
     {"fc3x3/s2/b2b/ar_ring", 133144, 133144, 133144, 266288, 0x158350878f65af4full},
     {"fc3x3/s2/b2b/ar_hier", 118809, 118809, 118809, 237618, 0x7fddc70118ceae76ull},
     {"fc3x3/s2/b2b/ar_auto", 118809, 118809, 118809, 237618, 0x7fddc70118ceae76ull},
     {"fc3x3/s2/b2b/a2a_pairwise", 83768, 83768, 83768, 167536, 0xdb302d8b96ccbb80ull},
-    {"fc3x3/s2/b2b/a2a_nodeagg", 105181, 105181, 105181, 210362, 0x17a3086c35ffd736ull},
-    {"fc3x3/s2/b2b/a2a_auto", 105181, 105181, 105181, 210362, 0x17a3086c35ffd736ull},
     {"fc3x3/s2/b2b/a2av", 20450, 20450, 20450, 40900, 0x7bccf4beb111ef79ull},
     {"fc3x3/s2/overlap/ar_direct", 221558, 221558, 431366, 431366, 0xafe1662582619083ull},
     {"fc3x3/s2/overlap/ar_ring", 133144, 133144, 254538, 254538, 0xf1394501219b018cull},
     {"fc3x3/s2/overlap/ar_hier", 118809, 118809, 222547, 222547, 0x8c353c5d7b3f7e9aull},
     {"fc3x3/s2/overlap/ar_auto", 118809, 118809, 222547, 222547, 0x8c353c5d7b3f7e9aull},
     {"fc3x3/s2/overlap/a2a_pairwise", 83768, 83768, 155786, 155786, 0x5222c0959b0bf62cull},
-    {"fc3x3/s2/overlap/a2a_nodeagg", 105181, 105181, 197662, 197662, 0x20807d8968eb0498ull},
-    {"fc3x3/s2/overlap/a2a_auto", 105181, 105181, 197662, 197662, 0x20807d8968eb0498ull},
     {"fc3x3/s2/overlap/a2av", 20450, 20450, 29150, 29150, 0x37f714ad60b9358eull},
     {"fc2x4sub/s1/b2b/ar_direct", 93245, 93245, 93245, 186490, 0xd22d95c174ce5be1ull},
     {"fc2x4sub/s1/b2b/ar_ring", 100780, 100780, 100780, 201560, 0x7cc5c7d3c1a3c193ull},
     {"fc2x4sub/s1/b2b/ar_auto", 93245, 93245, 93245, 186490, 0xd22d95c174ce5be1ull},
     {"fc2x4sub/s1/b2b/a2a_pairwise", 23753, 23753, 23753, 47506, 0x6ec9c0c2c8b9e1a7ull},
-    {"fc2x4sub/s1/b2b/a2a_auto", 23753, 23753, 23753, 47506, 0x6ec9c0c2c8b9e1a7ull},
     {"fc2x4sub/s1/b2b/a2av", 13550, 13550, 13550, 27100, 0xd29841cd595629beull},
     {"fc2x4sub/s1/overlap/ar_direct", 93245, 93245, 171923, 171923, 0x0f6de595d5b329e5ull},
     {"fc2x4sub/s1/overlap/ar_ring", 100780, 100780, 189810, 189810, 0x811c6d3d1c4c7eebull},
     {"fc2x4sub/s1/overlap/ar_auto", 93245, 93245, 171923, 171923, 0x0f6de595d5b329e5ull},
     {"fc2x4sub/s1/overlap/a2a_pairwise", 23753, 23753, 35756, 35756, 0xd95cdb6c5e346b57ull},
-    {"fc2x4sub/s1/overlap/a2a_auto", 23753, 23753, 35756, 35756, 0xd95cdb6c5e346b57ull},
     {"fc2x4sub/s1/overlap/a2av", 13550, 13550, 15350, 15350, 0xb68f5454d470c2f8ull},
     {"fc2x4sub/s2/b2b/ar_direct", 93245, 93245, 93245, 186490, 0xd22d95c174ce5be1ull},
     {"fc2x4sub/s2/b2b/ar_ring", 100780, 100780, 100780, 201560, 0x7cc5c7d3c1a3c193ull},
     {"fc2x4sub/s2/b2b/ar_auto", 93245, 93245, 93245, 186490, 0xd22d95c174ce5be1ull},
     {"fc2x4sub/s2/b2b/a2a_pairwise", 23753, 23753, 23753, 47506, 0x6ec9c0c2c8b9e1a7ull},
-    {"fc2x4sub/s2/b2b/a2a_auto", 23753, 23753, 23753, 47506, 0x6ec9c0c2c8b9e1a7ull},
     {"fc2x4sub/s2/b2b/a2av", 13550, 13550, 13550, 27100, 0xd29841cd595629beull},
     {"fc2x4sub/s2/overlap/ar_direct", 93245, 93245, 171923, 171923, 0x0f6de595d5b329e5ull},
     {"fc2x4sub/s2/overlap/ar_ring", 100780, 100780, 189810, 189810, 0x811c6d3d1c4c7eebull},
     {"fc2x4sub/s2/overlap/ar_auto", 93245, 93245, 171923, 171923, 0x0f6de595d5b329e5ull},
     {"fc2x4sub/s2/overlap/a2a_pairwise", 23753, 23753, 35756, 35756, 0xd95cdb6c5e346b57ull},
-    {"fc2x4sub/s2/overlap/a2a_auto", 23753, 23753, 35756, 35756, 0xd95cdb6c5e346b57ull},
     {"fc2x4sub/s2/overlap/a2av", 13550, 13550, 15350, 15350, 0xb68f5454d470c2f8ull},
     {"sw2x4/s1/b2b/ar_direct", 228480, 228480, 228480, 456960, 0xb323e50438b70147ull},
     {"sw2x4/s1/b2b/ar_ring", 156013, 156013, 156013, 312026, 0x53a4b258d02a4febull},
     {"sw2x4/s1/b2b/ar_hier", 104354, 104354, 104354, 208708, 0xd125de5aad7a4ac1ull},
     {"sw2x4/s1/b2b/ar_auto", 104354, 104354, 104354, 208708, 0xd125de5aad7a4ac1ull},
     {"sw2x4/s1/b2b/a2a_pairwise", 77116, 77116, 77116, 154232, 0xa1a31c8d154c9b9bull},
-    {"sw2x4/s1/b2b/a2a_nodeagg", 123534, 123534, 123534, 247068, 0x55b02d6ee517f5c5ull},
-    {"sw2x4/s1/b2b/a2a_auto", 123534, 123534, 123534, 247068, 0x55b02d6ee517f5c5ull},
     {"sw2x4/s1/b2b/a2av", 19525, 19525, 19525, 39050, 0x25c9f9a4a116ec2bull},
     {"sw2x4/s1/overlap/ar_direct", 228480, 228480, 438304, 438304, 0xdddd838ae7b40b1eull},
     {"sw2x4/s1/overlap/ar_ring", 156013, 156013, 298287, 298287, 0xa73f3323e94822cfull},
     {"sw2x4/s1/overlap/ar_hier", 104354, 104354, 192963, 192963, 0xbeffd72c5fa1b5c9ull},
     {"sw2x4/s1/overlap/ar_auto", 104354, 104354, 192963, 192963, 0xbeffd72c5fa1b5c9ull},
     {"sw2x4/s1/overlap/a2a_pairwise", 77116, 77116, 141132, 141132, 0x12ee80e1a43a3ce7ull},
-    {"sw2x4/s1/overlap/a2a_nodeagg", 123534, 123534, 234368, 234368, 0x4147ec89197778e0ull},
-    {"sw2x4/s1/overlap/a2a_auto", 123534, 123534, 234368, 234368, 0x4147ec89197778e0ull},
     {"sw2x4/s1/overlap/a2av", 19525, 19525, 26725, 26725, 0x66c98b6d0e25363full},
     {"sw2x4/s2/b2b/ar_direct", 228480, 228480, 228480, 456960, 0xb323e50438b70147ull},
     {"sw2x4/s2/b2b/ar_ring", 156013, 156013, 156013, 312026, 0x53a4b258d02a4febull},
     {"sw2x4/s2/b2b/ar_hier", 104354, 104354, 104354, 208708, 0xd125de5aad7a4ac1ull},
     {"sw2x4/s2/b2b/ar_auto", 104354, 104354, 104354, 208708, 0xd125de5aad7a4ac1ull},
     {"sw2x4/s2/b2b/a2a_pairwise", 77116, 77116, 77116, 154232, 0xa1a31c8d154c9b9bull},
-    {"sw2x4/s2/b2b/a2a_nodeagg", 123534, 123534, 123534, 247068, 0x55b02d6ee517f5c5ull},
-    {"sw2x4/s2/b2b/a2a_auto", 123534, 123534, 123534, 247068, 0x55b02d6ee517f5c5ull},
     {"sw2x4/s2/b2b/a2av", 19525, 19525, 19525, 39050, 0x25c9f9a4a116ec2bull},
     {"sw2x4/s2/overlap/ar_direct", 228480, 228480, 438304, 438304, 0xdddd838ae7b40b1eull},
     {"sw2x4/s2/overlap/ar_ring", 156013, 156013, 298287, 298287, 0xa73f3323e94822cfull},
     {"sw2x4/s2/overlap/ar_hier", 104354, 104354, 192963, 192963, 0xbeffd72c5fa1b5c9ull},
     {"sw2x4/s2/overlap/ar_auto", 104354, 104354, 192963, 192963, 0xbeffd72c5fa1b5c9ull},
     {"sw2x4/s2/overlap/a2a_pairwise", 77116, 77116, 141132, 141132, 0x12ee80e1a43a3ce7ull},
-    {"sw2x4/s2/overlap/a2a_nodeagg", 123534, 123534, 234368, 234368, 0x4147ec89197778e0ull},
-    {"sw2x4/s2/overlap/a2a_auto", 123534, 123534, 234368, 234368, 0x4147ec89197778e0ull},
     {"sw2x4/s2/overlap/a2av", 19525, 19525, 26725, 26725, 0x66c98b6d0e25363full},
     {"mr2x4/s1/b2b/ar_direct", 116662, 116662, 116662, 233324, 0x690feb27ceb221f3ull},
     {"mr2x4/s1/b2b/ar_ring", 128167, 128167, 128167, 256334, 0xf8df43072be9da1full},
     {"mr2x4/s1/b2b/ar_hier", 67425, 67425, 67425, 134850, 0xc36802c675331ef7ull},
     {"mr2x4/s1/b2b/ar_auto", 67425, 67425, 67425, 134850, 0xc36802c675331ef7ull},
     {"mr2x4/s1/b2b/a2a_pairwise", 43758, 43758, 43758, 87516, 0x593f4e27a15e9e43ull},
-    {"mr2x4/s1/b2b/a2a_nodeagg", 107178, 107178, 107178, 214356, 0xde4540b48a06e77aull},
-    {"mr2x4/s1/b2b/a2a_auto", 107178, 107178, 107178, 214356, 0xde4540b48a06e77aull},
     {"mr2x4/s1/b2b/a2av", 15350, 15350, 15350, 30700, 0x48dfde1c5a8aa11bull},
     {"mr2x4/s1/overlap/ar_direct", 116662, 116662, 221574, 221574, 0x7d88c1dbf597040bull},
     {"mr2x4/s1/overlap/ar_ring", 128167, 128167, 244584, 244584, 0x3e0c0a7df7a65673ull},
     {"mr2x4/s1/overlap/ar_hier", 67425, 67425, 117594, 117594, 0x81a8077bfbb42a0bull},
     {"mr2x4/s1/overlap/ar_auto", 67425, 67425, 117594, 117594, 0x81a8077bfbb42a0bull},
     {"mr2x4/s1/overlap/a2a_pairwise", 43758, 43758, 75766, 75766, 0x144737b8678f8af3ull},
-    {"mr2x4/s1/overlap/a2a_nodeagg", 107178, 107178, 201656, 201656, 0xf7861b81c9712c9bull},
-    {"mr2x4/s1/overlap/a2a_auto", 107178, 107178, 201656, 201656, 0xf7861b81c9712c9bull},
     {"mr2x4/s1/overlap/a2av", 15350, 15350, 18950, 18950, 0xb3dbd2496e154db7ull},
     {"mr2x4/s2/b2b/ar_direct", 116662, 116662, 116662, 233324, 0x690feb27ceb221f3ull},
     {"mr2x4/s2/b2b/ar_ring", 128167, 128167, 128167, 256334, 0xf8df43072be9da1full},
     {"mr2x4/s2/b2b/ar_hier", 67425, 67425, 67425, 134850, 0xc36802c675331ef7ull},
     {"mr2x4/s2/b2b/ar_auto", 67425, 67425, 67425, 134850, 0xc36802c675331ef7ull},
     {"mr2x4/s2/b2b/a2a_pairwise", 43758, 43758, 43758, 87516, 0x593f4e27a15e9e43ull},
-    {"mr2x4/s2/b2b/a2a_nodeagg", 107178, 107178, 107178, 214356, 0xde4540b48a06e77aull},
-    {"mr2x4/s2/b2b/a2a_auto", 107178, 107178, 107178, 214356, 0xde4540b48a06e77aull},
     {"mr2x4/s2/b2b/a2av", 15350, 15350, 15350, 30700, 0x48dfde1c5a8aa11bull},
     {"mr2x4/s2/overlap/ar_direct", 116662, 116662, 221574, 221574, 0x7d88c1dbf597040bull},
     {"mr2x4/s2/overlap/ar_ring", 128167, 128167, 244584, 244584, 0x3e0c0a7df7a65673ull},
     {"mr2x4/s2/overlap/ar_hier", 67425, 67425, 117594, 117594, 0x81a8077bfbb42a0bull},
     {"mr2x4/s2/overlap/ar_auto", 67425, 67425, 117594, 117594, 0x81a8077bfbb42a0bull},
     {"mr2x4/s2/overlap/a2a_pairwise", 43758, 43758, 75766, 75766, 0x144737b8678f8af3ull},
-    {"mr2x4/s2/overlap/a2a_nodeagg", 107178, 107178, 201656, 201656, 0xf7861b81c9712c9bull},
-    {"mr2x4/s2/overlap/a2a_auto", 107178, 107178, 201656, 201656, 0xf7861b81c9712c9bull},
     {"mr2x4/s2/overlap/a2av", 15350, 15350, 18950, 18950, 0xb3dbd2496e154db7ull},
     {"torus2x2g1/s1/b2b/ar_direct", 55131, 55131, 55131, 110262, 0x252320e730c303b3ull},
     {"torus2x2g1/s1/b2b/ar_ring", 82948, 82948, 82948, 165896, 0x340455754c60b57bull},
     {"torus2x2g1/s1/b2b/ar_auto", 55131, 55131, 55131, 110262, 0x252320e730c303b3ull},
     {"torus2x2g1/s1/b2b/a2a_pairwise", 17802, 17802, 17802, 35604, 0x38ae923798b6cf13ull},
-    {"torus2x2g1/s1/b2b/a2a_auto", 17802, 17802, 17802, 35604, 0x38ae923798b6cf13ull},
     {"torus2x2g1/s1/b2b/a2av", 12360, 12360, 12360, 24720, 0x00204a189e95bdc3ull},
     {"torus2x2g1/s1/overlap/ar_direct", 55131, 55131, 98862, 98862, 0xe90858f26bbc5d0full},
     {"torus2x2g1/s1/overlap/ar_ring", 82948, 82948, 154496, 154496, 0xead70ba61f0069ebull},
     {"torus2x2g1/s1/overlap/ar_auto", 55131, 55131, 98862, 98862, 0xe90858f26bbc5d0full},
     {"torus2x2g1/s1/overlap/a2a_pairwise", 17802, 17802, 24204, 24204, 0x839f74c6742519bfull},
-    {"torus2x2g1/s1/overlap/a2a_auto", 17802, 17802, 24204, 24204, 0x839f74c6742519bfull},
     {"torus2x2g1/s1/overlap/a2av", 12360, 12360, 13320, 13320, 0xf2917a6885cb95afull},
     {"torus2x2g1/s2/b2b/ar_direct", 55131, 55131, 55131, 110262, 0x252320e730c303b3ull},
     {"torus2x2g1/s2/b2b/ar_ring", 82948, 82948, 82948, 165896, 0x340455754c60b57bull},
     {"torus2x2g1/s2/b2b/ar_auto", 55131, 55131, 55131, 110262, 0x252320e730c303b3ull},
     {"torus2x2g1/s2/b2b/a2a_pairwise", 17802, 17802, 17802, 35604, 0x38ae923798b6cf13ull},
-    {"torus2x2g1/s2/b2b/a2a_auto", 17802, 17802, 17802, 35604, 0x38ae923798b6cf13ull},
     {"torus2x2g1/s2/b2b/a2av", 12360, 12360, 12360, 24720, 0x00204a189e95bdc3ull},
     {"torus2x2g1/s2/overlap/ar_direct", 55131, 55131, 98862, 98862, 0xe90858f26bbc5d0full},
     {"torus2x2g1/s2/overlap/ar_ring", 82948, 82948, 154496, 154496, 0xead70ba61f0069ebull},
     {"torus2x2g1/s2/overlap/ar_auto", 55131, 55131, 98862, 98862, 0xe90858f26bbc5d0full},
     {"torus2x2g1/s2/overlap/a2a_pairwise", 17802, 17802, 24204, 24204, 0x839f74c6742519bfull},
-    {"torus2x2g1/s2/overlap/a2a_auto", 17802, 17802, 24204, 24204, 0x839f74c6742519bfull},
     {"torus2x2g1/s2/overlap/a2av", 12360, 12360, 13320, 13320, 0xf2917a6885cb95afull},
     {"torus2x2g1/s4/b2b/ar_direct", 55131, 55131, 55131, 110262, 0x252320e730c303b3ull},
     {"torus2x2g1/s4/b2b/ar_ring", 82948, 82948, 82948, 165896, 0x340455754c60b57bull},
     {"torus2x2g1/s4/b2b/ar_auto", 55131, 55131, 55131, 110262, 0x252320e730c303b3ull},
     {"torus2x2g1/s4/b2b/a2a_pairwise", 17802, 17802, 17802, 35604, 0x38ae923798b6cf13ull},
-    {"torus2x2g1/s4/b2b/a2a_auto", 17802, 17802, 17802, 35604, 0x38ae923798b6cf13ull},
     {"torus2x2g1/s4/b2b/a2av", 12360, 12360, 12360, 24720, 0x00204a189e95bdc3ull},
     {"torus2x2g1/s4/overlap/ar_direct", 55131, 55131, 98862, 98862, 0xe90858f26bbc5d0full},
     {"torus2x2g1/s4/overlap/ar_ring", 82948, 82948, 154496, 154496, 0xead70ba61f0069ebull},
     {"torus2x2g1/s4/overlap/ar_auto", 55131, 55131, 98862, 98862, 0xe90858f26bbc5d0full},
     {"torus2x2g1/s4/overlap/a2a_pairwise", 17802, 17802, 24204, 24204, 0x839f74c6742519bfull},
-    {"torus2x2g1/s4/overlap/a2a_auto", 17802, 17802, 24204, 24204, 0x839f74c6742519bfull},
     {"torus2x2g1/s4/overlap/a2av", 12360, 12360, 13320, 13320, 0xf2917a6885cb95afull},
     {"torus2x2g2/s1/b2b/ar_direct", 95320, 95320, 95320, 190640, 0x807be3a368acbfc3ull},
     {"torus2x2g2/s1/b2b/ar_ring", 104899, 104899, 104899, 209798, 0xadc443cd8372d4b3ull},
     {"torus2x2g2/s1/b2b/ar_hier", 105523, 105523, 105523, 211046, 0x6dd4c6cfd8baaba3ull},
     {"torus2x2g2/s1/b2b/ar_auto", 105523, 105523, 105523, 211046, 0x6dd4c6cfd8baaba3ull},
     {"torus2x2g2/s1/b2b/a2a_pairwise", 37008, 37008, 37008, 74016, 0x4180084841b4d5d3ull},
-    {"torus2x2g2/s1/b2b/a2a_nodeagg", 47410, 47410, 47410, 94820, 0x5cf4f7e213d99e8full},
-    {"torus2x2g2/s1/b2b/a2a_auto", 47410, 47410, 47410, 94820, 0x5cf4f7e213d99e8full},
     {"torus2x2g2/s1/b2b/a2av", 15240, 15240, 15240, 30480, 0x21dc7c47ad33fb0bull},
     {"torus2x2g2/s1/overlap/ar_direct", 95320, 95320, 179240, 179240, 0xef8962e67995a55full},
     {"torus2x2g2/s1/overlap/ar_ring", 104899, 104899, 198398, 198398, 0xa465315e23ff50cfull},
     {"torus2x2g2/s1/overlap/ar_hier", 105523, 105523, 200346, 200346, 0xec3798d7b1e37503ull},
     {"torus2x2g2/s1/overlap/ar_auto", 105523, 105523, 200346, 200346, 0xec3798d7b1e37503ull},
     {"torus2x2g2/s1/overlap/a2a_pairwise", 37008, 37008, 62616, 62616, 0x24a0001340d5816full},
-    {"torus2x2g2/s1/overlap/a2a_nodeagg", 47410, 47410, 73018, 73018, 0x824bdf58475c6127ull},
-    {"torus2x2g2/s1/overlap/a2a_auto", 47410, 47410, 73018, 73018, 0x824bdf58475c6127ull},
     {"torus2x2g2/s1/overlap/a2av", 15240, 15240, 19080, 19080, 0x560dd598fc078efbull},
     {"torus2x2g2/s2/b2b/ar_direct", 95320, 95320, 95320, 190640, 0x807be3a368acbfc3ull},
     {"torus2x2g2/s2/b2b/ar_ring", 104899, 104899, 104899, 209798, 0xadc443cd8372d4b3ull},
     {"torus2x2g2/s2/b2b/ar_hier", 105523, 105523, 105523, 211046, 0x6dd4c6cfd8baaba3ull},
     {"torus2x2g2/s2/b2b/ar_auto", 105523, 105523, 105523, 211046, 0x6dd4c6cfd8baaba3ull},
     {"torus2x2g2/s2/b2b/a2a_pairwise", 37008, 37008, 37008, 74016, 0x4180084841b4d5d3ull},
-    {"torus2x2g2/s2/b2b/a2a_nodeagg", 47410, 47410, 47410, 94820, 0x5cf4f7e213d99e8full},
-    {"torus2x2g2/s2/b2b/a2a_auto", 47410, 47410, 47410, 94820, 0x5cf4f7e213d99e8full},
     {"torus2x2g2/s2/b2b/a2av", 15240, 15240, 15240, 30480, 0x21dc7c47ad33fb0bull},
     {"torus2x2g2/s2/overlap/ar_direct", 95320, 95320, 179240, 179240, 0xef8962e67995a55full},
     {"torus2x2g2/s2/overlap/ar_ring", 104899, 104899, 198398, 198398, 0xa465315e23ff50cfull},
     {"torus2x2g2/s2/overlap/ar_hier", 105523, 105523, 200346, 200346, 0xec3798d7b1e37503ull},
     {"torus2x2g2/s2/overlap/ar_auto", 105523, 105523, 200346, 200346, 0xec3798d7b1e37503ull},
     {"torus2x2g2/s2/overlap/a2a_pairwise", 37008, 37008, 62616, 62616, 0x24a0001340d5816full},
-    {"torus2x2g2/s2/overlap/a2a_nodeagg", 47410, 47410, 73018, 73018, 0x824bdf58475c6127ull},
-    {"torus2x2g2/s2/overlap/a2a_auto", 47410, 47410, 73018, 73018, 0x824bdf58475c6127ull},
     {"torus2x2g2/s2/overlap/a2av", 15240, 15240, 19080, 19080, 0x560dd598fc078efbull},
     {"torus2x2g2/s4/b2b/ar_direct", 95320, 95320, 95320, 190640, 0x807be3a368acbfc3ull},
     {"torus2x2g2/s4/b2b/ar_ring", 104899, 104899, 104899, 209798, 0xadc443cd8372d4b3ull},
     {"torus2x2g2/s4/b2b/ar_hier", 105523, 105523, 105523, 211046, 0x6dd4c6cfd8baaba3ull},
     {"torus2x2g2/s4/b2b/ar_auto", 105523, 105523, 105523, 211046, 0x6dd4c6cfd8baaba3ull},
     {"torus2x2g2/s4/b2b/a2a_pairwise", 37008, 37008, 37008, 74016, 0x4180084841b4d5d3ull},
-    {"torus2x2g2/s4/b2b/a2a_nodeagg", 47410, 47410, 47410, 94820, 0x5cf4f7e213d99e8full},
-    {"torus2x2g2/s4/b2b/a2a_auto", 47410, 47410, 47410, 94820, 0x5cf4f7e213d99e8full},
     {"torus2x2g2/s4/b2b/a2av", 15240, 15240, 15240, 30480, 0x21dc7c47ad33fb0bull},
     {"torus2x2g2/s4/overlap/ar_direct", 95320, 95320, 179240, 179240, 0xef8962e67995a55full},
     {"torus2x2g2/s4/overlap/ar_ring", 104899, 104899, 198398, 198398, 0xa465315e23ff50cfull},
     {"torus2x2g2/s4/overlap/ar_hier", 105523, 105523, 200346, 200346, 0xec3798d7b1e37503ull},
     {"torus2x2g2/s4/overlap/ar_auto", 105523, 105523, 200346, 200346, 0xec3798d7b1e37503ull},
     {"torus2x2g2/s4/overlap/a2a_pairwise", 37008, 37008, 62616, 62616, 0x24a0001340d5816full},
-    {"torus2x2g2/s4/overlap/a2a_nodeagg", 47410, 47410, 73018, 73018, 0x824bdf58475c6127ull},
-    {"torus2x2g2/s4/overlap/a2a_auto", 47410, 47410, 73018, 73018, 0x824bdf58475c6127ull},
     {"torus2x2g2/s4/overlap/a2av", 15240, 15240, 19080, 19080, 0x560dd598fc078efbull},
     // FCC_GOLDEN ccl_schedule end
 };
@@ -564,7 +488,7 @@ TEST(CclSchedule, EveryCollectiveMatchesGolden) {
 
 /// One communicator's calls, in order: repeats of the same algorithm and
 /// size, then changes of algorithm or of size (`shrink` divides the
-/// standard sizes). kAuto picks the hierarchical algorithms where eligible.
+/// standard sizes). kAuto picks the hierarchical AllReduce where eligible.
 struct Call {
   Coll coll;
   int shrink;
@@ -573,7 +497,7 @@ constexpr Call kSequence[] = {
     {Coll::kArDirect, 1},     {Coll::kArDirect, 1},     {Coll::kArRing, 1},
     {Coll::kArDirect, 1},     {Coll::kArDirect, 3},     {Coll::kArAuto, 3},
     {Coll::kArAuto, 3},       {Coll::kA2aPairwise, 1},  {Coll::kA2aPairwise, 1},
-    {Coll::kA2aAuto, 1},      {Coll::kA2aPairwise, 2},  {Coll::kA2av, 1},
+    {Coll::kA2aPairwise, 1},  {Coll::kA2aPairwise, 2},  {Coll::kA2av, 1},
     {Coll::kA2av, 1},         {Coll::kA2aPairwise, 2},
 };
 
@@ -602,44 +526,44 @@ const RepeatGolden kRepeatGolden[] = {
     // FCC_GOLDEN ccl_schedule_repeat begin
     {"fc1x4/s1/seq", 313956, 0x688373244878048dull, 0x552891aa96be10c3ull},
     {"fc1x4/s1/overlap", 455312, 0x38fb18386532c783ull, 0xfb7d9a5d152cec5eull},
-    {"fc2x4/s1/seq", 1348549, 0xcbd6f54ec15151cbull, 0x7e121030165815efull},
-    {"fc2x4/s1/overlap", 2341707, 0xed9e78d116fceeddull, 0x804fd644fef3d5c7ull},
-    {"fc2x4/s2/seq", 1348549, 0xcbd6f54ec15151cbull, 0x7e121030165815efull},
-    {"fc2x4/s2/overlap", 2341707, 0x605deb55ae51ccf0ull, 0x804fd644fef3d5c7ull},
-    {"fc4x2/s1/seq", 1120741, 0x9c3076cb26306e90ull, 0xc172039fac4b8cd3ull},
-    {"fc4x2/s1/overlap", 1920546, 0x441839c3258e445eull, 0x68ef479c78242a53ull},
-    {"fc4x2/s2/seq", 1120741, 0x9c3076cb26306e90ull, 0xc172039fac4b8cd3ull},
-    {"fc4x2/s2/overlap", 1920546, 0x27244ecb24bde844ull, 0x68ef479c78242a53ull},
-    {"fc4x2/s4/seq", 1120741, 0x9c3076cb26306e90ull, 0xc172039fac4b8cd3ull},
-    {"fc4x2/s4/overlap", 1920546, 0x27244ecb24bde844ull, 0x68ef479c78242a53ull},
-    {"fc3x3/s1/seq", 1406417, 0x208d493f66fc51a5ull, 0x1bf57eafbbb0d577ull},
-    {"fc3x3/s1/overlap", 2465727, 0x833ecfda905c638aull, 0x54f84a4e97f4dfecull},
-    {"fc3x3/s2/seq", 1406417, 0x208d493f66fc51a5ull, 0x1bf57eafbbb0d577ull},
-    {"fc3x3/s2/overlap", 2465727, 0xdaac33267fc43cd9ull, 0x54f84a4e97f4dfecull},
+    {"fc2x4/s1/seq", 1317137, 0x20590c7924f21c63ull, 0x10438c4f809a7fabull},
+    {"fc2x4/s1/overlap", 2301968, 0x62125527a7d3ba43ull, 0xa24b0ef7d6b3cf7bull},
+    {"fc2x4/s2/seq", 1317137, 0x20590c7924f21c63ull, 0x10438c4f809a7fabull},
+    {"fc2x4/s2/overlap", 2301968, 0x597d5050aeb71aa2ull, 0xa24b0ef7d6b3cf7bull},
+    {"fc4x2/s1/seq", 1110333, 0xa80c65eaa4226874ull, 0xd829488e0b10cb57ull},
+    {"fc4x2/s1/overlap", 1901904, 0x05dec625e90061cfull, 0xf085a30104fc82b7ull},
+    {"fc4x2/s2/seq", 1110333, 0xa80c65eaa4226874ull, 0xd829488e0b10cb57ull},
+    {"fc4x2/s2/overlap", 1901904, 0x318a81635a81692dull, 0xf085a30104fc82b7ull},
+    {"fc4x2/s4/seq", 1110333, 0xa80c65eaa4226874ull, 0xd829488e0b10cb57ull},
+    {"fc4x2/s4/overlap", 1901904, 0x318a81635a81692dull, 0xf085a30104fc82b7ull},
+    {"fc3x3/s1/seq", 1385004, 0xef384ae90c0af987ull, 0x34d9fa8263655273ull},
+    {"fc3x3/s1/overlap", 2434622, 0xaa589197be962ecdull, 0x985af4c15c6641eaull},
+    {"fc3x3/s2/seq", 1385004, 0xef384ae90c0af987ull, 0x34d9fa8263655273ull},
+    {"fc3x3/s2/overlap", 2434622, 0x9ac0411095f8ac86ull, 0x985af4c15c6641eaull},
     {"fc2x4sub/s1/seq", 634626, 0x5423b8e366aa2af7ull, 0x6628ec61fa6c0223ull},
     {"fc2x4sub/s1/overlap", 1013525, 0x06c892836472aa52ull, 0x8f4e8945fb0120f2ull},
     {"fc2x4sub/s2/seq", 634626, 0x5423b8e366aa2af7ull, 0x6628ec61fa6c0223ull},
     {"fc2x4sub/s2/overlap", 1013525, 0xe49eae7d8d7ff039ull, 0x8f4e8945fb0120f2ull},
-    {"sw2x4/s1/seq", 1430513, 0xafb718a498a9df6full, 0xc246e16983928fa7ull},
-    {"sw2x4/s1/overlap", 2487944, 0xbac84d519276fa11ull, 0xd5d018928379b7d8ull},
-    {"sw2x4/s2/seq", 1430513, 0xafb718a498a9df6full, 0xc246e16983928fa7ull},
-    {"sw2x4/s2/overlap", 2487944, 0xff997d673dcc2b25ull, 0xd5d018928379b7d8ull},
-    {"mr2x4/s1/seq", 872947, 0x59c65cbe15c20adcull, 0xebd661df9643fbb3ull},
-    {"mr2x4/s1/overlap", 1406004, 0xd1188232c8a32b41ull, 0x00071413e8d3c5f7ull},
-    {"mr2x4/s2/seq", 872947, 0x59c65cbe15c20adcull, 0xebd661df9643fbb3ull},
-    {"mr2x4/s2/overlap", 1406004, 0x467baf111f7c207aull, 0x00071413e8d3c5f7ull},
+    {"sw2x4/s1/seq", 1384095, 0xd290058cc41c81d4ull, 0x8bf154eab91b2207ull},
+    {"sw2x4/s1/overlap", 2418230, 0xfc9c9e2c5be79b43ull, 0x6e814ece575c3625ull},
+    {"sw2x4/s2/seq", 1384095, 0xd290058cc41c81d4ull, 0x8bf154eab91b2207ull},
+    {"sw2x4/s2/overlap", 2418230, 0x075b2312bcb4efe3ull, 0x6e814ece575c3625ull},
+    {"mr2x4/s1/seq", 809527, 0x44215d3327eb8ab5ull, 0xca72f3953656ee5full},
+    {"mr2x4/s1/overlap", 1296776, 0x76c1cc3e66163247ull, 0xdbdd987cb46c935bull},
+    {"mr2x4/s2/seq", 809527, 0x44215d3327eb8ab5ull, 0xca72f3953656ee5full},
+    {"mr2x4/s2/overlap", 1296776, 0x16dd84638587744cull, 0xdbdd987cb46c935bull},
     {"torus2x2g1/s1/seq", 434999, 0x20c21f0dc3d1182bull, 0x783a4aac328645efull},
     {"torus2x2g1/s1/overlap", 662448, 0x89867ff6fdf145f1ull, 0xbc65908870da0e0full},
     {"torus2x2g1/s2/seq", 434999, 0x20c21f0dc3d1182bull, 0x783a4aac328645efull},
     {"torus2x2g1/s2/overlap", 662448, 0x6b59b8e6568449f9ull, 0xbc65908870da0e0full},
     {"torus2x2g1/s4/seq", 434999, 0x20c21f0dc3d1182bull, 0x783a4aac328645efull},
     {"torus2x2g1/s4/overlap", 662448, 0x6b59b8e6568449f9ull, 0xbc65908870da0e0full},
-    {"torus2x2g2/s1/seq", 736609, 0xff3cda3523fe4e38ull, 0x84d31856ab49e543ull},
-    {"torus2x2g2/s1/overlap", 1168272, 0x8403643bc31afe95ull, 0x10f236a31ba0bf0full},
-    {"torus2x2g2/s2/seq", 736609, 0xff3cda3523fe4e38ull, 0x84d31856ab49e543ull},
-    {"torus2x2g2/s2/overlap", 1168272, 0xfb424144701762ddull, 0x10f236a31ba0bf0full},
-    {"torus2x2g2/s4/seq", 736609, 0xff3cda3523fe4e38ull, 0x84d31856ab49e543ull},
-    {"torus2x2g2/s4/overlap", 1168272, 0xfb424144701762ddull, 0x10f236a31ba0bf0full},
+    {"torus2x2g2/s1/seq", 726207, 0xe8ab5e1920ea2df7ull, 0x1618303a1d5fd047ull},
+    {"torus2x2g2/s1/overlap", 1150342, 0xccdaf3fe354accc0ull, 0x91d10c775567b4b7ull},
+    {"torus2x2g2/s2/seq", 726207, 0xe8ab5e1920ea2df7ull, 0x1618303a1d5fd047ull},
+    {"torus2x2g2/s2/overlap", 1150342, 0x94b44bd80274c343ull, 0x91d10c775567b4b7ull},
+    {"torus2x2g2/s4/seq", 726207, 0xe8ab5e1920ea2df7ull, 0x1618303a1d5fd047ull},
+    {"torus2x2g2/s4/overlap", 1150342, 0x94b44bd80274c343ull, 0x91d10c775567b4b7ull},
     // FCC_GOLDEN ccl_schedule_repeat end
 };
 // clang-format on

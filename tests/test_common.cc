@@ -1,4 +1,4 @@
-// Utilities: RNG determinism, zipf skew, stats, math helpers, table/CSV.
+// Utilities: RNG determinism, stats, math helpers, table/CSV.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -58,21 +58,6 @@ TEST(Rng, ForkProducesIndependentStream) {
   Rng a(5);
   Rng child = a.fork();
   EXPECT_NE(a.next_u64(), child.next_u64());
-}
-
-TEST(Zipf, SkewsTowardsLowIndices) {
-  ZipfSampler z(1000, 0.9, Rng(3));
-  int head = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) head += (z.next() < 10);
-  // With theta=0.9 the top-10 of 1000 categories should carry far more than
-  // the uniform 1% of mass.
-  EXPECT_GT(head, n / 20);
-}
-
-TEST(Zipf, StaysInRange) {
-  ZipfSampler z(50, 0.99, Rng(4));
-  for (int i = 0; i < 10000; ++i) EXPECT_LT(z.next(), 50u);
 }
 
 TEST(MathUtil, CeilDivAndAlign) {

@@ -16,6 +16,7 @@
 #include "gpu/machine.h"
 #include "gpu/schedule.h"
 #include "hw/topology.h"
+#include "reference_models.h"
 #include "reject_config.h"
 #include "shmem/world.h"
 

@@ -7,6 +7,7 @@
 #include "fused/gemv_allreduce.h"
 #include "gpu/machine.h"
 #include "ops/gemv.h"
+#include "reference_models.h"
 #include "reject_config.h"
 #include "shmem/world.h"
 

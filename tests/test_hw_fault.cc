@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ccl/communicator.h"
+#include "chaos_plan.h"
 #include "gpu/machine.h"
 #include "hw/fault.h"
 #include "hw/topology.h"
@@ -340,7 +341,6 @@ TEST(DegradedCollectives, DeadRailDropsHierarchyAndRecovers) {
   Communicator comm(m, pes);
   hw::Topology& topo = m.topology();
   EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
-  EXPECT_EQ(comm.select_a2a(), AllToAllAlgo::kNodeAggregate);
   EXPECT_TRUE(topo.degraded_components(pes).empty());
 
   hw::FaultEvent ev;
@@ -350,7 +350,6 @@ TEST(DegradedCollectives, DeadRailDropsHierarchyAndRecovers) {
   topo.apply_fault(ev);
 
   EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
-  EXPECT_EQ(comm.select_a2a(), AllToAllAlgo::kPairwise);
   EXPECT_EQ(topo.degraded_components(pes),
             std::vector<std::string>{"node0.rail0"});
 
@@ -364,8 +363,46 @@ TEST(DegradedCollectives, DeadRailDropsHierarchyAndRecovers) {
   ev.kind = hw::FaultKind::kRepair;
   topo.apply_fault(ev);
   EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
-  EXPECT_EQ(comm.select_a2a(), AllToAllAlgo::kNodeAggregate);
   EXPECT_TRUE(topo.degraded_components(pes).empty());
+}
+
+TEST(DegradedCollectives, DeadTorusLinkBetweenMemberNodesDropsHierarchy) {
+  // A 5x1 torus ring, 2 GPUs per node; the communicator spans nodes 0 and
+  // 2, whose dimension-ordered route runs +x through node 1. Killing node
+  // 1's +x link leaves every member node's own links healthy: only the
+  // ideal-route casualty walk can see the fault (the degraded route
+  // detours the other way round the ring).
+  gpu::Machine::Config mc;
+  mc.num_nodes = 5;
+  mc.gpus_per_node = 2;
+  mc.topology.kind = hw::TopologySpec::Kind::kTorus2D;
+  mc.topology.torus.dim_x = 5;
+  mc.topology.torus.dim_y = 1;
+  gpu::Machine m(mc);
+  const std::vector<PeId> pes = {0, 1, 4, 5};
+  Communicator comm(m, pes);
+  ASSERT_TRUE(comm.hierarchy_eligible());
+  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
+
+  hw::Topology& topo = m.topology();
+  hw::FaultEvent ev;
+  ev.kind = hw::FaultKind::kDead;
+  ev.site = topo.fault_site_index("node1.+x");
+  ASSERT_GE(ev.site, 0);
+  topo.apply_fault(ev);
+
+  EXPECT_EQ(topo.degraded_components(pes),
+            std::vector<std::string>{"node1.+x"});
+  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
+  TimeNs done = 0;
+  run_all_reduce(comm, 1 << 16, done);
+  m.engine().run();
+  EXPECT_GT(done, 0);
+
+  ev.kind = hw::FaultKind::kRepair;
+  topo.apply_fault(ev);
+  EXPECT_TRUE(topo.degraded_components(pes).empty());
+  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
 }
 
 TEST(DegradedCollectives, DeratedWireAlsoDropsHierarchy) {
@@ -386,7 +423,6 @@ TEST(DegradedCollectives, DeratedWireAlsoDropsHierarchy) {
   topo.apply_fault(ev);
 
   EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
-  EXPECT_EQ(comm.select_a2a(), AllToAllAlgo::kPairwise);
   // The wire's ill-health surfaces through its owning NIC site ("node1");
   // either spelling identifies the degraded component.
   const std::vector<std::string> avoided = topo.degraded_components(pes);

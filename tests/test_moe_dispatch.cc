@@ -148,7 +148,7 @@ TEST(DispatchLayout, PadsSegmentsAndTracksRecvOffsets) {
   }
   // Element counts (the baseline's all_to_all_v matrix): total ==
   // sources * assignments * d_out.
-  const auto counts = ops::Router::a2av_counts(plans, pes, cfg.d_out);
+  const auto counts = ops::a2av_counts(plans, pes, cfg.d_out);
   const auto total =
       std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
   EXPECT_EQ(total, pes * cfg.assignments() * cfg.d_out);

@@ -1,13 +1,13 @@
-// MoE routing: gating, top-k selection, dispatch plans, and the variable
-// All-to-All that ships them (paper Fig. 4 dispatch path).
+// MoE dispatch plans: the flattened all_to_all_v counts, the variable
+// All-to-All that ships routed tokens (paper Fig. 4 dispatch path), and the
+// load balance of the synthetic routing at equal load.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <numeric>
-#include <span>
-#include <string>
+#include <vector>
 
 #include "ccl/communicator.h"
+#include "fused/moe_dispatch.h"
 #include "gpu/machine.h"
 #include "ops/gemv.h"
 #include "ops/moe_routing.h"
@@ -16,88 +16,24 @@
 namespace fcc::ops {
 namespace {
 
-RoutingConfig small_cfg() {
-  RoutingConfig cfg;
-  cfg.num_experts = 4;
-  cfg.d_model = 16;
+/// Synthetic routing of `tokens` tokens per PE to top-2 of `pes` experts.
+std::vector<DispatchPlan> plans_for(int pes, int tokens) {
+  fused::MoeDispatchConfig cfg;
+  cfg.tokens_per_pe = tokens;
   cfg.top_k = 2;
-  return cfg;
+  return fused::skewed_plans(cfg, pes);
 }
 
-TEST(Router, RouteSelectsTopKDistinctExperts) {
-  Rng rng(21);
-  Router router(small_cfg(), rng);
-  auto token = random_vector(16, rng);
-  const auto r = router.route(token);
-  ASSERT_EQ(r.experts.size(), 2u);
-  EXPECT_NE(r.experts[0], r.experts[1]);
-  for (int e : r.experts) {
-    EXPECT_GE(e, 0);
-    EXPECT_LT(e, 4);
-  }
+TEST(DispatchPlan, A2avCountsFlattenPerSourcePlans) {
+  const std::vector<DispatchPlan> plans = {
+      {{3, 0, 5, 0}, {}, {}}, {{1, 1, 1, 1}, {}, {}}, {{0, 0, 0, 8}, {}, {}}};
+  const auto counts = a2av_counts(plans, 4, /*elems_per_token=*/16);
+  const std::vector<std::int64_t> want = {48, 0,  80, 0,  16, 16,
+                                          16, 16, 0,  0,  0,  128};
+  EXPECT_EQ(counts, want);
 }
 
-TEST(Router, CombineWeightsAreNormalizedAndOrdered) {
-  Rng rng(22);
-  Router router(small_cfg(), rng);
-  auto token = random_vector(16, rng);
-  const auto r = router.route(token);
-  EXPECT_NEAR(r.weights[0] + r.weights[1], 1.0f, 1e-5);
-  EXPECT_GE(r.weights[0], r.weights[1]);  // descending gate score
-  EXPECT_GT(r.weights[1], 0.0f);
-}
-
-TEST(Router, RoutingIsDeterministic) {
-  Rng rng_a(23), rng_b(23);
-  Router a(small_cfg(), rng_a), b(small_cfg(), rng_b);
-  Rng data(9);
-  auto token = random_vector(16, data);
-  const auto ra = a.route(token);
-  const auto rb = b.route(token);
-  EXPECT_EQ(ra.experts, rb.experts);
-}
-
-TEST(Router, PlanCoversEveryTokenExactlyTopKTimes) {
-  Rng rng(24);
-  Router router(small_cfg(), rng);
-  const int tokens = 64;
-  auto acts = random_vector(static_cast<size_t>(tokens) * 16, rng);
-  const auto plan = router.plan(acts, tokens);
-
-  const auto total = std::accumulate(plan.counts.begin(), plan.counts.end(),
-                                     std::int64_t{0});
-  EXPECT_EQ(total, tokens * 2);
-  EXPECT_EQ(plan.order.size(), static_cast<size_t>(tokens * 2));
-
-  std::vector<int> appearances(static_cast<size_t>(tokens), 0);
-  for (int t : plan.order) ++appearances[static_cast<size_t>(t)];
-  for (int c : appearances) EXPECT_EQ(c, 2);
-
-  // Offsets delimit expert segments consistent with counts.
-  for (int e = 0; e < 4; ++e) {
-    const std::int64_t begin = plan.offsets[static_cast<size_t>(e)];
-    const std::int64_t end =
-        begin + plan.counts[static_cast<size_t>(e)];
-    EXPECT_LE(end, static_cast<std::int64_t>(plan.order.size()));
-  }
-}
-
-TEST(Router, A2avCountsFlattenPerSourcePlans) {
-  Rng rng(25);
-  Router router(small_cfg(), rng);
-  std::vector<DispatchPlan> plans;
-  for (int src = 0; src < 3; ++src) {
-    auto acts = random_vector(static_cast<size_t>(8) * 16, rng);
-    plans.push_back(router.plan(acts, 8));
-  }
-  const auto counts = Router::a2av_counts(plans, 4, /*elems_per_token=*/16);
-  ASSERT_EQ(counts.size(), 12u);
-  std::int64_t total = 0;
-  for (auto c : counts) total += c;
-  EXPECT_EQ(total, 3 * 8 * 2 * 16);  // sources x tokens x top_k x payload
-}
-
-// Dispatch integration: route on every GPU, ship activations with
+// Dispatch integration: ship every PE's routed activations with
 // all_to_all_v, verify each expert receives exactly the tokens routed to it.
 sim::Task drive_a2av(sim::Engine&, ccl::Communicator& comm,
                      const std::vector<std::int64_t>& counts,
@@ -107,36 +43,31 @@ sim::Task drive_a2av(sim::Engine&, ccl::Communicator& comm,
 }
 
 TEST(Dispatch, AllToAllVDeliversRoutedTokens) {
-  const auto cfg = small_cfg();
-  const int pes = 4, tokens = 8;
+  const int pes = 4, tokens = 8, d_model = 16;
   Rng rng(26);
-  Router router(cfg, rng);
-
-  std::vector<std::vector<float>> acts;       // [pe][tokens * d_model]
-  std::vector<DispatchPlan> plans;
+  const auto plans = plans_for(pes, tokens);
+  std::vector<std::vector<float>> acts;  // [pe][tokens * d_model]
   for (int pe = 0; pe < pes; ++pe) {
-    acts.push_back(random_vector(static_cast<size_t>(tokens) * cfg.d_model,
-                                 rng));
-    plans.push_back(router.plan(acts.back(), tokens));
+    acts.push_back(random_vector(static_cast<size_t>(tokens) * d_model, rng));
   }
-  const auto counts = Router::a2av_counts(plans, pes, cfg.d_model);
+  const auto counts = a2av_counts(plans, pes, d_model);
 
   // Pack send buffers destination-major using each plan's order.
   std::vector<std::vector<float>> send(static_cast<size_t>(pes)),
       recv(static_cast<size_t>(pes));
   for (int src = 0; src < pes; ++src) {
     for (int t : plans[static_cast<size_t>(src)].order) {
-      const auto* tok = &acts[static_cast<size_t>(src)]
-                             [static_cast<size_t>(t) * cfg.d_model];
+      const auto* tok =
+          &acts[static_cast<size_t>(src)][static_cast<size_t>(t) * d_model];
       send[static_cast<size_t>(src)].insert(
-          send[static_cast<size_t>(src)].end(), tok, tok + cfg.d_model);
+          send[static_cast<size_t>(src)].end(), tok, tok + d_model);
     }
     std::int64_t recv_elems = 0;
     for (int s = 0; s < pes; ++s) {
       recv_elems += counts[static_cast<size_t>(s * pes + src)];
     }
-    recv[static_cast<size_t>(src)].assign(
-        static_cast<size_t>(recv_elems), -1.0f);
+    recv[static_cast<size_t>(src)].assign(static_cast<size_t>(recv_elems),
+                                          -1.0f);
   }
 
   gpu::Machine::Config mc;
@@ -154,172 +85,43 @@ TEST(Dispatch, AllToAllVDeliversRoutedTokens) {
   machine.engine().run();
   ASSERT_TRUE(done);
 
-  // Expert e's buffer = concatenation over sources of their expert-e
-  // token segments; spot-verify the first routed token from source 2.
-  const int expert = 1;
-  std::int64_t off = 0;
-  for (int s = 0; s < 2; ++s) {
-    off += counts[static_cast<size_t>(s * pes + expert)];
-  }
-  const auto& plan2 = plans[2];
-  if (plan2.counts[expert] > 0) {
-    const int tok = plan2.order[static_cast<size_t>(plan2.offsets[expert])];
-    for (int c = 0; c < cfg.d_model; ++c) {
-      ASSERT_FLOAT_EQ(
-          recv[expert][static_cast<size_t>(off + c)],
-          acts[2][static_cast<size_t>(tok) * cfg.d_model +
-                  static_cast<size_t>(c)]);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Property sweep: DispatchPlan invariants under adversarial gate scores.
-// The fused dispatch operator trusts counts/offsets/order blindly (they
-// size buffers and drive remote PUTs), so they must stay consistent for
-// ties, saturated logits, and degenerate token distributions.
-// ---------------------------------------------------------------------------
-
-void expect_plan_consistent(const RoutingConfig& cfg, const DispatchPlan& p,
-                            int tokens) {
-  const auto experts = static_cast<std::size_t>(cfg.num_experts);
-  ASSERT_EQ(p.counts.size(), experts);
-  ASSERT_EQ(p.offsets.size(), experts);
-
-  // Counts: non-negative, summing to tokens * top_k.
-  std::int64_t total = 0;
-  for (auto c : p.counts) {
-    EXPECT_GE(c, 0);
-    total += c;
-  }
-  EXPECT_EQ(total, static_cast<std::int64_t>(tokens) * cfg.top_k);
-  ASSERT_EQ(p.order.size(), static_cast<std::size_t>(total));
-
-  // Offsets: exact prefix sums of counts (segments tile `order` densely).
-  std::int64_t off = 0;
-  for (std::size_t e = 0; e < experts; ++e) {
-    EXPECT_EQ(p.offsets[e], off);
-    off += p.counts[e];
-  }
-
-  // Order: every token appears exactly top_k times overall and at most
-  // once inside any single expert's segment.
-  std::vector<int> appearances(static_cast<std::size_t>(tokens), 0);
-  for (int t : p.order) {
-    ASSERT_GE(t, 0);
-    ASSERT_LT(t, tokens);
-    ++appearances[static_cast<std::size_t>(t)];
-  }
-  for (int c : appearances) EXPECT_EQ(c, cfg.top_k);
-  for (std::size_t e = 0; e < experts; ++e) {
-    std::vector<bool> seen(static_cast<std::size_t>(tokens), false);
-    for (std::int64_t i = 0; i < p.counts[e]; ++i) {
-      const auto t = static_cast<std::size_t>(
-          p.order[static_cast<std::size_t>(p.offsets[e] + i)]);
-      EXPECT_FALSE(seen[t]) << "token routed twice to expert " << e;
-      seen[t] = true;
-    }
-  }
-}
-
-TEST(RouterProperty, PlanConsistentUnderAdversarialGateScores) {
-  struct Gen {
-    const char* name;
-    float (*value)(int token, int dim);
-  };
-  const Gen generators[] = {
-      {"all_zero", [](int, int) { return 0.0f; }},          // every logit ties
-      {"constant", [](int, int) { return 1.0f; }},          // per-token ties
-      {"huge_positive", [](int, int) { return 1e18f; }},    // saturated logits
-      {"huge_negative", [](int, int) { return -1e18f; }},
-      {"one_hot", [](int t, int d) { return d == t % 7 ? 1.0f : 0.0f; }},
-      {"alternating",
-       [](int t, int d) { return ((t + d) % 2 != 0) ? 1e9f : -1e9f; }},
-  };
-  RoutingConfig configs[] = {
-      {4, 16, 2},  // the default shape
-      {8, 16, 8},  // top_k == num_experts (every expert, every token)
-      {5, 16, 1},  // switch-style top-1
-      {3, 1, 2},   // single-feature gate: maximal tie pressure
-  };
-  for (const auto& cfg : configs) {
-    Rng rng(31);
-    Router router(cfg, rng);
-    for (const auto& gen : generators) {
-      const int tokens = 33;  // not a multiple of num_experts
-      std::vector<float> acts(static_cast<std::size_t>(tokens) *
-                              static_cast<std::size_t>(cfg.d_model));
-      for (int t = 0; t < tokens; ++t) {
-        for (int d = 0; d < cfg.d_model; ++d) {
-          acts[static_cast<std::size_t>(t) *
-                   static_cast<std::size_t>(cfg.d_model) +
-               static_cast<std::size_t>(d)] = gen.value(t, d);
+  // Expert e's buffer = concatenation over sources of their expert-e token
+  // segments, each in the source plan's order.
+  for (int e = 0; e < pes; ++e) {
+    std::size_t off = 0;
+    for (int src = 0; src < pes; ++src) {
+      const auto& p = plans[static_cast<size_t>(src)];
+      for (std::int64_t i = 0; i < p.counts[static_cast<size_t>(e)]; ++i) {
+        const int tok = p.order[static_cast<size_t>(
+            p.offsets[static_cast<size_t>(e)] + i)];
+        for (int c = 0; c < d_model; ++c, ++off) {
+          ASSERT_FLOAT_EQ(
+              recv[static_cast<size_t>(e)][off],
+              acts[static_cast<size_t>(src)]
+                  [static_cast<size_t>(tok) * d_model +
+                   static_cast<size_t>(c)])
+              << "expert " << e << " source " << src << " token " << tok;
         }
       }
-      SCOPED_TRACE(std::string(gen.name) + " experts=" +
-                   std::to_string(cfg.num_experts) + " k=" +
-                   std::to_string(cfg.top_k));
-      const auto plan = router.plan(acts, tokens);
-      expect_plan_consistent(cfg, plan, tokens);
-
-      // Per-token route invariants under the same inputs: distinct experts,
-      // finite normalized weights, descending gate order.
-      const auto r = router.route(
-          std::span<const float>(acts).subspan(0, static_cast<std::size_t>(
-                                                      cfg.d_model)));
-      ASSERT_EQ(r.experts.size(), static_cast<std::size_t>(cfg.top_k));
-      ASSERT_EQ(r.weights.size(), static_cast<std::size_t>(cfg.top_k));
-      float sum = 0;
-      for (std::size_t i = 0; i < r.experts.size(); ++i) {
-        for (std::size_t j = i + 1; j < r.experts.size(); ++j) {
-          EXPECT_NE(r.experts[i], r.experts[j]);
-        }
-        EXPECT_TRUE(std::isfinite(r.weights[i]));
-        // Saturated logits may underflow a cold expert's weight to exactly
-        // zero — legal; negative or NaN is not.
-        EXPECT_GE(r.weights[i], 0.0f);
-        if (i > 0) {
-          EXPECT_GE(r.weights[i - 1], r.weights[i]);
-        }
-        sum += r.weights[i];
-      }
-      EXPECT_NEAR(sum, 1.0f, 1e-4);
     }
+    EXPECT_EQ(off, recv[static_cast<size_t>(e)].size());
   }
-}
-
-TEST(RouterProperty, TiedLogitsBreakTowardLowerExpertIds) {
-  // All-zero activations tie every gate logit; the stable sort must pick
-  // experts 0..k-1 deterministically (no dependence on sort internals).
-  RoutingConfig cfg;
-  cfg.num_experts = 6;
-  cfg.d_model = 8;
-  cfg.top_k = 3;
-  Rng rng(32);
-  Router router(cfg, rng);
-  std::vector<float> zero(static_cast<std::size_t>(cfg.d_model), 0.0f);
-  const auto r = router.route(zero);
-  ASSERT_EQ(r.experts.size(), 3u);
-  EXPECT_EQ(r.experts[0], 0);
-  EXPECT_EQ(r.experts[1], 1);
-  EXPECT_EQ(r.experts[2], 2);
-  for (float w : r.weights) EXPECT_NEAR(w, 1.0f / 3.0f, 1e-5);
 }
 
 TEST(Dispatch, EqualLoadAssumptionApproximatelyHoldsAtScale) {
   // The paper assumes uniform expert load for the fused combine; with a
-  // random gate and many tokens, top-2 routing is near-balanced.
-  auto cfg = small_cfg();
-  cfg.d_model = 8;
-  Rng rng(27);
-  Router router(cfg, rng);
-  const int tokens = 2048;
-  auto acts = random_vector(static_cast<size_t>(tokens) * cfg.d_model, rng);
-  const auto plan = router.plan(acts, tokens);
-  const double mean = tokens * 2.0 / cfg.num_experts;
-  for (auto c : plan.counts) {
-    EXPECT_GT(static_cast<double>(c), 0.3 * mean);
-    EXPECT_LT(static_cast<double>(c), 2.4 * mean);
+  // balanced synthetic routing and many tokens, top-2 routing is
+  // near-balanced.
+  const int pes = 4, tokens = 2048;
+  const double mean = tokens * 2.0 / pes;
+  for (const DispatchPlan& plan : plans_for(pes, tokens)) {
+    EXPECT_EQ(std::accumulate(plan.counts.begin(), plan.counts.end(),
+                              std::int64_t{0}),
+              tokens * 2);
+    for (auto c : plan.counts) {
+      EXPECT_GT(static_cast<double>(c), 0.3 * mean);
+      EXPECT_LT(static_cast<double>(c), 2.4 * mean);
+    }
   }
 }
 

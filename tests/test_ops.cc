@@ -10,6 +10,7 @@
 #include "ops/embedding.h"
 #include "ops/gemm.h"
 #include "ops/gemv.h"
+#include "reference_models.h"
 
 namespace fcc::ops {
 namespace {
@@ -78,19 +79,6 @@ TEST(Embedding, PoolAllLaysOutBatchMajorTableMinor) {
     EXPECT_FLOAT_EQ(all[(4u * 3u + 2u) * 4u + static_cast<size_t>(d)],
                     one[static_cast<size_t>(d)]);
   }
-}
-
-TEST(Embedding, ZipfBatchSkewsIndexDistribution) {
-  EmbeddingConfig cfg;
-  cfg.num_tables = 1;
-  cfg.rows_per_table = 1000;
-  cfg.pooling = 8;
-  Rng rng(4);
-  auto batch = EmbeddingBatch::zipf(cfg, 256, 0.95, rng);
-  const auto ix = batch.table_indices(0);
-  int head = 0;
-  for (auto i : ix) head += (i < 10);
-  EXPECT_GT(head, static_cast<int>(ix.size()) / 20);
 }
 
 TEST(Gemv, TilesReassembleToReference) {

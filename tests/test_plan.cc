@@ -5,6 +5,7 @@
 // planning error paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -263,6 +264,38 @@ TEST(PlannerDeterminism, WarmCacheHitReplaysByteIdentically) {
   }
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().misses, 1);
+}
+
+TEST(PlanReportText, ListsEveryPassAndDecisionOfATwoNodeGraph) {
+  fw::Graph g = gemv_graph(512, 1024);
+  fused::MoeDispatchConfig moe;
+  moe.tokens_per_pe = 512;
+  moe.hot_expert_factor = 4.0;
+  auto routed = g.tensor("routed");
+  g.add(fw::make_spec("fcc::moe_dispatch", moe), {}, {routed}, "moe");
+
+  const Planned planned = Planner().plan(g, smoke_machine());
+  const PlanReport& report = planned.report;
+  const std::string text = report.to_string();
+  EXPECT_EQ(text.rfind("plan: planned\n", 0), 0u) << text;
+  for (const PassRun& run : report.passes) {
+    EXPECT_NE(text.find("  pass " + run.name + ": "), std::string::npos)
+        << run.name << "\n" << text;
+  }
+  // Both nodes are scored, so each has at least one decision.
+  std::vector<std::string> labels;
+  for (const PlanDecision& d : report.decisions) labels.push_back(d.label);
+  EXPECT_NE(std::find(labels.begin(), labels.end(), "gemv"), labels.end());
+  EXPECT_NE(std::find(labels.begin(), labels.end(), "moe"), labels.end());
+  for (const PlanDecision& d : report.decisions) {
+    const std::string line = "  [" + d.pass + "] node " +
+                             std::to_string(d.node) + " '" + d.label +
+                             "' (" + d.op + "): " +
+                             (d.accepted ? "applied " : "kept ") + d.choice +
+                             " — predicted fused ";
+    EXPECT_NE(text.find(line), std::string::npos) << line << "\n" << text;
+    EXPECT_NE(text.find("; " + d.why + "\n"), std::string::npos) << text;
+  }
 }
 
 // ---------------------------------------------------------------------------

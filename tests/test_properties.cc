@@ -20,6 +20,7 @@
 #include "gpu/machine.h"
 #include "ops/gemm.h"
 #include "ops/gemv.h"
+#include "reference_models.h"
 #include "shmem/world.h"
 #include "sim/task.h"
 
@@ -259,18 +260,6 @@ std::string algo_name(ccl::AllReduceAlgo algo) {
   return "unknown";
 }
 
-std::string algo_name(ccl::AllToAllAlgo algo) {
-  switch (algo) {
-    case ccl::AllToAllAlgo::kAuto:
-      return "auto";
-    case ccl::AllToAllAlgo::kPairwise:
-      return "pairwise";
-    case ccl::AllToAllAlgo::kNodeAggregate:
-      return "nodeagg";
-  }
-  return "unknown";
-}
-
 template <typename Param>
 std::string ccl_param_name(const ::testing::TestParamInfo<Param>& info) {
   return shape_name(std::get<0>(info.param)) + "e" +
@@ -336,25 +325,21 @@ INSTANTIATE_TEST_SUITE_P(
                                          ccl::AllReduceAlgo::kAuto)),
     ccl_param_name<AllReduceParam>);
 
-using AllToAllParam = std::tuple<Shape, int, ccl::AllToAllAlgo>;
+using AllToAllParam = std::tuple<Shape, int>;
 
 class AllToAllSweep : public ::testing::TestWithParam<AllToAllParam> {};
 
 sim::Task drive_all_to_all(sim::Engine&, ccl::Communicator& comm,
                            std::int64_t chunk, ccl::FloatBufs send,
-                           ccl::FloatBufs recv, ccl::AllToAllAlgo algo,
-                           bool& done) {
-  co_await comm.all_to_all(chunk, std::move(send), std::move(recv), algo);
+                           ccl::FloatBufs recv, bool& done) {
+  co_await comm.all_to_all(chunk, std::move(send), std::move(recv));
   done = true;
 }
 
 TEST_P(AllToAllSweep, EqualsChunkPermutation) {
-  const auto [shape, chunk, algo] = GetParam();
+  const auto [shape, chunk] = GetParam();
   gpu::Machine machine(machine_config(shape.first, shape.second));
   ccl::Communicator comm(machine, fused::all_pes(machine));
-  if (algo == ccl::AllToAllAlgo::kNodeAggregate && !comm.hierarchy_eligible()) {
-    GTEST_SKIP() << "node aggregation needs several nodes of several GPUs";
-  }
   const int pes = comm.size();
   const auto elems = static_cast<std::size_t>(pes * chunk);
 
@@ -371,7 +356,7 @@ TEST_P(AllToAllSweep, EqualsChunkPermutation) {
   for (auto& r : recv) recv_bufs.per_rank.emplace_back(r);
   bool done = false;
   drive_all_to_all(machine.engine(), comm, chunk, std::move(send_bufs),
-                   std::move(recv_bufs), algo, done);
+                   std::move(recv_bufs), done);
   machine.engine().run();
   EXPECT_TRUE(done);
   EXPECT_EQ(machine.engine().live_tasks(), 0);
@@ -392,11 +377,11 @@ TEST_P(AllToAllSweep, EqualsChunkPermutation) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, AllToAllSweep,
     ::testing::Combine(kShapes,
-                       ::testing::Values(1, 7, 64),  // chunk elems
-                       ::testing::Values(ccl::AllToAllAlgo::kPairwise,
-                                         ccl::AllToAllAlgo::kNodeAggregate,
-                                         ccl::AllToAllAlgo::kAuto)),
-    ccl_param_name<AllToAllParam>);
+                       ::testing::Values(1, 7, 64)),  // chunk elems
+    [](const ::testing::TestParamInfo<AllToAllParam>& info) {
+      return shape_name(std::get<0>(info.param)) + "e" +
+             std::to_string(std::get<1>(info.param)) + "pairwise";
+    });
 
 // ---------------------------------------------------------------------------
 // Determinism across the embedding grid (timing-only, byte-equal repeats)

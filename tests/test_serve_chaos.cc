@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "chaos_plan.h"
 #include "gpu/machine.h"
 #include "hw/fault.h"
 #include "hw/topology.h"

@@ -13,13 +13,20 @@
 // host wall-clock (measured + attainable speedups, in
 // bench_results/fig15_fused_shard_scaling.csv).
 //
+// Third section: the flagship's per-PE shape, fused and baseline, on the
+// serial engine over six torus shapes (bench_results/fig15_torus_shapes.csv),
+// so the shift order's effect is recorded per shape, not at 8x8 alone.
+//
 // Env knobs (CI smoke uses tiny values):
 //   FCC_FIG15_SHARD_ITERS   timed op runs per shard count   (default 6)
 //   FCC_FIG15_SHARD_MAX     highest shard count             (default 8)
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "bench_common.h"
 #include "common/check.h"
@@ -39,19 +46,25 @@ int env_int(const char* name, int fallback) {
   return static_cast<int>(std::strtol(v, nullptr, 10));
 }
 
-// 64-node 8x8 torus, one GPU per node — the Fig. 15 scale-out shape
-// (single-GPU nodes on a 2D torus), and the deferred-reservation replay is
-// byte-identical to serial for single-GPU nodes at every shard count.
-gpu::Machine::Config shard_machine(int shards, bool collect_trace) {
+// An nx x ny torus, one GPU per node. The flagship runs on 8x8 — the
+// Fig. 15 scale-out shape (single-GPU nodes on a 2D torus), and the
+// deferred-reservation replay is byte-identical to serial for single-GPU
+// nodes at every shard count.
+gpu::Machine::Config torus_machine(int nx, int ny, int shards,
+                                   bool collect_trace) {
   gpu::Machine::Config cfg;
-  cfg.num_nodes = 64;
+  cfg.num_nodes = nx * ny;
   cfg.gpus_per_node = 1;
   cfg.topology.kind = hw::TopologySpec::Kind::kTorus2D;
-  cfg.topology.torus.dim_x = 8;
-  cfg.topology.torus.dim_y = 8;
+  cfg.topology.torus.dim_x = nx;
+  cfg.topology.torus.dim_y = ny;
   cfg.num_shards = shards;
   cfg.collect_trace = collect_trace;
   return cfg;
+}
+
+gpu::Machine::Config shard_machine(int shards, bool collect_trace) {
+  return torus_machine(8, 8, shards, collect_trace);
 }
 
 fused::EmbeddingA2AConfig shard_op_config(int num_pes, bool emit_trace) {
@@ -121,25 +134,59 @@ double attainable_wall_s(const ShardPoint& p) {
   return outside_s + critical_s;
 }
 
-/// Simulated span of the bulk-synchronous baseline of the flagship
-/// operator, serial engine.
-TimeNs flagship_baseline_ns() {
-  gpu::Machine machine(shard_machine(1, /*collect_trace=*/false));
+/// Simulated span of `Op` (the fused operator or its bulk-synchronous
+/// baseline) in the flagship's per-PE shape on an nx x ny torus, serial
+/// engine.
+template <typename Op>
+TimeNs torus_span(int nx, int ny) {
+  gpu::Machine machine(torus_machine(nx, ny, 1, /*collect_trace=*/false));
   shmem::World world(machine);
-  fused::BaselineEmbeddingAllToAll op(
-      world, shard_op_config(machine.num_pes(), /*emit_trace=*/false),
-      nullptr);
+  Op op(world, shard_op_config(machine.num_pes(), /*emit_trace=*/false),
+        nullptr);
   return op.run_to_completion().duration();
+}
+
+/// Fused and baseline spans per torus shape; returns the 8x8 (flagship)
+/// baseline span.
+TimeNs run_torus_shapes() {
+  const std::pair<int, int> shapes[] = {{4, 4}, {8, 2}, {8, 4},
+                                        {5, 5}, {6, 6}, {8, 8}};
+  const int n = static_cast<int>(std::size(shapes));
+  // Point 2i is shape i fused, point 2i + 1 its baseline.
+  const auto spans = fccbench::run_sweep<TimeNs>(2 * n, [&](int i) {
+    const auto [nx, ny] = shapes[i / 2];
+    return i % 2 == 0 ? torus_span<fused::FusedEmbeddingAllToAll>(nx, ny)
+                      : torus_span<fused::BaselineEmbeddingAllToAll>(nx, ny);
+  });
+
+  AsciiTable t({"torus", "fused (us)", "baseline (us)", "normalized"});
+  CsvWriter csv(fccbench::out_dir() + "/fig15_torus_shapes.csv",
+                {"torus", "nodes", "fused_ns", "baseline_ns",
+                 "fused_over_baseline"});
+  for (int i = 0; i < n; ++i) {
+    const auto [nx, ny] = shapes[i];
+    const TimeNs fused_ns = spans[static_cast<std::size_t>(2 * i)];
+    const TimeNs base_ns = spans[static_cast<std::size_t>(2 * i + 1)];
+    const double norm = static_cast<double>(fused_ns) / base_ns;
+    const std::string torus = std::to_string(nx) + "x" + std::to_string(ny);
+    t.add_row({torus, AsciiTable::fmt(ns_to_us(fused_ns), 1),
+               AsciiTable::fmt(ns_to_us(base_ns), 1),
+               AsciiTable::fmt(norm, 3)});
+    csv.row(torus, nx * ny, fused_ns, base_ns, norm);
+  }
+  std::cout << "\nFlagship per-PE shape (fused embedding+A2A vs baseline) "
+               "per torus shape, serial engine\n";
+  t.print(std::cout);
+  return spans.back();
 }
 
 /// `analytic_norm_64`: the analytic model's fused/baseline ratio for the
 /// whole training pass at 64 nodes, printed next to the event-driven
-/// operator's ratio.
-void run_sharded_flagship(double analytic_norm_64) {
+/// operator's ratio; `baseline_ns`: the flagship baseline's span.
+void run_sharded_flagship(double analytic_norm_64, TimeNs baseline_ns) {
   const int iters = env_int("FCC_FIG15_SHARD_ITERS", 6);
   const int max_shards = env_int("FCC_FIG15_SHARD_MAX", 8);
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  const TimeNs baseline_ns = flagship_baseline_ns();
 
   AsciiTable table({"shards", "wall (ms)", "speedup", "attainable",
                     "windows", "events", "Mev/s"});
@@ -273,6 +320,8 @@ int main() {
   std::cout << "paper: ~21% reduction at 128 nodes\n";
 
   const auto& p64 = points[3];  // node_counts[3] == 64, the flagship's size
-  run_sharded_flagship(static_cast<double>(p64.fused.total) / p64.base.total);
+  const TimeNs flagship_baseline_ns = run_torus_shapes();
+  run_sharded_flagship(static_cast<double>(p64.fused.total) / p64.base.total,
+                       flagship_baseline_ns);
   return 0;
 }

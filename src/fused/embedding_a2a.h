@@ -12,8 +12,10 @@
 // starting at the PE after self (SliceMap::comm_aware_blocks). Staggering
 // keeps all sources off one destination's ingress links at once: on the 8x8
 // torus flagship the shared 0..n-1 order took 3.345x the baseline's span,
-// the (self + k) ring shift 0.884x, and the torus's uniform 2D shifts, where
-// every source takes the same (dx, dy) at each step, 0.670x (7462 sim_us).
+// the (self + k) ring shift 0.884x, uniform 2D shifts (every source taking
+// the same (dx, dy) at each step) 0.670x, and the torus's
+// checkerboard-mirrored shifts, where odd-coloured sources take
+// (-dx, -dy), 0.348x (3874 sim_us).
 // The order permutes whole destination blocks, so each PE keeps
 // only its num_pes-entry block sequence (built on the first run) and maps
 // a KernelRun position to its WG arithmetically, instead of storing

@@ -17,8 +17,9 @@
 // (fused::SliceMap::comm_aware_blocks: inter-node blocks in the topology's
 // shift order, then intra-node ones starting at self + 1, own block last),
 // which took the 8x8 torus flagship from 37236 to 9845 sim_us with the ring
-// shift and to 7462 with the torus's uniform 2D shifts (fused/baseline
-// 3.345 -> 0.884 -> 0.670).
+// shift, to 7462 with uniform 2D shifts and to 3874 with the torus's
+// checkerboard-mirrored shifts (fused/baseline 3.345 -> 0.884 -> 0.670 ->
+// 0.348).
 // The same rotation made the other ops slower (paper_ops sim_us +0.12%,
 // plan_grid +1.6%).
 #pragma once

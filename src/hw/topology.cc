@@ -544,14 +544,16 @@ int TorusTopology::hop_count(NodeId src, NodeId dst) const {
 
 std::vector<NodeId> TorusTopology::shift_order(NodeId self) const {
   const int nx = spec_.dim_x, ny = spec_.dim_y;
+  const int x = node_x(self), y = node_y(self);
+  const bool mirrored = (x + y) % 2 == 1;
   const auto dist = [](int d, int n) { return std::min(d, n - d); };
   std::vector<std::pair<int, NodeId>> shifts;  // (max ring distance, dest)
   shifts.reserve(static_cast<std::size_t>(nx * ny - 1));
   for (int dy = 0; dy < ny; ++dy) {
     for (int dx = dy == 0 ? 1 : 0; dx < nx; ++dx) {
+      const int sx = mirrored ? nx - dx : dx, sy = mirrored ? ny - dy : dy;
       shifts.emplace_back(std::max(dist(dx, nx), dist(dy, ny)),
-                          node_at((node_x(self) + dx) % nx,
-                                  (node_y(self) + dy) % ny));
+                          node_at((x + sx) % nx, (y + sy) % ny));
     }
   }
   std::stable_sort(
@@ -701,7 +703,8 @@ TimeNs TorusTopology::a2a_stage(bool along_x, Bytes per_pair, TimeNs start) {
   // bytes (shortest-direction routing, distance-n/2 ties split evenly) —
   // the same busiest-link load the analytic schedule charges. The flow is
   // reserved as one drain window per directed link, which on an idle
-  // topology reproduces TorusModel::ring_a2a_stage exactly.
+  // topology reproduces TorusModel::ring_a2a_stage (tests/torus_model.h)
+  // exactly.
   const double load = static_cast<double>(per_pair) * n * n / 8.0;
   const TimeNs dur = static_cast<TimeNs>(load / spec_.link_bytes_per_ns);
   const int rings = along_x ? spec_.dim_y : spec_.dim_x;

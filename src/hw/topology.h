@@ -18,8 +18,9 @@
 //   MultiRailTopology       fully-connected intra-node + k NIC rails per
 //                           node, rail picked by source GPU affinity
 //   TorusTopology           event-driven 2D torus of nodes with
-//                           dimension-ordered routes; absorbs the analytic
-//                           scaleout::TorusModel's collective schedules as
+//                           dimension-ordered routes; reserves the
+//                           collective schedules of the analytic
+//                           cross-check (tests/torus_model.h) as
 //                           aggregate per-link flow reservations
 //
 // A new fabric is one subclass: implement `resolve` (and optionally
@@ -70,7 +71,7 @@ struct Route {
 
 /// 2D-torus shape (Table II scale-out network: 200 Gb/s, 700 ns hops).
 /// Lives here so both the event-driven TorusTopology and the analytic
-/// cross-check (scaleout::TorusModel) share one validated description.
+/// cross-check (tests/torus_model.h) share one validated description.
 struct TorusSpec {
   int dim_x = 16;
   int dim_y = 8;
@@ -379,9 +380,9 @@ class MultiRailTopology final : public Topology {
 /// Event-driven 2D torus of nodes. Point-to-point traffic takes
 /// dimension-ordered (x then y) shortest-direction routes over shared
 /// directed ring links; `flow_*` reserve whole dimension-ordered collective
-/// schedules on the same links (the analytic TorusModel's decomposition,
-/// which they reproduce exactly on an idle topology — see
-/// tests/test_scaleout.cc cross-checks).
+/// schedules on the same links (the decomposition of the analytic
+/// cross-check in tests/torus_model.h, which they reproduce exactly on an
+/// idle topology — see tests/test_scaleout.cc).
 class TorusTopology final : public Topology {
  public:
   /// `fabric` is used for the intra-node ports when gpus_per_node > 1.
@@ -389,11 +390,14 @@ class TorusTopology final : public Topology {
                 const FabricSpec& fabric = {});
 
   const char* kind_name() const override { return "torus2d"; }
-  /// Uniform 2D shifts: step k sends every node (x, y) to (x + dx, y + dy)
-  /// for the same (dx, dy), nearest first by max(x ring distance, y ring
-  /// distance), ties in dy-major (dy, dx) order. The ring shift's carry from
-  /// x into y would instead send different columns different 2D shifts in
-  /// one step and pile them onto shared ring links.
+  /// Checkerboard-mirrored 2D shifts: step k sends every even-coloured node
+  /// ((x + y) even) to (x + dx, y + dy) and every odd-coloured node to
+  /// (x - dx, y - dy) for one (dx, dy), nearest first by max(x ring
+  /// distance, y ring distance), ties in dy-major (dy, dx) order. Mirrored
+  /// routes take the opposite-direction ring links, and same-coloured
+  /// sources sit two apart, so on 8x8 every step up to ring distance 2 is
+  /// link-disjoint and no step puts more than 2 routes on a directed link.
+  /// On even-sized tori each step is a permutation of the nodes.
   std::vector<NodeId> shift_order(NodeId self) const override;
   void resolve(PeId src, PeId dst, Route& route) override;
   Fabric* node_fabric(NodeId node) override {

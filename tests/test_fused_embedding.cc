@@ -416,25 +416,41 @@ TEST(SliceMap, CommAwareBlocksOnTorusArePermutationsPerStep) {
 }
 
 TEST(SliceMap, CommAwareBlocksOnTorusTakeOneShiftPerStep) {
-  for (const auto& [nx, ny] : {std::pair{8, 8}, std::pair{8, 2},
-                               std::pair{6, 4}, std::pair{16, 8}}) {
+  // Step k sends every even-coloured node (x + y even) by the same 2D
+  // shift s0 and every odd-coloured node by -s0, nearest first by max ring
+  // distance; on even-sized tori each step is then a permutation. On 5x5
+  // the colouring wraps unevenly, so only the shift rule is asserted.
+  for (const auto& [nx, ny] :
+       {std::pair{8, 8}, std::pair{8, 2}, std::pair{6, 4}, std::pair{16, 8},
+        std::pair{5, 5}}) {
     SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny));
     const auto blocks = torus_blocks(nx, ny, 1);
     const int pes = nx * ny;
+    const bool even_sized = nx % 2 == 0 && ny % 2 == 0;
     const auto shift = [nx, ny](PeId src, PeId dst) {
       return std::pair{(dst % nx - src % nx + nx) % nx,
                        (dst / nx - src / nx + ny) % ny};
+    };
+    const auto mirror = [nx, ny](std::pair<int, int> s) {
+      return std::pair{(nx - s.first) % nx, (ny - s.second) % ny};
     };
     const auto ring = [](int d, int n) { return std::min(d, n - d); };
     int last_dist = 0;
     for (int k = 0; k + 1 < pes; ++k) {
       const auto s0 = shift(0, blocks[0][static_cast<std::size_t>(k)]);
       EXPECT_NE(s0, (std::pair{0, 0})) << "step " << k;
-      for (PeId src = 1; src < pes; ++src) {
-        EXPECT_EQ(shift(src, blocks[static_cast<std::size_t>(src)]
-                                   [static_cast<std::size_t>(k)]),
-                  s0)
+      std::vector<int> hits(static_cast<std::size_t>(pes), 0);
+      for (PeId src = 0; src < pes; ++src) {
+        const PeId d =
+            blocks[static_cast<std::size_t>(src)][static_cast<std::size_t>(k)];
+        const bool odd = (src % nx + src / nx) % 2 == 1;
+        EXPECT_EQ(shift(src, d), odd ? mirror(s0) : s0)
             << "step " << k << " src " << src;
+        ++hits[static_cast<std::size_t>(d)];
+      }
+      if (even_sized) {
+        EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), pes)
+            << "step " << k;
       }
       const int dist = std::max(ring(s0.first, nx), ring(s0.second, ny));
       EXPECT_GE(dist, last_dist) << "step " << k;
@@ -474,7 +490,7 @@ TEST(FusedEmbedding, InterNodeMatchesReference) {
 }
 
 TEST(FusedEmbedding, FusedEqualsBaselineEqualsReferenceOnTorus8x2) {
-  // On an 8x2 torus the comm-aware order walks uniform 2D shifts that a
+  // On an 8x2 torus the comm-aware order walks mirrored 2D shifts that a
   // (self + k) rotation does not; the outputs must not depend on it.
   const auto cfg = small_config(16);
   std::vector<std::vector<float>> expect;

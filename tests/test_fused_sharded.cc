@@ -269,11 +269,9 @@ EmbeddingGolden run_torus8x2_embedding(int shards) {
 TEST(FusedSharded, Torus8x2EmbeddingMatchesGolden) {
   EmbeddingGolden g;
   // FCC_GOLDEN torus8x2_embedding
-  g.span = 1138702;
-  g.pe_end = {1136702, 1052098, 1136702, 1052098, 1136702, 1052098,
-              1136702, 1052098, 1052098, 1136702, 1052098, 1136702,
-              1052098, 1136702, 1052098, 1136702};
-  g.events = 279800;
+  g.span = 719741;
+  g.pe_end = std::vector<TimeNs>(16, 717741);
+  g.events = 279003;
   g.puts = 7680;
   for (const int shards : {1, 2, 4}) {
     EXPECT_EQ(run_torus8x2_embedding(shards), g) << "shards=" << shards;

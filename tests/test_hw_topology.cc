@@ -3,6 +3,10 @@
 // config validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "gpu/machine.h"
 #include "hw/topology.h"
 #include "shmem/world.h"
@@ -160,6 +164,41 @@ TEST(TorusTopology, SharedRingLinksContend) {
   const TimeNs b = topo.write_time(0, 1, 25000, 0);
   EXPECT_GT(b, 1000);  // queued behind the first transfer's first hop
   EXPECT_GT(a, 0);
+}
+
+TEST(TorusTopology, ShiftOrderStepsShareFewRingLinks) {
+  // Resolves every step's 64 routes on 8x8: with odd-coloured sources
+  // walking the mirrored shift, steps up to ring distance 2 are
+  // link-disjoint and no step puts more than 2 routes on a directed link.
+  // Uniform shifts (every source taking the same shift) summed to 146 over
+  // the per-step maxima.
+  hw::TorusSpec spec;
+  spec.dim_x = 8;
+  spec.dim_y = 8;
+  hw::TorusTopology topo(spec);
+  const int nodes = topo.num_nodes();
+  std::vector<std::vector<NodeId>> orders;
+  for (NodeId n = 0; n < nodes; ++n) orders.push_back(topo.shift_order(n));
+  const auto ring = [](int d) { return std::min(d, 8 - d); };
+  hw::Route route;
+  int summed_max = 0;
+  for (int k = 0; k + 1 < nodes; ++k) {
+    const NodeId d0 = orders[0][static_cast<std::size_t>(k)];
+    const int dist = std::max(ring(d0 % 8), ring(d0 / 8));
+    std::map<const hw::Link*, int> routes_on;
+    for (NodeId src = 0; src < nodes; ++src) {
+      route.clear();
+      topo.resolve(src, orders[static_cast<std::size_t>(src)]
+                              [static_cast<std::size_t>(k)],
+                   route);
+      for (const hw::Link* l : route.hops) ++routes_on[l];
+    }
+    int step_max = 0;
+    for (const auto& [link, n] : routes_on) step_max = std::max(step_max, n);
+    EXPECT_LE(step_max, dist <= 2 ? 1 : 2) << "step " << k << " dist " << dist;
+    summed_max += step_max;
+  }
+  EXPECT_EQ(summed_max, 102);
 }
 
 // --- Machine integration -------------------------------------------------

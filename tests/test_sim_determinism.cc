@@ -381,23 +381,24 @@ TEST(SimDeterminism, InternodeEmbeddingMatchesSeedEngine) {
 
 // Recorded with the staggered destination order that
 // SliceMap::comm_aware_blocks keeps as a block sequence, over the torus's
-// uniform 2D shift order. On this 4x4 torus that order moves when
+// shift order. On this 4x4 torus each order since the (self + k) ring
+// shift (uniform 2D shifts, then odd-coloured sources mirrored) moved when
 // individual slices arrive, and so the event count, but no timestamp, busy
-// time or PUT count of the (self + k) ring shift it replaced.
+// time or PUT count: the mirrored order added one event.
 
 TEST(SimDeterminism, TorusEmbeddingMatchesGolden) {
   const TimingTrace t = staggered_embedding(torus_4x4());
   TimingTrace g;
   // FCC_GOLDEN torus_embedding
   g.final_now = 345771;
-  g.events = 277928;
+  g.events = 277929;
   g.callback_free_puts = 3840;
   g.puts = 7680;
   g.op_end = {345771};
   g.pe_end = {std::vector<TimeNs>(16, 343771)};
   g.busy = std::vector<TimeNs>(16, 203996928);
   EXPECT_EQ(t, g) << "actual:\n" << t.str();
-  expect_events_before(t, 281768);
+  expect_events_before(t, 281769);
 }
 
 TEST(SimDeterminism, Fc2x4EmbeddingMatchesGolden) {

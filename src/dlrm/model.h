@@ -1,22 +1,26 @@
 // Distributed DLRM forward pass (Fig. 2 of the paper).
 //
 // Model parallelism for embedding tables (tables_per_pe per GPU), data
-// parallelism for the MLPs. The forward pass runs, per PE and per batch:
+// parallelism for the MLPs. The forward pass is one fw::Graph, built once
+// with its GraphExecutor and run warm per batch on every PE:
 //
 //   bottom MLP (dense features)  ──┐   (the only independent compute)
 //   embedding pooling + All-to-All ─┤→ interaction → top MLP → CTR logit
 //
-// The embedding + All-to-All stage dispatches to either the fused operator
-// or the bulk-synchronous baseline; everything downstream is identical, so
-// functional equality between the two paths validates the fused exchange.
+// The MLPs and the interaction are compute-only ops with a functional
+// mode, registered in a DLRM-local fw::OpRegistry next to a copy of the
+// global "fcc::embedding_a2a" entry. That node dispatches to the fused
+// operator or the bulk-synchronous baseline; everything downstream is
+// identical, so functional equality of the two validates the fused
+// exchange.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "framework/session.h"
 #include "fused/embedding_a2a.h"
-#include "ops/gemm.h"
 
 namespace fcc::dlrm {
 
@@ -50,24 +54,20 @@ struct DlrmResult {
 
 class DlrmModel {
  public:
+  /// Builds the forward graph and its operators (throws catchably if the
+  /// session's machine cannot run them).
   DlrmModel(fw::Session& session, DlrmConfig cfg);
+  ~DlrmModel();
 
   /// One forward pass over a synthetic batch drawn from `seed`.
   DlrmResult forward(std::uint64_t seed);
 
  private:
-  struct Weights {  // data-parallel: identical on every PE
-    std::vector<std::vector<float>> bottom;  // [layer][in*out]
-    std::vector<std::vector<float>> top;
-  };
-
-  sim::Co mlp_stack(PeId pe, int batch, int in_dim,
-                    const std::vector<int>& widths, double efficiency);
-  sim::Co interaction_kernel(PeId pe, int batch);
+  struct State;  // the graph, its tensors and its executor
 
   fw::Session& session_;
   DlrmConfig cfg_;
-  Weights weights_;
+  std::unique_ptr<State> state_;
 };
 
 }  // namespace fcc::dlrm

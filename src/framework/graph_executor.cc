@@ -7,8 +7,6 @@
 
 #include "common/check.h"
 #include "fused/op_runtime.h"
-#include "sim/sync.h"
-#include "sim/task.h"
 
 namespace fcc::fw {
 
@@ -26,61 +24,21 @@ double GraphResult::overlap_fraction() const {
   return frac > 0.0 ? frac : 0.0;
 }
 
-namespace {
-
-/// Per-node runtime state. The operator is built by run() *before* any
-/// driver is spawned — factory failures (SpecTypeError from a mis-typed
-/// config, a null return) must throw catchably from run(), not inside a
-/// sim::Task coroutine whose unhandled_exception is std::terminate.
-/// Construction has no engine side effects, so prebuild cannot move a
-/// timestamp; the op is dropped as soon as its result is harvested.
-struct NodeState {
-  explicit NodeState(sim::Engine& e) : done(e) {}
-
-  sim::OneShot done;
-  std::unique_ptr<fused::FusedOp> op;
-  NodeRunResult res;
-};
-
-/// Driver process for one node: await deps, spawn, harvest.
-sim::Task node_proc(sim::Engine& engine, const GraphNode& node, NodeState& st,
-                    std::vector<std::unique_ptr<NodeState>>& states) {
-  for (int d : node.deps) {
-    co_await states[static_cast<std::size_t>(d)]->done.wait();
-  }
-  st.res.ready = engine.now();
-  co_await st.op->spawn().wait();
-  st.res.result = st.op->result();
-  st.op.reset();
-  st.done.set();
-}
-
-}  // namespace
-
-GraphExecutor::GraphExecutor(const Graph& graph, const OpRegistry& registry)
-    : graph_(graph), registry_(registry) {}
-
-GraphResult GraphExecutor::run(shmem::World& world, Backend backend) {
-  return run(world, std::vector<Backend>(
-                        static_cast<std::size_t>(graph_.num_nodes()), backend));
-}
-
-GraphResult GraphExecutor::run(shmem::World& world,
-                               const std::vector<Backend>& backends) {
-  auto& engine = world.machine().engine();
+GraphExecutor::GraphExecutor(shmem::World& world, const Graph& graph,
+                             const std::vector<Backend>& backends,
+                             const OpRegistry& registry)
+    : world_(world), graph_(graph), all_done_(world.machine().engine()) {
   const int n = graph_.num_nodes();
   FCC_CHECK_MSG(static_cast<int>(backends.size()) >= n,
                 "per-node backend vector covers " << backends.size()
                                                   << " nodes, graph has " << n);
-
-  // Validate and build every operator before anything is scheduled: an
-  // unrewritten pattern node fails registry lookup here with the full
-  // registered-op list, and a factory unpacking a mis-typed spec throws
-  // SpecTypeError here, catchably — never from inside a driver coroutine.
-  std::vector<std::unique_ptr<NodeState>> states;
-  states.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) states.push_back(std::make_unique<NodeState>(engine));
+  // Build every operator before anything is scheduled, so lookup, spec-type
+  // and capability errors throw here, catchably, never from a driver
+  // coroutine. Construction has no engine side effects.
+  nodes_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
+    nodes_.push_back(
+        std::make_unique<NodeState>(world_.machine().engine()));
     const GraphNode& node = graph_.node(i);
     if (node.fused_away) continue;
     for (int d : node.deps) {
@@ -88,67 +46,91 @@ GraphResult GraphExecutor::run(shmem::World& world,
                     "graph node '" << node.label
                                    << "' depends on a fused-away node");
     }
-    NodeState& st = *states[static_cast<std::size_t>(i)];
-    st.op = registry_.at(node.spec.name)
-                .make(world, node.spec, backends[static_cast<std::size_t>(i)]);
-    FCC_CHECK_MSG(st.op != nullptr,
+    auto& op = nodes_.back()->op;
+    op = registry.at(node.spec.name)
+             .make(world_, node.spec, backends[static_cast<std::size_t>(i)]);
+    FCC_CHECK_MSG(op != nullptr,
                   "factory for op '" << node.spec.name << "' returned null");
   }
+}
 
-  GraphResult out;
-  out.start = engine.now();
-  for (int i = 0; i < n; ++i) {
-    const GraphNode& node = graph_.node(i);
-    if (node.fused_away) continue;
-    NodeState& st = *states[static_cast<std::size_t>(i)];
-    st.res.node = i;
-    st.res.op = node.spec.name;
-    st.res.label = node.label;
-    st.res.fused_from = node.fused_from;
-    node_proc(engine, node, st, states);
+void GraphExecutor::start() {
+  FCC_CHECK_MSG(remaining_ == 0,
+                "graph run started while a previous run is in flight");
+  sim::Engine& engine = world_.machine().engine();
+  start_ = engine.now();
+  remaining_ = graph_.num_live_nodes();
+  all_done_.reset();
+  if (remaining_ == 0) all_done_.set();
+  for (auto& st : nodes_) st->done.reset();
+  for (int i = 0; i < graph_.num_nodes(); ++i) {
+    if (nodes_[static_cast<std::size_t>(i)]->op != nullptr) drive(engine, i);
   }
-  world.machine().run_all();
+}
 
-  std::vector<int> unfinished;
-  for (int i = 0; i < n; ++i) {
-    if (!graph_.node(i).fused_away &&
-        !states[static_cast<std::size_t>(i)]->done.is_set()) {
-      unfinished.push_back(i);
-    }
+sim::Task GraphExecutor::drive(sim::Engine& engine, int id) {
+  NodeState& st = *nodes_[static_cast<std::size_t>(id)];
+  for (int d : graph_.node(id).deps) {
+    co_await nodes_[static_cast<std::size_t>(d)]->done.wait();
   }
-  if (!unfinished.empty()) {
+  st.ready = engine.now();
+  co_await st.op->run();
+  st.done.set();
+  if (--remaining_ == 0) all_done_.set();
+}
+
+sim::Co GraphExecutor::run() {
+  start();
+  co_await all_done_.wait();
+}
+
+GraphResult GraphExecutor::run_to_completion() {
+  gpu::Machine& machine = world_.machine();
+  start();
+  machine.run_all();
+
+  if (remaining_ > 0) {
     std::ostringstream os;
-    os << "graph deadlocked; unfinished nodes: [";
-    for (std::size_t k = 0; k < unfinished.size(); ++k) {
-      os << (k ? ", " : "") << graph_.node(unfinished[k]).label;
+    os << "graph deadlocked (" << machine.sharded().live_tasks()
+       << " tasks suspended); unfinished nodes:";
+    for (int i = 0; i < graph_.num_nodes(); ++i) {
+      const NodeState& st = *nodes_[static_cast<std::size_t>(i)];
+      if (st.op == nullptr || st.done.is_set()) continue;
+      os << "\n '" << graph_.node(i).label << "'" << st.op->deadlock_report();
     }
-    os << "] (" << world.machine().sharded().live_tasks()
-       << " tasks suspended)";
     // Suspended driver frames still reference the node states; leak them
     // (the engine-wide deadlock policy — frames go with the process) so
     // ~OneShot never fires with parked waiters during unwinding.
-    for (auto& st : states) (void)st.release();
+    for (auto& st : nodes_) (void)st.release();
     throw std::logic_error(os.str());
   }
-  FCC_CHECK_MSG(world.machine().sharded().live_tasks() == 0,
-                "graph drained but " << world.machine().sharded().live_tasks()
+  FCC_CHECK_MSG(machine.sharded().live_tasks() == 0,
+                "graph drained but " << machine.sharded().live_tasks()
                                      << " tasks still suspended");
+  return result();
+}
 
-  out.end = out.start;
+GraphResult GraphExecutor::result() const {
+  const int n = graph_.num_nodes();
+  GraphResult out;
+  out.start = start_;
+  out.end = start_;
   std::vector<TimeNs> cp(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
+    const NodeState& st = *nodes_[static_cast<std::size_t>(i)];
+    if (st.op == nullptr) continue;
     const GraphNode& node = graph_.node(i);
-    if (node.fused_away) continue;
-    const NodeRunResult& res = states[static_cast<std::size_t>(i)]->res;
+    const fused::OperatorResult& res = st.op->result();
     TimeNs longest_dep = 0;
     for (int d : node.deps) {
       longest_dep = std::max(longest_dep, cp[static_cast<std::size_t>(d)]);
     }
-    cp[static_cast<std::size_t>(i)] = longest_dep + res.result.duration();
+    cp[static_cast<std::size_t>(i)] = longest_dep + res.duration();
     out.critical_path_ns =
         std::max(out.critical_path_ns, cp[static_cast<std::size_t>(i)]);
-    out.end = std::max(out.end, res.result.end);
-    out.nodes.push_back(res);
+    out.end = std::max(out.end, res.end);
+    out.nodes.push_back(
+        {i, node.spec.name, node.label, node.fused_from, st.ready, res});
   }
   return out;
 }

@@ -1,17 +1,17 @@
 // Concurrent topological executor for fw::Graph.
 //
-// Every node whose dependencies are satisfied runs immediately: the
-// executor builds each node's operator through the registry factory up
-// front (so factory/type errors throw catchably), then spawns one driver
-// process per node which awaits its deps' completion events and
-// `FusedOp::spawn()`s it — so independent nodes (layer N+1's embedding
-// dispatch, layer N's MLP) genuinely interleave their simulated kernels,
-// PUTs and flag traffic on one engine, exactly like the mixed-operator
-// determinism workloads. A single engine drain completes the whole graph;
-// per-node OperatorResults, the critical path, and the achieved overlap
-// fraction come back in a GraphResult.
+// The executor builds every live node's operator once, in its constructor
+// (so factory/type errors throw catchably, never from a coroutine), then
+// runs the graph warm any number of times. A run spawns one driver process
+// per node, which awaits its deps' completion events and then its
+// operator's `run()`: independent nodes (layer N+1's embedding dispatch,
+// layer N's MLP) interleave their kernels, PUTs and flag traffic on one
+// engine, and a chain stage costs one zero-delay resume hop. A run is
+// blocking (run_to_completion drains the machine) or awaited from a
+// simulated process (run(), as a serve lane does).
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +19,8 @@
 #include "framework/graph.h"
 #include "fused/result.h"
 #include "shmem/world.h"
+#include "sim/co.h"
+#include "sim/sync.h"
 
 namespace fcc::fw {
 
@@ -52,24 +54,42 @@ struct GraphResult {
 
 class GraphExecutor {
  public:
-  /// The graph must outlive the executor. Pattern nodes left unrewritten
-  /// surface as the registry's unknown-op error (with the registered-op
-  /// list) when run() validates the graph.
-  explicit GraphExecutor(const Graph& graph,
-                         const OpRegistry& registry = OpRegistry::global());
+  /// Builds node i's operator on `world` for `backends[i]` (indexed by
+  /// node id, fused-away slots ignored). The graph must outlive the
+  /// executor. An unrewritten pattern node throws the registry's unknown-op
+  /// error here.
+  GraphExecutor(shmem::World& world, const Graph& graph,
+                const std::vector<Backend>& backends,
+                const OpRegistry& registry = OpRegistry::global());
 
-  /// Runs every live node on `world`'s engine and drains to completion.
-  /// Throws if the graph deadlocks (a node never became ready).
-  GraphResult run(shmem::World& world, Backend backend);
+  /// One run, awaited from a process on Machine::engine(); completes the
+  /// instant the last node does. One run in flight at a time.
+  sim::Co run();
 
-  /// Per-node backend variant (the plan layer's entry point): node i is
-  /// built with `backends[i]`. The vector is indexed by graph node id and
-  /// must cover every node; fused-away slots are ignored.
-  GraphResult run(shmem::World& world, const std::vector<Backend>& backends);
+  /// One run, drained with Machine::run_all. Throws if the graph deadlocks.
+  GraphResult run_to_completion();
+
+  /// The last completed run's outcome.
+  GraphResult result() const;
 
  private:
+  /// A node's operator and its per-run state, reset (not rebuilt) per run.
+  struct NodeState {
+    explicit NodeState(sim::Engine& e) : done(e) {}
+    sim::OneShot done;
+    std::unique_ptr<fused::FusedOp> op;  // null for fused-away nodes
+    TimeNs ready = 0;
+  };
+
+  void start();  // re-arms every node and spawns their drivers
+  sim::Task drive(sim::Engine& engine, int id);  // deps, then op->run()
+
+  shmem::World& world_;
   const Graph& graph_;
-  const OpRegistry& registry_;
+  std::vector<std::unique_ptr<NodeState>> nodes_;  // [graph node id]
+  int remaining_ = 0;  // live nodes the current run has not finished
+  sim::OneShot all_done_;
+  TimeNs start_ = 0;
 };
 
 }  // namespace fcc::fw

@@ -61,12 +61,4 @@ std::vector<std::string> OpRegistry::names() const {
   return out;
 }
 
-fused::OperatorResult OpRegistry::run(const OpSpec& spec, shmem::World& world,
-                                      Backend backend) const {
-  auto op = at(spec.name).make(world, spec, backend);
-  FCC_CHECK_MSG(op != nullptr,
-                "factory for op '" << spec.name << "' returned null");
-  return op->run_to_completion();
-}
-
 }  // namespace fcc::fw

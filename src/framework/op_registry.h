@@ -161,11 +161,6 @@ class OpRegistry {
   const OpEntry& at(const std::string& name) const;
   std::vector<std::string> names() const;
 
-  /// Builds the op named by `spec` for `backend` and drives it to
-  /// completion on `world`'s engine.
-  fused::OperatorResult run(const OpSpec& spec, shmem::World& world,
-                            Backend backend) const;
-
  private:
   std::map<std::string, OpEntry> ops_;
 };

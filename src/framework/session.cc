@@ -6,7 +6,10 @@ namespace fcc::fw {
 
 fused::OperatorResult Session::run(const OpSpec& spec, Backend backend,
                                    const OpRegistry& registry) {
-  return registry.run(spec, world_, backend);
+  Graph g;
+  g.add(spec, {}, {});
+  GraphExecutor executor(world_, g, {backend}, registry);
+  return executor.run_to_completion().nodes.front().result;
 }
 
 GraphResult Session::run(const Graph& graph, Backend backend,
@@ -15,7 +18,10 @@ GraphResult Session::run(const Graph& graph, Backend backend,
   // each live node on the caller's backend — no scoring, no planning.
   Graph lowered = graph;
   const int rewrites = rewrite_fused(lowered, registry);
-  GraphResult result = GraphExecutor(lowered, registry).run(world_, backend);
+  const std::vector<Backend> backends(
+      static_cast<std::size_t>(lowered.num_nodes()), backend);
+  GraphResult result =
+      GraphExecutor(world_, lowered, backends, registry).run_to_completion();
   result.rewrites = rewrites;
   return result;
 }
@@ -25,8 +31,9 @@ Session::PlannedRun Session::run_planned(const Graph& graph,
                                          const OpRegistry& registry) {
   plan::Planner planner(registry);
   PlannedRun pr{planner.plan(graph, machine_.config(), options), {}};
-  GraphExecutor executor(pr.planned.graph, registry);
-  pr.result = executor.run(world_, pr.planned.backends());
+  pr.result = GraphExecutor(world_, pr.planned.graph, pr.planned.backends(),
+                            registry)
+                  .run_to_completion();
   pr.result.rewrites =
       static_cast<int>(pr.planned.plan.fused_rewrites.size());
   return pr;

@@ -37,7 +37,7 @@ class Session {
                                                     functional);
   }
 
-  /// Dispatches any registered operator by name, e.g.
+  /// Dispatches any registered operator by name, as a one-node graph, e.g.
   ///   session.run(make_spec("fcc::gemv_allreduce", cfg, &data),
   ///               Backend::kFused);
   fused::OperatorResult run(const OpSpec& spec,

@@ -33,6 +33,19 @@ OccupancyPlan OccupancyPlan::resolve(const hw::GpuSpec& spec,
 // FusedOp driver
 // ---------------------------------------------------------------------------
 
+FusedOp::FusedOp(shmem::World& world) : world_(world) {
+  const gpu::Machine& m = world_.machine();
+  FCC_CHECK_MSG(m.supports_fused_ops(),
+                "fused operators on a sharded machine need kernel_launch_ns ("
+                    << m.config().gpu.kernel_launch_ns
+                    << ") >= the fabric's conservative lookahead ("
+                    << m.lookahead()
+                    << "): per-PE bodies spawn cross-shard at t + "
+                       "kernel_launch_ns. Raise gpu.kernel_launch_ns, pick a "
+                       "fabric with a smaller min inter-shard latency, or "
+                       "set num_shards=1");
+}
+
 void FusedOp::begin_run(int num_pes) {
   result_ = OperatorResult{};
   result_.start = engine().now();
@@ -66,15 +79,10 @@ sim::Task pe_task(sim::Engine& engine,
 sim::Co FusedOp::run_per_pe_at(TimeNs t_start, int num_pes,
                                std::function<sim::Co(PeId)> body) {
   auto& machine = world_.machine();
-  FCC_CHECK_MSG(
-      !machine.is_sharded() ||
-          t_start >= engine().now() + machine.lookahead(),
-      name() << ": per-PE spawn at t=" << t_start
-             << " falls inside the current lookahead window (now "
-             << engine().now() << ", lookahead " << machine.lookahead()
-             << "); the GPU's kernel_launch_ns must cover the machine's "
-                "lookahead to run fused operators sharded "
-                "(Machine::supports_fused_ops)");
+  // A spawn inside the lookahead window breaks the sharded protocol; the
+  // constructor's check covers every t_start of now + kernel_launch_ns.
+  FCC_CHECK(!machine.is_sharded() ||
+            t_start >= engine().now() + machine.lookahead());
   pe_done_.assign(static_cast<std::size_t>(num_pes), 0);
   // Home shard 0: every driver coroutine runs on engine() (see spawn()).
   join_ = std::make_unique<sim::ShardJoin>(machine.sharded(), /*home=*/0,

@@ -163,7 +163,9 @@ inline constexpr gpu::KernelResources kFusedKernelResources{
 /// live here, once.
 class FusedOp {
  public:
-  explicit FusedOp(shmem::World& world) : world_(world) {}
+  /// Throws std::logic_error, spelling out the fix, on a sharded machine
+  /// failing Machine::supports_fused_ops: every layer's operators pass here.
+  explicit FusedOp(shmem::World& world);
   virtual ~FusedOp() = default;
   FusedOp(const FusedOp&) = delete;
   FusedOp& operator=(const FusedOp&) = delete;
@@ -175,17 +177,14 @@ class FusedOp {
   virtual sim::Co run() = 0;
 
   /// Spawns `run()` as a detached engine task and returns the completion
-  /// event, set the instant the run finishes. The caller either drains the
-  /// engine itself or `co_await`s the event from another process on the
-  /// same engine — this is how fw::GraphExecutor runs several operators
-  /// concurrently and collects per-op completions. One in-flight run per
-  /// operator instance at a time; the event stays valid until the next
-  /// spawn() or the operator's destruction.
+  /// event, set the instant the run finishes; the caller drains the engine
+  /// itself. One in-flight run per operator instance at a time; the event
+  /// stays valid until the next spawn() or the operator's destruction.
   sim::OneShot& spawn();
 
   /// Spawns `run()` and drains the engine — the blocking single-op driver
-  /// (Session::run, benches running one op at a time), now a wrapper over
-  /// spawn(). Throws if the simulation deadlocks (tasks still suspended).
+  /// (Session::run, benches running one op at a time). Throws if the
+  /// simulation deadlocks (tasks still suspended).
   OperatorResult run_to_completion();
 
   const OperatorResult& result() const { return result_; }
@@ -211,8 +210,8 @@ class FusedOp {
   /// operator's compute phase repeats, byte-identical serial vs sharded.
   /// All operators pass `engine().now() + kernel_launch_ns` (the physical
   /// floor for any kernel body), which a sharded machine requires to be
-  /// >= its lookahead window (Machine::supports_fused_ops pre-checks the
-  /// spec; holds for every stock fabric). Per-PE completion stamps
+  /// >= its lookahead window (the constructor checks it; holds for every
+  /// stock fabric). Per-PE completion stamps
   /// (pe_end) belong inside `body` — it runs on engine_of(pe). Tracks
   /// which PE tasks have finished, so a deadlocked run can report exactly
   /// which PEs are stuck.

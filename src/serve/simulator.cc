@@ -20,84 +20,55 @@ Simulator::Simulator(gpu::Machine& machine, shmem::World& world,
       world_(world),
       catalog_(std::move(catalog)),
       cfg_(cfg) {
-  FCC_CHECK_MSG(
-      machine_.supports_fused_ops(),
-      "serve::Simulator on a sharded machine needs kernel_launch_ns ("
-          << machine_.config().gpu.kernel_launch_ns
-          << ") >= the fabric's conservative lookahead ("
-          << machine_.lookahead()
-          << "): fused per-PE bodies spawn cross-shard at t + "
-             "kernel_launch_ns. Raise gpu.kernel_launch_ns, pick a fabric "
-             "with a smaller min inter-shard latency, or set num_shards=1");
   FCC_CHECK_MSG(&world_.machine() == &machine_,
                 "world must be built over the simulator's machine");
   FCC_CHECK(!catalog_.empty());
   FCC_CHECK(cfg_.lanes >= 1);
   for (const ServeClass& c : catalog_) FCC_CHECK(!c.chain.empty());
 
-  plan_chains();
-
-  const fw::OpRegistry& registry = fw::OpRegistry::global();
-  lane_ops_.resize(static_cast<std::size_t>(cfg_.lanes));
-  for (auto& per_class : lane_ops_) {
-    per_class.resize(catalog_.size());
+  const std::vector<std::vector<fw::Backend>> backends = build_chains();
+  lanes_.resize(static_cast<std::size_t>(cfg_.lanes));
+  for (auto& per_class : lanes_) {
     for (std::size_t c = 0; c < catalog_.size(); ++c) {
-      for (const auto& [spec, backend] : planned_chains_[c]) {
-        per_class[c].push_back(registry.at(spec.name).make(world_, spec,
-                                                           backend));
-      }
+      per_class.push_back(std::make_unique<fw::GraphExecutor>(
+          world_, chains_[c], backends[c]));
     }
   }
 }
 
-void Simulator::plan_chains() {
-  planned_chains_.resize(catalog_.size());
-  if (!cfg_.planner) {
-    // Identity: every catalog stage on the configured backend.
-    for (std::size_t c = 0; c < catalog_.size(); ++c) {
-      for (const fw::OpSpec& spec : catalog_[c].chain) {
-        planned_chains_[c].emplace_back(spec, cfg_.backend);
-      }
-    }
-    return;
-  }
-
-  const std::int64_t hits0 =
-      cfg_.plan_cache != nullptr ? cfg_.plan_cache->stats().hits : 0;
-  const std::int64_t miss0 =
-      cfg_.plan_cache != nullptr ? cfg_.plan_cache->stats().misses : 0;
-  const std::int64_t unc0 =
-      cfg_.plan_cache != nullptr ? cfg_.plan_cache->stats().uncacheable : 0;
+std::vector<std::vector<fw::Backend>> Simulator::build_chains() {
+  const plan::PlanCache::Stats before = cfg_.plan_cache != nullptr
+                                            ? cfg_.plan_cache->stats()
+                                            : plan::PlanCache::Stats{};
 
   plan::Planner planner;
   plan::PlanOptions options;
   options.default_backend = cfg_.backend;
   options.cache = cfg_.plan_cache;
-  for (std::size_t c = 0; c < catalog_.size(); ++c) {
+  std::vector<std::vector<fw::Backend>> backends;
+  for (const ServeClass& cls : catalog_) {
     // Each chain is a linear graph: stage i's output feeds stage i+1.
     fw::Graph g;
     fw::TensorId prev{};
-    for (std::size_t s = 0; s < catalog_[c].chain.size(); ++s) {
-      auto out = g.tensor(catalog_[c].name + ".t" + std::to_string(s));
+    for (std::size_t s = 0; s < cls.chain.size(); ++s) {
+      auto out = g.tensor(cls.name + ".t" + std::to_string(s));
       std::vector<fw::TensorId> inputs;
       if (s > 0) inputs.push_back(prev);
-      g.add(catalog_[c].chain[s], inputs, {out},
-            catalog_[c].name + "#" + std::to_string(s));
+      g.add(cls.chain[s], inputs, {out}, cls.name + "#" + std::to_string(s));
       prev = out;
+    }
+    if (!cfg_.planner) {
+      backends.emplace_back(cls.chain.size(), cfg_.backend);
+      chains_.push_back(std::move(g));
+      continue;
     }
 
     plan::Planned planned = planner.plan(g, machine_.config(), options);
     for (int id = 0; id < planned.graph.num_nodes(); ++id) {
-      const fw::GraphNode& node = planned.graph.node(id);
-      if (node.fused_away) continue;
-      const fw::Backend backend =
-          planned.plan.backends[static_cast<std::size_t>(id)];
-      planned_chains_[c].emplace_back(node.spec, backend);
-      if (backend == fw::Backend::kFused) {
-        ++plan_summary_.fused_stages;
-      } else {
-        ++plan_summary_.baseline_stages;
-      }
+      if (planned.graph.node(id).fused_away) continue;
+      const bool fused = planned.backends()[static_cast<std::size_t>(id)] ==
+                         fw::Backend::kFused;
+      ++(fused ? plan_summary_.fused_stages : plan_summary_.baseline_stages);
     }
     ++plan_summary_.chains_planned;
     plan_summary_.passes_run +=
@@ -106,12 +77,16 @@ void Simulator::plan_chains() {
         static_cast<int>(planned.plan.allreduce_algos.size());
     plan_summary_.planning_host_ns += planned.report.planning_host_ns;
     plan_reports_.push_back(std::move(planned.report));
+    backends.push_back(planned.backends());
+    chains_.push_back(std::move(planned.graph));
   }
   if (cfg_.plan_cache != nullptr) {
-    plan_summary_.cache_hits = cfg_.plan_cache->stats().hits - hits0;
-    plan_summary_.cache_misses = cfg_.plan_cache->stats().misses - miss0;
-    plan_summary_.uncacheable = cfg_.plan_cache->stats().uncacheable - unc0;
+    const plan::PlanCache::Stats& after = cfg_.plan_cache->stats();
+    plan_summary_.cache_hits = after.hits - before.hits;
+    plan_summary_.cache_misses = after.misses - before.misses;
+    plan_summary_.uncacheable = after.uncacheable - before.uncacheable;
   }
+  return backends;
 }
 
 ServeReport Simulator::run(const std::vector<Arrival>& trace) {
@@ -250,8 +225,8 @@ sim::Co Simulator::serve_batch(int lane, Batch batch) {
                 static_cast<TimeNs>(cfg_.timeout.slo_factor *
                                     static_cast<double>(slo))
           : -1;
-  auto& chain =
-      lane_ops_[static_cast<std::size_t>(lane)][static_cast<std::size_t>(
+  fw::GraphExecutor& chain =
+      *lanes_[static_cast<std::size_t>(lane)][static_cast<std::size_t>(
           batch.cls)];
   int attempts = 0;
   bool timed_out = false;
@@ -259,9 +234,7 @@ sim::Co Simulator::serve_batch(int lane, Batch batch) {
   for (;;) {
     ++attempts;
     start = engine.now() - base_;
-    for (auto& op : chain) {
-      co_await op->spawn().wait();
-    }
+    co_await chain.run();
     end = engine.now() - base_;
     if (deadline < 0 || end <= deadline) break;
     if (attempts > cfg_.timeout.max_retries) {

@@ -5,11 +5,10 @@
 // stream of arrivals (serve/arrivals.h) into one long-running engine run:
 // an arrival process admits requests into a continuous Batcher
 // (serve/batcher.h), and a small pool of service lanes — host-side
-// schedulers sharing one gpu::Machine — pulls batches and executes each
-// class's op chain via awaitable FusedOp::spawn(). Every operator instance
-// is constructed once (per lane x class x chain stage) and re-run for
-// thousands of batches, which is what makes this layer the churn
-// stress-test for spawn() reentrancy and FlagSet/FlagArray reuse.
+// schedulers sharing one gpu::Machine — pulls batches and awaits each
+// class's op chain, a linear fw::Graph, on the lane's warm GraphExecutor.
+// Every operator is built once (per lane x class x chain stage) and re-run
+// for thousands of batches: the churn stress-test for FlagSet reuse.
 //
 // Accounting: per-request queue/service/total latency lands in both exact
 // per-request records (golden determinism diffs) and streaming
@@ -27,8 +26,7 @@
 
 #include "common/stats.h"
 #include "common/types.h"
-#include "framework/op_registry.h"
-#include "fused/op_runtime.h"
+#include "framework/graph_executor.h"
 #include "gpu/machine.h"
 #include "plan/plan_cache.h"
 #include "plan/planner.h"
@@ -153,7 +151,7 @@ class Simulator {
   /// `world` must be built over `machine`. Serial and sharded machines both
   /// work; a sharded machine must satisfy Machine::supports_fused_ops()
   /// (gpu.kernel_launch_ns >= the fabric's conservative lookahead — true
-  /// for every stock fabric), checked here with an actionable message.
+  /// for every stock fabric; fused::FusedOp's constructor checks it).
   /// Operator instances for every (lane, class, chain stage) are built here,
   /// once, through the global OpRegistry.
   Simulator(gpu::Machine& machine, shmem::World& world,
@@ -185,25 +183,20 @@ class Simulator {
   void note_service(int cls, TimeNs service_ns);
   bool browned_out(int cls) const;
 
-  /// Plans every class chain through the planner, filling
-  /// planned_chains_ with each stage's (possibly algorithm-steered) spec
-  /// and chosen backend, and plan_summary_/plan_reports_ with the
-  /// accounting. No-op when cfg_.planner is off.
-  void plan_chains();
+  /// Builds each class chain as a linear graph into chains_ (lowered by the
+  /// planner when cfg_.planner is on, which also fills plan_summary_ and
+  /// plan_reports_) and returns each node's backend, [cls][node].
+  std::vector<std::vector<fw::Backend>> build_chains();
 
   gpu::Machine& machine_;
   shmem::World& world_;
   std::vector<ServeClass> catalog_;
   ServeConfig cfg_;
-  /// [cls][stage] -> (spec, backend) the lanes execute; identity copy of
-  /// the catalog chains on cfg_.backend unless the planner rewrote them.
-  std::vector<std::vector<std::pair<fw::OpSpec, fw::Backend>>>
-      planned_chains_;
+  std::vector<fw::Graph> chains_;  // [cls], what the lanes execute
   PlanSummary plan_summary_;
   std::vector<plan::PlanReport> plan_reports_;
-  /// [lane][cls][stage]; built once, re-spawned per batch.
-  std::vector<std::vector<std::vector<std::unique_ptr<fused::FusedOp>>>>
-      lane_ops_;
+  /// [lane][cls]; built once, run warm per batch.
+  std::vector<std::vector<std::unique_ptr<fw::GraphExecutor>>> lanes_;
 
   // ---- per-run state (valid only inside run()) ----
   TimeNs base_ = 0;  // engine time at run() entry; records are times - base_

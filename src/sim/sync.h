@@ -28,6 +28,12 @@ class OneShot {
 
   bool is_set() const { return set_; }
 
+  /// Re-arms the event for another round (warm reuse); nobody may wait.
+  void reset() {
+    FCC_CHECK_MSG(waiters_.empty(), "OneShot reset with waiters");
+    set_ = false;
+  }
+
   void set() {
     if (set_) return;
     set_ = true;

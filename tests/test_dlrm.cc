@@ -1,6 +1,9 @@
 // DLRM distributed forward pass: functional equivalence fused vs baseline,
-// component timing sanity.
+// component timing sanity, warm re-runs, and serial == sharded.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
 
 #include "dlrm/model.h"
 
@@ -95,6 +98,51 @@ TEST(DlrmModel, FusedForwardIsFasterAtScale) {
   fw::Session sb(four_gpus());
   const auto rb = DlrmModel(sb, cfg_b).forward(1);
   EXPECT_LT(rf.total_ns, rb.total_ns);
+}
+
+TEST(DlrmModel, WarmForwardRepeatsDurationsAndLogits) {
+  for (fw::Backend backend : {fw::Backend::kFused, fw::Backend::kBaseline}) {
+    fw::Session s(four_gpus());
+    DlrmModel model(s, small_dlrm(backend, true));
+    const DlrmResult first = model.forward(1);
+    const DlrmResult second = model.forward(1);
+    EXPECT_EQ(second.emb_a2a.duration(), first.emb_a2a.duration());
+    EXPECT_EQ(second.bottom_mlp_ns, first.bottom_mlp_ns);
+    EXPECT_EQ(second.top_mlp_ns, first.top_mlp_ns);
+    EXPECT_EQ(second.total_ns, first.total_ns);
+    EXPECT_EQ(second.logits, first.logits);
+  }
+}
+
+/// One functional forward pass on `nodes` x `gpus_per_node` GPUs, the
+/// engine split into `shards`.
+DlrmResult forward_on(int nodes, int gpus_per_node, int shards,
+                      fw::Backend backend) {
+  gpu::Machine::Config c;
+  c.num_nodes = nodes;
+  c.gpus_per_node = gpus_per_node;
+  c.num_shards = shards;
+  fw::Session s(c);
+  return DlrmModel(s, small_dlrm(backend, true)).forward(3);
+}
+
+TEST(DlrmModel, ShardedForwardMatchesSerial) {
+  for (fw::Backend backend : {fw::Backend::kFused, fw::Backend::kBaseline}) {
+    for (const auto& [nodes, gpus] : {std::pair{2, 2}, std::pair{4, 1}}) {
+      const DlrmResult serial = forward_on(nodes, gpus, 1, backend);
+      for (const int shards : {2, 4}) {
+        if (shards > nodes) continue;  // shards are node-aligned
+        SCOPED_TRACE(std::to_string(nodes) + "x" + std::to_string(gpus) +
+                     " at " + std::to_string(shards) + " shards");
+        const DlrmResult r = forward_on(nodes, gpus, shards, backend);
+        EXPECT_EQ(r.emb_a2a, serial.emb_a2a);
+        EXPECT_EQ(r.bottom_mlp_ns, serial.bottom_mlp_ns);
+        EXPECT_EQ(r.top_mlp_ns, serial.top_mlp_ns);
+        EXPECT_EQ(r.total_ns, serial.total_ns);
+        EXPECT_EQ(r.logits, serial.logits);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -20,7 +20,8 @@
 //      stability under sharding).
 //   4. Capability check — a sharded machine whose kernel-launch latency is
 //      below the fabric's conservative lookahead cannot host fused ops and
-//      must say so actionably at simulator construction.
+//      must say so actionably, catchably, wherever the operators are built:
+//      serve::Simulator, a Session graph or single op, the DLRM model.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "dlrm/model.h"
 #include "framework/graph.h"
 #include "framework/op_registry.h"
 #include "framework/session.h"
@@ -396,6 +398,21 @@ TEST(FusedSharded, WarmShardedServeIsDeterministicAndMatchesSerial) {
 // 4. Capability check
 // ---------------------------------------------------------------------------
 
+/// Runs `build`, which must throw the capability check's std::logic_error.
+void expect_capability_error(const char* what,
+                             const std::function<void()>& build) {
+  SCOPED_TRACE(what);
+  try {
+    build();
+    FAIL() << "expected the capability check to fire";
+  } catch (const std::logic_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("kernel_launch_ns"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("conservative lookahead"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("num_shards=1"), std::string::npos) << msg;
+  }
+}
+
 TEST(FusedSharded, SimulatorRejectsLaunchLatencyBelowLookahead) {
   gpu::Machine::Config mc = fc_config(2);
   // Lookahead on the fully-connected fabric is per_msg_proc + wire; drop
@@ -405,16 +422,31 @@ TEST(FusedSharded, SimulatorRejectsLaunchLatencyBelowLookahead) {
   gpu::Machine machine(mc);
   EXPECT_FALSE(machine.supports_fused_ops());
   shmem::World world(machine);
-  auto catalog = serve::default_catalog(machine.num_pes());
-  try {
-    serve::Simulator sim(machine, world, std::move(catalog));
-    FAIL() << "expected the capability check to fire";
-  } catch (const std::logic_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("kernel_launch_ns"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("conservative lookahead"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("num_shards=1"), std::string::npos) << msg;
-  }
+  expect_capability_error("serve::Simulator", [&] {
+    serve::Simulator sim(machine, world,
+                         serve::default_catalog(machine.num_pes()));
+  });
+
+  const fw::OpSpec spec =
+      fw::OpRegistry::global().at("fcc::embedding_a2a").smoke_spec();
+  expect_capability_error("Session::run(spec)", [&] {
+    fw::Session session(mc);
+    session.run(spec);
+  });
+  expect_capability_error("Session::run(graph)", [&] {
+    fw::Graph g;
+    g.add(spec, {}, {g.tensor("out")}, "emb");
+    fw::Session session(mc);
+    session.run(g);
+  });
+  expect_capability_error("dlrm::DlrmModel", [&] {
+    fw::Session session(mc);
+    dlrm::DlrmConfig cfg;
+    cfg.emb = fw::spec_config<fused::EmbeddingA2AConfig>(spec);
+    cfg.bottom_mlp = {32, cfg.emb.map.dim};
+    dlrm::DlrmModel(session, cfg).forward(1);
+  });
+
   // Serial machines never hit the check, whatever the launch latency.
   mc.num_shards = 1;
   gpu::Machine serial(mc);

@@ -2,11 +2,13 @@
 // pass over OpEntry patterns, and GraphExecutor scheduling semantics —
 // chain graphs must time byte-identically to sequential Session::run calls
 // (golden equivalence, same style as test_sim_determinism), diamond graphs
-// must be schedule-order independent, and independent nodes must overlap.
+// must be schedule-order independent, independent nodes must overlap, and a
+// warm executor must rerun (serial or sharded) without building an operator.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "framework/session.h"
@@ -380,6 +382,95 @@ TEST(GraphExecutorApi, IndependentNodesOverlapOnBothBackends) {
     EXPECT_EQ(gr.sum_durations(), 2 * each);
     EXPECT_EQ(gr.critical_path_ns, each);
     EXPECT_DOUBLE_EQ(gr.overlap_fraction(), 0.5);
+  }
+}
+
+/// `r` with every timestamp moved back by `dt`.
+GraphResult shifted(GraphResult r, TimeNs dt) {
+  r.start -= dt;
+  r.end -= dt;
+  for (NodeRunResult& n : r.nodes) {
+    n.ready -= dt;
+    n.result.start -= dt;
+    n.result.end -= dt;
+    for (TimeNs& t : n.result.pe_end) t -= dt;
+  }
+  return r;
+}
+
+void expect_same_result(const GraphResult& a, const GraphResult& b) {
+  EXPECT_EQ(a.start, b.start);
+  EXPECT_EQ(a.end, b.end);
+  EXPECT_EQ(a.critical_path_ns, b.critical_path_ns);
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    EXPECT_EQ(a.nodes[i].label, b.nodes[i].label);
+    EXPECT_EQ(a.nodes[i].ready, b.nodes[i].ready) << a.nodes[i].label;
+    EXPECT_EQ(a.nodes[i].result, b.nodes[i].result) << a.nodes[i].label;
+  }
+}
+
+sim::Task await_graph(sim::Engine&, GraphExecutor& executor) {
+  co_await executor.run();
+}
+
+// A warm executor builds its operators once, in its constructor: runs
+// after the first, blocking or awaited from a process, construct nothing
+// and repeat the first run's timeline exactly, shifted to their start.
+TEST(GraphExecutorApi, WarmRunsBuildNoOperatorsAndRepeatTheFirstRun) {
+  int builds = 0;
+  OpRegistry reg;
+  for (const char* name : {"fcc::gemv_allreduce", "fcc::embedding_a2a"}) {
+    OpEntry entry = OpRegistry::global().at(name);
+    entry.make = [&builds, make = entry.make](shmem::World& world,
+                                              const OpSpec& spec,
+                                              Backend backend) {
+      ++builds;
+      return make(world, spec, backend);
+    };
+    reg.register_op(std::move(entry));
+  }
+  // gemv -> embedding, with a second gemv overlapping both.
+  Graph g;
+  auto a = g.tensor("a");
+  g.add("fcc::gemv_allreduce", small_gemv_config(), {}, {a}, "gemv");
+  g.add("fcc::embedding_a2a", small_emb_config(), {a}, {g.tensor("b")},
+        "emb");
+  g.add("fcc::gemv_allreduce", small_gemv_config(/*m=*/1024), {},
+        {g.tensor("c")}, "side");
+
+  // Serial, and four single-GPU nodes on two engine shards.
+  gpu::Machine::Config sharded = smoke_machine_config();
+  sharded.num_nodes = kSmokePes;
+  sharded.gpus_per_node = 1;
+  sharded.num_shards = 2;
+  for (const auto& [mc, backend] :
+       {std::pair{smoke_machine_config(), Backend::kFused},
+        std::pair{smoke_machine_config(), Backend::kBaseline},
+        std::pair{sharded, Backend::kFused},
+        std::pair{sharded, Backend::kBaseline}}) {
+    SCOPED_TRACE(std::to_string(mc.num_shards) + " shard(s), " +
+                 (backend == Backend::kFused ? "fused" : "baseline"));
+    builds = 0;
+    gpu::Machine machine(mc);
+    shmem::World world(machine);
+    GraphExecutor executor(
+        world, g,
+        std::vector<Backend>(static_cast<std::size_t>(g.num_nodes()), backend),
+        reg);
+    EXPECT_EQ(builds, 3);
+    const GraphResult first = executor.run_to_completion();
+    const GraphResult second = executor.run_to_completion();
+    await_graph(machine.engine(), executor);
+    machine.run_all();
+    EXPECT_EQ(machine.sharded().live_tasks(), 0);
+    const GraphResult third = executor.result();
+    EXPECT_EQ(builds, 3) << "a warm run constructed an operator";
+    EXPECT_GT(first.overlap_fraction(), 0.0);
+    ASSERT_GE(second.start, first.end);
+    ASSERT_GE(third.start, second.end);
+    expect_same_result(shifted(second, second.start - first.start), first);
+    expect_same_result(shifted(third, third.start - first.start), first);
   }
 }
 

@@ -14,9 +14,9 @@ namespace fcc::ccl {
 /// A collective's timing as data. Every register starts at the collective's
 /// t0. A step waits on register `in`, writes `bytes` from rank `src` to rank
 /// `dst` (no transfer when they are equal), adds `add` and raises register
-/// `out` to the result. The collective ends at the latest register.
-/// Register kStart is never written (t0 throughout); kEnd feeds only the
-/// end.
+/// `out` to the result. A register is ready once every step writing it has
+/// run; the collective ends at the latest register. Register kStart is
+/// never written (ready at t0); kEnd feeds only the end.
 constexpr int kStart = 0, kEnd = 1;
 struct Schedule {
   struct Step {
@@ -24,14 +24,34 @@ struct Schedule {
     Bytes bytes;
     int in, out;
     TimeNs add;
+    int index;  // builder order, which breaks ties between ready steps
   };
   std::vector<Step> steps;
   int regs = 2;
+  /// The dependency graph, built once by `link`: per register, the number
+  /// of steps writing it and the steps reading it, which `link` groups
+  /// into steps[first_reader[r] .. first_reader[r + 1]), in builder order.
+  std::vector<int> writers, first_reader;
 
   /// Allocates `count` fresh registers; returns the first.
   int reg(int count = 1) { return (regs += count) - count; }
   void step(int src, int dst, Bytes bytes, int in, int out, TimeNs add = 0) {
-    steps.push_back({src, dst, bytes, in, out, add});
+    steps.push_back(
+        {src, dst, bytes, in, out, add, static_cast<int>(steps.size())});
+  }
+
+  /// Builds the dependency graph of the listed steps.
+  void link() {
+    writers.assign(static_cast<std::size_t>(regs), 0);
+    first_reader.assign(static_cast<std::size_t>(regs) + 1, 0);
+    for (const Step& st : steps) {
+      ++writers[st.out];
+      ++first_reader[st.in + 1];
+    }
+    std::partial_sum(first_reader.begin(), first_reader.end(),
+                     first_reader.begin());
+    std::stable_sort(steps.begin(), steps.end(),
+                     [](const Step& a, const Step& b) { return a.in < b.in; });
   }
 };
 
@@ -71,6 +91,12 @@ int ring(Schedule& s, const std::vector<int>& ranks, Bytes bytes, int in,
     in = out;
   }
   return in;
+}
+
+/// `s` with its dependency graph built, shared by every run of it.
+std::shared_ptr<const Schedule> linked(Schedule s) {
+  s.link();
+  return std::make_shared<const Schedule>(std::move(s));
 }
 
 /// Why a span whose members per node are `by_node` cannot run a forced
@@ -173,22 +199,66 @@ class Communicator::SweepAwaiter {
 };
 
 TimeNs Communicator::run(const Schedule& s, TimeNs t0) {
-  std::vector<TimeNs> reg(static_cast<std::size_t>(s.regs), t0);
-  for (const Schedule::Step& step : s.steps) {
-    TimeNs t = reg[step.in];
+  // Per register: its time so far and its writers not yet reserved.
+  struct Reg {
+    TimeNs t;
+    int pending;
+  };
+  std::vector<Reg> reg(static_cast<std::size_t>(s.regs));
+  // A ready register's unreserved readers, steps[next .. end), all ready
+  // at t. The next step to reserve is the least (t, builder index) over
+  // the current run and a min-heap of the others; keeping the current run
+  // out of the heap spares a pop and a push per step while it stays least.
+  struct Run {
+    TimeNs t;
+    int next, end;
+  };
+  const auto later = [&s](const Run& a, const Run& b) {
+    return std::pair(a.t, s.steps[a.next].index) >
+           std::pair(b.t, s.steps[b.next].index);
+  };
+  std::vector<Run> heap;
+  heap.reserve(static_cast<std::size_t>(s.regs));
+  const auto release = [&](int r, TimeNs t) {
+    if (s.first_reader[r] == s.first_reader[r + 1]) return;
+    heap.push_back({t, s.first_reader[r], s.first_reader[r + 1]});
+    std::push_heap(heap.begin(), heap.end(), later);
+  };
+  for (int r = 0; r < s.regs; ++r) {
+    reg[r] = {t0, s.writers[r]};
+    if (s.writers[r] == 0) release(r, t0);
+  }
+  Run cur{t0, 0, 0};
+  for (;;) {
+    if (cur.next == cur.end || (!heap.empty() && later(cur, heap.front()))) {
+      if (heap.empty()) break;
+      std::pop_heap(heap.begin(), heap.end(), later);
+      std::swap(cur, heap.back());
+      if (heap.back().next == heap.back().end) {
+        heap.pop_back();
+      } else {
+        std::push_heap(heap.begin(), heap.end(), later);
+      }
+    }
+    const Schedule::Step& step = s.steps[cur.next++];
+    TimeNs t = cur.t;
     if (step.src != step.dst) {
       t = machine_.remote_write_time(members_[step.src], members_[step.dst],
                                      step.bytes, t);
     }
-    reg[step.out] = std::max(reg[step.out], t + step.add);
+    Reg& out = reg[step.out];
+    out.t = std::max(out.t, t + step.add);
+    if (--out.pending == 0) release(step.out, out.t);
   }
-  return *std::max_element(reg.begin(), reg.end());
+  TimeNs end = t0;
+  for (const Reg& r : reg) end = std::max(end, r.t);
+  return end;
 }
 
 std::shared_ptr<const Schedule> Communicator::memo(Builder build,
                                                    std::int64_t size) {
   if (build != memo_build_ || size != memo_size_) {
-    memo_ = std::make_shared<const Schedule>((this->*build)(size));
+    memo_ = linked((this->*build)(size));
     memo_build_ = build;
     memo_size_ = size;
   }
@@ -393,7 +463,7 @@ sim::Co Communicator::all_to_all_co(std::int64_t chunk_elems,
   // A named local: GCC 12 destroys a conditional's class temporary twice
   // inside a co_await operand.
   auto schedule =
-      counts ? std::make_shared<const Schedule>(a2av_schedule(*counts))
+      counts ? linked(a2av_schedule(*counts))
              : memo(&Communicator::pairwise_schedule, chunk_elems);
   const TimeNs end = co_await SweepAwaiter(*this, t0, std::move(schedule));
   co_await sim::delay_until(machine_.engine(), end);

@@ -12,8 +12,12 @@
 //
 // Every algorithm is a Schedule builder: it lists the collective's transfers
 // as steps over time registers, and one interpreter (`run`) reserves them on
-// the machine's links in list order. A new algorithm is a new builder, with
-// no timing code of its own.
+// the machine's links in ready-time order: a step is reserved once every
+// step writing its input register has been, earliest input first, with the
+// builder's list order only breaking ties (RCCL issues a step once its data
+// has arrived). So the order in which a builder lists independent rings,
+// such as the hierarchical algorithm's lanes, does not change their timing.
+// A new algorithm is a new builder, with no timing code of its own.
 //
 // Hierarchy awareness: AllReduce defaults to kAuto, which inspects the
 // machine topology. A communicator spanning several nodes with several
@@ -153,8 +157,9 @@ class Communicator {
   /// (callers mostly repeat one collective; a build costs host time).
   std::shared_ptr<const Schedule> memo(Builder build, std::int64_t size);
 
-  /// The interpreter: reserves `s`'s transfers in order from t0 and returns
-  /// the collective's end. The only link-reserving code in the library.
+  /// The interpreter: reserves `s`'s transfers from t0 in ready-time order
+  /// (ties in builder order) and returns the collective's end. The only
+  /// link-reserving code in the library.
   TimeNs run(const Schedule& s, TimeNs t0);
 
   /// Unhealthy components in the span's reach, cached per fault epoch so

@@ -42,10 +42,4 @@ inline int max_active_wgs(const hw::GpuSpec& spec, const KernelResources& r) {
   return wgs_per_cu(spec, r) * spec.num_cus;
 }
 
-inline double occupancy_fraction(const hw::GpuSpec& spec,
-                                 const KernelResources& r) {
-  return static_cast<double>(max_active_wgs(spec, r)) /
-         static_cast<double>(spec.max_wg_slots());
-}
-
 }  // namespace fcc::gpu

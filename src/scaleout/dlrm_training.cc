@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/math_util.h"
 #include "hw/topology.h"
 
 namespace fcc::scaleout {

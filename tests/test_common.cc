@@ -1,4 +1,4 @@
-// Utilities: RNG determinism, stats, math helpers, table/CSV.
+// Utilities: RNG determinism, stats, table/CSV.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/csv.h"
-#include "common/math_util.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/types.h"
@@ -60,26 +59,6 @@ TEST(Rng, ForkProducesIndependentStream) {
   EXPECT_NE(a.next_u64(), child.next_u64());
 }
 
-TEST(MathUtil, CeilDivAndAlign) {
-  EXPECT_EQ(ceil_div(10, 3), 4);
-  EXPECT_EQ(ceil_div(9, 3), 3);
-  EXPECT_EQ(align_up(10, 8), 16);
-  EXPECT_EQ(align_up(16, 8), 16);
-}
-
-TEST(MathUtil, Pow2AndPopcount) {
-  EXPECT_TRUE(is_pow2(64));
-  EXPECT_FALSE(is_pow2(63));
-  EXPECT_FALSE(is_pow2(0));
-  EXPECT_EQ(popcount64(0xFFULL), 8);
-  EXPECT_EQ(popcount64(0), 0);
-}
-
-TEST(MathUtil, RelDiff) {
-  EXPECT_NEAR(rel_diff(100.0, 90.0), 0.1, 1e-12);
-  EXPECT_EQ(rel_diff(0.0, 0.0), 0.0);
-}
-
 TEST(Table, RendersAllCells) {
   AsciiTable t({"config", "time"});
   t.add_row({"a", "1.0"});
@@ -112,13 +91,6 @@ TEST(Csv, WritesHeaderAndRows) {
   EXPECT_EQ(l2, "1,2.5");
   EXPECT_EQ(l3, "s,3");
   std::remove(path.c_str());
-}
-
-TEST(Types, UnitConversions) {
-  EXPECT_EQ(us_to_ns(2.0), 2000);
-  EXPECT_EQ(ms_to_ns(1.5), 1500000);
-  EXPECT_DOUBLE_EQ(gbit_per_s_to_bytes_per_ns(200.0), 25.0);
-  EXPECT_DOUBLE_EQ(gb_per_s_to_bytes_per_ns(80.0), 80.0);
 }
 
 }  // namespace

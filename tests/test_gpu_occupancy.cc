@@ -14,7 +14,7 @@ TEST(Occupancy, SlotLimitedKernelReachesMax) {
   r.vgprs_per_thread = 64;  // light kernel: register limit above slot limit
   EXPECT_EQ(wgs_per_cu(mi210(), r), 8);
   EXPECT_EQ(max_active_wgs(mi210(), r), 832);
-  EXPECT_DOUBLE_EQ(occupancy_fraction(mi210(), r), 1.0);
+  EXPECT_EQ(max_active_wgs(mi210(), r), mi210().max_wg_slots());
 }
 
 TEST(Occupancy, RegisterLimitedKernel) {
@@ -36,7 +36,8 @@ TEST(Occupancy, ShmemContextCostsOneWgPerCu) {
   KernelResources fused = base;
   fused.vgprs_per_thread += kShmemCtxVgprsPerThread;
   EXPECT_EQ(wgs_per_cu(mi210(), fused), 7);
-  EXPECT_DOUBLE_EQ(occupancy_fraction(mi210(), fused), 0.875);
+  // 7 of 8 slots per CU: 87.5% of the device's WG slots.
+  EXPECT_EQ(8 * max_active_wgs(mi210(), fused), 7 * mi210().max_wg_slots());
 }
 
 TEST(Occupancy, LdsLimit) {

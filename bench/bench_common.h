@@ -10,9 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/csv.h"
 #include "common/table.h"
 #include "common/types.h"
+#include "dlrm/model.h"
+#include "hw/topology.h"
 
 namespace fccbench {
 
@@ -77,6 +80,36 @@ inline void print_normalized(const std::string& title,
               << "%   max reduction: "
               << fcc::AsciiTable::fmt(max_reduction, 1) << "%\n\n";
   }
+}
+
+/// The near-square 2D torus for `nodes` one-GPU nodes (16x8 for 128):
+/// dim_y is the largest divisor of `nodes` no greater than its square root.
+inline fcc::hw::TorusSpec torus_for_nodes(int nodes) {
+  FCC_CHECK(nodes >= 1);
+  fcc::hw::TorusSpec t;
+  for (int y = 1; y * y <= nodes; ++y) {
+    if (nodes % y == 0) t.dim_y = y;
+  }
+  t.dim_x = nodes / t.dim_y;
+  return t;
+}
+
+/// Table II's DLRM on `nodes` one-GPU nodes: 8 tables per node, dim 92,
+/// pooling 70, 64 samples per node, and 43 MLP layers of mean width 682
+/// (bottom 713, 713, 92 on 92 dense features; top 39 x 713, then 1). The
+/// top MLP's input width is DlrmConfig::interaction_dim().
+inline fcc::dlrm::DlrmConfig table2_dlrm(int nodes) {
+  fcc::dlrm::DlrmConfig cfg;
+  cfg.emb.map.num_pes = nodes;
+  cfg.emb.map.tables_per_pe = 8;
+  cfg.emb.map.global_batch = 64 * nodes;
+  cfg.emb.map.dim = 92;
+  cfg.emb.pooling = 70;
+  cfg.dense_dim = 92;
+  cfg.bottom_mlp = {713, 713, 92};
+  cfg.top_mlp = std::vector<int>(39, 713);
+  cfg.top_mlp.push_back(1);
+  return cfg;
 }
 
 }  // namespace fccbench

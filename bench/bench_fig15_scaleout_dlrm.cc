@@ -1,16 +1,39 @@
-// Fig. 15: large scale-out simulation — one DLRM training pass with fused
-// embedding + All-to-All vs baseline, up to 128 nodes (Table II model,
-// 2D torus, ASTRA-Sim-analog methodology).
+// Fig. 15: large scale-out simulation — one DLRM training iteration with
+// fused embedding + All-to-All vs baseline, 8 to 128 nodes on a 2D torus.
 //
-// Paper result: ~21% lower execution time at 128 nodes.
+// Paper result: ~21% lower execution time at 128 nodes, from ASTRA-Sim fed
+// with kernel times profiled on an MI210.
 //
-// Second section: the same flagship operator (fused embedding All-to-All)
-// run *event-driven* on a 64-PE torus machine at engine shard counts
-// 1/2/4/8 — the shard-local fused runtime. Its simulated span is printed
-// against the bulk-synchronous baseline's, next to the analytic model's
-// 64-node ratio. Simulated results and merged traces are asserted
-// byte-identical to the serial engine at every shard count; what scales is
-// host wall-clock (measured + attainable speedups, in
+// First section: dlrm::DlrmModel::train_step, one training iteration run
+// event-driven on the torus machine (one GPU per node, the near-square
+// torus of fccbench::torus_for_nodes), fused and baseline
+// (bench_results/fig15_scaleout_dlrm.csv). Table II maps onto DlrmConfig
+// as fccbench::table2_dlrm does:
+//   - 8 tables per node, embedding dim 92, pooling 70, 64 samples per node;
+//   - 43 MLP layers of mean width 682: bottom MLP 713, 713, 92 on 92 dense
+//     features, top MLP 39 x 713, then 1;
+//   - the top MLP's input is the interaction's output, so its width is
+//     DlrmConfig::interaction_dim(): the pairwise dots of 8 x nodes + 1
+//     feature vectors plus the bottom output (2172 at 8 nodes, 524892 at
+//     128). The first top layer's weights and gradients grow with it, where
+//     an earlier closed-form model of this figure counted 43 x 682^2
+//     weights at every node count;
+//   - the backward embedding node reuses the forward op's traffic
+//     (emb_bwd = emb_fwd, the same assumption that model made);
+//   - the MLP weight gradients go through one ring AllReduce, after the
+//     backward exchange, on both backends.
+// The baseline All-to-All keeps RCCL's ring-shift pairwise order while the
+// fused op walks the torus's mirrored shifts, so part of each ratio is the
+// order, not fusion. Every point also runs on 4 engine shards, and the
+// bench exits nonzero unless every node's result (both backends' spans and
+// per-PE end times) equals the serial engine's.
+//
+// Second section: the flagship operator (fused embedding All-to-All) run
+// event-driven on a 64-PE torus machine at engine shard counts 1/2/4/8 —
+// the shard-local fused runtime. Its simulated span is printed against the
+// bulk-synchronous baseline's. Simulated results and merged traces are
+// asserted byte-identical to the serial engine at every shard count; what
+// scales is host wall-clock (measured + attainable speedups, in
 // bench_results/fig15_fused_shard_scaling.csv).
 //
 // Third section: the flagship's per-PE shape, fused and baseline, on the
@@ -30,9 +53,10 @@
 
 #include "bench_common.h"
 #include "common/check.h"
+#include "dlrm/model.h"
+#include "framework/session.h"
 #include "fused/embedding_a2a.h"
 #include "gpu/machine.h"
-#include "scaleout/dlrm_training.h"
 #include "shmem/world.h"
 #include "sweep_runner.h"
 
@@ -180,10 +204,8 @@ TimeNs run_torus_shapes() {
   return spans.back();
 }
 
-/// `analytic_norm_64`: the analytic model's fused/baseline ratio for the
-/// whole training pass at 64 nodes, printed next to the event-driven
-/// operator's ratio; `baseline_ns`: the flagship baseline's span.
-void run_sharded_flagship(double analytic_norm_64, TimeNs baseline_ns) {
+/// `baseline_ns`: the flagship baseline's span.
+void run_sharded_flagship(TimeNs baseline_ns) {
   const int iters = env_int("FCC_FIG15_SHARD_ITERS", 6);
   const int max_shards = env_int("FCC_FIG15_SHARD_MAX", 8);
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
@@ -243,8 +265,6 @@ void run_sharded_flagship(double analytic_norm_64, TimeNs baseline_ns) {
                AsciiTable::fmt(ns_to_us(baseline_ns), 1),
                AsciiTable::fmt(ns_to_us(fused_ns), 1),
                AsciiTable::fmt(static_cast<double>(fused_ns) / baseline_ns, 3)});
-  sim.add_row({"analytic training pass (table above)", "", "",
-               AsciiTable::fmt(analytic_norm_64, 3)});
   std::cout << "\n";
   sim.print(std::cout);
 
@@ -260,68 +280,98 @@ void run_sharded_flagship(double analytic_norm_64, TimeNs baseline_ns) {
   }
 }
 
-}  // namespace
+/// One training iteration of Table II's DLRM on `nodes` torus nodes, the
+/// engine split into `shards`.
+fw::GraphResult train_iteration(int nodes, int shards, fw::Backend backend) {
+  const hw::TorusSpec torus = fccbench::torus_for_nodes(nodes);
+  fw::Session session(
+      torus_machine(torus.dim_x, torus.dim_y, shards, /*collect_trace=*/false));
+  dlrm::DlrmConfig cfg = fccbench::table2_dlrm(nodes);
+  cfg.backend = backend;
+  return dlrm::DlrmModel(session, cfg).train_step();
+}
 
-int main() {
-  using namespace fcc;
-  using namespace fcc::scaleout;
+/// Whether two runs of one graph timed every node identically: ready,
+/// start and end times and per-PE end times.
+bool same_timing(const fw::GraphResult& a, const fw::GraphResult& b) {
+  if (a.start != b.start || a.end != b.end ||
+      a.nodes.size() != b.nodes.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    if (a.nodes[i].ready != b.nodes[i].ready ||
+        a.nodes[i].result != b.nodes[i].result) {
+      return false;
+    }
+  }
+  return true;
+}
 
+/// The training-iteration sweep: fused and baseline per node count, each
+/// checked serial == 4 shards.
+void run_training_sweep() {
   const int node_counts[] = {8, 16, 32, 64, 128};
-  struct Point {
-    IterationBreakdown base, fused;
-  };
-  const auto points = fccbench::run_sweep<Point>(5, [&](int i) {
-    TrainingConfig cfg;  // Table II defaults
-    cfg.num_nodes = node_counts[i];
-    cfg.global_batch = 64 * node_counts[i];
-    DlrmTrainingSim sim(cfg);
-    return Point{sim.simulate(false), sim.simulate(true)};
+  const int n = static_cast<int>(std::size(node_counts));
+  // Point 4i + 2b + s: node count i, backend b (0 fused, 1 baseline),
+  // s == 1 the 4-shard run.
+  const auto runs = fccbench::run_sweep<fw::GraphResult>(4 * n, [&](int i) {
+    return train_iteration(
+        node_counts[i / 4], i % 2 == 0 ? 1 : 4,
+        (i / 2) % 2 == 0 ? fw::Backend::kFused : fw::Backend::kBaseline);
   });
+  auto run = [&](int i, int backend, int sharded) -> const fw::GraphResult& {
+    return runs[static_cast<std::size_t>(4 * i + 2 * backend + sharded)];
+  };
 
   AsciiTable t({"nodes", "torus", "baseline (us)", "fused (us)", "normalized",
                 "reduction %"});
   CsvWriter csv(fccbench::out_dir() + "/fig15_scaleout_dlrm.csv",
                 {"nodes", "baseline_ns", "fused_ns", "normalized"});
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < n; ++i) {
     const int nodes = node_counts[i];
-    const auto& base = points[static_cast<std::size_t>(i)].base;
-    const auto& fused = points[static_cast<std::size_t>(i)].fused;
-    const double norm = static_cast<double>(fused.total) / base.total;
-    TrainingConfig cfg;
-    cfg.num_nodes = nodes;
-    const auto torus = torus_for_nodes(nodes, cfg.torus);
+    for (int b = 0; b < 2; ++b) {
+      FCC_CHECK_MSG(same_timing(run(i, b, 1), run(i, b, 0)),
+                    (b == 0 ? "fused" : "baseline")
+                        << " training iteration at " << nodes
+                        << " nodes diverged from serial at 4 shards");
+    }
+    const TimeNs fused_ns = run(i, 0, 0).makespan();
+    const TimeNs base_ns = run(i, 1, 0).makespan();
+    const double norm = static_cast<double>(fused_ns) / base_ns;
+    const hw::TorusSpec torus = fccbench::torus_for_nodes(nodes);
     t.add_row({std::to_string(nodes),
                std::to_string(torus.dim_x) + "x" + std::to_string(torus.dim_y),
-               AsciiTable::fmt(ns_to_us(base.total), 1),
-               AsciiTable::fmt(ns_to_us(fused.total), 1),
+               AsciiTable::fmt(ns_to_us(base_ns), 1),
+               AsciiTable::fmt(ns_to_us(fused_ns), 1),
                AsciiTable::fmt(norm, 3),
                AsciiTable::fmt(100.0 * (1.0 - norm), 1)});
-    csv.row(nodes, base.total, fused.total, norm);
+    csv.row(nodes, base_ns, fused_ns, norm);
   }
-  std::cout << "Fig. 15 — DLRM training pass, fused vs baseline execution "
-               "graph (Table II model)\n";
+  std::cout << "Fig. 15 — DLRM training iteration, fused vs baseline "
+               "(Table II model, event-driven torus)\n";
   t.print(std::cout);
+  std::cout << "every point equal to serial at 4 shards (asserted)\n";
 
-  // Component breakdown at 128 nodes (what the overlap hides).
-  const auto& b = points.back().base;
-  AsciiTable parts({"component (128 nodes)", "per-iteration (us)"});
-  parts.add_row({"embedding fwd+bwd",
-                 AsciiTable::fmt(ns_to_us(b.emb_fwd + b.emb_bwd), 1)});
-  parts.add_row({"All-to-All fwd+bwd",
-                 AsciiTable::fmt(ns_to_us(b.a2a_fwd + b.a2a_bwd), 1)});
-  parts.add_row({"MLPs fwd+bwd",
-                 AsciiTable::fmt(ns_to_us(b.top_mlp_fwd + b.top_mlp_bwd +
-                                          b.bottom_mlp_fwd + b.bottom_mlp_bwd),
-                                 1)});
-  parts.add_row({"interaction (x2)", AsciiTable::fmt(ns_to_us(2 * b.interaction), 1)});
-  parts.add_row({"exposed grad AllReduce",
-                 AsciiTable::fmt(ns_to_us(b.exposed_allreduce), 1)});
+  // Where the largest iteration's time goes: each node's ready and end.
+  AsciiTable parts({"node (" + std::to_string(node_counts[n - 1]) + " nodes)",
+                    "fused ready-end (us)", "baseline ready-end (us)"});
+  auto span = [](const fw::NodeRunResult& r) {
+    return AsciiTable::fmt(ns_to_us(r.ready), 1) + " - " +
+           AsciiTable::fmt(ns_to_us(r.result.end), 1);
+  };
+  const auto& fused = run(n - 1, 0, 0).nodes;
+  const auto& base = run(n - 1, 1, 0).nodes;
+  for (std::size_t k = 0; k < fused.size(); ++k) {
+    parts.add_row({fused[k].label, span(fused[k]), span(base[k])});
+  }
   parts.print(std::cout);
   std::cout << "paper: ~21% reduction at 128 nodes\n";
+}
 
-  const auto& p64 = points[3];  // node_counts[3] == 64, the flagship's size
-  const TimeNs flagship_baseline_ns = run_torus_shapes();
-  run_sharded_flagship(static_cast<double>(p64.fused.total) / p64.base.total,
-                       flagship_baseline_ns);
+}  // namespace
+
+int main() {
+  run_training_sweep();
+  run_sharded_flagship(run_torus_shapes());
   return 0;
 }

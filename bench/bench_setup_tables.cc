@@ -2,10 +2,10 @@
 // setup, printed from the live config structs so they cannot drift from
 // what the benches actually use.
 #include <iostream>
+#include <numeric>
 
 #include "bench_common.h"
 #include "hw/gpu_spec.h"
-#include "scaleout/dlrm_training.h"
 
 int main() {
   using namespace fcc;
@@ -29,13 +29,26 @@ int main() {
                                " GB/s"});
   t1.print(std::cout);
 
-  scaleout::TrainingConfig cfg;
+  // Fig. 15's model at its largest point (fccbench::table2_dlrm).
+  const int nodes = 128;
+  const dlrm::DlrmConfig cfg = fccbench::table2_dlrm(nodes);
+  const int layers = static_cast<int>(cfg.bottom_mlp.size() +
+                                      cfg.top_mlp.size());
+  const int widths =
+      std::accumulate(cfg.bottom_mlp.begin(), cfg.bottom_mlp.end(), 0) +
+      std::accumulate(cfg.top_mlp.begin(), cfg.top_mlp.end(), 0);
   AsciiTable t2({"Table II", "value"});
-  t2.add_row({"Embedding dimension", std::to_string(cfg.emb_dim)});
-  t2.add_row({"MLP layers", std::to_string(cfg.mlp_layers) + " (avg size " +
-                                std::to_string(cfg.mlp_avg_width) + ")"});
-  t2.add_row({"Avg pooling size", std::to_string(cfg.pooling)});
-  const auto torus = scaleout::torus_for_nodes(cfg.num_nodes, cfg.torus);
+  t2.add_row({"Embedding dimension", std::to_string(cfg.emb.map.dim)});
+  t2.add_row({"MLP layers", std::to_string(layers) + " (avg size " +
+                                std::to_string(widths / layers) + ")"});
+  t2.add_row({"Avg pooling size", std::to_string(cfg.emb.pooling)});
+  t2.add_row({"Tables, samples per node",
+              std::to_string(cfg.emb.map.tables_per_pe) + ", " +
+                  std::to_string(cfg.emb.map.local_batch())});
+  t2.add_row({"Top MLP input width",
+              std::to_string(cfg.interaction_dim()) + " (" +
+                  std::to_string(nodes) + " nodes)"});
+  const auto torus = fccbench::torus_for_nodes(nodes);
   t2.add_row({"Topology", "2D torus " + std::to_string(torus.dim_x) + "x" +
                               std::to_string(torus.dim_y) + " (BW " +
                               AsciiTable::fmt(

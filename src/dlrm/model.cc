@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "common/rng.h"
 #include "gpu/persistent.h"
@@ -40,13 +42,24 @@ TileCosts tile_costs(const ops::GemmShape& s) {
 /// Per-PE host activations, [pe][local batch x width] row-major.
 using Activations = std::vector<std::vector<float>>;
 
-/// Config of "dlrm::mlp": one GEMM kernel per layer, relu after each.
+/// Config of "dlrm::mlp" (one GEMM kernel per layer, relu after each) and
+/// of its backward pass, "dlrm::mlp_backward".
 struct MlpConfig {
   int batch = 0;  // rows per PE
   int in_dim = 0;
   std::vector<int> widths;
   bool sigmoid_out = false;  // the last layer's relu becomes a sigmoid
   std::uint64_t seed = 0;    // functional mode: the weights' draw
+
+  std::int64_t params() const {  // weights: k x n per layer
+    std::int64_t sum = 0;
+    int k = in_dim;
+    for (int n : widths) {
+      sum += static_cast<std::int64_t>(k) * n;
+      k = n;
+    }
+    return sum;
+  }
 };
 
 /// Functional-mode data of the ops (null data: timing only). The
@@ -58,7 +71,21 @@ struct LayerData {
   const shmem::SymArray<float>* emb = nullptr;
 };
 
-/// One slot of an MLP layer's GEMM kernel: a compute step per output tile.
+/// An MLP GEMM C(m x n) = A(m x k) B(k x n). Skinny GEMMs use 16x16 tiles
+/// so the grid fills the device; while the grid exceeds one wave of
+/// `slots`, the smaller tile side that is still short of its dimension
+/// doubles (a wide layer's gradient GEMMs would otherwise run ~10^6 tiles).
+ops::GemmShape mlp_gemm(int m, int n, int k, int slots) {
+  ops::GemmShape s{.m = m, .n = n, .k = k, .block_m = 16, .block_n = 16};
+  while (s.num_tiles() > slots) {
+    const bool grow_m =
+        s.block_m < m && (s.block_m < s.block_n || s.block_n >= n);
+    (grow_m ? s.block_m : s.block_n) *= 2;
+  }
+  return s;
+}
+
+/// One slot of an MLP GEMM kernel: a compute step per output tile.
 sim::Co mlp_slot(gpu::KernelRun& run, gpu::Device& dev,
                  const ops::GemmShape& s, const TileCosts& costs, int slot) {
   for (int pid; (pid = co_await run.next(slot)) >= 0;) {
@@ -87,46 +114,65 @@ class ComputeOp : public fused::FusedOp {
 
 class MlpOp final : public ComputeOp {
  public:
-  MlpOp(shmem::World& world, MlpConfig cfg, LayerData* data)
-      : ComputeOp(world), cfg_(std::move(cfg)), data_(data) {
-    Rng rng(cfg_.seed);
-    int k = cfg_.in_dim;
-    for (int n : cfg_.widths) {
-      // Skinny MLP GEMMs use small tiles so the grid fills the device.
-      const ops::GemmShape s{
-          .m = cfg_.batch, .n = n, .k = k, .block_m = 16, .block_n = 16};
-      std::vector<float> w;  // data parallel: one copy serves every PE
-      if (data_ != nullptr) {
-        w = ops::random_vector(
-            static_cast<std::size_t>(k) * static_cast<std::size_t>(n), rng);
+  /// Forward: act = relu(act * W) per layer, functional when `data` is
+  /// non-null. Backward (timing only), last layer first: the weight
+  /// gradient dW = act^T * dY, then the input gradient dX = dY * W^T, so
+  /// twice the forward's flops.
+  MlpOp(shmem::World& world, MlpConfig cfg, LayerData* data,
+        bool backward = false)
+      : ComputeOp(world),
+        cfg_(std::move(cfg)),
+        data_(data),
+        backward_(backward) {
+    const int slots = world.machine().device(0).spec().max_wg_slots();
+    auto add = [&](int m, int n, int k) {
+      const ops::GemmShape s = mlp_gemm(m, n, k, slots);
+      kernels_.push_back({s, tile_costs(s)});
+    };
+    std::vector<int> in(1, cfg_.in_dim);  // layer l's input width
+    in.insert(in.end(), cfg_.widths.begin(), cfg_.widths.end() - 1);
+    if (backward_) {
+      for (std::size_t l = cfg_.widths.size(); l-- > 0;) {
+        add(in[l], cfg_.widths[l], cfg_.batch);  // dW
+        add(cfg_.batch, in[l], cfg_.widths[l]);  // dX
       }
-      layers_.push_back({s, tile_costs(s), std::move(w)});
-      k = n;
+      return;
+    }
+    Rng rng(cfg_.seed);
+    for (std::size_t l = 0; l < cfg_.widths.size(); ++l) {
+      add(cfg_.batch, cfg_.widths[l], in[l]);
+      if (data_ != nullptr) {  // data parallel: one copy serves every PE
+        weights_.push_back(ops::random_vector(
+            static_cast<std::size_t>(in[l]) *
+                static_cast<std::size_t>(cfg_.widths[l]),
+            rng));
+      }
     }
   }
 
-  const char* name() const override { return "dlrm_mlp"; }
+  const char* name() const override {
+    return backward_ ? "dlrm_mlp_backward" : "dlrm_mlp";
+  }
 
  private:
-  struct Layer {
+  struct Kernel {
     ops::GemmShape shape;
     TileCosts costs;
-    std::vector<float> weights;  // [k x n], functional mode only
   };
 
   sim::Co pe_body(PeId pe) override {
     gpu::Device& dev = world_.machine().device(pe);
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      if (l > 0) {
+    for (std::size_t i = 0; i < kernels_.size(); ++i) {
+      if (i > 0) {
         co_await sim::delay(dev.engine(), dev.spec().kernel_launch_ns);
       }
-      // One GEMM kernel per layer: grid of output tiles.
-      const Layer& layer = layers_[l];
+      // One GEMM kernel: grid of output tiles.
+      const Kernel& kernel = kernels_[i];
       gpu::KernelRun::Params p;
       p.num_slots = dev.spec().max_wg_slots();
-      p.num_wgs = layer.shape.num_tiles();  // position = output tile
-      p.body = [&dev, &layer](gpu::KernelRun& run, int slot) {
-        return mlp_slot(run, dev, layer.shape, layer.costs, slot);
+      p.num_wgs = kernel.shape.num_tiles();  // position = output tile
+      p.body = [&dev, &kernel](gpu::KernelRun& run, int slot) {
+        return mlp_slot(run, dev, kernel.shape, kernel.costs, slot);
       };
       gpu::KernelRun run(dev.engine(), std::move(p));
       run.start();
@@ -137,9 +183,9 @@ class MlpOp final : public ComputeOp {
     // Host reference math: act = relu(act * W) per layer.
     const auto p = static_cast<std::size_t>(pe);
     std::vector<float> act = (*data_->in)[p];
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      act = ops::gemm_reference(layers_[l].shape, act, layers_[l].weights);
-      if (l + 1 < layers_.size() || !cfg_.sigmoid_out) ops::relu_inplace(act);
+    for (std::size_t l = 0; l < kernels_.size(); ++l) {
+      act = ops::gemm_reference(kernels_[l].shape, act, weights_[l]);
+      if (l + 1 < kernels_.size() || !cfg_.sigmoid_out) ops::relu_inplace(act);
     }
     if (cfg_.sigmoid_out) {
       for (auto& v : act) v = 1.0f / (1.0f + std::exp(-v));
@@ -149,15 +195,26 @@ class MlpOp final : public ComputeOp {
 
   MlpConfig cfg_;
   LayerData* data_;
-  std::vector<Layer> layers_;
+  bool backward_;
+  std::vector<Kernel> kernels_;
+  std::vector<std::vector<float>> weights_;  // [layer][k x n], functional
 };
 
 class InteractionOp final : public ComputeOp {
  public:
-  InteractionOp(shmem::World& world, DlrmConfig cfg, LayerData* data)
-      : ComputeOp(world), cfg_(std::move(cfg)), data_(data) {}
+  /// Backward (timing only) reads the output gradient and the feature
+  /// vectors and writes the vectors' gradients: twice the forward's bytes
+  /// and flops.
+  InteractionOp(shmem::World& world, DlrmConfig cfg, LayerData* data,
+                bool backward = false)
+      : ComputeOp(world),
+        cfg_(std::move(cfg)),
+        data_(data),
+        backward_(backward) {}
 
-  const char* name() const override { return "dlrm_interaction"; }
+  const char* name() const override {
+    return backward_ ? "dlrm_interaction_backward" : "dlrm_interaction";
+  }
 
  private:
   sim::Co pe_body(PeId pe) override {
@@ -169,9 +226,9 @@ class InteractionOp final : public ComputeOp {
     // Pairwise dots over f feature vectors of width d per sample: the
     // kernel saturates the whole device, so charge the aggregate time
     // directly (max of bandwidth- and ALU-limited estimates).
-    const double bytes = static_cast<double>(batch) * f * d * 4;
-    const double flops =
-        static_cast<double>(batch) * f * (f - 1) / 2.0 * 2.0 * d;
+    const double passes = backward_ ? 2.0 : 1.0;
+    const double bytes = passes * batch * f * d * 4;
+    const double flops = passes * batch * f * (f - 1) / 2.0 * 2.0 * d;
     const double t_mem =
         bytes / dev.hbm().total_bandwidth(spec.max_wg_slots());
     const double t_alu = flops / (0.5 * spec.fp32_flops_per_ns);
@@ -213,20 +270,71 @@ class InteractionOp final : public ComputeOp {
 
   DlrmConfig cfg_;
   LayerData* data_;
+  bool backward_;
 };
 
-/// The forward graph's ops: the compute-only ones, kept out of the global
-/// registry (every op there must beat its baseline), and a copy of the
-/// global embedding + All-to-All entry.
+/// The data-parallel MLP weight gradients, summed across PEs by one ring
+/// AllReduce of `elems` fp32 (on a one-GPU-per-node torus kAuto would pick
+/// the flat two-phase algorithm); both backends build it. It pays the
+/// baseline collective's kernel launch and stream sync.
+class GradAllReduceOp final : public fused::FusedOp {
+ public:
+  GradAllReduceOp(shmem::World& world, std::int64_t elems)
+      : FusedOp(world),
+        comm_(world.machine(), fused::all_pes(world.machine())),
+        elems_(elems) {}
+
+  const char* name() const override { return "dlrm_grad_allreduce"; }
+
+  sim::Co run() override {
+    const auto& spec = world_.machine().device(0).spec();
+    begin_run(world_.n_pes());
+    co_await sim::delay(engine(), spec.kernel_launch_ns);
+    co_await comm_.all_reduce(elems_, ccl::FloatBufs{},
+                              ccl::AllReduceAlgo::kRing);
+    co_await sim::delay(engine(), spec.stream_sync_ns);
+    finish_run_uniform();
+  }
+
+ private:
+  ccl::Communicator comm_;
+  std::int64_t elems_;
+};
+
+/// Factory of a timing-only op built as `Op(world, config, nullptr,
+/// /*backward=*/true)` on either backend.
+template <typename Config, typename Op>
+fw::OpEntry::Factory backward_factory() {
+  return [](shmem::World& world, const fw::OpSpec& spec,
+            fw::Backend) -> std::unique_ptr<fused::FusedOp> {
+    return std::make_unique<Op>(world, fw::spec_config<Config>(spec), nullptr,
+                                /*backward=*/true);
+  };
+}
+
+/// The graphs' ops: the compute-only ones and the gradient AllReduce, kept
+/// out of the global registry (every op there must beat its baseline), and
+/// a copy of the global embedding + All-to-All entry.
 const fw::OpRegistry& registry() {
   static const fw::OpRegistry reg = [] {
     fw::OpRegistry r;
     r.register_op({.name = "dlrm::mlp",
                    .make = fw::pair_factory<MlpConfig, LayerData, MlpOp,
                                             MlpOp>()});
+    r.register_op({.name = "dlrm::mlp_backward",
+                   .make = backward_factory<MlpConfig, MlpOp>()});
     r.register_op({.name = "dlrm::interaction",
                    .make = fw::pair_factory<DlrmConfig, LayerData,
                                             InteractionOp, InteractionOp>()});
+    r.register_op({.name = "dlrm::interaction_backward",
+                   .make = backward_factory<DlrmConfig, InteractionOp>()});
+    r.register_op(
+        {.name = "dlrm::grad_allreduce",
+         .make = [](shmem::World& world, const fw::OpSpec& spec,
+                    fw::Backend) -> std::unique_ptr<fused::FusedOp> {
+           return std::make_unique<GradAllReduceOp>(
+               world, fw::spec_config<std::int64_t>(spec));
+         }});
     r.register_op(fw::OpRegistry::global().at("fcc::embedding_a2a"));
     return r;
   }();
@@ -249,9 +357,54 @@ struct DlrmModel::State {
   std::unique_ptr<shmem::SymArray<float>> emb;
   fused::EmbeddingA2AData emb_data;
   LayerData bottom_data, interaction_data, top_data;
-  fw::Graph graph;
-  std::unique_ptr<fw::GraphExecutor> executor;
+  fw::Graph graph, train_graph;
+  std::unique_ptr<fw::GraphExecutor> executor, train_executor;
+
+  /// A graph's forward tensors.
+  struct Forward {
+    fw::TensorId dense, bottom, emb, feats, logits;
+  };
+
+  /// Adds the forward pass's four nodes to `g`, functional when
+  /// `functional`.
+  Forward add_forward(fw::Graph& g, const DlrmConfig& cfg, bool functional) {
+    auto data = [functional](auto* d) { return functional ? d : nullptr; };
+    const Forward f{g.tensor("dense"), g.tensor("bottom"), g.tensor("emb"),
+                    g.tensor("feats"), g.tensor("logits")};
+    g.add("dlrm::mlp", bottom_mlp(cfg), data(&bottom_data), {f.dense},
+          {f.bottom}, "bottom_mlp");
+    g.add("fcc::embedding_a2a", cfg.emb, data(&emb_data), {}, {f.emb},
+          "embedding_a2a");
+    g.add("dlrm::interaction", cfg, data(&interaction_data),
+          {f.bottom, f.emb}, {f.feats}, "interaction");
+    g.add("dlrm::mlp", top_mlp(cfg), data(&top_data), {f.feats}, {f.logits},
+          "top_mlp");
+    return f;
+  }
+
+  static MlpConfig bottom_mlp(const DlrmConfig& cfg) {
+    return {cfg.emb.map.local_batch(), cfg.dense_dim, cfg.bottom_mlp,
+            /*sigmoid_out=*/false, /*seed=*/0xD1C3};
+  }
+  static MlpConfig top_mlp(const DlrmConfig& cfg) {
+    return {cfg.emb.map.local_batch(), cfg.interaction_dim(), cfg.top_mlp,
+            /*sigmoid_out=*/true, /*seed=*/0xD1C4};
+  }
 };
+
+namespace {
+
+std::unique_ptr<fw::GraphExecutor> make_executor(fw::Session& session,
+                                                 const fw::Graph& g,
+                                                 fw::Backend backend) {
+  return std::make_unique<fw::GraphExecutor>(
+      session.world(), g,
+      std::vector<fw::Backend>(static_cast<std::size_t>(g.num_nodes()),
+                               backend),
+      registry());
+}
+
+}  // namespace
 
 DlrmModel::DlrmModel(fw::Session& session, DlrmConfig cfg)
     : session_(session),
@@ -269,29 +422,8 @@ DlrmModel::DlrmModel(fw::Session& session, DlrmConfig cfg)
   st.bottom_data = {&st.dense, &st.bottom};
   st.interaction_data = {&st.bottom, &st.feats, st.emb.get()};
   st.top_data = {&st.feats, &st.logits};
-  auto data = [functional](auto* d) { return functional ? d : nullptr; };
-
-  fw::Graph& g = st.graph;
-  const fw::TensorId bottom = g.tensor("bottom");
-  const fw::TensorId emb = g.tensor("emb");
-  const fw::TensorId feats = g.tensor("feats");
-  g.add("dlrm::mlp",
-        MlpConfig{map.local_batch(), cfg_.dense_dim, cfg_.bottom_mlp,
-                  /*sigmoid_out=*/false, /*seed=*/0xD1C3},
-        data(&st.bottom_data), {g.tensor("dense")}, {bottom}, "bottom_mlp");
-  g.add("fcc::embedding_a2a", cfg_.emb, data(&st.emb_data), {}, {emb},
-        "embedding_a2a");
-  g.add("dlrm::interaction", cfg_, data(&st.interaction_data),
-        {bottom, emb}, {feats}, "interaction");
-  g.add("dlrm::mlp",
-        MlpConfig{map.local_batch(), cfg_.interaction_dim(), cfg_.top_mlp,
-                  /*sigmoid_out=*/true, /*seed=*/0xD1C4},
-        data(&st.top_data), {feats}, {g.tensor("logits")}, "top_mlp");
-  st.executor = std::make_unique<fw::GraphExecutor>(
-      session_.world(), g,
-      std::vector<fw::Backend>(static_cast<std::size_t>(g.num_nodes()),
-                               cfg_.backend),
-      registry());
+  st.add_forward(st.graph, cfg_, functional);
+  st.executor = make_executor(session_, st.graph, cfg_.backend);
 }
 
 DlrmModel::~DlrmModel() = default;
@@ -321,6 +453,42 @@ DlrmResult DlrmModel::forward(std::uint64_t seed) {
   res.events = session_.machine().last_run_stats().events;
   if (cfg_.emb.functional) res.logits = st.logits;
   return res;
+}
+
+fw::GraphResult DlrmModel::train_step() {
+  State& st = *state_;
+  if (st.train_executor == nullptr) {
+    DlrmConfig cfg = cfg_;
+    cfg.emb.functional = false;  // the iteration carries no data
+    fw::Graph& g = st.train_graph;
+    const State::Forward f = st.add_forward(g, cfg, /*functional=*/false);
+    const fw::TensorId d_feats = g.tensor("d_feats");
+    const fw::TensorId d_bottom = g.tensor("d_bottom");
+    const fw::TensorId d_emb = g.tensor("d_emb");
+    const fw::TensorId top_grads = g.tensor("top_grads");
+    const fw::TensorId bottom_grads = g.tensor("bottom_grads");
+    const MlpConfig top = State::top_mlp(cfg);
+    const MlpConfig bottom = State::bottom_mlp(cfg);
+    g.add("dlrm::mlp_backward", top, {f.feats, f.logits},
+          {d_feats, top_grads}, "top_mlp_backward");
+    g.add("dlrm::interaction_backward", cfg, {d_feats, f.bottom, f.emb},
+          {d_bottom, d_emb}, "interaction_backward");
+    const fw::NodeId emb_bwd =
+        g.add("fcc::embedding_a2a", cfg.emb, {d_emb}, {g.tensor("emb_grads")},
+              "embedding_a2a_backward");
+    // The bottom MLP's backward waits for the exchange. Run concurrently,
+    // the sharded engine diverged from the serial one (on Table II's model
+    // at 64 nodes, 4 shards ended the fused exchange 1.4 us later), most
+    // likely by ordering same-time events on a device differently.
+    const fw::NodeId bottom_bwd =
+        g.add("dlrm::mlp_backward", bottom, {f.dense, d_bottom},
+              {bottom_grads}, "bottom_mlp_backward");
+    g.add_dep(bottom_bwd, emb_bwd);
+    g.add("dlrm::grad_allreduce", top.params() + bottom.params(),
+          {top_grads, bottom_grads}, {}, "grad_allreduce");
+    st.train_executor = make_executor(session_, g, cfg_.backend);
+  }
+  return st.train_executor->run_to_completion();
 }
 
 }  // namespace fcc::dlrm

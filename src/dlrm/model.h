@@ -1,4 +1,5 @@
-// Distributed DLRM forward pass (Fig. 2 of the paper).
+// Distributed DLRM forward pass (Fig. 2 of the paper) and training
+// iteration (Fig. 15).
 //
 // Model parallelism for embedding tables (tables_per_pe per GPU), data
 // parallelism for the MLPs. The forward pass is one fw::Graph, built once
@@ -7,12 +8,23 @@
 //   bottom MLP (dense features)  ──┐   (the only independent compute)
 //   embedding pooling + All-to-All ─┤→ interaction → top MLP → CTR logit
 //
-// The MLPs and the interaction are compute-only ops with a functional
-// mode, registered in a DLRM-local fw::OpRegistry next to a copy of the
-// global "fcc::embedding_a2a" entry. That node dispatches to the fused
-// operator or the bulk-synchronous baseline; everything downstream is
-// identical, so functional equality of the two validates the fused
-// exchange.
+// A training iteration extends that graph with the backward pass, a chain:
+//
+//   top MLP bwd → interaction bwd → embedding bwd + All-to-All
+//               → bottom MLP bwd → gradient AllReduce
+//
+// The backward embedding node is a second "fcc::embedding_a2a" with the
+// forward's config: the gradient exchange is assumed to move the forward
+// exchange's traffic. The MLP weight gradients are summed by one ring
+// AllReduce after the backward exchange, so no collective overlaps its
+// PUTs.
+//
+// The MLPs and the interaction are compute-only ops (the forward ones
+// with a functional mode), registered in a DLRM-local fw::OpRegistry next
+// to the gradient AllReduce and a copy of the global "fcc::embedding_a2a"
+// entry. That node dispatches to the fused operator or the
+// bulk-synchronous baseline; everything else is identical, so functional
+// equality of the two validates the fused exchange.
 #pragma once
 
 #include <cstddef>
@@ -62,8 +74,14 @@ class DlrmModel {
   /// One forward pass over a synthetic batch drawn from `seed`.
   DlrmResult forward(std::uint64_t seed);
 
+  /// One training iteration, timing only; its graph is built on the first
+  /// call. Nodes, in order: bottom_mlp, embedding_a2a, interaction,
+  /// top_mlp, top_mlp_backward, interaction_backward,
+  /// embedding_a2a_backward, bottom_mlp_backward, grad_allreduce.
+  fw::GraphResult train_step();
+
  private:
-  struct State;  // the graph, its tensors and its executor
+  struct State;  // the graphs, their tensors and their executors
 
   fw::Session& session_;
   DlrmConfig cfg_;

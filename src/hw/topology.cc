@@ -696,83 +696,6 @@ void TorusTopology::collect_fault_sites(std::vector<FaultSite>& out) {
   }
 }
 
-TimeNs TorusTopology::a2a_stage(bool along_x, Bytes per_pair, TimeNs start) {
-  const int n = along_x ? spec_.dim_x : spec_.dim_y;
-  if (n <= 1 || per_pair <= 0) return start;
-  // Uniform ring A2A loads every directed link with per_pair * n^2 / 8
-  // bytes (shortest-direction routing, distance-n/2 ties split evenly) —
-  // the same busiest-link load the analytic schedule charges. The flow is
-  // reserved as one drain window per directed link, which on an idle
-  // topology reproduces TorusModel::ring_a2a_stage (tests/torus_model.h)
-  // exactly.
-  const double load = static_cast<double>(per_pair) * n * n / 8.0;
-  const TimeNs dur = static_cast<TimeNs>(load / spec_.link_bytes_per_ns);
-  const int rings = along_x ? spec_.dim_y : spec_.dim_x;
-  TimeNs end = start;
-  for (int ring = 0; ring < rings; ++ring) {
-    for (int i = 0; i < n; ++i) {
-      const NodeId node = along_x ? node_at(i, ring) : node_at(ring, i);
-      for (int dir = along_x ? 0 : 2; dir <= (along_x ? 1 : 3); ++dir) {
-        Link* l = link(node, dir);
-        const TimeNs s = l->earliest_start(start);
-        l->occupy_interval(s, s + dur);
-        l->add_bytes(static_cast<Bytes>(load));
-        end = std::max(end, s + dur);
-      }
-    }
-  }
-  return end + static_cast<TimeNs>(n / 2) * spec_.link_latency_ns;
-}
-
-TimeNs TorusTopology::flow_all_to_all_uniform(Bytes per_pair_bytes,
-                                              TimeNs start) {
-  FCC_CHECK(per_pair_bytes >= 0);
-  if (num_nodes() <= 1 || per_pair_bytes == 0) return start;
-  // Stage 1 moves column-aggregated traffic around the row rings, stage 2
-  // distributes within the column rings (dimension-ordered).
-  const TimeNs s1 =
-      a2a_stage(/*along_x=*/true, per_pair_bytes * spec_.dim_y, start);
-  return a2a_stage(/*along_x=*/false, per_pair_bytes * spec_.dim_x, s1);
-}
-
-TimeNs TorusTopology::ring_phase(bool along_x, double phase_bytes,
-                                 bool forward, TimeNs start) {
-  const int n = along_x ? spec_.dim_x : spec_.dim_y;
-  if (n <= 1) return start;
-  // Ring reduce-scatter / all-gather: n-1 steps of phase_bytes / n per
-  // link, i.e. (n-1)/n * phase_bytes serialized per directed link.
-  const double wire =
-      phase_bytes * (n - 1) / n / spec_.link_bytes_per_ns;
-  const TimeNs dur = static_cast<TimeNs>(wire);
-  const int rings = along_x ? spec_.dim_y : spec_.dim_x;
-  const int dir = along_x ? (forward ? 0 : 1) : (forward ? 2 : 3);
-  TimeNs end = start;
-  for (int ring = 0; ring < rings; ++ring) {
-    for (int i = 0; i < n; ++i) {
-      const NodeId node = along_x ? node_at(i, ring) : node_at(ring, i);
-      Link* l = link(node, dir);
-      const TimeNs s = l->earliest_start(start);
-      l->occupy_interval(s, s + dur);
-      l->add_bytes(static_cast<Bytes>(phase_bytes * (n - 1) / n));
-      end = std::max(end, s + dur);
-    }
-  }
-  return end + static_cast<TimeNs>(n - 1) * spec_.link_latency_ns;
-}
-
-TimeNs TorusTopology::flow_all_reduce(Bytes bytes, TimeNs start) {
-  FCC_CHECK(bytes >= 0);
-  if (num_nodes() <= 1 || bytes == 0) return start;
-  const double b = static_cast<double>(bytes);
-  // Themis-style 2D decomposition: reduce-scatter x with the full payload,
-  // reduce-scatter y with 1/dim_x of it, then the mirrored all-gathers
-  // (reverse direction, so both ring directions carry traffic).
-  TimeNs t = ring_phase(/*along_x=*/true, b, /*forward=*/true, start);
-  t = ring_phase(/*along_x=*/false, b / spec_.dim_x, /*forward=*/true, t);
-  t = ring_phase(/*along_x=*/false, b / spec_.dim_x, /*forward=*/false, t);
-  return ring_phase(/*along_x=*/true, b, /*forward=*/false, t);
-}
-
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<Topology> make_topology(const TopologySpec& spec,

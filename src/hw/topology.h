@@ -18,10 +18,7 @@
 //   MultiRailTopology       fully-connected intra-node + k NIC rails per
 //                           node, rail picked by source GPU affinity
 //   TorusTopology           event-driven 2D torus of nodes with
-//                           dimension-ordered routes; reserves the
-//                           collective schedules of the analytic
-//                           cross-check (tests/torus_model.h) as
-//                           aggregate per-link flow reservations
+//                           dimension-ordered routes
 //
 // A new fabric is one subclass: implement `resolve` (and optionally
 // `write_time` for paths with special accounting) and `make_topology`
@@ -69,9 +66,8 @@ struct Route {
   }
 };
 
-/// 2D-torus shape (Table II scale-out network: 200 Gb/s, 700 ns hops).
-/// Lives here so both the event-driven TorusTopology and the analytic
-/// cross-check (tests/torus_model.h) share one validated description.
+/// 2D-torus shape (Table II scale-out network: 200 Gb/s, 700 ns hops), the
+/// validated description TorusTopology is built from.
 struct TorusSpec {
   int dim_x = 16;
   int dim_y = 8;
@@ -379,10 +375,7 @@ class MultiRailTopology final : public Topology {
 
 /// Event-driven 2D torus of nodes. Point-to-point traffic takes
 /// dimension-ordered (x then y) shortest-direction routes over shared
-/// directed ring links; `flow_*` reserve whole dimension-ordered collective
-/// schedules on the same links (the decomposition of the analytic
-/// cross-check in tests/torus_model.h, which they reproduce exactly on an
-/// idle topology — see tests/test_scaleout.cc).
+/// directed ring links.
 class TorusTopology final : public Topology {
  public:
   /// `fabric` is used for the intra-node ports when gpus_per_node > 1.
@@ -420,16 +413,6 @@ class TorusTopology final : public Topology {
   /// Number of ring hops a (src, dst) node pair traverses.
   int hop_count(NodeId src, NodeId dst) const;
 
-  /// Uniform personalized All-to-All (every node sends `per_pair_bytes` to
-  /// every other node), dimension-ordered: row rings move column-aggregated
-  /// traffic, then column rings distribute. Reserved as aggregate per-link
-  /// flows; returns the completion time.
-  TimeNs flow_all_to_all_uniform(Bytes per_pair_bytes, TimeNs start = 0);
-
-  /// Hierarchical ring AllReduce (reduce-scatter x, reduce-scatter y,
-  /// all-gather y, all-gather x) of `bytes` per node.
-  TimeNs flow_all_reduce(Bytes bytes, TimeNs start = 0);
-
  protected:
   void collect_fault_sites(std::vector<FaultSite>& out) override;
   /// Health changes invalidate every cached detour.
@@ -454,13 +437,6 @@ class TorusTopology final : public Topology {
   void degraded_route(PeId src, PeId dst, Route& route);
   std::vector<std::uint8_t> compute_detour(NodeId sn, NodeId dn, PeId src,
                                            PeId dst);
-  /// One dimension-ordered A2A stage over the `along_x` rings; returns the
-  /// stage completion (start + busiest-link drain + worst hop latency).
-  TimeNs a2a_stage(bool along_x, Bytes per_pair, TimeNs start);
-  /// One ring reduce-scatter/all-gather phase over the `along_x` rings in
-  /// the given direction.
-  TimeNs ring_phase(bool along_x, double phase_bytes, bool forward,
-                    TimeNs start);
 
   TorusSpec spec_;
   std::vector<std::unique_ptr<Link>> links_;  // 4 per node: +x, -x, +y, -y

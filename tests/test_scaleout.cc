@@ -1,149 +1,109 @@
-// Scale-out trainer sim: torus collectives, iteration composition, Fig. 15
-// trend.
+// Scale-out training on the torus: torus shapes for the Fig. 15 sweep and
+// one DLRM training iteration as a graph (fused vs baseline, serial ==
+// sharded, warm == cold).
 #include <gtest/gtest.h>
 
-#include "hw/topology.h"
-#include "scaleout/dlrm_training.h"
-#include "torus_model.h"
+#include <string>
+#include <vector>
 
-namespace fcc::scaleout {
+#include "bench_common.h"
+#include "dlrm/model.h"
+#include "framework/session.h"
+#include "hw/topology.h"
+
+namespace fcc {
 namespace {
 
 TEST(Torus, FactorsNodesNearSquare) {
-  TorusSpec base;
-  const auto t128 = torus_for_nodes(128, base);
+  const auto t128 = fccbench::torus_for_nodes(128);
   EXPECT_EQ(t128.dim_x * t128.dim_y, 128);
   EXPECT_EQ(t128.dim_y, 8);
   EXPECT_EQ(t128.dim_x, 16);
-  const auto t64 = torus_for_nodes(64, base);
+  const auto t64 = fccbench::torus_for_nodes(64);
   EXPECT_EQ(t64.dim_x, 8);
   EXPECT_EQ(t64.dim_y, 8);
-}
-
-TEST(Torus, AllToAllScalesWithBytes) {
-  TorusModel t(torus_for_nodes(64, {}));
-  const TimeNs a = t.all_to_all_time(1 << 10);
-  const TimeNs b = t.all_to_all_time(1 << 20);
-  EXPECT_GT(b, 100 * a / 2);
-  EXPECT_EQ(t.all_to_all_time(0), 0);
-}
-
-TEST(Torus, AllReduceLatencyGrowsWithRingSizes) {
-  TorusModel small(torus_for_nodes(16, {}));
-  TorusModel big(torus_for_nodes(256, {}));
-  EXPECT_LT(small.all_reduce_time(1 << 20), big.all_reduce_time(1 << 20));
 }
 
 TEST(Torus, DegenerateSingleNodeTorusIsRejected) {
   // A 1x1 torus has no links; construction fails fast with a clear check
   // message instead of silently modeling a zero-cost network.
-  EXPECT_THROW(TorusModel(torus_for_nodes(1, {})), std::logic_error);
-  EXPECT_THROW(hw::TorusTopology(torus_for_nodes(1, {})), std::logic_error);
+  EXPECT_THROW(hw::TorusTopology(fccbench::torus_for_nodes(1)),
+               std::logic_error);
 }
 
 TEST(Torus, SpecValidationRejectsNonPositiveDimsAndBandwidth) {
-  TorusSpec bad_dims;
+  hw::TorusSpec bad_dims;
   bad_dims.dim_x = 0;
   EXPECT_THROW(bad_dims.validate(), std::logic_error);
-  TorusSpec bad_bw;
+  hw::TorusSpec bad_bw;
   bad_bw.link_bytes_per_ns = 0.0;
   EXPECT_THROW(bad_bw.validate(), std::logic_error);
-  TorusSpec bad_lat;
+  hw::TorusSpec bad_lat;
   bad_lat.link_latency_ns = -1;
   EXPECT_THROW(bad_lat.validate(), std::logic_error);
 }
 
-TEST(TorusTopology, EventDrivenA2AFlowMatchesAnalyticSchedule) {
-  // The event-driven torus reserves the same dimension-ordered flow
-  // decomposition the analytic TorusModel computes; on an idle topology
-  // (uniform workload, nothing else on the links) they agree exactly.
-  for (int nodes : {8, 32, 64, 128}) {
-    const TorusSpec spec = torus_for_nodes(nodes, {});
-    TorusModel analytic(spec);
-    for (Bytes per_pair : {Bytes{512}, Bytes{1} << 16, Bytes{1} << 22}) {
-      hw::TorusTopology topo(spec);
-      EXPECT_EQ(topo.flow_all_to_all_uniform(per_pair, 0),
-                analytic.all_to_all_time(per_pair))
-          << nodes << " nodes, per_pair=" << per_pair;
-    }
-  }
+/// A 4x2 torus, one GPU per node, the engine split into `shards`.
+gpu::Machine::Config torus_4x2(int shards) {
+  gpu::Machine::Config c;
+  c.num_nodes = 8;
+  c.gpus_per_node = 1;
+  c.topology.kind = hw::TopologySpec::Kind::kTorus2D;
+  c.topology.torus.dim_x = 4;
+  c.topology.torus.dim_y = 2;
+  c.num_shards = shards;
+  return c;
 }
 
-TEST(TorusTopology, EventDrivenAllReduceFlowMatchesAnalyticSchedule) {
-  for (int nodes : {8, 64, 128}) {
-    const TorusSpec spec = torus_for_nodes(nodes, {});
-    TorusModel analytic(spec);
-    for (Bytes bytes : {Bytes{4096}, Bytes{1} << 20, Bytes{1} << 26}) {
-      hw::TorusTopology topo(spec);
-      EXPECT_EQ(topo.flow_all_reduce(bytes, 0),
-                analytic.all_reduce_time(bytes))
-          << nodes << " nodes, bytes=" << bytes;
-    }
-  }
-}
-
-TEST(TorusTopology, FlowsContendOnSharedLinks) {
-  // Two back-to-back A2A flows on ONE topology queue behind each other —
-  // the event-driven schedule reserves real link intervals, unlike the
-  // closed-form model.
-  const TorusSpec spec = torus_for_nodes(64, {});
-  hw::TorusTopology topo(spec);
-  const TimeNs first = topo.flow_all_to_all_uniform(1 << 16, 0);
-  const TimeNs second = topo.flow_all_to_all_uniform(1 << 16, 0);
-  EXPECT_GT(second, first);
-}
-
-TrainingConfig paper_config(int nodes) {
-  TrainingConfig cfg;  // Table II defaults
-  cfg.num_nodes = nodes;
-  cfg.global_batch = 32 * nodes;
+dlrm::DlrmConfig small_dlrm(fw::Backend backend) {
+  dlrm::DlrmConfig cfg;
+  cfg.emb.map.num_pes = 8;
+  cfg.emb.map.tables_per_pe = 2;
+  cfg.emb.map.global_batch = 64;
+  cfg.emb.map.dim = 8;
+  cfg.emb.map.vectors_per_slice = 4;
+  cfg.emb.pooling = 4;
+  cfg.dense_dim = 6;
+  cfg.bottom_mlp = {12, 8};  // output 8 == emb dim
+  cfg.top_mlp = {16, 1};
+  cfg.backend = backend;
   return cfg;
 }
 
-TEST(TrainingSim, ComponentsArePositive) {
-  DlrmTrainingSim sim(paper_config(128));
-  const auto b = sim.simulate(false);
-  EXPECT_GT(b.emb_fwd, 0);
-  EXPECT_GT(b.a2a_fwd, 0);
-  EXPECT_GT(b.top_mlp_fwd, 0);
-  EXPECT_GT(b.total, 0);
-  EXPECT_GE(b.total, b.emb_fwd + b.a2a_fwd);  // serial baseline chain
-}
-
-TEST(TrainingSim, FusedBeatsBaselineAt128Nodes) {
-  DlrmTrainingSim sim(paper_config(128));
-  const auto base = sim.simulate(false);
-  const auto fused = sim.simulate(true);
-  EXPECT_LT(fused.total, base.total);
-  // Paper Fig. 15: ~21% reduction. Accept the band 10-35% here; the exact
-  // number is bench_fig15_scaleout_dlrm's (see docs/BENCHMARKS.md).
-  const double reduction =
-      1.0 - static_cast<double>(fused.total) / base.total;
-  EXPECT_GT(reduction, 0.10);
-  EXPECT_LT(reduction, 0.35);
-}
-
-TEST(TrainingSim, BenefitGrowsWithScaleThenSaturates) {
-  // More nodes -> bigger exposed A2A share -> more to hide (up to the point
-  // where comm exceeds compute).
-  double prev = 1.0;
-  for (int nodes : {8, 32, 128}) {
-    DlrmTrainingSim sim(paper_config(nodes));
-    const double ratio = sim.fused_speedup();
-    EXPECT_LT(ratio, 1.0);
-    EXPECT_LE(ratio, prev + 0.05);  // non-increasing-ish
-    prev = ratio;
+/// Every node's ready, start and end time and its per-PE end times,
+/// relative to the run's start.
+std::vector<TimeNs> timeline(const fw::GraphResult& r) {
+  std::vector<TimeNs> v;
+  for (const auto& n : r.nodes) {
+    v.push_back(n.ready - r.start);
+    v.push_back(n.result.start - r.start);
+    v.push_back(n.result.end - r.start);
+    for (TimeNs t : n.result.pe_end) v.push_back(t - r.start);
   }
+  return v;
 }
 
-TEST(TrainingSim, MoreSlicesImproveOverlap) {
-  auto cfg = paper_config(128);
-  cfg.slices = 4;
-  const auto coarse = DlrmTrainingSim(cfg).simulate(true).total;
-  cfg.slices = 256;
-  const auto fine = DlrmTrainingSim(cfg).simulate(true).total;
-  EXPECT_LT(fine, coarse);
+TEST(TrainingIteration, FusedWinsAndShardedAndWarmRunsEqualSerial) {
+  std::vector<TimeNs> makespan;
+  for (fw::Backend backend : {fw::Backend::kFused, fw::Backend::kBaseline}) {
+    fw::Session serial(torus_4x2(1));
+    dlrm::DlrmModel model(serial, small_dlrm(backend));
+    const fw::GraphResult cold = model.train_step();
+    ASSERT_EQ(cold.nodes.size(), 9u);
+    EXPECT_EQ(cold.nodes.back().label, "grad_allreduce");
+    EXPECT_EQ(timeline(model.train_step()), timeline(cold));
+    for (const int shards : {2, 4}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards");
+      fw::Session sharded(torus_4x2(shards));
+      const fw::GraphResult r =
+          dlrm::DlrmModel(sharded, small_dlrm(backend)).train_step();
+      EXPECT_EQ(r.start, cold.start);
+      EXPECT_EQ(timeline(r), timeline(cold));
+    }
+    makespan.push_back(cold.makespan());
+  }
+  EXPECT_LT(makespan[0], makespan[1]);
 }
 
 }  // namespace
-}  // namespace fcc::scaleout
+}  // namespace fcc

@@ -478,14 +478,17 @@ fw::GraphResult DlrmModel::train_step() {
               "embedding_a2a_backward");
     // The bottom MLP's backward waits for the exchange. Run concurrently,
     // the sharded engine diverged from the serial one (on Table II's model
-    // at 64 nodes, 4 shards ended the fused exchange 1.4 us later), most
-    // likely by ordering same-time events on a device differently.
+    // at 64 nodes, 4 shards ended the fused exchange 1.4 us later): a
+    // compute step's duration depends on the device's active-WG count at
+    // its start, and the engines order same-time events differently.
     const fw::NodeId bottom_bwd =
         g.add("dlrm::mlp_backward", bottom, {f.dense, d_bottom},
               {bottom_grads}, "bottom_mlp_backward");
     g.add_dep(bottom_bwd, emb_bwd);
-    g.add("dlrm::grad_allreduce", top.params() + bottom.params(),
-          {top_grads, bottom_grads}, {}, "grad_allreduce");
+    const fw::NodeId all_reduce =
+        g.add("dlrm::grad_allreduce", top.params() + bottom.params(),
+              {top_grads, bottom_grads}, {}, "grad_allreduce");
+    g.add_dep(all_reduce, emb_bwd);  // no collective overlaps the PUTs
     st.train_executor = make_executor(session_, g, cfg_.backend);
   }
   return st.train_executor->run_to_completion();

@@ -39,10 +39,9 @@ KNOBS = {
                             "FCC_SHARD_BENCH_ROUNDS": "6"},
 }
 
-# Columns measured on the host clock, or (windows) not yet a function of
-# simulated state alone.
+# Columns measured on the host clock.
 _SHARD_HOST = ("wall_ms", "speedup", "attainable_speedup", "barrier_ms",
-               "critical_ms", "events_per_second", "windows")
+               "critical_ms", "events_per_second")
 HOST_COLUMNS = {
     "shard_scaling.csv": _SHARD_HOST,
     "fig15_fused_shard_scaling.csv": _SHARD_HOST,

@@ -160,15 +160,17 @@ AllReduceAlgo Communicator::select_allreduce() {
 ///
 /// Serial machines run it inline in await_ready — no suspension, so the
 /// run adds no engine event.
-/// Sharded machines suspend the (shard-0) driver and defer the run to the
-/// next window barrier, where every shard thread is parked: the run reads
-/// and reserves link state across all shards data-race-free, then the
-/// driver resumes at the exact computed end (a rewind entry when shard 0's
-/// frontier already passed it — legal, the continuation only touches
-/// shard-0 host state before its next >= lookahead delay). Collectives that
-/// overlap other put traffic inside the same window therefore serialize
-/// their reservations at the barrier, an ordering approximation consistent
-/// with the sharded engine's same-timestamp tie-breaking caveat.
+/// Sharded machines suspend the (shard-0) driver and post the run as a
+/// barrier call (ShardedEngine::post_at_barrier) keyed by t0: it runs at
+/// the next window barrier, after the deferred-put replay hook, with every
+/// shard thread parked. The run reads and reserves link state across all
+/// shards data-race-free, then the driver resumes at the exact computed
+/// end (a rewind entry when shard 0's frontier already passed it — legal,
+/// the continuation only touches shard-0 host state before its next >=
+/// lookahead delay). Collectives that overlap other put traffic inside the
+/// same window therefore serialize their reservations at the barrier, an
+/// ordering approximation consistent with the sharded engine's
+/// same-timestamp tie-breaking caveat.
 class Communicator::SweepAwaiter {
  public:
   SweepAwaiter(Communicator& comm, TimeNs t0,
@@ -181,7 +183,7 @@ class Communicator::SweepAwaiter {
     return true;
   }
   void await_suspend(std::coroutine_handle<> h) {
-    comm_.machine_.call_at_barrier([this, h] {
+    comm_.machine_.sharded().post_at_barrier(0, t0_, [this, h] {
       end_ = comm_.run(*schedule_, t0_);
       comm_.machine_.engine().schedule_resume_at_unchecked(end_, h);
     });

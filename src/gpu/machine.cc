@@ -171,22 +171,6 @@ sim::Trace Machine::merged_trace() const {
   return merged;
 }
 
-void Machine::call_at_barrier(std::function<void()> fn) {
-  FCC_CHECK_MSG(is_sharded(),
-                "call_at_barrier is only meaningful on sharded machines");
-  if (barrier_hook_ < 0) {
-    // Registered lazily — on first use, i.e. after every World hook — so
-    // deferred-fabric put replay always precedes collective sweeps at a
-    // barrier, matching their relative issue order within a window.
-    barrier_hook_ = sharded_.add_barrier_hook([this] {
-      std::vector<std::function<void()>> q;
-      q.swap(barrier_calls_);
-      for (auto& call : q) call();
-    });
-  }
-  barrier_calls_.push_back(std::move(fn));
-}
-
 sim::ShardedEngine::RunStats Machine::run_all(unsigned num_threads) {
   if (!is_sharded()) {
     sim::ShardedEngine::RunStats stats;

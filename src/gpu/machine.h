@@ -8,7 +8,6 @@
 // 2D torus) is a Config change, not a Machine fork.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -98,14 +97,6 @@ class Machine {
     return !is_sharded() || config_.gpu.kernel_launch_ns >= lookahead_;
   }
 
-  /// Enqueues a one-shot host callback run serially at the next window
-  /// barrier, with every shard stopped (so it may touch any shard's state,
-  /// including rewind-scheduling with Engine::schedule_at_unchecked).
-  /// Callbacks run in enqueue order — shard 0's program order, since only
-  /// the driver shard's thread enqueues. ccl::Communicator routes its
-  /// link-horizon reservation sweeps through this on sharded machines.
-  void call_at_barrier(std::function<void()> fn);
-
   /// Runs the simulation to completion: the windowed parallel protocol when
   /// sharded, a plain serial `engine().run()` otherwise (reported as one
   /// window). `num_threads` is only meaningful when sharded.
@@ -175,10 +166,6 @@ class Machine {
   std::unique_ptr<hw::Topology> topology_;
   TimeNs lookahead_ = 0;
   bool defer_inter_node_ = false;
-  /// One-shot barrier callbacks (call_at_barrier); appended by the driver
-  /// shard's thread during a window, drained serially at the barrier.
-  std::vector<std::function<void()>> barrier_calls_;
-  int barrier_hook_ = -1;
   sim::ShardedEngine::RunStats last_run_stats_;
 };
 

@@ -97,15 +97,16 @@ class Engine {
     schedule_at_unchecked(t, std::forward<F>(fn));
   }
 
-  /// Rewind scheduling: schedule_at without the no-past check. Only the
-  /// sharded barrier machinery uses this — `run_until` advances `now_` to
-  /// the window deadline even on an idle shard, so a cross-shard join or
-  /// collective that resolves to an exact completion time inside the window
-  /// must be injected "into the past" of the frontier. Firing such an entry
-  /// rewinds `now_` to its time; the continuation may only touch its own
-  /// shard's state and must delay by >= the lookahead before its next
+  /// Rewind scheduling: schedule_at without the no-past check. `run_until`
+  /// advances `now_` to the window deadline even on an idle shard, so a
+  /// sharded barrier call (ShardedEngine::post_at_barrier) that resolves a
+  /// cross-shard join or collective to an exact completion time inside the
+  /// window must schedule "into the past" of the frontier. Firing such an
+  /// entry rewinds `now_` to its time; the continuation may only touch its
+  /// own shard's state and must delay by >= the lookahead before its next
   /// cross-shard effect (every fused-op driver tail does: stream_sync /
-  /// kernel_launch delays dominate any fabric latency floor).
+  /// kernel_launch delays dominate any fabric latency floor). Library code
+  /// rewinds only resumes (schedule_resume_at_unchecked), never a closure.
   template <typename F>
   void schedule_at_unchecked(TimeNs t, F&& fn) {
     // The node is fully constructed before its entry is queued, so a

@@ -9,20 +9,22 @@
 // has already been parked at the window deadline by run_until — the resume
 // must be scheduled at max(arrival times) *behind* the home frontier.
 //
-// ShardJoin solves both halves:
+// ShardJoin counts every arrival on the home shard's thread or at a barrier:
 //
-//   * Per-shard arrival slots (cache-line padded, single-writer: only the
-//     shard's owning thread touches its slot) record the max local arrival
-//     time; one atomic countdown orders the slot writes before the
-//     finisher's read (acq_rel RMW chain).
-//   * The expected count is num_arrivals + 1 — the driver's await itself
-//     "arrives" right after publishing its handle, so the counter cannot
-//     hit zero before the handle exists, even if every body completes in
-//     the same window the driver suspended in.
-//   * The finisher computes t_max over the slots and schedules the resume
-//     on the home shard: directly when it *is* the home shard (legal —
-//     t_max >= its own now), else through ShardedEngine::post_rewind, which
-//     bypasses the destination engine's no-past check at barrier injection.
+//   * A home-shard arrival counts directly, in its window, on the home
+//     shard's own thread.
+//   * A remote arrival posts a barrier call (ShardedEngine::post_at_barrier)
+//     that counts it at the next barrier, with every shard stopped.
+//   * The last count resumes the driver at the arrivals' max time through
+//     Engine::schedule_resume_at_unchecked: in-window that max is the home
+//     shard's now; at a barrier it may sit behind the home frontier.
+//
+// Which count is last therefore follows from simulated time alone, and so
+// do the resume's window and its slot in the home queue, never from which
+// thread reached its arrival first. No atomics: in-window counts run only
+// on the home thread, barrier counts only while it is parked. The driver
+// awaits right after spawning the bodies, a kernel launch before any can
+// arrive, so its handle exists by the last count.
 //
 // On a serial machine every arrival is home-shard and the code path reduces
 // to "last arrive schedules the resume at now" — the exact event the
@@ -32,14 +34,10 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <coroutine>
-#include <functional>
-#include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
-#include "sim/engine.h"
 #include "sim/sharded_engine.h"
 
 namespace fcc::sim {
@@ -47,10 +45,7 @@ namespace fcc::sim {
 class ShardJoin {
  public:
   ShardJoin(ShardedEngine& se, int home_shard, int num_arrivals)
-      : se_(se),
-        home_shard_(home_shard),
-        slots_(static_cast<std::size_t>(se.num_shards())),
-        remaining_(num_arrivals + 1) {
+      : se_(se), home_shard_(home_shard), remaining_(num_arrivals) {
     FCC_CHECK(num_arrivals >= 1);
     FCC_CHECK(home_shard >= 0 && home_shard < se.num_shards());
   }
@@ -60,9 +55,11 @@ class ShardJoin {
   /// One arrival from `shard` at that shard's local time `t`. Must be
   /// called from the shard's owning thread (body coroutines qualify).
   void arrive(int shard, TimeNs t) {
-    Slot& s = slots_[static_cast<std::size_t>(shard)];
-    if (t > s.t) s.t = t;
-    finish_if_last(shard);
+    if (shard == home_shard_) {
+      count(t);
+    } else {
+      se_.post_at_barrier(shard, t, [this, t] { count(t); });
+    }
   }
 
   /// Awaited exactly once, by the driver, on the home shard. Resumes at
@@ -71,40 +68,25 @@ class ShardJoin {
     struct Awaiter {
       ShardJoin& j;
       bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        j.h_ = h;
-        // The +1 arrival: publishes the handle before the counter can
-        // reach zero. No slot write — the resume time is the bodies' max.
-        j.finish_if_last(j.home_shard_);
-      }
+      void await_suspend(std::coroutine_handle<> h) noexcept { j.h_ = h; }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
   }
 
  private:
-  struct alignas(64) Slot {
-    TimeNs t = -1;
-  };
-
-  void finish_if_last(int shard) {
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    TimeNs t_max = -1;
-    for (const Slot& s : slots_) t_max = std::max(t_max, s.t);
-    FCC_CHECK_MSG(t_max >= 0 && h_ != nullptr,
-                  "ShardJoin finished with no recorded arrivals");
-    if (shard == home_shard_) {
-      se_.shard(home_shard_).schedule_resume_at(t_max, h_);
-    } else {
-      se_.post_rewind(shard, home_shard_, t_max,
-                      [h = h_] { h.resume(); });
-    }
+  void count(TimeNs t) {
+    t_max_ = std::max(t_max_, t);
+    if (--remaining_ != 0) return;
+    FCC_CHECK_MSG(h_ != nullptr, "ShardJoin completed before its driver "
+                                 "awaited it");
+    se_.shard(home_shard_).schedule_resume_at_unchecked(t_max_, h_);
   }
 
   ShardedEngine& se_;
   int home_shard_;
-  std::vector<Slot> slots_;
-  std::atomic<int> remaining_;
+  int remaining_;
+  TimeNs t_max_ = 0;
   std::coroutine_handle<> h_ = nullptr;
 };
 

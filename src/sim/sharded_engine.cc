@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <iterator>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -21,21 +22,11 @@ ShardedEngine::ShardedEngine(int num_shards) {
 
 void ShardedEngine::post(int src_shard, int dst_shard, TimeNs t,
                          std::function<void()> fn) {
-  post_closure(src_shard, dst_shard, t, Kind::kCall, std::move(fn));
-}
-
-void ShardedEngine::post_rewind(int src_shard, int dst_shard, TimeNs t,
-                                std::function<void()> fn) {
-  post_closure(src_shard, dst_shard, t, Kind::kRewind, std::move(fn));
-}
-
-void ShardedEngine::post_closure(int src_shard, int dst_shard, TimeNs t,
-                                 Kind kind, std::function<void()> fn) {
   FCC_DCHECK(src_shard >= 0 && src_shard < num_shards());
   FCC_DCHECK(dst_shard >= 0 && dst_shard < num_shards());
   Outbox& ob = outboxes_[static_cast<std::size_t>(src_shard)];
   ob.msgs.push_back(Message{t, src_shard, dst_shard, ob.next_seq++,
-                            ob.closures.size(), kind});
+                            ob.closures.size(), Kind::kCall});
   ob.closures.push_back(std::move(fn));
 }
 
@@ -48,6 +39,13 @@ void ShardedEngine::post(int src_shard, int dst_shard, TimeNs t,
                             u.word(), Kind::kFlag});
 }
 
+void ShardedEngine::post_at_barrier(int src_shard, TimeNs t,
+                                    std::function<void()> fn) {
+  FCC_DCHECK(src_shard >= 0 && src_shard < num_shards());
+  Outbox& ob = outboxes_[static_cast<std::size_t>(src_shard)];
+  ob.calls.push_back(BarrierCall{t, src_shard, ob.next_seq++, std::move(fn)});
+}
+
 int ShardedEngine::add_barrier_hook(std::function<void()> fn) {
   const int handle = next_hook_++;
   hooks_.emplace_back(handle, std::move(fn));
@@ -58,45 +56,61 @@ void ShardedEngine::remove_barrier_hook(int handle) {
   std::erase_if(hooks_, [handle](const auto& p) { return p.first == handle; });
 }
 
-std::size_t ShardedEngine::drain_barrier() {
+namespace {
+
+inline std::uint64_t wall_now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+// (time, src shard, per-shard seq): a total order — (src_shard, seq) pairs
+// are unique — so the order calls run and messages are injected in, and
+// with it each destination engine's tie-break order, is independent of how
+// shards were threaded.
+constexpr auto kBarrierOrder = [](const auto& a, const auto& b) {
+  if (a.t != b.t) return a.t < b.t;
+  if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
+  return a.seq < b.seq;
+};
+
+}  // namespace
+
+bool ShardedEngine::drain_barrier(RunStats& stats) {
+  const std::uint64_t b0 = wall_now_ns();
   for (auto& [handle, fn] : hooks_) fn();
+  std::vector<BarrierCall> calls;
+  for (Outbox& ob : outboxes_) {
+    std::move(ob.calls.begin(), ob.calls.end(), std::back_inserter(calls));
+    ob.calls.clear();
+  }
+  std::sort(calls.begin(), calls.end(), kBarrierOrder);
+  for (BarrierCall& c : calls) c.fn();
+
   merge_scratch_.clear();
   for (Outbox& ob : outboxes_) {
     merge_scratch_.insert(merge_scratch_.end(), ob.msgs.begin(),
                           ob.msgs.end());
     ob.msgs.clear();
   }
-  // (time, src shard, per-shard seq): a total order — (src_shard, seq) pairs
-  // are unique — so the injection sequence, and with it each destination
-  // engine's tie-break order, is independent of how shards were threaded.
-  std::sort(merge_scratch_.begin(), merge_scratch_.end(),
-            [](const Message& a, const Message& b) {
-              if (a.t != b.t) return a.t < b.t;
-              if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
-              return a.seq < b.seq;
-            });
+  std::sort(merge_scratch_.begin(), merge_scratch_.end(), kBarrierOrder);
   for (const Message& m : merge_scratch_) {
     Engine& dst = *shards_[static_cast<std::size_t>(m.dst_shard)];
     if (m.kind == Kind::kFlag) {
       dst.schedule_flag_at(m.t, FlagUpdate::from_word(m.payload));
-      continue;
-    }
-    std::function<void()>& fn =
-        outboxes_[static_cast<std::size_t>(m.src_shard)].closures[m.payload];
-    if (m.kind == Kind::kRewind) {
-      // Rewind messages target an exact time that may sit behind the
-      // destination's window frontier (run_until parks now_ at the
-      // deadline); the frontier itself never ran past the message's time,
-      // because the sender's pending state bounded Tmin.
-      dst.schedule_at_unchecked(m.t, std::move(fn));
     } else {
-      dst.schedule_at(m.t, std::move(fn));
+      dst.schedule_at(
+          m.t, std::move(outboxes_[static_cast<std::size_t>(m.src_shard)]
+                             .closures[m.payload]));
     }
   }
   for (Outbox& ob : outboxes_) ob.closures.clear();
   const std::size_t injected = merge_scratch_.size();
   merge_scratch_.clear();
-  return injected;
+  stats.messages += injected;
+  stats.barrier_wall_ns += wall_now_ns() - b0;
+  return !calls.empty() || injected != 0;
 }
 
 int ShardedEngine::live_tasks() const {
@@ -117,13 +131,6 @@ TimeNs ShardedEngine::next_event_time() {
 }
 
 namespace {
-
-inline std::uint64_t wall_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Persistent worker team for one run(): workers park on a condvar between
 /// windows and wake per generation. Mutex+condvar (not spinning) so the
@@ -161,13 +168,10 @@ ShardedEngine::RunStats ShardedEngine::run(TimeNs lookahead,
   // mailbox see the same schedule as the threaded run.
   if (team_size <= 1) {
     for (;;) {
-      const std::uint64_t b0 = wall_now_ns();
-      const std::size_t injected = drain_barrier();
-      stats.barrier_wall_ns += wall_now_ns() - b0;
-      stats.messages += injected;
+      const bool drained = drain_barrier(stats);
       const TimeNs tmin = next_event_time();
       if (tmin == Engine::kNoEvent) {
-        if (injected == 0) break;
+        if (!drained) break;
         continue;
       }
       const TimeNs bound = tmin + lookahead - 1;  // inclusive: [tmin, tmin+L)
@@ -224,13 +228,10 @@ ShardedEngine::RunStats ShardedEngine::run(TimeNs lookahead,
   }
 
   for (;;) {
-    const std::uint64_t b0 = wall_now_ns();
-    const std::size_t injected = drain_barrier();
-    stats.barrier_wall_ns += wall_now_ns() - b0;
-    stats.messages += injected;
+    const bool drained = drain_barrier(stats);
     const TimeNs tmin = next_event_time();
     if (tmin == Engine::kNoEvent) {
-      if (injected == 0) break;
+      if (!drained) break;
       continue;
     }
     {

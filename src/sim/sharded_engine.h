@@ -11,7 +11,7 @@
 // boundary (gpu::Machine derives it from hw::Topology route latencies).
 // Within a window shards touch only shard-owned state, so they may run on
 // separate threads; everything that crosses shards is exchanged at the
-// window barrier through two explicit queues:
+// window barrier through three explicit channels:
 //
 //   * mailbox messages — `post(src, dst, t, fn)`: apply `fn` on shard `dst`
 //     at time `t`; `fn` is a closure or a compact FlagUpdate (a remote flag
@@ -25,6 +25,11 @@
 //     routes in (issue time, src shard, sequence) order: link/NIC horizons
 //     are shared across shards, so reservations are the sequential
 //     consistency point and run between windows, never during one.
+//   * barrier calls — `post_at_barrier(src, t, fn)`: run `fn` once at the
+//     next barrier, after the hooks and before injection, in (t, src shard,
+//     per-shard sequence) order. With every shard stopped a call may
+//     schedule on any shard, even behind its frontier: sim::ShardJoin
+//     counts remote arrivals this way, and ccl runs its sweeps this way.
 //
 // Safety argument: an event processed in window k fires at t >= Tmin, and
 // every cross-shard effect it generates applies at >= t + L >= Tmin + L,
@@ -88,16 +93,15 @@ class ShardedEngine {
   /// Engine::schedule_flag_at, in the slot post() would give a closure.
   void post(int src_shard, int dst_shard, TimeNs t, FlagUpdate u);
 
-  /// Rewind mailbox: like post(), but injected with the destination
-  /// engine's no-past check bypassed (Engine::schedule_at_unchecked). Used
-  /// for effects that resolve to an *exact* time inside the already-passed
-  /// window — a cross-shard join completing at the max of its members'
-  /// local times — rather than to `issue + latency`. The destination fires
-  /// the entry with now_ rewound to `t`; the callback's continuation must
-  /// stay shard-local until it has delayed past the lookahead again (see
-  /// Engine::schedule_at_unchecked).
-  void post_rewind(int src_shard, int dst_shard, TimeNs t,
-                   std::function<void()> fn);
+  /// Barrier call: runs `fn` once, serially, at the next window barrier,
+  /// after the barrier hooks and before mailbox injection. Calls run in
+  /// (t, src_shard, per-shard sequence) order, `t` being the poster's
+  /// simulated time. Legal from the owning thread of `src_shard` during a
+  /// window, or at a barrier: a hook's call runs at that barrier, a call's
+  /// at the next one. A call may post(), and may schedule on any shard
+  /// directly; what it schedules precedes every message injected at the
+  /// same barrier.
+  void post_at_barrier(int src_shard, TimeNs t, std::function<void()> fn);
 
   /// Registers a hook run serially at every window barrier (all shards
   /// stopped), before mailbox injection, in registration order. Hooks may
@@ -121,9 +125,8 @@ class ShardedEngine {
 
  private:
   enum class Kind : std::uint8_t {
-    kFlag,    // payload is a FlagUpdate word
-    kCall,    // payload indexes the source outbox's closures
-    kRewind,  // kCall, injected via schedule_at_unchecked (post_rewind)
+    kFlag,  // payload is a FlagUpdate word
+    kCall,  // payload indexes the source outbox's closures
   };
 
   struct Message {
@@ -135,6 +138,15 @@ class ShardedEngine {
     Kind kind;
   };
 
+  /// A post_at_barrier entry. It carries its own closure, so a call that
+  /// posts another leaves the outbox's message closures alone.
+  struct BarrierCall {
+    TimeNs t;
+    std::int32_t src_shard;
+    std::uint64_t seq;  // per-src-shard, shared with Message::seq
+    std::function<void()> fn;
+  };
+
   /// Per-shard mailbox outbox, cache-line padded: appended only by the
   /// shard's owning thread during a window (or the barrier thread between
   /// windows), drained only at barriers. Closures stay here, so the
@@ -142,15 +154,15 @@ class ShardedEngine {
   struct alignas(64) Outbox {
     std::vector<Message> msgs;
     std::vector<std::function<void()>> closures;
+    std::vector<BarrierCall> calls;
     std::uint64_t next_seq = 0;
   };
 
-  void post_closure(int src_shard, int dst_shard, TimeNs t, Kind kind,
-                    std::function<void()> fn);
-
-  /// Runs hooks, then injects all queued messages in (t, src_shard, seq)
-  /// order. Returns the number injected.
-  std::size_t drain_barrier();
+  /// Runs hooks, then barrier calls, then injects all queued messages, the
+  /// last two each in (t, src_shard, seq) order. Adds the messages injected
+  /// and the time taken to `stats`. Returns whether it ran a call or
+  /// injected a message.
+  bool drain_barrier(RunStats& stats);
 
   std::vector<std::unique_ptr<Engine>> shards_;
   std::vector<Outbox> outboxes_;

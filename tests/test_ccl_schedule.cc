@@ -696,12 +696,8 @@ TEST(CclSchedule, CollectiveOverlappingFusedPutsMatchesGolden) {
       const fw::Graph g = mixed_graph(m.num_pes());
       fw::GraphExecutor executor(
           world, g, {fw::Backend::kFused, fw::Backend::kBaseline});
-      // One worker thread: with two, the fc2x4 2-shard row varies between
-      // runs, because whether a cross-shard join resumes its driver
-      // in-window or at the next barrier depends on which thread arrives
-      // last (ROADMAP, determinism hole (d)).
       run_graph(m.engine(), executor);
-      m.run_all(1);
+      m.run_all();
       EXPECT_EQ(m.engine().live_tasks(), 0);
       const fw::GraphResult r = executor.result();
       const fused::OperatorResult& emb = r.nodes.at(0).result;

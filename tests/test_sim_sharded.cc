@@ -3,7 +3,8 @@
 // Three layers of pinning:
 //
 //   1. ShardedEngine unit tests — the mailbox's (time, src shard, seq)
-//      injection order, barrier hooks, and thread-count invariance.
+//      injection order, barrier hooks, barrier calls, thread-count
+//      invariance, and a ShardJoin whose arrivals race across threads.
 //   2. gpu::Machine sharding config validation — every misconfiguration
 //      (node-splitting partitions, zero lookahead, tracing while sharded)
 //      must throw with a diagnosable message, not silently corrupt timing.
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -29,6 +31,7 @@
 #include "scaleout/shard_workload.h"
 #include "shmem/flags.h"
 #include "shmem/world.h"
+#include "sim/shard_join.h"
 #include "sim/sharded_engine.h"
 #include "sim/task.h"
 
@@ -130,6 +133,85 @@ TEST(ShardedEngine, ThreadCountDoesNotChangeResults) {
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
   EXPECT_EQ(a.second, 16u);
+}
+
+/// Posts a barrier call from `shard` that resumes the awaiting coroutine on
+/// that shard at `t`, the way ShardJoin and ccl's sweeps resume a driver.
+struct ResumeAtBarrier {
+  sim::ShardedEngine& se;
+  int shard;
+  TimeNs t;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    se.post_at_barrier(shard, se.shard(shard).now(), [this, h] {
+      se.shard(shard).schedule_resume_at_unchecked(t, h);
+    });
+  }
+  void await_resume() const noexcept {}
+};
+
+sim::Task resumed_by_barrier_call(sim::Engine& engine, sim::ShardedEngine& se,
+                                  TimeNs t, std::vector<int>& order) {
+  co_await ResumeAtBarrier{se, 0, t};
+  order.push_back(static_cast<int>(engine.now()));
+}
+
+TEST(ShardedEngine, BarrierCallsRunInTimeSrcShardSeqOrderBeforeInjection) {
+  sim::ShardedEngine se(3);
+  std::vector<int> order;
+  // A message to shard 0 at 40, posted before anything else: it is
+  // injected after every barrier call has run, so it fires behind the
+  // same-time resume a call schedules there.
+  se.post(0, 0, 40, [&] { order.push_back(99); });
+  // Posted out of (t, src, seq) order, from two shards.
+  se.post_at_barrier(2, 10, [&] { order.push_back(20); });
+  se.post_at_barrier(1, 10, [&] { order.push_back(10); });
+  se.post_at_barrier(1, 10, [&] { order.push_back(11); });
+  se.post_at_barrier(2, 5, [&] { order.push_back(0); });
+  // Posts its call from shard 0 at time 0, so that call runs first.
+  resumed_by_barrier_call(se.shard(0), se, 40, order);
+  const auto st = se.run(/*lookahead=*/100, /*num_threads=*/1);
+  EXPECT_EQ(order, (std::vector<int>{0, 10, 11, 20, 40, 99}));
+  EXPECT_EQ(st.messages, 1u);  // barrier calls are not mailbox messages
+  EXPECT_EQ(se.live_tasks(), 0);
+}
+
+sim::Task join_driver(sim::Engine& engine, sim::ShardJoin& join,
+                      TimeNs& resumed) {
+  co_await join.wait();
+  resumed = engine.now();
+}
+
+TEST(ShardJoin, ResumeDoesNotDependOnWhichThreadArrivesLast) {
+  // The home arrival (shard 0, t = 10) and a later remote one (shard 3,
+  // t = 30) land in the same window. Threads race to them, but the driver
+  // must resume at their max, in the same window, every time.
+  struct Outcome {
+    TimeNs resumed;
+    std::size_t windows;
+    std::size_t events;
+  };
+  const auto run_with = [](unsigned threads) {
+    sim::ShardedEngine se(4);
+    sim::ShardJoin join(se, /*home_shard=*/0, /*num_arrivals=*/2);
+    TimeNs resumed = -1;
+    join_driver(se.shard(0), join, resumed);
+    se.shard(0).schedule_at(10, [&] { join.arrive(0, 10); });
+    se.shard(3).schedule_at(30, [&] { join.arrive(3, 30); });
+    const auto st = se.run(/*lookahead=*/100, threads);
+    EXPECT_EQ(se.live_tasks(), 0);
+    return Outcome{resumed, st.windows, st.events};
+  };
+  const Outcome serial = run_with(1);
+  EXPECT_EQ(serial.resumed, 30);
+  for (int rep = 0; rep < 20; ++rep) {
+    for (unsigned threads : {2u, 4u}) {
+      const Outcome o = run_with(threads);
+      EXPECT_EQ(o.resumed, serial.resumed) << threads << " threads";
+      EXPECT_EQ(o.windows, serial.windows) << threads << " threads";
+      EXPECT_EQ(o.events, serial.events) << threads << " threads";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 #include "ccl/communicator.h"
 
 #include <algorithm>
+#include <array>
 #include <coroutine>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <utility>
 
@@ -417,13 +419,97 @@ sim::Co Communicator::all_reduce_co(std::int64_t n_elems, FloatBufs bufs,
   }
 
   if (algo == AllReduceAlgo::kAuto) algo = select_allreduce();
-  Builder build = &Communicator::direct_schedule;
-  if (algo == AllReduceAlgo::kRing) build = &Communicator::ring_schedule;
-  if (algo == AllReduceAlgo::kHierarchical) {
-    build = &Communicator::hierarchical_schedule;
-  }
-  const TimeNs end = co_await SweepAwaiter(*this, t0, memo(build, n_elems));
+  const TimeNs end = co_await SweepAwaiter(
+      *this, t0, memo(all_reduce_builder(algo), n_elems));
   co_await sim::delay_until(machine_.engine(), end);
+}
+
+Communicator::Builder Communicator::all_reduce_builder(AllReduceAlgo algo) {
+  switch (algo) {
+    case AllReduceAlgo::kRing:
+      return &Communicator::ring_schedule;
+    case AllReduceAlgo::kHierarchical:
+      return &Communicator::hierarchical_schedule;
+    case AllReduceAlgo::kAuto:
+    case AllReduceAlgo::kTwoPhaseDirect:
+      break;
+  }
+  return &Communicator::direct_schedule;
+}
+
+std::vector<std::optional<TimeNs>> Communicator::price_all_reduce(
+    const gpu::Machine::Config& config, std::int64_t n_elems,
+    std::span<const AllReduceAlgo> algos) {
+  gpu::Machine::Config serial = config;
+  serial.num_shards = 1;
+  serial.pe_shard.clear();
+  serial.collect_trace = false;
+
+  // A planner asks the same questions again whenever it replans a shape
+  // (a serving tier rebuilt, a cold PlanCache), and a run's host cost is
+  // mostly cache misses. So the prices of the last few (config, size)
+  // pairs are kept: three numbers each, in a ring that never grows.
+  constexpr std::size_t kKept = 16;
+  struct Priced {
+    gpu::Machine::Config config;
+    std::int64_t n_elems;
+    // Per resolved algorithm: direct, ring, hierarchical.
+    std::array<std::optional<TimeNs>, 3> ns;
+  };
+  static std::mutex mu;
+  static std::vector<Priced> kept;
+  static std::size_t next = 0;
+  const auto slot = [](AllReduceAlgo resolved) {
+    return resolved == AllReduceAlgo::kRing           ? 1
+           : resolved == AllReduceAlgo::kHierarchical ? 2
+                                                      : 0;
+  };
+
+  std::lock_guard lock(mu);
+  auto hit = std::find_if(kept.begin(), kept.end(), [&](const Priced& p) {
+    return p.n_elems == n_elems && p.config == serial;
+  });
+  if (hit == kept.end()) {
+    // Every schedule runs on one scratch machine, each from where the
+    // previous one ended, so each finds every link idle.
+    gpu::Machine machine(serial);
+    std::vector<PeId> pes(static_cast<std::size_t>(machine.num_pes()));
+    std::iota(pes.begin(), pes.end(), 0);
+    Communicator comm(machine, std::move(pes));
+    Priced priced{std::move(serial), n_elems, {}};
+    TimeNs t0 = 0;
+    for (const AllReduceAlgo algo : {AllReduceAlgo::kTwoPhaseDirect,
+                                     AllReduceAlgo::kRing,
+                                     AllReduceAlgo::kHierarchical}) {
+      std::optional<TimeNs>& ns = priced.ns[slot(algo)];
+      if (algo == AllReduceAlgo::kHierarchical && !comm.eligible_) continue;
+      if (comm.size() == 1 || n_elems == 0) {
+        ns = 0;  // all_reduce returns at once
+        continue;
+      }
+      Schedule s = (comm.*all_reduce_builder(algo))(n_elems);
+      s.link();
+      const TimeNs end = comm.run(s, t0);
+      ns = end - t0 + kSwOverheadNs;
+      t0 = end;
+    }
+    if (kept.size() < kKept) {
+      hit = kept.insert(kept.end(), std::move(priced));
+    } else {
+      hit = kept.begin() + static_cast<std::ptrdiff_t>(next);
+      *hit = std::move(priced);
+      next = (next + 1) % kKept;
+    }
+  }
+  // kAuto resolves as on the scratch machine's healthy fabric.
+  const bool hierarchical = hit->ns[2].has_value();
+  std::vector<std::optional<TimeNs>> prices;
+  for (const AllReduceAlgo algo : algos) {
+    prices.push_back(hit->ns[slot(algo == AllReduceAlgo::kAuto && hierarchical
+                                      ? AllReduceAlgo::kHierarchical
+                                      : algo)]);
+  }
+  return prices;
 }
 
 sim::Co Communicator::all_to_all(std::int64_t chunk_elems, FloatBufs send,

@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -117,6 +118,17 @@ class Communicator {
   sim::Co all_to_all_v(const std::vector<std::int64_t>& counts,
                        FloatBufs send, FloatBufs recv);
 
+  /// What an `n_elems` AllReduce over every PE costs on an idle machine
+  /// built from `config`, per entry of `algos`: the last_duration() it
+  /// would record, or nullopt for kHierarchical on an ineligible span.
+  /// kAuto resolves as on a healthy fabric. Each algorithm's schedule runs
+  /// through the interpreter on a scratch serial machine, with no engine
+  /// event; the last 16 (config, size) pairs' prices are kept.
+  /// Thread-safe.
+  static std::vector<std::optional<TimeNs>> price_all_reduce(
+      const gpu::Machine::Config& config, std::int64_t n_elems,
+      std::span<const AllReduceAlgo> algos);
+
   /// True when the span's shape admits the hierarchical algorithm at all
   /// (several nodes, uniform, several members each) — health aside. Forcing
   /// kHierarchical on an ineligible span is an error.
@@ -145,6 +157,9 @@ class Communicator {
   sim::Co all_to_all_co(std::int64_t chunk_elems,
                         const std::vector<std::int64_t>* counts,
                         FloatBufs send, FloatBufs recv);
+
+  /// The schedule builder of a resolved (non-kAuto) AllReduce algorithm.
+  static Builder all_reduce_builder(AllReduceAlgo algo);
 
   /// Schedule builders, one per algorithm.
   Schedule direct_schedule(std::int64_t n_elems) const;

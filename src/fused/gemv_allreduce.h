@@ -48,7 +48,8 @@ struct GemvAllReduceConfig {
   /// AllReduce algorithm for the bulk-synchronous baseline (the fused
   /// kernel owns its own two-phase schedule). The historical default is
   /// the flat two-phase direct algorithm; the planner's select-ccl-algo
-  /// pass steers this to kHierarchical/kRing/kAuto on predicted win.
+  /// pass runs every eligible algorithm's schedule on an idle machine and
+  /// sets this to the fastest, with no margin (a tie keeps this value).
   ccl::AllReduceAlgo allreduce_algo = ccl::AllReduceAlgo::kTwoPhaseDirect;
 
   int k_local(int num_pes) const {

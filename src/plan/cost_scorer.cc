@@ -1,6 +1,8 @@
 #include "plan/cost_scorer.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "hw/topology.h"
 
@@ -86,6 +88,36 @@ const char* allreduce_algo_name(ccl::AllReduceAlgo algo) {
       return "hierarchical";
   }
   return "unknown";
+}
+
+std::optional<AlgoPick> pick_allreduce_algo(const fw::OpSpec& spec,
+                                            const CostEnv& env) {
+  const OpCostModel* model = find_op_model(spec.name);
+  if (model == nullptr || model->allreduce_elems == nullptr) {
+    return std::nullopt;
+  }
+  // The incumbent first, so it wins every tie.
+  std::vector<ccl::AllReduceAlgo> algos{model->allreduce_algo(spec)};
+  for (const ccl::AllReduceAlgo algo : model->allreduce_candidates) {
+    if (algo != algos.front()) algos.push_back(algo);
+  }
+  const auto prices = ccl::Communicator::price_all_reduce(
+      env.machine, model->allreduce_elems(spec), algos);
+  // Fastest first; a stable sort keeps the incumbent ahead of its ties.
+  std::vector<std::size_t> rank(algos.size());
+  std::iota(rank.begin(), rank.end(), 0);
+  std::stable_sort(rank.begin(), rank.end(), [&prices](auto a, auto b) {
+    return prices[a] && (!prices[b] || *prices[a] < *prices[b]);
+  });
+  const std::size_t best = rank[0];
+  // A kept incumbent is priced against the fastest other candidate.
+  const std::size_t versus = best != 0 || rank.size() == 1 ? 0 : rank[1];
+  const auto ns = [&prices](std::size_t i) {
+    return prices[i] ? static_cast<double>(*prices[i])
+                     : std::numeric_limits<double>::infinity();
+  };
+  return AlgoPick{algos.front(), algos[best], algos[versus], ns(best),
+                  ns(versus)};
 }
 
 CostScorer::CostScorer(CostEnv env, const CalibrationTable& calibration)

@@ -1,4 +1,5 @@
-// Fast analytic fused-vs-baseline cost scoring for planner decisions.
+// Planner scoring: fast analytic fused-vs-baseline estimates, and baseline
+// AllReduce algorithms priced by running their schedules.
 //
 // Per-op analytic models (a table keyed by registry name, next to nothing
 // else: src/plan/op_models.cc) predict the fused and baseline durations of
@@ -10,9 +11,16 @@
 // simulator's measured duration exactly — which is what makes the planner
 // honest about crossovers like moe_dispatch at T=512, where the analytic
 // shape alone is within a few percent of the flip.
+//
+// A baseline node's AllReduce algorithm has no analytic model:
+// pick_allreduce_algo runs every candidate's ccl schedule on an idle
+// scratch machine (ccl::Communicator::price_all_reduce) and keeps the
+// fastest, with no margin.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,7 +75,7 @@ struct CostEstimate {
 
 /// Analytic model for one registered op. `estimate` and `work` are
 /// mandatory; the allreduce fields exist only for ops whose baseline
-/// carries a selectable ccl algorithm.
+/// carries a selectable ccl algorithm, and then all four are set.
 struct OpCostModel {
   /// Closed-form fused/baseline prediction. Must be deterministic and
   /// engine-free; may throw fw::SpecTypeError on a mis-typed spec slot.
@@ -78,8 +86,8 @@ struct OpCostModel {
 
   /// Baseline collective steering (optional, e.g. gemv_allreduce).
   std::vector<ccl::AllReduceAlgo> allreduce_candidates{};
-  std::function<double(const fw::OpSpec&, const CostEnv&, ccl::AllReduceAlgo)>
-      allreduce_time = nullptr;
+  /// Elements the baseline's AllReduce reduces per rank.
+  std::function<std::int64_t(const fw::OpSpec&)> allreduce_elems = nullptr;
   std::function<ccl::AllReduceAlgo(const fw::OpSpec&)> allreduce_algo =
       nullptr;  // current choice in the spec
   std::function<void(fw::OpSpec&, ccl::AllReduceAlgo)> set_allreduce_algo =
@@ -90,6 +98,25 @@ const char* allreduce_algo_name(ccl::AllReduceAlgo algo);
 
 /// The analytic model for registry op `op` (plan/op_models.cc), or nullptr.
 const OpCostModel* find_op_model(const std::string& op);
+
+/// select-ccl-algo's verdict on one baseline node: the algorithm it plans
+/// and the one it was priced against (the incumbent after a switch, else
+/// the fastest other candidate), with their idle-machine times in ns.
+struct AlgoPick {
+  ccl::AllReduceAlgo incumbent;
+  ccl::AllReduceAlgo chosen;
+  ccl::AllReduceAlgo versus;
+  double chosen_ns;
+  double versus_ns;  // infinity when `versus` cannot run on this span
+};
+
+/// Prices `spec`'s current AllReduce algorithm and every eligible candidate
+/// of its model by running their schedules on an idle machine built from
+/// `env.machine`, then picks the strict minimum: a tie keeps the incumbent.
+/// nullopt when the op has no selectable collective. May throw
+/// fw::SpecTypeError on a mis-typed spec slot.
+std::optional<AlgoPick> pick_allreduce_algo(const fw::OpSpec& spec,
+                                            const CostEnv& env);
 
 class CostScorer {
  public:

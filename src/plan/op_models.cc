@@ -152,12 +152,10 @@ const OpCostModel gemv_allreduce_model{
     .allreduce_candidates = {ccl::AllReduceAlgo::kTwoPhaseDirect,
                              ccl::AllReduceAlgo::kRing,
                              ccl::AllReduceAlgo::kHierarchical},
-    .allreduce_time =
-        [](const fw::OpSpec& spec, const CostEnv& env,
-           ccl::AllReduceAlgo algo) {
-          const auto& cfg =
-              fw::spec_config<fused::GemvAllReduceConfig>(spec);
-          return gemv_allreduce_wire_ns(cfg, env, algo);
+    .allreduce_elems =
+        [](const fw::OpSpec& spec) {
+          return static_cast<std::int64_t>(
+              fw::spec_config<fused::GemvAllReduceConfig>(spec).m);
         },
     .allreduce_algo =
         [](const fw::OpSpec& spec) {

@@ -1,6 +1,7 @@
 #include "plan/planner.h"
 
 #include <chrono>
+#include <optional>
 #include <sstream>
 
 #include "plan/cost_scorer.h"
@@ -19,22 +20,14 @@ namespace {
 //                    pick the winner's backend — a fused op that scores
 //                    slower than its bulk-synchronous baseline
 //                    (moe_dispatch at T=512) is planned onto the baseline
-//   select-ccl-algo  per baseline collective-bearing node, pick the
-//                    cheapest predicted ccl algorithm (e.g. the
-//                    hierarchical AllReduce on multi-node spans that the
-//                    flat two-phase default leaves on the table)
+//   select-ccl-algo  per baseline collective-bearing node, run each
+//                    eligible ccl algorithm's schedule on an idle scratch
+//                    machine and plan the fastest, with no margin; a tie
+//                    keeps the incumbent (e.g. the hierarchical AllReduce
+//                    on multi-node spans that the flat two-phase default
+//                    leaves on the table)
 //
 // Each pass returns how many changes it made.
-
-/// Relative improvement an algorithm switch must predict before it is
-/// applied. Algo scores are analytic-only (the calibration table corrects
-/// fused-vs-baseline totals, not per-algorithm collective times), and the
-/// closed-form wire model understates the serialization the simulated
-/// communicator pays per peer — bench_plan_quality measures the analytic
-/// hierarchical-vs-two-phase margin running ~20 points optimistic on the
-/// 2x4 machine. The default stands unless the alternative is predicted
-/// far enough ahead to survive that bias.
-constexpr double kAlgoSwitchMargin = 0.25;
 
 int fuse_patterns(fw::Graph& graph, const fw::OpRegistry& registry,
                   Plan& plan, std::vector<PlanDecision>& decisions) {
@@ -105,52 +98,34 @@ int select_ccl_algo(fw::Graph& graph, const CostEnv& env, Plan& plan,
     if (plan.backends[static_cast<std::size_t>(i)] != fw::Backend::kBaseline) {
       continue;  // fused kernels own their communication schedule
     }
-    const OpCostModel* model = find_op_model(node.spec.name);
-    if (model == nullptr || model->allreduce_candidates.empty() ||
-        model->allreduce_time == nullptr ||
-        model->set_allreduce_algo == nullptr) {
-      continue;
-    }
-    const ccl::AllReduceAlgo current =
-        model->allreduce_algo != nullptr
-            ? model->allreduce_algo(node.spec)
-            : ccl::AllReduceAlgo::kTwoPhaseDirect;
-    double current_ns = 0.0;
-    ccl::AllReduceAlgo best = current;
-    double best_ns = 0.0;
+    std::optional<AlgoPick> pick;
     try {
-      current_ns = model->allreduce_time(node.spec, env, current);
-      best_ns = current_ns;
-      for (const ccl::AllReduceAlgo algo : model->allreduce_candidates) {
-        const double t = model->allreduce_time(node.spec, env, algo);
-        if (t < best_ns) {
-          best = algo;
-          best_ns = t;
-        }
-      }
+      pick = pick_allreduce_algo(node.spec, env);
     } catch (const fw::SpecTypeError& e) {
       throw PlanError(std::string("selecting ccl algo for graph node '") +
                       node.label + "': " + e.what());
     }
-    const bool apply =
-        best != current && best_ns < current_ns * (1.0 - kAlgoSwitchMargin);
-    if (apply) {
-      model->set_allreduce_algo(graph.mutable_spec(i), best);
-      plan.allreduce_algos.push_back(AlgoChoice{i, best});
-      ++changes;
-    }
+    if (!pick) continue;
+    const bool apply = pick->chosen != pick->incumbent;
     PlanDecision d;
     d.pass = "select-ccl-algo";
     d.node = i;
     d.op = node.spec.name;
     d.label = node.label;
-    // Re-purpose the cost pair as chosen-vs-incumbent collective time.
-    d.predicted_fused_ns = best_ns;
-    d.predicted_baseline_ns = current_ns;
+    d.predicted_fused_ns = pick->chosen_ns;
+    d.predicted_baseline_ns = pick->versus_ns;
+    d.versus = allreduce_algo_name(pick->versus);
     d.accepted = apply;
-    d.choice = allreduce_algo_name(apply ? best : current);
-    d.why = apply ? "predicted clearly faster than the incumbent algorithm"
-                  : "no candidate beat the incumbent by the switch margin";
+    d.choice = allreduce_algo_name(pick->chosen);
+    d.why = apply ? "faster than the incumbent algorithm on an idle machine"
+                  : "no candidate faster than the incumbent on an idle "
+                    "machine";
+    if (apply) {
+      find_op_model(d.op)->set_allreduce_algo(graph.mutable_spec(i),
+                                              pick->chosen);
+      plan.allreduce_algos.push_back(AlgoChoice{i, pick->chosen});
+      ++changes;
+    }
     decisions.push_back(std::move(d));
   }
   return changes;
@@ -190,10 +165,16 @@ std::string PlanReport::to_string() const {
   for (const PlanDecision& d : decisions) {
     os << "  [" << d.pass << "] node " << d.node << " '" << d.label << "' ("
        << d.op << "): " << (d.accepted ? "applied " : "kept ") << d.choice
-       << " — predicted fused " << d.predicted_fused_ns << " ns vs baseline "
-       << d.predicted_baseline_ns << " ns"
-       << (d.calibrated ? " [calibrated]" : " [analytic]") << "; " << d.why
-       << "\n";
+       << " — ";
+    if (d.pass == "select-ccl-algo") {
+      os << d.choice << " " << d.predicted_fused_ns << " ns vs " << d.versus
+         << " " << d.predicted_baseline_ns << " ns [simulated]";
+    } else {
+      os << "predicted fused " << d.predicted_fused_ns << " ns vs baseline "
+         << d.predicted_baseline_ns << " ns"
+         << (d.calibrated ? " [calibrated]" : " [analytic]");
+    }
+    os << "; " << d.why << "\n";
   }
   return os.str();
 }

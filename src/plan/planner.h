@@ -6,11 +6,11 @@
 // pattern pairs collapsed into fused ops, which backend each live node
 // runs under (predicted-win only: a fused op whose fused variant scores
 // slower than its bulk-synchronous baseline is planned onto the baseline),
-// and which ccl algorithm each baseline collective should use. Every
-// candidate's predicted costs and the accept/reject rationale land in a
-// PlanReport.
+// and which ccl algorithm each baseline collective should use (the fastest
+// when its schedule runs on an idle scratch machine). Every candidate's
+// costs and the accept/reject rationale land in a PlanReport.
 //
-// Planning is pure host work: it never touches the sim engine, so a
+// Planning is pure host work: it never runs the sim engine, so a
 // planned run's simulated timestamps depend only on the decisions, not on
 // whether they came from a cold pipeline or a warm PlanCache hit.
 #pragma once

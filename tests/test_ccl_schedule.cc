@@ -21,6 +21,8 @@
 // a sharded machine runs the sweep at the next window barrier, after the
 // PUTs issued later in that window have reserved their links.
 //
+// A fourth test checks Communicator::price_all_reduce against real runs.
+//
 // FCC_GOLDEN ccl_schedule, ccl_schedule_repeat, ccl_schedule_mixed: on a
 // mismatch the test prints the whole actual table in source form, for
 // re-recording after an intended change.
@@ -494,6 +496,41 @@ TEST(CclSchedule, EveryCollectiveMatchesGolden) {
   EXPECT_EQ(cases, golden.size());
   if (!all_match || cases != golden.size()) {
     ADD_FAILURE() << "actual table:\n" << table.str();
+  }
+}
+
+// price_all_reduce's idle-machine price is the last_duration() of the same
+// AllReduce run on a fresh machine, for every algorithm the span can run,
+// asked once (priced) and again (kept).
+TEST(CclSchedule, AllReducePriceIsAFreshRunsDuration) {
+  constexpr AllReduceAlgo kAlgos[] = {
+      AllReduceAlgo::kTwoPhaseDirect, AllReduceAlgo::kRing,
+      AllReduceAlgo::kHierarchical, AllReduceAlgo::kAuto};
+  constexpr Coll kRuns[] = {Coll::kArDirect, Coll::kArRing,
+                            Coll::kArHierarchical, Coll::kArAuto};
+  for (const Fabric& f : fabrics()) {
+    if (!f.members.empty()) continue;  // prices span every PE
+    SCOPED_TRACE(f.name);
+    const auto prices = Communicator::price_all_reduce(
+        f.config, kAllReduceElems, kAlgos);
+    EXPECT_EQ(Communicator::price_all_reduce(f.config, kAllReduceElems,
+                                             kAlgos),
+              prices);
+    ASSERT_EQ(prices.size(), std::size(kAlgos));
+    for (std::size_t i = 0; i < std::size(kAlgos); ++i) {
+      gpu::Machine machine(f.config);
+      Communicator comm(machine, fused::all_pes(machine));
+      if (kAlgos[i] == AllReduceAlgo::kHierarchical &&
+          !comm.hierarchy_eligible()) {
+        EXPECT_FALSE(prices[i].has_value());
+        continue;
+      }
+      TimeNs fin = 0;
+      one(machine.engine(), comm, kRuns[i], {}, fin);
+      machine.engine().run();
+      ASSERT_TRUE(prices[i].has_value()) << i;
+      EXPECT_EQ(*prices[i], comm.last_duration()) << i;
+    }
   }
 }
 

@@ -1,11 +1,14 @@
 // The planning subsystem: the fixed pass order, the LRU PlanCache,
 // fingerprint exactness and collision-freedom, calibration honesty at the
 // measured moe_dispatch T=512 crossover, planner determinism, warm-cache
-// replay, Session::run(Graph) bypassing the planner, and the actionable
+// replay, select-ccl-algo picking the fastest simulated AllReduce,
+// Session::run(Graph) bypassing the planner, and the actionable
 // planning error paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -274,7 +277,10 @@ TEST(PlanReportText, ListsEveryPassAndDecisionOfATwoNodeGraph) {
   auto routed = g.tensor("routed");
   g.add(fw::make_spec("fcc::moe_dispatch", moe), {}, {routed}, "moe");
 
-  const Planned planned = Planner().plan(g, smoke_machine());
+  // Two nodes put the GEMV on the baseline, so select-ccl-algo reports too.
+  gpu::Machine::Config two_nodes = smoke_machine();
+  two_nodes.num_nodes = 2;
+  const Planned planned = Planner().plan(g, two_nodes);
   const PlanReport& report = planned.report;
   const std::string text = report.to_string();
   EXPECT_EQ(text.rfind("plan: planned\n", 0), 0u) << text;
@@ -287,15 +293,153 @@ TEST(PlanReportText, ListsEveryPassAndDecisionOfATwoNodeGraph) {
   for (const PlanDecision& d : report.decisions) labels.push_back(d.label);
   EXPECT_NE(std::find(labels.begin(), labels.end(), "gemv"), labels.end());
   EXPECT_NE(std::find(labels.begin(), labels.end(), "moe"), labels.end());
+  int algo_lines = 0;
   for (const PlanDecision& d : report.decisions) {
+    // select-ccl-algo compares two simulated AllReduce algorithms, the
+    // other passes a predicted fused and baseline cost.
+    std::ostringstream costs;
+    if (d.pass == "select-ccl-algo") {
+      ++algo_lines;
+      costs << d.choice << " " << d.predicted_fused_ns << " ns vs "
+            << d.versus << " " << d.predicted_baseline_ns
+            << " ns [simulated]; ";
+    } else {
+      costs << "predicted fused ";
+    }
     const std::string line = "  [" + d.pass + "] node " +
                              std::to_string(d.node) + " '" + d.label +
                              "' (" + d.op + "): " +
                              (d.accepted ? "applied " : "kept ") + d.choice +
-                             " — predicted fused ";
+                             " — " + costs.str();
     EXPECT_NE(text.find(line), std::string::npos) << line << "\n" << text;
     EXPECT_NE(text.find("; " + d.why + "\n"), std::string::npos) << text;
   }
+  EXPECT_EQ(algo_lines, 1) << text;
+}
+
+// ---------------------------------------------------------------------------
+// select-ccl-algo plans the fastest baseline AllReduce
+// ---------------------------------------------------------------------------
+
+struct NamedMachine {
+  const char* name;
+  gpu::Machine::Config config;
+};
+
+std::vector<NamedMachine> algo_machines() {
+  using K = hw::TopologySpec::Kind;
+  const auto make = [](int nodes, int gpus, K kind) {
+    gpu::Machine::Config mc;
+    mc.num_nodes = nodes;
+    mc.gpus_per_node = gpus;
+    mc.topology.kind = kind;
+    mc.topology.torus.dim_x = 2;
+    mc.topology.torus.dim_y = 2;
+    return mc;
+  };
+  return {{"fc1x4", make(1, 4, K::kFullyConnected)},
+          {"sw1x4", make(1, 4, K::kSwitchedNode)},
+          {"fc2x4", make(2, 4, K::kFullyConnected)},
+          {"sw2x4", make(2, 4, K::kSwitchedNode)},
+          {"mr2x4", make(2, 4, K::kMultiRail)},
+          {"torus2x2", make(4, 1, K::kTorus2D)}};
+}
+
+constexpr int kAlgoSizes[] = {512, 1024, 8192, 16384};
+
+fw::OpSpec gemv_spec(const gpu::Machine::Config& mc, int m,
+                     ccl::AllReduceAlgo algo) {
+  fused::GemvAllReduceConfig cfg;
+  cfg.m = m;
+  cfg.k_global = 256 * mc.num_nodes * mc.gpus_per_node;
+  cfg.functional = false;
+  cfg.allreduce_algo = algo;
+  return fw::make_spec("fcc::gemv_allreduce", cfg);
+}
+
+/// The algorithms a span of `mc`'s PEs can run.
+std::vector<ccl::AllReduceAlgo> eligible_algos(const gpu::Machine::Config& mc) {
+  std::vector<ccl::AllReduceAlgo> algos{ccl::AllReduceAlgo::kTwoPhaseDirect,
+                                        ccl::AllReduceAlgo::kRing};
+  if (mc.num_nodes > 1 && mc.gpus_per_node > 1) {
+    algos.push_back(ccl::AllReduceAlgo::kHierarchical);
+  }
+  return algos;
+}
+
+TimeNs baseline_makespan(const gpu::Machine::Config& mc, int m,
+                         ccl::AllReduceAlgo algo) {
+  fw::Session session(mc);
+  return session.run(gemv_spec(mc, m, algo), fw::Backend::kBaseline)
+      .duration();
+}
+
+ccl::AllReduceAlgo spec_algo(const fw::OpSpec& spec) {
+  return fw::spec_config<fused::GemvAllReduceConfig>(spec).allreduce_algo;
+}
+
+// On every machine and size, the algorithm select-ccl-algo picks for a
+// baseline GEMV+AllReduce runs no slower than any other eligible one —
+// including fc2x4 at serve's dlrm shape (M=1024), where the flat default
+// loses to the hierarchical schedule.
+TEST(SelectCclAlgo, PlansTheFastestEligibleBaselineAlgorithm) {
+  for (const NamedMachine& machine : algo_machines()) {
+    CostEnv env;
+    env.machine = machine.config;
+    for (const int m : kAlgoSizes) {
+      SCOPED_TRACE(std::string(machine.name) + " M=" + std::to_string(m));
+      const fw::OpSpec spec =
+          gemv_spec(machine.config, m, ccl::AllReduceAlgo::kTwoPhaseDirect);
+      const std::optional<AlgoPick> pick = pick_allreduce_algo(spec, env);
+      ASSERT_TRUE(pick.has_value());
+      EXPECT_EQ(pick->incumbent, ccl::AllReduceAlgo::kTwoPhaseDirect);
+
+      // Where the planner puts the node on the baseline, it plans the pick.
+      fw::Graph g;
+      auto out = g.tensor("y");
+      g.add(spec, {}, {out}, "gemv");
+      const Planned planned = Planner().plan(g, machine.config);
+      if (planned.backends().at(0) == fw::Backend::kBaseline) {
+        EXPECT_EQ(spec_algo(planned.graph.node(0).spec), pick->chosen)
+            << planned.report.to_string();
+      }
+
+      const TimeNs chosen = baseline_makespan(machine.config, m, pick->chosen);
+      for (const ccl::AllReduceAlgo algo : eligible_algos(machine.config)) {
+        EXPECT_LE(chosen, baseline_makespan(machine.config, m, algo))
+            << "planned " << allreduce_algo_name(pick->chosen) << " vs "
+            << allreduce_algo_name(algo);
+      }
+    }
+  }
+}
+
+// kAuto prices exactly as the algorithm it resolves to, which is the
+// fastest on each of these healthy machines: the tie keeps kAuto.
+TEST(SelectCclAlgo, ATieKeepsTheIncumbent) {
+  for (const NamedMachine& machine : algo_machines()) {
+    CostEnv env;
+    env.machine = machine.config;
+    for (const int m : kAlgoSizes) {
+      SCOPED_TRACE(std::string(machine.name) + " M=" + std::to_string(m));
+      const fw::OpSpec spec =
+          gemv_spec(machine.config, m, ccl::AllReduceAlgo::kAuto);
+      const std::optional<AlgoPick> pick = pick_allreduce_algo(spec, env);
+      ASSERT_TRUE(pick.has_value());
+      EXPECT_EQ(pick->chosen, ccl::AllReduceAlgo::kAuto);
+      EXPECT_LE(pick->chosen_ns, pick->versus_ns);
+    }
+  }
+  // Through the planner: fc2x4 plans the GEMV on the baseline and keeps
+  // kAuto, recording no override.
+  const gpu::Machine::Config fc2x4 = algo_machines()[2].config;
+  fw::Graph g;
+  auto out = g.tensor("y");
+  g.add(gemv_spec(fc2x4, 1024, ccl::AllReduceAlgo::kAuto), {}, {out}, "gemv");
+  const Planned planned = Planner().plan(g, fc2x4);
+  ASSERT_EQ(planned.backends().at(0), fw::Backend::kBaseline);
+  EXPECT_EQ(spec_algo(planned.graph.node(0).spec), ccl::AllReduceAlgo::kAuto);
+  EXPECT_TRUE(planned.plan.allreduce_algos.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
 #include "ccl/communicator.h"
 
 #include <algorithm>
-#include <array>
 #include <coroutine>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <utility>
 
@@ -52,8 +50,11 @@ struct Schedule {
     }
     std::partial_sum(first_reader.begin(), first_reader.end(),
                      first_reader.begin());
-    std::stable_sort(steps.begin(), steps.end(),
-                     [](const Step& a, const Step& b) { return a.in < b.in; });
+    // A stable counting sort by input register.
+    std::vector<Step> grouped(steps.size());
+    std::vector<int> next(first_reader.begin(), first_reader.end() - 1);
+    for (const Step& st : steps) grouped[next[st.in]++] = st;
+    steps = std::move(grouped);
   }
 };
 
@@ -277,6 +278,7 @@ Schedule Communicator::direct_schedule(std::int64_t n_elems) const {
   const Bytes chunk = elems_to_bytes((n_elems + n - 1) / n);
   const TimeNs reduce = reduce_cost(chunk * n);
   Schedule s;
+  s.steps.reserve(static_cast<std::size_t>(2 * n * (n - 1)));
   const int owned = s.reg(n);
   for (int dst = 0; dst < n; ++dst) {
     for (int src = 0; src < n; ++src) {
@@ -297,6 +299,7 @@ Schedule Communicator::ring_schedule(std::int64_t n_elems) const {
   std::iota(ranks.begin(), ranks.end(), 0);
   const Bytes chunk = elems_to_bytes((n_elems + size() - 1) / size());
   Schedule s;
+  s.steps.reserve(static_cast<std::size_t>(2 * size() * (size() - 1)));
   ring(s, ranks, chunk, kStart, reduce_cost(2 * chunk));
   return s;
 }
@@ -307,6 +310,8 @@ Schedule Communicator::hierarchical_schedule(std::int64_t n_elems) const {
   const std::int64_t chunk = (n_elems + g - 1) / g;  // per-lane shard
   const Bytes chunk_bytes = elems_to_bytes(chunk);
   Schedule s;
+  s.steps.reserve(static_cast<std::size_t>(2 * nodes * g * (g - 1) +
+                                           2 * g * nodes * (nodes - 1)));
 
   // Stage A — intra-node reduce-scatter: lane l of each node ends owning
   // the node-local sum of shard l. Direct peer pushes over the scale-up
@@ -444,70 +449,28 @@ std::vector<std::optional<TimeNs>> Communicator::price_all_reduce(
   serial.num_shards = 1;
   serial.pe_shard.clear();
   serial.collect_trace = false;
+  gpu::Machine machine(serial);
+  std::vector<PeId> pes(static_cast<std::size_t>(machine.num_pes()));
+  std::iota(pes.begin(), pes.end(), 0);
+  Communicator comm(machine, std::move(pes));
 
-  // A planner asks the same questions again whenever it replans a shape
-  // (a serving tier rebuilt, a cold PlanCache), and a run's host cost is
-  // mostly cache misses. So the prices of the last few (config, size)
-  // pairs are kept: three numbers each, in a ring that never grows.
-  constexpr std::size_t kKept = 16;
-  struct Priced {
-    gpu::Machine::Config config;
-    std::int64_t n_elems;
-    // Per resolved algorithm: direct, ring, hierarchical.
-    std::array<std::optional<TimeNs>, 3> ns;
-  };
-  static std::mutex mu;
-  static std::vector<Priced> kept;
-  static std::size_t next = 0;
-  const auto slot = [](AllReduceAlgo resolved) {
-    return resolved == AllReduceAlgo::kRing           ? 1
-           : resolved == AllReduceAlgo::kHierarchical ? 2
-                                                      : 0;
-  };
-
-  std::lock_guard lock(mu);
-  auto hit = std::find_if(kept.begin(), kept.end(), [&](const Priced& p) {
-    return p.n_elems == n_elems && p.config == serial;
-  });
-  if (hit == kept.end()) {
-    // Every schedule runs on one scratch machine, each from where the
-    // previous one ended, so each finds every link idle.
-    gpu::Machine machine(serial);
-    std::vector<PeId> pes(static_cast<std::size_t>(machine.num_pes()));
-    std::iota(pes.begin(), pes.end(), 0);
-    Communicator comm(machine, std::move(pes));
-    Priced priced{std::move(serial), n_elems, {}};
-    TimeNs t0 = 0;
-    for (const AllReduceAlgo algo : {AllReduceAlgo::kTwoPhaseDirect,
-                                     AllReduceAlgo::kRing,
-                                     AllReduceAlgo::kHierarchical}) {
-      std::optional<TimeNs>& ns = priced.ns[slot(algo)];
-      if (algo == AllReduceAlgo::kHierarchical && !comm.eligible_) continue;
-      if (comm.size() == 1 || n_elems == 0) {
-        ns = 0;  // all_reduce returns at once
-        continue;
-      }
+  // Every schedule runs on the one scratch machine, each from where the
+  // previous one ended, so each finds every link idle.
+  std::vector<std::optional<TimeNs>> prices;
+  TimeNs t0 = 0;
+  for (AllReduceAlgo algo : algos) {
+    if (algo == AllReduceAlgo::kAuto) algo = comm.select_allreduce();
+    if (algo == AllReduceAlgo::kHierarchical && !comm.eligible_) {
+      prices.emplace_back();
+    } else if (comm.size() == 1 || n_elems == 0) {
+      prices.emplace_back(0);  // all_reduce returns at once
+    } else {
       Schedule s = (comm.*all_reduce_builder(algo))(n_elems);
       s.link();
       const TimeNs end = comm.run(s, t0);
-      ns = end - t0 + kSwOverheadNs;
+      prices.emplace_back(end - t0 + kSwOverheadNs);
       t0 = end;
     }
-    if (kept.size() < kKept) {
-      hit = kept.insert(kept.end(), std::move(priced));
-    } else {
-      hit = kept.begin() + static_cast<std::ptrdiff_t>(next);
-      *hit = std::move(priced);
-      next = (next + 1) % kKept;
-    }
-  }
-  // kAuto resolves as on the scratch machine's healthy fabric.
-  const bool hierarchical = hit->ns[2].has_value();
-  std::vector<std::optional<TimeNs>> prices;
-  for (const AllReduceAlgo algo : algos) {
-    prices.push_back(hit->ns[slot(algo == AllReduceAlgo::kAuto && hierarchical
-                                      ? AllReduceAlgo::kHierarchical
-                                      : algo)]);
   }
   return prices;
 }

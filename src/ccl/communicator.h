@@ -121,10 +121,9 @@ class Communicator {
   /// What an `n_elems` AllReduce over every PE costs on an idle machine
   /// built from `config`, per entry of `algos`: the last_duration() it
   /// would record, or nullopt for kHierarchical on an ineligible span.
-  /// kAuto resolves as on a healthy fabric. Each algorithm's schedule runs
-  /// through the interpreter on a scratch serial machine, with no engine
-  /// event; the last 16 (config, size) pairs' prices are kept.
-  /// Thread-safe.
+  /// kAuto resolves as on a healthy fabric. Every call builds one scratch
+  /// serial machine and runs each algorithm's schedule through the
+  /// interpreter on it, with no engine event; nothing is kept.
   static std::vector<std::optional<TimeNs>> price_all_reduce(
       const gpu::Machine::Config& config, std::int64_t n_elems,
       std::span<const AllReduceAlgo> algos);

@@ -26,35 +26,58 @@ std::vector<ops::DispatchPlan> skewed_plans(const MoeDispatchConfig& cfg,
   const auto assignments = static_cast<std::size_t>(cfg.assignments());
   std::vector<ops::DispatchPlan> plans;
   plans.reserve(experts);
-  // Scratch shared by every source and token: sampling weights, the expert
-  // picked for each (token, k) assignment, and per-expert fill cursors.
-  std::vector<double> weight(experts);
+  // Scratch shared by every source and token: the experts other than 0
+  // the token already picked, ascending, the expert picked for each
+  // (token, k) assignment, and per-expert fill cursors.
+  std::vector<int> taken;
+  taken.reserve(k);
   std::vector<int> picks(assignments);
   std::vector<std::int64_t> cursor(experts);
+  // total[hot][m]: the weights' sum, added in expert order, when expert 0
+  // is (hot = 1) or is not still eligible and m other experts are.
+  std::vector<double> total[2];
+  for (int hot = 0; hot < 2; ++hot) {
+    double sum = hot != 0 ? cfg.hot_expert_factor : 0.0;
+    for (std::size_t m = 0; m < experts; ++m) {
+      total[hot].push_back(sum);
+      sum += 1.0;
+    }
+  }
   for (int src = 0; src < num_pes; ++src) {
     Rng rng(cfg.routing_seed + 0x9e3779b97f4a7c15ULL *
                                    static_cast<std::uint64_t>(src + 1));
     for (std::size_t t = 0; t < static_cast<std::size_t>(cfg.tokens_per_pe);
          ++t) {
-      // Weighted sampling without replacement: expert 0 is the hot one.
-      std::fill(weight.begin(), weight.end(), 1.0);
-      weight[0] = cfg.hot_expert_factor;
+      // Weighted sampling without replacement: expert 0 weighs
+      // hot_expert_factor, every other expert 1. A draw r walks the
+      // eligible experts in order, subtracting each one's weight, and
+      // picks the one that takes r to 0 or below.
+      taken.clear();
+      int hot = 1;
       for (std::size_t j = 0; j < k; ++j) {
-        double total = 0;
-        for (double w : weight) total += w;
-        double r = rng.next_double() * total;
-        int pick = 0;
-        for (int e = 0; e < num_pes; ++e) {
-          if (weight[static_cast<std::size_t>(e)] <= 0) continue;
-          r -= weight[static_cast<std::size_t>(e)];
+        const std::size_t others = experts - 1 - taken.size();
+        double r = rng.next_double() * total[hot][others];
+        if (hot != 0) {
+          r -= cfg.hot_expert_factor;
           if (r <= 0) {
-            pick = e;
-            break;
+            picks[t * k + j] = 0;
+            hot = 0;
+            continue;
           }
-          pick = e;  // numeric tail: last eligible expert
         }
-        weight[static_cast<std::size_t>(pick)] = 0;
+        // While r stays positive (and below 2^53), subtracting 1 from it
+        // is exact, so the walk stops at the ceil(r)-th other expert still
+        // eligible (the first when r is 0), or at the last on a numeric
+        // tail.
+        auto c = static_cast<std::size_t>(r);  // r >= 0: ceil is c or c + 1
+        c += static_cast<double>(c) < r ? 1 : 0;
+        int pick = static_cast<int>(std::clamp<std::size_t>(c, 1, others));
+        for (const int e : taken) pick += e <= pick ? 1 : 0;
         picks[t * k + j] = pick;
+        if (j + 1 < k) {
+          taken.insert(std::upper_bound(taken.begin(), taken.end(), pick),
+                       pick);
+        }
       }
     }
     // Counting sort of the picks by expert; stable, so each expert's

@@ -46,8 +46,6 @@ class Machine {
     /// intra-node fabric state (ports, switch links) is shard-owned, so a
     /// node split across shards is rejected. Empty = default partition.
     std::vector<int> pe_shard;
-
-    bool operator==(const Config&) const = default;
   };
 
   explicit Machine(const Config& config);

@@ -40,8 +40,6 @@ struct GpuSpec {
   TimeNs stream_sync_ns = 2000;
 
   int max_wg_slots() const { return num_cus * max_wgs_per_cu; }
-
-  bool operator==(const GpuSpec&) const = default;
 };
 
 /// Intra-node interconnect (Infinity Fabric class). The paper's Table I:
@@ -54,8 +52,6 @@ struct FabricSpec {
   /// Issue cost paid by a GPU thread-block for one remote store burst
   /// (address generation + write-combining flush).
   TimeNs store_issue_overhead_ns = 150;
-
-  bool operator==(const FabricSpec&) const = default;
 };
 
 /// Inter-node RDMA NIC (InfiniBand class). Table I: 20 GB/s.
@@ -67,8 +63,6 @@ struct IbSpec {
   /// GPU-side latency of posting one RDMA descriptor from a kernel
   /// (ROC_SHMEM put_nbi path: ring doorbell via per-WG queue pair).
   TimeNs gpu_post_overhead_ns = 800;
-
-  bool operator==(const IbSpec&) const = default;
 };
 
 /// The evaluation platform of Table I, bundled so benches can print it.

@@ -90,8 +90,6 @@ struct TorusSpec {
                   "TorusSpec: link latency must be non-negative, got "
                       << link_latency_ns);
   }
-
-  bool operator==(const TorusSpec&) const = default;
 };
 
 /// Switched scale-up node (NVSwitch class): every GPU owns an uplink and a
@@ -115,8 +113,6 @@ struct SwitchedSpec {
     FCC_CHECK_MSG(trunk_bytes_per_ns >= 0,
                   "SwitchedSpec: trunk bandwidth must be >= 0 (0 = ideal)");
   }
-
-  bool operator==(const SwitchedSpec&) const = default;
 };
 
 /// Which fabric a Machine instantiates, plus its parameters. The
@@ -133,8 +129,6 @@ struct TopologySpec {
   SwitchedSpec switched;  // kSwitchedNode
   int nic_rails = 2;      // kMultiRail: NICs per node
   TorusSpec torus;        // kTorus2D: dims must equal the node count
-
-  bool operator==(const TopologySpec&) const = default;
 };
 
 class Topology {

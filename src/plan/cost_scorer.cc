@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "hw/topology.h"
 
@@ -93,31 +92,31 @@ const char* allreduce_algo_name(ccl::AllReduceAlgo algo) {
 std::optional<AlgoPick> pick_allreduce_algo(const fw::OpSpec& spec,
                                             const CostEnv& env) {
   const OpCostModel* model = find_op_model(spec.name);
-  if (model == nullptr || model->allreduce_elems == nullptr) {
+  if (model == nullptr || model->allreduce_elems == nullptr ||
+      model->allreduce_algo == nullptr ||
+      model->set_allreduce_algo == nullptr) {
     return std::nullopt;
   }
-  // The incumbent first, so it wins every tie.
+  // The incumbent first: a strict minimum keeps it on every tie.
   std::vector<ccl::AllReduceAlgo> algos{model->allreduce_algo(spec)};
   for (const ccl::AllReduceAlgo algo : model->allreduce_candidates) {
     if (algo != algos.front()) algos.push_back(algo);
   }
   const auto prices = ccl::Communicator::price_all_reduce(
       env.machine, model->allreduce_elems(spec), algos);
-  // Fastest first; a stable sort keeps the incumbent ahead of its ties.
-  std::vector<std::size_t> rank(algos.size());
-  std::iota(rank.begin(), rank.end(), 0);
-  std::stable_sort(rank.begin(), rank.end(), [&prices](auto a, auto b) {
-    return prices[a] && (!prices[b] || *prices[a] < *prices[b]);
-  });
-  const std::size_t best = rank[0];
-  // A kept incumbent is priced against the fastest other candidate.
-  const std::size_t versus = best != 0 || rank.size() == 1 ? 0 : rank[1];
-  const auto ns = [&prices](std::size_t i) {
-    return prices[i] ? static_cast<double>(*prices[i])
-                     : std::numeric_limits<double>::infinity();
+  const auto ns = [](std::optional<TimeNs> price) {
+    return price ? static_cast<double>(*price)
+                 : std::numeric_limits<double>::infinity();
   };
-  return AlgoPick{algos.front(), algos[best], algos[versus], ns(best),
-                  ns(versus)};
+  AlgoPick pick{algos.front(), algos.front(), ns(prices.front()),
+                ns(prices.front())};
+  for (std::size_t i = 1; i < algos.size(); ++i) {
+    if (ns(prices[i]) < pick.chosen_ns) {
+      pick.chosen = algos[i];
+      pick.chosen_ns = ns(prices[i]);
+    }
+  }
+  return pick;
 }
 
 CostScorer::CostScorer(CostEnv env, const CalibrationTable& calibration)

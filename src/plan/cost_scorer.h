@@ -75,7 +75,8 @@ struct CostEstimate {
 
 /// Analytic model for one registered op. `estimate` and `work` are
 /// mandatory; the allreduce fields exist only for ops whose baseline
-/// carries a selectable ccl algorithm, and then all four are set.
+/// carries a selectable ccl algorithm: select-ccl-algo skips an op unless
+/// its elements, current algorithm and setter are all set.
 struct OpCostModel {
   /// Closed-form fused/baseline prediction. Must be deterministic and
   /// engine-free; may throw fw::SpecTypeError on a mis-typed spec slot.
@@ -100,14 +101,12 @@ const char* allreduce_algo_name(ccl::AllReduceAlgo algo);
 const OpCostModel* find_op_model(const std::string& op);
 
 /// select-ccl-algo's verdict on one baseline node: the algorithm it plans
-/// and the one it was priced against (the incumbent after a switch, else
-/// the fastest other candidate), with their idle-machine times in ns.
+/// and the incumbent, with their idle-machine times in ns.
 struct AlgoPick {
   ccl::AllReduceAlgo incumbent;
   ccl::AllReduceAlgo chosen;
-  ccl::AllReduceAlgo versus;
+  double incumbent_ns;  // infinity when the incumbent cannot run here
   double chosen_ns;
-  double versus_ns;  // infinity when `versus` cannot run on this span
 };
 
 /// Prices `spec`'s current AllReduce algorithm and every eligible candidate

@@ -42,15 +42,13 @@ struct PlanDecision {
   int node = -1;      // node id in the lowered graph
   std::string op;
   std::string label;
-  /// select-ccl-algo: the simulated ns of `choice` and of `versus`.
+  /// select-ccl-algo: the simulated ns of `choice` and of `incumbent`.
   double predicted_fused_ns = 0.0;
   double predicted_baseline_ns = 0.0;
   bool calibrated = false;
   bool accepted = false;  // the non-default choice was applied
   std::string choice;     // "fused", "baseline", or an allreduce algo name
-  /// select-ccl-algo: the algorithm `choice` was priced against — the
-  /// incumbent after a switch, else the fastest other candidate.
-  std::string versus;
+  std::string incumbent;  // select-ccl-algo: the algorithm before the pass
   std::string why;        // one-line human rationale
 };
 

@@ -113,8 +113,8 @@ int select_ccl_algo(fw::Graph& graph, const CostEnv& env, Plan& plan,
     d.op = node.spec.name;
     d.label = node.label;
     d.predicted_fused_ns = pick->chosen_ns;
-    d.predicted_baseline_ns = pick->versus_ns;
-    d.versus = allreduce_algo_name(pick->versus);
+    d.predicted_baseline_ns = pick->incumbent_ns;
+    d.incumbent = allreduce_algo_name(pick->incumbent);
     d.accepted = apply;
     d.choice = allreduce_algo_name(pick->chosen);
     d.why = apply ? "faster than the incumbent algorithm on an idle machine"
@@ -167,7 +167,7 @@ std::string PlanReport::to_string() const {
        << d.op << "): " << (d.accepted ? "applied " : "kept ") << d.choice
        << " — ";
     if (d.pass == "select-ccl-algo") {
-      os << d.choice << " " << d.predicted_fused_ns << " ns vs " << d.versus
+      os << d.choice << " " << d.predicted_fused_ns << " ns vs " << d.incumbent
          << " " << d.predicted_baseline_ns << " ns [simulated]";
     } else {
       os << "predicted fused " << d.predicted_fused_ns << " ns vs baseline "

@@ -501,7 +501,7 @@ TEST(CclSchedule, EveryCollectiveMatchesGolden) {
 
 // price_all_reduce's idle-machine price is the last_duration() of the same
 // AllReduce run on a fresh machine, for every algorithm the span can run,
-// asked once (priced) and again (kept).
+// and asking twice prices the same.
 TEST(CclSchedule, AllReducePriceIsAFreshRunsDuration) {
   constexpr AllReduceAlgo kAlgos[] = {
       AllReduceAlgo::kTwoPhaseDirect, AllReduceAlgo::kRing,

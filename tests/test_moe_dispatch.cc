@@ -213,6 +213,10 @@ TEST(DispatchLayout, SkewedPlansMatchPinnedFingerprints) {
       {8, 1024, 2, 4.0, 7, 11719706554990540869ULL},
       {16, 257, 4, 8.0, 1234, 13005002863096582657ULL},
       {16, 1024, 1, 2.5, 99, 17668808869959577721ULL},
+      // Hot factors with no short binary expansion, where subtracting the
+      // hot weight from a draw rounds.
+      {8, 128, 2, 1.3, 5, 11986569328996515419ULL},
+      {5, 300, 3, 3.7, 42, 16453054262689366432ULL},
   };
   for (const Row& r : rows) {
     MoeDispatchConfig cfg;

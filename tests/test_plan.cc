@@ -301,7 +301,7 @@ TEST(PlanReportText, ListsEveryPassAndDecisionOfATwoNodeGraph) {
     if (d.pass == "select-ccl-algo") {
       ++algo_lines;
       costs << d.choice << " " << d.predicted_fused_ns << " ns vs "
-            << d.versus << " " << d.predicted_baseline_ns
+            << d.incumbent << " " << d.predicted_baseline_ns
             << " ns [simulated]; ";
     } else {
       costs << "predicted fused ";
@@ -427,7 +427,14 @@ TEST(SelectCclAlgo, ATieKeepsTheIncumbent) {
       const std::optional<AlgoPick> pick = pick_allreduce_algo(spec, env);
       ASSERT_TRUE(pick.has_value());
       EXPECT_EQ(pick->chosen, ccl::AllReduceAlgo::kAuto);
-      EXPECT_LE(pick->chosen_ns, pick->versus_ns);
+      // A tie: some eligible candidate prices exactly as kAuto.
+      const std::vector<ccl::AllReduceAlgo> algos =
+          eligible_algos(machine.config);
+      const auto prices = ccl::Communicator::price_all_reduce(
+          machine.config, m, algos);
+      EXPECT_EQ(pick->incumbent_ns,
+                static_cast<double>(**std::min_element(prices.begin(),
+                                                       prices.end())));
     }
   }
   // Through the planner: fc2x4 plans the GEMV on the baseline and keeps

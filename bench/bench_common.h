@@ -15,7 +15,11 @@
 #include "common/table.h"
 #include "common/types.h"
 #include "dlrm/model.h"
+#include "framework/op_registry.h"
+#include "gpu/machine.h"
 #include "hw/topology.h"
+#include "serve/catalog.h"
+#include "shmem/world.h"
 
 namespace fccbench {
 
@@ -110,6 +114,31 @@ inline fcc::dlrm::DlrmConfig table2_dlrm(int nodes) {
   cfg.top_mlp = std::vector<int>(39, 713);
   cfg.top_mlp.push_back(1);
   return cfg;
+}
+
+/// Weighted mean batch service time (ns) of the serve catalog on a healthy
+/// `mc` machine: one warm run per chain stage (cold allocations out of the
+/// measurement). The serve and degraded-fabric benches size their offered
+/// load from it.
+inline double calibrate_service_ns(const fcc::gpu::Machine::Config& mc) {
+  fcc::gpu::Machine machine(mc);
+  fcc::shmem::World world(machine);
+  const auto catalog = fcc::serve::default_catalog(machine.num_pes());
+  const fcc::fw::OpRegistry& registry = fcc::fw::OpRegistry::global();
+  double weight_sum = 0.0, service_sum = 0.0;
+  for (const fcc::serve::ServeClass& c : catalog) {
+    fcc::TimeNs chain_ns = 0;
+    for (const fcc::fw::OpSpec& spec : c.chain) {
+      auto op = registry.at(spec.name).make(world, spec,
+                                            fcc::fw::Backend::kFused);
+      op->run_to_completion();  // warm: first run takes the allocations
+      const auto res = op->run_to_completion();
+      chain_ns += res.end - res.start;
+    }
+    weight_sum += c.weight;
+    service_sum += c.weight * static_cast<double>(chain_ns);
+  }
+  return service_sum / weight_sum;
 }
 
 }  // namespace fccbench

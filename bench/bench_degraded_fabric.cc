@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "framework/op_registry.h"
 #include "gpu/machine.h"
 #include "hw/fault.h"
 #include "hw/topology.h"
@@ -181,28 +180,6 @@ hw::FaultPlan severity_plan(hw::Topology& topo, const Fabric& f, int severity,
   return plan;
 }
 
-/// Weighted mean batch service time on the healthy machine (same
-/// calibration as bench_serve_load).
-double calibrate_service_ns(const gpu::Machine::Config& mc) {
-  gpu::Machine machine(mc);
-  shmem::World world(machine);
-  const auto catalog = serve::default_catalog(machine.num_pes());
-  const fw::OpRegistry& registry = fw::OpRegistry::global();
-  double weight_sum = 0.0, service_sum = 0.0;
-  for (const serve::ServeClass& c : catalog) {
-    TimeNs chain_ns = 0;
-    for (const fw::OpSpec& spec : c.chain) {
-      auto op = registry.at(spec.name).make(world, spec, fw::Backend::kFused);
-      op->run_to_completion();
-      const auto res = op->run_to_completion();
-      chain_ns += res.end - res.start;
-    }
-    weight_sum += c.weight;
-    service_sum += c.weight * static_cast<double>(chain_ns);
-  }
-  return service_sum / weight_sum;
-}
-
 struct PointResult {
   bool crashed = false;
   std::string error;
@@ -270,7 +247,7 @@ int main() {
   std::vector<double> slo_factor(fabs.size());
   std::vector<std::vector<serve::Arrival>> traces(fabs.size());
   for (std::size_t t = 0; t < fabs.size(); ++t) {
-    const double service_ns = calibrate_service_ns(fabs[t].machine);
+    const double service_ns = fccbench::calibrate_service_ns(fabs[t].machine);
     offered_rps[t] = 0.5 *
                      static_cast<double>(scfg.lanes * scfg.policy.max_batch) *
                      1e9 / service_ns;

@@ -29,7 +29,6 @@ int main() {
   cfg.pooling = 64;
   cfg.functional = false;
   cfg.occupancy_slots_override = 32;
-  cfg.emit_trace = true;
 
   gpu::Machine::Config mc;
   mc.num_nodes = 2;

@@ -91,7 +91,7 @@ gpu::Machine::Config shard_machine(int shards, bool collect_trace) {
   return torus_machine(8, 8, shards, collect_trace);
 }
 
-fused::EmbeddingA2AConfig shard_op_config(int num_pes, bool emit_trace) {
+fused::EmbeddingA2AConfig shard_op_config(int num_pes) {
   fused::EmbeddingA2AConfig cfg;
   cfg.map.num_pes = num_pes;
   cfg.map.tables_per_pe = 8;
@@ -99,7 +99,6 @@ fused::EmbeddingA2AConfig shard_op_config(int num_pes, bool emit_trace) {
   cfg.map.dim = 256;
   cfg.map.vectors_per_slice = 32;
   cfg.functional = false;
-  cfg.emit_trace = emit_trace;
   return cfg;
 }
 
@@ -112,9 +111,8 @@ struct ShardPoint {
 ShardPoint run_shard_point(int shards, int iters, unsigned threads) {
   gpu::Machine machine(shard_machine(shards, /*collect_trace=*/false));
   shmem::World world(machine);
-  fused::FusedEmbeddingAllToAll op(
-      world, shard_op_config(machine.num_pes(), /*emit_trace=*/false),
-      nullptr);
+  fused::FusedEmbeddingAllToAll op(world, shard_op_config(machine.num_pes()),
+                                   nullptr);
   ShardPoint p;
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) {
@@ -139,9 +137,8 @@ ShardPoint run_shard_point(int shards, int iters, unsigned threads) {
 std::pair<fused::OperatorResult, std::string> traced_shard_run(int shards) {
   gpu::Machine machine(shard_machine(shards, /*collect_trace=*/true));
   shmem::World world(machine);
-  fused::FusedEmbeddingAllToAll op(
-      world, shard_op_config(machine.num_pes(), /*emit_trace=*/true),
-      nullptr);
+  fused::FusedEmbeddingAllToAll op(world, shard_op_config(machine.num_pes()),
+                                   nullptr);
   const auto res = op.run_to_completion();
   std::ostringstream json;
   machine.merged_trace().write_chrome_json(json);
@@ -165,8 +162,7 @@ template <typename Op>
 TimeNs torus_span(int nx, int ny) {
   gpu::Machine machine(torus_machine(nx, ny, 1, /*collect_trace=*/false));
   shmem::World world(machine);
-  Op op(world, shard_op_config(machine.num_pes(), /*emit_trace=*/false),
-        nullptr);
+  Op op(world, shard_op_config(machine.num_pes()), nullptr);
   return op.run_to_completion().duration();
 }
 

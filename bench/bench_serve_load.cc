@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "framework/op_registry.h"
 #include "gpu/machine.h"
 #include "hw/topology.h"
 #include "serve/arrivals.h"
@@ -102,28 +101,6 @@ std::vector<double> env_loads() {
   }
   FCC_CHECK_MSG(loads.size() >= 2, "need >= 2 load points for a knee");
   return loads;
-}
-
-/// Weighted mean batch service time (ns) of the catalog on this machine:
-/// one warm run per chain stage (cold allocations out of the measurement).
-double calibrate_service_ns(const gpu::Machine::Config& mc) {
-  gpu::Machine machine(mc);
-  shmem::World world(machine);
-  const auto catalog = serve::default_catalog(machine.num_pes());
-  const fw::OpRegistry& registry = fw::OpRegistry::global();
-  double weight_sum = 0.0, service_sum = 0.0;
-  for (const serve::ServeClass& c : catalog) {
-    TimeNs chain_ns = 0;
-    for (const fw::OpSpec& spec : c.chain) {
-      auto op = registry.at(spec.name).make(world, spec, fw::Backend::kFused);
-      op->run_to_completion();  // warm: first run takes the allocations
-      const auto res = op->run_to_completion();
-      chain_ns += res.end - res.start;
-    }
-    weight_sum += c.weight;
-    service_sum += c.weight * static_cast<double>(chain_ns);
-  }
-  return service_sum / weight_sum;
 }
 
 struct PointResult {
@@ -262,7 +239,7 @@ int main() {
   std::vector<double> capacity_rps(topos.size());
   serve::ServeConfig scfg;  // defaults: 2 lanes, max_batch 8
   for (std::size_t t = 0; t < topos.size(); ++t) {
-    const double s = calibrate_service_ns(topos[t].machine);
+    const double s = fccbench::calibrate_service_ns(topos[t].machine);
     capacity_rps[t] =
         static_cast<double>(scfg.lanes * scfg.policy.max_batch) * 1e9 / s;
   }
@@ -327,7 +304,7 @@ int main() {
   shard_topo.machine.gpus_per_node = 1;
   const double shard_capacity =
       static_cast<double>(scfg.lanes * scfg.policy.max_batch) * 1e9 /
-      calibrate_service_ns(shard_topo.machine);
+      fccbench::calibrate_service_ns(shard_topo.machine);
   run_serve_shard_scaling(shard_topo, shard_capacity, num_reqs);
 
   return knee_everywhere ? 0 : 1;

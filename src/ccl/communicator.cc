@@ -447,7 +447,6 @@ std::vector<std::optional<TimeNs>> Communicator::price_all_reduce(
     std::span<const AllReduceAlgo> algos) {
   gpu::Machine::Config serial = config;
   serial.num_shards = 1;
-  serial.pe_shard.clear();
   serial.collect_trace = false;
   gpu::Machine machine(serial);
   std::vector<PeId> pes(static_cast<std::size_t>(machine.num_pes()));

@@ -1,43 +1,19 @@
 #include "dlrm/model.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 
 #include "common/rng.h"
-#include "gpu/persistent.h"
 #include "ops/cost_model.h"
 #include "ops/elementwise.h"
 #include "ops/gemm.h"
 #include "ops/gemv.h"
+#include "triton/tile_lang.h"
 
 namespace fcc::dlrm {
 namespace {
-
-/// An MLP layer's tile costs, indexed by tile_variant: full tiles, and
-/// tiles on the last row and/or column block.
-using TileCosts = std::array<gpu::WorkCost, 4>;
-
-int tile_variant(const ops::GemmShape& s, int pid) {
-  return static_cast<int>(s.row_end(pid) - s.row_begin(pid) != s.block_m) +
-         2 * static_cast<int>(s.col_end(pid) - s.col_begin(pid) != s.block_n);
-}
-
-TileCosts tile_costs(const ops::GemmShape& s) {
-  const int last = s.num_tiles() - 1;
-  const int edge_rows = s.row_end(last) - s.row_begin(last);
-  const int edge_cols = s.col_end(last) - s.col_begin(last);
-  TileCosts costs;
-  for (int v = 0; v < 4; ++v) {
-    costs[static_cast<std::size_t>(v)] = ops::gemm_tile_cost(
-        (v & 1) != 0 ? edge_rows : s.block_m,
-        (v & 2) != 0 ? edge_cols : s.block_n, s.k, ops::kTunedGemmEfficiency,
-        ops::kBaselineCurve);
-  }
-  return costs;
-}
 
 /// Per-PE host activations, [pe][local batch x width] row-major.
 using Activations = std::vector<std::vector<float>>;
@@ -85,14 +61,6 @@ ops::GemmShape mlp_gemm(int m, int n, int k, int slots) {
   return s;
 }
 
-/// One slot of an MLP GEMM kernel: a compute step per output tile.
-sim::Co mlp_slot(gpu::KernelRun& run, gpu::Device& dev,
-                 const ops::GemmShape& s, const TileCosts& costs, int slot) {
-  for (int pid; (pid = co_await run.next(slot)) >= 0;) {
-    co_await dev.compute(costs[static_cast<std::size_t>(tile_variant(s, pid))]);
-  }
-}
-
 /// A compute-only op: each PE's kernels start one launch latency after the
 /// op does, with no communication or host sync; both backends build it.
 class ComputeOp : public fused::FusedOp {
@@ -124,10 +92,13 @@ class MlpOp final : public ComputeOp {
         cfg_(std::move(cfg)),
         data_(data),
         backward_(backward) {
+    // One tile-DSL GEMM per layer. A plain GEMM's occupancy (256 threads x
+    // 128 VGPRs) is the device's max_wg_slots, the wave mlp_gemm fills.
     const int slots = world.machine().device(0).spec().max_wg_slots();
     auto add = [&](int m, int n, int k) {
-      const ops::GemmShape s = mlp_gemm(m, n, k, slots);
-      kernels_.push_back({s, tile_costs(s)});
+      kernels_.push_back(std::make_unique<triton::TileKernel>(
+          name(), mlp_gemm(m, n, k, slots), ops::kTunedGemmEfficiency));
+      kernels_.back()->load_a().load_b().dot().store_c_local({});
     };
     std::vector<int> in(1, cfg_.in_dim);  // layer l's input width
     in.insert(in.end(), cfg_.widths.begin(), cfg_.widths.end() - 1);
@@ -155,28 +126,18 @@ class MlpOp final : public ComputeOp {
   }
 
  private:
-  struct Kernel {
-    ops::GemmShape shape;
-    TileCosts costs;
-  };
-
   sim::Co pe_body(PeId pe) override {
     gpu::Device& dev = world_.machine().device(pe);
+    // A hardware-dispatched grid of output tiles: no task-loop claim cost.
+    triton::TileKernel::LaunchConfig lc;
+    lc.world = &world_;
+    lc.pe = pe;
+    lc.dispatch_overhead_ns = 0;
     for (std::size_t i = 0; i < kernels_.size(); ++i) {
       if (i > 0) {
         co_await sim::delay(dev.engine(), dev.spec().kernel_launch_ns);
       }
-      // One GEMM kernel: grid of output tiles.
-      const Kernel& kernel = kernels_[i];
-      gpu::KernelRun::Params p;
-      p.num_slots = dev.spec().max_wg_slots();
-      p.num_wgs = kernel.shape.num_tiles();  // position = output tile
-      p.body = [&dev, &kernel](gpu::KernelRun& run, int slot) {
-        return mlp_slot(run, dev, kernel.shape, kernel.costs, slot);
-      };
-      gpu::KernelRun run(dev.engine(), std::move(p));
-      run.start();
-      co_await run.wait();
+      co_await kernels_[i]->launch(lc);
     }
     result_.pe_end[static_cast<std::size_t>(pe)] = dev.engine().now();
     if (data_ == nullptr) co_return;
@@ -184,7 +145,7 @@ class MlpOp final : public ComputeOp {
     const auto p = static_cast<std::size_t>(pe);
     std::vector<float> act = (*data_->in)[p];
     for (std::size_t l = 0; l < kernels_.size(); ++l) {
-      act = ops::gemm_reference(kernels_[l].shape, act, weights_[l]);
+      act = ops::gemm_reference(kernels_[l]->shape(), act, weights_[l]);
       if (l + 1 < kernels_.size() || !cfg_.sigmoid_out) ops::relu_inplace(act);
     }
     if (cfg_.sigmoid_out) {
@@ -196,7 +157,7 @@ class MlpOp final : public ComputeOp {
   MlpConfig cfg_;
   LayerData* data_;
   bool backward_;
-  std::vector<Kernel> kernels_;
+  std::vector<std::unique_ptr<triton::TileKernel>> kernels_;
   std::vector<std::vector<float>> weights_;  // [layer][k x n], functional
 };
 

@@ -145,7 +145,9 @@ sim::Co FusedEmbeddingAllToAll::pe_slot(gpu::KernelRun& run, PeId pe,
   // functional data stay in plain helpers, trace timestamps in traced_wg.
   for (int lw; (lw = wg_at(pe, co_await run.next(slot))) >= 0;) {
     const SliceMap::Placement at = cfg_.map.place(lw);
-    if (cfg_.emit_trace && world_.machine().trace_of(pe).enabled()) {
+    // The machine's trace switch, read per WG from its config: cheaper
+    // than looking up the PE's shard buffer (trace_of) on the hot path.
+    if (world_.machine().config().collect_trace) {
       co_await traced_wg(pe, slot, lw, at);
     } else {
       const bool zero_copy = zero_copy_to(pe, at.dest);
@@ -276,7 +278,7 @@ sim::Co FusedEmbeddingAllToAll::emit_slice_from_slot(PeId pe, int slot,
   if (dest == pe) {
     // Locally consumed slice: flag is a local store.
     slice_rdy_->set(pe, fidx, 1);
-    if (cfg_.emit_trace && machine.trace_of(pe).enabled()) {
+    if (machine.config().collect_trace) {
       machine.trace_of(pe).add_instant(
           {"local_slice", "local", pe, slot, machine.engine_of(pe).now()});
     }
@@ -303,7 +305,7 @@ sim::Co FusedEmbeddingAllToAll::emit_slice_from_slot(PeId pe, int slot,
     co_await world_.issue(pe, dest, kind);
   }
   slice_rdy_.signal(world_, pe, dest, fidx);
-  if (cfg_.emit_trace && machine.trace_of(pe).enabled()) {
+  if (machine.config().collect_trace) {
     machine.trace_of(pe).add_instant(
         {"put", "comm", pe, slot, machine.engine_of(pe).now()});
   }

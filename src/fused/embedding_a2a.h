@@ -62,8 +62,6 @@ struct EmbeddingA2AConfig {
   /// false, intra-node slices stage locally and move as slice-granular
   /// copies (the ablation in bench_ablation_zero_copy).
   bool zero_copy = true;
-  /// Emit trace spans/instants (Fig. 11) — keep off for large sweeps.
-  bool emit_trace = false;
 
   ops::EmbeddingConfig emb_config() const {
     ops::EmbeddingConfig e;

@@ -10,12 +10,12 @@ namespace fcc::gpu {
 
 namespace {
 
-/// Default node→shard map. Torus grids are cut into rectangular tiles
+/// The node→shard map. Torus grids are cut into rectangular tiles
 /// (minimal cross-shard surface, and tiles keep neighbor traffic — the
 /// dominant pattern on a torus — inside one shard) when a tile factorization
 /// sx*sy == num_shards divides the dims; anything else gets contiguous
 /// balanced node blocks.
-std::vector<int> default_node_shard(const Machine::Config& config) {
+std::vector<int> node_shard_map(const Machine::Config& config) {
   const int nodes = config.num_nodes;
   const int num_shards = config.num_shards;
   std::vector<int> shard(static_cast<std::size_t>(nodes), 0);
@@ -83,35 +83,13 @@ Machine::Machine(const Config& config)
                     << "); a node may not split across shards");
   const int pes = config.num_nodes * config.gpus_per_node;
 
-  // PE→shard partition: explicit map (validated) or the default one.
-  if (!config.pe_shard.empty()) {
-    FCC_CHECK_MSG(static_cast<int>(config.pe_shard.size()) == pes,
-                  "Machine::Config: pe_shard has " << config.pe_shard.size()
-                                                   << " entries for " << pes
-                                                   << " PEs");
-    for (PeId pe = 0; pe < pes; ++pe) {
-      const int s = config.pe_shard[static_cast<std::size_t>(pe)];
-      FCC_CHECK_MSG(s >= 0 && s < config.num_shards,
-                    "Machine::Config: pe_shard[" << pe << "] = " << s
-                                                 << " out of range [0, "
-                                                 << config.num_shards << ")");
-      const PeId first = (pe / config.gpus_per_node) * config.gpus_per_node;
-      FCC_CHECK_MSG(
-          s == config.pe_shard[static_cast<std::size_t>(first)],
-          "Machine::Config: pe_shard splits node "
-              << pe / config.gpus_per_node << " across shards ("
-              << config.pe_shard[static_cast<std::size_t>(first)] << " vs "
-              << s << " at PE " << pe
-              << "); intra-node fabric state is shard-owned");
-    }
-    pe_shard_ = config.pe_shard;
-  } else {
-    const std::vector<int> node_shard = default_node_shard(config);
-    pe_shard_.resize(static_cast<std::size_t>(pes));
-    for (PeId pe = 0; pe < pes; ++pe) {
-      pe_shard_[static_cast<std::size_t>(pe)] =
-          node_shard[static_cast<std::size_t>(pe / config.gpus_per_node)];
-    }
+  // PE→shard partition: node-aligned, since intra-node fabric state
+  // (ports, switch links) is shard-owned.
+  const std::vector<int> node_shard = node_shard_map(config);
+  pe_shard_.resize(static_cast<std::size_t>(pes));
+  for (PeId pe = 0; pe < pes; ++pe) {
+    pe_shard_[static_cast<std::size_t>(pe)] =
+        node_shard[static_cast<std::size_t>(pe / config.gpus_per_node)];
   }
 
   // Fabric/NIC bandwidths are validated by the topology that actually

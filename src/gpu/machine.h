@@ -41,11 +41,6 @@ class Machine {
     /// tiles, others contiguous node blocks) and the machine must be driven
     /// through `run_all` / `sharded()` rather than `engine().run()`.
     int num_shards = 1;
-
-    /// Optional explicit PE→shard map (size num_pes). Must be node-aligned:
-    /// intra-node fabric state (ports, switch links) is shard-owned, so a
-    /// node split across shards is rejected. Empty = default partition.
-    std::vector<int> pe_shard;
   };
 
   explicit Machine(const Config& config);

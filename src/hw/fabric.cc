@@ -1,7 +1,5 @@
 #include "hw/fabric.h"
 
-#include <algorithm>
-
 namespace fcc::hw {
 
 Fabric::Fabric(int num_ports, const FabricSpec& spec) : spec_(spec) {
@@ -16,21 +14,6 @@ Fabric::Fabric(int num_ports, const FabricSpec& spec) : spec_(spec) {
         "gpu" + std::to_string(p) + ".ingress", spec.port_bytes_per_ns,
         /*latency_ns=*/0));
   }
-}
-
-TimeNs Fabric::transfer(int src, int dst, Bytes bytes, TimeNs ready) {
-  FCC_CHECK(src >= 0 && src < num_ports());
-  FCC_CHECK(dst >= 0 && dst < num_ports());
-  FCC_CHECK_MSG(src != dst, "fabric transfer to self (use local stores)");
-  Link& out = *egress_[src];
-  Link& in = *ingress_[dst];
-
-  Link* const hops[] = {&out, &in};
-  const TimeNs delivered =
-      reserve_cut_through(hops, bytes, ready, spec_.latency_ns);
-  out.add_bytes(bytes);
-  total_bytes_ += bytes;
-  return delivered;
 }
 
 }  // namespace fcc::hw

@@ -1,10 +1,11 @@
 // Intra-node GPU fabric (Infinity Fabric class), fully connected.
 //
 // Each GPU owns an egress port and an ingress port of `port_bytes_per_ns`
-// capacity. A peer-to-peer transfer occupies *both* endpoints for its
-// serialization time (cut-through, reserved jointly, so bytes are never
-// double-counted). Port sharing across concurrent peers is the contention
-// mechanism behind the paper's Fig. 9 droop at M = 64k.
+// capacity. A peer-to-peer write is the route {src egress, dst ingress},
+// reserved jointly (cut-through) through Topology::write_time, so it
+// occupies *both* endpoints for its serialization time. Port sharing across
+// concurrent peers is the contention mechanism behind the paper's Fig. 9
+// droop at M = 64k.
 #pragma once
 
 #include <memory>
@@ -22,26 +23,25 @@ class Fabric {
  public:
   Fabric(int num_ports, const FabricSpec& spec);
 
-  int num_ports() const { return static_cast<int>(egress_.size()); }
   const FabricSpec& spec() const { return spec_; }
-
-  /// Moves `bytes` from GPU `src` to GPU `dst`, ready at `ready`. Returns
-  /// the time the data is visible in `dst` memory.
-  TimeNs transfer(int src, int dst, Bytes bytes, TimeNs ready);
 
   const Link& egress(int port) const { return *egress_.at(port); }
   const Link& ingress(int port) const { return *ingress_.at(port); }
   Link& egress(int port) { return *egress_.at(port); }
   Link& ingress(int port) { return *ingress_.at(port); }
 
-  /// Total payload bytes moved through the fabric so far.
-  Bytes total_bytes() const { return total_bytes_; }
+  /// Total payload bytes moved through the fabric so far: every write
+  /// leaves through exactly one egress port.
+  Bytes total_bytes() const {
+    Bytes sum = 0;
+    for (const auto& l : egress_) sum += l->total_bytes();
+    return sum;
+  }
 
  private:
   FabricSpec spec_;
   std::vector<std::unique_ptr<Link>> egress_;
   std::vector<std::unique_ptr<Link>> ingress_;
-  Bytes total_bytes_ = 0;
 };
 
 }  // namespace fcc::hw

@@ -46,15 +46,17 @@ class Link {
     return static_cast<TimeNs>(static_cast<double>(bytes) / bw_ + 0.5);
   }
 
-  /// Reserves the interval [start, end) on the link. `start` must be at or
-  /// after the current horizon (FIFO order). Routing must never reserve a
-  /// dead link (resolution reroutes or throws PartitionedFabricError).
-  void occupy_interval(TimeNs start, TimeNs end) {
+  /// Reserves the interval [start, end) on the link for a transfer of
+  /// `bytes`. `start` must be at or after the current horizon (FIFO order).
+  /// Routing must never reserve a dead link (resolution reroutes or throws
+  /// PartitionedFabricError).
+  void occupy_interval(TimeNs start, TimeNs end, Bytes bytes) {
     FCC_DCHECK(!dead_);
     FCC_CHECK(start >= next_free_);
     FCC_CHECK(end >= start);
     busy_ns_ += end - start;
     next_free_ = end;
+    total_bytes_ += bytes;
     ++transfers_;
   }
 
@@ -63,8 +65,7 @@ class Link {
   TimeNs submit(TimeNs ready, Bytes bytes) {
     const TimeNs start = earliest_start(ready);
     const TimeNs end = start + occupancy(bytes);
-    occupy_interval(start, end);
-    total_bytes_ += bytes;
+    occupy_interval(start, end, bytes);
     return end + latency_ns_ + jitter_ns_;
   }
 
@@ -72,8 +73,6 @@ class Link {
   Bytes total_bytes() const { return total_bytes_; }
   TimeNs busy_ns() const { return busy_ns_; }
   std::int64_t transfers() const { return transfers_; }
-
-  void add_bytes(Bytes b) { total_bytes_ += b; }
 
   // ---- fault-injection health (hw/fault.h) --------------------------------
   // Healthy defaults are arithmetic identities (bw_ == nominal, + 0 jitter),
@@ -134,7 +133,7 @@ inline TimeNs reserve_cut_through(std::span<Link* const> hops, Bytes bytes,
   TimeNs max_occ = 0;
   for (Link* l : hops) {
     const TimeNs occ = l->occupancy(bytes);
-    l->occupy_interval(start, start + occ);
+    l->occupy_interval(start, start + occ, bytes);
     if (occ > max_occ) max_occ = occ;
   }
   return start + max_occ + latency_ns;

@@ -258,25 +258,6 @@ void FullyConnectedTopology::resolve(PeId src, PeId dst, Route& route) {
   if (faulted()) guard_route(src, dst, route);
 }
 
-TimeNs FullyConnectedTopology::write_time(PeId src, PeId dst, Bytes bytes,
-                                          TimeNs ready) {
-  // Fabric::transfer / Nic::post keep their byte and message counters
-  // accurate; both funnel into the same reservation primitives the generic
-  // path uses.
-  if (node_of(src) == node_of(dst)) {
-    return fabrics_[static_cast<std::size_t>(node_of(src))]->transfer(
-        local_index(src), local_index(dst), bytes, ready);
-  }
-  Nic* nic = nics_[static_cast<std::size_t>(node_of(src))].get();
-  if (faulted() && nic->dead()) {
-    throw PartitionedFabricError(
-        "route pe" + std::to_string(src) + " -> pe" + std::to_string(dst) +
-            " needs dead NIC " + nic->name(),
-        src, dst);
-  }
-  return nic->post(ready, bytes);
-}
-
 void FullyConnectedTopology::collect_fault_sites(std::vector<FaultSite>& out) {
   // The NIC is the kill switch for a node's scale-out path; its wire is the
   // derate/jitter surface (a browned-out IB cable).
@@ -410,17 +391,6 @@ void MultiRailTopology::resolve(PeId src, PeId dst, Route& route) {
                             : rail(node_of(src), local_index(src) % rails_);
       break;
   }
-}
-
-TimeNs MultiRailTopology::write_time(PeId src, PeId dst, Bytes bytes,
-                                     TimeNs ready) {
-  if (node_of(src) == node_of(dst)) {
-    return fabrics_[static_cast<std::size_t>(node_of(src))]->transfer(
-        local_index(src), local_index(dst), bytes, ready);
-  }
-  Nic* nic = faulted() ? alive_rail(src, dst)
-                       : rail(node_of(src), local_index(src) % rails_);
-  return nic->post(ready, bytes);
 }
 
 Nic* MultiRailTopology::alive_rail(PeId src, PeId dst) {

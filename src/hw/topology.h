@@ -20,9 +20,9 @@
 //   TorusTopology           event-driven 2D torus of nodes with
 //                           dimension-ordered routes
 //
-// A new fabric is one subclass: implement `resolve` (and optionally
-// `write_time` for paths with special accounting) and `make_topology`
-// plumbs it under gpu::Machine unchanged.
+// Every write resolves its route and reserves it (`write_time`), and every
+// hop counts its own bytes, so a new fabric is one subclass: implement
+// `resolve` and `make_topology` plumbs it under gpu::Machine unchanged.
 #pragma once
 
 #include <cstdint>
@@ -151,10 +151,8 @@ class Topology {
   NodeId node_of(PeId pe) const { return pe / gpus_per_node_; }
   int local_index(PeId pe) const { return pe % gpus_per_node_; }
 
-  /// Cheap classification (no link resolution); the default node-arithmetic
-  /// rule is right for every fabric here, but a subclass with asymmetric
-  /// reachability may refine it.
-  virtual RouteClass route_class(PeId src, PeId dst) const {
+  /// Cheap classification (no link resolution) by node arithmetic.
+  RouteClass route_class(PeId src, PeId dst) const {
     if (src == dst) return RouteClass::kSelf;
     return node_of(src) == node_of(dst) ? RouteClass::kIntraNode
                                         : RouteClass::kInterNode;
@@ -171,10 +169,8 @@ class Topology {
   virtual void resolve(PeId src, PeId dst, Route& route) = 0;
 
   /// Reserves the route for `bytes` ready at `ready` and returns the
-  /// delivery-complete time. The default resolves and runs the generic
-  /// cut-through-then-NIC reservation; subclasses with bespoke accounting
-  /// (the fully-connected Fabric byte counters) override it.
-  virtual TimeNs write_time(PeId src, PeId dst, Bytes bytes, TimeNs ready);
+  /// delivery-complete time: resolves, then runs `reserve`.
+  TimeNs write_time(PeId src, PeId dst, Bytes bytes, TimeNs ready);
 
   /// Generic reservation of an already-resolved route.
   static TimeNs reserve(const Route& route, Bytes bytes, TimeNs ready);
@@ -289,8 +285,8 @@ class Topology {
 };
 
 /// The pre-topology Machine fabric: per-node fully-connected ports, one
-/// NIC per node for scale-out. Timings are byte-identical to the old
-/// two-path `remote_write_time` (golden-trace enforced).
+/// NIC per node for scale-out. An intra-node write is the two-hop
+/// {egress, ingress} route, an inter-node one the source node's NIC.
 class FullyConnectedTopology final : public Topology {
  public:
   FullyConnectedTopology(int num_nodes, int gpus_per_node,
@@ -298,7 +294,6 @@ class FullyConnectedTopology final : public Topology {
 
   const char* kind_name() const override { return "fully_connected"; }
   void resolve(PeId src, PeId dst, Route& route) override;
-  TimeNs write_time(PeId src, PeId dst, Bytes bytes, TimeNs ready) override;
   Fabric* node_fabric(NodeId node) override { return fabrics_.at(node).get(); }
   Nic* node_nic(NodeId node) override { return nics_.at(node).get(); }
 
@@ -347,7 +342,6 @@ class MultiRailTopology final : public Topology {
 
   const char* kind_name() const override { return "multi_rail"; }
   void resolve(PeId src, PeId dst, Route& route) override;
-  TimeNs write_time(PeId src, PeId dst, Bytes bytes, TimeNs ready) override;
   Fabric* node_fabric(NodeId node) override { return fabrics_.at(node).get(); }
   Nic* node_nic(NodeId node) override { return rail(node, 0); }
 

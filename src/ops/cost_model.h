@@ -55,21 +55,6 @@ inline gpu::WorkCost gemv_tile_cost(int tile_rows, int k, bool local_write,
   return c;
 }
 
-/// GEMM, one logical WG = one BM x BN output tile of C = A(MxK) * B(KxN):
-/// ALU-dominated; HBM traffic is the A/B panels once per tile (no tiling
-/// reuse across WGs modeled — conservative for a generic implementation).
-inline gpu::WorkCost gemm_tile_cost(int bm, int bn, int k, double efficiency,
-                                    const hw::HbmCurve& curve) {
-  gpu::WorkCost c;
-  c.hbm_bytes = (static_cast<Bytes>(bm) * k + static_cast<Bytes>(k) * bn +
-                 static_cast<Bytes>(bm) * bn) *
-                4;
-  c.flops = 2.0 * bm * bn * k;
-  c.alu_efficiency = efficiency;
-  c.curve = curve;
-  return c;
-}
-
 /// Elementwise op over n fp32 (activation, bias add): pure bandwidth.
 inline gpu::WorkCost elementwise_cost(std::int64_t n, int streams = 2) {
   gpu::WorkCost c;

@@ -16,6 +16,12 @@
 //    .fence()
 //    .atomic_add_remote(&flags, dest_of_tile, flag_slot);
 //
+// Every GEMM in src/ is a TileKernel: the fused GEMM + All-to-All
+// (fused/gemm_a2a.cc), the fused MoE dispatch (fused/moe_dispatch.cc), the
+// baselines' local GEMMs (BulkSyncOp, fused/op_runtime.cc) and DLRM's MLP
+// layers (dlrm/model.cc: plain load/dot/store programs on a
+// hardware-dispatched grid, launched with no task-loop dispatch cost).
+//
 // The interpreter charges one WorkCost per pid (panel loads + dot flops +
 // local stores), runs the functional tile math when buffers are bound, and
 // routes the comm statements through the shmem world. A pid's cost is one

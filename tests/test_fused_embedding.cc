@@ -671,7 +671,6 @@ std::pair<OperatorResult, std::string> small_traced_run(bool trace) {
   cfg.map.vectors_per_slice = 2;
   cfg.pooling = 16;
   cfg.functional = false;
-  cfg.emit_trace = trace;
   cfg.occupancy_slots_override = 2;
   gpu::Machine::Config mc;
   mc.num_nodes = 2;

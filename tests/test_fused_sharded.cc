@@ -145,7 +145,6 @@ std::string traced_embedding_run(const gpu::Machine::Config& base,
   cfg.map.dim = 64;
   cfg.map.vectors_per_slice = 8;
   cfg.functional = false;
-  cfg.emit_trace = true;
 
   fused::FusedEmbeddingAllToAll op(world, cfg, nullptr);
   op.run_to_completion();

@@ -88,6 +88,12 @@ TEST(Device, DurationTableIsExactAtEveryActiveCount) {
   Machine m(one_gpu());
   Device& d = m.device(0);
   const int max_slots = d.spec().max_wg_slots();
+  // A 64x64 tile over k = 4096: A and B panels in, C out.
+  WorkCost tile_gemm;
+  tile_gemm.hbm_bytes = (64 * 4096 + 4096 * 64 + 64 * 64) * 4;
+  tile_gemm.flops = 2.0 * 64 * 64 * 4096;
+  tile_gemm.alu_efficiency = ops::kTritonGemmEfficiency;
+  tile_gemm.curve = ops::kBaselineCurve;
   std::vector<std::pair<const char*, WorkCost>> costs = {
       {"baseline embedding",
        ops::embedding_wg_cost(64, 128, /*local_write=*/true,
@@ -95,9 +101,7 @@ TEST(Device, DurationTableIsExactAtEveryActiveCount) {
       {"fused embedding store",
        ops::embedding_wg_cost(64, 256, /*local_write=*/false,
                               ops::kFusedEmbeddingCurve)},
-      {"tile gemm",
-       ops::gemm_tile_cost(64, 64, 4096, ops::kTritonGemmEfficiency,
-                           ops::kBaselineCurve)},
+      {"tile gemm", tile_gemm},
   };
   for (auto& [name, cost] : costs) {
     WorkCost plain = cost;

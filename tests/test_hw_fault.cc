@@ -96,7 +96,7 @@ TEST(MultiRailFaults, DeadRailFailsOverToSurvivingRail) {
   topo.resolve(0, 4, r);
   ASSERT_NE(r.nic, nullptr);
   EXPECT_EQ(r.nic->name(), "node0.rail1");
-  // write_time reroutes too (the bespoke non-resolve path).
+  // write_time reserves the rerouted rail.
   EXPECT_GT(topo.write_time(0, 4, 4096, 0), 0);
 
   // Both rails dead: node0 cannot reach node1 at all.

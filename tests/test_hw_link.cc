@@ -73,9 +73,9 @@ TEST(Link, HorizonIsMonotoneUnderOutOfOrderReadyTimes) {
 
 TEST(Link, OccupyIntervalRejectsHorizonViolation) {
   Link l("l", 1.0, 0);
-  l.occupy_interval(0, 100);
-  EXPECT_THROW(l.occupy_interval(50, 120), std::logic_error);  // overlaps
-  EXPECT_THROW(l.occupy_interval(200, 150), std::logic_error);  // end < start
+  l.occupy_interval(0, 100, 100);
+  EXPECT_THROW(l.occupy_interval(50, 120, 70), std::logic_error);  // overlaps
+  EXPECT_THROW(l.occupy_interval(200, 150, 0), std::logic_error);  // end<start
 }
 
 TEST(Nic, MessageProcessingSerializesBeforeWire) {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "gpu/machine.h"
@@ -22,20 +24,6 @@ hw::FabricSpec fabric_80() {
   return s;
 }
 
-TEST(FullyConnectedTopology, IntraNodeMatchesFabricTransferExactly) {
-  // The topology's route reservation must be byte-identical to the
-  // historical Fabric path (joint egress/ingress accounting).
-  hw::FullyConnectedTopology topo(1, 4, fabric_80(), {});
-  hw::Fabric ref(4, fabric_80());
-  // Same contention pattern on both: shared egress, shared ingress,
-  // disjoint pair.
-  EXPECT_EQ(topo.write_time(0, 1, 8000, 0), ref.transfer(0, 1, 8000, 0));
-  EXPECT_EQ(topo.write_time(0, 2, 8000, 0), ref.transfer(0, 2, 8000, 0));
-  EXPECT_EQ(topo.write_time(3, 2, 8000, 0), ref.transfer(3, 2, 8000, 0));
-  EXPECT_EQ(topo.write_time(1, 2, 4000, 100), ref.transfer(1, 2, 4000, 100));
-  EXPECT_EQ(topo.node_fabric(0)->total_bytes(), ref.total_bytes());
-}
-
 TEST(FullyConnectedTopology, InterNodeMatchesNicPostExactly) {
   hw::IbSpec ib;
   hw::FullyConnectedTopology topo(2, 1, fabric_80(), ib);
@@ -44,6 +32,55 @@ TEST(FullyConnectedTopology, InterNodeMatchesNicPostExactly) {
   EXPECT_EQ(topo.write_time(0, 1, 4096, 50), ref.post(50, 4096));
   EXPECT_EQ(topo.node_nic(0)->messages(), 2);
   EXPECT_EQ(topo.node_nic(1)->messages(), 0);  // dst NIC not charged
+}
+
+TEST(Topology, EveryHopCountsItsBytes) {
+  // One write per route class on each fabric: every link the route
+  // reserves reports the write's bytes, and an inter-node write posts one
+  // NIC message.
+  hw::SwitchedSpec switched;
+  switched.trunk_bytes_per_ns = 200.0;
+  hw::TorusSpec torus;
+  torus.dim_x = 2;
+  torus.dim_y = 2;
+  std::vector<std::unique_ptr<hw::Topology>> fabrics;
+  fabrics.push_back(
+      std::make_unique<hw::FullyConnectedTopology>(4, 2, fabric_80(),
+                                                   hw::IbSpec{}));
+  fabrics.push_back(
+      std::make_unique<hw::SwitchedTopology>(4, 2, switched, hw::IbSpec{}));
+  fabrics.push_back(std::make_unique<hw::MultiRailTopology>(
+      4, 2, /*rails=*/2, fabric_80(), hw::IbSpec{}));
+  fabrics.push_back(std::make_unique<hw::TorusTopology>(torus, 2, fabric_80()));
+  const Bytes bytes = 12345;
+  // Self, intra-node and inter-node (node 0 to node 3: two torus hops).
+  const std::pair<PeId, PeId> writes[] = {{1, 1}, {0, 1}, {1, 7}};
+  for (auto& topo : fabrics) {
+    for (const auto& [src, dst] : writes) {
+      hw::Route r;
+      topo->resolve(src, dst, r);
+      std::vector<Bytes> before;
+      for (const hw::Link* l : r.hops) before.push_back(l->total_bytes());
+      const std::int64_t messages = r.nic ? r.nic->messages() : 0;
+      const Bytes wire = r.nic ? r.nic->wire().total_bytes() : 0;
+      topo->write_time(src, dst, bytes, 0);
+      for (std::size_t h = 0; h < r.hops.size(); ++h) {
+        EXPECT_EQ(r.hops[h]->total_bytes() - before[h], bytes)
+            << topo->kind_name() << " " << r.hops[h]->name();
+      }
+      if (r.cls == hw::RouteClass::kInterNode && r.nic != nullptr) {
+        EXPECT_EQ(r.nic->messages() - messages, 1) << topo->kind_name();
+        EXPECT_EQ(r.nic->wire().total_bytes() - wire, bytes)
+            << topo->kind_name();
+      }
+      if (r.cls == hw::RouteClass::kSelf) {
+        EXPECT_TRUE(r.hops.empty());
+        EXPECT_EQ(r.nic, nullptr);
+      } else {
+        EXPECT_FALSE(r.hops.empty() && r.nic == nullptr) << topo->kind_name();
+      }
+    }
+  }
 }
 
 TEST(Topology, RouteClassification) {

@@ -179,8 +179,10 @@ TEST(CostModel, ZeroCopySkipsLocalWrite) {
 }
 
 TEST(CostModel, GemmTileIsAluBoundForTypicalShapes) {
-  const auto c = gemm_tile_cost(64, 64, 1024, kTunedGemmEfficiency,
-                                kBaselineCurve);
+  // A 64x64 tile over k = 1024: A and B panels in, C out, 2 flops per MAC.
+  gpu::WorkCost c;
+  c.hbm_bytes = (64 * 1024 + 1024 * 64 + 64 * 64) * 4;
+  c.flops = 2.0 * 64 * 64 * 1024;
   // flops/bytes ratio must exceed the machine balance point so GEMM lands
   // ALU-bound (22600 flops/ns vs 1638 B/ns -> ~13.8 flops per byte).
   EXPECT_GT(c.flops / static_cast<double>(c.hbm_bytes), 13.8);

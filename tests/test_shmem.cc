@@ -484,7 +484,7 @@ TEST(World, SelfPutChargesHbmCopyNotFabric) {
   EXPECT_EQ(delivered, static_cast<TimeNs>(2.0 * 1024 / bw + 0.5));
   // Regression: a self-PUT must never reserve fabric link time.
   const auto& fabric = m.fabric(0);
-  for (int p = 0; p < fabric.num_ports(); ++p) {
+  for (int p = 0; p < m.config().gpus_per_node; ++p) {
     EXPECT_EQ(fabric.egress(p).busy_ns(), 0);
     EXPECT_EQ(fabric.egress(p).next_free(), 0);
     EXPECT_EQ(fabric.ingress(p).busy_ns(), 0);

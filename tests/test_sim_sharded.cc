@@ -268,38 +268,6 @@ TEST(ShardConfig, RejectsMoreShardsThanNodes) {
   EXPECT_THROW(gpu::Machine m(cfg), std::logic_error);
 }
 
-TEST(ShardConfig, RejectsPeShardSplittingANode) {
-  gpu::Machine::Config cfg;
-  cfg.num_nodes = 2;
-  cfg.gpus_per_node = 2;
-  cfg.num_shards = 2;
-  cfg.pe_shard = {0, 1, 1, 0};  // both nodes split across shards
-  EXPECT_THROW(gpu::Machine m(cfg), std::logic_error);
-}
-
-TEST(ShardConfig, RejectsPeShardOutOfRangeOrWrongSize) {
-  gpu::Machine::Config cfg;
-  cfg.num_nodes = 2;
-  cfg.gpus_per_node = 1;
-  cfg.num_shards = 2;
-  cfg.pe_shard = {0, 2};  // shard id out of range
-  EXPECT_THROW(gpu::Machine m(cfg), std::logic_error);
-  cfg.pe_shard = {0};  // wrong size
-  EXPECT_THROW(gpu::Machine m(cfg), std::logic_error);
-}
-
-TEST(ShardConfig, AcceptsExplicitNodeAlignedPartition) {
-  gpu::Machine::Config cfg;
-  cfg.num_nodes = 4;
-  cfg.gpus_per_node = 2;
-  cfg.num_shards = 2;
-  cfg.pe_shard = {1, 1, 0, 0, 1, 1, 0, 0};  // node-aligned, non-contiguous
-  gpu::Machine m(cfg);
-  EXPECT_EQ(m.shard_of(0), 1);
-  EXPECT_EQ(m.shard_of(2), 0);
-  EXPECT_EQ(m.shard_of(7), 0);
-}
-
 TEST(ShardConfig, RejectsZeroCrossShardLookahead) {
   auto cfg = torus_config(2, 2, 1, 2);
   cfg.topology.torus.link_latency_ns = 0;  // legal torus, illegal to shard

@@ -8,7 +8,6 @@
 // argument (Sec. V) for why fusion beats decomposition on small kernels.
 #include "bench_common.h"
 #include "fused/embedding_a2a.h"
-#include "gpu/stream.h"
 #include "shmem/world.h"
 #include "sim/task.h"
 

@@ -4,6 +4,9 @@
 // ./bench_results/ (format in docs/BENCHMARKS.md).
 #pragma once
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
@@ -32,6 +35,40 @@ inline std::string out_dir() {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   return dir;
+}
+
+/// Stops the bench (exit status 2) on a malformed env knob, naming it.
+[[noreturn]] inline void reject_env(const char* name, const std::string& value,
+                                    const std::string& expected) {
+  std::cerr << name << "='" << value << "': expected " << expected << "\n";
+  std::exit(2);
+}
+
+/// Integer env knob `name`, or `fallback` when unset or empty. Any other
+/// value must be a whole base-10 int >= `min`, else the bench stops.
+inline int env_int(const char* name, int fallback, int min) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long x = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || x < min || x > INT_MAX) {
+    reject_env(name, v, "an integer >= " + std::to_string(min));
+  }
+  return static_cast<int>(x);
+}
+
+/// One number of env knob `name`'s value: `text` must be a whole finite
+/// decimal > 0, else the bench stops.
+inline double env_positive(const char* name, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(x) || x <= 0) {
+    reject_env(name, text, "a number > 0");
+  }
+  return x;
 }
 
 struct NormRow {

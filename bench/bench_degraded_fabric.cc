@@ -31,7 +31,6 @@
 // Env knobs (CI smoke uses tiny values):
 //   FCC_DEGRADED_REQS  requests per point (default 240)
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <string>
@@ -76,13 +75,15 @@ std::vector<Fabric> fabrics() {
     f.name = "fully_connected_2x4";
     f.machine.num_nodes = 2;
     f.machine.gpus_per_node = 4;
+    // One NIC per node: its only rail's wire browns out.
     f.steps = {
-        {{"node0.wire", K::kDerate, 0.6}},
-        {{"node0.wire", K::kDerate, 0.3},
-         {"node0.wire", K::kJitter, 1.0, 800},
-         {"node1.wire", K::kDerate, 0.5}},
+        {{"node0.rail0.wire", K::kDerate, 0.6}},
+        {{"node0.rail0.wire", K::kDerate, 0.3},
+         {"node0.rail0.wire", K::kJitter, 1.0, 800},
+         {"node1.rail0.wire", K::kDerate, 0.5}},
         // No redundancy to kill: the brownout deepens into a crush.
-        {{"node0.wire", K::kDerate, 0.1}, {"node1.wire", K::kDerate, 0.25}},
+        {{"node0.rail0.wire", K::kDerate, 0.1},
+         {"node1.rail0.wire", K::kDerate, 0.25}},
     };
     out.push_back(f);
   }
@@ -152,12 +153,6 @@ std::vector<Fabric> fabrics() {
     out.push_back(f);
   }
   return out;
-}
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<int>(std::strtol(v, nullptr, 10));
 }
 
 /// The cumulative ladder for one fabric, every event at time `onset`.
@@ -239,7 +234,7 @@ PointResult run_point(const Fabric& f, int severity, bool brownout,
 
 int main() {
   const auto fabs = fabrics();
-  const int num_reqs = env_int("FCC_DEGRADED_REQS", 240);
+  const int num_reqs = fccbench::env_int("FCC_DEGRADED_REQS", 240, /*min=*/1);
   const int points_per_fabric = kSeverities + 1;  // + brownout showcase
 
   serve::ServeConfig scfg;
@@ -251,13 +246,19 @@ int main() {
     offered_rps[t] = 0.5 *
                      static_cast<double>(scfg.lanes * scfg.policy.max_batch) *
                      1e9 / service_ns;
+    const auto catalog = serve::default_catalog(
+        fabs[t].machine.num_nodes * fabs[t].machine.gpus_per_node);
+    TimeNs tightest_slo_ns = 0;  // 0 = no class has an SLO
+    for (const serve::ServeClass& c : catalog) {
+      const bool tighter = tightest_slo_ns == 0 || c.slo_ns < tightest_slo_ns;
+      if (c.slo_ns > 0 && tighter) tightest_slo_ns = c.slo_ns;
+    }
+    FCC_CHECK_MSG(tightest_slo_ns > 0, "the serve catalog sets no SLO");
     // Deadline headroom is relative to what this machine can actually do:
     // ~6x a healthy batch (in units of the tightest class SLO), so the
     // healthy run is timeout-free and a crushed fabric still trips it.
-    slo_factor[t] = 6.0 * service_ns / 200'000.0;
-    const auto weights = serve::class_weights(
-        serve::default_catalog(fabs[t].machine.num_nodes *
-                               fabs[t].machine.gpus_per_node));
+    slo_factor[t] = 6.0 * service_ns / static_cast<double>(tightest_slo_ns);
+    const auto weights = serve::class_weights(catalog);
     traces[t] = serve::poisson_trace(offered_rps[t], num_reqs,
                                      /*seed=*/0xfa117 + t, weights);
   }

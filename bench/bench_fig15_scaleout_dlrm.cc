@@ -44,7 +44,6 @@
 //   FCC_FIG15_SHARD_ITERS   timed op runs per shard count   (default 6)
 //   FCC_FIG15_SHARD_MAX     highest shard count             (default 8)
 #include <chrono>
-#include <cstdlib>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -63,12 +62,6 @@
 namespace {
 
 using namespace fcc;
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<int>(std::strtol(v, nullptr, 10));
-}
 
 // An nx x ny torus, one GPU per node. The flagship runs on 8x8 — the
 // Fig. 15 scale-out shape (single-GPU nodes on a 2D torus), and the
@@ -202,8 +195,8 @@ TimeNs run_torus_shapes() {
 
 /// `baseline_ns`: the flagship baseline's span.
 void run_sharded_flagship(TimeNs baseline_ns) {
-  const int iters = env_int("FCC_FIG15_SHARD_ITERS", 6);
-  const int max_shards = env_int("FCC_FIG15_SHARD_MAX", 8);
+  const int iters = fccbench::env_int("FCC_FIG15_SHARD_ITERS", 6, /*min=*/1);
+  const int max_shards = fccbench::env_int("FCC_FIG15_SHARD_MAX", 8, /*min=*/1);
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
 
   AsciiTable table({"shards", "wall (ms)", "speedup", "attainable",

@@ -82,12 +82,6 @@ std::vector<Topo> topologies() {
   return topos;
 }
 
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<int>(std::strtol(v, nullptr, 10));
-}
-
 std::vector<double> env_loads() {
   std::vector<double> loads;
   const char* v = std::getenv("FCC_SERVE_BENCH_LOADS");
@@ -97,7 +91,9 @@ std::vector<double> env_loads() {
   std::istringstream is(spec);
   std::string tok;
   while (std::getline(is, tok, ',')) {
-    if (!tok.empty()) loads.push_back(std::strtod(tok.c_str(), nullptr));
+    if (!tok.empty()) {
+      loads.push_back(fccbench::env_positive("FCC_SERVE_BENCH_LOADS", tok));
+    }
   }
   FCC_CHECK_MSG(loads.size() >= 2, "need >= 2 load points for a knee");
   return loads;
@@ -178,8 +174,8 @@ ServeShardPoint run_serve_sharded(const Topo& topo, int shards, double rps,
 
 void run_serve_shard_scaling(const Topo& topo, double capacity,
                              int num_reqs) {
-  const int iters = env_int("FCC_SERVE_SHARD_ITERS", 3);
-  const int max_shards = env_int("FCC_SERVE_SHARD_MAX", 8);
+  const int iters = fccbench::env_int("FCC_SERVE_SHARD_ITERS", 3, /*min=*/1);
+  const int max_shards = fccbench::env_int("FCC_SERVE_SHARD_MAX", 8, /*min=*/0);
   if (max_shards < 1) return;
   const double rps = 0.8 * capacity;  // just under the knee
 
@@ -233,7 +229,8 @@ void run_serve_shard_scaling(const Topo& topo, double capacity,
 int main() {
   const auto topos = topologies();
   const auto loads = env_loads();
-  const int num_reqs = env_int("FCC_SERVE_BENCH_REQS", 400);
+  const int num_reqs =
+      fccbench::env_int("FCC_SERVE_BENCH_REQS", 400, /*min=*/1);
 
   // Capacity calibration is cheap and sequential; the sweep is the work.
   std::vector<double> capacity_rps(topos.size());

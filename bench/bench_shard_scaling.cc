@@ -24,7 +24,6 @@
 //   FCC_SHARD_BENCH_MAX_PES  cap on machine size (default 4096)
 //   FCC_SHARD_BENCH_ROUNDS   workload rounds (default 12)
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -46,12 +45,6 @@ struct GridSize {
   int dim_y;
   int pes() const { return dim_x * dim_y * kGpusPerNode; }
 };
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<int>(std::strtol(v, nullptr, 10));
-}
 
 gpu::Machine::Config machine_config(const GridSize& g, int shards) {
   gpu::Machine::Config cfg;
@@ -102,21 +95,24 @@ double attainable_wall_s(const PointResult& r) {
 }  // namespace
 
 int main() {
-  const int max_pes = env_int("FCC_SHARD_BENCH_MAX_PES", 4096);
-
-  scaleout::ShardWorkloadConfig w;
-  w.rounds = env_int("FCC_SHARD_BENCH_ROUNDS", 12);
-  w.lanes_per_pe = 4;
-  w.compute_ns = 2000;
-  w.intra_bytes = 32768;
-  w.inter_bytes = 8192;
-
   const std::vector<GridSize> sizes = {
       {4, 4},    // 64 PEs
       {8, 8},    // 256 PEs
       {16, 16},  // 1024 PEs
       {32, 32},  // 4096 PEs
   };
+  // At least the smallest size runs, so the trace-equality gate always
+  // compares something.
+  const int max_pes = fccbench::env_int("FCC_SHARD_BENCH_MAX_PES", 4096,
+                                        /*min=*/sizes.front().pes());
+
+  scaleout::ShardWorkloadConfig w;
+  w.rounds = fccbench::env_int("FCC_SHARD_BENCH_ROUNDS", 12, /*min=*/1);
+  w.lanes_per_pe = 4;
+  w.compute_ns = 2000;
+  w.intra_bytes = 32768;
+  w.inter_bytes = 8192;
+
   const std::vector<int> shard_counts = {1, 2, 4, 8};
 
   AsciiTable table(

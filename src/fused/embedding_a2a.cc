@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "framework/op_registry.h"
-#include "gpu/stream.h"
 #include "sim/task.h"
 
 namespace fcc::fused {
@@ -388,18 +387,16 @@ void BaselineEmbeddingAllToAll::prepare() {
 }
 
 sim::Co BaselineEmbeddingAllToAll::compute(PeId pe, TimeNs t0) {
-  // Every PE drives its own stream of per-table kernels. Spawned at
-  // t0 + kernel_launch_ns (the first launch_ready) with the stream anchored
-  // at t0, so the issue timeline is byte-identical to the serial
-  // enqueue-at-t0 sequence. The host's stream sync is BulkSyncOp's.
-  auto& machine = world_.machine();
-  gpu::Stream stream(machine.engine_of(pe), machine.device(pe).spec(),
-                     /*anchor=*/t0);
-  std::shared_ptr<sim::OneShot> last;
+  // The host issues every per-table launch at t0 without waiting, one
+  // issue gap apart, and the GPU runs the kernels in order: a launch's
+  // latency shows only where the previous kernel ends before the launch
+  // is ready. The host's stream sync is BulkSyncOp's.
+  auto& engine = world_.machine().engine_of(pe);
+  const TimeNs launch_ns = world_.machine().device(pe).spec().kernel_launch_ns;
   for (int t = 0; t < cfg_.map.tables_per_pe; ++t) {
-    last = stream.enqueue([this, pe, t] { return table_kernel(pe, t); });
+    co_await sim::delay_until(engine, t0 + launch_ns + t * kHostIssueGapNs);
+    co_await table_kernel(pe, t);
   }
-  co_await last->wait();
 }
 
 sim::Co BaselineEmbeddingAllToAll::collective(ccl::Communicator& comm) {

@@ -150,6 +150,10 @@ class BaselineEmbeddingAllToAll final : public BulkSyncOp {
 
   const char* name() const override { return "baseline_embedding_a2a"; }
 
+  /// Host-side cost of issuing one per-table kernel launch: launch t is
+  /// ready at t0 + kernel_launch_ns + t * kHostIssueGapNs.
+  static constexpr TimeNs kHostIssueGapNs = 800;
+
  private:
   void prepare() override;
   sim::Co compute(PeId pe, TimeNs t0) override;

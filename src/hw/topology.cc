@@ -221,55 +221,6 @@ TimeNs Topology::min_inter_shard_latency(const std::vector<int>& node_shard) {
 }
 
 // ---------------------------------------------------------------------------
-// FullyConnectedTopology
-
-FullyConnectedTopology::FullyConnectedTopology(int num_nodes,
-                                               int gpus_per_node,
-                                               const FabricSpec& fabric,
-                                               const IbSpec& ib)
-    : Topology(num_nodes, gpus_per_node) {
-  FCC_CHECK_MSG(fabric.port_bytes_per_ns > 0,
-                "FabricSpec: port bandwidth must be positive, got "
-                    << fabric.port_bytes_per_ns);
-  FCC_CHECK_MSG(ib.wire_bytes_per_ns > 0,
-                "IbSpec: wire bandwidth must be positive, got "
-                    << ib.wire_bytes_per_ns);
-  fabrics_.reserve(static_cast<std::size_t>(num_nodes));
-  nics_.reserve(static_cast<std::size_t>(num_nodes));
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    fabrics_.push_back(std::make_unique<Fabric>(gpus_per_node, fabric));
-    nics_.push_back(std::make_unique<Nic>("node" + std::to_string(n), ib));
-  }
-}
-
-void FullyConnectedTopology::resolve(PeId src, PeId dst, Route& route) {
-  route.cls = route_class(src, dst);
-  switch (route.cls) {
-    case RouteClass::kSelf:
-      break;
-    case RouteClass::kIntraNode:
-      add_fabric_hops(*fabrics_[static_cast<std::size_t>(node_of(src))], src,
-                      dst, route);
-      break;
-    case RouteClass::kInterNode:
-      route.nic = nics_[static_cast<std::size_t>(node_of(src))].get();
-      break;
-  }
-  if (faulted()) guard_route(src, dst, route);
-}
-
-void FullyConnectedTopology::collect_fault_sites(std::vector<FaultSite>& out) {
-  // The NIC is the kill switch for a node's scale-out path; its wire is the
-  // derate/jitter surface (a browned-out IB cable).
-  for (NodeId n = 0; n < num_nodes(); ++n) {
-    Nic* nic = nics_[static_cast<std::size_t>(n)].get();
-    out.push_back({nic->name(), n, nullptr, nic, /*can_die=*/true});
-    out.push_back({nic->wire().name(), n, &nic->wire_mutable(), nullptr,
-                   /*can_die=*/false});
-  }
-}
-
-// ---------------------------------------------------------------------------
 // SwitchedTopology
 
 SwitchedTopology::SwitchedTopology(int num_nodes, int gpus_per_node,
@@ -375,6 +326,10 @@ MultiRailTopology::MultiRailTopology(int num_nodes, int gpus_per_node,
           "node" + std::to_string(n) + ".rail" + std::to_string(r), ib));
     }
   }
+  affinity_.reserve(static_cast<std::size_t>(num_pes()));
+  for (PeId pe = 0; pe < num_pes(); ++pe) {
+    affinity_.push_back(rail(node_of(pe), local_index(pe) % rails));
+  }
 }
 
 void MultiRailTopology::resolve(PeId src, PeId dst, Route& route) {
@@ -388,7 +343,7 @@ void MultiRailTopology::resolve(PeId src, PeId dst, Route& route) {
       break;
     case RouteClass::kInterNode:
       route.nic = faulted() ? alive_rail(src, dst)
-                            : rail(node_of(src), local_index(src) % rails_);
+                            : affinity_[static_cast<std::size_t>(src)];
       break;
   }
 }
@@ -674,9 +629,8 @@ std::unique_ptr<Topology> make_topology(const TopologySpec& spec,
                                         const IbSpec& ib) {
   switch (spec.kind) {
     case TopologySpec::Kind::kFullyConnected:
-      return std::make_unique<FullyConnectedTopology>(num_nodes,
-                                                      gpus_per_node, fabric,
-                                                      ib);
+      return std::make_unique<MultiRailTopology>(num_nodes, gpus_per_node,
+                                                 /*rails=*/1, fabric, ib);
     case TopologySpec::Kind::kSwitchedNode:
       return std::make_unique<SwitchedTopology>(num_nodes, gpus_per_node,
                                                 spec.switched, ib);

@@ -8,15 +8,15 @@
 // the message off-node.
 // Concrete fabrics:
 //
-//   FullyConnectedTopology  per-node all-to-all ports + one NIC per node
-//                           (the paper's Table I platform; byte-identical
-//                           to the pre-topology Machine, enforced by the
-//                           golden traces in test_sim_determinism)
 //   SwitchedTopology        per-GPU up/down links into a node switch
 //                           (NVSwitch-class 8-GPU node), optional shared
 //                           crossbar trunk as a bisection cap
 //   MultiRailTopology       fully-connected intra-node + k NIC rails per
-//                           node, rail picked by source GPU affinity
+//                           node, rail picked by source GPU affinity; with
+//                           one rail it is the paper's Table I platform
+//                           (TopologySpec::Kind::kFullyConnected), whose
+//                           timings the golden traces in
+//                           test_sim_determinism pin
 //   TorusTopology           event-driven 2D torus of nodes with
 //                           dimension-ordered routes
 //
@@ -115,11 +115,10 @@ struct SwitchedSpec {
   }
 };
 
-/// Which fabric a Machine instantiates, plus its parameters. The
-/// fully-connected default reproduces the pre-topology Machine exactly.
+/// Which fabric a Machine instantiates, plus its parameters.
 struct TopologySpec {
   enum class Kind {
-    kFullyConnected,
+    kFullyConnected,  // a MultiRailTopology with one rail: one NIC per node
     kSwitchedNode,
     kMultiRail,
     kTorus2D,
@@ -176,10 +175,10 @@ class Topology {
   static TimeNs reserve(const Route& route, Bytes bytes, TimeNs ready);
 
   /// True when every link/NIC an inter-node route reserves belongs to the
-  /// *source node* (fully-connected: src NIC; switched: src uplink + src
-  /// NIC; multi-rail: src-affinity rail). The sharded world then reserves
-  /// inter-node routes eagerly at issue time — a node-aligned partition
-  /// makes that state single-shard-touched. The torus returns false: its
+  /// *source node* (multi-rail: src-affinity rail; switched: src uplink +
+  /// src NIC). The sharded world then reserves inter-node routes eagerly
+  /// at issue time — a node-aligned partition makes that state
+  /// single-shard-touched. The torus returns false: its
   /// routes ride ring links owned by intermediate nodes, so reservations
   /// must be serialized at window barriers instead (shmem::World).
   virtual bool inter_node_state_src_local() const { return true; }
@@ -284,27 +283,6 @@ class Topology {
   }
 };
 
-/// The pre-topology Machine fabric: per-node fully-connected ports, one
-/// NIC per node for scale-out. An intra-node write is the two-hop
-/// {egress, ingress} route, an inter-node one the source node's NIC.
-class FullyConnectedTopology final : public Topology {
- public:
-  FullyConnectedTopology(int num_nodes, int gpus_per_node,
-                         const FabricSpec& fabric, const IbSpec& ib);
-
-  const char* kind_name() const override { return "fully_connected"; }
-  void resolve(PeId src, PeId dst, Route& route) override;
-  Fabric* node_fabric(NodeId node) override { return fabrics_.at(node).get(); }
-  Nic* node_nic(NodeId node) override { return nics_.at(node).get(); }
-
- protected:
-  void collect_fault_sites(std::vector<FaultSite>& out) override;
-
- private:
-  std::vector<std::unique_ptr<Fabric>> fabrics_;
-  std::vector<std::unique_ptr<Nic>> nics_;
-};
-
 /// Switched scale-up node: src uplink + (optional trunk) + dst downlink,
 /// cut-through. Cross-node messages ride the node NIC as usual.
 class SwitchedTopology final : public Topology {
@@ -334,7 +312,8 @@ class SwitchedTopology final : public Topology {
 /// Fully-connected intra-node fabric with `rails` NICs per node; a
 /// cross-node message rides the rail its source GPU is affinitized to
 /// (local index modulo rails), so concurrent senders stop serializing on
-/// one descriptor processor/wire.
+/// one descriptor processor/wire. An intra-node write is the two-hop
+/// {egress, ingress} route.
 class MultiRailTopology final : public Topology {
  public:
   MultiRailTopology(int num_nodes, int gpus_per_node, int rails,
@@ -365,6 +344,7 @@ class MultiRailTopology final : public Topology {
   int rails_;
   std::vector<std::unique_ptr<Fabric>> fabrics_;
   std::vector<std::unique_ptr<Nic>> nics_;  // node-major, rails per node
+  std::vector<Nic*> affinity_;              // per PE: its healthy-fabric rail
 };
 
 /// Event-driven 2D torus of nodes. Point-to-point traffic takes

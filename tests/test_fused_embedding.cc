@@ -12,13 +12,16 @@
 #include <utility>
 #include <vector>
 
+#include "ccl/communicator.h"
 #include "fused/embedding_a2a.h"
 #include "gpu/machine.h"
 #include "gpu/schedule.h"
 #include "hw/topology.h"
+#include "ops/cost_model.h"
 #include "reference_models.h"
 #include "reject_config.h"
 #include "shmem/world.h"
+#include "sim/task.h"
 
 namespace fcc::fused {
 namespace {
@@ -249,8 +252,8 @@ TEST(SliceMap, CommAwareBlocksStaggerDestinations) {
   // intra-node and 6 inter-node peers) and three 2 x 4 shapes.
   const hw::FabricSpec fabric;
   const hw::IbSpec ib;
-  hw::FullyConnectedTopology fc4x2(4, 2, fabric, ib);
-  hw::FullyConnectedTopology fc2x4(2, 4, fabric, ib);
+  hw::MultiRailTopology fc4x2(4, 2, /*rails=*/1, fabric, ib);
+  hw::MultiRailTopology fc2x4(2, 4, /*rails=*/1, fabric, ib);
   hw::SwitchedTopology switched(2, 4, hw::SwitchedSpec{}, ib);
   hw::MultiRailTopology rails(2, 4, /*rails=*/2, fabric, ib);
   SliceMap map;
@@ -321,8 +324,8 @@ TEST(SliceMap, CommAwareBlocksStaggerDestinations) {
 TEST(SliceMap, CommAwareBlocksOnRingShiftMatchRotationOnEveryGeometry) {
   for (int nodes = 1; nodes <= 8; ++nodes) {
     for (int gpus = 1; gpus <= 8; ++gpus) {
-      const hw::FullyConnectedTopology topo(nodes, gpus, hw::FabricSpec{},
-                                            hw::IbSpec{});
+      const hw::MultiRailTopology topo(nodes, gpus, /*rails=*/1,
+                                       hw::FabricSpec{}, hw::IbSpec{});
       SliceMap map;
       map.num_pes = topo.num_pes();
       map.global_batch = map.num_pes;
@@ -529,6 +532,73 @@ TEST(BaselineEmbedding, MatchesReferenceIntraAndInter) {
     EXPECT_GT(res.duration(), 0);
     expect_outputs_match(cfg, out, expect);
   }
+}
+
+/// A one-GPU baseline run with one sample, so each per-table kernel is one
+/// workgroup: its duration, one table kernel's span, and the span of its
+/// All-to-All measured alone on a fresh machine.
+struct IssueTimeline {
+  TimeNs duration = 0;
+  TimeNs kernel_ns = 0;
+  TimeNs a2a_ns = 0;
+};
+
+sim::Task timed_all_to_all(sim::Engine&, ccl::Communicator& comm,
+                           std::int64_t chunk) {
+  co_await comm.all_to_all(chunk, ccl::FloatBufs{}, ccl::FloatBufs{});
+}
+
+IssueTimeline one_gpu_baseline(int pooling, int tables) {
+  EmbeddingA2AConfig cfg;
+  cfg.map.num_pes = 1;
+  cfg.map.tables_per_pe = tables;
+  cfg.map.global_batch = 1;
+  cfg.map.dim = 64;
+  cfg.map.vectors_per_slice = 1;
+  cfg.pooling = pooling;
+  IssueTimeline out;
+  gpu::Machine m(intra_node(1));
+  shmem::World world(m);
+  out.duration = BaselineEmbeddingAllToAll(world, cfg, nullptr)
+                     .run_to_completion()
+                     .duration();
+  out.kernel_ns = m.device(0).compute_duration(
+      ops::embedding_wg_cost(pooling, cfg.map.dim, /*local_write=*/true,
+                             ops::kBaselineCurve),
+      /*active=*/1);
+  gpu::Machine fresh(intra_node(1));
+  ccl::Communicator comm(fresh, {0});
+  timed_all_to_all(fresh.engine(), comm,
+                   static_cast<std::int64_t>(tables) * cfg.map.dim);
+  fresh.run_all();
+  out.a2a_ns = fresh.engine().now();
+  return out;
+}
+
+TEST(BaselineEmbedding, KernelsLongerThanTheIssueGapExposeOnlyTheFirstLaunch) {
+  const int tables = 3;
+  const IssueTimeline r = one_gpu_baseline(/*pooling=*/4096, tables);
+  ASSERT_GT(r.kernel_ns, BaselineEmbeddingAllToAll::kHostIssueGapNs);
+  const auto spec = gpu::Machine(intra_node(1)).device(0).spec();
+  // Launch t + 1 is ready while kernel t still runs, so the kernels run
+  // back to back after the first launch latency.
+  EXPECT_EQ(r.duration, spec.kernel_launch_ns + tables * r.kernel_ns +
+                            spec.stream_sync_ns + spec.kernel_launch_ns +
+                            r.a2a_ns + spec.stream_sync_ns);
+}
+
+TEST(BaselineEmbedding, KernelsShorterThanTheIssueGapExposeTheRestOfIt) {
+  const int tables = 3;
+  const IssueTimeline r = one_gpu_baseline(/*pooling=*/1, tables);
+  ASSERT_LT(r.kernel_ns, BaselineEmbeddingAllToAll::kHostIssueGapNs);
+  const auto spec = gpu::Machine(intra_node(1)).device(0).spec();
+  // Each kernel finishes before the next launch is issued: the last one
+  // starts at launch + (tables - 1) issue gaps.
+  EXPECT_EQ(r.duration,
+            spec.kernel_launch_ns +
+                (tables - 1) * BaselineEmbeddingAllToAll::kHostIssueGapNs +
+                r.kernel_ns + spec.stream_sync_ns + spec.kernel_launch_ns +
+                r.a2a_ns + spec.stream_sync_ns);
 }
 
 TEST(FusedEmbedding, FusedEqualsBaselineElementwise) {

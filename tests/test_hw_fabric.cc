@@ -1,5 +1,5 @@
 // Fabric model: endpoint-port contention, the Fig. 9 mechanism, driven
-// through the fully-connected topology's write path.
+// through the fully-connected (one-rail) topology's write path.
 #include <gtest/gtest.h>
 
 #include "hw/topology.h"
@@ -15,8 +15,8 @@ FabricSpec spec_80() {
 }
 
 /// One node of `gpus` fully-connected GPUs.
-FullyConnectedTopology node(int gpus) {
-  return FullyConnectedTopology(1, gpus, spec_80(), {});
+MultiRailTopology node(int gpus) {
+  return MultiRailTopology(1, gpus, /*rails=*/1, spec_80(), {});
 }
 
 TEST(Fabric, SingleTransferTiming) {

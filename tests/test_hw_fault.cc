@@ -5,6 +5,7 @@
 // auto-selection fallback on a degraded fabric.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -81,6 +82,40 @@ TEST(FaultSites, EnumerationIsStableAndNamed) {
   EXPECT_EQ(topo.fault_site_index("nonexistent"), -1);
   EXPECT_FALSE(topo.has_faults());
   EXPECT_TRUE(topo.active_faults().empty());
+}
+
+TEST(FaultSites, NamesAreUniqueAndIndexTheirOwnSite) {
+  // Bench scenario tables key faults by name and seeded chaos plans by
+  // index: on every fabric each name must find its own site.
+  using Kind = TopologySpec::Kind;
+  for (const Kind kind : {Kind::kFullyConnected, Kind::kSwitchedNode,
+                          Kind::kMultiRail, Kind::kTorus2D}) {
+    TopologySpec spec;
+    spec.kind = kind;
+    spec.switched.trunk_bytes_per_ns = 300.0;
+    spec.torus.dim_x = 2;
+    spec.torus.dim_y = 2;
+    const auto topo = make_topology(spec, 4, 2, fabric_80(), {});
+    const auto& sites = topo->fault_sites();
+    ASSERT_FALSE(sites.empty()) << topo->kind_name();
+    std::set<std::string> names;
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      EXPECT_TRUE(names.insert(sites[i].name).second)
+          << topo->kind_name() << " repeats " << sites[i].name;
+      EXPECT_EQ(topo->fault_site_index(sites[i].name), static_cast<int>(i))
+          << topo->kind_name() << " " << sites[i].name;
+    }
+    if (kind == Kind::kFullyConnected) {
+      // One rail per node: each node's NIC, then its wire, node by node.
+      std::vector<std::string> order;
+      for (const FaultSite& site : sites) order.push_back(site.name);
+      EXPECT_EQ(order, (std::vector<std::string>{
+                           "node0.rail0", "node0.rail0.wire", "node1.rail0",
+                           "node1.rail0.wire", "node2.rail0",
+                           "node2.rail0.wire", "node3.rail0",
+                           "node3.rail0.wire"}));
+    }
+  }
 }
 
 TEST(MultiRailFaults, DeadRailFailsOverToSurvivingRail) {
@@ -213,9 +248,9 @@ TEST(SwitchedFaults, TrunkDerateSlowsAndJitterShifts) {
   EXPECT_EQ(jittered.write_time(0, 1, bytes, 0), base + 500);
 }
 
-TEST(FullyConnectedFaults, DeadNicPartitionsInterNodeOnly) {
-  FullyConnectedTopology topo(2, 2, fabric_80(), {});
-  topo.apply_fault(kill(topo, "node0"));
+TEST(OneRailFaults, DeadNicPartitionsInterNodeOnly) {
+  MultiRailTopology topo(2, 2, /*rails=*/1, fabric_80(), {});
+  topo.apply_fault(kill(topo, "node0.rail0"));
   EXPECT_THROW(topo.write_time(0, 2, 4096, 0), PartitionedFabricError);
   Route r;
   EXPECT_THROW(topo.resolve(0, 2, r), PartitionedFabricError);
@@ -228,12 +263,12 @@ TEST(FaultModel, HealthyIdentityEventsAreByteIdentical) {
   // derate(1.0), jitter(0), and derate-then-repair are arithmetic
   // identities: a topology that saw them times every transfer byte-for-byte
   // like one that never saw a FaultPlan — stateful link horizons included.
-  FullyConnectedTopology a(2, 2, fabric_80(), {});
-  FullyConnectedTopology b(2, 2, fabric_80(), {});
-  b.apply_fault(derate(b, "node0.wire", 1.0));
-  b.apply_fault(jitter(b, "node1.wire", 0));
-  b.apply_fault(derate(b, "node0.wire", 0.5));
-  b.apply_fault(repair(b, "node0.wire"));
+  MultiRailTopology a(2, 2, /*rails=*/1, fabric_80(), {});
+  MultiRailTopology b(2, 2, /*rails=*/1, fabric_80(), {});
+  b.apply_fault(derate(b, "node0.rail0.wire", 1.0));
+  b.apply_fault(jitter(b, "node1.rail0.wire", 0));
+  b.apply_fault(derate(b, "node0.rail0.wire", 0.5));
+  b.apply_fault(repair(b, "node0.rail0.wire"));
   EXPECT_FALSE(b.has_faults());
   const PeId pairs[][2] = {{0, 2}, {0, 1}, {2, 0}, {3, 1}, {1, 3}, {0, 2}};
   TimeNs ready = 0;
@@ -417,14 +452,14 @@ TEST(DegradedCollectives, DeratedWireAlsoDropsHierarchy) {
   hw::Topology& topo = m.topology();
   hw::FaultEvent ev;
   ev.kind = hw::FaultKind::kDerate;
-  ev.site = topo.fault_site_index("node1.wire");
+  ev.site = topo.fault_site_index("node1.rail0.wire");
   ev.derate = 0.3;
   ASSERT_GE(ev.site, 0);
   topo.apply_fault(ev);
 
   EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
-  // The wire's ill-health surfaces through its owning NIC site ("node1");
-  // either spelling identifies the degraded component.
+  // The wire's ill-health surfaces through its owning NIC site
+  // ("node1.rail0"); either spelling identifies the degraded component.
   const std::vector<std::string> avoided = topo.degraded_components(pes);
   ASSERT_FALSE(avoided.empty());
   EXPECT_EQ(avoided[0].rfind("node1", 0), 0u);

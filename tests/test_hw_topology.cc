@@ -1,6 +1,6 @@
 // Topology layer: route resolution, cut-through reservation, the concrete
-// fabrics (fully-connected / switched / multi-rail / torus), and Machine
-// config validation.
+// fabrics (switched / multi-rail, whose one-rail case is the fully-connected
+// node / torus), and Machine config validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,9 +24,9 @@ hw::FabricSpec fabric_80() {
   return s;
 }
 
-TEST(FullyConnectedTopology, InterNodeMatchesNicPostExactly) {
+TEST(MultiRailTopology, OneRailInterNodeMatchesNicPostExactly) {
   hw::IbSpec ib;
-  hw::FullyConnectedTopology topo(2, 1, fabric_80(), ib);
+  hw::MultiRailTopology topo(2, 1, /*rails=*/1, fabric_80(), ib);
   hw::Nic ref("ref", ib);
   EXPECT_EQ(topo.write_time(0, 1, 1 << 20, 0), ref.post(0, 1 << 20));
   EXPECT_EQ(topo.write_time(0, 1, 4096, 50), ref.post(50, 4096));
@@ -44,9 +44,8 @@ TEST(Topology, EveryHopCountsItsBytes) {
   torus.dim_x = 2;
   torus.dim_y = 2;
   std::vector<std::unique_ptr<hw::Topology>> fabrics;
-  fabrics.push_back(
-      std::make_unique<hw::FullyConnectedTopology>(4, 2, fabric_80(),
-                                                   hw::IbSpec{}));
+  fabrics.push_back(std::make_unique<hw::MultiRailTopology>(
+      4, 2, /*rails=*/1, fabric_80(), hw::IbSpec{}));
   fabrics.push_back(
       std::make_unique<hw::SwitchedTopology>(4, 2, switched, hw::IbSpec{}));
   fabrics.push_back(std::make_unique<hw::MultiRailTopology>(
@@ -84,7 +83,7 @@ TEST(Topology, EveryHopCountsItsBytes) {
 }
 
 TEST(Topology, RouteClassification) {
-  hw::FullyConnectedTopology topo(2, 4, fabric_80(), {});
+  hw::MultiRailTopology topo(2, 4, /*rails=*/1, fabric_80(), {});
   EXPECT_EQ(topo.route_class(3, 3), hw::RouteClass::kSelf);
   EXPECT_EQ(topo.route_class(0, 3), hw::RouteClass::kIntraNode);
   EXPECT_EQ(topo.route_class(3, 4), hw::RouteClass::kInterNode);
@@ -149,7 +148,7 @@ TEST(SwitchedTopology, TrunkCapsAggregateBandwidth) {
 
 TEST(MultiRailTopology, RailsRemoveNicSerialization) {
   hw::IbSpec ib;  // 20 B/ns wire
-  hw::FullyConnectedTopology single(2, 4, fabric_80(), ib);
+  hw::MultiRailTopology single(2, 4, /*rails=*/1, fabric_80(), ib);
   hw::MultiRailTopology quad(2, 4, /*rails=*/4, fabric_80(), ib);
   // All four GPUs of node 0 send 1 MB cross-node at once.
   TimeNs single_done = 0, quad_done = 0;

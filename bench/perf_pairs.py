@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """Parent-vs-change host measurement: alternating pairs of bench/perf runs.
 
-    python3 bench/perf_pairs.py --parent REV [--change REV] --out FILE.json
-        [--pairs 10] [--seconds 15] [--workloads a,b] [--traced-runs 3]
-        [--work DIR]
+    python3 bench/perf_pairs.py --parent REV --out FILE.json [--pairs 10]
+        [--traced-runs 3] [--work DIR]
 
-Exports the parent commit (with `git archive`) and the change (a commit
-the same way, or by default a copy of the working tree's tracked and
-untracked, unignored files) into two directories under --work, so the
-repository's own checkout and git metadata are untouched, and builds each
-tree's bench/perf in Release.
+Exports the parent commit (with `git archive`) and the change (a copy of
+the working tree's tracked and untracked, unignored files) into two
+directories under --work, so the repository's own checkout and git
+metadata are untouched, and builds each tree's bench/perf in Release.
 Then, for each pair and each workload of BENCHMARK.json, it runs parent
-and change one after the other, swapping which goes first on every pair,
-each from a shell (`bash -c`): launched straight from Python, fcc_perf
-would report this interpreter's peak RSS as its own floor.
+and change one after the other for BENCHMARK.json's run_seconds, swapping
+which goes first on every pair, each from a shell (`bash -c`): launched
+straight from Python, fcc_perf would report this interpreter's peak RSS as
+its own floor.
 
 --traced-runs K adds K alternating traced pairs of paper_ops for the
 per-layer metrics (hw.write_time_ns.*, sim.events, ...).
@@ -42,16 +41,25 @@ def git(*args):
                           capture_output=True, text=True).stdout.strip()
 
 
-def export(rev, dest):
-    """Writes commit `rev` (None: the working tree) into `dest`."""
+def fresh_dir(dest):
     if os.path.exists(dest):
         shutil.rmtree(dest)
     os.makedirs(dest)
-    if rev is not None:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
-        return git("rev-parse", rev)
+
+
+def export_commit(rev, dest):
+    """Writes commit `rev` into `dest`; returns its full hash."""
+    fresh_dir(dest)
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    return git("rev-parse", rev)
+
+
+def export_worktree(dest):
+    """Copies the working tree's tracked and untracked, unignored files into
+    `dest`; returns HEAD's hash, marked "+worktree" if any of them differ."""
+    fresh_dir(dest)
     files = git("ls-files", "-z", "--cached", "--others",
                 "--exclude-standard").split("\0")
     for f in filter(None, files):
@@ -60,7 +68,7 @@ def export(rev, dest):
             continue  # deleted in the working tree
         os.makedirs(os.path.dirname(os.path.join(dest, f)), exist_ok=True)
         shutil.copy2(src, os.path.join(dest, f))
-    dirty = git("status", "--porcelain", "--untracked-files=no")
+    dirty = git("status", "--porcelain")
     return git("rev-parse", "HEAD") + ("+worktree" if dirty else "")
 
 
@@ -151,30 +159,24 @@ def host():
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
-    ap.add_argument("--change", default=None,
-                    help="commit to compare (default: the working tree)")
     ap.add_argument("--out", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="timed-pass budget (default: BENCHMARK.json's)")
-    ap.add_argument("--workloads", default=None)
     ap.add_argument("--traced-runs", type=int, default=0)
     ap.add_argument("--work", default=os.path.join(ROOT, "build", "pairs"))
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     trees = {side: os.path.join(args.work, side)
              for side in ("parent", "change")}
-    commits = {"parent": export(args.parent, trees["parent"]),
-               "change": export(args.change, trees["change"])}
+    commits = {"parent": export_commit(args.parent, trees["parent"]),
+               "change": export_worktree(trees["change"])}
     for side, tree in trees.items():
         print(f"building {side} ({commits[side]})", file=sys.stderr)
         build(tree)

@@ -8,8 +8,8 @@
 //
 //   * measured    — serial wall / sharded wall on THIS host. Only
 //                   meaningful when the host has >= `shards` cores;
-//                   a CI container pinned to one core times-shares the
-//                   worker team and measures ~1x by construction.
+//                   a CI container pinned to one core time-shares the
+//                   engine's threads and measures ~1x by construction.
 //   * attainable  — serial wall / (barrier + critical-path window time),
 //                   from the engine's own wall breakdown (RunStats): the
 //                   serial inter-window barrier plus each window's slowest
@@ -175,7 +175,8 @@ int main() {
   table.print(std::cout);
   if (host_cores < 4) {
     std::cout << "note: host has " << host_cores
-              << " core(s); the measured column timeshares the worker team. "
+              << " core(s); the measured column time-shares the engine's "
+                 "threads. "
                  "'attainable' is the same run's wall-clock floor with one "
                  "core per shard (barrier + per-window critical path), "
                  "measured from the engine's wall breakdown.\n";

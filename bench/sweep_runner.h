@@ -4,30 +4,27 @@
 // and Engine — the engine is single-threaded by design, so parallelism runs
 // *whole engines* on separate threads, see src/sim/engine.h). `run_sweep`
 // fans the points across a par::ThreadPool and returns results **in index
-// order**, so tables and CSVs are byte-identical to a serial run no matter
-// how the points interleave on the host.
+// order**, so tables and CSVs are byte-identical whatever the thread count
+// and however the points interleave on the host.
 //
-// FCC_SWEEP_THREADS: 0 / unset => hardware concurrency; 1 => serial
-// (reference mode for determinism checks); N => N threads.
+// FCC_SWEEP_THREADS: 0 / unset => hardware concurrency; N => N threads, the
+// calling thread among them (1 runs the points one by one, in index order:
+// the reference mode for determinism checks). Anything but an integer >= 0
+// stops the bench (exit 2).
 #pragma once
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <thread>
 #include <vector>
 
-#include "parallel/parallel_for.h"
+#include "bench_common.h"
 #include "parallel/thread_pool.h"
 
 namespace fccbench {
 
 inline unsigned sweep_threads(int points) {
-  unsigned t = 0;
-  if (const char* env = std::getenv("FCC_SWEEP_THREADS");
-      env != nullptr && *env != '\0') {
-    t = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-  }
+  auto t = static_cast<unsigned>(env_int("FCC_SWEEP_THREADS", 0, 0));
   if (t == 0) t = std::max(1u, std::thread::hardware_concurrency());
   const unsigned cap = points < 1 ? 1u : static_cast<unsigned>(points);
   return t < cap ? t : cap;
@@ -40,15 +37,10 @@ inline unsigned sweep_threads(int points) {
 template <typename Result>
 std::vector<Result> run_sweep(int n, const std::function<Result(int)>& point) {
   std::vector<Result> out(static_cast<std::size_t>(n));
-  const unsigned threads = sweep_threads(n);
-  if (threads <= 1 || n <= 1) {
-    for (int i = 0; i < n; ++i) out[static_cast<std::size_t>(i)] = point(i);
-  } else {
-    fcc::par::ThreadPool pool(threads);
-    fcc::par::parallel_for(pool, 0, n, [&](std::int64_t i) {
-      out[static_cast<std::size_t>(i)] = point(static_cast<int>(i));
-    });
-  }
+  fcc::par::ThreadPool pool(sweep_threads(n) - 1);
+  pool.run_batch(0, n, [&](std::int64_t i) {
+    out[static_cast<std::size_t>(i)] = point(static_cast<int>(i));
+  });
   return out;
 }
 

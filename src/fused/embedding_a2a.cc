@@ -35,9 +35,6 @@ void check_config(const EmbeddingA2AConfig& cfg, const shmem::World& world,
   FCC_CHECK_MSG(cfg.pooling >= 1, "EmbeddingA2AConfig::pooling must be >= 1 "
                                   "(lookups per output vector), got "
                                       << cfg.pooling);
-  FCC_CHECK_MSG(cfg.bookkeeping_ns >= 0,
-                "EmbeddingA2AConfig::bookkeeping_ns must be >= 0, got "
-                    << cfg.bookkeeping_ns);
   check_slots_override("EmbeddingA2AConfig::occupancy_slots_override",
                        cfg.occupancy_slots_override);
   if (cfg.functional) {
@@ -158,7 +155,8 @@ sim::Co FusedEmbeddingAllToAll::pe_slot(gpu::KernelRun& run, PeId pe,
     }
 
     // WG_Done bookkeeping; the last finishing WG of the slice emits it.
-    co_await world_.machine().device(pe).busy_wait(cfg_.bookkeeping_ns);
+    co_await world_.machine().device(pe).busy_wait(
+        ops::kFusedWgBookkeepingNs);
     if (wg_done_.mark(pe, at.slice, at.lane)) {
       co_await emit_slice_from_slot(pe, slot, at.slice);
     }

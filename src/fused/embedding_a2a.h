@@ -50,14 +50,11 @@ namespace fcc::fused {
 struct EmbeddingA2AConfig {
   SliceMap map;
   int pooling = 64;
-  ops::PoolingMode mode = ops::PoolingMode::kSum;
   int rows_per_table = 1000;  // used in functional mode only
   gpu::SchedulePolicy policy = gpu::SchedulePolicy::kCommAware;
   bool functional = false;
   /// 0 = derive from kernel resources (fused: baseline regs + shmem ctx).
   int occupancy_slots_override = 0;
-  /// Per-logical-WG task-loop + WG_Done bookkeeping cost.
-  TimeNs bookkeeping_ns = 40;
   /// Scale-up zero-copy: WG threads store straight into peer memory. When
   /// false, intra-node slices stage locally and move as slice-granular
   /// copies (the ablation in bench_ablation_zero_copy).
@@ -69,7 +66,6 @@ struct EmbeddingA2AConfig {
     e.rows_per_table = rows_per_table;
     e.dim = map.dim;
     e.pooling = pooling;
-    e.mode = mode;
     return e;
   }
 };

@@ -35,7 +35,6 @@ GemmA2AConfig checked(const GemmA2AConfig& cfg, const GemmA2AData* data) {
   check_positive("GemmA2AConfig::d_ff", cfg.d_ff);
   check_positive("GemmA2AConfig::block_m", cfg.block_m);
   check_positive("GemmA2AConfig::block_n", cfg.block_n);
-  check_alu_efficiency("GemmA2AConfig::alu_efficiency", cfg.alu_efficiency);
   check_slots_override("GemmA2AConfig::occupancy_slots_override",
                        cfg.occupancy_slots_override);
   if (cfg.functional) {
@@ -76,7 +75,7 @@ sim::Co FusedGemmAllToAll::run() {
 void FusedGemmAllToAll::build_kernel() {
   // --- the fused kernel, authored with the DSL's comm extensions ---
   kernel_ = std::make_unique<triton::TileKernel>("moe_combine_fused", shape_,
-                                                 cfg_.alu_efficiency);
+                                                 ops::kTritonGemmEfficiency);
   const int R = cfg_.rows_per_origin;
   const int n = cfg_.d_model;
   auto dest_of = [this](const triton::TileKernel::Ctx& ctx) {
@@ -145,7 +144,7 @@ BaselineGemmAllToAll::BaselineGemmAllToAll(shmem::World& world,
 
 void BaselineGemmAllToAll::prepare() {
   const auto shape = cfg_.shape(world_.n_pes());
-  build_local_tile_gemm("moe_gemm_baseline", shape, cfg_.alu_efficiency,
+  build_local_tile_gemm("moe_gemm_baseline", shape,
                         cfg_.functional ? &c_ : nullptr);
   if (!cfg_.functional) return;
   c_.assign(static_cast<std::size_t>(world_.n_pes()),
@@ -202,7 +201,9 @@ const fw::OpRegistrar gemm_a2a_registrar{{
           const auto& cfg = fw::spec_config<GemmA2AConfig>(spec);
           return "r=" + std::to_string(cfg.rows_per_origin) +
                  ",dm=" + std::to_string(cfg.d_model) +
-                 ",dff=" + std::to_string(cfg.d_ff);
+                 ",dff=" + std::to_string(cfg.d_ff) +
+                 ",bm=" + std::to_string(cfg.block_m) +
+                 ",bn=" + std::to_string(cfg.block_n);
         },
 }};
 

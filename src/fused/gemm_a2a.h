@@ -31,7 +31,6 @@ struct GemmA2AConfig {
   int d_ff = 4096;             // GEMM k (expert hidden dim)
   int block_m = ops::kGemmBlockM;
   int block_n = ops::kGemmBlockN;
-  double alu_efficiency = ops::kTritonGemmEfficiency;
   bool functional = false;
   int occupancy_slots_override = 0;
 

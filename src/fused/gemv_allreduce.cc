@@ -34,9 +34,6 @@ GemvAllReduceConfig checked(const GemvAllReduceConfig& cfg,
   check_positive("GemvAllReduceConfig::tile_rows", cfg.tile_rows);
   check_slots_override("GemvAllReduceConfig::occupancy_slots_override",
                        cfg.occupancy_slots_override);
-  FCC_CHECK_MSG(cfg.bookkeeping_ns >= 0,
-                "GemvAllReduceConfig::bookkeeping_ns must be >= 0, got "
-                    << cfg.bookkeeping_ns);
   if (cfg.functional) {
     FCC_CHECK(data != nullptr && data->y != nullptr);
   }
@@ -164,7 +161,7 @@ sim::Co FusedGemvAllReduce::gemv_slot(gpu::KernelRun& run, PeId pe,
   for (int tile; (tile = tile_at(pe, co_await run.next(slot))) >= 0;) {
     const bool remote = owner_of_tile(tile) != pe;
     co_await world_.machine().device(pe).compute(tile_cost_[remote ? 1 : 0]);
-    co_await world_.machine().device(pe).busy_wait(cfg_.bookkeeping_ns);
+    co_await world_.machine().device(pe).busy_wait(ops::kFusedWgBookkeepingNs);
     if (remote) {
       co_await world_.issue(pe, owner_of_tile(tile),
                             shmem::World::IssueKind::kStore);

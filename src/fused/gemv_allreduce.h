@@ -44,7 +44,6 @@ struct GemvAllReduceConfig {
   int tile_rows = ops::kGemvTileRows;
   bool functional = false;
   int occupancy_slots_override = 0;
-  TimeNs bookkeeping_ns = 40;
   /// AllReduce algorithm for the bulk-synchronous baseline (the fused
   /// kernel owns its own two-phase schedule). The historical default is
   /// the flat two-phase direct algorithm; the planner's select-ccl-algo

@@ -195,8 +195,6 @@ MoeDispatchConfig checked(const MoeDispatchConfig& cfg) {
   check_positive("MoeDispatchConfig::d_out", cfg.d_out);
   check_positive("MoeDispatchConfig::block_m", cfg.block_m);
   check_positive("MoeDispatchConfig::block_n", cfg.block_n);
-  check_alu_efficiency("MoeDispatchConfig::alu_efficiency",
-                       cfg.alu_efficiency);
   check_slots_override("MoeDispatchConfig::occupancy_slots_override",
                        cfg.occupancy_slots_override);
   return cfg;
@@ -333,7 +331,7 @@ void FusedMoeDispatch::build_kernels() {
     shape.block_n = cfg_.block_n;
 
     auto kernel = std::make_unique<triton::TileKernel>(
-        "moe_dispatch_fused", shape, cfg_.alu_efficiency);
+        "moe_dispatch_fused", shape, ops::kTritonGemmEfficiency);
     auto dest_of = [this, src](const triton::TileKernel::Ctx& ctx) {
       return static_cast<PeId>(
           layout_.owner_of_row(src, ctx.shape->row_begin(ctx.pid)));
@@ -428,7 +426,7 @@ void BaselineMoeDispatch::prepare() {
                          .k = cfg_.d_model,
                          .block_m = cfg_.block_m,
                          .block_n = cfg_.block_n},
-                        cfg_.alu_efficiency, cfg_.functional ? &c_ : nullptr);
+                        cfg_.functional ? &c_ : nullptr);
   if (!cfg_.functional) return;
   a_.clear();
   c_.assign(static_cast<std::size_t>(num_pes_),
@@ -492,6 +490,7 @@ const fw::OpRegistrar moe_dispatch_registrar{{
           std::ostringstream os;
           os << "t=" << cfg.tokens_per_pe << ",dm=" << cfg.d_model
              << ",do=" << cfg.d_out << ",k=" << cfg.top_k
+             << ",bm=" << cfg.block_m << ",bn=" << cfg.block_n
              << ",hot=" << cfg.hot_expert_factor
              << ",seed=" << cfg.routing_seed;
           return os.str();

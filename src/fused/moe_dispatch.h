@@ -52,7 +52,6 @@ struct MoeDispatchConfig {
   int top_k = 2;             // experts per token (paper evaluates top-2)
   int block_m = ops::kGemmBlockM;
   int block_n = ops::kGemmBlockN;
-  double alu_efficiency = ops::kTritonGemmEfficiency;
   bool functional = false;
   int occupancy_slots_override = 0;
   /// Synthetic-routing knobs, used when no MoeDispatchData::plans are

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "ops/cost_model.h"
+
 namespace fcc::fused {
 
 // ---------------------------------------------------------------------------
@@ -232,11 +234,10 @@ sim::Co BulkSyncOp::run() {
 
 void BulkSyncOp::build_local_tile_gemm(const char* kernel_name,
                                        ops::GemmShape shape,
-                                       double alu_efficiency,
                                        std::vector<std::vector<float>>* c) {
   if (local_gemm_ != nullptr) return;
-  local_gemm_ = std::make_unique<triton::TileKernel>(kernel_name, shape,
-                                                     alu_efficiency);
+  local_gemm_ = std::make_unique<triton::TileKernel>(
+      kernel_name, shape, ops::kTritonGemmEfficiency);
   auto write_local = [c, n = static_cast<std::size_t>(shape.n)](
                          const triton::TileKernel::Ctx& ctx,
                          const std::vector<float>& tile) {
@@ -281,13 +282,6 @@ std::vector<PeId> all_pes(gpu::Machine& machine) {
   v.reserve(static_cast<std::size_t>(machine.num_pes()));
   for (PeId p = 0; p < machine.num_pes(); ++p) v.push_back(p);
   return v;
-}
-
-void check_alu_efficiency(const char* field, double alu_efficiency) {
-  FCC_CHECK_MSG(alu_efficiency > 0 && alu_efficiency <= 1.0,
-                field << " must be in (0, 1] (fraction of peak ALU the "
-                         "kernel sustains), got "
-                      << alu_efficiency);
 }
 
 void check_positive(const char* field, int value) {

@@ -285,12 +285,11 @@ class BulkSyncOp : public FusedOp {
   const ccl::Communicator& communicator() const { return comm_; }
 
   /// Builds, on the first call, the plain tile-DSL GEMM (load, dot, local
-  /// store) that is the compute body of the GEMM-producer baselines, with
-  /// its duration tables. Call from prepare(), before any PE body runs.
-  /// Functional when `c` is non-null: PE p's launch writes C row-major into
-  /// (*c)[p].
+  /// store) that is the compute body of the GEMM-producer baselines, at the
+  /// generic Triton GEMM's efficiency, with its duration tables. Call from
+  /// prepare(), before any PE body runs. Functional when `c` is non-null:
+  /// PE p's launch writes C row-major into (*c)[p].
   void build_local_tile_gemm(const char* kernel_name, ops::GemmShape shape,
-                             double alu_efficiency,
                              std::vector<std::vector<float>>* c);
 
   /// Launches the built GEMM on `pe`, reading `a` and `b` when functional.
@@ -305,10 +304,6 @@ class BulkSyncOp : public FusedOp {
 
 /// Every PE of the machine, in id order (ccl communicator construction).
 std::vector<PeId> all_pes(gpu::Machine& machine);
-
-/// Construction-time check of a tile-DSL operator's `alu_efficiency`
-/// field (named `field` in the message): it must lie in (0, 1].
-void check_alu_efficiency(const char* field, double alu_efficiency);
 
 /// Construction-time check of a shape field (named `field` in the
 /// message): it must be >= 1.

@@ -25,6 +25,10 @@ inline constexpr hw::HbmCurve kFusedEmbeddingCurve{0.31, 0.75, 0.40};
 inline constexpr double kTunedGemmEfficiency = 0.70;
 inline constexpr double kTritonGemmEfficiency = 0.35;
 
+/// Per-logical-WG task-loop + WG_Done bookkeeping cost of a fused
+/// persistent kernel (embedding and GEMV), paid after each WG's compute.
+inline constexpr TimeNs kFusedWgBookkeepingNs = 40;
+
 /// Embedding pooling, one logical WG = one pooled output vector:
 /// reads `pooling` rows of `dim` fp32 + the index list, writes `dim` fp32
 /// when staging locally (the zero-copy fused path skips the local write for

@@ -51,10 +51,6 @@ void pool_reference(const EmbeddingConfig& cfg, const EmbeddingTables& tables,
       out[static_cast<std::size_t>(d)] += src[d];
     }
   }
-  if (cfg.mode == PoolingMode::kMean && cfg.pooling > 0) {
-    const float inv = 1.0f / static_cast<float>(cfg.pooling);
-    for (int d = 0; d < cfg.dim; ++d) out[static_cast<std::size_t>(d)] *= inv;
-  }
 }
 
 }  // namespace fcc::ops

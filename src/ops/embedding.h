@@ -1,4 +1,4 @@
-// Embedding tables and pooled-embedding (EmbeddingBag sum/mean) compute.
+// Embedding tables and pooled-embedding (EmbeddingBag sum) compute.
 //
 // Functional storage is optional: large timing-only sweeps keep only the
 // shape metadata, tests and examples carry real weights and verify values.
@@ -13,14 +13,11 @@
 
 namespace fcc::ops {
 
-enum class PoolingMode { kSum, kMean };
-
 struct EmbeddingConfig {
   int num_tables = 8;       // tables held by one GPU
   int rows_per_table = 1000;
   int dim = 256;            // embedding dimension
   int pooling = 64;         // indices pooled per output vector
-  PoolingMode mode = PoolingMode::kSum;
 };
 
 /// Weights for one GPU's local tables. weights(t)[r*dim + d].

@@ -4,12 +4,9 @@
 
 namespace fcc::par {
 
-ThreadPool::ThreadPool(unsigned num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(num_threads);
-  for (unsigned i = 0; i < num_threads; ++i) {
+ThreadPool::ThreadPool(unsigned num_workers) {
+  workers_.reserve(num_workers);
+  for (unsigned i = 0; i < num_workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }

@@ -1,15 +1,14 @@
 // Host-side thread pool.
 //
-// The discrete-event simulator itself is single-threaded (determinism), but
-// benches run many *independent* simulations per sweep; the pool lets those
-// run concurrently — bench/sweep_runner.h is the consumer that fans sweep
-// points (one whole engine each) across it with index-ordered results.
-// Follows CP.20/CP.23 (RAII joining, no detached threads).
+// The host's one thread team for "run N independent pieces, then join".
+// sim::ShardedEngine runs each lookahead window as a batch over its shards,
+// and bench/sweep_runner.h fans sweep points (one whole engine each) across
+// it with index-ordered results. Follows CP.20/CP.23 (RAII joining, no
+// detached threads).
 //
 // One submission path: run_batch publishes a whole index range as ONE
-// descriptor and workers claim chunks with an atomic fetch_add, so a
-// parallel_for of N chunks costs one lock acquisition and zero per-chunk
-// allocations.
+// descriptor and workers claim chunks with an atomic fetch_add, so a batch
+// of N chunks costs one lock acquisition and zero per-chunk allocations.
 #pragma once
 
 #include <atomic>
@@ -25,8 +24,9 @@ namespace fcc::par {
 
 class ThreadPool {
  public:
-  /// `num_threads == 0` selects hardware_concurrency (min 1).
-  explicit ThreadPool(unsigned num_threads = 0);
+  /// Starts exactly `num_workers` workers. With 0, run_batch runs every
+  /// index on the calling thread, in index order.
+  explicit ThreadPool(unsigned num_workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

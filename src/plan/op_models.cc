@@ -186,7 +186,7 @@ double moe_gemm_ns(const fused::MoeDispatchConfig& cfg, const CostEnv& env) {
        static_cast<double>(cfg.block_m) * cfg.block_n) *
       4.0;
   const double flops = 2.0 * rows * cfg.d_out * cfg.d_model;
-  return env.device_ns(hbm, flops, cfg.alu_efficiency);
+  return env.device_ns(hbm, flops, ops::kTritonGemmEfficiency);
 }
 
 double moe_a2a_ns(const fused::MoeDispatchConfig& cfg, const CostEnv& env) {
@@ -252,8 +252,8 @@ const OpCostModel gemm_a2a_model{
                static_cast<double>(cfg.block_m) * cfg.block_n) *
               4.0;
           const double flops = 2.0 * m * cfg.d_model * cfg.d_ff;
-          const double gemm = env.device_ns(hbm, flops,
-                                            cfg.alu_efficiency);
+          const double gemm =
+              env.device_ns(hbm, flops, ops::kTritonGemmEfficiency);
           const double bytes = m * cfg.d_model * 4.0 *
                                static_cast<double>(p - 1) /
                                static_cast<double>(p);

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <iterator>
-#include <mutex>
 #include <thread>
 #include <utility>
+
+#include "parallel/thread_pool.h"
 
 namespace fcc::sim {
 
@@ -130,25 +130,6 @@ TimeNs ShardedEngine::next_event_time() {
   return tmin;
 }
 
-namespace {
-
-/// Persistent worker team for one run(): workers park on a condvar between
-/// windows and wake per generation. Mutex+condvar (not spinning) so the
-/// protocol is TSan-clean and idle shards cost nothing.
-struct WorkerTeam {
-  std::mutex mu;
-  std::condition_variable cv_work;
-  std::condition_variable cv_done;
-  std::uint64_t generation = 0;
-  int remaining = 0;
-  TimeNs deadline = 0;
-  bool stop = false;
-  std::size_t events = 0;
-  std::vector<std::uint64_t> stripe_ns;  // per worker, this window's span
-};
-
-}  // namespace
-
 ShardedEngine::RunStats ShardedEngine::run(TimeNs lookahead,
                                            unsigned num_threads) {
   FCC_CHECK_MSG(lookahead > 0,
@@ -157,75 +138,25 @@ ShardedEngine::RunStats ShardedEngine::run(TimeNs lookahead,
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  const unsigned team_size =
-      std::min(num_threads, static_cast<unsigned>(num_sh));
-
   RunStats stats;
-  stats.threads = team_size;
+  stats.threads = std::min(num_threads, static_cast<unsigned>(num_sh));
+  // The calling thread works too, so one thread starts no worker.
+  par::ThreadPool pool(stats.threads - 1);
 
-  // Serial fast path (single shard, or a one-thread request): identical
-  // protocol, no worker team. Windows still apply so barrier hooks and the
-  // mailbox see the same schedule as the threaded run.
-  if (team_size <= 1) {
-    for (;;) {
-      const bool drained = drain_barrier(stats);
-      const TimeNs tmin = next_event_time();
-      if (tmin == Engine::kNoEvent) {
-        if (!drained) break;
-        continue;
-      }
-      const TimeNs bound = tmin + lookahead - 1;  // inclusive: [tmin, tmin+L)
-      // Shards run back to back here, so each one's span can be timed
-      // individually: the slowest becomes the window's critical-path cost.
-      std::uint64_t worst = 0;
-      for (auto& s : shards_) {
-        const std::uint64_t w0 = wall_now_ns();
-        stats.events += s->run_until(bound);
-        const std::uint64_t dt = wall_now_ns() - w0;
-        stats.window_wall_ns += dt;
-        worst = std::max(worst, dt);
-      }
-      stats.critical_wall_ns += worst;
-      ++stats.windows;
-    }
-    return stats;
-  }
-
-  WorkerTeam team;
-  team.stripe_ns.assign(team_size, 0);
-  std::vector<std::thread> workers;
-  workers.reserve(team_size);
-  for (unsigned w = 0; w < team_size; ++w) {
-    workers.emplace_back([this, &team, w, team_size] {
-      std::uint64_t seen = 0;
-      for (;;) {
-        TimeNs deadline;
-        {
-          std::unique_lock<std::mutex> lk(team.mu);
-          team.cv_work.wait(
-              lk, [&] { return team.stop || team.generation != seen; });
-          if (team.stop) return;
-          seen = team.generation;
-          deadline = team.deadline;
-        }
-        // Shards striped across workers; each shard has exactly one owner
-        // thread this window, and the barrier mutex orders windows.
-        std::size_t fired = 0;
-        const std::uint64_t w0 = wall_now_ns();
-        for (int s = static_cast<int>(w); s < num_shards();
-             s += static_cast<int>(team_size)) {
-          fired += shards_[static_cast<std::size_t>(s)]->run_until(deadline);
-        }
-        const std::uint64_t dt = wall_now_ns() - w0;
-        {
-          std::lock_guard<std::mutex> lk(team.mu);
-          team.events += fired;
-          team.stripe_ns[w] = dt;
-          if (--team.remaining == 0) team.cv_done.notify_one();
-        }
-      }
-    });
-  }
+  // One window's result per shard, written only by the thread that ran it
+  // and read after the batch joins.
+  struct alignas(64) Slot {
+    std::size_t fired = 0;
+    std::uint64_t span_ns = 0;
+  };
+  std::vector<Slot> slots(static_cast<std::size_t>(num_sh));
+  TimeNs bound = 0;
+  const std::function<void(std::int64_t)> window = [&](std::int64_t s) {
+    const auto i = static_cast<std::size_t>(s);
+    const std::uint64_t w0 = wall_now_ns();
+    slots[i].fired = shards_[i]->run_until(bound);
+    slots[i].span_ns = wall_now_ns() - w0;
+  };
 
   for (;;) {
     const bool drained = drain_barrier(stats);
@@ -234,30 +165,17 @@ ShardedEngine::RunStats ShardedEngine::run(TimeNs lookahead,
       if (!drained) break;
       continue;
     }
-    {
-      std::unique_lock<std::mutex> lk(team.mu);
-      team.deadline = tmin + lookahead - 1;
-      team.remaining = static_cast<int>(team_size);
-      ++team.generation;
-      team.cv_work.notify_all();
-      team.cv_done.wait(lk, [&] { return team.remaining == 0; });
-      std::uint64_t worst = 0;
-      for (const std::uint64_t dt : team.stripe_ns) {
-        stats.window_wall_ns += dt;
-        worst = std::max(worst, dt);
-      }
-      stats.critical_wall_ns += worst;
+    bound = tmin + lookahead - 1;  // inclusive: [tmin, tmin+L)
+    pool.run_batch(0, num_sh, window);
+    std::uint64_t worst = 0;
+    for (const Slot& slot : slots) {
+      stats.events += slot.fired;
+      stats.window_wall_ns += slot.span_ns;
+      worst = std::max(worst, slot.span_ns);
     }
+    stats.critical_wall_ns += worst;
     ++stats.windows;
   }
-
-  {
-    std::lock_guard<std::mutex> lk(team.mu);
-    team.stop = true;
-    team.cv_work.notify_all();
-  }
-  for (auto& t : workers) t.join();
-  stats.events += team.events;
   return stats;
 }
 

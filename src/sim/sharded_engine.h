@@ -57,13 +57,14 @@ class ShardedEngine {
     std::size_t events = 0;    // events fired across all shards
     std::size_t windows = 0;   // lookahead windows executed
     std::size_t messages = 0;  // mailbox messages injected at barriers
-    std::size_t threads = 0;   // worker threads used
+    std::size_t threads = 0;   // host threads used, the caller included
 
-    // Host wall-time breakdown (ns). `barrier_wall_ns` is the serial
-    // inter-window section (hooks + mailbox merge); `window_wall_ns` sums
-    // every shard's in-window processing; `critical_wall_ns` sums each
-    // window's slowest shard — so `barrier_wall_ns + critical_wall_ns` is
-    // the run's wall-clock floor with one thread per shard.
+    // Host wall-time breakdown (ns), timed per shard at every thread count.
+    // `barrier_wall_ns` is the serial inter-window section (hooks + mailbox
+    // merge); `window_wall_ns` sums every shard's in-window processing;
+    // `critical_wall_ns` sums each window's slowest shard — so
+    // `barrier_wall_ns + critical_wall_ns` is the run's wall-clock floor
+    // with one thread per shard.
     // bench_shard_scaling, bench_fig15_scaleout_dlrm and bench/perf use it
     // to report the attainable speedup independently of how many cores the
     // measuring host happens to have.
@@ -112,9 +113,12 @@ class ShardedEngine {
   /// Runs the windowed protocol until every shard drains and no messages
   /// remain. `lookahead` must be positive; events never cross a window
   /// early, so any 0 < lookahead <= the true minimum cross-shard latency
-  /// is safe (smaller just costs more barriers). `num_threads == 0` picks
-  /// min(num_shards, hardware_concurrency); shards are striped across
-  /// threads, and results are independent of the thread count.
+  /// is safe (smaller just costs more barriers). Each window is one
+  /// par::ThreadPool batch over the shards on min(num_shards, num_threads)
+  /// threads, the calling thread among them; `num_threads == 0` means
+  /// hardware_concurrency. Threads claim shards one at a time, and results
+  /// are independent of the thread count. A check that fails inside a
+  /// window throws from run() at every thread count.
   RunStats run(TimeNs lookahead, unsigned num_threads = 0);
 
   /// Coroutine processes started but not finished, summed over shards.

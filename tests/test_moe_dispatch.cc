@@ -387,19 +387,6 @@ TEST(FusedMoeDispatch, RejectsPlansInconsistentWithConfig) {
   EXPECT_THROW(FusedMoeDispatch(w, cfg, &bad), std::logic_error);
 }
 
-TEST(FusedMoeDispatch, RejectsAluEfficiencyOutsideUnitIntervalAtConstruction) {
-  gpu::Machine m(scale_up(4));
-  shmem::World w(m);
-  for (const double eff : {0.0, -0.5, 1.5}) {
-    auto cfg = small_cfg();
-    cfg.functional = false;
-    cfg.alu_efficiency = eff;
-    EXPECT_THROW(FusedMoeDispatch(w, cfg, nullptr), std::logic_error) << eff;
-    EXPECT_THROW(BaselineMoeDispatch(w, cfg, nullptr), std::logic_error)
-        << eff;
-  }
-}
-
 // Each of these used to pass construction and then die mid-run: a shape
 // check throwing inside the kernel's coroutine (SIGABRT) or a division by
 // a zero block size (SIGFPE). A negative slot override was read as

@@ -40,27 +40,6 @@ TEST(Embedding, PoolSumMatchesManualComputation) {
   }
 }
 
-TEST(Embedding, MeanModeDividesByPooling) {
-  EmbeddingConfig cfg;
-  cfg.num_tables = 1;
-  cfg.rows_per_table = 8;
-  cfg.dim = 4;
-  cfg.pooling = 4;
-  Rng rng(2);
-  auto tables = EmbeddingTables::random(cfg, rng);
-  auto batch = EmbeddingBatch::uniform(cfg, 1, rng);
-
-  std::vector<float> sum_out(4), mean_out(4);
-  cfg.mode = PoolingMode::kSum;
-  pool_reference(cfg, tables, batch, 0, 0, sum_out);
-  cfg.mode = PoolingMode::kMean;
-  pool_reference(cfg, tables, batch, 0, 0, mean_out);
-  for (int d = 0; d < 4; ++d) {
-    EXPECT_FLOAT_EQ(mean_out[static_cast<size_t>(d)],
-                    sum_out[static_cast<size_t>(d)] / 4.0f);
-  }
-}
-
 TEST(Embedding, PoolAllLaysOutBatchMajorTableMinor) {
   EmbeddingConfig cfg;
   cfg.num_tables = 3;

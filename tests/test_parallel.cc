@@ -1,51 +1,18 @@
-// ThreadPool / parallel_for correctness under contention.
+// ThreadPool::run_batch correctness under contention.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 
 namespace fcc::par {
 namespace {
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(5000);
-  parallel_for(pool, 0, 5000,
-               [&](std::int64_t i) {
-                 hits[static_cast<size_t>(i)].fetch_add(1);
-               },
-               /*grain=*/64);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  int touched = 0;
-  parallel_for(pool, 10, 10, [&](std::int64_t) { ++touched; });
-  EXPECT_EQ(touched, 0);
-}
-
-TEST(ParallelFor, MatchesSerialSum) {
-  ThreadPool pool(4);
-  std::vector<std::int64_t> data(10000);
-  std::iota(data.begin(), data.end(), 1);
-  std::atomic<std::int64_t> sum{0};
-  parallel_for(pool, 0, static_cast<std::int64_t>(data.size()),
-               [&](std::int64_t i) {
-                 sum.fetch_add(data[static_cast<size_t>(i)]);
-               },
-               /*grain=*/128);
-  EXPECT_EQ(sum.load(), 10000LL * 10001 / 2);
-}
 
 TEST(RunBatch, CoversEveryIndexExactlyOnceAcrossGrains) {
   ThreadPool pool(4);
@@ -77,6 +44,22 @@ TEST(RunBatch, CallerDrainsWithSingleWorkerPool) {
   };
   pool.run_batch(0, 1000, body, /*grain=*/7);
   EXPECT_EQ(sum.load(), 999LL * 1000 / 2);
+}
+
+TEST(RunBatch, ZeroWorkerPoolRunsOnCallerInIndexOrder) {
+  ThreadPool pool(0);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::int64_t> order;
+  bool all_on_caller = true;
+  std::function<void(std::int64_t)> body = [&](std::int64_t i) {
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+    order.push_back(i);
+  };
+  pool.run_batch(3, 40, body, /*grain=*/4);
+  std::vector<std::int64_t> expected;
+  for (std::int64_t i = 3; i < 40; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(all_on_caller);
 }
 
 TEST(RunBatch, ReusableBackToBack) {

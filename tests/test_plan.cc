@@ -15,6 +15,7 @@
 
 #include "framework/fingerprint.h"
 #include "framework/session.h"
+#include "fused/gemm_a2a.h"
 #include "fused/gemv_allreduce.h"
 #include "fused/moe_dispatch.h"
 #include "plan/calibration.h"
@@ -43,11 +44,13 @@ fw::Graph gemv_graph(int m, int k) {
   return g;
 }
 
-fw::Graph moe_graph(int tokens) {
+fw::Graph moe_graph(int tokens, int block = ops::kGemmBlockM) {
   fused::MoeDispatchConfig cfg;
   cfg.tokens_per_pe = tokens;
   cfg.d_model = 1024;
   cfg.d_out = 1024;
+  cfg.block_m = block;
+  cfg.block_n = block;
   cfg.hot_expert_factor = 4.0;
   cfg.functional = false;
   fw::Graph g;
@@ -267,6 +270,42 @@ TEST(PlannerDeterminism, WarmCacheHitReplaysByteIdentically) {
   }
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().misses, 1);
+}
+
+TEST(PlannerDeterminism, CacheKeepsTileSizesApart) {
+  // The scorer prices a tile grid, so two tile sizes of one problem can
+  // pick different backends; a shared cache must not replay one for the
+  // other.
+  Planner planner;
+  const Planned cold_64 = planner.plan(moe_graph(1024, 64), smoke_machine());
+  const Planned cold_8 = planner.plan(moe_graph(1024, 8), smoke_machine());
+  ASSERT_EQ(cold_64.plan.backends,
+            (std::vector<fw::Backend>{fw::Backend::kFused}));
+  ASSERT_EQ(cold_8.plan.backends,
+            (std::vector<fw::Backend>{fw::Backend::kBaseline}));
+
+  PlanCache cache(8);
+  PlanOptions options;
+  options.cache = &cache;
+  (void)planner.plan(moe_graph(1024, 64), smoke_machine(), options);
+  const Planned warm_8 =
+      planner.plan(moe_graph(1024, 8), smoke_machine(), options);
+  EXPECT_FALSE(warm_8.report.cache_hit);
+  EXPECT_EQ(warm_8.plan.backends, cold_8.plan.backends);
+
+  // The GEMM+A2A key separates tile sizes too.
+  const auto gemm_key = [](int block) {
+    fused::GemmA2AConfig cfg;
+    cfg.rows_per_origin = 64;
+    cfg.block_m = block;
+    cfg.block_n = block;
+    cfg.functional = false;
+    fw::Graph g;
+    auto out = g.tensor("out");
+    g.add(fw::make_spec("fcc::gemm_a2a", cfg), {}, {out}, "gemm");
+    return fw::graph_fingerprint(g).key;
+  };
+  EXPECT_NE(gemm_key(64), gemm_key(16));
 }
 
 TEST(PlanReportText, ListsEveryPassAndDecisionOfATwoNodeGraph) {

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "gpu/machine.h"
 #include "scaleout/shard_workload.h"
 #include "shmem/flags.h"
@@ -102,6 +103,17 @@ TEST(ShardedEngine, RunRejectsNonPositiveLookahead) {
   sim::ShardedEngine se(2);
   EXPECT_THROW(se.run(0), std::logic_error);
   EXPECT_THROW(se.run(-5), std::logic_error);
+}
+
+TEST(ShardedEngine, FailingCheckInsideAWindowThrowsAtEveryThreadCount) {
+  for (const unsigned threads : {1u, 2u}) {
+    sim::ShardedEngine se(2);
+    bool shard0_ran = false;
+    se.shard(0).schedule_at(10, [&] { shard0_ran = true; });
+    se.shard(1).schedule_at(10, [] { FCC_CHECK_MSG(false, "shard 1 failed"); });
+    EXPECT_THROW(se.run(100, threads), std::logic_error) << threads;
+    EXPECT_TRUE(shard0_ran) << threads;
+  }
 }
 
 TEST(ShardedEngine, RejectsZeroShards) {

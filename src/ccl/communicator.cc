@@ -352,29 +352,16 @@ Schedule Communicator::hierarchical_schedule(std::int64_t n_elems) const {
   return s;
 }
 
-Schedule Communicator::pairwise_schedule(std::int64_t chunk_elems) const {
-  const int n = size();
-  const Bytes chunk = elems_to_bytes(chunk_elems);
-  // Pairwise exchange in balanced rounds: round r pairs every source s
-  // with destination (s + r) % n, so each round touches disjoint
-  // egress/ingress ports and rounds pipeline back-to-back (the schedule
-  // RCCL's pairwise All-to-All uses).
-  Schedule s;
-  for (int round = 1; round < n; ++round) {
-    for (int src = 0; src < n; ++src) {
-      s.step(src, (src + round) % n, chunk, kStart, kEnd);
-    }
-  }
-  s.step(0, 0, 0, kStart, kEnd, reduce_cost(2 * chunk));  // local copy
-  return s;
-}
-
 Schedule Communicator::a2av_schedule(
     const std::vector<std::int64_t>& counts) const {
   const int n = size();
   auto bytes = [&](int src, int dst) {
     return elems_to_bytes(counts[src * n + dst]);
   };
+  // Pairwise exchange in balanced rounds: round r pairs every source s
+  // with destination (s + r) % n, so each round touches disjoint
+  // egress/ingress ports and rounds pipeline back-to-back (the schedule
+  // RCCL's pairwise All-to-All uses). Empty segments post nothing.
   Schedule s;
   for (int round = 1; round < n; ++round) {
     for (int src = 0; src < n; ++src) {
@@ -485,24 +472,25 @@ sim::Co Communicator::all_to_all(std::int64_t chunk_elems, FloatBufs send,
     check_bufs("all_to_all: send", send, size(), need);
     check_bufs("all_to_all: recv", recv, size(), need);
   }
-  return all_to_all_co(chunk_elems, nullptr, std::move(send), std::move(recv));
+  return all_to_all_co(
+      std::vector<std::int64_t>(static_cast<std::size_t>(size() * size()),
+                                chunk_elems),
+      std::move(send), std::move(recv));
 }
 
-sim::Co Communicator::all_to_all_co(std::int64_t chunk_elems,
-                                    const std::vector<std::int64_t>* counts,
+sim::Co Communicator::all_to_all_co(std::vector<std::int64_t> counts,
                                     FloatBufs send, FloatBufs recv) {
   co_await sim::delay(machine_.engine(), kSwOverheadNs);
   const TimeNs t0 = machine_.engine().now();
   const int n = size();
 
-  // Segments: send side destination-major, recv side source-major; each
-  // chunk_elems long unless `counts` is the traffic matrix.
+  // Segments: send side destination-major, recv side source-major.
   if (send.functional()) {
     std::vector<std::int64_t> recv_off(static_cast<std::size_t>(n), 0);
     for (int s = 0; s < n; ++s) {
       auto src = send.rank(s).begin();
       for (int d = 0; d < n; ++d) {
-        const std::int64_t c = counts ? (*counts)[s * n + d] : chunk_elems;
+        const std::int64_t c = counts[s * n + d];
         std::copy(src, src + c, recv.rank(d).begin() + recv_off[d]);
         src += c;
         recv_off[d] += c;
@@ -510,12 +498,8 @@ sim::Co Communicator::all_to_all_co(std::int64_t chunk_elems,
     }
   }
 
-  // A named local: GCC 12 destroys a conditional's class temporary twice
-  // inside a co_await operand.
-  auto schedule =
-      counts ? linked(a2av_schedule(*counts))
-             : memo(&Communicator::pairwise_schedule, chunk_elems);
-  const TimeNs end = co_await SweepAwaiter(*this, t0, std::move(schedule));
+  const TimeNs end =
+      co_await SweepAwaiter(*this, t0, linked(a2av_schedule(counts)));
   co_await sim::delay_until(machine_.engine(), end);
 }
 
@@ -541,7 +525,7 @@ sim::Co Communicator::all_to_all_v(const std::vector<std::int64_t>& counts,
     check_bufs("all_to_all_v: recv", recv, n,
                [&](int r) { return received[r]; });
   }
-  return all_to_all_co(0, &counts, std::move(send), std::move(recv));
+  return all_to_all_co(counts, std::move(send), std::move(recv));
 }
 
 }  // namespace fcc::ccl

@@ -26,8 +26,9 @@
 // slow inter-node links carry 1/gpus_per_node of the flat algorithms'
 // traffic. Single-node or one-GPU-per-node spans resolve to the flat
 // algorithms unchanged, and the flat variants stay available as explicit
-// opt-ins. All-to-All always runs RCCL's flat pairwise schedule, the
-// paper's baseline.
+// opt-ins. All-to-All has one builder, RCCL's flat pairwise schedule (the
+// paper's baseline) over a traffic matrix: all_to_all is all_to_all_v with
+// every count equal.
 //
 // Functional mode: pass per-rank float spans; values are verified against
 // references in tests. Timing-only mode: pass empty FloatBufs. The
@@ -93,14 +94,16 @@ class Communicator {
   AllReduceAlgo select_allreduce();
 
   /// All-to-All: each rank sends `chunk_elems` fp32 to every rank (including
-  /// its own local chunk copy) in balanced pairwise rounds. send/recv
-  /// layout: rank-major chunks — send[r] holds N chunks ordered by
-  /// destination, recv[r] by source.
+  /// its own local chunk copy); all_to_all_v with a uniform matrix.
+  /// send/recv layout: rank-major chunks — send[r] holds N chunks ordered
+  /// by destination, recv[r] by source.
   sim::Co all_to_all(std::int64_t chunk_elems, FloatBufs send, FloatBufs recv);
 
   /// Variable All-to-All (MoE dispatch with uneven routing): rank s sends
   /// counts[s * n + d] fp32 elements to rank d — the traffic matrix is
-  /// data-dependent and need not be symmetric.
+  /// data-dependent and need not be symmetric. The transfers run in
+  /// balanced pairwise rounds: round r pairs every rank s with rank
+  /// (s + r) % n.
   ///
   /// Variable-chunk layout (all offsets in elements, no alignment padding):
   ///  * send side, destination-major: rank s's buffer holds its segments in
@@ -150,12 +153,11 @@ class Communicator {
 
   /// The collectives' coroutines; the public entry points validate their
   /// arguments, then return one of these frames. The All-to-All moves
-  /// chunk_elems per rank pair, or `*counts` when given (all_to_all_v).
+  /// `counts` (all_to_all_v's traffic matrix; uniform for all_to_all).
   sim::Co all_reduce_co(std::int64_t n_elems, FloatBufs bufs,
                         AllReduceAlgo algo);
-  sim::Co all_to_all_co(std::int64_t chunk_elems,
-                        const std::vector<std::int64_t>* counts,
-                        FloatBufs send, FloatBufs recv);
+  sim::Co all_to_all_co(std::vector<std::int64_t> counts, FloatBufs send,
+                        FloatBufs recv);
 
   /// The schedule builder of a resolved (non-kAuto) AllReduce algorithm.
   static Builder all_reduce_builder(AllReduceAlgo algo);
@@ -164,7 +166,6 @@ class Communicator {
   Schedule direct_schedule(std::int64_t n_elems) const;
   Schedule ring_schedule(std::int64_t n_elems) const;
   Schedule hierarchical_schedule(std::int64_t n_elems) const;
-  Schedule pairwise_schedule(std::int64_t chunk_elems) const;
   Schedule a2av_schedule(const std::vector<std::int64_t>& counts) const;
 
   /// `build`'s schedule for `size`, rebuilt unless it was the last built

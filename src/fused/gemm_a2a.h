@@ -5,23 +5,21 @@
 // holds `rows_per_origin` activation rows from every origin GPU (grouped by
 // origin). The expert's second FFN GEMM produces C (m x d_model) whose row
 // block o belongs to origin o — the combine All-to-All ships each block
-// home. The fused kernel is authored in the Triton-analog tile DSL: as soon
-// as a C tile finishes, its threads store it into the origin's output
-// buffer (zero-copy, no reduction) and bump the origin's arrival counter.
+// home. That is MoE dispatch with every count equal to rows_per_origin, so
+// both variants are the routed GEMM of fused/moe_dispatch.h under a uniform
+// layout: as soon as a C tile finishes, the fused kernel's threads store it
+// into the origin's output buffer (zero-copy, no reduction) and bump the
+// origin's arrival counter.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "ccl/communicator.h"
 #include "common/rng.h"
-#include "fused/op_runtime.h"
+#include "fused/moe_dispatch.h"
 #include "ops/cost_model.h"
 #include "ops/gemm.h"
-#include "shmem/flags.h"
 #include "shmem/sym_array.h"
 #include "shmem/world.h"
-#include "triton/tile_lang.h"
 
 namespace fcc::fused {
 
@@ -60,47 +58,20 @@ struct GemmA2AData {
                             shmem::SymArray<float>* out, std::uint64_t seed);
 };
 
-class FusedGemmAllToAll final : public FusedOp {
+class FusedGemmAllToAll final : public FusedMoeDispatch {
  public:
   FusedGemmAllToAll(shmem::World& world, GemmA2AConfig cfg,
                     GemmA2AData* data);
 
   const char* name() const override { return "fused_gemm_a2a"; }
-
-  sim::Co run() override;
-
-  PeId origin_of_tile(int pid) const;
-
- private:
-  sim::Co pe_driver(PeId pe);
-  /// Authors the fused kernel and tabulates its costs (first run() only:
-  /// arrivals_ keeps one flag array across runs, so the kernel's pointer
-  /// to it stays valid).
-  void build_kernel();
-
-  GemmA2AConfig cfg_;
-  GemmA2AData* data_;
-  int num_pes_;
-  ops::GemmShape shape_;
-  FlagSet arrivals_;  // [pe][src] tile counters
-  std::unique_ptr<triton::TileKernel> kernel_;
 };
 
-class BaselineGemmAllToAll final : public BulkSyncOp {
+class BaselineGemmAllToAll final : public BaselineMoeDispatch {
  public:
   BaselineGemmAllToAll(shmem::World& world, GemmA2AConfig cfg,
                        GemmA2AData* data);
 
   const char* name() const override { return "baseline_gemm_a2a"; }
-
- private:
-  void prepare() override;
-  sim::Co compute(PeId pe, TimeNs t0) override;
-  sim::Co collective(ccl::Communicator& comm) override;
-
-  GemmA2AConfig cfg_;
-  GemmA2AData* data_;
-  std::vector<std::vector<float>> c_;  // [pe][m * n] staged GEMM output
 };
 
 }  // namespace fcc::fused

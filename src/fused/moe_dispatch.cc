@@ -14,12 +14,27 @@ namespace fcc::fused {
 // Routing synthesis and layout
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The routing fields every plan is sized by, checked before any plan is
+/// drawn or validated.
+void check_routing(const MoeDispatchConfig& cfg, int num_pes) {
+  FCC_CHECK(num_pes >= 1);
+  check_positive("MoeDispatchConfig::tokens_per_pe", cfg.tokens_per_pe);
+  FCC_CHECK_MSG(cfg.top_k >= 1 && cfg.top_k <= num_pes,
+                "MoeDispatchConfig::top_k must be in [1, "
+                    << num_pes << "] (one expert per PE), got " << cfg.top_k);
+}
+
+}  // namespace
+
 std::vector<ops::DispatchPlan> skewed_plans(const MoeDispatchConfig& cfg,
                                             int num_pes) {
-  FCC_CHECK(num_pes >= 1);
-  FCC_CHECK(cfg.tokens_per_pe >= 1);
-  FCC_CHECK(cfg.top_k >= 1 && cfg.top_k <= num_pes);
-  FCC_CHECK(cfg.hot_expert_factor >= 1.0);
+  check_routing(cfg, num_pes);
+  FCC_CHECK_MSG(cfg.hot_expert_factor >= 1.0,
+                "MoeDispatchConfig::hot_expert_factor must be >= 1 (1 is "
+                "balanced), got "
+                    << cfg.hot_expert_factor);
 
   const auto experts = static_cast<std::size_t>(num_pes);
   const auto k = static_cast<std::size_t>(cfg.top_k);
@@ -103,39 +118,43 @@ std::vector<ops::DispatchPlan> skewed_plans(const MoeDispatchConfig& cfg,
   return plans;
 }
 
-DispatchLayout DispatchLayout::build(
-    const std::vector<ops::DispatchPlan>& plans, int block_m) {
-  FCC_CHECK(!plans.empty());
+DispatchLayout DispatchLayout::build(int num_pes,
+                                     const std::vector<std::int64_t>& counts,
+                                     int block_m) {
+  FCC_CHECK(num_pes >= 1);
   FCC_CHECK(block_m >= 1);
+  const auto n = static_cast<std::size_t>(num_pes);
+  FCC_CHECK(counts.size() == n * n);
   DispatchLayout l;
-  l.num_pes = static_cast<int>(plans.size());
+  l.num_pes = num_pes;
   l.block_m = block_m;
-  const auto n = static_cast<std::size_t>(l.num_pes);
-  l.counts.assign(n, {});
-  l.pad_off.assign(n, {});
+  l.counts.assign(n, std::vector<std::int64_t>(n, 0));
+  l.pad_off.assign(n, std::vector<std::int64_t>(n, 0));
   l.padded_rows.assign(n, 0);
+  l.sent_rows.assign(n, 0);
   l.recv_off.assign(n, std::vector<std::int64_t>(n, 0));
   l.recv_rows.assign(n, 0);
-  for (int src = 0; src < l.num_pes; ++src) {
-    const auto& p = plans[static_cast<std::size_t>(src)];
-    FCC_CHECK_MSG(static_cast<int>(p.counts.size()) == l.num_pes,
-                  "expert-parallel dispatch needs one expert per PE");
-    l.counts[static_cast<std::size_t>(src)] = p.counts;
-    auto& off = l.pad_off[static_cast<std::size_t>(src)];
-    off.assign(n, 0);
+  for (std::size_t src = 0; src < n; ++src) {
     std::int64_t row = 0;
-    for (int e = 0; e < l.num_pes; ++e) {
-      const std::int64_t c = p.counts[static_cast<std::size_t>(e)];
+    for (std::size_t e = 0; e < n; ++e) {
+      const std::int64_t c = counts[src * n + e];
       FCC_CHECK(c >= 0);
-      off[static_cast<std::size_t>(e)] = row;
+      l.counts[src][e] = c;
+      l.pad_off[src][e] = row;
       row += (c + block_m - 1) / block_m * block_m;
-      l.recv_off[static_cast<std::size_t>(e)][static_cast<std::size_t>(src)] =
-          l.recv_rows[static_cast<std::size_t>(e)];
-      l.recv_rows[static_cast<std::size_t>(e)] += c;
+      l.sent_rows[src] += c;
+      l.recv_off[e][src] = l.recv_rows[e];
+      l.recv_rows[e] += c;
     }
-    l.padded_rows[static_cast<std::size_t>(src)] = row;
+    l.padded_rows[src] = row;
   }
   return l;
+}
+
+DispatchLayout DispatchLayout::build(
+    const std::vector<ops::DispatchPlan>& plans, int block_m) {
+  const int n = static_cast<int>(plans.size());
+  return build(n, ops::a2av_counts(plans, n, /*elems_per_token=*/1), block_m);
 }
 
 std::int64_t DispatchLayout::padded(int src, int e) const {
@@ -145,14 +164,13 @@ std::int64_t DispatchLayout::padded(int src, int e) const {
 }
 
 int DispatchLayout::owner_of_row(int src, std::int64_t row) const {
+  // The last segment starting at or before `row`: an empty segment shares
+  // its offset with the next one, which wins.
   const auto& off = pad_off[static_cast<std::size_t>(src)];
-  for (int e = num_pes - 1; e >= 0; --e) {
-    if (row >= off[static_cast<std::size_t>(e)] && padded(src, e) > 0) {
-      return e;
-    }
-  }
-  FCC_CHECK_MSG(false, "row " << row << " outside every expert segment");
-  return 0;
+  const auto next = std::upper_bound(off.begin(), off.end(), row);
+  FCC_CHECK_MSG(next != off.begin(),
+                "row " << row << " outside every expert segment");
+  return static_cast<int>(next - off.begin()) - 1;
 }
 
 std::int64_t DispatchLayout::expected_tiles(int src, int e,
@@ -188,16 +206,16 @@ MoeDispatchData MoeDispatchData::random(const MoeDispatchConfig& cfg,
 
 namespace {
 
-/// Construction-time check of the shape fields both backends read, ahead
+/// Construction-time check of the config fields both backends read, ahead
 /// of the plans and layout built from them.
-MoeDispatchConfig checked(const MoeDispatchConfig& cfg) {
+void check_config(const MoeDispatchConfig& cfg, int num_pes) {
+  check_routing(cfg, num_pes);
   check_positive("MoeDispatchConfig::d_model", cfg.d_model);
   check_positive("MoeDispatchConfig::d_out", cfg.d_out);
   check_positive("MoeDispatchConfig::block_m", cfg.block_m);
   check_positive("MoeDispatchConfig::block_n", cfg.block_n);
   check_slots_override("MoeDispatchConfig::occupancy_slots_override",
                        cfg.occupancy_slots_override);
-  return cfg;
 }
 
 /// Plans from the spec'd data when present, else synthesized from the
@@ -238,11 +256,10 @@ std::vector<ops::DispatchPlan> resolve_plans(const MoeDispatchConfig& cfg,
 }
 
 void check_functional_data(const MoeDispatchConfig& cfg,
-                           const MoeDispatchData* data,
-                           const DispatchLayout& layout) {
+                           const MoeDispatchData* data, int num_pes) {
   FCC_CHECK_MSG(data != nullptr && data->recv != nullptr,
                 "functional MoE dispatch needs data with a recv buffer");
-  FCC_CHECK(static_cast<int>(data->tokens.size()) == layout.num_pes);
+  FCC_CHECK(static_cast<int>(data->tokens.size()) == num_pes);
   for (const auto& t : data->tokens) {
     FCC_CHECK_MSG(t.size() == static_cast<std::size_t>(cfg.tokens_per_pe) *
                                   static_cast<std::size_t>(cfg.d_model),
@@ -250,155 +267,212 @@ void check_functional_data(const MoeDispatchConfig& cfg,
   }
   FCC_CHECK(data->w.size() == static_cast<std::size_t>(cfg.d_model) *
                                   static_cast<std::size_t>(cfg.d_out));
-  FCC_CHECK_MSG(data->recv->size() >= layout.recv_capacity(cfg.d_out),
-                "recv SymArray smaller than the hottest expert's footprint");
 }
 
-/// A-panel gather in plan order: routed row i of expert e's segment is
-/// tokens[order[offsets[e] + i]]. The fused variant pads each segment to a
-/// block_m multiple (zero rows); the baseline packs them tight.
-std::vector<float> gather_a(const MoeDispatchConfig& cfg,
-                            const ops::DispatchPlan& plan,
-                            const std::vector<float>& tokens, int num_pes,
-                            bool padded, const DispatchLayout& layout,
-                            int src) {
-  const auto dm = static_cast<std::size_t>(cfg.d_model);
-  const std::int64_t rows =
-      padded ? layout.padded_rows[static_cast<std::size_t>(src)]
-             : cfg.assignments();
-  std::vector<float> a(static_cast<std::size_t>(rows) * dm, 0.0f);
-  for (int e = 0; e < num_pes; ++e) {
-    const std::int64_t base =
-        padded ? layout.pad_off[static_cast<std::size_t>(src)]
-                               [static_cast<std::size_t>(e)]
-               : plan.offsets[static_cast<std::size_t>(e)];
-    for (std::int64_t i = 0; i < plan.counts[static_cast<std::size_t>(e)];
-         ++i) {
-      const int tok = plan.order[static_cast<std::size_t>(
-          plan.offsets[static_cast<std::size_t>(e)] + i)];
-      const float* row = &tokens[static_cast<std::size_t>(tok) * dm];
-      std::copy(row, row + dm,
-                a.begin() + static_cast<std::ptrdiff_t>(
-                                static_cast<std::size_t>(base + i) * dm));
+/// The MoE dispatch front-end: the plans' counts as the layout, and in
+/// functional mode each source's routed tokens gathered in plan order as
+/// its packed A panel, against the shared weight.
+RoutedGemm routed(const MoeDispatchConfig& cfg, const MoeDispatchData* data,
+                  int num_pes) {
+  check_config(cfg, num_pes);
+  auto plans = resolve_plans(cfg, data, num_pes);
+  RoutedGemm r;
+  r.k = cfg.d_model;
+  r.n = cfg.d_out;
+  r.block_n = cfg.block_n;
+  r.occupancy_slots_override = cfg.occupancy_slots_override;
+  r.functional = cfg.functional;
+  r.layout = DispatchLayout::build(plans, cfg.block_m);
+  if (!cfg.functional) return r;
+  check_functional_data(cfg, data, num_pes);
+  // plan.order lists each expert's tokens in turn: packed row i is token
+  // order[i].
+  r.packed_a = [data, plans = std::move(plans),
+                dm = static_cast<std::size_t>(cfg.d_model)](PeId src) {
+    const auto& order = plans[static_cast<std::size_t>(src)].order;
+    const auto& tokens = data->tokens[static_cast<std::size_t>(src)];
+    std::vector<float> a(order.size() * dm);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      std::copy_n(tokens.begin() + static_cast<std::ptrdiff_t>(
+                                       static_cast<std::size_t>(order[i]) * dm),
+                  dm, a.begin() + static_cast<std::ptrdiff_t>(i * dm));
     }
+    return a;
+  };
+  r.b = [data](PeId) { return std::span<const float>(data->w); };
+  r.recv = data->recv;
+  return r;
+}
+
+/// The kernel each source launches, for panel heights `rows` ([src]): one
+/// per distinct height, named `name`, whose statements `program` adds.
+std::vector<triton::TileKernel*> kernels_by_height(
+    const RoutedGemm& r, const std::vector<std::int64_t>& rows,
+    const char* name, std::vector<std::unique_ptr<triton::TileKernel>>& kernels,
+    const std::function<void(triton::TileKernel&)>& program) {
+  std::vector<triton::TileKernel*> of;
+  for (const std::int64_t m : rows) {
+    auto it = std::find_if(kernels.begin(), kernels.end(),
+                           [m](const auto& k) { return k->shape().m == m; });
+    if (it == kernels.end()) {
+      kernels.push_back(std::make_unique<triton::TileKernel>(
+          name,
+          ops::GemmShape{.m = static_cast<int>(m),
+                         .n = r.n,
+                         .k = r.k,
+                         .block_m = r.layout.block_m,
+                         .block_n = r.block_n},
+          ops::kTritonGemmEfficiency));
+      program(*kernels.back());
+      it = kernels.end() - 1;
+    }
+    of.push_back(it->get());
+  }
+  return of;
+}
+
+/// Copies tile `ctx.pid`'s first `rows` rows into the row-major, `n`-wide
+/// `out`, starting at row `first`, in the tile's columns.
+void copy_rows(const triton::TileKernel::Ctx& ctx,
+               const std::vector<float>& tile, int rows, std::span<float> out,
+               std::int64_t first, int n) {
+  const auto& sh = *ctx.shape;
+  const auto cols = static_cast<std::size_t>(sh.col_end(ctx.pid) -
+                                             sh.col_begin(ctx.pid));
+  for (int i = 0; i < rows; ++i) {
+    std::copy_n(tile.begin() + static_cast<std::ptrdiff_t>(
+                                   static_cast<std::size_t>(i) * cols),
+                cols,
+                out.begin() + static_cast<std::ptrdiff_t>(
+                                  static_cast<std::size_t>(first + i) *
+                                      static_cast<std::size_t>(n) +
+                                  static_cast<std::size_t>(
+                                      sh.col_begin(ctx.pid))));
+  }
+}
+
+/// Source `src`'s packed A panel (`k` wide) with each expert's segment
+/// moved to its padded offset; pad rows are zero.
+std::vector<float> pad_panel(const DispatchLayout& l, int src, int k,
+                             std::vector<float> packed) {
+  const auto s = static_cast<std::size_t>(src);
+  if (l.padded_rows[s] == l.sent_rows[s]) return packed;  // all aligned
+  const auto width = static_cast<std::size_t>(k);
+  std::vector<float> a(static_cast<std::size_t>(l.padded_rows[s]) * width,
+                       0.0f);
+  auto from = packed.begin();
+  for (std::size_t e = 0; e < l.counts[s].size(); ++e) {
+    const auto len = static_cast<std::ptrdiff_t>(
+        static_cast<std::size_t>(l.counts[s][e]) * width);
+    std::copy(from, from + len,
+              a.begin() + static_cast<std::ptrdiff_t>(
+                              static_cast<std::size_t>(l.pad_off[s][e]) *
+                              width));
+    from += len;
   }
   return a;
+}
+
+/// Functional mode: the recv buffer must hold the hottest expert's rows.
+RoutedGemm checked(RoutedGemm r) {
+  FCC_CHECK_MSG(!r.functional || (r.recv != nullptr &&
+                                  r.recv->size() >=
+                                      r.layout.recv_capacity(r.n)),
+                "recv SymArray smaller than the hottest expert's footprint");
+  return r;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Fused operator (authored in the tile DSL, per-source shapes)
+// Fused operator (authored in the tile DSL)
 // ---------------------------------------------------------------------------
 
 FusedMoeDispatch::FusedMoeDispatch(shmem::World& world, MoeDispatchConfig cfg,
                                    MoeDispatchData* data)
-    : FusedOp(world),
-      cfg_(checked(cfg)),
-      data_(data),
-      num_pes_(world.n_pes()),
-      plans_(resolve_plans(cfg_, data, world.n_pes())),
-      layout_(DispatchLayout::build(plans_, cfg_.block_m)) {
-  if (cfg_.functional) check_functional_data(cfg_, data_, layout_);
+    : FusedMoeDispatch(world, routed(cfg, data, world.n_pes())) {}
+
+FusedMoeDispatch::FusedMoeDispatch(shmem::World& world, RoutedGemm routed)
+    : FusedOp(world), routed_(checked(std::move(routed))) {
   register_debug_flags("arrivals", arrivals_);
 }
 
 sim::Co FusedMoeDispatch::run() {
-  arrivals_.reset(world_, static_cast<std::size_t>(num_pes_));
-  if (kernels_.empty()) build_kernels();
-  if (cfg_.functional) {
-    a_.assign(static_cast<std::size_t>(num_pes_), {});
-    for (int src = 0; src < num_pes_; ++src) {
-      a_[static_cast<std::size_t>(src)] = gather_a(
-          cfg_, plans_[static_cast<std::size_t>(src)],
-          data_->tokens[static_cast<std::size_t>(src)], num_pes_,
-          /*padded=*/true, layout_, src);
+  const int pes = world_.n_pes();
+  arrivals_.reset(world_, static_cast<std::size_t>(pes));
+  // Kernels are authored once: arrivals_ keeps one flag array across runs,
+  // so their pointer to it stays valid. The launching PE is the source: it
+  // picks each tile's expert and arrival counter.
+  if (kernels_.empty()) {
+    auto dest_of = [&l = routed_.layout](const triton::TileKernel::Ctx& ctx) {
+      return static_cast<PeId>(
+          l.owner_of_row(ctx.pe, ctx.shape->row_begin(ctx.pid)));
+    };
+    triton::TileKernel::WriteFn write_tile;
+    if (routed_.functional) {
+      // Only the segment's real rows leave the tile; pad rows stay behind.
+      write_tile = [this, &l = routed_.layout](
+                       const triton::TileKernel::Ctx& ctx,
+                       const std::vector<float>& tile) {
+        const auto src = static_cast<std::size_t>(ctx.pe);
+        const int row0 = ctx.shape->row_begin(ctx.pid);
+        const auto e = static_cast<std::size_t>(l.owner_of_row(ctx.pe, row0));
+        const std::int64_t local = row0 - l.pad_off[src][e];
+        const auto rows = static_cast<int>(std::min<std::int64_t>(
+            ctx.shape->row_end(ctx.pid) - row0, l.counts[src][e] - local));
+        copy_rows(ctx, tile, rows, routed_.recv->pe(static_cast<PeId>(e)),
+                  l.recv_off[e][src] + local, routed_.n);
+      };
+    }
+    kernel_of_ = kernels_by_height(
+        routed_, routed_.layout.padded_rows, "routed_gemm_fused", kernels_,
+        [&](triton::TileKernel& k) {
+          k.load_a().load_b().dot();
+          k.put_c_remote(dest_of, write_tile);
+          k.fence();
+          k.atomic_add_remote(arrivals_.get(), dest_of,
+                              [](const triton::TileKernel::Ctx& ctx) {
+                                return static_cast<std::size_t>(ctx.pe);
+                              });
+          k.tabulate(world_.machine().device(0),
+                     routed_.occupancy_slots_override);
+        });
+  }
+  if (routed_.functional) {
+    a_.assign(static_cast<std::size_t>(pes), {});
+    for (int src = 0; src < pes; ++src) {
+      a_[static_cast<std::size_t>(src)] = pad_panel(
+          routed_.layout, src, routed_.k, routed_.packed_a(src));
     }
   }
   co_await run_fused([this](PeId pe) { return pe_driver(pe); });
 }
 
-void FusedMoeDispatch::build_kernels() {
-  // Per-source kernels: shapes differ (padded routed rows), so each source
-  // authors its own instance of the dispatch kernel.
-  for (int src = 0; src < num_pes_; ++src) {
-    ops::GemmShape shape;
-    shape.m =
-        static_cast<int>(layout_.padded_rows[static_cast<std::size_t>(src)]);
-    shape.n = cfg_.d_out;
-    shape.k = cfg_.d_model;
-    shape.block_m = cfg_.block_m;
-    shape.block_n = cfg_.block_n;
-
-    auto kernel = std::make_unique<triton::TileKernel>(
-        "moe_dispatch_fused", shape, ops::kTritonGemmEfficiency);
-    auto dest_of = [this, src](const triton::TileKernel::Ctx& ctx) {
-      return static_cast<PeId>(
-          layout_.owner_of_row(src, ctx.shape->row_begin(ctx.pid)));
-    };
-    triton::TileKernel::WriteFn write_tile;
-    if (cfg_.functional) {
-      const int d_out = cfg_.d_out;
-      write_tile = [this, src, d_out](const triton::TileKernel::Ctx& ctx,
-                                      const std::vector<float>& tile) {
-        const auto& sh = *ctx.shape;
-        const int e = layout_.owner_of_row(src, sh.row_begin(ctx.pid));
-        const std::int64_t seg0 =
-            layout_.pad_off[static_cast<std::size_t>(src)]
-                           [static_cast<std::size_t>(e)];
-        const std::int64_t real =
-            layout_.counts[static_cast<std::size_t>(src)]
-                          [static_cast<std::size_t>(e)];
-        const std::int64_t base =
-            layout_.recv_off[static_cast<std::size_t>(e)]
-                            [static_cast<std::size_t>(src)];
-        auto out = data_->recv->pe(e);
-        const int cols = sh.col_end(ctx.pid) - sh.col_begin(ctx.pid);
-        for (int r = sh.row_begin(ctx.pid); r < sh.row_end(ctx.pid); ++r) {
-          const std::int64_t local = r - seg0;
-          if (local >= real) break;  // pad rows never leave the tile
-          for (int j = 0; j < cols; ++j) {
-            out[static_cast<std::size_t>(base + local) *
-                    static_cast<std::size_t>(d_out) +
-                static_cast<std::size_t>(sh.col_begin(ctx.pid) + j)] =
-                tile[static_cast<std::size_t>(r - sh.row_begin(ctx.pid)) *
-                         static_cast<std::size_t>(cols) +
-                     static_cast<std::size_t>(j)];
-          }
-        }
-      };
-    }
-    kernel->load_a().load_b().dot();
-    kernel->put_c_remote(dest_of, std::move(write_tile));
-    kernel->fence();
-    kernel->atomic_add_remote(
-        arrivals_.get(), dest_of,
-        [src](const triton::TileKernel::Ctx&) {
-          return static_cast<std::size_t>(src);
-        });
-    kernel->tabulate(world_.machine().device(0),
-                     cfg_.occupancy_slots_override);
-    kernels_.push_back(std::move(kernel));
-  }
-}
-
 sim::Co FusedMoeDispatch::pe_driver(PeId pe) {
-  const int tiles_n = (cfg_.d_out + cfg_.block_n - 1) / cfg_.block_n;
+  const int tiles_n = (routed_.n + routed_.block_n - 1) / routed_.block_n;
   triton::TileKernel::LaunchConfig lc;
+  lc.world = &world_;
   lc.pe = pe;
-  lc.occupancy_slots_override = cfg_.occupancy_slots_override;
-  lc.functional = cfg_.functional;
-  if (cfg_.functional) {
+  lc.occupancy_slots_override = routed_.occupancy_slots_override;
+  lc.functional = routed_.functional;
+  if (routed_.functional) {
     lc.a = a_[static_cast<std::size_t>(pe)];
-    lc.b = data_->w;
+    lc.b = routed_.b(pe);
   }
-  // Sources with an empty (or all-pad) segment expect zero and pass.
-  return launch_awaiting_arrivals(
-      *kernels_[static_cast<std::size_t>(pe)], lc, arrivals_,
-      [layout = &layout_, pe, tiles_n](PeId src) {
-        return static_cast<std::uint64_t>(
-            layout->expected_tiles(src, pe, tiles_n));
-      });
+  // Each spawned slot waits for the sources slot, slot + active, ... (a
+  // grid smaller than num_pes orphans no source's counter). A source with
+  // an empty segment expects zero tiles and passes.
+  lc.epilogue = [this, pe, tiles_n](int slot, int active) -> sim::Co {
+    for (int src = slot; src < world_.n_pes(); src += active) {
+      co_await arrivals_->wait_ge(
+          pe, static_cast<std::size_t>(src),
+          static_cast<std::uint64_t>(
+              routed_.layout.expected_tiles(src, pe, tiles_n)));
+    }
+  };
+  co_await kernel_of_[static_cast<std::size_t>(pe)]->launch(lc);
+  result_.pe_end[static_cast<std::size_t>(pe)] =
+      world_.machine().engine_of(pe).now();
 }
 
 // ---------------------------------------------------------------------------
@@ -408,57 +482,74 @@ sim::Co FusedMoeDispatch::pe_driver(PeId pe) {
 BaselineMoeDispatch::BaselineMoeDispatch(shmem::World& world,
                                          MoeDispatchConfig cfg,
                                          MoeDispatchData* data)
-    : BulkSyncOp(world),
-      cfg_(checked(cfg)),
-      data_(data),
-      num_pes_(world.n_pes()),
-      plans_(resolve_plans(cfg_, data, world.n_pes())),
-      layout_(DispatchLayout::build(plans_, cfg_.block_m)) {
-  if (cfg_.functional) check_functional_data(cfg_, data_, layout_);
-}
+    : BaselineMoeDispatch(world, routed(cfg, data, world.n_pes())) {}
+
+BaselineMoeDispatch::BaselineMoeDispatch(shmem::World& world,
+                                         RoutedGemm routed)
+    : BulkSyncOp(world), routed_(checked(std::move(routed))) {}
 
 void BaselineMoeDispatch::prepare() {
-  // Plain GEMM per source over the unpadded routed rows, in plan order —
-  // already destination-major for the collective.
-  build_local_tile_gemm("moe_dispatch_gemm_baseline",
-                        {.m = static_cast<int>(cfg_.assignments()),
-                         .n = cfg_.d_out,
-                         .k = cfg_.d_model,
-                         .block_m = cfg_.block_m,
-                         .block_n = cfg_.block_n},
-                        cfg_.functional ? &c_ : nullptr);
-  if (!cfg_.functional) return;
+  const auto& l = routed_.layout;
+  if (kernels_.empty()) {
+    // A plain GEMM over the packed rows, already destination-major for the
+    // collective; PE p writes C row-major into c_[p].
+    triton::TileKernel::WriteFn write_local;
+    if (routed_.functional) {
+      write_local = [this](const triton::TileKernel::Ctx& ctx,
+                           const std::vector<float>& tile) {
+        const int row0 = ctx.shape->row_begin(ctx.pid);
+        copy_rows(ctx, tile, ctx.shape->row_end(ctx.pid) - row0,
+                  c_[static_cast<std::size_t>(ctx.pe)], row0, routed_.n);
+      };
+    }
+    kernel_of_ = kernels_by_height(routed_, l.sent_rows, "routed_gemm_local",
+                                   kernels_, [&](triton::TileKernel& k) {
+                                     k.load_a().load_b().dot();
+                                     k.store_c_local(write_local);
+                                     k.tabulate(world_.machine().device(0));
+                                   });
+  }
+  if (!routed_.functional) return;
   a_.clear();
-  c_.assign(static_cast<std::size_t>(num_pes_),
-            std::vector<float>(static_cast<std::size_t>(cfg_.assignments()) *
-                                   static_cast<std::size_t>(cfg_.d_out),
-                               0.0f));
-  for (int src = 0; src < num_pes_; ++src) {
-    a_.push_back(gather_a(cfg_, plans_[static_cast<std::size_t>(src)],
-                          data_->tokens[static_cast<std::size_t>(src)],
-                          num_pes_, /*padded=*/false, layout_, src));
+  c_.clear();
+  for (int src = 0; src < l.num_pes; ++src) {
+    a_.push_back(routed_.packed_a(src));
+    c_.emplace_back(static_cast<std::size_t>(
+                        l.sent_rows[static_cast<std::size_t>(src)]) *
+                        static_cast<std::size_t>(routed_.n),
+                    0.0f);
   }
 }
 
 sim::Co BaselineMoeDispatch::compute(PeId pe, TimeNs /*t0*/) {
-  if (!cfg_.functional) return local_tile_gemm(pe, {}, {});
   const auto i = static_cast<std::size_t>(pe);
-  return local_tile_gemm(pe, a_[i], data_->w);
+  triton::TileKernel::LaunchConfig lc;
+  lc.world = &world_;
+  lc.pe = pe;
+  lc.functional = routed_.functional;
+  if (routed_.functional) {
+    lc.a = a_[i];
+    lc.b = routed_.b(pe);
+  }
+  co_await kernel_of_[i]->launch(lc);
 }
 
 sim::Co BaselineMoeDispatch::collective(ccl::Communicator& comm) {
-  // The routed counts drive the uneven All-to-All; expert e's recv buffer
-  // ends up source-major, exactly the layout the expert GEMM consumes.
+  // The layout's counts drive the All-to-All; expert e's recv buffer ends
+  // up source-major, exactly the layout the expert GEMM consumes.
+  const auto& l = routed_.layout;
+  std::vector<std::int64_t> counts;
+  for (const auto& row : l.counts) {
+    for (const std::int64_t c : row) counts.push_back(c * routed_.n);
+  }
   ccl::FloatBufs send, recv;
-  if (cfg_.functional) {
+  if (routed_.functional) {
     for (auto& c : c_) send.per_rank.emplace_back(c);
-    for (PeId pe = 0; pe < num_pes_; ++pe) {
-      recv.per_rank.push_back(data_->recv->pe(pe));
+    for (PeId pe = 0; pe < l.num_pes; ++pe) {
+      recv.per_rank.push_back(routed_.recv->pe(pe));
     }
   }
-  co_await comm.all_to_all_v(
-      ops::a2av_counts(plans_, num_pes_, cfg_.d_out), std::move(send),
-      std::move(recv));
+  co_await comm.all_to_all_v(counts, std::move(send), std::move(recv));
 }
 
 // ---------------------------------------------------------------------------

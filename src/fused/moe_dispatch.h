@@ -1,27 +1,30 @@
-// Fused MoE dispatch (routed All-to-All-v, paper Fig. 4 "dispatch" path)
-// and its bulk-synchronous baseline.
+// Routed GEMM + All-to-All: the fused MoE dispatch (paper Fig. 4
+// "dispatch" path) and its bulk-synchronous baseline, the one operator pair
+// behind both MoE operators.
 //
-// Expert-parallel MoE with data-dependent traffic: each source GPU's
-// ops::DispatchPlan routes its local tokens to top-k experts (one expert
-// per PE), then the producer GEMM projects the routed rows and
-// ships them. Unlike fused::FusedGemmAllToAll — whose combine assumes the
-// paper's equal-load split, one fixed-size chunk per peer — the dispatch
-// traffic matrix is the per-(source, expert) counts of a DispatchPlan:
-// skewed, irregular, possibly with empty segments.
+// Expert-parallel MoE, one expert per PE: every source GPU multiplies a
+// packed A panel (its routed rows, grouped by destination expert) by its B
+// panel and ships expert e's rows of the product to PE e. A DispatchLayout
+// holds the traffic matrix, the rows each source sends each expert. MoE
+// dispatch reads it from the per-source ops::DispatchPlan: skewed,
+// irregular, possibly with empty segments. GEMM + All-to-All
+// (fused/gemm_a2a.h) is the same operator with every count equal, the
+// paper's equal-load combine.
 //
-// Fused path: per-source tile kernel authored in the Triton-analog DSL.
-// The source's A panel is the routed rows gathered in plan order, each
-// expert's segment padded up to a block_m multiple so every output tile has
-// exactly one destination expert. As a tile finishes, its threads PUT the
-// real rows straight into the owning expert's recv buffer (an
+// Fused path: tile kernels authored in the Triton-analog DSL. A source's A
+// panel pads each expert's segment up to a block_m multiple so every output
+// tile has exactly one destination expert. As a tile finishes, its threads
+// PUT the real rows straight into the owning expert's recv buffer (an
 // all_to_all_v-style remote write at tile granularity — pad rows ride along
 // as block-granularity waste) and bump the expert's per-source arrival
 // counter; persistent WGs drain their task loop, then poll a distinct
-// source's counter before exiting. Hot experts simply own more tiles.
+// source's counter before exiting. Hot experts simply own more tiles. A
+// tile's destination and counter come from the launching PE, so sources
+// with equal padded panel heights share one kernel.
 //
-// Baseline path: per-source plain GEMM over the unpadded routed rows, host
-// sync, then ccl::Communicator::all_to_all_v with the plan's counts —
-// communication starts only after the slowest source's GEMM.
+// Baseline path: per-source plain GEMM over the packed rows, host sync, then
+// ccl::Communicator::all_to_all_v with the layout's counts — communication
+// starts only after the slowest source's GEMM.
 //
 // Both variants assume the counts matrix is already known everywhere (the
 // metadata exchange every uneven All-to-All performs ahead of the payload;
@@ -30,7 +33,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -73,9 +78,9 @@ struct MoeDispatchConfig {
 std::vector<ops::DispatchPlan> skewed_plans(const MoeDispatchConfig& cfg,
                                             int num_pes);
 
-/// Row bookkeeping derived from the plans, shared by both variants and by
-/// tests: padded send-side segments (fused tiles need block_m-aligned
-/// expert boundaries) and exact recv-side offsets (source-major, matching
+/// Row bookkeeping of a routed GEMM, shared by both variants and by tests:
+/// padded send-side segments (fused tiles need block_m-aligned expert
+/// boundaries) and exact recv-side offsets (source-major, matching
 /// ccl::Communicator::all_to_all_v).
 struct DispatchLayout {
   int num_pes = 0;
@@ -83,22 +88,28 @@ struct DispatchLayout {
   std::vector<std::vector<std::int64_t>> counts;   // [src][e] real rows
   std::vector<std::vector<std::int64_t>> pad_off;  // [src][e] padded row off
   std::vector<std::int64_t> padded_rows;           // [src] padded GEMM m
+  std::vector<std::int64_t> sent_rows;             // [src] real rows sent
   std::vector<std::vector<std::int64_t>> recv_off; // [e][src] recv row off
   std::vector<std::int64_t> recv_rows;             // [e] total rows received
 
+  /// From the flattened traffic matrix: counts[src * num_pes + e] rows go
+  /// from source src to expert e (all_to_all_v's convention, in rows).
+  static DispatchLayout build(int num_pes,
+                              const std::vector<std::int64_t>& counts,
+                              int block_m);
+  /// From one dispatch plan per source (one expert per PE).
   static DispatchLayout build(const std::vector<ops::DispatchPlan>& plans,
                               int block_m);
 
   /// Padded size of source `src`'s segment for expert `e`.
   std::int64_t padded(int src, int e) const;
-  /// Expert owning padded row `row` of source `src`'s A panel.
+  /// Expert owning padded row `row` of source `src`'s A panel (rows past
+  /// the panel map to the last expert).
   int owner_of_row(int src, std::int64_t row) const;
   /// Output tiles source `src` sends expert `e` (tiles_n = column tiles).
   std::int64_t expected_tiles(int src, int e, int tiles_n) const;
   /// Largest per-expert recv footprint in elements — the symmetric recv
   /// buffer size (SymArray allocates the same span on every PE).
-  /// (The flattened all_to_all_v element counts come straight from
-  /// ops::a2av_counts — one home for that convention.)
   std::size_t recv_capacity(int d_out) const;
 };
 
@@ -118,51 +129,68 @@ struct MoeDispatchData {
                                 std::uint64_t seed);
 };
 
-class FusedMoeDispatch final : public FusedOp {
+/// The routed GEMM an operator pair runs: source s multiplies its packed A
+/// panel (layout.sent_rows[s] x k, each expert's rows in turn) by its B
+/// panel (k x n) and ships expert e's rows of the product to PE e, where
+/// they start at row layout.recv_off[e][s] of the recv buffer.
+struct RoutedGemm {
+  int k = 0;  // A panel width
+  int n = 0;  // row width shipped to the experts
+  int block_n = 0;  // tile columns; tile rows are layout.block_m
+  int occupancy_slots_override = 0;
+  bool functional = false;
+  DispatchLayout layout;
+  /// Functional hooks, read on every run: source s's packed A panel and
+  /// its B panel, and the recv buffer.
+  std::function<std::vector<float>(PeId)> packed_a;
+  std::function<std::span<const float>(PeId)> b;
+  shmem::SymArray<float>* recv = nullptr;
+};
+
+class FusedMoeDispatch : public FusedOp {
  public:
   FusedMoeDispatch(shmem::World& world, MoeDispatchConfig cfg,
                    MoeDispatchData* data);
 
   const char* name() const override { return "fused_moe_dispatch"; }
 
-  sim::Co run() override;
+  sim::Co run() final;
+
+ protected:
+  /// The routed core, for front-ends with their own layout.
+  FusedMoeDispatch(shmem::World& world, RoutedGemm routed);
 
  private:
   sim::Co pe_driver(PeId pe);
-  /// Authors every source's kernel and tabulates its costs (first run()
-  /// only: arrivals_ keeps one flag array across runs, so the kernels'
-  /// pointer to it stays valid).
-  void build_kernels();
 
-  MoeDispatchConfig cfg_;
-  MoeDispatchData* data_;
-  int num_pes_;
-  std::vector<ops::DispatchPlan> plans_;  // data's plans or synthesized
-  DispatchLayout layout_;
+  RoutedGemm routed_;
   FlagSet arrivals_;  // [expert_pe][src] tile counters
-  std::vector<std::unique_ptr<triton::TileKernel>> kernels_;  // [src]
-  std::vector<std::vector<float>> a_;  // [src] gathered+padded A (functional)
+  std::vector<std::unique_ptr<triton::TileKernel>> kernels_;  // per height
+  std::vector<triton::TileKernel*> kernel_of_;  // [src]
+  std::vector<std::vector<float>> a_;  // [src] padded A (functional)
 };
 
-class BaselineMoeDispatch final : public BulkSyncOp {
+class BaselineMoeDispatch : public BulkSyncOp {
  public:
   BaselineMoeDispatch(shmem::World& world, MoeDispatchConfig cfg,
                       MoeDispatchData* data);
 
   const char* name() const override { return "baseline_moe_dispatch"; }
 
+ protected:
+  /// The routed core, for front-ends with their own layout.
+  BaselineMoeDispatch(shmem::World& world, RoutedGemm routed);
+
  private:
   void prepare() override;
   sim::Co compute(PeId pe, TimeNs t0) override;
   sim::Co collective(ccl::Communicator& comm) override;
 
-  MoeDispatchConfig cfg_;
-  MoeDispatchData* data_;
-  int num_pes_;
-  std::vector<ops::DispatchPlan> plans_;
-  DispatchLayout layout_;
-  std::vector<std::vector<float>> a_;  // [src] gathered unpadded A
-  std::vector<std::vector<float>> c_;  // [src] staged GEMM output (plan order)
+  RoutedGemm routed_;
+  std::vector<std::unique_ptr<triton::TileKernel>> kernels_;  // per height
+  std::vector<triton::TileKernel*> kernel_of_;  // [src]
+  std::vector<std::vector<float>> a_;  // [src] packed A (functional)
+  std::vector<std::vector<float>> c_;  // [src] staged GEMM output
 };
 
 }  // namespace fcc::fused

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "ops/cost_model.h"
-
 namespace fcc::fused {
 
 // ---------------------------------------------------------------------------
@@ -123,25 +121,6 @@ void FusedOp::register_debug_flags(std::string name, const FlagSet& flags) {
   debug_flags_.emplace_back(std::move(name), &flags);
 }
 
-sim::Co FusedOp::launch_awaiting_arrivals(
-    triton::TileKernel& kernel, triton::TileKernel::LaunchConfig lc,
-    const FlagSet& arrivals, std::function<std::uint64_t(PeId)> expected) {
-  auto* flags = arrivals.get();
-  const PeId pe = lc.pe;
-  const int pes = world_.n_pes();
-  lc.world = &world_;
-  lc.epilogue = [flags, pe, pes, expected = std::move(expected)](
-                    int slot, int active) -> sim::Co {
-    for (int src = slot; src < pes; src += active) {
-      co_await flags->wait_ge(pe, static_cast<std::size_t>(src),
-                              expected(src));
-    }
-  };
-  co_await kernel.launch(lc);
-  result_.pe_end[static_cast<std::size_t>(pe)] =
-      world_.machine().engine_of(pe).now();
-}
-
 std::string FusedOp::deadlock_report() const {
   constexpr std::size_t kMaxListed = 8;
   std::string out;
@@ -230,47 +209,6 @@ sim::Co BulkSyncOp::run() {
   co_await collective(comm_);
   co_await sim::delay(engine, spec.stream_sync_ns);
   finish_run_uniform();
-}
-
-void BulkSyncOp::build_local_tile_gemm(const char* kernel_name,
-                                       ops::GemmShape shape,
-                                       std::vector<std::vector<float>>* c) {
-  if (local_gemm_ != nullptr) return;
-  local_gemm_ = std::make_unique<triton::TileKernel>(
-      kernel_name, shape, ops::kTritonGemmEfficiency);
-  auto write_local = [c, n = static_cast<std::size_t>(shape.n)](
-                         const triton::TileKernel::Ctx& ctx,
-                         const std::vector<float>& tile) {
-    const auto& sh = *ctx.shape;
-    auto& out = (*c)[static_cast<std::size_t>(ctx.pe)];
-    const int cols = sh.col_end(ctx.pid) - sh.col_begin(ctx.pid);
-    for (int r = sh.row_begin(ctx.pid); r < sh.row_end(ctx.pid); ++r) {
-      for (int j = 0; j < cols; ++j) {
-        out[static_cast<std::size_t>(r) * n +
-            static_cast<std::size_t>(sh.col_begin(ctx.pid) + j)] =
-            tile[static_cast<std::size_t>(r - sh.row_begin(ctx.pid)) *
-                     static_cast<std::size_t>(cols) +
-                 static_cast<std::size_t>(j)];
-      }
-    }
-  };
-  local_gemm_->load_a().load_b().dot();
-  local_gemm_->store_c_local(c != nullptr
-                                 ? triton::TileKernel::WriteFn(write_local)
-                                 : triton::TileKernel::WriteFn{});
-  local_gemm_->tabulate(world_.machine().device(0));
-  local_gemm_functional_ = c != nullptr;
-}
-
-sim::Co BulkSyncOp::local_tile_gemm(PeId pe, std::span<const float> a,
-                                    std::span<const float> b) {
-  triton::TileKernel::LaunchConfig lc;
-  lc.world = &world_;
-  lc.pe = pe;
-  lc.functional = local_gemm_functional_;
-  lc.a = a;
-  lc.b = b;
-  co_await local_gemm_->launch(lc);
 }
 
 // ---------------------------------------------------------------------------

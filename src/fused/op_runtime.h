@@ -34,9 +34,8 @@
 // it claims inline (the fused GEMV's slots claim theirs by static
 // assignment), then polls its subset of readiness flags before returning.
 // KernelRun hands out positions; each operator maps them to WGs through an
-// order it builds once (or the identity), so no run allocates per WG.
-// launch_awaiting_arrivals hands the tile DSL that polling as the launch's
-// epilogue.
+// order it builds once (or the identity), so no run allocates per WG. The
+// tile-DSL ops hand that polling to TileKernel::launch as its epilogue.
 //
 // Per-PE completion times are stamped inside run_per_pe_at bodies (each
 // body runs on its PE's home-shard engine), so the runtime works on serial
@@ -47,7 +46,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,7 +62,6 @@
 #include "sim/shard_join.h"
 #include "sim/sync.h"
 #include "sim/task.h"
-#include "triton/tile_lang.h"
 
 namespace fcc::fused {
 
@@ -229,16 +226,6 @@ class FusedOp {
   /// must outlive the operator (it is a member of the derived class).
   void register_debug_flags(std::string name, const FlagSet& flags);
 
-  /// Per-PE body of the tile-DSL fused ops: launches `kernel` on `lc.pe`,
-  /// then each spawned slot waits until arrivals[pe][src] reaches
-  /// expected(src) for the sources s, s+active, ... (strided over the slots
-  /// the launch spawns, so a grid smaller than num_pes orphans no source's
-  /// counter). Stamps the PE's pe_end.
-  sim::Co launch_awaiting_arrivals(triton::TileKernel& kernel,
-                                   triton::TileKernel::LaunchConfig lc,
-                                   const FlagSet& arrivals,
-                                   std::function<std::uint64_t(PeId)> expected);
-
   shmem::World& world_;
   OperatorResult result_;
 
@@ -284,22 +271,8 @@ class BulkSyncOp : public FusedOp {
   /// The communicator collective() runs on (construction-time checks).
   const ccl::Communicator& communicator() const { return comm_; }
 
-  /// Builds, on the first call, the plain tile-DSL GEMM (load, dot, local
-  /// store) that is the compute body of the GEMM-producer baselines, at the
-  /// generic Triton GEMM's efficiency, with its duration tables. Call from
-  /// prepare(), before any PE body runs. Functional when `c` is non-null:
-  /// PE p's launch writes C row-major into (*c)[p].
-  void build_local_tile_gemm(const char* kernel_name, ops::GemmShape shape,
-                             std::vector<std::vector<float>>* c);
-
-  /// Launches the built GEMM on `pe`, reading `a` and `b` when functional.
-  sim::Co local_tile_gemm(PeId pe, std::span<const float> a,
-                          std::span<const float> b);
-
  private:
   ccl::Communicator comm_;
-  std::unique_ptr<triton::TileKernel> local_gemm_;
-  bool local_gemm_functional_ = false;
 };
 
 /// Every PE of the machine, in id order (ccl communicator construction).

@@ -6,8 +6,8 @@
 // variable-chunk send/recv layout and empty-segment rules), or overlapped
 // with the producer GEMM by fused::FusedMoeDispatch. fused::skewed_plans
 // builds them with a controllable hot expert. Under the paper's equal-load
-// assumption the combine side collapses to the uniform All-to-All that
-// fused::FusedGemmAllToAll ships.
+// assumption every count is equal: fused::FusedGemmAllToAll is the same
+// routed GEMM with a uniform fused::DispatchLayout and no plans.
 #pragma once
 
 #include <cstdint>

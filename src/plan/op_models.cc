@@ -242,8 +242,11 @@ const OpCostModel gemm_a2a_model{
           CostEstimate est;
           const int p = env.num_pes();
           const double m = static_cast<double>(p) * cfg.rows_per_origin;
+          // Each origin's rows pad to whole tiles, as MoE dispatch's do.
           const double tiles =
-              std::ceil(m / cfg.block_m) *
+              static_cast<double>(p) *
+              std::ceil(static_cast<double>(cfg.rows_per_origin) /
+                        cfg.block_m) *
               std::ceil(static_cast<double>(cfg.d_model) / cfg.block_n);
           const double hbm =
               tiles *

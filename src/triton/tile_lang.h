@@ -8,17 +8,18 @@
 // wrapper around ROC_SHMEM's scale-up APIs, here a wrapper around
 // shmem::World.
 //
-// Example (the fused MoE combine kernel, authored in fused/gemm_a2a.cc):
+// Example (the fused routed-GEMM kernel of MoE dispatch and GEMM +
+// All-to-All, authored in fused/moe_dispatch.cc):
 //
-//   TileKernel k("moe_combine", shape, kTritonGemmEfficiency);
+//   TileKernel k("routed_gemm_fused", shape, kTritonGemmEfficiency);
 //   k.load_a().load_b().dot()
 //    .put_c_remote(dest_of_tile, write_tile)
 //    .fence()
 //    .atomic_add_remote(&flags, dest_of_tile, flag_slot);
 //
-// Every GEMM in src/ is a TileKernel: the fused GEMM + All-to-All
-// (fused/gemm_a2a.cc), the fused MoE dispatch (fused/moe_dispatch.cc), the
-// baselines' local GEMMs (BulkSyncOp, fused/op_runtime.cc) and DLRM's MLP
+// Every GEMM in src/ is a TileKernel: the routed GEMM of MoE dispatch and
+// GEMM + All-to-All, fused and as its baseline's local GEMM
+// (fused/moe_dispatch.cc), and DLRM's MLP
 // layers (dlrm/model.cc: plain load/dot/store programs on a
 // hardware-dispatched grid, launched with no task-loop dispatch cost).
 //

@@ -159,6 +159,44 @@ TEST(AllToAll, InterNodeRidesNic) {
   EXPECT_GT(m.nic(0).messages(), 0);
 }
 
+sim::Task run_all_to_all_v(sim::Engine& e, Communicator& comm,
+                           std::vector<std::int64_t> counts, TimeNs& done) {
+  co_await comm.all_to_all_v(counts, FloatBufs{}, FloatBufs{});
+  done = e.now();
+}
+
+// An All-to-All that moves nothing posts no transfer: it costs the software
+// overhead alone, whether the empty matrix comes as a zero chunk or as
+// all_to_all_v's counts.
+TEST(AllToAll, EmptyExchangeCostsOnlyTheSoftwareOverhead) {
+  gpu::Machine::Config fc2x4 = four_gpus();
+  fc2x4.num_nodes = 2;
+  for (const gpu::Machine::Config& cfg : {four_gpus(), fc2x4}) {
+    const int n = cfg.num_nodes * cfg.gpus_per_node;
+    {
+      gpu::Machine m(cfg);
+      Communicator comm(m, all_pes(m));
+      TimeNs done = -1;
+      run_all_to_all(m.engine(), comm, 0, FloatBufs{}, FloatBufs{}, done);
+      m.engine().run();
+      EXPECT_EQ(done, Communicator::kSwOverheadNs) << n << " PEs";
+      EXPECT_EQ(comm.last_duration(), Communicator::kSwOverheadNs);
+    }
+    {
+      gpu::Machine m(cfg);
+      Communicator comm(m, all_pes(m));
+      TimeNs done = -1;
+      run_all_to_all_v(m.engine(), comm,
+                       std::vector<std::int64_t>(
+                           static_cast<std::size_t>(n * n), 0),
+                       done);
+      m.engine().run();
+      EXPECT_EQ(done, Communicator::kSwOverheadNs) << n << " PEs";
+      EXPECT_EQ(comm.last_duration(), Communicator::kSwOverheadNs);
+    }
+  }
+}
+
 /// Expects `call` to throw std::logic_error whose message contains `what`.
 /// Argument errors throw from the collective call itself, before any
 /// coroutine frame exists, so they are catchable at the call site.

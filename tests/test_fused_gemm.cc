@@ -1,6 +1,7 @@
 // Fused GEMM + All-to-All (MoE combine): numerics and timing shape.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "fused/gemm_a2a.h"
@@ -57,23 +58,6 @@ std::vector<std::vector<float>> reference_out(const GemmA2AConfig& cfg,
     }
   }
   return expect;
-}
-
-TEST(FusedGemm, OriginMappingCoversAllTiles) {
-  gpu::Machine m(scale_up(4));
-  shmem::World w(m);
-  auto cfg = small_cfg();
-  cfg.functional = false;
-  FusedGemmAllToAll op(w, cfg, nullptr);
-  const auto shape = cfg.shape(4);
-  std::vector<int> per_origin(4, 0);
-  for (int t = 0; t < shape.num_tiles(); ++t) {
-    const PeId o = op.origin_of_tile(t);
-    ASSERT_GE(o, 0);
-    ASSERT_LT(o, 4);
-    ++per_origin[static_cast<std::size_t>(o)];
-  }
-  for (int c : per_origin) EXPECT_EQ(c, shape.num_tiles() / 4);
 }
 
 TEST(FusedGemm, MatchesReference) {
@@ -166,12 +150,35 @@ TEST(FusedGemm, FusedIsFasterThanBaseline) {
   EXPECT_GT(static_cast<double>(rf.duration()) / rb.duration(), 0.6);
 }
 
-TEST(FusedGemm, RejectsMisalignedTiles) {
-  gpu::Machine m(scale_up(4));
-  shmem::World w(m);
-  GemmA2AConfig cfg;
-  cfg.rows_per_origin = 100;  // not a multiple of block_m=64
-  EXPECT_THROW(FusedGemmAllToAll(w, cfg, nullptr), std::logic_error);
+// block_m need not divide rows_per_origin: each origin's segment is padded
+// to a whole number of tiles, so every tile still has one destination.
+TEST(FusedGemm, MisalignedRowsMatchReferenceOnBothBackends) {
+  const int pes = 4;
+  auto cfg = small_cfg();
+  cfg.rows_per_origin = 6;  // block_m = 4
+  auto run = [&](auto make_op) {
+    gpu::Machine m(scale_up(pes));
+    shmem::World w(m);
+    shmem::SymArray<float> out(pes, cfg.out_elems(pes));
+    auto data = GemmA2AData::random(cfg, pes, &out, /*seed=*/73);
+    const auto expect = reference_out(cfg, pes, data);
+    auto op = make_op(w, data);
+    EXPECT_GT(op->run_to_completion().duration(), 0);
+    for (PeId pe = 0; pe < pes; ++pe) {
+      auto got = out.pe(pe);
+      const auto& want = expect[static_cast<std::size_t>(pe)];
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_NEAR(got[i], want[i], 1e-3)
+            << op->name() << " pe " << pe << " elem " << i;
+      }
+    }
+  };
+  run([&](shmem::World& w, GemmA2AData& d) {
+    return std::make_unique<FusedGemmAllToAll>(w, cfg, &d);
+  });
+  run([&](shmem::World& w, GemmA2AData& d) {
+    return std::make_unique<BaselineGemmAllToAll>(w, cfg, &d);
+  });
 }
 
 // Each of these used to pass construction and then die mid-run: a shape

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "framework/session.h"
@@ -152,6 +154,30 @@ TEST(DispatchLayout, PadsSegmentsAndTracksRecvOffsets) {
   const auto total =
       std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
   EXPECT_EQ(total, pes * cfg.assignments() * cfg.d_out);
+}
+
+// GEMM + All-to-All's layout: every source sends each expert R rows, so
+// padded row r of any source belongs to expert r / R and each PE receives
+// N * R rows, source-major.
+TEST(DispatchLayout, UniformCountsGiveEachOriginItsRowBlock) {
+  const int pes = 4, rows = 8, block_m = 4;
+  const auto layout = DispatchLayout::build(
+      pes, std::vector<std::int64_t>(pes * pes, rows), block_m);
+  for (int src = 0; src < pes; ++src) {
+    EXPECT_EQ(layout.padded_rows[static_cast<std::size_t>(src)], pes * rows);
+    EXPECT_EQ(layout.sent_rows[static_cast<std::size_t>(src)], pes * rows);
+    for (std::int64_t r = 0; r < pes * rows; ++r) {
+      EXPECT_EQ(layout.owner_of_row(src, r), r / rows) << "row " << r;
+    }
+    for (int e = 0; e < pes; ++e) {
+      EXPECT_EQ(layout.recv_off[static_cast<std::size_t>(e)]
+                               [static_cast<std::size_t>(src)],
+                src * rows);
+    }
+  }
+  for (std::int64_t got : layout.recv_rows) EXPECT_EQ(got, pes * rows);
+  EXPECT_EQ(layout.recv_capacity(/*d_out=*/12),
+            static_cast<std::size_t>(pes * rows * 12));
 }
 
 TEST(DispatchLayout, SkewedPlansConcentrateLoadOnHotExpert) {
@@ -426,6 +452,46 @@ TEST(MoeDispatchConfig, RejectsNegativeSlotsOverride) {
   expect_moe_rejects(
       [](MoeDispatchConfig& c, int v) { c.occupancy_slots_override = v; },
       "MoeDispatchConfig::occupancy_slots_override", -3);
+}
+
+TEST(MoeDispatchConfig, RejectsNonPositiveTokensPerPe) {
+  expect_moe_rejects([](MoeDispatchConfig& c, int v) { c.tokens_per_pe = v; },
+                     "MoeDispatchConfig::tokens_per_pe", 0);
+}
+
+TEST(MoeDispatchConfig, RejectsZeroTopK) {
+  expect_moe_rejects([](MoeDispatchConfig& c, int v) { c.top_k = v; },
+                     "MoeDispatchConfig::top_k", 0);
+}
+
+TEST(MoeDispatchConfig, RejectsTopKAboveTheExpertCount) {
+  expect_moe_rejects([](MoeDispatchConfig& c, int v) { c.top_k = v; },
+                     "MoeDispatchConfig::top_k", 5);  // 4 PEs, 4 experts
+}
+
+// The skew knob is read where the synthetic plans are drawn, so both
+// backends reject it there when they synthesize their routing.
+TEST(MoeDispatchConfig, RejectsHotExpertFactorBelowOne) {
+  gpu::Machine m(scale_up(4));
+  shmem::World w(m);
+  auto cfg = small_cfg();
+  cfg.functional = false;
+  cfg.hot_expert_factor = 0.5;
+  const auto expect_named = [](auto construct) {
+    try {
+      construct();
+      ADD_FAILURE() << "accepted hot_expert_factor = 0.5";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MoeDispatchConfig::hot_expert_factor"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("got 0.5"), std::string::npos) << what;
+    }
+  };
+  expect_named([&] { FusedMoeDispatch op(w, cfg, nullptr); });
+  expect_named([&] { BaselineMoeDispatch op(w, cfg, nullptr); });
+  expect_named([&] { skewed_plans(cfg, 4); });
 }
 
 MoeDispatchConfig timing_cfg(double hot) {

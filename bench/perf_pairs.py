@@ -14,14 +14,25 @@ which goes first on every pair, each from a shell (`bash -c`): launched
 straight from Python, fcc_perf would report this interpreter's peak RSS as
 its own floor.
 
+Every pair also runs a third tree, "padded": the change plus one unused
+noinline function appended to the first src/ translation unit, which
+shifts the code of every later function. A host-clock win that the padded
+tree loses is a code-layout artefact, not the change's (serve_2x4 setup_s
+once moved ~20% from one 16-byte function). A win is what a claimed gain
+must show: the change better in at least 9 of 10 pairs, and its median
+better than the parent's by more than the parent's interquartile range.
+For every metric the change wins, the script prints whether the padded
+tree wins it too.
+
 --traced-runs K adds K alternating traced pairs of paper_ops for the
 per-layer metrics (hw.write_time_ns.*, sim.events, ...).
 
-The JSON written to --out holds the host fingerprint, both commits, and per
+The JSON written to --out holds the host fingerprint, the commits, and per
 workload and metric each side's median, q1 and q3, the pairs the change
 wins, its median change against the parent next to the metric's bound,
-plus src/ lines per layer of each tree. The last stdout line is a one-line
-summary for a change log.
+the padded tree's summary against the parent and whether each win
+survives it, plus src/ lines per layer of each tree. The last stdout line
+is a one-line summary for a change log.
 """
 import argparse
 import json
@@ -70,6 +81,26 @@ def export_worktree(dest):
         shutil.copy2(src, os.path.join(dest, f))
     dirty = git("status", "--porcelain")
     return git("rev-parse", "HEAD") + ("+worktree" if dirty else "")
+
+
+# The layout probe: appended to the first src/ translation unit in link
+# order, so every function after it moves.
+PAD_FUNCTION = """
+// Layout probe (bench/perf_pairs.py): unused, shifts later code.
+[[gnu::noinline, gnu::used]] int fcc_layout_probe_pad(int x) {
+  return x * 3 + 1;
+}
+"""
+
+
+def pad_tree(tree):
+    """Appends PAD_FUNCTION to `tree`'s first src/*.cc in sorted order."""
+    sources = sorted(os.path.relpath(os.path.join(d, f), tree)
+                     for d, _, fs in os.walk(os.path.join(tree, "src"))
+                     for f in fs if f.endswith(".cc"))
+    with open(os.path.join(tree, sources[0]), "a", encoding="utf-8") as f:
+        f.write(PAD_FUNCTION)
+    return sources[0]
 
 
 def build(tree):
@@ -131,6 +162,22 @@ def summarize(parent_runs, change_runs, better, bounds):
     return out
 
 
+def is_win(entry):
+    """A claimable gain: the change better in >= 90% of the pairs, and its
+    median better than the parent's by more than the parent's IQR."""
+    sign = -1.0 if entry["better"] == "higher" else 1.0
+    par = entry["parent"]
+    gap = sign * (entry["change"]["median"] - par["median"])
+    return (entry["change_wins"] >= 0.9 * entry["pairs"]
+            and gap < 0 and -gap > par["q3"] - par["q1"])
+
+
+def layout_check(change, padded):
+    """Per metric the change wins: whether the padded tree wins it too."""
+    return {name: is_win(padded[name]) for name, e in change.items()
+            if is_win(e)}
+
+
 def src_lines(tree):
     layers = {}
     src = os.path.join(tree, "src")
@@ -173,19 +220,24 @@ def main():
               for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
-    trees = {side: os.path.join(args.work, side)
-             for side in ("parent", "change")}
+    sides = ("parent", "change", "padded")
+    trees = {side: os.path.join(args.work, side) for side in sides}
     commits = {"parent": export_commit(args.parent, trees["parent"]),
                "change": export_worktree(trees["change"])}
+    export_worktree(trees["padded"])
+    commits["padded"] = (commits["change"] + "+pad:" +
+                         pad_tree(trees["padded"]))
     for side, tree in trees.items():
         print(f"building {side} ({commits[side]})", file=sys.stderr)
         build(tree)
 
-    def alternate(workload, pairs, trace):
-        runs = {"parent": [], "change": []}
+    def alternate(workload, pairs, trace, run_sides=sides):
+        runs = {side: [] for side in run_sides}
         fingerprint = {}
         for i in range(pairs):
-            for side in ("parent", "change")[::1 if i % 2 == 0 else -1]:
+            # Rotate the order, so no side always runs first or last.
+            k = i % len(run_sides)
+            for side in run_sides[k:] + run_sides[:k]:
                 print(f"pair {i + 1}/{pairs} {workload} trace={trace} {side}",
                       file=sys.stderr)
                 result, fp = run(trees[side], workload, seconds, trace)
@@ -201,15 +253,19 @@ def main():
         report["host"].setdefault("build", {
             k: v for k, v in fp.items()
             if k not in ("workload", "seed", "commit", "threads")})
+        metrics = summarize(runs["parent"], runs["change"], better, bounds)
+        padded = summarize(runs["parent"], runs["padded"], better, bounds)
         report["workloads"][w] = {
             "correct": all(r["correct"] for side in runs.values()
                            for r in side),
             "failed": {s: sum(r["failed"] for r in rs)
                        for s, rs in runs.items()},
-            "metrics": summarize(runs["parent"], runs["change"], better,
-                                 bounds)}
+            "metrics": metrics,
+            "padded": padded,
+            "win_survives_padding": layout_check(metrics, padded)}
     if args.traced_runs > 0:
-        runs, _ = alternate("paper_ops", args.traced_runs, 1)
+        runs, _ = alternate("paper_ops", args.traced_runs, 1,
+                            ("parent", "change"))
         report["traced"] = {
             "workload": "paper_ops", "runs": args.traced_runs,
             "metrics": summarize(runs["parent"], runs["change"], better, {})}
@@ -217,6 +273,15 @@ def main():
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=1, sort_keys=True)
         f.write("\n")
+
+    for w, r in report["workloads"].items():
+        for name, survives in r["win_survives_padding"].items():
+            c, p = r["metrics"][name], r["padded"][name]
+            print(f"layout check: {w} {name} change "
+                  f"{100 * c['median_rel']:+.1f}% ({c['change_wins']}/"
+                  f"{c['pairs']}), padded {100 * p['median_rel']:+.1f}% "
+                  f"({p['change_wins']}/{p['pairs']}): "
+                  f"{'survives' if survives else 'LAYOUT ARTEFACT'}")
 
     parts = []
     for w, r in report["workloads"].items():
@@ -231,6 +296,10 @@ def main():
                    for k in ("sim_us", "sim_ratio") if k in m)
         parts.append(f"{w} {host_metrics}, sim_us and sim_ratio "
                      f"{'identical' if same else 'DIFFER'}")
+    checks = [v for r in report["workloads"].values()
+              for v in r["win_survives_padding"].values()]
+    parts.append(f"{sum(checks)} of {len(checks)} wins survive the layout "
+                 "check")
     lines = report["src_lines"]
     print(f"{args.pairs} alternating pairs x {seconds:g} s on "
           f"{report['host']['cpu']} ({report['host']['nproc']} cores), "

@@ -54,6 +54,7 @@ FusedEmbeddingAllToAll::FusedEmbeddingAllToAll(shmem::World& world,
                                                EmbeddingA2AData* data)
     : FusedOp(world), cfg_(std::move(cfg)), data_(data) {
   check_config(cfg_, world_, data_);
+  index_ = SliceIndex(cfg_.map);
   // Launch at the lesser of the occupancy limit and the HBM-contention
   // knee: Fig. 13 shows the memory-intensive fused kernel degrades past
   // ~75% occupancy, so the persistent grid is tuned to the knee.
@@ -71,6 +72,7 @@ FusedEmbeddingAllToAll::FusedEmbeddingAllToAll(shmem::World& world,
               ops::embedding_wg_cost(cfg_.pooling, cfg_.map.dim,
                                      /*local_write=*/false,
                                      ops::kFusedEmbeddingCurve)};
+  store_issue_ns_ = world_.issue_latency(0, 0, shmem::World::IssueKind::kStore);
   register_debug_flags("sliceRdy", slice_rdy_);
 }
 
@@ -140,16 +142,23 @@ sim::Co FusedEmbeddingAllToAll::pe_slot(gpu::KernelRun& run, PeId pe,
   // frame), so the frame holds loop state only: per-WG arithmetic and
   // functional data stay in plain helpers, trace timestamps in traced_wg.
   for (int lw; (lw = wg_at(pe, co_await run.next(slot))) >= 0;) {
-    const SliceMap::Placement at = cfg_.map.place(lw);
+    const SliceIndex::Placement at = index_.place(lw);
     // The machine's trace switch, read per WG from its config: cheaper
     // than looking up the PE's shard buffer (trace_of) on the hot path.
     if (world_.machine().config().collect_trace) {
       co_await traced_wg(pe, slot, lw, at);
     } else {
       const bool zero_copy = zero_copy_to(pe, at.dest);
-      co_await world_.machine().device(pe).compute(wg_cost_[zero_copy ? 1 : 0]);
-      if (zero_copy) {
-        co_await world_.issue(pe, at.dest, shmem::World::IssueKind::kStore);
+      if (zero_copy && store_issue_ns_ > 0) {
+        // The store's issue follows the step with nothing in between, so
+        // the step ends in an engine call that starts the issue wait: one
+        // resume for both.
+        co_await world_.machine().device(pe).compute_then_wait(
+            wg_cost_[1], store_issue_ns_);
+      } else {
+        // A zero-latency store issue never suspends.
+        co_await world_.machine().device(pe).compute(
+            wg_cost_[zero_copy ? 1 : 0]);
       }
       post_wg(pe, lw, at, zero_copy);
     }
@@ -170,7 +179,7 @@ sim::Co FusedEmbeddingAllToAll::pe_slot(gpu::KernelRun& run, PeId pe,
 }
 
 sim::Co FusedEmbeddingAllToAll::traced_wg(PeId pe, int slot, int lw,
-                                          SliceMap::Placement at) {
+                                          SliceIndex::Placement at) {
   // pe_slot's WG step plus its "wg compute" span, in a frame of its own so
   // that untraced slot frames never hold the span's start time.
   auto& machine = world_.machine();
@@ -191,7 +200,7 @@ bool FusedEmbeddingAllToAll::zero_copy_to(PeId pe, PeId dest) const {
 }
 
 void FusedEmbeddingAllToAll::post_wg(PeId pe, int lw,
-                                     const SliceMap::Placement& at,
+                                     const SliceIndex::Placement& at,
                                      bool zero_copy) {
   const auto& map = cfg_.map;
   const PeId dest = at.dest;

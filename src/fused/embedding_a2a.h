@@ -100,21 +100,21 @@ class FusedEmbeddingAllToAll final : public FusedOp {
   /// drained queue) stays -1.
   int wg_at(PeId pe, int pos) const {
     if (pos < 0 || blocks_.empty()) return pos;  // oblivious: sample-major
-    return cfg_.map.block_wg(
+    return index_.block_wg(
         &blocks_[static_cast<std::size_t>(pe) *
                  static_cast<std::size_t>(cfg_.map.num_pes)],
         pos);
   }
   /// pe_slot's WG step when tracing: the same compute, issue and post,
   /// plus the WG's span.
-  sim::Co traced_wg(PeId pe, int slot, int lw, SliceMap::Placement at);
+  sim::Co traced_wg(PeId pe, int slot, int lw, SliceIndex::Placement at);
   /// Whether a WG's vector goes out as a zero-copy scale-up store.
   bool zero_copy_to(PeId pe, PeId dest) const;
   /// Posts WG `lw`'s result once its compute (and, for a zero-copy store,
   /// its issue) is done: the zero-copy PUT, and in functional mode its
   /// pooled vector, written to the local output or its slice's staging
   /// buffer, or carried by the PUT's delivery.
-  void post_wg(PeId pe, int lw, const SliceMap::Placement& at,
+  void post_wg(PeId pe, int lw, const SliceIndex::Placement& at,
                bool zero_copy);
   /// Posts a staged slice's PUT (in functional mode, with the delivery
   /// that copies the staging buffer out).
@@ -124,7 +124,11 @@ class FusedEmbeddingAllToAll final : public FusedOp {
 
   EmbeddingA2AConfig cfg_;
   EmbeddingA2AData* data_;
+  SliceIndex index_;  // cfg_.map's per-WG arithmetic
   int slots_per_pe_ = 0;
+  /// Issue latency of a zero-copy store (World::issue_latency, kStore),
+  /// the same for every pair of PEs.
+  TimeNs store_issue_ns_ = 0;
   /// Per-WG compute cost: [0] writes HBM, [1] is a zero-copy store.
   /// Duration tables built by the first run().
   std::array<gpu::WorkCost, 2> wg_cost_{};

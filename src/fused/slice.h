@@ -13,7 +13,12 @@
 // contiguous block, and the communication-aware order is a permutation of
 // whole blocks: it is kept as num_pes destinations (comm_aware_blocks, in
 // the topology's node shift order) and expanded one position at a time
-// (block_wg), never as a per-WG vector.
+// (SliceIndex::block_wg), never as a per-WG vector.
+//
+// The per-WG index arithmetic (SliceIndex) divides by the map's fixed
+// sizes. It runs once per logical WG, so each divisor is a Divisor
+// reciprocal computed once per operator: a multiply and a shift instead of
+// a hardware division.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +29,34 @@
 #include "common/types.h"
 
 namespace fcc::fused {
+
+/// Exact division of a non-negative int by a fixed positive int, as one
+/// 64x64 -> 128-bit multiply and a shift: with m = ceil(2^63 / d),
+/// n / d == (m * n) >> 63 for every n in [0, 2^31) and d in [1, 2^31)
+/// (Lemire, Kaser and Kurz, "Faster remainder by direct computation",
+/// 2019, Theorem 1 with N = 31, F = 63: m * d - 2^63 < d <= 2^(F - N)).
+class Divisor {
+ public:
+  Divisor() = default;
+  explicit Divisor(int d) : d_(d) {
+    FCC_CHECK_MSG(d >= 1, "Divisor must be >= 1, got " << d);
+    m_ = ((std::uint64_t{1} << 63) - 1) / static_cast<std::uint64_t>(d) + 1;
+  }
+
+  int value() const { return d_; }
+
+  /// n / d, for 0 <= n < 2^31.
+  int div(int n) const {
+    FCC_DCHECK(n >= 0);
+    return static_cast<int>(
+        (static_cast<unsigned __int128>(m_) * static_cast<std::uint32_t>(n)) >>
+        63);
+  }
+
+ private:
+  int d_ = 1;
+  std::uint64_t m_ = std::uint64_t{1} << 63;
+};
 
 struct SliceMap {
   int num_pes = 1;
@@ -107,15 +140,6 @@ struct SliceMap {
     return blocks;
   }
 
-  /// Logical WG at position `pos` of the order that runs the destination
-  /// blocks `blocks` (num_pes entries) one after another, each in ascending
-  /// WG order.
-  int block_wg(const PeId* blocks, int pos) const {
-    const int per = wgs_per_dest();
-    const int k = pos / per;
-    return blocks[k] * per + (pos - k * per);
-  }
-
   /// ---- slice indexing (per source PE) ----
   int slices_per_dest_per_table() const {
     return local_batch() / vectors_per_slice;
@@ -124,25 +148,6 @@ struct SliceMap {
     return tables_per_pe * num_pes * slices_per_dest_per_table();
   }
   int wgs_per_slice() const { return vectors_per_slice; }
-
-  /// Where logical WG `lw`'s vector goes: its destination PE, the slice
-  /// it contributes to, and its position (lane) within that slice.
-  struct Placement {
-    PeId dest;
-    int slice;
-    int lane;
-  };
-  /// One pass over `lw`'s indices, each division done once.
-  Placement place(int lw) const {
-    const int b = lw / tables_per_pe;
-    const int t = lw - b * tables_per_pe;
-    const int lb = local_batch();
-    const PeId d = b / lb;
-    const int row = b - d * lb;
-    const int g = row / vectors_per_slice;
-    return {d, (t * num_pes + d) * slices_per_dest_per_table() + g,
-            row - g * vectors_per_slice};
-  }
 
   int slice_table(int s) const {
     return s / (num_pes * slices_per_dest_per_table());
@@ -184,6 +189,56 @@ struct SliceMap {
   int num_remote_slices(PeId self) const {
     return num_slices() - num_local_slices(self);
   }
+};
+
+/// SliceMap's per-WG index arithmetic, without a hardware division: built
+/// once per operator from a validated map, with a Divisor per size it
+/// divides by. Kept apart from SliceMap, whose fields are the user-facing
+/// config.
+class SliceIndex {
+ public:
+  SliceIndex() = default;
+  explicit SliceIndex(const SliceMap& map)
+      : num_pes_(map.num_pes),
+        slices_per_dest_per_table_(map.slices_per_dest_per_table()),
+        tables_(map.tables_per_pe),
+        local_batch_(map.local_batch()),
+        vectors_per_slice_(map.vectors_per_slice),
+        wgs_per_dest_(map.wgs_per_dest()) {}
+
+  /// Where logical WG `lw`'s vector goes: its destination PE, the slice
+  /// it contributes to, and its position (lane) within that slice.
+  struct Placement {
+    PeId dest;
+    int slice;
+    int lane;
+  };
+  Placement place(int lw) const {
+    const int b = tables_.div(lw);
+    const int t = lw - b * tables_.value();
+    const PeId d = local_batch_.div(b);
+    const int row = b - d * local_batch_.value();
+    const int g = vectors_per_slice_.div(row);
+    return {d, (t * num_pes_ + d) * slices_per_dest_per_table_ + g,
+            row - g * vectors_per_slice_.value()};
+  }
+
+  /// Logical WG at position `pos` of the order that runs the destination
+  /// blocks `blocks` (num_pes entries) one after another, each in ascending
+  /// WG order.
+  int block_wg(const PeId* blocks, int pos) const {
+    const int k = wgs_per_dest_.div(pos);
+    return blocks[k] * wgs_per_dest_.value() +
+           (pos - k * wgs_per_dest_.value());
+  }
+
+ private:
+  int num_pes_ = 1;
+  int slices_per_dest_per_table_ = 1;
+  Divisor tables_;             // tables_per_pe
+  Divisor local_batch_;        // samples per destination PE
+  Divisor vectors_per_slice_;  // lanes per slice
+  Divisor wgs_per_dest_;       // WGs per destination block
 };
 
 /// WG_Done table for every slice of every PE, flat: per slice its lane

@@ -9,6 +9,10 @@
 // compute() and busy_wait() suspend exactly once, so they are plain
 // awaiters (no coroutine frame): every logical WG awaits them, and a
 // nested sim::Co per step would heap-allocate a frame per WG.
+// compute_then_wait() is a compute step and a busy_wait in one suspension:
+// its step ends in an engine call (sim::Call) that deregisters the WG and
+// starts the wait without resuming the WG in between, with the same events
+// at the same times as the two awaits it replaces.
 //
 // A cost that is fixed for a whole launch carries a duration table
 // (Device::tabulate): the step duration at each active-WG count up to the
@@ -115,11 +119,7 @@ class Device {
     const WorkCost& cost;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      const TimeNs dur = dev.step_duration(cost, ++dev.active_wgs_);
-      dev.busy_ns_ += dur;
-      dev.total_bytes_ += cost.hbm_bytes;
-      dev.total_flops_ += cost.flops;
-      dev.engine_.schedule_resume_after(dur, h);
+      dev.engine_.schedule_resume_after(dev.begin_step(cost), h);
     }
     void await_resume() const noexcept { --dev.active_wgs_; }
   };
@@ -129,6 +129,47 @@ class Device {
   /// count at that moment (documented approximation; workloads here run in
   /// near-homogeneous waves).
   Compute compute(const WorkCost& cost) { return Compute{*this, cost}; }
+
+  /// Awaiter of compute_then_wait(). Suspending starts the step as
+  /// Compute does, but schedules the step's end as a call on this awaiter
+  /// (it lives in the suspended frame until the resume): the call
+  /// deregisters the WG, charges the wait and schedules the resume.
+  class [[nodiscard]] ComputeThenWait : sim::Call {
+   public:
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      h_ = h;
+      dev_.engine_.schedule_call_at(
+          dev_.engine_.now() + dev_.begin_step(cost_), this);
+    }
+    void await_resume() const noexcept {}
+
+   private:
+    friend class Device;
+    ComputeThenWait(Device& dev, const WorkCost& cost, TimeNs wait)
+        : sim::Call{&ComputeThenWait::step_end},
+          dev_(dev),
+          cost_(cost),
+          wait_(wait) {}
+    static void step_end(sim::Call* c) {
+      auto* self = static_cast<ComputeThenWait*>(c);
+      Device& dev = self->dev_;
+      --dev.active_wgs_;
+      dev.busy_ns_ += self->wait_;
+      dev.engine_.schedule_resume_after(self->wait_, self->h_);
+    }
+    Device& dev_;
+    const WorkCost& cost_;
+    TimeNs wait_;
+    std::coroutine_handle<> h_;
+  };
+
+  /// A compute step followed by a device wait of `wait_ns`, with
+  /// the same timing and accounting as `co_await compute(cost)` then
+  /// `co_await busy_wait(wait_ns)`, and one resume instead of two.
+  ComputeThenWait compute_then_wait(const WorkCost& cost, TimeNs wait_ns) {
+    return ComputeThenWait(*this, cost, wait_ns);
+  }
 
   /// Plain timed wait charged to this device (bookkeeping instructions,
   /// comm-API issue cost, ...).
@@ -142,6 +183,16 @@ class Device {
   double total_flops() const { return total_flops_; }
 
  private:
+  /// Registers one more active WG and charges its step; returns the
+  /// step's duration.
+  TimeNs begin_step(const WorkCost& cost) {
+    const TimeNs dur = step_duration(cost, ++active_wgs_);
+    busy_ns_ += dur;
+    total_bytes_ += cost.hbm_bytes;
+    total_flops_ += cost.flops;
+    return dur;
+  }
+
   sim::Engine& engine_;
   PeId id_;
   hw::GpuSpec spec_;

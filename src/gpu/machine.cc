@@ -76,6 +76,21 @@ Machine::Machine(const Config& config)
   FCC_CHECK_MSG(config.gpu.fp32_flops_per_ns > 0,
                 "Machine::Config: ALU throughput must be positive, got "
                     << config.gpu.fp32_flops_per_ns);
+  // Latencies: a negative one would abort mid-run (sim::Delay's check, a
+  // schedule into the past) or, as the NIC's per-message processing,
+  // silently shorten transfers.
+  const auto check_latency = [](const char* field, TimeNs ns) {
+    FCC_CHECK_MSG(ns >= 0, "Machine::Config: " << field
+                                                << " must be >= 0, got " << ns);
+  };
+  check_latency("gpu.kernel_launch_ns", config.gpu.kernel_launch_ns);
+  check_latency("gpu.stream_sync_ns", config.gpu.stream_sync_ns);
+  check_latency("fabric.latency_ns", config.fabric.latency_ns);
+  check_latency("fabric.store_issue_overhead_ns",
+                config.fabric.store_issue_overhead_ns);
+  check_latency("ib.wire_latency_ns", config.ib.wire_latency_ns);
+  check_latency("ib.per_msg_proc_ns", config.ib.per_msg_proc_ns);
+  check_latency("ib.gpu_post_overhead_ns", config.ib.gpu_post_overhead_ns);
   FCC_CHECK_MSG(config.num_shards <= config.num_nodes,
                 "Machine::Config: num_shards ("
                     << config.num_shards << ") exceeds num_nodes ("

@@ -17,8 +17,10 @@
 //   for (int pos; (pos = co_await run.next(slot)) >= 0;) { ...one WG... }
 //
 // and then runs whatever the slot does after the queue drains (the fused
-// kernels' flag polling) inline. At completion the frame frees itself and
-// arrives on the kernel's join counter; a logical WG costs no frame.
+// kernels' flag polling) inline. The frames of a launch's slots sit back to
+// back in one block (sim::FrameBlock), allocated by start() and freed with
+// the KernelRun; a finishing slot arrives on the kernel's join counter. A
+// logical WG costs no frame, and a launch one allocation.
 #pragma once
 
 #include <algorithm>
@@ -64,7 +66,10 @@ class KernelRun {
   KernelRun(sim::Engine& engine, Params params)
       : engine_(engine),
         params_(std::move(params)),
-        done_(engine, params_.num_slots) {
+        done_(engine, params_.num_slots),
+        active_slots_(std::min(params_.num_slots,
+                               std::max(params_.num_wgs, 1))),
+        frames_(active_slots_, &KernelRun::slot_done, this) {
     FCC_CHECK(params_.num_slots >= 1);
     FCC_CHECK(params_.num_wgs >= 0);
     FCC_CHECK(params_.body != nullptr);
@@ -74,12 +79,12 @@ class KernelRun {
   KernelRun& operator=(const KernelRun&) = delete;
 
   /// Starts the slot bodies: min(num_slots, num_wgs) of them, at least
-  /// one, each a detached frame that runs to its first suspension here.
-  /// Surplus slots never enter the body. Call exactly once.
+  /// one, each a detached frame in the launch's block that runs to its
+  /// first suspension here. Surplus slots never enter the body. Call
+  /// exactly once.
   void start() {
     FCC_CHECK_MSG(!started_, "kernel started twice");
     started_ = true;
-    active_slots_ = std::min(params_.num_slots, std::max(params_.num_wgs, 1));
     if (params_.static_assignment) {
       static_pos_.resize(static_cast<std::size_t>(active_slots_));
       std::iota(static_pos_.begin(), static_pos_.end(), 0);
@@ -87,7 +92,7 @@ class KernelRun {
     // JoinCounter was sized for num_slots; retire unused slots immediately.
     for (int s = active_slots_; s < params_.num_slots; ++s) done_.arrive();
     for (int s = 0; s < active_slots_; ++s) {
-      params_.body(*this, s).start(&KernelRun::slot_done, this);
+      frames_.start([this, s] { return params_.body(*this, s); });
     }
   }
 
@@ -95,8 +100,7 @@ class KernelRun {
   auto wait() { return done_.wait(); }
   bool finished() const { return done_.is_done(); }
 
-  /// Slots actually spawned (min of num_slots and work size); valid after
-  /// start().
+  /// Slots actually spawned (min of num_slots and work size, at least 1).
   int active_slots() const { return active_slots_; }
 
   /// Awaiter of next(): the claim is made when the awaiter is built; a
@@ -135,7 +139,7 @@ class KernelRun {
   }
 
  private:
-  /// Completion of one detached slot frame (already freed).
+  /// Completion of one detached slot frame (already destroyed).
   static void slot_done(void* run) {
     static_cast<KernelRun*>(run)->done_.arrive();
   }
@@ -145,7 +149,8 @@ class KernelRun {
   sim::JoinCounter done_;
   int cursor_ = 0;
   std::vector<int> static_pos_;  // per slot, static assignment
-  int active_slots_ = 1;
+  int active_slots_;
+  sim::FrameBlock frames_;  // the slot frames
   bool started_ = false;
 };
 

@@ -33,11 +33,16 @@
 //     the hints) is allocated by the first push after a drain; run()
 //     returns it and the pools when the queue drains, run_until() keeps
 //     them, so sharded windows and warm launches allocate nothing.
-//   * Every queued event is one tagged payload word, of three kinds. The
+//   * Every queued event is one tagged payload word, of four kinds. The
 //     overwhelming kind is "resume this coroutine" (delay, busy_wait, flag
 //     wakeups, quiet): `schedule_resume_*` packs the bare handle into the
 //     word — no event object, no allocation, no dispatch indirection
 //     beyond the resume.
+//   * A call (`schedule_call_at`) is the address of a sim::Call that its
+//     scheduler owns, typically an awaiter inside a suspended coroutine
+//     frame: firing runs its function on it, without resuming the frame.
+//     gpu::Device ends a compute step this way when a fixed device wait
+//     follows it, so the WG resumes once, after both.
 //   * A flag update (sim/flag_update.h) — what a flag PUT delivers: set a
 //     flag to 1, or add to an arrival counter — is the word too:
 //     `schedule_flag_at` packs the target's id, the flag's index and the
@@ -69,6 +74,13 @@
 
 namespace fcc::sim {
 
+/// An event payload its scheduler owns (Engine::schedule_call_at): firing
+/// runs `fn(this)`. The engine neither copies nor frees it, and drops it
+/// unrun if destroyed first; it must stay put until it fires.
+struct Call {
+  void (*fn)(Call* self);
+};
+
 class Engine {
  public:
   Engine() = default;
@@ -76,9 +88,9 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
   ~Engine() {
     // Destroy pending callbacks without running them and drop pending flag
-    // updates (coroutine handles are non-owning here: frames are destroyed
-    // by their own final-suspend machinery or leaked with the process,
-    // matching the old behavior).
+    // updates and calls (coroutine handles and calls are non-owning here:
+    // frames are destroyed by their own final-suspend machinery or leaked
+    // with the process, matching the old behavior).
     for_each_bucket([this](std::uint32_t bucket) {
       Bucket& b = buckets_[bucket];
       while (b.count != 0) dispose(take_front(b));
@@ -165,12 +177,13 @@ class Engine {
   /// Fast path for the dominant event kind: resume `h` at time `t`. The
   /// handle itself is the event payload — nothing is allocated or pooled.
   void schedule_resume_at(TimeNs t, std::coroutine_handle<> h) {
-    push_entry(t, reinterpret_cast<std::uintptr_t>(h.address()) | 1u);
+    push_entry(t, reinterpret_cast<std::uintptr_t>(h.address()) | kResume);
   }
 
   /// Rewind variant of schedule_resume_at; see schedule_at_unchecked.
   void schedule_resume_at_unchecked(TimeNs t, std::coroutine_handle<> h) {
-    push_entry_unchecked(t, reinterpret_cast<std::uintptr_t>(h.address()) | 1u);
+    push_entry_unchecked(
+        t, reinterpret_cast<std::uintptr_t>(h.address()) | kResume);
   }
 
   void schedule_resume_after(TimeNs dt, std::coroutine_handle<> h) {
@@ -183,7 +196,13 @@ class Engine {
   /// allocated or pooled, and a pending update is dropped, untouched, if
   /// the engine is destroyed first.
   void schedule_flag_at(TimeNs t, FlagUpdate u) {
-    push_entry(t, static_cast<std::uintptr_t>(u.word() << 2) | 2u);
+    push_entry(t, static_cast<std::uintptr_t>(u.word() << 2) | kFlag);
+  }
+
+  /// Runs `c->fn(c)` at time `t`, in the same (time, push order) slot a
+  /// callback would take. Nothing is allocated: `c` itself is the payload.
+  void schedule_call_at(TimeNs t, Call* c) {
+    push_entry(t, reinterpret_cast<std::uintptr_t>(c) | kCall);
   }
 
   /// Runs until the event queue drains, then returns the queue's pooled
@@ -258,8 +277,8 @@ class Engine {
   static constexpr std::size_t kInlineBytes = 32;
   static constexpr std::uint32_t kNil =
       std::numeric_limits<std::uint32_t>::max();
-  /// Never a real payload: bit 0 set marks a resume, and no coroutine frame
-  /// lives at the top of the address space.
+  /// Never a real payload: its tag marks a call, and no sim::Call lives at
+  /// the top of the address space.
   static constexpr std::uintptr_t kNoPayload =
       std::numeric_limits<std::uintptr_t>::max();
   static constexpr TimeNs kNoTime = std::numeric_limits<TimeNs>::min();
@@ -304,13 +323,16 @@ class Engine {
     alignas(std::max_align_t) unsigned char buf[kInlineBytes];
   };
 
-  /// The payload word of every queued event is tagged in its low bits:
-  /// x1 => the rest is a coroutine frame address to resume (frame
-  /// alignment guarantees the bit is free); 10 => payload >> 2 is a
-  /// FlagUpdate word; 00 => payload >> 2 is a callback node index.
-  static bool is_resume(std::uintptr_t payload) { return (payload & 1u) != 0; }
-  static bool is_flag(std::uintptr_t payload) { return (payload & 3u) == 2u; }
-  static bool is_node(std::uintptr_t payload) { return (payload & 3u) == 0u; }
+  /// The payload word of every queued event is tagged in its low two bits:
+  /// 01 => the rest is a coroutine frame address to resume; 11 => the rest
+  /// is a sim::Call address (both pointers' alignment guarantees the bits
+  /// are free); 10 => payload >> 2 is a FlagUpdate word; 00 => payload >> 2
+  /// is a callback node index.
+  static constexpr std::uintptr_t kResume = 1u;
+  static constexpr std::uintptr_t kFlag = 2u;
+  static constexpr std::uintptr_t kCall = 3u;
+  static_assert(alignof(Call) >= 4);
+  static std::uintptr_t tag(std::uintptr_t payload) { return payload & 3u; }
   static_assert(FlagUpdate::kBits + 2 <= 8 * sizeof(std::uintptr_t));
   static std::uint32_t node_index(std::uintptr_t payload) {
     return static_cast<std::uint32_t>(payload >> 2);
@@ -563,11 +585,15 @@ class Engine {
   }
 
   void fire(std::uintptr_t payload) {
-    if (is_resume(payload)) {
+    const std::uintptr_t kind = tag(payload);
+    if (kind == kResume) {
       std::coroutine_handle<>::from_address(
-          reinterpret_cast<void*>(payload & ~std::uintptr_t{1}))
+          reinterpret_cast<void*>(payload - kResume))
           .resume();
-    } else if (is_flag(payload)) {
+    } else if (kind == kCall) {
+      Call* c = reinterpret_cast<Call*>(payload - kCall);
+      c->fn(c);
+    } else if (kind == kFlag) {
       FlagUpdate::from_word(payload >> 2).apply();
     } else {
       // The callback runs in place (nodes have stable addresses, and
@@ -580,7 +606,7 @@ class Engine {
   }
 
   void dispose(std::uintptr_t payload) {
-    if (is_node(payload)) {
+    if (tag(payload) == 0u) {
       Node& n = nodes_[node_index(payload)];
       n.dispose(n.buf);
     }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "ccl/communicator.h"
+#include "common/rng.h"
 #include "fused/embedding_a2a.h"
 #include "gpu/machine.h"
 #include "gpu/schedule.h"
@@ -107,6 +109,41 @@ void expect_outputs_match(const EmbeddingA2AConfig& cfg,
   }
 }
 
+TEST(Divisor, ExactForEveryNonNegativeIntOperand) {
+  // Every divisor class (1, powers of two, odd, the largest int) against
+  // the operands where a rounding error would show first: around each
+  // multiple of d near 0 and near 2^31, plus a seeded random sweep.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  std::vector<int> divisors = {1, 2, 3, 5, 7, 10, 64, 100, 641, 1000,
+                               12345, 65537, 1 << 30, kMax - 1, kMax};
+  Rng rng(44);
+  for (int i = 0; i < 32; ++i) {
+    divisors.push_back(1 + static_cast<int>(rng.next_u64() % kMax));
+  }
+  for (const int d : divisors) {
+    const Divisor div(d);
+    ASSERT_EQ(div.value(), d);
+    std::vector<int> ns = {0, 1, 2, kMax, kMax - 1};
+    const long long last = kMax / d;
+    for (const long long k : {1LL, 2LL, 3LL, last, last - 1}) {
+      for (const long long off : {-1LL, 0LL, 1LL}) {
+        const long long n = k * d + off;
+        if (n >= 0 && n <= kMax) ns.push_back(static_cast<int>(n));
+      }
+    }
+    for (int i = 0; i < 256; ++i) {
+      ns.push_back(
+          static_cast<int>(rng.next_u64() % (std::uint64_t{kMax} + 1)));
+    }
+    for (const int n : ns) ASSERT_EQ(div.div(n), n / d) << n << " / " << d;
+  }
+  for (int d = 1; d <= 300; ++d) {
+    const Divisor div(d);
+    for (int n = 0; n <= 3000; ++n) ASSERT_EQ(div.div(n), n / d);
+  }
+  EXPECT_THROW(Divisor(0), std::logic_error);
+}
+
 TEST(SliceMap, RoundTripsWgSliceLane) {
   SliceMap map;
   map.num_pes = 4;
@@ -119,9 +156,10 @@ TEST(SliceMap, RoundTripsWgSliceLane) {
   EXPECT_EQ(map.num_logical_wgs(), 96);
   EXPECT_EQ(map.num_slices(), 3 * 4 * 2);
 
+  const SliceIndex index(map);
   std::vector<int> wgs_in_slice(static_cast<std::size_t>(map.num_slices()), 0);
   for (int lw = 0; lw < map.num_logical_wgs(); ++lw) {
-    const SliceMap::Placement at = map.place(lw);
+    const SliceIndex::Placement at = index.place(lw);
     const int s = at.slice;
     ASSERT_GE(s, 0);
     ASSERT_LT(s, map.num_slices());
@@ -209,9 +247,10 @@ TEST(SliceMap, RemoteCountsAreConsistent) {
 /// logical WG id, one destination block at a time in `blocks` order.
 std::vector<int> expanded_order(const SliceMap& map,
                                 const std::vector<PeId>& blocks) {
+  const SliceIndex index(map);
   std::vector<int> order;
   for (int pos = 0; pos < map.num_logical_wgs(); ++pos) {
-    order.push_back(map.block_wg(blocks.data(), pos));
+    order.push_back(index.block_wg(blocks.data(), pos));
   }
   return order;
 }

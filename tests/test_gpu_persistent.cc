@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -12,7 +14,10 @@
 #include "gpu/machine.h"
 #include "gpu/persistent.h"
 #include "ops/cost_model.h"
+#include "shmem/world.h"
 #include "sim/engine.h"
+#include "sim/flag_update.h"
+#include "sim/task.h"
 
 // Counting global allocation functions for this binary: the runtime-cost
 // tests below read how many heap blocks a kernel launch takes and frees.
@@ -153,6 +158,118 @@ TEST(Device, ConcurrentComputeIsChargedAtEntryOccupancy) {
   EXPECT_EQ(done2, d2);
   EXPECT_EQ(d.active_wgs(), 0);
   EXPECT_EQ(d.busy_ns(), d1 + d2);
+}
+
+/// What a run of concurrent WG steps records, for comparing two ways of
+/// awaiting them.
+struct StepLog {
+  std::vector<TimeNs> ends;  // per device-0 WG: its resume after the wait
+  int resumed = 0;           // device-0 WGs resumed so far
+  /// (now, device 0's active WGs, WGs resumed), at every probe and resume.
+  std::vector<std::tuple<TimeNs, int, int>> active;
+  std::vector<std::uint32_t> flags;  // flag indices, as applied
+  TimeNs busy0 = 0;
+  TimeNs busy1 = 0;
+  std::size_t events = 0;
+};
+
+/// One device-0 WG: a compute step, then a zero-copy store's issue wait,
+/// as compute_then_wait or as compute plus World::issue.
+sim::Task step_and_issue(sim::Engine& e, Device& d, shmem::World& w,
+                         const WorkCost& cost, bool step_end, StepLog& log,
+                         std::size_t i) {
+  if (step_end) {
+    co_await d.compute_then_wait(
+        cost, w.issue_latency(0, 1, shmem::World::IssueKind::kStore));
+  } else {
+    co_await d.compute(cost);
+    co_await w.issue(0, 1, shmem::World::IssueKind::kStore);
+  }
+  log.ends[i] = e.now();
+  log.active.emplace_back(e.now(), d.active_wgs(), ++log.resumed);
+}
+
+/// A device-1 WG whose step starts at `t`.
+sim::Task step_at(sim::Engine& e, Device& d, const WorkCost& cost, TimeNs t) {
+  co_await sim::delay_until(e, t);
+  co_await d.compute(cost);
+}
+
+StepLog run_steps(bool step_end) {
+  struct Flags final : sim::FlagTarget {
+    explicit Flags(std::vector<std::uint32_t>& l) : log(l) {}
+    void apply_update(std::uint32_t index, std::uint32_t) override {
+      log.push_back(index);
+    }
+    std::vector<std::uint32_t>& log;
+  };
+  Machine::Config c;
+  c.num_nodes = 1;
+  c.gpus_per_node = 2;
+  Machine m(c);
+  shmem::World w(m);
+  sim::Engine& e = m.engine();
+  Device& d0 = m.device(0);
+  Device& d1 = m.device(1);
+  constexpr int kWgs = 4;
+  const WorkCost cost = mem_cost(1 << 16);
+  StepLog log;
+  log.ends.assign(kWgs, -1);
+  Flags flags(log.flags);
+  const auto probe = [&] {
+    log.active.emplace_back(e.now(), d0.active_wgs(), log.resumed);
+  };
+  // The WGs start together, so WG a's step ends at its duration with a
+  // active WGs. A flag update is queued at each end before the WGs start;
+  // a probe and device 1's step after them, and a probe at each end plus
+  // the issue wait, when the WG resumes.
+  std::vector<TimeNs> step_ends;
+  for (int a = 1; a <= kWgs; ++a) {
+    step_ends.push_back(d0.step_duration(cost, a));
+    const auto index = static_cast<std::uint32_t>(a);
+    e.schedule_flag_at(step_ends.back(), sim::FlagUpdate::set(flags, index));
+  }
+  for (std::size_t i = 0; i < kWgs; ++i) {
+    step_and_issue(e, d0, w, cost, step_end, log, i);
+  }
+  probe();
+  const TimeNs issue = w.issue_latency(0, 1, shmem::World::IssueKind::kStore);
+  for (const TimeNs t : step_ends) {
+    e.schedule_at(t, probe);
+    step_at(e, d1, cost, t);
+    e.schedule_at(t + issue, probe);
+  }
+  log.events = e.run();
+  log.busy0 = d0.busy_ns();
+  log.busy1 = d1.busy_ns();
+  return log;
+}
+
+TEST(Device, ComputeThenWaitMatchesComputeThenIssue) {
+  const StepLog plain = run_steps(false);
+  const StepLog step_end = run_steps(true);
+  EXPECT_EQ(step_end.ends, plain.ends);
+  EXPECT_EQ(step_end.active, plain.active);
+  EXPECT_EQ(step_end.flags, plain.flags);
+  EXPECT_EQ(step_end.busy0, plain.busy0);
+  EXPECT_EQ(step_end.busy1, plain.busy1);
+  EXPECT_EQ(step_end.events, plain.events);
+  // The comparison has teeth: distinct step ends, a nonzero issue wait
+  // after each, and every active count from 4 down to 0 seen.
+  const TimeNs issue = Machine::Config{}.fabric.store_issue_overhead_ns;
+  ASSERT_GT(issue, 0);
+  std::vector<TimeNs> ends = plain.ends;
+  std::sort(ends.begin(), ends.end());
+  EXPECT_EQ(std::adjacent_find(ends.begin(), ends.end()), ends.end());
+  EXPECT_EQ(ends.front(), Machine(Machine::Config{}).device(0).step_duration(
+                              mem_cost(1 << 16), 1) +
+                              issue);
+  for (int a = 0; a <= 4; ++a) {
+    EXPECT_NE(std::find_if(plain.active.begin(), plain.active.end(),
+                           [a](const auto& p) { return std::get<1>(p) == a; }),
+              plain.active.end())
+        << a << " active WGs never seen";
+  }
 }
 
 /// Slot body: records every claimed position, mapped through `order` when
@@ -463,22 +580,22 @@ LaunchHeap launch_heap(sim::Engine& e, int slots, int wgs,
   return {g_news - news, (g_news - news) - (g_deletes - deletes)};
 }
 
-TEST(KernelRun, WarmLaunchAllocatesOneFramePerSlotOnly) {
+TEST(KernelRun, WarmLaunchAllocatesOneBlockOnly) {
   sim::Engine e;
   for (const bool static_assignment : {false, true}) {
     launch_heap(e, 8, 800, static_assignment);  // warm the engine's pools
     for (const int wgs : {8, 800}) {
       const LaunchHeap h = launch_heap(e, 8, wgs, static_assignment);
-      // One slot frame each, plus under static assignment the per-slot
-      // cursor array: nothing per position, no order.
-      EXPECT_EQ(h.allocations, 8u + (static_assignment ? 1u : 0u))
+      // One block for every slot frame, plus under static assignment the
+      // per-slot cursor array: nothing per slot or position, no order.
+      EXPECT_EQ(h.allocations, 1u + (static_assignment ? 1u : 0u))
           << wgs << " positions, static " << static_assignment;
-      EXPECT_EQ(h.live, 0u) << "a slot frame outlived its kernel";
+      EXPECT_EQ(h.live, 0u) << "a launch block outlived its kernel";
     }
   }
 }
 
-TEST(KernelRun, BodyThatNeverSuspendsFreesItsFrameInsideStart) {
+TEST(KernelRun, BodyThatNeverSuspendsFinishesInsideStart) {
   sim::Engine e;
   std::vector<int> entered;
   KernelRun::Params p;
@@ -492,13 +609,130 @@ TEST(KernelRun, BodyThatNeverSuspendsFreesItsFrameInsideStart) {
   {
     KernelRun run(e, std::move(p));
     run.start();
-    // Every slot drained within start(): joined, frames already freed.
+    // Every slot drained within start(): joined, its frame ended in the
+    // one block, which lives as long as the KernelRun.
     EXPECT_TRUE(run.finished());
-    EXPECT_EQ(g_news - news, 3u);
-    EXPECT_EQ(g_deletes - deletes, 3u);
+    EXPECT_EQ(g_news - news, 1u);
+    EXPECT_EQ(g_deletes - deletes, 0u);
   }
+  EXPECT_EQ(g_deletes - deletes, 1u);
   EXPECT_EQ(e.run(), 0u);
   EXPECT_EQ(entered, (std::vector<int>{0, 1, 2}));
+}
+
+/// Nested subroutine of nested_slot: one 5 ns step.
+sim::Co nested_step(sim::Engine& e, std::vector<int>& done, int pos) {
+  co_await sim::delay(e, 5);
+  done.push_back(pos);
+}
+
+/// Slot body that awaits a nested sim::Co per claimed position.
+sim::Co nested_slot(KernelRun& run, sim::Engine& e, std::vector<int>& done,
+                    int slot) {
+  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
+    co_await nested_step(e, done, pos);
+  }
+}
+
+/// A launch of `wgs` positions on 4 slots running nested_slot, recording
+/// finished positions in `done`.
+KernelRun::Params nested_launch(sim::Engine& e, std::vector<int>& done,
+                                int wgs) {
+  KernelRun::Params p;
+  p.num_slots = 4;
+  p.num_wgs = wgs;
+  p.body = [&e, &done](KernelRun& r, int slot) {
+    return nested_slot(r, e, done, slot);
+  };
+  return p;
+}
+
+TEST(KernelRun, NestedCoFramesStayOnTheHeap) {
+  // The slot frames share the launch's block; each awaited sim::Co frame
+  // is its own heap allocation, freed when its await ends.
+  sim::Engine e;
+  std::vector<int> done;
+  done.reserve(32);
+  {
+    KernelRun warm(e, nested_launch(e, done, 10));  // warm the engine's pools
+    warm.start();
+    e.run_until(e.now() + 1'000);
+  }
+  done.clear();
+  const TimeNs t0 = e.now();
+  KernelRun::Params p = nested_launch(e, done, 10);
+  const std::size_t news = g_news, deletes = g_deletes;
+  {
+    KernelRun run(e, std::move(p));
+    run.start();
+    EXPECT_EQ(e.run_until(t0 + 1'000), 10u);
+    EXPECT_TRUE(run.finished());
+    EXPECT_EQ(g_news - news, 1u + 10u);
+    EXPECT_EQ(g_deletes - deletes, 10u);
+  }
+  EXPECT_EQ(g_deletes - deletes, 11u);
+  std::sort(done.begin(), done.end());
+  EXPECT_EQ(done, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+/// delay_slot with a larger frame: a buffer that lives across each delay.
+sim::Co wide_delay_slot(KernelRun& run, sim::Engine& e, int slot) {
+  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
+    volatile char pad[256] = {};
+    pad[pos % 256] = 1;
+    co_await sim::delay(e, 10);
+    EXPECT_EQ(pad[pos % 256], 1);
+  }
+}
+
+TEST(KernelRun, ASlotFrameOfAnotherSizeGoesToTheHeap) {
+  // The block's stride is the first slot frame's size; the last slot's
+  // body has a larger frame, which must not overrun the block.
+  sim::Engine e;
+  launch_heap(e, 4, 40, false);  // warm the engine's pools
+  KernelRun::Params p;
+  p.num_slots = 4;
+  p.num_wgs = 40;
+  p.body = [&e](KernelRun& r, int slot) {
+    return slot == 3 ? wide_delay_slot(r, e, slot) : delay_slot(r, e, slot);
+  };
+  const std::size_t news = g_news, deletes = g_deletes;
+  {
+    KernelRun run(e, std::move(p));
+    run.start();
+    EXPECT_EQ(g_news - news, 2u);  // the block, and the wide frame
+    e.run_until(e.now() + 1'000);
+    EXPECT_TRUE(run.finished());
+    EXPECT_EQ(g_deletes - deletes, 1u);  // the wide frame, at its end
+  }
+  EXPECT_EQ(g_deletes - deletes, 2u);
+}
+
+TEST(KernelRun, ThrowMidFlightKeepsTheBlockUntilTheSlotsFinish) {
+  // An event throws out of run() while every slot is suspended with a
+  // resume pending into the block. The block must outlive those events:
+  // the run resumes, the slots finish, and only the KernelRun frees it.
+  sim::Engine e;
+  std::vector<int> done;
+  done.reserve(16);
+  std::size_t deletes = 0;
+  {
+    KernelRun run(e, nested_launch(e, done, 12));
+    run.start();
+    e.schedule_at(7, [] { FCC_CHECK_MSG(false, "failure mid-kernel"); });
+    EXPECT_THROW(e.run(), std::logic_error);
+    EXPECT_EQ(e.now(), 7);
+    EXPECT_FALSE(run.finished());
+    EXPECT_EQ(e.pending(), 4u);
+    EXPECT_EQ(done.size(), 4u);
+    deletes = g_deletes;
+    EXPECT_EQ(e.run_until(1'000), 8u);
+    EXPECT_TRUE(run.finished());
+    // Only the eight nested frames of the resumed run were freed.
+    EXPECT_EQ(g_deletes - deletes, 8u);
+  }
+  EXPECT_EQ(g_deletes - deletes, 9u);
+  EXPECT_EQ(done.size(), 12u);
 }
 
 TEST(KernelRun, ZeroWorkLaunchRunsOneSlotAndJoins) {
@@ -516,8 +750,9 @@ TEST(KernelRun, ZeroWorkLaunchRunsOneSlotAndJoins) {
   run.start();
   EXPECT_TRUE(run.finished());
   EXPECT_EQ(run.active_slots(), 1);
+  // The one slot's block, freed with the KernelRun.
   EXPECT_EQ(g_news - news, 1u);
-  EXPECT_EQ(g_deletes - deletes, 1u);
+  EXPECT_EQ(g_deletes - deletes, 0u);
   EXPECT_EQ(entered, (std::vector<int>{0}));
   EXPECT_EQ(e.run(), 0u);
 }

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -316,6 +318,67 @@ TEST(Machine, ConfigValidationRejectsNonPositiveValues) {
   bad.topology.kind = hw::TopologySpec::Kind::kTorus2D;
   bad.topology.torus.dim_x = 2;  // 2x8 != 4 nodes
   EXPECT_THROW(gpu::Machine{bad}, std::logic_error);
+}
+
+/// Expects a 2x2 machine built from `edit`ed defaults to throw a
+/// std::logic_error naming `field` and "got -250".
+template <typename Edit>
+void expect_negative_latency_rejected(const std::string& field, Edit edit) {
+  gpu::Machine::Config bad;
+  bad.num_nodes = 2;
+  bad.gpus_per_node = 2;
+  edit(bad, TimeNs{-250});
+  try {
+    gpu::Machine m(bad);
+    ADD_FAILURE() << "accepted " << field << " = -250";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+    EXPECT_NE(what.find("got -250"), std::string::npos) << what;
+  }
+}
+
+TEST(Machine, RejectsNegativeKernelLaunchLatency) {
+  expect_negative_latency_rejected(
+      "gpu.kernel_launch_ns",
+      [](gpu::Machine::Config& c, TimeNs v) { c.gpu.kernel_launch_ns = v; });
+}
+
+TEST(Machine, RejectsNegativeStreamSyncLatency) {
+  expect_negative_latency_rejected(
+      "gpu.stream_sync_ns",
+      [](gpu::Machine::Config& c, TimeNs v) { c.gpu.stream_sync_ns = v; });
+}
+
+TEST(Machine, RejectsNegativeFabricLatency) {
+  expect_negative_latency_rejected(
+      "fabric.latency_ns",
+      [](gpu::Machine::Config& c, TimeNs v) { c.fabric.latency_ns = v; });
+}
+
+TEST(Machine, RejectsNegativeStoreIssueOverhead) {
+  expect_negative_latency_rejected(
+      "fabric.store_issue_overhead_ns", [](gpu::Machine::Config& c, TimeNs v) {
+        c.fabric.store_issue_overhead_ns = v;
+      });
+}
+
+TEST(Machine, RejectsNegativeWireLatency) {
+  expect_negative_latency_rejected(
+      "ib.wire_latency_ns",
+      [](gpu::Machine::Config& c, TimeNs v) { c.ib.wire_latency_ns = v; });
+}
+
+TEST(Machine, RejectsNegativePerMessageProcessing) {
+  expect_negative_latency_rejected(
+      "ib.per_msg_proc_ns",
+      [](gpu::Machine::Config& c, TimeNs v) { c.ib.per_msg_proc_ns = v; });
+}
+
+TEST(Machine, RejectsNegativeGpuPostOverhead) {
+  expect_negative_latency_rejected(
+      "ib.gpu_post_overhead_ns",
+      [](gpu::Machine::Config& c, TimeNs v) { c.ib.gpu_post_overhead_ns = v; });
 }
 
 TEST(Machine, FabricAccessorThrowsOnFabriclessTopology) {

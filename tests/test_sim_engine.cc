@@ -458,6 +458,82 @@ TEST(Engine, PendingFlagEventIsDroppedAtTeardownWithoutTouchingItsTarget) {
   EXPECT_TRUE(bystander.log.empty());
 }
 
+/// Suspends its awaiter with the resume pushed at absolute time `t`.
+struct ResumeAt {
+  Engine& e;
+  TimeNs t;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) { e.schedule_resume_at(t, h); }
+  void await_resume() const noexcept {}
+};
+
+Task log_resume_at(Engine& e, TimeNs t, std::vector<std::string>& seen,
+                   std::string name) {
+  co_await ResumeAt{e, t};
+  seen.push_back(std::move(name));
+}
+
+/// A call payload that logs its name when it fires.
+struct LoggingCall : Call {
+  LoggingCall(std::vector<std::string>& s, std::string n)
+      : Call{[](Call* self) {
+          auto* c = static_cast<LoggingCall*>(self);
+          c->seen.push_back(c->name);
+        }},
+        seen(s),
+        name(std::move(n)) {}
+  std::vector<std::string>& seen;
+  std::string name;
+};
+
+TEST(Engine, AllFourPayloadKindsAtOneInstantFireInPushOrder) {
+  Engine e;
+  std::vector<std::string> seen;
+  struct Spy final : FlagTarget {
+    explicit Spy(std::vector<std::string>& s) : seen(s) {}
+    void apply_update(std::uint32_t index, std::uint32_t) override {
+      seen.push_back("flag " + std::to_string(index));
+    }
+    std::vector<std::string>& seen;
+  } spy(seen);
+  LoggingCall call_a(seen, "call a"), call_b(seen, "call b");
+  // Resume, flag, node and call payloads interleaved at t = 10, each kind
+  // twice, plus one of each at t = 5 pushed last.
+  log_resume_at(e, 10, seen, "resume a");
+  e.schedule_flag_at(10, FlagUpdate::set(spy, 1));
+  e.schedule_call_at(10, &call_a);
+  e.schedule_at(10, [&] { seen.push_back("node a"); });
+  e.schedule_at(10, [&] { seen.push_back("node b"); });
+  e.schedule_call_at(10, &call_b);
+  e.schedule_flag_at(10, FlagUpdate::set(spy, 2));
+  log_resume_at(e, 10, seen, "resume b");
+  LoggingCall early(seen, "call early");
+  e.schedule_call_at(5, &early);
+  EXPECT_EQ(e.pending(), 9u);
+  EXPECT_EQ(e.run(), 9u);
+  EXPECT_EQ(seen, (std::vector<std::string>{
+                      "call early", "resume a", "flag 1", "call a", "node a",
+                      "node b", "call b", "flag 2", "resume b"}));
+  EXPECT_EQ(e.now(), 10);
+  EXPECT_EQ(e.slab_nodes(), 2u);  // the callbacks'; calls take no node
+  EXPECT_EQ(e.live_tasks(), 0);
+}
+
+TEST(Engine, PendingCallIsDroppedAtTeardownWithoutRunning) {
+  std::vector<std::string> seen;
+  auto e = std::make_unique<Engine>();
+  LoggingCall fired(seen, "fired");
+  auto dropped = std::make_unique<LoggingCall>(seen, "dropped");
+  e->schedule_call_at(10, &fired);
+  e->schedule_call_at(20, dropped.get());
+  e->run_until(15);
+  EXPECT_EQ(e->pending(), 1u);
+  // The call's owner goes first: teardown must neither run nor read it.
+  dropped.reset();
+  e.reset();
+  EXPECT_EQ(seen, (std::vector<std::string>{"fired"}));
+}
+
 TEST(Determinism, TwoIdenticalRunsProduceIdenticalLogs) {
   auto run_once = [] {
     Engine e;

@@ -11,6 +11,12 @@
 //   * AllReduce (2 nodes x 4 GPUs): hierarchical staging beats both flat
 //     algorithms because the NICs carry 1/gpus_per_node of the traffic;
 //     multi-rail NICs shrink the inter-node stage further.
+//
+// Exits nonzero unless every `auto` row equals the fastest explicit
+// algorithm's row on its machine (same workload and topology).
+#include <algorithm>
+#include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -164,5 +170,24 @@ int main() {
                                  2)
               << "x faster\n";
   }
-  return 0;
+
+  int status = 0;
+  for (std::size_t i = 0; i < scs.size(); ++i) {
+    if (scs[i].algo != "auto") continue;
+    TimeNs fastest = std::numeric_limits<TimeNs>::max();
+    for (std::size_t j = 0; j < scs.size(); ++j) {
+      if (j != i && scs[j].label == scs[i].label &&
+          scs[j].topology == scs[i].topology) {
+        fastest = std::min(fastest, times[j]);
+      }
+    }
+    if (times[i] != fastest) {
+      std::cerr << "FAIL: " << scs[i].label << " on " << scs[i].topology
+                << ": auto took " << times[i]
+                << " ns, the fastest explicit algorithm " << fastest
+                << " ns\n";
+      status = 1;
+    }
+  }
+  return status;
 }

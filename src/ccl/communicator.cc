@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "sim/task.h"
@@ -113,6 +114,41 @@ std::string ineligible(const std::vector<std::vector<int>>& by_node) {
          "node [" + got + "]; use kAuto or a flat algorithm";
 }
 
+/// The algorithms kAuto picks among, in tie-break order.
+constexpr AllReduceAlgo kPriced[] = {AllReduceAlgo::kTwoPhaseDirect,
+                                     AllReduceAlgo::kRing,
+                                     AllReduceAlgo::kHierarchical};
+
+/// `config` as an untraced serial machine, for pricing.
+gpu::Machine::Config serial(gpu::Machine::Config config) {
+  config.num_shards = 1;
+  config.collect_trace = false;
+  return config;
+}
+
+/// Applies every unhealthy site of `from` to `to`, a fabric built from the
+/// same config (so with the same sites in the same order).
+void copy_faults(hw::Topology& from, hw::Topology& to) {
+  const auto& sites = from.fault_sites();
+  for (int i = 0; i < static_cast<int>(sites.size()); ++i) {
+    const hw::FaultSite& s = sites[static_cast<std::size_t>(i)];
+    if (s.healthy()) continue;
+    const hw::Link& wire = s.link != nullptr ? *s.link : s.nic->wire();
+    if (s.nic != nullptr ? s.nic->dead() : wire.dead()) {
+      to.apply_fault({.kind = hw::FaultKind::kDead, .site = i});
+    }
+    if (wire.derate() != 1.0) {
+      to.apply_fault(
+          {.kind = hw::FaultKind::kDerate, .site = i, .derate = wire.derate()});
+    }
+    if (wire.jitter_ns() != 0) {
+      to.apply_fault({.kind = hw::FaultKind::kJitter,
+                      .site = i,
+                      .jitter_ns = wire.jitter_ns()});
+    }
+  }
+}
+
 }  // namespace
 
 Communicator::Communicator(gpu::Machine& machine, std::vector<PeId> members)
@@ -140,22 +176,26 @@ TimeNs Communicator::reduce_cost(Bytes bytes) const {
   return static_cast<TimeNs>(static_cast<double>(bytes) / bw + 0.5);
 }
 
-const std::vector<std::string>& Communicator::avoided_components() {
+AllReduceAlgo Communicator::select_allreduce(std::int64_t n_elems) {
+  FCC_CHECK_MSG(n_elems >= 0,
+                "select_allreduce: n_elems must be >= 0, got " << n_elems);
   hw::Topology& topo = machine_.topology();
-  if (avoided_epoch_ != topo.fault_epoch()) {
-    avoided_ = topo.has_faults()
-                   ? topo.degraded_components(std::span<const PeId>(members_))
-                   : std::vector<std::string>{};
-    avoided_epoch_ = topo.fault_epoch();
+  if (auto_epoch_ != topo.fault_epoch()) {
+    auto_algo_.clear();
+    auto_epoch_ = topo.fault_epoch();
   }
-  return avoided_;
-}
-
-AllReduceAlgo Communicator::select_allreduce() {
-  if (hierarchy_eligible() && avoided_components().empty()) {
-    return AllReduceAlgo::kHierarchical;
+  const auto [it, miss] = auto_algo_.try_emplace(n_elems);
+  if (miss) {
+    gpu::Machine scratch(serial(machine_.config()));
+    if (topo.has_faults()) copy_faults(topo, scratch.topology());
+    const Prices p = Communicator(scratch, members_).prices(n_elems);
+    it->second = *std::find_if(
+        std::begin(kPriced), std::end(kPriced), [&p](AllReduceAlgo algo) {
+          return p[static_cast<int>(algo)] ==
+                 p[static_cast<int>(AllReduceAlgo::kAuto)];
+        });
   }
-  return AllReduceAlgo::kTwoPhaseDirect;
+  return it->second;
 }
 
 /// Runs a collective's schedule and hands back its end time, recording
@@ -410,7 +450,7 @@ sim::Co Communicator::all_reduce_co(std::int64_t n_elems, FloatBufs bufs,
     }
   }
 
-  if (algo == AllReduceAlgo::kAuto) algo = select_allreduce();
+  if (algo == AllReduceAlgo::kAuto) algo = select_allreduce(n_elems);
   const TimeNs end = co_await SweepAwaiter(
       *this, t0, memo(all_reduce_builder(algo), n_elems));
   co_await sim::delay_until(machine_.engine(), end);
@@ -429,36 +469,43 @@ Communicator::Builder Communicator::all_reduce_builder(AllReduceAlgo algo) {
   return &Communicator::direct_schedule;
 }
 
+Communicator::Prices Communicator::prices(std::int64_t n_elems) {
+  // Every schedule runs from where the previous one ended, so each finds
+  // every link idle.
+  Prices p;
+  std::optional<TimeNs>& least = p[static_cast<int>(AllReduceAlgo::kAuto)];
+  TimeNs t0 = 0;
+  for (const AllReduceAlgo algo : kPriced) {
+    auto& price = p[static_cast<int>(algo)];
+    if (algo == AllReduceAlgo::kHierarchical && !eligible_) continue;
+    if (size() == 1 || n_elems == 0) {
+      price = 0;  // all_reduce returns at once
+    } else {
+      Schedule s = (this->*all_reduce_builder(algo))(n_elems);
+      s.link();
+      const TimeNs end = run(s, t0);
+      price = end - t0 + kSwOverheadNs;
+      t0 = end;
+    }
+    if (!least || *price < *least) least = price;
+  }
+  return p;
+}
+
 std::vector<std::optional<TimeNs>> Communicator::price_all_reduce(
     const gpu::Machine::Config& config, std::int64_t n_elems,
     std::span<const AllReduceAlgo> algos) {
-  gpu::Machine::Config serial = config;
-  serial.num_shards = 1;
-  serial.collect_trace = false;
-  gpu::Machine machine(serial);
+  FCC_CHECK_MSG(n_elems >= 0,
+                "price_all_reduce: n_elems must be >= 0, got " << n_elems);
+  gpu::Machine machine(serial(config));
   std::vector<PeId> pes(static_cast<std::size_t>(machine.num_pes()));
   std::iota(pes.begin(), pes.end(), 0);
-  Communicator comm(machine, std::move(pes));
-
-  // Every schedule runs on the one scratch machine, each from where the
-  // previous one ended, so each finds every link idle.
-  std::vector<std::optional<TimeNs>> prices;
-  TimeNs t0 = 0;
-  for (AllReduceAlgo algo : algos) {
-    if (algo == AllReduceAlgo::kAuto) algo = comm.select_allreduce();
-    if (algo == AllReduceAlgo::kHierarchical && !comm.eligible_) {
-      prices.emplace_back();
-    } else if (comm.size() == 1 || n_elems == 0) {
-      prices.emplace_back(0);  // all_reduce returns at once
-    } else {
-      Schedule s = (comm.*all_reduce_builder(algo))(n_elems);
-      s.link();
-      const TimeNs end = comm.run(s, t0);
-      prices.emplace_back(end - t0 + kSwOverheadNs);
-      t0 = end;
-    }
+  const Prices p = Communicator(machine, std::move(pes)).prices(n_elems);
+  std::vector<std::optional<TimeNs>> out;
+  for (const AllReduceAlgo algo : algos) {
+    out.push_back(p[static_cast<int>(algo)]);
   }
-  return prices;
+  return out;
 }
 
 sim::Co Communicator::all_to_all(std::int64_t chunk_elems, FloatBufs send,

@@ -19,14 +19,15 @@
 // such as the hierarchical algorithm's lanes, does not change their timing.
 // A new algorithm is a new builder, with no timing code of its own.
 //
-// Hierarchy awareness: AllReduce defaults to kAuto, which inspects the
-// machine topology. A communicator spanning several nodes with several
-// members per node stages through the node boundary — intra-node
-// reduce-scatter, inter-node ring per lane, intra-node all-gather — so the
+// Algorithm choice: AllReduce defaults to kAuto, which runs the cheapest of
+// the algorithms the span admits for the message size, priced by running
+// each schedule on an idle copy of the machine (RCCL picks per size from
+// modelled cost). A communicator spanning several nodes with several
+// members per node also admits the hierarchical algorithm — intra-node
+// reduce-scatter, inter-node ring per lane, intra-node all-gather — whose
 // slow inter-node links carry 1/gpus_per_node of the flat algorithms'
-// traffic. Single-node or one-GPU-per-node spans resolve to the flat
-// algorithms unchanged, and the flat variants stay available as explicit
-// opt-ins. All-to-All has one builder, RCCL's flat pairwise schedule (the
+// traffic. Every algorithm stays available as an explicit opt-in.
+// All-to-All has one builder, RCCL's flat pairwise schedule (the
 // paper's baseline) over a traffic matrix: all_to_all is all_to_all_v with
 // every count equal.
 //
@@ -36,11 +37,12 @@
 // Argument errors throw std::logic_error from the call itself.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -51,7 +53,7 @@
 namespace fcc::ccl {
 
 enum class AllReduceAlgo {
-  kAuto,            // topology-selected (see Communicator::select_allreduce)
+  kAuto,            // the cheapest of the others (see select_allreduce)
   kTwoPhaseDirect,  // reduce-scatter + all-gather, direct peer writes [32]
   kRing,            // 2(N-1)-step ring
   kHierarchical,    // intra-node RS -> inter-node ring per lane -> intra AG
@@ -77,21 +79,19 @@ class Communicator {
   gpu::Machine& machine() { return machine_; }
 
   /// In-place sum-AllReduce over `n_elems` fp32 per rank. The default
-  /// auto-selects from the topology: hierarchical staging when the
-  /// communicator spans several nodes with several members each, the flat
-  /// two-phase direct algorithm otherwise. The flat algorithms remain
-  /// explicit opt-ins.
+  /// kAuto runs the algorithm select_allreduce(n_elems) picks.
   sim::Co all_reduce(std::int64_t n_elems, FloatBufs bufs,
                      AllReduceAlgo algo = AllReduceAlgo::kAuto);
 
-  /// Algorithm kAuto resolves to for this communicator's span. Selection
-  /// consults link health: the hierarchical algorithm leans on every node's
-  /// NIC and scale-up fabric symmetrically, so a dead rail or derated trunk
-  /// in the span drops selection back to the flat algorithm (which a dead
-  /// component either reroutes under or fails loudly via
-  /// PartitionedFabricError). Non-const: degraded-component queries are
-  /// cached per fault epoch.
-  AllReduceAlgo select_allreduce();
+  /// Algorithm kAuto resolves to for an `n_elems` AllReduce: the cheapest
+  /// of two-phase direct, ring and, on an eligible span, hierarchical (ties
+  /// in that order). Each is priced by running its schedule on one idle
+  /// serial machine built from this machine's config, over these members,
+  /// with the live fabric's unhealthy sites copied onto it. Throws
+  /// PartitionedFabricError on a span a dead component partitions (direct
+  /// writes between every pair of members). Answers are cached per
+  /// (n_elems, fault epoch).
+  AllReduceAlgo select_allreduce(std::int64_t n_elems);
 
   /// All-to-All: each rank sends `chunk_elems` fp32 to every rank (including
   /// its own local chunk copy); all_to_all_v with a uniform matrix.
@@ -124,8 +124,8 @@ class Communicator {
   /// What an `n_elems` AllReduce over every PE costs on an idle machine
   /// built from `config`, per entry of `algos`: the last_duration() it
   /// would record, or nullopt for kHierarchical on an ineligible span.
-  /// kAuto resolves as on a healthy fabric. Every call builds one scratch
-  /// serial machine and runs each algorithm's schedule through the
+  /// kAuto's price is the least of the others'. Every call builds one
+  /// scratch serial machine and runs each algorithm's schedule through the
   /// interpreter on it, with no engine event; nothing is kept.
   static std::vector<std::optional<TimeNs>> price_all_reduce(
       const gpu::Machine::Config& config, std::int64_t n_elems,
@@ -162,6 +162,13 @@ class Communicator {
   /// The schedule builder of a resolved (non-kAuto) AllReduce algorithm.
   static Builder all_reduce_builder(AllReduceAlgo algo);
 
+  /// Every algorithm's last_duration() for an `n_elems` AllReduce, indexed
+  /// by AllReduceAlgo, on this communicator's machine, which must be serial
+  /// and idle: nullopt for kHierarchical on an ineligible span, and kAuto
+  /// the least of the others.
+  using Prices = std::array<std::optional<TimeNs>, 4>;
+  Prices prices(std::int64_t n_elems);
+
   /// Schedule builders, one per algorithm.
   Schedule direct_schedule(std::int64_t n_elems) const;
   Schedule ring_schedule(std::int64_t n_elems) const;
@@ -177,10 +184,6 @@ class Communicator {
   /// link-reserving code in the library.
   TimeNs run(const Schedule& s, TimeNs t0);
 
-  /// Unhealthy components in the span's reach, cached per fault epoch so
-  /// steady-state selection on a stable fabric costs one counter compare.
-  const std::vector<std::string>& avoided_components();
-
   gpu::Machine& machine_;
   std::vector<PeId> members_;
   /// Member rank indices grouped by node, in member order; only nodes with
@@ -188,8 +191,9 @@ class Communicator {
   std::vector<std::vector<int>> by_node_;
   bool eligible_ = false;
   TimeNs last_duration_ = 0;
-  std::vector<std::string> avoided_;
-  std::uint64_t avoided_epoch_ = ~std::uint64_t{0};
+  /// select_allreduce's answers per n_elems, at fault epoch auto_epoch_.
+  std::map<std::int64_t, AllReduceAlgo> auto_algo_;
+  std::uint64_t auto_epoch_ = 0;
   Builder memo_build_ = nullptr;
   std::int64_t memo_size_ = -1;
   std::shared_ptr<const Schedule> memo_;

@@ -235,9 +235,10 @@ class InteractionOp final : public ComputeOp {
 };
 
 /// The data-parallel MLP weight gradients, summed across PEs by one ring
-/// AllReduce of `elems` fp32 (on a one-GPU-per-node torus kAuto would pick
-/// the flat two-phase algorithm); both backends build it. It pays the
-/// baseline collective's kernel launch and stream sync.
+/// AllReduce of `elems` fp32; both backends build it. The ring is pinned:
+/// kAuto would pick two-phase direct at 8 nodes (6.12 vs 6.20 ms) and the
+/// ring from 16, so the pin keeps every Fig. 15 point on RCCL's ring. It
+/// pays the baseline collective's kernel launch and stream sync.
 class GradAllReduceOp final : public fused::FusedOp {
  public:
   GradAllReduceOp(shmem::World& world, std::int64_t elems)

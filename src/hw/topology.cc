@@ -97,68 +97,6 @@ void Topology::apply_fault(const FaultEvent& ev) {
   faults_changed();
 }
 
-std::vector<std::string> Topology::active_faults() {
-  std::vector<std::string> out;
-  for (const FaultSite& s : fault_sites()) {
-    if (!s.healthy()) out.push_back(s.name);
-  }
-  return out;
-}
-
-std::vector<std::string> Topology::degraded_components(
-    std::span<const PeId> pes) {
-  std::vector<std::string> out;
-  if (faulted_ == 0) return out;
-  const auto& sites = fault_sites();
-
-  std::vector<NodeId> nodes;
-  for (PeId pe : pes) {
-    const NodeId n = node_of(pe);
-    if (std::find(nodes.begin(), nodes.end(), n) == nodes.end()) {
-      nodes.push_back(n);
-    }
-  }
-  std::sort(nodes.begin(), nodes.end());
-
-  auto add = [&out](const std::string& name) {
-    if (std::find(out.begin(), out.end(), name) == out.end()) {
-      out.push_back(name);
-    }
-  };
-
-  // Unhealthy components on member nodes (dead/derated rails, switch ports)
-  // hurt any algorithm whose lanes spread over the node's local GPUs.
-  for (const FaultSite& s : sites) {
-    if (s.healthy()) continue;
-    if (std::binary_search(nodes.begin(), nodes.end(), s.node)) add(s.name);
-  }
-
-  // Routes between member-node pairs: ideal-path casualties the reroute is
-  // detouring around, plus unhealthy components the actual route crosses
-  // (derated trunks / torus links on intermediate nodes).
-  Route r;
-  std::vector<std::string> casualties;
-  for (NodeId a : nodes) {
-    for (NodeId b : nodes) {
-      if (a == b) continue;
-      casualties.clear();
-      route_casualties(a, b, casualties);
-      for (const std::string& c : casualties) add(c);
-      r.clear();
-      try {
-        resolve(a * gpus_per_node(), b * gpus_per_node(), r);
-      } catch (const PartitionedFabricError&) {
-        continue;  // the dead components are already reported above
-      }
-      for (const Link* hop : r.hops) {
-        if (!hop->healthy()) add(hop->name());
-      }
-      if (r.nic != nullptr && !r.nic->healthy()) add(r.nic->name());
-    }
-  }
-  return out;
-}
-
 void Topology::guard_route(PeId src, PeId dst, Route& route) const {
   for (const Link* hop : route.hops) {
     if (hop->dead()) {
@@ -275,7 +213,7 @@ void SwitchedTopology::resolve(PeId src, PeId dst, Route& route) {
       route.nic = nics_[static_cast<std::size_t>(node_of(src))].get();
       break;
   }
-  if (faulted()) guard_route(src, dst, route);
+  if (has_faults()) guard_route(src, dst, route);
 }
 
 void SwitchedTopology::collect_fault_sites(std::vector<FaultSite>& out) {
@@ -342,8 +280,8 @@ void MultiRailTopology::resolve(PeId src, PeId dst, Route& route) {
                       dst, route);
       break;
     case RouteClass::kInterNode:
-      route.nic = faulted() ? alive_rail(src, dst)
-                            : affinity_[static_cast<std::size_t>(src)];
+      route.nic = has_faults() ? alive_rail(src, dst)
+                               : affinity_[static_cast<std::size_t>(src)];
       break;
   }
 }
@@ -502,7 +440,7 @@ void TorusTopology::resolve(PeId src, PeId dst, Route& route) {
                       dst, route);
       break;
     case RouteClass::kInterNode: {
-      if (faulted()) {
+      if (has_faults()) {
         degraded_route(src, dst, route);
         break;
       }
@@ -598,15 +536,6 @@ std::vector<std::uint8_t> TorusTopology::compute_detour(NodeId sn, NodeId dn,
   }
   std::reverse(dirs.begin(), dirs.end());
   return dirs;
-}
-
-void TorusTopology::route_casualties(NodeId src_node, NodeId dst_node,
-                                     std::vector<std::string>& out) {
-  dor_walk(spec_, src_node, dst_node, /*x_first=*/true,
-           [&](NodeId node, int dir) {
-             Link* l = link(node, dir);
-             if (l->dead()) out.push_back(l->name());
-           });
 }
 
 void TorusTopology::collect_fault_sites(std::vector<FaultSite>& out) {

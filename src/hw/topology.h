@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -215,27 +214,20 @@ class Topology {
   /// resolution; `faults_changed()` lets subclasses drop route caches.
   void apply_fault(const FaultEvent& ev);
 
+  /// True once any site is unhealthy; resolution paths branch into their
+  /// health-aware variants only then, keeping the healthy hot path (and its
+  /// golden-traced timings) untouched.
   bool has_faults() const { return faulted_ > 0; }
 
-  /// Monotone counter bumped by every apply_fault — consumers (ccl) cache
-  /// degraded-plan decisions keyed on it.
+  /// Monotone counter bumped by every apply_fault — ccl caches the
+  /// algorithm kAuto resolves to keyed on it.
   std::uint64_t fault_epoch() const { return fault_epoch_; }
-
-  /// Names of currently-unhealthy sites, in site order.
-  std::vector<std::string> active_faults();
 
   /// Engine shards whose threads reserve routes on this fabric during a run
   /// (gpu::Machine sets it; 1 for serial machines and bare topologies).
   /// schedule_fault_plan rejects fabrics with more than one.
   int engine_shards() const { return engine_shards_; }
   void set_engine_shards(int n) { engine_shards_ = n; }
-
-  /// Unhealthy components a communicator spanning `pes` is exposed to:
-  /// unhealthy sites on member nodes (rails, ports) plus any unhealthy or
-  /// dead component on the routes between member-node pairs (including
-  /// ideal-path casualties a detour steered around). Empty on a healthy
-  /// fabric; deduplicated, deterministic order.
-  std::vector<std::string> degraded_components(std::span<const PeId> pes);
 
  private:
   int num_nodes_;
@@ -253,20 +245,9 @@ class Topology {
   /// Subclass hook: health state changed (drop detour/route caches).
   virtual void faults_changed() {}
 
-  /// Subclass hook: dead components the *ideal* (healthy-fabric) route
-  /// between two nodes would traverse — components a degraded route is
-  /// detouring around (torus overrides; fabrics whose reroutes stay on
-  /// member-node sites need not).
-  virtual void route_casualties(NodeId, NodeId, std::vector<std::string>&) {}
-
-  /// True once any site is unhealthy; resolution paths branch into their
-  /// health-aware variants only then, keeping the healthy hot path (and its
-  /// golden-traced timings) untouched.
-  bool faulted() const { return faulted_ > 0; }
-
   /// Shared post-resolve health guard: throws PartitionedFabricError when
   /// the route crosses a dead link or NIC, and folds per-hop fault jitter
-  /// into the route's propagation latency. Call only when faulted().
+  /// into the route's propagation latency. Call only when has_faults().
   void guard_route(PeId src, PeId dst, Route& route) const;
   /// Per-thread scratch route buffer: steady-state resolution stays
   /// allocation-free, and shard threads reserving source-local routes
@@ -391,8 +372,6 @@ class TorusTopology final : public Topology {
   void collect_fault_sites(std::vector<FaultSite>& out) override;
   /// Health changes invalidate every cached detour.
   void faults_changed() override { detour_dirs_.clear(); }
-  void route_casualties(NodeId src_node, NodeId dst_node,
-                        std::vector<std::string>& out) override;
 
  private:
   int node_x(NodeId n) const { return n % spec_.dim_x; }

@@ -74,8 +74,11 @@ double gemv_allreduce_wire_ns(const fused::GemvAllReduceConfig& cfg,
   const double frac = static_cast<double>(p - 1) / static_cast<double>(p);
   const double inter = inter_fraction(env);
   if (algo == ccl::AllReduceAlgo::kAuto) {
-    algo = hierarchy_eligible(env) ? ccl::AllReduceAlgo::kHierarchical
-                                   : ccl::AllReduceAlgo::kTwoPhaseDirect;
+    // ccl runs the cheapest algorithm; so does this estimate.
+    return std::min(
+        {gemv_allreduce_wire_ns(cfg, env, ccl::AllReduceAlgo::kTwoPhaseDirect),
+         gemv_allreduce_wire_ns(cfg, env, ccl::AllReduceAlgo::kRing),
+         gemv_allreduce_wire_ns(cfg, env, ccl::AllReduceAlgo::kHierarchical)});
   }
   switch (algo) {
     case ccl::AllReduceAlgo::kTwoPhaseDirect:
@@ -116,7 +119,7 @@ double gemv_allreduce_wire_ns(const fused::GemvAllReduceConfig& cfg,
       return intra + inter_ring + env.device_ns(m * 4.0, m);
     }
     case ccl::AllReduceAlgo::kAuto:
-      break;  // resolved above
+      break;  // priced above
   }
   return 1e30;
 }

@@ -87,16 +87,6 @@ std::optional<Batch> Batcher::poll(TimeNs now) {
   return b;
 }
 
-TimeNs Batcher::next_deadline() const {
-  TimeNs earliest = kNoDeadline;
-  for (const auto& q : queues_) {
-    if (q.empty()) continue;
-    const TimeNs d = q.front().arrival + policy_.window_ns;
-    if (earliest == kNoDeadline || d < earliest) earliest = d;
-  }
-  return earliest;
-}
-
 std::size_t Batcher::queued() const {
   std::size_t n = 0;
   for (const auto& q : queues_) n += q.size();

@@ -62,12 +62,6 @@ class Batcher {
   /// dispatchable at `now`. Deterministic in (queue state, now).
   std::optional<Batch> poll(TimeNs now);
 
-  /// Earliest time any currently-queued request's window expires, or
-  /// kNoDeadline when all queues are empty. The simulator schedules its
-  /// wakeups from this.
-  static constexpr TimeNs kNoDeadline = -1;
-  TimeNs next_deadline() const;
-
   std::size_t queued() const;
   bool empty() const { return queued() == 0; }
   int num_classes() const { return static_cast<int>(queues_.size()); }

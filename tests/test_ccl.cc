@@ -204,7 +204,7 @@ template <typename F>
 void expect_error(F&& call, const std::string& what) {
   EXPECT_THROW(
       try {
-        sim::Co never_started = call();
+        [[maybe_unused]] const auto never_used = call();
       } catch (const std::logic_error& e) {
         EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
             << e.what();
@@ -234,6 +234,14 @@ TEST(ArgumentErrors, NegativeSizesNameTheArgument) {
                "all_reduce: n_elems must be >= 0, got -1");
   expect_error([&] { return comm.all_to_all(-8, FloatBufs{}, FloatBufs{}); },
                "all_to_all: chunk_elems must be >= 0, got -8");
+  expect_error([&] { return comm.select_allreduce(-2); },
+               "select_allreduce: n_elems must be >= 0, got -2");
+  constexpr AllReduceAlgo kDirect[] = {AllReduceAlgo::kTwoPhaseDirect};
+  expect_error(
+      [&] {
+        return Communicator::price_all_reduce(four_gpus(), -4096, kDirect);
+      },
+      "price_all_reduce: n_elems must be >= 0, got -4096");
 }
 
 TEST(ArgumentErrors, MalformedCountsNameTheEntry) {

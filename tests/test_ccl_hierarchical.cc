@@ -1,7 +1,8 @@
-// Hierarchy-aware collectives: auto-selection from the topology and the
+// Hierarchy-aware collectives: kAuto's priced choice of algorithm and the
 // staged AllReduce (intra-node RS -> inter-node ring -> intra-node AG).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -38,37 +39,59 @@ sim::Task run_all_reduce(sim::Engine& e, Communicator& comm,
   done = e.now();
 }
 
+/// Finish time of one AllReduce on a fresh machine, over `members` (every
+/// PE when empty).
 TimeNs time_allreduce(int nodes, int gpus, std::int64_t n_elems,
-                      AllReduceAlgo algo) {
+                      AllReduceAlgo algo, std::vector<PeId> members = {}) {
   gpu::Machine m(nodes_by_gpus(nodes, gpus));
-  Communicator comm(m, all_pes(m));
+  Communicator comm(m, members.empty() ? all_pes(m) : members);
   TimeNs done = 0;
   run_all_reduce(m.engine(), comm, n_elems, FloatBufs{}, algo, done);
   m.engine().run();
   return done;
 }
 
-TEST(AutoSelect, KeysOffTheTopologySpan) {
-  {
-    gpu::Machine m(nodes_by_gpus(1, 4));
-    Communicator comm(m, all_pes(m));
-    EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
-  }
-  {
-    gpu::Machine m(nodes_by_gpus(2, 1));  // one GPU per node: nothing to stage
-    Communicator comm(m, all_pes(m));
-    EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
-  }
-  {
-    gpu::Machine m(nodes_by_gpus(2, 4));
-    Communicator comm(m, all_pes(m));
-    EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
-  }
-  {
-    // Non-uniform span (3 members on node 0, 1 on node 1): stay flat.
-    gpu::Machine m(nodes_by_gpus(2, 4));
-    Communicator comm(m, {0, 1, 2, 4});
-    EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
+TEST(AutoSelect, PicksTheFastestAlgorithmForTheSpanAndSize) {
+  struct Span {
+    int nodes, gpus;
+    std::vector<PeId> members;
+  };
+  const Span spans[] = {
+      {1, 4, {}},
+      {2, 1, {}},  // one GPU per node: nothing to stage
+      {2, 4, {}},
+      {2, 4, {0, 1, 2, 4}},  // non-uniform: hierarchical is ineligible
+  };
+  for (const Span& span : spans) {
+    for (const std::int64_t n_elems : {1 << 10, 1 << 14, (1 << 18) + 11}) {
+      SCOPED_TRACE(std::to_string(span.nodes) + "x" +
+                   std::to_string(span.gpus) + " members " +
+                   std::to_string(span.members.size()) + " n " +
+                   std::to_string(n_elems));
+      gpu::Machine m(nodes_by_gpus(span.nodes, span.gpus));
+      Communicator comm(m, span.members.empty() ? all_pes(m) : span.members);
+      // The fastest explicit algorithm, ties in kAuto's order.
+      AllReduceAlgo fastest = AllReduceAlgo::kTwoPhaseDirect;
+      TimeNs best = time_allreduce(span.nodes, span.gpus, n_elems, fastest,
+                                   span.members);
+      for (const AllReduceAlgo algo :
+           {AllReduceAlgo::kRing, AllReduceAlgo::kHierarchical}) {
+        if (algo == AllReduceAlgo::kHierarchical &&
+            !comm.hierarchy_eligible()) {
+          continue;
+        }
+        const TimeNs t =
+            time_allreduce(span.nodes, span.gpus, n_elems, algo, span.members);
+        if (t < best) {
+          fastest = algo;
+          best = t;
+        }
+      }
+      EXPECT_EQ(comm.select_allreduce(n_elems), fastest);
+      EXPECT_EQ(time_allreduce(span.nodes, span.gpus, n_elems,
+                               AllReduceAlgo::kAuto, span.members),
+                best);
+    }
   }
 }
 
@@ -123,12 +146,20 @@ TEST(HierarchicalAllReduce, FourNodesStillWin) {
   EXPECT_LT(hier, ring);
 }
 
-TEST(AutoAllReduce, MatchesFlatDirectOnSingleNode) {
-  // On a single node auto must resolve to the historical default so
-  // existing workloads keep their exact timings.
-  const std::int64_t n_elems = 1 << 18;
-  EXPECT_EQ(time_allreduce(1, 4, n_elems, AllReduceAlgo::kAuto),
-            time_allreduce(1, 4, n_elems, AllReduceAlgo::kTwoPhaseDirect));
+TEST(AutoAllReduce, FollowsTheMessageSizeOnSingleNode) {
+  // One 4-GPU node: two-phase direct wins on small messages, the ring on
+  // large ones, and kAuto follows.
+  const std::int64_t small = 1 << 14;
+  const TimeNs small_direct =
+      time_allreduce(1, 4, small, AllReduceAlgo::kTwoPhaseDirect);
+  EXPECT_LT(small_direct, time_allreduce(1, 4, small, AllReduceAlgo::kRing));
+  EXPECT_EQ(time_allreduce(1, 4, small, AllReduceAlgo::kAuto), small_direct);
+
+  const std::int64_t large = (1 << 18) + 123;
+  const TimeNs large_ring = time_allreduce(1, 4, large, AllReduceAlgo::kRing);
+  EXPECT_LT(large_ring,
+            time_allreduce(1, 4, large, AllReduceAlgo::kTwoPhaseDirect));
+  EXPECT_EQ(time_allreduce(1, 4, large, AllReduceAlgo::kAuto), large_ring);
 }
 
 }  // namespace

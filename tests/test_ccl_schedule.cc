@@ -21,7 +21,8 @@
 // a sharded machine runs the sweep at the next window barrier, after the
 // PUTs issued later in that window have reserved their links.
 //
-// A fourth test checks Communicator::price_all_reduce against real runs.
+// Further tests check that each ar_auto row is the fastest explicit row, and
+// Communicator::price_all_reduce against real runs.
 //
 // FCC_GOLDEN ccl_schedule, ccl_schedule_repeat, ccl_schedule_mixed: on a
 // mismatch the test prints the whole actual table in source form, for
@@ -35,6 +36,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -221,12 +223,12 @@ const Golden kGolden[] = {
     // FCC_GOLDEN ccl_schedule begin
     {"fc1x4/s1/b2b/ar_direct", 41969, 41969, 41969, 83938, 0x4569bc4103f6c031ull},
     {"fc1x4/s1/b2b/ar_ring", 35470, 35470, 35470, 70940, 0xa89026976ae8225full},
-    {"fc1x4/s1/b2b/ar_auto", 41969, 41969, 41969, 83938, 0x4569bc4103f6c031ull},
+    {"fc1x4/s1/b2b/ar_auto", 35470, 35470, 35470, 70940, 0xa89026976ae8225full},
     {"fc1x4/s1/b2b/a2a_pairwise", 13700, 13700, 13700, 27400, 0x4c1aab25e5409ed7ull},
     {"fc1x4/s1/b2b/a2av", 11150, 11150, 11150, 22300, 0xc5ba6102a6424577ull},
     {"fc1x4/s1/overlap/ar_direct", 41969, 41969, 68193, 68193, 0x9033f532265d2737ull},
     {"fc1x4/s1/overlap/ar_ring", 35470, 35470, 60240, 60240, 0xcd2924ab2d50774full},
-    {"fc1x4/s1/overlap/ar_auto", 41969, 41969, 68193, 68193, 0x9033f532265d2737ull},
+    {"fc1x4/s1/overlap/ar_auto", 35470, 35470, 60240, 60240, 0xcd2924ab2d50774full},
     {"fc1x4/s1/overlap/a2a_pairwise", 13700, 13700, 16700, 16700, 0x4c53e4d1539c0787ull},
     {"fc1x4/s1/overlap/a2av", 11150, 11150, 11600, 11600, 0xe5e605207220fbbfull},
     {"fc2x4/s1/b2b/ar_direct", 221574, 221574, 221574, 443148, 0x7d8638790df91443ull},
@@ -499,6 +501,35 @@ TEST(CclSchedule, EveryCollectiveMatchesGolden) {
   }
 }
 
+// On every fabric, shard count and mode, the ar_auto row is the row of the
+// fastest explicit AllReduce (ties in direct, ring, hierarchical order).
+TEST(CclSchedule, AutoRowIsTheFastestExplicitRow) {
+  std::map<std::string, const Golden*> golden;
+  for (const Golden& g : kGolden) golden[g.name] = &g;
+  std::size_t autos = 0;
+  for (const auto& [name, g] : golden) {
+    const std::size_t slash = name.rfind('/');
+    if (name.substr(slash + 1) != "ar_auto") continue;
+    ++autos;
+    const std::string prefix = name.substr(0, slash + 1);
+    const Golden* fastest = nullptr;
+    for (const char* algo : {"ar_direct", "ar_ring", "ar_hier"}) {
+      const auto it = golden.find(prefix + algo);
+      if (it != golden.end() &&
+          (fastest == nullptr || it->second->dur_a < fastest->dur_a)) {
+        fastest = it->second;
+      }
+    }
+    ASSERT_NE(fastest, nullptr) << name;
+    EXPECT_EQ(std::tuple(g->dur_a, g->fin_a, g->dur_b, g->fin_b,
+                         g->fingerprint),
+              std::tuple(fastest->dur_a, fastest->fin_a, fastest->dur_b,
+                         fastest->fin_b, fastest->fingerprint))
+        << name << " vs " << fastest->name;
+  }
+  EXPECT_GT(autos, 0u);
+}
+
 // price_all_reduce's idle-machine price is the last_duration() of the same
 // AllReduce run on a fresh machine, for every algorithm the span can run,
 // and asking twice prices the same.
@@ -536,7 +567,7 @@ TEST(CclSchedule, AllReducePriceIsAFreshRunsDuration) {
 
 /// One communicator's calls, in order: repeats of the same algorithm and
 /// size, then changes of algorithm or of size (`shrink` divides the
-/// standard sizes). kAuto picks the hierarchical AllReduce where eligible.
+/// standard sizes). kAuto runs the fastest AllReduce for the span and size.
 struct Call {
   Coll coll;
   int shrink;
@@ -572,8 +603,8 @@ struct RepeatGolden {
 // clang-format off
 const RepeatGolden kRepeatGolden[] = {
     // FCC_GOLDEN ccl_schedule_repeat begin
-    {"fc1x4/s1/seq", 313956, 0x688373244878048dull, 0x552891aa96be10c3ull},
-    {"fc1x4/s1/overlap", 455312, 0x38fb18386532c783ull, 0xfb7d9a5d152cec5eull},
+    {"fc1x4/s1/seq", 313354, 0xe5e985aeefb843a5ull, 0x4849f2d1a111dbe7ull},
+    {"fc1x4/s1/overlap", 454108, 0x59edbf22c476aec5ull, 0xf914b862ef0cb871ull},
     {"fc2x4/s1/seq", 1302425, 0xac852060c5fd4fb0ull, 0xdf2b38e5e449315bull},
     {"fc2x4/s1/overlap", 2272544, 0x59ccbac0168abfeaull, 0x0b89cbc5e3ffd4c3ull},
     {"fc2x4/s2/seq", 1302425, 0xac852060c5fd4fb0ull, 0xdf2b38e5e449315bull},

@@ -1,13 +1,14 @@
 // Fault injection & graceful degradation in the hw layer: multi-rail
 // failover, torus detours, PartitionedFabricError on true partitions, the
 // healthy-path byte-identity guarantee, chaos-plan determinism, the
-// rejection of scheduled plans on sharded machines, and the ccl
-// auto-selection fallback on a degraded fabric.
+// rejection of scheduled plans on sharded machines, and ccl's kAuto
+// running the cheapest AllReduce on a degraded fabric.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ccl/communicator.h"
@@ -81,7 +82,6 @@ TEST(FaultSites, EnumerationIsStableAndNamed) {
   EXPECT_GE(topo.fault_site_index("node1.rail1.wire"), 0);
   EXPECT_EQ(topo.fault_site_index("nonexistent"), -1);
   EXPECT_FALSE(topo.has_faults());
-  EXPECT_TRUE(topo.active_faults().empty());
 }
 
 TEST(FaultSites, NamesAreUniqueAndIndexTheirOwnSite) {
@@ -359,54 +359,86 @@ std::vector<PeId> all_pes(gpu::Machine& m) {
   return v;
 }
 
-sim::Task run_all_reduce(Communicator& comm, std::int64_t n_elems,
-                         TimeNs& done) {
-  co_await comm.all_reduce(n_elems, FloatBufs{});
-  done = comm.machine().engine().now();
+constexpr std::int64_t kElems = 1 << 16;
+
+sim::Task run_all_reduce(Communicator& comm, AllReduceAlgo algo) {
+  co_await comm.all_reduce(kElems, FloatBufs{}, algo);
 }
 
-TEST(DegradedCollectives, DeadRailDropsHierarchyAndRecovers) {
+/// Runs a kElems AllReduce with `algo` to completion on `comm`'s machine,
+/// after everything before it, and returns its last_duration().
+TimeNs duration(Communicator& comm, AllReduceAlgo algo) {
+  run_all_reduce(comm, algo);
+  comm.machine().engine().run();
+  EXPECT_EQ(comm.machine().engine().live_tasks(), 0);
+  return comm.last_duration();
+}
+
+/// Runs every algorithm the span admits, then kAuto, on the fabric as it
+/// stands: kAuto must pick the fastest (ties in direct, ring, hierarchical
+/// order) and run as fast. Returns kAuto's duration.
+TimeNs expect_auto_is_fastest(Communicator& comm) {
+  AllReduceAlgo fastest = AllReduceAlgo::kTwoPhaseDirect;
+  TimeNs best = duration(comm, fastest);
+  for (const AllReduceAlgo algo :
+       {AllReduceAlgo::kRing, AllReduceAlgo::kHierarchical}) {
+    if (algo == AllReduceAlgo::kHierarchical && !comm.hierarchy_eligible()) {
+      continue;
+    }
+    const TimeNs t = duration(comm, algo);
+    if (t < best) {
+      fastest = algo;
+      best = t;
+    }
+  }
+  EXPECT_EQ(comm.select_allreduce(kElems), fastest);
+  const TimeNs auto_ns = duration(comm, AllReduceAlgo::kAuto);
+  EXPECT_EQ(auto_ns, best);
+  return auto_ns;
+}
+
+/// Applies `ev`, checks kAuto on the degraded fabric, repairs the site and
+/// checks kAuto is back to its healthy choice and duration. Returns kAuto's
+/// degraded choice and duration.
+std::pair<AllReduceAlgo, TimeNs> degrade_and_repair(Communicator& comm,
+                                                    hw::FaultEvent ev) {
+  hw::Topology& topo = comm.machine().topology();
+  const AllReduceAlgo healthy = comm.select_allreduce(kElems);
+  const TimeNs healthy_ns = expect_auto_is_fastest(comm);
+  topo.apply_fault(ev);
+  const std::pair degraded{comm.select_allreduce(kElems),
+                           expect_auto_is_fastest(comm)};
+  ev.kind = hw::FaultKind::kRepair;
+  topo.apply_fault(ev);
+  EXPECT_FALSE(topo.has_faults());
+  EXPECT_EQ(comm.select_allreduce(kElems), healthy);
+  EXPECT_EQ(duration(comm, AllReduceAlgo::kAuto), healthy_ns);
+  return degraded;
+}
+
+TEST(DegradedCollectives, DeadRailRunsTheFastestAndRecovers) {
+  // The flat algorithms' writes fail over to the surviving rail, and the
+  // hierarchical lanes share it: hierarchical stays the fastest.
   gpu::Machine::Config mc;
   mc.num_nodes = 2;
   mc.gpus_per_node = 4;
   mc.topology.kind = hw::TopologySpec::Kind::kMultiRail;
   mc.topology.nic_rails = 2;
   gpu::Machine m(mc);
-  const std::vector<PeId> pes = all_pes(m);
-  Communicator comm(m, pes);
-  hw::Topology& topo = m.topology();
-  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
-  EXPECT_TRUE(topo.degraded_components(pes).empty());
-
+  Communicator comm(m, all_pes(m));
   hw::FaultEvent ev;
   ev.kind = hw::FaultKind::kDead;
-  ev.site = topo.fault_site_index("node0.rail0");
+  ev.site = m.topology().fault_site_index("node0.rail0");
   ASSERT_GE(ev.site, 0);
-  topo.apply_fault(ev);
-
-  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
-  EXPECT_EQ(topo.degraded_components(pes),
-            std::vector<std::string>{"node0.rail0"});
-
-  // kAuto must complete on the degraded fabric: the flat algorithm's writes
-  // fail over to the surviving rail instead of throwing.
-  TimeNs done = 0;
-  run_all_reduce(comm, 1 << 16, done);
-  m.engine().run();
-  EXPECT_GT(done, 0);
-
-  ev.kind = hw::FaultKind::kRepair;
-  topo.apply_fault(ev);
-  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
-  EXPECT_TRUE(topo.degraded_components(pes).empty());
+  EXPECT_EQ(degrade_and_repair(comm, ev),
+            std::pair(AllReduceAlgo::kHierarchical, TimeNs{31435}));
 }
 
-TEST(DegradedCollectives, DeadTorusLinkBetweenMemberNodesDropsHierarchy) {
+TEST(DegradedCollectives, DeadTorusLinkBetweenMemberNodesRunsTheFastest) {
   // A 5x1 torus ring, 2 GPUs per node; the communicator spans nodes 0 and
   // 2, whose dimension-ordered route runs +x through node 1. Killing node
-  // 1's +x link leaves every member node's own links healthy: only the
-  // ideal-route casualty walk can see the fault (the degraded route
-  // detours the other way round the ring).
+  // 1's +x link leaves every member node's own links healthy; the route
+  // detours the other way round the ring.
   gpu::Machine::Config mc;
   mc.num_nodes = 5;
   mc.gpus_per_node = 2;
@@ -414,55 +446,49 @@ TEST(DegradedCollectives, DeadTorusLinkBetweenMemberNodesDropsHierarchy) {
   mc.topology.torus.dim_x = 5;
   mc.topology.torus.dim_y = 1;
   gpu::Machine m(mc);
-  const std::vector<PeId> pes = {0, 1, 4, 5};
-  Communicator comm(m, pes);
+  Communicator comm(m, {0, 1, 4, 5});
   ASSERT_TRUE(comm.hierarchy_eligible());
-  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
-
-  hw::Topology& topo = m.topology();
   hw::FaultEvent ev;
   ev.kind = hw::FaultKind::kDead;
-  ev.site = topo.fault_site_index("node1.+x");
+  ev.site = m.topology().fault_site_index("node1.+x");
   ASSERT_GE(ev.site, 0);
-  topo.apply_fault(ev);
-
-  EXPECT_EQ(topo.degraded_components(pes),
-            std::vector<std::string>{"node1.+x"});
-  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
-  TimeNs done = 0;
-  run_all_reduce(comm, 1 << 16, done);
-  m.engine().run();
-  EXPECT_GT(done, 0);
-
-  ev.kind = hw::FaultKind::kRepair;
-  topo.apply_fault(ev);
-  EXPECT_TRUE(topo.degraded_components(pes).empty());
-  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
+  EXPECT_EQ(degrade_and_repair(comm, ev),
+            std::pair(AllReduceAlgo::kHierarchical, TimeNs{27527}));
 }
 
-TEST(DegradedCollectives, DeratedWireAlsoDropsHierarchy) {
+TEST(DegradedCollectives, DeeplyDeratedRailSwitchesToTheRing) {
+  // A rail at a tenth of its bandwidth paces the hierarchical lanes that
+  // ride it (local GPUs 0 and 2); the flat ring leaves each node only from
+  // local GPU 3, whose rail is rail 1.
+  gpu::Machine::Config mc;
+  mc.num_nodes = 2;
+  mc.gpus_per_node = 4;
+  mc.topology.kind = hw::TopologySpec::Kind::kMultiRail;
+  mc.topology.nic_rails = 2;
+  gpu::Machine m(mc);
+  Communicator comm(m, all_pes(m));
+  hw::FaultEvent ev;
+  ev.kind = hw::FaultKind::kDerate;
+  ev.site = m.topology().fault_site_index("node0.rail0.wire");
+  ev.derate = 0.1;
+  ASSERT_GE(ev.site, 0);
+  EXPECT_EQ(degrade_and_repair(comm, ev),
+            std::pair(AllReduceAlgo::kRing, TimeNs{57901}));
+}
+
+TEST(DegradedCollectives, DeratedWireRunsTheFastest) {
   gpu::Machine::Config mc;
   mc.num_nodes = 2;
   mc.gpus_per_node = 4;
   gpu::Machine m(mc);  // fully-connected default
-  const std::vector<PeId> pes = all_pes(m);
-  Communicator comm(m, pes);
-  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kHierarchical);
-
-  hw::Topology& topo = m.topology();
+  Communicator comm(m, all_pes(m));
   hw::FaultEvent ev;
   ev.kind = hw::FaultKind::kDerate;
-  ev.site = topo.fault_site_index("node1.rail0.wire");
+  ev.site = m.topology().fault_site_index("node1.rail0.wire");
   ev.derate = 0.3;
   ASSERT_GE(ev.site, 0);
-  topo.apply_fault(ev);
-
-  EXPECT_EQ(comm.select_allreduce(), AllReduceAlgo::kTwoPhaseDirect);
-  // The wire's ill-health surfaces through its owning NIC site
-  // ("node1.rail0"); either spelling identifies the degraded component.
-  const std::vector<std::string> avoided = topo.degraded_components(pes);
-  ASSERT_FALSE(avoided.empty());
-  EXPECT_EQ(avoided[0].rfind("node1", 0), 0u);
+  EXPECT_EQ(degrade_and_repair(comm, ev),
+            std::pair(AllReduceAlgo::kHierarchical, TimeNs{62019}));
 }
 
 }  // namespace

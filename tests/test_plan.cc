@@ -453,8 +453,8 @@ TEST(SelectCclAlgo, PlansTheFastestEligibleBaselineAlgorithm) {
   }
 }
 
-// kAuto prices exactly as the algorithm it resolves to, which is the
-// fastest on each of these healthy machines: the tie keeps kAuto.
+// kAuto prices as the fastest algorithm, which is the one it runs: the tie
+// keeps kAuto.
 TEST(SelectCclAlgo, ATieKeepsTheIncumbent) {
   for (const NamedMachine& machine : algo_machines()) {
     CostEnv env;
@@ -474,6 +474,12 @@ TEST(SelectCclAlgo, ATieKeepsTheIncumbent) {
       EXPECT_EQ(pick->incumbent_ns,
                 static_cast<double>(**std::min_element(prices.begin(),
                                                        prices.end())));
+      gpu::Machine live(machine.config);
+      ccl::Communicator comm(live, fused::all_pes(live));
+      const ccl::AllReduceAlgo runs[] = {comm.select_allreduce(m)};
+      EXPECT_EQ(pick->incumbent_ns,
+                static_cast<double>(*ccl::Communicator::price_all_reduce(
+                    machine.config, m, runs)[0]));
     }
   }
   // Through the planner: fc2x4 plans the GEMV on the baseline and keeps

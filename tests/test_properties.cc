@@ -7,6 +7,8 @@
 //   * collectives preserve their algebraic definitions for any size/world
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -312,6 +314,23 @@ TEST_P(AllReduceSweep, EqualsElementwiseSum) {
                   expect[static_cast<std::size_t>(i)], 1e-3);
     }
   }
+  if (algo != ccl::AllReduceAlgo::kAuto) return;
+  // kAuto runs as fast as the fastest algorithm the span admits.
+  TimeNs fastest = std::numeric_limits<TimeNs>::max();
+  for (const ccl::AllReduceAlgo other :
+       {ccl::AllReduceAlgo::kTwoPhaseDirect, ccl::AllReduceAlgo::kRing,
+        ccl::AllReduceAlgo::kHierarchical}) {
+    if (other == ccl::AllReduceAlgo::kHierarchical &&
+        !comm.hierarchy_eligible()) {
+      continue;
+    }
+    gpu::Machine fresh(machine_config(shape.first, shape.second));
+    ccl::Communicator c(fresh, fused::all_pes(fresh));
+    drive_all_reduce(fresh.engine(), c, n_elems, {}, other, done);
+    fresh.engine().run();
+    fastest = std::min(fastest, c.last_duration());
+  }
+  EXPECT_EQ(comm.last_duration(), fastest);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -144,12 +144,10 @@ TEST(Batcher, PartialBatchWaitsOutTheWindow) {
   ASSERT_TRUE(b.enqueue({0, 0, 1000}));
   EXPECT_FALSE(b.poll(1000).has_value());
   EXPECT_FALSE(b.poll(1099).has_value());
-  EXPECT_EQ(b.next_deadline(), 1100);
   const auto batch = b.poll(1100);
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->reqs.size(), 1u);
   EXPECT_TRUE(b.empty());
-  EXPECT_EQ(b.next_deadline(), Batcher::kNoDeadline);
 }
 
 TEST(Batcher, FullBatchDispatchesImmediately) {
@@ -162,7 +160,7 @@ TEST(Batcher, FullBatchDispatchesImmediately) {
 
 TEST(Batcher, ZeroCapacityRejectsInsteadOfDividingOrHanging) {
   // queue_capacity = 0 is the fully-shedding server: every enqueue is an
-  // admission reject, poll never produces, next_deadline never arms.
+  // admission reject and poll never produces.
   BatchPolicy p = small_policy();
   p.queue_capacity = 0;
   Batcher b({0, 1}, p);
@@ -172,7 +170,6 @@ TEST(Batcher, ZeroCapacityRejectsInsteadOfDividingOrHanging) {
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(b.queued(0), 0u);
   EXPECT_FALSE(b.poll(1'000'000).has_value());
-  EXPECT_EQ(b.next_deadline(), Batcher::kNoDeadline);
 }
 
 TEST(Batcher, RejectsPastQueueCapacityAndRecoversAfterDrain) {
@@ -255,16 +252,6 @@ TEST(Batcher, RandomizedMaxBatchFifoAndAdmissionProperties) {
   while (const auto batch = b.poll(now)) check_batch(*batch);
   EXPECT_TRUE(b.empty());
   for (const auto& q : admitted) EXPECT_TRUE(q.empty());
-}
-
-TEST(Batcher, NextDeadlineIsTheOldestQueuedWindow) {
-  Batcher b({0, 0}, small_policy());
-  EXPECT_EQ(b.next_deadline(), Batcher::kNoDeadline);
-  ASSERT_TRUE(b.enqueue({0, 1, 500}));
-  ASSERT_TRUE(b.enqueue({1, 0, 300}));
-  EXPECT_EQ(b.next_deadline(), 400);  // class 0's older request
-  ASSERT_TRUE(b.poll(400).has_value());
-  EXPECT_EQ(b.next_deadline(), 600);
 }
 
 }  // namespace

@@ -39,31 +39,40 @@ struct SplitRunner {
   int splits;
   TimeNs total = 0;
 
-  /// One slot of a per-table pooling kernel: a compute step per sample.
-  /// The cost belongs to chunk_kernels, so the slot frame holds loop state
-  /// only.
-  sim::Co table_slot(gpu::KernelRun& run, PeId pe, const gpu::WorkCost& cost,
-                     int slot) {
-    for (int pos; (pos = co_await run.next(slot)) >= 0;) {
-      co_await machine.device(pe).compute(cost);
+  /// A per-table pooling kernel on one PE: a compute step per sample.
+  struct Kernel : gpu::KernelRun {
+    Kernel(gpu::Device& dev, const gpu::WorkCost& cost, Params params)
+        : KernelRun(dev, params), cost(cost) {}
+    const gpu::WorkCost& cost;
+  };
+
+  /// A slot's steps: claim a sample and start its step; end it.
+  static void claim(gpu::KernelRun::Slot& s) {
+    Kernel& k = static_cast<Kernel&>(*s.run);
+    if (k.next(s) < 0) {
+      k.finish(s);
+      return;
     }
+    k.device().start_step(k.cost, s, &computed);
+  }
+  static void computed(sim::Call* c) {
+    auto& s = static_cast<gpu::KernelRun::Slot&>(*c);
+    static_cast<Kernel&>(*s.run).device().end_step();
+    claim(s);
   }
 
   sim::Co chunk_kernels(PeId pe, int tables_in_chunk) {
     const auto cfg = base_config();
     const gpu::WorkCost cost = ops::embedding_wg_cost(
         cfg.pooling, cfg.map.dim, true, ops::kBaselineCurve);
+    gpu::Device& dev = machine.device(pe);
     for (int t = 0; t < tables_in_chunk; ++t) {
-      gpu::KernelRun::Params p;
-      p.num_slots = gpu::max_active_wgs(machine.device(pe).spec(),
-                                        gpu::KernelResources{});
-      p.num_wgs = cfg.map.global_batch;  // position = sample
-      p.body = [this, pe, &cost](gpu::KernelRun& run, int slot) {
-        return table_slot(run, pe, cost, slot);
-      };
-      gpu::KernelRun run(machine.engine(), std::move(p));
-      run.start();
-      co_await run.wait();
+      Kernel k(dev, cost,
+               {.num_slots = gpu::max_active_wgs(dev.spec(),
+                                                 gpu::KernelResources{}),
+                .num_wgs = cfg.map.global_batch});  // position = sample
+      k.start(&claim);
+      co_await k.wait();
     }
   }
 

@@ -72,17 +72,15 @@ FusedEmbeddingAllToAll::FusedEmbeddingAllToAll(shmem::World& world,
               ops::embedding_wg_cost(cfg_.pooling, cfg_.map.dim,
                                      /*local_write=*/false,
                                      ops::kFusedEmbeddingCurve)};
-  store_issue_ns_ = world_.issue_latency(0, 0, shmem::World::IssueKind::kStore);
   register_debug_flags("sliceRdy", slice_rdy_);
 }
 
-std::size_t FusedEmbeddingAllToAll::flag_index(PeId src, int table,
-                                               int group) const {
+std::size_t FusedEmbeddingAllToAll::slice_flag(PeId src, int slice) const {
   const auto& map = cfg_.map;
   return (static_cast<std::size_t>(src) * map.tables_per_pe +
-          static_cast<std::size_t>(table)) *
+          static_cast<std::size_t>(map.slice_table(slice))) *
              static_cast<std::size_t>(map.slices_per_dest_per_table()) +
-         static_cast<std::size_t>(group);
+         static_cast<std::size_t>(map.slice_group(slice));
 }
 
 sim::Co FusedEmbeddingAllToAll::run() {
@@ -94,7 +92,7 @@ sim::Co FusedEmbeddingAllToAll::run() {
   // them from several threads.
   if (wg_cost_[0].by_active.empty()) {
     for (gpu::WorkCost& c : wg_cost_) {
-      world_.machine().device(0).tabulate(c, slots_per_pe_);
+      world_.machine().device(0).tabulate(c);
     }
     if (cfg_.policy == gpu::SchedulePolicy::kCommAware) {
       const hw::Topology& topo = world_.machine().topology();
@@ -121,77 +119,162 @@ sim::Co FusedEmbeddingAllToAll::run() {
   co_await run_fused([this](PeId pe) { return pe_body(pe); });
 }
 
+/// One PE's launch: the KernelRun, and what every slot's steps share.
+struct FusedEmbeddingAllToAll::Kernel : gpu::KernelRun {
+  Kernel(FusedEmbeddingAllToAll& op, PeId pe, Params params)
+      : KernelRun(op.world_.machine().device(pe), params),
+        op(op),
+        traced(op.world_.machine().config().collect_trace) {}
+  FusedEmbeddingAllToAll& op;
+  bool traced;
+};
+
+/// A slot's record: the logical WG in flight and where its vector goes.
+struct FusedEmbeddingAllToAll::Slot : gpu::KernelRun::Slot {
+  int lw;
+  SliceIndex::Placement at;
+  bool zero_copy;  // the vector is a zero-copy store (zero_copy_to)
+  TimeNs t_begin;  // traced runs: the WG's start, for its span
+};
+
 sim::Co FusedEmbeddingAllToAll::pe_body(PeId pe) {
-  sim::Engine& engine = world_.machine().engine_of(pe);
-  gpu::KernelRun::Params p;
-  p.num_slots = slots_per_pe_;
-  p.num_wgs = cfg_.map.num_logical_wgs();
-  p.body = [this, pe](gpu::KernelRun& run, int slot) {
-    return pe_slot(run, pe, slot);
-  };
-  gpu::KernelRun run(engine, std::move(p));
-  run.start();
-  co_await run.wait();
-  result_.pe_end[static_cast<std::size_t>(pe)] = engine.now();
+  Kernel k(*this, pe,
+           {.num_slots = slots_per_pe_,
+            .num_wgs = cfg_.map.num_logical_wgs(),
+            .tail_slots = cfg_.map.num_slices()});
+  k.start(&claim);
+  co_await k.wait();
+  result_.pe_end[static_cast<std::size_t>(pe)] = k.engine().now();
 }
 
-sim::Co FusedEmbeddingAllToAll::pe_slot(gpu::KernelRun& run, PeId pe,
-                                        int slot) {
-  // Everything declared here, awaiters included, lives in the slot's frame
-  // for the whole kernel (GCC keeps every local of a coroutine in its
-  // frame), so the frame holds loop state only: per-WG arithmetic and
-  // functional data stay in plain helpers, trace timestamps in traced_wg.
-  for (int lw; (lw = wg_at(pe, co_await run.next(slot))) >= 0;) {
-    const SliceIndex::Placement at = index_.place(lw);
-    // The machine's trace switch, read per WG from its config: cheaper
-    // than looking up the PE's shard buffer (trace_of) on the hot path.
-    if (world_.machine().config().collect_trace) {
-      co_await traced_wg(pe, slot, lw, at);
-    } else {
-      const bool zero_copy = zero_copy_to(pe, at.dest);
-      if (zero_copy && store_issue_ns_ > 0) {
-        // The store's issue follows the step with nothing in between, so
-        // the step ends in an engine call that starts the issue wait: one
-        // resume for both.
-        co_await world_.machine().device(pe).compute_then_wait(
-            wg_cost_[1], store_issue_ns_);
-      } else {
-        // A zero-latency store issue never suspends.
-        co_await world_.machine().device(pe).compute(
-            wg_cost_[zero_copy ? 1 : 0]);
-      }
-      post_wg(pe, lw, at, zero_copy);
-    }
-
-    // WG_Done bookkeeping; the last finishing WG of the slice emits it.
-    co_await world_.machine().device(pe).busy_wait(
-        ops::kFusedWgBookkeepingNs);
-    if (wg_done_.mark(pe, at.slice, at.lane)) {
-      co_await emit_slice_from_slot(pe, slot, at.slice);
-    }
+void FusedEmbeddingAllToAll::claim(Slot& s) {
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  FusedEmbeddingAllToAll& op = k.op;
+  const int lw = op.wg_at(k.pe(), k.next(s));
+  if (lw < 0) {
+    poll_slices(s);
+    return;
   }
-
-  // Queue drained: each persistent WG polls a distinct subset of sliceRdy
-  // flags before exiting (cheaper than everyone polling everything).
-  for (int f = slot; f < cfg_.map.num_slices(); f += run.active_slots()) {
-    co_await slice_rdy_->wait_ge(pe, static_cast<std::size_t>(f), 1);
-  }
+  s.lw = lw;
+  s.at = op.index_.place(lw);
+  s.zero_copy = op.zero_copy_to(k.pe(), s.at.dest);
+  if (k.traced) s.t_begin = k.engine().now();
+  k.device().start_step(op.wg_cost_[s.zero_copy ? 1 : 0], s, &step_end);
 }
 
-sim::Co FusedEmbeddingAllToAll::traced_wg(PeId pe, int slot, int lw,
-                                          SliceIndex::Placement at) {
-  // pe_slot's WG step plus its "wg compute" span, in a frame of its own so
-  // that untraced slot frames never hold the span's start time.
-  auto& machine = world_.machine();
-  const bool zero_copy = zero_copy_to(pe, at.dest);
-  const TimeNs t_begin = machine.engine_of(pe).now();
-  co_await machine.device(pe).compute(wg_cost_[zero_copy ? 1 : 0]);
-  if (zero_copy) {
-    co_await world_.issue(pe, at.dest, shmem::World::IssueKind::kStore);
+void FusedEmbeddingAllToAll::step_end(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  k.device().end_step();
+  if (s.zero_copy &&
+      k.op.world_.issue_then(k.pe(), s.at.dest, shmem::World::IssueKind::kStore,
+                             s, &stored)) {
+    return;
   }
-  post_wg(pe, lw, at, zero_copy);
-  machine.trace_of(pe).add_span(
-      {"wg", "compute", pe, slot, t_begin, machine.engine_of(pe).now()});
+  stored(c);
+}
+
+void FusedEmbeddingAllToAll::stored(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  k.op.post_wg(k.pe(), s.lw, s.at, s.zero_copy);
+  if (k.traced) {
+    k.op.world_.machine().trace_of(k.pe()).add_span(
+        {"wg", "compute", k.pe(), s.index, s.t_begin, k.engine().now()});
+  }
+  // WG_Done bookkeeping; the last finishing WG of the slice emits it.
+  k.device().wait_then(ops::kFusedWgBookkeepingNs, s, &bookkept);
+}
+
+void FusedEmbeddingAllToAll::bookkept(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  FusedEmbeddingAllToAll& op = k.op;
+  if (!op.wg_done_.mark(k.pe(), s.at.slice, s.at.lane)) {
+    claim(s);
+    return;
+  }
+  const PeId dest = s.at.dest;  // the slice's destination too
+  if (dest == k.pe()) {
+    // Locally consumed slice: flag is a local store.
+    op.slice_rdy_->set(k.pe(), op.slice_flag(k.pe(), s.at.slice), 1);
+    if (k.traced) {
+      op.world_.machine().trace_of(k.pe()).add_instant(
+          {"local_slice", "local", k.pe(), s.index, k.engine().now()});
+    }
+    claim(s);
+    return;
+  }
+  if (s.zero_copy) {
+    // Zero-copy scale-up: data already stored per-WG; order the flag
+    // behind those stores and set it remotely.
+    op.world_.fence_then(k.pe(), s, &zero_copy_fenced);
+    return;
+  }
+  // Staged path: one PUT for the whole slice (RDMA inter-node, blit-style
+  // copy intra-node when zero-copy is disabled), fence, sliceRdy flag.
+  if (op.world_.issue_then(k.pe(), dest, op.staged_kind(k.pe(), dest), s,
+                           &staged_issued)) {
+    return;
+  }
+  staged_issued(c);
+}
+
+void FusedEmbeddingAllToAll::zero_copy_fenced(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  if (k.op.world_.issue_then(k.pe(), s.at.dest, shmem::World::IssueKind::kStore,
+                             s, &signal_slice)) {
+    return;
+  }
+  signal_slice(c);
+}
+
+void FusedEmbeddingAllToAll::staged_issued(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  k.op.post_slice(k.pe(), s.at.slice);
+  k.op.world_.fence_then(k.pe(), s, &staged_fenced);
+}
+
+void FusedEmbeddingAllToAll::staged_fenced(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  const PeId dest = s.at.dest;
+  if (k.op.world_.issue_then(k.pe(), dest, k.op.staged_kind(k.pe(), dest), s,
+                             &signal_slice)) {
+    return;
+  }
+  signal_slice(c);
+}
+
+void FusedEmbeddingAllToAll::signal_slice(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  FusedEmbeddingAllToAll& op = k.op;
+  op.slice_rdy_.signal(op.world_, k.pe(), s.at.dest,
+                       op.slice_flag(k.pe(), s.at.slice));
+  if (k.traced) {
+    op.world_.machine().trace_of(k.pe()).add_instant(
+        {"put", "comm", k.pe(), s.index, k.engine().now()});
+  }
+  claim(s);
+}
+
+void FusedEmbeddingAllToAll::poll_slices(Slot& s) {
+  // Each persistent WG polls a distinct subset of sliceRdy flags before
+  // exiting (cheaper than everyone polling everything).
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  shmem::FlagArray& flags = *k.op.slice_rdy_.get();
+  const int n = k.op.cfg_.map.num_slices();
+  const int stride = k.active_slots();
+  const auto set = [](int) -> std::uint64_t { return 1; };
+  const int f = flags.first_unmet(k.pe(), s.index, stride, n, set);
+  if (f >= n) {
+    k.finish(s);
+    return;
+  }
+  k.start_tail(s, [&] { return flags.wait_from(k.pe(), f, stride, n, set); });
 }
 
 bool FusedEmbeddingAllToAll::zero_copy_to(PeId pe, PeId dest) const {
@@ -273,48 +356,11 @@ void FusedEmbeddingAllToAll::post_slice(PeId pe, int slice) {
   world_.put(pe, dest, map.slice_bytes(), std::move(deliver));
 }
 
-sim::Co FusedEmbeddingAllToAll::emit_slice_from_slot(PeId pe, int slot,
-                                                     int slice) {
-  auto& machine = world_.machine();
-  const auto& map = cfg_.map;
-  const PeId dest = map.slice_dest(slice);
-  const std::size_t fidx =
-      flag_index(pe, map.slice_table(slice), map.slice_group(slice));
-
-  if (dest == pe) {
-    // Locally consumed slice: flag is a local store.
-    slice_rdy_->set(pe, fidx, 1);
-    if (machine.config().collect_trace) {
-      machine.trace_of(pe).add_instant(
-          {"local_slice", "local", pe, slot, machine.engine_of(pe).now()});
-    }
-    co_return;
-  }
-
-  // Scale-up routes (fabric/switch hops) can be stored to directly; routes
-  // that leave the node take the RDMA descriptor path.
-  const bool same_node =
-      machine.route_class(pe, dest) == hw::RouteClass::kIntraNode;
-  if (same_node && cfg_.zero_copy) {
-    // Zero-copy scale-up: data already stored per-WG; order the flag behind
-    // those stores and set it remotely.
-    co_await world_.fence(pe);
-    co_await world_.issue(pe, dest, shmem::World::IssueKind::kStore);
-  } else {
-    // Staged path: one PUT for the whole slice (RDMA inter-node, blit-style
-    // copy intra-node when zero-copy is disabled), fence, sliceRdy flag.
-    const auto kind = same_node ? shmem::World::IssueKind::kStore
-                                : shmem::World::IssueKind::kRdma;
-    co_await world_.issue(pe, dest, kind);
-    post_slice(pe, slice);
-    co_await world_.fence(pe);
-    co_await world_.issue(pe, dest, kind);
-  }
-  slice_rdy_.signal(world_, pe, dest, fidx);
-  if (machine.config().collect_trace) {
-    machine.trace_of(pe).add_instant(
-        {"put", "comm", pe, slot, machine.engine_of(pe).now()});
-  }
+shmem::World::IssueKind FusedEmbeddingAllToAll::staged_kind(PeId pe,
+                                                          PeId dest) const {
+  return world_.machine().route_class(pe, dest) == hw::RouteClass::kIntraNode
+             ? shmem::World::IssueKind::kStore
+             : shmem::World::IssueKind::kRdma;
 }
 
 // ---------------------------------------------------------------------------
@@ -335,25 +381,45 @@ BaselineEmbeddingAllToAll::BaselineEmbeddingAllToAll(shmem::World& world,
                                     /*local_write=*/true, ops::kBaselineCurve);
 }
 
+/// One (PE, table) kernel launch.
+struct BaselineEmbeddingAllToAll::Kernel : gpu::KernelRun {
+  Kernel(BaselineEmbeddingAllToAll& op, PeId pe, int table, Params params)
+      : KernelRun(op.world_.machine().device(pe), params),
+        op(op),
+        table(table) {}
+  BaselineEmbeddingAllToAll& op;
+  int table;
+};
+
+/// A slot's record: the global sample in flight.
+struct BaselineEmbeddingAllToAll::Slot : gpu::KernelRun::Slot {
+  int sample;
+};
+
 sim::Co BaselineEmbeddingAllToAll::table_kernel(PeId pe, int table) {
-  auto& machine = world_.machine();
-  gpu::KernelRun::Params p;
-  p.num_slots = slots_per_pe_;
-  p.num_wgs = cfg_.map.global_batch;  // position = global sample
-  p.body = [this, pe, table](gpu::KernelRun& run, int slot) {
-    return table_slot(run, pe, table, slot);
-  };
-  gpu::KernelRun run(machine.engine_of(pe), std::move(p));
-  run.start();
-  co_await run.wait();
+  // Position = global sample.
+  Kernel k(*this, pe, table,
+           {.num_slots = slots_per_pe_, .num_wgs = cfg_.map.global_batch});
+  k.start(&claim);
+  co_await k.wait();
 }
 
-sim::Co BaselineEmbeddingAllToAll::table_slot(gpu::KernelRun& run, PeId pe,
-                                              int table, int slot) {
-  for (int b; (b = co_await run.next(slot)) >= 0;) {
-    co_await world_.machine().device(pe).compute(wg_cost_);
-    if (cfg_.functional) pool_to_send(pe, table, b);
+void BaselineEmbeddingAllToAll::claim(Slot& s) {
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  s.sample = k.next(s);
+  if (s.sample < 0) {
+    k.finish(s);
+    return;
   }
+  k.device().start_step(k.op.wg_cost_, s, &computed);
+}
+
+void BaselineEmbeddingAllToAll::computed(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  k.device().end_step();
+  if (k.op.cfg_.functional) k.op.pool_to_send(k.pe(), k.table, s.sample);
+  claim(s);
 }
 
 void BaselineEmbeddingAllToAll::pool_to_send(PeId pe, int table, int b) {
@@ -385,7 +451,7 @@ std::size_t BaselineEmbeddingAllToAll::chunk_elems() const {
 void BaselineEmbeddingAllToAll::prepare() {
   // Runs in run() before any PE body is spawned (see the fused run()).
   if (wg_cost_.by_active.empty()) {
-    world_.machine().device(0).tabulate(wg_cost_, slots_per_pe_);
+    world_.machine().device(0).tabulate(wg_cost_);
   }
   if (!cfg_.functional) return;
   const auto pes = static_cast<std::size_t>(cfg_.map.num_pes);

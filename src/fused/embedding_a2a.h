@@ -19,8 +19,12 @@
 // The order permutes whole destination blocks, so each PE keeps
 // only its num_pes-entry block sequence (built on the first run) and maps
 // a KernelRun position to its WG arithmetically, instead of storing
-// num_logical_wgs() ids per PE. After draining the task loop, each
-// persistent WG polls a distinct subset of sliceRdy flags before exiting.
+// num_logical_wgs() ids per PE. A WG, and the slice its last WG emits, run
+// as engine calls on the slot's record (gpu::KernelRun): compute, the
+// zero-copy store's issue, WG_Done bookkeeping, then the slice's fence,
+// issues, PUT and flag. After draining the task loop, each persistent WG
+// polls a distinct subset of sliceRdy flags before exiting; only a slot
+// with a flag still down by then starts a tail coroutine for it.
 //
 // Baseline path: per-table pooling kernels (public-DLRM structure) on a
 // stream, host sync, then the ccl All-to-All, then sync — communication
@@ -94,8 +98,9 @@ class FusedEmbeddingAllToAll final : public FusedOp {
   int slots_per_pe() const { return slots_per_pe_; }
 
  private:
+  struct Kernel;
+  struct Slot;
   sim::Co pe_body(PeId pe);
-  sim::Co pe_slot(gpu::KernelRun& run, PeId pe, int slot);
   /// Logical WG that PE `pe` runs at KernelRun position `pos`; -1 (the
   /// drained queue) stays -1.
   int wg_at(PeId pe, int pos) const {
@@ -105,9 +110,21 @@ class FusedEmbeddingAllToAll final : public FusedOp {
                  static_cast<std::size_t>(cfg_.map.num_pes)],
         pos);
   }
-  /// pe_slot's WG step when tracing: the same compute, issue and post,
-  /// plus the WG's span.
-  sim::Co traced_wg(PeId pe, int slot, int lw, SliceIndex::Placement at);
+  // A slot's steps (engine calls on its record), in chain order: claim a
+  // WG and start its compute step; end the step (and issue a zero-copy
+  // store); post the WG's result; WG_Done bookkeeping, after which the
+  // slice's last WG emits it: a local flag, or zero-copy fence + issue, or
+  // staged issue + PUT + fence + issue; then the sliceRdy flag.
+  static void claim(Slot& s);
+  static void step_end(sim::Call* c);
+  static void stored(sim::Call* c);
+  static void bookkept(sim::Call* c);
+  static void zero_copy_fenced(sim::Call* c);
+  static void staged_issued(sim::Call* c);
+  static void staged_fenced(sim::Call* c);
+  static void signal_slice(sim::Call* c);
+  /// A drained slot's end: its share of the sliceRdy flags.
+  static void poll_slices(Slot& s);
   /// Whether a WG's vector goes out as a zero-copy scale-up store.
   bool zero_copy_to(PeId pe, PeId dest) const;
   /// Posts WG `lw`'s result once its compute (and, for a zero-copy store,
@@ -119,16 +136,16 @@ class FusedEmbeddingAllToAll final : public FusedOp {
   /// Posts a staged slice's PUT (in functional mode, with the delivery
   /// that copies the staging buffer out).
   void post_slice(PeId pe, int slice);
-  sim::Co emit_slice_from_slot(PeId pe, int slot, int slice);
-  std::size_t flag_index(PeId src, int table, int group) const;
+  /// Issue kind of a staged slice's PUTs: RDMA unless `dest` shares the
+  /// node.
+  shmem::World::IssueKind staged_kind(PeId pe, PeId dest) const;
+  /// sliceRdy flag, on the slice's destination, of `src`'s slice `slice`.
+  std::size_t slice_flag(PeId src, int slice) const;
 
   EmbeddingA2AConfig cfg_;
   EmbeddingA2AData* data_;
   SliceIndex index_;  // cfg_.map's per-WG arithmetic
   int slots_per_pe_ = 0;
-  /// Issue latency of a zero-copy store (World::issue_latency, kStore),
-  /// the same for every pair of PEs.
-  TimeNs store_issue_ns_ = 0;
   /// Per-WG compute cost: [0] writes HBM, [1] is a zero-copy store.
   /// Duration tables built by the first run().
   std::array<gpu::WorkCost, 2> wg_cost_{};
@@ -158,8 +175,12 @@ class BaselineEmbeddingAllToAll final : public BulkSyncOp {
   void prepare() override;
   sim::Co compute(PeId pe, TimeNs t0) override;
   sim::Co collective(ccl::Communicator& comm) override;
+  struct Kernel;
+  struct Slot;
   sim::Co table_kernel(PeId pe, int table);
-  sim::Co table_slot(gpu::KernelRun& run, PeId pe, int table, int slot);
+  /// A slot's steps: claim a sample and start its step; end it.
+  static void claim(Slot& s);
+  static void computed(sim::Call* c);
   /// Functional mode: pools (table, sample b) into PE `pe`'s send buffer.
   void pool_to_send(PeId pe, int table, int b);
   /// Elements per (source, destination) All-to-All chunk.

@@ -89,7 +89,7 @@ void FusedGemvAllReduce::build_tables() {
   reduce_cost_ = {reduce_cost(shape_.tile_rows),
                   reduce_cost(shape_.tile_end(last) - shape_.tile_begin(last))};
   for (auto* costs : {&tile_cost_, &reduce_cost_}) {
-    for (gpu::WorkCost& c : *costs) dev.tabulate(c, active_slots_);
+    for (gpu::WorkCost& c : *costs) dev.tabulate(c);
   }
 
   // Slot s's tiles are s, s + slots, ...; it runs them comm-aware (tiles
@@ -139,36 +139,68 @@ sim::Co FusedGemvAllReduce::run() {
   co_await run_fused([this](PeId pe) { return pe_body(pe); });
 }
 
+/// One PE's launch: the KernelRun, and what every slot's steps share.
+struct FusedGemvAllReduce::Kernel : gpu::KernelRun {
+  Kernel(FusedGemvAllReduce& op, PeId pe, Params params)
+      : KernelRun(op.world_.machine().device(pe), params), op(op) {}
+  FusedGemvAllReduce& op;
+};
+
+/// A slot's record: the tile in flight.
+struct FusedGemvAllReduce::Slot : gpu::KernelRun::Slot {
+  int tile;
+};
+
 sim::Co FusedGemvAllReduce::pe_body(PeId pe) {
-  sim::Engine& engine = world_.machine().engine_of(pe);
-  gpu::KernelRun::Params p;
-  p.num_slots = active_slots_;
-  p.num_wgs = num_tiles_;
-  p.static_assignment = true;
-  p.body = [this, pe](gpu::KernelRun& run, int slot) {
-    return gemv_slot(run, pe, slot);
-  };
-  gpu::KernelRun run(engine, std::move(p));
-  run.start();
-  co_await run.wait();
-  result_.pe_end[static_cast<std::size_t>(pe)] = engine.now();
+  Kernel k(*this, pe,
+           {.num_slots = active_slots_,
+            .num_wgs = num_tiles_,
+            .static_assignment = true,
+            .tail_slots = active_slots_});
+  k.start(&claim);
+  co_await k.wait();
+  result_.pe_end[static_cast<std::size_t>(pe)] = k.engine().now();
 }
 
-sim::Co FusedGemvAllReduce::gemv_slot(gpu::KernelRun& run, PeId pe,
-                                      int slot) {
-  // The frame lives for the whole kernel and holds loop state only: the
-  // partial tile is built and posted by post_partial.
-  for (int tile; (tile = tile_at(pe, co_await run.next(slot))) >= 0;) {
-    const bool remote = owner_of_tile(tile) != pe;
-    co_await world_.machine().device(pe).compute(tile_cost_[remote ? 1 : 0]);
-    co_await world_.machine().device(pe).busy_wait(ops::kFusedWgBookkeepingNs);
-    if (remote) {
-      co_await world_.issue(pe, owner_of_tile(tile),
-                            shmem::World::IssueKind::kStore);
-    }
-    post_partial(pe, slot, tile);
+void FusedGemvAllReduce::claim(Slot& s) {
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  FusedGemvAllReduce& op = k.op;
+  s.tile = op.tile_at(k.pe(), k.next(s));
+  if (s.tile < 0) {
+    k.start_tail(s, [&] { return op.slot_tail(k.pe(), s.index); });
+    return;
   }
+  const bool remote = op.owner_of_tile(s.tile) != k.pe();
+  k.device().start_step(op.tile_cost_[remote ? 1 : 0], s, &computed);
+}
 
+void FusedGemvAllReduce::computed(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  k.device().end_step();
+  k.device().wait_then(ops::kFusedWgBookkeepingNs, s, &bookkept);
+}
+
+void FusedGemvAllReduce::bookkept(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  const PeId owner = k.op.owner_of_tile(s.tile);
+  if (owner != k.pe() &&
+      k.op.world_.issue_then(k.pe(), owner, shmem::World::IssueKind::kStore, s,
+                             &posted)) {
+    return;
+  }
+  posted(c);
+}
+
+void FusedGemvAllReduce::posted(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  k.op.post_partial(k.pe(), s.index, s.tile);
+  claim(s);
+}
+
+sim::Co FusedGemvAllReduce::slot_tail(PeId pe, int slot) {
   // Arrival flags: the fence orders the data stores ahead of them.
   co_await world_.fence(pe);
   for (PeId peer = 0; peer < num_pes_; ++peer) {
@@ -177,7 +209,37 @@ sim::Co FusedGemvAllReduce::gemv_slot(gpu::KernelRun& run, PeId pe,
     arrive_flags_.signal(world_, pe, peer, flag_index(pe, slot));
   }
 
-  co_await reduce_and_broadcast(pe, slot);
+  // Wait for counterpart slots on every peer to finish storing partials.
+  for (PeId peer = 0; peer < num_pes_; ++peer) {
+    if (peer == pe) continue;
+    co_await arrive_flags_->wait_ge(pe, flag_index(peer, slot), 1);
+  }
+
+  // Owned tiles assigned to this slot.
+  bool reduced = false;
+  for (int tile = slot; tile < num_tiles_; tile += active_slots_) {
+    if (owner_of_tile(tile) != pe) continue;
+    reduced = true;
+    co_await world_.machine().device(pe).compute(
+        reduce_cost_[tile == num_tiles_ - 1 ? 1 : 0]);
+    if (cfg_.functional) reduce_tile(pe, tile);
+
+    // Zero-copy broadcast of the reduced tile to every peer's output.
+    for (PeId peer = 0; peer < num_pes_; ++peer) {
+      if (peer == pe) continue;
+      co_await world_.issue(pe, peer, shmem::World::IssueKind::kStore);
+      post_broadcast(pe, peer, tile);
+    }
+  }
+
+  // Broadcast flags, fenced behind the final-tile stores. A slot that owns
+  // no tile still signals: peers wait on every counterpart's flag.
+  if (reduced) co_await world_.fence(pe);
+  for (PeId peer = 0; peer < num_pes_; ++peer) {
+    if (peer == pe) continue;
+    co_await world_.issue(pe, peer, shmem::World::IssueKind::kStore);
+    bcast_flags_.signal(world_, pe, peer, flag_index(pe, slot));
+  }
 
   // Wait for the output rows owned by peers (their counterpart slots).
   for (PeId peer = 0; peer < num_pes_; ++peer) {
@@ -223,40 +285,6 @@ void FusedGemvAllReduce::post_partial(PeId pe, int slot, int tile) {
   if (trace.enabled()) {
     trace.add_instant(
         {"put", "comm", pe, slot, world_.machine().engine_of(pe).now()});
-  }
-}
-
-sim::Co FusedGemvAllReduce::reduce_and_broadcast(PeId pe, int slot) {
-  // Wait for counterpart slots on every peer to finish storing partials.
-  for (PeId peer = 0; peer < num_pes_; ++peer) {
-    if (peer == pe) continue;
-    co_await arrive_flags_->wait_ge(pe, flag_index(peer, slot), 1);
-  }
-
-  // Owned tiles assigned to this slot.
-  bool reduced = false;
-  for (int tile = slot; tile < num_tiles_; tile += active_slots_) {
-    if (owner_of_tile(tile) != pe) continue;
-    reduced = true;
-    co_await world_.machine().device(pe).compute(
-        reduce_cost_[tile == num_tiles_ - 1 ? 1 : 0]);
-    if (cfg_.functional) reduce_tile(pe, tile);
-
-    // Zero-copy broadcast of the reduced tile to every peer's output.
-    for (PeId peer = 0; peer < num_pes_; ++peer) {
-      if (peer == pe) continue;
-      co_await world_.issue(pe, peer, shmem::World::IssueKind::kStore);
-      post_broadcast(pe, peer, tile);
-    }
-  }
-
-  // Broadcast flags, fenced behind the final-tile stores. A slot that owns
-  // no tile still signals: peers wait on every counterpart's flag.
-  if (reduced) co_await world_.fence(pe);
-  for (PeId peer = 0; peer < num_pes_; ++peer) {
-    if (peer == pe) continue;
-    co_await world_.issue(pe, peer, shmem::World::IssueKind::kStore);
-    bcast_flags_.signal(world_, pe, peer, flag_index(pe, slot));
   }
 }
 
@@ -319,33 +347,50 @@ BaselineGemvAllReduce::BaselineGemvAllReduce(shmem::World& world,
 void BaselineGemvAllReduce::prepare() {
   // Runs in run() before any PE body is spawned.
   if (tile_cost_.by_active.empty()) {
-    world_.machine().device(0).tabulate(tile_cost_, slots_per_pe_);
+    world_.machine().device(0).tabulate(tile_cost_);
   }
   if (!cfg_.functional) return;
   partial_.assign(static_cast<std::size_t>(world_.n_pes()),
                   std::vector<float>(static_cast<std::size_t>(cfg_.m), 0.0f));
 }
 
+/// One PE's compute kernel.
+struct BaselineGemvAllReduce::Kernel : gpu::KernelRun {
+  Kernel(BaselineGemvAllReduce& op, PeId pe, Params params)
+      : KernelRun(op.world_.machine().device(pe), params), op(op) {}
+  BaselineGemvAllReduce& op;
+};
+
+/// A slot's record: the tile in flight.
+struct BaselineGemvAllReduce::Slot : gpu::KernelRun::Slot {
+  int tile;
+};
+
 sim::Co BaselineGemvAllReduce::compute(PeId pe, TimeNs /*t0*/) {
-  auto& machine = world_.machine();
-  const auto shape = cfg_.shape(machine.num_pes());
-  gpu::KernelRun::Params p;
-  p.num_slots = slots_per_pe_;
-  p.num_wgs = shape.num_tiles();  // position = tile
-  p.body = [this, pe](gpu::KernelRun& run, int slot) {
-    return gemv_slot(run, pe, slot);
-  };
-  gpu::KernelRun kernel(machine.engine_of(pe), std::move(p));
-  kernel.start();
-  co_await kernel.wait();
+  // Position = tile.
+  Kernel k(*this, pe,
+           {.num_slots = slots_per_pe_,
+            .num_wgs = cfg_.shape(world_.n_pes()).num_tiles()});
+  k.start(&claim);
+  co_await k.wait();
 }
 
-sim::Co BaselineGemvAllReduce::gemv_slot(gpu::KernelRun& run, PeId pe,
-                                         int slot) {
-  for (int tile; (tile = co_await run.next(slot)) >= 0;) {
-    co_await world_.machine().device(pe).compute(tile_cost_);
-    if (cfg_.functional) tile_to_partial(pe, tile);
+void BaselineGemvAllReduce::claim(Slot& s) {
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  s.tile = k.next(s);
+  if (s.tile < 0) {
+    k.finish(s);
+    return;
   }
+  k.device().start_step(k.op.tile_cost_, s, &computed);
+}
+
+void BaselineGemvAllReduce::computed(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  k.device().end_step();
+  if (k.op.cfg_.functional) k.op.tile_to_partial(k.pe(), s.tile);
+  claim(s);
 }
 
 void BaselineGemvAllReduce::tile_to_partial(PeId pe, int tile) {

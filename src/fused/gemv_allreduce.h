@@ -19,6 +19,8 @@
 //      N partials, store the result locally and zero-copy broadcast it to
 //      every peer's output, fence, set one broadcast flag per peer.
 //   4. wait the counterpart broadcast flags (output rows owned by peers).
+// Step 1 runs as engine calls on the slot's record; steps 2-4 are the
+// slot's tail coroutine (gpu::KernelRun::start_tail).
 #pragma once
 
 #include <array>
@@ -88,12 +90,19 @@ class FusedGemvAllReduce final : public FusedOp {
   int active_slots() const { return active_slots_; }
 
  private:
+  struct Kernel;
+  struct Slot;
   void build_tables();
   sim::Co pe_body(PeId pe);
-  sim::Co gemv_slot(gpu::KernelRun& run, PeId pe, int slot);
-  /// Step 3 of a slot, in a frame of its own: merged into gemv_slot it
-  /// would grow the frame every slot keeps for the whole run.
-  sim::Co reduce_and_broadcast(PeId pe, int slot);
+  /// Step 1's steps (engine calls on the slot's record): claim a tile and
+  /// start its step; end it and wait out the WG bookkeeping; issue a
+  /// remote partial's store; post the partial.
+  static void claim(Slot& s);
+  static void computed(sim::Call* c);
+  static void bookkept(sim::Call* c);
+  static void posted(sim::Call* c);
+  /// Steps 2-4 of a slot, once its tiles are done.
+  sim::Co slot_tail(PeId pe, int slot);
   /// Posts a finished tile's partial: kept in the local partial buffer
   /// when PE `pe` owns the tile, else stored into the owner's reduction
   /// buffer (the caller has awaited the store's issue).
@@ -147,7 +156,11 @@ class BaselineGemvAllReduce final : public BulkSyncOp {
   void prepare() override;
   sim::Co compute(PeId pe, TimeNs t0) override;
   sim::Co collective(ccl::Communicator& comm) override;
-  sim::Co gemv_slot(gpu::KernelRun& run, PeId pe, int slot);
+  struct Kernel;
+  struct Slot;
+  /// A slot's steps: claim a tile and start its step; end it.
+  static void claim(Slot& s);
+  static void computed(sim::Call* c);
   /// Functional mode: computes a tile into PE `pe`'s partial vector.
   void tile_to_partial(PeId pe, int tile);
 

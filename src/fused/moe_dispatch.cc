@@ -434,8 +434,7 @@ sim::Co FusedMoeDispatch::run() {
                               [](const triton::TileKernel::Ctx& ctx) {
                                 return static_cast<std::size_t>(ctx.pe);
                               });
-          k.tabulate(world_.machine().device(0),
-                     routed_.occupancy_slots_override);
+          k.tabulate(world_.machine().device(0));
         });
   }
   if (routed_.functional) {
@@ -462,13 +461,11 @@ sim::Co FusedMoeDispatch::pe_driver(PeId pe) {
   // Each spawned slot waits for the sources slot, slot + active, ... (a
   // grid smaller than num_pes orphans no source's counter). A source with
   // an empty segment expects zero tiles and passes.
-  lc.epilogue = [this, pe, tiles_n](int slot, int active) -> sim::Co {
-    for (int src = slot; src < world_.n_pes(); src += active) {
-      co_await arrivals_->wait_ge(
-          pe, static_cast<std::size_t>(src),
-          static_cast<std::uint64_t>(
-              routed_.layout.expected_tiles(src, pe, tiles_n)));
-    }
+  lc.wait_flags = arrivals_.get();
+  lc.wait_count = world_.n_pes();
+  lc.wait_threshold = [this, pe, tiles_n](int src) {
+    return static_cast<std::uint64_t>(
+        routed_.layout.expected_tiles(src, pe, tiles_n));
   };
   co_await kernel_of_[static_cast<std::size_t>(pe)]->launch(lc);
   result_.pe_end[static_cast<std::size_t>(pe)] =

@@ -30,12 +30,13 @@
 // anchor lost), so they stay remote-first.
 //
 // Kernels are slot-resident: each physical WG slot is one gpu::KernelRun
-// slot body, a single detached coroutine frame that runs every logical WG
-// it claims inline (the fused GEMV's slots claim theirs by static
-// assignment), then polls its subset of readiness flags before returning.
-// KernelRun hands out positions; each operator maps them to WGs through an
-// order it builds once (or the identity), so no run allocates per WG. The
-// tile-DSL ops hand that polling to TileKernel::launch as its epilogue.
+// record, and every logical WG it claims runs as a chain of engine calls
+// on it (the fused GEMV's slots claim theirs by static assignment). Once
+// its queue drains, a slot whose readiness flags are not all up yet polls
+// them in a tail coroutine. KernelRun hands out positions; each operator
+// maps them to WGs through an order it builds once (or the identity), so
+// no run allocates per WG. The tile-DSL ops hand that polling to
+// TileKernel::launch as its flag wait.
 //
 // Per-PE completion times are stamped inside run_per_pe_at bodies (each
 // body runs on its PE's home-shard engine), so the runtime works on serial

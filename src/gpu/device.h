@@ -6,18 +6,16 @@
 // compute-active WGs. Memory-bound and compute-bound kernels both fall out
 // of the same max(mem, alu) rule.
 //
-// compute() and busy_wait() suspend exactly once, so they are plain
-// awaiters (no coroutine frame): every logical WG awaits them, and a
-// nested sim::Co per step would heap-allocate a frame per WG.
-// compute_then_wait() is a compute step and a busy_wait in one suspension:
-// its step ends in an engine call (sim::Call) that deregisters the WG and
-// starts the wait without resuming the WG in between, with the same events
-// at the same times as the two awaits it replaces.
+// A step has two forms with the same events at the same times. A
+// coroutine awaits compute() or busy_wait(), plain awaiters that suspend
+// exactly once. A persistent-kernel WG, a chain of engine calls on its
+// slot's record (gpu::KernelRun), calls start_step() and, in the step's
+// end call, end_step(); wait_then() is its busy_wait.
 //
 // A cost that is fixed for a whole launch carries a duration table
 // (Device::tabulate): the step duration at each active-WG count up to the
-// launch's slot count, computed once by compute_duration itself, so a
-// table lookup is bit-identical to the formula it replaces.
+// device's WG slots, computed once by compute_duration itself, so a table
+// lookup is bit-identical to the formula it replaces.
 #pragma once
 
 #include <algorithm>
@@ -41,8 +39,8 @@ struct WorkCost {
   double alu_efficiency = 1.0;  // fraction of peak ALU the kernel sustains
   hw::HbmCurve curve;        // kernel-specific contention curve
   /// by_active[a] == Device::compute_duration(*this, a), filled by
-  /// Device::tabulate; empty (or too short) means compute the duration at
-  /// each step. Stale if a field above changes after tabulating.
+  /// Device::tabulate; empty means compute the duration at each step.
+  /// Stale if a field above changes after tabulating.
   std::vector<TimeNs> by_active;
 };
 
@@ -91,12 +89,13 @@ class Device {
     return mem_ns > alu_ns ? mem_ns : alu_ns;
   }
 
-  /// Fills `cost.by_active` for active counts 0..slots (a launch's slot
-  /// count; steps that see more active WGs fall back to compute_duration).
+  /// Fills `cost.by_active` for active counts 0..max_wg_slots, so that
+  /// concurrent launches on one device (serving lanes) stay in the table;
+  /// a step that sees more active WGs falls back to compute_duration.
   /// Every device of a machine shares one spec, so a table built on one
   /// device serves them all.
-  void tabulate(WorkCost& cost, int slots) const {
-    cost.by_active.resize(static_cast<std::size_t>(std::max(slots, 0)) + 1);
+  void tabulate(WorkCost& cost) const {
+    cost.by_active.resize(static_cast<std::size_t>(spec_.max_wg_slots()) + 1);
     for (std::size_t a = 0; a < cost.by_active.size(); ++a) {
       cost.by_active[a] = compute_duration(cost, static_cast<int>(a));
     }
@@ -130,45 +129,24 @@ class Device {
   /// near-homogeneous waves).
   Compute compute(const WorkCost& cost) { return Compute{*this, cost}; }
 
-  /// Awaiter of compute_then_wait(). Suspending starts the step as
-  /// Compute does, but schedules the step's end as a call on this awaiter
-  /// (it lives in the suspended frame until the resume): the call
-  /// deregisters the WG, charges the wait and schedules the resume.
-  class [[nodiscard]] ComputeThenWait : sim::Call {
-   public:
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      h_ = h;
-      dev_.engine_.schedule_call_at(
-          dev_.engine_.now() + dev_.begin_step(cost_), this);
-    }
-    void await_resume() const noexcept {}
+  /// Starts a compute step for the WG whose chain continues at `next` on
+  /// `c`: registers the WG as active, charges the step and schedules the
+  /// call at the step's end, where `next` must call end_step() first. The
+  /// call-chain form of compute().
+  void start_step(const WorkCost& cost, sim::Call& c, sim::Call::Fn next) {
+    c.fn = next;
+    engine_.schedule_call_at(engine_.now() + begin_step(cost), &c);
+  }
 
-   private:
-    friend class Device;
-    ComputeThenWait(Device& dev, const WorkCost& cost, TimeNs wait)
-        : sim::Call{&ComputeThenWait::step_end},
-          dev_(dev),
-          cost_(cost),
-          wait_(wait) {}
-    static void step_end(sim::Call* c) {
-      auto* self = static_cast<ComputeThenWait*>(c);
-      Device& dev = self->dev_;
-      --dev.active_wgs_;
-      dev.busy_ns_ += self->wait_;
-      dev.engine_.schedule_resume_after(self->wait_, self->h_);
-    }
-    Device& dev_;
-    const WorkCost& cost_;
-    TimeNs wait_;
-    std::coroutine_handle<> h_;
-  };
+  /// Deregisters the WG whose step start_step() scheduled to end now.
+  void end_step() { --active_wgs_; }
 
-  /// A compute step followed by a device wait of `wait_ns`, with
-  /// the same timing and accounting as `co_await compute(cost)` then
-  /// `co_await busy_wait(wait_ns)`, and one resume instead of two.
-  ComputeThenWait compute_then_wait(const WorkCost& cost, TimeNs wait_ns) {
-    return ComputeThenWait(*this, cost, wait_ns);
+  /// busy_wait() for a call chain: charges `dur` and runs `next` on `c`
+  /// after it.
+  void wait_then(TimeNs dur, sim::Call& c, sim::Call::Fn next) {
+    busy_ns_ += dur;
+    c.fn = next;
+    engine_.schedule_call_at(engine_.now() + dur, &c);
   }
 
   /// Plain timed wait charged to this device (bookkeeping instructions,

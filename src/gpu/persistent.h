@@ -8,31 +8,43 @@
 // scheduler backfilling slots is timing-equivalent to dynamic claiming.
 //
 // The runtime's state scales with slots, not logical WGs. It hands out
-// *positions*; each slot body maps a position to its logical WG (the
-// identity, or the operator's own compact execution order built once), so
-// no launch copies or builds a per-WG order. The slot is the unit of
-// execution: each spawned slot is one detached coroutine frame running the
-// kernel's slot body, which loops
+// *positions*; each kernel maps a position to its logical WG (the identity,
+// or the operator's own compact execution order built once), so no launch
+// copies or builds a per-WG order.
 //
-//   for (int pos; (pos = co_await run.next(slot)) >= 0;) { ...one WG... }
+// A slot is a record, not a coroutine: the kernel derives its record type
+// from KernelRun::Slot (at most 64 B, one cache line), and start() places
+// the records of a launch in one array. A slot's logical WGs run as a chain
+// of engine calls on its record (sim::Call): each step does its plain work
+// (a claim, posting a PUT, marking WG_Done), then schedules the next step
+// with the one engine event the matching coroutine await would schedule —
+// Device::start_step / end_step for a compute step, Device::wait_then for
+// a device wait, World::issue_then and fence_then, after() for a plain
+// wait. So a chain fires the same events at the same times, in the same
+// push order, as a coroutine awaiting compute(), busy_wait(), issue() and
+// fence(), without keeping a frame per slot. A step's record fields carry
+// what one WG needs from one step to the next; everything shared lives in
+// the kernel's own KernelRun subclass, which the record's `run` reaches.
 //
-// and then runs whatever the slot does after the queue drains (the fused
-// kernels' flag polling) inline. The frames of a launch's slots sit back to
-// back in one block (sim::FrameBlock), allocated by start() and freed with
-// the KernelRun; a finishing slot arrives on the kernel's join counter. A
-// logical WG costs no frame, and a launch one allocation.
+// Once its queue drains, a slot finishes (finish()), or starts a tail
+// coroutine (start_tail()) for what it waits on after the loop: the fused
+// kernels' flag polling, the fused GEMV's reduce-and-broadcast. Only slots
+// whose tail has work start one, and the tail frames of a launch sit back
+// to back in one block (sim::FrameBlock) sized for `tail_slots`. A slot
+// that finishes, or whose tail returns, arrives on the kernel's join
+// counter. A warm launch costs one allocation for its records and one for
+// its tail block, whatever its slot, WG or slice count.
 #pragma once
 
 #include <algorithm>
-#include <coroutine>
 #include <cstddef>
-#include <functional>
-#include <numeric>
+#include <new>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
+#include "gpu/device.h"
 #include "sim/co.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
@@ -41,19 +53,23 @@ namespace fcc::gpu {
 
 class KernelRun {
  public:
-  /// Body of one physical WG slot: claims positions with `run.next(slot)`
-  /// until it yields -1. Bind a non-coroutine lambda that returns a member
-  /// coroutine; a coroutine lambda's captures live in the std::function, not
-  /// in the frame.
-  using SlotBody = std::function<sim::Co(KernelRun& run, int slot)>;
+  /// Base of a kernel's slot record. The record is the engine call its
+  /// chain's steps run as (`fn` is the next step).
+  struct Slot : sim::Call {
+    KernelRun* run;
+    int index;   // slot number, 0..active_slots()-1
+    int cursor;  // static assignment: the next position this slot claims
+  };
+
+  /// A slot record's size limit: one cache line.
+  static constexpr std::size_t kMaxSlotBytes = 64;
 
   struct Params {
     int num_slots = 1;
     /// Logical WGs: next() hands out positions 0..num_wgs-1.
     int num_wgs = 0;
-    SlotBody body;
-    /// Task-loop bookkeeping per logical WG (index arithmetic, claim),
-    /// charged by next() after each successful claim.
+    /// Task-loop bookkeeping per logical WG (index arithmetic, claim): a
+    /// kernel waits it out after() each successful claim.
     TimeNs wg_dispatch_overhead_ns = 0;
     /// Static assignment: slot s claims positions s, s+slots, ... instead
     /// of claiming dynamically. The fused GEMV+AllReduce runs this way so
@@ -61,97 +77,117 @@ class KernelRun {
     /// paper's per-slot peer flags depend on it); its order lays out each
     /// slot's tiles at stride `num_slots`.
     bool static_assignment = false;
+    /// Slots that may end in a tail coroutine: the capacity of the tail
+    /// block (capped at the active slots).
+    int tail_slots = 0;
   };
 
-  KernelRun(sim::Engine& engine, Params params)
-      : engine_(engine),
-        params_(std::move(params)),
-        done_(engine, params_.num_slots),
+  /// A launch on `dev`, whose engine runs its events.
+  KernelRun(Device& dev, Params params)
+      : dev_(dev),
+        params_(params),
+        done_(dev.engine(), params_.num_slots),
         active_slots_(std::min(params_.num_slots,
                                std::max(params_.num_wgs, 1))),
-        frames_(active_slots_, &KernelRun::slot_done, this) {
+        tails_(std::min(params_.tail_slots, active_slots_),
+               &KernelRun::slot_done, this) {
     FCC_CHECK(params_.num_slots >= 1);
     FCC_CHECK(params_.num_wgs >= 0);
-    FCC_CHECK(params_.body != nullptr);
   }
 
   KernelRun(const KernelRun&) = delete;
   KernelRun& operator=(const KernelRun&) = delete;
 
-  /// Starts the slot bodies: min(num_slots, num_wgs) of them, at least
-  /// one, each a detached frame in the launch's block that runs to its
-  /// first suspension here. Surplus slots never enter the body. Call
-  /// exactly once.
-  void start() {
-    FCC_CHECK_MSG(!started_, "kernel started twice");
-    started_ = true;
-    if (params_.static_assignment) {
-      static_pos_.resize(static_cast<std::size_t>(active_slots_));
-      std::iota(static_pos_.begin(), static_pos_.end(), 0);
-    }
-    // JoinCounter was sized for num_slots; retire unused slots immediately.
-    for (int s = active_slots_; s < params_.num_slots; ++s) done_.arrive();
-    for (int s = 0; s < active_slots_; ++s) {
-      frames_.start([this, s] { return params_.body(*this, s); });
-    }
+  /// The records stay allocated while a slot has not finished: its engine
+  /// events still point into them (an exception out of the engine's run
+  /// mid-kernel leaves them pending).
+  ~KernelRun() {
+    if (done_.is_done()) ::operator delete(records_);
   }
 
-  /// Awaitable completion (all slot bodies returned).
+  /// Starts the slots: min(num_slots, num_wgs) of them, at least one, each
+  /// a value-initialized `Rec` in one array, in slot order. `first` runs
+  /// each slot's chain up to its first scheduled step (it claims with
+  /// next()); surplus slots never start. Call exactly once.
+  template <typename Rec>
+  void start(void (*first)(Rec& slot)) {
+    static_assert(std::is_base_of_v<Slot, Rec>);
+    static_assert(std::is_trivially_destructible_v<Rec>);
+    static_assert(sizeof(Rec) <= kMaxSlotBytes,
+                  "a slot record must fit one cache line");
+    static_assert(alignof(Rec) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    FCC_CHECK_MSG(records_ == nullptr, "kernel started twice");
+    records_ = ::operator new(sizeof(Rec) *
+                              static_cast<std::size_t>(active_slots_));
+    Rec* recs = static_cast<Rec*>(records_);
+    for (int s = 0; s < active_slots_; ++s) {
+      Rec* r = ::new (static_cast<void*>(recs + s)) Rec{};
+      r->run = this;
+      r->index = s;
+      r->cursor = s;
+    }
+    // The join counter was sized for num_slots; retire unused slots now.
+    for (int s = active_slots_; s < params_.num_slots; ++s) done_.arrive();
+    for (int s = 0; s < active_slots_; ++s) first(recs[s]);
+  }
+
+  /// Awaitable completion (every slot finished).
   auto wait() { return done_.wait(); }
   bool finished() const { return done_.is_done(); }
 
   /// Slots actually spawned (min of num_slots and work size, at least 1).
   int active_slots() const { return active_slots_; }
 
-  /// Awaiter of next(): the claim is made when the awaiter is built; a
-  /// successful claim then suspends for the dispatch overhead, if any.
-  class [[nodiscard]] Next {
-   public:
-    bool await_ready() const noexcept {
-      return pos_ < 0 || run_.params_.wg_dispatch_overhead_ns <= 0;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      run_.engine_.schedule_resume_after(run_.params_.wg_dispatch_overhead_ns,
-                                         h);
-    }
-    int await_resume() const noexcept { return pos_; }
+  Device& device() { return dev_; }
+  PeId pe() const { return dev_.id(); }
+  sim::Engine& engine() { return dev_.engine(); }
+  TimeNs dispatch_overhead() const { return params_.wg_dispatch_overhead_ns; }
 
-   private:
-    friend class KernelRun;
-    Next(KernelRun& run, int pos) : run_(run), pos_(pos) {}
-    KernelRun& run_;
-    int pos_;
-  };
-
-  /// Claims `slot`'s next position: the shared cursor's next one, or under
-  /// static assignment positions slot, slot + active, ... Yields the
-  /// position, or -1 once the queue is drained (no overhead on that claim).
-  Next next(int slot) {
+  /// Claims `s`'s next position: the shared cursor's next one, or under
+  /// static assignment positions index, index + active, ... Returns the
+  /// position, or -1 once the queue is drained.
+  int next(Slot& s) {
     int pos;
     if (params_.static_assignment) {
-      int& p = static_pos_[static_cast<std::size_t>(slot)];
-      pos = p;
-      p += active_slots_;
+      pos = s.cursor;
+      s.cursor += active_slots_;
     } else {
       pos = cursor_++;
     }
-    return Next(*this, pos < params_.num_wgs ? pos : -1);
+    return pos < params_.num_wgs ? pos : -1;
+  }
+
+  /// Runs `next` on `s` after `dt`: a plain wait, charged to nothing.
+  void after(TimeNs dt, Slot& s, sim::Call::Fn next) {
+    s.fn = next;
+    engine().schedule_call_at(engine().now() + dt, &s);
+  }
+
+  /// Ends `s`'s chain: the slot has finished.
+  void finish(Slot&) { done_.arrive(); }
+
+  /// Ends `s`'s chain with the tail coroutine `make()`, in the launch's
+  /// tail block if it fits: it runs to its first suspension now, and the
+  /// slot finishes when it returns. The coroutine's parameters must copy
+  /// without throwing (sim::FrameBlock).
+  template <typename Make>
+  void start_tail(Slot&, Make&& make) {
+    tails_.start(std::forward<Make>(make));
   }
 
  private:
-  /// Completion of one detached slot frame (already destroyed).
+  /// Completion of one tail frame (already ended).
   static void slot_done(void* run) {
     static_cast<KernelRun*>(run)->done_.arrive();
   }
 
-  sim::Engine& engine_;
+  Device& dev_;
   Params params_;
   sim::JoinCounter done_;
   int cursor_ = 0;
-  std::vector<int> static_pos_;  // per slot, static assignment
   int active_slots_;
-  sim::FrameBlock frames_;  // the slot frames
-  bool started_ = false;
+  void* records_ = nullptr;  // active_slots_ records, built by start()
+  sim::FrameBlock tails_;
 };
 
 }  // namespace fcc::gpu

@@ -38,6 +38,7 @@
 
 #include "common/check.h"
 #include "common/types.h"
+#include "sim/co.h"
 #include "sim/engine.h"
 
 namespace fcc::shmem {
@@ -144,6 +145,29 @@ class FlagArray final : public sim::FlagTarget {
     };
     return Awaiter{*this, static_cast<std::uint32_t>(flat(pe, i)),
                    threshold32(v)};
+  }
+
+  /// The strided flag poll a persistent WG runs after its queue drains,
+  /// each slot a distinct subset: flags [pe][i] for i = first, first +
+  /// stride, ... < end, each until it reaches threshold(i). first_unmet
+  /// is where the poll would first suspend (`end` if nowhere): a slot
+  /// starts the wait_from coroutine there only if that is before `end`.
+  template <typename Threshold>
+  int first_unmet(PeId pe, int first, int stride, int end,
+                  const Threshold& threshold) const {
+    int i = first;
+    while (i < end &&
+           read(pe, static_cast<std::size_t>(i)) >= threshold(i)) {
+      i += stride;
+    }
+    return i;
+  }
+  template <typename Threshold>
+  sim::Co wait_from(PeId pe, int first, int stride, int end,
+                    Threshold threshold) {
+    for (int i = first; i < end; i += stride) {
+      co_await wait_ge(pe, static_cast<std::size_t>(i), threshold(i));
+    }
   }
 
   /// Waiters currently suspended on flag[pe][i] (tests / diagnostics).

@@ -1,15 +1,15 @@
 // GPU-initiated communication world (ROC_SHMEM analog).
 //
-// A PUT is charged, then posted. Inside a workgroup coroutine the issuing
-// WG first pays the API/issue latency (`co_await issue(src, dst, kind)`),
-// then posts the PUT (`put(src, dst, bytes, on_deliver)`): the payload's
-// channel occupancy is reserved at post time (DMA-queue semantics), and
-// the optional delivery runs when the bytes land at the destination. A
-// flag PUT (a sliceRdy store, a remote atomic add) delivers a compact
-// sim::FlagUpdate; a functional-mode data PUT delivers a closure that
-// does its memcpy. Splitting issue and post keeps the awaiter in the WG's
-// frame at 16 bytes: the delivery is built after the delay, by the plain
-// code that posts it, and never lives across a suspension.
+// A PUT is charged, then posted. The issuing WG first pays the API/issue
+// latency (`co_await issue(src, dst, kind)` in a coroutine, issue_then()
+// in a persistent-kernel WG's call chain), then posts the PUT (`put(src,
+// dst, bytes, on_deliver)`): the payload's channel occupancy is reserved
+// at post time (DMA-queue semantics), and the optional delivery runs when
+// the bytes land at the destination. A flag PUT (a sliceRdy store, a
+// remote atomic add) delivers a compact sim::FlagUpdate; a functional-mode
+// data PUT delivers a closure that does its memcpy. The delivery is built
+// after the issue delay, by the plain code that posts it, so it never
+// lives across a suspension.
 //
 // Ordering model: every route class the topology resolves — self (HBM
 // copy), intra-node (fabric/switch hop chain), inter-node (NIC and/or
@@ -115,6 +115,17 @@ class World {
     return Issue{&machine_.device(src), issue_latency(src, dst, kind)};
   }
 
+  /// issue() for a call chain (gpu::KernelRun): charges a nonzero issue
+  /// latency to the source device and runs `next` on `c` after it. Returns
+  /// false, scheduling nothing, for a zero latency: the chain goes on.
+  bool issue_then(PeId src, PeId dst, IssueKind kind, sim::Call& c,
+                  sim::Call::Fn next) {
+    const TimeNs latency = issue_latency(src, dst, kind);
+    if (latency == 0) return false;
+    machine_.device(src).wait_then(latency, c, next);
+    return true;
+  }
+
   /// Posts a PUT of `bytes` from `src` to `dst` at the source's now: its
   /// route is reserved and its delivery scheduled. `on_deliver` (may be
   /// empty) runs when the data is visible at `dst` — on `dst`'s home shard
@@ -147,6 +158,13 @@ class World {
   /// charged.
   sim::Delay fence(PeId src) {
     return sim::delay(machine_.engine_of(src), kFenceCostNs);
+  }
+
+  /// fence() for a call chain: runs `next` on `c` after the fence's cost.
+  void fence_then(PeId src, sim::Call& c, sim::Call::Fn next) {
+    sim::Engine& e = machine_.engine_of(src);
+    c.fn = next;
+    e.schedule_call_at(e.now() + kFenceCostNs, &c);
   }
 
   /// Blocks until every PUT issued by `src` has been delivered: no deferred

@@ -4,18 +4,22 @@
 // *subroutine*: the parent `co_await`s it and resumes when it finishes.
 // A Co can also be started detached (`start`): it then frees its own frame
 // at completion and reports through a callback, with no wrapper process —
-// this is how gpu::KernelRun runs each persistent-kernel slot in one frame.
+// this is how gpu::KernelRun runs a slot's tail (what the slot waits for
+// after its work queue drains).
 //
 // A FrameBlock places the frames of the detached Co's it starts back to
-// back in one allocation, so a kernel launch costs one allocation however
-// many slots it starts. No frame gets a header: a block frame's completion
-// callback is the block's own, which is how the frame knows to leave its
-// memory to the block.
+// back in one allocation, so a kernel launch costs one allocation for its
+// tails however many slots start one. No frame gets a header: a block
+// frame's completion callback is the block's own, which is how the frame
+// knows to leave its memory to the block.
+//
+// An exception that escapes a Co's body propagates to whoever resumed it
+// (the engine's run loop, for a Co waiting on an event), leaving the frame
+// ended at its final suspend point.
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
-#include <exception>
 #include <new>
 #include <utility>
 
@@ -66,7 +70,7 @@ class [[nodiscard]] Co {
     };
     FinalAwaiter final_suspend() noexcept { return {}; }
     void return_void() {}
-    [[noreturn]] void unhandled_exception() { std::terminate(); }
+    [[noreturn]] void unhandled_exception() { throw; }
   };
 
   Co(Co&& o) noexcept : h_(std::exchange(o.h_, {})) {}

@@ -39,10 +39,9 @@
 //     word — no event object, no allocation, no dispatch indirection
 //     beyond the resume.
 //   * A call (`schedule_call_at`) is the address of a sim::Call that its
-//     scheduler owns, typically an awaiter inside a suspended coroutine
-//     frame: firing runs its function on it, without resuming the frame.
-//     gpu::Device ends a compute step this way when a fixed device wait
-//     follows it, so the WG resumes once, after both.
+//     scheduler owns: firing runs its function on it. Every step of a
+//     persistent-kernel WG is one (gpu::KernelRun): the call is the slot's
+//     record, and its function is the WG's next step.
 //   * A flag update (sim/flag_update.h) — what a flag PUT delivers: set a
 //     flag to 1, or add to an arrival counter — is the word too:
 //     `schedule_flag_at` packs the target's id, the flag's index and the
@@ -78,7 +77,8 @@ namespace fcc::sim {
 /// runs `fn(this)`. The engine neither copies nor frees it, and drops it
 /// unrun if destroyed first; it must stay put until it fires.
 struct Call {
-  void (*fn)(Call* self);
+  using Fn = void (*)(Call* self);
+  Fn fn;
 };
 
 class Engine {

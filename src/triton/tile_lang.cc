@@ -84,11 +84,7 @@ int TileKernel::launch_slots(const hw::GpuSpec& spec,
                                       : gpu::max_active_wgs(spec, resources());
 }
 
-void TileKernel::tabulate(const gpu::Device& dev,
-                          int occupancy_slots_override) {
-  // A launch spawns at most one slot per tile.
-  const int slots = std::min(launch_slots(dev.spec(), occupancy_slots_override),
-                             shape_.num_tiles());
+void TileKernel::tabulate(const gpu::Device& dev) {
   const int last = shape_.num_tiles() - 1;
   const bool has_edge_rows =
       shape_.row_end(last) - shape_.row_begin(last) != shape_.block_m;
@@ -99,7 +95,7 @@ void TileKernel::tabulate(const gpu::Device& dev,
     if (((v & 1) != 0 && !has_edge_rows) || ((v & 2) != 0 && !has_edge_cols)) {
       continue;
     }
-    dev.tabulate(costs_[v], slots);
+    dev.tabulate(costs_[v]);
   }
 }
 
@@ -204,6 +200,24 @@ void TileKernel::build_schedules(int num_pes) {
   }
 }
 
+/// One PE's launch: the KernelRun, and what every slot's steps share.
+struct TileKernel::Run : gpu::KernelRun {
+  Run(TileKernel& kernel, const LaunchConfig& cfg, Params params)
+      : KernelRun(cfg.world->machine().device(cfg.pe), params),
+        kernel(kernel),
+        cfg(cfg) {}
+  TileKernel& kernel;
+  const LaunchConfig& cfg;
+};
+
+/// A slot's record: the pid in flight, the statement it is at, and that
+/// statement's remote PE while its issue is paid.
+struct TileKernel::Slot : gpu::KernelRun::Slot {
+  int pid;
+  int stmt;
+  PeId dest;
+};
+
 sim::Co TileKernel::launch(const LaunchConfig& cfg) {
   validate();
   FCC_CHECK(cfg.world != nullptr);
@@ -217,50 +231,109 @@ sim::Co TileKernel::launch(const LaunchConfig& cfg) {
     tiles_.resize(static_cast<std::size_t>(cfg.world->n_pes()));
   });
 
-  gpu::KernelRun::Params p;
-  p.num_slots = launch_slots(spec, cfg.occupancy_slots_override);
-  p.num_wgs = shape_.num_tiles();
-  p.wg_dispatch_overhead_ns = cfg.dispatch_overhead_ns;
-  p.body = [this, &cfg](gpu::KernelRun& run, int slot) {
-    return run_slot(cfg, run, slot);
-  };
+  const int slots = launch_slots(spec, cfg.occupancy_slots_override);
   // A functional launch's tile buffers, one per slot: only this PE's
   // launches touch its entry, so no other shard races the resize.
   if (cfg.functional) {
     auto& tiles = tiles_[static_cast<std::size_t>(cfg.pe)];
-    tiles.resize(std::max(tiles.size(),
-                          static_cast<std::size_t>(p.num_slots)));
+    tiles.resize(std::max(tiles.size(), static_cast<std::size_t>(slots)));
   }
 
   // The run lives on the launching PE's home-shard engine: launch() is
-  // awaited from a per-PE body already running there, so every slot frame
-  // and the join stay shard-local.
-  gpu::KernelRun run(machine.engine_of(cfg.pe), std::move(p));
-  run.start();
+  // awaited from a per-PE body already running there, so every slot's
+  // events and the join stay shard-local.
+  Run run(*this, cfg,
+          {.num_slots = slots,
+           .num_wgs = shape_.num_tiles(),
+           .wg_dispatch_overhead_ns = cfg.dispatch_overhead_ns,
+           .tail_slots = cfg.wait_flags != nullptr ? cfg.wait_count : 0});
+  run.start(&claim);
   co_await run.wait();
 }
 
-sim::Co TileKernel::run_slot(const LaunchConfig& cfg, gpu::KernelRun& run,
-                             int slot) {
-  // The frame lives for the whole kernel and holds loop state only: the
-  // tile math and every statement's work run in plain helpers.
-  for (int pid; (pid = pid_at(cfg.pe, co_await run.next(slot))) >= 0;) {
-    co_await cfg.world->machine().device(cfg.pe).compute(
-        pid_cost(cfg.pe, pid, slot));
-    if (cfg.functional) compute_tile(cfg, slot, pid);
-    for (std::size_t i = 0; i < stmts_.size(); ++i) {
-      if (stmts_[i].kind == StmtKind::kFence) {
-        co_await cfg.world->fence(cfg.pe);
-        continue;
-      }
-      const PeId dest = run_local(cfg, slot, pid, i);
-      if (dest < 0) continue;
-      co_await cfg.world->issue(cfg.pe, dest,
-                                shmem::World::IssueKind::kStore);
-      post_remote(cfg, slot, pid, i, dest);
-    }
+void TileKernel::claim(Slot& s) {
+  Run& r = static_cast<Run&>(*s.run);
+  s.pid = r.kernel.pid_at(r.cfg.pe, r.next(s));
+  if (s.pid < 0) {
+    drained(s);
+    return;
   }
-  if (cfg.epilogue) co_await cfg.epilogue(slot, run.active_slots());
+  if (r.dispatch_overhead() > 0) {
+    r.after(r.dispatch_overhead(), s, &dispatched);
+    return;
+  }
+  dispatched(&s);
+}
+
+void TileKernel::dispatched(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Run& r = static_cast<Run&>(*s.run);
+  r.device().start_step(r.kernel.pid_cost(r.cfg.pe, s.pid, s.index), s,
+                   &computed);
+}
+
+void TileKernel::computed(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Run& r = static_cast<Run&>(*s.run);
+  r.device().end_step();
+  if (r.cfg.functional) r.kernel.compute_tile(r.cfg, s.index, s.pid);
+  s.stmt = 0;
+  run_stmts(s);
+}
+
+void TileKernel::run_stmts(Slot& s) {
+  Run& r = static_cast<Run&>(*s.run);
+  TileKernel& k = r.kernel;
+  const auto n = static_cast<int>(k.stmts_.size());
+  for (; s.stmt < n; ++s.stmt) {
+    const auto i = static_cast<std::size_t>(s.stmt);
+    if (k.stmts_[i].kind == StmtKind::kFence) {
+      ++s.stmt;
+      r.cfg.world->fence_then(r.cfg.pe, s, &fenced);
+      return;
+    }
+    s.dest = k.run_local(r.cfg, s.index, s.pid, i);
+    if (s.dest < 0) continue;
+    if (r.cfg.world->issue_then(r.cfg.pe, s.dest,
+                                shmem::World::IssueKind::kStore, s,
+                                &issued)) {
+      return;
+    }
+    k.post_remote(r.cfg, s.index, s.pid, i, s.dest);
+  }
+  claim(s);
+}
+
+void TileKernel::fenced(sim::Call* c) { run_stmts(static_cast<Slot&>(*c)); }
+
+void TileKernel::issued(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Run& r = static_cast<Run&>(*s.run);
+  r.kernel.post_remote(r.cfg, s.index, s.pid,
+                       static_cast<std::size_t>(s.stmt), s.dest);
+  ++s.stmt;
+  run_stmts(s);
+}
+
+void TileKernel::drained(Slot& s) {
+  Run& r = static_cast<Run&>(*s.run);
+  const LaunchConfig& cfg = r.cfg;
+  if (cfg.wait_flags == nullptr) {
+    r.finish(s);
+    return;
+  }
+  const int stride = r.active_slots();
+  const auto threshold = [t = &cfg.wait_threshold](int i) { return (*t)(i); };
+  const int f = cfg.wait_flags->first_unmet(cfg.pe, s.index, stride,
+                                            cfg.wait_count, threshold);
+  if (f >= cfg.wait_count) {
+    r.finish(s);
+    return;
+  }
+  r.start_tail(s, [&] {
+    return cfg.wait_flags->wait_from(cfg.pe, f, stride, cfg.wait_count,
+                                     threshold);
+  });
 }
 
 std::vector<float>& TileKernel::tile_buffer(PeId pe, int slot) {

@@ -27,7 +27,10 @@
 // local stores), runs the functional tile math when buffers are bound, and
 // routes the comm statements through the shmem world. A pid's cost is one
 // of a few variants (edge rows, edge columns, puts that stay local), built
-// with the program; tabulate() gives each its duration table.
+// with the program; tabulate() gives each its duration table. A pid runs
+// as engine calls on its slot's record (gpu::KernelRun): the dispatch
+// wait, the compute step, then one call per fence and per remote
+// statement's issue.
 #pragma once
 
 #include <functional>
@@ -94,11 +97,11 @@ class TileKernel {
   void validate() const;
 
   /// Builds the duration table of every per-pid cost variant on `dev`'s
-  /// spec for a launch with `occupancy_slots_override` (Device::tabulate).
-  /// Optional: an untabulated launch computes each duration. Call after the
-  /// program statements, from the host side before any launch: a kernel
-  /// shared by several PEs is launched on each PE's home shard.
-  void tabulate(const gpu::Device& dev, int occupancy_slots_override = 0);
+  /// spec (Device::tabulate). Optional: an untabulated launch computes each
+  /// duration. Call after the program statements, from the host side
+  /// before any launch: a kernel shared by several PEs is launched on each
+  /// PE's home shard.
+  void tabulate(const gpu::Device& dev);
 
   // ---- launch ----
   struct LaunchConfig {
@@ -109,15 +112,18 @@ class TileKernel {
     bool functional = false;
     std::span<const float> a;  // bound A (m x k), functional only
     std::span<const float> b;  // bound B (k x n), functional only
-    /// Optional per-slot epilogue (flag polling), run by each slot after it
-    /// drains the pid queue. `active_slots` is the spawned-slot count
-    /// (surplus slots never run), so callers can stride flag subsets as
-    /// slot, slot+active... without re-deriving the launch's occupancy math.
-    std::function<sim::Co(int slot, int active_slots)> epilogue;
+    /// Optional flag wait after the pid queue drains: slot s waits for
+    /// flags [pe][i] >= wait_threshold(i) for i = s, s + active, ... <
+    /// wait_count, where `active` is the spawned-slot count (surplus slots
+    /// never run), so the slots split the flags without the caller
+    /// re-deriving the launch's occupancy math.
+    shmem::FlagArray* wait_flags = nullptr;
+    int wait_count = 0;
+    std::function<std::uint64_t(int)> wait_threshold;
   };
 
   /// Launches the grid (one pid per output tile) and completes when every
-  /// program instance (plus epilogues) has finished on this PE.
+  /// program instance (plus the flag waits) has finished on this PE.
   sim::Co launch(const LaunchConfig& cfg);
 
   /// PE `pe`'s pid execution order: remote-destination tiles first (the
@@ -145,8 +151,19 @@ class TileKernel {
     std::uint64_t amount = 0;
   };
 
-  /// One slot's loop over the pids it claims, then the caller's epilogue.
-  sim::Co run_slot(const LaunchConfig& cfg, gpu::KernelRun& run, int slot);
+  struct Run;
+  struct Slot;
+  // A slot's steps (engine calls on its record): claim a pid, and wait out
+  // its dispatch; start its compute step; end it; run its statements, a
+  // call after each fence and each remote statement's issue, whose PUT or
+  // atomic is then posted; once the queue drains, the flag wait.
+  static void claim(Slot& s);
+  static void dispatched(sim::Call* c);
+  static void computed(sim::Call* c);
+  static void run_stmts(Slot& s);
+  static void fenced(sim::Call* c);
+  static void issued(sim::Call* c);
+  static void drained(Slot& s);
   /// The tile buffer of `slot` on PE `pe` (functional launches only).
   std::vector<float>& tile_buffer(PeId pe, int slot);
   /// Functional mode: computes pid's C tile into the slot's tile buffer.

@@ -87,7 +87,7 @@ TEST(Device, MaxOfMemAndAluRules) {
 }
 
 // A tabulated cost must time every step exactly as compute_duration does:
-// table entries up to the slot count, the formula past it.
+// table entries up to the device's WG slots, the formula past them.
 TEST(Device, DurationTableIsExactAtEveryActiveCount) {
   Machine m(one_gpu());
   Device& d = m.device(0);
@@ -109,7 +109,7 @@ TEST(Device, DurationTableIsExactAtEveryActiveCount) {
   };
   for (auto& [name, cost] : costs) {
     WorkCost plain = cost;
-    d.tabulate(cost, max_slots);
+    d.tabulate(cost);
     ASSERT_EQ(cost.by_active.size(), static_cast<std::size_t>(max_slots) + 1)
         << name;
     for (int a = 1; a <= 4 * max_slots; ++a) {
@@ -118,13 +118,6 @@ TEST(Device, DurationTableIsExactAtEveryActiveCount) {
       ASSERT_EQ(d.step_duration(plain, a), d.compute_duration(plain, a))
           << name << " untabulated at " << a << " active";
     }
-  }
-  // A short table (a small launch) falls back past its end.
-  WorkCost small = costs[0].second;
-  d.tabulate(small, 3);
-  ASSERT_EQ(small.by_active.size(), 4u);
-  for (int a = 1; a <= 8; ++a) {
-    EXPECT_EQ(d.step_duration(small, a), d.compute_duration(small, a));
   }
 }
 
@@ -174,20 +167,39 @@ struct StepLog {
 };
 
 /// One device-0 WG: a compute step, then a zero-copy store's issue wait,
-/// as compute_then_wait or as compute plus World::issue.
+/// awaited by a coroutine.
 sim::Task step_and_issue(sim::Engine& e, Device& d, shmem::World& w,
-                         const WorkCost& cost, bool step_end, StepLog& log,
-                         std::size_t i) {
-  if (step_end) {
-    co_await d.compute_then_wait(
-        cost, w.issue_latency(0, 1, shmem::World::IssueKind::kStore));
-  } else {
-    co_await d.compute(cost);
-    co_await w.issue(0, 1, shmem::World::IssueKind::kStore);
-  }
+                         const WorkCost& cost, StepLog& log, std::size_t i) {
+  co_await d.compute(cost);
+  co_await w.issue(0, 1, shmem::World::IssueKind::kStore);
   log.ends[i] = e.now();
   log.active.emplace_back(e.now(), d.active_wgs(), ++log.resumed);
 }
+
+/// The same WG as a chain of engine calls (start_step, end_step,
+/// issue_then), the way a persistent-kernel slot runs it.
+struct ChainWg : sim::Call {
+  sim::Engine* e;
+  Device* d;
+  shmem::World* w;
+  StepLog* log;
+  std::size_t i;
+
+  void start(const WorkCost& cost) { d->start_step(cost, *this, &step_end); }
+  static void step_end(sim::Call* c) {
+    auto& g = static_cast<ChainWg&>(*c);
+    g.d->end_step();
+    if (!g.w->issue_then(0, 1, shmem::World::IssueKind::kStore, g, &issued)) {
+      issued(c);
+    }
+  }
+  static void issued(sim::Call* c) {
+    auto& g = static_cast<ChainWg&>(*c);
+    g.log->ends[g.i] = g.e->now();
+    g.log->active.emplace_back(g.e->now(), g.d->active_wgs(),
+                               ++g.log->resumed);
+  }
+};
 
 /// A device-1 WG whose step starts at `t`.
 sim::Task step_at(sim::Engine& e, Device& d, const WorkCost& cost, TimeNs t) {
@@ -195,7 +207,7 @@ sim::Task step_at(sim::Engine& e, Device& d, const WorkCost& cost, TimeNs t) {
   co_await d.compute(cost);
 }
 
-StepLog run_steps(bool step_end) {
+StepLog run_steps(bool calls) {
   struct Flags final : sim::FlagTarget {
     explicit Flags(std::vector<std::uint32_t>& l) : log(l) {}
     void apply_update(std::uint32_t index, std::uint32_t) override {
@@ -229,8 +241,14 @@ StepLog run_steps(bool step_end) {
     const auto index = static_cast<std::uint32_t>(a);
     e.schedule_flag_at(step_ends.back(), sim::FlagUpdate::set(flags, index));
   }
+  std::vector<ChainWg> chain(kWgs);
   for (std::size_t i = 0; i < kWgs; ++i) {
-    step_and_issue(e, d0, w, cost, step_end, log, i);
+    if (calls) {
+      chain[i] = ChainWg{{}, &e, &d0, &w, &log, i};
+      chain[i].start(cost);
+    } else {
+      step_and_issue(e, d0, w, cost, log, i);
+    }
   }
   probe();
   const TimeNs issue = w.issue_latency(0, 1, shmem::World::IssueKind::kStore);
@@ -245,15 +263,15 @@ StepLog run_steps(bool step_end) {
   return log;
 }
 
-TEST(Device, ComputeThenWaitMatchesComputeThenIssue) {
+TEST(Device, CallChainStepsMatchAwaitedSteps) {
   const StepLog plain = run_steps(false);
-  const StepLog step_end = run_steps(true);
-  EXPECT_EQ(step_end.ends, plain.ends);
-  EXPECT_EQ(step_end.active, plain.active);
-  EXPECT_EQ(step_end.flags, plain.flags);
-  EXPECT_EQ(step_end.busy0, plain.busy0);
-  EXPECT_EQ(step_end.busy1, plain.busy1);
-  EXPECT_EQ(step_end.events, plain.events);
+  const StepLog chain = run_steps(true);
+  EXPECT_EQ(chain.ends, plain.ends);
+  EXPECT_EQ(chain.active, plain.active);
+  EXPECT_EQ(chain.flags, plain.flags);
+  EXPECT_EQ(chain.busy0, plain.busy0);
+  EXPECT_EQ(chain.busy1, plain.busy1);
+  EXPECT_EQ(chain.events, plain.events);
   // The comparison has teeth: distinct step ends, a nonzero issue wait
   // after each, and every active count from 4 down to 0 seen.
   const TimeNs issue = Machine::Config{}.fabric.store_issue_overhead_ns;
@@ -272,80 +290,103 @@ TEST(Device, ComputeThenWaitMatchesComputeThenIssue) {
   }
 }
 
-/// Slot body: records every claimed position, mapped through `order` when
-/// given (the way an operator maps positions to its own WG order), then
-/// computes it.
-sim::Co count_slot(KernelRun& run, Machine& m, std::vector<int>& executed,
-                   const std::vector<int>* order, int slot) {
-  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
-    executed.push_back(order != nullptr
-                           ? (*order)[static_cast<std::size_t>(pos)]
-                           : pos);
-    co_await m.device(0).compute(mem_cost(1024));
+// ---- KernelRun --------------------------------------------------------
+
+/// A test kernel. Each claimed position runs as a call chain on its slot's
+/// record: a compute step of `cost` when `compute` is set, else a plain
+/// wait of wait_ns(slot) when given, else nothing. Records what the slots
+/// did.
+struct TestRun : KernelRun {
+  TestRun(Device& d, Params p) : KernelRun(d, p) {}
+  bool compute = false;
+  WorkCost cost;
+  TimeNs (*wait_ns)(int slot) = nullptr;
+  const std::vector<int>* order = nullptr;  // position -> WG id
+  std::vector<int> entered;                 // slots, as they start
+  std::vector<int> executed;                // WG ids, as claimed
+  std::vector<std::vector<int>> per_slot;   // positions, per slot
+  std::vector<std::pair<int, TimeNs>> ends;  // (WG id, its step's end)
+  TimeNs drained = -1;                       // the last drain
+};
+
+struct TestSlot : KernelRun::Slot {
+  int wg;
+  bool started;
+};
+
+void test_step_end(sim::Call* c);
+
+void test_claim(TestSlot& s) {
+  TestRun& r = static_cast<TestRun&>(*s.run);
+  if (!s.started) {
+    s.started = true;
+    r.entered.push_back(s.index);
+  }
+  const int pos = r.next(s);
+  if (pos < 0) {
+    r.drained = r.engine().now();
+    r.finish(s);
+    return;
+  }
+  s.wg = r.order != nullptr ? (*r.order)[static_cast<std::size_t>(pos)] : pos;
+  r.executed.push_back(s.wg);
+  if (!r.per_slot.empty()) {
+    r.per_slot[static_cast<std::size_t>(s.index)].push_back(pos);
+  }
+  if (r.compute) {
+    r.device().start_step(r.cost, s, &test_step_end);
+  } else if (r.wait_ns != nullptr) {
+    r.after(r.wait_ns(s.index), s, &test_step_end);
+  } else {
+    test_claim(s);
   }
 }
 
-KernelRun::SlotBody counting(Machine& m, std::vector<int>& executed,
-                             const std::vector<int>* order = nullptr) {
-  return [&m, &executed, order](KernelRun& run, int slot) {
-    return count_slot(run, m, executed, order, slot);
-  };
+void test_step_end(sim::Call* c) {
+  TestSlot& s = static_cast<TestSlot&>(*c);
+  TestRun& r = static_cast<TestRun&>(*s.run);
+  if (r.compute) r.device().end_step();
+  r.ends.emplace_back(s.wg, r.engine().now());
+  test_claim(s);
+}
+
+KernelRun::Params params(int slots, int wgs) {
+  return {.num_slots = slots, .num_wgs = wgs};
 }
 
 TEST(KernelRun, ExecutesEveryPositionOnce) {
   Machine m(one_gpu());
-  std::vector<int> executed;
-  KernelRun::Params p;
-  p.num_slots = 4;
-  p.num_wgs = 37;
-  p.body = counting(m, executed);
-  KernelRun run(m.engine(), p);
-  run.start();
+  TestRun run(m.device(0), params(4, 37));
+  run.compute = true;
+  run.cost = mem_cost(1024);
+  run.start(&test_claim);
   m.engine().run();
   EXPECT_TRUE(run.finished());
-  EXPECT_EQ(executed.size(), 37u);
+  std::vector<int> executed = run.executed;
+  ASSERT_EQ(executed.size(), 37u);
   std::sort(executed.begin(), executed.end());
   for (int i = 0; i < 37; ++i) EXPECT_EQ(executed[static_cast<size_t>(i)], i);
+  EXPECT_EQ(m.device(0).active_wgs(), 0);
 }
 
-TEST(KernelRun, OneSlotRunsTheBodysOrderInPositionOrder) {
+TEST(KernelRun, OneSlotRunsTheKernelsOrderInPositionOrder) {
+  // The kernel's WG ids need not be a permutation of 0..n-1: the runtime
+  // hands out positions, and the kernel maps them to whatever ids it runs.
   Machine m(one_gpu());
-  std::vector<int> executed;
-  const std::vector<int> order = {3, 1, 2, 0};
-  KernelRun::Params p;
-  p.num_slots = 1;
-  p.num_wgs = 4;
-  p.body = counting(m, executed, &order);
-  KernelRun run(m.engine(), p);
-  run.start();
+  const std::vector<int> order = {3, 1, 7, 0};
+  TestRun run(m.device(0), params(1, 4));
+  run.compute = true;
+  run.cost = mem_cost(1024);
+  run.order = &order;
+  run.start(&test_claim);
   m.engine().run();
-  EXPECT_EQ(executed, order);
-}
-
-TEST(KernelRun, MoreSlotsThanWorkStillCompletes) {
-  Machine m(one_gpu());
-  std::vector<int> executed;
-  KernelRun::Params p;
-  p.num_slots = 64;
-  p.num_wgs = 2;
-  p.body = counting(m, executed);
-  KernelRun run(m.engine(), p);
-  run.start();
-  m.engine().run();
-  EXPECT_TRUE(run.finished());
-  EXPECT_EQ(executed.size(), 2u);
-  EXPECT_EQ(m.engine().live_tasks(), 0);
-}
-
-WorkCost alu_cost(double flops) {
-  WorkCost c;
-  c.flops = flops;
-  return c;
-}
-
-sim::Co alu_slot(KernelRun& run, Machine& m, int slot) {
-  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
-    co_await m.device(0).compute(alu_cost(1e9));
+  EXPECT_EQ(run.executed, order);
+  ASSERT_EQ(run.ends.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(run.ends[i].first, order[i]);
+    if (i > 0) {
+      EXPECT_LT(run.ends[i - 1].second, run.ends[i].second);
+    }
   }
 }
 
@@ -354,72 +395,24 @@ TEST(KernelRun, ParallelSlotsOverlapInTime) {
   // WGs on 4 slots take ~2 waves, not 8. (Memory-bound WGs at tiny
   // occupancy share one bandwidth pool and would NOT speed up — that is the
   // contention model working, tested in test_hw_hbm.)
-  Machine m(one_gpu());
-  KernelRun::Params p;
-  p.num_slots = 4;
-  p.num_wgs = 8;
-  p.body = [&m](KernelRun& r, int slot) { return alu_slot(r, m, slot); };
-  KernelRun run(m.engine(), p);
-  run.start();
-  m.engine().run();
-  const TimeNs t_parallel = m.engine().now();
-
-  Machine m2(one_gpu());
-  KernelRun::Params p2;
-  p2.num_slots = 1;
-  p2.num_wgs = 8;
-  p2.body = [&m2](KernelRun& r, int slot) { return alu_slot(r, m2, slot); };
-  KernelRun run2(m2.engine(), p2);
-  run2.start();
-  m2.engine().run();
-  const TimeNs t_serial = m2.engine().now();
-  EXPECT_LT(t_parallel, t_serial / 2);
-}
-
-/// Slot body that stamps (logical WG, finish time) pairs, its WG ids the
-/// body's own `ids` at each position.
-sim::Co stamping_slot(KernelRun& run, Machine& m, const std::vector<int>& ids,
-                      std::vector<std::pair<int, TimeNs>>& finished,
-                      int slot) {
-  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
-    co_await m.device(0).compute(mem_cost(1024));
-    finished.emplace_back(ids[static_cast<std::size_t>(pos)],
-                          m.engine().now());
+  WorkCost alu;
+  alu.flops = 1e9;
+  TimeNs span[2] = {};
+  for (const int slots : {4, 1}) {
+    Machine m(one_gpu());
+    TestRun run(m.device(0), params(slots, 8));
+    run.compute = true;
+    run.cost = alu;
+    run.start(&test_claim);
+    m.engine().run();
+    span[slots == 1 ? 1 : 0] = m.engine().now();
   }
+  EXPECT_LT(span[0], span[1] / 2);
 }
 
-TEST(KernelRun, SlotBodyStampsFinishTimesInOrder) {
-  // The body's WG ids need not be a permutation of 0..n-1: the runtime
-  // hands out positions, and stamps are keyed by whatever ids the body maps
-  // them to.
-  Machine m(one_gpu());
-  std::vector<std::pair<int, TimeNs>> finished;
-  const std::vector<int> ids = {5, 7};
-  KernelRun::Params p;
-  p.num_slots = 1;
-  p.num_wgs = 2;
-  p.body = [&](KernelRun& r, int slot) {
-    return stamping_slot(r, m, ids, finished, slot);
-  };
-  KernelRun run(m.engine(), p);
-  run.start();
-  m.engine().run();
-  ASSERT_EQ(finished.size(), 2u);
-  EXPECT_EQ(finished[0].first, 5);
-  EXPECT_EQ(finished[1].first, 7);
-  EXPECT_LT(finished[0].second, finished[1].second);
-}
-
-/// Slot body that drains the queue without doing any work.
-sim::Co draining_slot(KernelRun& run, std::vector<int>& entered, int slot) {
-  entered.push_back(slot);
-  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
-  }
-}
-
-TEST(KernelRun, SlotBodyRunsOncePerActiveSlot) {
-  // The body is entered once per spawned slot — min(num_slots, work) — not
-  // once per logical WG, and surplus slots never enter it. An empty queue
+TEST(KernelRun, StartsOncePerActiveSlot) {
+  // A record starts once per spawned slot — min(num_slots, work) — not
+  // once per logical WG, and surplus slots never start. An empty queue
   // still spawns one slot, so per-slot work after the loop (flag polling)
   // happens.
   struct Case {
@@ -428,131 +421,135 @@ TEST(KernelRun, SlotBodyRunsOncePerActiveSlot) {
   for (const Case c :
        {Case{4, 37}, Case{64, 3}, Case{5, 5}, Case{1, 9}, Case{8, 0}}) {
     Machine m(one_gpu());
-    std::vector<int> entered;
-    KernelRun::Params p;
-    p.num_slots = c.slots;
-    p.num_wgs = c.work;
-    p.body = [&entered](KernelRun& r, int slot) {
-      return draining_slot(r, entered, slot);
-    };
-    KernelRun run(m.engine(), p);
-    run.start();
+    TestRun run(m.device(0), params(c.slots, c.work));
+    run.wait_ns = [](int) -> TimeNs { return 10; };
+    run.start(&test_claim);
     m.engine().run();
     const int expected = std::min(c.slots, std::max(c.work, 1));
     EXPECT_TRUE(run.finished());
     EXPECT_EQ(run.active_slots(), expected);
-    std::sort(entered.begin(), entered.end());
     std::vector<int> want(static_cast<std::size_t>(expected));
     for (int s = 0; s < expected; ++s) want[static_cast<std::size_t>(s)] = s;
-    EXPECT_EQ(entered, want) << c.slots << " slots, " << c.work << " WGs";
+    EXPECT_EQ(run.entered, want) << c.slots << " slots, " << c.work << " WGs";
+    EXPECT_EQ(run.executed.size(), static_cast<std::size_t>(c.work));
   }
 }
 
-/// Slot body that stamps the time each claim returns.
-sim::Co claim_stamping_slot(KernelRun& run, Machine& m,
-                            std::vector<TimeNs>& claimed, TimeNs& drained,
-                            int slot) {
-  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
-    claimed.push_back(m.engine().now());
-  }
-  drained = m.engine().now();
+TEST(KernelRun, DispatchOverheadIsAWaitAfterEachClaim) {
+  // The overhead is the kernel's to wait out after() a claim; the final,
+  // empty claim returns at once.
+  struct DispatchRun : KernelRun {
+    using KernelRun::KernelRun;
+    std::vector<TimeNs> claimed;
+    TimeNs drained = -1;
+    static void claim(Slot& s) {
+      auto& r = static_cast<DispatchRun&>(*s.run);
+      if (r.next(s) < 0) {
+        r.drained = r.engine().now();
+        r.finish(s);
+        return;
+      }
+      r.after(r.dispatch_overhead(), s, &dispatched);
+    }
+    static void dispatched(sim::Call* c) {
+      Slot& s = static_cast<Slot&>(*c);
+      auto& r = static_cast<DispatchRun&>(*s.run);
+      r.claimed.push_back(r.engine().now());
+      claim(s);
+    }
+  };
+  Machine m(one_gpu());
+  sim::Engine& e = m.engine();
+  DispatchRun run(m.device(0), {.num_slots = 1, .num_wgs = 3,
+                                .wg_dispatch_overhead_ns = 100});
+  run.start(&DispatchRun::claim);
+  EXPECT_EQ(e.run(), 3u);
+  EXPECT_EQ(run.claimed, (std::vector<TimeNs>{100, 200, 300}));
+  EXPECT_EQ(run.drained, 300);
 }
 
-TEST(KernelRun, DispatchOverheadPaidOncePerClaimedWg) {
+TEST(KernelRun, AChainThatNeverWaitsFinishesInsideStart) {
   Machine m(one_gpu());
-  std::vector<TimeNs> claimed;
-  TimeNs drained = -1;
-  KernelRun::Params p;
-  p.num_slots = 1;
-  p.num_wgs = 3;
-  p.wg_dispatch_overhead_ns = 100;
-  p.body = [&](KernelRun& r, int slot) {
-    return claim_stamping_slot(r, m, claimed, drained, slot);
-  };
-  KernelRun run(m.engine(), p);
-  run.start();
-  const std::size_t events = m.engine().run();
-  EXPECT_EQ(claimed, (std::vector<TimeNs>{100, 200, 300}));
-  // The final, empty claim returns at once: no fourth overhead.
-  EXPECT_EQ(drained, 300);
-  EXPECT_EQ(events, 3u);
-}
-
-TEST(KernelRun, ZeroDispatchOverheadNeverSuspends) {
-  Machine m(one_gpu());
-  std::vector<TimeNs> claimed;
-  TimeNs drained = -1;
-  KernelRun::Params p;
-  p.num_slots = 1;
-  p.num_wgs = 3;
-  p.body = [&](KernelRun& r, int slot) {
-    return claim_stamping_slot(r, m, claimed, drained, slot);
-  };
-  KernelRun run(m.engine(), p);
-  run.start();
-  // The whole slot ran inside start(): no engine event at all.
+  sim::Engine& e = m.engine();
+  TestRun run(m.device(0), params(4, 3));
+  run.start(&test_claim);
+  // The whole kernel ran inside start(): no engine event at all.
   EXPECT_TRUE(run.finished());
-  EXPECT_EQ(m.engine().run(), 0u);
-  EXPECT_EQ(claimed, (std::vector<TimeNs>{0, 0, 0}));
-  EXPECT_EQ(drained, 0);
-}
-
-/// Slot body recording which positions each slot claimed; slot 0 is slow,
-/// so dynamic claiming would hand its later positions to the other slots.
-sim::Co assignment_slot(KernelRun& run, Machine& m,
-                        std::vector<std::vector<int>>& per_slot, int slot) {
-  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
-    per_slot[static_cast<std::size_t>(slot)].push_back(pos);
-    co_await sim::delay(m.engine(), slot == 0 ? 1000 : 10);
-  }
+  EXPECT_EQ(e.run(), 0u);
+  EXPECT_EQ(run.executed.size(), 3u);
+  EXPECT_EQ(run.entered, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(run.drained, 0);
 }
 
 TEST(KernelRun, StaticAssignmentWalksSlotStride) {
-  Machine m(one_gpu());
-  std::vector<std::vector<int>> per_slot(3);
-  KernelRun::Params p;
-  p.num_slots = 3;
-  p.num_wgs = 7;
-  p.static_assignment = true;
-  p.body = [&](KernelRun& r, int slot) {
-    return assignment_slot(r, m, per_slot, slot);
+  // Slot 0 is slow, so dynamic claiming would hand its later positions to
+  // the other slots.
+  const auto slow_slot0 = [](int slot) -> TimeNs {
+    return slot == 0 ? 1000 : 10;
   };
-  KernelRun run(m.engine(), p);
-  run.start();
-  m.engine().run();
+  Machine m(one_gpu());
+  sim::Engine& e = m.engine();
+  TestRun run(m.device(0),
+              {.num_slots = 3, .num_wgs = 7, .static_assignment = true});
+  run.wait_ns = slow_slot0;
+  run.per_slot.resize(3);
+  run.start(&test_claim);
+  e.run();
   EXPECT_TRUE(run.finished());
   // Slot s takes positions s, s + 3, s + 6, ...
-  EXPECT_EQ(per_slot[0], (std::vector<int>{0, 3, 6}));
-  EXPECT_EQ(per_slot[1], (std::vector<int>{1, 4}));
-  EXPECT_EQ(per_slot[2], (std::vector<int>{2, 5}));
+  EXPECT_EQ(run.per_slot[0], (std::vector<int>{0, 3, 6}));
+  EXPECT_EQ(run.per_slot[1], (std::vector<int>{1, 4}));
+  EXPECT_EQ(run.per_slot[2], (std::vector<int>{2, 5}));
+
+  // Without static assignment the fast slots drain the queue while slot 0
+  // is still busy with its first WG.
+  Machine m2(one_gpu());
+  sim::Engine& e2 = m2.engine();
+  TestRun dynamic(m2.device(0), params(3, 7));
+  dynamic.wait_ns = slow_slot0;
+  dynamic.per_slot.resize(3);
+  dynamic.start(&test_claim);
+  e2.run();
+  EXPECT_EQ(dynamic.per_slot[0], (std::vector<int>{0}));
+  EXPECT_EQ(dynamic.per_slot[1].size() + dynamic.per_slot[2].size(), 6u);
 }
 
-TEST(KernelRun, DynamicClaimingBackfillsIdleSlots) {
-  // Same kernel without static assignment: the fast slots drain the queue
-  // while slot 0 is still busy with its first WG.
-  Machine m(one_gpu());
-  std::vector<std::vector<int>> per_slot(3);
-  KernelRun::Params p;
-  p.num_slots = 3;
-  p.num_wgs = 7;
-  p.body = [&](KernelRun& r, int slot) {
-    return assignment_slot(r, m, per_slot, slot);
-  };
-  KernelRun run(m.engine(), p);
-  run.start();
-  m.engine().run();
-  EXPECT_EQ(per_slot[0], (std::vector<int>{0}));
-  EXPECT_EQ(per_slot[1].size() + per_slot[2].size(), 6u);
-}
+// ---- Runtime cost: per launch, never per slot or WG ----------------------
 
-// ---- Runtime cost: per slot, never per WG -------------------------------
+/// A kernel whose WGs each wait 10 ns, recording nothing; slots with an
+/// index below `tails` end in a tail coroutine of one 5 ns delay, a wide
+/// one (a larger frame) for the last of them when `wide_tail` is set.
+struct DelayRun : KernelRun {
+  DelayRun(Device& d, Params p) : KernelRun(d, p) {}
+  int tails = 0;
+  bool wide_tail = false;
+  int tails_done = 0;
 
-/// Slot body that spends 10 ns per claimed position.
-sim::Co delay_slot(KernelRun& run, sim::Engine& e, int slot) {
-  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
-    co_await sim::delay(e, 10);
+  static sim::Co tail(DelayRun& r) {
+    co_await sim::delay(r.engine(), 5);
+    ++r.tails_done;
   }
-}
+  static sim::Co wide(DelayRun& r) {
+    volatile char pad[256] = {};
+    pad[7] = 1;
+    co_await sim::delay(r.engine(), 5);
+    EXPECT_EQ(pad[7], 1);
+    ++r.tails_done;
+  }
+  static void claim(Slot& s) {
+    DelayRun& r = static_cast<DelayRun&>(*s.run);
+    if (r.next(s) >= 0) {
+      r.after(10, s, &waited);
+    } else if (s.index >= r.tails) {
+      r.finish(s);
+    } else if (r.wide_tail && s.index == r.tails - 1) {
+      r.start_tail(s, [&r] { return wide(r); });
+    } else {
+      r.start_tail(s, [&r] { return tail(r); });
+    }
+  }
+  static void waited(sim::Call* c) { claim(static_cast<Slot&>(*c)); }
+};
 
 struct LaunchHeap {
   std::size_t allocations = 0;  // operator new calls during the launch
@@ -560,201 +557,98 @@ struct LaunchHeap {
 };
 
 /// Heap traffic of one launch (construct, start, run to idle) of `wgs`
-/// positions on `slots` slots. The engine keeps its pooled queue storage
-/// across launches (run_until never releases it), so once warm it adds
-/// nothing and the count is the runtime's own.
-LaunchHeap launch_heap(sim::Engine& e, int slots, int wgs,
+/// positions on `slots` slots, `tails` of which end in a tail. The engine
+/// keeps its pooled queue storage across launches (run_until never
+/// releases it), so once warm it adds nothing and the count is the
+/// runtime's own.
+LaunchHeap launch_heap(Device& d, int slots, int wgs, int tails,
                        bool static_assignment) {
-  KernelRun::Params p;
-  p.num_slots = slots;
-  p.num_wgs = wgs;
-  p.static_assignment = static_assignment;
-  p.body = [&e](KernelRun& r, int slot) { return delay_slot(r, e, slot); };
+  sim::Engine& e = d.engine();
   const std::size_t news = g_news, deletes = g_deletes;
   {
-    KernelRun run(e, std::move(p));
-    run.start();
+    DelayRun run(d, {.num_slots = slots,
+                     .num_wgs = wgs,
+                     .static_assignment = static_assignment,
+                     .tail_slots = tails});
+    run.tails = tails;
+    run.start(&DelayRun::claim);
     e.run_until(e.now() + 1'000'000);
     EXPECT_TRUE(run.finished());
+    EXPECT_EQ(run.tails_done, tails);
   }
   return {g_news - news, (g_news - news) - (g_deletes - deletes)};
 }
 
-TEST(KernelRun, WarmLaunchAllocatesOneBlockOnly) {
-  sim::Engine e;
+TEST(KernelRun, WarmLaunchAllocatesItsRecordsAndTailBlockOnly) {
+  Machine m(one_gpu());
+  Device& d = m.device(0);
   for (const bool static_assignment : {false, true}) {
-    launch_heap(e, 8, 800, static_assignment);  // warm the engine's pools
-    for (const int wgs : {8, 800}) {
-      const LaunchHeap h = launch_heap(e, 8, wgs, static_assignment);
-      // One block for every slot frame, plus under static assignment the
-      // per-slot cursor array: nothing per slot or position, no order.
-      EXPECT_EQ(h.allocations, 1u + (static_assignment ? 1u : 0u))
-          << wgs << " positions, static " << static_assignment;
-      EXPECT_EQ(h.live, 0u) << "a launch block outlived its kernel";
+    for (const int tails : {0, 3}) {
+      launch_heap(d, 8, 800, tails, static_assignment);  // warm the pools
+      for (const int wgs : {8, 800}) {
+        const LaunchHeap h = launch_heap(d, 8, wgs, tails, static_assignment);
+        // One array for every slot record, and one block for the tail
+        // frames: nothing per slot or position, no order, no cursors.
+        EXPECT_EQ(h.allocations, tails > 0 ? 2u : 1u)
+            << wgs << " positions, static " << static_assignment;
+        EXPECT_EQ(h.live, 0u) << "a launch allocation outlived its kernel";
+      }
     }
   }
 }
 
-TEST(KernelRun, BodyThatNeverSuspendsFinishesInsideStart) {
-  sim::Engine e;
-  std::vector<int> entered;
-  KernelRun::Params p;
-  p.num_slots = 4;
-  p.num_wgs = 3;
-  p.body = [&entered](KernelRun& r, int slot) {
-    return draining_slot(r, entered, slot);
-  };
-  entered.reserve(8);
+TEST(KernelRun, ATailFrameOfAnotherSizeGoesToTheHeap) {
+  // The tail block's stride is the first tail frame's size; the last
+  // tail has a larger frame, which must not overrun the block.
+  Machine m(one_gpu());
+  sim::Engine& e = m.engine();
+  launch_heap(m.device(0), 4, 40, 0, false);  // warm the engine's pools
   const std::size_t news = g_news, deletes = g_deletes;
   {
-    KernelRun run(e, std::move(p));
-    run.start();
-    // Every slot drained within start(): joined, its frame ended in the
-    // one block, which lives as long as the KernelRun.
-    EXPECT_TRUE(run.finished());
-    EXPECT_EQ(g_news - news, 1u);
-    EXPECT_EQ(g_deletes - deletes, 0u);
-  }
-  EXPECT_EQ(g_deletes - deletes, 1u);
-  EXPECT_EQ(e.run(), 0u);
-  EXPECT_EQ(entered, (std::vector<int>{0, 1, 2}));
-}
-
-/// Nested subroutine of nested_slot: one 5 ns step.
-sim::Co nested_step(sim::Engine& e, std::vector<int>& done, int pos) {
-  co_await sim::delay(e, 5);
-  done.push_back(pos);
-}
-
-/// Slot body that awaits a nested sim::Co per claimed position.
-sim::Co nested_slot(KernelRun& run, sim::Engine& e, std::vector<int>& done,
-                    int slot) {
-  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
-    co_await nested_step(e, done, pos);
-  }
-}
-
-/// A launch of `wgs` positions on 4 slots running nested_slot, recording
-/// finished positions in `done`.
-KernelRun::Params nested_launch(sim::Engine& e, std::vector<int>& done,
-                                int wgs) {
-  KernelRun::Params p;
-  p.num_slots = 4;
-  p.num_wgs = wgs;
-  p.body = [&e, &done](KernelRun& r, int slot) {
-    return nested_slot(r, e, done, slot);
-  };
-  return p;
-}
-
-TEST(KernelRun, NestedCoFramesStayOnTheHeap) {
-  // The slot frames share the launch's block; each awaited sim::Co frame
-  // is its own heap allocation, freed when its await ends.
-  sim::Engine e;
-  std::vector<int> done;
-  done.reserve(32);
-  {
-    KernelRun warm(e, nested_launch(e, done, 10));  // warm the engine's pools
-    warm.start();
+    DelayRun run(m.device(0),
+                 {.num_slots = 4, .num_wgs = 40, .tail_slots = 4});
+    run.tails = 4;
+    run.wide_tail = true;
+    run.start(&DelayRun::claim);
     e.run_until(e.now() + 1'000);
+    EXPECT_TRUE(run.finished());
+    // The records, the tail block, and the wide frame, freed at its end.
+    EXPECT_EQ(g_news - news, 3u);
+    EXPECT_EQ(g_deletes - deletes, 1u);
   }
-  done.clear();
+  EXPECT_EQ(g_deletes - deletes, 3u);
+}
+
+TEST(KernelRun, RecordsAndTailsOutliveAThrowMidKernel) {
+  // An event throws out of run() while every slot has a call or a tail's
+  // resume pending in the launch's records and tail block. Both must
+  // outlive those events: the run resumes, every slot finishes, and only
+  // then does the KernelRun free them — nothing leaks, nothing dangles.
+  Machine m(one_gpu());
+  sim::Engine& e = m.engine();
+  launch_heap(m.device(0), 4, 12, 2, false);  // warm the engine's pools
+  e.schedule_at(e.now() + 1, [] {});
+  e.run_until(e.now() + 1);
   const TimeNs t0 = e.now();
-  KernelRun::Params p = nested_launch(e, done, 10);
   const std::size_t news = g_news, deletes = g_deletes;
+  const auto live = [&] { return (g_news - news) - (g_deletes - deletes); };
   {
-    KernelRun run(e, std::move(p));
-    run.start();
-    EXPECT_EQ(e.run_until(t0 + 1'000), 10u);
-    EXPECT_TRUE(run.finished());
-    EXPECT_EQ(g_news - news, 1u + 10u);
-    EXPECT_EQ(g_deletes - deletes, 10u);
-  }
-  EXPECT_EQ(g_deletes - deletes, 11u);
-  std::sort(done.begin(), done.end());
-  EXPECT_EQ(done, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
-}
-
-/// delay_slot with a larger frame: a buffer that lives across each delay.
-sim::Co wide_delay_slot(KernelRun& run, sim::Engine& e, int slot) {
-  for (int pos; (pos = co_await run.next(slot)) >= 0;) {
-    volatile char pad[256] = {};
-    pad[pos % 256] = 1;
-    co_await sim::delay(e, 10);
-    EXPECT_EQ(pad[pos % 256], 1);
-  }
-}
-
-TEST(KernelRun, ASlotFrameOfAnotherSizeGoesToTheHeap) {
-  // The block's stride is the first slot frame's size; the last slot's
-  // body has a larger frame, which must not overrun the block.
-  sim::Engine e;
-  launch_heap(e, 4, 40, false);  // warm the engine's pools
-  KernelRun::Params p;
-  p.num_slots = 4;
-  p.num_wgs = 40;
-  p.body = [&e](KernelRun& r, int slot) {
-    return slot == 3 ? wide_delay_slot(r, e, slot) : delay_slot(r, e, slot);
-  };
-  const std::size_t news = g_news, deletes = g_deletes;
-  {
-    KernelRun run(e, std::move(p));
-    run.start();
-    EXPECT_EQ(g_news - news, 2u);  // the block, and the wide frame
-    e.run_until(e.now() + 1'000);
-    EXPECT_TRUE(run.finished());
-    EXPECT_EQ(g_deletes - deletes, 1u);  // the wide frame, at its end
-  }
-  EXPECT_EQ(g_deletes - deletes, 2u);
-}
-
-TEST(KernelRun, ThrowMidFlightKeepsTheBlockUntilTheSlotsFinish) {
-  // An event throws out of run() while every slot is suspended with a
-  // resume pending into the block. The block must outlive those events:
-  // the run resumes, the slots finish, and only the KernelRun frees it.
-  sim::Engine e;
-  std::vector<int> done;
-  done.reserve(16);
-  std::size_t deletes = 0;
-  {
-    KernelRun run(e, nested_launch(e, done, 12));
-    run.start();
-    e.schedule_at(7, [] { FCC_CHECK_MSG(false, "failure mid-kernel"); });
+    DelayRun run(m.device(0),
+                 {.num_slots = 4, .num_wgs = 12, .tail_slots = 2});
+    run.tails = 2;
+    run.start(&DelayRun::claim);
+    e.schedule_at(t0 + 15, [] { FCC_CHECK_MSG(false, "failure mid-kernel"); });
     EXPECT_THROW(e.run(), std::logic_error);
-    EXPECT_EQ(e.now(), 7);
+    EXPECT_EQ(e.now(), t0 + 15);
     EXPECT_FALSE(run.finished());
-    EXPECT_EQ(e.pending(), 4u);
-    EXPECT_EQ(done.size(), 4u);
-    deletes = g_deletes;
-    EXPECT_EQ(e.run_until(1'000), 8u);
+    EXPECT_EQ(e.pending(), 4u);  // each slot's second WG, due at t0 + 20
+    EXPECT_EQ(live(), 1u);       // the records
+    e.run_until(t0 + 1'000);
     EXPECT_TRUE(run.finished());
-    // Only the eight nested frames of the resumed run were freed.
-    EXPECT_EQ(g_deletes - deletes, 8u);
+    EXPECT_EQ(run.tails_done, 2);
+    EXPECT_EQ(live(), 2u);  // the records and the tail block
   }
-  EXPECT_EQ(g_deletes - deletes, 9u);
-  EXPECT_EQ(done.size(), 12u);
-}
-
-TEST(KernelRun, ZeroWorkLaunchRunsOneSlotAndJoins) {
-  sim::Engine e;
-  std::vector<int> entered;
-  KernelRun::Params p;
-  p.num_slots = 8;
-  p.num_wgs = 0;
-  p.body = [&entered](KernelRun& r, int slot) {
-    return draining_slot(r, entered, slot);
-  };
-  entered.reserve(8);
-  const std::size_t news = g_news, deletes = g_deletes;
-  KernelRun run(e, std::move(p));
-  run.start();
-  EXPECT_TRUE(run.finished());
-  EXPECT_EQ(run.active_slots(), 1);
-  // The one slot's block, freed with the KernelRun.
-  EXPECT_EQ(g_news - news, 1u);
-  EXPECT_EQ(g_deletes - deletes, 0u);
-  EXPECT_EQ(entered, (std::vector<int>{0}));
-  EXPECT_EQ(e.run(), 0u);
+  EXPECT_EQ(live(), 0u);
 }
 
 }  // namespace

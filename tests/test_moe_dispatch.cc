@@ -368,7 +368,7 @@ TEST(FusedMoeDispatch, EmptySegmentsNeitherDeadlockNorCorrupt) {
 }
 
 // Regression: with a 1-slot grid (occupancy override below num_pes) the
-// surplus slots never run an epilogue, so the single spawned slot must
+// surplus slots never run a flag wait, so the single spawned slot must
 // stride over every source's arrival counter — previously sources >= the
 // slot count were silently dropped.
 TEST(FusedMoeDispatch, SingleSlotGridStillDrainsEverySourcesArrivals) {

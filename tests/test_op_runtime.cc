@@ -256,7 +256,7 @@ TEST(OperatorResult, SkewMeasuresRelativeSpread) {
 
 /// PE 0 waits on a flag nobody sets; PE 1 completes. The deadlock check
 /// must name the stuck PE and the unsatisfied wait_ge, also when the wait
-/// sits in a persistent-kernel slot (`in_kernel`): slot frames run
+/// sits in a persistent-kernel slot's tail (`in_kernel`): tails run
 /// detached, and the per-PE task awaiting the kernel is what stays live.
 class StuckOp final : public FusedOp {
  public:
@@ -281,21 +281,31 @@ class StuckOp final : public FusedOp {
       if (pe == 0) co_await gate_->wait_ge(0, 1, 3);
       co_return;
     }
-    gpu::KernelRun::Params p;
-    p.num_slots = 2;
-    p.num_wgs = 4;
-    p.body = [this, pe](gpu::KernelRun& run, int slot) {
-      return slot_body(run, pe, slot);
-    };
-    gpu::KernelRun kernel(world_.machine().engine_of(pe), std::move(p));
-    kernel.start();
+    Kernel kernel(*this, pe);
+    kernel.start(&claim);
     co_await kernel.wait();
   }
-  sim::Co slot_body(gpu::KernelRun& run, PeId pe, int slot) {
-    for (int pos; (pos = co_await run.next(slot)) >= 0;) {
+  /// A 2-slot kernel of 4 empty WGs whose slot 1 on PE 0 waits on the
+  /// gate once the queue drains.
+  struct Kernel : gpu::KernelRun {
+    Kernel(StuckOp& op, PeId pe)
+        : KernelRun(op.world_.machine().device(pe),
+                    {.num_slots = 2, .num_wgs = 4, .tail_slots = 2}),
+          op(op) {}
+    StuckOp& op;
+  };
+  static void claim(gpu::KernelRun::Slot& s) {
+    Kernel& k = static_cast<Kernel&>(*s.run);
+    while (k.next(s) >= 0) {
     }
-    if (pe == 0 && slot == 1) co_await gate_->wait_ge(0, 1, 3);
+    if (k.pe() == 0 && s.index == 1) {
+      k.start_tail(s,
+                   [&k] { return k.op.gate_->wait_from(0, 1, 1, 2, three); });
+    } else {
+      k.finish(s);
+    }
   }
+  static std::uint64_t three(int) { return 3; }
   bool in_kernel_;
   FlagSet gate_;
 };

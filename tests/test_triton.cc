@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "fused/op_runtime.h"
 #include "gpu/machine.h"
 #include "gpu/schedule.h"
 #include "ops/gemv.h"
@@ -297,6 +300,78 @@ TEST(TileKernel, KernelWithoutPutKeepsNoSchedule) {
   m.engine().run();
   EXPECT_TRUE(done);
   EXPECT_TRUE(k.schedule(0).empty());  // pids run in order
+}
+
+/// Launches one TileKernel on every PE: a FusedOp, so that it runs on
+/// serial and sharded machines alike.
+class LaunchOnEveryPe final : public fused::FusedOp {
+ public:
+  LaunchOnEveryPe(shmem::World& world, TileKernel& kernel)
+      : FusedOp(world), kernel_(kernel) {}
+  const char* name() const override { return "launch_on_every_pe"; }
+  sim::Co run() override {
+    co_await run_fused([this](PeId pe) { return pe_body(pe); });
+  }
+
+ private:
+  sim::Co pe_body(PeId pe) {
+    TileKernel::LaunchConfig lc;
+    lc.world = &world_;
+    lc.pe = pe;
+    co_await kernel_.launch(lc);
+    result_.pe_end[static_cast<std::size_t>(pe)] =
+        world_.machine().engine_of(pe).now();
+  }
+  TileKernel& kernel_;
+};
+
+/// Runs a TileKernel on 4 single-GPU nodes (`shards` shards, run by
+/// `threads` threads) whose put statement's destination functor fails a
+/// check for pid 5 on PE 2 once armed, from the second run on (the first
+/// builds the schedules, which call it too). Reports the message of what
+/// the second run throws on stderr and exits 0; exits 1 if nothing throws.
+[[noreturn]] void fail_in_a_wg_step(int shards, unsigned threads) {
+  gpu::Machine::Config mc;
+  mc.num_nodes = 4;
+  mc.gpus_per_node = 1;
+  mc.num_shards = shards;
+  gpu::Machine m(mc);
+  shmem::World w(m);
+  bool armed = false;
+  TileKernel k("gemm_put", small_shape(), 0.7);
+  k.load_a().load_b().dot().put_c_remote(
+      [&armed](const TileKernel::Ctx& ctx) {
+        FCC_CHECK_MSG(!armed || ctx.pe != 2 || ctx.pid != 5,
+                      "no route for pid 5 on PE 2");
+        return (ctx.pe + 1) % 4;
+      },
+      {});
+  LaunchOnEveryPe op(w, k);
+  op.spawn();
+  m.run_all(threads);
+  armed = true;
+  op.spawn();
+  try {
+    m.run_all(threads);
+  } catch (const std::logic_error& e) {
+    std::cerr << e.what() << std::endl;
+    std::_Exit(0);
+  }
+  std::_Exit(1);
+}
+
+// A failing check inside a WG step throws out of Machine::run_all, on the
+// serial engine and on 4 shards run by 1 and by 4 threads. The stopped run
+// cannot be abandoned: its suspended coroutine frames (the per-PE bodies,
+// the launches awaiting their kernels) stay allocated. So each case runs in
+// a child process, which reports the message it caught and exits.
+TEST(TileKernelDeathTest, FailingCheckInAWgStepThrowsOutOfRunAll) {
+  for (const auto& [shards, threads] :
+       {std::pair{1, 1u}, std::pair{4, 1u}, std::pair{4, 4u}}) {
+    EXPECT_EXIT(fail_in_a_wg_step(shards, threads),
+                ::testing::ExitedWithCode(0), "no route for pid 5 on PE 2")
+        << shards << " shards, " << threads << " threads";
+  }
 }
 
 }  // namespace

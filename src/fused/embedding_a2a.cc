@@ -131,7 +131,7 @@ struct FusedEmbeddingAllToAll::Kernel : gpu::KernelRun {
 
 /// A slot's record: the logical WG in flight and where its vector goes.
 struct FusedEmbeddingAllToAll::Slot : gpu::KernelRun::Slot {
-  int lw;
+  int lw;  // once the queue drains, the next sliceRdy flag to poll
   SliceIndex::Placement at;
   bool zero_copy;  // the vector is a zero-copy store (zero_copy_to)
   TimeNs t_begin;  // traced runs: the WG's start, for its span
@@ -139,9 +139,7 @@ struct FusedEmbeddingAllToAll::Slot : gpu::KernelRun::Slot {
 
 sim::Co FusedEmbeddingAllToAll::pe_body(PeId pe) {
   Kernel k(*this, pe,
-           {.num_slots = slots_per_pe_,
-            .num_wgs = cfg_.map.num_logical_wgs(),
-            .tail_slots = cfg_.map.num_slices()});
+           {.num_slots = slots_per_pe_, .num_wgs = cfg_.map.num_logical_wgs()});
   k.start(&claim);
   co_await k.wait();
   result_.pe_end[static_cast<std::size_t>(pe)] = k.engine().now();
@@ -152,7 +150,8 @@ void FusedEmbeddingAllToAll::claim(Slot& s) {
   FusedEmbeddingAllToAll& op = k.op;
   const int lw = op.wg_at(k.pe(), k.next(s));
   if (lw < 0) {
-    poll_slices(s);
+    s.lw = s.index;
+    poll_slices(&s);
     return;
   }
   s.lw = lw;
@@ -261,20 +260,17 @@ void FusedEmbeddingAllToAll::signal_slice(sim::Call* c) {
   claim(s);
 }
 
-void FusedEmbeddingAllToAll::poll_slices(Slot& s) {
+void FusedEmbeddingAllToAll::poll_slices(sim::Call* c) {
   // Each persistent WG polls a distinct subset of sliceRdy flags before
   // exiting (cheaper than everyone polling everything).
+  Slot& s = static_cast<Slot&>(*c);
   Kernel& k = static_cast<Kernel&>(*s.run);
-  shmem::FlagArray& flags = *k.op.slice_rdy_.get();
-  const int n = k.op.cfg_.map.num_slices();
-  const int stride = k.active_slots();
   const auto set = [](int) -> std::uint64_t { return 1; };
-  const int f = flags.first_unmet(k.pe(), s.index, stride, n, set);
-  if (f >= n) {
+  if (!k.op.slice_rdy_->poll_then(k.pe(), s.lw, k.active_slots(),
+                                  k.op.cfg_.map.num_slices(), set, s,
+                                  &poll_slices)) {
     k.finish(s);
-    return;
   }
-  k.start_tail(s, [&] { return flags.wait_from(k.pe(), f, stride, n, set); });
 }
 
 bool FusedEmbeddingAllToAll::zero_copy_to(PeId pe, PeId dest) const {

@@ -23,8 +23,8 @@
 // as engine calls on the slot's record (gpu::KernelRun): compute, the
 // zero-copy store's issue, WG_Done bookkeeping, then the slice's fence,
 // issues, PUT and flag. After draining the task loop, each persistent WG
-// polls a distinct subset of sliceRdy flags before exiting; only a slot
-// with a flag still down by then starts a tail coroutine for it.
+// polls a distinct subset of sliceRdy flags before exiting, as further
+// steps of the same chain.
 //
 // Baseline path: per-table pooling kernels (public-DLRM structure) on a
 // stream, host sync, then the ccl All-to-All, then sync — communication
@@ -123,8 +123,9 @@ class FusedEmbeddingAllToAll final : public FusedOp {
   static void staged_issued(sim::Call* c);
   static void staged_fenced(sim::Call* c);
   static void signal_slice(sim::Call* c);
-  /// A drained slot's end: its share of the sliceRdy flags.
-  static void poll_slices(Slot& s);
+  /// A drained slot's end: its share of the sliceRdy flags, polled from
+  /// the record's `lw`.
+  static void poll_slices(sim::Call* c);
   /// Whether a WG's vector goes out as a zero-copy scale-up store.
   bool zero_copy_to(PeId pe, PeId dest) const;
   /// Posts WG `lw`'s result once its compute (and, for a zero-copy store,

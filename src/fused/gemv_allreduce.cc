@@ -40,6 +40,9 @@ GemvAllReduceConfig checked(const GemvAllReduceConfig& cfg,
   return cfg;
 }
 
+/// The peer after `peer` other than `pe` (the first for peer = -1).
+PeId next_peer(PeId pe, PeId peer) { return ++peer == pe ? peer + 1 : peer; }
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -146,17 +149,21 @@ struct FusedGemvAllReduce::Kernel : gpu::KernelRun {
   FusedGemvAllReduce& op;
 };
 
-/// A slot's record: the tile in flight.
+/// A slot's record: the tile in flight, and once the queue drains, where
+/// steps 2-4 are.
 struct FusedGemvAllReduce::Slot : gpu::KernelRun::Slot {
-  int tile;
+  int tile;      // the tile computed (step 1) or reduced (step 3)
+  PeId peer;     // the peer a signal or broadcast loop is at
+  int flag;      // the position of a flag wait (FlagArray::poll_then)
+  bool bcast;    // steps 3-4 (broadcast flags), else step 2 (arrivals)
+  bool reduced;  // step 3 reduced a tile
 };
 
 sim::Co FusedGemvAllReduce::pe_body(PeId pe) {
   Kernel k(*this, pe,
            {.num_slots = active_slots_,
             .num_wgs = num_tiles_,
-            .static_assignment = true,
-            .tail_slots = active_slots_});
+            .static_assignment = true});
   k.start(&claim);
   co_await k.wait();
   result_.pe_end[static_cast<std::size_t>(pe)] = k.engine().now();
@@ -167,7 +174,8 @@ void FusedGemvAllReduce::claim(Slot& s) {
   FusedGemvAllReduce& op = k.op;
   s.tile = op.tile_at(k.pe(), k.next(s));
   if (s.tile < 0) {
-    k.start_tail(s, [&] { return op.slot_tail(k.pe(), s.index); });
+    // Arrival flags: the fence orders the data stores ahead of them.
+    op.world_.fence_then(k.pe(), s, &fenced);
     return;
   }
   const bool remote = op.owner_of_tile(s.tile) != k.pe();
@@ -200,52 +208,118 @@ void FusedGemvAllReduce::posted(sim::Call* c) {
   claim(s);
 }
 
-sim::Co FusedGemvAllReduce::slot_tail(PeId pe, int slot) {
-  // Arrival flags: the fence orders the data stores ahead of them.
-  co_await world_.fence(pe);
-  for (PeId peer = 0; peer < num_pes_; ++peer) {
-    if (peer == pe) continue;
-    co_await world_.issue(pe, peer, shmem::World::IssueKind::kStore);
-    arrive_flags_.signal(world_, pe, peer, flag_index(pe, slot));
-  }
+void FusedGemvAllReduce::fenced(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  s.peer = next_peer(s.run->pe(), -1);
+  signal_peers(s);
+}
 
-  // Wait for counterpart slots on every peer to finish storing partials.
-  for (PeId peer = 0; peer < num_pes_; ++peer) {
-    if (peer == pe) continue;
-    co_await arrive_flags_->wait_ge(pe, flag_index(peer, slot), 1);
-  }
-
-  // Owned tiles assigned to this slot.
-  bool reduced = false;
-  for (int tile = slot; tile < num_tiles_; tile += active_slots_) {
-    if (owner_of_tile(tile) != pe) continue;
-    reduced = true;
-    co_await world_.machine().device(pe).compute(
-        reduce_cost_[tile == num_tiles_ - 1 ? 1 : 0]);
-    if (cfg_.functional) reduce_tile(pe, tile);
-
-    // Zero-copy broadcast of the reduced tile to every peer's output.
-    for (PeId peer = 0; peer < num_pes_; ++peer) {
-      if (peer == pe) continue;
-      co_await world_.issue(pe, peer, shmem::World::IssueKind::kStore);
-      post_broadcast(pe, peer, tile);
+void FusedGemvAllReduce::signal_peers(Slot& s) {
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  FusedGemvAllReduce& op = k.op;
+  for (; s.peer < op.num_pes_; s.peer = next_peer(k.pe(), s.peer)) {
+    if (op.world_.issue_then(k.pe(), s.peer, shmem::World::IssueKind::kStore,
+                             s, &signal_issued)) {
+      return;
     }
+    op.signal(s);
   }
+  // Wait for the counterpart slots on every peer: the flags at position
+  // peer * slots + slot. This PE's own flag is never set; a zero threshold
+  // skips it.
+  s.flag = s.index;
+  wait_peers(&s);
+}
 
+void FusedGemvAllReduce::signal_issued(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  k.op.signal(s);
+  s.peer = next_peer(k.pe(), s.peer);
+  signal_peers(s);
+}
+
+void FusedGemvAllReduce::signal(const Slot& s) {
+  const PeId pe = s.run->pe();
+  (s.bcast ? bcast_flags_ : arrive_flags_)
+      .signal(world_, pe, s.peer, flag_index(pe, s.index));
+}
+
+void FusedGemvAllReduce::wait_peers(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  FusedGemvAllReduce& op = k.op;
+  const PeId pe = k.pe();
+  const int slots = op.active_slots_;
+  const auto others = [pe, slots](int i) -> std::uint64_t {
+    return i / slots == pe ? 0 : 1;
+  };
+  if ((s.bcast ? op.bcast_flags_ : op.arrive_flags_)
+          ->poll_then(pe, s.flag, slots, op.num_pes_ * slots, others, s,
+                      &wait_peers)) {
+    return;
+  }
+  if (s.bcast) {
+    // Step 4 done: the output rows owned by peers are in.
+    k.finish(s);
+    return;
+  }
+  // Step 3: the owned tiles assigned to this slot.
+  s.bcast = true;
+  s.tile = s.index - slots;
+  reduce_next(s);
+}
+
+void FusedGemvAllReduce::reduce_next(Slot& s) {
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  FusedGemvAllReduce& op = k.op;
+  do {
+    s.tile += op.active_slots_;
+  } while (s.tile < op.num_tiles_ && op.owner_of_tile(s.tile) != k.pe());
+  if (s.tile < op.num_tiles_) {
+    s.reduced = true;
+    k.device().start_step(op.reduce_cost_[s.tile == op.num_tiles_ - 1 ? 1 : 0],
+                          s, &tile_reduced);
+    return;
+  }
   // Broadcast flags, fenced behind the final-tile stores. A slot that owns
   // no tile still signals: peers wait on every counterpart's flag.
-  if (reduced) co_await world_.fence(pe);
-  for (PeId peer = 0; peer < num_pes_; ++peer) {
-    if (peer == pe) continue;
-    co_await world_.issue(pe, peer, shmem::World::IssueKind::kStore);
-    bcast_flags_.signal(world_, pe, peer, flag_index(pe, slot));
+  if (s.reduced) {
+    op.world_.fence_then(k.pe(), s, &fenced);
+    return;
   }
+  fenced(&s);
+}
 
-  // Wait for the output rows owned by peers (their counterpart slots).
-  for (PeId peer = 0; peer < num_pes_; ++peer) {
-    if (peer == pe) continue;
-    co_await bcast_flags_->wait_ge(pe, flag_index(peer, slot), 1);
+void FusedGemvAllReduce::tile_reduced(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  k.device().end_step();
+  if (k.op.cfg_.functional) k.op.reduce_tile(k.pe(), s.tile);
+  // Zero-copy broadcast of the reduced tile to every peer's output.
+  s.peer = next_peer(k.pe(), -1);
+  broadcast(s);
+}
+
+void FusedGemvAllReduce::broadcast(Slot& s) {
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  FusedGemvAllReduce& op = k.op;
+  for (; s.peer < op.num_pes_; s.peer = next_peer(k.pe(), s.peer)) {
+    if (op.world_.issue_then(k.pe(), s.peer, shmem::World::IssueKind::kStore,
+                             s, &broadcast_issued)) {
+      return;
+    }
+    op.post_broadcast(k.pe(), s.peer, s.tile);
   }
+  reduce_next(s);
+}
+
+void FusedGemvAllReduce::broadcast_issued(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
+  Kernel& k = static_cast<Kernel&>(*s.run);
+  k.op.post_broadcast(k.pe(), s.peer, s.tile);
+  s.peer = next_peer(k.pe(), s.peer);
+  broadcast(s);
 }
 
 void FusedGemvAllReduce::post_partial(PeId pe, int slot, int tile) {

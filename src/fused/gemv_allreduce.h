@@ -19,8 +19,7 @@
 //      N partials, store the result locally and zero-copy broadcast it to
 //      every peer's output, fence, set one broadcast flag per peer.
 //   4. wait the counterpart broadcast flags (output rows owned by peers).
-// Step 1 runs as engine calls on the slot's record; steps 2-4 are the
-// slot's tail coroutine (gpu::KernelRun::start_tail).
+// Every step runs as engine calls on the slot's record (gpu::KernelRun).
 #pragma once
 
 #include <array>
@@ -101,11 +100,23 @@ class FusedGemvAllReduce final : public FusedOp {
   static void computed(sim::Call* c);
   static void bookkept(sim::Call* c);
   static void posted(sim::Call* c);
-  /// Steps 2-4 of a slot, once its tiles are done.
-  sim::Co slot_tail(PeId pe, int slot);
+  /// Steps 2-4, once the slot's queue drains. Steps 2 and 4 each signal
+  /// one flag per peer, after the fence before them, then wait for the
+  /// counterparts' flags; the record's `bcast` tells which flags. Step 3
+  /// reduces each owned tile and stores it to every peer.
+  static void fenced(sim::Call* c);
+  static void signal_peers(Slot& s);
+  static void signal_issued(sim::Call* c);
+  static void wait_peers(sim::Call* c);
+  static void reduce_next(Slot& s);
+  static void tile_reduced(sim::Call* c);
+  static void broadcast(Slot& s);
+  static void broadcast_issued(sim::Call* c);
+  /// Posts the record's step-2 or step-4 flag to its `peer`.
+  void signal(const Slot& s);
   /// Posts a finished tile's partial: kept in the local partial buffer
   /// when PE `pe` owns the tile, else stored into the owner's reduction
-  /// buffer (the caller has awaited the store's issue).
+  /// buffer (the caller has paid the store's issue).
   void post_partial(PeId pe, int slot, int tile);
   /// Functional mode: sums an owned tile's partials into `pe`'s output.
   void reduce_tile(PeId pe, int tile);

@@ -32,11 +32,11 @@
 // Kernels are slot-resident: each physical WG slot is one gpu::KernelRun
 // record, and every logical WG it claims runs as a chain of engine calls
 // on it (the fused GEMV's slots claim theirs by static assignment). Once
-// its queue drains, a slot whose readiness flags are not all up yet polls
-// them in a tail coroutine. KernelRun hands out positions; each operator
-// maps them to WGs through an order it builds once (or the identity), so
-// no run allocates per WG. The tile-DSL ops hand that polling to
-// TileKernel::launch as its flag wait.
+// its queue drains, a slot polls its readiness flags as further calls on
+// the same record (FlagArray::poll_then). KernelRun hands out positions;
+// each operator maps them to WGs through an order it builds once (or the
+// identity), so no run allocates per WG. The tile-DSL ops hand that
+// polling to TileKernel::launch as its flag wait.
 //
 // Per-PE completion times are stamped inside run_per_pe_at bodies (each
 // body runs on its PE's home-shard engine), so the runtime works on serial
@@ -133,9 +133,9 @@ class FlagSet {
 
   /// Posts a remote PUT from `src` that sets flag[dst][idx] = 1 on
   /// delivery (the sliceRdy idiom: data PUTs order ahead on the FIFO
-  /// channel; fence first to order PUTs to other PEs too). Call it after
-  /// `co_await world.issue(src, dst, kind)`. The delivery is a compact
-  /// engine event (sim::FlagUpdate): no closure, no callback node.
+  /// channel; fence first to order PUTs to other PEs too). Call it once
+  /// the PUT's issue cost is paid (World::issue_then). The delivery is a
+  /// compact engine event (sim::FlagUpdate): no closure, no callback node.
   void signal(shmem::World& world, PeId src, PeId dst, std::size_t idx) {
     const shmem::FlagArray* flags = flags_.get();
     FCC_CHECK_MSG(flags != nullptr && idx < flags->size(),

@@ -6,11 +6,11 @@
 // compute-active WGs. Memory-bound and compute-bound kernels both fall out
 // of the same max(mem, alu) rule.
 //
-// A step has two forms with the same events at the same times. A
-// coroutine awaits compute() or busy_wait(), plain awaiters that suspend
-// exactly once. A persistent-kernel WG, a chain of engine calls on its
-// slot's record (gpu::KernelRun), calls start_step() and, in the step's
-// end call, end_step(); wait_then() is its busy_wait.
+// A compute step is a call-chain step: a persistent-kernel WG, a chain of
+// engine calls on its slot's record (gpu::KernelRun), calls start_step()
+// and, in the step's end call, end_step(). A device wait has two forms
+// with the same event at the same time: a coroutine awaits busy_wait(), a
+// chain calls wait_then().
 //
 // A cost that is fixed for a whole launch carries a duration table
 // (Device::tabulate): the step duration at each active-WG count up to the
@@ -19,7 +19,6 @@
 #pragma once
 
 #include <algorithm>
-#include <coroutine>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -109,33 +108,19 @@ class Device {
                : compute_duration(cost, active);
   }
 
-  /// Awaiter for one compute step (see compute()). Suspending registers the
-  /// WG as active, charges the step and schedules the resume; resuming
-  /// deregisters it. Holds the cost by reference: it must outlive the
-  /// co_await (a temporary argument does).
-  struct [[nodiscard]] Compute {
-    Device& dev;
-    const WorkCost& cost;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      dev.engine_.schedule_resume_after(dev.begin_step(cost), h);
-    }
-    void await_resume() const noexcept { --dev.active_wgs_; }
-  };
-
-  /// Awaitable compute step: registers this WG as active, waits the modeled
-  /// duration, deregisters. The duration is fixed at entry from the active
+  /// Starts a compute step for the WG whose chain continues at `next` on
+  /// `c`: registers the WG as active, charges the step at that active
+  /// count and schedules the call at the step's end, where `next` must
+  /// call end_step() first. The duration is fixed at entry from the active
   /// count at that moment (documented approximation; workloads here run in
   /// near-homogeneous waves).
-  Compute compute(const WorkCost& cost) { return Compute{*this, cost}; }
-
-  /// Starts a compute step for the WG whose chain continues at `next` on
-  /// `c`: registers the WG as active, charges the step and schedules the
-  /// call at the step's end, where `next` must call end_step() first. The
-  /// call-chain form of compute().
   void start_step(const WorkCost& cost, sim::Call& c, sim::Call::Fn next) {
+    const TimeNs dur = step_duration(cost, ++active_wgs_);
+    busy_ns_ += dur;
+    total_bytes_ += cost.hbm_bytes;
+    total_flops_ += cost.flops;
     c.fn = next;
-    engine_.schedule_call_at(engine_.now() + begin_step(cost), &c);
+    engine_.schedule_call_at(engine_.now() + dur, &c);
   }
 
   /// Deregisters the WG whose step start_step() scheduled to end now.
@@ -161,16 +146,6 @@ class Device {
   double total_flops() const { return total_flops_; }
 
  private:
-  /// Registers one more active WG and charges its step; returns the
-  /// step's duration.
-  TimeNs begin_step(const WorkCost& cost) {
-    const TimeNs dur = step_duration(cost, ++active_wgs_);
-    busy_ns_ += dur;
-    total_bytes_ += cost.hbm_bytes;
-    total_flops_ += cost.flops;
-    return dur;
-  }
-
   sim::Engine& engine_;
   PeId id_;
   hw::GpuSpec spec_;

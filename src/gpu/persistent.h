@@ -14,38 +14,35 @@
 //
 // A slot is a record, not a coroutine: the kernel derives its record type
 // from KernelRun::Slot (at most 64 B, one cache line), and start() places
-// the records of a launch in one array. A slot's logical WGs run as a chain
-// of engine calls on its record (sim::Call): each step does its plain work
-// (a claim, posting a PUT, marking WG_Done), then schedules the next step
-// with the one engine event the matching coroutine await would schedule —
-// Device::start_step / end_step for a compute step, Device::wait_then for
-// a device wait, World::issue_then and fence_then, after() for a plain
-// wait. So a chain fires the same events at the same times, in the same
-// push order, as a coroutine awaiting compute(), busy_wait(), issue() and
-// fence(), without keeping a frame per slot. A step's record fields carry
-// what one WG needs from one step to the next; everything shared lives in
-// the kernel's own KernelRun subclass, which the record's `run` reaches.
+// the records of a launch in one array. A slot's whole program runs as a
+// chain of engine calls on its record (sim::Call): each step does its
+// plain work (a claim, posting a PUT, marking WG_Done), then schedules the
+// next step with the one engine event the matching coroutine await would
+// schedule — Device::start_step / end_step for a compute step,
+// Device::wait_then for a device wait, World::issue_then and fence_then,
+// FlagArray::wait_ge_then for a flag wait, after() for a plain wait. So a
+// chain fires the same events at the same times, in the same push order,
+// as a coroutine awaiting them, without keeping a frame per slot. A step's
+// record fields carry what the slot needs from one step to the next;
+// everything shared lives in the kernel's own KernelRun subclass, which
+// the record's `run` reaches.
 //
-// Once its queue drains, a slot finishes (finish()), or starts a tail
-// coroutine (start_tail()) for what it waits on after the loop: the fused
-// kernels' flag polling, the fused GEMV's reduce-and-broadcast. Only slots
-// whose tail has work start one, and the tail frames of a launch sit back
-// to back in one block (sim::FrameBlock) sized for `tail_slots`. A slot
-// that finishes, or whose tail returns, arrives on the kernel's join
-// counter. A warm launch costs one allocation for its records and one for
-// its tail block, whatever its slot, WG or slice count.
+// That includes what a slot waits on once its queue drains: the fused
+// kernels' flag polls (FlagArray::poll_then, the position in the record)
+// and the fused GEMV's reduce-and-broadcast phase are further steps of the
+// same chain. A slot whose chain ends calls finish(), which arrives on the
+// kernel's join counter. A warm launch costs one allocation, its records,
+// whatever its slot, WG or slice count.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <new>
 #include <type_traits>
-#include <utility>
 
 #include "common/check.h"
 #include "common/types.h"
 #include "gpu/device.h"
-#include "sim/co.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
 
@@ -77,9 +74,6 @@ class KernelRun {
     /// paper's per-slot peer flags depend on it); its order lays out each
     /// slot's tiles at stride `num_slots`.
     bool static_assignment = false;
-    /// Slots that may end in a tail coroutine: the capacity of the tail
-    /// block (capped at the active slots).
-    int tail_slots = 0;
   };
 
   /// A launch on `dev`, whose engine runs its events.
@@ -88,9 +82,7 @@ class KernelRun {
         params_(params),
         done_(dev.engine(), params_.num_slots),
         active_slots_(std::min(params_.num_slots,
-                               std::max(params_.num_wgs, 1))),
-        tails_(std::min(params_.tail_slots, active_slots_),
-               &KernelRun::slot_done, this) {
+                               std::max(params_.num_wgs, 1))) {
     FCC_CHECK(params_.num_slots >= 1);
     FCC_CHECK(params_.num_wgs >= 0);
   }
@@ -99,8 +91,8 @@ class KernelRun {
   KernelRun& operator=(const KernelRun&) = delete;
 
   /// The records stay allocated while a slot has not finished: its engine
-  /// events still point into them (an exception out of the engine's run
-  /// mid-kernel leaves them pending).
+  /// events or flag waits still point into them (an exception out of the
+  /// engine's run mid-kernel leaves them pending).
   ~KernelRun() {
     if (done_.is_done()) ::operator delete(records_);
   }
@@ -166,28 +158,13 @@ class KernelRun {
   /// Ends `s`'s chain: the slot has finished.
   void finish(Slot&) { done_.arrive(); }
 
-  /// Ends `s`'s chain with the tail coroutine `make()`, in the launch's
-  /// tail block if it fits: it runs to its first suspension now, and the
-  /// slot finishes when it returns. The coroutine's parameters must copy
-  /// without throwing (sim::FrameBlock).
-  template <typename Make>
-  void start_tail(Slot&, Make&& make) {
-    tails_.start(std::forward<Make>(make));
-  }
-
  private:
-  /// Completion of one tail frame (already ended).
-  static void slot_done(void* run) {
-    static_cast<KernelRun*>(run)->done_.arrive();
-  }
-
   Device& dev_;
   Params params_;
   sim::JoinCounter done_;
   int cursor_ = 0;
   int active_slots_;
   void* records_ = nullptr;  // active_slots_ records, built by start()
-  sim::FrameBlock tails_;
 };
 
 }  // namespace fcc::gpu

@@ -4,20 +4,25 @@
 // shmem world delivers the write at the modeled arrival time as a compact
 // engine event: set_update / add_update build the sim::FlagUpdate, which
 // the engine applies through this array's sim::FlagTarget id), consumers
-// `co_await wait_ge(...)`. Waiting is condition-based rather than busy-poll:
-// a GPU WG spinning on a cached flag consumes negligible memory bandwidth,
-// so the idealization costs nothing in timing and keeps event counts linear.
+// wait for a flag to reach a threshold. Waiting is condition-based rather
+// than busy-poll: a GPU WG spinning on a cached flag consumes negligible
+// memory bandwidth, so the idealization costs nothing in timing and keeps
+// event counts linear.
 //
-// Wakeups are *targeted*: `set`/`add` resumes exactly the waiters whose
-// `wait_ge` predicate the new value satisfies, in registration order, one
-// zero-delay resume event each; there is no re-check loop and no per-wait
-// coroutine frame.
+// A waiter is a sim::Call. A persistent-kernel slot waits with
+// wait_ge_then (or the strided poll_then) on its own record, the way its
+// other steps run (gpu::KernelRun); a driver coroutine `co_await`s
+// wait_ge, whose awaiter embeds the Call that resumes it.
+//
+// Wakeups are *targeted*: `set`/`add` schedules exactly the waiters whose
+// threshold the new value meets, in registration order, one zero-delay
+// call event each; there is no re-check loop and no per-wait frame.
 //
 // Layout. Flag count grows as PEs^2 in the fused operators (one sliceRdy
 // flag per source PE, table and slice group; per-(peer, slot) arrive and
 // broadcast flags), while few flags have a waiter at any moment. So a flag
 // is 12 bytes: its 8-byte value and the 4-byte head of its waiter list.
-// Waiters are nodes {threshold, handle, next, registration order} in a pool
+// Waiters are nodes {threshold, call, next, registration order} in a pool
 // with a free list, one pool per PE: a PE's flags are touched only from its
 // home shard (local waits and stores run there, remote updates arrive as
 // flag events applied on the owner's engine; see shmem::World), so a per-PE
@@ -38,7 +43,6 @@
 
 #include "common/check.h"
 #include "common/types.h"
-#include "sim/co.h"
 #include "sim/engine.h"
 
 namespace fcc::shmem {
@@ -64,7 +68,7 @@ class FlagArray final : public sim::FlagTarget {
         n_(n),
         values_(per_pe_engines.size() * n, 0),
         heads_(per_pe_engines.size() * n, kNil) {
-    // wait_ge's awaiter holds a 32-bit flat index.
+    // A flag update (set_update, add_update) carries a 32-bit flat index.
     FCC_CHECK(values_.size() <= std::numeric_limits<std::uint32_t>::max());
     for (std::size_t p = 0; p < pools_.size(); ++p) {
       FCC_DCHECK(per_pe_engines[p] != nullptr);
@@ -127,47 +131,62 @@ class FlagArray final : public sim::FlagTarget {
     wake(pe, f);
   }
 
-  /// Awaitable: suspends until flag[pe][i] >= v (shmem_wait_until analog).
-  /// Already-satisfied waits do not suspend and cost no events.
-  auto wait_ge(PeId pe, std::size_t i, std::uint64_t v) {
-    // Lives in the waiting slot's frame, so it is 16 bytes and carries no
-    // PE: enqueue derives it from the flat index (the constructor keeps
-    // flat indices within 32 bits).
-    struct Awaiter {
-      FlagArray& fa;
-      std::uint32_t f;
-      std::uint32_t threshold;
-      bool await_ready() const noexcept { return fa.values_[f] >= threshold; }
-      void await_suspend(std::coroutine_handle<> h) {
-        fa.enqueue(f, threshold, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, static_cast<std::uint32_t>(flat(pe, i)),
-                   threshold32(v)};
+  /// Runs `next` on `c` once flag[pe][i] >= v (shmem_wait_until for a
+  /// call chain), as a zero-delay call event at the store that meets it.
+  /// Returns false, scheduling nothing, when the flag already meets it:
+  /// the chain goes on.
+  bool wait_ge_then(PeId pe, std::size_t i, std::uint64_t v, sim::Call& c,
+                    sim::Call::Fn next) {
+    const std::size_t f = flat(pe, i);
+    const std::uint32_t threshold = threshold32(v);
+    if (values_[f] >= threshold) return false;
+    c.fn = next;
+    enqueue(f, threshold, c);
+    return true;
   }
 
   /// The strided flag poll a persistent WG runs after its queue drains,
   /// each slot a distinct subset: flags [pe][i] for i = first, first +
-  /// stride, ... < end, each until it reaches threshold(i). first_unmet
-  /// is where the poll would first suspend (`end` if nowhere): a slot
-  /// starts the wait_from coroutine there only if that is before `end`.
+  /// stride, ... < end, each until it reaches threshold(i). `i` is the
+  /// poll's position, kept in the caller's record (start it at `first`):
+  /// at the first flag still down, registers `next` on `c` for it, moves
+  /// `i` past it and returns true; `next` polls on from there. Returns
+  /// false once every flag is up.
   template <typename Threshold>
-  int first_unmet(PeId pe, int first, int stride, int end,
-                  const Threshold& threshold) const {
-    int i = first;
-    while (i < end &&
-           read(pe, static_cast<std::size_t>(i)) >= threshold(i)) {
-      i += stride;
+  bool poll_then(PeId pe, int& i, int stride, int end,
+                 const Threshold& threshold, sim::Call& c,
+                 sim::Call::Fn next) {
+    for (; i < end; i += stride) {
+      if (wait_ge_then(pe, static_cast<std::size_t>(i), threshold(i), c,
+                       next)) {
+        i += stride;
+        return true;
+      }
     }
-    return i;
+    return false;
   }
-  template <typename Threshold>
-  sim::Co wait_from(PeId pe, int first, int stride, int end,
-                    Threshold threshold) {
-    for (int i = first; i < end; i += stride) {
-      co_await wait_ge(pe, static_cast<std::size_t>(i), threshold(i));
-    }
+
+  /// Awaitable wait_ge_then for a driver coroutine: suspends until
+  /// flag[pe][i] >= v. Already-satisfied waits do not suspend and cost no
+  /// events.
+  auto wait_ge(PeId pe, std::size_t i, std::uint64_t v) {
+    // The waiter's Call lives in the awaiting frame, next to the handle
+    // it resumes.
+    struct Awaiter : sim::Call {
+      FlagArray& fa;
+      std::size_t f;
+      std::uint32_t threshold;
+      std::coroutine_handle<> h;
+      bool await_ready() const noexcept { return fa.values_[f] >= threshold; }
+      void await_suspend(std::coroutine_handle<> handle) {
+        h = handle;
+        fn = &wake;
+        fa.enqueue(f, threshold, *this);
+      }
+      void await_resume() const noexcept {}
+      static void wake(sim::Call* c) { static_cast<Awaiter*>(c)->h.resume(); }
+    };
+    return Awaiter{{}, *this, flat(pe, i), threshold32(v), {}};
   }
 
   /// Waiters currently suspended on flag[pe][i] (tests / diagnostics).
@@ -188,7 +207,7 @@ class FlagArray final : public sim::FlagTarget {
     return n;
   }
 
-  /// One suspended wait_ge: flag[pe][index] is at `value`, the waiter needs
+  /// One registered waiter: flag[pe][index] is at `value`, the waiter needs
   /// `threshold`. Snapshot for deadlock diagnostics.
   struct PendingWait {
     PeId pe = 0;
@@ -197,8 +216,9 @@ class FlagArray final : public sim::FlagTarget {
     std::uint64_t threshold = 0;
   };
 
-  /// Every currently-suspended waiter, in (flag, threshold) order — what a
-  /// deadlocked operator is actually blocked on (FusedOp::deadlock_report).
+  /// Every registered waiter, coroutine or call chain, in (flag,
+  /// threshold) order — what a deadlocked operator is actually blocked on
+  /// (FusedOp::deadlock_report).
   std::vector<PendingWait> pending_waits() const {
     std::vector<PendingWait> out;
     for (std::size_t f = 0; f < heads_.size(); ++f) {
@@ -244,7 +264,7 @@ class FlagArray final : public sim::FlagTarget {
 
   struct Node {
     std::uint64_t threshold;
-    std::coroutine_handle<> h;
+    sim::Call* call;
     std::uint32_t next;   // next waiter on the same flag, or kNil
     std::uint32_t order;  // registration sequence (wake-order tiebreak)
   };
@@ -261,9 +281,7 @@ class FlagArray final : public sim::FlagTarget {
     std::uint32_t seq = 0;             // next Node::order
   };
 
-  /// wait_ge's threshold, narrowed to the awaiter's 32 bits. A plain
-  /// function, so the check's message stream never enters a waiting
-  /// coroutine's frame.
+  /// A waiter's threshold, checked to fit 32 bits.
   static std::uint32_t threshold32(std::uint64_t v) {
     FCC_CHECK_MSG(v <= std::numeric_limits<std::uint32_t>::max(),
                   "wait_ge threshold " << v << " exceeds 32 bits");
@@ -276,8 +294,7 @@ class FlagArray final : public sim::FlagTarget {
     return static_cast<std::size_t>(pe) * n_ + i;
   }
 
-  void enqueue(std::size_t f, std::uint64_t threshold,
-               std::coroutine_handle<> h) {
+  void enqueue(std::size_t f, std::uint64_t threshold, sim::Call& c) {
     Pool& pool = pools_[f / n_];
     std::uint32_t w = pool.free;
     if (w != kNil) {
@@ -289,7 +306,7 @@ class FlagArray final : public sim::FlagTarget {
     }
     // `order` only tiebreaks waiters on the same flag, all registered on
     // this PE; it is compared modulo 2^32 (see wake).
-    pool.nodes[w] = {threshold, h, kNil, pool.seq++};
+    pool.nodes[w] = {threshold, &c, kNil, pool.seq++};
     ++pool.live;
     // Insert after every waiter with threshold <= this one: the list stays
     // sorted by threshold, and stable in registration order.
@@ -301,8 +318,8 @@ class FlagArray final : public sim::FlagTarget {
     *link = w;
   }
 
-  /// Resumes every waiter whose threshold the flag's value now meets — the
-  /// list's sorted prefix — in registration order, and frees its node.
+  /// Schedules every waiter whose threshold the flag's value now meets —
+  /// the list's sorted prefix — in registration order, and frees its node.
   void wake(PeId pe, std::size_t f) {
     std::uint32_t& head = heads_[f];
     if (head == kNil) return;
@@ -315,7 +332,7 @@ class FlagArray final : public sim::FlagTarget {
     if (second == kNil || nodes[second].threshold > v) {
       // One satisfied waiter, the common case: no ordering to do.
       head = second;
-      resume(pool, first);
+      schedule(pool, first);
       return;
     }
     std::vector<std::uint32_t>& batch = pool.batch;
@@ -332,13 +349,14 @@ class FlagArray final : public sim::FlagTarget {
                 return static_cast<std::int32_t>(nodes[a].order -
                                                  nodes[b].order) < 0;
               });
-    for (std::uint32_t b : batch) resume(pool, b);
+    for (std::uint32_t b : batch) schedule(pool, b);
   }
 
-  /// Schedules node `w`'s waiter and returns the node to the free list.
-  static void resume(Pool& pool, std::uint32_t w) {
+  /// Schedules node `w`'s waiter now and returns the node to the free
+  /// list.
+  static void schedule(Pool& pool, std::uint32_t w) {
     Node& node = pool.nodes[w];
-    pool.engine->schedule_resume_after(0, node.h);
+    pool.engine->schedule_call_at(pool.engine->now(), node.call);
     node.next = pool.free;
     pool.free = w;
     --pool.live;

@@ -1,11 +1,11 @@
 // GPU-initiated communication world (ROC_SHMEM analog).
 //
 // A PUT is charged, then posted. The issuing WG first pays the API/issue
-// latency (`co_await issue(src, dst, kind)` in a coroutine, issue_then()
-// in a persistent-kernel WG's call chain), then posts the PUT (`put(src,
-// dst, bytes, on_deliver)`): the payload's channel occupancy is reserved
-// at post time (DMA-queue semantics), and the optional delivery runs when
-// the bytes land at the destination. A flag PUT (a sliceRdy store, a
+// latency (issue_then() in a persistent-kernel WG's call chain, `co_await
+// issue(src, dst, kind)` in a driver coroutine), then posts the PUT
+// (`put(src, dst, bytes, on_deliver)`): the payload's channel occupancy is
+// reserved at post time (DMA-queue semantics), and the optional delivery
+// runs when the bytes land at the destination. A flag PUT (a sliceRdy store, a
 // remote atomic add) delivers a compact sim::FlagUpdate; a functional-mode
 // data PUT delivers a closure that does its memcpy. The delivery is built
 // after the issue delay, by the plain code that posts it, so it never
@@ -15,9 +15,9 @@
 // copy), intra-node (fabric/switch hop chain), inter-node (NIC and/or
 // torus rings) — is a FIFO channel: a PUT issued after another on the same
 // channel also delivers after it, because hop reservations are claimed in
-// issue order. `fence()` therefore costs only its instruction latency —
-// matching the HDP flush + ordering semantics the paper relies on — and
-// `quiet()` waits for all of this PE's outstanding deliveries.
+// issue order. A fence (fence_then) therefore costs only its instruction
+// latency — matching the HDP flush + ordering semantics the paper relies
+// on — and `quiet()` waits for all of this PE's outstanding deliveries.
 //
 // Delivery tracking. A PUT completes, on the source's side, at its
 // delivery time: every PUT whose delivery time is known at post time raises
@@ -153,14 +153,9 @@ class World {
     return IssuePut{issue(src, dst, kind), this, src, dst, bytes};
   }
 
-  /// Orders prior PUTs from `src` before subsequent ones (per destination).
-  /// FIFO channels already guarantee this; only the instruction cost is
-  /// charged.
-  sim::Delay fence(PeId src) {
-    return sim::delay(machine_.engine_of(src), kFenceCostNs);
-  }
-
-  /// fence() for a call chain: runs `next` on `c` after the fence's cost.
+  /// Orders prior PUTs from `src` before subsequent ones (per destination),
+  /// then runs `next` on `c`. FIFO channels already guarantee the order;
+  /// only the instruction cost, kFenceCostNs, is charged.
   void fence_then(PeId src, sim::Call& c, sim::Call::Fn next) {
     sim::Engine& e = machine_.engine_of(src);
     c.fn = next;

@@ -34,14 +34,15 @@
 //     returns it and the pools when the queue drains, run_until() keeps
 //     them, so sharded windows and warm launches allocate nothing.
 //   * Every queued event is one tagged payload word, of four kinds. The
-//     overwhelming kind is "resume this coroutine" (delay, busy_wait, flag
-//     wakeups, quiet): `schedule_resume_*` packs the bare handle into the
-//     word — no event object, no allocation, no dispatch indirection
+//     overwhelming kind is a call (`schedule_call_at`): the address of a
+//     sim::Call that its scheduler owns, and firing runs its function on
+//     it. Every step of a persistent-kernel WG, flag wakeups included, is
+//     one (gpu::KernelRun): the call is the slot's record, and its
+//     function is the WG's next step.
+//   * "Resume this coroutine" (delay, busy_wait, quiet, in the drivers
+//     above the kernels): `schedule_resume_*` packs the bare handle into
+//     the word — no event object, no allocation, no dispatch indirection
 //     beyond the resume.
-//   * A call (`schedule_call_at`) is the address of a sim::Call that its
-//     scheduler owns: firing runs its function on it. Every step of a
-//     persistent-kernel WG is one (gpu::KernelRun): the call is the slot's
-//     record, and its function is the WG's next step.
 //   * A flag update (sim/flag_update.h) — what a flag PUT delivers: set a
 //     flag to 1, or add to an arrival counter — is the word too:
 //     `schedule_flag_at` packs the target's id, the flag's index and the

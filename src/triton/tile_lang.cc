@@ -210,17 +210,47 @@ struct TileKernel::Run : gpu::KernelRun {
   const LaunchConfig& cfg;
 };
 
-/// A slot's record: the pid in flight, the statement it is at, and that
-/// statement's remote PE while its issue is paid.
+/// A slot's record: the pid in flight (once the queue drains, the next
+/// flag of the flag wait), the statement it is at, and that statement's
+/// remote PE while its issue is paid.
 struct TileKernel::Slot : gpu::KernelRun::Slot {
   int pid;
   int stmt;
   PeId dest;
 };
 
+namespace {
+
+/// Throws, naming the field, unless `cfg` names a world and its flag wait,
+/// if any, stays within this PE's flags and has a threshold.
+void check_launch(const TileKernel::LaunchConfig& cfg) {
+  FCC_CHECK_MSG(cfg.world != nullptr, "LaunchConfig::world is null");
+  const shmem::FlagArray* flags = cfg.wait_flags;
+  if (flags == nullptr) return;
+  FCC_CHECK_MSG(cfg.pe >= 0 && cfg.pe < flags->num_pes(),
+                "LaunchConfig::pe " << cfg.pe << " outside the "
+                                    << flags->num_pes()
+                                    << " PEs of wait_flags");
+  FCC_CHECK_MSG(cfg.wait_count >= 0 &&
+                    static_cast<std::size_t>(cfg.wait_count) <= flags->size(),
+                "LaunchConfig::wait_count " << cfg.wait_count
+                                            << " outside [0, " << flags->size()
+                                            << "], the flags per PE of "
+                                               "wait_flags");
+  FCC_CHECK_MSG(static_cast<bool>(cfg.wait_threshold),
+                "LaunchConfig::wait_threshold is empty: a flag wait needs "
+                "one");
+}
+
+}  // namespace
+
 sim::Co TileKernel::launch(const LaunchConfig& cfg) {
   validate();
-  FCC_CHECK(cfg.world != nullptr);
+  check_launch(cfg);
+  return run_grid(cfg);
+}
+
+sim::Co TileKernel::run_grid(const LaunchConfig& cfg) {
   auto& machine = cfg.world->machine();
   const auto& spec = machine.device(cfg.pe).spec();
   // Every PE's schedule (and its empty tile-buffer list) is built by the
@@ -245,8 +275,7 @@ sim::Co TileKernel::launch(const LaunchConfig& cfg) {
   Run run(*this, cfg,
           {.num_slots = slots,
            .num_wgs = shape_.num_tiles(),
-           .wg_dispatch_overhead_ns = cfg.dispatch_overhead_ns,
-           .tail_slots = cfg.wait_flags != nullptr ? cfg.wait_count : 0});
+           .wg_dispatch_overhead_ns = cfg.dispatch_overhead_ns});
   run.start(&claim);
   co_await run.wait();
 }
@@ -255,7 +284,8 @@ void TileKernel::claim(Slot& s) {
   Run& r = static_cast<Run&>(*s.run);
   s.pid = r.kernel.pid_at(r.cfg.pe, r.next(s));
   if (s.pid < 0) {
-    drained(s);
+    s.pid = s.index;
+    poll_flags(&s);
     return;
   }
   if (r.dispatch_overhead() > 0) {
@@ -315,25 +345,16 @@ void TileKernel::issued(sim::Call* c) {
   run_stmts(s);
 }
 
-void TileKernel::drained(Slot& s) {
+void TileKernel::poll_flags(sim::Call* c) {
+  Slot& s = static_cast<Slot&>(*c);
   Run& r = static_cast<Run&>(*s.run);
   const LaunchConfig& cfg = r.cfg;
-  if (cfg.wait_flags == nullptr) {
+  if (cfg.wait_flags == nullptr ||
+      !cfg.wait_flags->poll_then(cfg.pe, s.pid, r.active_slots(),
+                                 cfg.wait_count, cfg.wait_threshold, s,
+                                 &poll_flags)) {
     r.finish(s);
-    return;
   }
-  const int stride = r.active_slots();
-  const auto threshold = [t = &cfg.wait_threshold](int i) { return (*t)(i); };
-  const int f = cfg.wait_flags->first_unmet(cfg.pe, s.index, stride,
-                                            cfg.wait_count, threshold);
-  if (f >= cfg.wait_count) {
-    r.finish(s);
-    return;
-  }
-  r.start_tail(s, [&] {
-    return cfg.wait_flags->wait_from(cfg.pe, f, stride, cfg.wait_count,
-                                     threshold);
-  });
 }
 
 std::vector<float>& TileKernel::tile_buffer(PeId pe, int slot) {

@@ -30,7 +30,8 @@
 // with the program; tabulate() gives each its duration table. A pid runs
 // as engine calls on its slot's record (gpu::KernelRun): the dispatch
 // wait, the compute step, then one call per fence and per remote
-// statement's issue.
+// statement's issue; a launch's flag wait (LaunchConfig::wait_flags) is
+// further calls on the same record once the queue drains.
 #pragma once
 
 #include <functional>
@@ -124,6 +125,10 @@ class TileKernel {
 
   /// Launches the grid (one pid per output tile) and completes when every
   /// program instance (plus the flag waits) has finished on this PE.
+  /// Throws, before the launch is awaited, for a program validate()
+  /// rejects, a null world, or a flag wait past this PE's flags
+  /// (`wait_count` outside [0, wait_flags->size()], `pe` outside its PEs)
+  /// or without a threshold.
   sim::Co launch(const LaunchConfig& cfg);
 
   /// PE `pe`'s pid execution order: remote-destination tiles first (the
@@ -153,17 +158,20 @@ class TileKernel {
 
   struct Run;
   struct Slot;
+  /// launch()'s coroutine, once the config is checked.
+  sim::Co run_grid(const LaunchConfig& cfg);
   // A slot's steps (engine calls on its record): claim a pid, and wait out
   // its dispatch; start its compute step; end it; run its statements, a
   // call after each fence and each remote statement's issue, whose PUT or
-  // atomic is then posted; once the queue drains, the flag wait.
+  // atomic is then posted; once the queue drains, the flag wait, a call
+  // after each flag it finds down.
   static void claim(Slot& s);
   static void dispatched(sim::Call* c);
   static void computed(sim::Call* c);
   static void run_stmts(Slot& s);
   static void fenced(sim::Call* c);
   static void issued(sim::Call* c);
-  static void drained(Slot& s);
+  static void poll_flags(sim::Call* c);
   /// The tile buffer of `slot` on PE `pe` (functional launches only).
   std::vector<float>& tile_buffer(PeId pe, int slot);
   /// Functional mode: computes pid's C tile into the slot's tile buffer.

@@ -1,25 +1,23 @@
-// Slot-record and tail-frame budgets of the persistent-kernel operators.
+// Slot-record budgets of the persistent-kernel operators.
 //
 // Every physical WG slot of a gpu::KernelRun is a record that lives for the
 // whole kernel, so its size sets the host memory of a large run (64 PEs x
-// 624 slots on the Fig. 15 torus flagship); a slot that still waits on
-// something after its queue drains also holds a tail coroutine frame. A
-// launch places its records in one array and its tail frames in one block
-// (sim::FrameBlock), so each one's cost is its array's per-slot stride.
-// This binary replaces the global operator new with one that counts
-// allocation sizes and runs each operator timing-only on a small machine,
-// twice: with S and with S + 1 slots per kernel. A stride is a size n for
-// which the size (S + 1) * n is made exactly once more per kernel in the
-// second run and S * n at least once per kernel in the first. The records
-// are allocated first (by KernelRun::start), then the tail block (by the
-// first tail), so the first stride is the record's and the second, if
-// any, the tail frame's. A record or frame that grows past its budget
-// fails here instead of showing up as peak RSS in the benchmark. The last
-// test pins what else a warm run allocates per PE: nothing per slot or per
-// slice, and no scheduled callback that falls back to the heap.
+// 624 slots on the Fig. 15 torus flagship). A slot's whole program, its
+// flag waits included, runs as calls on that record, and a launch places
+// its records in one array, so a slot's cost is the array's per-slot
+// stride. This binary replaces the global operator new with one that
+// counts allocation sizes and runs each operator timing-only on a small
+// machine, twice: with S and with S + 1 slots per kernel. A stride is a
+// size n for which the size (S + 1) * n is made exactly once more per
+// kernel in the second run and S * n at least once per kernel in the
+// first. Each operator must show exactly one, its record's: anything else
+// allocated per slot (a coroutine frame) fails here, and so does a record
+// that grows past one cache line, instead of showing up as peak RSS in
+// the benchmark. The last test pins what else a warm run allocates per
+// PE: nothing per slot or per slice, and no scheduled callback that falls
+// back to the heap.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iostream>
@@ -54,9 +52,7 @@ Counts record(fused::FusedOp& op) {
 }
 
 /// The per-slot strides of kernels launched with `slots` slots in `base`
-/// and `slots + 1` in `more`, `kernels` launches each (see the header), in
-/// order of first allocation in `more`: the record's, then the tail
-/// frame's.
+/// and `slots + 1` in `more`, `kernels` launches each (see the header).
 std::vector<std::size_t> strides(const Counts& base, const Counts& more,
                                  int slots, std::uint64_t kernels) {
   const auto s = static_cast<std::size_t>(slots);
@@ -69,33 +65,18 @@ std::vector<std::size_t> strides(const Counts& base, const Counts& more,
       found.push_back(n);
     }
   }
-  std::sort(found.begin(), found.end(),
-            [&more, s](std::size_t a, std::size_t b) {
-              return more.first[(s + 1) * a] < more.first[(s + 1) * b];
-            });
   return found;
 }
 
-/// Checks an operator's slot record against its budget and, if
-/// `tail_budget` is nonzero (a kernel with tails), its tail frame, started by `tail_kernels` of
-/// the `kernels` launches (a slot whose flags are all up once its queue
-/// drains starts none). Prints both next to their budgets.
-void expect_budgets(const char* what, const Counts& base, const Counts& more,
-                    int slots, std::uint64_t kernels, std::size_t tail_budget,
-                    std::uint64_t tail_kernels) {
+/// Checks that an operator's only per-slot allocation is its slot record,
+/// within one cache line, and prints the record's size.
+void expect_record(const char* what, const Counts& base, const Counts& more,
+                   int slots, std::uint64_t kernels) {
   const std::vector<std::size_t> found = strides(base, more, slots, kernels);
-  ASSERT_FALSE(found.empty()) << what << ": no slot-record stride";
-  const std::size_t rec = found[0];
-  std::cout << what << " slot record: " << rec << " B (budget "
+  ASSERT_EQ(found.size(), 1u) << what << ": not exactly one per-slot stride";
+  std::cout << what << " slot record: " << found[0] << " B (budget "
             << gpu::KernelRun::kMaxSlotBytes << " B)\n";
-  EXPECT_LE(rec, gpu::KernelRun::kMaxSlotBytes) << what;
-  if (tail_budget == 0) return;
-  std::vector<std::size_t> tails = strides(base, more, slots, tail_kernels);
-  std::erase(tails, rec);
-  ASSERT_EQ(tails.size(), 1u) << what << ": no single tail-frame stride";
-  std::cout << what << " tail frame: " << tails[0] << " B (budget "
-            << tail_budget << " B)\n";
-  EXPECT_LE(tails[0], tail_budget) << what;
+  EXPECT_LE(found[0], gpu::KernelRun::kMaxSlotBytes) << what;
 }
 
 gpu::Machine::Config fc(int nodes, int gpus) {
@@ -129,22 +110,22 @@ Counts embedding_counts(int slots) {
 }
 
 TEST(FrameBudget, FusedEmbedding) {
+  // The record also polls the slot's sliceRdy flags.
   using Op = fused::FusedEmbeddingAllToAll;
-  // The tail: FlagArray::wait_from, polling the slot's sliceRdy flags.
-  expect_budgets("fused embedding", embedding_counts<Op>(6),
-                 embedding_counts<Op>(7), 6, 4, 104, 4);
+  expect_record("fused embedding", embedding_counts<Op>(6),
+                embedding_counts<Op>(7), 6, 4);
 }
 
 TEST(FrameBudget, BaselineEmbedding) {
   using Op = fused::BaselineEmbeddingAllToAll;
-  // One kernel per (PE, table); no tail.
-  expect_budgets("baseline embedding", embedding_counts<Op>(6),
-                 embedding_counts<Op>(7), 6,
-                 4 * embedding_config(4, 6).map.tables_per_pe, 0, 0);
+  // One kernel per (PE, table).
+  expect_record("baseline embedding", embedding_counts<Op>(6),
+                embedding_counts<Op>(7), 6,
+                4 * embedding_config(4, 6).map.tables_per_pe);
 }
 
 // 16 tiles of 16 rows (the last has 10) on 1x4: uneven per-slot tile
-// lists, and the tail's reduce phase after every slot's task loop.
+// lists, and the reduce phase after every slot's task loop.
 Counts fused_gemv_counts(int slots) {
   gpu::Machine m(fc(1, 4));
   shmem::World w(m);
@@ -159,9 +140,10 @@ Counts fused_gemv_counts(int slots) {
 }
 
 TEST(FrameBudget, FusedGemv) {
-  // The tail: arrive flags, reduce and broadcast, broadcast waits.
-  expect_budgets("fused GEMV", fused_gemv_counts(5), fused_gemv_counts(6), 5,
-                 4, 248, 4);
+  // The record also runs the arrive flags, reduce and broadcast, and the
+  // broadcast waits.
+  expect_record("fused GEMV", fused_gemv_counts(5), fused_gemv_counts(6), 5,
+                4);
 }
 
 // Fewer tiles than the occupancy limit: one slot per tile, so one more
@@ -177,13 +159,12 @@ Counts baseline_gemv_counts(int tiles) {
 }
 
 TEST(FrameBudget, BaselineGemv) {
-  expect_budgets("baseline GEMV", baseline_gemv_counts(16),
-                 baseline_gemv_counts(17), 16, 4, 0, 0);
+  expect_record("baseline GEMV", baseline_gemv_counts(16),
+                baseline_gemv_counts(17), 16, 4);
 }
 
 // triton::TileKernel, through the fused GEMM+A2A on 1x4. Fewer slots than
-// PEs, so that the arrival-counter waits, split across the slots, can
-// start one more tail per kernel with one more slot.
+// PEs, so that one more slot takes a share of the arrival-counter waits.
 Counts tile_kernel_counts(int slots) {
   gpu::Machine m(fc(1, 4));
   shmem::World w(m);
@@ -198,11 +179,9 @@ Counts tile_kernel_counts(int slots) {
 }
 
 TEST(FrameBudget, TileKernel) {
-  // The tail: FlagArray::wait_from, on the arrival counters. PEs 0 and 1
-  // still wait for arrivals when their queues drain; PEs 2 and 3 find
-  // every counter in and start no tail.
-  expect_budgets("TileKernel", tile_kernel_counts(2), tile_kernel_counts(3),
-                 2, 4, 112, 2);
+  // The record also polls the arrival counters (LaunchConfig::wait_flags).
+  expect_record("TileKernel", tile_kernel_counts(2), tile_kernel_counts(3), 2,
+                4);
 }
 
 /// Allocations per PE of a warm fused embedding run with `slots` slots
@@ -225,15 +204,15 @@ std::uint64_t warm_embedding_allocs_per_pe(int slots, int vps) {
 
 TEST(FrameBudget, WarmEmbeddingAllocatesPerPeNotPerSlotOrSlice) {
   // What a warm run allocates per PE: the per-PE body wrapper's frame, the
-  // kernel body's frame, the kernel's join-waiter list, the launch's slot
-  // records and its tail block. A slice or a slot costs no allocation
-  // (slices are call steps on the record, tails share the block), and a
-  // scheduled callback larger than the engine's inline buffer would add
-  // one heap allocation per PE (the per-PE spawn callback did).
+  // kernel body's frame, the kernel's join-waiter list and the launch's
+  // slot records. A slice or a slot costs no allocation (slices and flag
+  // polls are call steps on the record), and a scheduled callback larger
+  // than the engine's inline buffer would add one heap allocation per PE
+  // (the per-PE spawn callback did).
   const std::uint64_t per_pe = warm_embedding_allocs_per_pe(6, 8);
   std::cout << "warm fused embedding: " << per_pe
             << " allocations per PE\n";
-  EXPECT_LE(per_pe, 5u);
+  EXPECT_LE(per_pe, 4u);
   EXPECT_EQ(warm_embedding_allocs_per_pe(7, 8), per_pe) << "one more slot";
   EXPECT_EQ(warm_embedding_allocs_per_pe(6, 4), per_pe) << "twice the slices";
 }

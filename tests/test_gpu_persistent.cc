@@ -14,10 +14,10 @@
 #include "gpu/machine.h"
 #include "gpu/persistent.h"
 #include "ops/cost_model.h"
+#include "shmem/flags.h"
 #include "shmem/world.h"
 #include "sim/engine.h"
 #include "sim/flag_update.h"
-#include "sim/task.h"
 
 // Counting global allocation functions for this binary: the runtime-cost
 // tests below read how many heap blocks a kernel launch takes and frees.
@@ -127,10 +127,18 @@ WorkCost mem_cost(Bytes bytes) {
   return c;
 }
 
-sim::Task compute_wg(sim::Engine& e, Device& d, WorkCost cost, TimeNs& done) {
-  co_await d.compute(cost);
-  done = e.now();
-}
+/// One WG's compute step as a call chain: start_step, then end_step in
+/// the step's end call, which records when it ran.
+struct StepWg : sim::Call {
+  Device* d;
+  TimeNs done = -1;
+  void start(const WorkCost& cost) { d->start_step(cost, *this, &ended); }
+  static void ended(sim::Call* c) {
+    auto& g = static_cast<StepWg&>(*c);
+    g.d->end_step();
+    g.done = g.d->engine().now();
+  }
+};
 
 TEST(Device, ConcurrentComputeIsChargedAtEntryOccupancy) {
   // Two WGs enter a memory-bound step at the same instant: the second sees
@@ -142,23 +150,22 @@ TEST(Device, ConcurrentComputeIsChargedAtEntryOccupancy) {
   const TimeNs d1 = d.compute_duration(cost, 1);
   const TimeNs d2 = d.compute_duration(cost, 2);
   ASSERT_GT(d2, d1);
-  TimeNs done1 = -1, done2 = -1;
-  compute_wg(m.engine(), d, cost, done1);
-  compute_wg(m.engine(), d, cost, done2);
+  StepWg wg1{{}, &d}, wg2{{}, &d};
+  wg1.start(cost);
+  wg2.start(cost);
   EXPECT_EQ(d.active_wgs(), 2);
   m.engine().run();
-  EXPECT_EQ(done1, d1);
-  EXPECT_EQ(done2, d2);
+  EXPECT_EQ(wg1.done, d1);
+  EXPECT_EQ(wg2.done, d2);
   EXPECT_EQ(d.active_wgs(), 0);
   EXPECT_EQ(d.busy_ns(), d1 + d2);
 }
 
-/// What a run of concurrent WG steps records, for comparing two ways of
-/// awaiting them.
+/// What a run of concurrent WG steps records.
 struct StepLog {
-  std::vector<TimeNs> ends;  // per device-0 WG: its resume after the wait
-  int resumed = 0;           // device-0 WGs resumed so far
-  /// (now, device 0's active WGs, WGs resumed), at every probe and resume.
+  std::vector<TimeNs> ends;  // per device-0 WG: its chain's end
+  int resumed = 0;           // device-0 WGs ended so far
+  /// (now, device 0's active WGs, WGs ended), at every probe and end.
   std::vector<std::tuple<TimeNs, int, int>> active;
   std::vector<std::uint32_t> flags;  // flag indices, as applied
   TimeNs busy0 = 0;
@@ -166,18 +173,9 @@ struct StepLog {
   std::size_t events = 0;
 };
 
-/// One device-0 WG: a compute step, then a zero-copy store's issue wait,
-/// awaited by a coroutine.
-sim::Task step_and_issue(sim::Engine& e, Device& d, shmem::World& w,
-                         const WorkCost& cost, StepLog& log, std::size_t i) {
-  co_await d.compute(cost);
-  co_await w.issue(0, 1, shmem::World::IssueKind::kStore);
-  log.ends[i] = e.now();
-  log.active.emplace_back(e.now(), d.active_wgs(), ++log.resumed);
-}
-
-/// The same WG as a chain of engine calls (start_step, end_step,
-/// issue_then), the way a persistent-kernel slot runs it.
+/// One device-0 WG as a chain of engine calls (start_step, end_step,
+/// issue_then): a compute step, then a zero-copy store's issue wait, the
+/// way a persistent-kernel slot runs it.
 struct ChainWg : sim::Call {
   sim::Engine* e;
   Device* d;
@@ -201,13 +199,18 @@ struct ChainWg : sim::Call {
   }
 };
 
-/// A device-1 WG whose step starts at `t`.
-sim::Task step_at(sim::Engine& e, Device& d, const WorkCost& cost, TimeNs t) {
-  co_await sim::delay_until(e, t);
-  co_await d.compute(cost);
-}
+/// A device-1 WG whose step starts at the call's time.
+struct StepAt : sim::Call {
+  Device* d;
+  const WorkCost* cost;
+  static void run(sim::Call* c) {
+    auto& g = static_cast<StepAt&>(*c);
+    g.d->start_step(*g.cost, g, &ended);
+  }
+  static void ended(sim::Call* c) { static_cast<StepAt&>(*c).d->end_step(); }
+};
 
-StepLog run_steps(bool calls) {
+StepLog run_steps() {
   struct Flags final : sim::FlagTarget {
     explicit Flags(std::vector<std::uint32_t>& l) : log(l) {}
     void apply_update(std::uint32_t index, std::uint32_t) override {
@@ -234,7 +237,7 @@ StepLog run_steps(bool calls) {
   // The WGs start together, so WG a's step ends at its duration with a
   // active WGs. A flag update is queued at each end before the WGs start;
   // a probe and device 1's step after them, and a probe at each end plus
-  // the issue wait, when the WG resumes.
+  // the issue wait, when the WG's chain ends.
   std::vector<TimeNs> step_ends;
   for (int a = 1; a <= kWgs; ++a) {
     step_ends.push_back(d0.step_duration(cost, a));
@@ -243,19 +246,17 @@ StepLog run_steps(bool calls) {
   }
   std::vector<ChainWg> chain(kWgs);
   for (std::size_t i = 0; i < kWgs; ++i) {
-    if (calls) {
-      chain[i] = ChainWg{{}, &e, &d0, &w, &log, i};
-      chain[i].start(cost);
-    } else {
-      step_and_issue(e, d0, w, cost, log, i);
-    }
+    chain[i] = ChainWg{{}, &e, &d0, &w, &log, i};
+    chain[i].start(cost);
   }
   probe();
   const TimeNs issue = w.issue_latency(0, 1, shmem::World::IssueKind::kStore);
-  for (const TimeNs t : step_ends) {
-    e.schedule_at(t, probe);
-    step_at(e, d1, cost, t);
-    e.schedule_at(t + issue, probe);
+  std::vector<StepAt> dev1(step_ends.size());
+  for (std::size_t i = 0; i < step_ends.size(); ++i) {
+    e.schedule_at(step_ends[i], probe);
+    dev1[i] = StepAt{{&StepAt::run}, &d1, &cost};
+    e.schedule_call_at(step_ends[i], &dev1[i]);
+    e.schedule_at(step_ends[i] + issue, probe);
   }
   log.events = e.run();
   log.busy0 = d0.busy_ns();
@@ -264,30 +265,28 @@ StepLog run_steps(bool calls) {
 }
 
 TEST(Device, CallChainStepsMatchAwaitedSteps) {
-  const StepLog plain = run_steps(false);
-  const StepLog chain = run_steps(true);
-  EXPECT_EQ(chain.ends, plain.ends);
-  EXPECT_EQ(chain.active, plain.active);
-  EXPECT_EQ(chain.flags, plain.flags);
-  EXPECT_EQ(chain.busy0, plain.busy0);
-  EXPECT_EQ(chain.busy1, plain.busy1);
-  EXPECT_EQ(chain.events, plain.events);
-  // The comparison has teeth: distinct step ends, a nonzero issue wait
-  // after each, and every active count from 4 down to 0 seen.
+  // Pinned to what the same WGs did as coroutines awaiting a compute step
+  // and the issue wait, when both forms existed: every end time, active
+  // count, flag order, busy time and event count.
+  const StepLog chain = run_steps();
+  EXPECT_EQ(chain.ends, (std::vector<TimeNs>{279, 406, 533, 659}));
+  const std::vector<std::tuple<TimeNs, int, int>> active = {
+      {0, 4, 0},   {129, 3, 0}, {256, 2, 0}, {279, 2, 0}, {279, 2, 1},
+      {383, 1, 1}, {406, 1, 1}, {406, 1, 2}, {509, 0, 2}, {533, 0, 2},
+      {533, 0, 3}, {659, 0, 3}, {659, 0, 4}};
+  EXPECT_EQ(chain.active, active);
+  EXPECT_EQ(chain.flags, (std::vector<std::uint32_t>{1, 2, 3, 4}));
+  EXPECT_EQ(chain.busy0, 1877);
+  EXPECT_EQ(chain.busy1, 1024);
+  EXPECT_EQ(chain.events, 28u);
+  // The pins have teeth: distinct step ends, a nonzero issue wait after
+  // each, and every active count from 4 down to 0 seen.
   const TimeNs issue = Machine::Config{}.fabric.store_issue_overhead_ns;
   ASSERT_GT(issue, 0);
-  std::vector<TimeNs> ends = plain.ends;
-  std::sort(ends.begin(), ends.end());
-  EXPECT_EQ(std::adjacent_find(ends.begin(), ends.end()), ends.end());
-  EXPECT_EQ(ends.front(), Machine(Machine::Config{}).device(0).step_duration(
-                              mem_cost(1 << 16), 1) +
-                              issue);
-  for (int a = 0; a <= 4; ++a) {
-    EXPECT_NE(std::find_if(plain.active.begin(), plain.active.end(),
-                           [a](const auto& p) { return std::get<1>(p) == a; }),
-              plain.active.end())
-        << a << " active WGs never seen";
-  }
+  EXPECT_EQ(chain.ends.front(),
+            Machine(Machine::Config{}).device(0).step_duration(
+                mem_cost(1 << 16), 1) +
+                issue);
 }
 
 // ---- KernelRun --------------------------------------------------------
@@ -516,39 +515,37 @@ TEST(KernelRun, StaticAssignmentWalksSlotStride) {
 
 // ---- Runtime cost: per launch, never per slot or WG ----------------------
 
-/// A kernel whose WGs each wait 10 ns, recording nothing; slots with an
-/// index below `tails` end in a tail coroutine of one 5 ns delay, a wide
-/// one (a larger frame) for the last of them when `wide_tail` is set.
-struct DelayRun : KernelRun {
-  DelayRun(Device& d, Params p) : KernelRun(d, p) {}
-  int tails = 0;
-  bool wide_tail = false;
-  int tails_done = 0;
+/// A kernel whose WGs each wait 10 ns, recording nothing. Once its queue
+/// drains, slot s polls flags [0][s], [0][s + active], ... < `waits` of
+/// `flags` for 1, the way the fused kernels poll theirs: a chain flag wait
+/// on its record.
+struct PollRun : KernelRun {
+  PollRun(Device& d, Params p) : KernelRun(d, p) {}
+  shmem::FlagArray* flags = nullptr;
+  int waits = 0;
 
-  static sim::Co tail(DelayRun& r) {
-    co_await sim::delay(r.engine(), 5);
-    ++r.tails_done;
-  }
-  static sim::Co wide(DelayRun& r) {
-    volatile char pad[256] = {};
-    pad[7] = 1;
-    co_await sim::delay(r.engine(), 5);
-    EXPECT_EQ(pad[7], 1);
-    ++r.tails_done;
-  }
-  static void claim(Slot& s) {
-    DelayRun& r = static_cast<DelayRun&>(*s.run);
+  struct Rec : Slot {
+    int flag;  // the poll's position
+  };
+  static void claim(Rec& s) {
+    PollRun& r = static_cast<PollRun&>(*s.run);
     if (r.next(s) >= 0) {
       r.after(10, s, &waited);
-    } else if (s.index >= r.tails) {
+      return;
+    }
+    s.flag = s.index;
+    poll(&s);
+  }
+  static void waited(sim::Call* c) { claim(static_cast<Rec&>(*c)); }
+  static void poll(sim::Call* c) {
+    Rec& s = static_cast<Rec&>(*c);
+    PollRun& r = static_cast<PollRun&>(*s.run);
+    const auto one = [](int) -> std::uint64_t { return 1; };
+    if (r.waits == 0 || !r.flags->poll_then(0, s.flag, r.active_slots(),
+                                            r.waits, one, s, &poll)) {
       r.finish(s);
-    } else if (r.wide_tail && s.index == r.tails - 1) {
-      r.start_tail(s, [&r] { return wide(r); });
-    } else {
-      r.start_tail(s, [&r] { return tail(r); });
     }
   }
-  static void waited(sim::Call* c) { claim(static_cast<Slot&>(*c)); }
 };
 
 struct LaunchHeap {
@@ -556,97 +553,88 @@ struct LaunchHeap {
   std::size_t live = 0;         // of those, still allocated after it
 };
 
-/// Heap traffic of one launch (construct, start, run to idle) of `wgs`
-/// positions on `slots` slots, `tails` of which end in a tail. The engine
-/// keeps its pooled queue storage across launches (run_until never
-/// releases it), so once warm it adds nothing and the count is the
-/// runtime's own.
-LaunchHeap launch_heap(Device& d, int slots, int wgs, int tails,
-                       bool static_assignment) {
+/// Heap traffic of one launch (construct, start, run to idle, raise the
+/// first `waits` flags, run to idle) of `wgs` positions on `slots` slots.
+/// The engine keeps its pooled queue storage across launches (run_until
+/// never releases it), and the flags their freed waiter nodes, so once
+/// warm they add nothing and the count is the runtime's own.
+LaunchHeap launch_heap(Device& d, shmem::FlagArray& flags, int slots, int wgs,
+                       int waits, bool static_assignment) {
   sim::Engine& e = d.engine();
   const std::size_t news = g_news, deletes = g_deletes;
   {
-    DelayRun run(d, {.num_slots = slots,
-                     .num_wgs = wgs,
-                     .static_assignment = static_assignment,
-                     .tail_slots = tails});
-    run.tails = tails;
-    run.start(&DelayRun::claim);
+    PollRun run(d, {.num_slots = slots,
+                    .num_wgs = wgs,
+                    .static_assignment = static_assignment});
+    run.flags = &flags;
+    run.waits = waits;
+    run.start(&PollRun::claim);
+    e.run_until(e.now() + 1'000'000);
+    EXPECT_EQ(run.finished(), waits == 0);
+    EXPECT_EQ(flags.total_waiters(), static_cast<std::size_t>(waits));
+    for (int i = 0; i < waits; ++i) {
+      flags.set(0, static_cast<std::size_t>(i), 1);
+    }
     e.run_until(e.now() + 1'000'000);
     EXPECT_TRUE(run.finished());
-    EXPECT_EQ(run.tails_done, tails);
   }
+  flags.reset();
   return {g_news - news, (g_news - news) - (g_deletes - deletes)};
 }
 
-TEST(KernelRun, WarmLaunchAllocatesItsRecordsAndTailBlockOnly) {
+TEST(KernelRun, WarmLaunchAllocatesItsRecordsOnly) {
   Machine m(one_gpu());
   Device& d = m.device(0);
+  shmem::FlagArray flags(m.engine(), 1, 8);
   for (const bool static_assignment : {false, true}) {
-    for (const int tails : {0, 3}) {
-      launch_heap(d, 8, 800, tails, static_assignment);  // warm the pools
+    for (const int waits : {0, 3, 8}) {
+      // Warm the engine's pools and the flags' waiter nodes.
+      launch_heap(d, flags, 8, 800, waits, static_assignment);
       for (const int wgs : {8, 800}) {
-        const LaunchHeap h = launch_heap(d, 8, wgs, tails, static_assignment);
-        // One array for every slot record, and one block for the tail
-        // frames: nothing per slot or position, no order, no cursors.
-        EXPECT_EQ(h.allocations, tails > 0 ? 2u : 1u)
-            << wgs << " positions, static " << static_assignment;
+        const LaunchHeap h =
+            launch_heap(d, flags, 8, wgs, waits, static_assignment);
+        // One array for every slot record: nothing per slot, position or
+        // flag wait, no order, no cursors, no coroutine frame.
+        EXPECT_EQ(h.allocations, 1u) << wgs << " positions, " << waits
+                                     << " waits, static "
+                                     << static_assignment;
         EXPECT_EQ(h.live, 0u) << "a launch allocation outlived its kernel";
       }
     }
   }
 }
 
-TEST(KernelRun, ATailFrameOfAnotherSizeGoesToTheHeap) {
-  // The tail block's stride is the first tail frame's size; the last
-  // tail has a larger frame, which must not overrun the block.
+TEST(KernelRun, RecordsOutliveAThrowWhileSlotsWaitOnFlags) {
+  // An event throws out of run() while every slot sits in a chain flag
+  // wait, registered on its record. The records must outlive the throw:
+  // the flags come up, every slot finishes, and only then does the
+  // KernelRun free them — nothing leaks, nothing dangles.
   Machine m(one_gpu());
   sim::Engine& e = m.engine();
-  launch_heap(m.device(0), 4, 40, 0, false);  // warm the engine's pools
-  const std::size_t news = g_news, deletes = g_deletes;
-  {
-    DelayRun run(m.device(0),
-                 {.num_slots = 4, .num_wgs = 40, .tail_slots = 4});
-    run.tails = 4;
-    run.wide_tail = true;
-    run.start(&DelayRun::claim);
-    e.run_until(e.now() + 1'000);
-    EXPECT_TRUE(run.finished());
-    // The records, the tail block, and the wide frame, freed at its end.
-    EXPECT_EQ(g_news - news, 3u);
-    EXPECT_EQ(g_deletes - deletes, 1u);
-  }
-  EXPECT_EQ(g_deletes - deletes, 3u);
-}
-
-TEST(KernelRun, RecordsAndTailsOutliveAThrowMidKernel) {
-  // An event throws out of run() while every slot has a call or a tail's
-  // resume pending in the launch's records and tail block. Both must
-  // outlive those events: the run resumes, every slot finishes, and only
-  // then does the KernelRun free them — nothing leaks, nothing dangles.
-  Machine m(one_gpu());
-  sim::Engine& e = m.engine();
-  launch_heap(m.device(0), 4, 12, 2, false);  // warm the engine's pools
+  shmem::FlagArray flags(e, 1, 4);
+  launch_heap(m.device(0), flags, 4, 12, 4, false);  // warm the pools
   e.schedule_at(e.now() + 1, [] {});
   e.run_until(e.now() + 1);
   const TimeNs t0 = e.now();
   const std::size_t news = g_news, deletes = g_deletes;
   const auto live = [&] { return (g_news - news) - (g_deletes - deletes); };
   {
-    DelayRun run(m.device(0),
-                 {.num_slots = 4, .num_wgs = 12, .tail_slots = 2});
-    run.tails = 2;
-    run.start(&DelayRun::claim);
-    e.schedule_at(t0 + 15, [] { FCC_CHECK_MSG(false, "failure mid-kernel"); });
+    PollRun run(m.device(0), {.num_slots = 4, .num_wgs = 12});
+    run.flags = &flags;
+    run.waits = 4;
+    run.start(&PollRun::claim);
+    // Every slot drains at t0 + 30 and waits on its flag.
+    e.schedule_at(t0 + 35, [] { FCC_CHECK_MSG(false, "failure mid-kernel"); });
     EXPECT_THROW(e.run(), std::logic_error);
-    EXPECT_EQ(e.now(), t0 + 15);
+    EXPECT_EQ(e.now(), t0 + 35);
     EXPECT_FALSE(run.finished());
-    EXPECT_EQ(e.pending(), 4u);  // each slot's second WG, due at t0 + 20
-    EXPECT_EQ(live(), 1u);       // the records
-    e.run_until(t0 + 1'000);
+    EXPECT_EQ(e.pending(), 0u);
+    EXPECT_EQ(flags.total_waiters(), 4u);
+    EXPECT_EQ(live(), 1u);  // the records
+    for (std::size_t i = 0; i < 4; ++i) flags.set(0, i, 1);
+    EXPECT_EQ(e.run_until(t0 + 1'000), 4u);  // one wake call per slot
     EXPECT_TRUE(run.finished());
-    EXPECT_EQ(run.tails_done, 2);
-    EXPECT_EQ(live(), 2u);  // the records and the tail block
+    EXPECT_EQ(live(), 1u);
   }
   EXPECT_EQ(live(), 0u);
 }

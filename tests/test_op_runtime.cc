@@ -105,7 +105,8 @@ TEST(FlagSet, SignalDeliversRemoteFlagStores) {
   flags.reset(world, 2);
   struct Driver {
     static sim::Task go(sim::Engine&, shmem::World& world, FlagSet& flags) {
-      co_await world.fence(/*src=*/0);
+      co_await sim::delay(world.machine().engine_of(0),
+                          shmem::World::kFenceCostNs);
       for (PeId peer = 1; peer < 4; ++peer) {
         co_await world.issue(/*src=*/0, peer,
                              shmem::World::IssueKind::kStore);
@@ -255,9 +256,10 @@ TEST(OperatorResult, SkewMeasuresRelativeSpread) {
 // ---------------------------------------------------------------------------
 
 /// PE 0 waits on a flag nobody sets; PE 1 completes. The deadlock check
-/// must name the stuck PE and the unsatisfied wait_ge, also when the wait
-/// sits in a persistent-kernel slot's tail (`in_kernel`): tails run
-/// detached, and the per-PE task awaiting the kernel is what stays live.
+/// must name the stuck PE and the unsatisfied wait, also when the wait is
+/// a persistent-kernel slot's chain poll (`in_kernel`): the slot is a
+/// record, not a task, and the per-PE task awaiting the kernel is what
+/// stays live.
 class StuckOp final : public FusedOp {
  public:
   StuckOp(shmem::World& world, bool in_kernel)
@@ -285,23 +287,30 @@ class StuckOp final : public FusedOp {
     kernel.start(&claim);
     co_await kernel.wait();
   }
-  /// A 2-slot kernel of 4 empty WGs whose slot 1 on PE 0 waits on the
-  /// gate once the queue drains.
+  /// A 2-slot kernel of 4 empty WGs whose slot 1 on PE 0 polls the gate
+  /// once the queue drains.
   struct Kernel : gpu::KernelRun {
     Kernel(StuckOp& op, PeId pe)
         : KernelRun(op.world_.machine().device(pe),
-                    {.num_slots = 2, .num_wgs = 4, .tail_slots = 2}),
+                    {.num_slots = 2, .num_wgs = 4}),
           op(op) {}
     StuckOp& op;
   };
-  static void claim(gpu::KernelRun::Slot& s) {
+  struct Slot : gpu::KernelRun::Slot {
+    int flag;  // the poll's position
+  };
+  static void claim(Slot& s) {
     Kernel& k = static_cast<Kernel&>(*s.run);
     while (k.next(s) >= 0) {
     }
-    if (k.pe() == 0 && s.index == 1) {
-      k.start_tail(s,
-                   [&k] { return k.op.gate_->wait_from(0, 1, 1, 2, three); });
-    } else {
+    s.flag = 1;
+    poll(&s);
+  }
+  static void poll(sim::Call* c) {
+    Slot& s = static_cast<Slot&>(*c);
+    Kernel& k = static_cast<Kernel&>(*s.run);
+    if (k.pe() != 0 || s.index != 1 ||
+        !k.op.gate_->poll_then(0, s.flag, 1, 2, three, s, &poll)) {
       k.finish(s);
     }
   }

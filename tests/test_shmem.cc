@@ -205,6 +205,102 @@ TEST(FlagArray, CountsAndPendingWaitsAfterPartialWake) {
   EXPECT_EQ(flags.total_waiters(), 0u);
 }
 
+/// A call-chain waiter (FlagArray::wait_ge_then): records its id, and
+/// the time it ran.
+struct ChainWaiter : sim::Call {
+  sim::Engine* e;
+  std::vector<int>* order;
+  int id;
+  TimeNs at = -1;
+  static void woke(sim::Call* c) {
+    auto& w = static_cast<ChainWaiter&>(*c);
+    w.order->push_back(w.id);
+    w.at = w.e->now();
+  }
+};
+
+TEST(FlagArray, SatisfiedChainWaitSchedulesNothing) {
+  gpu::Machine m(one_node_four_gpus());
+  sim::Engine& e = m.engine();
+  FlagArray flags(e, m.num_pes(), 1);
+  flags.set(2, 0, 3);
+  std::vector<int> order;
+  ChainWaiter w{{}, &e, &order, 0};
+  EXPECT_FALSE(flags.wait_ge_then(2, 0, 3, w, &ChainWaiter::woke));
+  EXPECT_EQ(flags.total_waiters(), 0u);
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(e.run(), 0u);
+  EXPECT_TRUE(order.empty());
+}
+
+TEST(FlagArray, CoroutineAndChainWaitersWakeInRegistrationOrder) {
+  // A coroutine's wait_ge and a chain's wait_ge_then register the same
+  // kind of node: one store that meets them all wakes them in the order
+  // they registered, one zero-delay event each.
+  gpu::Machine m(one_node_four_gpus());
+  sim::Engine& e = m.engine();
+  FlagArray flags(e, m.num_pes(), 1);
+  std::vector<int> order;
+  ChainWaiter a{{}, &e, &order, 1};
+  ChainWaiter b{{}, &e, &order, 3};
+  ordered_waiter(flags, 2, /*id=*/0, order);
+  ASSERT_TRUE(flags.wait_ge_then(0, 0, 3, a, &ChainWaiter::woke));
+  ordered_waiter(flags, 1, /*id=*/2, order);
+  ASSERT_TRUE(flags.wait_ge_then(0, 0, 1, b, &ChainWaiter::woke));
+  EXPECT_EQ(flags.num_waiters(0, 0), 4u);
+  e.schedule_at(200, [&flags] { flags.set(0, 0, 3); });
+  EXPECT_EQ(e.run(), 5u);  // the store, then one wake per waiter
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(a.at, 200);
+  EXPECT_EQ(b.at, 200);
+  EXPECT_EQ(flags.total_waiters(), 0u);
+}
+
+TEST(FlagArray, PendingWaitsListsAChainWaiter) {
+  // What FusedOp::deadlock_report names for a slot stuck in a chain poll.
+  gpu::Machine m(one_node_four_gpus());
+  sim::Engine& e = m.engine();
+  FlagArray flags(e, m.num_pes(), 2);
+  std::vector<int> order;
+  ChainWaiter w{{}, &e, &order, 7};
+  flags.set(1, 1, 2);
+  ASSERT_TRUE(flags.wait_ge_then(1, 1, 5, w, &ChainWaiter::woke));
+  const auto waits = flags.pending_waits();
+  ASSERT_EQ(waits.size(), 1u);
+  EXPECT_EQ(waits[0].pe, 1);
+  EXPECT_EQ(waits[0].index, 1u);
+  EXPECT_EQ(waits[0].value, 2u);
+  EXPECT_EQ(waits[0].threshold, 5u);
+  flags.set(1, 1, 5);
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{7}));
+  EXPECT_EQ(flags.total_waiters(), 0u);
+}
+
+TEST(FlagArray, PollThenWaitsAtEachFlagStillDown) {
+  // Flags 1, 3, 5 of PE 0, from position 1 at stride 2: the poll passes
+  // the raised flag 1, registers on flag 3 and moves past it; polled again
+  // once flag 3 is up, it finds flag 5 up too and is done.
+  gpu::Machine m(one_node_four_gpus());
+  sim::Engine& e = m.engine();
+  FlagArray flags(e, m.num_pes(), 6);
+  std::vector<int> order;
+  ChainWaiter w{{}, &e, &order, 0};
+  const auto one = [](int) -> std::uint64_t { return 1; };
+  flags.set(0, 1, 1);
+  int pos = 1;
+  ASSERT_TRUE(flags.poll_then(0, pos, 2, 6, one, w, &ChainWaiter::woke));
+  EXPECT_EQ(pos, 5);
+  EXPECT_EQ(flags.num_waiters(0, 3), 1u);
+  flags.set(0, 5, 1);
+  flags.set(0, 3, 1);
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_FALSE(flags.poll_then(0, pos, 2, 6, one, w, &ChainWaiter::woke));
+  EXPECT_EQ(pos, 7);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
 constexpr int kSequentialWaits = 100000;
 
 /// Waits on flag[0][0] reaching 1, 2, ..., kSequentialWaits in turn and
@@ -322,7 +418,7 @@ sim::Task ordered_puts(sim::Engine& e, World& w, FlagArray& flags,
   // Data PUT, fence, then flag PUT — the paper's slice protocol.
   co_await w.issue(0, 1, World::IssueKind::kRdma);
   w.put(0, 1, 32 * 1024, [&] { deliveries.push_back(e.now()); });
-  co_await w.fence(0);
+  co_await sim::delay(e, World::kFenceCostNs);
   co_await w.issue(0, 1, World::IssueKind::kRdma);
   w.put(0, 1, 8, [&] {
     deliveries.push_back(e.now());
@@ -358,7 +454,7 @@ sim::Task ordered_puts_callback_free_data(sim::Engine& e, World& w,
                                           TimeNs& flag_delivered_at) {
   co_await w.issue(0, 1, World::IssueKind::kRdma);
   w.put(0, 1, 32 * 1024);
-  co_await w.fence(0);
+  co_await sim::delay(e, World::kFenceCostNs);
   co_await w.issue(0, 1, World::IssueKind::kRdma);
   w.put(0, 1, 8, [&] {
     flag_delivered_at = e.now();
@@ -575,21 +671,21 @@ TEST(World, PutNbiIsIssueThenPut) {
   EXPECT_EQ(events[1], events[0]);
 }
 
-sim::Task fenced(sim::Engine& e, World& w, TimeNs& before, TimeNs& after) {
-  co_await sim::delay(e, 100);
-  before = e.now();
-  co_await w.fence(0);
-  after = e.now();
-}
-
 TEST(World, FenceAdvancesExactlyItsInstructionCost) {
   gpu::Machine m(two_nodes_one_gpu());
   World w(m);
-  TimeNs before = -1, after = -1;
-  fenced(m.engine(), w, before, after);
-  m.engine().run();
-  EXPECT_EQ(before, 100);
-  EXPECT_EQ(after - before, World::kFenceCostNs);
+  sim::Engine& e = m.engine();
+  struct Fenced : sim::Call {
+    sim::Engine* e;
+    TimeNs after = -1;
+    static void run(sim::Call* c) {
+      auto& f = static_cast<Fenced&>(*c);
+      f.after = f.e->now();
+    }
+  } fenced{{}, &e};
+  e.schedule_at(100, [&] { w.fence_then(0, fenced, &Fenced::run); });
+  e.run();
+  EXPECT_EQ(fenced.after, 100 + World::kFenceCostNs);
 }
 
 TEST(FlagArray, ResetRestoresFreshState) {

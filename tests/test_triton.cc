@@ -302,6 +302,62 @@ TEST(TileKernel, KernelWithoutPutKeepsNoSchedule) {
   EXPECT_TRUE(k.schedule(0).empty());  // pids run in order
 }
 
+TEST(TileKernel, LaunchRejectsAFlagWaitOutsideThisPesFlags) {
+  // Checked when launch() is called, before any slot starts. Unchecked, a
+  // wait_count past the array reads another PE's flags (or past the
+  // array), and an empty threshold throws std::bad_function_call mid-run.
+  gpu::Machine m(four_gpus());
+  shmem::World w(m);
+  shmem::FlagArray flags(m.engine(), /*num_pes=*/2, /*n=*/4);
+  TileKernel k("local", small_shape(), 0.7);
+  k.load_a().load_b().dot().store_c_local({});
+  const auto launch_error = [&k](const TileKernel::LaunchConfig& lc) {
+    try {
+      sim::Co co = k.launch(lc);
+    } catch (const std::logic_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("nothing thrown");
+  };
+  TileKernel::LaunchConfig lc;
+  lc.world = &w;
+  lc.pe = 1;
+  lc.wait_flags = &flags;
+  lc.wait_threshold = [](int) -> std::uint64_t { return 1; };
+  for (const int count : {5, -1}) {
+    lc.wait_count = count;
+    const std::string msg = launch_error(lc);
+    EXPECT_NE(msg.find("LaunchConfig::wait_count " + std::to_string(count) +
+                       " outside [0, 4]"),
+              std::string::npos)
+        << msg;
+  }
+  lc.wait_count = 4;
+  lc.pe = 3;
+  std::string msg = launch_error(lc);
+  EXPECT_NE(msg.find("LaunchConfig::pe 3 outside the 2 PEs of wait_flags"),
+            std::string::npos)
+      << msg;
+  lc.pe = 1;
+  lc.wait_threshold = {};
+  msg = launch_error(lc);
+  EXPECT_NE(msg.find("LaunchConfig::wait_threshold is empty"),
+            std::string::npos)
+      << msg;
+
+  // In bounds, the launch runs and its slots poll PE 1's flags.
+  lc.wait_threshold = [](int i) -> std::uint64_t { return i == 2 ? 2 : 1; };
+  for (std::size_t i = 0; i < 4; ++i) flags.set(1, i, 1);
+  bool done = false;
+  launch_driver(m.engine(), k, lc, done);
+  m.engine().run();
+  EXPECT_FALSE(done);
+  EXPECT_EQ(flags.num_waiters(1, 2), 1u);
+  flags.set(1, 2, 2);
+  m.engine().run();
+  EXPECT_TRUE(done);
+}
+
 /// Launches one TileKernel on every PE: a FusedOp, so that it runs on
 /// serial and sharded machines alike.
 class LaunchOnEveryPe final : public fused::FusedOp {

@@ -207,18 +207,20 @@ AllReduceAlgo Communicator::select_allreduce(std::int64_t n_elems) {
 /// barrier call (ShardedEngine::post_at_barrier) keyed by t0: it runs at
 /// the next window barrier, after the deferred-put replay hook, with every
 /// shard thread parked. The run reads and reserves link state across all
-/// shards data-race-free, then the driver resumes at the exact computed
-/// end (a rewind entry when shard 0's frontier already passed it — legal,
-/// the continuation only touches shard-0 host state before its next >=
-/// lookahead delay). Collectives that overlap other put traffic inside the
-/// same window therefore serialize their reservations at the barrier, an
-/// ordering approximation consistent with the sharded engine's
-/// same-timestamp tie-breaking caveat.
-class Communicator::SweepAwaiter {
+/// shards data-race-free, then the awaiter, a sim::Call, resumes the
+/// driver at the exact computed end (a rewind call,
+/// Engine::schedule_call_at_unchecked, when shard 0's frontier already
+/// passed it — legal, the continuation only touches shard-0 host state
+/// before its next >= lookahead delay). Collectives that overlap other put
+/// traffic inside the same window therefore serialize their reservations
+/// at the barrier, an ordering approximation consistent with the sharded
+/// engine's same-timestamp tie-breaking caveat. The awaiter is its own
+/// class, not a sim::suspend, because it hands back the end time.
+class Communicator::SweepAwaiter : sim::Call {
  public:
   SweepAwaiter(Communicator& comm, TimeNs t0,
                std::shared_ptr<const Schedule> schedule)
-      : comm_(comm), t0_(t0), schedule_(std::move(schedule)) {}
+      : Call{&resume}, comm_(comm), t0_(t0), schedule_(std::move(schedule)) {}
 
   bool await_ready() {
     if (comm_.machine_.is_sharded()) return false;
@@ -226,9 +228,10 @@ class Communicator::SweepAwaiter {
     return true;
   }
   void await_suspend(std::coroutine_handle<> h) {
-    comm_.machine_.sharded().post_at_barrier(0, t0_, [this, h] {
+    h_ = h;
+    comm_.machine_.sharded().post_at_barrier(0, t0_, [this] {
       end_ = comm_.run(*schedule_, t0_);
-      comm_.machine_.engine().schedule_resume_at_unchecked(end_, h);
+      comm_.machine_.engine().schedule_call_at_unchecked(end_, this);
     });
   }
   TimeNs await_resume() {
@@ -237,10 +240,15 @@ class Communicator::SweepAwaiter {
   }
 
  private:
+  static void resume(sim::Call* c) {
+    static_cast<SweepAwaiter*>(c)->h_.resume();
+  }
+
   Communicator& comm_;
   TimeNs t0_;
   std::shared_ptr<const Schedule> schedule_;
   TimeNs end_ = 0;
+  std::coroutine_handle<> h_;
 };
 
 TimeNs Communicator::run(const Schedule& s, TimeNs t0) {

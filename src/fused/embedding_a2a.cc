@@ -377,47 +377,6 @@ BaselineEmbeddingAllToAll::BaselineEmbeddingAllToAll(shmem::World& world,
                                     /*local_write=*/true, ops::kBaselineCurve);
 }
 
-/// One (PE, table) kernel launch.
-struct BaselineEmbeddingAllToAll::Kernel : gpu::KernelRun {
-  Kernel(BaselineEmbeddingAllToAll& op, PeId pe, int table, Params params)
-      : KernelRun(op.world_.machine().device(pe), params),
-        op(op),
-        table(table) {}
-  BaselineEmbeddingAllToAll& op;
-  int table;
-};
-
-/// A slot's record: the global sample in flight.
-struct BaselineEmbeddingAllToAll::Slot : gpu::KernelRun::Slot {
-  int sample;
-};
-
-sim::Co BaselineEmbeddingAllToAll::table_kernel(PeId pe, int table) {
-  // Position = global sample.
-  Kernel k(*this, pe, table,
-           {.num_slots = slots_per_pe_, .num_wgs = cfg_.map.global_batch});
-  k.start(&claim);
-  co_await k.wait();
-}
-
-void BaselineEmbeddingAllToAll::claim(Slot& s) {
-  Kernel& k = static_cast<Kernel&>(*s.run);
-  s.sample = k.next(s);
-  if (s.sample < 0) {
-    k.finish(s);
-    return;
-  }
-  k.device().start_step(k.op.wg_cost_, s, &computed);
-}
-
-void BaselineEmbeddingAllToAll::computed(sim::Call* c) {
-  Slot& s = static_cast<Slot&>(*c);
-  Kernel& k = static_cast<Kernel&>(*s.run);
-  k.device().end_step();
-  if (k.op.cfg_.functional) k.op.pool_to_send(k.pe(), k.table, s.sample);
-  claim(s);
-}
-
 void BaselineEmbeddingAllToAll::pool_to_send(PeId pe, int table, int b) {
   const auto& map = cfg_.map;
   std::vector<float> vec(static_cast<std::size_t>(map.dim));
@@ -464,7 +423,13 @@ sim::Co BaselineEmbeddingAllToAll::compute(PeId pe, TimeNs t0) {
   const TimeNs launch_ns = world_.machine().device(pe).spec().kernel_launch_ns;
   for (int t = 0; t < cfg_.map.tables_per_pe; ++t) {
     co_await sim::delay_until(engine, t0 + launch_ns + t * kHostIssueGapNs);
-    co_await table_kernel(pe, t);
+    // One (PE, table) kernel; WG = global sample.
+    co_await gpu::compute_kernel(
+        world_.machine().device(pe),
+        {.num_slots = slots_per_pe_, .num_wgs = cfg_.map.global_batch},
+        wg_cost_, [this, pe, t](int b) {
+          if (cfg_.functional) pool_to_send(pe, t, b);
+        });
   }
 }
 

@@ -176,12 +176,6 @@ class BaselineEmbeddingAllToAll final : public BulkSyncOp {
   void prepare() override;
   sim::Co compute(PeId pe, TimeNs t0) override;
   sim::Co collective(ccl::Communicator& comm) override;
-  struct Kernel;
-  struct Slot;
-  sim::Co table_kernel(PeId pe, int table);
-  /// A slot's steps: claim a sample and start its step; end it.
-  static void claim(Slot& s);
-  static void computed(sim::Call* c);
   /// Functional mode: pools (table, sample b) into PE `pe`'s send buffer.
   void pool_to_send(PeId pe, int table, int b);
   /// Elements per (source, destination) All-to-All chunk.

@@ -428,43 +428,15 @@ void BaselineGemvAllReduce::prepare() {
                   std::vector<float>(static_cast<std::size_t>(cfg_.m), 0.0f));
 }
 
-/// One PE's compute kernel.
-struct BaselineGemvAllReduce::Kernel : gpu::KernelRun {
-  Kernel(BaselineGemvAllReduce& op, PeId pe, Params params)
-      : KernelRun(op.world_.machine().device(pe), params), op(op) {}
-  BaselineGemvAllReduce& op;
-};
-
-/// A slot's record: the tile in flight.
-struct BaselineGemvAllReduce::Slot : gpu::KernelRun::Slot {
-  int tile;
-};
-
 sim::Co BaselineGemvAllReduce::compute(PeId pe, TimeNs /*t0*/) {
-  // Position = tile.
-  Kernel k(*this, pe,
-           {.num_slots = slots_per_pe_,
-            .num_wgs = cfg_.shape(world_.n_pes()).num_tiles()});
-  k.start(&claim);
-  co_await k.wait();
-}
-
-void BaselineGemvAllReduce::claim(Slot& s) {
-  Kernel& k = static_cast<Kernel&>(*s.run);
-  s.tile = k.next(s);
-  if (s.tile < 0) {
-    k.finish(s);
-    return;
-  }
-  k.device().start_step(k.op.tile_cost_, s, &computed);
-}
-
-void BaselineGemvAllReduce::computed(sim::Call* c) {
-  Slot& s = static_cast<Slot&>(*c);
-  Kernel& k = static_cast<Kernel&>(*s.run);
-  k.device().end_step();
-  if (k.op.cfg_.functional) k.op.tile_to_partial(k.pe(), s.tile);
-  claim(s);
+  // WG = tile.
+  co_await gpu::compute_kernel(
+      world_.machine().device(pe),
+      {.num_slots = slots_per_pe_,
+       .num_wgs = cfg_.shape(world_.n_pes()).num_tiles()},
+      tile_cost_, [this, pe](int tile) {
+        if (cfg_.functional) tile_to_partial(pe, tile);
+      });
 }
 
 void BaselineGemvAllReduce::tile_to_partial(PeId pe, int tile) {

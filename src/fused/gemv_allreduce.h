@@ -167,11 +167,6 @@ class BaselineGemvAllReduce final : public BulkSyncOp {
   void prepare() override;
   sim::Co compute(PeId pe, TimeNs t0) override;
   sim::Co collective(ccl::Communicator& comm) override;
-  struct Kernel;
-  struct Slot;
-  /// A slot's steps: claim a tile and start its step; end it.
-  static void claim(Slot& s);
-  static void computed(sim::Call* c);
   /// Functional mode: computes a tile into PE `pe`'s partial vector.
   void tile_to_partial(PeId pe, int tile);
 

@@ -8,9 +8,8 @@
 //
 // A compute step is a call-chain step: a persistent-kernel WG, a chain of
 // engine calls on its slot's record (gpu::KernelRun), calls start_step()
-// and, in the step's end call, end_step(). A device wait has two forms
-// with the same event at the same time: a coroutine awaits busy_wait(), a
-// chain calls wait_then().
+// and, in the step's end call, end_step(). A device wait is wait_then(),
+// and a coroutine awaits it as busy_wait().
 //
 // A cost that is fixed for a whole launch carries a duration table
 // (Device::tabulate): the step duration at each active-WG count up to the
@@ -119,26 +118,26 @@ class Device {
     busy_ns_ += dur;
     total_bytes_ += cost.hbm_bytes;
     total_flops_ += cost.flops;
-    c.fn = next;
-    engine_.schedule_call_at(engine_.now() + dur, &c);
+    engine_.call_after(dur, c, next);
   }
 
   /// Deregisters the WG whose step start_step() scheduled to end now.
   void end_step() { --active_wgs_; }
 
-  /// busy_wait() for a call chain: charges `dur` and runs `next` on `c`
-  /// after it.
+  /// Plain timed wait charged to this device (bookkeeping instructions,
+  /// comm-API issue cost, ...): charges `dur` and runs `next` on `c` after
+  /// it.
   void wait_then(TimeNs dur, sim::Call& c, sim::Call::Fn next) {
     busy_ns_ += dur;
-    c.fn = next;
-    engine_.schedule_call_at(engine_.now() + dur, &c);
+    engine_.call_after(dur, c, next);
   }
 
-  /// Plain timed wait charged to this device (bookkeeping instructions,
-  /// comm-API issue cost, ...).
-  sim::Delay busy_wait(TimeNs dur) {
-    busy_ns_ += dur;
-    return sim::delay(engine_, dur);
+  /// wait_then() for a coroutine.
+  auto busy_wait(TimeNs dur) {
+    return sim::suspend([this, dur](sim::Call& c, sim::Call::Fn fn) {
+      wait_then(dur, c, fn);
+      return true;
+    });
   }
 
   TimeNs busy_ns() const { return busy_ns_; }

@@ -76,7 +76,7 @@ Machine::Machine(const Config& config)
   FCC_CHECK_MSG(config.gpu.fp32_flops_per_ns > 0,
                 "Machine::Config: ALU throughput must be positive, got "
                     << config.gpu.fp32_flops_per_ns);
-  // Latencies: a negative one would abort mid-run (sim::Delay's check, a
+  // Latencies: a negative one would abort mid-run (the engine's check on a
   // schedule into the past) or, as the NIC's per-message processing,
   // silently shorten transfers.
   const auto check_latency = [](const char* field, TimeNs ns) {

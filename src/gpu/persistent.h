@@ -17,15 +17,16 @@
 // the records of a launch in one array. A slot's whole program runs as a
 // chain of engine calls on its record (sim::Call): each step does its
 // plain work (a claim, posting a PUT, marking WG_Done), then schedules the
-// next step with the one engine event the matching coroutine await would
-// schedule — Device::start_step / end_step for a compute step,
-// Device::wait_then for a device wait, World::issue_then and fence_then,
-// FlagArray::wait_ge_then for a flag wait, after() for a plain wait. So a
-// chain fires the same events at the same times, in the same push order,
-// as a coroutine awaiting them, without keeping a frame per slot. A step's
-// record fields carry what the slot needs from one step to the next;
-// everything shared lives in the kernel's own KernelRun subclass, which
-// the record's `run` reaches.
+// next step through a wait primitive's call form — Device::start_step /
+// end_step for a compute step, Device::wait_then for a device wait,
+// World::issue_then and fence_then, FlagArray::wait_ge_then for a flag
+// wait, after() for a plain wait. These are the only implementation of
+// each wait: a coroutine awaits the same call form through sim::suspend,
+// so a chain fires the events a coroutine would, without keeping a frame
+// per slot. A step's record fields carry what the slot needs from one step
+// to the next; everything shared lives in the kernel's own KernelRun
+// subclass, which the record's `run` reaches. compute_kernel() is the
+// whole kernel of an operator that only computes (the baselines).
 //
 // That includes what a slot waits on once its queue drains: the fused
 // kernels' flag polls (FlagArray::poll_then, the position in the record)
@@ -43,6 +44,7 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "gpu/device.h"
+#include "sim/co.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
 
@@ -151,8 +153,7 @@ class KernelRun {
 
   /// Runs `next` on `s` after `dt`: a plain wait, charged to nothing.
   void after(TimeNs dt, Slot& s, sim::Call::Fn next) {
-    s.fn = next;
-    engine().schedule_call_at(engine().now() + dt, &s);
+    engine().call_after(dt, s, next);
   }
 
   /// Ends `s`'s chain: the slot has finished.
@@ -166,5 +167,40 @@ class KernelRun {
   int active_slots_;
   void* records_ = nullptr;  // active_slots_ records, built by start()
 };
+
+/// Runs a kernel that only computes, the baselines' compute phase: each of
+/// `params.num_wgs` WGs is one step of `cost`, and WG w calls `on_wg(w)`
+/// at its step's end (functional mode's data work, or nothing).
+template <typename OnWg>
+sim::Co compute_kernel(Device& dev, KernelRun::Params params,
+                       const WorkCost& cost, OnWg on_wg) {
+  struct Run : KernelRun {
+    const WorkCost& cost;
+    OnWg& on_wg;
+  };
+  /// A slot's record: the WG in flight.
+  struct Slot : KernelRun::Slot {
+    int wg;
+    static void claim(Slot& s) {
+      Run& k = static_cast<Run&>(*s.run);
+      s.wg = k.next(s);
+      if (s.wg < 0) {
+        k.finish(s);
+        return;
+      }
+      k.device().start_step(k.cost, s, &computed);
+    }
+    static void computed(sim::Call* c) {
+      Slot& s = static_cast<Slot&>(*c);
+      Run& k = static_cast<Run&>(*s.run);
+      k.device().end_step();
+      k.on_wg(s.wg);
+      claim(s);
+    }
+  };
+  Run k{{dev, params}, cost, on_wg};
+  k.start(&Slot::claim);
+  co_await k.wait();
+}
 
 }  // namespace fcc::gpu

@@ -12,10 +12,20 @@ Batcher::Batcher(std::vector<int> class_priorities, BatchPolicy policy)
       queues_(priorities_.size()),
       skipped_(priorities_.size(), 0) {
   FCC_CHECK(!priorities_.empty());
-  FCC_CHECK(policy_.max_batch >= 1);
-  FCC_CHECK(policy_.window_ns >= 0);
-  FCC_CHECK(policy_.queue_capacity >= 0);
-  FCC_CHECK(policy_.starvation_limit >= 1);
+  check_policy(policy_);
+}
+
+void check_policy(const BatchPolicy& p) {
+  FCC_CHECK_MSG(p.max_batch >= 1,
+                "BatchPolicy: max_batch must be >= 1, got " << p.max_batch);
+  FCC_CHECK_MSG(p.window_ns >= 0,
+                "BatchPolicy: window_ns must be >= 0, got " << p.window_ns);
+  FCC_CHECK_MSG(p.queue_capacity >= 0, "BatchPolicy: queue_capacity must be "
+                                       ">= 0, got "
+                                           << p.queue_capacity);
+  FCC_CHECK_MSG(p.starvation_limit >= 1,
+                "BatchPolicy: starvation_limit must be >= 1, got "
+                    << p.starvation_limit);
 }
 
 bool Batcher::enqueue(const Request& r) {

@@ -38,6 +38,9 @@ struct BatchPolicy {
   int starvation_limit = 4;
 };
 
+/// Throws, naming the field and its value, unless `p` is a valid policy.
+void check_policy(const BatchPolicy& p);
+
 struct Request {
   int id = 0;
   int cls = 0;

@@ -1,6 +1,7 @@
 #include "serve/simulator.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -23,8 +24,32 @@ Simulator::Simulator(gpu::Machine& machine, shmem::World& world,
   FCC_CHECK_MSG(&world_.machine() == &machine_,
                 "world must be built over the simulator's machine");
   FCC_CHECK(!catalog_.empty());
-  FCC_CHECK(cfg_.lanes >= 1);
   for (const ServeClass& c : catalog_) FCC_CHECK(!c.chain.empty());
+  // A bad policy fails here, not mid-run with tasks left suspended.
+  FCC_CHECK_MSG(cfg_.lanes >= 1,
+                "ServeConfig: lanes must be >= 1, got " << cfg_.lanes);
+  check_policy(cfg_.policy);
+  const TimeoutPolicy& to = cfg_.timeout;
+  FCC_CHECK_MSG(to.max_retries >= 0 && to.max_retries < 63,
+                "ServeConfig: timeout.max_retries must be in [0, 62], got "
+                    << to.max_retries);
+  // The retries back off for backoff_ns * (2^max_retries - 1) in total.
+  const TimeNs max_backoff =
+      std::numeric_limits<TimeNs>::max() >> to.max_retries;
+  FCC_CHECK_MSG(to.backoff_ns >= 0 && to.backoff_ns <= max_backoff,
+                "ServeConfig: timeout.backoff_ns must be in [0, "
+                    << max_backoff << "] for timeout.max_retries = "
+                    << to.max_retries << ", got " << to.backoff_ns);
+  const BrownoutPolicy& bo = cfg_.brownout;
+  FCC_CHECK_MSG(bo.baseline_batches >= 1,
+                "ServeConfig: brownout.baseline_batches must be >= 1, got "
+                    << bo.baseline_batches);
+  FCC_CHECK_MSG(bo.ema_alpha > 0.0 && bo.ema_alpha <= 1.0,
+                "ServeConfig: brownout.ema_alpha must be in (0, 1], got "
+                    << bo.ema_alpha);
+  FCC_CHECK_MSG(bo.drift_factor > 0.0,
+                "ServeConfig: brownout.drift_factor must be > 0, got "
+                    << bo.drift_factor);
 
   const std::vector<std::vector<fw::Backend>> backends = build_chains();
   lanes_.resize(static_cast<std::size_t>(cfg_.lanes));

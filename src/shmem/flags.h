@@ -12,7 +12,7 @@
 // A waiter is a sim::Call. A persistent-kernel slot waits with
 // wait_ge_then (or the strided poll_then) on its own record, the way its
 // other steps run (gpu::KernelRun); a driver coroutine `co_await`s
-// wait_ge, whose awaiter embeds the Call that resumes it.
+// wait_ge, one sim::suspend over wait_ge_then.
 //
 // Wakeups are *targeted*: `set`/`add` schedules exactly the waiters whose
 // threshold the new value meets, in registration order, one zero-delay
@@ -36,7 +36,6 @@
 #pragma once
 
 #include <algorithm>
-#include <coroutine>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -44,6 +43,7 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "sim/engine.h"
+#include "sim/task.h"
 
 namespace fcc::shmem {
 
@@ -141,7 +141,27 @@ class FlagArray final : public sim::FlagTarget {
     const std::uint32_t threshold = threshold32(v);
     if (values_[f] >= threshold) return false;
     c.fn = next;
-    enqueue(f, threshold, c);
+    Pool& pool = pools_[f / n_];
+    std::uint32_t w = pool.free;
+    if (w != kNil) {
+      pool.free = pool.nodes[w].next;
+    } else {
+      FCC_CHECK(pool.nodes.size() < kNil);
+      w = static_cast<std::uint32_t>(pool.nodes.size());
+      pool.nodes.emplace_back();
+    }
+    // `order` only tiebreaks waiters on the same flag, all registered on
+    // this PE; it is compared modulo 2^32 (see wake).
+    pool.nodes[w] = {threshold, &c, kNil, pool.seq++};
+    ++pool.live;
+    // Insert after every waiter with threshold <= this one: the list stays
+    // sorted by threshold, and stable in registration order.
+    std::uint32_t* link = &heads_[f];
+    while (*link != kNil && pool.nodes[*link].threshold <= threshold) {
+      link = &pool.nodes[*link].next;
+    }
+    pool.nodes[w].next = *link;
+    *link = w;
     return true;
   }
 
@@ -166,27 +186,12 @@ class FlagArray final : public sim::FlagTarget {
     return false;
   }
 
-  /// Awaitable wait_ge_then for a driver coroutine: suspends until
-  /// flag[pe][i] >= v. Already-satisfied waits do not suspend and cost no
-  /// events.
+  /// wait_ge_then for a driver coroutine: suspends until flag[pe][i] >= v.
+  /// Already-satisfied waits do not suspend and cost no events.
   auto wait_ge(PeId pe, std::size_t i, std::uint64_t v) {
-    // The waiter's Call lives in the awaiting frame, next to the handle
-    // it resumes.
-    struct Awaiter : sim::Call {
-      FlagArray& fa;
-      std::size_t f;
-      std::uint32_t threshold;
-      std::coroutine_handle<> h;
-      bool await_ready() const noexcept { return fa.values_[f] >= threshold; }
-      void await_suspend(std::coroutine_handle<> handle) {
-        h = handle;
-        fn = &wake;
-        fa.enqueue(f, threshold, *this);
-      }
-      void await_resume() const noexcept {}
-      static void wake(sim::Call* c) { static_cast<Awaiter*>(c)->h.resume(); }
-    };
-    return Awaiter{{}, *this, flat(pe, i), threshold32(v), {}};
+    return sim::suspend([=, this](sim::Call& c, sim::Call::Fn fn) {
+      return wait_ge_then(pe, i, v, c, fn);
+    });
   }
 
   /// Waiters currently suspended on flag[pe][i] (tests / diagnostics).
@@ -292,30 +297,6 @@ class FlagArray final : public sim::FlagTarget {
     FCC_DCHECK(pe >= 0 && pe < num_pes());
     FCC_DCHECK(i < n_);
     return static_cast<std::size_t>(pe) * n_ + i;
-  }
-
-  void enqueue(std::size_t f, std::uint64_t threshold, sim::Call& c) {
-    Pool& pool = pools_[f / n_];
-    std::uint32_t w = pool.free;
-    if (w != kNil) {
-      pool.free = pool.nodes[w].next;
-    } else {
-      FCC_CHECK(pool.nodes.size() < kNil);
-      w = static_cast<std::uint32_t>(pool.nodes.size());
-      pool.nodes.emplace_back();
-    }
-    // `order` only tiebreaks waiters on the same flag, all registered on
-    // this PE; it is compared modulo 2^32 (see wake).
-    pool.nodes[w] = {threshold, &c, kNil, pool.seq++};
-    ++pool.live;
-    // Insert after every waiter with threshold <= this one: the list stays
-    // sorted by threshold, and stable in registration order.
-    std::uint32_t* link = &heads_[f];
-    while (*link != kNil && pool.nodes[*link].threshold <= threshold) {
-      link = &pool.nodes[*link].next;
-    }
-    pool.nodes[w].next = *link;
-    *link = w;
   }
 
   /// Schedules every waiter whose threshold the flag's value now meets —

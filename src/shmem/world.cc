@@ -23,15 +23,6 @@ World::~World() {
   }
 }
 
-int World::outstanding(PeId src) const {
-  const PeState& st = pe(src);
-  const TimeNs now = machine_.engine_of(src).now();
-  return st.unreplayed +
-         static_cast<int>(std::count_if(st.deliveries.begin(),
-                                        st.deliveries.end(),
-                                        [now](TimeNs t) { return t > now; }));
-}
-
 void World::put(PeId src, PeId dst, Bytes bytes, std::function<void()> cb) {
   post(src, dst, bytes, std::move(cb));
 }
@@ -75,7 +66,7 @@ void World::post(PeId src, PeId dst, Bytes bytes, OnDeliver on_deliver) {
   // state and the node lives on one shard, so the reservation order equals
   // the serial engine's order.
   const TimeNs delivery = machine_.remote_write_time(src, dst, bytes, now);
-  note_delivery(src, now, delivery);
+  st.watermark = std::max(st.watermark, delivery);
   if (!delivers) return;
   const int dst_shard = machine_.shard_of(dst);
   if (dst_shard != src_shard) {
@@ -120,7 +111,8 @@ void World::drain_deferred() {
     const PendingPut& p = d.puts[tag.idx];
     const TimeNs delivery =
         machine_.remote_write_time(p.src, p.dst, p.bytes, p.t);
-    note_delivery(p.src, machine_.engine_of(p.src).now(), delivery);
+    PeState& st = pe(p.src);
+    st.watermark = std::max(st.watermark, delivery);
     sim::Engine& dst = machine_.engine_of(p.dst);
     if (p.delivery == Delivery::kFlag) {
       dst.schedule_flag_at(delivery, sim::FlagUpdate::from_word(p.payload));

@@ -1,15 +1,15 @@
 // GPU-initiated communication world (ROC_SHMEM analog).
 //
 // A PUT is charged, then posted. The issuing WG first pays the API/issue
-// latency (issue_then() in a persistent-kernel WG's call chain, `co_await
-// issue(src, dst, kind)` in a driver coroutine), then posts the PUT
-// (`put(src, dst, bytes, on_deliver)`): the payload's channel occupancy is
-// reserved at post time (DMA-queue semantics), and the optional delivery
-// runs when the bytes land at the destination. A flag PUT (a sliceRdy store, a
-// remote atomic add) delivers a compact sim::FlagUpdate; a functional-mode
-// data PUT delivers a closure that does its memcpy. The delivery is built
-// after the issue delay, by the plain code that posts it, so it never
-// lives across a suspension.
+// latency (issue_then() in a persistent-kernel WG's call chain; a driver
+// coroutine awaits the same call form as `issue(src, dst, kind)`), then
+// posts the PUT (`put(src, dst, bytes, on_deliver)`): the payload's channel
+// occupancy is reserved at post time (DMA-queue semantics), and the
+// optional delivery runs when the bytes land at the destination. A flag PUT
+// (a sliceRdy store, a remote atomic add) delivers a compact
+// sim::FlagUpdate; a functional-mode data PUT delivers a closure that does
+// its memcpy. The delivery is built after the issue delay, by the plain
+// code that posts it, so it never lives across a suspension.
 //
 // Ordering model: every route class the topology resolves — self (HBM
 // copy), intra-node (fabric/switch hop chain), inter-node (NIC and/or
@@ -21,26 +21,24 @@
 //
 // Delivery tracking. A PUT completes, on the source's side, at its
 // delivery time: every PUT whose delivery time is known at post time raises
-// the source's delivery watermark and joins its delivery list, and nothing
-// is scheduled on the source's engine. A PUT with a delivery schedules
-// exactly one engine event on the destination's engine (through the
-// mailbox when that is another shard): a flag PUT's update as an 8-byte
-// event word, with no closure and no callback node, or a data PUT's bare
-// closure (functional mode only). A PUT with no delivery — most data PUTs
-// of timing-only runs — schedules none. So in a timing-only run no PUT
-// builds a std::function.
-// `quiet(src)` waits until the watermark has passed, and `outstanding(src)`
-// counts the PUTs in the delivery list that land after the source engine's
-// now. On the deferred torus path (below) the delivery time is known only
-// at the barrier replay, so such a PUT stays in the source's unreplayed
-// count until the replay moves it to the watermark; `quiet` first waits for
-// that count to reach zero.
+// the source's delivery watermark, and nothing is scheduled on the
+// source's engine. A PUT with a delivery schedules exactly one engine event
+// on the destination's engine (through the mailbox when that is another
+// shard): a flag PUT's update as an 8-byte event word, with no closure and
+// no callback node, or a data PUT's bare closure (functional mode only). A
+// PUT with no delivery — most data PUTs of timing-only runs — schedules
+// none. So in a timing-only run no PUT builds a std::function.
+// `quiet(src)` waits until the watermark has passed, and `quiesced(src)`
+// tells whether it has. On the deferred torus path (below) the delivery
+// time is known only at the barrier replay, so such a PUT stays in the
+// source's unreplayed count until the replay moves it to the watermark;
+// `quiet` first waits for that count to reach zero.
 //
 // Sharded machines (gpu::Machine num_shards > 1) keep every piece of World
-// state shard-local: deferred counts, delivery watermarks and lists, drain
-// waiters, and per-PE put counters are only touched from the owning PE's
-// home shard (or by the serial barrier replay). Inter-node
-// PUTs follow one of two paths:
+// state shard-local: deferred counts, delivery watermarks, drain waiters
+// and per-PE put counters are only touched from the owning PE's home shard
+// (or by the serial barrier replay). Inter-node PUTs follow one of two
+// paths:
 //
 //   * eager (fully-connected / switched / multi-rail): the route's state is
 //     source-node-local, so the reservation happens at issue time exactly
@@ -86,7 +84,6 @@ class World {
   enum class IssueKind {
     kRdma,       // post descriptor + doorbell from the kernel (scale-out)
     kStore,      // direct remote stores over the fabric (scale-up zero-copy)
-    kNone,       // already accounted by the caller
   };
 
   explicit World(gpu::Machine& machine);
@@ -97,33 +94,23 @@ class World {
   gpu::Machine& machine() { return machine_; }
   int n_pes() const { return machine_.num_pes(); }
 
-  /// Awaiter of issue(): charges a nonzero issue latency to the source
-  /// device and suspends for it; a zero latency never suspends.
-  struct [[nodiscard]] Issue {
-    gpu::Device* dev;
-    TimeNs latency;
-    bool await_ready() const noexcept { return latency == 0; }
-    void await_suspend(std::coroutine_handle<> h) {
-      dev->busy_wait(latency).await_suspend(h);
-    }
-    void await_resume() const noexcept {}
-  };
-
-  /// The GPU-side issue cost of one PUT from `src` to `dst`. `co_await` it,
-  /// then post the PUT with put().
-  Issue issue(PeId src, PeId dst, IssueKind kind) {
-    return Issue{&machine_.device(src), issue_latency(src, dst, kind)};
-  }
-
-  /// issue() for a call chain (gpu::KernelRun): charges a nonzero issue
-  /// latency to the source device and runs `next` on `c` after it. Returns
-  /// false, scheduling nothing, for a zero latency: the chain goes on.
+  /// The GPU-side issue cost of one PUT from `src` to `dst`, then post the
+  /// PUT with put(): charges a nonzero issue latency to the source device
+  /// and runs `next` on `c` after it. Returns false, scheduling nothing,
+  /// for a zero latency: the caller goes on.
   bool issue_then(PeId src, PeId dst, IssueKind kind, sim::Call& c,
                   sim::Call::Fn next) {
     const TimeNs latency = issue_latency(src, dst, kind);
     if (latency == 0) return false;
     machine_.device(src).wait_then(latency, c, next);
     return true;
+  }
+
+  /// issue_then() for a coroutine.
+  auto issue(PeId src, PeId dst, IssueKind kind) {
+    return sim::suspend([=, this](sim::Call& c, sim::Call::Fn fn) {
+      return issue_then(src, dst, kind, c, fn);
+    });
   }
 
   /// Posts a PUT of `bytes` from `src` to `dst` at the source's now: its
@@ -142,43 +129,50 @@ class World {
   /// issue() then put() with no delivery callback, as one awaiter. Kept
   /// only for bench/perf's PUT microbenchmark; operators await issue() and
   /// call put() themselves.
-  struct [[nodiscard]] IssuePut : Issue {
+  struct [[nodiscard]] IssuePut : sim::Call {
     World* w;
     PeId src;
     PeId dst;
     Bytes bytes;
+    IssueKind kind;
+    std::coroutine_handle<> h;
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> handle) {
+      h = handle;
+      return w->issue_then(src, dst, kind, *this, [](sim::Call* c) {
+        static_cast<IssuePut*>(c)->h.resume();
+      });
+    }
     void await_resume() { w->put(src, dst, bytes); }
   };
   IssuePut put_nbi(PeId src, PeId dst, Bytes bytes, IssueKind kind) {
-    return IssuePut{issue(src, dst, kind), this, src, dst, bytes};
+    return IssuePut{{}, this, src, dst, bytes, kind, {}};
   }
 
   /// Orders prior PUTs from `src` before subsequent ones (per destination),
   /// then runs `next` on `c`. FIFO channels already guarantee the order;
   /// only the instruction cost, kFenceCostNs, is charged.
   void fence_then(PeId src, sim::Call& c, sim::Call::Fn next) {
-    sim::Engine& e = machine_.engine_of(src);
-    c.fn = next;
-    e.schedule_call_at(e.now() + kFenceCostNs, &c);
+    machine_.engine_of(src).call_after(kFenceCostNs, c, next);
   }
 
-  /// Blocks until every PUT issued by `src` has been delivered: no deferred
-  /// PUT awaits its replay and the delivery watermark has passed. Deferred
-  /// waiters are resumed only when that count hits zero, at the watermark
-  /// if that is later (the loop re-checks in case a same-time event issued
-  /// a new PUT between the wake and the resume). Works across shards: the
-  /// count, watermark and waiter list are touched only on `src`'s shard or
-  /// by the serial barrier replay.
+  /// Blocks until quiesced(src). While deferred PUTs await their replay,
+  /// it waits on `src`'s drain list, scheduled only when that count hits
+  /// zero, at the watermark if that is later (the loop re-checks in case a
+  /// same-time event issued a new PUT between the wake and the resume).
+  /// Works across shards: the count, watermark and list are touched only
+  /// on `src`'s shard or by the serial barrier replay.
   sim::Co quiet(PeId src) {
-    const PeState& st = pe(src);
-    sim::Engine& home = machine_.engine_of(src);
-    for (;;) {
+    PeState& st = pe(src);
+    while (!quiesced(src)) {
       if (st.unreplayed > 0) {
-        co_await DrainAwaiter{*this, src};
-      } else if (st.watermark > home.now()) {
-        co_await sim::delay_until(home, st.watermark);
+        co_await sim::suspend([&st](sim::Call& c, sim::Call::Fn fn) {
+          c.fn = fn;
+          st.drain_waiters.push_back(&c);
+          return true;
+        });
       } else {
-        co_return;
+        co_await sim::delay_until(machine_.engine_of(src), st.watermark);
       }
     }
   }
@@ -194,8 +188,12 @@ class World {
     for (const PeState& st : pes_) total += st.callback_free_puts;
     return total;
   }
-  /// PUTs from `src` not yet delivered at its home engine's now.
-  int outstanding(PeId src) const;
+  /// Whether every PUT issued by `src` has been delivered at its home
+  /// engine's now: none awaits its replay, and the watermark has passed.
+  bool quiesced(PeId src) const {
+    const PeState& st = pe(src);
+    return st.unreplayed == 0 && st.watermark <= machine_.engine_of(src).now();
+  }
 
   /// GPU-side issue latency for one PUT of the given kind. A kRdma PUT
   /// only pays the descriptor-post overhead when the resolved route
@@ -209,8 +207,6 @@ class World {
                    : machine_.config().fabric.store_issue_overhead_ns;
       case IssueKind::kStore:
         return machine_.config().fabric.store_issue_overhead_ns;
-      case IssueKind::kNone:
-        return 0;
     }
     return 0;
   }
@@ -218,18 +214,6 @@ class World {
   static constexpr TimeNs kFenceCostNs = 50;
 
  private:
-  struct DrainAwaiter {
-    World& w;
-    PeId src;
-    bool await_ready() const noexcept {
-      return w.pe(src).unreplayed == 0;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      w.pe(src).drain_waiters.push_back(h);
-    }
-    void await_resume() const noexcept {}
-  };
-
   /// What a deferred PUT delivers.
   enum class Delivery : std::uint8_t {
     kNone,
@@ -280,27 +264,9 @@ class World {
       // replay must not land before the window being replayed ends.
       sim::Engine& home = machine_.engine_of(src);
       const TimeNs at = std::max(home.now(), st.watermark);
-      for (auto h : st.drain_waiters) home.schedule_resume_at(at, h);
+      for (sim::Call* c : st.drain_waiters) home.schedule_call_at(at, c);
       st.drain_waiters.clear();
     }
-  }
-
-  /// Records a PUT from `src` delivering at `delivery`: raises the
-  /// watermark and keeps the time for outstanding(). When the list is full,
-  /// times at or before `now` are pruned first, and it grows only if at
-  /// least half of it is still in flight, so it stays about the size of the
-  /// in-flight set at O(1) amortized cost per PUT.
-  void note_delivery(PeId src, TimeNs now, TimeNs delivery) {
-    PeState& st = pe(src);
-    st.watermark = std::max(st.watermark, delivery);
-    std::vector<TimeNs>& d = st.deliveries;
-    if (d.size() == d.capacity()) {
-      std::erase_if(d, [now](TimeNs t) { return t <= now; });
-      if (2 * d.size() >= d.capacity()) {
-        d.reserve(std::max<std::size_t>(16, 2 * d.capacity()));
-      }
-    }
-    d.push_back(delivery);
   }
 
   /// Per-PE state: written only from the PE's home shard (or by the
@@ -311,8 +277,7 @@ class World {
     std::int64_t puts_issued = 0;
     std::int64_t callback_free_puts = 0;
     TimeNs watermark = 0;  // latest delivery time
-    std::vector<TimeNs> deliveries;  // pruned when full
-    std::vector<std::coroutine_handle<>> drain_waiters;
+    std::vector<sim::Call*> drain_waiters;
   };
   PeState& pe(PeId src) { return pes_[static_cast<std::size_t>(src)]; }
   const PeState& pe(PeId src) const {

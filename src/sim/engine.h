@@ -33,16 +33,14 @@
 //     the hints) is allocated by the first push after a drain; run()
 //     returns it and the pools when the queue drains, run_until() keeps
 //     them, so sharded windows and warm launches allocate nothing.
-//   * Every queued event is one tagged payload word, of four kinds. The
+//   * Every queued event is one tagged payload word, of three kinds. The
 //     overwhelming kind is a call (`schedule_call_at`): the address of a
 //     sim::Call that its scheduler owns, and firing runs its function on
 //     it. Every step of a persistent-kernel WG, flag wakeups included, is
 //     one (gpu::KernelRun): the call is the slot's record, and its
-//     function is the WG's next step.
-//   * "Resume this coroutine" (delay, busy_wait, quiet, in the drivers
-//     above the kernels): `schedule_resume_*` packs the bare handle into
-//     the word — no event object, no allocation, no dispatch indirection
-//     beyond the resume.
+//     function is the WG's next step. A suspended coroutine is woken the
+//     same way: its awaiter (sim::suspend, sim/task.h) embeds the call
+//     that resumes it, so no event object is allocated.
 //   * A flag update (sim/flag_update.h) — what a flag PUT delivers: set a
 //     flag to 1, or add to an arrival counter — is the word too:
 //     `schedule_flag_at` packs the target's id, the flag's index and the
@@ -57,7 +55,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -89,9 +86,9 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
   ~Engine() {
     // Destroy pending callbacks without running them and drop pending flag
-    // updates and calls (coroutine handles and calls are non-owning here:
-    // frames are destroyed by their own final-suspend machinery or leaked
-    // with the process, matching the old behavior).
+    // updates and calls (calls are non-owning here: a call embedded in a
+    // suspended coroutine frame goes with that frame, or leaks with the
+    // process).
     for_each_bucket([this](std::uint32_t bucket) {
       Bucket& b = buckets_[bucket];
       while (b.count != 0) dispose(take_front(b));
@@ -119,7 +116,7 @@ class Engine {
   /// own shard's state and must delay by >= the lookahead before its next
   /// cross-shard effect (every fused-op driver tail does: stream_sync /
   /// kernel_launch delays dominate any fabric latency floor). Library code
-  /// rewinds only resumes (schedule_resume_at_unchecked), never a closure.
+  /// rewinds only calls (schedule_call_at_unchecked), never a closure.
   template <typename F>
   void schedule_at_unchecked(TimeNs t, F&& fn) {
     // The node is fully constructed before its entry is queued, so a
@@ -175,23 +172,6 @@ class Engine {
     schedule_at(now_ + dt, std::forward<F>(fn));
   }
 
-  /// Fast path for the dominant event kind: resume `h` at time `t`. The
-  /// handle itself is the event payload — nothing is allocated or pooled.
-  void schedule_resume_at(TimeNs t, std::coroutine_handle<> h) {
-    push_entry(t, reinterpret_cast<std::uintptr_t>(h.address()) | kResume);
-  }
-
-  /// Rewind variant of schedule_resume_at; see schedule_at_unchecked.
-  void schedule_resume_at_unchecked(TimeNs t, std::coroutine_handle<> h) {
-    push_entry_unchecked(
-        t, reinterpret_cast<std::uintptr_t>(h.address()) | kResume);
-  }
-
-  void schedule_resume_after(TimeNs dt, std::coroutine_handle<> h) {
-    FCC_CHECK(dt >= 0);
-    schedule_resume_at(now_ + dt, h);
-  }
-
   /// Applies `u` at time `t`, in the same (time, push order) slot a
   /// callback would take. The update itself is the payload: nothing is
   /// allocated or pooled, and a pending update is dropped, untouched, if
@@ -204,6 +184,18 @@ class Engine {
   /// callback would take. Nothing is allocated: `c` itself is the payload.
   void schedule_call_at(TimeNs t, Call* c) {
     push_entry(t, reinterpret_cast<std::uintptr_t>(c) | kCall);
+  }
+
+  /// Runs `next` on `c` after `dt`: a plain wait's call form (a coroutine
+  /// awaits sim::delay).
+  void call_after(TimeNs dt, Call& c, Call::Fn next) {
+    c.fn = next;
+    schedule_call_at(now_ + dt, &c);
+  }
+
+  /// Rewind variant of schedule_call_at; see schedule_at_unchecked.
+  void schedule_call_at_unchecked(TimeNs t, Call* c) {
+    push_entry_unchecked(t, reinterpret_cast<std::uintptr_t>(c) | kCall);
   }
 
   /// Runs until the event queue drains, then returns the queue's pooled
@@ -250,7 +242,7 @@ class Engine {
   }
 
   /// Pooled callback nodes ever created (capacity watermark, not live
-  /// count; resume and flag events never take a node).
+  /// count; call and flag events never take a node).
   std::size_t slab_nodes() const { return nodes_.size(); }
 
   /// Bytes of pooled queue storage (wheel, heap, buckets, chunks): a
@@ -325,11 +317,9 @@ class Engine {
   };
 
   /// The payload word of every queued event is tagged in its low two bits:
-  /// 01 => the rest is a coroutine frame address to resume; 11 => the rest
-  /// is a sim::Call address (both pointers' alignment guarantees the bits
-  /// are free); 10 => payload >> 2 is a FlagUpdate word; 00 => payload >> 2
-  /// is a callback node index.
-  static constexpr std::uintptr_t kResume = 1u;
+  /// 11 => the rest is a sim::Call address (its alignment guarantees the
+  /// bits are free); 10 => payload >> 2 is a FlagUpdate word; 00 =>
+  /// payload >> 2 is a callback node index.
   static constexpr std::uintptr_t kFlag = 2u;
   static constexpr std::uintptr_t kCall = 3u;
   static_assert(alignof(Call) >= 4);
@@ -587,11 +577,7 @@ class Engine {
 
   void fire(std::uintptr_t payload) {
     const std::uintptr_t kind = tag(payload);
-    if (kind == kResume) {
-      std::coroutine_handle<>::from_address(
-          reinterpret_cast<void*>(payload - kResume))
-          .resume();
-    } else if (kind == kCall) {
+    if (kind == kCall) {
       Call* c = reinterpret_cast<Call*>(payload - kCall);
       c->fn(c);
     } else if (kind == kFlag) {

@@ -15,30 +15,31 @@
 //     shard's own thread.
 //   * A remote arrival posts a barrier call (ShardedEngine::post_at_barrier)
 //     that counts it at the next barrier, with every shard stopped.
-//   * The last count resumes the driver at the arrivals' max time through
-//     Engine::schedule_resume_at_unchecked: in-window that max is the home
-//     shard's now; at a barrier it may sit behind the home frontier.
+//   * The last count schedules the driver's waiting call at the arrivals'
+//     max time through Engine::schedule_call_at_unchecked: in-window that
+//     max is the home shard's now; at a barrier it may sit behind the home
+//     frontier.
 //
 // Which count is last therefore follows from simulated time alone, and so
 // do the resume's window and its slot in the home queue, never from which
 // thread reached its arrival first. No atomics: in-window counts run only
 // on the home thread, barrier counts only while it is parked. The driver
-// awaits right after spawning the bodies, a kernel launch before any can
-// arrive, so its handle exists by the last count.
+// waits right after spawning the bodies, a kernel launch before any can
+// arrive, so its call is registered by the last count.
 //
 // On a serial machine every arrival is home-shard and the code path reduces
-// to "last arrive schedules the resume at now" — the exact event the
-// JoinCounter + OneShot pair used to emit, so serial timing is unchanged.
+// to "last arrive schedules the driver's call at now" — the exact event a
+// JoinCounter's OneShot emits, so serial timing is unchanged.
 //
 // One-shot: construct a fresh ShardJoin per run (the fused runtime does).
 #pragma once
 
 #include <algorithm>
-#include <coroutine>
 
 #include "common/check.h"
 #include "common/types.h"
 #include "sim/sharded_engine.h"
+#include "sim/task.h"
 
 namespace fcc::sim {
 
@@ -62,32 +63,33 @@ class ShardJoin {
     }
   }
 
-  /// Awaited exactly once, by the driver, on the home shard. Resumes at
-  /// max(arrival times) — possibly rewinding the home frontier.
+  /// Registered exactly once, by the driver, on the home shard: runs
+  /// `next` on `c` at max(arrival times), possibly rewinding the home
+  /// frontier.
+  bool wait_then(Call& c, Call::Fn next) {
+    c.fn = next;
+    call_ = &c;
+    return true;
+  }
+
   auto wait() {
-    struct Awaiter {
-      ShardJoin& j;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) noexcept { j.h_ = h; }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
+    return suspend([this](Call& c, Call::Fn fn) { return wait_then(c, fn); });
   }
 
  private:
   void count(TimeNs t) {
     t_max_ = std::max(t_max_, t);
     if (--remaining_ != 0) return;
-    FCC_CHECK_MSG(h_ != nullptr, "ShardJoin completed before its driver "
-                                 "awaited it");
-    se_.shard(home_shard_).schedule_resume_at_unchecked(t_max_, h_);
+    FCC_CHECK_MSG(call_ != nullptr, "ShardJoin completed before its driver "
+                                    "waited on it");
+    se_.shard(home_shard_).schedule_call_at_unchecked(t_max_, call_);
   }
 
   ShardedEngine& se_;
   int home_shard_;
   int remaining_;
   TimeNs t_max_ = 0;
-  std::coroutine_handle<> h_ = nullptr;
+  Call* call_ = nullptr;
 };
 
 }  // namespace fcc::sim

@@ -1,13 +1,13 @@
 // Synchronization primitives for simulated processes.
 //
-// All wakeups are funneled through the engine's event queue (never direct
-// handle.resume() from a notifier), so wake order is deterministic and a
-// notifier's stack never nests a resumed process. Every wakeup uses the
-// engine's resume fast path (`schedule_resume_after`): no callable object,
-// no allocation.
+// All wakeups are funneled through the engine's event queue (never a
+// direct call from a notifier), so wake order is deterministic and a
+// notifier's stack never nests a woken waiter. A waiter is a sim::Call:
+// a call chain registers with wait_then(), a coroutine awaits wait(), one
+// sim::suspend over wait_then(). A wakeup is the waiter's call event: no
+// callable object, no allocation.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <vector>
 
@@ -37,28 +37,27 @@ class OneShot {
   void set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) {
-      engine_.schedule_resume_after(0, h);
-    }
+    for (Call* c : waiters_) engine_.schedule_call_at(engine_.now(), c);
     waiters_.clear();
   }
 
+  /// Runs `next` on `c` once the event is set. Returns false, scheduling
+  /// nothing, if it already is.
+  bool wait_then(Call& c, Call::Fn next) {
+    if (set_) return false;
+    c.fn = next;
+    waiters_.push_back(&c);
+    return true;
+  }
+
   auto wait() {
-    struct Awaiter {
-      OneShot& ev;
-      bool await_ready() const noexcept { return ev.set_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        ev.waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
+    return suspend([this](Call& c, Call::Fn fn) { return wait_then(c, fn); });
   }
 
  private:
   Engine& engine_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::vector<Call*> waiters_;
 };
 
 /// Broadcast condition: `notify_all()` wakes every process currently blocked
@@ -69,7 +68,7 @@ class OneShot {
 ///
 /// Prefer a targeted primitive where the predicate is known at the notifier
 /// (shmem::FlagArray threshold waiters, shmem::World::quiet): broadcasting
-/// costs one no-op resume event per unsatisfied waiter per notify.
+/// costs one no-op wakeup event per unsatisfied waiter per notify.
 class Condition {
  public:
   explicit Condition(Engine& e) : engine_(e) {}
@@ -80,27 +79,26 @@ class Condition {
   }
 
   void notify_all() {
-    for (auto h : waiters_) {
-      engine_.schedule_resume_after(0, h);
-    }
+    for (Call* c : waiters_) engine_.schedule_call_at(engine_.now(), c);
     waiters_.clear();
   }
 
+  /// Runs `next` on `c` at the next notify_all().
+  bool wait_then(Call& c, Call::Fn next) {
+    c.fn = next;
+    waiters_.push_back(&c);
+    return true;
+  }
+
   auto wait() {
-    struct Awaiter {
-      Condition& c;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) { c.waiters_.push_back(h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
+    return suspend([this](Call& c, Call::Fn fn) { return wait_then(c, fn); });
   }
 
   std::size_t num_waiters() const { return waiters_.size(); }
 
  private:
   Engine& engine_;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::vector<Call*> waiters_;
 };
 
 /// Join counter: tracks N outstanding sub-activities; `done` fires when all

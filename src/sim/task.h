@@ -5,6 +5,10 @@
 // at completion); completion is communicated through sim primitives
 // (OneShot, Condition, counters), never by touching the Task handle.
 //
+// A process waits through one awaiter, suspend(), over a wait primitive's
+// call form (the engine call a gpu::KernelRun slot's chain uses for the
+// same wait), so every wakeup is a sim::Call event.
+//
 // Any process whose first parameter is `Engine&` is automatically registered
 // with that engine, so Engine::live_tasks() can detect deadlocks: a drained
 // event queue with live tasks means someone is suspended on a condition that
@@ -53,29 +57,52 @@ class Task {  // intentionally discardable: processes are fire-and-forget
   };
 };
 
-/// Awaitable that suspends the process for `dt` virtual nanoseconds. Even a
-/// zero-length delay round-trips through the event queue, so that resume
-/// order stays deterministic relative to other same-time events.
-class [[nodiscard]] Delay {
+/// The awaiter of suspend(): the sim::Call that resumes the awaiting
+/// coroutine, embedded in its frame.
+template <typename Start>
+class [[nodiscard]] Suspend : Call {
  public:
-  Delay(Engine& e, TimeNs dt) : engine_(e), dt_(dt) { FCC_CHECK(dt >= 0); }
+  explicit Suspend(Start start) : Call{&resume}, start_(std::move(start)) {}
 
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    engine_.schedule_resume_after(dt_, h);
+  bool await_suspend(std::coroutine_handle<> h) {
+    h_ = h;
+    return start_(*this, &resume);
   }
   void await_resume() const noexcept {}
 
  private:
-  Engine& engine_;
-  TimeNs dt_;
+  static void resume(Call* c) { static_cast<Suspend*>(c)->h_.resume(); }
+
+  Start start_;
+  std::coroutine_handle<> h_;
 };
 
-inline Delay delay(Engine& e, TimeNs dt) { return Delay(e, dt); }
+/// Awaits a wait primitive's call form: `start(c, fn)` arranges for the
+/// engine to run `fn` on `c` when the wait ends and returns true, or
+/// returns false, scheduling nothing, when there is nothing to wait for;
+/// the coroutine then goes on without a queue round-trip. Every coroutine
+/// wait (delay, Device::busy_wait, World::issue, FlagArray::wait_ge,
+/// OneShot::wait, ...) is one suspend() over its call form, so it fires
+/// the event a call chain waiting the same way would fire.
+template <typename Start>
+Suspend<Start> suspend(Start start) {
+  return Suspend<Start>(std::move(start));
+}
 
-/// Awaitable that suspends until absolute time `t` (no-op if in the past).
-inline Delay delay_until(Engine& e, TimeNs t) {
-  return Delay(e, t > e.now() ? t - e.now() : 0);
+/// Suspends the process for `dt` (>= 0) virtual nanoseconds. Even a
+/// zero-length delay round-trips through the event queue, so that resume
+/// order stays deterministic relative to other same-time events.
+inline auto delay(Engine& e, TimeNs dt) {
+  return suspend([&e, dt](Call& c, Call::Fn fn) {
+    e.call_after(dt, c, fn);
+    return true;
+  });
+}
+
+/// Suspends until absolute time `t` (a zero-length delay if it is past).
+inline auto delay_until(Engine& e, TimeNs t) {
+  return delay(e, t > e.now() ? t - e.now() : 0);
 }
 
 }  // namespace fcc::sim

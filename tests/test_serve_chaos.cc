@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "chaos_plan.h"
@@ -271,6 +273,66 @@ TEST(ServeChaos, ZeroCapacityQueueRejectsEveryRequest) {
     EXPECT_TRUE(rec.rejected);
     EXPECT_EQ(rec.start, -1);
   }
+}
+
+/// Constructing a simulator over `cfg` must throw a std::logic_error whose
+/// message (after the failed expression) contains every string of `want`.
+void expect_rejected(const ServeConfig& cfg,
+                     const std::vector<std::string>& want) {
+  gpu::Machine machine(two_node_dual_rail());
+  shmem::World world(machine);
+  try {
+    Simulator sim(machine, world, default_catalog(machine.num_pes()), cfg);
+    ADD_FAILURE() << "accepted a config that should name " << want.front();
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    const std::string msg = what.substr(what.find(" — ") + 1);
+    for (const std::string& w : want) {
+      EXPECT_NE(msg.find(w), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(machine.sharded().live_tasks(), 0);
+}
+
+TEST(ServeChaos, BadConfigFailsAtConstructionNamingTheField) {
+  // Unchecked, each of these would fail mid-run (a negative backoff, an
+  // overflowing one, a zero-size batch), leaving tasks suspended, or
+  // silently never shed (a zero-batch baseline).
+  ServeConfig cfg;
+  cfg.timeout.slo_factor = 1e-6;
+  cfg.timeout.max_retries = 2;
+  cfg.timeout.backoff_ns = -1;
+  expect_rejected(cfg, {"timeout.backoff_ns", "got -1"});
+  cfg = ServeConfig{};
+  cfg.timeout.max_retries = -1;
+  expect_rejected(cfg, {"timeout.max_retries", "got -1"});
+  cfg = ServeConfig{};
+  cfg.timeout.max_retries = 50;  // 20 us << 50 overflows TimeNs
+  expect_rejected(cfg, {"timeout.backoff_ns", "timeout.max_retries = 50",
+                        "got 20000"});
+  cfg.timeout.max_retries = 63;
+  expect_rejected(cfg, {"timeout.max_retries", "got 63"});
+  cfg = ServeConfig{};
+  cfg.brownout.enabled = true;
+  cfg.brownout.baseline_batches = 0;
+  expect_rejected(cfg, {"brownout.baseline_batches", "got 0"});
+  cfg = ServeConfig{};
+  cfg.brownout.ema_alpha = 1.5;
+  expect_rejected(cfg, {"brownout.ema_alpha", "got 1.5"});
+  cfg.brownout.ema_alpha = 0.0;
+  expect_rejected(cfg, {"brownout.ema_alpha", "got 0"});
+  cfg = ServeConfig{};
+  cfg.brownout.drift_factor = 0.0;
+  expect_rejected(cfg, {"brownout.drift_factor", "got 0"});
+  cfg = ServeConfig{};
+  cfg.policy.max_batch = 0;
+  expect_rejected(cfg, {"max_batch", "got 0"});
+  cfg = ServeConfig{};
+  cfg.policy.window_ns = -5;
+  expect_rejected(cfg, {"window_ns", "got -5"});
+  cfg = ServeConfig{};
+  cfg.lanes = 0;
+  expect_rejected(cfg, {"lanes", "got 0"});
 }
 
 }  // namespace

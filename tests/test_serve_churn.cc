@@ -81,7 +81,7 @@ TEST(ServeChurn, SerialRespawnIsLeakFreeAndStable) {
       }
     }
     for (int pe = 0; pe < world.n_pes(); ++pe) {
-      ASSERT_EQ(world.outstanding(pe), 0) << "pe " << pe;
+      ASSERT_TRUE(world.quiesced(pe)) << "pe " << pe;
     }
   }
 }
@@ -152,7 +152,7 @@ TEST(ServeChurn, WarmSimulatorRepeatsAreStableAndLeakFree) {
         << "slab grew on repeat " << rep;
   }
   for (int pe = 0; pe < world.n_pes(); ++pe) {
-    ASSERT_EQ(world.outstanding(pe), 0) << "pe " << pe;
+    ASSERT_TRUE(world.quiesced(pe)) << "pe " << pe;
   }
 }
 

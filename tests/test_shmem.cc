@@ -410,7 +410,7 @@ TEST(World, PutPostedAfterIssueDeliversLater) {
                   wire_ns + m.config().ib.wire_latency_ns,
               2.0);
   EXPECT_GT(delivered, issued);
-  EXPECT_EQ(w.outstanding(0), 0);
+  EXPECT_TRUE(w.quiesced(0));
 }
 
 sim::Task ordered_puts(sim::Engine& e, World& w, FlagArray& flags,
@@ -468,7 +468,7 @@ sim::Task flag_consumer_sees_no_put_in_flight(sim::Engine& e, World& w,
   co_await flags.wait_ge(1, 0, 1);
   // The callback-free data PUT fired no event of its own, but it must have
   // landed before the flag did (fence + FIFO channel).
-  EXPECT_EQ(w.outstanding(0), 0);
+  EXPECT_TRUE(w.quiesced(0));
   consumed_at = e.now();
 }
 
@@ -489,12 +489,11 @@ TEST(World, FlagNeverOvertakesCallbackFreeData) {
 
 /// Three PUTs from PE 0 whose deliveries land out of issue order (a large
 /// inter-node PUT first, then small intra-node ones), with or without
-/// delivery callbacks; records each PUT's delivery (with callbacks), the
-/// outstanding count after each issue, and when quiet() returns.
+/// delivery callbacks; records each PUT's delivery (with callbacks), when
+/// the last one was posted, and when quiet() returns.
 sim::Task mixed_puts_then_quiet(sim::Engine& e, World& w, bool callbacks,
                                 std::vector<TimeNs>& delivered,
-                                std::vector<int>& in_flight,
-                                TimeNs& quiet_at) {
+                                TimeNs& posted_at, TimeNs& quiet_at) {
   const PeId dst[] = {4, 1, 2};
   const Bytes bytes[] = {1 << 20, 1024, 2048};
   for (int i = 0; i < 3; ++i) {
@@ -502,8 +501,9 @@ sim::Task mixed_puts_then_quiet(sim::Engine& e, World& w, bool callbacks,
     if (callbacks) cb = [&e, &delivered, i] { delivered[i] = e.now(); };
     co_await w.issue(0, dst[i], World::IssueKind::kRdma);
     w.put(0, dst[i], bytes[i], std::move(cb));
-    in_flight.push_back(w.outstanding(0));
+    EXPECT_FALSE(w.quiesced(0));
   }
+  posted_at = e.now();
   co_await w.quiet(0);
   quiet_at = e.now();
 }
@@ -512,18 +512,16 @@ TEST(World, QuietReturnsAtTheLastCallbackFreeDelivery) {
   gpu::Machine::Config c;
   c.num_nodes = 2;
   c.gpus_per_node = 4;
-  auto run = [&c](bool callbacks, std::vector<TimeNs>& delivered,
-                  std::size_t& events) {
+  TimeNs posted_at = -1;
+  auto run = [&c, &posted_at](bool callbacks, std::vector<TimeNs>& delivered,
+                              std::size_t& events) {
     gpu::Machine m(c);
     World w(m);
-    std::vector<int> in_flight;
     TimeNs quiet_at = -1;
-    mixed_puts_then_quiet(m.engine(), w, callbacks, delivered, in_flight,
+    mixed_puts_then_quiet(m.engine(), w, callbacks, delivered, posted_at,
                           quiet_at);
     events = m.engine().run();
-    // Every PUT counts as outstanding until it lands, event or not.
-    EXPECT_EQ(in_flight, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(w.outstanding(0), 0);
+    EXPECT_TRUE(w.quiesced(0));
     EXPECT_EQ(w.callback_free_puts(), callbacks ? 0 : 3);
     return quiet_at;
   };
@@ -533,6 +531,8 @@ TEST(World, QuietReturnsAtTheLastCallbackFreeDelivery) {
   const TimeNs callback_free = run(false, none, events_free);
   const TimeNs last = *std::max_element(delivered.begin(), delivered.end());
   EXPECT_EQ(delivered[0], last);  // the first PUT lands last
+  // Every PUT was still in flight when the last one was posted.
+  EXPECT_GT(*std::min_element(delivered.begin(), delivered.end()), posted_at);
   EXPECT_EQ(with_callbacks, last);
   EXPECT_EQ(callback_free, last);
   // Each callback-free PUT saved exactly its delivery event.
@@ -558,12 +558,12 @@ TEST(World, QuietDrainsAllOutstandingPuts) {
   m.engine().run();
   EXPECT_EQ(delivered, 10);
   EXPECT_GT(quiet_at, 0);
-  EXPECT_EQ(w.outstanding(0), 0);
+  EXPECT_TRUE(w.quiesced(0));
   EXPECT_EQ(w.puts_issued(), 10);
 }
 
 sim::Task local_put(sim::Engine& e, World& w, TimeNs& delivered_at) {
-  co_await w.issue(2, 2, World::IssueKind::kNone);
+  // Posted at t = 0, with no issue cost charged.
   w.put(2, 2, 1024, [&] { delivered_at = e.now(); });
   co_await w.quiet(2);
 }
@@ -613,29 +613,31 @@ TEST(World, IntraNodeStoreRidesFabric) {
 }
 
 sim::Task uncharged_put(sim::Engine& e, World& w, TimeNs& returned_at,
-                        std::int64_t& puts, int& outstanding) {
-  co_await w.issue(0, 1, World::IssueKind::kNone);
+                        std::int64_t& puts, bool& quiesced) {
+  co_await w.issue(0, 1, World::IssueKind::kRdma);
   w.put(0, 1, 4096);
   returned_at = e.now();
   puts = w.puts_issued();
-  outstanding = w.outstanding(0);
+  quiesced = w.quiesced(0);
   co_await w.quiet(0);
 }
 
 TEST(World, UnchargedPutReturnsWithoutSuspending) {
-  gpu::Machine m(two_nodes_one_gpu());
+  gpu::Machine::Config c = two_nodes_one_gpu();
+  c.ib.gpu_post_overhead_ns = 0;  // a zero issue latency
+  gpu::Machine m(c);
   World w(m);
   TimeNs returned_at = -1;
   std::int64_t puts = -1;
-  int outstanding = -1;
-  uncharged_put(m.engine(), w, returned_at, puts, outstanding);
+  bool quiesced = true;
+  uncharged_put(m.engine(), w, returned_at, puts, quiesced);
   // The process ran past the PUT before the engine fired a single event.
   EXPECT_EQ(returned_at, 0);
   EXPECT_EQ(puts, 1);
-  EXPECT_EQ(outstanding, 1);
+  EXPECT_FALSE(quiesced);
   EXPECT_EQ(m.device(0).busy_ns(), 0);
   m.engine().run();
-  EXPECT_EQ(w.outstanding(0), 0);
+  EXPECT_TRUE(w.quiesced(0));
 }
 
 /// `n` callback-free PUTs from 0 to 1, as put_nbi or as issue then put.

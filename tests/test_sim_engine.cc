@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <array>
-#include <coroutine>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -388,21 +387,22 @@ TEST(Engine, DestructorReleasesUnfiredCallbacks) {
   EXPECT_TRUE(weak.expired());
 }
 
-Task resume_hop(Engine& e, int& hops) {
+Task delay_hops(Engine& e, int& hops) {
   for (int i = 0; i < 3; ++i) {
     co_await delay(e, 7);
     ++hops;
   }
 }
 
-TEST(Engine, ResumeFastPathAdvancesTimeLikeAnyEvent) {
+TEST(Engine, CoroutineWakeupAdvancesTimeLikeAnyEvent) {
   Engine e;
   int hops = 0;
-  resume_hop(e, hops);
+  delay_hops(e, hops);
   e.run();
   EXPECT_EQ(hops, 3);
   EXPECT_EQ(e.now(), 21);
-  // Bare-handle resume events never take a pooled callback node.
+  // A coroutine's wakeup is a call embedded in its frame: it never takes a
+  // pooled callback node.
   EXPECT_EQ(e.slab_nodes(), 0u);
 }
 
@@ -458,18 +458,10 @@ TEST(Engine, PendingFlagEventIsDroppedAtTeardownWithoutTouchingItsTarget) {
   EXPECT_TRUE(bystander.log.empty());
 }
 
-/// Suspends its awaiter with the resume pushed at absolute time `t`.
-struct ResumeAt {
-  Engine& e;
-  TimeNs t;
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) { e.schedule_resume_at(t, h); }
-  void await_resume() const noexcept {}
-};
-
-Task log_resume_at(Engine& e, TimeNs t, std::vector<std::string>& seen,
-                   std::string name) {
-  co_await ResumeAt{e, t};
+/// A coroutine whose wakeup, a call event, is pushed at `t` when called.
+Task log_delay_until(Engine& e, TimeNs t, std::vector<std::string>& seen,
+                     std::string name) {
+  co_await delay_until(e, t);
   seen.push_back(std::move(name));
 }
 
@@ -486,7 +478,7 @@ struct LoggingCall : Call {
   std::string name;
 };
 
-TEST(Engine, AllFourPayloadKindsAtOneInstantFireInPushOrder) {
+TEST(Engine, AllThreePayloadKindsAtOneInstantFireInPushOrder) {
   Engine e;
   std::vector<std::string> seen;
   struct Spy final : FlagTarget {
@@ -497,23 +489,24 @@ TEST(Engine, AllFourPayloadKindsAtOneInstantFireInPushOrder) {
     std::vector<std::string>& seen;
   } spy(seen);
   LoggingCall call_a(seen, "call a"), call_b(seen, "call b");
-  // Resume, flag, node and call payloads interleaved at t = 10, each kind
-  // twice, plus one of each at t = 5 pushed last.
-  log_resume_at(e, 10, seen, "resume a");
+  // Flag, node and call payloads interleaved at t = 10, each kind at least
+  // twice (a coroutine's wakeup is a call too), plus a call at t = 5
+  // pushed last.
+  log_delay_until(e, 10, seen, "coroutine a");
   e.schedule_flag_at(10, FlagUpdate::set(spy, 1));
   e.schedule_call_at(10, &call_a);
   e.schedule_at(10, [&] { seen.push_back("node a"); });
   e.schedule_at(10, [&] { seen.push_back("node b"); });
   e.schedule_call_at(10, &call_b);
   e.schedule_flag_at(10, FlagUpdate::set(spy, 2));
-  log_resume_at(e, 10, seen, "resume b");
+  log_delay_until(e, 10, seen, "coroutine b");
   LoggingCall early(seen, "call early");
   e.schedule_call_at(5, &early);
   EXPECT_EQ(e.pending(), 9u);
   EXPECT_EQ(e.run(), 9u);
   EXPECT_EQ(seen, (std::vector<std::string>{
-                      "call early", "resume a", "flag 1", "call a", "node a",
-                      "node b", "call b", "flag 2", "resume b"}));
+                      "call early", "coroutine a", "flag 1", "call a",
+                      "node a", "node b", "call b", "flag 2", "coroutine b"}));
   EXPECT_EQ(e.now(), 10);
   EXPECT_EQ(e.slab_nodes(), 2u);  // the callbacks'; calls take no node
   EXPECT_EQ(e.live_tasks(), 0);
@@ -549,35 +542,20 @@ TEST(Determinism, TwoIdenticalRunsProduceIdenticalLogs) {
 
 // ---------------------------------------------------------------------------
 // Differential check: seeded random mixes of every scheduling entry point
-// (callbacks, resumes, flag updates, rewinds), run on sim::Engine and on a
+// (callbacks, calls, flag updates, rewinds), run on sim::Engine and on a
 // reference std::priority_queue ordered by (time, insertion sequence).
 // Both must fire the same events in the same order, at the same now(), and
 // agree on now(), pending() and next_event_time() after every operation.
 
 class DiffDriver;
 
-/// A coroutine that hands each resume to the driver: the engine-side body
-/// of one schedule_resume_* event. Parked between events.
-struct Probe {
-  struct promise_type {
-    Probe get_return_object() {
-      return Probe{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_never initial_suspend() noexcept { return {}; }
-    std::suspend_always final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { std::terminate(); }
-  };
-  std::coroutine_handle<promise_type> handle;
-};
-
-struct ProbeSlot {
+/// A call that hands each firing to the driver: the payload of one call
+/// event. Parked between events.
+struct ProbeSlot : Call {
   DiffDriver* driver = nullptr;
-  int id = -1;  // event the next resume stands for
-  std::coroutine_handle<> handle;
+  int id = -1;  // event the next firing stands for
+  static void run(Call* c);
 };
-
-Probe probe_body(ProbeSlot* slot);
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -599,7 +577,6 @@ class DiffDriver {
       : seed_(seed), rng_(seed), target_(this) {}
   ~DiffDriver() {
     engine_.reset();  // drop pending events before their probes
-    for (const auto& p : probes_) p->handle.destroy();
   }
 
   /// Runs `ops` random operations; returns "" or the first divergence.
@@ -631,15 +608,15 @@ class DiffDriver {
   enum class Kind {
     kAt,
     kAfter,
-    kResumeAt,
-    kResumeAfter,
+    kCallAt,
+    kCallAfter,
     kFlag,
     kRewind,
-    kRewindResume,
+    kRewindCall,
   };
   struct Child {
     TimeNs dt;
-    Kind kind;  // kAt, kResumeAt or kFlag
+    Kind kind;  // kAt, kCallAt or kFlag
   };
 
   /// Flag event `id` updates flag `id` of this target, by set (amount 0)
@@ -686,7 +663,7 @@ class DiffDriver {
     static constexpr int kCount[8] = {0, 0, 0, 1, 1, 1, 2, 3};
     static constexpr TimeNs kDt[8] = {0, 0, 1, 1, 2, 3, 5, 13};
     const int n = kCount[r & 7];
-    static constexpr Kind kChild[4] = {Kind::kAt, Kind::kResumeAt,
+    static constexpr Kind kChild[4] = {Kind::kAt, Kind::kCallAt,
                                        Kind::kFlag, Kind::kAt};
     for (int i = 0; i < n; ++i) {
       r >>= 8;
@@ -707,9 +684,9 @@ class DiffDriver {
       case 4:
         return top_level(Kind::kAfter, engine_->now() + dt);
       case 5: case 6:
-        return top_level(Kind::kResumeAt, engine_->now() + dt);
+        return top_level(Kind::kCallAt, engine_->now() + dt);
       case 7:
-        return top_level(Kind::kResumeAfter, engine_->now() + dt);
+        return top_level(Kind::kCallAfter, engine_->now() + dt);
       case 10: case 11: {
         // A wave: up to 40 events over a few timestamps, all five forward
         // kinds.
@@ -730,8 +707,7 @@ class DiffDriver {
               (r >> 20) % std::min<std::size_t>(engine_log_.size(), 16);
           t = std::min(t, engine_log_[engine_log_.size() - 1 - back].now);
         }
-        return top_level((r >> 4) & 1 ? Kind::kRewindResume : Kind::kRewind,
-                         t);
+        return top_level((r >> 4) & 1 ? Kind::kRewindCall : Kind::kRewind, t);
       }
       case 15: {
         const std::size_t a = engine_->run();
@@ -805,17 +781,17 @@ class DiffDriver {
                                                             amount));
         return;
       }
-      case Kind::kResumeAt:
-      case Kind::kResumeAfter:
-      case Kind::kRewindResume: {
+      case Kind::kCallAt:
+      case Kind::kCallAfter:
+      case Kind::kRewindCall: {
         ProbeSlot* slot = take_probe();
         slot->id = id;
-        if (kind == Kind::kResumeAfter) {
-          e.schedule_resume_after(t - e.now(), slot->handle);
-        } else if (kind == Kind::kResumeAt) {
-          e.schedule_resume_at(t, slot->handle);
+        if (kind == Kind::kCallAfter) {
+          e.call_after(t - e.now(), *slot, &ProbeSlot::run);
+        } else if (kind == Kind::kCallAt) {
+          e.schedule_call_at(t, slot);
         } else {
-          e.schedule_resume_at_unchecked(t, slot->handle);
+          e.schedule_call_at_unchecked(t, slot);
         }
         return;
       }
@@ -826,9 +802,9 @@ class DiffDriver {
     if (idle_probes_.empty()) {
       probes_.push_back(std::make_unique<ProbeSlot>());
       ProbeSlot* slot = probes_.back().get();
+      slot->fn = &ProbeSlot::run;
       slot->driver = this;
-      slot->handle = probe_body(slot).handle;
-      return slot;  // parked by probe_body, not on the idle list
+      return slot;
     }
     ProbeSlot* slot = idle_probes_.back();
     idle_probes_.pop_back();
@@ -898,12 +874,10 @@ class DiffDriver {
   int ref_ids_ = 0;
 };
 
-Probe probe_body(ProbeSlot* slot) {
-  for (;;) {
-    co_await std::suspend_always{};
-    slot->driver->fired(slot->id);
-    slot->driver->park(slot);
-  }
+void ProbeSlot::run(Call* c) {
+  auto* slot = static_cast<ProbeSlot*>(c);
+  slot->driver->fired(slot->id);
+  slot->driver->park(slot);
 }
 
 TEST(EngineDifferential, MatchesReferencePriorityQueueOnRandomMixes) {

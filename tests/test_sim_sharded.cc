@@ -147,24 +147,22 @@ TEST(ShardedEngine, ThreadCountDoesNotChangeResults) {
   EXPECT_EQ(a.second, 16u);
 }
 
-/// Posts a barrier call from `shard` that resumes the awaiting coroutine on
-/// that shard at `t`, the way ShardJoin and ccl's sweeps resume a driver.
-struct ResumeAtBarrier {
-  sim::ShardedEngine& se;
-  int shard;
-  TimeNs t;
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    se.post_at_barrier(shard, se.shard(shard).now(), [this, h] {
-      se.shard(shard).schedule_resume_at_unchecked(t, h);
+/// Posts a barrier call from `shard` that schedules the awaiting
+/// coroutine's call on that shard at `t`, the way ShardJoin and ccl's
+/// sweeps resume a driver.
+auto call_at_barrier(sim::ShardedEngine& se, int shard, TimeNs t) {
+  return sim::suspend([&se, shard, t](sim::Call& c, sim::Call::Fn fn) {
+    c.fn = fn;
+    se.post_at_barrier(shard, se.shard(shard).now(), [&se, shard, t, &c] {
+      se.shard(shard).schedule_call_at_unchecked(t, &c);
     });
-  }
-  void await_resume() const noexcept {}
-};
+    return true;
+  });
+}
 
 sim::Task resumed_by_barrier_call(sim::Engine& engine, sim::ShardedEngine& se,
                                   TimeNs t, std::vector<int>& order) {
-  co_await ResumeAtBarrier{se, 0, t};
+  co_await call_at_barrier(se, 0, t);
   order.push_back(static_cast<int>(engine.now()));
 }
 
@@ -496,7 +494,7 @@ TEST(ShardMailbox, QuietSpansShards) {
     burst_then_quiet(m.engine_of(0), w, 0, 3, 4, quiet_done);
     m.run_all();
     EXPECT_EQ(m.sharded().live_tasks(), 0);
-    EXPECT_EQ(w.outstanding(0), 0);
+    EXPECT_TRUE(w.quiesced(0));
     return quiet_done;
   };
   const TimeNs serial = run(1);
@@ -515,7 +513,7 @@ TEST(ShardMailbox, QuietSpansShardsOnTorus) {
     burst_then_quiet(m.engine_of(0), w, 0, 3, 4, quiet_done);
     m.run_all();
     EXPECT_EQ(m.sharded().live_tasks(), 0);
-    EXPECT_EQ(w.outstanding(0), 0);
+    EXPECT_TRUE(w.quiesced(0));
     return quiet_done;
   };
   const TimeNs serial = run(1);
@@ -525,7 +523,7 @@ TEST(ShardMailbox, QuietSpansShardsOnTorus) {
 }
 
 sim::Task put_then_quiet(sim::Engine& engine, shmem::World& w, bool callback,
-                         TimeNs& delivered_at, int& in_flight,
+                         TimeNs& delivered_at, bool& quiesced_after_post,
                          TimeNs& quiet_done) {
   std::function<void()> cb;
   if (callback) {
@@ -536,7 +534,7 @@ sim::Task put_then_quiet(sim::Engine& engine, shmem::World& w, bool callback,
   }
   co_await w.issue(0, 1, shmem::World::IssueKind::kRdma);
   w.put(0, 1, 64 * 1024, std::move(cb));
-  in_flight = w.outstanding(0);
+  quiesced_after_post = w.quiesced(0);
   co_await w.quiet(0);
   quiet_done = engine.now();
 }
@@ -551,13 +549,13 @@ TEST(ShardMailbox, QuietWaitsForReplayedCallbackFreeDeliveryOnTorus) {
     EXPECT_EQ(m.defer_inter_node(), shards > 1);
     shmem::World w(m);
     TimeNs delivered_at = -1, quiet_done = -1;
-    int in_flight = -1;
-    put_then_quiet(m.engine_of(0), w, callback, delivered_at, in_flight,
-                   quiet_done);
+    bool quiesced_after_post = true;
+    put_then_quiet(m.engine_of(0), w, callback, delivered_at,
+                   quiesced_after_post, quiet_done);
     m.run_all();
     EXPECT_EQ(m.sharded().live_tasks(), 0);
-    EXPECT_EQ(in_flight, 1);
-    EXPECT_EQ(w.outstanding(0), 0);
+    EXPECT_FALSE(quiesced_after_post);
+    EXPECT_TRUE(w.quiesced(0));
     EXPECT_EQ(w.callback_free_puts(), callback ? 0 : 1);
     if (callback) {
       EXPECT_EQ(quiet_done, delivered_at);
@@ -591,7 +589,6 @@ struct PathRun {
   TimeNs quiet_done = -1;
   std::vector<TimeNs> posted;     // per PUT
   std::vector<TimeNs> delivered;  // per PUT with a callback, else -1
-  std::vector<int> in_flight;     // outstanding(0) after each post
 };
 
 /// Issues kPathPuts 64 KiB PUTs from PE 0, alternating between PE 2 and
@@ -612,7 +609,6 @@ sim::Task puts_then_quiet(sim::Engine& engine, shmem::World& w,
     co_await w.issue(0, dst, shmem::World::IssueKind::kRdma);
     w.put(0, dst, 64 * 1024, std::move(cb));
     r.posted.push_back(engine.now());
-    r.in_flight.push_back(w.outstanding(0));
   }
   co_await w.quiet(0);
   r.quiet_done = engine.now();
@@ -627,7 +623,7 @@ PathRun run_put_path(bool torus, int shards, int with_callback) {
   puts_then_quiet(m.engine_of(0), w, with_callback, r);
   r.events = m.run_all().events;
   EXPECT_EQ(m.sharded().live_tasks(), 0);
-  EXPECT_EQ(w.outstanding(0), 0);
+  EXPECT_TRUE(w.quiesced(0));
   EXPECT_EQ(w.puts_issued(), kPathPuts);
   EXPECT_EQ(w.callback_free_puts(), kPathPuts - with_callback);
   return r;
@@ -654,22 +650,17 @@ TEST(ShardPut, OneEngineEventPerCallbackPut) {
 
 /// quiet() returns at the last delivery, with every callback already run
 /// (none lands later), serial or sharded, with or without callbacks; and
-/// outstanding() counts each PUT from its post until it lands.
+/// every PUT is posted and delivered at the serial engine's times.
 TEST(ShardPut, QuietReturnsAtTheLastDeliveryOnEveryPath) {
   for (const bool torus : {false, true}) {
     const PathRun serial = run_put_path(torus, 1, kPathPuts);
     const TimeNs last =
         *std::max_element(serial.delivered.begin(), serial.delivered.end());
     EXPECT_GT(last, 0);
-    std::vector<int> expected_in_flight;
-    for (std::size_t i = 0; i < serial.posted.size(); ++i) {
-      expected_in_flight.push_back(static_cast<int>(
-          std::count_if(serial.delivered.begin(),
-                        serial.delivered.begin() + static_cast<long>(i) + 1,
-                        [&](TimeNs d) { return d > serial.posted[i]; })));
-    }
-    // Intra-node PUTs land before the last inter-node PUT is posted.
-    EXPECT_LT(expected_in_flight.back(), kPathPuts);
+    // Some PUT lands before the last one is posted.
+    EXPECT_LT(
+        *std::min_element(serial.delivered.begin(), serial.delivered.end()),
+        serial.posted.back());
     for (const int shards : {1, 2}) {
       for (const int k : {0, kPathPuts}) {
         const PathRun r = run_put_path(torus, shards, k);
@@ -681,24 +672,23 @@ TEST(ShardPut, QuietReturnsAtTheLastDeliveryOnEveryPath) {
         }
         EXPECT_EQ(r.quiet_done, last) << what;
         EXPECT_EQ(r.posted, serial.posted) << what;
-        EXPECT_EQ(r.in_flight, expected_in_flight) << what;
       }
     }
   }
 }
 
 /// kPathPuts PUTs from PE 0 whose callbacks record, in delivery order,
-/// outstanding(0) and the PUTs posted so far; then quiets and records how
+/// quiesced(0) and the PUTs posted so far; then quiets and records how
 /// many callbacks had run.
 sim::Task counted_puts_then_quiet(
-    shmem::World& w, std::vector<std::pair<int, int>>& at_delivery,
+    shmem::World& w, std::vector<std::pair<bool, int>>& at_delivery,
     int& run_at_quiet) {
   int posted = 0;
   for (int i = 0; i < kPathPuts; ++i) {
     const PeId dst = i % 2 == 0 ? 2 : 1;
     co_await w.issue(0, dst, shmem::World::IssueKind::kRdma);
     w.put(0, dst, 64 * 1024, [&w, &at_delivery, &posted] {
-      at_delivery.emplace_back(w.outstanding(0), posted);
+      at_delivery.emplace_back(w.quiesced(0), posted);
     });
     ++posted;
   }
@@ -706,21 +696,21 @@ sim::Task counted_puts_then_quiet(
   run_at_quiet = static_cast<int>(at_delivery.size());
 }
 
-/// On one engine, a callback sees its own PUT as landed and every posted
-/// PUT whose callback has not run yet as in flight, and quiet() resumes
-/// only after the last callback has run.
+/// On one engine, a callback sees PE 0 quiesced exactly when every posted
+/// PUT's callback has run, its own included, and quiet() resumes only
+/// after the last callback has run.
 TEST(ShardPut, SerialCallbackSeesItsPutLandedAndQuietFollowsTheLast) {
   gpu::Machine m(put_path_config(false, 1));
   shmem::World w(m);
-  std::vector<std::pair<int, int>> at_delivery;
+  std::vector<std::pair<bool, int>> at_delivery;
   int run_at_quiet = -1;
   counted_puts_then_quiet(w, at_delivery, run_at_quiet);
   m.run_all();
   EXPECT_EQ(run_at_quiet, kPathPuts);
   ASSERT_EQ(at_delivery.size(), static_cast<std::size_t>(kPathPuts));
   for (std::size_t j = 0; j < at_delivery.size(); ++j) {
-    const auto [in_flight, posted] = at_delivery[j];
-    EXPECT_EQ(in_flight, posted - static_cast<int>(j) - 1) << "delivery " << j;
+    const auto [quiesced, posted] = at_delivery[j];
+    EXPECT_EQ(quiesced, posted == static_cast<int>(j) + 1) << "delivery " << j;
   }
   // Some PUT landed before the last one was posted.
   EXPECT_LT(at_delivery.front().second, kPathPuts);

@@ -75,14 +75,6 @@ FusedEmbeddingAllToAll::FusedEmbeddingAllToAll(shmem::World& world,
   register_debug_flags("sliceRdy", slice_rdy_);
 }
 
-std::size_t FusedEmbeddingAllToAll::slice_flag(PeId src, int slice) const {
-  const auto& map = cfg_.map;
-  return (static_cast<std::size_t>(src) * map.tables_per_pe +
-          static_cast<std::size_t>(map.slice_table(slice))) *
-             static_cast<std::size_t>(map.slices_per_dest_per_table()) +
-         static_cast<std::size_t>(map.slice_group(slice));
-}
-
 sim::Co FusedEmbeddingAllToAll::run() {
   const auto& map = cfg_.map;
   const int pes = map.num_pes;
@@ -124,20 +116,28 @@ struct FusedEmbeddingAllToAll::Kernel : gpu::KernelRun {
   Kernel(FusedEmbeddingAllToAll& op, PeId pe, Params params)
       : KernelRun(op.world_.machine().device(pe), params),
         op(op),
-        traced(op.world_.machine().config().collect_trace) {}
+        traced(op.world_.machine().config().collect_trace) {
+    if (traced) wg_begin.resize(static_cast<std::size_t>(active_slots()));
+  }
   FusedEmbeddingAllToAll& op;
   bool traced;
+  /// Traced runs: each slot's WG start, for its span; empty otherwise.
+  std::vector<TimeNs> wg_begin;
 };
 
-/// A slot's record: the logical WG in flight and where its vector goes.
+/// A slot's record: where the vector of its WG in flight goes, its slice
+/// and lane, two records to a cache line. The destination is
+/// index_.dest_of(slice), and in functional mode the WG's table and sample
+/// follow from (slice, lane) too. SliceMap::validate bounds the WG count
+/// by INT_MAX, so a lane fits 31 bits.
 struct FusedEmbeddingAllToAll::Slot : gpu::KernelRun::Slot {
-  int lw;  // once the queue drains, the next sliceRdy flag to poll
-  SliceIndex::Placement at;
-  bool zero_copy;  // the vector is a zero-copy store (zero_copy_to)
-  TimeNs t_begin;  // traced runs: the WG's start, for its span
+  int slice;  // once the queue drains, the next sliceRdy flag to poll
+  unsigned lane : 31;
+  unsigned zero_copy : 1;  // the vector is a zero-copy store (zero_copy_to)
 };
 
 sim::Co FusedEmbeddingAllToAll::pe_body(PeId pe) {
+  static_assert(sizeof(Slot) == 32, "two slot records per cache line");
   Kernel k(*this, pe,
            {.num_slots = slots_per_pe_, .num_wgs = cfg_.map.num_logical_wgs()});
   k.start(&claim);
@@ -150,15 +150,19 @@ void FusedEmbeddingAllToAll::claim(Slot& s) {
   FusedEmbeddingAllToAll& op = k.op;
   const int lw = op.wg_at(k.pe(), k.next(s));
   if (lw < 0) {
-    s.lw = s.index;
+    s.slice = s.index;
     poll_slices(&s);
     return;
   }
-  s.lw = lw;
-  s.at = op.index_.place(lw);
-  s.zero_copy = op.zero_copy_to(k.pe(), s.at.dest);
-  if (k.traced) s.t_begin = k.engine().now();
-  k.device().start_step(op.wg_cost_[s.zero_copy ? 1 : 0], s, &step_end);
+  const SliceIndex::Placement at = op.index_.place(lw);
+  const bool zero_copy = op.zero_copy_to(k.pe(), at.dest);
+  s.slice = at.slice;
+  s.lane = static_cast<unsigned>(at.lane);
+  s.zero_copy = zero_copy;
+  if (k.traced) {
+    k.wg_begin[static_cast<std::size_t>(s.index)] = k.engine().now();
+  }
+  k.device().start_step(op.wg_cost_[zero_copy ? 1 : 0], s, &step_end);
 }
 
 void FusedEmbeddingAllToAll::step_end(sim::Call* c) {
@@ -166,8 +170,8 @@ void FusedEmbeddingAllToAll::step_end(sim::Call* c) {
   Kernel& k = static_cast<Kernel&>(*s.run);
   k.device().end_step();
   if (s.zero_copy &&
-      k.op.world_.issue_then(k.pe(), s.at.dest, shmem::World::IssueKind::kStore,
-                             s, &stored)) {
+      k.op.world_.issue_then(k.pe(), k.op.index_.dest_of(s.slice),
+                             shmem::World::IssueKind::kStore, s, &stored)) {
     return;
   }
   stored(c);
@@ -176,10 +180,11 @@ void FusedEmbeddingAllToAll::step_end(sim::Call* c) {
 void FusedEmbeddingAllToAll::stored(sim::Call* c) {
   Slot& s = static_cast<Slot&>(*c);
   Kernel& k = static_cast<Kernel&>(*s.run);
-  k.op.post_wg(k.pe(), s.lw, s.at, s.zero_copy);
+  k.op.post_wg(k.pe(), s.slice, static_cast<int>(s.lane), s.zero_copy);
   if (k.traced) {
     k.op.world_.machine().trace_of(k.pe()).add_span(
-        {"wg", "compute", k.pe(), s.index, s.t_begin, k.engine().now()});
+        {"wg", "compute", k.pe(), s.index,
+         k.wg_begin[static_cast<std::size_t>(s.index)], k.engine().now()});
   }
   // WG_Done bookkeeping; the last finishing WG of the slice emits it.
   k.device().wait_then(ops::kFusedWgBookkeepingNs, s, &bookkept);
@@ -189,14 +194,14 @@ void FusedEmbeddingAllToAll::bookkept(sim::Call* c) {
   Slot& s = static_cast<Slot&>(*c);
   Kernel& k = static_cast<Kernel&>(*s.run);
   FusedEmbeddingAllToAll& op = k.op;
-  if (!op.wg_done_.mark(k.pe(), s.at.slice, s.at.lane)) {
+  if (!op.wg_done_.mark(k.pe(), s.slice, static_cast<int>(s.lane))) {
     claim(s);
     return;
   }
-  const PeId dest = s.at.dest;  // the slice's destination too
+  const PeId dest = op.index_.dest_of(s.slice);
   if (dest == k.pe()) {
     // Locally consumed slice: flag is a local store.
-    op.slice_rdy_->set(k.pe(), op.slice_flag(k.pe(), s.at.slice), 1);
+    op.slice_rdy_->set(k.pe(), op.index_.flag_of(k.pe(), dest, s.slice), 1);
     if (k.traced) {
       op.world_.machine().trace_of(k.pe()).add_instant(
           {"local_slice", "local", k.pe(), s.index, k.engine().now()});
@@ -222,8 +227,9 @@ void FusedEmbeddingAllToAll::bookkept(sim::Call* c) {
 void FusedEmbeddingAllToAll::zero_copy_fenced(sim::Call* c) {
   Slot& s = static_cast<Slot&>(*c);
   Kernel& k = static_cast<Kernel&>(*s.run);
-  if (k.op.world_.issue_then(k.pe(), s.at.dest, shmem::World::IssueKind::kStore,
-                             s, &signal_slice)) {
+  if (k.op.world_.issue_then(k.pe(), k.op.index_.dest_of(s.slice),
+                             shmem::World::IssueKind::kStore, s,
+                             &signal_slice)) {
     return;
   }
   signal_slice(c);
@@ -232,14 +238,14 @@ void FusedEmbeddingAllToAll::zero_copy_fenced(sim::Call* c) {
 void FusedEmbeddingAllToAll::staged_issued(sim::Call* c) {
   Slot& s = static_cast<Slot&>(*c);
   Kernel& k = static_cast<Kernel&>(*s.run);
-  k.op.post_slice(k.pe(), s.at.slice);
+  k.op.post_slice(k.pe(), s.slice);
   k.op.world_.fence_then(k.pe(), s, &staged_fenced);
 }
 
 void FusedEmbeddingAllToAll::staged_fenced(sim::Call* c) {
   Slot& s = static_cast<Slot&>(*c);
   Kernel& k = static_cast<Kernel&>(*s.run);
-  const PeId dest = s.at.dest;
+  const PeId dest = k.op.index_.dest_of(s.slice);
   if (k.op.world_.issue_then(k.pe(), dest, k.op.staged_kind(k.pe(), dest), s,
                              &signal_slice)) {
     return;
@@ -251,8 +257,9 @@ void FusedEmbeddingAllToAll::signal_slice(sim::Call* c) {
   Slot& s = static_cast<Slot&>(*c);
   Kernel& k = static_cast<Kernel&>(*s.run);
   FusedEmbeddingAllToAll& op = k.op;
-  op.slice_rdy_.signal(op.world_, k.pe(), s.at.dest,
-                       op.slice_flag(k.pe(), s.at.slice));
+  const PeId dest = op.index_.dest_of(s.slice);
+  op.slice_rdy_.signal(op.world_, k.pe(), dest,
+                       op.index_.flag_of(k.pe(), dest, s.slice));
   if (k.traced) {
     op.world_.machine().trace_of(k.pe()).add_instant(
         {"put", "comm", k.pe(), s.index, k.engine().now()});
@@ -266,8 +273,8 @@ void FusedEmbeddingAllToAll::poll_slices(sim::Call* c) {
   Slot& s = static_cast<Slot&>(*c);
   Kernel& k = static_cast<Kernel&>(*s.run);
   const auto set = [](int) -> std::uint64_t { return 1; };
-  if (!k.op.slice_rdy_->poll_then(k.pe(), s.lw, k.active_slots(),
-                                  k.op.cfg_.map.num_slices(), set, s,
+  if (!k.op.slice_rdy_->poll_then(k.pe(), s.slice, k.active_slots(),
+                                  k.op.index_.num_slices(), set, s,
                                   &poll_slices)) {
     k.finish(s);
   }
@@ -278,11 +285,10 @@ bool FusedEmbeddingAllToAll::zero_copy_to(PeId pe, PeId dest) const {
          world_.machine().route_class(pe, dest) == hw::RouteClass::kIntraNode;
 }
 
-void FusedEmbeddingAllToAll::post_wg(PeId pe, int lw,
-                                     const SliceIndex::Placement& at,
+void FusedEmbeddingAllToAll::post_wg(PeId pe, int slice, int lane,
                                      bool zero_copy) {
   const auto& map = cfg_.map;
-  const PeId dest = at.dest;
+  const PeId dest = index_.dest_of(slice);
   // Scale-up path: this WG's threads store the vector straight into the
   // destination GPU's output buffer.
   const Bytes store_bytes = static_cast<Bytes>(map.dim) * 4;
@@ -290,8 +296,8 @@ void FusedEmbeddingAllToAll::post_wg(PeId pe, int lw,
     if (zero_copy) world_.put(pe, dest, store_bytes);
     return;
   }
-  const int t = map.wg_table(lw);
-  const int b = map.wg_sample(lw);
+  const int t = map.slice_table(slice);
+  const int b = map.slice_sample_begin(slice) + lane;
   std::vector<float> vec(static_cast<std::size_t>(map.dim));
   ops::pool_reference(cfg_.emb_config(),
                       data_->tables[static_cast<std::size_t>(pe)],
@@ -317,12 +323,12 @@ void FusedEmbeddingAllToAll::post_wg(PeId pe, int lw,
     return;
   }
   auto& st = stage_[static_cast<std::size_t>(pe)]
-                   [static_cast<std::size_t>(at.slice)];
+                   [static_cast<std::size_t>(slice)];
   if (st.empty()) {
     st.resize(static_cast<std::size_t>(map.vectors_per_slice) *
               static_cast<std::size_t>(map.dim));
   }
-  const std::size_t lane_off = static_cast<std::size_t>(at.lane) *
+  const std::size_t lane_off = static_cast<std::size_t>(lane) *
                                static_cast<std::size_t>(map.dim);
   std::copy(vec.begin(), vec.end(),
             st.begin() + static_cast<std::ptrdiff_t>(lane_off));

@@ -124,25 +124,21 @@ class FusedEmbeddingAllToAll final : public FusedOp {
   static void staged_fenced(sim::Call* c);
   static void signal_slice(sim::Call* c);
   /// A drained slot's end: its share of the sliceRdy flags, polled from
-  /// the record's `lw`.
+  /// the record's `slice`.
   static void poll_slices(sim::Call* c);
   /// Whether a WG's vector goes out as a zero-copy scale-up store.
   bool zero_copy_to(PeId pe, PeId dest) const;
-  /// Posts WG `lw`'s result once its compute (and, for a zero-copy store,
-  /// its issue) is done: the zero-copy PUT, and in functional mode its
-  /// pooled vector, written to the local output or its slice's staging
-  /// buffer, or carried by the PUT's delivery.
-  void post_wg(PeId pe, int lw, const SliceIndex::Placement& at,
-               bool zero_copy);
+  /// Posts the result of the WG at `lane` of `slice` once its compute
+  /// (and, for a zero-copy store, its issue) is done: the zero-copy PUT,
+  /// and in functional mode its pooled vector, written to the local output
+  /// or its slice's staging buffer, or carried by the PUT's delivery.
+  void post_wg(PeId pe, int slice, int lane, bool zero_copy);
   /// Posts a staged slice's PUT (in functional mode, with the delivery
   /// that copies the staging buffer out).
   void post_slice(PeId pe, int slice);
   /// Issue kind of a staged slice's PUTs: RDMA unless `dest` shares the
   /// node.
   shmem::World::IssueKind staged_kind(PeId pe, PeId dest) const;
-  /// sliceRdy flag, on the slice's destination, of `src`'s slice `slice`.
-  std::size_t slice_flag(PeId src, int slice) const;
-
   EmbeddingA2AConfig cfg_;
   EmbeddingA2AData* data_;
   SliceIndex index_;  // cfg_.map's per-WG arithmetic

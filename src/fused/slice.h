@@ -15,12 +15,21 @@
 // the topology's node shift order) and expanded one position at a time
 // (SliceIndex::block_wg), never as a per-WG vector.
 //
+// Slices are numbered destination-major: slice (dest, table, group) is
+// (dest x tables_per_pe + table) x slices_per_dest_per_table + group, so PE
+// d's slices are the contiguous range [d, d + 1) x slices_per_dest(), and a
+// slice's destination is one division (SliceIndex::dest_of). The sliceRdy
+// flags a destination holds are numbered per (source, table, group) instead,
+// so a slice's flag is its offset in its destination's range, shifted by
+// the source (SliceIndex::flag_of).
+//
 // The per-WG index arithmetic (SliceIndex) divides by the map's fixed
 // sizes. It runs once per logical WG, so each divisor is a Divisor
 // reciprocal computed once per operator: a multiply and a shift instead of
 // a hardware division.
 #pragma once
 
+#include <climits>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -71,6 +80,15 @@ struct SliceMap {
     FCC_CHECK(dim >= 1);
     FCC_CHECK_MSG(global_batch >= 1,
                   "SliceMap::global_batch must be >= 1, got " << global_batch);
+    // Logical WGs, slices and lanes are ints (and SliceIndex's Divisor
+    // arithmetic takes n < 2^31): the WG count must fit one.
+    const std::int64_t wgs = std::int64_t{tables_per_pe} * global_batch;
+    FCC_CHECK_MSG(wgs <= INT_MAX,
+                  "SliceMap::tables_per_pe (got "
+                      << tables_per_pe << ") x SliceMap::global_batch (got "
+                      << global_batch << ") = " << wgs
+                      << " logical WGs, more than INT_MAX (" << INT_MAX
+                      << ")");
     FCC_CHECK(global_batch % num_pes == 0);
     FCC_CHECK(vectors_per_slice >= 1);
     FCC_CHECK_MSG(local_batch() % vectors_per_slice == 0,
@@ -144,17 +162,17 @@ struct SliceMap {
   int slices_per_dest_per_table() const {
     return local_batch() / vectors_per_slice;
   }
-  int num_slices() const {
-    return tables_per_pe * num_pes * slices_per_dest_per_table();
+  /// Slices bound for one destination PE, its range's length.
+  int slices_per_dest() const {
+    return tables_per_pe * slices_per_dest_per_table();
   }
+  int num_slices() const { return num_pes * slices_per_dest(); }
   int wgs_per_slice() const { return vectors_per_slice; }
 
   int slice_table(int s) const {
-    return s / (num_pes * slices_per_dest_per_table());
+    return (s / slices_per_dest_per_table()) % tables_per_pe;
   }
-  PeId slice_dest(int s) const {
-    return (s / slices_per_dest_per_table()) % num_pes;
-  }
+  PeId slice_dest(int s) const { return s / slices_per_dest(); }
   int slice_group(int s) const { return s % slices_per_dest_per_table(); }
   /// First global sample covered by slice s.
   int slice_sample_begin(int s) const {
@@ -199,12 +217,13 @@ class SliceIndex {
  public:
   SliceIndex() = default;
   explicit SliceIndex(const SliceMap& map)
-      : num_pes_(map.num_pes),
+      : num_slices_(map.num_slices()),
         slices_per_dest_per_table_(map.slices_per_dest_per_table()),
         tables_(map.tables_per_pe),
         local_batch_(map.local_batch()),
         vectors_per_slice_(map.vectors_per_slice),
-        wgs_per_dest_(map.wgs_per_dest()) {}
+        wgs_per_dest_(map.wgs_per_dest()),
+        slices_per_dest_(map.slices_per_dest()) {}
 
   /// Where logical WG `lw`'s vector goes: its destination PE, the slice
   /// it contributes to, and its position (lane) within that slice.
@@ -219,8 +238,24 @@ class SliceIndex {
     const PeId d = local_batch_.div(b);
     const int row = b - d * local_batch_.value();
     const int g = vectors_per_slice_.div(row);
-    return {d, (t * num_pes_ + d) * slices_per_dest_per_table_ + g,
+    return {d, (d * tables_.value() + t) * slices_per_dest_per_table_ + g,
             row - g * vectors_per_slice_.value()};
+  }
+
+  /// SliceMap::num_slices().
+  int num_slices() const { return num_slices_; }
+
+  /// Destination PE of slice `slice` (SliceMap::slice_dest).
+  PeId dest_of(int slice) const { return slices_per_dest_.div(slice); }
+
+  /// sliceRdy flag, on `dest` (= dest_of(slice)), of source `src`'s slice
+  /// `slice`: flag (src, table, group), whose offset in src's flags is the
+  /// slice's offset in dest's slice range.
+  std::size_t flag_of(PeId src, PeId dest, int slice) const {
+    const int per_dest = slices_per_dest_.value();
+    return static_cast<std::size_t>(src) *
+               static_cast<std::size_t>(per_dest) +
+           static_cast<std::size_t>(slice - dest * per_dest);
   }
 
   /// Logical WG at position `pos` of the order that runs the destination
@@ -233,12 +268,13 @@ class SliceIndex {
   }
 
  private:
-  int num_pes_ = 1;
+  int num_slices_ = 1;
   int slices_per_dest_per_table_ = 1;
   Divisor tables_;             // tables_per_pe
   Divisor local_batch_;        // samples per destination PE
   Divisor vectors_per_slice_;  // lanes per slice
   Divisor wgs_per_dest_;       // WGs per destination block
+  Divisor slices_per_dest_;    // slices per destination PE
 };
 
 /// WG_Done table for every slice of every PE, flat: per slice its lane

@@ -26,6 +26,14 @@
 //     while a wheel bucket at t is pending, t is in the window, so no heap
 //     bucket at t can open. (A far push entered the heap before its time
 //     came into the window; a rewind's time is below every wheel time.)
+//   * run() and run_until() look up the front bucket once and then drain
+//     it in one loop (drain_front), not one find_front() per event. Pushes
+//     at the bucket's own time append to it and fire in the same loop, in
+//     push order. Only a rewind one of its events pushes can put an
+//     earlier bucket in front (a heap bucket behind the drained time); the
+//     loop checks for that after every event and hands back to find_front.
+//     A bucket is closed before its last event fires, so a push at its
+//     time from that event opens the next bucket, found next.
 //   * A bucket keeps its first payload inline (a single-event timestamp
 //     takes no chunk) and the rest in fixed-size chunks. Buckets, chunks
 //     and callback nodes are pooled in chunk-stable slabs with free lists,
@@ -204,7 +212,7 @@ class Engine {
   /// (live_tasks() > 0) the simulation deadlocked.
   std::size_t run() {
     std::size_t processed = 0;
-    for (Front f; find_front(f); ++processed) fire_front(f);
+    for (Front f; find_front(f);) processed += drain_front(f);
     release_queue_storage();
     return processed;
   }
@@ -213,8 +221,8 @@ class Engine {
   /// (if later). Keeps the queue's storage. Returns events processed.
   std::size_t run_until(TimeNs deadline) {
     std::size_t processed = 0;
-    for (Front f; find_front(f) && f.t <= deadline; ++processed) {
-      fire_front(f);
+    for (Front f; find_front(f) && f.t <= deadline;) {
+      processed += drain_front(f);
     }
     if (now_ < deadline) now_ = deadline;
     // Every pending event is later than `deadline`: the window may move up.
@@ -544,35 +552,52 @@ class Engine {
     return found;
   }
 
-  /// Fires the front event of the bucket find_front() returned.
-  void fire_front(const Front& f) {
+  /// Fires the bucket find_front() returned, front to back; returns the
+  /// events fired. Stops once the bucket empties (closed before its last
+  /// event fires, so a push at f.t from that event opens a new bucket,
+  /// found next), or once a heap bucket earlier than f.t is the front: a
+  /// rewind that one of its events pushed. Any other push at f.t appends
+  /// to this bucket and fires in this loop, in push order.
+  std::size_t drain_front(const Front& f) {
     Wheel& w = *wheel_;
     const std::uint32_t bucket =
         f.slot == kNil ? far_.front().bucket : w.bucket[f.slot];
     Bucket& b = buckets_[bucket];
-    const std::uintptr_t p = take_front(b);
-    if (b.count == 0) {
-      if (f.slot == kNil) {
-        std::pop_heap(far_.begin(), far_.end(), FarLater{});
-        far_.pop_back();
-        FarHint& hint = w.hint[hint_index(f.t)];
-        if (hint.bucket == bucket) hint.t = kNoTime;
-      } else {
-        const std::uint32_t word = f.slot >> 6;
-        w.bits[word] &= ~(std::uint64_t{1} << (f.slot & 63));
-        if (w.bits[word] == 0) {
-          w.summary[word >> 6] &= ~(std::uint64_t{1} << (word & 63));
-        }
-        --open_slots_;
-      }
-      retire(bucket);
-    }
     // A rewind entry (schedule_at_unchecked) legitimately moves now_
     // backwards from the window deadline run_until parked it at; run_until
     // restores the frontier after the loop. The cursor stays put.
     now_ = f.t;
     if (cursor_ < f.t) cursor_ = f.t;
-    fire(p);
+    for (std::size_t fired = 1;; ++fired) {
+      const std::uintptr_t p = take_front(b);
+      if (b.count == 0) {
+        close_front(f, bucket);
+        fire(p);
+        return fired;
+      }
+      fire(p);
+      if (!far_.empty() && far_.front().t < f.t) return fired;
+    }
+  }
+
+  /// Unlinks the emptied front bucket from the wheel or the heap and
+  /// retires it.
+  void close_front(const Front& f, std::uint32_t bucket) {
+    Wheel& w = *wheel_;
+    if (f.slot == kNil) {
+      std::pop_heap(far_.begin(), far_.end(), FarLater{});
+      far_.pop_back();
+      FarHint& hint = w.hint[hint_index(f.t)];
+      if (hint.bucket == bucket) hint.t = kNoTime;
+    } else {
+      const std::uint32_t word = f.slot >> 6;
+      w.bits[word] &= ~(std::uint64_t{1} << (f.slot & 63));
+      if (w.bits[word] == 0) {
+        w.summary[word >> 6] &= ~(std::uint64_t{1} << (word & 63));
+      }
+      --open_slots_;
+    }
+    retire(bucket);
   }
 
   void fire(std::uintptr_t payload) {

@@ -69,14 +69,18 @@ std::vector<std::size_t> strides(const Counts& base, const Counts& more,
 }
 
 /// Checks that an operator's only per-slot allocation is its slot record,
-/// within one cache line, and prints the record's size.
-void expect_record(const char* what, const Counts& base, const Counts& more,
-                   int slots, std::uint64_t kernels) {
+/// within one cache line, and prints the record's size; returns it (0 if
+/// there is not exactly one stride).
+std::size_t expect_record(const char* what, const Counts& base,
+                          const Counts& more, int slots,
+                          std::uint64_t kernels) {
   const std::vector<std::size_t> found = strides(base, more, slots, kernels);
-  ASSERT_EQ(found.size(), 1u) << what << ": not exactly one per-slot stride";
+  EXPECT_EQ(found.size(), 1u) << what << ": not exactly one per-slot stride";
+  if (found.size() != 1) return 0;
   std::cout << what << " slot record: " << found[0] << " B (budget "
             << gpu::KernelRun::kMaxSlotBytes << " B)\n";
   EXPECT_LE(found[0], gpu::KernelRun::kMaxSlotBytes) << what;
+  return found[0];
 }
 
 gpu::Machine::Config fc(int nodes, int gpus) {
@@ -110,10 +114,13 @@ Counts embedding_counts(int slots) {
 }
 
 TEST(FrameBudget, FusedEmbedding) {
-  // The record also polls the slot's sliceRdy flags.
+  // The record also polls the slot's sliceRdy flags. It fires the most
+  // engine events of any record on every bench/perf workload, so it is
+  // pinned at half a cache line: slice, lane and zero-copy bit.
   using Op = fused::FusedEmbeddingAllToAll;
-  expect_record("fused embedding", embedding_counts<Op>(6),
-                embedding_counts<Op>(7), 6, 4);
+  EXPECT_EQ(expect_record("fused embedding", embedding_counts<Op>(6),
+                          embedding_counts<Op>(7), 6, 4),
+            32u);
 }
 
 TEST(FrameBudget, BaselineEmbedding) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <functional>
 #include <initializer_list>
 #include <limits>
@@ -168,6 +169,20 @@ TEST(SliceMap, RoundTripsWgSliceLane) {
     EXPECT_EQ(map.slice_table(s), map.wg_table(lw));
     EXPECT_EQ(at.dest, map.dest_of_sample(map.wg_sample(lw)));
     EXPECT_EQ(map.slice_dest(s), at.dest);
+    EXPECT_EQ(index.dest_of(s), at.dest);
+    // Destination-major: dest's slices are one contiguous range.
+    EXPECT_EQ(s / map.slices_per_dest(), at.dest);
+    EXPECT_EQ(s % map.slices_per_dest(),
+              map.wg_table(lw) * map.slices_per_dest_per_table() +
+                  map.slice_group(s));
+    // The slice's sliceRdy flag is numbered (source, table, group).
+    for (PeId src = 0; src < map.num_pes; ++src) {
+      EXPECT_EQ(index.flag_of(src, at.dest, s),
+                static_cast<std::size_t>(
+                    (src * map.tables_per_pe + map.wg_table(lw)) *
+                        map.slices_per_dest_per_table() +
+                    map.slice_group(s)));
+    }
     EXPECT_GE(at.lane, 0);
     EXPECT_LT(at.lane, map.wgs_per_slice());
     EXPECT_EQ(map.slice_sample_begin(s) + at.lane, map.wg_sample(lw));
@@ -889,6 +904,36 @@ TEST(FusedEmbedding, RejectsNonPositiveGlobalBatchAtConstruction) {
                              BaselineEmbeddingAllToAll>(
         w, cfg, "SliceMap::global_batch", batch);
   }
+}
+
+// 1024 tables x 2^22 samples is 2^32 logical WGs: the count used to wrap
+// to 0 (signed overflow) on 4 PEs and both backends constructed; on 2 PEs
+// the fused one threw from a Divisor of an overflowed block size.
+TEST(FusedEmbedding, RejectsLogicalWgCountAboveIntMaxAtConstruction) {
+  for (const int gpus : {2, 4}) {
+    gpu::Machine m(intra_node(gpus));
+    shmem::World w(m);
+    auto cfg = small_config(gpus);
+    cfg.functional = false;
+    cfg.map.tables_per_pe = 1024;
+    cfg.map.global_batch = 1 << 22;
+    test::expect_both_reject<FusedEmbeddingAllToAll,
+                             BaselineEmbeddingAllToAll>(
+        w, cfg, "SliceMap::tables_per_pe", 1024);
+    test::expect_both_reject<FusedEmbeddingAllToAll,
+                             BaselineEmbeddingAllToAll>(
+        w, cfg, "SliceMap::global_batch", 1 << 22);
+  }
+  // The largest accepted count, INT_MAX rounded down to whole slices.
+  SliceMap map;
+  map.num_pes = 1;
+  map.tables_per_pe = 1;
+  map.global_batch = (INT_MAX / 32) * 32;
+  map.vectors_per_slice = 32;
+  map.validate();
+  const SliceIndex index(map);
+  EXPECT_EQ(index.place(map.num_logical_wgs() - 1).lane, 31);
+  EXPECT_EQ(index.dest_of(map.num_slices() - 1), 0);
 }
 
 // A negative override used to be read as "derive the slot count".

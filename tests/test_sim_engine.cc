@@ -598,7 +598,7 @@ class DiffDriver {
     Engine& e = *engine_;
     engine_log_.push_back(Fired{id, e.now(), e.pending()});
     for (const Child& c : children(id)) {
-      schedule_engine(c.kind, e.now() + c.dt, engine_ids_++);
+      schedule_engine(c.kind, child_time(e.now(), c), engine_ids_++);
     }
   }
 
@@ -615,9 +615,13 @@ class DiffDriver {
     kRewindCall,
   };
   struct Child {
-    TimeNs dt;
-    Kind kind;  // kAt, kCallAt or kFlag
+    TimeNs dt;  // negative: a rewind, behind the parent's now()
+    Kind kind;  // kAt, kCallAt, kFlag, kRewind or kRewindCall
   };
+  /// When a child of an event fired at `now` is due; a rewind stops at 0.
+  static TimeNs child_time(TimeNs now, const Child& c) {
+    return std::max<TimeNs>(0, now + c.dt);
+  }
 
   /// Flag event `id` updates flag `id` of this target, by set (amount 0)
   /// or add (amount id % 3); the event counts as fired only with the
@@ -655,18 +659,27 @@ class DiffDriver {
                                        kEdge,         kEdge - 1};
 
   /// What event `id` schedules when it fires: a pure function of (seed,
-  /// id), so both sides agree as long as they fire the same ids.
+  /// id), so both sides agree as long as they fire the same ids. About one
+  /// child in 16 is a rewind behind the parent's now(), so that a bucket
+  /// can be interrupted mid-drain by an earlier heap bucket.
   std::vector<Child> children(int id) const {
     std::vector<Child> out;
     if (id >= kMaxEvents) return out;
     std::uint64_t r = mix64(seed_ ^ (static_cast<std::uint64_t>(id) << 20));
+    std::uint64_t q = mix64(r);
     static constexpr int kCount[8] = {0, 0, 0, 1, 1, 1, 2, 3};
     static constexpr TimeNs kDt[8] = {0, 0, 1, 1, 2, 3, 5, 13};
+    static constexpr TimeNs kBack[8] = {1, 1, 2, 3, 5, 13, 64, kEdge + 1};
     const int n = kCount[r & 7];
     static constexpr Kind kChild[4] = {Kind::kAt, Kind::kCallAt,
                                        Kind::kFlag, Kind::kAt};
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < n; ++i, q >>= 8) {
       r >>= 8;
+      if ((q & 15) == 0) {
+        out.push_back(Child{-kBack[(q >> 4) & 7],
+                            (q >> 7) & 1 ? Kind::kRewindCall : Kind::kRewind});
+        continue;
+      }
       const TimeNs dt = (r & 7) == 0 ? kFarDt[(r >> 3) & 7] : kDt[(r >> 3) & 7];
       out.push_back(Child{dt, kChild[(r >> 6) & 3]});
     }
@@ -819,7 +832,7 @@ class DiffDriver {
     ref_now_ = top.t;
     ref_log_.push_back(Fired{top.id, ref_now_, ref_.size()});
     for (const Child& c : children(top.id)) {
-      ref_push(ref_now_ + c.dt, ref_ids_++);
+      ref_push(child_time(ref_now_, c), ref_ids_++);
     }
   }
 
